@@ -152,14 +152,12 @@ const (
 	// with map-based local indices — the differential oracle.
 	BackendContainer = runtime.BackendContainer
 	// BackendColumnar is the epoch-ring columnar store: flat per-epoch
-	// segments, open-addressed hash indices, int32 posting chains.
+	// segments, open-addressed hash indices, int32 posting chains. With
+	// StateHotBytes > 0 it also spills cold whole epochs to an mmap'd
+	// on-disk segment file, with filter stubs so probes skip cold
+	// segments without touching disk: results stay byte-identical,
+	// resident memory follows the hot budget.
 	BackendColumnar = runtime.BackendColumnar
-	// BackendTiered keeps hot epochs in the columnar ring and spills
-	// cold whole epochs to an mmap'd on-disk segment file bounded by
-	// StateHotBytes, with filter stubs so probes skip cold segments
-	// without touching disk. Results stay byte-identical to the
-	// in-memory backends; resident memory follows the hot budget.
-	BackendTiered = runtime.BackendTiered
 	// EvictFail terminates the engine with ErrMemoryLimit when
 	// materialized state exceeds StateLimitBytes (the default).
 	EvictFail = runtime.EvictFail
@@ -330,9 +328,9 @@ type Config struct {
 	// exceed it (0 = unlimited).
 	MemoryLimitBytes int64
 	// StateBackend selects the store layout serving every task:
-	// BackendContainer (default), BackendColumnar, or BackendTiered.
-	// Results are byte-identical across backends; they differ in speed,
-	// memory footprint, and GC pressure.
+	// BackendContainer (default, the differential oracle) or
+	// BackendColumnar. Results are byte-identical across backends; they
+	// differ in speed, memory footprint, and GC pressure.
 	StateBackend StateBackendKind
 	// StateLimitBytes bounds materialized state — tuple payloads plus
 	// storage structure plus index overhead (0 = unlimited). StatePolicy
@@ -343,13 +341,14 @@ type Config struct {
 	// oldest-first with counted drops; requires EpochLength > 0 to give
 	// eviction a granularity finer than "everything").
 	StatePolicy StatePolicy
-	// StateHotBytes bounds resident (in-memory) state on BackendTiered
-	// (0 = unlimited): above it, tasks demote their coldest whole
-	// epochs to disk instead of evicting them — bounded memory with no
-	// lost tuples. Ignored by the in-memory backends.
+	// StateHotBytes enables the spill tier on BackendColumnar and bounds
+	// resident (in-memory) state (0 = no tier, nothing ever touches
+	// disk): above it, tasks demote their coldest whole epochs to disk
+	// instead of evicting them — bounded memory with no lost tuples.
+	// Ignored by the container oracle.
 	StateHotBytes int64
-	// StateSpillDir is where BackendTiered places its spill files
-	// (default: the OS temp directory).
+	// StateSpillDir is where the spill tier places its files, created
+	// on the first demotion (default: the OS temp directory).
 	StateSpillDir string
 	// StepMode drains after every ingest: deterministic results, lower
 	// throughput. Meant for tests and examples.

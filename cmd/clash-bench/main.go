@@ -75,7 +75,7 @@ func main() {
 		solveTO    = flag.Duration("solve-limit", 20*time.Second, "per-ILP time limit for Fig. 9")
 		seed       = flag.Uint64("seed", 42, "workload seed")
 		seeds      = flag.Int("seeds", 16, "schedule seeds for -fig simsweep")
-		backendF   = flag.String("backend", "container", "state backend for the -fig simsweep runs, and filter for -fig longstate (container|columnar|tiered)")
+		backendF   = flag.String("backend", "container", "state-matrix row for the -fig simsweep runs, and filter for -fig longstate (container|columnar|tiered; tiered = columnar under a hot budget)")
 		jsonOut    = flag.String("json", "", "write the Fig. 7 series as machine-readable JSON to this file (perf tracking across PRs)")
 		compareTo  = flag.String("compare", "", "baseline Fig. 7 JSON (e.g. BENCH_fig7.json): diff this run against it and exit 1 on regressions")
 		regressPct = flag.Float64("regress-pct", 10, "regression threshold for -compare, in percent")
@@ -131,12 +131,12 @@ func main() {
 		series = runFig7(*sf, *quick, *seed)
 	}
 	// A longstate baseline forces the longstate run: the gate compares
-	// per-backend ns/op and the tiered backend's absolute invariants.
-	// An explicit -backend narrows the shoot-out to that backend.
+	// per-row ns/op and the tiered row's absolute invariants. An
+	// explicit -backend narrows the shoot-out to that row.
 	if want("longstate") || len(baselineLong) > 0 {
-		var only []bench.StateBackendKind
+		var only []bench.StateConfig
 		if flagWasSet("backend") {
-			only = []bench.StateBackendKind{backend}
+			only = []bench.StateConfig{backend}
 		}
 		longstate = runLongState(*quick, *seed, only...)
 	}
@@ -341,11 +341,11 @@ func runOverload(quick bool, seed uint64) {
 	fmt.Println()
 }
 
-// runLongState drives the state-backend shoot-out (DESIGN.md §10,
-// §15) on every backend — or only the ones named — and dies on a
+// runLongState drives the state-backend shoot-out (DESIGN.md §10) on
+// every row of the state matrix — or only the ones named — and dies on a
 // vacuous or inconclusive stage (an EvictFail run that survives its
 // budget, a survivor that never evicts, a tiered run that sheds).
-func runLongState(quick bool, seed uint64, only ...bench.StateBackendKind) []bench.LongStateResult {
+func runLongState(quick bool, seed uint64, only ...bench.StateConfig) []bench.LongStateResult {
 	cfg := bench.LongStateConfig{Seed: seed}
 	if quick {
 		cfg.Tuples = 6000
@@ -392,12 +392,12 @@ func runClusterBench(seed uint64) []bench.ClusterBenchResult {
 // runSimSweep drives the deterministic-schedule sweep (DESIGN.md §9)
 // and exits non-zero on any seed that deviates from the oracle, any
 // replay divergence, or a fault scenario that fails to reproduce.
-func runSimSweep(seeds int, quick bool, seed uint64, backend bench.StateBackendKind) {
-	cfg := bench.SimSweepConfig{Seeds: seeds, Seed: seed, Backend: backend}
+func runSimSweep(seeds int, quick bool, seed uint64, backend bench.StateConfig) {
+	cfg := bench.SimSweepConfig{Seeds: seeds, Seed: seed, State: backend}
 	if quick && cfg.Seeds > 8 {
 		cfg.Seeds = 8
 	}
-	fmt.Printf("=== Sim sweep — TPC-H equivalence oracle across %d seeded schedules (%s backend) ===\n", cfg.Seeds, backend)
+	fmt.Printf("=== Sim sweep — TPC-H equivalence oracle across %d seeded schedules (%s backend) ===\n", cfg.Seeds, backend.Name)
 	res, err := bench.SimSweep(cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -579,7 +579,7 @@ func flagWasSet(name string) bool {
 // compareLongState gates the state-backend shoot-out against the
 // baseline. Alloc counts are deterministic and must not grow; probe,
 // prune, and cold-probe ns/op may not regress beyond the threshold.
-// The tiered backend's lossless invariants — zero evictions in both
+// The tiered row's lossless invariants — zero evictions in both
 // the eviction stage and the 10×-window stage — are gated absolutely,
 // regardless of what the baseline recorded.
 func compareLongState(baseline, current []bench.LongStateResult, threshold float64) bool {

@@ -26,6 +26,7 @@ package bench
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime/debug"
 	"strings"
 	"testing"
@@ -37,6 +38,7 @@ import (
 	"clash/internal/query"
 	"clash/internal/rng"
 	"clash/internal/runtime"
+	"clash/internal/sim"
 	"clash/internal/stats"
 	"clash/internal/topology"
 	"clash/internal/tuple"
@@ -93,14 +95,14 @@ type LongStateResult struct {
 	PruneAllocsOp int64 `json:"prune_allocs_op"` //
 
 	// Eviction stage (budget = StateBytes/3 of this backend's build).
-	FailDiedAt    int   `json:"fail_died_at"`   // tuple index where EvictFail hit ErrMemoryLimit (-1: never — a failure)
-	EvictSurvived bool  `json:"evict_survived"` // EvictOldestEpoch finished the same stream
-	EvictedEpochs int64 `json:"evicted_epochs"` // epochs shed at the budget (tiered: must stay 0 — it demotes instead)
-	EvictedTuples int64 `json:"evicted_tuples"` //
-	EvictResults  int64 `json:"evict_results"`  // results the surviving run still produced
+	FailDiedAt    int   `json:"fail_died_at"`             // tuple index where EvictFail hit ErrMemoryLimit (-1: never — a failure)
+	EvictSurvived bool  `json:"evict_survived"`           // EvictOldestEpoch finished the same stream
+	EvictedEpochs int64 `json:"evicted_epochs"`           // epochs shed at the budget (tiered: must stay 0 — it demotes instead)
+	EvictedTuples int64 `json:"evicted_tuples"`           //
+	EvictResults  int64 `json:"evict_results"`            // results the surviving run still produced
 	DemotedEpochs int64 `json:"demoted_epochs,omitempty"` // tiered eviction stage: epochs spilled instead of shed
 
-	// Tiered stage (tiered backend only): a 10× window under a hot
+	// Tiered stage (tiered row only): a 10× window under a hot
 	// budget sized from the 1× resident footprint — a store no
 	// in-memory backend survives on that budget.
 	Tiered *TieredStageResult `json:"tiered,omitempty"`
@@ -124,21 +126,23 @@ type TieredStageResult struct {
 	EvictedTuples  int64 `json:"evicted_tuples"`   // gated absolutely at 0
 }
 
-// StateBackendKind re-exports the runtime's backend selector so
-// cmd/clash-bench needs only this package.
-type StateBackendKind = runtime.StateBackendKind
+// StateConfig re-exports the state-matrix row type so cmd/clash-bench
+// needs only this package.
+type StateConfig = sim.StateConfig
 
-// ParseBackend maps a -backend flag value to a state backend kind.
-func ParseBackend(name string) (runtime.StateBackendKind, error) {
-	switch strings.ToLower(name) {
-	case "", "container":
-		return runtime.BackendContainer, nil
-	case "columnar":
-		return runtime.BackendColumnar, nil
-	case "tiered":
-		return runtime.BackendTiered, nil
+// ParseBackend maps a -backend flag value to its row of the state
+// matrix ("" = container).
+func ParseBackend(name string) (StateConfig, error) {
+	rows := sim.StateConfigs()
+	if name == "" {
+		return rows[0], nil
 	}
-	return 0, fmt.Errorf("bench: unknown state backend %q (container|columnar|tiered)", name)
+	for _, row := range rows {
+		if strings.EqualFold(name, row.Name) {
+			return row, nil
+		}
+	}
+	return StateConfig{}, fmt.Errorf("bench: unknown state backend %q (container|columnar|tiered)", name)
 }
 
 // longStateTopo compiles the two-way join deployed in every stage.
@@ -178,28 +182,40 @@ func heapInUse() int64 {
 	return int64(ms.HeapAlloc)
 }
 
-// LongState runs all stages on every backend — or only the backends
-// named in only — and reports one result per backend, container first
-// (the baseline) when running the full set.
-func LongState(cfg LongStateConfig, only ...runtime.StateBackendKind) ([]LongStateResult, error) {
+// LongState runs all stages on every row of the state matrix — or only
+// the rows named in only — and reports one result per row, container
+// first (the baseline) when running the full set.
+func LongState(cfg LongStateConfig, only ...StateConfig) ([]LongStateResult, error) {
 	cfg.fill()
-	backends := only
-	if len(backends) == 0 {
-		backends = []runtime.StateBackendKind{runtime.BackendContainer, runtime.BackendColumnar, runtime.BackendTiered}
+	rows := only
+	if len(rows) == 0 {
+		rows = sim.StateConfigs()
 	}
 	var out []LongStateResult
-	for _, backend := range backends {
-		r, err := longStateBackend(backend, cfg)
+	for _, row := range rows {
+		r, err := longStateBackend(row, cfg)
 		if err != nil {
-			return nil, fmt.Errorf("bench: longstate %v: %w", backend, err)
+			return nil, fmt.Errorf("bench: longstate %s: %w", row.Name, err)
 		}
 		out = append(out, r)
 	}
 	return out, nil
 }
 
-func longStateBackend(backend runtime.StateBackendKind, cfg LongStateConfig) (LongStateResult, error) {
-	res := LongStateResult{Backend: backend.String(), FailDiedAt: -1}
+// idleTier is the hot budget of the tiered row's probe, prune, and
+// eviction stages: the spill tier is on but its own budget never binds,
+// so those stages measure the tier's overhead on an all-hot store and
+// let the state limit alone drive demotions. The 10×-window stage sizes
+// a binding budget from the measured footprint instead of the matrix's
+// forcing one.
+const idleTier = math.MaxInt64
+
+func longStateBackend(row StateConfig, cfg LongStateConfig) (LongStateResult, error) {
+	res := LongStateResult{Backend: row.Name, FailDiedAt: -1}
+	backend, hot := row.Backend, int64(0)
+	if row.HotBytes > 0 {
+		hot = idleTier
+	}
 
 	// ---- Probe stage: preload a long-window store, probe it skewed.
 	_, cat, topo, err := longStateTopo(1)
@@ -215,6 +231,7 @@ func longStateBackend(backend runtime.StateBackendKind, cfg LongStateConfig) (Lo
 		Catalog:       cat,
 		Synchronous:   true,
 		StateBackend:  backend,
+		StateHotBytes: hot,
 		DefaultWindow: time.Duration(4 * cfg.Tuples), // covers the whole preload span
 		EpochLength:   cfg.EpochLength,
 	})
@@ -273,24 +290,24 @@ func longStateBackend(backend runtime.StateBackendKind, cfg LongStateConfig) (Lo
 	}
 
 	// ---- Prune stage: slide a window one tuple at a time.
-	if err := res.pruneStage(backend, cfg); err != nil {
+	if err := res.pruneStage(backend, hot, cfg); err != nil {
 		return res, err
 	}
 
 	// ---- Eviction stage: budget from the measured resident bytes.
-	if err := res.evictStage(backend, cfg, res.StateBytes/3); err != nil {
+	if err := res.evictStage(backend, hot, cfg, res.StateBytes/3); err != nil {
 		return res, err
 	}
 
-	// ---- Tiered stage (tiered only): 10× the window under a hot
+	// ---- Tiered stage (tiered row only): 10× the window under a hot
 	// budget equal to the 1× resident footprint measured above.
-	if backend == runtime.BackendTiered {
+	if hot > 0 {
 		return res, res.tieredStage(cfg, res.StateBytes)
 	}
 	return res, nil
 }
 
-func (res *LongStateResult) pruneStage(backend runtime.StateBackendKind, cfg LongStateConfig) error {
+func (res *LongStateResult) pruneStage(backend runtime.StateBackendKind, hot int64, cfg LongStateConfig) error {
 	_, cat, topo, err := longStateTopo(1)
 	if err != nil {
 		return err
@@ -299,6 +316,7 @@ func (res *LongStateResult) pruneStage(backend runtime.StateBackendKind, cfg Lon
 		Catalog:       cat,
 		Synchronous:   true,
 		StateBackend:  backend,
+		StateHotBytes: hot,
 		DefaultWindow: cfg.PruneWindow,
 		EpochLength:   cfg.EpochLength,
 	})
@@ -359,7 +377,7 @@ func (res *LongStateResult) pruneStage(backend runtime.StateBackendKind, cfg Lon
 // evictStage replays one unbounded-window stream twice under a state
 // budget: EvictFail must die at the wall, EvictOldestEpoch must finish
 // it live with counted drops.
-func (res *LongStateResult) evictStage(backend runtime.StateBackendKind, cfg LongStateConfig, budget int64) error {
+func (res *LongStateResult) evictStage(backend runtime.StateBackendKind, hot int64, cfg LongStateConfig, budget int64) error {
 	run := func(policy runtime.StatePolicy) (*runtime.Engine, int, error) {
 		_, cat, topo, err := longStateTopo(1)
 		if err != nil {
@@ -369,6 +387,7 @@ func (res *LongStateResult) evictStage(backend runtime.StateBackendKind, cfg Lon
 			Catalog:         cat,
 			Synchronous:     true,
 			StateBackend:    backend,
+			StateHotBytes:   hot,
 			EpochLength:     cfg.EpochLength,
 			StateLimitBytes: budget,
 			StatePolicy:     policy,
@@ -415,15 +434,15 @@ func (res *LongStateResult) evictStage(backend runtime.StateBackendKind, cfg Lon
 	res.EvictSurvived = true
 	res.EvictedEpochs, res.EvictedTuples = m.EvictedEpochs, m.EvictedTuples
 	res.DemotedEpochs = m.DemotedEpochs
-	if backend == runtime.BackendTiered {
+	if hot > 0 {
 		// Demote-first: the tier honors the budget by spilling; any
 		// eviction would have changed the answer.
 		if res.EvictedEpochs != 0 || res.EvictedTuples != 0 {
-			return fmt.Errorf("tiered backend evicted %d epochs / %d tuples instead of demoting",
+			return fmt.Errorf("tiered row evicted %d epochs / %d tuples instead of demoting",
 				res.EvictedEpochs, res.EvictedTuples)
 		}
 		if res.DemotedEpochs == 0 {
-			return fmt.Errorf("tiered backend survived the budget without demoting — scenario too weak")
+			return fmt.Errorf("tiered row survived the budget without demoting — scenario too weak")
 		}
 	} else if res.EvictedEpochs == 0 {
 		return fmt.Errorf("EvictOldestEpoch survived without evicting — scenario too weak")
@@ -433,7 +452,7 @@ func (res *LongStateResult) evictStage(backend runtime.StateBackendKind, cfg Lon
 
 // tieredStage grows the store to 10× the probe stage's span under
 // StateHotBytes equal to the 1× resident footprint — a budget both
-// in-memory backends demonstrably cannot hold this stream in (the
+// tier-less rows demonstrably cannot hold this stream in (the
 // eviction stage killed them at a third of it) — then probes the
 // mostly-cold store with the same skewed mix. Nothing may be evicted:
 // the overflow lives on disk and every probe still sees the full
@@ -447,7 +466,7 @@ func (res *LongStateResult) tieredStage(cfg LongStateConfig, budget int64) error
 	eng := runtime.New(runtime.Config{
 		Catalog:       cat,
 		Synchronous:   true,
-		StateBackend:  runtime.BackendTiered,
+		StateBackend:  runtime.BackendColumnar,
 		DefaultWindow: time.Duration(4 * tuples),
 		EpochLength:   cfg.EpochLength,
 		StateHotBytes: budget,

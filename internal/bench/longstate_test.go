@@ -3,14 +3,14 @@ package bench
 import "testing"
 
 // TestLongStateShootout runs the long-state benchmark end to end at a
-// reduced scale and checks the headline claims of DESIGN.md §10 and
-// §15: the columnar backend wins probe and prune ns/op against the
-// container baseline with equal-or-fewer allocations and a smaller
-// resident footprint; the eviction stage kills EvictFail on every
-// backend while EvictOldestEpoch survives — by counted drops on the
-// in-memory backends, by lossless demotion on the tiered one; and the
-// tiered backend holds a 10× window under the 1× resident budget with
-// zero evictions.
+// reduced scale and checks the headline claims of DESIGN.md §10: the
+// columnar backend wins probe and prune ns/op against the container
+// baseline with equal-or-fewer allocations and a smaller resident
+// footprint; the eviction stage kills EvictFail on every row of the
+// state matrix while EvictOldestEpoch survives — by counted drops on
+// the container and columnar rows, by lossless demotion on the tiered
+// one (the columnar store with its spill tier on); and the tiered row
+// holds a 10× window under the 1× resident budget with zero evictions.
 func TestLongStateShootout(t *testing.T) {
 	if testing.Short() {
 		t.Skip("longstate shoot-out runs in the CI bench-smoke step")
@@ -49,7 +49,7 @@ func TestLongStateShootout(t *testing.T) {
 	// The tiered 10× stage: everything beyond the hot budget is on
 	// disk, nothing was evicted, and resident bytes track the budget.
 	if trd.Tiered == nil {
-		t.Fatal("tiered backend reported no 10x-window stage")
+		t.Fatal("tiered row reported no 10x-window stage")
 	} else {
 		st := trd.Tiered
 		if st.EvictedTuples != 0 {
@@ -65,10 +65,10 @@ func TestLongStateShootout(t *testing.T) {
 			t.Errorf("tiered 10x stage probes never exercised the stubs (hits=%d misses=%d)", st.ColdHits, st.ColdMisses)
 		}
 	}
-	// Hot-path parity: with everything resident (the probe stage sets
-	// no hot budget) the tiered backend is the columnar backend plus an
-	// empty cold check, so its probe cost must stay in columnar's
-	// neighborhood. The band is wide — the suite runs packages in
+	// Hot-path parity: with everything resident (the probe stage's hot
+	// budget never binds) the tiered row is the columnar row plus the
+	// tier's end-of-dispatch check, so its probe cost must stay in
+	// columnar's neighborhood. The band is wide — the suite runs packages in
 	// parallel, and a loaded machine skews a 13µs benchmark well past
 	// real parity; the clash-bench baseline gate (compareLongState at
 	// -regress-pct) is where the tight comparison lives.

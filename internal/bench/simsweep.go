@@ -24,10 +24,11 @@ type SimSweepConfig struct {
 	SF    float64 // TPC-H scale factor (default 0.0002 — sweep scale)
 	Seeds int     // schedule seeds to explore (default 16)
 	Seed  uint64  // workload/data seed (default 42)
-	// Backend selects the state backend of the simulated runs; the
-	// oracle stays on the default container backend, so a columnar
-	// sweep also proves cross-backend equivalence seed by seed.
-	Backend runtime.StateBackendKind
+	// State selects the state-matrix row of the simulated runs (zero
+	// value: the container backend); the oracle stays on the default
+	// container backend, so a columnar or tiered sweep also proves
+	// cross-backend equivalence seed by seed.
+	State sim.StateConfig
 }
 
 func (c *SimSweepConfig) fill() {
@@ -39,6 +40,9 @@ func (c *SimSweepConfig) fill() {
 	}
 	if c.Seed == 0 {
 		c.Seed = 42
+	}
+	if c.State.Name == "" {
+		c.State = sim.StateConfigs()[0]
 	}
 }
 
@@ -66,7 +70,7 @@ type SimSweepResult struct {
 func SimSweep(cfg SimSweepConfig) (SimSweepResult, error) {
 	cfg.fill()
 	var res SimSweepResult
-	res.Backend = cfg.Backend.String()
+	res.Backend = cfg.State.Name
 
 	queries := tpch.Fig7Queries()
 	cat := tpch.Catalog()
@@ -134,12 +138,11 @@ func SimSweep(cfg SimSweepConfig) (SimSweepResult, error) {
 	for seed := 1; seed <= cfg.Seeds; seed++ {
 		trace := &sim.Trace{}
 		simCfg := runtime.Config{Substrate: runtime.SubstrateSim, StepMode: true,
-			StateBackend: cfg.Backend, Sim: runtime.SimConfig{Seed: uint64(seed)}}
-		// A tiered run with no hot budget never demotes; force real
-		// tiering so the oracle comparison covers spill/promote paths.
-		if cfg.Backend == runtime.BackendTiered {
+			StateBackend: cfg.State.Backend, StateHotBytes: cfg.State.HotBytes,
+			Sim: runtime.SimConfig{Seed: uint64(seed)}}
+		if cfg.State.HotBytes > 0 {
+			// A hot budget bites only with epochs to demote.
 			simCfg.EpochLength = 64 * time.Second
-			simCfg.StateHotBytes = 32 << 10
 		}
 		got, _, err := run(simCfg, trace.Hook())
 		if err != nil {
@@ -177,7 +180,6 @@ func SimSweep(cfg SimSweepConfig) (SimSweepResult, error) {
 		Workload: "q1: R(a) S(a,b) T(b)\nq2: S(b) T(b,c) U(c)",
 		Window:   40 * time.Nanosecond,
 		Stream:   sim.StreamConfig{Tuples: 500, Keys: 5, Seed: cfg.Seed},
-		Backend:  cfg.Backend,
 		Seed:     res.FaultSeed,
 		Credits:  4,
 		StepMode: true,
@@ -186,10 +188,7 @@ func SimSweep(cfg SimSweepConfig) (SimSweepResult, error) {
 			sim.TaskStall{Part: -1, Every: 3, Until: 600},
 		},
 	}
-	if cfg.Backend == runtime.BackendTiered {
-		fault.EpochLength = 8
-		fault.StateHotBytes = 4 << 10
-	}
+	fault.UseState(cfg.State)
 	fres, err := fault.Run()
 	if err != nil {
 		return res, fmt.Errorf("bench: fault scenario: %w", err)

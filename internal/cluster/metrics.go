@@ -15,7 +15,8 @@ type ShardMetrics struct {
 	Stored     int64
 	StateBytes int64 // resident (hot) state incl. index overhead
 	Shed       int64
-	// Tiered-backend tiering counters (zero on in-memory backends):
+	// Spill-tier counters (zero unless the shard runs the columnar
+	// backend under a hot budget):
 	// SpilledBytes is live cold-segment payload on disk — NOT part of
 	// StateBytes, which gauges resident memory only.
 	SpilledBytes  int64
@@ -31,7 +32,7 @@ type Metrics struct {
 	AdmissionDrops int64
 	Results        int64
 	// SpilledBytes is the cluster-wide live cold state on disk across
-	// all shards' tiered backends.
+	// all shards' spill tiers.
 	SpilledBytes int64
 	// Imbalance is max/mean routed tuples per shard (1.0 = perfectly
 	// even; 0 before any routing).

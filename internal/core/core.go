@@ -24,12 +24,10 @@ type Options struct {
 	// StoreParallelism is the number of worker tasks per store
 	// (default 4). It determines the broadcast penalty χ.
 	StoreParallelism int
-	// EnableMIRs allows materialized intermediate-result stores
-	// (default true). Disabling reduces candidates to pure iterative
-	// probing — an ablation of the paper's Sec. IV materialization.
-	EnableMIRs bool
-	// DisableMIRs is the explicit off-switch for EnableMIRs (the zero
-	// Options value enables MIRs).
+	// DisableMIRs drops materialized intermediate-result stores: it
+	// reduces candidates to pure iterative probing — an ablation of the
+	// paper's Sec. IV materialization. The zero Options value keeps
+	// MIRs enabled.
 	DisableMIRs bool
 	// DisablePartitioning drops partition decorations: every store is
 	// unpartitioned and probes always broadcast with χ = parallelism.

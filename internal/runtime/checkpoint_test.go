@@ -68,23 +68,19 @@ func TestCheckpointResumeMatchesOracle(t *testing.T) {
 
 // TestCheckpointCrossBackendRoundTrip: the snapshot format is
 // backend-agnostic — state checkpointed on one backend restores onto
-// any other (all six directions across container/columnar/tiered), and
-// the resumed run still matches the oracle of the full stream. Engines
-// fed identically also produce byte-identical snapshots regardless of
-// backend — including a tiered engine whose hot budget has spilled
-// epochs to disk, whose checkpoint must decode them transparently.
+// any other (all six directions across the container/columnar/tiered
+// rows of the state matrix), and the resumed run still matches the
+// oracle of the full stream. Engines fed identically also produce
+// byte-identical snapshots regardless of backend — including a columnar
+// engine whose hot budget has spilled epochs to disk, whose checkpoint
+// must decode them transparently.
 func TestCheckpointCrossBackendRoundTrip(t *testing.T) {
 	workload := "q1: R(a) S(a,b) T(b)"
 	opts := core.Options{StoreParallelism: 3}
 	est := flatEstimates([]string{"R", "S", "T"}, 100)
-	kinds := []StateBackendKind{BackendContainer, BackendColumnar, BackendTiered}
-	cfgFor := func(k StateBackendKind) Config {
-		cfg := Config{Synchronous: true, StateBackend: k, EpochLength: 48}
-		if k == BackendTiered {
-			// Small enough that the 240-tuple stream demotes epochs.
-			cfg.StateHotBytes = 4 << 10
-		}
-		return cfg
+	kinds := backendKinds()
+	cfgFor := func(k stateRow) Config {
+		return k.apply(Config{Synchronous: true, EpochLength: 48})
 	}
 
 	// Byte-identical snapshots across backends on the full stream.
@@ -96,9 +92,9 @@ func TestCheckpointCrossBackendRoundTrip(t *testing.T) {
 			full = randomStream(h.cat, 240, 5, 23)
 		}
 		h.ingestAll(t, full)
-		if k == BackendTiered {
+		if k.hot > 0 {
 			if d := h.eng.Metrics().Snapshot().DemotedEpochs; d == 0 {
-				t.Fatal("tiered engine demoted nothing — cross-backend checkpoint test vacuous for cold state")
+				t.Fatal("tiered row demoted nothing — cross-backend checkpoint test vacuous for cold state")
 			}
 		}
 		var b bytes.Buffer
@@ -121,7 +117,7 @@ func TestCheckpointCrossBackendRoundTrip(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			t.Run(src.String()+"-to-"+dst.String(), func(t *testing.T) {
+			t.Run(src.name+"-to-"+dst.name, func(t *testing.T) {
 				h1 := newHarness(t, workload, opts, est, cfgFor(src))
 				ins := randomStream(h1.cat, 240, 5, 23)
 				half := len(ins) / 2

@@ -24,8 +24,18 @@ package runtime
 // insertion order within a segment (rows append at the chain tail,
 // matching the container backend's posting lists) — a pure function of
 // the insert/prune history, never of Go map order.
+//
+// Spill tier: every ring slot is wholly hot (the columns above) or
+// wholly cold (a coldStub locating the epoch's frame in the task's
+// spill file, spill.go). Demotion and promotion flip a slot in place,
+// so ring order — and with it candidate order, checkpoint walks, and
+// everything downstream — never depends on where an epoch lives. The
+// task demotes only under a hot budget (Config.StateHotBytes); without
+// one every slot stays hot and no spill file is ever created.
 
 import (
+	"sync/atomic"
+
 	"clash/internal/tuple"
 )
 
@@ -186,8 +196,11 @@ func (ix *colIndex) reset() {
 	ix.next = ix.next[:0]
 }
 
-// colSegment is one epoch's flat storage: parallel columns plus the
-// segment's local indices.
+// colSegment is one epoch's ring slot. Hot, it is the epoch's flat
+// storage: parallel columns plus the segment's local indices. Cold, the
+// columns are empty and the rows live in the spill file behind stub;
+// epoch, minTS and maxTS stay resident either way, so window cuts
+// dismiss a cold slot exactly like a hot one.
 type colSegment struct {
 	epoch   int64
 	tups    []*tuple.Tuple
@@ -202,18 +215,44 @@ type colSegment struct {
 	// the overwhelming majority of deployments.
 	lastAttr string
 	lastIdx  *colIndex
+
+	// stub locates the epoch's frame in the spill file. It is set while
+	// the slot is cold, and stays on a promoted slot for as long as the
+	// frame is byte-valid — until an insert or a compaction changes the
+	// epoch — so re-demoting an unchanged epoch revives the frame
+	// instead of rewriting it. Without that, a probe/promote/demote
+	// cycle under a tight hot budget appends identical bytes on every
+	// swing and the spill file grows without bound.
+	stub *coldStub
+	cold bool
 }
 
 func newColSegment(ep int64) *colSegment {
 	return &colSegment{epoch: ep, minTS: int64(^uint64(0) >> 1), maxTS: int64(-1) << 62}
 }
 
+// rows is the epoch's tuple count, wherever the tuples live.
+func (s *colSegment) rows() int {
+	if s.cold {
+		return s.stub.count
+	}
+	return len(s.tups)
+}
+
+// resident is the slot's in-memory footprint: a cold slot costs its
+// stub and filters, not its spilled payload.
 func (s *colSegment) resident() int64 {
+	if s.cold {
+		return coldStubBase + s.stub.bloomBytes
+	}
 	b := colSegBase + s.payload + int64(cap(s.tups)+cap(s.seqs)+cap(s.ts))*8
 	return b + s.idxResident()
 }
 
 func (s *colSegment) idxResident() int64 {
+	if s.cold {
+		return s.stub.bloomBytes
+	}
 	var b int64
 	for _, ix := range s.indices {
 		b += ix.resident()
@@ -260,6 +299,70 @@ func (s *colSegment) indexFor(attr string) (ix *colIndex, built bool) {
 	return ix, built
 }
 
+// scan is the scalar chain walk: every row chained under hash h visits
+// mv, in insertion order. A lazily built index is reported through
+// idxDelta; hit tells whether the chain existed.
+func (s *colSegment) scan(attr string, h uint64, mv matchVisitor) (idxDelta int64, hit bool) {
+	ix, built := s.indexFor(attr)
+	if built {
+		idxDelta = ix.resident()
+	}
+	slot, hit := ix.find(h)
+	if hit {
+		for row := ix.heads[slot]; row >= 0; row = ix.next[row] {
+			mv.visit(s.tups[row], s.seqs[row])
+		}
+	}
+	return idxDelta, hit
+}
+
+// scanBatch is the batch chain walk: for every probe of the vector
+// still in window reach of this segment (and admitted by bl, the cold
+// slot's key filter when the segment was read through from disk; nil
+// for a hot slot) it gathers the hit chain into a selection vector off
+// the flat seq column and hands the surviving rows to the batch's tight
+// concrete evaluation loop — no per-candidate interface dispatch. hits
+// and misses count the probes that reached the index by whether they
+// found rows to evaluate.
+func (s *colSegment) scanBatch(attr string, pb *probeBatch, bl *spillBloom) (idxDelta, hits, misses int64) {
+	ix, built := s.indexFor(attr)
+	if built {
+		idxDelta = ix.resident()
+	}
+	if ix.used == 0 {
+		return idxDelta, 0, 0
+	}
+	cuts := pb.cuts
+	for i, h := range pb.hashes {
+		if s.maxTS < cuts[i] {
+			continue // out of this probe's window reach
+		}
+		if bl != nil && !bl.may(h) {
+			continue // definitive: no stored row hashes to h under attr
+		}
+		slot, ok := ix.find(h)
+		if !ok {
+			misses++
+			continue
+		}
+		sel := pb.sel[:0]
+		maxSeq := pb.maxSeqs[i]
+		for row := ix.heads[slot]; row >= 0; row = ix.next[row] {
+			if s.seqs[row] < maxSeq {
+				sel = append(sel, row)
+			}
+		}
+		pb.sel = sel
+		if len(sel) == 0 {
+			misses++
+			continue
+		}
+		hits++
+		pb.evalRows(i, s, sel)
+	}
+	return idxDelta, hits, misses
+}
+
 // compact drops rows with event time below the cutoff, rebuilding the
 // indices over the surviving rows with their arrays reused.
 func (s *colSegment) compact(cut int64) (removed int) {
@@ -303,13 +406,41 @@ func (s *colSegment) compact(cut int64) (removed int) {
 
 // columnarState implements stateBackend over an epoch-sorted ring of
 // columnar segments (the ring bookkeeping is state.go's epochRing).
+// The spill tier's half — demotion, promotion, the read-through loader —
+// is in spill.go. Like every backend it is task-confined; spilled alone
+// is atomic because the TaskGauges sampler reads it cross-goroutine.
 type columnarState struct {
 	ring epochRing[colSegment]
-	n    int64
+
+	store   spillStore   // lazy: no file until the first demotion
+	spilled atomic.Int64 // live on-disk payload bytes of this task
+	pending int          // cold slots holding a read-through decode
+	// probed is every attribute ever probed on this task — the filters a
+	// demoted epoch's stub gets; lastProbed keeps the common
+	// one-attribute task off the map.
+	probed     map[string]struct{}
+	lastProbed string
+	encBuf     []byte
+	m          *Metrics    // the engine's tiering counters
+	fail       func(error) // the engine's failure hook
+
+	// testCrashAfterSpill, when set, runs in demoteOldest's crash window:
+	// after the segment is durable in the spill file, before the slot
+	// turns cold (spill_test.go).
+	testCrashAfterSpill func()
 }
 
-func newColumnarState() *columnarState {
-	return &columnarState{ring: newEpochRing[colSegment]()}
+// newColumnarState builds an empty store that spills under spillDir
+// ("" = the OS temp directory), counts tier transitions in m, and
+// reports spill I/O failures through fail.
+func newColumnarState(spillDir string, m *Metrics, fail func(error)) *columnarState {
+	return &columnarState{
+		ring:   newEpochRing[colSegment](),
+		store:  spillStore{dir: spillDir},
+		probed: map[string]struct{}{},
+		m:      m,
+		fail:   fail,
+	}
 }
 
 func (c *columnarState) insert(tp *tuple.Tuple, seq uint64, epoch int64) (delta, idxDelta int64) {
@@ -318,84 +449,97 @@ func (c *columnarState) insert(tp *tuple.Tuple, seq uint64, epoch int64) (delta,
 	s, created := c.ring.at(epoch, newColSegment)
 	if !created {
 		before, idxBefore = s.resident(), s.idxResident()
+		if s.cold {
+			// A late arrival into a demoted epoch: slots are wholly hot or
+			// wholly cold, so the epoch is promoted before the row lands.
+			c.promote(s)
+		}
 	}
 	s.add(tp, seq)
-	c.n++
+	s.stub = nil // a spilled frame of this epoch no longer matches
 	return s.resident() - before, s.idxResident() - idxBefore
 }
 
+func (c *columnarState) noteProbed(attr string) {
+	if attr != c.lastProbed {
+		c.probed[attr] = struct{}{}
+		c.lastProbed = attr
+	}
+}
+
+// probeScan walks the ring in epoch order. A slot whose max event time
+// precedes the cutoff is skipped before any hash work — every tuple in
+// it is older than the probe's window reach (task.probeCut's soundness
+// argument). A hot slot runs the chain walk directly; a cold slot is
+// first tried against its key filter and, surviving that, read through
+// from the spill file and walked the same way — candidate order does
+// not depend on where an epoch lives.
 func (c *columnarState) probeScan(attr string, v tuple.Value, cut int64, mv matchVisitor) (idxDelta int64) {
+	c.noteProbed(attr)
 	h := colHash(v)
 	for _, s := range c.ring.vals {
 		if s.maxTS < cut {
-			// Every tuple here is older than the probe's window reach
-			// (task.probeCut's soundness argument): skip before any
-			// hash work.
 			continue
 		}
-		ix, built := s.indexFor(attr)
-		if built {
-			idxDelta += ix.resident()
+		if !s.cold {
+			d, _ := s.scan(attr, h, mv)
+			idxDelta += d
+			continue
 		}
-		if slot, ok := ix.find(h); ok {
-			for row := ix.heads[slot]; row >= 0; row = ix.next[row] {
-				mv.visit(s.tups[row], s.seqs[row])
-			}
+		if bl := s.stub.blooms[attr]; bl != nil && !bl.may(h) {
+			continue // definitive: no stored row hashes to h under attr
+		}
+		ls := c.load(s, true)
+		if ls == nil {
+			continue // engine already failing
+		}
+		// An index built on the decoded segment is charged with the
+		// slot's promotion (full resident cost, indices included).
+		if _, hit := ls.scan(attr, h, mv); hit {
+			c.m.coldProbeHits.Add(1)
+		} else {
+			c.m.coldProbeMisses.Add(1)
 		}
 	}
 	return idxDelta
 }
 
-// probeScanBatch is the vectorized probe scan: one pass over the
-// segment ring for the whole probe vector. Per segment it resolves the
-// index once, skips segments out of every probe's window reach (and,
-// per probe, out of that probe's reach), pre-hashes each probe value
-// exactly once, gathers each hit chain into a selection vector off the
-// flat seq column, and hands the surviving rows to the batch's tight
-// concrete evaluation loop — no per-candidate interface dispatch. The
-// result log comes out segment-major; probeBatch.group restores the
-// probe-major order the forward path needs.
+// probeScanBatch is the vectorized probe scan: one pass over the ring
+// for the whole probe vector. Every probe value is hashed exactly once;
+// per slot the batch is dismissed whole when the slot is out of every
+// probe's window reach (or, cold, when no probe survives its cut and
+// key filter — no disk touched), and otherwise runs the segment's batch
+// chain walk. The result log comes out segment-major; probeBatch.group
+// restores the probe-major order the forward path needs.
 func (c *columnarState) probeScanBatch(attr string, pb *probeBatch) (idxDelta int64) {
+	c.noteProbed(attr)
 	if cap(pb.hashes) < len(pb.vals) {
 		pb.hashes = make([]uint64, len(pb.vals))
 	}
-	hashes := pb.hashes[:len(pb.vals)]
+	pb.hashes = pb.hashes[:len(pb.vals)]
 	for i, v := range pb.vals {
-		hashes[i] = colHash(v)
+		pb.hashes[i] = colHash(v)
 	}
-	pb.hashes = hashes
-	cuts := pb.cuts
 	for _, s := range c.ring.vals {
 		if s.maxTS < pb.minCut {
 			continue // out of every probe's window reach
 		}
-		ix, built := s.indexFor(attr)
-		if built {
-			idxDelta += ix.resident()
-		}
-		if ix.used == 0 {
+		if !s.cold {
+			d, _, _ := s.scanBatch(attr, pb, nil)
+			idxDelta += d
 			continue
 		}
-		for i := range hashes {
-			if s.maxTS < cuts[i] {
-				continue
-			}
-			slot, ok := ix.find(hashes[i])
-			if !ok {
-				continue
-			}
-			sel := pb.sel[:0]
-			maxSeq := pb.maxSeqs[i]
-			for row := ix.heads[slot]; row >= 0; row = ix.next[row] {
-				if s.seqs[row] < maxSeq {
-					sel = append(sel, row)
-				}
-			}
-			pb.sel = sel
-			if len(sel) > 0 {
-				pb.evalRows(i, s, sel)
-			}
+		bl := s.stub.blooms[attr] // nil: attr first probed after the demotion
+		if !s.admitsAny(pb, bl) {
+			continue
 		}
+		ls := c.load(s, true)
+		if ls == nil {
+			continue
+		}
+		_, hits, misses := ls.scanBatch(attr, pb, bl)
+		c.m.coldProbeHits.Add(hits)
+		c.m.coldProbeMisses.Add(misses)
 	}
 	return idxDelta
 }
@@ -405,26 +549,31 @@ func (c *columnarState) prune(cut tuple.Time) (removed int, delta, idxDelta int6
 	dropped := false
 	for i, s := range c.ring.vals {
 		if s.minTS >= w {
-			continue // wholly inside the window: untouched
+			continue // wholly inside the window: untouched, hot or cold
 		}
+		before, idxBefore := s.resident(), s.idxResident()
 		if s.maxTS < w {
-			// Wholly expired: the segment leaves the ring.
-			removed += len(s.tups)
-			c.n -= int64(len(s.tups))
-			delta -= s.resident()
-			idxDelta -= s.idxResident()
+			// Wholly expired: the slot leaves the ring. A cold one is a
+			// tombstone — its file bytes stay dead until clear/close.
+			removed += s.rows()
+			delta -= before
+			idxDelta -= idxBefore
+			if s.cold {
+				c.dropSpilled(s.stub)
+			}
 			c.ring.drop(i)
 			dropped = true
 			continue
 		}
-		// Boundary segment: in-epoch remap.
-		before, idxBefore := s.resident(), s.idxResident()
-		r := s.compact(w)
-		if r == 0 {
-			continue
+		// Boundary slot: in-epoch remap, on the promoted segment when the
+		// cut lands inside a cold epoch.
+		if s.cold {
+			c.promote(s)
 		}
-		removed += r
-		c.n -= int64(r)
+		if r := s.compact(w); r > 0 {
+			removed += r
+			s.stub = nil
+		}
 		if len(s.tups) == 0 {
 			delta -= before
 			idxDelta -= idxBefore
@@ -445,13 +594,21 @@ func (c *columnarState) epochs() []int64 { return c.ring.eps }
 
 func (c *columnarState) epochLen(epoch int64) int {
 	if s := c.ring.get(epoch); s != nil {
-		return len(s.tups)
+		return s.rows()
 	}
 	return 0
 }
 
+// forEach visits a cold epoch through a transient decode that is NOT
+// kept for promotion: checkpoint walks are read-only and must not churn
+// the tiers. A spill read failure fails the engine and visits nothing —
+// the checkpointer's caller sees the failure, not a short snapshot
+// presented as complete.
 func (c *columnarState) forEach(epoch int64, fn func(tp *tuple.Tuple, seq uint64)) {
 	s := c.ring.get(epoch)
+	if s != nil && s.cold {
+		s = c.load(s, false)
+	}
 	if s == nil {
 		return
 	}
@@ -460,24 +617,33 @@ func (c *columnarState) forEach(epoch int64, fn func(tp *tuple.Tuple, seq uint64
 	}
 }
 
+// dropOldest sheds the oldest epoch, hot or cold; evicting a cold one
+// frees just its stub.
 func (c *columnarState) dropOldest() (epoch int64, removed int, delta, idxDelta int64, ok bool) {
 	ep, s, ok := c.ring.dropHead()
 	if !ok {
 		return 0, 0, 0, 0, false
 	}
-	removed = len(s.tups)
-	c.n -= int64(removed)
-	return ep, removed, -s.resident(), -s.idxResident(), true
+	if s.cold {
+		c.dropSpilled(s.stub)
+	}
+	return ep, s.rows(), -s.resident(), -s.idxResident(), true
 }
 
 func (c *columnarState) clear() (removed int, delta, idxDelta int64) {
 	for _, s := range c.ring.vals {
-		removed += len(s.tups)
+		removed += s.rows()
 		delta -= s.resident()
 		idxDelta -= s.idxResident()
 	}
 	c.ring.clear()
-	c.n = 0
+	c.pending = 0
+	if freed := c.spilled.Swap(0); freed != 0 {
+		c.m.spilledBytes.Add(-freed)
+	}
+	if err := c.store.reset(); err != nil {
+		c.fail(err)
+	}
 	return removed, delta, idxDelta
 }
 

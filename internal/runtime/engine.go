@@ -49,17 +49,17 @@ type Config struct {
 	// exceeded: fail the engine (EvictFail, the default) or shed whole
 	// epochs oldest-first with counted drops (EvictOldestEpoch).
 	StatePolicy StatePolicy
-	// StateHotBytes bounds the resident (in-memory) portion of
-	// materialized state on the tiered backend (0 = unlimited): above
-	// it, tasks demote their coldest whole epochs to the on-disk spill
-	// store (tiered.go) instead of evicting them. Demotion moves bytes,
-	// never tuples — results are unaffected. Ignored by the in-memory
-	// backends.
+	// StateHotBytes enables the columnar backend's spill tier and
+	// bounds the resident (in-memory) portion of materialized state
+	// (0 = no tier, everything stays in memory): above it, tasks demote
+	// their coldest whole epochs to the on-disk spill store (spill.go)
+	// instead of evicting them. Demotion moves bytes, never tuples —
+	// results are unaffected. Ignored by the container oracle.
 	StateHotBytes int64
-	// StateSpillDir is where the tiered backend places its per-task
-	// spill files (default: the OS temp directory). Files are unlinked
-	// at creation where the platform allows, so crashed engines leak
-	// nothing.
+	// StateSpillDir is where the spill tier places its per-task spill
+	// files (default: the OS temp directory). Files are created on the
+	// first demotion and unlinked at creation where the platform
+	// allows, so crashed engines leak nothing.
 	StateSpillDir string
 	// StepMode drains the topology after every ingested tuple, giving
 	// deterministic symmetric-join semantics for correctness tests.
@@ -1112,18 +1112,18 @@ func (e *Engine) Stop() {
 	}
 	e.mu.Unlock()
 	e.sub.stop()
-	// Release backend-held OS resources (the tiered backend's mmap'd
-	// spill files: munmap, fsync, truncate, close). The substrate has
-	// stopped, so no task executes and its backend is safe to touch
-	// from here; the first failure surfaces through Close. The
-	// closeErr write is published to concurrent Stop/Close callers by
-	// the stopDone close below.
+	// Release the spill tier's OS resources (mmap'd spill files:
+	// munmap, fsync, truncate, close). The substrate has stopped, so no
+	// task executes and its store is safe to touch from here; the first
+	// failure surfaces through Close. The closeErr write is published
+	// to concurrent Stop/Close callers by the stopDone close below.
 	e.mu.RLock()
 	for _, t := range e.tasks {
-		if bc, ok := t.state.(backendCloser); ok {
-			if err := bc.closeBackend(); err != nil && e.closeErr == nil {
-				e.closeErr = err
-			}
+		if t.tier == nil {
+			continue
+		}
+		if err := t.tier.store.close(); err != nil && e.closeErr == nil {
+			e.closeErr = err
 		}
 	}
 	e.mu.RUnlock()

@@ -28,7 +28,8 @@ type Metrics struct {
 	evictedTuples atomic.Int64 // tuples those epochs carried
 	retiredTuples atomic.Int64 // tuples released by store retirement
 
-	// Tiered-state counters (BackendTiered, tiered.go). spilledBytes is
+	// Spill-tier counters (BackendColumnar under a hot budget,
+	// spill.go; all zero otherwise). spilledBytes is
 	// a gauge of live on-disk segment payload; the epoch counters are
 	// cumulative tier transitions; the cold-probe counters split probes
 	// that survived a cold stub's filters by whether the read-through
@@ -140,7 +141,8 @@ type Snapshot struct {
 	EvictedEpochs int64
 	EvictedTuples int64
 	RetiredTuples int64
-	// Tiered-state observability (BackendTiered): SpilledBytes gauges
+	// Spill-tier observability (BackendColumnar under StateHotBytes;
+	// all zero otherwise): SpilledBytes gauges
 	// live on-disk segment payload, DemotedEpochs/PromotedEpochs count
 	// tier transitions, and ColdProbeHits/ColdProbeMisses split probes
 	// that reached a cold segment's data by whether they found
@@ -151,10 +153,10 @@ type Snapshot struct {
 	ColdProbeHits   int64
 	ColdProbeMisses int64
 	Results         int64
-	ByQuery       map[string]int64
-	AvgLatency    time.Duration
-	MaxLatency    time.Duration
-	LatCount      int64
+	ByQuery         map[string]int64
+	AvgLatency      time.Duration
+	MaxLatency      time.Duration
+	LatCount        int64
 	// AvgLag is the sampled ingest-to-handling delay of tuple messages,
 	// the per-tuple latency the paper's Fig. 8 plots (it rises with
 	// buffering even when no results are produced).
@@ -242,19 +244,19 @@ func (s Snapshot) String() string {
 type TaskGauge struct {
 	Store      topology.StoreID
 	Part       int
-	QueueDepth int    // messages waiting in the task's mailbox
-	Stored     int64  // tuples materialized in the task
-	StateBytes int64  // resident state bytes incl. index overhead
-	IndexBytes int64  // index-overhead portion of StateBytes
-	// SpilledBytes is the task's live on-disk segment payload (tiered
-	// backend only; zero elsewhere) — NOT part of StateBytes, which
-	// gauges resident memory.
+	QueueDepth int   // messages waiting in the task's mailbox
+	Stored     int64 // tuples materialized in the task
+	StateBytes int64 // resident state bytes incl. index overhead
+	IndexBytes int64 // index-overhead portion of StateBytes
+	// SpilledBytes is the task's live on-disk segment payload (columnar
+	// backend under a hot budget; zero elsewhere) — NOT part of
+	// StateBytes, which gauges resident memory.
 	SpilledBytes int64
 	Backend      string // state backend serving this task
-	Handled    int64  // messages handled since spawn
-	BusyNanos  int64  // time spent handling batches (async substrates)
-	Restarts   int64  // supervised restarts after recovered panics
-	Healthy    bool   // false once the task exhausted its restart budget
+	Handled      int64  // messages handled since spawn
+	BusyNanos    int64  // time spent handling batches (async substrates)
+	Restarts     int64  // supervised restarts after recovered panics
+	Healthy      bool   // false once the task exhausted its restart budget
 	// Measured-cost counters (Config.MeasuredCosts; zero otherwise).
 	ProbeNanos   int64
 	ProbeTuples  int64
@@ -276,8 +278,8 @@ func (e *Engine) TaskGauges() []TaskGauge {
 			depth = t.mailbox.depth()
 		}
 		var spilled int64
-		if tb, ok := t.state.(tieredBackend); ok {
-			spilled = tb.spilledBytes()
+		if t.tier != nil {
+			spilled = t.tier.spilled.Load()
 		}
 		out = append(out, TaskGauge{
 			Store:        k.store,

@@ -102,22 +102,20 @@ func TestCompiledPlanEquivalenceTPCH(t *testing.T) {
 		"sim":         {Catalog: cat, Substrate: SubstrateSim, StepMode: true, Sim: SimConfig{Seed: 7}},
 	}
 	for subName, base := range substrates {
-		for _, backend := range backendKinds() {
-			name := fmt.Sprintf("compiled-%s-%s", subName, backend)
-			cfg := base
-			cfg.StateBackend = backend
-			if backend == BackendTiered {
+		for _, row := range backendKinds() {
+			name := fmt.Sprintf("compiled-%s-%s", subName, row)
+			cfg := row.apply(base)
+			if row.hot > 0 {
 				// The tight hot budget makes most probes read through
 				// to cold epochs — the point of the arm, but an order
 				// of magnitude slower under the race detector, so the
 				// -short race run trims it (tiering is single-task
 				// work; its concurrency surface is covered by the
-				// tiered Stop/Close and checkpoint tests).
+				// spill-tier Stop/Close and checkpoint tests).
 				if testing.Short() {
 					continue
 				}
 				cfg.EpochLength = 48
-				cfg.StateHotBytes = 32 << 10
 			}
 			compiled := runWorkload(t, cfg, topo, queries, records)
 			for _, q := range queries {
@@ -178,7 +176,7 @@ func TestCompiledPlanEquivalenceWindowed(t *testing.T) {
 // probeFixture builds a synchronous two-way join engine on the given
 // state backend, preloads the probed store, and returns the task,
 // compiled probe plan, and a probe message aimed at it.
-func probeFixture(t testing.TB, matches int, backend StateBackendKind) (*task, *rulePlan, *planState, *tuple.Tuple, *message) {
+func probeFixture(t testing.TB, matches int, cfg Config) (*task, *rulePlan, *planState, *tuple.Tuple, *message) {
 	qs, cat, err := query.ParseWorkload("q1: R(a) S(a)")
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +190,8 @@ func probeFixture(t testing.TB, matches int, backend StateBackendKind) (*task, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := New(Config{Catalog: cat, Synchronous: true, StateBackend: backend})
+	cfg.Catalog, cfg.Synchronous = cat, true
+	eng := New(cfg)
 	if err := eng.Install(topo, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +230,7 @@ func probeFixture(t testing.TB, matches int, backend StateBackendKind) (*task, *
 // per probe (arena chunks and batch copies amortize across calls; the
 // legacy path cost 2+ allocations per result).
 func TestProbeAllocs(t *testing.T) {
-	tk, rp, st, _, msg := probeFixture(t, 8, BackendContainer)
+	tk, rp, st, _, msg := probeFixture(t, 8, Config{})
 	// Warm the schema-position and index caches.
 	tk.probeBatched(msg, rp, st)
 	avg := testing.AllocsPerRun(200, func() {
@@ -246,13 +245,13 @@ func TestProbeAllocs(t *testing.T) {
 // probe message: 16 probes scanned in one backend pass must stay at
 // amortized ≤1 allocation per probe on every backend — the whole point
 // of the selection-vector design is that batching adds no per-probe
-// allocation on top of the scalar budget. The tiered backend runs with
-// an empty cold tier: its hot path is the columnar path plus a cold
-// check that must not allocate.
+// allocation on top of the scalar budget. The tiered row runs with
+// every slot hot (one epoch, nothing to demote): the tier's end-of-
+// dispatch maintenance must not allocate either.
 func TestBatchProbeAllocs(t *testing.T) {
-	for _, backend := range backendKinds() {
-		t.Run(fmt.Sprint(backend), func(t *testing.T) {
-			tk, rp, st, probe, msg := probeFixture(t, 8, backend)
+	for _, row := range backendKinds() {
+		t.Run(row.name, func(t *testing.T) {
+			tk, rp, st, probe, msg := probeFixture(t, 8, row.apply(Config{}))
 			const nProbes = 16
 			batch := make([]*tuple.Tuple, nProbes)
 			for i := range batch {

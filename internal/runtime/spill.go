@@ -1,12 +1,36 @@
 package runtime
 
-// On-disk segment store for the tiered state backend (tiered.go,
-// DESIGN.md §15). Demoted epochs are appended to a per-task spill file
-// as CRC-framed segments; the frame layout is the recovery WAL's
-// (uvarint length ‖ crc32c ‖ payload, hash/crc32 Castagnoli) and the
-// payload is the checkpoint entry codec (schema table followed by
-// (schemaID, seq, tuple) entries in storage order) — one wire format
-// for everything that serializes materialized state, not a second one.
+// Spill tier of the columnar store (columnar.go, DESIGN.md §10): the
+// on-disk segment file, the stub a demoted epoch leaves in its ring
+// slot, and the demote / read-through / promote moves between the two.
+// When resident state crosses Config.StateHotBytes the task demotes its
+// coldest whole epochs: the segment is appended CRC-framed to the
+// task's spill file and its slot keeps only a coldStub — tuple count,
+// file coordinates, and a per-attribute key-hash Bloom filter — beside
+// the time bounds, so probes dismiss cold slots by window cut and key
+// without touching disk. A probe that survives both reads the segment
+// through (decoded once, kept on the stub) and scans it with the hot
+// chain walk; task.maintainTier promotes the touched slots at the end
+// of the dispatch — off the probe's critical path, but on the task's
+// own execution context, so seeded simulation schedules are untouched.
+//
+// Slot invariants:
+//
+//   - A slot is wholly hot or wholly cold, never split, and the flip
+//     happens in place: epoch-ascending / insertion-order iteration
+//     (state.go's determinism contract) cannot observe tiering.
+//   - The newest epoch is never demoted, so the arrival path always
+//     lands in memory; the ±one-epoch slack is the hot-budget tolerance
+//     the bench gates.
+//   - Demotion does not change an epoch's content, so it does NOT mark
+//     the epoch dirty: the incremental checkpointer skips clean cold
+//     epochs and checkpoint cost follows hot state.
+//
+// The frame layout is the recovery WAL's (uvarint length ‖ crc32c ‖
+// payload, hash/crc32 Castagnoli) and the payload is the checkpoint
+// entry codec (schema table followed by (schemaID, seq, tuple) entries
+// in storage order) — one wire format for everything that serializes
+// materialized state, not a second one.
 //
 // The file is append-only and tombstone-pruned: expired segments are
 // simply forgotten (their stubs dropped); bytes are reclaimed only by
@@ -38,21 +62,15 @@ var spillCRC = crc32.MakeTable(crc32.Castagnoli)
 // spillStore is one task's append-only segment file. Like the backend
 // that owns it, it is confined to the task's execution context; only
 // close is called from the engine's shutdown path, after quiescence.
+// The zero value (plus dir) is ready: the file appears with the first
+// append, so a store that never demotes never touches disk.
 type spillStore struct {
-	dir  string
+	dir  string // "" = the OS temp directory
 	f    *os.File
 	path string // non-empty only while a named file exists on disk
 	size int64  // append offset
-	live int64  // payload bytes of live (non-tombstoned) segments
 	mm   mmapRegion
 	done bool
-}
-
-func newSpillStore(dir string) *spillStore {
-	if dir == "" {
-		dir = os.TempDir()
-	}
-	return &spillStore{dir: dir}
 }
 
 // open creates the spill file on first demotion. The file is unlinked
@@ -95,7 +113,6 @@ func (sp *spillStore) append(payload []byte) (off int64, crc uint32, err error) 
 		return 0, 0, fmt.Errorf("runtime: spill append: %w", err)
 	}
 	sp.size = off + int64(len(payload))
-	sp.live += int64(len(payload))
 	return off, crc, nil
 }
 
@@ -131,7 +148,7 @@ func (sp *spillStore) read(off, n int64, crc uint32) ([]byte, error) {
 // reset truncates the file to empty (store clear/retirement); the next
 // demotion appends from offset zero again.
 func (sp *spillStore) reset() error {
-	sp.size, sp.live = 0, 0
+	sp.size = 0
 	if sp.f == nil {
 		return nil
 	}
@@ -270,12 +287,12 @@ type spillBloom struct {
 	mask uint64
 }
 
-func newSpillBloom(rows int) spillBloom {
+func newSpillBloom(rows int) *spillBloom {
 	bits := 64
 	for bits < rows*8 {
 		bits <<= 1
 	}
-	return spillBloom{bits: make([]uint64, bits/64), mask: uint64(bits - 1)}
+	return &spillBloom{bits: make([]uint64, bits/64), mask: uint64(bits - 1)}
 }
 
 // mix2 derives the second probe position (splitmix64 finalizer over h,
@@ -299,3 +316,185 @@ func (bl *spillBloom) may(h uint64) bool {
 }
 
 func (bl *spillBloom) bytes() int64 { return int64(len(bl.bits)) * 8 }
+
+// coldStubBase prices a stub's fixed overhead: the struct, its ring
+// slot, and the blooms map header.
+const coldStubBase = 160
+
+// coldStub is what a demoted epoch keeps in memory beside its slot's
+// epoch and time bounds: enough to filter the segment (Bloom), locate
+// it (file coordinates + CRC), and account it (count, filter bytes)
+// without touching disk.
+type coldStub struct {
+	count int
+	off   int64 // payload offset in the spill file
+	len   int64 // payload length
+	crc   uint32
+	// blooms holds one key-hash filter per attribute that had been
+	// probed on this task by demotion time; an attribute probed for the
+	// first time later has no filter and pays a read-through.
+	blooms     map[string]*spillBloom
+	bloomBytes int64
+	// loaded is the read-through decode of a cold slot that a probe
+	// touched, awaiting promotion (columnarState.pending counts them).
+	loaded *colSegment
+}
+
+// buildBlooms fills the stub's per-attribute filters from the hot
+// segment being demoted. Rows whose schema lacks the attribute are
+// skipped: the columnar index never links them either, so a Bloom
+// negative remains a sound whole-segment skip.
+func (st *coldStub) buildBlooms(s *colSegment, attrs map[string]struct{}) {
+	if len(attrs) == 0 || len(s.tups) == 0 {
+		return
+	}
+	st.blooms = make(map[string]*spillBloom, len(attrs))
+	for attr := range attrs {
+		bl := newSpillBloom(len(s.tups))
+		var lastSch *tuple.Schema
+		pos := -1
+		for _, tp := range s.tups {
+			if tp.Schema != lastSch {
+				lastSch = tp.Schema
+				pos = tp.Schema.Index(attr)
+			}
+			if pos < 0 {
+				continue
+			}
+			bl.add(colHash(tp.At(pos)))
+		}
+		st.blooms[attr] = bl
+		st.bloomBytes += bl.bytes()
+	}
+}
+
+// admitsAny reports whether any probe of the batch survives the cold
+// slot's window cut and key filter — if none does, the batch skips the
+// slot without touching disk.
+func (s *colSegment) admitsAny(pb *probeBatch, bl *spillBloom) bool {
+	for i, h := range pb.hashes {
+		if s.maxTS >= pb.cuts[i] && (bl == nil || bl.may(h)) {
+			return true
+		}
+	}
+	return false
+}
+
+// load returns a cold slot's decoded segment — the one place that
+// reads, CRC-checks, decodes, and cross-checks a spilled frame against
+// its stub. keep retains the decode on the stub for the promotion that
+// follows a probe; a checkpoint walk passes false and decodes
+// transiently. A truncated or corrupt spill file fails the engine with
+// a wrapped ErrCorruptSnapshot and returns nil — never a panic.
+func (c *columnarState) load(s *colSegment, keep bool) *colSegment {
+	stub := s.stub
+	if stub.loaded != nil {
+		return stub.loaded
+	}
+	var ls *colSegment
+	b, err := c.store.read(stub.off, stub.len, stub.crc)
+	if err == nil {
+		ls, err = decodeColSegment(b)
+	}
+	if err == nil && (ls.epoch != s.epoch || len(ls.tups) != stub.count) {
+		err = corruptSnapshot("spill segment at %d decodes to epoch %d (%d rows), stub says epoch %d (%d rows)",
+			stub.off, ls.epoch, len(ls.tups), s.epoch, stub.count)
+	}
+	if err != nil {
+		c.fail(fmt.Errorf("runtime: spill read of epoch %d: %w", s.epoch, err))
+		return nil
+	}
+	if keep {
+		stub.loaded = ls
+		c.pending++
+	}
+	return ls
+}
+
+// demoteOldest spills the oldest hot epoch and turns its slot cold,
+// refusing (ok=false) when that epoch is the newest — the arrival epoch
+// always stays in memory. The slot is untouched until the spill append
+// has succeeded: a write failure fails the engine with the state still
+// intact, and a crash inside the window after the append merely leaves
+// an unreferenced frame in a file that recovery discards wholesale.
+func (c *columnarState) demoteOldest() (delta, idxDelta int64, ok bool) {
+	vals := c.ring.vals
+	i := 0
+	for i < len(vals) && vals[i].cold {
+		i++
+	}
+	if i >= len(vals)-1 {
+		return 0, 0, false
+	}
+	s := vals[i]
+	stub := s.stub
+	if stub == nil || stub.count != len(s.tups) {
+		// No byte-valid frame from an earlier demotion to revive.
+		c.encBuf = encodeColSegment(c.encBuf[:0], s)
+		off, crc, err := c.store.append(c.encBuf)
+		if err != nil {
+			c.fail(err)
+			return 0, 0, false
+		}
+		stub = &coldStub{count: len(s.tups), off: off, len: int64(len(c.encBuf)), crc: crc}
+		stub.buildBlooms(s, c.probed)
+	}
+	if c.testCrashAfterSpill != nil {
+		c.testCrashAfterSpill()
+	}
+	before, idxBefore := s.resident(), s.idxResident()
+	*s = colSegment{epoch: s.epoch, minTS: s.minTS, maxTS: s.maxTS, stub: stub, cold: true}
+	c.spilled.Add(stub.len)
+	c.m.spilledBytes.Add(stub.len)
+	c.m.demotedEpochs.Add(1)
+	return s.resident() - before, s.idxResident() - idxBefore, true
+}
+
+// promote turns a cold slot hot in place, reusing the read-through
+// decode when a probe already paid for it; callers account the change
+// in the slot's resident bytes. On a spill read failure the engine is
+// already failing; an empty segment keeps the ring consistent for the
+// doomed engine's remaining teardown.
+func (c *columnarState) promote(s *colSegment) {
+	stub := s.stub
+	ls := c.load(s, false)
+	if ls == nil {
+		ls = newColSegment(s.epoch)
+	}
+	c.dropSpilled(stub)
+	*s = *ls
+	// The frame stays byte-valid on disk until the epoch changes; the
+	// stub stays with it so a re-demotion can revive it.
+	s.stub = stub
+	c.m.promotedEpochs.Add(1)
+}
+
+// promotePending promotes every slot a probe read through since the
+// last call, in ring order (called by task.maintainTier after each
+// dispatch).
+func (c *columnarState) promotePending() (delta, idxDelta int64) {
+	for i := 0; c.pending > 0 && i < len(c.ring.vals); i++ {
+		s := c.ring.vals[i]
+		if !s.cold || s.stub.loaded == nil {
+			continue
+		}
+		before, idxBefore := s.resident(), s.idxResident()
+		c.promote(s)
+		delta += s.resident() - before
+		idxDelta += s.idxResident() - idxBefore
+	}
+	return delta, idxDelta
+}
+
+// dropSpilled retires a stub's on-disk payload from the spill gauges
+// (tombstone, eviction, or promotion — the frame itself stays dead in
+// the file until clear/close truncates) and releases its read-through
+// decode.
+func (c *columnarState) dropSpilled(stub *coldStub) {
+	if stub.loaded != nil {
+		stub.loaded = nil
+		c.pending--
+	}
+	c.spilled.Add(-stub.len)
+	c.m.spilledBytes.Add(-stub.len)
+}

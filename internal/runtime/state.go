@@ -12,6 +12,8 @@ package runtime
 //     per-epoch tuple/seq/timestamp columns with open-addressed
 //     uint64-hash indices over int32 chain posting lists. No per-key
 //     map buckets or posting slices: GC-friendlier and faster to prune.
+//     Under a hot budget (Config.StateHotBytes) the same ring demotes
+//     cold whole epochs to an on-disk spill file (spill.go).
 //
 // Memory accounting contract: every mutating operation returns the
 // change in resident bytes (tuple payloads plus structural overhead
@@ -53,22 +55,16 @@ const (
 	BackendContainer StateBackendKind = iota
 	// BackendColumnar is the epoch-ring columnar store: flat per-epoch
 	// segments with open-addressed hash indices and int32 posting
-	// chains (columnar.go).
-	BackendColumnar
-	// BackendTiered keeps hot epochs in the columnar ring and demotes
+	// chains (columnar.go). With Config.StateHotBytes > 0 it demotes
 	// cold whole epochs to an mmap'd on-disk segment file behind
-	// in-memory filter stubs, bounded by Config.StateHotBytes
-	// (tiered.go, spill.go).
-	BackendTiered
+	// in-memory filter stubs (spill.go).
+	BackendColumnar
 )
 
 // String names the backend for gauges and bench output.
 func (k StateBackendKind) String() string {
-	switch k {
-	case BackendColumnar:
+	if k == BackendColumnar {
 		return "columnar"
-	case BackendTiered:
-		return "tiered"
 	}
 	return "container"
 }
@@ -139,43 +135,6 @@ type stateBackend interface {
 	// indexBytes is the index-overhead portion.
 	bytes() int64
 	indexBytes() int64
-}
-
-// tieredBackend is the optional extension a tier-capable backend
-// offers the task's budget layer: demotion toward the hot budget,
-// promotion of probe-touched cold epochs, and the spill gauge. All
-// byte deltas follow the stateBackend accounting contract.
-type tieredBackend interface {
-	// demoteOldest spills the oldest hot epoch to disk, refusing
-	// (ok=false) when only one hot epoch remains — the arrival epoch is
-	// never demoted.
-	demoteOldest() (delta, idxDelta int64, ok bool)
-	// promotePending promotes every epoch a probe read-through touched
-	// since the last call back into the hot ring.
-	promotePending() (delta, idxDelta int64)
-	// spilledBytes is the live on-disk payload gauge. Safe to read
-	// cross-goroutine (TaskGauges samples it).
-	spilledBytes() int64
-}
-
-// backendCloser is the optional teardown extension for backends that
-// hold OS resources (the tiered backend's mmap'd spill file).
-// Engine.Stop calls it after quiescence; it must be idempotent.
-type backendCloser interface {
-	closeBackend() error
-}
-
-// newStateBackend builds the configured backend. A tiered backend
-// built here is disconnected (temp-dir spill, no engine metrics or
-// failure hook) — engine-owned tasks go through Engine.newBackend.
-func newStateBackend(kind StateBackendKind) stateBackend {
-	switch kind {
-	case BackendColumnar:
-		return newColumnarState()
-	case BackendTiered:
-		return newTieredState(tieredConfig{})
-	}
-	return newContainerState()
 }
 
 // Structural cost estimates (bytes) for the container backend's
@@ -367,38 +326,6 @@ func (r *epochRing[T]) compact() {
 		r.vals[i] = nil
 	}
 	r.vals, r.eps = kept, keptE
-}
-
-// put inserts an existing value at the epoch (sorted insert). The
-// epoch must not be resident — tier moves (tiered.go) guarantee an
-// epoch lives in exactly one ring.
-func (r *epochRing[T]) put(ep int64, v *T) {
-	r.byEpoch[ep] = v
-	i := sort.Search(len(r.eps), func(i int) bool { return r.eps[i] >= ep })
-	r.vals = append(r.vals, nil)
-	r.eps = append(r.eps, 0)
-	copy(r.vals[i+1:], r.vals[i:])
-	copy(r.eps[i+1:], r.eps[i:])
-	r.vals[i], r.eps[i] = v, ep
-}
-
-// remove deletes the epoch's slot in place, preserving the order of the
-// survivors, and returns its value (nil when absent). Unlike dropHead
-// it may empty the ring — tier bookkeeping enforces its own last-epoch
-// rules across both rings.
-func (r *epochRing[T]) remove(ep int64) *T {
-	v := r.byEpoch[ep]
-	if v == nil {
-		return nil
-	}
-	delete(r.byEpoch, ep)
-	i := sort.Search(len(r.eps), func(i int) bool { return r.eps[i] >= ep })
-	copy(r.vals[i:], r.vals[i+1:])
-	copy(r.eps[i:], r.eps[i+1:])
-	r.vals[len(r.vals)-1] = nil
-	r.vals = r.vals[:len(r.vals)-1]
-	r.eps = r.eps[:len(r.eps)-1]
-	return v
 }
 
 // dropHead sheds the oldest epoch. It refuses when at most one epoch

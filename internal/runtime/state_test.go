@@ -9,6 +9,8 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"math"
+	"path/filepath"
 	"testing"
 
 	"clash/internal/core"
@@ -17,52 +19,163 @@ import (
 	"clash/internal/tuple"
 )
 
-func backendKinds() []StateBackendKind {
-	return []StateBackendKind{BackendContainer, BackendColumnar, BackendTiered}
+// stateRow is one row of the state-configuration matrix. The table is
+// defined once, in internal/sim (sim.StateConfigs); that package imports
+// this one, so the tests here iterate a local copy of its three rows.
+type stateRow struct {
+	name    string // "tiered" labels the columnar store under a hot budget
+	backend StateBackendKind
+	hot     int64 // forcing StateHotBytes: every run demotes and reads back
+}
+
+func backendKinds() []stateRow {
+	return []stateRow{
+		{"container", BackendContainer, 0},
+		{"columnar", BackendColumnar, 0},
+		{"tiered", BackendColumnar, 4 << 10},
+	}
+}
+
+func (r stateRow) String() string { return r.name }
+
+// apply selects the row on an engine config.
+func (r stateRow) apply(cfg Config) Config {
+	cfg.StateBackend, cfg.StateHotBytes = r.backend, r.hot
+	return cfg
 }
 
 // TestBackendEquivalenceWindowed runs the same windowed, partitioned,
-// multi-epoch stream with interleaved prunes on every backend and
-// byte-compares the result multisets (and all against the oracle).
+// multi-epoch stream with interleaved prunes on every row of the state
+// matrix and byte-compares the result multisets (and all against the
+// oracle). A second phase — compared across rows, container first —
+// adds the inputs where hot and cold slots meet on the tiered row: late
+// inserts into demoted epochs, a prune cut that lands inside a cold
+// epoch, and an EvictOldestEpoch shed on every task.
 func TestBackendEquivalenceWindowed(t *testing.T) {
+	const window, epochLen = 40, 32
 	var ref, refName string
-	for _, backend := range backendKinds() {
-		cfg := Config{Synchronous: true, DefaultWindow: 40, EpochLength: 32, StateBackend: backend}
-		if backend == BackendTiered {
-			// Force real demotions so the equivalence covers cold reads.
-			cfg.StateHotBytes = 4 << 10
-		}
+	for _, row := range backendKinds() {
+		spillDir := t.TempDir()
 		h := newHarness(t, "q1: R(a) S(a,b) T(b)\nq2: S(b) T(b,c) U(c)",
 			core.Options{StoreParallelism: 3},
-			flatEstimates([]string{"R", "S", "T", "U"}, 100), cfg)
+			flatEstimates([]string{"R", "S", "T", "U"}, 100),
+			row.apply(Config{Synchronous: true, DefaultWindow: window, EpochLength: epochLen, StateSpillDir: spillDir}))
 		ins := randomStream(h.cat, 400, 5, 91)
 		for i, in := range ins {
 			if err := h.eng.Ingest(in.Rel, in.TS, in.Vals...); err != nil {
 				t.Fatal(err)
 			}
 			if i%60 == 59 {
-				h.eng.PruneBefore(h.eng.Watermark() - 40)
+				h.eng.PruneBefore(h.eng.Watermark() - window)
 			}
 		}
 		h.eng.Drain()
 		h.checkAgainstOracle(t, ins)
-		got := fmt.Sprint(sortedResults(h.sinks["q1"])) + fmt.Sprint(sortedResults(h.sinks["q2"]))
-		h.eng.Stop()
-		if h.sinks["q1"].Count() == 0 || h.sinks["q2"].Count() == 0 {
-			t.Fatalf("%v: a query produced nothing — test vacuous", backend)
+
+		// Late arrivals, one per relation and key, into the epoch before
+		// the watermark's — demoted on the tiered row.
+		wm := h.eng.Watermark()
+		coldLen := map[*task]map[int64]int{} // tiered row: rows per cold epoch
+		for _, tk := range h.eng.tasks {
+			if tk.tier == nil {
+				continue
+			}
+			coldLen[tk] = map[int64]int{}
+			for _, s := range tk.tier.ring.vals {
+				if s.cold {
+					coldLen[tk][s.epoch] = s.rows()
+				}
+			}
 		}
+		late := (wm/epochLen)*epochLen - 3
+		for key := int64(0); key < 5; key++ {
+			for _, rel := range h.cat.Names() {
+				vals := make([]tuple.Value, len(h.cat.Relation(rel).Attrs))
+				for j := range vals {
+					vals[j] = tuple.IntValue(key)
+				}
+				if err := h.eng.Ingest(rel, late, vals...); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		h.eng.Drain()
+		// A cut between that epoch's late arrivals and its older rows: on
+		// the tiered row the straddled epoch is cold again by now.
+		cut := late - 2
+		lateLanded, cutInCold := false, false
+		for tk, lens := range coldLen {
+			for ep, n := range lens {
+				lateLanded = lateLanded || tk.state.epochLen(ep) > n
+			}
+			for _, s := range tk.tier.ring.vals {
+				cutInCold = cutInCold || (s.cold && s.minTS < int64(cut) && int64(cut) <= s.maxTS)
+			}
+		}
+		h.eng.PruneBefore(cut)
+		h.eng.Drain()
+		// Shed every task down to its arrival epoch — on the tiered row
+		// through rings that mix cold slots with the hot boundary epoch
+		// the prune just promoted.
+		for _, tk := range h.eng.tasks {
+			tk.evictToLimit(0)
+		}
+		// Probe what is left with a fresh in-order tail.
+		for _, in := range randomStream(h.cat, 80, 5, 92) {
+			if err := h.eng.Ingest(in.Rel, wm+in.TS, in.Vals...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h.eng.Drain()
+
+		got := fmt.Sprint(sortedResults(h.sinks["q1"])) + fmt.Sprint(sortedResults(h.sinks["q2"]))
+		m := h.eng.Metrics().Snapshot()
+		if h.sinks["q1"].Count() == 0 || h.sinks["q2"].Count() == 0 {
+			t.Fatalf("%v: a query produced nothing — test vacuous", row)
+		}
+		if m.EvictedEpochs == 0 {
+			t.Fatalf("%v: the shed dropped nothing — test vacuous", row)
+		}
+		switch row.name {
+		case "columnar":
+			// No hot budget, no spill tier: nothing demotes and no spill
+			// file is ever created, not even an unlinked one.
+			if m.SpilledBytes != 0 || m.DemotedEpochs != 0 {
+				t.Errorf("budget-less columnar spilled (bytes=%d demoted=%d)", m.SpilledBytes, m.DemotedEpochs)
+			}
+			for _, tk := range h.eng.tasks {
+				if tk.state.(*columnarState).store.f != nil {
+					t.Errorf("budget-less columnar task %v opened a spill file", tk.key)
+				}
+			}
+			if segs, _ := filepath.Glob(filepath.Join(spillDir, "clash-spill-*.seg")); len(segs) != 0 {
+				t.Errorf("budget-less columnar left spill files: %v", segs)
+			}
+		case "tiered":
+			if m.DemotedEpochs == 0 || m.ColdProbeHits == 0 {
+				t.Errorf("tiered row never spilled or never read back (demoted=%d cold hits=%d)", m.DemotedEpochs, m.ColdProbeHits)
+			}
+			if !lateLanded {
+				t.Error("no late arrival landed in a demoted epoch — phase vacuous")
+			}
+			if !cutInCold {
+				t.Error("the prune cut straddled no cold epoch — phase vacuous")
+			}
+		}
+		h.eng.Stop()
 		if ref == "" {
-			ref, refName = got, backend.String()
+			ref, refName = got, row.name
 			continue
 		}
 		if got != ref {
-			t.Errorf("backend %v produced different results than %s", backend, refName)
+			t.Errorf("%v produced different results than %s", row, refName)
 		}
 	}
 }
 
 // TestBackendAccountingTelescopes drives each backend directly through
-// inserts, index-building probes, prunes, and evictions, asserting
+// inserts, index-building probes, prunes, and evictions (and, on the
+// tiered row, the budget layer's demote and promote moves), asserting
 // after every operation that the accumulated deltas equal the
 // backend's resident bytes — and reach exactly zero when drained.
 func TestBackendAccountingTelescopes(t *testing.T) {
@@ -71,9 +184,15 @@ func TestBackendAccountingTelescopes(t *testing.T) {
 		return tuple.New(schema, tuple.Time(ts), tuple.IntValue(key), tuple.IntValue(ts), tuple.IntValue(ts))
 	}
 	var sink countVisitor
-	for _, backend := range backendKinds() {
-		t.Run(backend.String(), func(t *testing.T) {
-			b := newStateBackend(backend)
+	for _, row := range backendKinds() {
+		t.Run(row.name, func(t *testing.T) {
+			var b stateBackend = newContainerState()
+			var cs *columnarState
+			if row.backend == BackendColumnar {
+				cs = bareColumnar(nil)
+				defer cs.store.close()
+				b = cs
+			}
 			var sum, idxSum int64
 			check := func(op string) {
 				t.Helper()
@@ -103,6 +222,19 @@ func TestBackendAccountingTelescopes(t *testing.T) {
 					idxSum += xd
 					check("prune")
 				}
+				if row.hot > 0 && ts%40 == 0 {
+					d, xd := cs.promotePending()
+					sum += d
+					idxSum += xd
+					check("promotePending")
+					d, xd, _ = cs.demoteOldest()
+					sum += d
+					idxSum += xd
+					check("demoteOldest")
+				}
+			}
+			if row.hot > 0 && cs.m.Snapshot().DemotedEpochs == 0 {
+				t.Error("tiered row demoted nothing — vacuous")
 			}
 			if _, removed, d, xd, ok := b.dropOldest(); ok {
 				if removed == 0 {
@@ -136,16 +268,12 @@ func (c *countVisitor) visit(*tuple.Tuple, uint64) { c.n++ }
 // accounting gap: StoreBytes must include index overhead, report it in
 // IndexBytes, and return exactly to zero once the state is pruned away.
 func TestIndexMemoryAccounted(t *testing.T) {
-	for _, backend := range backendKinds() {
-		t.Run(backend.String(), func(t *testing.T) {
-			cfg := Config{Synchronous: true, StateBackend: backend}
-			if backend == BackendTiered {
-				// Tiering must not leak accounting either: demoted stubs
-				// count as resident, spilled payload does not, and a full
-				// prune still telescopes every gauge back to zero.
-				cfg.EpochLength = 64
-				cfg.StateHotBytes = 4 << 10
-			}
+	for _, row := range backendKinds() {
+		t.Run(row.name, func(t *testing.T) {
+			// Tiering must not leak accounting either: demoted stubs
+			// count as resident, spilled payload does not, and a full
+			// prune still telescopes every gauge back to zero.
+			cfg := row.apply(Config{Synchronous: true, EpochLength: 64})
 			h := newHarness(t, "q1: R(a) S(a)",
 				core.Options{StoreParallelism: 2},
 				flatEstimates([]string{"R", "S"}, 100), cfg)
@@ -186,14 +314,13 @@ func TestIndexMemoryAccounted(t *testing.T) {
 }
 
 // evictionFixture drives a long-state stream (unbounded window — state
-// only grows) into an engine with the given state policy.
-func evictionFixture(t *testing.T, backend StateBackendKind, limit int64, policy StatePolicy) (*Engine, error) {
+// only grows) into an engine with the given state budgets and policy.
+func evictionFixture(t *testing.T, cfg Config) (*Engine, error) {
 	t.Helper()
+	cfg.Synchronous, cfg.EpochLength = true, 64
 	h := newHarness(t, "q1: R(a) S(a)",
 		core.Options{StoreParallelism: 2},
-		flatEstimates([]string{"R", "S"}, 100),
-		Config{Synchronous: true, EpochLength: 64, StateBackend: backend,
-			StateLimitBytes: limit, StatePolicy: policy})
+		flatEstimates([]string{"R", "S"}, 100), cfg)
 	t.Cleanup(h.eng.Stop)
 	ins := randomStream(h.cat, 3000, 8, 29)
 	for _, in := range ins {
@@ -207,38 +334,44 @@ func evictionFixture(t *testing.T, backend StateBackendKind, limit int64, policy
 
 // TestEvictOldestEpochBoundsState: under EvictOldestEpoch the engine
 // survives a stream that grows state far past the budget and keeps
-// resident state near the limit. The in-memory backends do it by
-// shedding whole epochs with counted drops; the tiered backend demotes
-// them to disk instead — same resident bound, zero tuples lost.
+// resident state near the limit. Without a spill tier the backends do it
+// by shedding whole epochs with counted drops; with one, the columnar
+// store demotes them to disk instead — same resident bound, zero tuples
+// lost.
 func TestEvictOldestEpochBoundsState(t *testing.T) {
-	for _, backend := range backendKinds() {
-		t.Run(backend.String(), func(t *testing.T) {
-			limit := int64(96 << 10)
-			if backend == BackendTiered {
-				// Demotion leaves a small resident stub per cold epoch
-				// (summary + Bloom filter); the budget must clear that
-				// floor or the backend is FORCED to evict once every
+	for _, row := range backendKinds() {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := Config{StateBackend: row.backend, StateLimitBytes: 96 << 10}
+			if row.hot > 0 {
+				// The tier is on but its own budget never binds: the state
+				// limit alone drives the demotions (evictToLimit's
+				// demote-first). Demotion leaves a small resident stub per
+				// cold epoch (summary + Bloom filter); the limit must clear
+				// that floor or the task is FORCED to evict once every
 				// epoch but the newest is already cold. Still far below
 				// what the stream needs resident, so EvictFail dies.
-				limit = 192 << 10
+				cfg.StateHotBytes = math.MaxInt64
+				cfg.StateLimitBytes = 192 << 10
 			}
 			// The same stream under EvictFail must die at the budget —
-			// otherwise the eviction scenario is too weak to mean anything.
-			// (Tiered included: EvictFail means the resident cap is a hard
-			// error, and without a hot budget nothing demotes.)
-			if _, err := evictionFixture(t, backend, limit, EvictFail); !errors.Is(err, ErrMemoryLimit) {
-				t.Fatalf("EvictFail survived the %d-byte budget (err=%v) — scenario too weak", limit, err)
+			// otherwise the eviction scenario is too weak to mean anything
+			// (EvictFail makes the limit a hard error, tier or no tier).
+			cfg.StatePolicy = EvictFail
+			if _, err := evictionFixture(t, cfg); !errors.Is(err, ErrMemoryLimit) {
+				t.Fatalf("EvictFail survived the %d-byte budget (err=%v) — scenario too weak", cfg.StateLimitBytes, err)
 			}
-			eng, err := evictionFixture(t, backend, limit, EvictOldestEpoch)
+			cfg.StatePolicy = EvictOldestEpoch
+			limit := cfg.StateLimitBytes
+			eng, err := evictionFixture(t, cfg)
 			if err != nil {
 				t.Fatalf("EvictOldestEpoch died: %v", err)
 			}
 			m := eng.Metrics().Snapshot()
-			if backend == BackendTiered {
+			if row.hot > 0 {
 				// Demote-first: the limit is honored by spilling, and the
 				// answer-changing path (eviction) never fires.
 				if m.EvictedEpochs != 0 || m.EvictedTuples != 0 {
-					t.Fatalf("tiered backend evicted (epochs=%d tuples=%d) instead of demoting",
+					t.Fatalf("tiered row evicted (epochs=%d tuples=%d) instead of demoting",
 						m.EvictedEpochs, m.EvictedTuples)
 				}
 				if m.DemotedEpochs == 0 || m.SpilledBytes == 0 {
@@ -330,7 +463,7 @@ func TestRetireAbsentStores(t *testing.T) {
 // container baseline: joining and forwarding 8 results costs amortized
 // ≤1 allocation per probe.
 func TestColumnarProbeAllocs(t *testing.T) {
-	tk, rp, st, _, msg := probeFixture(t, 8, BackendColumnar)
+	tk, rp, st, _, msg := probeFixture(t, 8, Config{StateBackend: BackendColumnar})
 	tk.probeBatched(msg, rp, st) // warm schema-position and index caches
 	avg := testing.AllocsPerRun(200, func() {
 		tk.probeBatched(msg, rp, st)
@@ -345,7 +478,7 @@ func TestColumnarProbeAllocs(t *testing.T) {
 // amortized ≤2 allocations per cycle (the container baseline).
 func TestColumnarPruneAllocs(t *testing.T) {
 	schema := tuple.NewSchema("S.a", "S.τ")
-	cs := newColumnarState()
+	cs := bareColumnar(nil)
 	var sink countVisitor
 	tuples := make([]*tuple.Tuple, 4096)
 	for i := range tuples {
@@ -371,7 +504,7 @@ func TestColumnarPruneAllocs(t *testing.T) {
 	if avg > 2.0 {
 		t.Errorf("columnar insert+prune cycle allocates %.2f objects/run, want ≤ 2", avg)
 	}
-	if cs.n == 0 || sink.n == 0 {
+	if cs.epochLen(0) == 0 || sink.n == 0 {
 		t.Fatal("vacuous: no resident tuples or no index candidates")
 	}
 }

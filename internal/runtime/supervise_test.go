@@ -160,7 +160,7 @@ func TestSupervisorDisabledFailsOnFirstPanic(t *testing.T) {
 // producers — every call returns (no deadlock on the second Stop, no
 // panic on closed mailboxes), and post-stop Ingest fails cleanly. This
 // is the regression test for the seed's double-Stop hang. The tiered
-// arm additionally covers backend teardown: racing Stop/Close calls
+// arm additionally covers spill-tier teardown: racing Stop/Close calls
 // must release the mmap'd spill segments exactly once (munmap, fsync,
 // truncate), with every later Close still returning nil.
 func TestStopIdempotentAndConcurrent(t *testing.T) {
@@ -172,7 +172,7 @@ func TestStopIdempotentAndConcurrent(t *testing.T) {
 	}{
 		{name: "unbounded", sub: SubstrateUnbounded},
 		{name: "flow", sub: SubstrateFlow},
-		{name: "tiered", sub: SubstrateUnbounded, backend: BackendTiered, hot: 4 << 10},
+		{name: "tiered", sub: SubstrateUnbounded, backend: BackendColumnar, hot: 4 << 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			workload := "q1: R(a) S(a,b) T(b)"
@@ -180,7 +180,7 @@ func TestStopIdempotentAndConcurrent(t *testing.T) {
 			est := flatEstimates([]string{"R", "S", "T"}, 100)
 			cfg := Config{Substrate: tc.sub, Flow: FlowConfig{MailboxCredits: 64},
 				StateBackend: tc.backend, StateHotBytes: tc.hot}
-			if tc.backend == BackendTiered {
+			if tc.hot > 0 {
 				cfg.EpochLength = 48
 			}
 			h := newHarness(t, workload, opts, est, cfg)

@@ -30,7 +30,11 @@ type task struct {
 	// backend interface (state.go, columnar.go). Only the goroutine
 	// executing the task touches it; the atomics below mirror its
 	// tuple count and byte footprint for cross-goroutine gauges.
+	// tier is state again when it is a columnar store running under a
+	// hot budget (Config.StateHotBytes > 0), nil otherwise: the handle
+	// the budget layer demotes and promotes through.
 	state         stateBackend
+	tier          *columnarState
 	storedCount   atomic.Int64
 	stateBytes    atomic.Int64 // resident bytes incl. index overhead
 	stateIdxBytes atomic.Int64 // index-overhead portion of stateBytes
@@ -115,10 +119,10 @@ func newTask(e *Engine, k taskKey, s *topology.Store) *task {
 		e:           e,
 		key:         k,
 		store:       s,
-		state:       e.newBackend(),
 		states:      map[*rulePlan]*planState{},
 		schemaCache: map[[2]*tuple.Schema]*tuple.Schema{},
 	}
+	t.state, t.tier = e.newBackend()
 	for _, rel := range s.Rels {
 		if w := e.window(rel); w > 0 {
 			t.wins = append(t.wins, relWindow{tau: rel + ".τ", w: int64(w)})
@@ -132,15 +136,19 @@ func newTask(e *Engine, k taskKey, s *topology.Store) *task {
 	return t
 }
 
-// newBackend builds a task-store backend for this engine's config,
-// wiring the tiered backend to the engine's spill directory, metrics,
-// and failure hook (the bare newStateBackend factory stays for
-// engine-less tests).
-func (e *Engine) newBackend() stateBackend {
-	if e.cfg.StateBackend == BackendTiered {
-		return newTieredState(tieredConfig{dir: e.cfg.StateSpillDir, m: e.metrics, fail: e.fail})
+// newBackend builds a task store for this engine's config. tier is the
+// same columnar store again when the hot budget enables its spill tier
+// (see task.tier); without a budget nothing ever demotes, so the store
+// creates no spill file and needs no teardown.
+func (e *Engine) newBackend() (state stateBackend, tier *columnarState) {
+	if e.cfg.StateBackend != BackendColumnar {
+		return newContainerState(), nil
 	}
-	return newStateBackend(e.cfg.StateBackend)
+	cs := newColumnarState(e.cfg.StateSpillDir, e.metrics, e.fail)
+	if e.cfg.StateHotBytes > 0 {
+		tier = cs
+	}
+	return cs, tier
 }
 
 // accountState applies a backend byte delta to the task gauges and the
@@ -275,8 +283,8 @@ func (t *task) insert(tp *tuple.Tuple, seq uint64) {
 	// Tier layer: above the hot budget, cold whole epochs move to disk.
 	// Demotion relocates bytes without dropping tuples, so it runs
 	// before — and usually instead of — the eviction policy below.
-	if hot := t.e.cfg.StateHotBytes; hot > 0 && bytes > hot {
-		bytes = t.demoteToBudget(hot, bytes)
+	if t.tier != nil && bytes > t.e.cfg.StateHotBytes {
+		bytes = t.demoteToBudget(bytes)
 	}
 	// Bounded-memory policy layer: the state budget is enforced against
 	// real resident state (payload + structure + index overhead).
@@ -303,14 +311,13 @@ func (t *task) insert(tp *tuple.Tuple, seq uint64) {
 // the re-made decisions against the logged ones.
 func (t *task) evictToLimit(lim int64) (bytes int64) {
 	bytes = t.e.metrics.storeBytes.Load()
-	tb, tiered := t.state.(tieredBackend)
 	for bytes > lim {
-		// Demote-first on the tiered backend: moving a cold epoch to
-		// disk frees resident bytes without losing tuples, so eviction
-		// only fires once nothing demotable remains (one hot epoch left
-		// and the overflow persists — e.g. stubs alone exceed the limit).
-		if tiered {
-			if d, xd, ok := tb.demoteOldest(); ok {
+		// Demote-first under a hot budget: moving a cold epoch to disk
+		// frees resident bytes without losing tuples, so eviction only
+		// fires once nothing demotable remains (one hot epoch left and
+		// the overflow persists — e.g. stubs alone exceed the limit).
+		if t.tier != nil {
+			if d, xd, ok := t.tier.demoteOldest(); ok {
 				bytes = t.accountState(d, xd)
 				continue
 			}
@@ -339,13 +346,9 @@ func (t *task) evictToLimit(lim int64) (bytes int64) {
 // remains hot. Demotion never drops a tuple — results are unaffected,
 // which is why (unlike evictions) it is not journaled: replay re-makes
 // the same demotions by re-running the same inserts.
-func (t *task) demoteToBudget(budget, bytes int64) int64 {
-	tb, ok := t.state.(tieredBackend)
-	if !ok {
-		return bytes
-	}
-	for bytes > budget {
-		d, xd, ok := tb.demoteOldest()
+func (t *task) demoteToBudget(bytes int64) int64 {
+	for bytes > t.e.cfg.StateHotBytes {
+		d, xd, ok := t.tier.demoteOldest()
 		if !ok {
 			return bytes
 		}
@@ -360,19 +363,18 @@ func (t *task) demoteToBudget(budget, bytes int64) int64 {
 // can overshoot them). Promotion is thereby off the probe's critical
 // path but stays on the task's own execution context — no
 // cross-goroutine machinery, no new messages, so seeded simulation
-// schedules and traces are byte-identical across backends.
+// schedules and traces are byte-identical with and without a budget.
 func (t *task) maintainTier() {
-	tb, ok := t.state.(tieredBackend)
-	if !ok {
+	if t.tier == nil {
 		return
 	}
-	d, xd := tb.promotePending()
+	d, xd := t.tier.promotePending()
 	if d == 0 && xd == 0 {
 		return
 	}
 	bytes := t.accountState(d, xd)
-	if hot := t.e.cfg.StateHotBytes; hot > 0 && bytes > hot {
-		bytes = t.demoteToBudget(hot, bytes)
+	if bytes > t.e.cfg.StateHotBytes {
+		bytes = t.demoteToBudget(bytes)
 	}
 	if lim := t.e.cfg.StateLimitBytes; lim > 0 && bytes > lim && t.e.cfg.StatePolicy == EvictOldestEpoch {
 		t.evictToLimit(lim)
@@ -550,13 +552,11 @@ func (t *task) prune(cut tuple.Time) {
 		t.pruneNanos.Add(t.e.clock.Now() - start)
 		t.pruneTuples.Add(int64(removed))
 	}
-	if removed == 0 && delta == 0 {
-		t.maintainTier()
-		return
+	if removed != 0 || delta != 0 {
+		t.storedCount.Add(int64(-removed))
+		t.e.metrics.stored.Add(int64(-removed))
+		t.accountState(delta, idxDelta)
 	}
-	t.storedCount.Add(int64(-removed))
-	t.e.metrics.stored.Add(int64(-removed))
-	t.accountState(delta, idxDelta)
 	t.maintainTier()
 }
 

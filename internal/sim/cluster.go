@@ -165,40 +165,29 @@ func (cr *ClusterResult) VerifyExact() error {
 }
 
 // ClusterSweep verifies cluster exactness across seeds, shard counts,
-// and all three state backends: every run's merged bytes must equal
+// and every row of the state matrix (StateConfigs): every run's merged bytes must equal
 // its single-engine oracle's. The tiered arm runs every shard (and the
 // oracle) under a hot budget that forces spills, so cross-shard merge
 // order is checked against cold-epoch read-through too. Returns the
 // number of verified runs.
 func ClusterSweep(base ClusterScenario, seeds int, shardCounts []int) (int, error) {
-	backends := []runtime.StateBackendKind{
-		runtime.BackendContainer, runtime.BackendColumnar, runtime.BackendTiered,
-	}
 	runs := 0
-	for _, backend := range backends {
+	for _, row := range StateConfigs() {
 		for _, n := range shardCounts {
 			for seed := 1; seed <= seeds; seed++ {
 				cs := base
 				cs.Seed = uint64(seed)
 				cs.Shards = n
-				cs.Backend = backend
-				if backend == runtime.BackendTiered {
-					if cs.EpochLength == 0 {
-						cs.EpochLength = 8
-					}
-					if cs.StateHotBytes == 0 {
-						cs.StateHotBytes = 4 << 10
-					}
-				}
+				cs.UseState(row)
 				if cs.Stream.Seed == 0 {
 					cs.Stream.Seed = uint64(seed) * 31
 				}
 				res, err := cs.RunCluster()
 				if err != nil {
-					return runs, fmt.Errorf("backend %s shards %d seed %d: %w", backend, n, seed, err)
+					return runs, fmt.Errorf("backend %s shards %d seed %d: %w", row.Name, n, seed, err)
 				}
 				if err := res.VerifyExact(); err != nil {
-					return runs, fmt.Errorf("backend %s shards %d seed %d: %w", backend, n, seed, err)
+					return runs, fmt.Errorf("backend %s shards %d seed %d: %w", row.Name, n, seed, err)
 				}
 				runs++
 			}

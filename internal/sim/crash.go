@@ -230,7 +230,7 @@ func (cs *CrashScenario) RunWithRecovery() (*CrashResult, error) {
 }
 
 // CrashSweep runs the crash-recovery scenario across seeds [1, n] on
-// all three state backends, varying the schedule, the stream, and the
+// every row of the state matrix (StateConfigs), varying the schedule, the stream, and the
 // crash point with the seed, and verifies exactly-once output for
 // every run. The tiered arm runs under a hot budget that forces
 // demotions, so crashes land while epochs sit on disk — recovery must
@@ -242,22 +242,11 @@ func CrashSweep(base CrashScenario, n int) (runs int, err error) {
 	if tuples <= 0 {
 		tuples = 400
 	}
-	backends := []runtime.StateBackendKind{
-		runtime.BackendContainer, runtime.BackendColumnar, runtime.BackendTiered,
-	}
-	for _, backend := range backends {
+	for _, row := range StateConfigs() {
 		for seed := 1; seed <= n; seed++ {
 			cs := base
 			cs.Seed = uint64(seed)
-			cs.Backend = backend
-			if backend == runtime.BackendTiered {
-				if cs.EpochLength == 0 {
-					cs.EpochLength = 8
-				}
-				if cs.StateHotBytes == 0 {
-					cs.StateHotBytes = 4 << 10
-				}
-			}
+			cs.UseState(row)
 			if cs.Stream.Seed == 0 {
 				cs.Stream.Seed = uint64(seed) * 31
 			}
@@ -268,10 +257,10 @@ func CrashSweep(base CrashScenario, n int) (runs int, err error) {
 			}
 			res, err := cs.RunWithRecovery()
 			if err != nil {
-				return runs, fmt.Errorf("backend %s seed %d: %w", backend, seed, err)
+				return runs, fmt.Errorf("backend %s seed %d: %w", row.Name, seed, err)
 			}
 			if err := res.VerifyExactlyOnce(); err != nil {
-				return runs, fmt.Errorf("backend %s seed %d: %w", backend, seed, err)
+				return runs, fmt.Errorf("backend %s seed %d: %w", row.Name, seed, err)
 			}
 			runs++
 		}

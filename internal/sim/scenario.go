@@ -51,15 +51,17 @@ type Scenario struct {
 	// semantics (required for VerifyExact on multi-hop plans).
 	StepMode bool
 	// Backend selects the state backend serving the simulated run
-	// (container, columnar, or tiered). The verification oracles always
-	// run on the default container backend, so a columnar or tiered
-	// scenario is also a cross-backend equivalence check.
+	// (container or columnar). The verification oracles always run on
+	// the default container backend, so a columnar scenario is also a
+	// cross-backend equivalence check. Sweeps pick Backend and
+	// StateHotBytes together, as a row of StateConfigs (UseState).
 	Backend runtime.StateBackendKind
-	// StateHotBytes bounds resident state on the tiered backend (see
-	// runtime.Config.StateHotBytes): above it, cold whole epochs spill
-	// to disk. A tiered sweep sets it low enough to force demotions, so
-	// equivalence covers the demote/read-through/promote cycle, not a
-	// tiered backend idling all-hot.
+	// StateHotBytes enables the columnar backend's spill tier and bounds
+	// resident state (see runtime.Config.StateHotBytes): above it, cold
+	// whole epochs spill to disk. The tiered row of StateConfigs sets it
+	// low enough to force demotions, so equivalence covers the
+	// demote/read-through/promote cycle, not a store idling all-hot.
+	// Ignored on the container backend.
 	StateHotBytes int64
 	// EpochLength enables epoch granularity for demotion/eviction (0 =
 	// one epoch; tier moves need several).
@@ -69,6 +71,47 @@ type Scenario struct {
 	Supervision runtime.SupervisionConfig
 	// Faults are applied in order; CreditStarvation overrides Credits.
 	Faults []Fault
+}
+
+// StateConfig is one row of the state-configuration matrix every
+// cross-backend sweep iterates: a backend and, on the tiered row, the
+// hot budget that forces its spill tier to work.
+type StateConfig struct {
+	// Name labels the row in bench output, BENCH_fig7.json, and the
+	// clash-bench -backend flag.
+	Name    string
+	Backend runtime.StateBackendKind
+	// HotBytes is the forcing StateHotBytes: small enough that every
+	// sweep scenario demotes epochs and reads them back. 0 = no tier.
+	HotBytes int64
+}
+
+// StateConfigs returns the matrix, the container oracle first. It is
+// defined here once; internal/runtime's own tests keep a copy of the
+// three rows because this package imports that one.
+func StateConfigs() []StateConfig {
+	return []StateConfig{
+		{Name: "container", Backend: runtime.BackendContainer},
+		{Name: "columnar", Backend: runtime.BackendColumnar},
+		{Name: "tiered", Backend: runtime.BackendColumnar, HotBytes: 4 << 10},
+	}
+}
+
+// UseState selects a row of the state matrix. On the tiered row it also
+// gives the run what a hot budget needs to bite — the forcing budget and
+// an epoch granularity with something to demote — unless the scenario
+// already chose its own.
+func (sc *Scenario) UseState(row StateConfig) {
+	sc.Backend = row.Backend
+	if row.HotBytes == 0 {
+		return
+	}
+	if sc.StateHotBytes == 0 {
+		sc.StateHotBytes = row.HotBytes
+	}
+	if sc.EpochLength == 0 {
+		sc.EpochLength = 8
+	}
 }
 
 // Result is the outcome of one simulated run.

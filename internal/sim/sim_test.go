@@ -96,9 +96,9 @@ func TestSweepExploresSchedules(t *testing.T) {
 	}
 }
 
-// TestSweepBackendMatrix is the 16-seed sim-sweep matrix over state
-// backends (DESIGN.md §10, §15): for every schedule seed, the
-// container, columnar, and tiered backends must produce byte-identical
+// TestSweepBackendMatrix is the 16-seed sim-sweep matrix over the state
+// configurations (StateConfigs, DESIGN.md §10): for every schedule seed,
+// the container, columnar, and tiered rows must produce byte-identical
 // result multisets AND byte-identical schedule traces — the store
 // layout (including cold epochs spilled to disk) must be invisible to
 // both the answer and the scheduler — and each (seed, backend) run
@@ -110,24 +110,19 @@ func TestSweepBackendMatrix(t *testing.T) {
 	if testing.Short() {
 		n = 4
 	}
-	backends := []runtime.StateBackendKind{
-		runtime.BackendContainer, runtime.BackendColumnar, runtime.BackendTiered,
-	}
 	distinct := map[uint64]bool{}
 	var demoted, coldHits int64
 	for seed := uint64(1); seed <= uint64(n); seed++ {
 		var ref *Result
-		for _, backend := range backends {
+		for _, row := range StateConfigs() {
+			backend := row.Name
 			sc := base()
-			// Epoch granularity is shared by all three backends (it
-			// shapes pruning), so traces stay comparable; the hot
-			// budget only exists on the tiered backend.
+			// Epoch granularity is shared by all three rows (it shapes
+			// pruning), so traces stay comparable; the hot budget only
+			// exists on the tiered row.
 			sc.EpochLength = 8
 			sc.Seed = seed
-			sc.Backend = backend
-			if backend == runtime.BackendTiered {
-				sc.StateHotBytes = 4 << 10
-			}
+			sc.UseState(row)
 			res, err := sc.Run()
 			if err != nil {
 				t.Fatalf("seed %d backend %v: %v", seed, backend, err)
@@ -138,11 +133,11 @@ func TestSweepBackendMatrix(t *testing.T) {
 			if res.TotalResults() == 0 {
 				t.Fatalf("seed %d backend %v: no results — matrix vacuous", seed, backend)
 			}
-			if backend == runtime.BackendTiered {
+			if row.HotBytes > 0 {
 				demoted += res.Metrics.DemotedEpochs
 				coldHits += res.Metrics.ColdProbeHits
 				if res.Metrics.EvictedEpochs != 0 {
-					t.Fatalf("seed %d: tiered backend evicted %d epochs under demote-first",
+					t.Fatalf("seed %d: tiered row evicted %d epochs under demote-first",
 						seed, res.Metrics.EvictedEpochs)
 				}
 			}
