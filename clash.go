@@ -149,7 +149,9 @@ const (
 // DESIGN.md §10).
 const (
 	// BackendContainer is the default store layout: per-epoch containers
-	// with map-based local indices — the differential oracle.
+	// probed one candidate at a time — the differential oracle for the
+	// columnar layout. Both backends share one index kernel, keyed by
+	// all equality predicates of the probing rule.
 	BackendContainer = runtime.BackendContainer
 	// BackendColumnar is the epoch-ring columnar store: flat per-epoch
 	// segments, open-addressed hash indices, int32 posting chains. With

@@ -267,6 +267,7 @@ type fig7Result struct {
 	IndexBytes    int64   `json:"index_bytes"`
 	AvgLatencyNS  int64   `json:"avg_latency_ns"`
 	ProbeTuples   int64   `json:"probe_tuples"`
+	ProbeCands    int64   `json:"probe_candidates"`
 	Results       int64   `json:"results"`
 	EvictedEpochs int64   `json:"evicted_epochs"`
 	Stores        int     `json:"stores"`
@@ -295,6 +296,7 @@ func runFig7(sf float64, quick bool, seed uint64) []fig7Series {
 				IndexBytes:    r.IndexBytes,
 				AvgLatencyNS:  r.AvgLatency.Nanoseconds(),
 				ProbeTuples:   r.ProbeTuples,
+				ProbeCands:    r.Candidates,
 				Results:       r.Results,
 				EvictedEpochs: r.EvictedEpochs,
 				Stores:        r.Stores,

@@ -86,6 +86,7 @@ type Fig7Result struct {
 	IndexBytes    int64         // index-overhead portion of MemoryBytes
 	AvgLatency    time.Duration // Fig. 7d
 	ProbeTuples   int64
+	Candidates    int64 // stored rows the local indices handed those probes (Snapshot.ProbeCandidates)
 	Results       int64
 	EvictedEpochs int64 // must stay 0: the Fig. 7 workload fits in memory
 	Stores        int
@@ -223,6 +224,7 @@ func runFig7Strategy(s Strategy, plans []*core.Plan, cat *query.Catalog, records
 		IndexBytes:    m.IndexBytes,
 		AvgLatency:    m.AvgLatency,
 		ProbeTuples:   m.ProbeSent,
+		Candidates:    m.ProbeCandidates,
 		Results:       m.Results,
 		EvictedEpochs: m.EvictedEpochs,
 		Stores:        len(topo.Stores),
@@ -233,12 +235,13 @@ func runFig7Strategy(s Strategy, plans []*core.Plan, cat *query.Catalog, records
 // FormatFig7 renders the results as the rows of Figs. 7b–7d.
 func FormatFig7(results []Fig7Result) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-6s %14s %14s %12s %14s %10s %8s\n",
-		"strat", "throughput t/s", "memory MiB", "latency", "probe tuples", "results", "stores")
+	fmt.Fprintf(&b, "%-6s %14s %14s %12s %14s %16s %10s %8s\n",
+		"strat", "throughput t/s", "memory MiB", "latency", "probe tuples", "candidates/probe", "results", "stores")
 	for _, r := range results {
-		fmt.Fprintf(&b, "%-6s %14.0f %14.2f %12v %14d %10d %8d\n",
+		fmt.Fprintf(&b, "%-6s %14.0f %14.2f %12v %14d %16.3f %10d %8d\n",
 			r.Strategy, r.ThroughputTPS, float64(r.MemoryBytes)/(1<<20),
-			r.AvgLatency.Round(time.Microsecond), r.ProbeTuples, r.Results, r.Stores)
+			r.AvgLatency.Round(time.Microsecond), r.ProbeTuples,
+			float64(r.Candidates)/float64(max(r.ProbeTuples, 1)), r.Results, r.Stores)
 	}
 	return b.String()
 }

@@ -1,22 +1,25 @@
 package runtime
 
-// Batched probe execution (DESIGN.md §12). The scalar probe path hands
-// the backend one probe value at a time and receives candidates through
-// a per-candidate matchVisitor interface call; probeBatch instead
-// carries a whole vector of probe tuples — a message's tuple batch, or
-// a drained-mailbox run of probe-only messages — through one
-// stateBackend.probeScanBatch pass. The columnar backend amortizes the
-// per-segment index resolution over the vector, pre-hashes every probe
-// value once, skips segments whose max event time cannot reach any
-// probe's window, gathers each chain into a selection vector off the
-// flat seq column, and evaluates residual predicates and window checks
-// in a tight concrete loop (evalRows) — no interface dispatch per
-// candidate. The container backend keeps a loop-over-scalar
-// implementation (probeBatch doubles as a matchVisitor), so it stays
-// the byte-level differential oracle for the vectorized path.
+// Batched probe execution (DESIGN.md §12). A scalar probe path would
+// hand the backend one probe at a time and receive candidates through a
+// per-candidate visitor interface call; probeBatch instead carries a
+// whole vector of probe tuples — a message's tuple batch, or a
+// drained-mailbox run of probe-only messages — through one
+// stateBackend.probeScanBatch pass. add hashes each probe's key — its
+// values under ALL of the rule's equality predicates, in the rule's
+// canonical key order (plan.go's indexKey) — exactly once, for either
+// backend. The columnar backend amortizes the per-segment index
+// resolution over the vector, skips segments whose max event time
+// cannot reach any probe's window, gathers each chain into a selection
+// vector off the flat seq column, and evaluates the predicates and
+// window checks in a tight concrete loop (evalRows). The container
+// backend keeps a loop-over-scalar implementation (one candidate at a
+// time through visit, no window skipping), so it stays the byte-level
+// differential oracle for the vectorized path. Either way a candidate
+// is re-checked by value under every predicate: chains bucket by hash.
 //
-// Ordering contract: per probe, results must be identical to the scalar
-// scan — epochs ascending, insertion-order chains within a segment. The
+// Ordering contract: per probe, results come epochs ascending,
+// insertion-order chains within a segment, on both backends. The
 // columnar batch scan iterates segment-major (probe-minor), so its flat
 // result log interleaves probes; group() regroups it probe-major with a
 // stable counting sort, which preserves each probe's segment-ascending
@@ -53,13 +56,17 @@ type probeBatch struct {
 	probes  []*tuple.Tuple // probe tuples, arrival order
 	msgIdx  []int32        // carrying message's run index per probe
 	ppos    [][]int        // probe-side predicate columns per probe
-	vals    []tuple.Value  // indexed-attribute value per probe
+	hashes  []uint64       // index-key hash per probe (hashKey's fold)
 	maxSeqs []uint64       // arrived-earlier cutoff per probe
 	cuts    []int64        // window cutoff per probe (noCut: no skip)
 	minCut  int64          // min over cuts: segment-level batch prefilter
 
-	hashes []uint64 // columnar scratch: colHash(vals[i])
-	sel    []int32  // columnar scratch: selection vector of chain rows
+	sel []int32 // columnar scratch: selection vector of chain rows
+
+	// cands counts the chain rows the scan walked for its probes — what
+	// the index let through, before the arrived-earlier check on either
+	// backend (Metrics.ProbeCandidates).
+	cands int64
 
 	// Scan output: a flat log of (probe index, joined tuple) in scan
 	// order. The container scan emits it probe-major already; the
@@ -80,7 +87,7 @@ type probeBatch struct {
 	foff int32
 
 	// Scalar-scan cursor for the container oracle: the probe begin()
-	// selected, read by the matchVisitor visit below.
+	// selected, read by visit below.
 	cur       int32
 	curProbe  *tuple.Tuple
 	curPpos   []int
@@ -93,10 +100,11 @@ func (pb *probeBatch) reset(t *task, rp *rulePlan, st *planState) {
 	pb.probes = pb.probes[:0]
 	pb.msgIdx = pb.msgIdx[:0]
 	pb.ppos = pb.ppos[:0]
-	pb.vals = pb.vals[:0]
+	pb.hashes = pb.hashes[:0]
 	pb.maxSeqs = pb.maxSeqs[:0]
 	pb.cuts = pb.cuts[:0]
 	pb.minCut = math.MaxInt64
+	pb.cands = 0
 	pb.resIdx = pb.resIdx[:0]
 	pb.resTups = pb.resTups[:0]
 }
@@ -107,7 +115,6 @@ func (pb *probeBatch) release() {
 	pb.t, pb.rp, pb.st = nil, nil, nil
 	clear(pb.probes)
 	clear(pb.ppos)
-	clear(pb.vals)
 	clear(pb.resTups)
 	clear(pb.groupBuf)
 	pb.grouped = nil
@@ -137,7 +144,12 @@ func (pb *probeBatch) add(tp *tuple.Tuple, seq uint64, idx int32) {
 	pb.probes = append(pb.probes, tp)
 	pb.msgIdx = append(pb.msgIdx, idx)
 	pb.ppos = append(pb.ppos, ppos)
-	pb.vals = append(pb.vals, tp.At(ppos[0]))
+	kp := pb.rp.keyPred
+	h := colHash(tp.At(ppos[kp[0]]))
+	for _, k := range kp[1:] {
+		h = keyHash(h, colHash(tp.At(ppos[k])))
+	}
+	pb.hashes = append(pb.hashes, h)
 	pb.maxSeqs = append(pb.maxSeqs, seq)
 	pb.cuts = append(pb.cuts, cut)
 	if cut < pb.minCut {
@@ -154,10 +166,11 @@ func (pb *probeBatch) begin(i int) {
 	pb.curMaxSeq = pb.maxSeqs[i]
 }
 
-// visit makes probeBatch a matchVisitor for the container backend's
+// visit is the scalar candidate visitor of the container backend's
 // loop-over-scalar batch scan: identical candidate logic to evalRows,
 // one candidate at a time.
 func (pb *probeBatch) visit(en *tuple.Tuple, seq uint64) {
+	pb.cands++
 	if seq >= pb.curMaxSeq {
 		return // only earlier-arrived tuples are join partners
 	}
@@ -308,8 +321,8 @@ func (t *task) putProbeBatch(pb *probeBatch) {
 
 // probeBatched probes every tuple the message carries through the
 // backend's batch scan, then forwards per probe in arrival order. This
-// is the compiled probe path for every batch size including one — the
-// scalar probeScan remains only under the legacy oracle.
+// is the compiled probe path for every batch size including one; the
+// legacy oracle (task.probeLegacy) uses no index at all.
 func (t *task) probeBatched(msg *message, rp *rulePlan, st *planState) {
 	if len(rp.preds) == 0 {
 		return // the optimizer never emits cross-product probes
@@ -330,8 +343,13 @@ func (t *task) probeBatched(msg *message, rp *rulePlan, st *planState) {
 // across several plans' batches).
 func (t *task) scanProbeBatch(pb *probeBatch, rp *rulePlan) {
 	if len(pb.probes) != 0 {
-		if d := t.state.probeScanBatch(rp.preds[0].storedAttr, pb); d != 0 {
+		if d := t.state.probeScanBatch(&rp.key, pb); d != 0 {
 			t.accountState(d, d) // lazily built index structures
+		}
+		if pb.cands != 0 {
+			t.probeCands.Add(pb.cands)
+			t.e.metrics.probeCands.Add(pb.cands)
+			t.probeMatched += int64(len(pb.resTups))
 		}
 	}
 	pb.group()

@@ -1,19 +1,21 @@
 package runtime
 
 // columnarState is the epoch-ring columnar state backend (DESIGN.md
-// §10). Where the seed container design keeps per-epoch []entry slices
-// indexed by map[string]map[Value][]int — two map levels and one
-// posting slice per distinct key, all individually heap-allocated and
-// GC-scanned — the columnar layout stores one segment per epoch as flat
-// parallel columns (tuple pointer, sequence number, event time) with
-// open-addressed uint64-hash indices whose posting lists are int32
-// chains threaded through a single flat array. Consequences:
+// §10). Where the container design keeps one []entry slice of
+// (tuple, seq) pairs per epoch, the columnar layout stores one segment
+// per epoch as flat parallel columns (tuple pointer, sequence number,
+// event time). Both hang the same index kernel off their rows: colIndex
+// (this file), an open-addressed uint64-hash table whose posting lists
+// are int32 chains threaded through a single flat array, keyed by ALL
+// stored attributes of the probing rule (plan.go's indexKey).
+// Consequences:
 //
 //   - insert appends to three columns and pushes one chain head per
 //     index: no map writes, no per-key slice growth;
 //   - probe walks a chain of int32 row ids: the index is a candidate
-//     filter bucketed by 64-bit hash, and the probe visitor re-checks
-//     the indexed predicate by value (state.go's index contract);
+//     filter bucketed by the 64-bit hash of the whole key, and the
+//     probe's evaluation loop re-checks every predicate by value
+//     (state.go's index contract);
 //   - prune drops whole expired epochs off the ring in O(1), skips
 //     segments wholly inside the window via their min event time, and
 //     compacts only the boundary segment (in-epoch remap) with an
@@ -21,9 +23,9 @@ package runtime
 //   - eviction (EvictOldestEpoch) is a ring pop.
 //
 // Iteration is deterministic: segments ascend by epoch, chains follow
-// insertion order within a segment (rows append at the chain tail,
-// matching the container backend's posting lists) — a pure function of
-// the insert/prune history, never of Go map order.
+// insertion order within a segment (rows append at the chain tail) — a
+// pure function of the insert/prune history, never of Go map order, and
+// the same on both backends.
 //
 // Spill tier: every ring slot is wholly hot (the columns above) or
 // wholly cold (a coldStub locating the epoch's frame in the task's
@@ -34,6 +36,7 @@ package runtime
 // one every slot stays hot and no spill file is ever created.
 
 import (
+	"math/bits"
 	"sync/atomic"
 
 	"clash/internal/tuple"
@@ -46,7 +49,7 @@ const (
 	colRowCost = 24  // three column slots: *Tuple + uint64 + int64
 )
 
-// colHash hashes a value for the columnar index. It only needs to be
+// colHash hashes a value for the local indices. It only needs to be
 // self-consistent within the index (unlike Value.Hash, which pins
 // partition routing), so scalar kinds take a cheap splitmix64 finalizer
 // instead of byte-wise FNV.
@@ -62,46 +65,64 @@ func colHash(v tuple.Value) uint64 {
 	return x ^ x>>31
 }
 
-// colIndex is one local index of a segment: an open-addressed hash
-// table from value hash to the head of an int32 row chain. Rows whose
-// schema lacks the attribute are never linked. Chains are exact per
-// 64-bit hash; distinct values colliding on the full hash share a
-// chain and are separated by the visitor's value re-check.
+// keyHash folds the next key attribute's value hash into a composite
+// key hash, order-dependently. A key's hash is the colHash of its first
+// value with every later value folded in, so a one-attribute key hashes
+// as colHash alone — tables, spill frames and filter bits of
+// single-predicate stores are what they were before keys were lists.
+func keyHash(h, hv uint64) uint64 {
+	return bits.RotateLeft64(h, 31)*0x9e3779b97f4a7c15 ^ hv
+}
+
+// hashKey hashes the tuple's values at the key's column positions (one
+// per key attribute, all present).
+func hashKey(tp *tuple.Tuple, pos []int) uint64 {
+	h := colHash(tp.At(pos[0]))
+	for _, p := range pos[1:] {
+		h = keyHash(h, colHash(tp.At(p)))
+	}
+	return h
+}
+
+// colIndex is the one local index implementation, shared by both
+// backends: an open-addressed hash table from key hash to the head of
+// an int32 row chain, over whatever row numbering the owner uses (a
+// segment's columns, a container's entries). Rows whose schema lacks
+// any key attribute are never linked. Chains are exact per 64-bit hash;
+// distinct keys colliding on the full hash share a chain and are
+// separated by the visitor's value re-check.
 type colIndex struct {
-	attr   string
+	key    indexKey
 	heads  []int32  // power-of-two table: first row of the chain, -1 empty
 	tails  []int32  // last row of the chain (append point)
 	hashes []uint64 // hash occupying each slot
 	used   int      // occupied slots
 	next   []int32  // per row: next row in the same chain, -1 end
 
-	// Schema → column position of attr, monomorphic inline slot over a
-	// map fallback (stored schemas are almost always stable per store).
+	// Schema → column positions of the key attributes (nil: one is
+	// missing, so rows of that schema are in no chain), monomorphic
+	// inline slot over a map fallback (stored schemas are almost always
+	// stable per store).
 	lastSch  *tuple.Schema
-	lastPos  int
-	posCache map[*tuple.Schema]int
-}
-
-func newColIndex(attr string) *colIndex {
-	ix := &colIndex{attr: attr, lastPos: -1}
-	return ix
+	lastPos  []int
+	posCache map[*tuple.Schema][]int
 }
 
 func (ix *colIndex) resident() int64 {
 	return colIdxBase + int64(cap(ix.heads)+cap(ix.tails))*4 + int64(cap(ix.hashes))*8 +
-		int64(cap(ix.next))*4 + int64(len(ix.posCache))*16
+		int64(cap(ix.next))*4 + int64(len(ix.posCache)*(8+8*len(ix.key.attrs)))
 }
 
-// posFor resolves the attribute's column position in the schema.
-func (ix *colIndex) posFor(s *tuple.Schema) int {
+// posFor resolves the key attributes' column positions in the schema.
+func (ix *colIndex) posFor(s *tuple.Schema) []int {
 	if s == ix.lastSch {
 		return ix.lastPos
 	}
 	p, ok := ix.posCache[s]
 	if !ok {
-		p = s.Index(ix.attr)
+		p = allPositions(s, ix.key.attrs)
 		if ix.posCache == nil {
-			ix.posCache = make(map[*tuple.Schema]int, 2)
+			ix.posCache = make(map[*tuple.Schema][]int, 2)
 		}
 		ix.posCache[s] = p
 	}
@@ -127,17 +148,16 @@ func (ix *colIndex) find(h uint64) (int, bool) {
 }
 
 // addRow appends the row to its chain's tail — chains keep insertion
-// order, matching the container backend's posting lists exactly, so
-// probe-result order (and everything downstream of it, including
-// checkpoint bytes) is backend-independent. The table grows at 3/4
-// load.
+// order on both backends, so probe-result order (and everything
+// downstream of it, including checkpoint bytes) is backend-independent.
+// The table grows at 3/4 load.
 func (ix *colIndex) addRow(tp *tuple.Tuple, row int32) {
 	pos := ix.posFor(tp.Schema)
-	if pos < 0 {
+	if pos == nil {
 		ix.next = append(ix.next, -1)
 		return
 	}
-	h := colHash(tp.At(pos))
+	h := hashKey(tp, pos)
 	if 4*(ix.used+1) > 3*len(ix.heads) {
 		ix.grow()
 	}
@@ -196,6 +216,44 @@ func (ix *colIndex) reset() {
 	ix.next = ix.next[:0]
 }
 
+// indexSet is the local indices over one epoch's rows: a small slice —
+// a store is probed under one or two keys — so lookup, insert
+// maintenance and byte accounting are short loops with no map on the
+// probe path.
+type indexSet []*colIndex
+
+func (xs indexSet) get(key *indexKey) *colIndex {
+	for _, ix := range xs {
+		if ix.key.id == key.id {
+			return ix
+		}
+	}
+	return nil
+}
+
+// add appends an empty index under the key; the caller links its rows.
+// The key is copied: an index must not pin the rule plan it was first
+// probed under across re-optimizations.
+func (xs *indexSet) add(key *indexKey) *colIndex {
+	ix := &colIndex{key: *key}
+	*xs = append(*xs, ix)
+	return ix
+}
+
+func (xs indexSet) addRow(tp *tuple.Tuple, row int32) {
+	for _, ix := range xs {
+		ix.addRow(tp, row)
+	}
+}
+
+func (xs indexSet) resident() int64 {
+	var b int64
+	for _, ix := range xs {
+		b += ix.resident()
+	}
+	return b
+}
+
 // colSegment is one epoch's ring slot. Hot, it is the epoch's flat
 // storage: parallel columns plus the segment's local indices. Cold, the
 // columns are empty and the rows live in the spill file behind stub;
@@ -209,12 +267,7 @@ type colSegment struct {
 	payload int64   // Σ tuple.MemSize
 	minTS   int64
 	maxTS   int64
-	indices map[string]*colIndex
-
-	// Monomorphic index lookup: probes on a task use one attribute in
-	// the overwhelming majority of deployments.
-	lastAttr string
-	lastIdx  *colIndex
+	indices indexSet
 
 	// stub locates the epoch's frame in the spill file. It is set while
 	// the slot is cold, and stays on a promoted slot for as long as the
@@ -253,11 +306,7 @@ func (s *colSegment) idxResident() int64 {
 	if s.cold {
 		return s.stub.bloomBytes
 	}
-	var b int64
-	for _, ix := range s.indices {
-		b += ix.resident()
-	}
-	return b
+	return s.indices.resident()
 }
 
 func (s *colSegment) add(tp *tuple.Tuple, seq uint64) {
@@ -273,47 +322,19 @@ func (s *colSegment) add(tp *tuple.Tuple, seq uint64) {
 		s.maxTS = t
 	}
 	s.payload += int64(tp.MemSize())
-	for _, ix := range s.indices {
-		ix.addRow(tp, row)
-	}
+	s.indices.addRow(tp, row)
 }
 
-// indexFor returns (building on first use) the index over the attribute.
-func (s *colSegment) indexFor(attr string) (ix *colIndex, built bool) {
-	if attr == s.lastAttr && s.lastIdx != nil {
-		return s.lastIdx, false
+// indexFor returns (building on first use) the index under the key.
+func (s *colSegment) indexFor(key *indexKey) (ix *colIndex, built bool) {
+	if ix = s.indices.get(key); ix != nil {
+		return ix, false
 	}
-	ix = s.indices[attr]
-	if ix == nil {
-		ix = newColIndex(attr)
-		for row := range s.tups {
-			ix.addRow(s.tups[row], int32(row))
-		}
-		if s.indices == nil {
-			s.indices = make(map[string]*colIndex, 2)
-		}
-		s.indices[attr] = ix
-		built = true
+	ix = s.indices.add(key)
+	for row, tp := range s.tups {
+		ix.addRow(tp, int32(row))
 	}
-	s.lastAttr, s.lastIdx = attr, ix
-	return ix, built
-}
-
-// scan is the scalar chain walk: every row chained under hash h visits
-// mv, in insertion order. A lazily built index is reported through
-// idxDelta; hit tells whether the chain existed.
-func (s *colSegment) scan(attr string, h uint64, mv matchVisitor) (idxDelta int64, hit bool) {
-	ix, built := s.indexFor(attr)
-	if built {
-		idxDelta = ix.resident()
-	}
-	slot, hit := ix.find(h)
-	if hit {
-		for row := ix.heads[slot]; row >= 0; row = ix.next[row] {
-			mv.visit(s.tups[row], s.seqs[row])
-		}
-	}
-	return idxDelta, hit
+	return ix, true
 }
 
 // scanBatch is the batch chain walk: for every probe of the vector
@@ -324,8 +345,8 @@ func (s *colSegment) scan(attr string, h uint64, mv matchVisitor) (idxDelta int6
 // concrete evaluation loop — no per-candidate interface dispatch. hits
 // and misses count the probes that reached the index by whether they
 // found rows to evaluate.
-func (s *colSegment) scanBatch(attr string, pb *probeBatch, bl *spillBloom) (idxDelta, hits, misses int64) {
-	ix, built := s.indexFor(attr)
+func (s *colSegment) scanBatch(key *indexKey, pb *probeBatch, bl *spillBloom) (idxDelta, hits, misses int64) {
+	ix, built := s.indexFor(key)
 	if built {
 		idxDelta = ix.resident()
 	}
@@ -338,7 +359,7 @@ func (s *colSegment) scanBatch(attr string, pb *probeBatch, bl *spillBloom) (idx
 			continue // out of this probe's window reach
 		}
 		if bl != nil && !bl.may(h) {
-			continue // definitive: no stored row hashes to h under attr
+			continue // definitive: no stored row hashes to h under the key
 		}
 		slot, ok := ix.find(h)
 		if !ok {
@@ -347,12 +368,15 @@ func (s *colSegment) scanBatch(attr string, pb *probeBatch, bl *spillBloom) (idx
 		}
 		sel := pb.sel[:0]
 		maxSeq := pb.maxSeqs[i]
+		chain := 0 // every chain row is a candidate, as in the container's visit
 		for row := ix.heads[slot]; row >= 0; row = ix.next[row] {
+			chain++
 			if s.seqs[row] < maxSeq {
 				sel = append(sel, row)
 			}
 		}
 		pb.sel = sel
+		pb.cands += int64(chain)
 		if len(sel) == 0 {
 			misses++
 			continue
@@ -397,8 +421,8 @@ func (s *colSegment) compact(cut int64) (removed int) {
 	s.minTS, s.maxTS = minTS, maxTS
 	for _, ix := range s.indices {
 		ix.reset()
-		for row := range s.tups {
-			ix.addRow(s.tups[row], int32(row))
+		for row, tp := range s.tups {
+			ix.addRow(tp, int32(row))
 		}
 	}
 	return removed
@@ -415,14 +439,12 @@ type columnarState struct {
 	store   spillStore   // lazy: no file until the first demotion
 	spilled atomic.Int64 // live on-disk payload bytes of this task
 	pending int          // cold slots holding a read-through decode
-	// probed is every attribute ever probed on this task — the filters a
-	// demoted epoch's stub gets; lastProbed keeps the common
-	// one-attribute task off the map.
-	probed     map[string]struct{}
-	lastProbed string
-	encBuf     []byte
-	m          *Metrics    // the engine's tiering counters
-	fail       func(error) // the engine's failure hook
+	// probed is every index key ever probed on this task — the filters a
+	// demoted epoch's stub gets.
+	probed []indexKey
+	encBuf []byte
+	m      *Metrics    // the engine's tiering counters
+	fail   func(error) // the engine's failure hook
 
 	// testCrashAfterSpill, when set, runs in demoteOldest's crash window:
 	// after the segment is durable in the spill file, before the slot
@@ -435,11 +457,10 @@ type columnarState struct {
 // reports spill I/O failures through fail.
 func newColumnarState(spillDir string, m *Metrics, fail func(error)) *columnarState {
 	return &columnarState{
-		ring:   newEpochRing[colSegment](),
-		store:  spillStore{dir: spillDir},
-		probed: map[string]struct{}{},
-		m:      m,
-		fail:   fail,
+		ring:  newEpochRing[colSegment](),
+		store: spillStore{dir: spillDir},
+		m:     m,
+		fail:  fail,
 	}
 }
 
@@ -460,34 +481,40 @@ func (c *columnarState) insert(tp *tuple.Tuple, seq uint64, epoch int64) (delta,
 	return s.resident() - before, s.idxResident() - idxBefore
 }
 
-func (c *columnarState) noteProbed(attr string) {
-	if attr != c.lastProbed {
-		c.probed[attr] = struct{}{}
-		c.lastProbed = attr
+func (c *columnarState) noteProbed(key *indexKey) {
+	for i := range c.probed {
+		if c.probed[i].id == key.id {
+			return
+		}
 	}
+	c.probed = append(c.probed, *key)
 }
 
-// probeScan walks the ring in epoch order. A slot whose max event time
-// precedes the cutoff is skipped before any hash work — every tuple in
-// it is older than the probe's window reach (task.probeCut's soundness
-// argument). A hot slot runs the chain walk directly; a cold slot is
-// first tried against its key filter and, surviving that, read through
-// from the spill file and walked the same way — candidate order does
-// not depend on where an epoch lives.
-func (c *columnarState) probeScan(attr string, v tuple.Value, cut int64, mv matchVisitor) (idxDelta int64) {
-	c.noteProbed(attr)
-	h := colHash(v)
+// probeScanBatch is the vectorized probe scan: one pass over the ring
+// for the whole probe vector, whose key hashes the batch computed once
+// per probe (probeBatch.add). A slot whose max event time precedes every
+// probe's cutoff is dismissed whole before any hash work — every tuple
+// in it is older than the probes' window reach (task.probeCut's
+// soundness argument). A hot slot runs the segment's batch chain walk
+// directly; a cold slot is first tried against its key filter and,
+// surviving that, read through from the spill file and walked the same
+// way — candidate order does not depend on where an epoch lives. The
+// result log comes out segment-major; probeBatch.group restores the
+// probe-major order the forward path needs.
+func (c *columnarState) probeScanBatch(key *indexKey, pb *probeBatch) (idxDelta int64) {
+	c.noteProbed(key)
 	for _, s := range c.ring.vals {
-		if s.maxTS < cut {
-			continue
+		if s.maxTS < pb.minCut {
+			continue // out of every probe's window reach
 		}
 		if !s.cold {
-			d, _ := s.scan(attr, h, mv)
+			d, _, _ := s.scanBatch(key, pb, nil)
 			idxDelta += d
 			continue
 		}
-		if bl := s.stub.blooms[attr]; bl != nil && !bl.may(h) {
-			continue // definitive: no stored row hashes to h under attr
+		bl := s.stub.bloomFor(key) // nil: key first probed after the demotion
+		if !s.admitsAny(pb, bl) {
+			continue
 		}
 		ls := c.load(s, true)
 		if ls == nil {
@@ -495,49 +522,7 @@ func (c *columnarState) probeScan(attr string, v tuple.Value, cut int64, mv matc
 		}
 		// An index built on the decoded segment is charged with the
 		// slot's promotion (full resident cost, indices included).
-		if _, hit := ls.scan(attr, h, mv); hit {
-			c.m.coldProbeHits.Add(1)
-		} else {
-			c.m.coldProbeMisses.Add(1)
-		}
-	}
-	return idxDelta
-}
-
-// probeScanBatch is the vectorized probe scan: one pass over the ring
-// for the whole probe vector. Every probe value is hashed exactly once;
-// per slot the batch is dismissed whole when the slot is out of every
-// probe's window reach (or, cold, when no probe survives its cut and
-// key filter — no disk touched), and otherwise runs the segment's batch
-// chain walk. The result log comes out segment-major; probeBatch.group
-// restores the probe-major order the forward path needs.
-func (c *columnarState) probeScanBatch(attr string, pb *probeBatch) (idxDelta int64) {
-	c.noteProbed(attr)
-	if cap(pb.hashes) < len(pb.vals) {
-		pb.hashes = make([]uint64, len(pb.vals))
-	}
-	pb.hashes = pb.hashes[:len(pb.vals)]
-	for i, v := range pb.vals {
-		pb.hashes[i] = colHash(v)
-	}
-	for _, s := range c.ring.vals {
-		if s.maxTS < pb.minCut {
-			continue // out of every probe's window reach
-		}
-		if !s.cold {
-			d, _, _ := s.scanBatch(attr, pb, nil)
-			idxDelta += d
-			continue
-		}
-		bl := s.stub.blooms[attr] // nil: attr first probed after the demotion
-		if !s.admitsAny(pb, bl) {
-			continue
-		}
-		ls := c.load(s, true)
-		if ls == nil {
-			continue
-		}
-		_, hits, misses := ls.scanBatch(attr, pb, bl)
+		_, hits, misses := ls.scanBatch(key, pb, bl)
 		c.m.coldProbeHits.Add(hits)
 		c.m.coldProbeMisses.Add(misses)
 	}

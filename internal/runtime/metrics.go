@@ -15,6 +15,7 @@ import (
 type Metrics struct {
 	ingested   atomic.Int64 // raw input tuples
 	probeSent  atomic.Int64 // tuples sent between tasks (the paper's probe cost)
+	probeCands atomic.Int64 // stored rows the local indices handed to probes
 	messages   atomic.Int64 // messaging events (broadcast counts once per task)
 	stored     atomic.Int64 // tuples currently materialized across stores
 	storeBytes atomic.Int64 // resident state bytes incl. index overhead
@@ -130,6 +131,15 @@ type Snapshot struct {
 	ProbeSent int64
 	Messages  int64
 	Stored    int64
+	// ProbeCandidates counts the stored rows index scans handed to
+	// candidate evaluation, over all probes — every row of every chain a
+	// probe walked, on either backend — what probes pay at the stores,
+	// where ProbeSent is what they pay on the wire. Against the rows that
+	// actually joined it measures how well the index keys fit the rules:
+	// an index keyed by every equality predicate of its rule delivers
+	// little beyond the matches plus out-of-window rows of not-yet-pruned
+	// epochs and rows that arrived after the probe.
+	ProbeCandidates int64
 	// StoreBytes is the resident materialized-state footprint: tuple
 	// payloads plus storage structure plus index overhead (the seed
 	// accounting ignored indices; IndexBytes is that portion).
@@ -195,6 +205,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		TaskRestarts:    m.taskRestarts.Load(),
 		Ingested:        m.ingested.Load(),
 		ProbeSent:       m.probeSent.Load(),
+		ProbeCandidates: m.probeCands.Load(),
 		Messages:        m.messages.Load(),
 		Stored:          m.stored.Load(),
 		StoreBytes:      m.storeBytes.Load(),
@@ -264,6 +275,9 @@ type TaskGauge struct {
 	InsertTuples int64
 	PruneNanos   int64
 	PruneTuples  int64
+	// ProbeCandidates counts the stored rows this task's index scans
+	// handed to candidate evaluation (see Snapshot.ProbeCandidates).
+	ProbeCandidates int64
 }
 
 // TaskGauges returns a pressure reading per task, sorted by store and
@@ -300,6 +314,8 @@ func (e *Engine) TaskGauges() []TaskGauge {
 			InsertTuples: t.insertTuples.Load(),
 			PruneNanos:   t.pruneNanos.Load(),
 			PruneTuples:  t.pruneTuples.Load(),
+
+			ProbeCandidates: t.probeCands.Load(),
 		})
 	}
 	e.mu.RUnlock()

@@ -18,6 +18,9 @@ package runtime
 // planState values.
 
 import (
+	"sort"
+	"strings"
+
 	"clash/internal/query"
 	"clash/internal/topology"
 	"clash/internal/tuple"
@@ -68,16 +71,35 @@ type predPlan struct {
 	probeAttr  string
 }
 
-// rulePlan is one compiled rule. The first predicate drives the local
-// index; the rest filter positionally. probeAttrs and storedAttrs are
-// the predicate attribute names in pred order, ready for
-// Schema.Positions when a new schema is first seen.
+// indexKey names one local index of a store: the stored attributes it is
+// keyed by, sorted by name, so rules carrying the same attribute set
+// share one index whatever order their predicates come in. id is the
+// canonical form indices, cold-stub filters and the probed-key list are
+// looked up by; a one-attribute key's id is the attribute itself.
+type indexKey struct {
+	id    string
+	attrs []string
+}
+
+// rulePlan is one compiled rule. ALL equality predicates key the local
+// index (key; Sec. V-B: "for each distinct attribute access in a store,
+// indices are created locally"), and visitors re-check every predicate
+// by value, so the index is a candidate filter that may over-approximate
+// but never has to. probeAttrs and storedAttrs are the predicate
+// attribute names in pred order, ready for Schema.Positions when a new
+// schema is first seen.
 type rulePlan struct {
 	kind        topology.RuleKind
 	preds       []predPlan
 	probeAttrs  []string
 	storedAttrs []string
-	out         []emitStep
+	// key is the index this rule probes — a pure function of the rule's
+	// stored attributes, no statistics involved. keyPred[j] is the
+	// predicate whose stored side is key.attrs[j]: the probe-side value
+	// hashed in the key's j-th place (probeBatch.add).
+	key     indexKey
+	keyPred []int
+	out     []emitStep
 	// rule keeps the uncompiled form for the legacy string-resolved
 	// probe path (differential testing, see task.probeLegacy).
 	rule *topology.Rule
@@ -155,20 +177,51 @@ func (e *Engine) compileRule(topo *topology.Config, r *topology.Rule) *rulePlan 
 	for _, rel := range store.Rels {
 		inStore[rel] = true
 	}
-	rp.preds = make([]predPlan, 0, len(r.Preds))
+	preds := make([]predPlan, 0, len(r.Preds))
 	for _, p := range r.Preds {
 		stored, probe := p.Left, p.Right
 		if !inStore[p.Left.Rel] {
 			stored, probe = p.Right, p.Left
 		}
-		rp.preds = append(rp.preds, predPlan{
+		preds = append(preds, predPlan{
 			storedAttr: stored.Qualified(),
 			probeAttr:  probe.Qualified(),
 		})
-		rp.probeAttrs = append(rp.probeAttrs, probe.Qualified())
-		rp.storedAttrs = append(rp.storedAttrs, stored.Qualified())
 	}
+	rp.setPreds(preds)
 	return rp
+}
+
+// setPreds installs the rule's predicates and derives everything that
+// follows from them alone: the attribute-name lists and the index key.
+// Two predicates on one stored attribute contribute it to the key once
+// (the first keys, the other is re-checked by value like every
+// predicate).
+func (rp *rulePlan) setPreds(preds []predPlan) {
+	rp.preds = preds
+	rp.probeAttrs, rp.storedAttrs = nil, nil
+	for _, p := range preds {
+		rp.probeAttrs = append(rp.probeAttrs, p.probeAttr)
+		rp.storedAttrs = append(rp.storedAttrs, p.storedAttr)
+	}
+	rp.keyPred = nil
+	for k := range preds {
+		first := true
+		for _, j := range rp.keyPred {
+			first = first && preds[j].storedAttr != preds[k].storedAttr
+		}
+		if first {
+			rp.keyPred = append(rp.keyPred, k)
+		}
+	}
+	sort.Slice(rp.keyPred, func(a, b int) bool {
+		return preds[rp.keyPred[a]].storedAttr < preds[rp.keyPred[b]].storedAttr
+	})
+	attrs := make([]string, len(rp.keyPred))
+	for j, k := range rp.keyPred {
+		attrs[j] = preds[k].storedAttr
+	}
+	rp.key = indexKey{id: strings.Join(attrs, "\x00"), attrs: attrs}
 }
 
 // storedShape caches, for one stored-tuple schema, the column positions
@@ -205,18 +258,24 @@ func (st *planState) probePos(s *tuple.Schema, rp *rulePlan) []int {
 		st.lastProbe, st.lastPPos = s, pos
 		return pos
 	}
-	pos := s.Positions(rp.probeAttrs)
-	for _, p := range pos {
-		if p < 0 {
-			pos = nil
-			break
-		}
-	}
+	pos := allPositions(s, rp.probeAttrs)
 	if st.probeMore == nil {
 		st.probeMore = make(map[*tuple.Schema][]int, 2)
 	}
 	st.probeMore[s] = pos
 	st.lastProbe, st.lastPPos = s, pos
+	return pos
+}
+
+// allPositions resolves every name to its column position in the
+// schema, or returns nil when any is absent.
+func allPositions(s *tuple.Schema, names []string) []int {
+	pos := s.Positions(names)
+	for _, p := range pos {
+		if p < 0 {
+			return nil
+		}
+	}
 	return pos
 }
 

@@ -52,17 +52,12 @@ func runWorkload(t *testing.T, cfg Config, topo *topology.Config, queries []*que
 	return out
 }
 
-// TestCompiledPlanEquivalenceTPCH asserts the compiled probe path
-// produces byte-identical join results to the legacy string-resolved
-// path on the TPC-H multi-query workload (the Fig. 7 setting) — and
-// that the result bytes are identical on every execution substrate
-// (synchronous, unbounded-async, flow-controlled, simulated) and on
-// both state backends (container, columnar): same topology, same
-// records, engines differing only in probe implementation, in
-// scheduling/flow-control layer, or in store layout (DESIGN.md §3,
-// §8, §10).
-func TestCompiledPlanEquivalenceTPCH(t *testing.T) {
-	queries := tpch.Fig7Queries()
+// tpchFixture generates the TPC-H stream the queries read (one second
+// of event time at the given scale factor) and compiles the queries'
+// jointly optimized shared plan at parallelism 2 — the Fig. 7 setting in
+// small.
+func tpchFixture(t *testing.T, queries []*query.Query, sf float64, opts core.Options) (*query.Catalog, *topology.Config, []broker.Record) {
+	t.Helper()
 	cat := tpch.Catalog()
 	tables := map[string]bool{}
 	for _, q := range queries {
@@ -76,16 +71,11 @@ func TestCompiledPlanEquivalenceTPCH(t *testing.T) {
 	}
 	sort.Strings(names)
 	b := broker.New()
-	if err := tpch.FillBroker(b, 0.0005, 42, tuple.Duration(time.Second), names); err != nil {
+	if err := tpch.FillBroker(b, sf, 42, tuple.Duration(time.Second), names); err != nil {
 		t.Fatal(err)
 	}
-	records := b.Interleave(names...)
-
-	est := flatEstimates(cat.Names(), 1000)
-	plan, err := core.NewOptimizer(core.Options{
-		StoreParallelism: 2,
-		Solver:           ilp.Options{TimeLimit: 3 * time.Second},
-	}).Optimize(queries, est)
+	opts.StoreParallelism = 2
+	plan, err := core.NewOptimizer(opts).Optimize(queries, flatEstimates(cat.Names(), 1000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,6 +83,23 @@ func TestCompiledPlanEquivalenceTPCH(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return cat, topo, b.Interleave(names...)
+}
+
+// TestCompiledPlanEquivalenceTPCH asserts the compiled probe path
+// produces byte-identical join results to the legacy string-resolved
+// path — an index-free scan of every stored tuple (task.probeLegacy) —
+// on the TPC-H multi-query workload (the Fig. 7 setting) — and
+// that the result bytes are identical on every execution substrate
+// (synchronous, unbounded-async, flow-controlled, simulated) and on
+// both state backends (container, columnar): same topology, same
+// records, engines differing only in probe implementation, in
+// scheduling/flow-control layer, or in store layout (DESIGN.md §3,
+// §8, §10).
+func TestCompiledPlanEquivalenceTPCH(t *testing.T) {
+	queries := tpch.Fig7Queries()
+	cat, topo, records := tpchFixture(t, queries, 0.0005,
+		core.Options{Solver: ilp.Options{TimeLimit: 3 * time.Second}})
 
 	legacy := runWorkload(t, Config{Catalog: cat, Synchronous: true, legacyProbe: true}, topo, queries, records)
 	substrates := map[string]Config{
@@ -271,8 +278,11 @@ func TestBatchProbeAllocs(t *testing.T) {
 }
 
 // TestIngestAllocs pins the allocation budget of Engine.Ingest on the
-// routing path: ≤4 objects per tuple (the tuple itself, its value
-// slice, and amortized container growth — the seed path cost 8).
+// routing path: the tuple itself and its value slice, plus amortized
+// container and index growth (the seed path cost 8). The half object of
+// headroom is deliberate: a dispatched message that escapes to the heap
+// — anything on the task path retaining *message, e.g. a closure handed
+// to the backend — costs exactly one more per tuple and must fail here.
 func TestIngestAllocs(t *testing.T) {
 	qs, cat, err := query.ParseWorkload("q1: R(a) S(a)")
 	if err != nil {
@@ -300,8 +310,8 @@ func TestIngestAllocs(t *testing.T) {
 		}
 		ts++
 	})
-	if avg > 4.0 {
-		t.Errorf("Engine.Ingest allocates %.2f objects/run, want ≤ 4", avg)
+	if avg > 2.5 {
+		t.Errorf("Engine.Ingest allocates %.2f objects/run, want ≤ 2.5", avg)
 	}
 }
 

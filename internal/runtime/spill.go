@@ -6,9 +6,9 @@ package runtime
 // When resident state crosses Config.StateHotBytes the task demotes its
 // coldest whole epochs: the segment is appended CRC-framed to the
 // task's spill file and its slot keeps only a coldStub — tuple count,
-// file coordinates, and a per-attribute key-hash Bloom filter — beside
-// the time bounds, so probes dismiss cold slots by window cut and key
-// without touching disk. A probe that survives both reads the segment
+// file coordinates, and a key-hash Bloom filter per probed index key —
+// beside the time bounds, so probes dismiss cold slots by window cut and
+// key without touching disk. A probe that survives both reads the segment
 // through (decoded once, kept on the stub) and scans it with the hot
 // chain walk; task.maintainTier promotes the touched slots at the end
 // of the dispatch — off the probe's critical path, but on the task's
@@ -277,11 +277,12 @@ func decodeColSegment(b []byte) (*colSegment, error) {
 	return s, nil
 }
 
-// spillBloom is a per-attribute key filter carried by a cold segment's
-// in-memory stub: two derived probes of the value's colHash into a
-// power-of-two bit array (~8 bits per stored row). A negative answer is
-// definitive — the probe skips the segment without touching disk; a
-// positive one costs a read-through that may still match nothing.
+// spillBloom is a per-index-key filter carried by a cold segment's
+// in-memory stub: two derived probes of the key's hash (hashKey — the
+// hash its index chains under) into a power-of-two bit array (~8 bits
+// per stored row). A negative answer is definitive — the probe skips
+// the segment without touching disk; a positive one costs a
+// read-through that may still match nothing.
 type spillBloom struct {
 	bits []uint64
 	mask uint64
@@ -318,7 +319,7 @@ func (bl *spillBloom) may(h uint64) bool {
 func (bl *spillBloom) bytes() int64 { return int64(len(bl.bits)) * 8 }
 
 // coldStubBase prices a stub's fixed overhead: the struct, its ring
-// slot, and the blooms map header.
+// slot, and the filter list header.
 const coldStubBase = 160
 
 // coldStub is what a demoted epoch keeps in memory beside its slot's
@@ -330,40 +331,56 @@ type coldStub struct {
 	off   int64 // payload offset in the spill file
 	len   int64 // payload length
 	crc   uint32
-	// blooms holds one key-hash filter per attribute that had been
-	// probed on this task by demotion time; an attribute probed for the
-	// first time later has no filter and pays a read-through.
-	blooms     map[string]*spillBloom
+	// blooms holds one key-hash filter per index key that had been
+	// probed on this task by demotion time; a key probed for the first
+	// time later has no filter and pays a read-through.
+	blooms     []keyBloom
 	bloomBytes int64
 	// loaded is the read-through decode of a cold slot that a probe
 	// touched, awaiting promotion (columnarState.pending counts them).
 	loaded *colSegment
 }
 
-// buildBlooms fills the stub's per-attribute filters from the hot
-// segment being demoted. Rows whose schema lacks the attribute are
-// skipped: the columnar index never links them either, so a Bloom
-// negative remains a sound whole-segment skip.
-func (st *coldStub) buildBlooms(s *colSegment, attrs map[string]struct{}) {
-	if len(attrs) == 0 || len(s.tups) == 0 {
+// keyBloom is one cold filter: the index key it answers for, by id.
+type keyBloom struct {
+	id string
+	bl *spillBloom
+}
+
+// bloomFor returns the stub's filter for the key, nil when it has none.
+func (st *coldStub) bloomFor(key *indexKey) *spillBloom {
+	for i := range st.blooms {
+		if st.blooms[i].id == key.id {
+			return st.blooms[i].bl
+		}
+	}
+	return nil
+}
+
+// buildBlooms fills the stub's per-key filters from the hot segment
+// being demoted. Rows whose schema lacks a key attribute are skipped:
+// the index never links them either, so a Bloom negative remains a
+// sound whole-segment skip.
+func (st *coldStub) buildBlooms(s *colSegment, keys []indexKey) {
+	if len(s.tups) == 0 {
 		return
 	}
-	st.blooms = make(map[string]*spillBloom, len(attrs))
-	for attr := range attrs {
+	for k := range keys {
+		key := &keys[k]
 		bl := newSpillBloom(len(s.tups))
-		var lastSch *tuple.Schema
-		pos := -1
-		for _, tp := range s.tups {
-			if tp.Schema != lastSch {
-				lastSch = tp.Schema
-				pos = tp.Schema.Index(attr)
-			}
-			if pos < 0 {
-				continue
-			}
-			bl.add(colHash(tp.At(pos)))
+		// Positions come from the segment's own index under the key when
+		// it has one, else from a throwaway's cache: either way one
+		// resolution per schema, not per row.
+		ix := s.indices.get(key)
+		if ix == nil {
+			ix = &colIndex{key: *key}
 		}
-		st.blooms[attr] = bl
+		for _, tp := range s.tups {
+			if pos := ix.posFor(tp.Schema); pos != nil {
+				bl.add(hashKey(tp, pos))
+			}
+		}
+		st.blooms = append(st.blooms, keyBloom{id: key.id, bl: bl})
 		st.bloomBytes += bl.bytes()
 	}
 }

@@ -22,7 +22,8 @@ import (
 	"clash/internal/tuple"
 )
 
-// traceVisitor records the exact candidate sequence a probe delivers.
+// traceVisitor records the exact (tuple, seq) sequence a checkpoint walk
+// delivers.
 type traceVisitor struct{ out []string }
 
 func (v *traceVisitor) visit(tp *tuple.Tuple, seq uint64) {
@@ -76,17 +77,22 @@ func tieredPair(n int) (col, tr *columnarState) {
 	return col, tr
 }
 
-// probeAll scans every key in the ring on the given attribute and
-// returns the concatenated candidate trace plus the index-build delta
+// probeAll scans every key in the ring under the one-attribute key R.a
+// and returns the concatenated match trace plus the index-build delta
 // the probes charged (lazily built hot indices count toward bytes()).
 func probeAll(b stateBackend, cut int64) (string, int64) {
-	var v traceVisitor
+	probe := newBackendProbe("R.a")
+	var out []string
 	var idx int64
 	for k := int64(0); k < 5; k++ {
-		v.out = append(v.out, fmt.Sprintf("--key %d--", k))
-		idx += b.probeScan("R.a", tuple.IntValue(k), cut, &v)
+		out = append(out, fmt.Sprintf("--key %d--", k))
+		matches, _, d := probe.scan(b, cut, tuple.IntValue(k))
+		idx += d
+		for _, m := range matches {
+			out = append(out, fmt.Sprintf("%v@%d", m.vals[0], m.ts))
+		}
 	}
-	return strings.Join(v.out, "\n"), idx
+	return strings.Join(out, "\n"), idx
 }
 
 // walkAll replays the checkpoint walk: every epoch, in order, with
@@ -337,18 +343,6 @@ func TestTieredDemoteReusesFrames(t *testing.T) {
 	}
 }
 
-// epochCounter counts the delivered tuples of one epoch (epoch = ts/16).
-type epochCounter struct {
-	ep int64
-	n  int
-}
-
-func (c *epochCounter) visit(tp *tuple.Tuple, _ uint64) {
-	if int64(tp.TS)/16 == c.ep {
-		c.n++
-	}
-}
-
 // TestTieredSpillCorruption truncates the spill file at every byte
 // offset and flips every byte of the newest cold frame: each mutation
 // must surface through the failure hook as a wrapped ErrCorruptSnapshot
@@ -374,14 +368,19 @@ func TestTieredSpillCorruption(t *testing.T) {
 		t.Fatalf("only %d cold epochs — corruption sweep vacuous", len(cold))
 	}
 	last := cold[len(cold)-1]
+	probe := newBackendProbe("R.a")
 	// Each reader reports how many tuples of the newest cold epoch it saw.
 	readers := []struct {
 		name string
 		read func() int
 	}{
-		{"probe", func() int {
-			v := epochCounter{ep: last.epoch}
-			tr.probeScan("R.a", tuple.IntValue(1), noCut, &v)
+		{"probe", func() (n int) {
+			matches, _, _ := probe.scan(tr, noCut, tuple.IntValue(1))
+			for _, m := range matches {
+				if int64(m.ts)/16 == last.epoch {
+					n++
+				}
+			}
 			// Forget the read-through decodes so the next read hits disk.
 			for _, s := range cold {
 				if s.stub.loaded != nil {
@@ -389,14 +388,17 @@ func TestTieredSpillCorruption(t *testing.T) {
 					tr.pending--
 				}
 			}
-			return v.n
+			return n
 		}},
-		{"walk", func() int {
-			v := epochCounter{ep: last.epoch}
+		{"walk", func() (n int) {
 			for _, ep := range tr.epochs() {
-				tr.forEach(ep, v.visit)
+				tr.forEach(ep, func(tp *tuple.Tuple, _ uint64) {
+					if int64(tp.TS)/16 == last.epoch {
+						n++
+					}
+				})
 			}
-			return v.n
+			return n
 		}},
 	}
 

@@ -5,15 +5,24 @@ package runtime
 // stateBackend interface, so the runtime's insert/probe/prune/checkpoint
 // paths are layout-independent. Two implementations exist:
 //
-//   - containerState (this file): the seed design — per-epoch containers
-//     of []entry with lazily built map[Value][]int hash indices. Kept as
-//     the differential oracle for the columnar backend.
+//   - containerState (this file): the seed storage design — per-epoch
+//     containers of []entry, no window skipping on the probe path, one
+//     candidate at a time through a scalar visitor. Kept as the
+//     differential oracle for the columnar backend's layout, segment
+//     skipping and vectorized evaluation.
 //   - columnarState (columnar.go): an epoch-ring columnar store — flat
-//     per-epoch tuple/seq/timestamp columns with open-addressed
-//     uint64-hash indices over int32 chain posting lists. No per-key
-//     map buckets or posting slices: GC-friendlier and faster to prune.
-//     Under a hot budget (Config.StateHotBytes) the same ring demotes
-//     cold whole epochs to an on-disk spill file (spill.go).
+//     per-epoch tuple/seq/timestamp columns, batch chain walks into
+//     selection vectors. Under a hot budget (Config.StateHotBytes) the
+//     same ring demotes cold whole epochs to an on-disk spill file
+//     (spill.go).
+//
+// Both index their rows with the one kernel there is, colIndex
+// (columnar.go): open-addressed uint64-hash tables over int32 chain
+// posting lists, one per index key — the sorted list of ALL stored
+// attributes of a probing rule (plan.go's indexKey), so a probe walks
+// the chain of its whole key, never the chain of its least selective
+// attribute. What is differenced against an index-free scan is the
+// kernel itself: task.probeLegacy walks forEach.
 //
 // Memory accounting contract: every mutating operation returns the
 // change in resident bytes (tuple payloads plus structural overhead
@@ -24,11 +33,13 @@ package runtime
 // and the per-task gauges, which is what makes the bounded-memory
 // policy layer (task.insert) able to account real state cost.
 //
-// Index contract: probeScan delivers *candidates* under the indexed
-// attribute — every stored tuple whose indexed value equals v is
-// visited, but the backend may over-approximate (the columnar index
-// buckets by 64-bit hash). Visitors therefore re-check the indexed
-// predicate by value; see probeVisit.
+// Index contract: probeScanBatch delivers *candidates* under the index
+// key — every stored tuple that carries all key attributes with values
+// equal to the probe's is visited, but the backend may over-approximate
+// (chains bucket by the 64-bit hash of the key). The batch's visitors
+// therefore re-check every predicate by value (probeBatch.visit,
+// probeBatch.evalRows). Indices build lazily on a key's first probe and
+// are maintained by insert and prune thereafter.
 //
 // Determinism contract: epoch iteration is ascending, within-epoch
 // iteration is a pure function of the insert/prune history (never of Go
@@ -42,7 +53,7 @@ import (
 	"clash/internal/tuple"
 )
 
-// noCut disables window-based segment skipping in probeScan: every
+// noCut disables window-based segment skipping in probeScanBatch: every
 // resident epoch stays reachable regardless of event time.
 const noCut = int64(math.MinInt64)
 
@@ -50,8 +61,8 @@ const noCut = int64(math.MinInt64)
 type StateBackendKind int
 
 const (
-	// BackendContainer is the seed per-epoch container design with
-	// map-based local indices — the differential oracle.
+	// BackendContainer is the seed per-epoch container design — the
+	// differential oracle for storage layout and window skipping.
 	BackendContainer StateBackendKind = iota
 	// BackendColumnar is the epoch-ring columnar store: flat per-epoch
 	// segments with open-addressed hash indices and int32 posting
@@ -85,13 +96,6 @@ const (
 	EvictOldestEpoch
 )
 
-// matchVisitor receives index candidates during a probe scan. The
-// candidate's indexed value is not guaranteed equal to the probed value
-// (hash-bucketed indices over-approximate): visitors re-check it.
-type matchVisitor interface {
-	visit(tp *tuple.Tuple, seq uint64)
-}
-
 // stateBackend is a task's materialized store. Implementations are not
 // thread-safe: the substrate guarantees at most one goroutine executes
 // a task (and therefore touches its backend) at a time.
@@ -101,19 +105,18 @@ type matchVisitor interface {
 type stateBackend interface {
 	// insert materializes the tuple into the given arrival epoch.
 	insert(tp *tuple.Tuple, seq uint64, epoch int64) (delta, idxDelta int64)
-	// probeScan visits, epoch-ascending, every stored candidate whose
-	// indexed attribute may equal v. Lazily built index structures are
-	// reported through idxDelta. cut is the caller's window cutoff: the
-	// backend MAY skip any epoch whose max event time precedes it (the
-	// caller guarantees no such tuple passes its window checks; see
-	// task.probeCut). math.MinInt64 disables skipping; the container
-	// backend ignores the cutoff entirely — it is the full oracle.
-	probeScan(attr string, v tuple.Value, cut int64, mv matchVisitor) (idxDelta int64)
-	// probeScanBatch evaluates a whole probe vector in one pass,
-	// appending matches to the batch's result log (batchprobe.go). Per
-	// probe, the visited candidates and their order must be identical
-	// to a probeScan with that probe's value and cutoff.
-	probeScanBatch(attr string, pb *probeBatch) (idxDelta int64)
+	// probeScanBatch evaluates a whole probe vector in one pass under
+	// the index key, appending matches to the batch's result log
+	// (batchprobe.go). Per probe it visits, epoch-ascending and in
+	// insertion order within an epoch, every stored candidate whose key
+	// hash equals the probe's (pb.hashes). Lazily built index structures
+	// are reported through idxDelta. pb.cuts are the probes' window
+	// cutoffs: the backend MAY skip, for a probe, any epoch whose max
+	// event time precedes its cutoff (the caller guarantees no such tuple
+	// passes its window checks; see task.probeCut). noCut disables
+	// skipping; the container backend ignores the cutoffs entirely — it
+	// is the full oracle.
+	probeScanBatch(key *indexKey, pb *probeBatch) (idxDelta int64)
 	// prune drops tuples whose event time precedes the cutoff,
 	// maintaining the indices (no rebuild on the next probe).
 	prune(cut tuple.Time) (removed int, delta, idxDelta int64)
@@ -138,14 +141,11 @@ type stateBackend interface {
 }
 
 // Structural cost estimates (bytes) for the container backend's
-// accounting. They price what the Go runtime actually allocates:
-// entries slots, map buckets per distinct key, posting-list ints.
+// accounting: entries slots and the container itself. Index bytes are
+// the kernel's own (colIndex.resident).
 const (
 	ctrEntrySlot = 16 // entry{*Tuple, uint64}
-	ctrIndexBase = 48 // map header per local index
-	ctrIndexKey  = 96 // map bucket share + Value + posting slice header
-	ctrIndexPost = 8  // one posting-list int
-	ctrContainer = 96 // container struct + indices map header
+	ctrContainer = 96 // container struct + index list header
 )
 
 // entry is one stored tuple with the sequence number that orders it
@@ -156,21 +156,22 @@ type entry struct {
 	seq uint64
 }
 
-// container holds one epoch's stored tuples with hash indices per
-// probed attribute (Sec. V-B: "for each distinct attribute access in a
-// store, indices are created locally"). Indices build lazily on first
-// probe and are maintained incrementally by add and prune thereafter.
+// container holds one epoch's stored tuples with one index per probed
+// key (Sec. V-B: "for each distinct attribute access in a store, indices
+// are created locally"), numbered by position in entries. Indices build
+// lazily on first probe and are maintained by add and prune thereafter.
+// minTS/maxTS bound the entries' event times so prune can dismiss the
+// container without reading it.
 type container struct {
 	entries []entry
-	indices map[string]map[tuple.Value][]int
-
-	payload  int64 // Σ tuple.MemSize
-	idxKeys  int64 // distinct keys across indices
-	idxPosts int64 // posting entries across indices
+	indices indexSet
+	payload int64 // Σ tuple.MemSize
+	minTS   int64
+	maxTS   int64
 }
 
 func newContainer() *container {
-	return &container{indices: map[string]map[tuple.Value][]int{}}
+	return &container{minTS: math.MaxInt64, maxTS: math.MinInt64}
 }
 
 // newContainerAt adapts newContainer to the epochRing factory shape
@@ -179,97 +180,56 @@ func newContainerAt(int64) *container { return newContainer() }
 
 // resident is the container's accounted footprint.
 func (c *container) resident() int64 {
-	return ctrContainer + c.payload + int64(cap(c.entries))*ctrEntrySlot + c.idxResident()
-}
-
-func (c *container) idxResident() int64 {
-	return int64(len(c.indices))*ctrIndexBase + c.idxKeys*ctrIndexKey + c.idxPosts*ctrIndexPost
+	return ctrContainer + c.payload + int64(cap(c.entries))*ctrEntrySlot + c.indices.resident()
 }
 
 func (c *container) add(e entry) {
-	idx := len(c.entries)
+	row := int32(len(c.entries))
 	c.entries = append(c.entries, e)
 	c.payload += int64(e.t.MemSize())
-	for attr, ix := range c.indices {
-		if v, ok := e.t.Get(attr); ok {
-			list, seen := ix[v]
-			if !seen {
-				c.idxKeys++
-			}
-			ix[v] = append(list, idx)
-			c.idxPosts++
-		}
-	}
+	ts := int64(e.t.TS)
+	c.minTS, c.maxTS = min(c.minTS, ts), max(c.maxTS, ts)
+	c.indices.addRow(e.t, row)
 }
 
-// index returns (building on first use) the hash index over the given
-// qualified attribute.
-func (c *container) index(attr string) map[tuple.Value][]int {
-	if ix, ok := c.indices[attr]; ok {
-		return ix
+// indexFor returns (building on first use) the index under the key.
+func (c *container) indexFor(key *indexKey) (ix *colIndex, built bool) {
+	if ix = c.indices.get(key); ix != nil {
+		return ix, false
 	}
-	ix := make(map[tuple.Value][]int)
-	for i, e := range c.entries {
-		if v, ok := e.t.Get(attr); ok {
-			list, seen := ix[v]
-			if !seen {
-				c.idxKeys++
-			}
-			ix[v] = append(list, i)
-			c.idxPosts++
-		}
+	ix = c.indices.add(key)
+	for row := range c.entries {
+		ix.addRow(c.entries[row].t, int32(row))
 	}
-	c.indices[attr] = ix
-	return ix
+	return ix, true
 }
 
-// prune drops entries whose event time precedes the cutoff, rewriting
-// the index posting lists through a position remap instead of
-// discarding the indices: the next probe after a window expiry pays no
-// rebuild. remap is caller-owned scratch, returned for reuse.
-func (c *container) prune(cut tuple.Time, remap []int32) (removed int, scratch []int32) {
-	if cap(remap) < len(c.entries) {
-		remap = make([]int32, len(c.entries))
-	}
-	remap = remap[:len(c.entries)]
+// compact drops entries whose event time precedes the cutoff and
+// rebuilds the indices over the survivors with every backing array
+// reused: the next probe after a window expiry pays no rebuild.
+func (c *container) compact(cut tuple.Time) (removed int) {
 	kept := c.entries[:0]
-	for i := range c.entries {
-		en := c.entries[i]
+	c.minTS, c.maxTS = math.MaxInt64, math.MinInt64
+	for _, en := range c.entries {
 		if en.t.TS < cut {
-			remap[i] = -1
-			removed++
 			c.payload -= int64(en.t.MemSize())
 			continue
 		}
-		remap[i] = int32(len(kept))
+		ts := int64(en.t.TS)
+		c.minTS, c.maxTS = min(c.minTS, ts), max(c.maxTS, ts)
 		kept = append(kept, en)
 	}
-	if removed == 0 {
-		return 0, remap
-	}
+	removed = len(c.entries) - len(kept)
 	// Zero the tail so dropped tuples are collectable.
-	for i := len(kept); i < len(c.entries); i++ {
-		c.entries[i] = entry{}
-	}
+	clear(c.entries[len(kept):])
 	c.entries = kept
 	for _, ix := range c.indices {
-		for v, list := range ix {
-			nl := list[:0]
-			for _, old := range list {
-				if n := remap[old]; n >= 0 {
-					nl = append(nl, int(n))
-				}
-			}
-			c.idxPosts -= int64(len(list) - len(nl))
-			if len(nl) == 0 {
-				delete(ix, v)
-				c.idxKeys--
-			} else {
-				ix[v] = nl
-			}
+		ix.reset()
+		for row := range kept {
+			ix.addRow(kept[row].t, int32(row))
 		}
 	}
-	return removed, remap
+	return removed
 }
 
 // epochRing is the epoch-sorted bookkeeping shared by both backends: a
@@ -352,9 +312,7 @@ func (r *epochRing[T]) clear() {
 // containerState is the seed state design behind the stateBackend
 // interface: one container per epoch on the shared epoch ring.
 type containerState struct {
-	ring       epochRing[container]
-	pruneRemap []int32 // prune remap scratch, reused
-	n          int64   // resident tuples
+	ring epochRing[container]
 }
 
 func newContainerState() *containerState {
@@ -367,62 +325,63 @@ func (s *containerState) insert(tp *tuple.Tuple, seq uint64, epoch int64) (delta
 	var before, idxBefore int64
 	c, created := s.ring.at(epoch, newContainerAt)
 	if !created {
-		before, idxBefore = c.resident(), c.idxResident()
+		before, idxBefore = c.resident(), c.indices.resident()
 	}
 	c.add(entry{t: tp, seq: seq})
-	s.n++
-	return c.resident() - before, c.idxResident() - idxBefore
+	return c.resident() - before, c.indices.resident() - idxBefore
 }
 
-func (s *containerState) probeScan(attr string, v tuple.Value, _ int64, mv matchVisitor) (idxDelta int64) {
-	// The window cutoff is ignored by design: the oracle backend visits
-	// every candidate and lets the visitor's window checks decide, which
-	// is what makes it the differential baseline for the columnar
-	// backend's segment skipping.
-	for _, c := range s.ring.vals {
-		before := c.idxResident()
-		ix := c.index(attr)
-		idxDelta += c.idxResident() - before
-		for _, ci := range ix[v] {
-			en := &c.entries[ci]
-			mv.visit(en.t, en.seq)
+// probeScanBatch is the loop-over-scalar oracle scan: probe-major, one
+// chain walk per probe and container, every candidate handed to the
+// batch's scalar visitor. The window cutoffs are ignored by design: the
+// oracle backend visits every candidate and lets the visitor's window
+// checks decide, which is what makes it the differential baseline for
+// the columnar backend's segment skipping. The result log comes out
+// probe-major already.
+func (s *containerState) probeScanBatch(key *indexKey, pb *probeBatch) (idxDelta int64) {
+	for i, h := range pb.hashes {
+		pb.begin(i)
+		for _, c := range s.ring.vals {
+			ix, built := c.indexFor(key)
+			if built {
+				idxDelta += ix.resident()
+			}
+			slot, ok := ix.find(h)
+			if !ok {
+				continue
+			}
+			for row := ix.heads[slot]; row >= 0; row = ix.next[row] {
+				en := &c.entries[row]
+				pb.visit(en.t, en.seq)
+			}
 		}
 	}
 	return idxDelta
 }
 
-func (s *containerState) probeScanBatch(attr string, pb *probeBatch) (idxDelta int64) {
-	// Loop-over-scalar oracle: probe-major over the scalar scan (the
-	// batch doubles as the matchVisitor), emitting the result log in
-	// probe-major order with no segment skipping.
-	for i := range pb.vals {
-		pb.begin(i)
-		idxDelta += s.probeScan(attr, pb.vals[i], pb.cuts[i], pb)
-	}
-	return idxDelta
-}
-
+// prune drops whole expired containers without reading their entries,
+// skips containers wholly inside the window, and compacts only the
+// container the cutoff lands in.
 func (s *containerState) prune(cut tuple.Time) (removed int, delta, idxDelta int64) {
 	dropped := false
 	for i, c := range s.ring.vals {
-		before, idxBefore := c.resident(), c.idxResident()
-		r, remap := c.prune(cut, s.pruneRemap)
-		s.pruneRemap = remap
-		if r == 0 {
+		if c.minTS >= int64(cut) {
 			continue
 		}
-		removed += r
-		s.n -= int64(r)
-		if len(c.entries) == 0 {
+		before, idxBefore := c.resident(), c.indices.resident()
+		if c.maxTS < int64(cut) {
 			// The whole container goes: its full footprint returns.
+			removed += len(c.entries)
 			delta -= before
 			idxDelta -= idxBefore
 			s.ring.drop(i)
 			dropped = true
 			continue
 		}
+		// The boundary container keeps at least its newest entry.
+		removed += c.compact(cut)
 		delta += c.resident() - before
-		idxDelta += c.idxResident() - idxBefore
+		idxDelta += c.indices.resident() - idxBefore
 	}
 	if dropped {
 		s.ring.compact()
@@ -454,19 +413,16 @@ func (s *containerState) dropOldest() (epoch int64, removed int, delta, idxDelta
 	if !ok {
 		return 0, 0, 0, 0, false
 	}
-	removed = len(c.entries)
-	s.n -= int64(removed)
-	return ep, removed, -c.resident(), -c.idxResident(), true
+	return ep, len(c.entries), -c.resident(), -c.indices.resident(), true
 }
 
 func (s *containerState) clear() (removed int, delta, idxDelta int64) {
 	for _, c := range s.ring.vals {
 		removed += len(c.entries)
 		delta -= c.resident()
-		idxDelta -= c.idxResident()
+		idxDelta -= c.indices.resident()
 	}
 	s.ring.clear()
-	s.n = 0
 	return removed, delta, idxDelta
 }
 
@@ -481,7 +437,7 @@ func (s *containerState) bytes() int64 {
 func (s *containerState) indexBytes() int64 {
 	var b int64
 	for _, c := range s.ring.vals {
-		b += c.idxResident()
+		b += c.indices.resident()
 	}
 	return b
 }

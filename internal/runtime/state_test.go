@@ -16,6 +16,7 @@ import (
 	"clash/internal/core"
 	"clash/internal/query"
 	"clash/internal/stats"
+	"clash/internal/topology"
 	"clash/internal/tuple"
 )
 
@@ -174,18 +175,20 @@ func TestBackendEquivalenceWindowed(t *testing.T) {
 }
 
 // TestBackendAccountingTelescopes drives each backend directly through
-// inserts, index-building probes, prunes, and evictions (and, on the
-// tiered row, the budget layer's demote and promote moves), asserting
-// after every operation that the accumulated deltas equal the
-// backend's resident bytes — and reach exactly zero when drained.
+// inserts, index-building probes under a one- and a two-attribute key,
+// prunes, and evictions (and, on the tiered row, the budget layer's
+// demote and promote moves), asserting after every operation that the
+// accumulated deltas equal the backend's resident bytes — and reach
+// exactly zero when drained.
 func TestBackendAccountingTelescopes(t *testing.T) {
 	schema := tuple.NewSchema("R.a", "R.b", "R.τ")
 	mk := func(ts int64, key int64) *tuple.Tuple {
 		return tuple.New(schema, tuple.Time(ts), tuple.IntValue(key), tuple.IntValue(ts), tuple.IntValue(ts))
 	}
-	var sink countVisitor
+	one, two := newBackendProbe("R.a"), newBackendProbe("R.b", "R.a")
 	for _, row := range backendKinds() {
 		t.Run(row.name, func(t *testing.T) {
+			var cands int64
 			var b stateBackend = newContainerState()
 			var cs *columnarState
 			if row.backend == BackendColumnar {
@@ -211,10 +214,20 @@ func TestBackendAccountingTelescopes(t *testing.T) {
 				seq++
 				check("insert")
 				if ts%10 == 0 {
-					xd := b.probeScan("R.a", tuple.IntValue(ts%7), noCut, &sink)
+					_, n, xd := one.scan(b, noCut, tuple.IntValue(ts%7))
+					cands += n
 					sum += xd // index growth is part of the total footprint
 					idxSum += xd
-					check("probeScan")
+					check("one-attribute probe")
+				}
+				if ts%15 == 0 {
+					m, n, xd := two.scan(b, noCut, tuple.IntValue(ts), tuple.IntValue(ts%7))
+					if n != 1 || len(m) != 1 {
+						t.Fatalf("two-attribute probe of the row just inserted: %d candidates, %d matches, want 1 and 1", n, len(m))
+					}
+					sum += xd
+					idxSum += xd
+					check("two-attribute probe")
 				}
 				if ts%50 == 0 {
 					_, d, xd := b.prune(tuple.Time(ts - 120))
@@ -253,20 +266,68 @@ func TestBackendAccountingTelescopes(t *testing.T) {
 				t.Errorf("deltas do not telescope: bytes %d, index %d after clear", sum, idxSum)
 			}
 			check("clear")
-			if sink.n == 0 {
+			if cands == 0 {
 				t.Error("probe scans visited nothing — accounting test vacuous")
 			}
 		})
 	}
 }
 
-type countVisitor struct{ n int }
+// backendProbe drives a backend's batch scan without an engine: a bare
+// task with no windows (so the only cutoff is the caller's), and a rule
+// plan pairing each given stored attribute with a column of a synthetic
+// probe schema. The index key is whatever setPreds derives — the given
+// attributes, sorted.
+type backendProbe struct {
+	t      *task
+	rp     *rulePlan
+	st     planState
+	schema *tuple.Schema
+	pb     probeBatch
+}
 
-func (c *countVisitor) visit(*tuple.Tuple, uint64) { c.n++ }
+func newBackendProbe(storedAttrs ...string) *backendProbe {
+	bp := &backendProbe{
+		t:  &task{schemaCache: map[[2]*tuple.Schema]*tuple.Schema{}},
+		rp: &rulePlan{kind: topology.ProbeRule},
+	}
+	preds := make([]predPlan, len(storedAttrs))
+	for i, a := range storedAttrs {
+		preds[i] = predPlan{storedAttr: a, probeAttr: fmt.Sprintf("P.k%d", i)}
+	}
+	bp.rp.setPreds(preds)
+	bp.schema = tuple.NewSchema(bp.rp.probeAttrs...)
+	return bp
+}
+
+// probeMatch is one stored tuple a backendProbe scan matched.
+type probeMatch struct {
+	vals []tuple.Value
+	ts   tuple.Time
+}
+
+// scan probes b once with vals (one per stored attribute, in the order
+// given to newBackendProbe) under the window cutoff, and returns the
+// stored tuples that matched in scan order, the candidates the index
+// delivered, and the bytes of lazily built indices.
+func (bp *backendProbe) scan(b stateBackend, cut int64, vals ...tuple.Value) (matches []probeMatch, cands, idxDelta int64) {
+	pb := &bp.pb
+	pb.reset(bp.t, bp.rp, &bp.st)
+	pb.add(tuple.New(bp.schema, 0, vals...), math.MaxUint64, 0)
+	pb.cuts[0], pb.minCut = cut, cut
+	idxDelta = b.probeScanBatch(&bp.rp.key, pb)
+	for _, j := range pb.resTups {
+		matches = append(matches, probeMatch{vals: j.Values[len(vals):], ts: j.TS})
+	}
+	return matches, pb.cands, idxDelta
+}
 
 // TestIndexMemoryAccounted is the regression test for the seed
 // accounting gap: StoreBytes must include index overhead, report it in
 // IndexBytes, and return exactly to zero once the state is pruned away.
+// The S store carries two indices — R probes it under the one-attribute
+// key {S.a}, T under the two-attribute key {S.a, S.b} — so both shapes
+// of key are on the books.
 func TestIndexMemoryAccounted(t *testing.T) {
 	for _, row := range backendKinds() {
 		t.Run(row.name, func(t *testing.T) {
@@ -274,12 +335,34 @@ func TestIndexMemoryAccounted(t *testing.T) {
 			// count as resident, spilled payload does not, and a full
 			// prune still telescopes every gauge back to zero.
 			cfg := row.apply(Config{Synchronous: true, EpochLength: 64})
-			h := newHarness(t, "q1: R(a) S(a)",
+			h := newHarness(t, "q1: R(a) S(a,b)\nq2: S(a,b) T(a,b)",
 				core.Options{StoreParallelism: 2},
-				flatEstimates([]string{"R", "S"}, 100), cfg)
+				flatEstimates([]string{"R", "S", "T"}, 100), cfg)
 			defer h.eng.Stop()
 			ins := randomStream(h.cat, 300, 6, 17)
 			h.ingestAll(t, ins)
+			keyWidths := map[int]bool{} // over the indices of any one epoch holding two
+			for _, tk := range h.eng.tasks {
+				var sets []indexSet
+				switch st := tk.state.(type) {
+				case *containerState:
+					for _, c := range st.ring.vals {
+						sets = append(sets, c.indices)
+					}
+				case *columnarState:
+					for _, s := range st.ring.vals {
+						sets = append(sets, s.indices)
+					}
+				}
+				for _, xs := range sets {
+					if len(xs) == 2 {
+						keyWidths[len(xs[0].key.attrs)], keyWidths[len(xs[1].key.attrs)] = true, true
+					}
+				}
+			}
+			if !keyWidths[1] || !keyWidths[2] {
+				t.Fatalf("no epoch carries both a one- and a two-attribute index (key widths seen: %v)", keyWidths)
+			}
 			m := h.eng.Metrics().Snapshot()
 			if m.IndexBytes <= 0 {
 				t.Fatalf("IndexBytes = %d after an indexed workload", m.IndexBytes)
@@ -479,7 +562,6 @@ func TestColumnarProbeAllocs(t *testing.T) {
 func TestColumnarPruneAllocs(t *testing.T) {
 	schema := tuple.NewSchema("S.a", "S.τ")
 	cs := bareColumnar(nil)
-	var sink countVisitor
 	tuples := make([]*tuple.Tuple, 4096)
 	for i := range tuples {
 		ts := int64(i + 1)
@@ -489,7 +571,7 @@ func TestColumnarPruneAllocs(t *testing.T) {
 	for ; next < 1024; next++ {
 		cs.insert(tuples[next], uint64(next), 0)
 	}
-	cs.probeScan("S.a", tuple.IntValue(1), noCut, &sink) // build the index
+	_, cands, _ := newBackendProbe("S.a").scan(cs, noCut, tuple.IntValue(1)) // build the index
 	// Warm the high-water marks.
 	for i := 0; i < 256; i++ {
 		cs.insert(tuples[next], uint64(next), 0)
@@ -504,7 +586,7 @@ func TestColumnarPruneAllocs(t *testing.T) {
 	if avg > 2.0 {
 		t.Errorf("columnar insert+prune cycle allocates %.2f objects/run, want ≤ 2", avg)
 	}
-	if cs.epochLen(0) == 0 || sink.n == 0 {
+	if cs.epochLen(0) == 0 || cands == 0 {
 		t.Fatal("vacuous: no resident tuples or no index candidates")
 	}
 }

@@ -64,6 +64,13 @@ type task struct {
 	pruneNanos   atomic.Int64
 	pruneTuples  atomic.Int64
 
+	// probeCands counts the stored rows this task's index scans handed to
+	// a probe's candidate evaluation (TaskGauge.ProbeCandidates).
+	probeCands atomic.Int64
+	// probeMatched is the candidates that joined: the denominator of the
+	// index-key tests' candidate bound. Task-confined, read after a drain.
+	probeMatched int64
+
 	// Supervisor state (supervise.go). restartStreak counts consecutive
 	// panics and is touched only by the goroutine executing the task;
 	// restarts and failed are the cross-goroutine health gauges.
@@ -412,74 +419,63 @@ func (t *task) windowOK(probe, stored *tuple.Tuple, sh *storedShape) bool {
 	return true
 }
 
-// legacyVisit is the string-resolved candidate visitor of the legacy
-// probe path. It re-checks the indexed predicate by value first: the
-// backend index is a candidate filter, not a guarantee.
-type legacyVisit struct {
-	t       *task
-	pps     []predPlan
-	probe   *tuple.Tuple
-	v0      tuple.Value
-	maxSeq  uint64
-	results []*tuple.Tuple
-}
-
-func (lv *legacyVisit) visit(en *tuple.Tuple, seq uint64) {
-	if seq >= lv.maxSeq {
-		return
-	}
-	if sv, ok := en.Get(lv.pps[0].storedAttr); !ok || sv != lv.v0 {
-		return
-	}
-	for _, pp := range lv.pps[1:] {
-		pv, ok1 := lv.probe.Get(pp.probeAttr)
-		sv, ok2 := en.Get(pp.storedAttr)
-		if !ok1 || !ok2 || pv != sv {
-			return
-		}
-	}
-	if !lv.t.withinWindowsLegacy(lv.probe, en) {
-		return
-	}
-	lv.results = append(lv.results, lv.t.join(lv.probe, en))
-}
-
-// probeLegacy is the pre-compilation probe path: predicates are
-// re-resolved per tuple through string-keyed schema lookups. It is kept
-// as the differential-testing oracle for the compiled path (engine
-// Config.legacyProbe) and must not be used on the hot path.
+// probeLegacy is the pre-compilation probe path and the oracle that
+// shares nothing with the index kernel: predicates are re-resolved per
+// tuple through string-keyed schema lookups and evaluated against EVERY
+// stored tuple of every resident epoch (forEach: epoch-ascending,
+// insertion order — the order the indexed scans must reproduce), with no
+// index and no window cutoff. It is the differential-testing baseline
+// for the compiled path (engine Config.legacyProbe) and must not be used
+// on the hot path.
 func (t *task) probeLegacy(tp *tuple.Tuple, msg *message, rp *rulePlan) {
 	rule := rp.rule
 	if len(rule.Preds) == 0 || t.storedCount.Load() == 0 {
 		return
 	}
-	pps := make([]predPlan, 0, len(rule.Preds))
 	inStore := map[string]bool{}
 	for _, r := range t.store.Rels {
 		inStore[r] = true
 	}
+	type legacyPred struct {
+		stored string
+		v      tuple.Value // the probe's side, resolved once
+	}
+	pps := make([]legacyPred, 0, len(rule.Preds))
 	for _, p := range rule.Preds {
 		stored, probe := p.Left, p.Right
 		if !inStore[p.Left.Rel] {
 			stored, probe = p.Right, p.Left
 		}
-		pps = append(pps, predPlan{storedAttr: stored.Qualified(), probeAttr: probe.Qualified()})
+		v, ok := tp.Get(probe.Qualified())
+		if !ok {
+			return
+		}
+		pps = append(pps, legacyPred{stored: stored.Qualified(), v: v})
 	}
-	v0, ok := tp.Get(pps[0].probeAttr)
-	if !ok {
-		return
+	// The visitor must not capture msg: it escapes through forEach, and
+	// a captured message would move every dispatched message of the
+	// compiled path to the heap too (dispatch passes a stack copy).
+	var results []*tuple.Tuple
+	maxSeq := msg.seq
+	visit := func(en *tuple.Tuple, seq uint64) {
+		if seq >= maxSeq {
+			return // only earlier-arrived tuples are join partners
+		}
+		for _, pp := range pps {
+			if sv, ok := en.Get(pp.stored); !ok || sv != pp.v {
+				return
+			}
+		}
+		if t.withinWindowsLegacy(tp, en) {
+			results = append(results, t.join(tp, en))
+		}
 	}
-	// The legacy oracle never passes a window cutoff: candidates out of
-	// window are rejected by withinWindowsLegacy, which is the behaviour
-	// the segment-skipping compiled path is differenced against.
-	lv := &legacyVisit{t: t, pps: pps, probe: tp, v0: v0, maxSeq: msg.seq}
-	if d := t.state.probeScan(pps[0].storedAttr, v0, noCut, lv); d != 0 {
-		t.accountState(d, d)
+	for _, ep := range t.state.epochs() {
+		t.state.forEach(ep, visit)
 	}
-	if len(lv.results) == 0 {
-		return
+	if len(results) != 0 {
+		t.forward(rp.out, msg, results)
 	}
-	t.forward(rp.out, msg, lv.results)
 }
 
 // withinWindowsLegacy is the string-resolved window check of the legacy
