@@ -71,7 +71,12 @@ type (
 	OptimizerOptions = core.Options
 	// Topology is a deployable processing strategy.
 	Topology = topology.Config
-	// MetricsSnapshot is a point-in-time copy of runtime counters.
+	// MetricsSnapshot is a point-in-time copy of runtime counters. Probe
+	// work reads off three of them: ProbeSent (tuples sent between tasks,
+	// the paper's objective), ProbeCandidates (stored rows the local
+	// indices handed those probes) and ProbeFilterRejects (per-epoch index
+	// lookups the indices' built-in filters spared them — how much of a
+	// long window a probe never touched).
 	MetricsSnapshot = runtime.Snapshot
 	// SubstrateKind selects the execution substrate (see Config).
 	SubstrateKind = runtime.SubstrateKind
@@ -151,13 +156,14 @@ const (
 	// BackendContainer is the default store layout: per-epoch containers
 	// probed one candidate at a time — the differential oracle for the
 	// columnar layout. Both backends share one index kernel, keyed by
-	// all equality predicates of the probing rule.
+	// all equality predicates of the probing rule, with a negative
+	// filter built into every index.
 	BackendContainer = runtime.BackendContainer
 	// BackendColumnar is the epoch-ring columnar store: flat per-epoch
 	// segments, open-addressed hash indices, int32 posting chains. With
 	// StateHotBytes > 0 it also spills cold whole epochs to an mmap'd
-	// on-disk segment file, with filter stubs so probes skip cold
-	// segments without touching disk: results stay byte-identical,
+	// on-disk segment file behind stubs that keep the epoch's index
+	// filters, so probes skip cold segments without touching disk: results stay byte-identical,
 	// resident memory follows the hot budget.
 	BackendColumnar = runtime.BackendColumnar
 	// EvictFail terminates the engine with ErrMemoryLimit when

@@ -268,6 +268,7 @@ type fig7Result struct {
 	AvgLatencyNS  int64   `json:"avg_latency_ns"`
 	ProbeTuples   int64   `json:"probe_tuples"`
 	ProbeCands    int64   `json:"probe_candidates"`
+	ProbeRejects  int64   `json:"probe_filter_rejects"`
 	Results       int64   `json:"results"`
 	EvictedEpochs int64   `json:"evicted_epochs"`
 	Stores        int     `json:"stores"`
@@ -297,6 +298,7 @@ func runFig7(sf float64, quick bool, seed uint64) []fig7Series {
 				AvgLatencyNS:  r.AvgLatency.Nanoseconds(),
 				ProbeTuples:   r.ProbeTuples,
 				ProbeCands:    r.Candidates,
+				ProbeRejects:  r.FilterRejects,
 				Results:       r.Results,
 				EvictedEpochs: r.EvictedEpochs,
 				Stores:        r.Stores,

@@ -87,6 +87,7 @@ type Fig7Result struct {
 	AvgLatency    time.Duration // Fig. 7d
 	ProbeTuples   int64
 	Candidates    int64 // stored rows the local indices handed those probes (Snapshot.ProbeCandidates)
+	FilterRejects int64 // per-epoch index lookups the index filters spared them (Snapshot.ProbeFilterRejects)
 	Results       int64
 	EvictedEpochs int64 // must stay 0: the Fig. 7 workload fits in memory
 	Stores        int
@@ -225,6 +226,7 @@ func runFig7Strategy(s Strategy, plans []*core.Plan, cat *query.Catalog, records
 		AvgLatency:    m.AvgLatency,
 		ProbeTuples:   m.ProbeSent,
 		Candidates:    m.ProbeCandidates,
+		FilterRejects: m.ProbeFilterRejects,
 		Results:       m.Results,
 		EvictedEpochs: m.EvictedEpochs,
 		Stores:        len(topo.Stores),
@@ -235,13 +237,14 @@ func runFig7Strategy(s Strategy, plans []*core.Plan, cat *query.Catalog, records
 // FormatFig7 renders the results as the rows of Figs. 7b–7d.
 func FormatFig7(results []Fig7Result) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-6s %14s %14s %12s %14s %16s %10s %8s\n",
-		"strat", "throughput t/s", "memory MiB", "latency", "probe tuples", "candidates/probe", "results", "stores")
+	fmt.Fprintf(&b, "%-6s %14s %14s %12s %14s %16s %13s %10s %8s\n",
+		"strat", "throughput t/s", "memory MiB", "latency", "probe tuples", "candidates/probe", "rejects/probe", "results", "stores")
 	for _, r := range results {
-		fmt.Fprintf(&b, "%-6s %14.0f %14.2f %12v %14d %16.3f %10d %8d\n",
+		probes := float64(max(r.ProbeTuples, 1))
+		fmt.Fprintf(&b, "%-6s %14.0f %14.2f %12v %14d %16.3f %13.3f %10d %8d\n",
 			r.Strategy, r.ThroughputTPS, float64(r.MemoryBytes)/(1<<20),
 			r.AvgLatency.Round(time.Microsecond), r.ProbeTuples,
-			float64(r.Candidates)/float64(max(r.ProbeTuples, 1)), r.Results, r.Stores)
+			float64(r.Candidates)/probes, float64(r.FilterRejects)/probes, r.Results, r.Stores)
 	}
 	return b.String()
 }

@@ -90,6 +90,7 @@ type LongStateResult struct {
 	ProbeAllocsOp int64   `json:"probe_allocs_op"` //
 	ProbeMatches  float64 `json:"probe_matches"`   // join results per probe (non-vacuity)
 	ProbeCands    float64 `json:"probe_cands"`     // stored rows the index handed each probe (≥ matches; the gap is index imprecision)
+	ProbeRejects  float64 `json:"probe_rejects"`   // per-epoch index lookups the index filters spared each probe
 
 	PruneNsOp     int64 `json:"prune_ns_op"`     // prune stage: one insert + sliding-window prune cycle
 	PruneAllocsOp int64 `json:"prune_allocs_op"` //
@@ -263,7 +264,7 @@ func longStateBackend(row StateConfig, cfg LongStateConfig) (LongStateResult, er
 	res.HeapBytes = heapInUse() - heapBefore
 
 	probeN := 0
-	preResults, preCands := results, m.ProbeCandidates
+	preResults, preCands, preRejects := results, m.ProbeCandidates, m.ProbeFilterRejects
 	br := testing.Benchmark(func(b *testing.B) {
 		pr := rng.New(cfg.Seed + 1)
 		for i := 0; i < b.N; i++ {
@@ -283,7 +284,9 @@ func longStateBackend(row StateConfig, cfg LongStateConfig) (LongStateResult, er
 	res.ProbeAllocsOp = br.AllocsPerOp()
 	if probeN > 0 {
 		res.ProbeMatches = float64(results-preResults) / float64(probeN)
-		res.ProbeCands = float64(eng.Metrics().Snapshot().ProbeCandidates-preCands) / float64(probeN)
+		post := eng.Metrics().Snapshot()
+		res.ProbeCands = float64(post.ProbeCandidates-preCands) / float64(probeN)
+		res.ProbeRejects = float64(post.ProbeFilterRejects-preRejects) / float64(probeN)
 	}
 	eng.Stop()
 	if res.ProbeMatches == 0 {
@@ -540,13 +543,13 @@ func (res *LongStateResult) tieredStage(cfg LongStateConfig, budget int64) error
 // FormatLongState renders the shoot-out, container baseline first.
 func FormatLongState(results []LongStateResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %10s %12s %12s %12s %10s %12s %16s %10s %9s\n",
-		"backend", "stored", "state MiB", "index MiB", "heap MiB", "probe ns", "probe alloc", "candidates/probe", "prune ns", "prune alloc")
+	fmt.Fprintf(&b, "%-10s %10s %12s %12s %12s %10s %12s %16s %13s %10s %9s\n",
+		"backend", "stored", "state MiB", "index MiB", "heap MiB", "probe ns", "probe alloc", "candidates/probe", "rejects/probe", "prune ns", "prune alloc")
 	for _, r := range results {
-		fmt.Fprintf(&b, "%-10s %10d %12.2f %12.2f %12.2f %10d %12d %16.3f %10d %9d\n",
+		fmt.Fprintf(&b, "%-10s %10d %12.2f %12.2f %12.2f %10d %12d %16.3f %13.3f %10d %9d\n",
 			r.Backend, r.Stored,
 			float64(r.StateBytes)/(1<<20), float64(r.IndexBytes)/(1<<20), float64(r.HeapBytes)/(1<<20),
-			r.ProbeNsOp, r.ProbeAllocsOp, r.ProbeCands, r.PruneNsOp, r.PruneAllocsOp)
+			r.ProbeNsOp, r.ProbeAllocsOp, r.ProbeCands, r.ProbeRejects, r.PruneNsOp, r.PruneAllocsOp)
 	}
 	for _, r := range results {
 		fmt.Fprintf(&b, "%-10s eviction: EvictFail died at tuple %d; EvictOldestEpoch survived=%v shed %d epochs / %d tuples (demoted %d), %d results\n",

@@ -123,17 +123,27 @@ func appendCkptRecord(buf []byte, walPos int64, seq uint64, watermark int64, pin
 		}
 	}
 
-	// Per-record schema table over the segments' tuples.
+	// Per-record schema table over the segments' tuples, keyed by
+	// signature. A segment's tuples share one *Schema, so the pointer
+	// seen last answers nearly every call without rendering a signature
+	// per tuple — the checkpoint runs on the ingesting goroutine, and
+	// that string was half of its time.
 	schemaID := map[string]int{}
 	var schemas []*tuple.Schema
+	var last *tuple.Schema
+	var lastID int
 	idOf := func(s *tuple.Schema) int {
-		sig := s.String()
-		if id, ok := schemaID[sig]; ok {
-			return id
+		if s == last {
+			return lastID
 		}
-		id := len(schemas)
-		schemaID[sig] = id
-		schemas = append(schemas, s)
+		sig := s.String()
+		id, ok := schemaID[sig]
+		if !ok {
+			id = len(schemas)
+			schemaID[sig] = id
+			schemas = append(schemas, s)
+		}
+		last, lastID = s, id
 		return id
 	}
 	for i := range segs {

@@ -67,6 +67,9 @@ type probeBatch struct {
 	// the index let through, before the arrived-earlier check on either
 	// backend (Metrics.ProbeCandidates).
 	cands int64
+	// rejects counts the per-epoch index lookups a filter answered for its
+	// probes without touching the table (Metrics.ProbeFilterRejects).
+	rejects int64
 
 	// Scan output: a flat log of (probe index, joined tuple) in scan
 	// order. The container scan emits it probe-major already; the
@@ -104,7 +107,7 @@ func (pb *probeBatch) reset(t *task, rp *rulePlan, st *planState) {
 	pb.maxSeqs = pb.maxSeqs[:0]
 	pb.cuts = pb.cuts[:0]
 	pb.minCut = math.MaxInt64
-	pb.cands = 0
+	pb.cands, pb.rejects = 0, 0
 	pb.resIdx = pb.resIdx[:0]
 	pb.resTups = pb.resTups[:0]
 }
@@ -350,6 +353,10 @@ func (t *task) scanProbeBatch(pb *probeBatch, rp *rulePlan) {
 			t.probeCands.Add(pb.cands)
 			t.e.metrics.probeCands.Add(pb.cands)
 			t.probeMatched += int64(len(pb.resTups))
+		}
+		if pb.rejects != 0 {
+			t.probeRejects.Add(pb.rejects)
+			t.e.metrics.probeRejects.Add(pb.rejects)
 		}
 	}
 	pb.group()

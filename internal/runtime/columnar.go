@@ -16,6 +16,12 @@ package runtime
 //     filter bucketed by the 64-bit hash of the whole key, and the
 //     probe's evaluation loop re-checks every predicate by value
 //     (state.go's index contract);
+//   - an epoch that holds nothing under the probe's key is dismissed
+//     from one word: every colIndex carries a blocked Bloom filter over
+//     exactly the hashes in its table (keyFilter), kept current by the
+//     kernel on every insert, growth and reset, and find asks it before
+//     the table — a probe into a long window visits many epochs and
+//     finds rows in few;
 //   - prune drops whole expired epochs off the ring in O(1), skips
 //     segments wholly inside the window via their min event time, and
 //     compacts only the boundary segment (in-epoch remap) with an
@@ -29,7 +35,8 @@ package runtime
 //
 // Spill tier: every ring slot is wholly hot (the columns above) or
 // wholly cold (a coldStub locating the epoch's frame in the task's
-// spill file, spill.go). Demotion and promotion flip a slot in place,
+// spill file and holding the key filters the epoch's indices had,
+// spill.go). Demotion and promotion flip a slot in place,
 // so ring order — and with it candidate order, checkpoint walks, and
 // everything downstream — never depends on where an epoch lives. The
 // task demotes only under a hot budget (Config.StateHotBytes); without
@@ -84,20 +91,51 @@ func hashKey(tp *tuple.Tuple, pos []int) uint64 {
 	return h
 }
 
+// keyFilter is the negative filter of one colIndex table — the only
+// filter in this package: a blocked Bloom filter with one 64-bit block
+// per 8 table slots (1 B per slot, at least 10.7 bits per distinct key
+// hash at the table's 3/4 load ceiling). A hash sets two bits inside the
+// ONE block of its home slot, chosen by the top twelve hash bits, which
+// the table position (the low bits) never uses. It is a pure function
+// of the set of hashes in the table and the table's size: no statistics
+// size it, no seal event builds it, and a negative is definitive — no
+// row is chained under the hash. The zero value admits nothing.
+type keyFilter []uint64
+
+func filterBits(h uint64) uint64 { return 1<<(h>>58) | 1<<(h>>52&63) }
+
+func (f keyFilter) add(h uint64) { f[h>>3&uint64(len(f)-1)] |= filterBits(h) }
+
+func (f keyFilter) may(h uint64) bool {
+	if len(f) == 0 {
+		return false
+	}
+	bits := filterBits(h)
+	return f[h>>3&uint64(len(f)-1)]&bits == bits
+}
+
+func (f keyFilter) bytes() int64 { return int64(cap(f)) * 8 }
+
 // colIndex is the one local index implementation, shared by both
 // backends: an open-addressed hash table from key hash to the head of
 // an int32 row chain, over whatever row numbering the owner uses (a
 // segment's columns, a container's entries). Rows whose schema lacks
 // any key attribute are never linked. Chains are exact per 64-bit hash;
 // distinct keys colliding on the full hash share a chain and are
-// separated by the visitor's value re-check.
+// separated by the visitor's value re-check. filt covers exactly the
+// hashes the table holds, on every insert — an open epoch's index is
+// filtered like a sealed one's — so find dismisses a hash the table
+// cannot hold from one word, without touching the table.
 type colIndex struct {
-	key    indexKey
-	heads  []int32  // power-of-two table: first row of the chain, -1 empty
-	tails  []int32  // last row of the chain (append point)
-	hashes []uint64 // hash occupying each slot
-	used   int      // occupied slots
-	next   []int32  // per row: next row in the same chain, -1 end
+	key indexKey
+	// filt sits beside the key on the struct's first cache line: resolving
+	// the index and rejecting a hash touch nothing else of it.
+	filt   keyFilter // one block per 8 slots over the occupied slots' hashes
+	heads  []int32   // power-of-two table: first row of the chain, -1 empty
+	tails  []int32   // last row of the chain (append point)
+	hashes []uint64  // hash occupying each slot
+	used   int       // occupied slots
+	next   []int32   // per row: next row in the same chain, -1 end
 
 	// Schema → column positions of the key attributes (nil: one is
 	// missing, so rows of that schema are in no chain), monomorphic
@@ -109,7 +147,7 @@ type colIndex struct {
 }
 
 func (ix *colIndex) resident() int64 {
-	return colIdxBase + int64(cap(ix.heads)+cap(ix.tails))*4 + int64(cap(ix.hashes))*8 +
+	return colIdxBase + int64(cap(ix.heads)+cap(ix.tails))*4 + int64(cap(ix.hashes))*8 + ix.filt.bytes() +
 		int64(cap(ix.next))*4 + int64(len(ix.posCache)*(8+8*len(ix.key.attrs)))
 }
 
@@ -130,19 +168,19 @@ func (ix *colIndex) posFor(s *tuple.Schema) []int {
 	return p
 }
 
-// find returns the slot holding hash h, or ok=false on a miss.
-func (ix *colIndex) find(h uint64) (int, bool) {
-	n := len(ix.heads)
-	if n == 0 {
-		return 0, false
+// find returns the slot holding hash h, or ok=false on a miss. A miss
+// the filter answered (filtered) never touched the table.
+func (ix *colIndex) find(h uint64) (slot int, ok, filtered bool) {
+	if !ix.filt.may(h) {
+		return 0, false, true
 	}
-	mask := uint64(n - 1)
+	mask := uint64(len(ix.heads) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
 		if ix.heads[i] < 0 {
-			return 0, false
+			return 0, false, false
 		}
 		if ix.hashes[i] == h {
-			return int(i), true
+			return int(i), true, false
 		}
 	}
 }
@@ -171,6 +209,7 @@ func (ix *colIndex) addRow(tp *tuple.Tuple, row int32) {
 		ix.used++
 		ix.hashes[i] = h
 		ix.heads[i] = row
+		ix.filt.add(h)
 	} else {
 		ix.next[ix.tails[i]] = row
 	}
@@ -178,7 +217,8 @@ func (ix *colIndex) addRow(tp *tuple.Tuple, row int32) {
 }
 
 // grow doubles the table, re-placing chain heads and tails by their
-// stored slot hashes — chains themselves are untouched.
+// stored slot hashes — chains themselves are untouched — and rebuilds
+// the filter from the same hashes at the new size.
 func (ix *colIndex) grow() {
 	n := len(ix.heads) * 2
 	if n < 16 {
@@ -188,6 +228,7 @@ func (ix *colIndex) grow() {
 	ix.heads = make([]int32, n)
 	ix.tails = make([]int32, n)
 	ix.hashes = make([]uint64, n)
+	ix.filt = make(keyFilter, n/8)
 	for i := range ix.heads {
 		ix.heads[i] = -1
 	}
@@ -204,14 +245,17 @@ func (ix *colIndex) grow() {
 		ix.heads[j] = head
 		ix.tails[j] = oldTails[i]
 		ix.hashes[j] = h
+		ix.filt.add(h)
 	}
 }
 
-// reset empties the table and chains, keeping every backing array.
+// reset empties the table, filter and chains, keeping every backing
+// array.
 func (ix *colIndex) reset() {
 	for i := range ix.heads {
 		ix.heads[i] = -1
 	}
+	clear(ix.filt)
 	ix.used = 0
 	ix.next = ix.next[:0]
 }
@@ -296,7 +340,7 @@ func (s *colSegment) rows() int {
 // stub and filters, not its spilled payload.
 func (s *colSegment) resident() int64 {
 	if s.cold {
-		return coldStubBase + s.stub.bloomBytes
+		return coldStubBase + s.stub.filterBytes
 	}
 	b := colSegBase + s.payload + int64(cap(s.tups)+cap(s.seqs)+cap(s.ts))*8
 	return b + s.idxResident()
@@ -304,7 +348,7 @@ func (s *colSegment) resident() int64 {
 
 func (s *colSegment) idxResident() int64 {
 	if s.cold {
-		return s.stub.bloomBytes
+		return s.stub.filterBytes
 	}
 	return s.indices.resident()
 }
@@ -342,16 +386,15 @@ func (s *colSegment) indexFor(key *indexKey) (ix *colIndex, built bool) {
 // slot's key filter when the segment was read through from disk; nil
 // for a hot slot) it gathers the hit chain into a selection vector off
 // the flat seq column and hands the surviving rows to the batch's tight
-// concrete evaluation loop — no per-candidate interface dispatch. hits
-// and misses count the probes that reached the index by whether they
-// found rows to evaluate.
-func (s *colSegment) scanBatch(key *indexKey, pb *probeBatch, bl *spillBloom) (idxDelta, hits, misses int64) {
+// concrete evaluation loop — no per-candidate interface dispatch. The
+// order of checks per probe is window cut, filter, table: a lookup a
+// filter spared — the stub's or the index's own — is counted in
+// pb.rejects and is neither a hit nor a miss. hits and misses count the
+// probes that reached the table by whether they found rows to evaluate.
+func (s *colSegment) scanBatch(key *indexKey, pb *probeBatch, bl keyFilter) (idxDelta, hits, misses int64) {
 	ix, built := s.indexFor(key)
 	if built {
 		idxDelta = ix.resident()
-	}
-	if ix.used == 0 {
-		return idxDelta, 0, 0
 	}
 	cuts := pb.cuts
 	for i, h := range pb.hashes {
@@ -359,11 +402,16 @@ func (s *colSegment) scanBatch(key *indexKey, pb *probeBatch, bl *spillBloom) (i
 			continue // out of this probe's window reach
 		}
 		if bl != nil && !bl.may(h) {
-			continue // definitive: no stored row hashes to h under the key
+			pb.rejects++ // definitive: no stored row hashes to h under the key
+			continue
 		}
-		slot, ok := ix.find(h)
+		slot, ok, filtered := ix.find(h)
 		if !ok {
-			misses++
+			if filtered {
+				pb.rejects++
+			} else {
+				misses++
+			}
 			continue
 		}
 		sel := pb.sel[:0]
@@ -512,7 +560,7 @@ func (c *columnarState) probeScanBatch(key *indexKey, pb *probeBatch) (idxDelta 
 			idxDelta += d
 			continue
 		}
-		bl := s.stub.bloomFor(key) // nil: key first probed after the demotion
+		bl := s.stub.filterFor(key) // nil: key first probed after the demotion
 		if !s.admitsAny(pb, bl) {
 			continue
 		}

@@ -200,7 +200,7 @@ func TestCompositeIndexMatchesScan(t *testing.T) {
 				continue
 			}
 			cold(func(s *colSegment) {
-				for _, kb := range s.stub.blooms {
+				for _, kb := range s.stub.filters {
 					out.coldKeys[kb.id] = true
 				}
 				out.lateCold = out.lateCold || (st.rel == "S" && st.k >= 9000 && s.epoch == h.eng.Epoch(st.ts))

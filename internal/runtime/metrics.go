@@ -13,15 +13,16 @@ import (
 // Metrics aggregates runtime counters. All methods are safe for
 // concurrent use; Snapshot returns a consistent copy for reporting.
 type Metrics struct {
-	ingested   atomic.Int64 // raw input tuples
-	probeSent  atomic.Int64 // tuples sent between tasks (the paper's probe cost)
-	probeCands atomic.Int64 // stored rows the local indices handed to probes
-	messages   atomic.Int64 // messaging events (broadcast counts once per task)
-	stored     atomic.Int64 // tuples currently materialized across stores
-	storeBytes atomic.Int64 // resident state bytes incl. index overhead
-	indexBytes atomic.Int64 // index-overhead portion of storeBytes
-	results    atomic.Int64 // join results emitted across all queries
-	shed       atomic.Int64 // tuples dropped at the flow-control admission gate
+	ingested     atomic.Int64 // raw input tuples
+	probeSent    atomic.Int64 // tuples sent between tasks (the paper's probe cost)
+	probeCands   atomic.Int64 // stored rows the local indices handed to probes
+	probeRejects atomic.Int64 // per-epoch index lookups the filters spared probes
+	messages     atomic.Int64 // messaging events (broadcast counts once per task)
+	stored       atomic.Int64 // tuples currently materialized across stores
+	storeBytes   atomic.Int64 // resident state bytes incl. index overhead
+	indexBytes   atomic.Int64 // index-overhead portion of storeBytes
+	results      atomic.Int64 // join results emitted across all queries
+	shed         atomic.Int64 // tuples dropped at the flow-control admission gate
 
 	// Bounded-memory policy counters (Config.StateLimitBytes with
 	// EvictOldestEpoch) and store retirement.
@@ -140,6 +141,14 @@ type Snapshot struct {
 	// little beyond the matches plus out-of-window rows of not-yet-pruned
 	// epochs and rows that arrived after the probe.
 	ProbeCandidates int64
+	// ProbeFilterRejects counts the per-epoch index lookups probes were
+	// spared: a probe visits every epoch in its window reach, and each
+	// epoch's index answers from its built-in filter (one word) when it
+	// holds no row under the probe's key — on a hot epoch and on a cold
+	// one read through from the spill file alike. Against ProbeSent ×
+	// resident epochs it says how much of a long window a probe never
+	// touched.
+	ProbeFilterRejects int64
 	// StoreBytes is the resident materialized-state footprint: tuple
 	// payloads plus storage structure plus index overhead (the seed
 	// accounting ignored indices; IndexBytes is that portion).
@@ -198,31 +207,32 @@ func (m *Metrics) Snapshot() Snapshot {
 	m.mu.Unlock()
 	avgLag, lagN := m.avgLag()
 	return Snapshot{
-		AvgLag:          avgLag,
-		LagCount:        lagN,
-		ShedTuples:      m.shed.Load(),
-		RecoveredPanics: m.recoveredPanics.Load(),
-		TaskRestarts:    m.taskRestarts.Load(),
-		Ingested:        m.ingested.Load(),
-		ProbeSent:       m.probeSent.Load(),
-		ProbeCandidates: m.probeCands.Load(),
-		Messages:        m.messages.Load(),
-		Stored:          m.stored.Load(),
-		StoreBytes:      m.storeBytes.Load(),
-		IndexBytes:      m.indexBytes.Load(),
-		EvictedEpochs:   m.evictedEpochs.Load(),
-		EvictedTuples:   m.evictedTuples.Load(),
-		RetiredTuples:   m.retiredTuples.Load(),
-		SpilledBytes:    m.spilledBytes.Load(),
-		DemotedEpochs:   m.demotedEpochs.Load(),
-		PromotedEpochs:  m.promotedEpochs.Load(),
-		ColdProbeHits:   m.coldProbeHits.Load(),
-		ColdProbeMisses: m.coldProbeMisses.Load(),
-		Results:         m.results.Load(),
-		ByQuery:         byQ,
-		AvgLatency:      avg,
-		MaxLatency:      latMax,
-		LatCount:        latCount,
+		AvgLag:             avgLag,
+		LagCount:           lagN,
+		ShedTuples:         m.shed.Load(),
+		RecoveredPanics:    m.recoveredPanics.Load(),
+		TaskRestarts:       m.taskRestarts.Load(),
+		Ingested:           m.ingested.Load(),
+		ProbeSent:          m.probeSent.Load(),
+		ProbeCandidates:    m.probeCands.Load(),
+		ProbeFilterRejects: m.probeRejects.Load(),
+		Messages:           m.messages.Load(),
+		Stored:             m.stored.Load(),
+		StoreBytes:         m.storeBytes.Load(),
+		IndexBytes:         m.indexBytes.Load(),
+		EvictedEpochs:      m.evictedEpochs.Load(),
+		EvictedTuples:      m.evictedTuples.Load(),
+		RetiredTuples:      m.retiredTuples.Load(),
+		SpilledBytes:       m.spilledBytes.Load(),
+		DemotedEpochs:      m.demotedEpochs.Load(),
+		PromotedEpochs:     m.promotedEpochs.Load(),
+		ColdProbeHits:      m.coldProbeHits.Load(),
+		ColdProbeMisses:    m.coldProbeMisses.Load(),
+		Results:            m.results.Load(),
+		ByQuery:            byQ,
+		AvgLatency:         avg,
+		MaxLatency:         latMax,
+		LatCount:           latCount,
 	}
 }
 
@@ -278,6 +288,9 @@ type TaskGauge struct {
 	// ProbeCandidates counts the stored rows this task's index scans
 	// handed to candidate evaluation (see Snapshot.ProbeCandidates).
 	ProbeCandidates int64
+	// ProbeFilterRejects counts the per-epoch index lookups this task's
+	// index filters answered (see Snapshot.ProbeFilterRejects).
+	ProbeFilterRejects int64
 }
 
 // TaskGauges returns a pressure reading per task, sorted by store and
@@ -315,7 +328,8 @@ func (e *Engine) TaskGauges() []TaskGauge {
 			PruneNanos:   t.pruneNanos.Load(),
 			PruneTuples:  t.pruneTuples.Load(),
 
-			ProbeCandidates: t.probeCands.Load(),
+			ProbeCandidates:    t.probeCands.Load(),
+			ProbeFilterRejects: t.probeRejects.Load(),
 		})
 	}
 	e.mu.RUnlock()

@@ -6,7 +6,8 @@ package runtime
 // When resident state crosses Config.StateHotBytes the task demotes its
 // coldest whole epochs: the segment is appended CRC-framed to the
 // task's spill file and its slot keeps only a coldStub — tuple count,
-// file coordinates, and a key-hash Bloom filter per probed index key —
+// file coordinates, and per probed index key the filter of the index
+// the epoch had while hot (columnar.go's keyFilter, kept by move) —
 // beside the time bounds, so probes dismiss cold slots by window cut and
 // key without touching disk. A probe that survives both reads the segment
 // through (decoded once, kept on the stub) and scans it with the hot
@@ -277,123 +278,90 @@ func decodeColSegment(b []byte) (*colSegment, error) {
 	return s, nil
 }
 
-// spillBloom is a per-index-key filter carried by a cold segment's
-// in-memory stub: two derived probes of the key's hash (hashKey — the
-// hash its index chains under) into a power-of-two bit array (~8 bits
-// per stored row). A negative answer is definitive — the probe skips
-// the segment without touching disk; a positive one costs a
-// read-through that may still match nothing.
-type spillBloom struct {
-	bits []uint64
-	mask uint64
-}
-
-func newSpillBloom(rows int) *spillBloom {
-	bits := 64
-	for bits < rows*8 {
-		bits <<= 1
-	}
-	return &spillBloom{bits: make([]uint64, bits/64), mask: uint64(bits - 1)}
-}
-
-// mix2 derives the second probe position (splitmix64 finalizer over h,
-// decorrelated from the table position colHash already is).
-func mix2(h uint64) uint64 {
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return h
-}
-
-func (bl *spillBloom) add(h uint64) {
-	i, j := h&bl.mask, mix2(h)&bl.mask
-	bl.bits[i>>6] |= 1 << (i & 63)
-	bl.bits[j>>6] |= 1 << (j & 63)
-}
-
-func (bl *spillBloom) may(h uint64) bool {
-	i, j := h&bl.mask, mix2(h)&bl.mask
-	return bl.bits[i>>6]&(1<<(i&63)) != 0 && bl.bits[j>>6]&(1<<(j&63)) != 0
-}
-
-func (bl *spillBloom) bytes() int64 { return int64(len(bl.bits)) * 8 }
-
 // coldStubBase prices a stub's fixed overhead: the struct, its ring
 // slot, and the filter list header.
 const coldStubBase = 160
 
 // coldStub is what a demoted epoch keeps in memory beside its slot's
-// epoch and time bounds: enough to filter the segment (Bloom), locate
-// it (file coordinates + CRC), and account it (count, filter bytes)
-// without touching disk.
+// epoch and time bounds: enough to filter the segment (the key filters
+// of its indices), locate it (file coordinates + CRC), and account it
+// (count, filter bytes) without touching disk.
 type coldStub struct {
 	count int
 	off   int64 // payload offset in the spill file
 	len   int64 // payload length
 	crc   uint32
-	// blooms holds one key-hash filter per index key that had been
-	// probed on this task by demotion time; a key probed for the first
-	// time later has no filter and pays a read-through.
-	blooms     []keyBloom
-	bloomBytes int64
+	// filters holds one key filter per index key that had been probed on
+	// this task by demotion time; a key probed for the first time later
+	// has no filter and pays a read-through. They stay with the stub for
+	// as long as the frame does: a revived frame revives its filters.
+	filters     []stubFilter
+	filterBytes int64
 	// loaded is the read-through decode of a cold slot that a probe
 	// touched, awaiting promotion (columnarState.pending counts them).
 	loaded *colSegment
 }
 
-// keyBloom is one cold filter: the index key it answers for, by id.
-type keyBloom struct {
-	id string
-	bl *spillBloom
+// stubFilter is one cold filter: the index key it answers for, by id.
+type stubFilter struct {
+	id   string
+	filt keyFilter
 }
 
-// bloomFor returns the stub's filter for the key, nil when it has none.
-func (st *coldStub) bloomFor(key *indexKey) *spillBloom {
-	for i := range st.blooms {
-		if st.blooms[i].id == key.id {
-			return st.blooms[i].bl
+// filterFor returns the stub's filter for the key, nil when it has none.
+func (st *coldStub) filterFor(key *indexKey) keyFilter {
+	for i := range st.filters {
+		if st.filters[i].id == key.id {
+			return st.filters[i].filt
 		}
 	}
 	return nil
 }
 
-// buildBlooms fills the stub's per-key filters from the hot segment
-// being demoted. Rows whose schema lacks a key attribute are skipped:
-// the index never links them either, so a Bloom negative remains a
-// sound whole-segment skip.
-func (st *coldStub) buildBlooms(s *colSegment, keys []indexKey) {
-	if len(s.tups) == 0 {
-		return
-	}
+// takeFilters moves the hot segment's index filters onto the stub, one
+// per probed key: the filter the index kept current on every insert is
+// the filter of the frozen epoch, so demotion hashes no row. Only a key
+// the segment was never probed under gets its filter built here, by the
+// kernel's own insert path on a throwaway index. Rows whose schema
+// lacks a key attribute are in no chain and in no filter, so a negative
+// remains a sound whole-segment skip.
+func (st *coldStub) takeFilters(s *colSegment, keys []indexKey) {
 	for k := range keys {
 		key := &keys[k]
-		bl := newSpillBloom(len(s.tups))
-		// Positions come from the segment's own index under the key when
-		// it has one, else from a throwaway's cache: either way one
-		// resolution per schema, not per row.
 		ix := s.indices.get(key)
 		if ix == nil {
 			ix = &colIndex{key: *key}
-		}
-		for _, tp := range s.tups {
-			if pos := ix.posFor(tp.Schema); pos != nil {
-				bl.add(hashKey(tp, pos))
+			for row, tp := range s.tups {
+				ix.addRow(tp, int32(row))
 			}
 		}
-		st.blooms = append(st.blooms, keyBloom{id: key.id, bl: bl})
-		st.bloomBytes += bl.bytes()
+		f := ix.filt
+		if f == nil {
+			// No row carries the key: one clear block admits nothing, where
+			// a nil filter would stand for "none built".
+			f = make(keyFilter, 1)
+		}
+		st.filters = append(st.filters, stubFilter{id: key.id, filt: f})
+		st.filterBytes += f.bytes()
 	}
 }
 
 // admitsAny reports whether any probe of the batch survives the cold
 // slot's window cut and key filter — if none does, the batch skips the
-// slot without touching disk.
-func (s *colSegment) admitsAny(pb *probeBatch, bl *spillBloom) bool {
+// slot without touching disk, and every lookup the filter answered is
+// counted as spared (an admitted slot's are counted by its scan).
+func (s *colSegment) admitsAny(pb *probeBatch, bl keyFilter) bool {
+	var spared int64
 	for i, h := range pb.hashes {
-		if s.maxTS >= pb.cuts[i] && (bl == nil || bl.may(h)) {
+		if s.maxTS < pb.cuts[i] {
+			continue
+		}
+		if bl == nil || bl.may(h) {
 			return true
 		}
+		spared++
 	}
+	pb.rejects += spared
 	return false
 }
 
@@ -454,7 +422,7 @@ func (c *columnarState) demoteOldest() (delta, idxDelta int64, ok bool) {
 			return 0, 0, false
 		}
 		stub = &coldStub{count: len(s.tups), off: off, len: int64(len(c.encBuf)), crc: crc}
-		stub.buildBlooms(s, c.probed)
+		stub.takeFilters(s, c.probed)
 	}
 	if c.testCrashAfterSpill != nil {
 		c.testCrashAfterSpill()

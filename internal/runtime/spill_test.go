@@ -16,6 +16,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 
@@ -124,8 +125,8 @@ func TestTieredMatchesColumnarAcrossTiering(t *testing.T) {
 		}
 	}
 	wantWalk := walkAll(col)
-	// Probe both once while all-hot so the demoted stubs get Blooms on
-	// R.a (the backend only filters attrs it has seen probed).
+	// Probe both once while all-hot so the demoted stubs get filters on
+	// R.a (a stub carries filters only for keys the task has seen probed).
 	cut := int64(120)
 	wantProbe, _ := probeAll(col, cut)
 	got, idx := probeAll(tr, cut)
@@ -302,11 +303,26 @@ func (c *columnarState) promotePendingNoop(t *testing.T) {
 
 // TestTieredDemoteReusesFrames: a promote/demote swing of an unchanged
 // epoch must not rewrite the spill file — the frame from the first
-// demotion is revived in O(1). Only a mutation (an insert into the
-// promoted epoch) forces a fresh append.
+// demotion is revived in O(1), and with it the key filters its stub took
+// from the epoch's indices. Only a mutation (an insert into the promoted
+// epoch) forces a fresh append.
 func TestTieredDemoteReusesFrames(t *testing.T) {
 	_, tr := tieredPair(300)
 	defer tr.store.close()
+	probeAll(tr, noCut) // while hot: every epoch gets the index on R.a its stub takes the filter of
+	key := &newBackendProbe("R.a").rp.key
+	filters := func() map[int64]*uint64 {
+		t.Helper()
+		m := map[int64]*uint64{}
+		for _, s := range coldSlots(tr) {
+			f := s.stub.filterFor(key)
+			if f == nil {
+				t.Fatalf("cold epoch %d carries no filter on %s", s.epoch, key.id)
+			}
+			m[s.epoch] = &f[0]
+		}
+		return m
+	}
 	demoteAll := func() {
 		for {
 			if _, _, ok := tr.demoteOldest(); !ok {
@@ -319,6 +335,7 @@ func TestTieredDemoteReusesFrames(t *testing.T) {
 	if size1 == 0 {
 		t.Fatal("nothing spilled")
 	}
+	filters1 := filters()
 	want, _ := probeAll(tr, noCut) // reads every cold epoch through
 	tr.promotePending()
 	if n := len(coldSlots(tr)); n != 0 {
@@ -327,6 +344,9 @@ func TestTieredDemoteReusesFrames(t *testing.T) {
 	demoteAll()
 	if tr.store.size != size1 {
 		t.Fatalf("re-demoting unchanged epochs grew the spill file %d → %d bytes", size1, tr.store.size)
+	}
+	if !maps.Equal(filters(), filters1) {
+		t.Fatal("a revived frame did not revive the filters of its first demotion")
 	}
 	if got, _ := probeAll(tr, noCut); got != want {
 		t.Fatal("probe diverges after a reuse round trip")

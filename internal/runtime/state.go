@@ -39,7 +39,11 @@ package runtime
 // (chains bucket by the 64-bit hash of the key). The batch's visitors
 // therefore re-check every predicate by value (probeBatch.visit,
 // probeBatch.evalRows). Indices build lazily on a key's first probe and
-// are maintained by insert and prune thereafter.
+// are maintained by insert and prune thereafter. Each index also answers
+// the negative question from its built-in filter (colIndex.filt): a hash
+// the filter rejects is in no chain, so a backend skips the table lookup
+// and counts the spared lookup in the batch (probeBatch.rejects) — the
+// filter removes only lookups that would have missed, never a candidate.
 //
 // Determinism contract: epoch iteration is ascending, within-epoch
 // iteration is a pure function of the insert/prune history (never of Go
@@ -346,8 +350,11 @@ func (s *containerState) probeScanBatch(key *indexKey, pb *probeBatch) (idxDelta
 			if built {
 				idxDelta += ix.resident()
 			}
-			slot, ok := ix.find(h)
+			slot, ok, filtered := ix.find(h)
 			if !ok {
+				if filtered {
+					pb.rejects++
+				}
 				continue
 			}
 			for row := ix.heads[slot]; row >= 0; row = ix.next[row] {

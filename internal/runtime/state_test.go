@@ -429,7 +429,7 @@ func TestEvictOldestEpochBoundsState(t *testing.T) {
 				// The tier is on but its own budget never binds: the state
 				// limit alone drives the demotions (evictToLimit's
 				// demote-first). Demotion leaves a small resident stub per
-				// cold epoch (summary + Bloom filter); the limit must clear
+				// cold epoch (summary + key filter); the limit must clear
 				// that floor or the task is FORCED to evict once every
 				// epoch but the newest is already cold. Still far below
 				// what the stream needs resident, so EvictFail dies.

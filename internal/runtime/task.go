@@ -67,6 +67,9 @@ type task struct {
 	// probeCands counts the stored rows this task's index scans handed to
 	// a probe's candidate evaluation (TaskGauge.ProbeCandidates).
 	probeCands atomic.Int64
+	// probeRejects counts the per-epoch index lookups the index filters
+	// spared this task's probes (TaskGauge.ProbeFilterRejects).
+	probeRejects atomic.Int64
 	// probeMatched is the candidates that joined: the denominator of the
 	// index-key tests' candidate bound. Task-confined, read after a drain.
 	probeMatched int64

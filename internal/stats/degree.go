@@ -21,15 +21,18 @@ import (
 // Count-Err <= f <= Count. Keys are 64-bit value hashes — the same
 // hashes the runtime routes by, so sealed heavy hitters translate
 // directly into routing decisions.
+//
+// The monitored set is a flat array in no particular order: k is small
+// (16 by default), the collector adds every attribute of every tuple,
+// and most adds are of a key that is not monitored — one pass over the
+// array finds the key or, failing that, the minimum to replace, with no
+// allocation. Every choice among entries is by (count, then hash), never
+// by position, so the sketch is a function of the observation history
+// alone.
 type SpaceSaving struct {
 	k       int
 	n       int64
-	entries map[uint64]*ssEntry
-}
-
-type ssEntry struct {
-	count int64
-	err   int64
+	entries []HeavyHitter // at most k, unordered
 }
 
 // HeavyHitter is one sealed sketch entry: Count overestimates the true
@@ -45,7 +48,7 @@ func NewSpaceSaving(k int) *SpaceSaving {
 	if k < 1 {
 		k = 1
 	}
-	return &SpaceSaving{k: k, entries: make(map[uint64]*ssEntry, k)}
+	return &SpaceSaving{k: k, entries: make([]HeavyHitter, 0, k)}
 }
 
 // Add observes one occurrence of the key hash.
@@ -57,29 +60,39 @@ func (s *SpaceSaving) AddN(h uint64, n int64) {
 		return
 	}
 	s.n += n
-	if e := s.entries[h]; e != nil {
-		e.count += n
-		return
+	min := 0
+	for i := range s.entries {
+		e := &s.entries[i]
+		if e.Hash == h {
+			e.Count += n
+			return
+		}
+		if m := &s.entries[min]; e.Count < m.Count || (e.Count == m.Count && e.Hash < m.Hash) {
+			min = i
+		}
 	}
 	if len(s.entries) < s.k {
-		s.entries[h] = &ssEntry{count: n}
+		s.entries = append(s.entries, HeavyHitter{Hash: h, Count: n})
 		return
 	}
 	// Replace the minimum-count key; the newcomer inherits its count as
 	// the overestimation bound (ties broken by hash for determinism).
-	var minHash uint64
-	var min *ssEntry
-	for hh, e := range s.entries {
-		if min == nil || e.count < min.count || (e.count == min.count && hh < minHash) {
-			minHash, min = hh, e
-		}
-	}
-	delete(s.entries, minHash)
-	s.entries[h] = &ssEntry{count: min.count + n, err: min.count}
+	m := &s.entries[min]
+	*m = HeavyHitter{Hash: h, Count: m.Count + n, Err: m.Count}
 }
 
 // N returns the total number of observations.
 func (s *SpaceSaving) N() int64 { return s.n }
+
+// find returns the monitored entry of the key hash, nil when it has none.
+func (s *SpaceSaving) find(h uint64) *HeavyHitter {
+	for i := range s.entries {
+		if s.entries[i].Hash == h {
+			return &s.entries[i]
+		}
+	}
+	return nil
+}
 
 // Merge folds another sketch into this one so that the per-key bounds
 // Count-Err <= f <= Count keep holding against the *combined* stream. A
@@ -94,30 +107,25 @@ func (s *SpaceSaving) Merge(o *SpaceSaving) {
 	}
 	sFloor := s.floor()
 	oFloor := o.floor()
-	for h, e := range o.entries {
-		if mine := s.entries[h]; mine != nil {
-			mine.count += e.count
-			mine.err += e.err
+	for i := range s.entries {
+		e := &s.entries[i]
+		if oe := o.find(e.Hash); oe != nil {
+			e.Count += oe.Count
+			e.Err += oe.Err
 		} else {
-			s.entries[h] = &ssEntry{count: e.count + sFloor, err: e.err + sFloor}
+			e.Count += oFloor
+			e.Err += oFloor
 		}
 	}
-	for h, mine := range s.entries {
-		if o.entries[h] == nil {
-			mine.count += oFloor
-			mine.err += oFloor
+	for _, oe := range o.entries {
+		if s.find(oe.Hash) == nil {
+			s.entries = append(s.entries, HeavyHitter{Hash: oe.Hash, Count: oe.Count + sFloor, Err: oe.Err + sFloor})
 		}
 	}
 	s.n += o.n
-	if len(s.entries) <= s.k {
-		return
+	if len(s.entries) > s.k {
+		s.entries = append(s.entries[:0], s.Top(s.k)...)
 	}
-	top := s.Top(s.k)
-	keep := make(map[uint64]*ssEntry, s.k)
-	for _, hh := range top {
-		keep[hh.Hash] = s.entries[hh.Hash]
-	}
-	s.entries = keep
 }
 
 // floor bounds the true frequency of any key this sketch does NOT
@@ -127,14 +135,11 @@ func (s *SpaceSaving) floor() int64 {
 	if len(s.entries) < s.k {
 		return 0
 	}
-	var min int64 = -1
-	for _, e := range s.entries {
-		if min < 0 || e.count < min {
-			min = e.count
+	min := s.entries[0].Count
+	for _, e := range s.entries[1:] {
+		if e.Count < min {
+			min = e.Count
 		}
-	}
-	if min < 0 {
-		return 0
 	}
 	return min
 }
@@ -142,10 +147,7 @@ func (s *SpaceSaving) floor() int64 {
 // Top returns the n largest entries, count-descending (hash-ascending on
 // ties — the order is deterministic for identical observation histories).
 func (s *SpaceSaving) Top(n int) []HeavyHitter {
-	out := make([]HeavyHitter, 0, len(s.entries))
-	for h, e := range s.entries {
-		out = append(out, HeavyHitter{Hash: h, Count: e.count, Err: e.err})
-	}
+	out := append(make([]HeavyHitter, 0, len(s.entries)), s.entries...)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Count != out[j].Count {
 			return out[i].Count > out[j].Count

@@ -1,6 +1,9 @@
 package stats
 
 import (
+	"fmt"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -114,6 +117,168 @@ func TestSpaceSavingMergeBounds(t *testing.T) {
 			if hh.Count-hh.Err > f {
 				t.Errorf("seed %d key %x: merged Count-Err = %d exceeds true freq %d", seed, hh.Hash, hh.Count-hh.Err, f)
 			}
+		}
+	}
+}
+
+// mapSpaceSaving is the sketch as it was before the monitored set became
+// a flat array — a map of heap-allocated entries whose every unmonitored
+// add iterates the whole map — kept verbatim as the reference the flat
+// implementation is differenced against.
+type mapSpaceSaving struct {
+	k       int
+	n       int64
+	entries map[uint64]*mapEntry
+}
+
+type mapEntry struct{ count, err int64 }
+
+func newMapSpaceSaving(k int) *mapSpaceSaving {
+	return &mapSpaceSaving{k: k, entries: make(map[uint64]*mapEntry, k)}
+}
+
+func (s *mapSpaceSaving) AddN(h uint64, n int64) {
+	if n <= 0 {
+		return
+	}
+	s.n += n
+	if e := s.entries[h]; e != nil {
+		e.count += n
+		return
+	}
+	if len(s.entries) < s.k {
+		s.entries[h] = &mapEntry{count: n}
+		return
+	}
+	var minHash uint64
+	var min *mapEntry
+	for hh, e := range s.entries {
+		if min == nil || e.count < min.count || (e.count == min.count && hh < minHash) {
+			minHash, min = hh, e
+		}
+	}
+	delete(s.entries, minHash)
+	s.entries[h] = &mapEntry{count: min.count + n, err: min.count}
+}
+
+func (s *mapSpaceSaving) Merge(o *mapSpaceSaving) {
+	sFloor := s.floor()
+	oFloor := o.floor()
+	for h, e := range o.entries {
+		if mine := s.entries[h]; mine != nil {
+			mine.count += e.count
+			mine.err += e.err
+		} else {
+			s.entries[h] = &mapEntry{count: e.count + sFloor, err: e.err + sFloor}
+		}
+	}
+	for h, mine := range s.entries {
+		if o.entries[h] == nil {
+			mine.count += oFloor
+			mine.err += oFloor
+		}
+	}
+	s.n += o.n
+	if len(s.entries) <= s.k {
+		return
+	}
+	keep := make(map[uint64]*mapEntry, s.k)
+	for _, hh := range s.Top(s.k) {
+		keep[hh.Hash] = s.entries[hh.Hash]
+	}
+	s.entries = keep
+}
+
+func (s *mapSpaceSaving) floor() int64 {
+	if len(s.entries) < s.k {
+		return 0
+	}
+	var min int64 = -1
+	for _, e := range s.entries {
+		if min < 0 || e.count < min {
+			min = e.count
+		}
+	}
+	if min < 0 {
+		return 0
+	}
+	return min
+}
+
+func (s *mapSpaceSaving) Top(n int) []HeavyHitter {
+	out := make([]HeavyHitter, 0, len(s.entries))
+	for h, e := range s.entries {
+		out = append(out, HeavyHitter{Hash: h, Count: e.count, Err: e.err})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Count != out[j].Count {
+			return out[i].Count > out[j].Count
+		}
+		return out[i].Hash < out[j].Hash
+	})
+	if n < len(out) {
+		out = out[:n]
+	}
+	return out
+}
+
+// TestSpaceSavingMatchesMapReference drives the flat sketch and the map
+// reference through the same random skewed streams — weighted adds
+// included, and cold universes in which nearly every add replaces the
+// minimum — and requires Top, N and floor to agree after every phase:
+// the stream, a Merge of two sketches (one of them below capacity on
+// some seeds), and more adds on top of the merged state. Sealed degrees,
+// split keys and churn plans are functions of exactly these outputs.
+func TestSpaceSavingMatchesMapReference(t *testing.T) {
+	type pair struct {
+		flat *SpaceSaving
+		ref  *mapSpaceSaving
+	}
+	newPair := func(k int) pair { return pair{NewSpaceSaving(k), newMapSpaceSaving(k)} }
+	same := func(p pair, what string) {
+		t.Helper()
+		// One past capacity: a sketch that failed to shrink would show.
+		if got, want := p.flat.Top(p.flat.k+1), p.ref.Top(p.ref.k+1); !slices.Equal(got, want) {
+			t.Fatalf("%s: Top diverges\n flat: %+v\n  map: %+v", what, got, want)
+		}
+		if p.flat.N() != p.ref.n || p.flat.floor() != p.ref.floor() {
+			t.Fatalf("%s: N %d floor %d, reference N %d floor %d", what, p.flat.N(), p.flat.floor(), p.ref.n, p.ref.floor())
+		}
+	}
+	feed := func(p pair, seed uint64, n, universe int, s float64, what string) {
+		stream, _ := drawStream(seed, n, universe, s)
+		w := rng.New(seed ^ 0xabcdef)
+		for i, h := range stream {
+			c := int64(1)
+			if i%7 == 0 {
+				c = int64(w.Intn(5)) // weighted adds; 0 must be a no-op on both
+			}
+			p.flat.AddN(h, c)
+			p.ref.AddN(h, c)
+			if i%257 == 0 {
+				same(p, what)
+			}
+		}
+		same(p, what)
+	}
+	for _, k := range []int{1, 3, 16} {
+		for seed := uint64(1); seed <= 12; seed++ {
+			what := func(phase string) string { return fmt.Sprintf("k=%d seed=%d %s", k, seed, phase) }
+			// Skew from near-uniform over a universe far larger than k (the
+			// longstate shape: almost every add evicts) to heavily skewed.
+			skew := []float64{0.2, 0.6, 1.3}[seed%3]
+			a, b := newPair(k), newPair(k)
+			feed(a, seed, 3000, 40+int(seed)*150, skew, what("stream a"))
+			// On every fourth seed b stays below capacity: floor 0 on its side.
+			nb := 2500
+			if seed%4 == 0 {
+				nb = k / 2
+			}
+			feed(b, seed+100, nb, 300, 1.1, what("stream b"))
+			a.flat.Merge(b.flat)
+			a.ref.Merge(b.ref)
+			same(a, what("merge"))
+			feed(a, seed+200, 1500, 500, skew, what("adds after merge"))
 		}
 	}
 }

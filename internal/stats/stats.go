@@ -194,9 +194,8 @@ func (e *Estimates) String() string {
 // as (k-1) / kth-smallest-normalized-hash.
 type KMV struct {
 	k         int
-	hashes    []uint64 // sorted ascending, at most k
-	seen      map[uint64]bool
-	saturated bool // true once any distinct value fell outside the k minima
+	hashes    []uint64 // sorted ascending, distinct, at most k
+	saturated bool     // true once any distinct value fell outside the k minima
 }
 
 // NewKMV returns a sketch keeping k minimum values (k >= 2).
@@ -204,31 +203,40 @@ func NewKMV(k int) *KMV {
 	if k < 2 {
 		k = 2
 	}
-	return &KMV{k: k, seen: make(map[uint64]bool, k)}
+	return &KMV{k: k, hashes: make([]uint64, 0, k)}
 }
 
 // Add observes a value.
 func (s *KMV) Add(v tuple.Value) { s.AddHash(v.Hash()) }
 
-// AddHash observes a pre-hashed value.
+// AddHash observes a pre-hashed value. The collector calls it once per
+// attribute of every ingested tuple, so it costs the same whether the
+// sketch is filling or full: one binary search over the sorted minima
+// (which is also the membership test) and at most one shift, no
+// allocation.
 func (s *KMV) AddHash(h uint64) {
-	if s.seen[h] {
+	n := len(s.hashes)
+	if n == s.k && h > s.hashes[n-1] {
+		s.saturated = true
 		return
 	}
-	if len(s.hashes) < s.k {
-		s.seen[h] = true
-		s.hashes = append(s.hashes, h)
-		sort.Slice(s.hashes, func(i, j int) bool { return s.hashes[i] < s.hashes[j] })
+	i, j := 0, n // first position whose hash is >= h
+	for i < j {
+		if m := int(uint(i+j) >> 1); s.hashes[m] < h {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
+	if i < n && s.hashes[i] == h {
 		return
 	}
-	s.saturated = true
-	if h >= s.hashes[s.k-1] {
-		return
+	if n < s.k {
+		s.hashes = append(s.hashes, 0)
+	} else {
+		s.saturated = true // the kth minimum falls out
 	}
-	delete(s.seen, s.hashes[s.k-1])
-	s.seen[h] = true
-	i := sort.Search(s.k, func(i int) bool { return s.hashes[i] >= h })
-	copy(s.hashes[i+1:], s.hashes[i:s.k-1])
+	copy(s.hashes[i+1:], s.hashes[i:])
 	s.hashes[i] = h
 }
 

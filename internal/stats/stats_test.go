@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -122,6 +124,63 @@ func TestKMVEstimateAccuracy(t *testing.T) {
 	got := sk.Estimate()
 	if math.Abs(got-n)/n > 0.2 {
 		t.Errorf("KMV estimate %g for %d distinct; >20%% off", got, n)
+	}
+}
+
+// sortKMV is the sketch as it was before AddHash became one binary
+// search: a membership map beside the sorted minima and a full sort on
+// every add while filling. Kept verbatim as the reference the current
+// implementation is differenced against.
+type sortKMV struct {
+	k         int
+	hashes    []uint64
+	seen      map[uint64]bool
+	saturated bool
+}
+
+func (s *sortKMV) AddHash(h uint64) {
+	if s.seen[h] {
+		return
+	}
+	if len(s.hashes) < s.k {
+		s.seen[h] = true
+		s.hashes = append(s.hashes, h)
+		sort.Slice(s.hashes, func(i, j int) bool { return s.hashes[i] < s.hashes[j] })
+		return
+	}
+	s.saturated = true
+	if h >= s.hashes[s.k-1] {
+		return
+	}
+	delete(s.seen, s.hashes[s.k-1])
+	s.seen[h] = true
+	i := sort.Search(s.k, func(i int) bool { return s.hashes[i] >= h })
+	copy(s.hashes[i+1:], s.hashes[i:s.k-1])
+	s.hashes[i] = h
+}
+
+// TestKMVMatchesSortReference feeds both implementations the same
+// streams — universes smaller than k (never saturates), around k, and
+// far larger, with repeats — and requires the kept minima, the
+// saturation flag and therefore every estimate to agree after each add.
+func TestKMVMatchesSortReference(t *testing.T) {
+	for _, k := range []int{2, 5, 128} {
+		for seed := uint64(1); seed <= 8; seed++ {
+			universe := []int{k / 2, k, k + 1, 40 * k}[seed%4]
+			stream, _ := drawStream(seed, 6*k+50, universe+1, 0.4)
+			sk, ref := NewKMV(k), &sortKMV{k: k, seen: map[uint64]bool{}}
+			for i, h := range stream {
+				sk.AddHash(h)
+				ref.AddHash(h)
+				if !slices.Equal(sk.hashes, ref.hashes) || sk.saturated != ref.saturated {
+					t.Fatalf("k=%d seed=%d add %d (%x): minima %x saturated %v, reference %x %v",
+						k, seed, i, h, sk.hashes, sk.saturated, ref.hashes, ref.saturated)
+				}
+			}
+			if allocs := testing.AllocsPerRun(100, func() { sk.AddHash(stream[0] + 1) }); allocs != 0 {
+				t.Errorf("k=%d seed=%d: AddHash allocates %.0f times", k, seed, allocs)
+			}
+		}
 	}
 }
 
