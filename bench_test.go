@@ -1,51 +1,15 @@
 package clash
 
-// Benchmarks exercising the public clash API: optimizer entry points
-// and the engine facade. The canonical per-figure benchmarks (Fig. 7,
-// Fig. 8, Fig. 9 cost sweeps) live in internal/bench/benchmarks_test.go
-// next to the experiments they time — this file only keeps what needs
-// the root package's exports, which internal/bench cannot import.
+// Benchmarks exercising the public clash API: one optimizer entry point
+// and the engine facade. allocs/op is their signal; timings are judged
+// by benchmark/ (BENCHMARK.json).
 
 import (
 	"testing"
 	"time"
 
-	"clash/internal/ilp"
 	"clash/internal/stats"
-	"clash/internal/workload"
 )
-
-// BenchmarkFig9Runtime times one ILP optimization run over 100 input
-// relations (Fig. 9e's y-axis).
-func BenchmarkFig9Runtime(b *testing.B) {
-	env := workload.NewEnv(100, 100)
-	qs := env.RandomQueries(30, 3, 1)
-	est := env.Estimates()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Optimize(qs, est, OptimizerOptions{
-			Solver: ilp.Options{TimeLimit: 5 * time.Second},
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig9QuerySize4 times optimization of size-4 queries
-// (one cell of Fig. 9f).
-func BenchmarkFig9QuerySize4(b *testing.B) {
-	env := workload.NewEnv(100, 100)
-	qs := env.RandomQueries(10, 4, 1)
-	est := env.Estimates()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Optimize(qs, est, OptimizerOptions{
-			Solver: ilp.Options{TimeLimit: 5 * time.Second},
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkOptimizeWorkedExample times the Sec. V-2 two-query ILP.
 func BenchmarkOptimizeWorkedExample(b *testing.B) {
@@ -93,19 +57,4 @@ func BenchmarkEngineIngest(b *testing.B) {
 		}
 	}
 	eng.Drain()
-}
-
-// BenchmarkILPSolve times the raw solver on a CLASH-shaped instance.
-func BenchmarkILPSolve(b *testing.B) {
-	env := workload.NewEnv(10, 100)
-	qs := env.RandomQueries(10, 3, 1)
-	est := env.Estimates()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Optimize(qs, est, OptimizerOptions{
-			Solver: ilp.Options{TimeLimit: 2 * time.Second},
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -18,13 +18,10 @@ import (
 	"strings"
 	"time"
 
-	"clash/internal/bench"
-	"clash/internal/broker"
 	"clash/internal/core"
 	"clash/internal/query"
 	"clash/internal/runtime"
 	"clash/internal/tpch"
-	"clash/internal/tuple"
 )
 
 func main() {
@@ -47,12 +44,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		var cat *query.Catalog
-		queries, cat, err = query.ParseWorkload(string(b))
+		queries, _, err = query.ParseWorkload(string(b))
 		if err != nil {
 			log.Fatal(err)
 		}
-		_ = cat
 		full := tpch.Catalog()
 		for _, q := range queries {
 			if err := full.Validate(q); err != nil {
@@ -64,45 +59,26 @@ func main() {
 	} else {
 		queries = tpch.Fig7Queries()
 	}
-	cat := tpch.Catalog()
-
-	tables := map[string]bool{}
-	for _, q := range queries {
-		for _, r := range q.Relations {
-			tables[r] = true
-		}
-	}
-	var tableList []string
-	for _, t := range tpch.Tables() {
-		if tables[t] {
-			tableList = append(tableList, t)
-		}
-	}
-
-	fmt.Printf("generating TPC-H data at SF %g for %v ...\n", *sf, tableList)
-	bk := broker.New()
-	if err := tpch.FillBroker(bk, *sf, *seed, tuple.Duration(time.Second), tableList); err != nil {
+	fmt.Printf("generating TPC-H data at SF %g ...\n", *sf)
+	fx, err := tpch.NewFixture(queries, *sf, *seed, *parallelism)
+	if err != nil {
 		log.Fatal(err)
 	}
-	records := bk.Interleave(tableList...)
+	records := fx.Records
 	fmt.Printf("%d records\n", len(records))
 
-	// Estimate characteristics, optimize, compile.
-	est := bench.EstimateFromRecords(cat, queries, records, time.Second)
-	o := core.NewOptimizer(core.Options{StoreParallelism: *parallelism})
 	shared := true
 	var plans []*core.Plan
-	var err error
 	switch strings.ToLower(*strategy) {
 	case "cmqo":
 		var p *core.Plan
-		p, err = o.Optimize(queries, est)
+		p, err = fx.Joint()
 		plans = []*core.Plan{p}
 	case "fs", "ss":
-		plans, err = o.OptimizeIndividually(queries, est)
+		plans, err = fx.Individual()
 	case "fi", "si":
 		shared = false
-		plans, err = o.OptimizeIndividually(queries, est)
+		plans, err = fx.Individual()
 	default:
 		log.Fatalf("unknown strategy %q", *strategy)
 	}
@@ -114,7 +90,7 @@ func main() {
 			fmt.Print(p)
 		}
 	}
-	topo, err := core.Compile(plans, core.CompileOptions{Shared: shared, Parallelism: *parallelism})
+	topo, err := fx.Compile(shared, plans...)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -123,7 +99,7 @@ func main() {
 	}
 	fmt.Printf("topology: %d stores, %d tasks\n", len(topo.Stores), topo.TotalTasks())
 
-	eng := runtime.New(runtime.Config{Catalog: cat})
+	eng := runtime.New(runtime.Config{Catalog: fx.Catalog})
 	if err := eng.Install(topo, 0); err != nil {
 		log.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 
 func main() {
 	cfg := bench.Fig8Config{
-		Rate:   1500,
+		Rate:   1000,
 		Window: 400 * time.Millisecond,
 		Epoch:  100 * time.Millisecond,
 		Before: time.Second,

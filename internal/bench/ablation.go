@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"clash/internal/core"
-	"clash/internal/ilp"
 	"clash/internal/query"
 	"clash/internal/rng"
 	"clash/internal/runtime"
@@ -28,19 +27,15 @@ type Ablation struct {
 
 // Ablations runs the ablation suite over a random workload drawn from
 // the Sec. VII-C environment.
-func Ablations(relations, nQ, size int, seed uint64, solveLimit time.Duration) ([]Ablation, error) {
-	if solveLimit <= 0 {
-		solveLimit = 10 * time.Second
-	}
+func Ablations(relations, nQ, size int, seed uint64) ([]Ablation, error) {
 	env := workload.NewEnv(relations, 100)
 	qs := env.RandomQueries(nQ, size, seed)
 	est := env.Estimates()
 
-	base := core.Options{
+	base := countedBudget(core.Options{
 		StoreParallelism:       4,
 		NoPartitionConsistency: true,
-		Solver:                 ilp.Options{TimeLimit: solveLimit},
-	}
+	})
 	variants := []struct {
 		name string
 		mod  func(core.Options) core.Options

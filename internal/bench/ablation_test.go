@@ -3,11 +3,10 @@ package bench
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestAblationShapes(t *testing.T) {
-	rows, err := Ablations(10, 12, 3, 5, 5*time.Second)
+	rows, err := Ablations(10, 12, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,94 +1,49 @@
 package bench
 
-// The chaos benchmark backs the fault-tolerance claims with numbers
-// (DESIGN.md §11): a seeded crash-restart-replay sweep across both
-// state backends with task panics and torn WAL tails active — every
-// run byte-compared against an uninterrupted oracle — plus a
-// steady-state throughput measurement of the durability tax (WAL on
-// vs off over the same TPC-H stream), gated in CI at <10%.
+// The chaos sweep backs the fault-tolerance claims with counts
+// (DESIGN.md §11): seeded crash-restart-replay runs across every state
+// configuration with task panics and torn WAL tails active, each
+// byte-compared against an uninterrupted oracle. What durability costs
+// per tuple is the benchmark's to say (cluster-paced,
+// recovery.wal_append_ns_per_tuple).
 
 import (
 	"fmt"
-	gort "runtime"
-	"sort"
-	"strings"
 	"time"
 
-	"clash/internal/broker"
-	"clash/internal/core"
-	"clash/internal/ilp"
-	"clash/internal/recovery"
-	"clash/internal/runtime"
 	"clash/internal/sim"
-	"clash/internal/tpch"
-	"clash/internal/tuple"
 )
 
 // ChaosConfig parameterizes the chaos run.
 type ChaosConfig struct {
-	SF    float64 // TPC-H scale factor for the overhead runs (default 0.0002)
-	Seeds int     // crash seeds per backend (default 16)
-	Seed  uint64  // workload/data seed (default 42)
-	// CheckpointEvery is the incremental-checkpoint cadence of the
-	// overhead measurement (default 64, the engine default).
-	CheckpointEvery int
+	Seeds int // crash seeds per state configuration (default 16)
 	// Quick shrinks the sweep for smoke runs.
 	Quick bool
 }
 
 func (c *ChaosConfig) fill() {
-	if c.SF == 0 {
-		c.SF = 0.0002
-	}
 	if c.Seeds == 0 {
 		c.Seeds = 16
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	if c.CheckpointEvery == 0 {
-		c.CheckpointEvery = 64
 	}
 	if c.Quick {
 		c.Seeds = 4
 	}
 }
 
-// ChaosResult summarizes the sweep and the durability tax.
+// ChaosResult summarizes the sweep.
 type ChaosResult struct {
 	Runs       int           // crash-recovery runs verified exactly-once
-	Seeds      int           // seeds per backend
+	Seeds      int           // seeds per state configuration
 	SweepTime  time.Duration // wall time of the whole sweep
 	CrashTuple int           // stream length of each crash run
-
-	Records       int     // TPC-H records per overhead run
-	BaselineNsPer float64 // ns/tuple without durability
-	WALNsPer      float64 // ns/tuple with write-ahead logging only
-	// OverheadPct is the write-ahead-logging tax on the ingest path —
-	// the per-tuple cost of durability itself, gated in CI at <10%.
-	OverheadPct float64
-	// DurableNsPer and DurableOverheadPct add incremental checkpoints
-	// at the measured cadence. Checkpoint cost is a tunable
-	// durability-vs-replay-time tradeoff (cadence, epoch granularity),
-	// reported so regressions are visible but not gated.
-	DurableNsPer       float64
-	DurableOverheadPct float64
-	WALBytes           int64 // log volume of the measured run
-	CheckpointBytes    int64 // checkpoint volume of the measured run
-	Checkpoints        int   // checkpoints taken during the measured run
 }
 
-// Chaos runs the crash sweep and the overhead measurement. Any seed
-// whose recovered output deviates from its oracle by one byte fails
-// the whole benchmark; the overhead gate is the caller's (clash-bench
-// exits non-zero above 10%).
+// Chaos runs the crash sweep: per-seed stream, crash point, torn tail
+// and panic schedule. Any seed whose recovered output deviates from its
+// oracle by one byte fails the whole run.
 func Chaos(cfg ChaosConfig) (ChaosResult, error) {
 	cfg.fill()
-	var res ChaosResult
-	res.Seeds = cfg.Seeds
-
-	// Crash-restart-replay sweep: per-seed stream, crash point, torn
-	// tail, and panic schedule, across both state backends.
+	res := ChaosResult{Seeds: cfg.Seeds}
 	base := sim.CrashScenario{
 		Scenario: sim.Scenario{
 			Workload: "q1: R(a) S(a,b) T(b)\nq2: S(b) T(b,c) U(c)",
@@ -108,131 +63,11 @@ func Chaos(cfg ChaosConfig) (ChaosResult, error) {
 	}
 	res.Runs = runs
 	res.SweepTime = time.Since(sweepStart)
-
-	// Durability tax: the same TPC-H multi-query stream through the
-	// same topology, with and without the WAL + checkpoint journal.
-	queries := tpch.Fig7Queries()
-	cat := tpch.Catalog()
-	tables := involvedTables(queries)
-	b := broker.New()
-	if err := tpch.FillBroker(b, cfg.SF, cfg.Seed, tuple.Duration(time.Second), tables); err != nil {
-		return res, err
-	}
-	records := b.Interleave(tables...)
-	res.Records = len(records)
-
-	est := EstimateFromRecords(cat, queries, records, time.Second)
-	opts := core.Options{
-		StoreParallelism: 2,
-		Solver:           ilp.Options{TimeLimit: 3 * time.Second},
-	}
-	plan, err := core.NewOptimizer(opts).Optimize(queries, est)
-	if err != nil {
-		return res, err
-	}
-	topo, err := core.Compile([]*core.Plan{plan}, core.CompileOptions{Shared: true, Parallelism: 2})
-	if err != nil {
-		return res, err
-	}
-
-	// mode: 0 = baseline (no journal), 1 = WAL only (checkpoints never
-	// come due), 2 = WAL + incremental checkpoints at the cadence.
-	run := func(mode int) (float64, recovery.ManagerStats, error) {
-		var mgr *recovery.Manager
-		// Epochs are the granularity of incremental checkpoints: closed
-		// epochs keep their fingerprints and are never re-emitted, so
-		// each checkpoint writes only the hot epoch's delta. A single
-		// giant epoch would degenerate every checkpoint into a full
-		// snapshot — that is a misconfiguration, not the design point.
-		// The broker compresses the whole stream into ~1s of event
-		// time; 40ms epochs give ~25 epochs across the run.
-		rcfg := runtime.Config{Catalog: cat, Synchronous: true, EpochLength: 40 * time.Millisecond}
-		if mode > 0 {
-			every := cfg.CheckpointEvery
-			if mode == 1 {
-				every = len(records) * 2 // never due
-			}
-			var err error
-			mgr, err = recovery.NewManager(recovery.NewMemStorage(), recovery.Config{CheckpointEvery: every})
-			if err != nil {
-				return 0, recovery.ManagerStats{}, err
-			}
-			rcfg.Journal = mgr
-		}
-		eng := runtime.New(rcfg)
-		defer eng.Stop()
-		if mgr != nil {
-			mgr.Bind(eng)
-		}
-		if err := eng.Install(topo, 0); err != nil {
-			return 0, recovery.ManagerStats{}, err
-		}
-		start := time.Now()
-		for _, r := range records {
-			if err := eng.Ingest(r.Relation, r.TS, r.Vals...); err != nil {
-				return 0, recovery.ManagerStats{}, err
-			}
-			if mgr != nil {
-				if err := mgr.MaybeCheckpoint(); err != nil {
-					return 0, recovery.ManagerStats{}, err
-				}
-			}
-		}
-		eng.Drain()
-		nsPer := float64(time.Since(start).Nanoseconds()) / float64(len(records))
-		var js recovery.ManagerStats
-		if mgr != nil {
-			js = mgr.Stats()
-		}
-		return nsPer, js, nil
-	}
-
-	// Best-of-N with the modes interleaved per round: the runs are tens
-	// of milliseconds each and the gate compares two of them, so the
-	// enemies are scheduler noise and ordering bias (a later mode
-	// paying the GC debt of an earlier one's discarded state). A GC
-	// before each timed run levels the field; the minimum is the
-	// measurement least polluted by interference.
-	const reps = 5
-	times := [3][]float64{}
-	var js recovery.ManagerStats
-	for i := 0; i < reps; i++ {
-		for mode := 0; mode < 3; mode++ {
-			gort.GC()
-			ns, s, err := run(mode)
-			if err != nil {
-				return res, fmt.Errorf("bench: overhead run (mode %d): %w", mode, err)
-			}
-			times[mode] = append(times[mode], ns)
-			if mode == 2 {
-				js = s
-			}
-		}
-	}
-	for mode := range times {
-		sort.Float64s(times[mode])
-	}
-	res.BaselineNsPer = times[0][0]
-	res.WALNsPer = times[1][0]
-	res.DurableNsPer = times[2][0]
-	res.WALBytes = js.WALBytes
-	res.CheckpointBytes = js.CheckpointBytes
-	res.Checkpoints = js.Checkpoints
-	res.OverheadPct = (res.WALNsPer - res.BaselineNsPer) / res.BaselineNsPer * 100
-	res.DurableOverheadPct = (res.DurableNsPer - res.BaselineNsPer) / res.BaselineNsPer * 100
 	return res, nil
 }
 
 // FormatChaos renders the chaos summary.
 func FormatChaos(r ChaosResult) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-32s %d (%d seeds x 2 backends, %d tuples each, %.2fs)\n",
+	return fmt.Sprintf("%-32s %d (%d seeds per state configuration, %d tuples each, %.2fs)\n",
 		"crash runs exactly-once", r.Runs, r.Seeds, r.CrashTuple, r.SweepTime.Seconds())
-	fmt.Fprintf(&sb, "%-32s %d\n", "overhead-run records", r.Records)
-	fmt.Fprintf(&sb, "%-32s %.0f ns/tuple\n", "baseline (no durability)", r.BaselineNsPer)
-	fmt.Fprintf(&sb, "%-32s %.0f ns/tuple (%.1f%%, gated)\n", "write-ahead logging", r.WALNsPer, r.OverheadPct)
-	fmt.Fprintf(&sb, "%-32s %.0f ns/tuple (%.1f%%)\n", "+ incremental checkpoints", r.DurableNsPer, r.DurableOverheadPct)
-	fmt.Fprintf(&sb, "%-32s %d WAL / %d checkpoint (%d checkpoints)\n",
-		"bytes journaled", r.WALBytes, r.CheckpointBytes, r.Checkpoints)
-	return sb.String()
 }

@@ -22,8 +22,8 @@ type ChurnConfig struct {
 	Seed      uint64
 	Steps     int // churn steps per query count (default 5)
 	// MaxNodes bounds each BnB solve by explored nodes instead of wall
-	// time, so both arms are deterministic and the -compare gate can
-	// require exact plan costs (default 200k).
+	// time, so both arms are deterministic and plan costs repeat exactly
+	// (default 200k).
 	MaxNodes int
 	// Parallel fixes the BnB worker count; parallel node evaluation is
 	// deterministic when no TimeLimit is set (default 4).
@@ -62,19 +62,19 @@ func (c *ChurnConfig) fill() {
 	}
 }
 
-// ChurnResult is one query-count row of the churn series, serialized
-// into BENCH_fig7.json: plan costs are deterministic in the config and
-// gated exactly; wall times are gated at the regression threshold.
+// ChurnResult is one query-count row of the churn series: plan costs,
+// node counts and the memo hit rate are deterministic in the config;
+// the wall times are printed only.
 type ChurnResult struct {
-	NQ              int     `json:"nq"`
-	Steps           int     `json:"steps"`
-	ScratchWallNS   int64   `json:"scratch_wall_ns"`
-	IncrementalWall int64   `json:"incremental_wall_ns"`
-	ScratchNodes    int     `json:"scratch_nodes"`
-	IncrementalNode int     `json:"incremental_nodes"`
-	MemoHitRate     float64 `json:"memo_hit_rate"`
-	ScratchCost     float64 `json:"scratch_cost"`
-	IncrementalCost float64 `json:"incremental_cost"`
+	NQ              int
+	Steps           int
+	ScratchWallNS   int64
+	IncrementalWall int64
+	ScratchNodes    int
+	IncrementalNode int
+	MemoHitRate     float64
+	ScratchCost     float64
+	IncrementalCost float64
 }
 
 // Speedup is the scratch/incremental optimizer wall-time ratio.

@@ -51,15 +51,14 @@ func (c *ClusterBenchConfig) defaults() {
 	}
 }
 
-// ClusterBenchResult is one shard count's run, as serialized into the
-// BENCH_fig7.json cluster section.
+// ClusterBenchResult is one shard count's run.
 type ClusterBenchResult struct {
-	Shards           int     `json:"shards"`
-	IngestNsPerTuple float64 `json:"ingest_ns_per_tuple"`
-	ThroughputTPS    float64 `json:"throughput_tps"`
-	Imbalance        float64 `json:"imbalance"` // max/mean routed tuples per shard
-	AdmissionDrops   int64   `json:"admission_drops"`
-	Results          int64   `json:"results"`
+	Shards           int
+	IngestNsPerTuple float64
+	ThroughputTPS    float64
+	Imbalance        float64 // max/mean routed tuples per shard
+	AdmissionDrops   int64
+	Results          int64
 }
 
 // ClusterBench sweeps the cluster sizes over the identical stream and

@@ -2,24 +2,34 @@
 // evaluation section: the TPC-H multi-query comparison (Fig. 7), the
 // adaptive execution time series (Fig. 8), and the ILP scaling study
 // (Fig. 9). Each experiment returns printable series; cmd/clash-bench
-// and the repository-level benchmarks drive them.
+// prints them. The series carry clock readings for the printer, but
+// nothing here or in this package's tests compares one: timings are
+// judged by benchmark/ alone.
 package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
-	"clash/internal/broker"
 	"clash/internal/core"
-	"clash/internal/ilp"
-	"clash/internal/query"
 	"clash/internal/runtime"
-	"clash/internal/stats"
+	"clash/internal/topology"
 	"clash/internal/tpch"
-	"clash/internal/tuple"
 )
+
+// solveNodes bounds every solve of the experiments that do not plan
+// through tpch.Fixture (Figs. 8 and 9, the ablations): a count of
+// explored nodes, never a clock, and the warm start is counted too — so
+// an experiment's plans, and the counts derived from them, repeat on
+// any machine.
+const solveNodes = 20_000
+
+func countedBudget(o core.Options) core.Options {
+	o.DeterministicWarmStart = true
+	o.Solver.MaxNodes = solveNodes
+	return o
+}
 
 // Strategy names the five processing strategies of Fig. 7 (Sec. VII-A).
 type Strategy string
@@ -53,10 +63,9 @@ func overheadLoops(s Strategy) int {
 
 // Fig7Config parameterizes the TPC-H multi-query experiment.
 type Fig7Config struct {
-	SF          float64       // TPC-H scale factor (paper: 10; default 0.002)
-	NumQueries  int           // 5 or 10 (Fig. 7a workloads)
-	Parallelism int           // store parallelism (default 2)
-	Span        time.Duration // logical stream span (default 1s)
+	SF          float64 // TPC-H scale factor (paper: 10; default 0.002)
+	NumQueries  int     // 5 or 10 (Fig. 7a workloads)
+	Parallelism int     // store parallelism (default 2)
 	Seed        uint64
 }
 
@@ -70,9 +79,6 @@ func (c *Fig7Config) fill() {
 	if c.Parallelism == 0 {
 		c.Parallelism = 2
 	}
-	if c.Span == 0 {
-		c.Span = time.Second
-	}
 	if c.Seed == 0 {
 		c.Seed = 42
 	}
@@ -83,7 +89,6 @@ type Fig7Result struct {
 	Strategy      Strategy
 	ThroughputTPS float64       // Fig. 7b
 	MemoryBytes   int64         // Fig. 7c — resident state incl. index overhead
-	IndexBytes    int64         // index-overhead portion of MemoryBytes
 	AvgLatency    time.Duration // Fig. 7d
 	ProbeTuples   int64
 	Candidates    int64 // stored rows the local indices handed those probes (Snapshot.ProbeCandidates)
@@ -91,105 +96,69 @@ type Fig7Result struct {
 	Results       int64
 	EvictedEpochs int64 // must stay 0: the Fig. 7 workload fits in memory
 	Stores        int
-	WallTime      time.Duration
+}
+
+// fig7Setup is the Fig. 7 workload with its plans solved once: the
+// per-query plans the four baseline strategies share and the joint
+// CMQO plan.
+type fig7Setup struct {
+	*tpch.Fixture
+	individual []*core.Plan
+	joint      *core.Plan
+}
+
+func newFig7Setup(cfg Fig7Config) (*fig7Setup, error) {
+	queries := tpch.Fig7Queries()
+	if cfg.NumQueries >= 10 {
+		queries = tpch.Fig7TenQueries()
+	}
+	fx, err := tpch.NewFixture(queries, cfg.SF, cfg.Seed, cfg.Parallelism)
+	if err != nil {
+		return nil, err
+	}
+	s := &fig7Setup{Fixture: fx}
+	if s.individual, err = fx.Individual(); err != nil {
+		return nil, err
+	}
+	if s.joint, err = fx.Joint(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// topology compiles the plans a strategy deploys.
+func (s *fig7Setup) topology(st Strategy) (*topology.Config, error) {
+	if st == CLASHMQO {
+		return s.Compile(true, s.joint)
+	}
+	return s.Compile(st == FlinkShared || st == StormShared, s.individual...)
 }
 
 // Fig7 runs all five strategies over the TPC-H workload and reports one
 // result per strategy.
 func Fig7(cfg Fig7Config) ([]Fig7Result, error) {
 	cfg.fill()
-	queries := tpch.Fig7Queries()
-	if cfg.NumQueries >= 10 {
-		queries = tpch.Fig7TenQueries()
-	}
-	cat := tpch.Catalog()
-
-	// Data: generate once, interleave once.
-	tables := involvedTables(queries)
-	b := broker.New()
-	if err := tpch.FillBroker(b, cfg.SF, cfg.Seed, tuple.Duration(cfg.Span), tables); err != nil {
-		return nil, err
-	}
-	records := b.Interleave(tables...)
-
-	est := EstimateFromRecords(cat, queries, records, cfg.Span)
-
-	// Per-query plans are shared by the four baseline strategies; the
-	// CMQO plan is solved once.
-	opts := core.Options{
-		StoreParallelism: cfg.Parallelism,
-		Solver:           ilp.Options{TimeLimit: 3 * time.Second},
-	}
-	o := core.NewOptimizer(opts)
-	individual, err := o.OptimizeIndividually(queries, est)
+	setup, err := newFig7Setup(cfg)
 	if err != nil {
 		return nil, err
 	}
-	joint, err := o.Optimize(queries, est)
-	if err != nil {
-		return nil, err
-	}
+	return setup.run()
+}
 
+func (s *fig7Setup) run() ([]Fig7Result, error) {
 	var out []Fig7Result
-	for _, s := range Strategies() {
-		plans := individual
-		if s == CLASHMQO {
-			plans = []*core.Plan{joint}
-		}
-		r, err := runFig7Strategy(s, plans, cat, records, cfg)
+	for _, st := range Strategies() {
+		r, err := runFig7Strategy(st, s)
 		if err != nil {
-			return nil, fmt.Errorf("bench: strategy %s: %w", s, err)
+			return nil, fmt.Errorf("bench: strategy %s: %w", st, err)
 		}
 		out = append(out, r)
 	}
 	return out, nil
 }
 
-func involvedTables(queries []*query.Query) []string {
-	set := map[string]bool{}
-	for _, q := range queries {
-		for _, r := range q.Relations {
-			set[r] = true
-		}
-	}
-	var out []string
-	for r := range set {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// EstimateFromRecords runs the statistics pipeline over a record stream,
-// exactly as the adaptive controller would: rates from counts,
-// selectivities from reservoir-sample joins. Exposed for cmd/clash-run.
-func EstimateFromRecords(cat *query.Catalog, queries []*query.Query, records []broker.Record, span time.Duration) *stats.Estimates {
-	col := stats.NewCollector(512, 256, 7)
-	schemas := map[string]*tuple.Schema{}
-	for _, name := range cat.Names() {
-		rel := cat.Relation(name)
-		qualified := rel.QualifiedAttrs()
-		schemas[name] = tuple.NewSchema(qualified...)
-	}
-	for _, r := range records {
-		col.Observe(r.Relation, tuple.New(schemas[r.Relation], r.TS, r.Vals...))
-	}
-	var preds []query.Predicate
-	seen := map[string]bool{}
-	for _, q := range queries {
-		for _, p := range q.Preds {
-			if !seen[p.String()] {
-				seen[p.String()] = true
-				preds = append(preds, p)
-			}
-		}
-	}
-	return col.Seal(span, preds)
-}
-
-func runFig7Strategy(s Strategy, plans []*core.Plan, cat *query.Catalog, records []broker.Record, cfg Fig7Config) (Fig7Result, error) {
-	shared := s == FlinkShared || s == StormShared || s == CLASHMQO
-	topo, err := core.Compile(plans, core.CompileOptions{Shared: shared, Parallelism: cfg.Parallelism})
+func runFig7Strategy(s Strategy, setup *fig7Setup) (Fig7Result, error) {
+	topo, err := setup.topology(s)
 	if err != nil {
 		return Fig7Result{}, err
 	}
@@ -199,7 +168,7 @@ func runFig7Strategy(s Strategy, plans []*core.Plan, cat *query.Catalog, records
 	// serialized handling work (messages × per-message cost) — exactly
 	// the quantity the probe-cost model optimizes.
 	eng := runtime.New(runtime.Config{
-		Catalog:       cat,
+		Catalog:       setup.Catalog,
 		OverheadLoops: overheadLoops(s),
 		Synchronous:   true,
 	})
@@ -209,7 +178,7 @@ func runFig7Strategy(s Strategy, plans []*core.Plan, cat *query.Catalog, records
 	defer eng.Stop()
 
 	start := time.Now()
-	for _, r := range records {
+	for _, r := range setup.Records {
 		if err := eng.Ingest(r.Relation, r.TS, r.Vals...); err != nil {
 			return Fig7Result{}, err
 		}
@@ -222,7 +191,6 @@ func runFig7Strategy(s Strategy, plans []*core.Plan, cat *query.Catalog, records
 		Strategy:      s,
 		ThroughputTPS: float64(m.Ingested) / wall.Seconds(),
 		MemoryBytes:   m.StoreBytes,
-		IndexBytes:    m.IndexBytes,
 		AvgLatency:    m.AvgLatency,
 		ProbeTuples:   m.ProbeSent,
 		Candidates:    m.ProbeCandidates,
@@ -230,7 +198,6 @@ func runFig7Strategy(s Strategy, plans []*core.Plan, cat *query.Catalog, records
 		Results:       m.Results,
 		EvictedEpochs: m.EvictedEpochs,
 		Stores:        len(topo.Stores),
-		WallTime:      wall,
 	}, nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"clash/internal/core"
-	"clash/internal/ilp"
 	"clash/internal/workload"
 )
 
@@ -19,11 +18,6 @@ type Fig9Config struct {
 	QuerySize   int     // relations per query (default 3)
 	Parallelism int     // store parallelism (default 4)
 	Seed        uint64
-	// SolveLimit bounds each ILP solve; runs hitting it report the
-	// incumbent (status "limit"). Gurobi needs no such bound at these
-	// sizes; our propagation-based solver does for the largest shared
-	// instances (see EXPERIMENTS.md).
-	SolveLimit time.Duration
 	// CapCandidates caps decorated candidates per group (0 = off),
 	// trading optimality for build/solve time on size-5 queries.
 	CapCandidates int
@@ -45,9 +39,21 @@ func (c *Fig9Config) fill() {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.SolveLimit == 0 {
-		c.SolveLimit = 20 * time.Second
-	}
+}
+
+// options is the optimizer configuration of every Fig. 9 solve. Each
+// is bounded by solveNodes; a run that exhausts the budget reports the
+// incumbent (status "limit"). Gurobi needs no such bound at these sizes;
+// our propagation-based solver does for the largest shared instances.
+func (c *Fig9Config) options() core.Options {
+	return countedBudget(core.Options{
+		StoreParallelism:      c.Parallelism,
+		MaxCandidatesPerGroup: c.CapCandidates,
+		// The paper's Sec. V formulation: partition-decorated
+		// candidates without cross-query consistency rows. This is
+		// what Fig. 9 evaluates, and it guarantees MQO ≤ Individual.
+		NoPartitionConsistency: true,
+	})
 }
 
 // Fig9Point is one x-position of Figs. 9a–9e.
@@ -71,16 +77,7 @@ func Fig9Cost(cfg Fig9Config, nQs []int) ([]Fig9Point, error) {
 	var out []Fig9Point
 	for _, nQ := range nQs {
 		qs := env.RandomQueries(nQ, cfg.QuerySize, cfg.Seed)
-		opts := core.Options{
-			StoreParallelism:      cfg.Parallelism,
-			MaxCandidatesPerGroup: cfg.CapCandidates,
-			// The paper's Sec. V formulation: partition-decorated
-			// candidates without cross-query consistency rows. This is
-			// what Fig. 9 evaluates, and it guarantees MQO ≤ Individual.
-			NoPartitionConsistency: true,
-			Solver:                 ilp.Options{TimeLimit: cfg.SolveLimit},
-		}
-		o := core.NewOptimizer(opts)
+		o := core.NewOptimizer(cfg.options())
 		indiv, err := o.IndividualCost(qs, est)
 		if err != nil {
 			return nil, fmt.Errorf("bench: fig9 individual nQ=%d: %w", nQ, err)
@@ -123,13 +120,7 @@ func Fig9QuerySizes(cfg Fig9Config, sizes []int, nQs []int) ([]Fig9SizePoint, er
 	for _, size := range sizes {
 		for _, nQ := range nQs {
 			qs := env.RandomQueries(nQ, size, cfg.Seed)
-			opts := core.Options{
-				StoreParallelism:       cfg.Parallelism,
-				MaxCandidatesPerGroup:  cfg.CapCandidates,
-				NoPartitionConsistency: true,
-				Solver:                 ilp.Options{TimeLimit: cfg.SolveLimit},
-			}
-			plan, err := core.NewOptimizer(opts).Optimize(qs, est)
+			plan, err := core.NewOptimizer(cfg.options()).Optimize(qs, est)
 			if err != nil {
 				return nil, fmt.Errorf("bench: fig9f size=%d nQ=%d: %w", size, nQ, err)
 			}

@@ -8,8 +8,9 @@ package bench
 // runs three stages:
 //
 //   probe — a preloaded long-window store is probed with a skewed key
-//           mix (mostly misses, periodic hot hits), measuring ns/op
-//           and allocs/op through testing.Benchmark;
+//           mix (mostly misses, periodic hot hits), counting allocs,
+//           candidates and filter rejects per probe (and reading ns/op
+//           for the printed column) through testing.Benchmark;
 //   prune — a sliding window advances one tuple at a time over a full
 //           store, measuring the incremental insert+prune cycle. Both
 //           backends skip epochs wholly inside the window by their min
@@ -19,8 +20,9 @@ package bench
 //           must die with ErrMemoryLimit (the seed behaviour), under
 //           EvictOldestEpoch it must survive with counted drops.
 //
-// clash-bench -fig longstate prints the per-backend numbers and -json
-// carries them alongside the Fig. 7 series for tracking across PRs.
+// clash-bench -fig longstate prints the per-backend numbers. The ns/op
+// columns are printed, never compared: the timed twin of this scenario
+// is the benchmark's longstate-probe workload.
 
 import (
 	"errors"
@@ -74,57 +76,54 @@ func (c *LongStateConfig) fill() {
 	}
 }
 
-// LongStateResult is one backend's run of all three stages. The json
-// tags shape the -json output tracked across PRs alongside the Fig. 7
-// series.
+// LongStateResult is one backend's run of all three stages.
 type LongStateResult struct {
-	Backend string `json:"backend"`
+	Backend string
 
 	// Store footprint after the probe-stage preload.
-	Stored     int64 `json:"stored"`      // resident tuples
-	StateBytes int64 `json:"state_bytes"` // accounted resident bytes (payload+structure+index)
-	IndexBytes int64 `json:"index_bytes"` // index-overhead portion
-	HeapBytes  int64 `json:"heap_bytes"`  // measured heap growth attributable to the store (RSS proxy)
+	Stored     int64 // resident tuples
+	StateBytes int64 // accounted resident bytes (payload+structure+index)
+	IndexBytes int64 // index-overhead portion
+	HeapBytes  int64 // measured heap growth attributable to the store (RSS proxy)
 
-	ProbeNsOp     int64   `json:"probe_ns_op"`     // probe stage: one skewed probe into the long store
-	ProbeAllocsOp int64   `json:"probe_allocs_op"` //
-	ProbeMatches  float64 `json:"probe_matches"`   // join results per probe (non-vacuity)
-	ProbeCands    float64 `json:"probe_cands"`     // stored rows the index handed each probe (≥ matches; the gap is index imprecision)
-	ProbeRejects  float64 `json:"probe_rejects"`   // per-epoch index lookups the index filters spared each probe
+	ProbeNsOp     int64 // probe stage: one skewed probe into the long store
+	ProbeAllocsOp int64
+	ProbeMatches  float64 // join results per probe (non-vacuity)
+	ProbeCands    float64 // stored rows the index handed each probe (≥ matches; the gap is index imprecision)
+	ProbeRejects  float64 // per-epoch index lookups the index filters spared each probe
 
-	PruneNsOp     int64 `json:"prune_ns_op"`     // prune stage: one insert + sliding-window prune cycle
-	PruneAllocsOp int64 `json:"prune_allocs_op"` //
+	PruneNsOp     int64 // prune stage: one insert + sliding-window prune cycle
+	PruneAllocsOp int64
 
 	// Eviction stage (budget = StateBytes/3 of this backend's build).
-	FailDiedAt    int   `json:"fail_died_at"`             // tuple index where EvictFail hit ErrMemoryLimit (-1: never — a failure)
-	EvictSurvived bool  `json:"evict_survived"`           // EvictOldestEpoch finished the same stream
-	EvictedEpochs int64 `json:"evicted_epochs"`           // epochs shed at the budget (tiered: must stay 0 — it demotes instead)
-	EvictedTuples int64 `json:"evicted_tuples"`           //
-	EvictResults  int64 `json:"evict_results"`            // results the surviving run still produced
-	DemotedEpochs int64 `json:"demoted_epochs,omitempty"` // tiered eviction stage: epochs spilled instead of shed
+	FailDiedAt    int   // tuple index where EvictFail hit ErrMemoryLimit (-1: never — a failure)
+	EvictSurvived bool  // EvictOldestEpoch finished the same stream
+	EvictedEpochs int64 // epochs shed at the budget (tiered: must stay 0 — it demotes instead)
+	EvictedTuples int64
+	EvictResults  int64 // results the surviving run still produced
+	DemotedEpochs int64 // tiered eviction stage: epochs spilled instead of shed
 
 	// Tiered stage (tiered row only): a 10× window under a hot
 	// budget sized from the 1× resident footprint — a store no
 	// in-memory backend survives on that budget.
-	Tiered *TieredStageResult `json:"tiered,omitempty"`
+	Tiered *TieredStageResult
 }
 
-// TieredStageResult is the 10×-window tiered run tracked in
-// BENCH_fig7.json: the resident/spilled split, the tier traffic, and
-// the cold-probe cost. EvictedTuples is gated at exactly zero — the
-// whole point of the tier is surviving the budget without touching the
-// answer.
+// TieredStageResult is the 10×-window tiered run: the resident/spilled
+// split, the tier traffic, and the cold-probe cost. EvictedTuples must
+// be exactly zero — the whole point of the tier is surviving the budget
+// without touching the answer.
 type TieredStageResult struct {
-	WindowTuples   int64 `json:"window_tuples"`    // stored tuples (10× the probe stage)
-	HotBudget      int64 `json:"hot_budget"`       // Config.StateHotBytes for the run
-	ResidentBytes  int64 `json:"resident_bytes"`   // accounted resident bytes after the run
-	SpilledBytes   int64 `json:"spilled_bytes"`    // live cold payload on disk
-	DemotedEpochs  int64 `json:"demoted_epochs"`   //
-	PromotedEpochs int64 `json:"promoted_epochs"`  //
-	ColdProbeNsOp  int64 `json:"cold_probe_ns_op"` // skewed probe against the mostly-cold store
-	ColdHits       int64 `json:"cold_hits"`        // cold probes that consulted disk
-	ColdMisses     int64 `json:"cold_misses"`      // cold probes dismissed by cut/Bloom
-	EvictedTuples  int64 `json:"evicted_tuples"`   // gated absolutely at 0
+	WindowTuples   int64 // stored tuples (10× the probe stage)
+	HotBudget      int64 // Config.StateHotBytes for the run
+	ResidentBytes  int64 // accounted resident bytes after the run
+	SpilledBytes   int64 // live cold payload on disk
+	DemotedEpochs  int64
+	PromotedEpochs int64
+	ColdProbeNsOp  int64 // skewed probe against the mostly-cold store
+	ColdHits       int64 // cold probes that consulted disk
+	ColdMisses     int64 // cold probes dismissed by cut/Bloom
+	EvictedTuples  int64 // must be 0
 }
 
 // StateConfig re-exports the state-matrix row type so cmd/clash-bench

@@ -1,25 +1,23 @@
 package bench
 
-import (
-	"testing"
+import "testing"
 
-	"clash/internal/sim"
-)
-
-// TestLongStateShootout runs the long-state benchmark end to end at a
-// reduced scale and checks the headline claims of DESIGN.md §10: the
-// columnar backend probes within 1.15× of the container baseline's
-// ns/op and prunes within 1.15× either way (both walk the same index
-// kernel, and both prune only the boundary epoch) with equal-or-fewer
-// allocations and index bytes within 10 % of the container's; the
-// eviction stage kills EvictFail on every row of the state matrix while
-// EvictOldestEpoch survives — by counted drops on
-// the container and columnar rows, by lossless demotion on the tiered
-// one (the columnar store with its spill tier on); and the tiered row
-// holds a 10× window under the 1× resident budget with zero evictions.
+// TestLongStateShootout runs the long-state scenario end to end at a
+// reduced scale and checks the counted claims of DESIGN.md §10: the
+// columnar backend probes and prunes with equal-or-fewer allocations
+// than the container baseline and index bytes within 10 % of it (both
+// walk the same index kernel), the index hands a probe at most 1.10
+// candidates per match on every row; the eviction stage kills EvictFail
+// on every row of the state matrix while EvictOldestEpoch survives — by
+// counted drops on the container and columnar rows, by lossless
+// demotion on the tiered one (the columnar store with its spill tier
+// on); and the tiered row holds a 10× window under the 1× resident
+// budget with zero evictions. No ns/op is compared: what a probe or a
+// prune costs in time is the benchmark's to judge (longstate-probe,
+// runtime.probe_ns_per_tuple / runtime.prune_ns_per_tuple).
 func TestLongStateShootout(t *testing.T) {
 	if testing.Short() {
-		t.Skip("longstate shoot-out runs in the CI bench-smoke step")
+		t.Skip("three backends × four stages; the non-short test job runs it")
 	}
 	cfg := LongStateConfig{Tuples: 8000, PruneWindow: 2048}
 	res, err := LongState(cfg)
@@ -74,60 +72,16 @@ func TestLongStateShootout(t *testing.T) {
 	}
 	// Hot-path parity: with everything resident (the probe stage's hot
 	// budget never binds) the tiered row is the columnar row plus the
-	// tier's end-of-dispatch check, so its probe cost must stay in
-	// columnar's neighborhood. The band is wide — the suite runs packages in
-	// parallel, and a loaded machine skews a 13µs benchmark well past
-	// real parity; the clash-bench baseline gate (compareLongState at
-	// -regress-pct) is where the tight comparison lives.
-	if float64(trd.ProbeNsOp) > 1.5*float64(col.ProbeNsOp) {
-		t.Errorf("tiered hot probe beyond noise of columnar: %d > 1.5×%d ns/op", trd.ProbeNsOp, col.ProbeNsOp)
-	}
+	// tier's end-of-dispatch check, which may not allocate.
 	if trd.ProbeAllocsOp > col.ProbeAllocsOp {
 		t.Errorf("tiered hot probe allocates more than columnar: %d > %d allocs/op", trd.ProbeAllocsOp, col.ProbeAllocsOp)
 	}
-	// The perf claims. Alloc budgets and byte accounting are
-	// deterministic and asserted exactly.
+	// Alloc budgets and byte accounting are deterministic.
 	if col.ProbeAllocsOp > ctr.ProbeAllocsOp {
 		t.Errorf("columnar probe allocates more: %d > %d allocs/op", col.ProbeAllocsOp, ctr.ProbeAllocsOp)
 	}
 	if col.PruneAllocsOp > ctr.PruneAllocsOp {
 		t.Errorf("columnar prune allocates more: %d > %d allocs/op", col.PruneAllocsOp, ctr.PruneAllocsOp)
-	}
-	// The ns/op comparisons are real timing. The columnar probe must stay
-	// within 1.15× of the container's. Prune is a band, not an order: the
-	// container drops, skips and compacts by its min/max event time
-	// exactly like the ring, so either side leaving 1.15× of the other
-	// means one of them lost that (a container that rescans every entry
-	// measured 2.1–3.0× the ring here). On one index kernel the two rows
-	// sit within a few percent of each other — the container on its map
-	// index trailed by 15–20 % — and one round cannot resolve 15 % around
-	// parity on a shared host: back-to-back rounds of these two rows put
-	// columnar/container anywhere in 0.80–1.35 on probe and 0.79–1.46 on
-	// prune (24 rounds on a quiet two-core box, 7 and 11 of them outside
-	// the bands). A regression shows in every round, noise does not, so a
-	// bound that fails is re-measured — these two rows, up to seven more
-	// rounds — and holds if any back-to-back round meets it.
-	ratios := func(ctr, col LongStateResult) (probe, prune float64) {
-		return float64(col.ProbeNsOp) / float64(ctr.ProbeNsOp), float64(col.PruneNsOp) / float64(ctr.PruneNsOp)
-	}
-	probeOK, pruneOK := false, false
-	for round, pair := 0, res[:2]; ; round++ {
-		probe, prune := ratios(pair[0], pair[1])
-		t.Logf("round %d: columnar/container ns/op: probe %.3f, prune %.3f", round, probe, prune)
-		probeOK = probeOK || probe <= 1.15
-		pruneOK = pruneOK || (prune <= 1.15 && prune >= 1/1.15)
-		if (probeOK && pruneOK) || round == 7 {
-			break
-		}
-		if pair, err = LongState(cfg, sim.StateConfigs()[:2]...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !probeOK {
-		t.Errorf("columnar probe slower than 1.15× container in every round (first: %d vs %d ns/op)", col.ProbeNsOp, ctr.ProbeNsOp)
-	}
-	if !pruneOK {
-		t.Errorf("columnar and container prune further than 1.15× apart in every round (first: %d vs %d ns/op)", col.PruneNsOp, ctr.PruneNsOp)
 	}
 	// One index kernel: the same stream costs both backends the same
 	// tables and chains, up to the growth steps of their row arrays.

@@ -2,14 +2,8 @@ package bench
 
 import (
 	"testing"
-	"time"
 
-	"clash/internal/broker"
-	"clash/internal/core"
-	"clash/internal/ilp"
 	"clash/internal/runtime"
-	"clash/internal/tpch"
-	"clash/internal/tuple"
 )
 
 // TestFig7ExecutionModes cross-checks the two engine substrates on the
@@ -19,7 +13,7 @@ import (
 // ahead of MIR feeding chains can only lose pairs, never duplicate them
 // — the seq ordering assigns each pair to exactly one probe direction).
 func TestFig7ExecutionModes(t *testing.T) {
-	testFig7ExecutionModes(t, 5)
+	testFig7ExecutionModes(t, fig7Five)
 }
 
 // TestFig7TenQueryModes runs the same cross-check on the ten-query
@@ -27,54 +21,26 @@ func TestFig7ExecutionModes(t *testing.T) {
 // across queries — the regression that exposed unsound class-based
 // partition routing (see DESIGN.md §6, deviation 11).
 func TestFig7TenQueryModes(t *testing.T) {
-	testFig7ExecutionModes(t, 10)
+	testFig7ExecutionModes(t, fig7Ten)
 }
 
-func testFig7ExecutionModes(t *testing.T, numQueries int) {
-	cfg := Fig7Config{SF: 0.0002, NumQueries: numQueries}
-	cfg.fill()
-	queries := tpch.Fig7Queries()
-	if numQueries >= 10 {
-		queries = tpch.Fig7TenQueries()
-	}
-	cat := tpch.Catalog()
-	tables := involvedTables(queries)
-	b := broker.New()
-	if err := tpch.FillBroker(b, cfg.SF, cfg.Seed, tuple.Duration(cfg.Span), tables); err != nil {
-		t.Fatal(err)
-	}
-	records := b.Interleave(tables...)
-
-	est := EstimateFromRecords(cat, queries, records, cfg.Span)
-	o := core.NewOptimizer(core.Options{
-		StoreParallelism: cfg.Parallelism,
-		Solver:           ilp.Options{TimeLimit: 3 * time.Second},
-	})
-	individual, err := o.OptimizeIndividually(queries, est)
-	if err != nil {
-		t.Fatal(err)
-	}
-	joint, err := o.Optimize(queries, est)
+func testFig7ExecutionModes(t *testing.T, built func() (*fig7Setup, error)) {
+	setup, err := built()
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	run := func(s Strategy, synchronous bool) map[string]int64 {
-		plans := individual
-		if s == CLASHMQO {
-			plans = []*core.Plan{joint}
-		}
-		shared := s == FlinkShared || s == StormShared || s == CLASHMQO
-		topo, err := core.Compile(plans, core.CompileOptions{Shared: shared, Parallelism: cfg.Parallelism})
+		topo, err := setup.topology(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := runtime.New(runtime.Config{Catalog: cat, Synchronous: synchronous})
+		eng := runtime.New(runtime.Config{Catalog: setup.Catalog, Synchronous: synchronous})
 		if err := eng.Install(topo, 0); err != nil {
 			t.Fatal(err)
 		}
 		defer eng.Stop()
-		for _, r := range records {
+		for _, r := range setup.Records {
 			if err := eng.Ingest(r.Relation, r.TS, r.Vals...); err != nil {
 				t.Fatal(err)
 			}

@@ -6,13 +6,9 @@ import (
 	"strings"
 	"time"
 
-	"clash/internal/broker"
-	"clash/internal/core"
-	"clash/internal/ilp"
 	"clash/internal/runtime"
 	"clash/internal/sim"
 	"clash/internal/tpch"
-	"clash/internal/tuple"
 )
 
 // SimSweepConfig parameterizes the seeded-schedule sweep: the TPC-H
@@ -72,26 +68,13 @@ func SimSweep(cfg SimSweepConfig) (SimSweepResult, error) {
 	var res SimSweepResult
 	res.Backend = cfg.State.Name
 
-	queries := tpch.Fig7Queries()
-	cat := tpch.Catalog()
-	tables := involvedTables(queries)
-	b := broker.New()
-	if err := tpch.FillBroker(b, cfg.SF, cfg.Seed, tuple.Duration(time.Second), tables); err != nil {
-		return res, err
-	}
-	records := b.Interleave(tables...)
-	res.Records = len(records)
-
-	est := EstimateFromRecords(cat, queries, records, time.Second)
-	opts := core.Options{
-		StoreParallelism: 2,
-		Solver:           ilp.Options{TimeLimit: 3 * time.Second},
-	}
-	plan, err := core.NewOptimizer(opts).Optimize(queries, est)
+	fx, err := tpch.NewFixture(tpch.Fig7Queries(), cfg.SF, cfg.Seed, 2)
 	if err != nil {
 		return res, err
 	}
-	topo, err := core.Compile([]*core.Plan{plan}, core.CompileOptions{Shared: true, Parallelism: 2})
+	queries, cat, records := fx.Queries, fx.Catalog, fx.Records
+	res.Records = len(records)
+	topo, err := fx.SharedTopology()
 	if err != nil {
 		return res, err
 	}

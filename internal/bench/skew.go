@@ -49,15 +49,14 @@ func (c *SkewConfig) defaults() {
 	}
 }
 
-// SkewResult is one plan's run over the zipf stream, as serialized into
-// the BENCH_fig7.json skew section.
+// SkewResult is one plan's run over the zipf stream.
 type SkewResult struct {
-	Plan            string  `json:"plan"` // "uniform-cost" | "degree-aware"
-	SplitKeys       int     `json:"split_keys"`
-	ProbeNsPerTuple float64 `json:"probe_ns_per_tuple"`
-	Imbalance       float64 `json:"imbalance"` // max/mean handled tuples per task
-	MaxTaskLoad     int64   `json:"max_task_load"`
-	Results         int64   `json:"results"`
+	Plan            string // "uniform-cost" | "degree-aware"
+	SplitKeys       int
+	ProbeNsPerTuple float64
+	Imbalance       float64 // max/mean handled tuples per task
+	MaxTaskLoad     int64
+	Results         int64
 }
 
 // skewStream materializes the zipf-keyed record stream once; both plans

@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"clash/internal/ilp"
 	"clash/internal/workload"
@@ -12,15 +11,16 @@ func TestWarmStartFeasibleAndBounding(t *testing.T) {
 	// In the paper's formulation (no cross-query partition-consistency
 	// rows) the warm start must be feasible and never worse than the
 	// summed per-query optima, so MQO results can only improve on the
-	// Individual baseline even under solver time limits. (With the
-	// strengthened consistency rows MQO may legitimately exceed the
-	// Individual sum: independent deployments partition their private
-	// stores freely, a shared store must compromise.)
+	// Individual baseline even when a solver budget cuts the search
+	// short. (With the strengthened consistency rows MQO may
+	// legitimately exceed the Individual sum: independent deployments
+	// partition their private stores freely, a shared store must
+	// compromise.)
 	env := workload.NewEnv(10, 100)
 	qs := env.RandomQueries(15, 3, 3)
 	est := env.Estimates()
 	opts := Options{StoreParallelism: 4, NoPartitionConsistency: true,
-		Solver: ilp.Options{TimeLimit: 5 * time.Second}}
+		DeterministicWarmStart: true, Solver: ilp.Options{MaxNodes: 20_000}}
 	b := newBuilder(opts, qs, est)
 	b.enumerateMIRs()
 	if err := b.generateCandidates(); err != nil {
@@ -55,7 +55,7 @@ func TestWarmStartFeasibleAndBounding(t *testing.T) {
 	}
 
 	// The strict mode still produces a feasible warm start.
-	strict := newBuilder(Options{StoreParallelism: 4}, qs, est)
+	strict := newBuilder(Options{StoreParallelism: 4, DeterministicWarmStart: true}, qs, est)
 	strict.enumerateMIRs()
 	if err := strict.generateCandidates(); err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestLocalSearchFindsSharing(t *testing.T) {
 	qs := env.RandomQueries(20, 3, 1)
 	est := env.Estimates()
 	opts := Options{StoreParallelism: 4, NoPartitionConsistency: true,
-		Solver: ilp.Options{TimeLimit: 3 * time.Second}}
+		DeterministicWarmStart: true, Solver: ilp.Options{MaxNodes: 20_000}}
 	b := newBuilder(opts, qs, est)
 	b.enumerateMIRs()
 	if err := b.generateCandidates(); err != nil {
@@ -118,7 +118,7 @@ func TestLocalSearchStrictModeFeasible(t *testing.T) {
 	env := workload.NewEnv(8, 100)
 	qs := env.RandomQueries(10, 3, 2)
 	est := env.Estimates()
-	b := newBuilder(Options{StoreParallelism: 4}, qs, est)
+	b := newBuilder(Options{StoreParallelism: 4, DeterministicWarmStart: true}, qs, est)
 	b.enumerateMIRs()
 	if err := b.generateCandidates(); err != nil {
 		t.Fatal(err)

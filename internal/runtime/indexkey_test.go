@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"clash/internal/core"
-	"clash/internal/ilp"
 	"clash/internal/tpch"
 	"clash/internal/tuple"
 )
@@ -33,12 +32,7 @@ import (
 // then walks the third of the window that shares its status flag.
 func TestProbeCandidatesFig7(t *testing.T) {
 	queries := tpch.Fig7TenQueries()
-	// A node budget, not a time limit: the plan, and with it every count
-	// below, repeats on any machine.
-	cat, topo, records := tpchFixture(t, queries, 0.002, core.Options{
-		DeterministicWarmStart: true,
-		Solver:                 ilp.Options{MaxNodes: 20_000},
-	})
+	cat, topo, records := tpchFixture(t, queries, 0.002)
 	window := records[len(records)-1].TS * 3 / 10
 	epoch := window / 16
 	var results int64

@@ -9,11 +9,9 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	"clash/internal/broker"
 	"clash/internal/core"
-	"clash/internal/ilp"
 	"clash/internal/query"
 	"clash/internal/topology"
 	"clash/internal/tpch"
@@ -52,38 +50,22 @@ func runWorkload(t *testing.T, cfg Config, topo *topology.Config, queries []*que
 	return out
 }
 
-// tpchFixture generates the TPC-H stream the queries read (one second
-// of event time at the given scale factor) and compiles the queries'
-// jointly optimized shared plan at parallelism 2 — the Fig. 7 setting in
-// small.
-func tpchFixture(t *testing.T, queries []*query.Query, sf float64, opts core.Options) (*query.Catalog, *topology.Config, []broker.Record) {
+// tpchFixture is the Fig. 7 setting in small (tpch.NewFixture): the
+// TPC-H stream the queries read at the given scale factor, and their
+// jointly optimized shared plan, solved on a counted budget from the
+// stream's own statistics and compiled at parallelism 2 — so the plan,
+// and every count a test derives from it, repeats on any machine.
+func tpchFixture(t *testing.T, queries []*query.Query, sf float64) (*query.Catalog, *topology.Config, []broker.Record) {
 	t.Helper()
-	cat := tpch.Catalog()
-	tables := map[string]bool{}
-	for _, q := range queries {
-		for _, r := range q.Relations {
-			tables[r] = true
-		}
-	}
-	var names []string
-	for r := range tables {
-		names = append(names, r)
-	}
-	sort.Strings(names)
-	b := broker.New()
-	if err := tpch.FillBroker(b, sf, 42, tuple.Duration(time.Second), names); err != nil {
-		t.Fatal(err)
-	}
-	opts.StoreParallelism = 2
-	plan, err := core.NewOptimizer(opts).Optimize(queries, flatEstimates(cat.Names(), 1000))
+	fx, err := tpch.NewFixture(queries, sf, 42, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo, err := core.Compile([]*core.Plan{plan}, core.CompileOptions{Shared: true, Parallelism: 2})
+	topo, err := fx.SharedTopology()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cat, topo, b.Interleave(names...)
+	return fx.Catalog, topo, fx.Records
 }
 
 // TestCompiledPlanEquivalenceTPCH asserts the compiled probe path
@@ -98,8 +80,7 @@ func tpchFixture(t *testing.T, queries []*query.Query, sf float64, opts core.Opt
 // §8, §10).
 func TestCompiledPlanEquivalenceTPCH(t *testing.T) {
 	queries := tpch.Fig7Queries()
-	cat, topo, records := tpchFixture(t, queries, 0.0005,
-		core.Options{Solver: ilp.Options{TimeLimit: 3 * time.Second}})
+	cat, topo, records := tpchFixture(t, queries, 0.0005)
 
 	legacy := runWorkload(t, Config{Catalog: cat, Synchronous: true, legacyProbe: true}, topo, queries, records)
 	substrates := map[string]Config{

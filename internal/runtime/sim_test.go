@@ -11,13 +11,10 @@ package runtime
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 	"time"
 
-	"clash/internal/broker"
 	"clash/internal/core"
-	"clash/internal/ilp"
 	"clash/internal/query"
 	"clash/internal/tpch"
 	"clash/internal/tuple"
@@ -163,36 +160,7 @@ func TestSimScheduleEquivalenceTPCH(t *testing.T) {
 		seeds = 8
 	}
 	queries := tpch.Fig7Queries()
-	cat := tpch.Catalog()
-	tables := map[string]bool{}
-	for _, q := range queries {
-		for _, r := range q.Relations {
-			tables[r] = true
-		}
-	}
-	var names []string
-	for r := range tables {
-		names = append(names, r)
-	}
-	sort.Strings(names)
-	b := broker.New()
-	if err := tpch.FillBroker(b, 0.0002, 42, tuple.Duration(time.Second), names); err != nil {
-		t.Fatal(err)
-	}
-	records := b.Interleave(names...)
-
-	est := flatEstimates(cat.Names(), 1000)
-	plan, err := core.NewOptimizer(core.Options{
-		StoreParallelism: 2,
-		Solver:           ilp.Options{TimeLimit: 3 * time.Second},
-	}).Optimize(queries, est)
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo, err := core.Compile([]*core.Plan{plan}, core.CompileOptions{Shared: true, Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cat, topo, records := tpchFixture(t, queries, 0.0002)
 
 	legacy := runWorkload(t, Config{Catalog: cat, Synchronous: true, legacyProbe: true}, topo, queries, records)
 	nonEmpty := 0
