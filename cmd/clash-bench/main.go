@@ -36,7 +36,11 @@
 //	             start, MIR memo, component-solution cache); reports
 //	             optimizer wall time, BnB nodes explored, memo hit
 //	             rate, and plan cost per arm, with incremental cost
-//	             required ≤ scratch at every step
+//	             required ≤ scratch at every step; then the same
+//	             churn in the engine's regime (partition consistency
+//	             on, new estimates and two solves per step), which
+//	             dies unless the warm start's incumbent repair holds,
+//	             and the ReoptStats counters of every arm
 //	chaos      — crash-recovery chaos suite: -seeds crash-restart-replay
 //	             runs per state configuration (task panics + torn WAL
 //	             tails active), each byte-compared against an
@@ -304,12 +308,17 @@ func runChaos(seeds int, quick bool) {
 	fmt.Println()
 }
 
-// runChurn drives the incremental re-optimization sweep; the bench
-// itself dies when the incremental plan ever costs more than scratch.
+// runChurn drives the incremental re-optimization sweep and its
+// engine-regime arm; the bench itself dies when the incremental plan ever
+// costs more than scratch, or when the engine-regime arm finds the warm
+// start's incumbent repair failing or per-query child optimizations
+// running on a step the repair covered.
 func runChurn(quick bool, seed uint64) {
 	nQs := []int{100, 500, 1000}
+	engineNQs := []int{24, 100}
 	if quick {
 		nQs = []int{50, 100}
+		engineNQs = []int{24}
 	}
 	fmt.Println("=== Churn — re-optimization under query churn: scratch vs incremental ===")
 	rows, err := bench.Churn(bench.ChurnConfig{Seed: seed}, nQs)
@@ -317,6 +326,21 @@ func runChurn(quick bool, seed uint64) {
 		log.Fatal(err)
 	}
 	fmt.Print(bench.FormatChurn(rows))
+	fmt.Println()
+
+	fmt.Println("=== Churn, the engine's regime — partition consistency on, a fresh estimates snapshot and two solves (free, then mature MIRs only) per step ===")
+	var engine []bench.ChurnEngineResult
+	for _, nQ := range engineNQs {
+		// The query-churn workload's shape: 40 relations, 2 000 nodes a solve.
+		r, err := bench.ChurnEngineRegime(bench.ChurnConfig{Seed: seed, Relations: 40, Steps: 20, MaxNodes: 2000, Parallel: 2}, nQ)
+		if err != nil {
+			log.Fatal(err)
+		}
+		engine = append(engine, r)
+	}
+	fmt.Print(bench.FormatChurnEngine(engine))
+	fmt.Println()
+	fmt.Print(bench.FormatReoptStats(rows, engine))
 	fmt.Println()
 }
 

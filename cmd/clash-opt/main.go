@@ -93,7 +93,7 @@ func main() {
 		s := plan.Stats
 		fmt.Printf("\nILP: %d variables, %d constraints, %d probe orders, %d MIRs\n",
 			s.Variables, s.Constraints, s.ProbeOrders, s.MIRs)
-		fmt.Printf("build %v, solve %v (%d nodes, %s)\n", s.BuildTime, s.SolveTime, s.Nodes, s.Status)
+		fmt.Printf("build %v, warm start %v, solve %v (%d nodes, %s)\n", s.BuildTime, s.WarmStartTime, s.SolveTime, s.Nodes, s.Status)
 	}
 
 	if *showTopo {

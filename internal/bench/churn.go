@@ -75,6 +75,9 @@ type ChurnResult struct {
 	MemoHitRate     float64
 	ScratchCost     float64
 	IncrementalCost float64
+	// Reopt is the incremental arm's cross-churn state at the end of the
+	// run: what the caches and the warm start did, solve by solve.
+	Reopt core.ReoptStats
 }
 
 // Speedup is the scratch/incremental optimizer wall-time ratio.
@@ -166,10 +169,171 @@ func churnOne(cfg ChurnConfig, nQ int) (ChurnResult, error) {
 				nQ, step, incr.Objective, scratch.Objective)
 		}
 	}
-	if s := reopt.Stats(); s.MemoHits+s.MemoMisses > 0 {
+	res.Reopt = reopt.Stats()
+	if s := res.Reopt; s.MemoHits+s.MemoMisses > 0 {
 		res.MemoHitRate = float64(s.MemoHits) / float64(s.MemoHits+s.MemoMisses)
 	}
 	return res, nil
+}
+
+// ChurnEngineResult is one query-count row of the engine-regime arm.
+// Every field but the wall time is deterministic in the config.
+type ChurnEngineResult struct {
+	NQ     int
+	Steps  int
+	WallNS int64
+	Nodes  int
+	Cost   float64 // Σ objective of the restricted (installable) plans
+	// Reopt counts every joint solve of the run, the two priming solves
+	// included; the arm's verdict is over the solves after them.
+	Reopt core.ReoptStats
+}
+
+// warmupSteps is how many churn steps a newly wanted MIR store stays
+// banned from the restricted solve in the engine-regime arm, standing in
+// for the window a real store needs to fill.
+const warmupSteps = 2
+
+// ChurnEngineRegime runs the churn schedule the way the adaptive
+// controller does (runtime/adaptive.go), which the scratch-vs-incremental
+// arm above does not: partition-consistency rows on, a fresh estimates
+// snapshot at every step (an epoch was sealed and blended), and two joint
+// solves per step on one core.Reopt — unrestricted, then restricted to
+// the composite MIR stores that have been wanted for warmupSteps steps.
+// It is the only place outside the benchmark where the warm start's
+// repair is exercised under the conditions that once broke it, so it
+// returns an error — clash-bench exits non-zero — when, after the priming
+// step, more than one repair in ten is infeasible, or a per-query child
+// optimization runs in a solve whose repair covered at least half the
+// groups.
+func ChurnEngineRegime(cfg ChurnConfig, nQ int) (ChurnEngineResult, error) {
+	cfg.fill()
+	env := workload.NewEnv(cfg.Relations, cfg.Rate)
+	pool := env.RandomQueries(nQ+cfg.Steps, cfg.QuerySize, cfg.Seed)
+	if len(pool) < nQ+cfg.Steps {
+		return ChurnEngineResult{}, fmt.Errorf("bench: churn nQ=%d: workload generation came up short (%d queries)", nQ, len(pool))
+	}
+	active := append([]*query.Query(nil), pool[:nQ]...)
+	fresh := pool[nQ:]
+	rels := env.Catalog().Names()
+
+	reopt := core.NewReopt()
+	opts := core.Options{
+		DeterministicWarmStart: true,
+		MaxCandidatesPerGroup:  cfg.CapCandidates,
+		Reopt:                  reopt,
+	}
+	opts.Solver.MaxNodes = cfg.MaxNodes
+	opts.Solver.Parallel = cfg.Parallel
+
+	res := ChurnEngineResult{NQ: nQ, Steps: cfg.Steps}
+	wantedSince := map[string]int{} // composite MIR key -> step the free plan first used it
+	solves, infeasible := 0, 0
+	for step := 0; step <= cfg.Steps; step++ {
+		switch {
+		case step == 0: // priming: the installed set as the engine starts
+		case step%2 == 1:
+			active = append(active, fresh[step/2])
+		default:
+			active = append([]*query.Query(nil), active[1:]...)
+		}
+		est := env.Estimates().Clone()
+		for i, rel := range rels {
+			est.SetRate(rel, cfg.Rate*(1+0.03*float64((i*7+step*11)%13-6)/6))
+		}
+		reopt.Advance()
+		mature := func(key string) bool {
+			since, ok := wantedSince[key]
+			return ok && (since == 0 || step-since >= warmupSteps)
+		}
+		for _, elig := range []func(string) bool{nil, mature} {
+			o := opts
+			o.MIREligible = elig
+			before := reopt.Stats()
+			t0 := time.Now()
+			plan, err := core.NewOptimizer(o).Optimize(active, est)
+			if err != nil {
+				return ChurnEngineResult{}, fmt.Errorf("bench: churn engine regime nQ=%d step %d: %w", nQ, step, err)
+			}
+			res.WallNS += time.Since(t0).Nanoseconds()
+			res.Nodes += plan.Stats.Nodes
+			after := reopt.Stats()
+			if elig == nil {
+				// What the free plan wants decides what warms up.
+				wanted := map[string]bool{}
+				for _, key := range plan.UsedStores() {
+					if strings.Contains(key, "+") {
+						wanted[key] = true
+						if _, ok := wantedSince[key]; !ok {
+							wantedSince[key] = step
+						}
+					}
+				}
+				for key := range wantedSince {
+					if !wanted[key] {
+						delete(wantedSince, key)
+					}
+				}
+			} else {
+				res.Cost += plan.Objective
+			}
+			if step == 0 {
+				continue
+			}
+			solves++
+			repaired := after.RepairsFeasible > before.RepairsFeasible
+			if !repaired {
+				infeasible++
+			}
+			matched, seen := after.GroupsMatched-before.GroupsMatched, after.GroupsSeen-before.GroupsSeen
+			if children := after.ChildOptimizations - before.ChildOptimizations; repaired && 2*matched >= seen && children > 0 {
+				return ChurnEngineResult{}, fmt.Errorf("bench: churn engine regime nQ=%d step %d: %d child optimizations although the repair kept %d of %d groups",
+					nQ, step, children, matched, seen)
+			}
+		}
+	}
+	res.Reopt = reopt.Stats()
+	if 10*infeasible > solves {
+		return ChurnEngineResult{}, fmt.Errorf("bench: churn engine regime nQ=%d: incumbent repair failed in %d of %d solves after the priming step (more than 10%%): %+v",
+			nQ, infeasible, solves, res.Reopt)
+	}
+	return res, nil
+}
+
+// FormatReoptStats renders what the cross-churn state did in each arm:
+// joint solves, how the incumbent repairs went, which warm-start variant
+// seeded the search, per-query child optimizations, and the hit/miss
+// counts of the three estimate-versioned candidate caches.
+func FormatReoptStats(scratchVsIncr []ChurnResult, engine []ChurnEngineResult) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-8s %6s %7s %17s %14s %21s %6s %13s %13s %9s\n",
+		"arm", "nQ", "solves", "repair ok/bad/none", "groups kept", "seed inc/gm/ga/ind/ls", "child", "top hit/miss", "feed hit/miss", "indiv h/m")
+	row := func(arm string, nQ int, s core.ReoptStats) {
+		fmt.Fprintf(&b, "%-8s %6d %7d %17s %14s %21s %6d %13s %13s %9s\n", arm, nQ, s.JointSolves,
+			fmt.Sprintf("%d/%d/%d", s.RepairsFeasible, s.RepairsInfeasible, s.RepairsUnmatched),
+			fmt.Sprintf("%d/%d", s.GroupsMatched, s.GroupsSeen),
+			fmt.Sprintf("%d/%d/%d/%d/%d", s.SeededIncumbent, s.SeededGreedyMarginal, s.SeededGreedyAbsolute, s.SeededIndividual, s.SeededLocalSearch),
+			s.ChildOptimizations,
+			fmt.Sprintf("%d/%d", s.TopHits, s.TopMisses), fmt.Sprintf("%d/%d", s.FeedHits, s.FeedMisses), fmt.Sprintf("%d/%d", s.IndivHits, s.IndivMisses))
+	}
+	for _, r := range scratchVsIncr {
+		row("incr", r.NQ, r.Reopt)
+	}
+	for _, r := range engine {
+		row("engine", r.NQ, r.Reopt)
+	}
+	return b.String()
+}
+
+// FormatChurnEngine renders the engine-regime rows.
+func FormatChurnEngine(rows []ChurnEngineResult) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%6s %6s %12s %10s %14s\n", "nQ", "steps", "wall", "nodes", "plan-cost")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%6d %6d %12v %10d %14.6g\n", r.NQ, r.Steps,
+			time.Duration(r.WallNS).Round(time.Millisecond), r.Nodes, r.Cost)
+	}
+	return b.String()
 }
 
 // FormatChurn renders the churn series.

@@ -31,3 +31,37 @@ func TestChurnSmoke(t *testing.T) {
 		t.Error("empty table")
 	}
 }
+
+// TestChurnEngineRegimeSmoke runs the engine-regime arm at the size CI
+// runs it: ChurnEngineRegime itself fails when the warm start's repair
+// stops holding under two solves per step, the counters it reports must
+// show the repair doing the seeding, and two runs must agree on every
+// count.
+func TestChurnEngineRegimeSmoke(t *testing.T) {
+	cfg := ChurnConfig{Relations: 40, Steps: 8, MaxNodes: 2000, Parallel: 2}
+	a, err := ChurnEngineRegime(cfg, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ChurnEngineRegime(cfg, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := a.Reopt
+	if s.JointSolves != 2*uint64(cfg.Steps+1) {
+		t.Errorf("%d joint solves for %d steps of two solves each plus priming", s.JointSolves, cfg.Steps)
+	}
+	if s.RepairsUnmatched != 2 || s.RepairsFeasible == 0 || s.SeededIncumbent == 0 {
+		t.Errorf("repairs: %+v; want the two priming solves cold and the rest repaired", s)
+	}
+	if s.ChildOptimizations < 24 {
+		t.Errorf("%d child optimizations: the cold start must still solve every query on its own", s.ChildOptimizations)
+	}
+	a.WallNS, b.WallNS = 0, 0
+	if a != b {
+		t.Errorf("two runs disagree:\n%+v\n%+v", a, b)
+	}
+	if FormatChurnEngine([]ChurnEngineResult{a}) == "" || FormatReoptStats(nil, []ChurnEngineResult{a}) == "" {
+		t.Error("empty table")
+	}
+}

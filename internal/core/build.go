@@ -41,6 +41,9 @@ type builder struct {
 
 	// partition linking: store MIR key -> attr string -> z var
 	zVar map[string]map[string]int
+
+	// warm reports what the last warmStart call did.
+	warm warmReport
 }
 
 func newBuilder(opts Options, queries []*query.Query, est *stats.Estimates) *builder {
@@ -92,8 +95,11 @@ func (b *builder) run() (*Plan, error) {
 	if ws := b.warmStart(); ws != nil {
 		solverOpts.WarmStart = ws
 	}
+	warm := time.Since(t1)
+
+	t2 := time.Now()
 	sol := b.model.Solve(&solverOpts)
-	solve := time.Since(t1)
+	solve := time.Since(t2)
 
 	if sol.Status == ilp.Infeasible && b.opts.MaxCandidatesPerGroup > 0 {
 		// Aggressive capping can drop the only partition-consistent
@@ -111,20 +117,21 @@ func (b *builder) run() (*Plan, error) {
 
 	plan := b.extract(sol)
 	plan.Stats = ProblemStats{
-		Queries:     len(b.queries),
-		MIRs:        len(b.mirs),
-		ProbeOrders: len(b.orders),
-		Variables:   b.model.NumVars(),
-		Constraints: b.model.NumCons(),
-		SolveTime:   solve,
-		BuildTime:   build,
-		Nodes:       sol.Nodes,
-		Status:      sol.Status,
-		CacheHits:   sol.CacheHits,
-		CacheMisses: sol.CacheMisses,
+		Queries:       len(b.queries),
+		MIRs:          len(b.mirs),
+		ProbeOrders:   len(b.orders),
+		Variables:     b.model.NumVars(),
+		Constraints:   b.model.NumCons(),
+		BuildTime:     build,
+		WarmStartTime: warm,
+		SolveTime:     solve,
+		Nodes:         sol.Nodes,
+		Status:        sol.Status,
+		CacheHits:     sol.CacheHits,
+		CacheMisses:   sol.CacheMisses,
 	}
 	if r := b.opts.Reopt; r != nil && !b.opts.reoptChild {
-		r.noteIncumbent(plan)
+		r.noteIncumbent(b.opts.regime(), plan)
 	}
 	return plan, nil
 }
@@ -331,6 +338,7 @@ func (b *builder) decorate(q *query.Query, forMIR, start string, po *mir.ProbeOr
 				Start:  start,
 				Elems:  append([]Element(nil), elems...),
 			}
+			d.key = d.buildKey()
 			b.computeSteps(d)
 			out = append(out, d)
 			return

@@ -139,6 +139,11 @@ type DecoratedOrder struct {
 	Elems  []Element
 	Steps  []Step
 	Cost   float64 // PCost(σ) = Σ step costs
+
+	// key caches Key(): the builder looks every candidate up by it several
+	// times per solve. Set where the order is built, never afterwards, so
+	// orders shared through the cross-churn caches are read-only.
+	key string
 }
 
 // String renders "⟨R,S[b],T[c]⟩".
@@ -152,6 +157,13 @@ func (d *DecoratedOrder) String() string {
 
 // Key canonically identifies the decorated order within its group.
 func (d *DecoratedOrder) Key() string {
+	if d.key != "" {
+		return d.key
+	}
+	return d.buildKey()
+}
+
+func (d *DecoratedOrder) buildKey() string {
 	parts := make([]string, len(d.Elems))
 	for i, e := range d.Elems {
 		parts[i] = e.MIR.Key() + "[" + e.Partition.String() + "]"
@@ -167,10 +179,16 @@ type ProblemStats struct {
 	ProbeOrders int // decorated candidates (top-level + feeding)
 	Variables   int
 	Constraints int
-	SolveTime   time.Duration
-	BuildTime   time.Duration
-	Nodes       int
-	Status      ilp.Status
+	// BuildTime covers MIR enumeration, candidate generation and model
+	// construction; WarmStartTime the incumbent that seeds the search
+	// (repair, greedy passes and, on cold starts, the per-query child
+	// optimizations and the local search); SolveTime the branch-and-bound
+	// search alone.
+	BuildTime     time.Duration
+	WarmStartTime time.Duration
+	SolveTime     time.Duration
+	Nodes         int
+	Status        ilp.Status
 	// CacheHits/CacheMisses count ILP component-solution cache probes
 	// (zero unless Options.Reopt carries a cache).
 	CacheHits   int

@@ -33,9 +33,11 @@ func hashSig(s string) string {
 //     functions of query shape).
 //   - Cache answers unchanged ILP components from their previous optimal
 //     solution without any search.
-//   - The incumbent selection of the previous joint solve seeds the new
-//     solve: surviving (query, start) groups keep their choice, only
-//     added or affected groups are re-placed greedily.
+//   - The incumbent selection of the previous joint solve under the same
+//     eligibility regime seeds the new solve: surviving (query, start)
+//     groups keep their choice, only added or affected groups are
+//     re-placed, on their cheapest candidate compatible with what the
+//     survivors committed.
 //   - Per-query candidate groups and individual-plan selections are
 //     reused verbatim while the estimates snapshot is unchanged.
 //
@@ -51,7 +53,8 @@ type Reopt struct {
 	keep      uint64
 	lastEst   *stats.Estimates
 	estVer    uint64
-	incumbent map[string]string // query+"\x00"+start -> selected order key
+	incumbent map[string]string // regime+query+"\x00"+start -> selected order key
+	ctr       ReoptStats        // the warm-start and candidate-cache counters; Stats fills in the rest
 	topCands  map[string]*reoptEntry[map[string][]*DecoratedOrder]
 	feedCands map[string]*reoptEntry[map[string][]*DecoratedOrder]
 	indiv     map[string]*reoptEntry[indivPlan]
@@ -80,7 +83,8 @@ func NewReopt() *Reopt {
 	}
 }
 
-// ReoptStats aggregates the effectiveness counters of all cache layers.
+// ReoptStats aggregates the effectiveness counters of all cache layers
+// and of the warm start, over the lifetime of the Reopt value.
 type ReoptStats struct {
 	MemoHits     uint64
 	MemoMisses   uint64
@@ -89,6 +93,36 @@ type ReoptStats struct {
 	CacheMisses  uint64
 	CacheEntries int
 	Incumbents   int
+
+	// JointSolves counts the joint (non-child) solves that built a warm
+	// start. Each attempted an incumbent repair with exactly one outcome:
+	// feasible, infeasible (the repaired selection could not be completed),
+	// or nothing matched (no incumbent of that regime yet, or none of its
+	// orders survives among the candidates).
+	JointSolves       uint64
+	RepairsFeasible   uint64
+	RepairsInfeasible uint64
+	RepairsUnmatched  uint64
+	// GroupsMatched of GroupsSeen (query, start) groups kept their
+	// incumbent order, summed over the joint solves.
+	GroupsMatched uint64
+	GroupsSeen    uint64
+	// Seeded* say which warm-start variant was the cheapest and seeded the
+	// search, one count per joint solve that found any.
+	SeededIncumbent      uint64
+	SeededGreedyMarginal uint64
+	SeededGreedyAbsolute uint64
+	SeededIndividual     uint64
+	SeededLocalSearch    uint64
+	// ChildOptimizations counts the per-query solves run to build the
+	// individual-plan union.
+	ChildOptimizations uint64
+	// Candidate-group cache probes: top-level groups, feeding groups and
+	// cached individual-plan selections. Their keys embed the estimates
+	// version, so they hit only while the snapshot object is the same.
+	TopHits, TopMisses     uint64
+	FeedHits, FeedMisses   uint64
+	IndivHits, IndivMisses uint64
 }
 
 // Stats returns point-in-time counters.
@@ -97,15 +131,11 @@ func (r *Reopt) Stats() ReoptStats {
 	cs := r.Cache.Stats()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return ReoptStats{
-		MemoHits:     ms.Hits,
-		MemoMisses:   ms.Misses,
-		MemoEntries:  ms.Entries,
-		CacheHits:    cs.Hits,
-		CacheMisses:  cs.Misses,
-		CacheEntries: cs.Entries,
-		Incumbents:   len(r.incumbent),
-	}
+	s := r.ctr
+	s.MemoHits, s.MemoMisses, s.MemoEntries = ms.Hits, ms.Misses, ms.Entries
+	s.CacheHits, s.CacheMisses, s.CacheEntries = cs.Hits, cs.Misses, cs.Entries
+	s.Incumbents = len(r.incumbent)
+	return s
 }
 
 // Advance starts a new churn generation: the memo and solution cache age
@@ -157,23 +187,67 @@ func (r *Reopt) estVersion() uint64 {
 	return r.estVer
 }
 
-func (r *Reopt) incumbentFor(group string) (string, bool) {
+// regime names the eligibility regime a joint solve runs under. The
+// adaptive controller solves twice per step — unrestricted ("what we
+// would like to run"), then restricted to mature MIR stores ("what can
+// run now") — and the two optima differ exactly where a wanted store is
+// still warming up. Each regime keeps its own incumbent, so a solve is
+// repaired from a selection that was feasible under its own rules instead
+// of the other regime's.
+func (o Options) regime() string {
+	if o.MIREligible == nil {
+		return "free\x00"
+	}
+	return "restricted\x00"
+}
+
+// incumbentKey names one (query, start) group's entry in a regime's
+// incumbent.
+func incumbentKey(regime, query, start string) string {
+	return regime + query + "\x00" + start
+}
+
+func (r *Reopt) incumbentFor(regime, query, start string) (string, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	k, ok := r.incumbent[group]
+	k, ok := r.incumbent[incumbentKey(regime, query, start)]
 	return k, ok
 }
 
 // noteIncumbent merges the top-level selection of a finished joint solve
-// into the incumbent map (one entry per (query, start) group).
-func (r *Reopt) noteIncumbent(plan *Plan) {
+// into its regime's incumbent (one entry per (query, start) group).
+func (r *Reopt) noteIncumbent(regime string, plan *Plan) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, d := range plan.Selected {
 		if d.ForMIR == "" {
-			r.incumbent[d.Query.Name+"\x00"+d.Start] = d.Key()
+			r.incumbent[incumbentKey(regime, d.Query.Name, d.Start)] = d.Key()
 		}
 	}
+}
+
+// noteWarmStart folds one joint solve's warm-start report into the
+// lifetime counters.
+func (r *Reopt) noteWarmStart(w warmReport) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	c := &r.ctr
+	c.JointSolves++
+	switch {
+	case w.repaired:
+		c.RepairsFeasible++
+	case w.matched > 0:
+		c.RepairsInfeasible++
+	default:
+		c.RepairsUnmatched++
+	}
+	c.GroupsMatched += uint64(w.matched)
+	c.GroupsSeen += uint64(w.groups)
+	if w.seed >= 0 {
+		*[numSeeds]*uint64{&c.SeededIncumbent, &c.SeededGreedyMarginal, &c.SeededGreedyAbsolute,
+			&c.SeededIndividual, &c.SeededLocalSearch}[w.seed]++
+	}
+	c.ChildOptimizations += uint64(w.childSolves)
 }
 
 func (r *Reopt) topLookup(sig string) (map[string][]*DecoratedOrder, bool) {
@@ -181,8 +255,10 @@ func (r *Reopt) topLookup(sig string) (map[string][]*DecoratedOrder, bool) {
 	defer r.mu.Unlock()
 	e, ok := r.topCands[sig]
 	if !ok {
+		r.ctr.TopMisses++
 		return nil, false
 	}
+	r.ctr.TopHits++
 	e.gen = r.gen
 	return e.val, true
 }
@@ -198,8 +274,10 @@ func (r *Reopt) feedLookup(sig string) (map[string][]*DecoratedOrder, bool) {
 	defer r.mu.Unlock()
 	e, ok := r.feedCands[sig]
 	if !ok {
+		r.ctr.FeedMisses++
 		return nil, false
 	}
+	r.ctr.FeedHits++
 	e.gen = r.gen
 	return e.val, true
 }
@@ -215,8 +293,10 @@ func (r *Reopt) indivLookup(name, sig string) ([]string, bool) {
 	defer r.mu.Unlock()
 	e, ok := r.indiv[name]
 	if !ok || e.val.sig != sig {
+		r.ctr.IndivMisses++
 		return nil, false
 	}
+	r.ctr.IndivHits++
 	e.gen = r.gen
 	return e.val.keys, true
 }
@@ -230,7 +310,8 @@ func (r *Reopt) indivStore(name, sig string, keys []string) {
 // rebindGroup clones cached decorated orders onto the current query
 // object. Element and step slices are immutable and shared; only the
 // query binding differs (a replaced query may be a fresh object with
-// identical content).
+// identical content — and the same name, which groupSig embeds, so the
+// clone's cached key stays right).
 func rebindGroup(cached map[string][]*DecoratedOrder, q *query.Query) map[string][]*DecoratedOrder {
 	out := make(map[string][]*DecoratedOrder, len(cached))
 	for start, orders := range cached {

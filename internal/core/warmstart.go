@@ -8,98 +8,136 @@ import (
 	"clash/internal/query"
 )
 
+// warmSeed names the warm-start variants, in the order warmStart
+// considers them (an earlier one wins a tie).
+type warmSeed int
+
+const (
+	seedIncumbent warmSeed = iota
+	seedGreedyMarginal
+	seedGreedyAbsolute
+	seedIndividual
+	seedLocalSearch
+	numSeeds
+)
+
+// warmReport is what one warm start did: how the incumbent repair went,
+// which variant seeded the search (-1: none was feasible), its objective,
+// and how many per-query child optimizations it ran.
+type warmReport struct {
+	matched, groups int
+	repaired        bool
+	seed            warmSeed
+	obj             float64
+	childSolves     int
+}
+
 // warmStart constructs a feasible solution that seeds the branch-and-
 // bound incumbent. Several variants are built and the cheapest one is
-// returned: (a) per (query, start) group the candidate with the smallest
+// returned: (a) with Options.Reopt set, the repaired previous incumbent
+// of the same eligibility regime: surviving groups keep their prior
+// selection and added or changed groups take their cheapest compatible
+// candidate, so a one-query churn step starts from a nearly optimal
+// solution; (b) per (query, start) group the candidate with the smallest
 // *marginal* cost given the steps committed by earlier groups (exploits
-// sharing but can commit myopically), (b) the union of per-group
-// individually cheapest candidates, whose ILP objective is at most the
-// summed per-query optima — so the solver always starts at or below the
-// "Individual" baseline, and (c) with Options.Reopt set, the repaired
-// previous incumbent: surviving groups keep their prior selection and
-// only added or changed groups fall back to their cheapest candidate, so
-// a one-query churn step starts from a nearly optimal solution.
+// sharing but can commit myopically), and the same by absolute cost; and,
+// on cold starts only, (c) the union of the per-query optima, whose ILP
+// objective is at most the summed per-query optima — so the solver
+// always starts at or below the "Individual" baseline — and (d) a local
+// search over the groups.
 func (b *builder) warmStart() []float64 {
 	var best []float64
-	bestObj := math.Inf(1)
-	consider := func(ws []float64) {
+	b.warm = warmReport{seed: -1, obj: math.Inf(1)}
+	consider := func(seed warmSeed, ws []float64) {
 		if ws == nil {
 			return
 		}
-		if obj := b.model.ObjectiveOf(ws); obj < bestObj {
-			best, bestObj = ws, obj
+		if obj := b.model.ObjectiveOf(ws); obj < b.warm.obj {
+			best, b.warm.obj, b.warm.seed = ws, obj, seed
 		}
 	}
-	inc, matched, groups := b.warmStartFromIncumbent()
-	consider(inc)
-	consider(b.warmStartWith(true))
-	consider(b.warmStartWith(false))
-	consider(b.warmStartFromIndividualPlans())
+	inc := b.warmStartFromIncumbent()
+	consider(seedIncumbent, inc)
+	consider(seedGreedyMarginal, b.warmStartWith(true))
+	consider(seedGreedyAbsolute, b.warmStartWith(false))
 	// The repaired incumbent is the previous churn step's (near-)optimal
-	// joint solution; when it covers most groups, re-deriving a seed by
-	// coordinate descent would dominate incremental re-optimization time
-	// for no bound improvement. Local search still runs on cold starts
-	// and after heavy churn (less than half the groups matched).
-	if inc == nil || 2*matched < groups {
-		consider(b.warmStartLocalSearch())
+	// joint solution; when it covers most groups, solving every query on
+	// its own again, or re-deriving a seed by coordinate descent, would
+	// dominate incremental re-optimization time for no bound improvement.
+	// Both still run on cold starts — no Reopt, no incumbent yet, or one
+	// that could not be repaired — and after heavy churn (less than half
+	// the groups matched), which is where the Individual-baseline pin and
+	// the deep sharing the greedy passes miss come from.
+	if inc == nil || 2*b.warm.matched < b.warm.groups {
+		consider(seedIndividual, b.warmStartFromIndividualPlans())
+		consider(seedLocalSearch, b.warmStartLocalSearch())
+	}
+	if r := b.opts.Reopt; r != nil && !b.opts.reoptChild {
+		r.noteWarmStart(b.warm)
 	}
 	return best
 }
 
-// warmStartFromIncumbent repairs the previous joint solve's selection
-// into a feasible solution for the current model. Groups whose stable
-// identity (query name + start) survives churn keep their incumbent
-// order when it still exists among the group's candidates; new or
-// changed groups are placed greedily (cheapest candidate). The repaired
-// selection is completed and priced by evalSelection — feeds re-derived,
-// shared steps paid once — so it is exact, and nil is returned when
-// nothing survived or repair is infeasible. The matched/groups counts
-// let the caller judge repair coverage.
-func (b *builder) warmStartFromIncumbent() (vals []float64, matched, groups int) {
-	r := b.opts.Reopt
-	if r == nil || b.opts.reoptChild {
-		return nil, 0, 0
-	}
+// topOrder lists the (query, start) groups in the builder's stable order.
+func (b *builder) topOrder() []groupPick {
 	var order []groupPick
-	pick := map[groupPick]*DecoratedOrder{}
 	for _, q := range b.queries {
 		for _, s := range sortedKeys(b.topGroups[q.Name]) {
-			g := groupPick{query: q.Name, start: s}
-			order = append(order, g)
-			cands := b.topGroups[q.Name][s]
-			if len(cands) == 0 {
-				return nil, 0, 0
-			}
-			var chosen *DecoratedOrder
-			if key, ok := r.incumbentFor(q.Name + "\x00" + s); ok {
-				for _, d := range cands {
-					if d.Key() == key {
-						chosen = d
-						matched++
-						break
-					}
-				}
-			}
-			if chosen == nil {
-				chosen = cands[0]
-				for _, d := range cands {
-					if d.Cost < chosen.Cost {
-						chosen = d
-					}
-				}
-			}
-			pick[g] = chosen
+			order = append(order, groupPick{query: q.Name, start: s})
 		}
 	}
-	if matched == 0 {
-		return nil, 0, len(order)
+	return order
+}
+
+// warmStartFromIncumbent repairs the previous joint solve's selection
+// under the same eligibility regime into a feasible solution for the
+// current model. Groups whose stable identity (query name + start)
+// survives churn keep their incumbent order when it still exists among
+// the candidates; those are committed first — they were chosen together,
+// so their partition decorations agree. New or changed groups are then
+// placed, each on the candidate that adds the least cost among those
+// compatible with everything committed so far, and the feeding orders
+// are re-derived. Shared steps are paid once, so the result is priced
+// exactly; nil is returned when nothing survived or the selection cannot
+// be completed. b.warm records the coverage for the caller.
+func (b *builder) warmStartFromIncumbent() []float64 {
+	r := b.opts.Reopt
+	if r == nil || b.opts.reoptChild {
+		return nil
 	}
+	regime := b.opts.regime()
+	order := b.topOrder()
+	b.warm.groups = len(order)
+	kept := make([]*DecoratedOrder, len(order))
+	for i, g := range order {
+		if key, ok := r.incumbentFor(regime, g.query, g.start); ok {
+			if d := b.orderByKey[key]; d != nil && d.ForMIR == "" && d.Query.Name == g.query && d.Start == g.start {
+				kept[i] = d
+				b.warm.matched++
+			}
+		}
+	}
+	if b.warm.matched == 0 {
+		return nil
+	}
+	vals := make([]float64, b.model.NumVars())
 	st := newLSState(b)
-	vals = make([]float64, b.model.NumVars())
-	if obj := b.evalSelection(st, order, pick, vals); math.IsInf(obj, 1) {
-		return nil, 0, len(order)
+	st.begin(vals)
+	for _, d := range kept {
+		if d != nil && !st.place(d) {
+			return nil
+		}
 	}
-	return vals, matched, len(order)
+	for i, g := range order {
+		if kept[i] == nil && !st.place(st.cheapest(b.topGroups[g.query][g.start], true)) {
+			return nil
+		}
+	}
+	if !st.closeFeeds(true) {
+		return nil
+	}
+	b.warm.repaired = true
+	return vals
 }
 
 // groupPick identifies one top-level candidate group and its chosen
@@ -109,16 +147,23 @@ type groupPick struct {
 	start string
 }
 
-// lsState holds the index-based evaluation scratch of the local search:
-// step membership is resolved to ILP variable indices once, and paid
-// markers are reset via a touched list rather than reallocation, making
-// one selection evaluation a few thousand integer operations.
+// lsState is the scratch one selection is priced on: step membership is
+// resolved to ILP variable indices once, and paid markers are reset via
+// a touched list rather than reallocation, making one selection
+// evaluation a few thousand integer operations. Between begin and
+// closeFeeds it carries the selection so far: the steps paid, the
+// partitioning each store is committed to, the MIRs that need feeding.
 type lsState struct {
 	b       *builder
 	yIdxs   map[*DecoratedOrder][]int
 	yCosts  map[*DecoratedOrder][]float64
 	paid    []bool
 	touched []int
+
+	total   float64
+	zCommit map[string]string // store MIR key -> committed attribute; nil without consistency rows
+	needed  map[string]bool   // MIRs some committed order probes
+	vals    []float64         // when non-nil, the ILP assignment being written
 }
 
 func newLSState(b *builder) *lsState {
@@ -141,11 +186,146 @@ func newLSState(b *builder) *lsState {
 	return s
 }
 
-func (s *lsState) reset() {
+// begin starts an empty selection. When vals is non-nil the full ILP
+// assignment is written into it as orders are committed.
+func (s *lsState) begin(vals []float64) {
 	for _, i := range s.touched {
 		s.paid[i] = false
 	}
 	s.touched = s.touched[:0]
+	s.total, s.needed, s.vals = 0, nil, vals
+	s.zCommit = nil
+	if !s.b.opts.NoPartitionConsistency {
+		s.zCommit = map[string]string{}
+	}
+}
+
+// compatible reports whether d's partition decorations agree with the
+// partitioning every store is committed to so far.
+func (s *lsState) compatible(d *DecoratedOrder) bool {
+	if s.zCommit == nil {
+		return true
+	}
+	for i, e := range d.Elems {
+		if i == 0 || e.Partition == (query.Attr{}) {
+			continue
+		}
+		if a, ok := s.zCommit[e.MIR.Key()]; ok && a != e.Partition.String() {
+			return false
+		}
+	}
+	return true
+}
+
+// marginal is the cost committing d would add: its steps nobody paid yet.
+func (s *lsState) marginal(d *DecoratedOrder) float64 {
+	m := 0.0
+	costs := s.yCosts[d]
+	for i, y := range s.yIdxs[d] {
+		if !s.paid[y] {
+			m += costs[i]
+		}
+	}
+	return m
+}
+
+// cheapest returns the cheapest compatible candidate, the first of
+// equals, nil when none is compatible: ranked by the cost committing it
+// would add (marginal), or by its full cost as if nothing were shared.
+func (s *lsState) cheapest(cands []*DecoratedOrder, marginal bool) *DecoratedOrder {
+	var best *DecoratedOrder
+	bestM := math.Inf(1)
+	for _, d := range cands {
+		if !s.compatible(d) {
+			continue
+		}
+		m := d.Cost
+		if marginal {
+			m = s.marginal(d)
+		}
+		if m < bestM {
+			best, bestM = d, m
+		}
+	}
+	return best
+}
+
+// commit adds d to the selection: pays its unpaid steps, commits the
+// stores it decorates, and notes the MIRs it probes.
+func (s *lsState) commit(d *DecoratedOrder) {
+	b := s.b
+	idxs, costs := s.yIdxs[d], s.yCosts[d]
+	for i, y := range idxs {
+		if !s.paid[y] {
+			s.paid[y] = true
+			s.touched = append(s.touched, y)
+			s.total += costs[i]
+			if s.vals != nil {
+				s.vals[y] = 1
+			}
+		}
+	}
+	if s.vals != nil {
+		s.vals[b.xVar[d.Key()]] = 1
+	}
+	for i, e := range d.Elems {
+		if i > 0 && !e.MIR.IsBase() {
+			if s.needed == nil {
+				s.needed = map[string]bool{}
+			}
+			s.needed[e.MIR.Key()] = true
+		}
+		if s.zCommit == nil || i == 0 || e.Partition == (query.Attr{}) {
+			continue
+		}
+		if _, ok := s.zCommit[e.MIR.Key()]; !ok {
+			s.zCommit[e.MIR.Key()] = e.Partition.String()
+			if s.vals != nil {
+				s.vals[b.zVar[e.MIR.Key()][e.Partition.String()]] = 1
+			}
+		}
+	}
+}
+
+// place commits d when it is a candidate compatible with the selection.
+func (s *lsState) place(d *DecoratedOrder) bool {
+	if d == nil || !s.compatible(d) {
+		return false
+	}
+	s.commit(d)
+	return true
+}
+
+// closeFeeds completes the selection with feeding orders: per (MIR,
+// start) group of every MIR in use — closing over the MIRs the feeds
+// themselves probe — the cheapest compatible candidate, ranked as in
+// cheapest. False when some group has no compatible candidate left.
+func (s *lsState) closeFeeds(marginal bool) bool {
+	if s.needed == nil {
+		return true
+	}
+	done := map[string]bool{}
+	for {
+		var pending []string
+		for k := range s.needed {
+			if !done[k] {
+				pending = append(pending, k)
+			}
+		}
+		if len(pending) == 0 {
+			return true
+		}
+		sort.Strings(pending)
+		for _, k := range pending {
+			done[k] = true
+			group := s.b.feedGroups[k]
+			for _, start := range sortedKeys(group) {
+				if !s.place(s.cheapest(group[start], marginal)) {
+					return false
+				}
+			}
+		}
+	}
 }
 
 // warmStartLocalSearch runs coordinate-descent over the (query, start)
@@ -176,13 +356,7 @@ func (b *builder) warmStartLocalSearch() []float64 {
 		return time.Now().After(deadline)
 	}
 
-	// Stable group order.
-	var order []groupPick
-	for _, q := range b.queries {
-		for _, s := range sortedKeys(b.topGroups[q.Name]) {
-			order = append(order, groupPick{query: q.Name, start: s})
-		}
-	}
+	order := b.topOrder()
 
 	// Initial assignment: per-group cheapest candidate.
 	pick := map[groupPick]*DecoratedOrder{}
@@ -250,116 +424,16 @@ func (b *builder) warmStartLocalSearch() []float64 {
 // be completed feasibly. When vals is non-nil the full ILP assignment is
 // written into it (used once, for the final selection).
 func (b *builder) evalSelection(st *lsState, order []groupPick, pick map[groupPick]*DecoratedOrder, vals []float64) float64 {
-	st.reset()
-	var zCommit map[string]string
-	if !b.opts.NoPartitionConsistency {
-		zCommit = map[string]string{}
-	}
-	total := 0.0
-	var neededMIRs map[string]bool
-
-	compatible := func(d *DecoratedOrder) bool {
-		if zCommit == nil {
-			return true
-		}
-		for i, e := range d.Elems {
-			if i == 0 || e.Partition == (query.Attr{}) {
-				continue
-			}
-			if a, ok := zCommit[e.MIR.Key()]; ok && a != e.Partition.String() {
-				return false
-			}
-		}
-		return true
-	}
-	commit := func(d *DecoratedOrder) {
-		idxs, costs := st.yIdxs[d], st.yCosts[d]
-		for i, y := range idxs {
-			if !st.paid[y] {
-				st.paid[y] = true
-				st.touched = append(st.touched, y)
-				total += costs[i]
-				if vals != nil {
-					vals[y] = 1
-				}
-			}
-		}
-		if vals != nil {
-			vals[b.xVar[d.Key()]] = 1
-		}
-		for i, e := range d.Elems {
-			if i > 0 && !e.MIR.IsBase() {
-				if neededMIRs == nil {
-					neededMIRs = map[string]bool{}
-				}
-				neededMIRs[e.MIR.Key()] = true
-			}
-			if zCommit == nil || i == 0 || e.Partition == (query.Attr{}) {
-				continue
-			}
-			if _, ok := zCommit[e.MIR.Key()]; !ok {
-				zCommit[e.MIR.Key()] = e.Partition.String()
-				if vals != nil {
-					vals[b.zVar[e.MIR.Key()][e.Partition.String()]] = 1
-				}
-			}
-		}
-	}
-
+	st.begin(vals)
 	for _, g := range order {
-		d := pick[g]
-		if d == nil || !compatible(d) {
+		if !st.place(pick[g]) {
 			return math.Inf(1)
 		}
-		commit(d)
 	}
-
-	// Feeding closure: cheapest-marginal compatible candidate per
-	// (MIR, start) group.
-	if neededMIRs == nil {
-		return total
+	if !st.closeFeeds(true) {
+		return math.Inf(1)
 	}
-	done := map[string]bool{}
-	for {
-		var pending []string
-		for k := range neededMIRs {
-			if !done[k] {
-				pending = append(pending, k)
-			}
-		}
-		if len(pending) == 0 {
-			break
-		}
-		sort.Strings(pending)
-		for _, k := range pending {
-			done[k] = true
-			group := b.feedGroups[k]
-			for _, s := range sortedKeys(group) {
-				var best *DecoratedOrder
-				bestM := math.Inf(1)
-				for _, d := range group[s] {
-					if !compatible(d) {
-						continue
-					}
-					m := 0.0
-					idxs, costs := st.yIdxs[d], st.yCosts[d]
-					for i, y := range idxs {
-						if !st.paid[y] {
-							m += costs[i]
-						}
-					}
-					if m < bestM {
-						best, bestM = d, m
-					}
-				}
-				if best == nil {
-					return math.Inf(1)
-				}
-				commit(best)
-			}
-		}
-	}
-	return total
+	return st.total
 }
 
 // warmStartFromIndividualPlans solves each query in isolation and maps
@@ -368,10 +442,14 @@ func (b *builder) evalSelection(st *lsState, order []groupPick, pick map[groupPi
 // a subset of the joint candidate space. The union's objective is at
 // most the summed individual optima (shared steps only collapse), which
 // pins the MQO incumbent to the Individual baseline from the start.
-// With Options.Reopt set, per-query selections are cached by the query's
-// group signature, so churn steps re-solve only added or changed queries
-// (sub-solves are marked reoptChild: they share the memo and solution
-// cache without overwriting the joint incumbent).
+// warmStart builds it on cold starts only: once a repaired incumbent
+// covers half the groups it never won the comparison, at one child
+// optimization per query. With Options.Reopt set, per-query selections
+// are cached by the query's group signature — which embeds the estimates
+// version, so the cache serves the solves that share a snapshot (a step's
+// restricted solve after its free one) — and sub-solves are marked
+// reoptChild: they share the memo and solution cache without touching the
+// joint incumbent.
 func (b *builder) warmStartFromIndividualPlans() []float64 {
 	if len(b.queries) < 2 {
 		return nil
@@ -395,6 +473,7 @@ func (b *builder) warmStartFromIndividualPlans() []float64 {
 		return out
 	}
 	freshKeys := func(q *query.Query) []string {
+		b.warm.childSolves++
 		p, err := opt.Optimize([]*query.Query{q}, b.rawEst)
 		if err != nil {
 			return nil
@@ -452,112 +531,22 @@ func (b *builder) warmStartFromIndividualPlans() []float64 {
 	return vals
 }
 
-// warmStartWith builds one greedy selection; useMarginal chooses between
+// warmStartWith builds one greedy selection, group by group in the
+// builder's stable order and then the feeds; useMarginal chooses between
 // marginal-cost and absolute-cost candidate ranking.
 func (b *builder) warmStartWith(useMarginal bool) []float64 {
 	vals := make([]float64, b.model.NumVars())
-	paidY := map[string]bool{}
-	zCommit := map[string]string{} // store MIR key -> committed attr
-
-	compatible := func(d *DecoratedOrder) bool {
-		if b.opts.NoPartitionConsistency {
-			return true
-		}
-		for i, e := range d.Elems {
-			if i == 0 || e.Partition == (query.Attr{}) {
-				continue
-			}
-			if a, ok := zCommit[e.MIR.Key()]; ok && a != e.Partition.String() {
-				return false
-			}
-		}
-		return true
-	}
-	marginal := func(d *DecoratedOrder) float64 {
-		m := 0.0
-		for _, s := range d.Steps {
-			if !paidY[s.Key] {
-				m += s.Cost
-			}
-		}
-		return m
-	}
-	neededMIRs := map[string]bool{}
-	commit := func(d *DecoratedOrder) {
-		vals[b.xVar[d.Key()]] = 1
-		for _, s := range d.Steps {
-			if !paidY[s.Key] {
-				paidY[s.Key] = true
-				vals[b.yVar[s.Key]] = 1
-			}
-		}
-		for i, e := range d.Elems {
-			if i > 0 && !e.MIR.IsBase() {
-				neededMIRs[e.MIR.Key()] = true
-			}
-			if i == 0 || e.Partition == (query.Attr{}) || b.opts.NoPartitionConsistency {
-				continue
-			}
-			if _, ok := zCommit[e.MIR.Key()]; !ok {
-				zCommit[e.MIR.Key()] = e.Partition.String()
-				vals[b.zVar[e.MIR.Key()][e.Partition.String()]] = 1
-			}
+	st := newLSState(b)
+	st.begin(vals)
+	for _, g := range b.topOrder() {
+		// nil: no z-compatible candidate (capped groups)
+		if !st.place(st.cheapest(b.topGroups[g.query][g.start], useMarginal)) {
+			return nil
 		}
 	}
-	pick := func(cands []*DecoratedOrder) *DecoratedOrder {
-		var best *DecoratedOrder
-		bestCost := math.Inf(1)
-		for _, d := range cands {
-			if !compatible(d) {
-				continue
-			}
-			m := d.Cost
-			if useMarginal {
-				m = marginal(d)
-			}
-			if m < bestCost {
-				best, bestCost = d, m
-			}
-		}
-		return best
+	if !st.closeFeeds(useMarginal) {
+		return nil
 	}
-
-	for _, q := range b.queries {
-		group := b.topGroups[q.Name]
-		for _, s := range sortedKeys(group) {
-			d := pick(group[s])
-			if d == nil {
-				return nil // no z-compatible candidate (capped groups)
-			}
-			commit(d)
-		}
-	}
-	// Feeding closure.
-	done := map[string]bool{}
-	for {
-		var pending []string
-		for k := range neededMIRs {
-			if !done[k] {
-				pending = append(pending, k)
-			}
-		}
-		if len(pending) == 0 {
-			break
-		}
-		sort.Strings(pending)
-		for _, k := range pending {
-			done[k] = true
-			group := b.feedGroups[k]
-			for _, s := range sortedKeys(group) {
-				d := pick(group[s])
-				if d == nil {
-					return nil
-				}
-				commit(d)
-			}
-		}
-	}
-
 	if b.model.Feasible(vals, 1e-5) != nil {
 		return nil
 	}

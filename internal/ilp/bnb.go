@@ -2,6 +2,7 @@ package ilp
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 	"time"
 )
@@ -76,10 +77,14 @@ func (m *Model) Solve(opt *Options) *Solution {
 // solveOne solves a single connected component, parallelizing subtree
 // evaluation when requested.
 func solveOne(m *Model, o Options) *Solution {
-	if o.Parallel > 1 {
-		return solveParallel(m, o)
-	}
 	s := &searcher{m: m, o: o}
+	return s.run()
+}
+
+func (s *searcher) run() *Solution {
+	if s.o.Parallel > 1 {
+		return s.solveParallel()
+	}
 	return s.solve()
 }
 
@@ -285,20 +290,76 @@ type searcher struct {
 	// varCons[v] lists the constraint indices touching variable v.
 	varCons [][]int
 
-	best    []float64
-	bestObj float64
-	nodes   int
-	lpIters int
-	useLP   bool
+	best     []float64
+	bestObj  float64
+	nodes    int
+	lpIters  int
+	useLP    bool
 	st       *structure
 	deadln   time.Time
 	hitLim   bool
 	timedOut bool
+	depth    int
 
-	// reusable propagation buffers (hot path)
+	// Node evaluation state. Everything below is a function of (lo, hi)
+	// that setLo, setHi and undo keep current through moved, so a node
+	// costs what changed since its parent, not a rescan of the model.
+	// All of it is integer-valued: re-applying a change backwards restores
+	// the parent's state to the bit.
+	box     int64   // Σ boxTerm over variables with a finite preferred bound
+	boxInf  int     // variables whose preferred bound is infinite
+	decided []int32 // per group: members with lo > ½
+	avail   []int32 // per group: members with hi > ½
+	open    int     // groups with decided == 0
+	// Per-group minima, valid while the group's dirty bit is clear:
+	// exclTerm is groupBound's add-on, (pickVar, pickCost) the cheapest
+	// implied candidate pickBranchVar would dive into.
+	exclTerm []int64
+	pickVar  []int32
+	pickCost []float64
+	dirty    []uint8
+	// freeFlat and freeForcing hold one bit per unfixed integer variable:
+	// those that force nothing by st.rank (cheapest first), the others by
+	// variable index.
+	freeFlat    []uint64
+	freeForcing []uint64
+	// cutoff is the fixed-point objective a node must stay below to be
+	// worth exploring: the incumbent's, less the tolerance.
+	cutoff int64
+	tolQ   int64
+
+	// reusable buffers (hot path)
 	pendingBuf []int
 	inQueue    []bool
-	depth      int
+	changedBuf []int
+	fixedBuf   []int
+	forcedBy   []int32 // groupImplications: candidates forcing each variable
+	touched    []int
+	leafBuf    []float64
+
+	// hook, when set by a test, observes every node evaluation.
+	hook func(s *searcher, at hookPoint, v int)
+}
+
+// hookPoint names where in stepNode a test hook fires.
+type hookPoint int
+
+const (
+	hookImplied  hookPoint = iota // implications at a fixpoint
+	hookDeadEnd                   // a group has no candidate left
+	hookBounded                   // bound computed
+	hookBranched                  // v is pickBranchVar's choice
+)
+
+const (
+	dirtyImplied uint8 = 1 << iota // implications must re-examine the group
+	dirtyMinima                    // exclTerm and pick* are stale
+)
+
+func (s *searcher) observe(at hookPoint, v int) {
+	if s.hook != nil {
+		s.hook(s, at, v)
+	}
 }
 
 type trailEntry struct {
@@ -333,14 +394,14 @@ func (s *searcher) init() *Solution {
 	}
 	s.bestObj = math.Inf(1)
 	s.st = analyze(m)
+	s.initEval()
 	cells := (len(m.Cons) + n) * n
 	s.useLP = cells <= s.o.LPCellLimit && cells > 0
 	if s.o.TimeLimit > 0 {
 		s.deadln = time.Now().Add(s.o.TimeLimit)
 	}
 
-	s.pendingBuf = make([]int, 0, len(m.Cons))
-	s.inQueue = make([]bool, len(m.Cons))
+	s.newBuffers()
 
 	if len(s.o.WarmStart) == n && m.Feasible(s.o.WarmStart, s.o.Tol*10) == nil {
 		s.offer(s.o.WarmStart, m.ObjectiveOf(s.o.WarmStart))
@@ -414,6 +475,7 @@ func (s *searcher) stepNode(branched int) (bv int, first float64, open bool) {
 	for {
 		fixed, ok := s.groupImplications()
 		if !ok {
+			s.observe(hookDeadEnd, -1)
 			return -1, 0, false
 		}
 		if len(fixed) == 0 {
@@ -425,8 +487,13 @@ func (s *searcher) stepNode(branched int) (bv int, first float64, open bool) {
 			}
 		}
 	}
-	lb := s.boxBound() + s.st.groupBound(s.m, s.lo, s.hi)
-	if lb >= s.bestObj-s.o.Tol {
+	s.observe(hookImplied, -1)
+	// Bound in fixed point: the box term and the per-group add-ons are
+	// exact integer sums, so a node that pays the incumbent's steps ties
+	// with it exactly and is closed here, whatever order they were paid in.
+	lb, finite := s.boxBound()
+	s.observe(hookBounded, -1)
+	if finite && lb+s.groupBound() >= s.cutoff {
 		return -1, 0, false
 	}
 
@@ -457,6 +524,7 @@ func (s *searcher) stepNode(branched int) (bv int, first float64, open bool) {
 	}
 	if branchVar < 0 {
 		branchVar = s.pickBranchVar()
+		s.observe(hookBranched, branchVar)
 	}
 	if branchVar < 0 {
 		// All integer variables fixed.
@@ -508,19 +576,16 @@ func (s *searcher) dfs(branched int) {
 // evaluate directly for pure-integer models, or optimize the continuous
 // remainder by LP.
 func (s *searcher) finishLeaf() {
-	n := len(s.m.Vars)
 	hasCont := false
-	for i, v := range s.m.Vars {
-		if !v.Integer && s.hi[i]-s.lo[i] > s.o.Tol {
+	for _, i := range s.st.cont {
+		if s.hi[i]-s.lo[i] > s.o.Tol {
 			hasCont = true
 			break
 		}
 	}
 	if !hasCont {
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = s.lo[i]
-		}
+		x := s.leafBuf
+		copy(x, s.lo)
 		if err := s.m.Feasible(x, s.o.Tol*10); err != nil {
 			return
 		}
@@ -536,16 +601,18 @@ func (s *searcher) finishLeaf() {
 
 func (s *searcher) offer(x []float64, obj float64) {
 	if obj < s.bestObj-s.o.Tol {
-		cp := make([]float64, len(x))
-		copy(cp, x)
+		if s.best == nil {
+			s.best = make([]float64, len(x))
+		}
+		copy(s.best, x)
 		// Snap integers exactly.
-		for i, v := range s.m.Vars {
-			if v.Integer {
-				cp[i] = math.Round(cp[i])
+		for i, integer := range s.st.integer {
+			if integer {
+				s.best[i] = math.Round(s.best[i])
 			}
 		}
-		s.best = cp
-		s.bestObj = s.m.ObjectiveOf(cp)
+		s.bestObj = s.m.ObjectiveOf(s.best)
+		s.cutoff = s.st.objective(s.best) - s.tolQ
 	}
 }
 
@@ -569,17 +636,11 @@ func (s *searcher) lpIterBudget() int {
 }
 
 // boxBound is the objective lower bound implied by the current bounds:
-// each variable sits at the bound its coefficient prefers.
-func (s *searcher) boxBound() float64 {
-	lb := 0.0
-	for i, v := range s.m.Vars {
-		if v.Obj > 0 {
-			lb += v.Obj * s.lo[i]
-		} else if v.Obj < 0 {
-			lb += v.Obj * s.hi[i]
-		}
-	}
-	return lb
+// each variable sits at the bound its coefficient prefers. It is a
+// running value (moved keeps it); finite is false while some preferred
+// bound is infinite and the box says nothing.
+func (s *searcher) boxBound() (lb int64, finite bool) {
+	return s.box, s.boxInf == 0
 }
 
 // mostFractional returns the integer variable farthest from integrality
@@ -605,10 +666,11 @@ func (s *searcher) mostFractional(x []float64) int {
 // plus its own coefficient. Diving into the cheapest implied candidate
 // makes the first leaf a greedy solution, which prunes well.
 func (s *searcher) impliedCost(x int) float64 {
-	add := s.m.Vars[x].Obj
+	obj := s.st.obj
+	add := obj[x]
 	for _, y := range s.st.forces[x] {
-		if s.lo[y] < 0.5 && s.m.Vars[y].Obj > 0 {
-			add += s.m.Vars[y].Obj
+		if s.lo[y] < 0.5 && obj[y] > 0 {
+			add += obj[y]
 		}
 	}
 	return add
@@ -616,47 +678,112 @@ func (s *searcher) impliedCost(x int) float64 {
 
 // groupImplications fixes to 1 every variable forced by all available
 // candidates of an undecided choice group. Returns the fixed variables
-// and false when a group has no available candidate left.
+// and false when a group has no available candidate left. Only groups
+// whose members or forced variables moved since they were last examined
+// are looked at: an untouched group has nothing new to say.
 func (s *searcher) groupImplications() (fixed []int, ok bool) {
-	if !s.st.valid {
-		return nil, true
+	fixed = s.fixedBuf[:0]
+	if s.open == 0 {
+		return fixed, true
 	}
-	for _, members := range s.st.groups {
-		decided := false
-		var avail []int
-		for _, x := range members {
-			if s.lo[x] > 0.5 {
-				decided = true
-				break
-			}
-			if s.hi[x] > 0.5 {
-				avail = append(avail, x)
-			}
-		}
-		if decided {
+	st := s.st
+	for g, members := range st.groups {
+		if s.dirty[g]&dirtyImplied == 0 || s.decided[g] > 0 {
 			continue
 		}
-		if len(avail) == 0 {
+		s.dirty[g] &^= dirtyImplied
+		n := s.avail[g]
+		if n == 0 {
 			return nil, false
 		}
 		// Intersect the forces of the available candidates.
-		common := map[int]int{}
-		for _, x := range avail {
-			for _, y := range s.st.forces[x] {
-				common[y]++
+		touched := s.touched[:0]
+		for _, x := range members {
+			if s.hi[x] > 0.5 {
+				for _, y := range st.forces[x] {
+					if s.forcedBy[y] == 0 {
+						touched = append(touched, y)
+					}
+					s.forcedBy[y]++
+				}
 			}
 		}
-		for y, n := range common {
-			if n == len(avail) && s.lo[y] < 0.5 {
+		ok = true
+		for _, y := range touched {
+			if ok && s.forcedBy[y] == n && s.lo[y] < 0.5 {
 				if s.hi[y] < 0.5 {
-					return nil, false
+					ok = false
+				} else {
+					s.setLo(y, 1)
+					fixed = append(fixed, y)
 				}
-				s.setLo(y, 1)
-				fixed = append(fixed, y)
 			}
+			s.forcedBy[y] = 0
+		}
+		s.touched = touched[:0]
+		if !ok {
+			return nil, false
 		}
 	}
+	s.fixedBuf = fixed[:0]
 	return fixed, true
+}
+
+// refresh recomputes group g's cached minima under the current bounds:
+// over its available candidates, the cheapest cost of the unpaid
+// objective variables only g can force (exclTerm, in fixed point), and
+// the candidate with the smallest implied cost (pickVar, pickCost).
+func (s *searcher) refresh(g int) {
+	st := s.st
+	s.dirty[g] &^= dirtyMinima
+	excl, cand, candCost := int64(math.MaxInt64), -1, math.Inf(1)
+	for _, x := range st.groups[g] {
+		if s.hi[x] < 0.5 {
+			continue // excluded candidate
+		}
+		add, ic := int64(0), st.obj[x]
+		for _, y := range st.forces[x] {
+			if s.lo[y] < 0.5 && st.obj[y] > 0 {
+				ic += st.obj[y]
+				if st.exclusive[y] == g {
+					add += st.qobj[y]
+				}
+			}
+		}
+		if add < excl {
+			excl = add
+		}
+		if ic < candCost {
+			cand, candCost = x, ic
+		}
+	}
+	if cand < 0 {
+		excl = 0
+	}
+	s.exclTerm[g], s.pickVar[g], s.pickCost[g] = excl, int32(cand), candCost
+}
+
+// groupBound returns the admissible add-on to the box bound under the
+// current variable bounds: for each group with no member fixed to 1, the
+// minimum over its still-available candidates of the cost of the
+// group-exclusive objective variables the candidate forces that are not
+// already paid (lo = 1 variables are in the box bound). Summing the
+// per-group minima over exclusive variables never double counts.
+func (s *searcher) groupBound() int64 {
+	if s.open == 0 {
+		return 0
+	}
+	total := int64(0)
+	for g := range s.st.groups {
+		if s.decided[g] > 0 {
+			continue
+		}
+		if s.dirty[g]&dirtyMinima != 0 {
+			s.refresh(g)
+		}
+		total += s.exclTerm[g]
+	}
+	return total
 }
 
 // pickBranchVar chooses an unfixed integer variable. Preference: the
@@ -666,46 +793,60 @@ func (s *searcher) groupImplications() (fixed []int, ok bool) {
 // groups fall back to a constraint scan.
 func (s *searcher) pickBranchVar() int {
 	if s.st.valid {
-		bestFree, bestVar, bestCost := math.MaxInt32, -1, math.Inf(1)
-		for _, members := range s.st.groups {
-			decided := false
-			free := 0
-			cand, candCost := -1, math.Inf(1)
-			for _, x := range members {
-				if s.lo[x] > 0.5 {
-					decided = true
-					break
-				}
-				if s.hi[x] > 0.5 {
-					free++
-					if ic := s.impliedCost(x); ic < candCost {
-						cand, candCost = x, ic
-					}
-				}
-			}
-			if decided || cand < 0 {
-				continue
-			}
-			if free < bestFree || (free == bestFree && candCost < bestCost) {
-				bestFree, bestVar, bestCost = free, cand, candCost
-			}
-		}
-		if bestVar >= 0 {
-			return bestVar
+		if v := s.pickFromGroups(); v >= 0 {
+			return v
 		}
 	} else if v := s.pickFromEqRows(); v >= 0 {
 		return v
 	}
-	// Fallback: any unfixed integer variable, cheapest implied cost first.
+	// Fallback: any unfixed integer variable, cheapest implied cost first,
+	// lowest index among equals. The variables that force nothing are kept
+	// in that order already; the few others are compared one by one.
 	best, bo := -1, math.Inf(1)
-	for i, v := range s.m.Vars {
-		if v.Integer && s.hi[i]-s.lo[i] > s.o.Tol {
+	for w, word := range s.freeForcing {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
 			if ic := s.impliedCost(i); ic < bo {
 				best, bo = i, ic
 			}
 		}
 	}
+	for w, word := range s.freeFlat {
+		if word != 0 {
+			i := int(s.st.byRank[w<<6|bits.TrailingZeros64(word)])
+			if c := s.st.obj[i]; c < bo || (c == bo && i < best) {
+				best = i
+			}
+			break
+		}
+	}
 	return best
+}
+
+// pickFromGroups returns the cheapest implied candidate of the undecided
+// group with the fewest available candidates, -1 when every group is
+// decided.
+func (s *searcher) pickFromGroups() int {
+	if s.open == 0 {
+		return -1
+	}
+	bestFree, bestVar, bestCost := int32(math.MaxInt32), -1, math.Inf(1)
+	for g := range s.st.groups {
+		if s.decided[g] > 0 {
+			continue
+		}
+		if s.dirty[g]&dirtyMinima != 0 {
+			s.refresh(g)
+		}
+		cand, candCost := int(s.pickVar[g]), s.pickCost[g]
+		if cand < 0 {
+			continue
+		}
+		if free := s.avail[g]; free < bestFree || (free == bestFree && candCost < bestCost) {
+			bestFree, bestVar, bestCost = free, cand, candCost
+		}
+	}
+	return bestVar
 }
 
 // pickFromEqRows is the generic most-constrained-equality heuristic for
@@ -752,16 +893,18 @@ func (s *searcher) fix(v int, val float64) {
 }
 
 func (s *searcher) setLo(v int, val float64) {
-	if val > s.lo[v] {
-		s.trail = append(s.trail, trailEntry{v, s.lo[v], s.hi[v]})
+	if old := s.lo[v]; val > old {
+		s.trail = append(s.trail, trailEntry{v, old, s.hi[v]})
 		s.lo[v] = val
+		s.moved(v, old, s.hi[v])
 	}
 }
 
 func (s *searcher) setHi(v int, val float64) {
-	if val < s.hi[v] {
-		s.trail = append(s.trail, trailEntry{v, s.lo[v], s.hi[v]})
+	if old := s.hi[v]; val < old {
+		s.trail = append(s.trail, trailEntry{v, s.lo[v], old})
 		s.hi[v] = val
+		s.moved(v, s.lo[v], old)
 	}
 }
 
@@ -769,8 +912,124 @@ func (s *searcher) undo(mark int) {
 	for len(s.trail) > mark {
 		e := s.trail[len(s.trail)-1]
 		s.trail = s.trail[:len(s.trail)-1]
+		lo, hi := s.lo[e.v], s.hi[e.v]
 		s.lo[e.v], s.hi[e.v] = e.lo, e.hi
+		s.moved(e.v, lo, hi)
 	}
+}
+
+// moved brings the node evaluation state up to date after variable v's
+// bounds went from [lo, hi] to their current value, in either direction:
+// forward from setLo and setHi, backward from undo. Every quantity is an
+// integer, so the backward step restores exactly what the forward step
+// replaced.
+func (s *searcher) moved(v int, lo, hi float64) {
+	st := s.st
+	nlo, nhi := s.lo[v], s.hi[v]
+	if st.obj[v] != 0 {
+		was, wasInf := st.boxTerm(v, lo, hi)
+		is, isInf := st.boxTerm(v, nlo, nhi)
+		s.box += is - was
+		if wasInf != isInf {
+			if isInf {
+				s.boxInf++
+			} else {
+				s.boxInf--
+			}
+		}
+	}
+	if g := st.groupOf[v]; g >= 0 {
+		if was, is := lo > 0.5, nlo > 0.5; was != is {
+			if is {
+				if s.decided[g]++; s.decided[g] == 1 {
+					s.open--
+				}
+			} else if s.decided[g]--; s.decided[g] == 0 {
+				s.open++
+			}
+		}
+		if was, is := hi > 0.5, nhi > 0.5; was != is {
+			if is {
+				s.avail[g]++
+			} else {
+				s.avail[g]--
+			}
+		}
+	}
+	if st.integer[v] {
+		s.markFree(v, nhi-nlo > s.o.Tol)
+	}
+	for _, g := range st.dependents[v] {
+		s.dirty[g] = dirtyImplied | dirtyMinima
+	}
+}
+
+// markFree records whether integer variable v is unfixed.
+func (s *searcher) markFree(v int, free bool) {
+	set, bit := s.freeForcing, v
+	if r := s.st.rank[v]; r >= 0 {
+		set, bit = s.freeFlat, int(r)
+	}
+	if free {
+		set[bit>>6] |= 1 << (bit & 63)
+	} else {
+		set[bit>>6] &^= 1 << (bit & 63)
+	}
+}
+
+// initEval computes the node evaluation state of the model's declared
+// bounds from scratch; from there on moved maintains it.
+func (s *searcher) initEval() {
+	st := s.st
+	n, groups := len(s.lo), len(st.groups)
+	s.box, s.boxInf = 0, 0
+	for v := 0; v < n; v++ {
+		if t, inf := st.boxTerm(v, s.lo[v], s.hi[v]); inf {
+			s.boxInf++
+		} else {
+			s.box += t
+		}
+	}
+	s.decided = make([]int32, groups)
+	s.avail = make([]int32, groups)
+	s.exclTerm = make([]int64, groups)
+	s.pickVar = make([]int32, groups)
+	s.pickCost = make([]float64, groups)
+	s.dirty = make([]uint8, groups)
+	s.open = 0
+	for g, members := range st.groups {
+		s.dirty[g] = dirtyImplied | dirtyMinima
+		for _, x := range members {
+			if s.lo[x] > 0.5 {
+				s.decided[g]++
+			}
+			if s.hi[x] > 0.5 {
+				s.avail[g]++
+			}
+		}
+		if s.decided[g] == 0 {
+			s.open++
+		}
+	}
+	s.freeFlat = make([]uint64, (len(st.byRank)+63)>>6)
+	s.freeForcing = make([]uint64, (n+63)>>6)
+	for v := 0; v < n; v++ {
+		if st.integer[v] {
+			s.markFree(v, s.hi[v]-s.lo[v] > s.o.Tol)
+		}
+	}
+	s.cutoff = math.MaxInt64
+	s.tolQ = st.quantize(s.o.Tol)
+}
+
+// newBuffers allocates the scratch space one searcher's hot path reuses.
+func (s *searcher) newBuffers() {
+	n := len(s.m.Vars)
+	s.pendingBuf = make([]int, 0, len(s.m.Cons))
+	s.inQueue = make([]bool, len(s.m.Cons))
+	s.forcedBy = make([]int32, n)
+	s.leafBuf = make([]float64, n)
+	s.trail = make([]trailEntry, 0, 2*n)
 }
 
 // propagate performs activity-based bound tightening to a fixpoint,
@@ -823,6 +1082,7 @@ func (s *searcher) propagate(branched int) bool {
 // tightenOne applies one constraint's activity bounds. For each sense it
 // derives variable bound updates; integer bounds are rounded.
 func (s *searcher) tightenOne(c *Constraint) (changed []int, ok bool) {
+	changed = s.changedBuf[:0]
 	// Work with the two one-sided forms: lhs ≤ rhsUp and lhs ≥ rhsLo.
 	up := math.Inf(1)
 	lo := math.Inf(-1)
@@ -928,5 +1188,6 @@ func (s *searcher) tightenOne(c *Constraint) (changed []int, ok bool) {
 		minAct += newMin - termMin
 		maxAct += newMax - termMax
 	}
+	s.changedBuf = changed[:0]
 	return changed, true
 }

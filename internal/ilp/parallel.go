@@ -21,8 +21,8 @@ type pnode struct {
 // solveParallel runs the wave-parallel search. Models that close during
 // frontier expansion (or leave a single open subtree) complete on the
 // serial machinery and return the equivalent serial result.
-func solveParallel(m *Model, o Options) *Solution {
-	root := &searcher{m: m, o: o}
+func (root *searcher) solveParallel() *Solution {
+	o := root.o
 	if early := root.init(); early != nil {
 		return early
 	}
@@ -136,23 +136,29 @@ func (s *searcher) expandFrontier(target, maxDepth int) []pnode {
 }
 
 // child clones the searcher for an independent subtree: shared read-only
-// model, structure, and adjacency; private bounds, trail, and incumbent
-// seeded from the parent's current best.
+// model, structure, and adjacency; private bounds, node evaluation state,
+// trail, and incumbent seeded from the parent's current best.
 func (s *searcher) child(maxNodes int) *searcher {
-	c := &searcher{m: s.m, o: s.o, st: s.st, varCons: s.varCons, useLP: s.useLP, deadln: s.deadln}
+	c := &searcher{m: s.m, o: s.o, st: s.st, varCons: s.varCons, useLP: s.useLP, deadln: s.deadln, hook: s.hook}
 	c.o.MaxNodes = maxNodes
 	c.o.Parallel = 0
-	c.lo = make([]float64, len(s.lo))
-	c.hi = make([]float64, len(s.hi))
-	copy(c.lo, s.lo)
-	copy(c.hi, s.hi)
+	c.lo = append([]float64(nil), s.lo...)
+	c.hi = append([]float64(nil), s.hi...)
+	c.box, c.boxInf, c.open = s.box, s.boxInf, s.open
+	c.decided = append([]int32(nil), s.decided...)
+	c.avail = append([]int32(nil), s.avail...)
+	c.exclTerm = append([]int64(nil), s.exclTerm...)
+	c.pickVar = append([]int32(nil), s.pickVar...)
+	c.pickCost = append([]float64(nil), s.pickCost...)
+	c.dirty = append([]uint8(nil), s.dirty...)
+	c.freeFlat = append([]uint64(nil), s.freeFlat...)
+	c.freeForcing = append([]uint64(nil), s.freeForcing...)
+	c.cutoff, c.tolQ = s.cutoff, s.tolQ
 	c.bestObj = s.bestObj
 	if s.best != nil {
-		c.best = make([]float64, len(s.best))
-		copy(c.best, s.best)
+		c.best = append([]float64(nil), s.best...)
 	}
-	c.pendingBuf = make([]int, 0, len(s.m.Cons))
-	c.inQueue = make([]bool, len(s.m.Cons))
+	c.newBuffers()
 	return c
 }
 

@@ -1,6 +1,9 @@
 package ilp
 
-import "math"
+import (
+	"math"
+	"sort"
+)
 
 // Structure-aware bounding. The CLASH optimizer emits a characteristic
 // row pattern:
@@ -18,17 +21,41 @@ import "math"
 // clique/implied-cost bounds; here it makes the Fig. 9-scale models
 // tractable without LP relaxations.
 
-// structure holds the recognized pattern.
+// structure holds the recognized pattern and the per-variable indices
+// the search's node evaluation reads. It is built once per Solve by
+// analyze and shared read-only by every searcher of that solve.
 type structure struct {
 	groups  [][]int // choice groups: variable indices
 	groupOf []int   // var -> group index or -1
-	forces  [][]int // var x -> objective vars y forced by x=1
+	forces  [][]int // var x -> objective vars y forced by x=1 (no duplicates)
 	// exclusive[y] = g when every x forcing y belongs to group g,
 	// -1 otherwise.
 	exclusive []int
-	// addCost[x] = Σ obj(y) over y ∈ forces[x] with exclusive[y] = groupOf[x].
-	// Recomputed per node against current bounds in groupBound.
-	valid bool
+	valid     bool
+
+	// obj and integer are flat copies of the model's columns (a Variable
+	// is 48 bytes; the hot loops read one field of it).
+	obj     []float64
+	integer []bool
+	// qobj is the objective in fixed point: qobj[v] = round(obj[v]·inv).
+	// Bounds are computed on these integers, where every sum is exact, so
+	// a node's bound is a function of the node's variable bounds alone —
+	// not of the order in which the search arrived at them — and two
+	// selections that pay the same steps compare equal, not within an ULP
+	// (see "Node evaluation" in DESIGN.md §14).
+	qobj []int64
+	inv  float64
+	// dependents[v] lists the groups whose cached minima read v's bounds:
+	// v's own group and the group of every candidate that forces v.
+	dependents [][]int32
+	// rank orders the integer variables that force nothing (their implied
+	// cost is their own coefficient, a constant) cheapest first, lowest
+	// index first among equals; -1 for every other variable.
+	rank []int32
+	// byRank is the inverse of rank.
+	byRank []int32
+	// cont lists the continuous variables.
+	cont []int
 }
 
 // analyze recognizes choice groups and implications. It is linear in the
@@ -99,11 +126,12 @@ func analyze(m *Model) *structure {
 			if t.Var == trigger {
 				continue
 			}
-			if sum-t.Coeff < tc-1e-9 {
+			if sum-t.Coeff < tc-1e-9 && !contains(s.forces[trigger], t.Var) {
 				s.forces[trigger] = append(s.forces[trigger], t.Var)
 			}
 		}
 	}
+	s.index(m)
 	if len(s.groups) == 0 {
 		return s
 	}
@@ -126,45 +154,139 @@ func analyze(m *Model) *structure {
 			}
 		}
 	}
+	for x, ys := range s.forces {
+		if g := s.groupOf[x]; g >= 0 {
+			for _, y := range ys {
+				s.addDependent(y, g)
+			}
+		}
+	}
 	s.valid = true
 	return s
 }
 
-// groupBound returns the admissible add-on to the box bound under the
-// current variable bounds: for each group with no member fixed to 1, the
-// minimum over its still-available candidates of the cost of the
-// group-exclusive objective variables the candidate forces that are not
-// already paid (lo = 1 variables are in the box bound).
-func (st *structure) groupBound(m *Model, lo, hi []float64) float64 {
-	if !st.valid {
-		return 0
+func contains(xs []int, x int) bool {
+	for _, v := range xs {
+		if v == x {
+			return true
+		}
 	}
+	return false
+}
+
+func (st *structure) addDependent(v, g int) {
+	for _, have := range st.dependents[v] {
+		if int(have) == g {
+			return
+		}
+	}
+	st.dependents[v] = append(st.dependents[v], int32(g))
+}
+
+// index builds the flat per-variable views: objective columns, the
+// fixed-point objective, the cheapest-first order of the variables whose
+// implied cost is constant, and each group's dependence on its members.
+func (st *structure) index(m *Model) {
+	n := len(m.Vars)
+	st.obj = make([]float64, n)
+	st.integer = make([]bool, n)
+	st.qobj = make([]int64, n)
+	st.dependents = make([][]int32, n)
+	st.rank = make([]int32, n)
+	// One fixed-point unit is 2^-61 of the largest objective value the
+	// variable bounds admit (rounded up to a power of two), so every sum
+	// of terms fits an int64 with a bit to spare and the resolution is
+	// finer than a float64 sum of the same terms would keep.
 	total := 0.0
+	for i, v := range m.Vars {
+		st.obj[i], st.integer[i] = v.Obj, v.Integer
+		span := 0.0
+		for _, b := range [2]float64{v.Lower, v.Upper} {
+			if a := math.Abs(b); !math.IsInf(a, 0) && a > span {
+				span = a
+			}
+		}
+		total += math.Abs(v.Obj) * span
+		if !v.Integer {
+			st.cont = append(st.cont, i)
+		}
+	}
+	_, exp := math.Frexp(total)
+	if total == 0 || math.IsInf(total, 0) || math.IsNaN(total) {
+		exp = 61
+	}
+	st.inv = math.Ldexp(1, 61-exp)
+	for i := range st.qobj {
+		st.qobj[i] = st.quantize(st.obj[i])
+	}
+	for i := range st.rank {
+		st.rank[i] = -1
+		if st.integer[i] && len(st.forces[i]) == 0 {
+			st.byRank = append(st.byRank, int32(i))
+		}
+	}
+	sort.Slice(st.byRank, func(a, b int) bool {
+		va, vb := st.byRank[a], st.byRank[b]
+		if st.obj[va] != st.obj[vb] {
+			return st.obj[va] < st.obj[vb]
+		}
+		return va < vb
+	})
+	for r, v := range st.byRank {
+		st.rank[v] = int32(r)
+	}
 	for g, members := range st.groups {
-		decided := false
-		best := math.Inf(1)
 		for _, x := range members {
-			if lo[x] > 0.5 {
-				decided = true
-				break
-			}
-			if hi[x] < 0.5 {
-				continue // excluded candidate
-			}
-			add := 0.0
-			for _, y := range st.forces[x] {
-				if st.exclusive[y] == g && lo[y] < 0.5 && m.Vars[y].Obj > 0 {
-					add += m.Vars[y].Obj
-				}
-			}
-			if add < best {
-				best = add
-			}
+			st.addDependent(x, g)
 		}
-		if decided || math.IsInf(best, 1) {
-			continue
-		}
-		total += best
+	}
+}
+
+// quantize converts an objective amount to fixed point, saturating far
+// outside the range index sized the unit for (a continuous variable
+// driven beyond its declared bounds' magnitude; never a 0/1 model).
+func (st *structure) quantize(x float64) int64 {
+	const lim = 1 << 62
+	x = math.Round(x * st.inv)
+	switch {
+	case x >= lim:
+		return lim
+	case x <= -lim:
+		return -lim
+	}
+	return int64(x)
+}
+
+// boxTerm is variable v's share of the box bound under the bounds
+// [lo, hi]: the variable sits where its coefficient prefers. inf reports
+// that the preferred bound is infinite (the term is −∞).
+func (st *structure) boxTerm(v int, lo, hi float64) (term int64, inf bool) {
+	c := st.obj[v]
+	if c == 0 {
+		return 0, false
+	}
+	b := lo
+	if c < 0 {
+		b = hi
+	}
+	switch {
+	case b == 0:
+		return 0, false
+	case b == 1:
+		return st.qobj[v], false
+	case math.IsInf(b, 0):
+		return 0, true
+	}
+	return st.quantize(c * b), false
+}
+
+// objective is the fixed-point objective of a point: what the box bound
+// of a node whose bounds pin every variable to x evaluates to.
+func (st *structure) objective(x []float64) int64 {
+	total := int64(0)
+	for v, xv := range x {
+		t, _ := st.boxTerm(v, xv, xv)
+		total += t
 	}
 	return total
 }

@@ -71,22 +71,35 @@ func TestGroupBoundAdmissible(t *testing.T) {
 	m.AddConstraint("", GE, 0, T(a2, -1), T(ya2, 1))
 	m.AddConstraint("", GE, 0, T(b1, -1), T(yb1, 1))
 	m.AddConstraint("", GE, 0, T(b2, -1), T(yb2, 1))
-	st := analyze(m)
-	lo := make([]float64, m.NumVars())
-	hi := []float64{1, 1, 1, 1, 1, 1, 1, 1}
-	got := st.groupBound(m, lo, hi)
-	if math.Abs(got-15) > 1e-9 {
+	s := &searcher{m: m}
+	s.o.fill()
+	if early := s.init(); early != nil {
+		t.Fatalf("init closed the model: %+v", early)
+	}
+	// The bound is kept in fixed point; one unit is 1/inv of the objective.
+	bound := func() float64 {
+		if got, want := s.groupBound(), scratchGroupBound(s.st, s.lo, s.hi); got != want {
+			t.Errorf("maintained group bound %d, rescan %d", got, want)
+		}
+		return float64(s.groupBound()) / s.st.inv
+	}
+	if got := bound(); math.Abs(got-15) > 1e-9 {
 		t.Errorf("groupBound = %g, want 15", got)
 	}
 	// Excluding the cheap candidate of group a raises the bound.
-	hi[a1] = 0
-	if got := st.groupBound(m, lo, hi); math.Abs(got-25) > 1e-9 {
+	s.setHi(a1, 0)
+	if got := bound(); math.Abs(got-25) > 1e-9 {
 		t.Errorf("groupBound after exclusion = %g, want 25", got)
 	}
 	// Deciding group a (a2=1) removes its term.
-	lo[a2] = 1
-	if got := st.groupBound(m, lo, hi); math.Abs(got-5) > 1e-9 {
+	s.setLo(a2, 1)
+	if got := bound(); math.Abs(got-5) > 1e-9 {
 		t.Errorf("groupBound after decision = %g, want 5", got)
+	}
+	// Undoing both moves restores the first bound to the bit.
+	s.undo(len(s.trail) - 2)
+	if got := bound(); math.Abs(got-15) > 1e-9 {
+		t.Errorf("groupBound after undo = %g, want 15", got)
 	}
 	// The bound never exceeds the true optimum (10 + 5 ≤ 15 = optimum).
 	sol := m.Solve(nil)

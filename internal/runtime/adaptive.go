@@ -206,8 +206,11 @@ func (c *Controller) CostCoefficients() cost.Coefficients {
 	return c.coef
 }
 
-// ReoptStats reports the incremental re-optimization cache counters;
-// the zero value when IncrementalReopt is off.
+// ReoptStats reports what the incremental re-optimization state did over
+// the controller's lifetime: cache counters, and per joint solve how the
+// incumbent repair went, which warm-start variant seeded the search and
+// how many per-query child optimizations ran. The zero value when
+// IncrementalReopt is off.
 func (c *Controller) ReoptStats() core.ReoptStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -368,6 +371,9 @@ func (c *Controller) reoptimizeLocked(epoch int64) error {
 		return o.OptimizeIndividually(qs, c.est)
 	}
 
+	// Up to two joint solves per step on the one Reopt. They run under
+	// different MIR eligibility, and core keeps an incumbent per regime, so
+	// each is warm-started from the previous step's solve of its own kind.
 	plans, err := optimize(nil) // unrestricted: what we would like to run
 	if err != nil {
 		return err
