@@ -380,12 +380,9 @@ type Config struct {
 	Flow FlowConfig
 	// Sim tunes the deterministic simulation substrate (SubstrateSim):
 	// schedule seed, virtual-time step, flow-control model, trace and
-	// fault hooks.
+	// fault hooks. Same Sim.Seed, same inputs — same interleaving, byte
+	// for byte.
 	Sim SimConfig
-	// SimSeed is shorthand for Sim.Seed (ignored when Sim.Seed is set):
-	// the schedule seed of a simulated run. Same seed, same inputs —
-	// same interleaving, byte for byte.
-	SimSeed uint64
 	// Supervision tunes the task panic supervisor: a panicking store
 	// task is isolated and restarted with exponential backoff up to
 	// MaxRestarts consecutive times before the engine fails with
@@ -534,10 +531,6 @@ func start(cfg Config, journal runtime.Journal) (*Engine, error) {
 			est.SetRate(name, 1000)
 		}
 	}
-	sim := cfg.Sim
-	if sim.Seed == 0 {
-		sim.Seed = cfg.SimSeed
-	}
 	eng := runtime.New(runtime.Config{
 		Catalog:          cat,
 		DefaultWindow:    cfg.DefaultWindow,
@@ -552,7 +545,7 @@ func start(cfg Config, journal runtime.Journal) (*Engine, error) {
 		Synchronous:      cfg.Synchronous,
 		Substrate:        cfg.Substrate,
 		Flow:             cfg.Flow,
-		Sim:              sim,
+		Sim:              cfg.Sim,
 		Supervision:      cfg.Supervision,
 		Journal:          journal,
 		TwoChoiceRouting: cfg.TwoChoiceRouting,
@@ -659,10 +652,12 @@ func (e *Engine) Topology(epoch int64) *Topology { return e.eng.ConfigFor(epoch)
 func (e *Engine) Checkpoint(w io.Writer) error { return e.eng.Checkpoint(w) }
 
 // Restore loads a snapshot produced by Checkpoint into this engine.
-// The engine must have been started with the same workload, estimates,
-// and optimizer options, so the compiled topology contains the
-// checkpointed stores with the same parallelism. Restore before the
-// first Ingest; adaptive engines should restore before the first epoch
+// The engine must have been started with the same workload and
+// optimizer options, so the compiled topology contains the
+// checkpointed stores with the same parallelism; the snapshot's pinned
+// routing (split hot keys) replaces the engine's own. A snapshot that
+// fails to load leaves the engine untouched. Restore before the first
+// Ingest; adaptive engines should restore before the first epoch
 // boundary.
 func (e *Engine) Restore(r io.Reader) error { return e.eng.Restore(r) }
 

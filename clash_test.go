@@ -370,7 +370,7 @@ func TestSimSubstrateAPI(t *testing.T) {
 		t.Error("synchronous engine reports a virtual clock")
 	}
 
-	simCfg := Config{Substrate: SubstrateSim, SimSeed: 42, StepMode: true}
+	simCfg := Config{Substrate: SubstrateSim, Sim: SimConfig{Seed: 42}, StepMode: true}
 	c1, t1, e1 := run(simCfg)
 	c2, t2, e2 := run(simCfg)
 	if c1 != refCount || c2 != refCount {
@@ -390,7 +390,7 @@ func TestSimSubstrateAPI(t *testing.T) {
 	e1.Stop()
 	e2.Stop()
 
-	c3, t3, e3 := run(Config{Substrate: SubstrateSim, SimSeed: 1, StepMode: true})
+	c3, t3, e3 := run(Config{Substrate: SubstrateSim, Sim: SimConfig{Seed: 1}, StepMode: true})
 	defer e3.Stop()
 	if c3 != refCount {
 		t.Errorf("seed 1 results %d, reference %d", c3, refCount)

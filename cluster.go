@@ -127,11 +127,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 		// Decorrelate simulated schedules: one shared seed would hide
 		// cross-shard ordering assumptions.
-		seed := scfg.Sim.Seed
-		if seed == 0 {
-			seed = scfg.SimSeed
-		}
-		scfg.Sim.Seed = seed ^ (uint64(i+1) * 0x9E3779B97F4A7C15)
+		scfg.Sim.Seed ^= uint64(i+1) * 0x9E3779B97F4A7C15
 		eng, err := Start(scfg)
 		if err != nil {
 			return fail(fmt.Errorf("clash: shard %d: %w", i, err))

@@ -29,9 +29,9 @@ func run(seed uint64) (results int, trace []clash.SimEvent) {
 	eng, err := clash.Start(clash.Config{
 		Workload:  workload,
 		Substrate: clash.SubstrateSim,
-		SimSeed:   seed,
 		StepMode:  true,
 		Sim: clash.SimConfig{
+			Seed:    seed,
 			OnEvent: func(ev clash.SimEvent) { trace = append(trace, ev) },
 		},
 	})
@@ -85,7 +85,7 @@ func main() {
 	// 3. Virtual time: fast-forward five simulated minutes in
 	// microseconds of wall time — latency metrics are virtual too.
 	eng, err := clash.Start(clash.Config{
-		Workload: workload, Substrate: clash.SubstrateSim, SimSeed: 1, StepMode: true,
+		Workload: workload, Substrate: clash.SubstrateSim, Sim: clash.SimConfig{Seed: 1}, StepMode: true,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -15,7 +15,7 @@ func churnRun(t *testing.T, incremental, measured bool) (map[string][]string, fl
 	eng, err := Start(Config{
 		Workload:         "q1: R(a) S(a,b) T(b)\nq2: S(b) T(b)",
 		Substrate:        SubstrateSim,
-		SimSeed:          7,
+		Sim:              SimConfig{Seed: 7},
 		StepMode:         true,
 		DefaultWindow:    10000 * time.Nanosecond,
 		EpochLength:      100,

@@ -3,6 +3,7 @@ package recovery
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"clash/internal/runtime"
@@ -43,12 +44,12 @@ type Manager struct {
 	eng       *runtime.Engine
 	walPos    int64
 	anchorPos int64 // WAL anchor of the newest durable checkpoint
-	lastFPs   map[segKey]uint64
+	lastFPs   map[runtime.SegKey]uint64
 	// pendingDrops are tombstones the next checkpoint must emit even
 	// though no engine task backs them — stale segments an automated
 	// stale-chain recovery loaded around (see Recover). The dirty walk
 	// can never surface them (no task exists), so they ride along here.
-	pendingDrops []segKey
+	pendingDrops []runtime.SegKey
 	sinceCkpt    int // ingest records since the last checkpoint
 	ckpts        int
 	ckptBytes    int64
@@ -69,7 +70,7 @@ func NewManager(st Storage, cfg Config) (*Manager, error) {
 			return nil, fmt.Errorf("%w: stream %s has %d bytes", ErrStorageNotEmpty, stream, len(b))
 		}
 	}
-	return &Manager{st: st, cfg: cfg, lastFPs: map[segKey]uint64{}}, nil
+	return &Manager{st: st, cfg: cfg, lastFPs: map[runtime.SegKey]uint64{}}, nil
 }
 
 // Bind attaches the engine whose state Checkpoint walks. Recover calls
@@ -94,7 +95,7 @@ func (m *Manager) OnCommit(fn func()) {
 // appendWAL frames and appends one record payload, advancing the
 // position. Caller holds m.mu.
 func (m *Manager) appendWAL(payload []byte) error {
-	framed := appendFrame(m.scratch[:0], payload)
+	framed := runtime.AppendFrame(m.scratch[:0], payload)
 	if err := m.st.Append(StreamWAL, framed); err != nil {
 		return err
 	}
@@ -163,16 +164,7 @@ func (m *Manager) Checkpoint() error {
 	// Walk only the dirty delta — segments mutated since the last
 	// checkpoint — outside m.mu: the drain inside the walk can trigger
 	// evictions, which re-enter this Manager through LogEvict.
-	var segs []segment
-	err := eng.WalkDirtyState(
-		func(store topology.StoreID, part int, epoch int64) {
-			segs = append(segs, segment{key: segKey{store: string(store), part: part, epoch: epoch}})
-		},
-		func(_ topology.StoreID, _ int, _ int64, tp *tuple.Tuple, seq uint64) {
-			cur := &segs[len(segs)-1]
-			cur.tps = append(cur.tps, tp)
-			cur.seqs = append(cur.seqs, seq)
-		})
+	segs, err := eng.Segments(true)
 	if err != nil {
 		return err
 	}
@@ -180,40 +172,37 @@ func (m *Manager) Checkpoint() error {
 	m.mu.Lock()
 	// Quiesced and single-producer: nothing appended to the WAL between
 	// the walk's completion and this anchor read.
-	anchor := m.walPos
-	var changed []segment
-	var drops []segKey
+	rec := runtime.StateRecord{Anchor: m.walPos, Seq: eng.Seq(), Watermark: int64(eng.Watermark()), Pins: eng.Pins()}
 	for i := range segs {
-		if len(segs[i].tps) == 0 {
+		if len(segs[i].Tuples) == 0 {
 			// Dirty but empty: the segment vanished (prune/evict) —
 			// a tombstone if the chain ever emitted it.
-			if _, live := m.lastFPs[segs[i].key]; live {
-				drops = append(drops, segs[i].key)
+			if _, live := m.lastFPs[segs[i].Key]; live {
+				rec.Drops = append(rec.Drops, segs[i].Key)
 			}
 			continue
 		}
-		if fp := segs[i].fingerprint(); m.lastFPs[segs[i].key] != fp {
-			changed = append(changed, segs[i])
+		if fp := fingerprint(&segs[i]); m.lastFPs[segs[i].Key] != fp {
+			rec.Segs = append(rec.Segs, segs[i])
 		}
 	}
 	if len(m.pendingDrops) > 0 {
-		drops = append(drops, m.pendingDrops...)
+		rec.Drops = append(rec.Drops, m.pendingDrops...)
 		m.pendingDrops = nil
 	}
-	sortSegKeys(drops)
-	payload := appendCkptRecord(nil, anchor, eng.Seq(), int64(eng.Watermark()), eng.Pins(), drops, changed)
-	framed := appendFrame(nil, payload)
+	slices.SortFunc(rec.Drops, runtime.SegKey.Compare)
+	framed := runtime.AppendFrame(nil, runtime.AppendStateRecord(nil, &rec))
 	if err := m.st.Append(StreamCheckpoint, framed); err != nil {
 		m.mu.Unlock()
 		return fmt.Errorf("recovery: checkpoint append: %w", err)
 	}
-	for _, k := range drops {
+	for _, k := range rec.Drops {
 		delete(m.lastFPs, k)
 	}
-	for i := range changed {
-		m.lastFPs[changed[i].key] = changed[i].fingerprint()
+	for i := range rec.Segs {
+		m.lastFPs[rec.Segs[i].Key] = fingerprint(&rec.Segs[i])
 	}
-	m.anchorPos = anchor
+	m.anchorPos = rec.Anchor
 	m.sinceCkpt = 0
 	m.ckpts++
 	m.ckptBytes += int64(len(framed))
@@ -265,26 +254,4 @@ func (m *Manager) Close() error {
 		return m.Checkpoint()
 	}
 	return nil
-}
-
-func sortSegKeys(keys []segKey) {
-	sortSlice(keys, func(a, b segKey) bool {
-		if a.store != b.store {
-			return a.store < b.store
-		}
-		if a.part != b.part {
-			return a.part < b.part
-		}
-		return a.epoch < b.epoch
-	})
-}
-
-// sortSlice is a tiny generic insertion sort for the short key lists
-// above (drop lists are a handful of epochs).
-func sortSlice[T any](s []T, less func(a, b T) bool) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && less(s[j], s[j-1]); j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -7,10 +7,11 @@ package recovery_test
 // tasks — so a recovering engine whose caller optimized with different
 // (say, degree-free) estimates would pin no split keys, probe only the
 // plain hash candidate, miss the restored hot tuples on the other one,
-// and silently lose results. Checkpoints persist the pin table;
-// Recover re-imposes it before loading state or replaying.
+// and silently lose results. Checkpoint records and snapshots persist
+// the pin table; Recover and Restore re-impose it before loading state.
 
 import (
+	"bytes"
 	"testing"
 
 	"clash/internal/core"
@@ -70,6 +71,94 @@ func hotStream(n int) []runtime.Ingestion {
 		})
 	}
 	return out
+}
+
+// splitOracle runs the whole stream uninterrupted on the split topology
+// and returns its results.
+func splitOracle(t *testing.T, cat *query.Catalog, topo *topology.Config, ins []runtime.Ingestion) map[string]int {
+	t.Helper()
+	eng := runtime.New(runtime.Config{Catalog: cat, Synchronous: true})
+	defer eng.Stop()
+	if err := eng.Install(topo, 0); err != nil {
+		t.Fatal(err)
+	}
+	sink := runtime.NewCollectSink()
+	eng.OnResult("q1", sink.Add)
+	for _, in := range ins {
+		if err := eng.Ingest(in.Rel, in.TS, in.Vals...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Drain()
+	return sink.Results()
+}
+
+// TestSnapshotRestoresSplitPins: the snapshot path carries the pin table
+// too. Checkpoint a run whose topology split the hot key over two
+// candidate tasks, restore the snapshot into an engine built from
+// degree-FREE estimates, and resume: the restored pins must route the
+// resumed probes to both candidates, so the results of the two lives
+// together match the uninterrupted oracle exactly.
+func TestSnapshotRestoresSplitPins(t *testing.T) {
+	const total, snapAt = 200, 120
+	ins := hotStream(total)
+	_, cat, topoSplit := buildSplitTopo(t, true)
+	want := splitOracle(t, cat, topoSplit, ins)
+
+	eng1 := runtime.New(runtime.Config{Catalog: cat, Synchronous: true})
+	defer eng1.Stop()
+	if err := eng1.Install(topoSplit, 0); err != nil {
+		t.Fatal(err)
+	}
+	s1 := runtime.NewCollectSink()
+	eng1.OnResult("q1", s1.Add)
+	for _, in := range ins[:snapAt] {
+		if err := eng1.Ingest(in.Rel, in.TS, in.Vals...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var snap bytes.Buffer
+	if err := eng1.Checkpoint(&snap); err != nil {
+		t.Fatal(err)
+	}
+
+	_, cat2, topoUniform := buildSplitTopo(t, false)
+	eng2 := runtime.New(runtime.Config{Catalog: cat2, Synchronous: true})
+	defer eng2.Stop()
+	if err := eng2.Install(topoUniform, 0); err != nil {
+		t.Fatal(err)
+	}
+	s2 := runtime.NewCollectSink()
+	eng2.OnResult("q1", s2.Add)
+	if err := eng2.Restore(&snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range ins[snapAt:] {
+		if err := eng2.Ingest(in.Rel, in.TS, in.Vals...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng2.Drain()
+
+	merged := s1.Results()
+	for k, v := range s2.Results() {
+		merged[k] += v
+	}
+	got, wantN := 0, 0
+	for _, n := range merged {
+		got += n
+	}
+	for _, n := range want {
+		wantN += n
+	}
+	if got != wantN || len(merged) != len(want) {
+		t.Fatalf("%d results (%d distinct) after snapshot restore, oracle %d (%d distinct) — split pins lost", got, len(merged), wantN, len(want))
+	}
+	for k, n := range want {
+		if merged[k] != n {
+			t.Fatalf("result %q count %d after snapshot restore, oracle %d", k, merged[k], n)
+		}
+	}
 }
 
 // TestRecoverRestoresSplitPins: crash a run whose topology split the

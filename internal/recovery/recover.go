@@ -78,15 +78,15 @@ func Recover(st Storage, eng *runtime.Engine, cfg Config) (*Manager, *Stats, err
 	if err != nil {
 		return nil, nil, fmt.Errorf("recovery: reading WAL: %w", err)
 	}
-	walFrames, validWAL := scanFrames(walBytes)
+	walFrames, validWAL := runtime.ScanFrames(walBytes)
 	stats.TornWALBytes = int64(len(walBytes)) - validWAL
 	walRecords := make([]walRecord, len(walFrames))
 	for i, fr := range walFrames {
-		rec, err := decodeWALRecord(fr.payload)
+		rec, err := decodeWALRecord(fr.Payload)
 		if err != nil {
 			return nil, nil, fmt.Errorf("recovery: WAL record %d: %w", i, err)
 		}
-		rec.end = fr.end
+		rec.end = fr.End
 		walRecords[i] = rec
 	}
 
@@ -94,24 +94,23 @@ func Recover(st Storage, eng *runtime.Engine, cfg Config) (*Manager, *Stats, err
 	if err != nil {
 		return nil, nil, fmt.Errorf("recovery: reading checkpoint log: %w", err)
 	}
-	ckptFrames, _ := scanFrames(ckptBytes)
+	ckptFrames, _ := runtime.ScanFrames(ckptBytes)
 	// Usable prefix: decodable records anchored within the surviving WAL.
 	// A checkpoint that outlived its WAL tail (the streams are separate
 	// files; a crash can tear them independently) references replay state
 	// that no longer exists, so it and everything after it are discarded.
-	var records []*ckptRecord
+	var records []*runtime.StateRecord
 	usableCkpt := int64(0)
 	for i, fr := range ckptFrames {
-		rec, err := decodeCkptRecord(fr.payload)
+		rec, err := decodeCkptRecord(fr.Payload)
 		if err != nil {
 			return nil, nil, fmt.Errorf("recovery: checkpoint record %d: %w", i, err)
 		}
-		if rec.walPos > validWAL {
+		if rec.Anchor > validWAL {
 			break
 		}
-		rec.end = fr.end
 		records = append(records, rec)
-		usableCkpt = fr.end
+		usableCkpt = fr.End
 	}
 	stats.TornCheckpointBytes = int64(len(ckptBytes)) - usableCkpt
 	stats.CheckpointRecords = len(records)
@@ -131,7 +130,7 @@ func Recover(st Storage, eng *runtime.Engine, cfg Config) (*Manager, *Stats, err
 	// caller's estimates, so a recovering engine optimized differently
 	// would probe different candidate tasks than the state it restores.
 	if len(records) > 0 {
-		if err := eng.RestorePins(records[len(records)-1].pins); err != nil {
+		if err := eng.RestorePins(records[len(records)-1].Pins); err != nil {
 			return nil, nil, fmt.Errorf("recovery: restoring pinned routing: %w", err)
 		}
 	}
@@ -143,39 +142,36 @@ func Recover(st Storage, eng *runtime.Engine, cfg Config) (*Manager, *Stats, err
 	// installed but whose partition has no task means a layout mismatch
 	// and stays fatal.
 	segs := composeChain(records)
-	lastFPs := make(map[segKey]uint64, len(segs))
-	var stale []segKey
+	lastFPs := make(map[runtime.SegKey]uint64, len(segs))
+	var stale []runtime.SegKey
 	loaded := 0
 	for i := range segs {
 		sg := &segs[i]
-		if err := eng.LoadTaskEpoch(topology.StoreID(sg.key.store), sg.key.part, sg.key.epoch, sg.tps, sg.seqs); err != nil {
+		if err := eng.LoadTaskEpoch(sg.Key.Store, sg.Key.Part, sg.Key.Epoch, sg.Tuples, sg.Seqs); err != nil {
 			if errors.Is(err, runtime.ErrUnknownTask) {
-				if eng.HasStore(topology.StoreID(sg.key.store)) {
-					return nil, nil, fmt.Errorf("recovery: segment %s addresses a partition beyond the installed layout: %w", sg.key, err)
+				if eng.HasStore(sg.Key.Store) {
+					return nil, nil, fmt.Errorf("recovery: segment %s addresses a partition beyond the installed layout: %w", sg.Key, err)
 				}
-				stale = append(stale, sg.key)
+				stale = append(stale, sg.Key)
 				continue
 			}
-			return nil, nil, fmt.Errorf("recovery: loading segment %s: %w", sg.key, err)
+			return nil, nil, fmt.Errorf("recovery: loading segment %s: %w", sg.Key, err)
 		}
 		loaded++
-		stats.RestoredTuples += len(sg.tps)
-		lastFPs[sg.key] = sg.fingerprint()
+		stats.RestoredTuples += len(sg.Tuples)
+		lastFPs[sg.Key] = fingerprint(sg)
 	}
 	if len(stale) > 0 && loaded == 0 {
 		return nil, nil, fmt.Errorf("%w: all %d chain segments (first: %s) match no installed store — recovering with the wrong workload or storage?",
 			ErrStaleChain, len(stale), stale[0])
 	}
 	stats.StaleSegments = len(stale)
-	var anchor *ckptRecord
-	if len(records) > 0 {
-		anchor = records[len(records)-1]
-		eng.RestoreProgress(anchor.seq, anchor.watermark)
-		stats.AnchorSeq = anchor.seq
-	}
 	anchorPos := int64(0)
-	if anchor != nil {
-		anchorPos = anchor.walPos
+	if len(records) > 0 {
+		anchor := records[len(records)-1]
+		eng.RestoreProgress(anchor.Seq, anchor.Watermark)
+		stats.AnchorSeq = anchor.Seq
+		anchorPos = anchor.Anchor
 	}
 
 	// Replay the WAL suffix past the anchor. Position-based skipping is
@@ -260,9 +256,9 @@ func Recover(st Storage, eng *runtime.Engine, cfg Config) (*Manager, *Stats, err
 // (store, partition, epoch, tuples) — the sequence number at eviction
 // time is schedule-dependent bookkeeping, not part of the decision.
 func diffEvicts(logged, remade []walRecord) int {
-	counts := map[segKey]map[int]int{}
+	counts := map[runtime.SegKey]map[int]int{}
 	bump := func(r walRecord, d int) {
-		k := segKey{store: r.store, part: r.part, epoch: r.epoch}
+		k := runtime.SegKey{Store: topology.StoreID(r.store), Part: r.part, Epoch: r.epoch}
 		if counts[k] == nil {
 			counts[k] = map[int]int{}
 		}

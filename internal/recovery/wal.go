@@ -1,9 +1,9 @@
 package recovery
 
 // Write-ahead log format (DESIGN.md §11). Both streams (WAL and
-// checkpoint log) are sequences of CRC-framed records:
+// checkpoint log) are sequences of records in the runtime's one frame
+// (runtime.AppendFrame: uvarint length ‖ crc32c ‖ payload):
 //
-//	frame    := uvarint(len(payload)) crc32c(payload)[4, LE] payload
 //	wal rec  := kind(1) body
 //	  ingest := seq(uvarint) len(rel)(uvarint) rel ts(varint)
 //	            nvals(uvarint) value*          — tuple codec values
@@ -21,8 +21,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 
+	"clash/internal/runtime"
 	"clash/internal/tuple"
 )
 
@@ -31,8 +31,6 @@ import (
 // recovery silently truncates.
 var ErrCorruptWAL = errors.New("recovery: corrupt write-ahead log")
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
 // WAL record kinds.
 const (
 	walIngest byte = 1
@@ -40,57 +38,14 @@ const (
 	walEvict  byte = 3
 )
 
-// appendFrame wraps payload in a length+CRC frame and appends it to buf.
-func appendFrame(buf, payload []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(payload)))
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(payload, crcTable))
-	buf = append(buf, crc[:]...)
-	return append(buf, payload...)
-}
-
-// frame is one decoded frame plus the stream offset just past it —
-// record positions are what checkpoint anchoring is built on.
-type frame struct {
-	payload []byte
-	end     int64
-}
-
-// scanFrames decodes the longest valid frame prefix of b. It returns
-// the frames and the byte length of that prefix; everything past it is
-// a torn tail (incomplete length, short payload, or CRC mismatch) that
-// the caller truncates away.
-func scanFrames(b []byte) (frames []frame, valid int64) {
-	pos := int64(0)
-	for int64(len(b)) > pos {
-		rest := b[pos:]
-		l, n := binary.Uvarint(rest)
-		if n <= 0 {
-			break // torn length prefix
-		}
-		rest = rest[n:]
-		if len(rest) < 4 || uint64(len(rest)-4) < l {
-			break // short frame (torn CRC or payload)
-		}
-		want := binary.LittleEndian.Uint32(rest[:4])
-		payload := rest[4 : 4+int(l)]
-		if crc32.Checksum(payload, crcTable) != want {
-			break // torn or corrupt payload: stop at the valid prefix
-		}
-		pos += int64(n) + 4 + int64(l)
-		frames = append(frames, frame{payload: payload, end: pos})
-	}
-	return frames, pos
-}
-
 // FrameEnds returns the end offset of every valid frame in the stream —
 // the record boundaries chaos tests crash at (each offset is a state a
 // real crash can leave the stream in after tail truncation).
 func FrameEnds(b []byte) []int64 {
-	frames, _ := scanFrames(b)
+	frames, _ := runtime.ScanFrames(b)
 	ends := make([]int64, len(frames))
 	for i, fr := range frames {
-		ends[i] = fr.end
+		ends[i] = fr.End
 	}
 	return ends
 }

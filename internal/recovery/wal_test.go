@@ -8,12 +8,13 @@ import (
 
 	"clash/internal/query"
 	"clash/internal/runtime"
+	"clash/internal/topology"
 	"clash/internal/tuple"
 )
 
 func ingestFrame(t *testing.T, rel string, ts tuple.Time, seq uint64, vals ...tuple.Value) []byte {
 	t.Helper()
-	return appendFrame(nil, appendIngestRecord(nil, rel, ts, vals, seq))
+	return runtime.AppendFrame(nil, appendIngestRecord(nil, rel, ts, vals, seq))
 }
 
 // TestWALRecordRoundTrip: every record kind encodes and decodes to
@@ -21,10 +22,10 @@ func ingestFrame(t *testing.T, rel string, ts tuple.Time, seq uint64, vals ...tu
 func TestWALRecordRoundTrip(t *testing.T) {
 	var log []byte
 	log = append(log, ingestFrame(t, "R", 7, 1, tuple.IntValue(42), tuple.StringValue("x"))...)
-	log = append(log, appendFrame(nil, appendPruneRecord(nil, -3))...)
-	log = append(log, appendFrame(nil, appendEvictRecord(nil, "store-S", 2, 5, 17, 9))...)
+	log = append(log, runtime.AppendFrame(nil, appendPruneRecord(nil, -3))...)
+	log = append(log, runtime.AppendFrame(nil, appendEvictRecord(nil, "store-S", 2, 5, 17, 9))...)
 
-	frames, valid := scanFrames(log)
+	frames, valid := runtime.ScanFrames(log)
 	if valid != int64(len(log)) {
 		t.Fatalf("valid prefix %d, want %d", valid, len(log))
 	}
@@ -33,7 +34,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 	}
 	recs := make([]walRecord, len(frames))
 	for i, fr := range frames {
-		rec, err := decodeWALRecord(fr.payload)
+		rec, err := decodeWALRecord(fr.Payload)
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
@@ -52,8 +53,8 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		recs[2].epoch != 5 || recs[2].tuples != 17 || recs[2].seq != 9 {
 		t.Errorf("evict decoded as %+v", recs[2])
 	}
-	if frames[2].end != int64(len(log)) {
-		t.Errorf("last frame end %d, want %d", frames[2].end, len(log))
+	if frames[2].End != int64(len(log)) {
+		t.Errorf("last frame end %d, want %d", frames[2].End, len(log))
 	}
 }
 
@@ -68,7 +69,7 @@ func TestScanFramesTornTail(t *testing.T) {
 		ends = append(ends, int64(len(log)))
 	}
 	for cut := 0; cut <= len(log); cut++ {
-		frames, valid := scanFrames(log[:cut])
+		frames, valid := runtime.ScanFrames(log[:cut])
 		wantRecs := 0
 		for _, e := range ends {
 			if e <= int64(cut) {
@@ -93,7 +94,7 @@ func TestScanFramesStopsAtCorruption(t *testing.T) {
 	log := append(append([]byte{}, a...), b...)
 	log[len(a)+len(b)/2] ^= 0x40
 
-	frames, valid := scanFrames(log)
+	frames, valid := runtime.ScanFrames(log)
 	if len(frames) != 1 || valid != int64(len(a)) {
 		t.Fatalf("got %d frames / %d valid bytes, want 1 / %d", len(frames), valid, len(a))
 	}
@@ -150,38 +151,38 @@ func TestCkptRecordRoundTrip(t *testing.T) {
 	s := tuple.NewSchema("a", "ts")
 	tp1 := tuple.New(s, 5, tuple.IntValue(1), tuple.IntValue(5))
 	tp2 := tuple.New(s, 6, tuple.IntValue(2), tuple.IntValue(6))
-	segs := []segment{{
-		key:  segKey{store: "st", part: 1, epoch: 2},
-		tps:  []*tuple.Tuple{tp1, tp2},
-		seqs: []uint64{10, 11},
+	segs := []runtime.Segment{{
+		Key:    runtime.SegKey{Store: "st", Part: 1, Epoch: 2},
+		Tuples: []*tuple.Tuple{tp1, tp2},
+		Seqs:   []uint64{10, 11},
 	}}
-	drops := []segKey{{store: "st", part: 0, epoch: 1}}
+	drops := []runtime.SegKey{{Store: "st", Part: 0, Epoch: 1}}
 	pins := []runtime.StorePin{
 		{Store: "st", Par: 2, Part: query.Attr{Rel: "R", Name: "a"}, Split: []uint64{7, 99}},
 		{Store: "st2", Par: 1, Part: query.Attr{Rel: "S", Name: "b"}},
 	}
-	payload := appendCkptRecord(nil, 1234, 11, 6, pins, drops, segs)
+	payload := runtime.AppendStateRecord(nil, &runtime.StateRecord{Anchor: 1234, Seq: 11, Watermark: 6, Pins: pins, Drops: drops, Segs: segs})
 
 	rec, err := decodeCkptRecord(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.walPos != 1234 || rec.seq != 11 || rec.watermark != 6 {
-		t.Errorf("anchor decoded as pos=%d seq=%d wm=%d", rec.walPos, rec.seq, rec.watermark)
+	if rec.Anchor != 1234 || rec.Seq != 11 || rec.Watermark != 6 {
+		t.Errorf("anchor decoded as pos=%d seq=%d wm=%d", rec.Anchor, rec.Seq, rec.Watermark)
 	}
-	if !reflect.DeepEqual(rec.pins, pins) {
-		t.Errorf("pins decoded as %+v, want %+v", rec.pins, pins)
+	if !reflect.DeepEqual(rec.Pins, pins) {
+		t.Errorf("pins decoded as %+v, want %+v", rec.Pins, pins)
 	}
-	if len(rec.drops) != 1 || rec.drops[0] != drops[0] {
-		t.Errorf("drops decoded as %v", rec.drops)
+	if len(rec.Drops) != 1 || rec.Drops[0] != drops[0] {
+		t.Errorf("drops decoded as %v", rec.Drops)
 	}
-	if len(rec.segs) != 1 || rec.segs[0].key != segs[0].key || len(rec.segs[0].tps) != 2 {
-		t.Fatalf("segments decoded as %+v", rec.segs)
+	if len(rec.Segs) != 1 || rec.Segs[0].Key != segs[0].Key || len(rec.Segs[0].Tuples) != 2 {
+		t.Fatalf("segments decoded as %+v", rec.Segs)
 	}
-	if rec.segs[0].seqs[0] != 10 || rec.segs[0].seqs[1] != 11 {
-		t.Errorf("entry seqs decoded as %v", rec.segs[0].seqs)
+	if rec.Segs[0].Seqs[0] != 10 || rec.Segs[0].Seqs[1] != 11 {
+		t.Errorf("entry seqs decoded as %v", rec.Segs[0].Seqs)
 	}
-	if rec.segs[0].fingerprint() != segs[0].fingerprint() {
+	if fingerprint(&rec.Segs[0]) != fingerprint(&segs[0]) {
 		t.Error("fingerprint changed across round trip")
 	}
 
@@ -196,28 +197,28 @@ func TestCkptRecordRoundTrip(t *testing.T) {
 // remove them, and the composed set comes out sorted.
 func TestComposeChain(t *testing.T) {
 	s := tuple.NewSchema("a", "ts")
-	mk := func(store string, part int, epoch int64, seqs ...uint64) segment {
-		sg := segment{key: segKey{store: store, part: part, epoch: epoch}}
+	mk := func(store string, part int, epoch int64, seqs ...uint64) runtime.Segment {
+		sg := runtime.Segment{Key: runtime.SegKey{Store: topology.StoreID(store), Part: part, Epoch: epoch}}
 		for _, q := range seqs {
-			sg.tps = append(sg.tps, tuple.New(s, tuple.Time(q), tuple.IntValue(int64(q)), tuple.IntValue(int64(q))))
-			sg.seqs = append(sg.seqs, q)
+			sg.Tuples = append(sg.Tuples, tuple.New(s, tuple.Time(q), tuple.IntValue(int64(q)), tuple.IntValue(int64(q))))
+			sg.Seqs = append(sg.Seqs, q)
 		}
 		return sg
 	}
-	recs := []*ckptRecord{
-		{segs: []segment{mk("b", 0, 0, 1), mk("a", 1, 0, 2)}},
-		{segs: []segment{mk("b", 0, 0, 1, 3), mk("a", 0, 5, 4)}},
-		{drops: []segKey{{store: "a", part: 1, epoch: 0}}},
+	recs := []*runtime.StateRecord{
+		{Segs: []runtime.Segment{mk("b", 0, 0, 1), mk("a", 1, 0, 2)}},
+		{Segs: []runtime.Segment{mk("b", 0, 0, 1, 3), mk("a", 0, 5, 4)}},
+		{Drops: []runtime.SegKey{{Store: "a", Part: 1, Epoch: 0}}},
 	}
 	got := composeChain(recs)
 	if len(got) != 2 {
 		t.Fatalf("composed %d segments, want 2", len(got))
 	}
-	if got[0].key != (segKey{store: "a", part: 0, epoch: 5}) {
-		t.Errorf("first composed key %v (not sorted?)", got[0].key)
+	if got[0].Key != (runtime.SegKey{Store: "a", Part: 0, Epoch: 5}) {
+		t.Errorf("first composed key %v (not sorted?)", got[0].Key)
 	}
-	if got[1].key != (segKey{store: "b", part: 0, epoch: 0}) || len(got[1].tps) != 2 {
-		t.Errorf("override lost: %v with %d tuples", got[1].key, len(got[1].tps))
+	if got[1].Key != (runtime.SegKey{Store: "b", Part: 0, Epoch: 0}) || len(got[1].Tuples) != 2 {
+		t.Errorf("override lost: %v with %d tuples", got[1].Key, len(got[1].Tuples))
 	}
 }
 

@@ -1,28 +1,30 @@
 package runtime
 
 import (
-	"encoding/binary"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 
 	"clash/internal/topology"
 	"clash/internal/tuple"
 )
 
 // Checkpointing serializes the engine's materialized store state — every
-// task's per-epoch tuple history — so a restarted process can resume
-// answering with its windowed history intact instead of waiting a full
-// window for completeness (the bootstrap problem of Sec. VI-B, Fig. 6).
-// The format is a self-contained binary snapshot: a schema table (joined
-// tuples share schemas, encoded once) followed by per-task entry lists.
+// task's per-epoch tuple history, with the pin table that routes it — so
+// a restarted process can resume answering with its windowed history
+// intact instead of waiting a full window for completeness (the
+// bootstrap problem of Sec. VI-B, Fig. 6). A snapshot is one framed
+// state record (codec.go): the same frame, schema table and entry codec
+// as the recovery layer's checkpoint log and the spill tier.
 //
 // The format is backend-agnostic: state is walked through the
-// stateBackend interface in deterministic order (epoch-ascending,
-// storage order within an epoch), so a snapshot taken on one backend
-// restores onto any other — and two engines that ingested the same
-// stream produce byte-identical snapshots regardless of backend.
+// stateBackend interface in deterministic order (Segments), so a
+// snapshot taken on one backend restores onto any other — and two
+// engines that ingested the same stream produce byte-identical snapshots
+// regardless of backend.
 //
 // Checkpoint and Restore require a quiesced engine: call Drain first and
 // do not Ingest concurrently. Restore must run after Install on an
@@ -38,12 +40,11 @@ import (
 // in-flight work, rather than serializing mid-probe state. Restore
 // writes directly into the task containers and consumes no credits.
 
-var ckptMagic = [8]byte{'C', 'L', 'S', 'H', 'C', 'K', 'P', '1'}
-
 // ErrCorruptSnapshot is reported (wrapped, with detail) by Restore for
-// any truncated or corrupt snapshot. Decoding untrusted bytes must
-// error, never panic: callers branch on errors.Is(err,
-// ErrCorruptSnapshot) to distinguish bad input from topology mismatch.
+// any truncated or corrupt snapshot, and by the spill tier for a damaged
+// spill frame. Decoding untrusted bytes must error, never panic: callers
+// branch on errors.Is(err, ErrCorruptSnapshot) to distinguish bad input
+// from topology mismatch.
 var ErrCorruptSnapshot = errors.New("runtime: corrupt or truncated snapshot")
 
 // ErrUnknownTask is reported (wrapped) by Restore and LoadTaskEpoch when
@@ -60,189 +61,56 @@ func corruptSnapshot(format string, args ...any) error {
 
 // Checkpoint writes a snapshot of all materialized state to w.
 func (e *Engine) Checkpoint(w io.Writer) error {
-	e.Drain()
-	if n := e.inflight.Load(); n != 0 {
-		return fmt.Errorf("runtime: checkpoint requires a quiesced engine (%d messages in flight — concurrent Ingest?)", n)
+	segs, err := e.Segments(false)
+	if err != nil {
+		return err
 	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-
-	keys := make([]taskKey, 0, len(e.tasks))
-	for k := range e.tasks {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].store != keys[j].store {
-			return keys[i].store < keys[j].store
-		}
-		return keys[i].part < keys[j].part
-	})
-
-	// Schema table: joined tuples share schema pointers; dedupe by
-	// signature so each distinct schema is encoded once.
-	schemaID := map[string]int{}
-	var schemas []*tuple.Schema
-	idOf := func(s *tuple.Schema) int {
-		sig := s.String()
-		if id, ok := schemaID[sig]; ok {
-			return id
-		}
-		id := len(schemas)
-		schemaID[sig] = id
-		schemas = append(schemas, s)
-		return id
-	}
-	// First pass assigns IDs in deterministic order.
-	for _, k := range keys {
-		t := e.tasks[k]
-		for _, ep := range t.state.epochs() {
-			t.state.forEach(ep, func(tp *tuple.Tuple, _ uint64) { idOf(tp.Schema) })
-		}
-	}
-
-	buf := make([]byte, 0, 1<<16)
-	buf = append(buf, ckptMagic[:]...)
-	buf = binary.AppendUvarint(buf, e.seq.Load())
-	buf = binary.AppendVarint(buf, e.watermk.Load())
-	buf = binary.AppendUvarint(buf, uint64(len(schemas)))
-	for _, s := range schemas {
-		buf = tuple.AppendSchema(buf, s)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(keys)))
-	for _, k := range keys {
-		t := e.tasks[k]
-		buf = binary.AppendUvarint(buf, uint64(len(k.store)))
-		buf = append(buf, k.store...)
-		buf = binary.AppendUvarint(buf, uint64(k.part))
-		eps := t.state.epochs()
-		buf = binary.AppendUvarint(buf, uint64(len(eps)))
-		for _, ep := range eps {
-			buf = binary.AppendVarint(buf, ep)
-			buf = binary.AppendUvarint(buf, uint64(t.state.epochLen(ep)))
-			t.state.forEach(ep, func(tp *tuple.Tuple, seq uint64) {
-				buf = binary.AppendUvarint(buf, uint64(idOf(tp.Schema)))
-				buf = binary.AppendUvarint(buf, seq)
-				buf = tuple.AppendTuple(buf, tp)
-			})
-		}
-	}
-	_, err := w.Write(buf)
+	rec := StateRecord{Seq: e.seq.Load(), Watermark: e.watermk.Load(), Pins: e.Pins(), Segs: segs}
+	_, err = w.Write(AppendFrame(nil, AppendStateRecord(nil, &rec)))
 	return err
 }
 
 // Restore loads a snapshot produced by Checkpoint into this engine.
 // The topology must already be installed; tasks referenced by the
-// snapshot must exist (same stores and parallelism). Truncated or
-// corrupt input returns a wrapped ErrCorruptSnapshot — never a panic:
-// snapshots cross a process boundary and arrive as untrusted bytes.
+// snapshot must exist (same stores and parallelism). The snapshot is
+// decoded and checked against the topology before anything is loaded:
+// truncated or corrupt input returns a wrapped ErrCorruptSnapshot — never
+// a panic, never a partial load — because snapshots cross a process
+// boundary and arrive as untrusted bytes. The snapshot's pins are
+// re-imposed (RestorePins) before its segments load (LoadTaskEpoch).
 func (e *Engine) Restore(r io.Reader) error {
-	buf, err := io.ReadAll(r)
+	b, err := io.ReadAll(r)
 	if err != nil {
 		return fmt.Errorf("runtime: reading checkpoint: %w", err)
 	}
-	if len(buf) < len(ckptMagic) || string(buf[:8]) != string(ckptMagic[:]) {
-		return corruptSnapshot("not a CLASH checkpoint (bad magic)")
+	payload, err := wholeFrame(b)
+	if err != nil {
+		return err
 	}
-	buf = buf[8:]
-
-	seq, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return corruptSnapshot("truncated sequence header")
+	rec, err := DecodeStateRecord(payload)
+	if err != nil {
+		return err
 	}
-	buf = buf[n:]
-	wm, n := binary.Varint(buf)
-	if n <= 0 {
-		return corruptSnapshot("truncated watermark header")
+	if rec.Anchor != 0 || len(rec.Drops) != 0 {
+		return corruptSnapshot("an anchored checkpoint-log record, not a snapshot")
 	}
-	buf = buf[n:]
-
-	nSchemas, n := binary.Uvarint(buf)
-	// A schema costs at least one byte; a count beyond the remaining
-	// input is corrupt, and pre-allocating from it would let a tiny
-	// malformed snapshot demand gigabytes (same class as the
-	// FuzzTupleCodecRoundTrip finding in DecodeSchema).
-	if n <= 0 || nSchemas > uint64(len(buf)-n) {
-		return corruptSnapshot("bad schema count")
-	}
-	buf = buf[n:]
-	schemas := make([]*tuple.Schema, nSchemas)
-	for i := range schemas {
-		schemas[i], buf, err = tuple.DecodeSchema(buf)
-		if err != nil {
-			return fmt.Errorf("%w: schema %d: %v", ErrCorruptSnapshot, i, err)
-		}
-	}
-
-	nTasks, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return corruptSnapshot("truncated task count")
-	}
-	buf = buf[n:]
-
 	e.mu.RLock()
-	defer e.mu.RUnlock()
-	for ti := uint64(0); ti < nTasks; ti++ {
-		l, n := binary.Uvarint(buf)
-		if n <= 0 || uint64(len(buf)-n) < l {
-			return corruptSnapshot("truncated store id (task %d)", ti)
-		}
-		store := topology.StoreID(buf[n : n+int(l)])
-		buf = buf[n+int(l):]
-		part, n := binary.Uvarint(buf)
-		if n <= 0 {
-			return corruptSnapshot("truncated partition (task %d)", ti)
-		}
-		buf = buf[n:]
-		nEps, n := binary.Uvarint(buf)
-		if n <= 0 {
-			return corruptSnapshot("truncated epoch count (task %d)", ti)
-		}
-		buf = buf[n:]
-
-		t := e.tasks[taskKey{store: store, part: int(part)}]
-		for ei := uint64(0); ei < nEps; ei++ {
-			ep, n := binary.Varint(buf)
-			if n <= 0 {
-				return corruptSnapshot("truncated epoch header (%s/%d)", store, part)
-			}
-			buf = buf[n:]
-			nEntries, n := binary.Uvarint(buf)
-			if n <= 0 {
-				return corruptSnapshot("truncated entry count (%s/%d ep %d)", store, part, ep)
-			}
-			buf = buf[n:]
-			for j := uint64(0); j < nEntries; j++ {
-				sid, n := binary.Uvarint(buf)
-				if n <= 0 || sid >= nSchemas {
-					return corruptSnapshot("bad schema reference (%s/%d ep %d)", store, part, ep)
-				}
-				buf = buf[n:]
-				eseq, n := binary.Uvarint(buf)
-				if n <= 0 {
-					return corruptSnapshot("truncated entry sequence (%s/%d ep %d)", store, part, ep)
-				}
-				buf = buf[n:]
-				var tp *tuple.Tuple
-				tp, buf, err = tuple.DecodeTuple(buf, schemas[sid])
-				if err != nil {
-					return fmt.Errorf("%w: tuple in %s/%d ep %d: %v", ErrCorruptSnapshot, store, part, ep, err)
-				}
-				if t == nil {
-					return fmt.Errorf("%w %s/%d (install the topology first)", ErrUnknownTask, store, part)
-				}
-				t.markDirty(ep)
-				delta, idxDelta := t.state.insert(tp, eseq, ep)
-				t.storedCount.Add(1)
-				e.metrics.stored.Add(1)
-				t.accountState(delta, idxDelta)
-			}
+	for _, sg := range rec.Segs {
+		if e.tasks[taskKey{store: sg.Key.Store, part: sg.Key.Part}] == nil {
+			e.mu.RUnlock()
+			return fmt.Errorf("%w %s/%d (install the topology first)", ErrUnknownTask, sg.Key.Store, sg.Key.Part)
 		}
 	}
-	if len(buf) != 0 {
-		return corruptSnapshot("%d trailing bytes", len(buf))
+	e.mu.RUnlock()
+	if err := e.RestorePins(rec.Pins); err != nil {
+		return err
 	}
-
-	e.RestoreProgress(seq, wm)
+	for _, sg := range rec.Segs {
+		if err := e.LoadTaskEpoch(sg.Key.Store, sg.Key.Part, sg.Key.Epoch, sg.Tuples, sg.Seqs); err != nil {
+			return err
+		}
+	}
+	e.RestoreProgress(rec.Seq, rec.Watermark)
 	return nil
 }
 
@@ -271,84 +139,56 @@ func (e *Engine) RestoreProgress(seq uint64, watermark int64) {
 // records with each incremental checkpoint).
 func (e *Engine) Seq() uint64 { return e.seq.Load() }
 
-// WalkState visits every materialized tuple on a quiesced engine in
-// deterministic order: tasks sorted by store then partition, epochs
-// ascending, storage order within an epoch — the same order Checkpoint
-// serializes, so two engines with identical state produce identical
-// walks regardless of backend. The incremental-checkpoint layer builds
-// its per-epoch segments and fingerprints from this walk.
-func (e *Engine) WalkState(fn func(store topology.StoreID, part int, epoch int64, tp *tuple.Tuple, seq uint64)) error {
+// Segments walks the materialized state of a quiesced engine into
+// segments, in the one deterministic order every serializer relies on:
+// tasks by store then partition, epochs ascending, storage order within
+// an epoch — the same on every backend. With dirtyOnly the walk covers
+// just the epochs marked dirty since the last ClearDirty, including
+// those now empty (a prune or eviction emptied them; the incremental
+// checkpointer tombstones those), so a checkpoint's cost follows the
+// hot state, not the window. The full walk (a snapshot) skips empty
+// epochs.
+func (e *Engine) Segments(dirtyOnly bool) ([]Segment, error) {
 	e.Drain()
 	if n := e.inflight.Load(); n != 0 {
-		return fmt.Errorf("runtime: state walk requires a quiesced engine (%d messages in flight — concurrent Ingest?)", n)
+		return nil, fmt.Errorf("runtime: state walk requires a quiesced engine (%d messages in flight — concurrent Ingest?)", n)
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	keys := make([]taskKey, 0, len(e.tasks))
-	for k := range e.tasks {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].store != keys[j].store {
-			return keys[i].store < keys[j].store
-		}
-		return keys[i].part < keys[j].part
-	})
-	for _, k := range keys {
-		t := e.tasks[k]
-		for _, ep := range t.state.epochs() {
-			t.state.forEach(ep, func(tp *tuple.Tuple, seq uint64) {
-				fn(k.store, k.part, ep, tp, seq)
-			})
-		}
-	}
-	return nil
-}
-
-// WalkDirtyState visits, in the same deterministic order as WalkState,
-// every segment (store, part, epoch) whose content may have changed
-// since the engine's last ClearDirty: seg fires once per dirty epoch —
-// including epochs that no longer hold any tuples after a prune or
-// eviction — then fn fires once per tuple in it. The incremental
-// checkpointer fingerprints exactly this delta instead of the whole
-// store, so a checkpoint's cost follows the hot state, not the window.
-func (e *Engine) WalkDirtyState(
-	seg func(store topology.StoreID, part int, epoch int64),
-	fn func(store topology.StoreID, part int, epoch int64, tp *tuple.Tuple, seq uint64),
-) error {
-	e.Drain()
-	if n := e.inflight.Load(); n != 0 {
-		return fmt.Errorf("runtime: state walk requires a quiesced engine (%d messages in flight — concurrent Ingest?)", n)
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	keys := make([]taskKey, 0, len(e.tasks))
-	for k := range e.tasks {
-		if len(e.tasks[k].dirtyEpochs) > 0 {
+	for k, t := range e.tasks {
+		if !dirtyOnly || len(t.dirtyEpochs) > 0 {
 			keys = append(keys, k)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].store != keys[j].store {
-			return keys[i].store < keys[j].store
-		}
-		return keys[i].part < keys[j].part
+	slices.SortFunc(keys, func(a, b taskKey) int {
+		return cmp.Or(cmp.Compare(a.store, b.store), cmp.Compare(a.part, b.part))
 	})
+	var segs []Segment
 	for _, k := range keys {
 		t := e.tasks[k]
-		eps := make([]int64, 0, len(t.dirtyEpochs))
-		for ep := range t.dirtyEpochs {
-			eps = append(eps, ep)
+		eps := t.state.epochs()
+		if dirtyOnly {
+			eps = slices.Sorted(maps.Keys(t.dirtyEpochs))
 		}
-		sort.Slice(eps, func(i, j int) bool { return eps[i] < eps[j] })
 		for _, ep := range eps {
-			seg(k.store, k.part, ep)
+			n := t.state.epochLen(ep)
+			if n == 0 && !dirtyOnly {
+				continue
+			}
+			sg := Segment{
+				Key:    SegKey{Store: k.store, Part: k.part, Epoch: ep},
+				Tuples: make([]*tuple.Tuple, 0, n),
+				Seqs:   make([]uint64, 0, n),
+			}
 			t.state.forEach(ep, func(tp *tuple.Tuple, seq uint64) {
-				fn(k.store, k.part, ep, tp, seq)
+				sg.Tuples = append(sg.Tuples, tp)
+				sg.Seqs = append(sg.Seqs, seq)
 			})
+			segs = append(segs, sg)
 		}
 	}
-	return nil
+	return segs, nil
 }
 
 // ClearDirty resets every task's dirty-epoch set. The checkpointer

@@ -51,11 +51,10 @@ func (e *Engine) Pins() []StorePin {
 // recovering topology no longer has. A parallelism or partitioning
 // mismatch for a known store means the engine was configured against a
 // different physical layout than the one that wrote the state; that
-// fails closed.
+// fails closed, before any pin changes.
 func (e *Engine) RestorePins(pins []StorePin) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	changed := false
 	for _, p := range pins {
 		par, known := e.pinnedPar[p.Store]
 		if !known {
@@ -66,6 +65,12 @@ func (e *Engine) RestorePins(pins []StorePin) error {
 		}
 		if part := e.pinnedPart[p.Store]; part != p.Part {
 			return fmt.Errorf("runtime: restored pin for store %s partitions by %s, engine pinned %s", p.Store, p.Part.Qualified(), part.Qualified())
+		}
+	}
+	changed := false
+	for _, p := range pins {
+		if _, known := e.pinnedPar[p.Store]; !known {
+			continue
 		}
 		cur := e.pinnedSplit[p.Store]
 		if len(p.Split) == 0 {

@@ -11,7 +11,7 @@ import (
 // Snapshots cross a process boundary (recovery reads them back after a
 // crash), so Restore decodes untrusted bytes: every malformed input
 // must come back as a wrapped ErrCorruptSnapshot — never a panic, never
-// a silent partial load that looks like success.
+// a partial load, never a silent success.
 
 func corruptHarness(t *testing.T) (*harness, []byte) {
 	t.Helper()
@@ -31,7 +31,8 @@ func corruptHarness(t *testing.T) (*harness, []byte) {
 
 // TestRestoreTruncatedAtEveryOffset: cutting a valid snapshot at EVERY
 // byte offset — each a state a torn write can leave the file in — is
-// reported as ErrCorruptSnapshot at every single cut.
+// reported as ErrCorruptSnapshot at every single cut, and leaves the
+// target engine exactly as empty as it was.
 func TestRestoreTruncatedAtEveryOffset(t *testing.T) {
 	dst, snap := corruptHarness(t)
 	defer dst.eng.Stop()
@@ -43,12 +44,16 @@ func TestRestoreTruncatedAtEveryOffset(t *testing.T) {
 		if !errors.Is(err, ErrCorruptSnapshot) {
 			t.Fatalf("cut %d: error %v does not wrap ErrCorruptSnapshot", cut, err)
 		}
+		if m := dst.eng.Metrics().Snapshot(); m.Stored != 0 || m.StoreBytes != 0 {
+			t.Fatalf("cut %d: failed restore left %d tuples (%d bytes) in the engine", cut, m.Stored, m.StoreBytes)
+		}
 	}
 }
 
 // TestRestoreCorruptTable: structured corruptions beyond simple
-// truncation — damaged magic, trailing garbage, and an inflated schema
-// count (which must error out instead of pre-allocating gigabytes).
+// truncation — a damaged frame header, trailing garbage, and a tail
+// overwritten with an inflated count (which must error out instead of
+// pre-allocating gigabytes).
 func TestRestoreCorruptTable(t *testing.T) {
 	dst, snap := corruptHarness(t)
 	defer dst.eng.Stop()
@@ -67,9 +72,8 @@ func TestRestoreCorruptTable(t *testing.T) {
 			return append(b, b[:16]...)
 		}},
 		{"inflated schema count", func(b []byte) []byte {
-			// Header is magic(8) + seq(uvarint) + watermark(varint) +
-			// schema count; overwrite the tail with a count in the
-			// hundreds of millions and no backing bytes.
+			// Overwrite everything past the first 12 bytes with a count
+			// in the hundreds of millions and no backing bytes.
 			return append(b[:12], 0xFF, 0xFF, 0xFF, 0xFF, 0x7F)
 		}},
 	}
@@ -83,17 +87,22 @@ func TestRestoreCorruptTable(t *testing.T) {
 	}
 }
 
-// TestRestoreBitFlipsNeverPanic: a single-bit flip at every offset may
-// decode (a flipped value byte is still a valid value) or may error —
-// but it must never panic and never over-allocate. Errors are not
-// required to wrap ErrCorruptSnapshot here: a flipped store name is a
-// topology mismatch, which Restore reports as its own error.
+// TestRestoreBitFlipsNeverPanic: a single-bit flip at every offset —
+// in the frame header, the CRC, or the payload — is rejected as
+// ErrCorruptSnapshot (the frame's CRC catches every single-bit error),
+// never decoded into wrong state, never a panic, and never a partial
+// load.
 func TestRestoreBitFlipsNeverPanic(t *testing.T) {
 	dst, snap := corruptHarness(t)
 	defer dst.eng.Stop()
 	for off := 0; off < len(snap); off++ {
 		flipped := append([]byte{}, snap...)
 		flipped[off] ^= 0x40
-		_ = dst.eng.Restore(bytes.NewReader(flipped)) // must return, not panic
+		if err := dst.eng.Restore(bytes.NewReader(flipped)); !errors.Is(err, ErrCorruptSnapshot) {
+			t.Fatalf("bit flip at %d/%d: error %v does not wrap ErrCorruptSnapshot", off, len(snap), err)
+		}
+		if m := dst.eng.Metrics().Snapshot(); m.Stored != 0 {
+			t.Fatalf("bit flip at %d: failed restore left %d tuples in the engine", off, m.Stored)
+		}
 	}
 }

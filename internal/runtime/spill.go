@@ -27,18 +27,18 @@ package runtime
 //     the epoch dirty: the incremental checkpointer skips clean cold
 //     epochs and checkpoint cost follows hot state.
 //
-// The frame layout is the recovery WAL's (uvarint length ‖ crc32c ‖
-// payload, hash/crc32 Castagnoli) and the payload is the checkpoint
-// entry codec (schema table followed by (schemaID, seq, tuple) entries
-// in storage order) — one wire format for everything that serializes
-// materialized state, not a second one.
+// A spilled epoch is written in the one serialization of materialized
+// state (codec.go), which snapshots and the checkpoint log share: the
+// one frame (uvarint length ‖ crc32c ‖ payload) around the epoch, its
+// row count, the schema table and the (schemaID, seq, tuple) entries in
+// storage order. This file frames nothing and encodes nothing itself.
 //
 // The file is append-only and tombstone-pruned: expired segments are
 // simply forgotten (their stubs dropped); bytes are reclaimed only by
 // clear()/close(), never by rewriting — prune of cold state is O(1).
 // Reads go through a lazily refreshed read-only mmap of the file
 // prefix (mmap_unix.go) with a pread fallback, and every read
-// re-verifies the segment CRC: a truncated or corrupt spill file
+// re-verifies the frame's CRC: a truncated or corrupt spill file
 // surfaces a wrapped ErrCorruptSnapshot through the backend's failure
 // hook, never a panic and never silently wrong results.
 //
@@ -50,15 +50,9 @@ package runtime
 // abandoned (crashed) engine leaks no on-disk garbage.
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
-
-	"clash/internal/tuple"
 )
-
-var spillCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // spillStore is one task's append-only segment file. Like the backend
 // that owns it, it is confined to the task's execution context; only
@@ -72,6 +66,7 @@ type spillStore struct {
 	size int64  // append offset
 	mm   mmapRegion
 	done bool
+	buf  []byte // framing scratch
 }
 
 // open creates the spill file on first demotion. The file is unlinked
@@ -96,31 +91,25 @@ func (sp *spillStore) open() error {
 	return nil
 }
 
-// append frames the payload (WAL frame layout) and appends it to the
-// file, returning the payload's offset and CRC.
-func (sp *spillStore) append(payload []byte) (off int64, crc uint32, err error) {
+// append frames the payload and appends it to the file, returning the
+// frame's offset and length.
+func (sp *spillStore) append(payload []byte) (off, n int64, err error) {
 	if err := sp.open(); err != nil {
 		return 0, 0, err
 	}
-	var hdr [binary.MaxVarintLen64 + 4]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(payload)))
-	crc = crc32.Checksum(payload, spillCRC)
-	binary.LittleEndian.PutUint32(hdr[n:], crc)
-	if _, err := sp.f.WriteAt(hdr[:n+4], sp.size); err != nil {
+	sp.buf = AppendFrame(sp.buf[:0], payload)
+	if _, err := sp.f.WriteAt(sp.buf, sp.size); err != nil {
 		return 0, 0, fmt.Errorf("runtime: spill append: %w", err)
 	}
-	off = sp.size + int64(n) + 4
-	if _, err := sp.f.WriteAt(payload, off); err != nil {
-		return 0, 0, fmt.Errorf("runtime: spill append: %w", err)
-	}
-	sp.size = off + int64(len(payload))
-	return off, crc, nil
+	off, n = sp.size, int64(len(sp.buf))
+	sp.size += n
+	return off, n, nil
 }
 
-// read returns the payload at [off, off+n), CRC-verified. The returned
-// slice may alias the mmap and is only valid until the next store
-// operation — decode immediately (the tuple codec copies).
-func (sp *spillStore) read(off, n int64, crc uint32) ([]byte, error) {
+// read returns the payload of the frame at [off, off+n), CRC-verified.
+// The returned slice may alias the mmap and is only valid until the
+// next store operation — decode immediately (the tuple codec copies).
+func (sp *spillStore) read(off, n int64) ([]byte, error) {
 	if sp.f == nil {
 		return nil, corruptSnapshot("spill read from absent file")
 	}
@@ -131,19 +120,20 @@ func (sp *spillStore) read(off, n int64, crc uint32) ([]byte, error) {
 	// Bounds come before any mmap access: touching pages past EOF of a
 	// truncated file is a SIGBUS, not an error.
 	if off < 0 || n < 0 || off+n > fi.Size() {
-		return nil, corruptSnapshot("spill segment [%d,+%d) past end of %d-byte file (truncated?)", off, n, fi.Size())
+		return nil, corruptSnapshot("spill frame [%d,+%d) past end of %d-byte file (truncated?)", off, n, fi.Size())
 	}
 	b := sp.mm.slice(sp.f, fi.Size(), off, n)
 	if b == nil {
 		b = make([]byte, n)
 		if _, err := sp.f.ReadAt(b, off); err != nil {
-			return nil, fmt.Errorf("%w: spill segment read: %v", ErrCorruptSnapshot, err)
+			return nil, fmt.Errorf("%w: spill frame read: %v", ErrCorruptSnapshot, err)
 		}
 	}
-	if got := crc32.Checksum(b, spillCRC); got != crc {
-		return nil, corruptSnapshot("spill segment at %d: crc %08x, want %08x", off, got, crc)
+	payload, err := wholeFrame(b)
+	if err != nil {
+		return nil, fmt.Errorf("spill frame at %d: %w", off, err)
 	}
-	return b, nil
+	return payload, nil
 }
 
 // reset truncates the file to empty (store clear/retirement); the next
@@ -195,102 +185,19 @@ func (sp *spillStore) close() error {
 	return nil
 }
 
-// encodeColSegment serializes one epoch's segment in the checkpoint
-// entry codec: a local schema table (deduped by signature, like
-// Engine.Checkpoint's) followed by count entries of
-// (schemaID uvarint, seq uvarint, tuple) in storage order — the order
-// every backend's forEach and probe chains are defined over, so a
-// demote/promote round trip is byte-invisible to probes, checkpoints,
-// and results.
-func encodeColSegment(buf []byte, s *colSegment) []byte {
-	schemaID := map[*tuple.Schema]int{}
-	var schemas []*tuple.Schema
-	for _, tp := range s.tups {
-		if _, ok := schemaID[tp.Schema]; !ok {
-			schemaID[tp.Schema] = len(schemas)
-			schemas = append(schemas, tp.Schema)
-		}
-	}
-	buf = binary.AppendVarint(buf, s.epoch)
-	buf = binary.AppendUvarint(buf, uint64(len(s.tups)))
-	buf = binary.AppendUvarint(buf, uint64(len(schemas)))
-	for _, sch := range schemas {
-		buf = tuple.AppendSchema(buf, sch)
-	}
-	for i, tp := range s.tups {
-		buf = binary.AppendUvarint(buf, uint64(schemaID[tp.Schema]))
-		buf = binary.AppendUvarint(buf, s.seqs[i])
-		buf = tuple.AppendTuple(buf, tp)
-	}
-	return buf
-}
-
-// decodeColSegment rebuilds a hot segment from an encoded spill
-// payload. Rows are re-added in storage order, so payload accounting,
-// min/max event times, and (lazily rebuilt) index chains come out
-// exactly as they were before demotion.
-func decodeColSegment(b []byte) (*colSegment, error) {
-	ep, n := binary.Varint(b)
-	if n <= 0 {
-		return nil, corruptSnapshot("spill segment: truncated epoch")
-	}
-	b = b[n:]
-	count, n := binary.Uvarint(b)
-	if n <= 0 {
-		return nil, corruptSnapshot("spill segment: truncated entry count")
-	}
-	b = b[n:]
-	nSchemas, n := binary.Uvarint(b)
-	if n <= 0 || nSchemas > uint64(len(b)-n) {
-		return nil, corruptSnapshot("spill segment: bad schema count")
-	}
-	b = b[n:]
-	schemas := make([]*tuple.Schema, nSchemas)
-	var err error
-	for i := range schemas {
-		schemas[i], b, err = tuple.DecodeSchema(b)
-		if err != nil {
-			return nil, fmt.Errorf("%w: spill segment schema %d: %v", ErrCorruptSnapshot, i, err)
-		}
-	}
-	s := newColSegment(ep)
-	for j := uint64(0); j < count; j++ {
-		sid, n := binary.Uvarint(b)
-		if n <= 0 || sid >= nSchemas {
-			return nil, corruptSnapshot("spill segment ep %d: bad schema reference (entry %d)", ep, j)
-		}
-		b = b[n:]
-		seq, n := binary.Uvarint(b)
-		if n <= 0 {
-			return nil, corruptSnapshot("spill segment ep %d: truncated entry sequence", ep)
-		}
-		b = b[n:]
-		var tp *tuple.Tuple
-		tp, b, err = tuple.DecodeTuple(b, schemas[sid])
-		if err != nil {
-			return nil, fmt.Errorf("%w: spill segment ep %d entry %d: %v", ErrCorruptSnapshot, ep, j, err)
-		}
-		s.add(tp, seq)
-	}
-	if len(b) != 0 {
-		return nil, corruptSnapshot("spill segment ep %d: %d trailing bytes", ep, len(b))
-	}
-	return s, nil
-}
-
 // coldStubBase prices a stub's fixed overhead: the struct, its ring
 // slot, and the filter list header.
 const coldStubBase = 160
 
 // coldStub is what a demoted epoch keeps in memory beside its slot's
 // epoch and time bounds: enough to filter the segment (the key filters
-// of its indices), locate it (file coordinates + CRC), and account it
-// (count, filter bytes) without touching disk.
+// of its indices), locate it (file coordinates of its frame, which
+// carries its own CRC), and account it (count, filter bytes) without
+// touching disk.
 type coldStub struct {
 	count int
-	off   int64 // payload offset in the spill file
-	len   int64 // payload length
-	crc   uint32
+	off   int64 // frame offset in the spill file
+	len   int64 // frame length
 	// filters holds one key filter per index key that had been probed on
 	// this task by demotion time; a key probed for the first time later
 	// has no filter and pays a read-through. They stay with the stub for
@@ -377,9 +284,9 @@ func (c *columnarState) load(s *colSegment, keep bool) *colSegment {
 		return stub.loaded
 	}
 	var ls *colSegment
-	b, err := c.store.read(stub.off, stub.len, stub.crc)
+	b, err := c.store.read(stub.off, stub.len)
 	if err == nil {
-		ls, err = decodeColSegment(b)
+		ls, err = decodeSpill(b)
 	}
 	if err == nil && (ls.epoch != s.epoch || len(ls.tups) != stub.count) {
 		err = corruptSnapshot("spill segment at %d decodes to epoch %d (%d rows), stub says epoch %d (%d rows)",
@@ -415,13 +322,13 @@ func (c *columnarState) demoteOldest() (delta, idxDelta int64, ok bool) {
 	stub := s.stub
 	if stub == nil || stub.count != len(s.tups) {
 		// No byte-valid frame from an earlier demotion to revive.
-		c.encBuf = encodeColSegment(c.encBuf[:0], s)
-		off, crc, err := c.store.append(c.encBuf)
+		c.encBuf = appendSpill(c.encBuf[:0], s)
+		off, n, err := c.store.append(c.encBuf)
 		if err != nil {
 			c.fail(err)
 			return 0, 0, false
 		}
-		stub = &coldStub{count: len(s.tups), off: off, len: int64(len(c.encBuf)), crc: crc}
+		stub = &coldStub{count: len(s.tups), off: off, len: n}
 		stub.takeFilters(s, c.probed)
 	}
 	if c.testCrashAfterSpill != nil {

@@ -41,7 +41,7 @@ type task struct {
 	spin          uint64       // overhead-emulation sink
 	// dirtyEpochs tracks epochs whose materialized content changed
 	// since the engine's last ClearDirty — the delta the incremental
-	// checkpointer walks (WalkDirtyState) instead of the whole store.
+	// checkpointer walks (Segments(true)) instead of the whole store.
 	// Touched only on the task's execution context or on a quiesced
 	// engine, like state itself.
 	dirtyEpochs map[int64]struct{}
