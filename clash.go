@@ -330,7 +330,12 @@ type Config struct {
 	Independent bool
 	// Optimizer passes through optimizer options.
 	Optimizer OptimizerOptions
-	// InitialEstimates seed the optimizer before statistics exist.
+	// InitialEstimates seed the optimizer before statistics exist. Their
+	// degree sketches are also where skew routing comes from — there is
+	// no switch for it: a key whose share reaches 1/parallelism of a
+	// partitioned store splits over two candidate tasks (inserts to the
+	// less-loaded one, probes to both), and in a Cluster a key whose
+	// share reaches 1/Shards splits over two shards the same way.
 	InitialEstimates *Estimates
 	// MemoryLimitBytes fails the engine when state plus queued messages
 	// exceed it (0 = unlimited).
@@ -400,16 +405,10 @@ type Config struct {
 	// Recover returns, and callbacks registered afterwards would miss
 	// the replayed results.
 	OnResult map[string]func(*Tuple)
-	// SampleSize is the per-relation, per-epoch statistics sample
-	// (default 256).
-	SampleSize int
-	// TwoChoiceRouting enables partial-key-grouping style skew handling
-	// on partitioned stores: inserts go to the less-loaded of two hash
-	// candidates and probes visit both. Results stay exact; the maximum
-	// task load under key skew drops at the price of doubled keyed probe
-	// fan-out.
-	TwoChoiceRouting bool
 }
+
+// statsSample is the per-relation, per-epoch statistics sample size.
+const statsSample = 256
 
 // Engine is the running system: optimizer, statistics, and the stream
 // processing runtime.
@@ -519,11 +518,7 @@ func start(cfg Config, journal runtime.Journal) (*Engine, error) {
 			return nil, fmt.Errorf("clash: query %s joins fewer than two relations", q.Name)
 		}
 	}
-	sample := cfg.SampleSize
-	if sample <= 0 {
-		sample = 256
-	}
-	col := stats.NewCollector(sample, 128, 1)
+	col := stats.NewCollector(statsSample, 128, 1)
 	est := cfg.InitialEstimates
 	if est == nil {
 		est = stats.NewEstimates(0.01)
@@ -548,7 +543,6 @@ func start(cfg Config, journal runtime.Journal) (*Engine, error) {
 		Sim:              cfg.Sim,
 		Supervision:      cfg.Supervision,
 		Journal:          journal,
-		TwoChoiceRouting: cfg.TwoChoiceRouting,
 		MeasuredCosts:    cfg.MeasuredCosts,
 		Observer:         func(rel string, t *tuple.Tuple) { col.Observe(rel, t) },
 	})

@@ -4,9 +4,11 @@ package clash
 // and admission front door. State is hash-partitioned by join key
 // across shards; relations no consistent key exists for are broadcast;
 // results from all shards merge deterministically, so a multi-shard run
-// is byte-identical to a single engine (DESIGN.md §13). Each shard is a
-// complete Engine and may run any substrate, state backend, or WAL
-// configuration.
+// is byte-identical to a single engine (DESIGN.md §13). Routing is one
+// rule with no switch: key hash, except the heavy hitters the degree
+// sketches in Engine.InitialEstimates flag, which split over two
+// candidate shards. Each shard is a complete Engine and may run any
+// substrate, state backend, or WAL configuration.
 
 import (
 	"errors"
@@ -19,9 +21,6 @@ import (
 
 // Cluster-layer types, re-exported from internal/cluster.
 type (
-	// RoutingPolicy decides shard placement per tuple (see
-	// ClusterConfig.Routing). Implementations must be deterministic.
-	RoutingPolicy = cluster.RoutingPolicy
 	// AdmissionPolicy is the cluster's front door: it sees every tuple
 	// before routing and may shed it.
 	AdmissionPolicy = cluster.AdmissionPolicy
@@ -45,20 +44,6 @@ type (
 // NewMergeSink returns an empty deterministic merge sink.
 func NewMergeSink() *MergeSink { return cluster.NewMergeSink() }
 
-// KeyHashRouting is the exact default policy: keyed relations hash to
-// one shard, broadcast relations go everywhere.
-func KeyHashRouting() RoutingPolicy { return cluster.KeyHash{} }
-
-// RoundRobinRouting spreads broadcast relations' tuples round-robin
-// instead of broadcasting — higher throughput, but only sound for
-// relations no query joins across shards.
-func RoundRobinRouting() RoutingPolicy { return cluster.NewRoundRobin() }
-
-// LeastLoadedRouting places broadcast relations' tuples on the shard
-// with the least queued pressure (same soundness caveat as
-// RoundRobinRouting).
-func LeastLoadedRouting() RoutingPolicy { return cluster.LeastLoaded{} }
-
 // ClusterConfig assembles a cluster.
 type ClusterConfig struct {
 	// Shards is the engine count (default 2).
@@ -67,14 +52,12 @@ type ClusterConfig struct {
 	// WAL.Dir becomes Dir/shard-<i>, and simulation schedule seeds are
 	// decorrelated per shard. OnResult must be empty (register result
 	// sinks on the cluster, which owns the merge contract), and
-	// WAL.Storage cannot be shared across multiple shards.
+	// WAL.Storage cannot be shared across multiple shards. The front
+	// door's router reads its hot keys from InitialEstimates' degree
+	// sketches: a key with at least a 1/Shards share spreads over two
+	// candidate shards, exactly; without such a key it routes by plain
+	// key hash.
 	Engine Config
-	// Routing places tuples onto shards (nil: key-hash, exact).
-	Routing RoutingPolicy
-	// DegreeAware derives a degree-aware policy from the sharding plan
-	// and Engine.InitialEstimates: heavy-hitter keys are spread over two
-	// candidate shards, exactly (ignored when Routing is set).
-	DegreeAware bool
 	// Admission gates tuples before routing (nil: admit everything).
 	Admission AdmissionPolicy
 }
@@ -136,15 +119,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		shards[i] = eng
 	}
 
-	ccfg := cluster.Config{Queries: qs, Catalog: cat, Routing: cfg.Routing, Admission: cfg.Admission}
-	if ccfg.Routing == nil && cfg.DegreeAware {
-		plan, err := cluster.BuildPlan(qs, cat, n)
-		if err != nil {
-			return fail(err)
-		}
-		ccfg.Routing = cluster.NewDegreeAware(plan, ecfg.InitialEstimates)
-	}
-	cl, err := cluster.New(ccfg, shards)
+	cl, err := cluster.New(cluster.Config{Queries: qs, Catalog: cat, Estimates: ecfg.InitialEstimates, Admission: cfg.Admission}, shards)
 	if err != nil {
 		return fail(err)
 	}

@@ -46,7 +46,7 @@
 //	             tails active), each byte-compared against an
 //	             uninterrupted oracle
 //	ablation   — the design choices of DESIGN.md §5 switched off one at
-//	             a time, and two-choice vs single-choice skew routing
+//	             a time
 //	all        — everything (the default)
 //
 // 7, 8 and 9 are shorthands for all panels of a figure; any other name
@@ -185,18 +185,6 @@ func runAblations(quick bool, seed uint64) {
 		log.Fatal(err)
 	}
 	fmt.Print(bench.FormatAblations(rows))
-	fmt.Println()
-
-	fmt.Println("=== Skew routing — two-choice vs. single-choice (hot key 80%) ===")
-	n := 4000
-	if quick {
-		n = 1000
-	}
-	skew, err := bench.SkewAblations(n, 4, 800)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(bench.FormatSkewAblations(skew))
 	fmt.Println()
 }
 

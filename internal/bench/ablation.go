@@ -6,11 +6,6 @@ import (
 	"time"
 
 	"clash/internal/core"
-	"clash/internal/query"
-	"clash/internal/rng"
-	"clash/internal/runtime"
-	"clash/internal/stats"
-	"clash/internal/tuple"
 	"clash/internal/workload"
 )
 
@@ -78,98 +73,6 @@ func Ablations(relations, nQ, size int, seed uint64) ([]Ablation, error) {
 		Status:    "optimal",
 	})
 	return out, nil
-}
-
-// SkewAblation reports the runtime-level two-choice-routing trade
-// (DESIGN.md §5): maximum task load and probe tuples of a skewed
-// symmetric join with single-choice vs. two-choice routing.
-type SkewAblation struct {
-	Routing     string
-	MaxTaskLoad int64
-	ProbeTuples int64
-	Results     int64
-}
-
-// SkewAblations runs a hot-key workload (hotShare of the tuples carry
-// one key) over a P-way partitioned symmetric join under both routing
-// modes.
-func SkewAblations(n, parallelism int, hotPermille int) ([]SkewAblation, error) {
-	run := func(twoChoice bool) (SkewAblation, error) {
-		qs, cat, err := query.ParseWorkload("q1: R(a) S(a)")
-		if err != nil {
-			return SkewAblation{}, err
-		}
-		est := stats.NewEstimates(0.01)
-		est.SetRate("R", 100)
-		est.SetRate("S", 100)
-		plan, err := core.NewOptimizer(core.Options{StoreParallelism: parallelism}).Optimize(qs, est)
-		if err != nil {
-			return SkewAblation{}, err
-		}
-		topo, err := core.Compile([]*core.Plan{plan}, core.CompileOptions{Shared: true})
-		if err != nil {
-			return SkewAblation{}, err
-		}
-		eng := runtime.New(runtime.Config{
-			Catalog:          cat,
-			Synchronous:      true,
-			TwoChoiceRouting: twoChoice,
-		})
-		defer eng.Stop()
-		if err := eng.Install(topo, 0); err != nil {
-			return SkewAblation{}, err
-		}
-		r := rng.New(7)
-		for i := 0; i < n; i++ {
-			rel := "R"
-			if i%2 == 1 {
-				rel = "S"
-			}
-			key := int64(0)
-			if int(r.Uint64()%1000) >= hotPermille {
-				key = 1 + r.Int64n(64)
-			}
-			if err := eng.Ingest(rel, tuple.Time(i+1), tuple.IntValue(key)); err != nil {
-				return SkewAblation{}, err
-			}
-		}
-		m := eng.Metrics().Snapshot()
-		var worst int64
-		for _, sizes := range eng.TaskSizes() {
-			for _, s := range sizes {
-				if s > worst {
-					worst = s
-				}
-			}
-		}
-		name := "single-choice hash"
-		if twoChoice {
-			name = "two-choice (PKG-style)"
-		}
-		return SkewAblation{Routing: name, MaxTaskLoad: worst, ProbeTuples: m.ProbeSent, Results: m.Results}, nil
-	}
-	single, err := run(false)
-	if err != nil {
-		return nil, err
-	}
-	double, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	if single.Results != double.Results {
-		return nil, fmt.Errorf("bench: skew ablation result mismatch: %d vs %d", single.Results, double.Results)
-	}
-	return []SkewAblation{single, double}, nil
-}
-
-// FormatSkewAblations renders the skew-routing table.
-func FormatSkewAblations(rows []SkewAblation) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-24s %14s %14s %10s\n", "routing", "max task load", "probe tuples", "results")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-24s %14d %14d %10d\n", r.Routing, r.MaxTaskLoad, r.ProbeTuples, r.Results)
-	}
-	return b.String()
 }
 
 // FormatAblations renders the ablation table.

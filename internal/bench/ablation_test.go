@@ -40,23 +40,3 @@ func TestAblationShapes(t *testing.T) {
 		t.Error("FormatAblations output incomplete")
 	}
 }
-
-func TestSkewAblations(t *testing.T) {
-	rows, err := SkewAblations(1200, 4, 800)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	single, double := rows[0], rows[1]
-	if double.MaxTaskLoad >= single.MaxTaskLoad {
-		t.Errorf("two-choice max load %d >= single-choice %d", double.MaxTaskLoad, single.MaxTaskLoad)
-	}
-	if double.ProbeTuples <= single.ProbeTuples {
-		t.Errorf("two-choice probes %d <= single-choice %d", double.ProbeTuples, single.ProbeTuples)
-	}
-	if out := FormatSkewAblations(rows); out == "" {
-		t.Error("empty table")
-	}
-}

@@ -7,6 +7,7 @@ import (
 
 	"clash/internal/query"
 	"clash/internal/runtime"
+	"clash/internal/stats"
 	"clash/internal/tuple"
 )
 
@@ -26,8 +27,9 @@ type Shard interface {
 type Config struct {
 	Queries []*query.Query
 	Catalog *query.Catalog
-	// Routing places tuples onto shards (nil: KeyHash — exact).
-	Routing RoutingPolicy
+	// Estimates carry the degree sketches the router derives its hot
+	// keys from (nil: plain key hash).
+	Estimates *stats.Estimates
 	// Admission gates tuples before routing (nil: admit everything).
 	Admission AdmissionPolicy
 }
@@ -37,11 +39,11 @@ type Config struct {
 // the router's load counters and the admission bucket are shared state,
 // and a single front door matches the engines' one-source model.
 type Cluster struct {
-	mu      sync.Mutex
-	plan    *Plan
-	shards  []Shard
-	routing RoutingPolicy
-	adm     AdmissionPolicy
+	mu     sync.Mutex
+	plan   *Plan
+	shards []Shard
+	router *Router
+	adm    AdmissionPolicy
 
 	routed []int64 // per-shard placements (including replicas)
 	placed int64   // admitted tuples
@@ -62,30 +64,18 @@ func New(cfg Config, shards []Shard) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	routing := cfg.Routing
-	if routing == nil {
-		routing = KeyHash{}
-	}
 	return &Cluster{
-		plan:    plan,
-		shards:  shards,
-		routing: routing,
-		adm:     cfg.Admission,
-		routed:  make([]int64, len(shards)),
-		now:     time.Now,
+		plan:   plan,
+		shards: shards,
+		router: NewRouter(plan, cfg.Estimates),
+		adm:    cfg.Admission,
+		routed: make([]int64, len(shards)),
+		now:    time.Now,
 	}, nil
 }
 
 // Plan exposes the sharding plan (tests assert placements).
 func (c *Cluster) Plan() *Plan { return c.plan }
-
-// loadView adapts the cluster's counters and shard pressure for
-// routing policies. It is only used under c.mu.
-type loadView struct{ c *Cluster }
-
-func (lv loadView) Shards() int        { return len(lv.c.shards) }
-func (lv loadView) Queued(i int) int64 { return lv.c.shards[i].Pressure().QueuedMessages }
-func (lv loadView) Routed(i int) int64 { return lv.c.routed[i] }
 
 // Ingest admits, routes, and delivers one source tuple. A shed tuple is
 // dropped silently (counted in Metrics().AdmissionDrops), mirroring the
@@ -101,28 +91,40 @@ func (c *Cluster) Ingest(rel string, ts tuple.Time, vals ...tuple.Value) error {
 		c.drops++
 		return nil
 	}
-	var dests []int
-	if pl.Keyed() {
-		if pl.Index >= len(vals) {
-			return fmt.Errorf("cluster: %d values for relation %s, routing attribute at %d", len(vals), rel, pl.Index)
-		}
-		dests = c.routing.Keyed(rel, vals[pl.Index].Hash(), loadView{c})
-	} else {
-		dests = c.routing.Keyless(rel, loadView{c})
+	if pl.Keyed() && pl.Index >= len(vals) {
+		return fmt.Errorf("cluster: %d values for relation %s, routing attribute at %d", len(vals), rel, pl.Index)
 	}
 	start := c.now()
-	for _, d := range dests {
-		if d < 0 || d >= len(c.shards) {
-			return fmt.Errorf("cluster: policy %s routed %s to shard %d of %d", c.routing.Name(), rel, d, len(c.shards))
+	if pl.Keyed() {
+		d, alt := c.router.Keyed(rel, vals[pl.Index].Hash(), c.routed)
+		if err := c.deliver(d, rel, ts, vals); err != nil {
+			return err
 		}
-		if err := c.shards[d].Ingest(rel, ts, vals...); err != nil {
-			return fmt.Errorf("cluster: shard %d: %w", d, err)
+		if alt >= 0 {
+			if err := c.deliver(alt, rel, ts, vals); err != nil {
+				return err
+			}
+			c.extra++
 		}
-		c.routed[d]++
+	} else {
+		for d := range c.shards {
+			if err := c.deliver(d, rel, ts, vals); err != nil {
+				return err
+			}
+		}
+		c.extra += int64(len(c.shards) - 1)
 	}
 	c.placed++
-	c.extra += int64(len(dests) - 1)
 	c.lat.add(c.now().Sub(start))
+	return nil
+}
+
+// deliver ingests one source tuple on shard d. Caller holds c.mu.
+func (c *Cluster) deliver(d int, rel string, ts tuple.Time, vals []tuple.Value) error {
+	if err := c.shards[d].Ingest(rel, ts, vals...); err != nil {
+		return fmt.Errorf("cluster: shard %d: %w", d, err)
+	}
+	c.routed[d]++
 	return nil
 }
 

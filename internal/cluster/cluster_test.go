@@ -3,11 +3,14 @@ package cluster_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
+	"time"
 
 	"clash/internal/cluster"
 	"clash/internal/core"
 	"clash/internal/query"
+	"clash/internal/rng"
 	"clash/internal/runtime"
 	"clash/internal/stats"
 	"clash/internal/topology"
@@ -330,50 +333,6 @@ func TestTokenBucketBlockIsLossless(t *testing.T) {
 	}
 }
 
-// TestRoundRobinSpreadsKeyless: on a broadcast workload, round-robin
-// places each keyless tuple on exactly one shard, cycling — the
-// throughput-over-exactness trade the policy documents.
-func TestRoundRobinSpreadsKeyless(t *testing.T) {
-	qs, cat, topo := buildWorkload(t, "q1: R(a) S(a,b) T(b)")
-	cl, err := cluster.New(cluster.Config{Queries: qs, Catalog: cat, Routing: cluster.NewRoundRobin()},
-		newShards(t, cat, topo, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ins := stream(cat, 60)
-	for _, in := range ins {
-		if err := cl.Ingest(in.Rel, in.TS, in.Vals...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cl.Drain()
-	m := cl.Metrics()
-	if m.ReplicaTuples != 0 {
-		t.Fatalf("ReplicaTuples = %d; round-robin must not replicate", m.ReplicaTuples)
-	}
-	if m.Shards[0].Routed != 30 || m.Shards[1].Routed != 30 {
-		t.Fatalf("routed split %d/%d, want 30/30", m.Shards[0].Routed, m.Shards[1].Routed)
-	}
-}
-
-// fakeLoad is a canned LoadView for pure policy tests.
-type fakeLoad struct{ queued, routed []int64 }
-
-func (f fakeLoad) Shards() int        { return len(f.queued) }
-func (f fakeLoad) Queued(i int) int64 { return f.queued[i] }
-func (f fakeLoad) Routed(i int) int64 { return f.routed[i] }
-
-func TestLeastLoadedPicksIdleShard(t *testing.T) {
-	lv := fakeLoad{queued: []int64{5, 0, 3}, routed: []int64{1, 9, 2}}
-	if got := (cluster.LeastLoaded{}).Keyless("R", lv); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("Keyless = %v, want [1] (least queued)", got)
-	}
-	tie := fakeLoad{queued: []int64{2, 2, 2}, routed: []int64{4, 1, 3}}
-	if got := (cluster.LeastLoaded{}).Keyless("R", tie); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("Keyless = %v, want [1] (fewest routed on tie)", got)
-	}
-}
-
 // TestDegreeAwareReplicatesPartners: hot hashes spread the driving
 // relation over two candidates and replicate the partners' hot tuples
 // to both; cold hashes route plainly.
@@ -393,31 +352,111 @@ func TestDegreeAwareReplicatesPartners(t *testing.T) {
 			Top:      []stats.HeavyHitter{{Hash: hot, Count: 75000}},
 		})
 	}
-	da := cluster.NewDegreeAware(plan, est)
-	if da.Splits() == 0 {
+	r := cluster.NewRouter(plan, est)
+	if r.Splits() == 0 {
 		t.Fatal("no split hashes")
 	}
-	lv := fakeLoad{queued: make([]int64, 4), routed: make([]int64, 4)}
+	routed := make([]int64, 4)
 	// S is the driving relation (the only one in both q1 and q2): its hot
 	// tuples go to exactly one of the two candidates.
-	drv := da.Keyed("S", hot, lv)
-	if len(drv) != 1 {
-		t.Fatalf("driving relation routed to %v, want one candidate", drv)
+	drv, alt := r.Keyed("S", hot, routed)
+	if alt >= 0 {
+		t.Fatalf("driving relation routed to [%d %d], want one candidate", drv, alt)
 	}
 	// R and T are partners: their hot tuples replicate to two shards, one
 	// of which must be the driving tuple's.
 	for _, rel := range []string{"R", "T"} {
-		dests := da.Keyed(rel, hot, lv)
-		if len(dests) != 2 {
-			t.Fatalf("%s hot tuple routed to %v, want two candidates", rel, dests)
+		d1, d2 := r.Keyed(rel, hot, routed)
+		if d2 < 0 || d1 == d2 {
+			t.Fatalf("%s hot tuple routed to [%d %d], want two candidates", rel, d1, d2)
 		}
-		if dests[0] != drv[0] && dests[1] != drv[0] {
-			t.Fatalf("%s candidates %v miss the driving shard %d", rel, dests, drv[0])
+		if d1 != drv && d2 != drv {
+			t.Fatalf("%s candidates [%d %d] miss the driving shard %d", rel, d1, d2, drv)
 		}
 	}
 	// A cold hash routes plainly, no replication.
 	cold := tuple.IntValue(3).Hash()
-	if got := da.Keyed("R", cold, lv); len(got) != 1 || got[0] != int(cold%4) {
-		t.Fatalf("cold hash routed to %v, want [%d]", got, cold%4)
+	if d, alt := r.Keyed("R", cold, routed); alt >= 0 || d != int(cold%4) {
+		t.Fatalf("cold hash routed to [%d %d], want [%d]", d, alt, cold%4)
+	}
+}
+
+// recShard is a Shard that records the timestamps of the tuples it is
+// handed.
+type recShard struct{ got []tuple.Time }
+
+func (s *recShard) Ingest(_ string, ts tuple.Time, _ ...tuple.Value) error {
+	s.got = append(s.got, ts)
+	return nil
+}
+func (s *recShard) Drain()                              {}
+func (s *recShard) Failure() error                      { return nil }
+func (s *recShard) Snapshot() runtime.Snapshot          { return runtime.Snapshot{} }
+func (s *recShard) Pressure() runtime.Pressure          { return runtime.Pressure{} }
+func (s *recShard) OnResult(string, func(*tuple.Tuple)) {}
+
+// TestRouterUniformKeysHashPlainly: estimates sealed from a near-uniform
+// key stream carry degree sketches, but no key reaches a 1/N share, so
+// the router derives no split and places every tuple exactly where plain
+// key hashing does — no replica, no load-dependent choice. This is the
+// shape of the benchmark's cluster-paced workload.
+func TestRouterUniformKeysHashPlainly(t *testing.T) {
+	qs, cat, _ := buildWorkload(t, "q1: R(a) S(a)\nq2: S(a) T(a)")
+	rels := cat.Names()
+	schemas := map[string]*tuple.Schema{}
+	for _, r := range rels {
+		schemas[r] = tuple.NewSchema(cat.Relation(r).QualifiedAttrs()...)
+	}
+	z := rng.NewZipf(rng.New(3), 10_000, 0.01)
+	type input struct {
+		rel string
+		key tuple.Value
+	}
+	ins := make([]input, 20_000)
+	col := stats.NewCollector(512, 256, 7)
+	for i := range ins {
+		ins[i] = input{rels[i%len(rels)], tuple.IntValue(int64(z.Draw()))}
+		col.Observe(ins[i].rel, tuple.New(schemas[ins[i].rel], tuple.Time(i+1), ins[i].key))
+	}
+	var preds []query.Predicate
+	for _, q := range qs {
+		preds = append(preds, q.Preds...)
+	}
+	est := col.Seal(time.Second, preds)
+	for _, r := range rels {
+		if d := est.Degree(r + ".a"); d == nil || len(d.Top) == 0 {
+			t.Fatalf("no degree sketch for %s.a — test vacuous", r)
+		}
+	}
+
+	const n = 2
+	shards := []*recShard{{}, {}}
+	cl, err := cluster.New(cluster.Config{Queries: qs, Catalog: cat, Estimates: est},
+		[]cluster.Shard{shards[0], shards[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := cl.Plan()
+	if s := cluster.NewRouter(plan, est).Splits(); s != 0 {
+		t.Fatalf("near-uniform keys produced %d split hashes", s)
+	}
+	want := make([][]tuple.Time, n)
+	for i, in := range ins {
+		if !plan.Relations[in.rel].Keyed() {
+			t.Fatalf("%s not keyed", in.rel)
+		}
+		if err := cl.Ingest(in.rel, tuple.Time(i+1), in.key); err != nil {
+			t.Fatal(err)
+		}
+		d := in.key.Hash() % n
+		want[d] = append(want[d], tuple.Time(i+1))
+	}
+	for d, s := range shards {
+		if fmt.Sprint(s.got) != fmt.Sprint(want[d]) {
+			t.Errorf("shard %d got %d tuples, plain key hash places %d there", d, len(s.got), len(want[d]))
+		}
+	}
+	if m := cl.Metrics(); m.ReplicaTuples != 0 {
+		t.Errorf("ReplicaTuples = %d without a split key", m.ReplicaTuples)
 	}
 }

@@ -43,7 +43,7 @@ type Plan struct {
 	// copy of its (everywhere-identical) results the cluster forwards.
 	OwnerOnly map[string]int
 	// classOf maps each keyed relation to its equivalence-class root —
-	// the degree-aware policy groups split keys per class.
+	// the router groups split keys per class.
 	classOf map[string]string
 	// queriesOf maps each class root to the names of queries keyed on
 	// it, for the split-key driving-relation gate.

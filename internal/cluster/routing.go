@@ -3,125 +3,39 @@ package cluster
 import (
 	"sort"
 
+	"clash/internal/runtime"
 	"clash/internal/stats"
 )
 
-// LoadView exposes per-shard load signals to routing policies.
-type LoadView interface {
-	Shards() int
-	// Queued is the shard engine's queued-message pressure.
-	Queued(i int) int64
-	// Routed counts the tuples the router has placed on the shard.
-	Routed(i int) int64
-}
-
-// RoutingPolicy decides shard placement per tuple. Keyed handles
-// relations the plan hash-routes (h is the routing value's hash);
-// Keyless handles broadcast relations. Implementations return the
-// destination shard set; they must be deterministic functions of their
-// inputs and the router's own counters (no wall clock, no randomness) —
-// cluster runs on the simulation substrate replay byte-identically.
-type RoutingPolicy interface {
-	Name() string
-	Keyed(rel string, h uint64, lv LoadView) []int
-	Keyless(rel string, lv LoadView) []int
-}
-
-// two computes the second shard candidate for a hash — the same
-// decorrelation constant the engine's two-choice task routing uses, one
-// level up.
-func two(h uint64, n int) (int, int) {
-	p1 := int(h % uint64(n))
-	p2 := int((h * 0x9E3779B97F4A7C15 >> 17) % uint64(n))
-	if p2 == p1 {
-		p2 = (p2 + 1) % n
-	}
-	return p1, p2
-}
-
-func allShards(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-// KeyHash is the exact default: keyed relations hash to one shard,
-// broadcast relations go everywhere.
-type KeyHash struct{}
-
-func (KeyHash) Name() string { return "key-hash" }
-func (KeyHash) Keyed(_ string, h uint64, lv LoadView) []int {
-	return []int{int(h % uint64(lv.Shards()))}
-}
-func (KeyHash) Keyless(_ string, lv LoadView) []int { return allShards(lv.Shards()) }
-
-// RoundRobin spreads keyless relations' tuples round-robin instead of
-// broadcasting them. Keyed relations still hash. This trades exactness
-// for throughput: a round-robined relation's tuples are NOT visible on
-// every shard, so it is only sound for relations no query joins across
-// shards (independent units of work). Exactness-checked workloads use
-// KeyHash or DegreeAware.
-type RoundRobin struct {
-	next map[string]int
-}
-
-func NewRoundRobin() *RoundRobin { return &RoundRobin{next: map[string]int{}} }
-
-func (*RoundRobin) Name() string { return "round-robin" }
-func (*RoundRobin) Keyed(_ string, h uint64, lv LoadView) []int {
-	return []int{int(h % uint64(lv.Shards()))}
-}
-func (r *RoundRobin) Keyless(rel string, lv LoadView) []int {
-	i := r.next[rel] % lv.Shards()
-	r.next[rel] = i + 1
-	return []int{i}
-}
-
-// LeastLoaded places keyless relations' tuples on the shard with the
-// least queued pressure (ties: fewest routed tuples, then lowest
-// index), using Engine.Pressure through the LoadView. The same
-// soundness caveat as RoundRobin applies.
-type LeastLoaded struct{}
-
-func (LeastLoaded) Name() string { return "least-loaded" }
-func (LeastLoaded) Keyed(_ string, h uint64, lv LoadView) []int {
-	return []int{int(h % uint64(lv.Shards()))}
-}
-func (LeastLoaded) Keyless(_ string, lv LoadView) []int {
-	best := 0
-	for i := 1; i < lv.Shards(); i++ {
-		if lv.Queued(i) < lv.Queued(best) ||
-			(lv.Queued(i) == lv.Queued(best) && lv.Routed(i) < lv.Routed(best)) {
-			best = i
-		}
-	}
-	return []int{best}
-}
-
-// DegreeAware mirrors the engine's split-key routing one level up: a
-// heavy hitter whose estimated share reaches a full mean shard
-// (share >= 1/N) is spread over the key's two candidate shards instead
-// of pinned to one. The class's driving relation's hot tuples go to the
-// less-loaded candidate; every other keyed relation's hot tuples
-// replicate to BOTH candidates, so each driving tuple finds all its
-// partners on its own shard. This is exact only when the driving
-// relation appears in every query keyed on the class — a result then
-// contains exactly one driving tuple and materializes exactly where
-// that tuple lives; NewDegreeAware enforces the gate and falls back to
-// plain hashing per class otherwise.
-type DegreeAware struct {
+// Router is the front door's one routing rule — the engine's split-key
+// routing one level up. Broadcast relations go to every shard; keyed
+// relations hash to one shard, except a heavy hitter whose estimated
+// share reaches a full mean shard (share >= 1/N), which is spread over
+// the key's two candidate shards instead of pinned to one. The class's
+// driving relation's hot tuples go to the less-loaded candidate; every
+// other keyed relation's hot tuples replicate to BOTH candidates, so
+// each driving tuple finds all its partners on its own shard. This is
+// exact only when the driving relation appears in every query keyed on
+// the class — a result then contains exactly one driving tuple and
+// materializes exactly where that tuple lives; NewRouter enforces the
+// gate and falls back to plain hashing per class otherwise. Without
+// estimates, or with no key that hot, the router is plain key hash.
+//
+// Routing is a deterministic function of the tuple and the router's
+// placement counts (no wall clock, no randomness): cluster runs on the
+// simulation substrate replay byte-identically.
+type Router struct {
+	shards  int
 	split   map[uint64]string // hot hash -> class root
 	driving map[string]string // class root -> driving relation
 }
 
-// NewDegreeAware derives the split table from the plan and the degree
-// sketches in est (nil est yields plain KeyHash behaviour).
-func NewDegreeAware(plan *Plan, est *stats.Estimates) *DegreeAware {
-	da := &DegreeAware{split: map[uint64]string{}, driving: map[string]string{}}
+// NewRouter derives the split table from the plan and the degree
+// sketches in est (nil est: plain key hash).
+func NewRouter(plan *Plan, est *stats.Estimates) *Router {
+	r := &Router{shards: plan.Shards, split: map[uint64]string{}, driving: map[string]string{}}
 	if est == nil || plan.Shards < 2 {
-		return da
+		return r
 	}
 	threshold := 1.0 / float64(plan.Shards)
 	hot := map[string]map[uint64]bool{} // class -> hot hashes
@@ -149,12 +63,12 @@ func NewDegreeAware(plan *Plan, est *stats.Estimates) *DegreeAware {
 		if drv == "" {
 			continue // no relation spans every query of the class: plain hash
 		}
-		da.driving[c] = drv
+		r.driving[c] = drv
 		for h := range hashes {
-			da.split[h] = c
+			r.split[h] = c
 		}
 	}
-	return da
+	return r
 }
 
 // drivingRelation picks the smallest-named keyed relation of the class
@@ -182,28 +96,28 @@ func drivingRelation(plan *Plan, c string) string {
 	return ""
 }
 
-// Splits reports how many hot hashes the policy spreads (for tests and
+// Splits reports how many hot hashes the router spreads (for tests and
 // metrics vacuity checks).
-func (d *DegreeAware) Splits() int { return len(d.split) }
+func (r *Router) Splits() int { return len(r.split) }
 
-func (*DegreeAware) Name() string { return "degree-aware" }
-
-func (d *DegreeAware) Keyed(rel string, h uint64, lv LoadView) []int {
-	c, isHot := d.split[h]
-	if !isHot {
-		return []int{int(h % uint64(lv.Shards()))}
+// Keyed places a tuple of keyed relation rel whose routing value hashes
+// to h: on one shard, and for a partner relation's hot key also on the
+// second candidate, alt (-1: none). routed holds each shard's placements
+// so far; a driving relation's hot tuple goes to the candidate with
+// fewer.
+func (r *Router) Keyed(rel string, h uint64, routed []int64) (shard, alt int) {
+	c, hot := r.split[h]
+	if !hot {
+		return int(h % uint64(r.shards)), -1
 	}
-	p1, p2 := two(h, lv.Shards())
-	if rel != d.driving[c] {
+	p1, p2 := runtime.SplitCandidates(h, r.shards)
+	if rel != r.driving[c] {
 		// Partner relation: the hot key's tuples must be visible on both
 		// candidates for either placement of the driving tuple to join.
-		return []int{p1, p2}
+		return p1, p2
 	}
-	// Driving relation: spread to the less-loaded candidate.
-	if lv.Routed(p2) < lv.Routed(p1) {
-		return []int{p2}
+	if routed[p2] < routed[p1] {
+		return p2, -1
 	}
-	return []int{p1}
+	return p1, -1
 }
-
-func (d *DegreeAware) Keyless(_ string, lv LoadView) []int { return allShards(lv.Shards()) }

@@ -383,6 +383,11 @@ func (t *task) handleRun(run []message, plans []*rulePlan) {
 			t.e.metrics.recordLag(t.e.clock.Now() - run[i].ingestWall)
 		}
 	}
+	measure := t.e.cfg.MeasuredCosts
+	var start int64
+	if measure {
+		start = t.e.clock.Now()
+	}
 	pbs := t.pbRun[:0]
 	for _, rp := range plans {
 		if len(rp.preds) == 0 || t.storedCount.Load() == 0 {
@@ -403,6 +408,16 @@ func (t *task) handleRun(run []message, plans []*rulePlan) {
 				pb.forwardMsg(int32(i), &run[i], plans[j].out)
 			}
 		}
+	}
+	if measure {
+		// Metered like handle: every plan probes every tuple of the run,
+		// and the time spans the scans and the forwards.
+		var n int64
+		for i := range run {
+			n += run[i].tupleCount()
+		}
+		t.probeNanos.Add(t.e.clock.Now() - start)
+		t.probeTuples.Add(n * int64(len(plans)))
 	}
 	for _, pb := range pbs {
 		if pb != nil {

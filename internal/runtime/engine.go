@@ -87,14 +87,6 @@ type Config struct {
 	// OverheadLoops adds busy work per handled message, emulating
 	// per-tuple engine overhead differences (FI vs SI profiles).
 	OverheadLoops int
-	// TwoChoiceRouting enables partial-key-grouping style skew handling
-	// (Nasir et al., the paper's related work [30]) on partitioned
-	// stores: each partition value hashes to two candidate tasks, inserts
-	// go to the currently less-loaded one, and probes visit both. Under
-	// heavy key skew this halves-or-better the maximum task load at the
-	// price of doubling keyed probe fan-out (χ = 2 instead of 1); results
-	// stay exact because probes cover both candidate tasks.
-	TwoChoiceRouting bool
 	// Sim tunes the deterministic simulation substrate (sim.go); ignored
 	// by the other substrates.
 	Sim SimConfig
@@ -221,8 +213,8 @@ type Engine struct {
 	pinnedPart map[topology.StoreID]query.Attr
 	// pinnedSplit pins each store's split-key set (heavy hitters routed
 	// over two tasks, topology.Store.SplitKeys) at first sight, for the
-	// same reason as the partitioning pin: a key that ever routed by
-	// two-choice must keep probing both candidates, and a key that never
+	// same reason as the partitioning pin: a key that ever split over two
+	// candidates must keep probing both, and a key that never
 	// did must not start inserting off its hash partition — either switch
 	// would orphan previously placed state. Since one candidate is always
 	// hash(key)%P, growing the split set mid-run would stay probe-correct,
@@ -628,36 +620,11 @@ func (e *Engine) emitLocked(step *emitStep, epoch int64, t *tuple.Tuple, seq uin
 	}
 	if name := step.routeName(); name != "" {
 		if v, ok := t.Get(name); ok {
-			h := v.Hash()
-			if e.cfg.TwoChoiceRouting && par >= 2 {
-				p1, p2 := twoChoices(h, par)
-				if step.isStore {
-					// Materialize once, on the less-loaded candidate.
-					e.send(taskKey{store: step.to, part: e.lessLoaded(step.to, p1, p2)}, msg)
-				} else {
-					// The partner may be on either candidate: probe both.
-					e.send(taskKey{store: step.to, part: p1}, msg)
-					e.send(taskKey{store: step.to, part: p2}, msg)
-				}
-				return
+			p, alt := e.keyedParts(step, v.Hash())
+			e.send(taskKey{store: step.to, part: p}, msg)
+			if alt >= 0 {
+				e.send(taskKey{store: step.to, part: alt}, msg)
 			}
-			if step.split != nil {
-				if _, hot := step.split[h]; hot {
-					// Split key: the optimizer flagged this value as hot
-					// enough to overload one hash partition. Inserts spread
-					// over the two candidates; probes visit both — every
-					// insert landed on one of them, so no partner is missed.
-					p1, p2 := twoChoices(h, par)
-					if step.isStore {
-						e.send(taskKey{store: step.to, part: e.lessLoaded(step.to, p1, p2)}, msg)
-					} else {
-						e.send(taskKey{store: step.to, part: p1}, msg)
-						e.send(taskKey{store: step.to, part: p2}, msg)
-					}
-					return
-				}
-			}
-			e.send(taskKey{store: step.to, part: int(h % uint64(par))}, msg)
 			return
 		}
 	}
@@ -704,10 +671,6 @@ func (e *Engine) emitBatchLocked(step *emitStep, epoch int64, batch []*tuple.Tup
 		return
 	}
 	name := step.routeName()
-	if (e.cfg.TwoChoiceRouting || (step.split != nil && name != "")) && par >= 2 {
-		e.emitBatchTwoChoiceLocked(step, epoch, batch, seq, wall)
-		return
-	}
 	if name == "" {
 		// The whole batch is unroutable: one copy, sent as one message
 		// (inserts) or shared read-only across all partitions (probes).
@@ -717,22 +680,27 @@ func (e *Engine) emitBatchLocked(step *emitStep, epoch int64, batch []*tuple.Tup
 		return
 	}
 
-	// Two-pass partitioning into one flat allocation: pass 1 hashes each
-	// tuple to its partition and counts, pass 2 fills contiguous
-	// per-partition segments (unroutable tuples go to the tail).
+	// Two-pass partitioning into one flat allocation: pass 1 routes each
+	// tuple to its partition — a split key's probe to both candidates —
+	// and counts, pass 2 fills contiguous per-partition segments in batch
+	// order (unroutable tuples go to the tail).
 	rs.ensure(par, len(batch))
-	nRest := 0
+	nRest, nAlt := 0, 0
 	for i, t := range batch {
 		if v, ok := t.Get(name); ok {
-			p := int32(v.Hash() % uint64(par))
-			rs.parts[i] = p
+			p, alt := e.keyedParts(step, v.Hash())
+			rs.parts[i], rs.alts[i] = int32(p), int32(alt)
 			rs.counts[p]++
+			if alt >= 0 {
+				rs.counts[alt]++
+				nAlt++
+			}
 		} else {
 			rs.parts[i] = -1
 			nRest++
 		}
 	}
-	flat := make([]*tuple.Tuple, len(batch))
+	flat := make([]*tuple.Tuple, len(batch)+nAlt)
 	off := int32(0)
 	for p := range rs.starts {
 		rs.starts[p] = off
@@ -740,12 +708,17 @@ func (e *Engine) emitBatchLocked(step *emitStep, epoch int64, batch []*tuple.Tup
 	}
 	restCur := off
 	for i, t := range batch {
-		if p := rs.parts[i]; p >= 0 {
-			flat[rs.starts[p]] = t
-			rs.starts[p]++
-		} else {
+		p := rs.parts[i]
+		if p < 0 {
 			flat[restCur] = t
 			restCur++
+			continue
+		}
+		flat[rs.starts[p]] = t
+		rs.starts[p]++
+		if a := rs.alts[i]; a >= 0 {
+			flat[rs.starts[a]] = t
+			rs.starts[a]++
 		}
 	}
 	off = 0
@@ -786,64 +759,32 @@ func (e *Engine) sendRest(step *emitStep, epoch int64, rest []*tuple.Tuple, seq 
 	}
 }
 
-// emitBatchTwoChoiceLocked is the two-choice-routing variant of batch
-// emission, also serving split-key stores (hot keys two-choice, the
-// rest plain hashing). Probes of two-choice keys fan out to both hash
-// candidates, so the flat single-allocation layout does not apply; this
-// path keeps the simpler map-based grouping (such deployments trade
-// per-message overhead for skew resilience anyway).
-func (e *Engine) emitBatchTwoChoiceLocked(step *emitStep, epoch int64, batch []*tuple.Tuple, seq uint64, wall int64) {
-	par := step.par
-	name := step.routeName()
-	all := e.cfg.TwoChoiceRouting
-	byPart := make(map[int][]*tuple.Tuple, par)
-	var rest []*tuple.Tuple
-	for _, t := range batch {
-		v, ok := tuple.Value{}, false
-		if name != "" {
-			v, ok = t.Get(name)
-		}
-		if !ok {
-			rest = append(rest, t)
-			continue
-		}
-		h := v.Hash()
-		hot := all
-		if !hot && step.split != nil {
-			_, hot = step.split[h]
-		}
-		if !hot {
-			p := int(h % uint64(par))
-			byPart[p] = append(byPart[p], t)
-			continue
-		}
-		p1, p2 := twoChoices(h, par)
-		if step.isStore {
-			p := e.lessLoaded(step.to, p1, p2)
-			byPart[p] = append(byPart[p], t)
-		} else {
-			byPart[p1] = append(byPart[p1], t)
-			byPart[p2] = append(byPart[p2], t)
-		}
+// keyedParts routes a keyed transfer whose routing value hashes to h —
+// the one routing rule of partitioned stores. A key outside the store's
+// pinned split set goes to its hash partition. A split key (one the
+// optimizer flagged as hot enough to overload a single partition) has
+// two candidates: an insert lands on the less-loaded one, a probe visits
+// both, returned as alt (-1: none). Every insert landed on one of the
+// candidates, so a probe that checks both misses no partner.
+func (e *Engine) keyedParts(step *emitStep, h uint64) (p, alt int) {
+	if _, hot := step.split[h]; !hot {
+		return int(h % uint64(step.par)), -1
 	}
-	for p := 0; p < par; p++ {
-		if sub := byPart[p]; len(sub) > 0 {
-			e.send(taskKey{store: step.to, part: p},
-				message{edge: step.edge, epoch: epoch, batch: sub, seq: seq, ingestWall: wall})
-		}
+	p1, p2 := SplitCandidates(h, step.par)
+	if step.isStore {
+		return e.lessLoaded(step.to, p1, p2), -1
 	}
-	if len(rest) > 0 {
-		e.sendRest(step, epoch, rest, seq, wall)
-	}
+	return p1, p2
 }
 
-// twoChoices derives the two candidate partitions of a key hash; they
-// are always distinct when par >= 2.
-func twoChoices(h uint64, par int) (int, int) {
-	p1 := int(h % uint64(par))
-	p2 := int((h * 0x9E3779B97F4A7C15 >> 17) % uint64(par))
+// SplitCandidates derives a split key's two candidates among n ≥ 2
+// partitions (or shards, one level up): the key's hash partition and a
+// decorrelated second one, always distinct.
+func SplitCandidates(h uint64, n int) (int, int) {
+	p1 := int(h % uint64(n))
+	p2 := int((h * 0x9E3779B97F4A7C15 >> 17) % uint64(n))
 	if p2 == p1 {
-		p2 = (p1 + 1) % par
+		p2 = (p1 + 1) % n
 	}
 	return p1, p2
 }

@@ -49,9 +49,10 @@ type emitStep struct {
 	// compile-time RouteBy matches the pinned physical partitioning.
 	probeRoute string
 	// split is the target store's pinned split-key set (nil: none). A
-	// keyed transfer whose routing hash is in the set routes by two
-	// choices instead of the hash partition: inserts to the less-loaded
-	// candidate, probes to both. Shared read-only across tasks.
+	// keyed transfer whose routing hash is in the set routes over two
+	// candidates instead of the hash partition (Engine.keyedParts):
+	// inserts to the less-loaded one, probes to both. Shared read-only
+	// across tasks.
 	split map[uint64]struct{}
 }
 
@@ -315,15 +316,18 @@ type relWindow struct {
 // allocating a map per probe.
 type routeScratch struct {
 	parts  []int32 // per tuple: target partition, or -1 (unroutable)
-	counts []int32 // per partition: routable tuple count
+	alts   []int32 // per tuple: a split-key probe's second partition, or -1
+	counts []int32 // per partition: placements (a split-key probe counts twice)
 	starts []int32 // per partition: fill cursor into the flat result
 }
 
 func (rs *routeScratch) ensure(par, n int) {
 	if cap(rs.parts) < n {
 		rs.parts = make([]int32, n)
+		rs.alts = make([]int32, n)
 	}
 	rs.parts = rs.parts[:n]
+	rs.alts = rs.alts[:n]
 	if cap(rs.counts) < par {
 		rs.counts = make([]int32, par)
 		rs.starts = make([]int32, par)

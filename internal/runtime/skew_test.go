@@ -1,10 +1,13 @@
 package runtime
 
 import (
+	"fmt"
 	"testing"
 
 	"clash/internal/core"
+	"clash/internal/query"
 	"clash/internal/stats"
+	"clash/internal/topology"
 	"clash/internal/tuple"
 )
 
@@ -34,74 +37,6 @@ func maxLoad(sizes []int64) int64 {
 		}
 	}
 	return m
-}
-
-// TestTwoChoiceRoutingExact: with two-choice routing enabled, results
-// must still exactly match the oracle — inserts land on one of the two
-// hash candidates and probes visit both, so no pair is lost and none is
-// duplicated.
-func TestTwoChoiceRoutingExact(t *testing.T) {
-	h := newHarness(t, "q1: R(a) S(a)",
-		core.Options{StoreParallelism: 4},
-		flatEstimates([]string{"R", "S"}, 100),
-		Config{Synchronous: true, TwoChoiceRouting: true})
-	defer h.eng.Stop()
-	ins := skewedStream([]string{"R", "S"}, 400, 4)
-	h.ingestAll(t, ins)
-	h.checkAgainstOracle(t, ins)
-	if h.sinks["q1"].Count() == 0 {
-		t.Fatal("no results — vacuous")
-	}
-}
-
-// TestTwoChoiceReducesImbalance: under heavy key skew the hot key's
-// tuples split across two tasks, so the maximum task load drops well
-// below single-choice hashing's.
-func TestTwoChoiceReducesImbalance(t *testing.T) {
-	run := func(twoChoice bool) int64 {
-		h := newHarness(t, "q1: R(a) S(a)",
-			core.Options{StoreParallelism: 4},
-			flatEstimates([]string{"R", "S"}, 100),
-			Config{Synchronous: true, TwoChoiceRouting: twoChoice})
-		defer h.eng.Stop()
-		h.ingestAll(t, skewedStream([]string{"R", "S"}, 600, 8))
-		var worst int64
-		for _, sizes := range h.eng.TaskSizes() {
-			if m := maxLoad(sizes); m > worst {
-				worst = m
-			}
-		}
-		return worst
-	}
-	single := run(false)
-	double := run(true)
-	if double >= single {
-		t.Errorf("two-choice max task load %d >= single-choice %d", double, single)
-	}
-	// The hot key splits in two: expect roughly half, allow slack for
-	// the non-hot tail.
-	if double > single*3/4 {
-		t.Errorf("two-choice max load %d not substantially below single-choice %d", double, single)
-	}
-}
-
-// TestTwoChoiceCostsMoreProbes documents the trade-off: keyed probes
-// fan out to two tasks instead of one.
-func TestTwoChoiceCostsMoreProbes(t *testing.T) {
-	run := func(twoChoice bool) int64 {
-		h := newHarness(t, "q1: R(a) S(a)",
-			core.Options{StoreParallelism: 4},
-			flatEstimates([]string{"R", "S"}, 100),
-			Config{Synchronous: true, TwoChoiceRouting: twoChoice})
-		defer h.eng.Stop()
-		h.ingestAll(t, skewedStream([]string{"R", "S"}, 200, 4))
-		return h.eng.Metrics().Snapshot().ProbeSent
-	}
-	single := run(false)
-	double := run(true)
-	if double <= single {
-		t.Errorf("two-choice probes %d <= single-choice %d; χ accounting lost", double, single)
-	}
 }
 
 // TestTaskSizesShape: every partition of every store is reported.
@@ -255,6 +190,260 @@ func TestSplitKeysSimSweep(t *testing.T) {
 		h.eng.Stop()
 		if t.Failed() {
 			t.Fatalf("seed %d diverged from the oracle", seed)
+		}
+	}
+}
+
+// recordingSub records every message the engine sends, by target task.
+// With forward unset it drops them after recording, balancing the
+// in-flight accounting, so a test can drive the router with tuples the
+// stores must never see.
+type recordingSub struct {
+	substrate
+	e       *Engine
+	forward bool
+	sent    []sentMsg
+}
+
+type sentMsg struct {
+	to  taskKey
+	msg message
+}
+
+func (r *recordingSub) send(t *task, msg message) {
+	r.sent = append(r.sent, sentMsg{to: t.key, msg: msg})
+	if r.forward {
+		r.substrate.send(t, msg)
+		return
+	}
+	r.e.dropUndelivered(&msg)
+}
+
+// splitEngine installs the flat-estimate plan of the workload at
+// parallelism 4 on a synchronous engine whose sends are recorded. With
+// split set, every partitioned store declares value 0 a split key — the
+// same plan with and without split routing.
+func splitEngine(t *testing.T, workload string, split, forward bool) (*Engine, *recordingSub, []*query.Query, *query.Catalog) {
+	t.Helper()
+	qs, cat, err := query.ParseWorkload(workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := core.NewOptimizer(core.Options{StoreParallelism: 4}).Optimize(qs, flatEstimates(cat.Names(), 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := core.Compile([]*core.Plan{plan}, core.CompileOptions{Shared: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if split {
+		for _, s := range topo.Stores {
+			if s.Parallelism >= 2 {
+				s.SplitKeys = []uint64{tuple.IntValue(0).Hash()}
+			}
+		}
+	}
+	eng := New(Config{Catalog: cat, Synchronous: true})
+	rec := &recordingSub{substrate: eng.sub, e: eng, forward: forward}
+	eng.sub = rec
+	if err := eng.Install(topo, 0); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Stop)
+	return eng, rec, qs, cat
+}
+
+// splitProbeSteps returns the installed emissions that probe a store
+// with split keys by a routing attribute, keyed by edge and target.
+func splitProbeSteps(eng *Engine) map[topology.EdgeID]map[topology.StoreID]*emitStep {
+	out := map[topology.EdgeID]map[topology.StoreID]*emitStep{}
+	add := func(steps []emitStep) {
+		for i := range steps {
+			s := &steps[i]
+			if s.split == nil || s.isStore || s.probeRoute == "" {
+				continue
+			}
+			if out[s.edge] == nil {
+				out[s.edge] = map[topology.StoreID]*emitStep{}
+			}
+			out[s.edge][s.to] = s
+		}
+	}
+	comp := eng.configs[0].comp
+	for _, steps := range comp.spouts {
+		add(steps)
+	}
+	for _, byEdge := range comp.rules {
+		for _, plans := range byEdge {
+			for _, rp := range plans {
+				add(rp.out)
+			}
+		}
+	}
+	return out
+}
+
+// TestSplitKeysMixedBatchesExact: a probe's result batch whose routing
+// values mix a split (hot) key with cold keys goes through the one
+// two-pass partitioner. Every hot probe must reach both of its
+// candidate tasks, every cold one only its hash partition, each
+// partition keeping batch order; and the run must byte-match the same
+// plan without split keys.
+func TestSplitKeysMixedBatchesExact(t *testing.T) {
+	const workload = "q1: R(a) S(a,b) T(b)"
+	hot := tuple.IntValue(0).Hash()
+
+	// The partitioner alone, on a crafted batch of 12 probes on every
+	// split probe emission: keys 0 (hot) and 1..5 (cold), alternating.
+	eng, rec, _, _ := splitEngine(t, workload, true, false)
+	steps := splitProbeSteps(eng)
+	if len(steps) == 0 {
+		t.Fatal("no probe emission into a split store — test vacuous")
+	}
+	var rs routeScratch
+	for _, byTo := range steps {
+		for _, step := range byTo {
+			schema := tuple.NewSchema(step.probeRoute)
+			batch := make([]*tuple.Tuple, 12)
+			for i := range batch {
+				k := int64(0)
+				if i%2 == 1 {
+					k = int64(1 + i%5)
+				}
+				batch[i] = tuple.New(schema, tuple.Time(i+1), tuple.IntValue(k))
+			}
+			rec.sent = rec.sent[:0]
+			eng.mu.RLock()
+			eng.emitBatchLocked(step, 0, batch, 1, 0, &rs)
+			eng.mu.RUnlock()
+			got := map[int][]*tuple.Tuple{}
+			for _, s := range rec.sent {
+				if s.msg.t != nil {
+					got[s.to.part] = append(got[s.to.part], s.msg.t)
+				}
+				got[s.to.part] = append(got[s.to.part], s.msg.batch...)
+			}
+			want := map[int][]*tuple.Tuple{}
+			for _, tp := range batch {
+				v, _ := tp.Get(step.probeRoute)
+				if h := v.Hash(); h == hot {
+					p1, p2 := SplitCandidates(h, step.par)
+					want[p1] = append(want[p1], tp)
+					want[p2] = append(want[p2], tp)
+				} else {
+					p := int(h % uint64(step.par))
+					want[p] = append(want[p], tp)
+				}
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("edge %s → %s: partitions %v, want %v", step.edge, step.to, got, want)
+			}
+		}
+	}
+
+	// End to end: a T probe joins the S tuples of its b value, whose a
+	// values mix the hot key 0 with cold ones, so the result batch headed
+	// for R (and for the S⋈T store) by S.a mixes both. The cold keys share
+	// the hot key's hash partition, so one message carries both kinds.
+	p1, _ := SplitCandidates(hot, 4)
+	var cold []tuple.Value
+	for v := int64(1); len(cold) < 3; v++ {
+		if c := tuple.IntValue(v); int(c.Hash()%4) == p1 {
+			cold = append(cold, c)
+		}
+	}
+	var ins []Ingestion
+	for i := 0; i < 180; i++ {
+		j := i / 3
+		a, b := cold[j%3], tuple.IntValue(int64(1+j%3))
+		if j%2 == 0 {
+			a = tuple.IntValue(0)
+		}
+		in := Ingestion{TS: tuple.Time(i + 1)}
+		switch i % 3 {
+		case 0:
+			in.Rel, in.Vals = "S", []tuple.Value{a, b}
+		case 1:
+			in.Rel, in.Vals = "T", []tuple.Value{b}
+		default:
+			in.Rel, in.Vals = "R", []tuple.Value{a}
+		}
+		ins = append(ins, in)
+	}
+	run := func(split bool) (map[string]int, *Engine, *recordingSub) {
+		eng, rec, qs, _ := splitEngine(t, workload, split, true)
+		sink := NewCollectSink()
+		eng.OnResult(qs[0].Name, sink.Add)
+		for _, in := range ins {
+			if err := eng.Ingest(in.Rel, in.TS, in.Vals...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng.Drain()
+		return sink.Results(), eng, rec
+	}
+	plain, _, _ := run(false)
+	got, eng, rec := run(true)
+	qs, cat, _ := query.ParseWorkload(workload)
+	if want := ReferenceJoin(qs[0], cat, 0, ins); fmt.Sprint(plain) != fmt.Sprint(want) {
+		t.Fatalf("unsplit engine diverges from the oracle: %d vs %d distinct results", len(plain), len(want))
+	}
+	if fmt.Sprint(got) != fmt.Sprint(plain) {
+		t.Errorf("split engine: %d distinct results, unsplit %d — results differ", len(got), len(plain))
+	}
+	if len(plain) == 0 {
+		t.Fatal("no results — test vacuous")
+	}
+
+	steps = splitProbeSteps(eng)
+	type sentTuple struct {
+		tp   *tuple.Tuple
+		step *emitStep
+	}
+	parts := map[sentTuple]map[int]bool{}
+	mixed := 0
+	for _, s := range rec.sent {
+		step := steps[s.msg.edge][s.to.store]
+		if step == nil {
+			continue
+		}
+		tps := s.msg.batch
+		if s.msg.t != nil {
+			tps = []*tuple.Tuple{s.msg.t}
+		}
+		nHot := 0
+		for _, tp := range tps {
+			v, ok := tp.Get(step.probeRoute)
+			if !ok {
+				continue
+			}
+			if v.Hash() == hot {
+				nHot++
+			}
+			k := sentTuple{tp, step}
+			if parts[k] == nil {
+				parts[k] = map[int]bool{}
+			}
+			parts[k][s.to.part] = true
+		}
+		if nHot > 0 && nHot < len(tps) {
+			mixed++
+		}
+	}
+	if mixed == 0 {
+		t.Fatal("no batch mixed hot and cold keys into a split store — test vacuous")
+	}
+	for k, ps := range parts {
+		v, _ := k.tp.Get(k.step.probeRoute)
+		h := v.Hash()
+		want := map[int]bool{int(h % uint64(k.step.par)): true}
+		if h == hot {
+			p1, p2 := SplitCandidates(h, k.step.par)
+			want = map[int]bool{p1: true, p2: true}
+		}
+		if fmt.Sprint(ps) != fmt.Sprint(want) {
+			t.Fatalf("probe %v on edge %s reached partitions %v, want %v", k.tp, k.step.edge, ps, want)
 		}
 	}
 }

@@ -232,6 +232,44 @@ func TestFlowSurvivesWhereUnboundedDies(t *testing.T) {
 	}
 }
 
+// TestMeasuredProbesMatchAcrossSubstrates: MeasuredCosts meters every
+// probed tuple once per probe rule, whether it arrives alone or in a
+// drained-mailbox run the flow substrate applies as one batched scan
+// (task.handleRun). A slow single worker lets runs form; the per-task
+// probe counts must equal the synchronous engine's, which has no runs.
+func TestMeasuredProbesMatchAcrossSubstrates(t *testing.T) {
+	const n = 4000
+	gauges := func(cfg Config) []TaskGauge {
+		cfg.MeasuredCosts = true
+		eng, cat := overloadFixture(t, cfg)
+		defer eng.Stop()
+		if _, err := driveOverload(eng, cat, n, 0); err != nil {
+			t.Fatal(err)
+		}
+		eng.Drain()
+		return eng.TaskGauges()
+	}
+	want := gauges(Config{Synchronous: true})
+	got := gauges(Config{Substrate: SubstrateFlow, OverheadLoops: 2000, Flow: FlowConfig{Workers: 1}})
+	if len(got) != len(want) {
+		t.Fatalf("flow engine has %d tasks, synchronous %d", len(got), len(want))
+	}
+	var total int64
+	for i := range want {
+		if got[i].ProbeTuples != want[i].ProbeTuples {
+			t.Errorf("task %s/%d metered %d probe tuples on the flow substrate, %d synchronously",
+				want[i].Store, want[i].Part, got[i].ProbeTuples, want[i].ProbeTuples)
+		}
+		if got[i].ProbeTuples > 0 && got[i].ProbeNanos == 0 {
+			t.Errorf("task %s/%d metered probe tuples but no probe time", got[i].Store, got[i].Part)
+		}
+		total += want[i].ProbeTuples
+	}
+	if total == 0 {
+		t.Fatal("no probe tuples metered — test vacuous")
+	}
+}
+
 // TestFlowShedPolicy: with ShedOnOverload the engine stays live and
 // lossy — tuples are dropped at the admission gate, counted, and never
 // half-processed.

@@ -24,11 +24,6 @@ type ClusterScenario struct {
 	Scenario
 	// Shards is the engine count (default 2).
 	Shards int
-	// Routing overrides the routing policy (default KeyHash).
-	Routing cluster.RoutingPolicy
-	// DegreeAware builds a degree-aware policy from the scenario's
-	// Estimates (ignored when Routing is set).
-	DegreeAware bool
 	// Admission gates tuples before routing (nil: admit everything).
 	Admission cluster.AdmissionPolicy
 }
@@ -80,15 +75,9 @@ func (cs *ClusterScenario) RunCluster() (*ClusterResult, error) {
 		}
 	}()
 
-	ccfg := cluster.Config{Queries: qs, Catalog: cat, Routing: cs.Routing, Admission: cs.Admission}
-	if ccfg.Routing == nil && cs.DegreeAware {
-		plan, err := cluster.BuildPlan(qs, cat, n)
-		if err != nil {
-			return nil, err
-		}
-		ccfg.Routing = cluster.NewDegreeAware(plan, cs.Estimates)
-	}
-	cl, err := cluster.New(ccfg, shards)
+	// The router splits the hot keys of the scenario's Estimates, the
+	// ones the engines' optimizer split on.
+	cl, err := cluster.New(cluster.Config{Queries: qs, Catalog: cat, Estimates: cs.Estimates, Admission: cs.Admission}, shards)
 	if err != nil {
 		return nil, err
 	}

@@ -128,10 +128,9 @@ func TestClusterSweepMixedConflict(t *testing.T) {
 
 // TestClusterSweepDegreeAware: degree sketches declare key 0 a heavy
 // hitter, so the router spreads the driving relation's hot tuples over
-// two candidate shards and replicates the partners' — the two-choice
-// trick one level above the engine's split keys (which are also active
-// here, optimized from the same estimates). Replication must not cost
-// exactness.
+// two candidate shards and replicates the partners' — the engine's
+// split-key rule one level up (the engines split the same key, optimized
+// from the same estimates). Replication must not cost exactness.
 func TestClusterSweepDegreeAware(t *testing.T) {
 	est := stats.NewEstimates(0.1)
 	for _, r := range []string{"R", "S", "T"} {
@@ -144,17 +143,15 @@ func TestClusterSweepDegreeAware(t *testing.T) {
 	}
 	base := clusterKeyedBase()
 	base.Estimates = est
-	base.DegreeAware = true
 
-	// Vacuity: the policy must actually split, and a run must actually
+	// Vacuity: the router must actually split, and a run must actually
 	// replicate hot partner tuples.
 	base.Shards = 2
 	res, err := base.RunCluster()
 	if err != nil {
 		t.Fatal(err)
 	}
-	da := cluster.NewDegreeAware(res.Plan, est)
-	if da.Splits() == 0 {
+	if cluster.NewRouter(res.Plan, est).Splits() == 0 {
 		t.Fatal("degree estimates produced no split hashes — sweep vacuous")
 	}
 	if res.Metrics.ReplicaTuples == 0 {
