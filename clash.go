@@ -331,11 +331,11 @@ type Config struct {
 	// Optimizer passes through optimizer options.
 	Optimizer OptimizerOptions
 	// InitialEstimates seed the optimizer before statistics exist. Their
-	// degree sketches are also where skew routing comes from — there is
-	// no switch for it: a key whose share reaches 1/parallelism of a
-	// partitioned store splits over two candidate tasks (inserts to the
-	// less-loaded one, probes to both), and in a Cluster a key whose
-	// share reaches 1/Shards splits over two shards the same way.
+	// degree sketches also drive skew routing: a key whose share reaches
+	// 1/parallelism of a partitioned store splits over two candidate
+	// tasks (inserts to the less-loaded one, probes to both), and in a
+	// Cluster a key whose share of a join class reaches 1/Shards splits
+	// that class's tuples over two shards the same way.
 	InitialEstimates *Estimates
 	// MemoryLimitBytes fails the engine when state plus queued messages
 	// exceed it (0 = unlimited).

@@ -4,10 +4,10 @@ package clash
 // and admission front door. State is hash-partitioned by join key
 // across shards; relations no consistent key exists for are broadcast;
 // results from all shards merge deterministically, so a multi-shard run
-// is byte-identical to a single engine (DESIGN.md §13). Routing is one
-// rule with no switch: key hash, except the heavy hitters the degree
-// sketches in Engine.InitialEstimates flag, which split over two
-// candidate shards. Each shard is a complete Engine and may run any
+// is byte-identical to a single engine (DESIGN.md §13). Routing is key
+// hash, except the heavy hitters the degree sketches in
+// Engine.InitialEstimates flag within a join class, which split over
+// two candidate shards. Each shard is a complete Engine and may run any
 // substrate, state backend, or WAL configuration.
 
 import (
@@ -54,9 +54,9 @@ type ClusterConfig struct {
 	// sinks on the cluster, which owns the merge contract), and
 	// WAL.Storage cannot be shared across multiple shards. The front
 	// door's router reads its hot keys from InitialEstimates' degree
-	// sketches: a key with at least a 1/Shards share spreads over two
-	// candidate shards, exactly; without such a key it routes by plain
-	// key hash.
+	// sketches: a key with at least a 1/Shards share of a join class
+	// spreads that class's tuples over two candidate shards; every other
+	// value, and that value in other classes, routes by plain key hash.
 	Engine Config
 	// Admission gates tuples before routing (nil: admit everything).
 	Admission AdmissionPolicy

@@ -11,29 +11,37 @@ import (
 // routing one level up. Broadcast relations go to every shard; keyed
 // relations hash to one shard, except a heavy hitter whose estimated
 // share reaches a full mean shard (share >= 1/N), which is spread over
-// the key's two candidate shards instead of pinned to one. The class's
-// driving relation's hot tuples go to the less-loaded candidate; every
-// other keyed relation's hot tuples replicate to BOTH candidates, so
-// each driving tuple finds all its partners on its own shard. This is
-// exact only when the driving relation appears in every query keyed on
-// the class — a result then contains exactly one driving tuple and
-// materializes exactly where that tuple lives; NewRouter enforces the
-// gate and falls back to plain hashing per class otherwise. Without
-// estimates, or with no key that hot, the router is plain key hash.
+// the key's two candidate shards instead of pinned to one. Hot keys are
+// per equivalence class: a value hot in one class hashes plainly in
+// every other. The class's driving relation's hot tuples go to the
+// less-loaded candidate; every other keyed relation of the class
+// replicates its hot tuples to BOTH candidates, so each driving tuple
+// finds all its partners on its own shard. This is exact only when the
+// driving relation appears in every query keyed on the class — a result
+// then contains exactly one driving tuple and materializes exactly where
+// that tuple lives; NewRouter enforces the gate and falls back to plain
+// hashing per class otherwise. Without estimates, or with no key that
+// hot, the router is plain key hash.
 //
 // Routing is a deterministic function of the tuple and the router's
 // placement counts (no wall clock, no randomness): cluster runs on the
 // simulation substrate replay byte-identically.
 type Router struct {
-	shards  int
-	split   map[uint64]string // hot hash -> class root
-	driving map[string]string // class root -> driving relation
+	shards int
+	split  map[string]*classSplit // keyed relation -> its class's hot keys
+	splits int                    // hot hashes over all classes
 }
 
-// NewRouter derives the split table from the plan and the degree
+// classSplit is one equivalence class's hot keys and driving relation.
+type classSplit struct {
+	hot     map[uint64]bool
+	driving string
+}
+
+// NewRouter derives the split tables from the plan and the degree
 // sketches in est (nil est: plain key hash).
 func NewRouter(plan *Plan, est *stats.Estimates) *Router {
-	r := &Router{shards: plan.Shards, split: map[uint64]string{}, driving: map[string]string{}}
+	r := &Router{shards: plan.Shards, split: map[string]*classSplit{}}
 	if est == nil || plan.Shards < 2 {
 		return r
 	}
@@ -63,10 +71,13 @@ func NewRouter(plan *Plan, est *stats.Estimates) *Router {
 		if drv == "" {
 			continue // no relation spans every query of the class: plain hash
 		}
-		r.driving[c] = drv
-		for h := range hashes {
-			r.split[h] = c
+		cs := &classSplit{hot: hashes, driving: drv}
+		for rel, cls := range plan.classOf {
+			if cls == c {
+				r.split[rel] = cs
+			}
 		}
+		r.splits += len(hashes)
 	}
 	return r
 }
@@ -98,7 +109,7 @@ func drivingRelation(plan *Plan, c string) string {
 
 // Splits reports how many hot hashes the router spreads (for tests and
 // metrics vacuity checks).
-func (r *Router) Splits() int { return len(r.split) }
+func (r *Router) Splits() int { return r.splits }
 
 // Keyed places a tuple of keyed relation rel whose routing value hashes
 // to h: on one shard, and for a partner relation's hot key also on the
@@ -106,12 +117,12 @@ func (r *Router) Splits() int { return len(r.split) }
 // so far; a driving relation's hot tuple goes to the candidate with
 // fewer.
 func (r *Router) Keyed(rel string, h uint64, routed []int64) (shard, alt int) {
-	c, hot := r.split[h]
-	if !hot {
+	cs := r.split[rel]
+	if cs == nil || !cs.hot[h] {
 		return int(h % uint64(r.shards)), -1
 	}
 	p1, p2 := runtime.SplitCandidates(h, r.shards)
-	if rel != r.driving[c] {
+	if rel != cs.driving {
 		// Partner relation: the hot key's tuples must be visible on both
 		// candidates for either placement of the driving tuple to join.
 		return p1, p2

@@ -171,3 +171,71 @@ func TestClusterSweepDegreeAware(t *testing.T) {
 		t.Errorf("verified %d runs, want %d", runs, want)
 	}
 }
+
+// TestClusterSweepTwoClassesHotKey: two join classes (q1 on a, q2 on b)
+// whose streams share int key 0. A key hot in one class must hash plainly
+// in the other — were U and V treated as partners of class a's hot key,
+// they would replicate and q2's results would materialize twice. With the
+// key hot in both classes, each class splits it over its own driving
+// relation.
+func TestClusterSweepTwoClassesHotKey(t *testing.T) {
+	hot := func(attrs ...string) *stats.Estimates {
+		est := stats.NewEstimates(0.1)
+		for _, r := range []string{"R", "S", "U", "V"} {
+			est.SetRate(r, 100)
+		}
+		for _, a := range attrs {
+			est.SetDegree(a, &stats.AttrDegrees{
+				Count:    100000,
+				Distinct: 14,
+				Top:      []stats.HeavyHitter{{Hash: tuple.IntValue(0).Hash(), Count: 75000}},
+			})
+		}
+		return est
+	}
+	for _, tc := range []struct {
+		name   string
+		est    *stats.Estimates
+		splits int
+	}{
+		{"hot-in-a", hot("R.a", "S.a"), 1},
+		{"hot-in-both", hot("R.a", "S.a", "U.b", "V.b"), 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cs := ClusterScenario{Scenario: Scenario{
+				Workload:  "q1: R(a) S(a)\nq2: U(b) V(b)",
+				Options:   core.Options{StoreParallelism: 2},
+				Window:    40,
+				Stream:    StreamConfig{Tuples: 320, Keys: 5},
+				StepMode:  true,
+				Estimates: tc.est,
+			}}
+			res, err := cs.RunCluster()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rel := range []string{"R", "S", "U", "V"} {
+				if !res.Plan.Relations[rel].Keyed() {
+					t.Fatalf("relation %s not keyed", rel)
+				}
+			}
+			if s := cluster.NewRouter(res.Plan, tc.est).Splits(); s != tc.splits {
+				t.Fatalf("router splits %d hot hashes, want %d", s, tc.splits)
+			}
+			if res.Metrics.ReplicaTuples == 0 {
+				t.Fatal("no replica placements — split path untested")
+			}
+			if err := res.VerifyExact(); err != nil {
+				t.Fatal(err)
+			}
+			seeds := sweepSeeds(t, 6)
+			runs, err := ClusterSweep(cs, seeds, []int{2, 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := seeds * 2 * 3; runs != want {
+				t.Errorf("verified %d runs, want %d", runs, want)
+			}
+		})
+	}
+}
