@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -64,12 +65,16 @@ func (c *ChurnConfig) fill() {
 
 // ChurnResult is one query-count row of the churn series: plan costs,
 // node counts and the memo hit rate are deterministic in the config;
-// the wall times are printed only.
+// the wall times are printed only. The candidate times are the part of
+// the wall spent generating or fetching and pricing decorated candidates
+// (core.ProblemStats.CandidateTime).
 type ChurnResult struct {
 	NQ              int
 	Steps           int
 	ScratchWallNS   int64
 	IncrementalWall int64
+	ScratchCandNS   int64
+	IncrementalCand int64
 	ScratchNodes    int
 	IncrementalNode int
 	MemoHitRate     float64
@@ -151,6 +156,7 @@ func churnOne(cfg ChurnConfig, nQ int) (ChurnResult, error) {
 			return ChurnResult{}, fmt.Errorf("bench: churn nQ=%d step %d scratch: %w", nQ, step, err)
 		}
 		res.ScratchWallNS += time.Since(t0).Nanoseconds()
+		res.ScratchCandNS += scratch.Stats.CandidateTime.Nanoseconds()
 
 		reopt.Advance()
 		t0 = time.Now()
@@ -159,6 +165,7 @@ func churnOne(cfg ChurnConfig, nQ int) (ChurnResult, error) {
 			return ChurnResult{}, fmt.Errorf("bench: churn nQ=%d step %d incremental: %w", nQ, step, err)
 		}
 		res.IncrementalWall += time.Since(t0).Nanoseconds()
+		res.IncrementalCand += incr.Stats.CandidateTime.Nanoseconds()
 
 		res.ScratchNodes += scratch.Stats.Nodes
 		res.IncrementalNode += incr.Stats.Nodes
@@ -177,11 +184,13 @@ func churnOne(cfg ChurnConfig, nQ int) (ChurnResult, error) {
 }
 
 // ChurnEngineResult is one query-count row of the engine-regime arm.
-// Every field but the wall time is deterministic in the config.
+// Every field but the wall and candidate times is deterministic in the
+// config.
 type ChurnEngineResult struct {
 	NQ     int
 	Steps  int
 	WallNS int64
+	CandNS int64
 	Nodes  int
 	Cost   float64 // Σ objective of the restricted (installable) plans
 	// Reopt counts every joint solve of the run, the two priming solves
@@ -203,9 +212,12 @@ const warmupSteps = 2
 // It is the only place outside the benchmark where the warm start's
 // repair is exercised under the conditions that once broke it, so it
 // returns an error — clash-bench exits non-zero — when, after the priming
-// step, more than one repair in ten is infeasible, or a per-query child
+// step, more than one repair in ten is infeasible, a per-query child
 // optimization runs in a solve whose repair covered at least half the
-// groups.
+// groups, or a free solve misses the candidate-structure cache for more
+// top-level groups than there are queries sharing a relation with the
+// query the step added or removed (a new estimates snapshot must
+// re-price cached structure, not regenerate it).
 func ChurnEngineRegime(cfg ChurnConfig, nQ int) (ChurnEngineResult, error) {
 	cfg.fill()
 	env := workload.NewEnv(cfg.Relations, cfg.Rate)
@@ -230,11 +242,14 @@ func ChurnEngineRegime(cfg ChurnConfig, nQ int) (ChurnEngineResult, error) {
 	wantedSince := map[string]int{} // composite MIR key -> step the free plan first used it
 	solves, infeasible := 0, 0
 	for step := 0; step <= cfg.Steps; step++ {
+		var changed *query.Query // the query the step added or removed
 		switch {
 		case step == 0: // priming: the installed set as the engine starts
 		case step%2 == 1:
-			active = append(active, fresh[step/2])
+			changed = fresh[step/2]
+			active = append(active, changed)
 		default:
+			changed = active[0]
 			active = append([]*query.Query(nil), active[1:]...)
 		}
 		est := env.Estimates().Clone()
@@ -256,8 +271,15 @@ func ChurnEngineRegime(cfg ChurnConfig, nQ int) (ChurnEngineResult, error) {
 				return ChurnEngineResult{}, fmt.Errorf("bench: churn engine regime nQ=%d step %d: %w", nQ, step, err)
 			}
 			res.WallNS += time.Since(t0).Nanoseconds()
+			res.CandNS += plan.Stats.CandidateTime.Nanoseconds()
 			res.Nodes += plan.Stats.Nodes
 			after := reopt.Stats()
+			if elig == nil && changed != nil {
+				if misses, neighbours := after.TopMisses-before.TopMisses, sharingRelation(active, changed); misses > uint64(neighbours) {
+					return ChurnEngineResult{}, fmt.Errorf("bench: churn engine regime nQ=%d step %d: the free solve missed %d cached top-level groups, but only %d queries share a relation with %s",
+						nQ, step, misses, neighbours, changed.Name)
+				}
+			}
 			if elig == nil {
 				// What the free plan wants decides what warms up.
 				wanted := map[string]bool{}
@@ -300,10 +322,25 @@ func ChurnEngineRegime(cfg ChurnConfig, nQ int) (ChurnEngineResult, error) {
 	return res, nil
 }
 
+// sharingRelation counts the queries that join at least one relation of q.
+func sharingRelation(queries []*query.Query, q *query.Query) int {
+	n := 0
+	for _, o := range queries {
+		for _, rel := range o.Relations {
+			if slices.Contains(q.Relations, rel) {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
 // FormatReoptStats renders what the cross-churn state did in each arm:
 // joint solves, how the incumbent repairs went, which warm-start variant
 // seeded the search, per-query child optimizations, and the hit/miss
-// counts of the three estimate-versioned candidate caches.
+// counts of the candidate-structure caches (top-level, feeding) and of
+// the estimate-versioned individual-plan cache.
 func FormatReoptStats(scratchVsIncr []ChurnResult, engine []ChurnEngineResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-8s %6s %7s %17s %14s %21s %6s %13s %13s %9s\n",
@@ -328,10 +365,10 @@ func FormatReoptStats(scratchVsIncr []ChurnResult, engine []ChurnEngineResult) s
 // FormatChurnEngine renders the engine-regime rows.
 func FormatChurnEngine(rows []ChurnEngineResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%6s %6s %12s %10s %14s\n", "nQ", "steps", "wall", "nodes", "plan-cost")
+	fmt.Fprintf(&b, "%6s %6s %12s %12s %10s %14s\n", "nQ", "steps", "wall", "candidates", "nodes", "plan-cost")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%6d %6d %12v %10d %14.6g\n", r.NQ, r.Steps,
-			time.Duration(r.WallNS).Round(time.Millisecond), r.Nodes, r.Cost)
+		fmt.Fprintf(&b, "%6d %6d %12v %12v %10d %14.6g\n", r.NQ, r.Steps,
+			time.Duration(r.WallNS).Round(time.Millisecond), time.Duration(r.CandNS).Round(time.Millisecond), r.Nodes, r.Cost)
 	}
 	return b.String()
 }
@@ -339,14 +376,17 @@ func FormatChurnEngine(rows []ChurnEngineResult) string {
 // FormatChurn renders the churn series.
 func FormatChurn(rows []ChurnResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%6s %6s %12s %12s %8s %10s %10s %8s %14s %14s\n",
-		"nQ", "steps", "scratch", "incr", "speedup", "scr-nodes", "incr-nodes", "memo%", "scratch-cost", "incr-cost")
+	fmt.Fprintf(&b, "%6s %6s %12s %12s %8s %10s %10s %10s %10s %8s %14s %14s\n",
+		"nQ", "steps", "scratch", "incr", "speedup", "scr-cand", "incr-cand", "scr-nodes", "incr-nodes", "memo%", "scratch-cost", "incr-cost")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%6d %6d %12v %12v %7.1fx %10d %10d %7.1f%% %14.6g %14.6g\n",
+		fmt.Fprintf(&b, "%6d %6d %12v %12v %7.1fx %10v %10v %10d %10d %7.1f%% %14.6g %14.6g\n",
 			r.NQ, r.Steps,
 			time.Duration(r.ScratchWallNS).Round(time.Millisecond),
 			time.Duration(r.IncrementalWall).Round(time.Millisecond),
-			r.Speedup(), r.ScratchNodes, r.IncrementalNode,
+			r.Speedup(),
+			time.Duration(r.ScratchCandNS).Round(time.Millisecond),
+			time.Duration(r.IncrementalCand).Round(time.Millisecond),
+			r.ScratchNodes, r.IncrementalNode,
 			100*r.MemoHitRate, r.ScratchCost, r.IncrementalCost)
 	}
 	return b.String()

@@ -24,6 +24,7 @@ func TestChurnSmoke(t *testing.T) {
 		t.Error("MIR memo never hit — the incremental arm carried no state")
 	}
 	a.ScratchWallNS, a.IncrementalWall, b.ScratchWallNS, b.IncrementalWall = 0, 0, 0, 0
+	a.ScratchCandNS, a.IncrementalCand, b.ScratchCandNS, b.IncrementalCand = 0, 0, 0, 0
 	if a != b {
 		t.Errorf("two runs disagree:\n%+v\n%+v", a, b)
 	}
@@ -57,7 +58,7 @@ func TestChurnEngineRegimeSmoke(t *testing.T) {
 	if s.ChildOptimizations < 24 {
 		t.Errorf("%d child optimizations: the cold start must still solve every query on its own", s.ChildOptimizations)
 	}
-	a.WallNS, b.WallNS = 0, 0
+	a.WallNS, b.WallNS, a.CandNS, b.CandNS = 0, 0, 0, 0
 	if a != b {
 		t.Errorf("two runs disagree:\n%+v\n%+v", a, b)
 	}

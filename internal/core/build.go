@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -19,20 +20,19 @@ type builder struct {
 	rawEst  *stats.Estimates
 	est     *cost.Estimator
 	mirs    []*mir.MIR
-	mirByKy map[string]*mir.MIR
 
 	model *ilp.Model
 
 	orders     []*DecoratedOrder
 	xVar       map[string]int // DecoratedOrder.Key() -> ILP var
 	yVar       map[string]int // step key -> ILP var
-	stepCost   map[string]float64
 	orderByKey map[string]*DecoratedOrder
 
 	// cross-churn cache key components (set when opts.Reopt != nil)
-	optsFP string
-	wsig   string
-	estVer uint64
+	structFP string              // the options that shape candidate structure
+	estVer   uint64              // the estimates snapshot, for the individual-plan cache
+	fps      map[string]string   // query name -> mir.Fingerprint
+	byRel    map[string][]string // relation -> fingerprints of the queries joining it
 
 	// top-level candidate groups: query name -> start -> orders
 	topGroups map[string]map[string][]*DecoratedOrder
@@ -55,7 +55,6 @@ func newBuilder(opts Options, queries []*query.Query, est *stats.Estimates) *bui
 		model:      ilp.NewModel(),
 		xVar:       map[string]int{},
 		yVar:       map[string]int{},
-		stepCost:   map[string]float64{},
 		orderByKey: map[string]*DecoratedOrder{},
 		topGroups:  map[string]map[string][]*DecoratedOrder{},
 		feedGroups: map[string]map[string][]*DecoratedOrder{},
@@ -63,27 +62,29 @@ func newBuilder(opts Options, queries []*query.Query, est *stats.Estimates) *bui
 	}
 	if r := opts.Reopt; r != nil {
 		r.beginSolve(est)
-		b.optsFP = opts.optsFingerprint()
-		b.wsig = hashSig(b.workloadSig())
+		b.structFP = opts.structFingerprint()
 		b.estVer = r.estVersion()
+		b.fps = make(map[string]string, len(queries))
+		b.byRel = map[string][]string{}
+		for _, q := range queries {
+			fp := mir.Fingerprint(q)
+			b.fps[q.Name] = fp
+			for _, rel := range q.Relations {
+				b.byRel[rel] = append(b.byRel[rel], fp)
+			}
+		}
 	}
 	return b
-}
-
-// groupSig keys one query's cached candidate group: name (part of the
-// decorated-order identity), join shape, MIR eligibility, estimates
-// version, options, and — in partition-aware modes — the workload shape.
-func (b *builder) groupSig(q *query.Query) string {
-	return fmt.Sprintf("%s|%s|%s|%d|%s|%s",
-		q.Name, mir.Fingerprint(q), b.eligSig(q), b.estVer, b.optsFP, b.wsig)
 }
 
 func (b *builder) run() (*Plan, error) {
 	t0 := time.Now()
 	b.enumerateMIRs()
+	tc := time.Now()
 	if err := b.generateCandidates(); err != nil {
 		return nil, err
 	}
+	candidates := time.Since(tc)
 	b.buildModel()
 	build := time.Since(t0)
 
@@ -123,6 +124,7 @@ func (b *builder) run() (*Plan, error) {
 		Variables:     b.model.NumVars(),
 		Constraints:   b.model.NumCons(),
 		BuildTime:     build,
+		CandidateTime: candidates,
 		WarmStartTime: warm,
 		SolveTime:     solve,
 		Nodes:         sol.Nodes,
@@ -154,10 +156,6 @@ func (b *builder) enumerateMIRs() {
 		}
 		b.mirs = append(b.mirs, m)
 	}
-	b.mirByKy = map[string]*mir.MIR{}
-	for _, m := range b.mirs {
-		b.mirByKy[m.Key()] = m
-	}
 }
 
 // candidates enumerates probe orders for q, through the cross-churn memo
@@ -169,37 +167,17 @@ func (b *builder) candidates(q *query.Query) map[string][]*mir.ProbeOrder {
 	return mir.Candidates(q, b.mirs)
 }
 
-// generateCandidates produces decorated probe orders for every query and,
-// transitively, feeding orders for every MIR referenced by a candidate.
-// With Options.Reopt set, whole decorated groups are reused across churn
-// steps when the query's shape, its MIR eligibility, the estimates
-// snapshot, and the options are unchanged.
+// generateCandidates produces the priced decorated probe orders of every
+// query and, transitively, the feeding orders of every MIR a surviving
+// candidate probes. Structure and price are separate steps: the structure
+// (which decorated orders exist, their step keys and χ verdicts) comes
+// from the cross-churn cache when Options.Reopt is set, the prices are
+// computed per solve from the current estimates and coefficients, and the
+// cap cuts the priced copy — where it cuts depends on the prices.
 func (b *builder) generateCandidates() error {
-	r := b.opts.Reopt
 	neededMIRs := map[string]*mir.MIR{}
 	for _, q := range b.queries {
-		var group map[string][]*DecoratedOrder
-		sig := ""
-		if r != nil {
-			sig = b.groupSig(q)
-			if cached, ok := r.topLookup(sig); ok {
-				group = rebindGroup(cached, q)
-			}
-		}
-		if group == nil {
-			cands := b.candidates(q)
-			group = map[string][]*DecoratedOrder{}
-			for start, orders := range cands {
-				var dec []*DecoratedOrder
-				for _, po := range orders {
-					dec = append(dec, b.decorate(q, "", start, po)...)
-				}
-				group[start] = b.capGroup(dec)
-			}
-			if r != nil {
-				r.topStore(sig, group)
-			}
-		}
+		group := b.priced(b.structure(q, nil), q, nil)
 		for start, dec := range group {
 			if len(dec) == 0 {
 				return fmt.Errorf("core: query %s has no probe order from %s (disconnected query graph?)", q.Name, start)
@@ -223,36 +201,7 @@ func (b *builder) generateCandidates() error {
 		done[key] = true
 		m := neededMIRs[key]
 		sub := m.Subquery()
-		var group map[string][]*DecoratedOrder
-		sig := ""
-		if r != nil {
-			sig = "feed|" + key + "|" + b.groupSig(sub)
-			if cached, ok := r.feedLookup(sig); ok {
-				group = rebindGroup(cached, sub)
-				for _, dec := range group {
-					for _, d := range dec {
-						d.Fed = m
-					}
-				}
-			}
-		}
-		if group == nil {
-			cands := b.candidates(sub)
-			group = map[string][]*DecoratedOrder{}
-			for start, orders := range cands {
-				var dec []*DecoratedOrder
-				for _, po := range orders {
-					for _, d := range b.decorate(sub, key, start, po) {
-						d.Fed = m
-						dec = append(dec, d)
-					}
-				}
-				group[start] = b.capGroup(dec)
-			}
-			if r != nil {
-				r.feedStore(sig, group)
-			}
-		}
+		group := b.priced(b.structure(sub, m), sub, m)
 		newNeeds := map[string]*mir.MIR{}
 		for _, dec := range group {
 			for _, d := range dec {
@@ -270,6 +219,78 @@ func (b *builder) generateCandidates() error {
 		}
 	}
 	return nil
+}
+
+// structure returns q's decorated candidates per start, uncapped and
+// unpriced: the orders, their keys, their steps' keys and shapes. fed is
+// the MIR the orders feed, nil for a top-level query. With Options.Reopt
+// set the group comes from the cross-churn cache under structSig. Either
+// way it is read-only: priced copies it.
+func (b *builder) structure(q *query.Query, fed *mir.MIR) map[string][]*DecoratedOrder {
+	r := b.opts.Reopt
+	sig := ""
+	if r != nil {
+		sig = b.structSig(q, fed)
+		if group, ok := r.structLookup(sig, fed != nil, !b.opts.reoptChild); ok {
+			return group
+		}
+	}
+	group := map[string][]*DecoratedOrder{}
+	for start, orders := range b.candidates(q) {
+		var dec []*DecoratedOrder
+		for _, po := range orders {
+			dec = append(dec, b.decorate(q, fed, start, po)...)
+		}
+		group[start] = dec
+	}
+	if r != nil {
+		r.structStore(sig, group)
+	}
+	return group
+}
+
+// priced copies a structure group onto q and the MIR its orders feed,
+// prices every step under the builder's estimates and coefficients
+// (Eq. 1), and caps each start's candidates. The copies own their steps;
+// the structure is not written.
+func (b *builder) priced(structure map[string][]*DecoratedOrder, q *query.Query, fed *mir.MIR) map[string][]*DecoratedOrder {
+	group := make(map[string][]*DecoratedOrder, len(structure))
+	for start, orders := range structure {
+		n := 0
+		for _, d := range orders {
+			n += len(d.Steps)
+		}
+		copies := make([]DecoratedOrder, len(orders))
+		steps := make([]Step, n)
+		dec := make([]*DecoratedOrder, len(orders))
+		for i, d := range orders {
+			c := &copies[i]
+			*c = *d
+			c.Query, c.Fed = q, fed
+			k := len(d.Steps)
+			c.Steps, steps = steps[:k:k], steps[k:]
+			copy(c.Steps, d.Steps)
+			b.price(c)
+			dec[i] = c
+		}
+		group[start] = b.capGroup(dec)
+	}
+	return group
+}
+
+// price sets d's step costs and their sum (Eq. 1) from the step shapes.
+func (b *builder) price(d *DecoratedOrder) {
+	d.Cost = 0
+	for i, s := range d.shapes {
+		var c float64
+		if s.materialize {
+			c = b.est.Cardinality(s.rels, d.Query.Preds) / float64(s.j) * b.est.MaterializationUnit()
+		} else {
+			c = b.est.PriceStep(s.rels, s.j, s.knows, s.target, d.Query.Preds)
+		}
+		d.Steps[i].Cost = c
+		d.Cost += c
+	}
 }
 
 func mirKeysSorted(m map[string]*mir.MIR) []string {
@@ -298,7 +319,8 @@ func (b *builder) noteMIRUse(d *DecoratedOrder, out map[string]*mir.MIR) {
 	}
 }
 
-// capGroup keeps at most MaxCandidatesPerGroup cheapest candidates.
+// capGroup keeps at most MaxCandidatesPerGroup cheapest candidates. It
+// sorts dec in place.
 func (b *builder) capGroup(dec []*DecoratedOrder) []*DecoratedOrder {
 	max := b.opts.MaxCandidatesPerGroup
 	if max <= 0 || len(dec) <= max {
@@ -310,8 +332,13 @@ func (b *builder) capGroup(dec []*DecoratedOrder) []*DecoratedOrder {
 
 // decorate applies partitioning to a probe order (Alg. 2, line 3),
 // producing one DecoratedOrder per combination of partition candidates
-// of the probed stores, and computes step costs (Eq. 1).
-func (b *builder) decorate(q *query.Query, forMIR, start string, po *mir.ProbeOrder) []*DecoratedOrder {
+// of the probed stores, each with its steps shaped for pricing. fed is
+// the MIR the order feeds, nil for a top-level order.
+func (b *builder) decorate(q *query.Query, fed *mir.MIR, start string, po *mir.ProbeOrder) []*DecoratedOrder {
+	forMIR := ""
+	if fed != nil {
+		forMIR = fed.Key()
+	}
 	n := po.Len()
 	choices := make([][]query.Attr, n)
 	choices[0] = []query.Attr{{}}
@@ -339,7 +366,7 @@ func (b *builder) decorate(q *query.Query, forMIR, start string, po *mir.ProbeOr
 				Elems:  append([]Element(nil), elems...),
 			}
 			d.key = d.buildKey()
-			b.computeSteps(d)
+			b.shapeSteps(d, fed)
 			out = append(out, d)
 			return
 		}
@@ -352,20 +379,34 @@ func (b *builder) decorate(q *query.Query, forMIR, start string, po *mir.ProbeOr
 	return out
 }
 
-// computeSteps derives the physical steps and their Eq. 1 costs for a
-// decorated order. Step keys are canonical so equal steps across queries
-// share one ILP variable.
-func (b *builder) computeSteps(d *DecoratedOrder) {
+// stepShape is what pricing a step reads besides the estimates and the
+// coefficients: the relations whose join the step sends (or, for the
+// materialization step, stores), the 1/j share, the probed store, and
+// whether the probing tuple can compute that store's partitioning value
+// (χ = 1). The Knows verdict is most of what pricing a step from scratch
+// costs, and it depends on the query set, never on the estimates.
+type stepShape struct {
+	rels        []string    // sorted
+	j           int         // prefix elements; the feeding order's elements when materializing
+	target      cost.Target // the probed store, Rels unset
+	knows       bool
+	materialize bool
+}
+
+// shapeSteps derives the physical steps of a decorated order and their
+// shapes; price turns the shapes into Eq. 1 costs. Step keys are
+// canonical so equal steps across queries share one ILP variable.
+func (b *builder) shapeSteps(d *DecoratedOrder, fed *mir.MIR) {
 	par := b.opts.parallelism()
-	prefix := make([]cost.Target, 0, len(d.Elems))
+	prefix := map[string]bool{}
 	var prefixRels []string
 	for i, e := range d.Elems {
-		t := cost.Target{Rels: e.MIR.RelSet(), Partition: e.Partition, Parallelism: par}
-		if b.opts.UniformChi {
-			t.Parallelism = 1
-			t.Partition = query.Attr{}
-		}
 		if i > 0 {
+			t := cost.Target{Rels: e.MIR.RelSet(), Partition: e.Partition, Parallelism: par}
+			if b.opts.UniformChi {
+				t.Parallelism = 1
+				t.Partition = query.Attr{}
+			}
 			// The prefix identity includes the starting relation: the
 			// partial result reached from arriving-R tuples ("R latest",
 			// the paper's subquery q_R) is a different tuple stream than
@@ -373,28 +414,27 @@ func (b *builder) computeSteps(d *DecoratedOrder) {
 			// equal relation sets with different starts must not share a
 			// step variable.
 			prefixKey := d.Start + ":" + mir.New(prefixRels, d.Query.Preds).Key()
-			target := t
-			c := b.est.StepCost(prefix, target, d.Query.Preds)
 			key := prefixKey + "->" + e.MIR.Key() + "[" + e.Partition.String() + "]"
-			d.Steps = append(d.Steps, Step{Key: key, PrefixKey: prefixKey, Target: e, Cost: c})
-			d.Cost += c
+			d.Steps = append(d.Steps, Step{Key: key, PrefixKey: prefixKey, Target: e})
+			knows := b.est.Knows(prefix, t)
+			t.Rels = nil
+			rels := slices.Clone(prefixRels)
+			sort.Strings(rels)
+			d.shapes = append(d.shapes, stepShape{rels: rels, j: i, target: t, knows: knows})
 		}
-		prefix = append(prefix, t)
+		for _, r := range e.MIR.Rels {
+			prefix[r] = true
+		}
 		prefixRels = append(prefixRels, e.MIR.Rels...)
 	}
-	if b.opts.MaterializationCost && d.ForMIR != "" {
+	if b.opts.MaterializationCost && fed != nil {
 		// Inserting the feeding results into the MIR store: the full
 		// subquery result per time unit, divided by the number of
 		// starting relations contributing (each feeding order carries
 		// its 1/|elems| share), partition always known.
-		m := b.mirByKy[d.ForMIR]
-		if m != nil {
-			card := b.est.JoinCardinality(m.RelSet(), d.Query.Preds)
-			c := card / float64(len(d.Elems)) * b.est.MaterializationUnit()
-			key := d.Start + ":" + mir.New(prefixRels, d.Query.Preds).Key() + "=>" + d.ForMIR
-			d.Steps = append(d.Steps, Step{Key: key, PrefixKey: d.ForMIR, Cost: c})
-			d.Cost += c
-		}
+		key := d.Start + ":" + mir.New(prefixRels, d.Query.Preds).Key() + "=>" + d.ForMIR
+		d.Steps = append(d.Steps, Step{Key: key, PrefixKey: d.ForMIR})
+		d.shapes = append(d.shapes, stepShape{rels: fed.Rels, j: len(d.Elems), materialize: true})
 	}
 }
 
@@ -413,7 +453,6 @@ func (b *builder) buildModel() {
 		for _, s := range d.Steps {
 			if _, ok := b.yVar[s.Key]; !ok {
 				b.yVar[s.Key] = b.model.AddBinary("y:"+s.Key, s.Cost)
-				b.stepCost[s.Key] = s.Cost
 			}
 		}
 		if b.opts.NoPartitionConsistency {
@@ -462,7 +501,7 @@ func (b *builder) buildModel() {
 			for _, d := range b.topGroups[q.Name][s] {
 				terms = append(terms, ilp.T(b.xVar[d.Key()], 1))
 			}
-			b.model.AddConstraint(fmt.Sprintf("choice:%s/%s", q.Name, s), ilp.EQ, 1, terms...)
+			b.model.AddConstraint("choice:"+q.Name+"/"+s, ilp.EQ, 1, terms...)
 		}
 	}
 
@@ -491,17 +530,13 @@ func (b *builder) buildModel() {
 				continue
 			}
 			group := b.feedGroups[e.MIR.Key()]
-			rels := append([]string(nil), e.MIR.Rels...)
-			sort.Strings(rels)
-			for _, r := range rels {
+			for _, r := range e.MIR.Rels { // sorted
 				feeds := group[r]
 				terms := []ilp.Term{ilp.T(x, -1)}
 				for _, f := range feeds {
 					terms = append(terms, ilp.T(b.xVar[f.Key()], 1))
 				}
-				b.model.AddConstraint(
-					fmt.Sprintf("feed:%s/%s<-%s", e.MIR.Key(), r, d.Key()),
-					ilp.GE, 0, terms...)
+				b.model.AddConstraint("feed:"+e.MIR.Key()+"/"+r+"<-"+d.Key(), ilp.GE, 0, terms...)
 			}
 		}
 		// Partition links: choosing the order commits each decorated
@@ -511,10 +546,9 @@ func (b *builder) buildModel() {
 				if i == 0 || e.Partition == (query.Attr{}) {
 					continue
 				}
-				z := b.zVar[e.MIR.Key()][e.Partition.String()]
-				b.model.AddConstraint(
-					fmt.Sprintf("link:%s[%s]", e.MIR.Key(), e.Partition),
-					ilp.GE, 0, ilp.T(z, 1), ilp.T(x, -1))
+				attr := e.Partition.String()
+				b.model.AddConstraint("link:"+e.MIR.Key()+"["+attr+"]",
+					ilp.GE, 0, ilp.T(b.zVar[e.MIR.Key()][attr], 1), ilp.T(x, -1))
 			}
 		}
 	}

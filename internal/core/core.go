@@ -59,8 +59,9 @@ type Options struct {
 	Solver ilp.Options
 	// Reopt, when set, carries optimizer state across churn steps:
 	// the previous incumbent seeds branch-and-bound, MIR containment
-	// verdicts and candidate groups are memoized, and unchanged ILP
-	// components are answered from their cached optimal solutions.
+	// verdicts and the structure of candidate groups are memoized (each
+	// solve re-prices it), and unchanged ILP components are answered
+	// from their cached optimal solutions.
 	// nil re-optimizes from scratch (the previous behavior).
 	Reopt *Reopt
 	// CostCoefficients scales the analytic cost model by runtime-
@@ -144,6 +145,9 @@ type DecoratedOrder struct {
 	// times per solve. Set where the order is built, never afterwards, so
 	// orders shared through the cross-churn caches are read-only.
 	key string
+	// shapes holds, per step, what pricing it reads besides the estimates;
+	// shared read-only by every priced copy of a cached order.
+	shapes []stepShape
 }
 
 // String renders "⟨R,S[b],T[c]⟩".
@@ -183,8 +187,11 @@ type ProblemStats struct {
 	// construction; WarmStartTime the incumbent that seeds the search
 	// (repair, greedy passes and, on cold starts, the per-query child
 	// optimizations and the local search); SolveTime the branch-and-bound
-	// search alone.
+	// search alone. CandidateTime is the part of BuildTime spent on
+	// decorated candidates: generating or fetching their structure and
+	// pricing it.
 	BuildTime     time.Duration
+	CandidateTime time.Duration
 	WarmStartTime time.Duration
 	SolveTime     time.Duration
 	Nodes         int

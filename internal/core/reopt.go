@@ -2,8 +2,7 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
-	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -14,17 +13,6 @@ import (
 	"clash/internal/query"
 	"clash/internal/stats"
 )
-
-// hashSig shortens a long signature string to a 64-bit hex digest for
-// use inside cache keys.
-func hashSig(s string) string {
-	if s == "" {
-		return ""
-	}
-	h := fnv.New64a()
-	io.WriteString(h, s)
-	return strconv.FormatUint(h.Sum64(), 16)
-}
 
 // Reopt carries optimizer state across churn steps so re-optimization
 // does work proportional to the delta, not the workload:
@@ -38,8 +26,12 @@ func hashSig(s string) string {
 //     groups keep their choice, only added or affected groups are
 //     re-placed, on their cheapest candidate compatible with what the
 //     survivors committed.
-//   - Per-query candidate groups and individual-plan selections are
-//     reused verbatim while the estimates snapshot is unchanged.
+//   - The structure of each (sub)query's decorated candidates — orders,
+//     step keys, χ verdicts — is reused while the query's shape, its MIR
+//     eligibility, the structural options and its relation neighbourhood
+//     are unchanged; a solve re-prices it under its own estimates and
+//     coefficients. Individual-plan selections, which depend on prices,
+//     are reused only while the estimates snapshot is unchanged.
 //
 // A Reopt value is owned by one optimization loop (the adaptive
 // Controller or a bench harness); it is safe for concurrent use, and
@@ -55,9 +47,12 @@ type Reopt struct {
 	estVer    uint64
 	incumbent map[string]string // regime+query+"\x00"+start -> selected order key
 	ctr       ReoptStats        // the warm-start and candidate-cache counters; Stats fills in the rest
-	topCands  map[string]*reoptEntry[map[string][]*DecoratedOrder]
-	feedCands map[string]*reoptEntry[map[string][]*DecoratedOrder]
+	structs   map[string]*reoptEntry[map[string][]*DecoratedOrder]
 	indiv     map[string]*reoptEntry[indivPlan]
+
+	// blindNeighbourhood leaves the relation neighbourhood out of
+	// structure keys; tests set it to show the key needs it.
+	blindNeighbourhood bool
 }
 
 type reoptEntry[T any] struct {
@@ -77,8 +72,7 @@ func NewReopt() *Reopt {
 		Cache:     ilp.NewSolutionCache(16),
 		keep:      16,
 		incumbent: map[string]string{},
-		topCands:  map[string]*reoptEntry[map[string][]*DecoratedOrder]{},
-		feedCands: map[string]*reoptEntry[map[string][]*DecoratedOrder]{},
+		structs:   map[string]*reoptEntry[map[string][]*DecoratedOrder]{},
 		indiv:     map[string]*reoptEntry[indivPlan]{},
 	}
 }
@@ -117,9 +111,13 @@ type ReoptStats struct {
 	// ChildOptimizations counts the per-query solves run to build the
 	// individual-plan union.
 	ChildOptimizations uint64
-	// Candidate-group cache probes: top-level groups, feeding groups and
-	// cached individual-plan selections. Their keys embed the estimates
-	// version, so they hit only while the snapshot object is the same.
+	// Cache probes of the joint solves (child optimizations are not
+	// counted): candidate structure of top-level and of feeding groups,
+	// whose keys leave the estimates out — a hit under a new snapshot is
+	// re-priced — and individual-plan selections, whose keys carry the
+	// estimates version, so they hit only while the snapshot object is
+	// the same. A top-level group misses when its query is new or changed
+	// or an installed query sharing one of its relations arrived or left.
 	TopHits, TopMisses     uint64
 	FeedHits, FeedMisses   uint64
 	IndivHits, IndivMisses uint64
@@ -151,8 +149,7 @@ func (r *Reopt) Advance() {
 		return
 	}
 	cutoff := r.gen - r.keep
-	evictReopt(r.topCands, cutoff)
-	evictReopt(r.feedCands, cutoff)
+	evictReopt(r.structs, cutoff)
 	evictReopt(r.indiv, cutoff)
 	// The incumbent map holds one short entry per live (query, start)
 	// group; stale entries for retired queries are never looked up and
@@ -171,7 +168,7 @@ func evictReopt[T any](m map[string]*reoptEntry[T], cutoff uint64) {
 }
 
 // beginSolve refreshes the estimates version: a new snapshot invalidates
-// every cost-bearing cache entry (their keys embed the version).
+// the individual-plan selections (their keys embed the version).
 func (r *Reopt) beginSolve(est *stats.Estimates) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -250,42 +247,34 @@ func (r *Reopt) noteWarmStart(w warmReport) {
 	c.ChildOptimizations += uint64(w.childSolves)
 }
 
-func (r *Reopt) topLookup(sig string) (map[string][]*DecoratedOrder, bool) {
+// structLookup returns the cached candidate structure under sig,
+// counting the probe as a top-level or feeding one when count is set.
+func (r *Reopt) structLookup(sig string, feed, count bool) (map[string][]*DecoratedOrder, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.topCands[sig]
+	e, ok := r.structs[sig]
+	if count {
+		hits, misses := &r.ctr.TopHits, &r.ctr.TopMisses
+		if feed {
+			hits, misses = &r.ctr.FeedHits, &r.ctr.FeedMisses
+		}
+		if ok {
+			*hits++
+		} else {
+			*misses++
+		}
+	}
 	if !ok {
-		r.ctr.TopMisses++
 		return nil, false
 	}
-	r.ctr.TopHits++
 	e.gen = r.gen
 	return e.val, true
 }
 
-func (r *Reopt) topStore(sig string, group map[string][]*DecoratedOrder) {
+func (r *Reopt) structStore(sig string, group map[string][]*DecoratedOrder) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.topCands[sig] = &reoptEntry[map[string][]*DecoratedOrder]{val: group, gen: r.gen}
-}
-
-func (r *Reopt) feedLookup(sig string) (map[string][]*DecoratedOrder, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.feedCands[sig]
-	if !ok {
-		r.ctr.FeedMisses++
-		return nil, false
-	}
-	r.ctr.FeedHits++
-	e.gen = r.gen
-	return e.val, true
-}
-
-func (r *Reopt) feedStore(sig string, group map[string][]*DecoratedOrder) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.feedCands[sig] = &reoptEntry[map[string][]*DecoratedOrder]{val: group, gen: r.gen}
+	r.structs[sig] = &reoptEntry[map[string][]*DecoratedOrder]{val: group, gen: r.gen}
 }
 
 func (r *Reopt) indivLookup(name, sig string) ([]string, bool) {
@@ -307,45 +296,80 @@ func (r *Reopt) indivStore(name, sig string, keys []string) {
 	r.indiv[name] = &reoptEntry[indivPlan]{val: indivPlan{sig: sig, keys: keys}, gen: r.gen}
 }
 
-// rebindGroup clones cached decorated orders onto the current query
-// object. Element and step slices are immutable and shared; only the
-// query binding differs (a replaced query may be a fresh object with
-// identical content — and the same name, which groupSig embeds, so the
-// clone's cached key stays right).
-func rebindGroup(cached map[string][]*DecoratedOrder, q *query.Query) map[string][]*DecoratedOrder {
-	out := make(map[string][]*DecoratedOrder, len(cached))
-	for start, orders := range cached {
-		clones := make([]*DecoratedOrder, len(orders))
-		for i, d := range orders {
-			cp := *d
-			cp.Query = q
-			clones[i] = &cp
-		}
-		out[start] = clones
-	}
-	return out
+// structFingerprint captures the options that shape candidate
+// structure: which decorated orders exist, their steps, and χ.
+func (o Options) structFingerprint() string {
+	return fmt.Sprintf("p%d|dp%t|uc%t|mc%t",
+		o.parallelism(), o.DisablePartitioning, o.UniformChi, o.MaterializationCost)
 }
 
-// optsFingerprint captures every option that flows into candidate
-// generation and step costing, so cache keys miss when configuration
-// changes.
+// optsFingerprint captures every option that flows into a solve's
+// result: the structural ones, the cap, the model shape and the cost
+// coefficients.
 func (o Options) optsFingerprint() string {
 	coef := "-"
 	if o.CostCoefficients != nil {
 		c := *o.CostCoefficients
 		coef = fmt.Sprintf("%g:%g:%g", c.Probe, c.Insert, c.Prune)
 	}
-	return fmt.Sprintf("p%d|dp%t|uc%t|mc%t|cap%d|npc%t|c%s",
-		o.parallelism(), o.DisablePartitioning, o.UniformChi,
-		o.MaterializationCost, o.MaxCandidatesPerGroup,
-		o.NoPartitionConsistency, coef)
+	return fmt.Sprintf("%s|cap%d|npc%t|c%s",
+		o.structFingerprint(), o.MaxCandidatesPerGroup, o.NoPartitionConsistency, coef)
+}
+
+// structSig keys the cached candidate structure of q, a top-level query
+// or (fed != nil) the subquery feeding an MIR: q's name (part of every
+// decorated-order key), its join shape — for a fed subquery the MIR's
+// key, which is the subquery's fingerprint — and whether it feeds, its
+// MIR eligibility, the structural options, and its relation
+// neighbourhood. The estimates, the coefficients and the cap are left
+// out: price applies them to a copy on every solve.
+func (b *builder) structSig(q *query.Query, fed *mir.MIR) string {
+	shape := b.fps[q.Name]
+	if fed != nil {
+		shape = "feed:" + fed.Key()
+	}
+	return q.Name + "|" + shape + "|" + b.eligSig(q) + "|" + b.structFP + "|" + b.neighbourhood(q)
+}
+
+// indivSig keys q's cached individual-plan selection. A child solve
+// over q alone produced it, so it depends on q's shape and eligibility,
+// the options, and — through the prices — on the estimates snapshot.
+func (b *builder) indivSig(q *query.Query) string {
+	return b.fps[q.Name] + "|" + b.eligSig(q) + "|" + strconv.FormatUint(b.estVer, 10) + "|" + b.opts.optsFingerprint()
+}
+
+// neighbourhood fingerprints the queries under optimization that share
+// a relation with q. They are all of the workload that q's candidate
+// structure reads: an element's partition candidates come from the
+// queries containing all of its relations (mir.PartitionCandidates),
+// and Knows follows only predicates among q's relations. Without
+// partitioning neither is consulted.
+func (b *builder) neighbourhood(q *query.Query) string {
+	if b.opts.DisablePartitioning || b.opts.Reopt.blindNeighbourhood {
+		return ""
+	}
+	var fps []string
+	for _, rel := range q.Relations {
+		fps = append(fps, b.byRel[rel]...)
+	}
+	sort.Strings(fps)
+	return strings.Join(slices.Compact(fps), ",")
 }
 
 // eligSig fingerprints which of a query's own MIR subsets are eligible
-// under the current MIREligible policy. Per-query candidates depend on
-// exactly this set: MIRs from other queries are either key-identical
-// (deduplicated) or fail the containment verdict.
+// under the current MIREligible policy, by listing the positions of the
+// ineligible ones. Per-query candidates depend on exactly this set: MIRs
+// from other queries are either key-identical (deduplicated) or fail the
+// containment verdict. Without a policy the list is empty, so the free
+// and the restricted solve share structure wherever the restriction bans
+// none of q's MIRs; with MIRs disabled the signature is "-".
 func (b *builder) eligSig(q *query.Query) string {
+	if !b.opts.mirsEnabled() {
+		return "-"
+	}
+	if b.opts.MIREligible == nil {
+		return ""
+	}
 	var ms []*mir.MIR
 	if r := b.opts.Reopt; r != nil && r.Memo != nil {
 		ms = r.Memo.Enumerate([]*query.Query{q})
@@ -353,33 +377,11 @@ func (b *builder) eligSig(q *query.Query) string {
 		ms = mir.Enumerate([]*query.Query{q})
 	}
 	var sb strings.Builder
-	for _, m := range ms {
-		if m.IsBase() {
-			continue
-		}
-		ok := b.opts.mirsEnabled() && (b.opts.MIREligible == nil || b.opts.MIREligible(m.Key()))
-		if ok {
-			sb.WriteByte('1')
-		} else {
-			sb.WriteByte('0')
+	for i, m := range ms {
+		if !m.IsBase() && !b.opts.MIREligible(m.Key()) {
+			sb.WriteString(strconv.Itoa(i))
+			sb.WriteByte(',')
 		}
 	}
 	return sb.String()
-}
-
-// workloadSig fingerprints the full query set's join shapes. Partition
-// decorations (and χ's equality-chain knowledge) depend on every
-// installed query, so partition-aware cache keys embed it; the
-// decomposing NoPartitionConsistency/DisablePartitioning regimes do not
-// and stay delta-stable.
-func (b *builder) workloadSig() string {
-	if b.opts.DisablePartitioning {
-		return ""
-	}
-	fps := make([]string, len(b.queries))
-	for i, q := range b.queries {
-		fps[i] = mir.Fingerprint(q)
-	}
-	sort.Strings(fps)
-	return strings.Join(fps, ",")
 }

@@ -445,11 +445,13 @@ func (b *builder) evalSelection(st *lsState, order []groupPick, pick map[groupPi
 // warmStart builds it on cold starts only: once a repaired incumbent
 // covers half the groups it never won the comparison, at one child
 // optimization per query. With Options.Reopt set, per-query selections
-// are cached by the query's group signature — which embeds the estimates
-// version, so the cache serves the solves that share a snapshot (a step's
-// restricted solve after its free one) — and sub-solves are marked
-// reoptChild: they share the memo and solution cache without touching the
-// joint incumbent.
+// are cached under indivSig. A selection depends on prices, not only on
+// structure, so unlike the candidate-structure key this one embeds the
+// estimates version and the options: the cache serves the solves that
+// share a snapshot (a step's restricted solve after its free one). The
+// sub-solves are marked reoptChild: they share the memo, the structure
+// cache and the solution cache without touching the joint incumbent or
+// the cache counters.
 func (b *builder) warmStartFromIndividualPlans() []float64 {
 	if len(b.queries) < 2 {
 		return nil
@@ -490,7 +492,7 @@ func (b *builder) warmStartFromIndividualPlans() []float64 {
 		var sel []*DecoratedOrder
 		sig := ""
 		if r != nil {
-			sig = b.groupSig(q)
+			sig = b.indivSig(q)
 			if keys, ok := r.indivLookup(q.Name, sig); ok {
 				sel = resolve(keys)
 			}

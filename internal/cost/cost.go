@@ -11,6 +11,9 @@
 package cost
 
 import (
+	"slices"
+	"sort"
+
 	"clash/internal/query"
 	"clash/internal/stats"
 )
@@ -48,18 +51,36 @@ func (e *Estimator) Estimates() *stats.Estimates { return e.est }
 // given relation set: the product of arrival rates times the selectivity
 // of every predicate whose both sides fall inside the set.
 func (e *Estimator) JoinCardinality(rels map[string]bool, preds []query.Predicate) float64 {
+	return e.Cardinality(sortedRels(rels), preds)
+}
+
+// Cardinality is JoinCardinality over a sorted relation slice. Rates
+// multiply in that order and selectivities in predicate order, so equal
+// inputs give bit-equal results — float multiplication is not
+// associative, and map order would make a plan's cost a coin toss in its
+// last bits. Callers that price one relation set repeatedly keep the
+// slice.
+func (e *Estimator) Cardinality(rels []string, preds []query.Predicate) float64 {
 	card := 1.0
-	for r := range rels {
+	for _, r := range rels {
 		card *= e.est.Rate(r)
 	}
-	seen := map[string]bool{}
-	for _, p := range preds {
-		if rels[p.Left.Rel] && rels[p.Right.Rel] && !seen[p.String()] {
-			seen[p.String()] = true
+	for i, p := range preds {
+		if slices.Contains(rels, p.Left.Rel) && slices.Contains(rels, p.Right.Rel) && !repeated(preds[:i], p) {
 			card *= e.est.Selectivity(p)
 		}
 	}
 	return card
+}
+
+// repeated reports whether p, in either orientation, is among earlier.
+func repeated(earlier []query.Predicate, p query.Predicate) bool {
+	for _, o := range earlier {
+		if o == p || (o.Left == p.Right && o.Right == p.Left) {
+			return true
+		}
+	}
+	return false
 }
 
 // Knows reports whether a tuple covering the prefix relations can
@@ -106,14 +127,14 @@ func (e *Estimator) Knows(prefix map[string]bool, target Target) bool {
 // tuple covering the prefix relations: 1 when the partitioning value is
 // known, the store's parallelism otherwise.
 func (e *Estimator) Chi(prefix map[string]bool, target Target) float64 {
-	par := target.Parallelism
-	if par < 1 {
-		par = 1
-	}
-	if e.Knows(prefix, target) {
+	return chi(e.Knows(prefix, target), target)
+}
+
+func chi(knows bool, target Target) float64 {
+	if knows || target.Parallelism < 1 {
 		return 1
 	}
-	return float64(par)
+	return float64(target.Parallelism)
 }
 
 // SkewFactor estimates the hot-partition amplification of hashing the
@@ -156,21 +177,31 @@ func (e *Estimator) SkewFactor(target Target) float64 {
 // hot task, not the average task, bounds the strategy's throughput. A
 // broadcast already pays the full parallelism and cannot get worse.
 func (e *Estimator) StepCost(prefix []Target, next Target, preds []query.Predicate) float64 {
-	rels := unionRels(prefix)
 	j := len(prefix)
 	if j < 1 {
 		return 0
 	}
-	card := e.JoinCardinality(rels, preds)
-	chi := e.Chi(rels, next)
-	if sf := e.SkewFactor(next); sf > chi {
-		chi = sf
+	rels := unionRels(prefix)
+	return e.PriceStep(sortedRels(rels), j, e.Knows(rels, next), next, preds)
+}
+
+// PriceStep is StepCost with the parts that do not depend on the
+// estimates worked out by the caller: rels is the prefix's relation set,
+// sorted; j its element count; knows the Knows verdict for next (next's
+// Rels are not read). It reads only the estimates and the coefficients,
+// so a step whose structure is cached is re-priced under a new snapshot
+// without deriving χ again.
+func (e *Estimator) PriceStep(rels []string, j int, knows bool, next Target, preds []query.Predicate) float64 {
+	card := e.Cardinality(rels, preds)
+	c := chi(knows, next)
+	if sf := e.SkewFactor(next); sf > c {
+		c = sf
 	}
 	probe := e.coef.Probe
 	if probe == 0 {
 		probe = 1
 	}
-	return card / float64(j) * chi * probe
+	return card / float64(j) * c * probe
 }
 
 // ProbeOrderCost sums the step costs of a full probe order
@@ -202,6 +233,15 @@ func unionRels(ts []Target) map[string]bool {
 		}
 	}
 	return u
+}
+
+func sortedRels(rels map[string]bool) []string {
+	out := make([]string, 0, len(rels))
+	for r := range rels {
+		out = append(out, r)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // RelTarget is a convenience constructor for a single-relation target.

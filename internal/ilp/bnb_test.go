@@ -2,6 +2,7 @@ package ilp
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -320,6 +321,17 @@ func TestDuplicateTermsMerge(t *testing.T) {
 	sol := m.Solve(nil)
 	if sol.Status != Optimal || sol.IsOne(x) {
 		t.Fatalf("merged coefficient not honored: %+v", sol)
+	}
+
+	// Terms come out sorted by variable, each variable's coefficients
+	// summed in the order given, cancelled ones dropped.
+	y, z := m.AddBinary("y", 0), m.AddBinary("z", 0)
+	z1, z2 := 0.1, 0.2 // summed at run time: 0.30000000000000004
+	m.AddConstraint("mixed", LE, 1, T(z, z1), T(y, 2), T(x, 1), T(y, -2), T(z, z2), T(x, 0.5))
+	got := m.Cons[len(m.Cons)-1].Terms
+	want := []Term{{Var: x, Coeff: 1.5}, {Var: z, Coeff: z1 + z2}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged terms %+v, want %+v", got, want)
 	}
 }
 

@@ -11,9 +11,10 @@
 package ilp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -96,22 +97,26 @@ func (m *Model) AddVar(v Variable) int {
 }
 
 // AddConstraint adds a constraint; duplicate variables within one
-// constraint are merged.
+// constraint are merged, their coefficients summed in the order given,
+// and zero coefficients dropped. Terms come out sorted by variable.
 func (m *Model) AddConstraint(name string, rel Rel, rhs float64, terms ...Term) {
-	merged := map[int]float64{}
 	for _, t := range terms {
 		if t.Var < 0 || t.Var >= len(m.Vars) {
 			panic(fmt.Sprintf("ilp: constraint %q references variable %d of %d", name, t.Var, len(m.Vars)))
 		}
-		merged[t.Var] += t.Coeff
 	}
-	out := make([]Term, 0, len(merged))
-	for v, c := range merged {
-		if c != 0 {
-			out = append(out, Term{Var: v, Coeff: c})
+	out := slices.Clone(terms)
+	slices.SortStableFunc(out, func(a, b Term) int { return cmp.Compare(a.Var, b.Var) })
+	n := 0
+	for _, t := range out {
+		if n > 0 && out[n-1].Var == t.Var {
+			out[n-1].Coeff += t.Coeff
+			continue
 		}
+		out[n] = t
+		n++
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Var < out[j].Var })
+	out = slices.DeleteFunc(out[:n], func(t Term) bool { return t.Coeff == 0 })
 	m.Cons = append(m.Cons, Constraint{Name: name, Terms: out, Rel: rel, RHS: rhs})
 }
 
