@@ -11,9 +11,9 @@
 // relation stores connected by probe orders, by solving an integer
 // linear program that shares probe-order prefixes between queries
 // (multi-query optimization). The topology executes on an in-process
-// scale-out runtime (one goroutine per store task), adapts to changing
-// data characteristics at epoch granularity, and supports query arrival
-// and expiry at runtime.
+// scale-out runtime (store tasks multiplexed onto a worker pool),
+// adapts to changing data characteristics at epoch granularity, and
+// supports query arrival and expiry at runtime.
 //
 // Quick start:
 //
@@ -100,9 +100,6 @@ type (
 	// StateBackendKind selects the task-store implementation (see
 	// Config.StateBackend).
 	StateBackendKind = runtime.StateBackendKind
-	// StatePolicy is the engine's behaviour when materialized state
-	// exceeds Config.StateLimitBytes: fail or evict oldest epochs.
-	StatePolicy = runtime.StatePolicy
 	// Pressure is the engine's aggregated overload signal.
 	Pressure = runtime.Pressure
 	// TaskGauge is one store task's pressure reading.
@@ -128,16 +125,17 @@ type (
 
 // Execution substrates and overload policies (runtime/flow.go).
 const (
-	// SubstrateAuto resolves from Config.Synchronous.
+	// SubstrateAuto resolves from Config.Synchronous: SubstrateSynchronous
+	// when it is set, SubstrateFlow otherwise.
 	SubstrateAuto = runtime.SubstrateAuto
 	// SubstrateSynchronous runs the whole topology on the ingesting
 	// goroutine: exact, deterministic; single-goroutine ingest only.
 	SubstrateSynchronous = runtime.SubstrateSynchronous
-	// SubstrateUnbounded is the free-running default: one goroutine per
-	// task, unbounded buffering under overload (the paper's Fig. 8a).
-	SubstrateUnbounded = runtime.SubstrateUnbounded
-	// SubstrateFlow bounds queueing with credit-based backpressure and
-	// runs all tasks on a shared worker pool.
+	// SubstrateFlow, the asynchronous default, bounds queueing with
+	// credit-based backpressure and runs all tasks on a shared worker
+	// pool. A FlowConfig.MailboxCredits grant the run cannot exhaust
+	// (e.g. 1 << 30) never gates admission: overloaded workers buffer
+	// until MemoryLimitBytes fails the engine (the paper's Fig. 8a).
 	SubstrateFlow = runtime.SubstrateFlow
 	// SubstrateSim is the deterministic simulation substrate: a seeded
 	// single-threaded scheduler over a virtual clock. One seed
@@ -150,8 +148,7 @@ const (
 	ShedOnOverload = runtime.ShedOnOverload
 )
 
-// State backends and bounded-memory policies (runtime/state.go,
-// DESIGN.md §10).
+// State backends (runtime/state.go, DESIGN.md §10).
 const (
 	// BackendContainer is the default store layout: per-epoch containers
 	// probed one candidate at a time — the differential oracle for the
@@ -166,13 +163,6 @@ const (
 	// filters, so probes skip cold segments without touching disk: results stay byte-identical,
 	// resident memory follows the hot budget.
 	BackendColumnar = runtime.BackendColumnar
-	// EvictFail terminates the engine with ErrMemoryLimit when
-	// materialized state exceeds StateLimitBytes (the default).
-	EvictFail = runtime.EvictFail
-	// EvictOldestEpoch sheds whole epochs, oldest first, when state
-	// exceeds StateLimitBytes: bounded memory, counted drops, and the
-	// engine stays live.
-	EvictOldestEpoch = runtime.EvictOldestEpoch
 )
 
 // ErrMemoryLimit is the terminal failure of an engine that exceeded
@@ -337,8 +327,9 @@ type Config struct {
 	// Cluster a key whose share of a join class reaches 1/Shards splits
 	// that class's tuples over two shards the same way.
 	InitialEstimates *Estimates
-	// MemoryLimitBytes fails the engine when state plus queued messages
-	// exceed it (0 = unlimited).
+	// MemoryLimitBytes fails the engine with ErrMemoryLimit when state
+	// plus queued messages exceed it (0 = unlimited). It is the one budget
+	// that fails; StateLimitBytes sheds instead.
 	MemoryLimitBytes int64
 	// StateBackend selects the store layout serving every task:
 	// BackendContainer (default, the differential oracle) or
@@ -346,14 +337,13 @@ type Config struct {
 	// differ in speed, memory footprint, and GC pressure.
 	StateBackend StateBackendKind
 	// StateLimitBytes bounds materialized state — tuple payloads plus
-	// storage structure plus index overhead (0 = unlimited). StatePolicy
-	// decides what happens at the limit.
+	// storage structure plus index overhead (0 = unlimited). At the limit
+	// the engine sheds whole epochs, oldest first, with counted drops
+	// (MetricsSnapshot.EvictedEpochs/EvictedTuples) and stays live; it
+	// never fails the engine. The current arrival epoch is never shed, so
+	// a limit requires EpochLength > 0 (Start and Recover reject it
+	// otherwise).
 	StateLimitBytes int64
-	// StatePolicy selects the behaviour at StateLimitBytes: EvictFail
-	// (terminate, the default) or EvictOldestEpoch (shed whole epochs
-	// oldest-first with counted drops; requires EpochLength > 0 to give
-	// eviction a granularity finer than "everything").
-	StatePolicy StatePolicy
 	// StateHotBytes enables the spill tier on BackendColumnar and bounds
 	// resident (in-memory) state (0 = no tier, nothing ever touches
 	// disk): above it, tasks demote their coldest whole epochs to disk
@@ -370,15 +360,16 @@ type Config struct {
 	// goroutine: exact, deterministic join semantics with no task
 	// goroutines. Ingest must be called from a single goroutine. Use it
 	// when result completeness matters more than pipeline parallelism
-	// (the Fig. 7 experiments run this way); the default free-running
-	// mode reproduces overload buffering (Fig. 8) but may miss pairs
-	// whose materialization races a probe.
+	// (the Fig. 7 experiments run this way); the default asynchronous
+	// flow substrate reproduces overload buffering (Fig. 8) but may miss
+	// pairs whose materialization races a probe.
 	Synchronous bool
 	// Substrate selects the execution substrate explicitly: synchronous,
-	// unbounded-async (default), flow-controlled with credit-based
-	// backpressure and a shared worker pool, or deterministic simulation
-	// (seeded schedules over a virtual clock). SubstrateAuto defers to
-	// the Synchronous flag.
+	// flow-controlled with credit-based backpressure and a shared worker
+	// pool (the asynchronous default), or deterministic simulation
+	// (seeded schedules over a virtual clock). SubstrateAuto resolves to
+	// SubstrateSynchronous when Synchronous is set and to SubstrateFlow
+	// otherwise.
 	Substrate SubstrateKind
 	// Flow tunes the flow-controlled substrate (credit grants, worker
 	// count, block-vs-shed overload policy).
@@ -518,6 +509,9 @@ func start(cfg Config, journal runtime.Journal) (*Engine, error) {
 			return nil, fmt.Errorf("clash: query %s joins fewer than two relations", q.Name)
 		}
 	}
+	if cfg.StateLimitBytes > 0 && cfg.EpochLength <= 0 {
+		return nil, errors.New("clash: StateLimitBytes requires EpochLength > 0: a single epoch leaves nothing older to shed")
+	}
 	col := stats.NewCollector(statsSample, 128, 1)
 	est := cfg.InitialEstimates
 	if est == nil {
@@ -533,7 +527,6 @@ func start(cfg Config, journal runtime.Journal) (*Engine, error) {
 		MemoryLimitBytes: cfg.MemoryLimitBytes,
 		StateBackend:     cfg.StateBackend,
 		StateLimitBytes:  cfg.StateLimitBytes,
-		StatePolicy:      cfg.StatePolicy,
 		StateHotBytes:    cfg.StateHotBytes,
 		StateSpillDir:    cfg.StateSpillDir,
 		StepMode:         cfg.StepMode,

@@ -2,6 +2,7 @@ package clash
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -326,6 +327,110 @@ func TestFlowSubstrateAPI(t *testing.T) {
 	}
 	if want := int64(len(gauges) * 16); p.Credits != want {
 		t.Errorf("credit balance %d, want full grant %d", p.Credits, want)
+	}
+}
+
+func TestDefaultAsyncEngineRunsOnThePool(t *testing.T) {
+	// Neither Synchronous nor Substrate set: the engine runs on the flow
+	// substrate with its default grant of 256 credits per task, all of
+	// them back in the pool once drained.
+	eng, err := Start(Config{Workload: "q1: R(a) S(a)"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Stop()
+	for i := 0; i < 40; i++ {
+		if err := eng.Ingest("R", Time(2*i), Int(int64(i%5))); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Ingest("S", Time(2*i+1), Int(int64(i%5))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Drain()
+	gauges := eng.TaskGauges()
+	if len(gauges) == 0 {
+		t.Fatal("no task gauges")
+	}
+	if want, got := int64(len(gauges)*256), eng.Pressure().Credits; got != want {
+		t.Errorf("credit balance %d after drain, want the full default grant %d", got, want)
+	}
+	if eng.Metrics().Results == 0 {
+		t.Error("no results — test vacuous")
+	}
+}
+
+func TestStateLimitRequiresEpochs(t *testing.T) {
+	// With EpochLength 0 there is one epoch and the arrival epoch is never
+	// shed, so the budget could neither shed nor fail: Start and Recover
+	// refuse it, naming both fields.
+	cfg := Config{Workload: "q1: R(a) S(a)", StateLimitBytes: 1 << 20}
+	check := func(op string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s accepted StateLimitBytes without EpochLength", op)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "StateLimitBytes") || !strings.Contains(msg, "EpochLength") {
+			t.Errorf("%s error %q does not name StateLimitBytes and EpochLength", op, msg)
+		}
+	}
+	_, err := Start(cfg)
+	check("Start", err)
+	cfg.WAL = &WALConfig{Storage: NewMemWALStorage()}
+	_, _, err = Recover(cfg)
+	check("Recover", err)
+
+	cfg.WAL, cfg.EpochLength = nil, 64
+	eng, err := Start(cfg)
+	if err != nil {
+		t.Fatalf("StateLimitBytes with EpochLength rejected: %v", err)
+	}
+	eng.Stop()
+}
+
+func TestStateLimitShedsAndStaysLive(t *testing.T) {
+	// StateLimitBytes alone, unbounded window: state would grow without
+	// end, the budget sheds whole epochs instead, and the engine never
+	// fails — on the synchronous and on the default asynchronous
+	// substrate alike.
+	const limit = 32 << 10
+	for name, cfg := range map[string]Config{
+		"synchronous": {Synchronous: true},
+		"default":     {},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg.Workload = "q1: R(a) S(a)"
+			cfg.EpochLength = 64
+			cfg.StateLimitBytes = limit
+			eng, err := Start(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Stop()
+			for i := 0; i < 4000; i++ {
+				rel := "R"
+				if i%2 == 1 {
+					rel = "S"
+				}
+				if err := eng.Ingest(rel, Time(i), Int(int64(i/2%16))); err != nil {
+					t.Fatalf("ingest %d: %v", i, err)
+				}
+			}
+			eng.Drain()
+			if err := eng.Failure(); err != nil {
+				t.Fatalf("state budget failed the engine: %v", err)
+			}
+			m := eng.Metrics()
+			if m.EvictedEpochs == 0 || m.EvictedTuples == 0 {
+				t.Fatalf("nothing shed (epochs=%d tuples=%d) — scenario too weak", m.EvictedEpochs, m.EvictedTuples)
+			}
+			if m.StoreBytes > 2*limit {
+				t.Errorf("resident state %d far exceeds the %d budget", m.StoreBytes, limit)
+			}
+			if m.Results == 0 {
+				t.Error("no results — test vacuous")
+			}
+		})
 	}
 }
 

@@ -6,9 +6,11 @@
 //	8a, 8b     — adaptive vs. static latency over time under changing
 //	             data characteristics
 //	9a..9f     — ILP probe-cost savings, problem sizes, and runtimes
-//	overload   — overload survival across execution substrates: the
-//	             unbounded substrate dies at the memory budget while
-//	             the flow-controlled substrate degrades gracefully
+//	overload   — overload survival on the flow substrate: a credit
+//	             grant the stream cannot exhaust buffers until the
+//	             memory budget kills the engine, while a bounded grant
+//	             degrades gracefully (flow-block throttles the source,
+//	             flow-shed drops counted tuples)
 //	simsweep   — deterministic-schedule sweep: the TPC-H multi-query
 //	             equivalence oracle across -seeds seeded interleavings
 //	             on the simulation substrate, with same-seed replay
@@ -17,8 +19,9 @@
 //	             -backend selects the state backend of the sim runs
 //	longstate  — state-backend shoot-out on a long-state workload:
 //	             per-backend probe/prune ns+allocs, resident/heap
-//	             bytes, and the bounded-memory eviction stage
-//	             (EvictFail dies, EvictOldestEpoch survives)
+//	             bytes, and the bounded-memory eviction stage (the
+//	             budget as MemoryLimitBytes dies, as StateLimitBytes
+//	             survives by shedding epochs)
 //	skew       — zipf-keyed TPC-H stream under a uniform-cost vs a
 //	             degree-aware plan: the degree sketches let the
 //	             optimizer split heavy-hitter keys across two tasks,
@@ -206,12 +209,12 @@ func runFig7(sf float64, quick bool, seed uint64) {
 func runOverload(quick bool, seed uint64) {
 	cfg := bench.OverloadConfig{Seed: seed}
 	if quick {
-		// Shorter stream, proportionally tighter budget: the unbounded
-		// substrate must still hit the wall for the comparison to show.
+		// Shorter stream, proportionally tighter budget: the unexhaustible
+		// grant must still hit the wall for the comparison to show.
 		cfg.Tuples = 8000
 		cfg.MemoryLimitBytes = 256 << 10
 	}
-	fmt.Println("=== Overload survival — execution substrates under one memory budget ===")
+	fmt.Println("=== Overload survival — flow credit grants under one memory budget ===")
 	results, err := bench.OverloadSurvival(cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -222,8 +225,9 @@ func runOverload(quick bool, seed uint64) {
 
 // runLongState drives the state-backend shoot-out (DESIGN.md §10) on
 // every row of the state matrix — or only the ones named — and dies on a
-// vacuous or inconclusive stage (an EvictFail run that survives its
-// budget, a survivor that never evicts, a tiered run that sheds).
+// vacuous or inconclusive stage (a MemoryLimitBytes run that survives
+// its budget, a StateLimitBytes survivor that never evicts, a tiered run
+// that sheds).
 func runLongState(quick bool, seed uint64, only ...bench.StateConfig) {
 	cfg := bench.LongStateConfig{Seed: seed}
 	if quick {

@@ -6,16 +6,16 @@
 // This walkthrough drives the same unbounded-window stream through
 // three configurations on the flow-controlled substrate:
 //
-//	seed       — the seed behaviour: container store, fail at the
-//	             state budget (the Fig. 8a death, now on state
-//	             instead of queueing);
-//	evict      — same container store, but StatePolicy
-//	             EvictOldestEpoch sheds whole epochs (oldest first,
-//	             counted in Metrics) instead of dying;
-//	columnar   — the epoch-ring columnar backend under the same
-//	             eviction policy: identical survival with a smaller
-//	             resident footprint (flat segments, open-addressed
-//	             indices — DESIGN.md §10).
+//	seed       — the seed behaviour: container store, the budget as
+//	             MemoryLimitBytes, which fails the engine (the Fig. 8a
+//	             death, now on state instead of queueing);
+//	evict      — same container store, the budget as StateLimitBytes,
+//	             which sheds whole epochs (oldest first, counted in
+//	             Metrics) instead of dying;
+//	columnar   — the epoch-ring columnar backend under the same state
+//	             budget: identical survival with a smaller resident
+//	             footprint (flat segments, open-addressed indices —
+//	             DESIGN.md §10).
 //
 // Eviction is the long-state trade (arXiv:2411.15835): results whose
 // partner epoch was shed are lost, but the engine stays live, keeps
@@ -43,22 +43,17 @@ func main() {
 	fmt.Printf("Driving %d tuples with an UNBOUNDED window under a %d KiB state budget.\n\n",
 		tuples, budget>>10)
 
-	run("seed    ", clash.Config{
-		StatePolicy: clash.EvictFail, // the default, spelled out
-	})
-	run("evict   ", clash.Config{
-		StatePolicy: clash.EvictOldestEpoch,
-	})
+	run("seed    ", clash.Config{MemoryLimitBytes: budget})
+	run("evict   ", clash.Config{StateLimitBytes: budget})
 	run("columnar", clash.Config{
-		StateBackend: clash.BackendColumnar,
-		StatePolicy:  clash.EvictOldestEpoch,
+		StateBackend:    clash.BackendColumnar,
+		StateLimitBytes: budget,
 	})
 }
 
 func run(name string, cfg clash.Config) {
 	cfg.Workload = "q1: R(a) S(a)"
 	cfg.EpochLength = epoch
-	cfg.StateLimitBytes = budget
 	cfg.Substrate = clash.SubstrateFlow
 	cfg.Flow = clash.FlowConfig{MailboxCredits: 64}
 	eng, err := clash.Start(cfg)
@@ -91,7 +86,7 @@ func run(name string, cfg clash.Config) {
 	m := eng.Metrics()
 	outcome := "survived"
 	if died >= 0 {
-		outcome = fmt.Sprintf("DIED at tuple %d (state limit)", died)
+		outcome = fmt.Sprintf("DIED at tuple %d (memory limit)", died)
 	}
 	fmt.Printf("%s  %s\n", name, outcome)
 	fmt.Printf("          results=%d stored=%d state=%dKiB (index %dKiB) evicted=%d epochs / %d tuples\n\n",

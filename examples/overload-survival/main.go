@@ -1,13 +1,14 @@
 // Overload survival: what happens when a join topology is fed faster
-// than it can process — on each execution substrate.
+// than it can process — under three credit grants of the flow
+// substrate.
 //
-// The unbounded substrate (the paper's Fig. 8a setting) buffers the
-// backlog in task mailboxes until the memory budget kills the engine.
-// The flow-controlled substrate grants each task a bounded number of
-// mailbox credits; when they run out, the admission gate either blocks
-// the producer (lossless backpressure) or sheds tuples (lossy but
-// live). Either way the engine survives sustained overload with
-// bounded memory.
+// A grant the stream cannot exhaust (the paper's Fig. 8a setting) never
+// gates admission: the backlog buffers in task mailboxes until the
+// memory budget kills the engine. A bounded grant gives each task a
+// fixed number of mailbox credits; when they run out, the admission
+// gate either blocks the producer (lossless backpressure) or sheds
+// tuples (lossy but live). Either way the engine survives sustained
+// overload with bounded memory.
 //
 //	go run ./examples/overload-survival
 package main
@@ -31,7 +32,10 @@ func main() {
 	fmt.Printf("Driving %d tuples through a slow R⋈S topology under a %d KiB budget.\n\n",
 		tuples, budget>>10)
 
-	run("unbounded ", clash.Config{})
+	run("unbounded ", clash.Config{
+		Substrate: clash.SubstrateFlow,
+		Flow:      clash.FlowConfig{MailboxCredits: 1 << 30},
+	})
 	run("flow-block", clash.Config{
 		Substrate: clash.SubstrateFlow,
 		Flow:      clash.FlowConfig{MailboxCredits: 32},

@@ -6,7 +6,7 @@
 // budget roughly a tenth of what the window needs and shows the third
 // answer (DESIGN.md §10):
 //
-//	container — EvictFail at the budget: the seed death;
+//	container — the budget as MemoryLimitBytes: the seed death;
 //	columnar  — same budget, same death, just later (smaller footprint);
 //	tiered    — the columnar store again, but the budget is given as
 //	            StateHotBytes and caps RESIDENT state instead: cold
@@ -51,8 +51,8 @@ func main() {
 		name string
 		cfg  clash.Config
 	}{
-		{"container @ budget   ", clash.Config{StateLimitBytes: budget}},
-		{"columnar  @ budget   ", clash.Config{StateBackend: clash.BackendColumnar, StateLimitBytes: budget}},
+		{"container @ budget   ", clash.Config{MemoryLimitBytes: budget}},
+		{"columnar  @ budget   ", clash.Config{StateBackend: clash.BackendColumnar, MemoryLimitBytes: budget}},
 		{"tiered    @ hot budget", clash.Config{StateBackend: clash.BackendColumnar, StateHotBytes: budget}},
 	} {
 		results, sum, died := run(arm.name, arm.cfg)
@@ -111,7 +111,7 @@ func run(name string, cfg clash.Config) (int64, int64, bool) {
 	m := eng.Metrics()
 	outcome := "survived"
 	if died >= 0 {
-		outcome = fmt.Sprintf("DIED at tuple %d (state limit)", died)
+		outcome = fmt.Sprintf("DIED at tuple %d (memory limit)", died)
 	}
 	fmt.Printf("%s  %s\n", name, outcome)
 	fmt.Printf("          results=%d resident=%dKiB spilled=%dKiB demoted=%d promoted=%d coldProbes=%d/%d evicted=%d\n",

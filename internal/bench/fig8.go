@@ -121,7 +121,12 @@ func Fig8(variant byte, adaptive bool, cfg Fig8Config) ([]Fig8Point, error) {
 		DefaultWindow:    cfg.Window,
 		EpochLength:      cfg.Epoch,
 		MemoryLimitBytes: cfg.MemoryLimit,
-		Observer:         func(rel string, t *tuple.Tuple) { col.Observe(rel, t) },
+		// A grant the run cannot exhaust never gates admission: an
+		// overloaded static plan buffers until the memory budget kills
+		// it, as the paper's workers do.
+		Substrate: runtime.SubstrateFlow,
+		Flow:      runtime.FlowConfig{MailboxCredits: 1 << 30},
+		Observer:  func(rel string, t *tuple.Tuple) { col.Observe(rel, t) },
 	})
 	ctl, err := runtime.NewController(eng, runtime.ControllerConfig{
 		// Re-optimization happens on the hot path at every epoch

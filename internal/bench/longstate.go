@@ -16,9 +16,9 @@ package bench
 //           backends skip epochs wholly inside the window by their min
 //           event time and compact only the boundary one;
 //   evict — an unbounded-window stream grows state past a budget set
-//           from the measured resident bytes: under EvictFail the run
-//           must die with ErrMemoryLimit (the seed behaviour), under
-//           EvictOldestEpoch it must survive with counted drops.
+//           from the measured resident bytes: as MemoryLimitBytes the
+//           run must die with ErrMemoryLimit (the seed behaviour), as
+//           StateLimitBytes it must survive with counted drops.
 //
 // clash-bench -fig longstate prints the per-backend numbers. The ns/op
 // columns are printed, never compared: the timed twin of this scenario
@@ -96,8 +96,8 @@ type LongStateResult struct {
 	PruneAllocsOp int64
 
 	// Eviction stage (budget = StateBytes/3 of this backend's build).
-	FailDiedAt    int   // tuple index where EvictFail hit ErrMemoryLimit (-1: never — a failure)
-	EvictSurvived bool  // EvictOldestEpoch finished the same stream
+	FailDiedAt    int   // tuple index where MemoryLimitBytes hit ErrMemoryLimit (-1: never — a failure)
+	EvictSurvived bool  // StateLimitBytes finished the same stream
 	EvictedEpochs int64 // epochs shed at the budget (tiered: must stay 0 — it demotes instead)
 	EvictedTuples int64
 	EvictResults  int64 // results the surviving run still produced
@@ -377,23 +377,23 @@ func (res *LongStateResult) pruneStage(backend runtime.StateBackendKind, hot int
 	return nil
 }
 
-// evictStage replays one unbounded-window stream twice under a state
-// budget: EvictFail must die at the wall, EvictOldestEpoch must finish
-// it live with counted drops.
+// evictStage replays one unbounded-window stream twice under the same
+// budget: as MemoryLimitBytes it must die at the wall, as
+// StateLimitBytes it must finish live with counted drops.
 func (res *LongStateResult) evictStage(backend runtime.StateBackendKind, hot int64, cfg LongStateConfig, budget int64) error {
-	run := func(policy runtime.StatePolicy) (*runtime.Engine, int, error) {
+	run := func(memLimit, stateLimit int64) (*runtime.Engine, int, error) {
 		_, cat, topo, err := longStateTopo(1)
 		if err != nil {
 			return nil, 0, err
 		}
 		eng := runtime.New(runtime.Config{
-			Catalog:         cat,
-			Synchronous:     true,
-			StateBackend:    backend,
-			StateHotBytes:   hot,
-			EpochLength:     cfg.EpochLength,
-			StateLimitBytes: budget,
-			StatePolicy:     policy,
+			Catalog:          cat,
+			Synchronous:      true,
+			StateBackend:     backend,
+			StateHotBytes:    hot,
+			EpochLength:      cfg.EpochLength,
+			MemoryLimitBytes: memLimit,
+			StateLimitBytes:  stateLimit,
 		})
 		var results int64
 		eng.OnResult("q1", func(*tuple.Tuple) { results++ })
@@ -419,18 +419,18 @@ func (res *LongStateResult) evictStage(backend runtime.StateBackendKind, hot int
 		return eng, -1, nil
 	}
 
-	eng, at, err := run(runtime.EvictFail)
+	eng, at, err := run(budget, 0)
 	if !errors.Is(err, runtime.ErrMemoryLimit) {
 		if eng != nil {
 			eng.Stop()
 		}
-		return fmt.Errorf("EvictFail survived the %d-byte budget (err=%v) — scenario too weak", budget, err)
+		return fmt.Errorf("MemoryLimitBytes survived the %d-byte budget (err=%v) — scenario too weak", budget, err)
 	}
 	res.FailDiedAt = at
 
-	eng, _, err = run(runtime.EvictOldestEpoch)
+	eng, _, err = run(0, budget)
 	if err != nil {
-		return fmt.Errorf("EvictOldestEpoch died: %w", err)
+		return fmt.Errorf("StateLimitBytes failed the engine: %w", err)
 	}
 	defer eng.Stop()
 	m := eng.Metrics().Snapshot()
@@ -448,7 +448,7 @@ func (res *LongStateResult) evictStage(backend runtime.StateBackendKind, hot int
 			return fmt.Errorf("tiered row survived the budget without demoting — scenario too weak")
 		}
 	} else if res.EvictedEpochs == 0 {
-		return fmt.Errorf("EvictOldestEpoch survived without evicting — scenario too weak")
+		return fmt.Errorf("StateLimitBytes survived without evicting — scenario too weak")
 	}
 	return nil
 }
@@ -551,7 +551,7 @@ func FormatLongState(results []LongStateResult) string {
 			r.ProbeNsOp, r.ProbeAllocsOp, r.ProbeCands, r.ProbeRejects, r.PruneNsOp, r.PruneAllocsOp)
 	}
 	for _, r := range results {
-		fmt.Fprintf(&b, "%-10s eviction: EvictFail died at tuple %d; EvictOldestEpoch survived=%v shed %d epochs / %d tuples (demoted %d), %d results\n",
+		fmt.Fprintf(&b, "%-10s eviction: MemoryLimitBytes died at tuple %d; StateLimitBytes survived=%v shed %d epochs / %d tuples (demoted %d), %d results\n",
 			r.Backend, r.FailDiedAt, r.EvictSurvived, r.EvictedEpochs, r.EvictedTuples, r.DemotedEpochs, r.EvictResults)
 	}
 	for _, r := range results {

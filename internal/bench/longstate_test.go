@@ -7,8 +7,9 @@ import "testing"
 // columnar backend probes and prunes with equal-or-fewer allocations
 // than the container baseline and index bytes within 10 % of it (both
 // walk the same index kernel), the index hands a probe at most 1.10
-// candidates per match on every row; the eviction stage kills EvictFail
-// on every row of the state matrix while EvictOldestEpoch survives — by
+// candidates per match on every row; the eviction stage's budget kills
+// the engine as MemoryLimitBytes on every row of the state matrix while
+// the same bytes as StateLimitBytes let it survive — by
 // counted drops on the container and columnar rows, by lossless
 // demotion on the tiered one (the columnar store with its spill tier
 // on); and the tiered row holds a 10× window under the 1× resident

@@ -1,12 +1,13 @@
 package bench
 
 // Overload survival: the same sustained-ingest stream driven through
-// every asynchronous substrate under one memory budget. The unbounded
-// substrate reproduces the paper's Fig. 8a failure — overloaded workers
-// buffer until the budget kills the engine — while the flow-controlled
-// substrate's credit-based backpressure keeps queueing bounded and the
-// engine alive: lossless under BlockOnOverload (the source throttles),
-// lossy-but-live under ShedOnOverload (DESIGN.md §8).
+// the flow substrate under one memory budget and three credit
+// configurations. A grant the stream cannot exhaust reproduces the
+// paper's Fig. 8a failure — overloaded workers buffer until the budget
+// kills the engine — while a bounded grant's credit-based backpressure
+// keeps queueing bounded and the engine alive: lossless under
+// BlockOnOverload (the source throttles), lossy-but-live under
+// ShedOnOverload (DESIGN.md §8).
 
 import (
 	"fmt"
@@ -28,7 +29,7 @@ type OverloadConfig struct {
 	Window           time.Duration // per-relation window, logical (default 64ns-units ×1000)
 	MemoryLimitBytes int64         // shared budget (default 1 MiB)
 	OverheadLoops    int           // per-message busy work slowing consumers (default 30000)
-	MailboxCredits   int           // flow substrate per-task credit grant (default 32)
+	MailboxCredits   int           // per-task credit grant of flow-block and flow-shed (default 32)
 	Workers          int           // flow substrate worker pool (default GOMAXPROCS)
 	Parallelism      int           // store parallelism (default 2)
 	Seed             uint64
@@ -64,9 +65,9 @@ func (c *OverloadConfig) fill() {
 	}
 }
 
-// OverloadResult is one substrate's run under the shared budget.
+// OverloadResult is one credit configuration's run under the shared budget.
 type OverloadResult struct {
-	Substrate   string // "unbounded", "flow-block", "flow-shed"
+	Substrate   string // "unbounded" (a grant the stream cannot exhaust), "flow-block", "flow-shed"
 	Survived    bool
 	FailedAt    int   // tuple index of death (-1 when survived)
 	Ingested    int64 // tuples admitted past the gate
@@ -77,8 +78,8 @@ type OverloadResult struct {
 	Wall        time.Duration
 }
 
-// OverloadSurvival runs the scenario on the three asynchronous
-// configurations and reports how each degrades.
+// OverloadSurvival runs the scenario on the three flow configurations
+// and reports how each degrades.
 func OverloadSurvival(cfg OverloadConfig) ([]OverloadResult, error) {
 	cfg.fill()
 	qs, cat, err := query.ParseWorkload("q1: R(a) S(a)")
@@ -117,15 +118,15 @@ func OverloadSurvival(cfg OverloadConfig) ([]OverloadResult, error) {
 		stream[i] = rec{rel: rel, ts: ts, key: r.Int64n(cfg.Keys)}
 	}
 
-	run := func(name string, sub runtime.SubstrateKind, policy runtime.OverloadPolicy) (OverloadResult, error) {
+	run := func(name string, credits int, policy runtime.OverloadPolicy) (OverloadResult, error) {
 		eng := runtime.New(runtime.Config{
 			Catalog:          cat,
 			DefaultWindow:    cfg.Window,
 			MemoryLimitBytes: cfg.MemoryLimitBytes,
 			OverheadLoops:    cfg.OverheadLoops,
-			Substrate:        sub,
+			Substrate:        runtime.SubstrateFlow,
 			Flow: runtime.FlowConfig{
-				MailboxCredits: cfg.MailboxCredits,
+				MailboxCredits: credits,
 				Workers:        cfg.Workers,
 				Policy:         policy,
 			},
@@ -171,15 +172,15 @@ func OverloadSurvival(cfg OverloadConfig) ([]OverloadResult, error) {
 
 	var results []OverloadResult
 	for _, c := range []struct {
-		name   string
-		sub    runtime.SubstrateKind
-		policy runtime.OverloadPolicy
+		name    string
+		credits int
+		policy  runtime.OverloadPolicy
 	}{
-		{"unbounded", runtime.SubstrateUnbounded, runtime.BlockOnOverload},
-		{"flow-block", runtime.SubstrateFlow, runtime.BlockOnOverload},
-		{"flow-shed", runtime.SubstrateFlow, runtime.ShedOnOverload},
+		{"unbounded", 1 << 30, runtime.BlockOnOverload},
+		{"flow-block", cfg.MailboxCredits, runtime.BlockOnOverload},
+		{"flow-shed", cfg.MailboxCredits, runtime.ShedOnOverload},
 	} {
-		res, err := run(c.name, c.sub, c.policy)
+		res, err := run(c.name, c.credits, c.policy)
 		if err != nil {
 			return nil, fmt.Errorf("bench: overload %s: %w", c.name, err)
 		}

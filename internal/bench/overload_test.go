@@ -3,9 +3,9 @@ package bench
 import "testing"
 
 // TestOverloadSurvival pins the scenario's contract: under a shared
-// memory budget the unbounded substrate dies mid-stream (Fig. 8a),
-// while both flow-controlled policies sustain ingest to the end —
-// block losslessly, shed with counted drops.
+// memory budget a credit grant the stream cannot exhaust dies
+// mid-stream (Fig. 8a), while both bounded-grant policies sustain ingest
+// to the end — block losslessly, shed with counted drops.
 func TestOverloadSurvival(t *testing.T) {
 	results, err := OverloadSurvival(OverloadConfig{
 		Tuples:           8000,
@@ -21,7 +21,7 @@ func TestOverloadSurvival(t *testing.T) {
 	}
 	unb, block, shed := byName["unbounded"], byName["flow-block"], byName["flow-shed"]
 	if unb.Survived {
-		t.Errorf("unbounded substrate survived the budget — scenario too weak (peak queued %d)", unb.PeakQueued)
+		t.Errorf("unexhaustible grant survived the budget — scenario too weak (peak queued %d)", unb.PeakQueued)
 	}
 	if !block.Survived || !shed.Survived {
 		t.Fatalf("flow-controlled substrate died: block=%+v shed=%+v", block, shed)

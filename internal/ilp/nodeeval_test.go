@@ -223,10 +223,7 @@ func TestNodeEvaluationOnChurnStep(t *testing.T) {
 	if st := analyze(m); !st.valid || len(st.groups) < 50 {
 		t.Fatalf("fixture lost its structure: valid=%v, %d groups", st.valid, len(st.groups))
 	}
-	budget := 2000
-	if testing.Short() {
-		budget = 400
-	}
+	const budget = 2000
 	for _, o := range []Options{
 		{LPCellLimit: 1, MaxNodes: budget},
 		{LPCellLimit: 1, MaxNodes: budget / 2, Parallel: 2},

@@ -22,8 +22,6 @@ type ControllerConfig struct {
 	// Collector gathers per-epoch observations; the controller registers
 	// itself as the engine's ingest observer.
 	Collector *stats.Collector
-	// BlendAlpha weighs fresh estimates against history (default 0.5).
-	BlendAlpha float64
 	// Shared compiles with store/prefix sharing (CMQO/SS); false gives
 	// independent per-query topologies.
 	Shared bool
@@ -48,19 +46,11 @@ type ControllerConfig struct {
 	// one noisy window cannot capsize plan choice. Shapes never executed
 	// keep the analytic constant 1.
 	MeasuredCosts bool
-	// PressureQueueDepth, when > 0, closes the loop from runtime
-	// pressure back into re-optimization: at each epoch boundary the
-	// controller reads the engine's per-task gauges (metrics.go), and
-	// when the deepest task queue exceeds this threshold it treats the
-	// measured arrival rates of the relations feeding that store as
-	// understated — under backpressure the statistics collector only
-	// sees what the admission gate let through — and inflates them by
-	// the backlog ratio (capped at 8× the epoch's measured rate, so
-	// sustained overload saturates instead of compounding) before the
-	// next optimization, so the optimizer plans for the demand that is
-	// actually queueing up, not the throttled rate.
-	PressureQueueDepth int
 }
+
+// blendAlpha weighs a sealed epoch's fresh estimates (and measured cost
+// ratios) against history: an even EWMA.
+const blendAlpha = 0.5
 
 // Controller implements the epoch-based adaptive configuration of
 // Sec. VI: statistics gathering, decision making, and ruleset
@@ -75,7 +65,6 @@ type Controller struct {
 	est        *stats.Estimates
 	lastSealed int64 // highest epoch whose statistics were evaluated
 	reoptims   int
-	overloads  int // epochs whose gauges crossed PressureQueueDepth
 	lastPlan   *core.Plan
 	lastSig    string
 	liveSince  map[string]int64 // composite MIR key -> first epoch fed
@@ -88,9 +77,6 @@ type Controller struct {
 // initial query set with the initial estimates, and installs the first
 // configuration at epoch 0.
 func NewController(eng *Engine, cfg ControllerConfig, queries []*query.Query, initial *stats.Estimates) (*Controller, error) {
-	if cfg.BlendAlpha <= 0 || cfg.BlendAlpha > 1 {
-		cfg.BlendAlpha = 0.5
-	}
 	c := &Controller{
 		cfg:        cfg,
 		eng:        eng,
@@ -127,60 +113,6 @@ func (c *Controller) Reoptimizations() int {
 	return c.reoptims
 }
 
-// OverloadEvents returns how many sealed epochs crossed the configured
-// pressure threshold (0 when the feedback loop is disabled).
-func (c *Controller) OverloadEvents() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.overloads
-}
-
-// applyPressureLocked folds an overload reading into the estimates.
-// When the deepest task queue (p.MaxQueueDepth at p.MaxQueueStore —
-// one consistent sample) exceeds the threshold, the relations
-// materialized in that store are the ones whose demand outruns the
-// admitted rate; their rate estimates are scaled by the backlog ratio.
-// Inflation is anchored to the epoch's freshly measured rates and
-// capped at 8× them, so sustained backlog saturates at the cap instead
-// of compounding tick over tick.
-func (c *Controller) applyPressureLocked(p Pressure, fresh *stats.Estimates) {
-	thr := c.cfg.PressureQueueDepth
-	if thr <= 0 || p.MaxQueueDepth <= thr {
-		return
-	}
-	factor := 1 + float64(p.MaxQueueDepth)/float64(thr)
-	if factor > 8 {
-		factor = 8
-	}
-	topo := c.eng.ConfigFor(c.eng.Epoch(c.eng.Watermark()))
-	if topo == nil {
-		return
-	}
-	s := topo.Stores[p.MaxQueueStore]
-	if s == nil {
-		return
-	}
-	// Counted only once feedback actually applies: OverloadEvents means
-	// "rates were inflated N times", not "the threshold was crossed".
-	c.overloads++
-	for _, rel := range s.Rels {
-		cur := c.est.Rate(rel)
-		measured := fresh.Rate(rel)
-		if measured <= 0 {
-			// No fresh observation to anchor to: leave the blended
-			// estimate alone rather than compounding it unboundedly.
-			continue
-		}
-		inflated := cur * factor
-		if cap8 := measured * 8; inflated > cap8 {
-			inflated = cap8
-		}
-		if inflated > cur {
-			c.est.SetRate(rel, inflated)
-		}
-	}
-}
-
 // calibrateLocked blends the engine's measured per-tuple costs into the
 // optimizer coefficients. Probe is the normalization unit (always 1);
 // insert and prune move by EWMA toward their measured ratio, clamped
@@ -192,10 +124,9 @@ func (c *Controller) calibrateLocked() {
 	if p <= 0 {
 		return
 	}
-	alpha := c.cfg.BlendAlpha
 	c.coef.Probe = 1
-	c.coef.Insert = cost.BlendCoefficient(c.coef.Insert, obs.InsertPerTuple()/p, alpha, 0.125, 8)
-	c.coef.Prune = cost.BlendCoefficient(c.coef.Prune, obs.PrunePerTuple()/p, alpha, 0.125, 8)
+	c.coef.Insert = cost.BlendCoefficient(c.coef.Insert, obs.InsertPerTuple()/p, blendAlpha, 0.125, 8)
+	c.coef.Prune = cost.BlendCoefficient(c.coef.Prune, obs.PrunePerTuple()/p, blendAlpha, 0.125, 8)
 }
 
 // CostCoefficients returns the currently calibrated coefficients (the
@@ -259,13 +190,8 @@ func (c *Controller) Tick() error {
 	// Seal statistics for the epoch(s) that just ended.
 	preds := c.allPredsLocked()
 	fresh := c.cfg.Collector.Seal(c.eng.cfg.EpochLength, preds)
-	c.est = stats.Blend(c.est, fresh, c.cfg.BlendAlpha)
+	c.est = stats.Blend(c.est, fresh, blendAlpha)
 	c.lastSealed = cur
-
-	// Fold runtime pressure into the estimates (overload feedback).
-	if c.cfg.PressureQueueDepth > 0 {
-		c.applyPressureLocked(c.eng.Pressure(), fresh)
-	}
 
 	// Calibrate the cost model from the engine's measured per-tuple work.
 	if c.cfg.MeasuredCosts {

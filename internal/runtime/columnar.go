@@ -26,7 +26,7 @@ package runtime
 //     segments wholly inside the window via their min event time, and
 //     compacts only the boundary segment (in-epoch remap) with an
 //     index rebuild that reuses every backing array;
-//   - eviction (EvictOldestEpoch) is a ring pop.
+//   - eviction (shedding at StateLimitBytes) is a ring pop.
 //
 // Iteration is deterministic: segments ascend by epoch, chains follow
 // insertion order within a segment (rows append at the chain tail) — a

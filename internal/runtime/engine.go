@@ -2,12 +2,12 @@
 // simulator substrate (flow.go, DESIGN.md §8): hash or broadcast
 // routing between store tasks and per-epoch windowed stores with
 // attribute indices (Sec. IV and VI of the paper; the Storm
-// substitution is documented in DESIGN.md). Four substrates share all
+// substitution is documented in DESIGN.md). Three substrates share all
 // store/probe code: synchronous (exact FIFO on the ingesting
-// goroutine), unbounded-async (one goroutine per task, the Fig. 8a
-// buffering behaviour), flow-controlled (credit-based backpressure
-// over a shared worker pool), and deterministic simulation (seeded
-// schedules over a virtual clock, sim.go and DESIGN.md §9).
+// goroutine), flow-controlled (credit-based backpressure over a shared
+// worker pool; an unexhaustible grant gives the Fig. 8a buffering
+// behaviour), and deterministic simulation (seeded schedules over a
+// virtual clock, sim.go and DESIGN.md §9).
 package runtime
 
 import (
@@ -33,22 +33,21 @@ type Config struct {
 	// EpochLength enables epoch-based adaptive configuration (Sec. VI).
 	// 0 runs a single static epoch.
 	EpochLength time.Duration
-	// MemoryLimitBytes fails the engine when materialized state plus
-	// queued messages exceed it (0 = unlimited). The Fig. 8a static
-	// strategy dies this way.
+	// MemoryLimitBytes fails the engine with ErrMemoryLimit when
+	// materialized state plus queued messages exceed it (0 = unlimited)
+	// — the one budget that fails. The Fig. 8a static strategy dies this
+	// way.
 	MemoryLimitBytes int64
 	// StateBackend selects the task-store implementation (state.go,
 	// DESIGN.md §10): the seed per-epoch container design (default,
 	// the differential oracle) or the epoch-ring columnar store.
 	StateBackend StateBackendKind
 	// StateLimitBytes bounds materialized state (payload, structure,
-	// and index overhead; 0 = unlimited). What happens at the limit is
-	// StatePolicy's call.
+	// and index overhead; 0 = unlimited). At the limit the task that
+	// crossed it sheds whole epochs, oldest first, with counted drops;
+	// the current arrival epoch is never shed, so the budget needs
+	// EpochLength > 0 to act. It never fails the engine.
 	StateLimitBytes int64
-	// StatePolicy selects the behaviour when StateLimitBytes is
-	// exceeded: fail the engine (EvictFail, the default) or shed whole
-	// epochs oldest-first with counted drops (EvictOldestEpoch).
-	StatePolicy StatePolicy
 	// StateHotBytes enables the columnar backend's spill tier and
 	// bounds the resident (in-memory) portion of materialized state
 	// (0 = no tier, everything stays in memory): above it, tasks demote
@@ -69,17 +68,18 @@ type Config struct {
 	// complete probe chain (including MIR feeding) runs to completion in
 	// FIFO order before Ingest returns. This gives exact, deterministic
 	// symmetric-join semantics — the mode used for result-exactness
-	// experiments (Fig. 7). The free-running asynchronous mode remains
-	// the right substrate for overload dynamics (Fig. 8), where probes
-	// racing ahead of feeding chains is precisely the buffering behaviour
-	// under study. Synchronous engines must be fed from one goroutine.
+	// experiments (Fig. 7). The asynchronous flow substrate remains the
+	// right substrate for overload dynamics (Fig. 8), where probes racing
+	// ahead of feeding chains is precisely the buffering behaviour under
+	// study. Synchronous engines must be fed from one goroutine.
 	// Shorthand for Substrate: SubstrateSynchronous; ignored when
 	// Substrate is set explicitly.
 	Synchronous bool
 	// Substrate selects the execution substrate (flow.go, DESIGN.md §8
-	// and §9): synchronous, unbounded-async (the default),
-	// flow-controlled, or deterministic simulation. SubstrateAuto defers
-	// to the Synchronous flag.
+	// and §9): synchronous, flow-controlled (the asynchronous default),
+	// or deterministic simulation. SubstrateAuto resolves to
+	// SubstrateSynchronous when Synchronous is set and to SubstrateFlow
+	// otherwise.
 	Substrate SubstrateKind
 	// Flow tunes the flow-controlled substrate (credit grants, worker
 	// count, overload policy); ignored by the other substrates.
@@ -263,7 +263,7 @@ func New(cfg Config) *Engine {
 		if cfg.Synchronous {
 			kind = SubstrateSynchronous
 		} else {
-			kind = SubstrateUnbounded
+			kind = SubstrateFlow
 		}
 	}
 	e.clock = cfg.Clock
@@ -271,8 +271,6 @@ func New(cfg Config) *Engine {
 	case SubstrateSynchronous:
 		e.syncMode = true
 		e.sub = &syncSubstrate{e: e}
-	case SubstrateFlow:
-		e.sub = newFlowSubstrate(e, cfg.Flow)
 	case SubstrateSim:
 		s := newSimSubstrate(e, cfg.Sim)
 		// The simulation substrate owns virtual time: it advances its
@@ -285,7 +283,7 @@ func New(cfg Config) *Engine {
 		e.clock = s.vclock
 		e.sub = s
 	default:
-		e.sub = &unboundedSubstrate{e: e}
+		e.sub = newFlowSubstrate(e, cfg.Flow)
 	}
 	if e.clock == nil {
 		e.clock = wallClock{}
@@ -880,7 +878,7 @@ func (e *Engine) dropUndelivered(msg *message) {
 
 // dispatchBatch runs one drained batch through dispatch with busy-time
 // accounting, zeroing consumed slots so carried tuples release
-// promptly. Both asynchronous substrates' run loops use it.
+// promptly. The flow substrate's pool workers use it.
 //
 // Consecutive data messages on the same edge and epoch whose compiled
 // plans are all probe rules execute as one batched scan (handleRun):

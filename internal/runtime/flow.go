@@ -10,14 +10,13 @@ package runtime
 //
 //   - syncSubstrate: the whole topology runs on the ingesting goroutine
 //     in FIFO order (exact, deterministic; the Fig. 7 substrate).
-//   - unboundedSubstrate: one goroutine per task, unbounded mailboxes;
-//     overload buffers until the memory budget kills the engine — the
-//     Fig. 8a failure mode under study, kept as the faithful default.
-//   - flowSubstrate: bounded mailbox credits with admission control at
-//     the ingest boundary, and a shared worker pool (scheduler.go) that
-//     decouples topology size from goroutine count. Overload throttles
-//     the source (BlockOnOverload) or drops tuples (ShedOnOverload)
-//     instead of buffering to death.
+//   - flowSubstrate: the asynchronous default. Mailbox credits with
+//     admission control at the ingest boundary, and a shared worker pool
+//     (scheduler.go) that decouples topology size from goroutine count.
+//     Overload throttles the source (BlockOnOverload) or drops tuples
+//     (ShedOnOverload); a credit grant the run cannot exhaust never
+//     gates admission, so workers buffer until MemoryLimitBytes fails
+//     the engine — the Fig. 8a failure mode under study.
 //   - simSubstrate (sim.go): deterministic simulation — a seeded
 //     single-threaded scheduler over a virtual clock; one seed, one
 //     exact interleaving.
@@ -34,20 +33,18 @@ type SubstrateKind int
 
 const (
 	// SubstrateAuto resolves to SubstrateSynchronous when
-	// Config.Synchronous is set and to SubstrateUnbounded otherwise.
+	// Config.Synchronous is set and to SubstrateFlow otherwise.
 	SubstrateAuto SubstrateKind = iota
 	// SubstrateSynchronous executes the whole topology on the ingesting
 	// goroutine: exact, deterministic symmetric-join semantics. Feed it
 	// from one goroutine only.
 	SubstrateSynchronous
-	// SubstrateUnbounded is the Fig. 8a-faithful asynchronous default:
-	// one goroutine per store task with an unbounded mailbox. Overloaded
-	// workers buffer tuples until the memory budget fails the engine.
-	SubstrateUnbounded
 	// SubstrateFlow multiplexes all store tasks onto a fixed worker pool
 	// and applies credit-based flow control at the ingest boundary, so
 	// sustained overload degrades gracefully (throttle or shed) with
-	// bounded queueing instead of buffering to death.
+	// bounded queueing. With a MailboxCredits grant the run cannot
+	// exhaust, admission never gates and overloaded workers buffer until
+	// MemoryLimitBytes fails the engine (the paper's Fig. 8a).
 	SubstrateFlow
 	// SubstrateSim is the deterministic simulation substrate (sim.go): a
 	// single-threaded seeded scheduler over a virtual clock that picks
@@ -115,24 +112,19 @@ type substrate interface {
 }
 
 // mailbox is a FIFO link between tasks, implemented as a ring buffer so
-// steady-state put/drain never shifts elements or reallocates. Storage
-// is unbounded — on the unbounded substrate that mirrors the paper's
-// observation that overloaded workers buffer tuples until memory
-// overflow (Fig. 8a); on the flow substrate occupancy is bounded by the
-// credit protocol instead of by the ring itself.
+// steady-state put/drain never shifts elements or reallocates. The ring
+// itself is unbounded: occupancy is bounded by the credit protocol, and
+// only as far as the credit grant reaches — an unexhaustible grant
+// reproduces the paper's observation that overloaded workers buffer
+// tuples until memory overflow (Fig. 8a). Consumers never block on it:
+// the worker pool (scheduler.go) and the simulation substrate poll it
+// with drainN after the send path has scheduled the task.
 type mailbox struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
 	buf    []message // ring storage
 	head   int       // index of the oldest message
 	count  int       // number of buffered messages
 	closed bool
-}
-
-func newMailbox() *mailbox {
-	m := &mailbox{}
-	m.cond = sync.NewCond(&m.mu)
-	return m
 }
 
 // put enqueues one message and reports whether the mailbox accepted it.
@@ -151,7 +143,6 @@ func (m *mailbox) put(msg message) bool {
 	m.buf[(m.head+m.count)%len(m.buf)] = msg
 	m.count++
 	m.mu.Unlock()
-	m.cond.Signal()
 	return true
 }
 
@@ -170,37 +161,13 @@ func (m *mailbox) grow() {
 	m.head = 0
 }
 
-// drainWait blocks until messages are available (or the mailbox
-// closes), then moves every buffered message into dst under one lock
-// acquisition. It returns the filled buffer and false once the mailbox
-// is closed and empty. Ring slots are zeroed as they are drained so the
-// mailbox never pins tuple memory.
-func (m *mailbox) drainWait(dst []message) ([]message, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for m.count == 0 && !m.closed {
-		m.cond.Wait()
-	}
-	if m.count == 0 {
-		return dst, false
-	}
-	for i := 0; i < m.count; i++ {
-		slot := (m.head + i) % len(m.buf)
-		dst = append(dst, m.buf[slot])
-		m.buf[slot] = message{}
-	}
-	m.head = 0
-	m.count = 0
-	m.releaseOversized()
-	return dst, true
-}
-
-// drainN moves up to max buffered messages into dst without blocking,
-// advancing the ring head past the drained prefix (the ring genuinely
-// wraps here, unlike the full drain). It also reports the number of
-// messages left behind, so the caller's requeue decision costs no
-// extra lock acquisition. The worker pool uses it to bound one
-// dispatch so a hot task cannot monopolize a worker.
+// drainN moves up to max buffered messages (max <= 0: all of them) into
+// dst without blocking, advancing the ring head past the drained prefix,
+// so the ring wraps. Ring slots are zeroed as they are drained so the
+// mailbox never pins tuple memory. It also reports the number of
+// messages left behind, so the caller's requeue decision costs no extra
+// lock acquisition. The worker pool uses the bound so a hot task cannot
+// monopolize a worker.
 func (m *mailbox) drainN(dst []message, max int) (_ []message, remaining int) {
 	m.mu.Lock()
 	n := m.count
@@ -245,7 +212,6 @@ func (m *mailbox) close() {
 	m.mu.Lock()
 	m.closed = true
 	m.mu.Unlock()
-	m.cond.Broadcast()
 }
 
 // syncItem is one queued unit of work on the synchronous substrate.
@@ -300,69 +266,6 @@ func (s *syncSubstrate) drain() {
 		s.queue = nil // release a one-off spike's high-water memory
 	} else {
 		s.queue = s.queue[:0]
-	}
-}
-
-// unboundedSubstrate is the Fig. 8a-faithful asynchronous default: one
-// goroutine per store task consuming an unbounded mailbox. Overloaded
-// workers buffer (and eventually die on the accounted memory budget)
-// rather than deadlock.
-type unboundedSubstrate struct {
-	e  *Engine
-	wg sync.WaitGroup
-
-	mu      sync.Mutex
-	taskIDs map[uint64]bool // task goroutine ids, for reentrant()
-}
-
-func (u *unboundedSubstrate) start(t *task) {
-	t.mailbox = newMailbox()
-	u.wg.Add(1)
-	go u.runTask(t)
-}
-
-func (u *unboundedSubstrate) reentrant() bool {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.taskIDs[curGoroutineID()]
-}
-
-func (u *unboundedSubstrate) send(t *task, msg message) {
-	if !t.mailbox.put(msg) {
-		u.e.dropUndelivered(&msg)
-	}
-}
-func (u *unboundedSubstrate) admit() bool { return true }
-func (u *unboundedSubstrate) wake()       {}
-func (u *unboundedSubstrate) stop()       { u.wg.Wait() }
-
-// drain parks until the in-flight count settles (engine.waitSettled);
-// the last dispatch's decrement-to-zero wakes it. No sleep-polling: a
-// drain against slow consumers costs no CPU while it waits.
-func (u *unboundedSubstrate) drain() {
-	u.e.waitSettled(func() bool { return u.e.inflight.Load() == 0 })
-}
-
-func (u *unboundedSubstrate) runTask(t *task) {
-	defer u.wg.Done()
-	id := curGoroutineID()
-	u.mu.Lock()
-	if u.taskIDs == nil {
-		u.taskIDs = map[uint64]bool{}
-	}
-	u.taskIDs[id] = true
-	u.mu.Unlock()
-	var batch []message
-	for {
-		var ok bool
-		batch, ok = t.mailbox.drainWait(batch[:0])
-		if !ok {
-			return
-		}
-		u.e.dispatchBatch(t, batch)
-		if cap(batch) > 1024 {
-			batch = nil // release a one-off spike's high-water memory
-		}
 	}
 }
 
@@ -436,7 +339,7 @@ func (f *flowSubstrate) noteWorker(id uint64) {
 // goroutine spawns: topology size (queries × stores × parallelism) is
 // decoupled from goroutine count.
 func (f *flowSubstrate) start(t *task) {
-	t.mailbox = newMailbox()
+	t.mailbox = &mailbox{}
 	f.granted.Add(int64(f.grant))
 	f.addCredits(int64(f.grant))
 }

@@ -5,8 +5,8 @@ package runtime
 // release between bursts, and close-while-draining.
 
 import (
+	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // seqMsg tags a message with a recognizable sequence for FIFO checks.
@@ -16,7 +16,7 @@ func seqMsg(i int) message { return message{seq: uint64(i), epoch: int64(i)} }
 // a bounded drain (head > 0, live region crossing the array end), then
 // grows it and verifies FIFO order survives the unwrap.
 func TestMailboxGrowWhileWrapped(t *testing.T) {
-	m := newMailbox()
+	m := &mailbox{}
 	next := 0
 	// Fill the initial 16-slot ring completely.
 	for ; next < 16; next++ {
@@ -44,12 +44,9 @@ func TestMailboxGrowWhileWrapped(t *testing.T) {
 	if m.head != 0 || len(m.buf) != 32 {
 		t.Fatalf("grow did not unwrap: head=%d len=%d", m.head, len(m.buf))
 	}
-	rest, ok := m.drainWait(nil)
-	if !ok {
-		t.Fatal("drainWait reported closed")
-	}
-	if len(rest) != 17 {
-		t.Fatalf("drained %d messages, want 17", len(rest))
+	rest, remaining := m.drainN(nil, 0)
+	if len(rest) != 17 || remaining != 0 {
+		t.Fatalf("drained %d messages leaving %d, want 17 leaving 0", len(rest), remaining)
 	}
 	for i, msg := range rest {
 		if want := uint64(i + 5); msg.seq != want {
@@ -60,81 +57,98 @@ func TestMailboxGrowWhileWrapped(t *testing.T) {
 
 // TestMailboxReleasesOversizedRing verifies a burst larger than the
 // retention threshold does not pin its high-water storage after the
-// ring empties — on both the blocking and the bounded drain path.
+// ring empties: partial drains keep the ring (with the drained slots
+// zeroed), only the drain that empties it may release.
 func TestMailboxReleasesOversizedRing(t *testing.T) {
-	for _, mode := range []string{"drainWait", "drainN"} {
-		m := newMailbox()
-		for i := 0; i < 2000; i++ {
-			m.put(seqMsg(i))
+	m := &mailbox{}
+	for i := 0; i < 2000; i++ {
+		m.put(seqMsg(i))
+	}
+	if len(m.buf) <= 1024 {
+		t.Fatalf("ring did not grow past the threshold: %d", len(m.buf))
+	}
+	if _, remaining := m.drainN(nil, 1500); remaining != 500 || m.buf == nil {
+		t.Fatalf("partial drain left %d (ring released early: %v)", remaining, m.buf == nil)
+	}
+	for i := 0; i < m.head; i++ {
+		if m.buf[i].seq != 0 || m.buf[i].epoch != 0 {
+			t.Fatalf("drained slot %d still holds seq %d", i, m.buf[i].seq)
 		}
-		if len(m.buf) <= 1024 {
-			t.Fatalf("ring did not grow past the threshold: %d", len(m.buf))
-		}
-		switch mode {
-		case "drainWait":
-			if got, ok := m.drainWait(nil); !ok || len(got) != 2000 {
-				t.Fatalf("%s: drained %d ok=%v", mode, len(got), ok)
-			}
-		case "drainN":
-			// Partial drains must keep the ring; only the drain that
-			// empties it may release.
-			if _, remaining := m.drainN(nil, 1500); remaining != 500 || m.buf == nil {
-				t.Fatalf("%s: partial drain left %d (ring released early: %v)", mode, remaining, m.buf == nil)
-			}
-			m.drainN(nil, 0) // 0 = no bound: take the rest
-		}
-		if m.buf != nil {
-			t.Errorf("%s: oversized ring retained after burst (len %d)", mode, len(m.buf))
-		}
-		// The next burst starts from a fresh, small ring.
-		m.put(seqMsg(1))
-		if len(m.buf) != 16 {
-			t.Errorf("%s: ring after release has %d slots, want 16", mode, len(m.buf))
-		}
+	}
+	if got, _ := m.drainN(nil, 0); len(got) != 500 || got[0].seq != 1500 {
+		t.Fatalf("final drain returned %d messages", len(got))
+	}
+	if m.buf != nil {
+		t.Errorf("oversized ring retained after burst (len %d)", len(m.buf))
+	}
+	// The next burst starts from a fresh, small ring.
+	m.put(seqMsg(1))
+	if len(m.buf) != 16 {
+		t.Errorf("ring after release has %d slots, want 16", len(m.buf))
 	}
 }
 
-// TestMailboxCloseWhileDraining covers the shutdown handshake: a
-// consumer blocked in drainWait must wake on close and report the
-// mailbox dead; buffered messages are still delivered before the dead
-// signal, and puts after close are dropped.
+// TestMailboxCloseWhileDraining covers the shutdown handshake the
+// worker pool relies on: a consumer keeps draining in bounded batches
+// while the producer closes the mailbox under it. Every accepted put is
+// delivered exactly once, in FIFO order, backlog included; every put
+// after close is rejected (its sender compensates the accounting).
 func TestMailboxCloseWhileDraining(t *testing.T) {
-	m := newMailbox()
-	type result struct {
-		n  int
-		ok bool
-	}
-	res := make(chan result, 1)
+	m := &mailbox{}
+	const n, closeAt = 20000, 10000
+	var finished atomic.Bool
+	accepted, rejectedEarly := 0, 0
 	go func() {
-		got, ok := m.drainWait(nil)
-		res <- result{n: len(got), ok: ok}
-	}()
-	// Let the consumer block, then close under it.
-	time.Sleep(10 * time.Millisecond)
-	m.close()
-	select {
-	case r := <-res:
-		if r.ok || r.n != 0 {
-			t.Fatalf("blocked drain returned n=%d ok=%v after close, want 0/false", r.n, r.ok)
+		for i := 0; i < n; i++ {
+			if i == closeAt {
+				m.close()
+			}
+			if m.put(seqMsg(accepted)) {
+				accepted++
+			} else if i < closeAt {
+				rejectedEarly++
+			}
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("consumer did not wake on close")
+		finished.Store(true)
+	}()
+	var got []message
+	for {
+		// Read the flag before draining: once it is set every put has
+		// returned, so an empty drain afterwards is final.
+		done := finished.Load()
+		before := len(got)
+		var remaining int
+		got, remaining = m.drainN(got, 7)
+		if done && len(got) == before && remaining == 0 {
+			break
+		}
+	}
+	if rejectedEarly != 0 || accepted != closeAt {
+		t.Fatalf("mailbox accepted %d puts (%d rejected before close), want exactly the %d before close",
+			accepted, rejectedEarly, closeAt)
+	}
+	if len(got) != accepted {
+		t.Fatalf("drained %d messages, %d accepted", len(got), accepted)
+	}
+	for i, msg := range got {
+		if msg.seq != uint64(i) {
+			t.Fatalf("FIFO order broken at %d: seq %d", i, msg.seq)
+		}
 	}
 
-	// Close with buffered messages: the backlog drains first, the dead
-	// signal comes only once the ring is empty.
-	m2 := newMailbox()
+	// Close with buffered messages: the backlog still drains, nothing new
+	// gets in.
+	m2 := &mailbox{}
 	m2.put(seqMsg(1))
 	m2.put(seqMsg(2))
 	m2.close()
-	if got, ok := m2.drainWait(nil); !ok || len(got) != 2 {
-		t.Fatalf("close lost buffered messages: n=%d ok=%v", len(got), ok)
+	if m2.put(seqMsg(3)) {
+		t.Error("put after close accepted")
 	}
-	if got, ok := m2.drainWait(nil); ok || len(got) != 0 {
-		t.Fatalf("closed empty mailbox still alive: n=%d ok=%v", len(got), ok)
+	if got, remaining := m2.drainN(nil, 0); len(got) != 2 || remaining != 0 {
+		t.Fatalf("close lost buffered messages: n=%d remaining=%d", len(got), remaining)
 	}
-	m2.put(seqMsg(3)) // dropped
 	if m2.depth() != 0 {
-		t.Error("put after close buffered a message")
+		t.Error("closed mailbox still buffers messages")
 	}
 }

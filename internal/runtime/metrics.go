@@ -24,8 +24,8 @@ type Metrics struct {
 	results      atomic.Int64 // join results emitted across all queries
 	shed         atomic.Int64 // tuples dropped at the flow-control admission gate
 
-	// Bounded-memory policy counters (Config.StateLimitBytes with
-	// EvictOldestEpoch) and store retirement.
+	// Bounded-memory counters (epochs shed at Config.StateLimitBytes)
+	// and store retirement.
 	evictedEpochs atomic.Int64 // whole epochs shed at the state budget
 	evictedTuples atomic.Int64 // tuples those epochs carried
 	retiredTuples atomic.Int64 // tuples released by store retirement
@@ -48,12 +48,11 @@ type Metrics struct {
 	recoveredPanics atomic.Int64
 	taskRestarts    atomic.Int64
 
-	mu        sync.Mutex
-	byQuery   map[string]int64
-	latSum    time.Duration
-	latCount  int64
-	latMax    time.Duration
-	histogram [16]int64 // exponential buckets, 1ms base
+	mu       sync.Mutex
+	byQuery  map[string]int64
+	latSum   time.Duration
+	latCount int64
+	latMax   time.Duration
 
 	// Processing lag: ingest-to-handling delay of tuple messages, the
 	// paper's per-tuple latency signal (rises when workers buffer).
@@ -95,11 +94,6 @@ func (m *Metrics) recordResult(queryName string, latency time.Duration) {
 		if latency > m.latMax {
 			m.latMax = latency
 		}
-		b := 0
-		for d := latency / time.Millisecond; d > 0 && b < len(m.histogram)-1; d >>= 1 {
-			b++
-		}
-		m.histogram[b]++
 	}
 	m.mu.Unlock()
 }
@@ -117,11 +111,6 @@ func (m *Metrics) recordResultBatch(queryName string, latency time.Duration, n i
 		if latency > m.latMax {
 			m.latMax = latency
 		}
-		b := 0
-		for d := latency / time.Millisecond; d > 0 && b < len(m.histogram)-1; d >>= 1 {
-			b++
-		}
-		m.histogram[b] += int64(n)
 	}
 	m.mu.Unlock()
 }
@@ -154,8 +143,8 @@ type Snapshot struct {
 	// accounting ignored indices; IndexBytes is that portion).
 	StoreBytes int64
 	IndexBytes int64
-	// EvictedEpochs/EvictedTuples count bounded-memory drops under
-	// StateLimitBytes with EvictOldestEpoch; RetiredTuples counts state
+	// EvictedEpochs/EvictedTuples count the whole epochs shed at
+	// StateLimitBytes and the tuples they held; RetiredTuples counts state
 	// released when a store left every installed configuration.
 	EvictedEpochs int64
 	EvictedTuples int64
@@ -241,9 +230,6 @@ func (m *Metrics) Snapshot() Snapshot {
 func (m *Metrics) ResetLatency() {
 	m.mu.Lock()
 	m.latSum, m.latCount, m.latMax = 0, 0, 0
-	for i := range m.histogram {
-		m.histogram[i] = 0
-	}
 	m.mu.Unlock()
 	m.lagSum.Store(0)
 	m.lagCount.Store(0)
@@ -258,10 +244,7 @@ func (s Snapshot) String() string {
 
 // TaskGauge is one task's pressure reading: mailbox queue depth,
 // materialized state, cumulative load, and busy time — the per-task
-// overload signals of the execution substrate. The adaptive Controller
-// consumes them at epoch boundaries as re-optimization input
-// (adaptive.go), closing the loop from runtime pressure back into
-// planning.
+// overload signals of the execution substrate.
 type TaskGauge struct {
 	Store      topology.StoreID
 	Part       int
@@ -410,9 +393,9 @@ type Pressure struct {
 }
 
 // Pressure aggregates the per-task gauges into one overload reading.
-// It is polled on hot control paths (every Controller.Tick, sampling
-// loops), so it reads the queue depths directly instead of building
-// the sorted TaskGauges slice.
+// It is polled on hot control paths (sampling loops), so it reads the
+// queue depths directly instead of building the sorted TaskGauges
+// slice.
 func (e *Engine) Pressure() Pressure {
 	p := Pressure{
 		QueuedBytes: e.queuedBytes.Load(),

@@ -52,13 +52,14 @@ func TestBlockedSourceWakesOnCreditRelease(t *testing.T) {
 	}
 }
 
-// TestDrainParksUntilSettled: a drain issued with a deep backlog on
-// slow consumers parks until the last message is handled (and, on the
-// flow substrate, the last credit repaid), then wakes. Covers both
-// asynchronous substrates against the engine's quiesce condition.
+// TestDrainParksUntilSettled: a drain issued with a backlog on slow
+// consumers parks until the last message is handled and the last credit
+// repaid, then wakes. Covers the default substrate under a grant the
+// stream cannot exhaust (the whole stream is queued when the drain
+// starts) and a gating grant, against the engine's quiesce condition.
 func TestDrainParksUntilSettled(t *testing.T) {
 	for name, cfg := range map[string]Config{
-		"unbounded": {OverheadLoops: 5000},
+		"unbounded": {OverheadLoops: 5000, Flow: FlowConfig{MailboxCredits: 1 << 30}},
 		"flow": {OverheadLoops: 5000, Substrate: SubstrateFlow,
 			Flow: FlowConfig{MailboxCredits: 64}},
 	} {

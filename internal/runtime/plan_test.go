@@ -73,7 +73,7 @@ func tpchFixture(t *testing.T, queries []*query.Query, sf float64) (*query.Catal
 // path — an index-free scan of every stored tuple (task.probeLegacy) —
 // on the TPC-H multi-query workload (the Fig. 7 setting) — and
 // that the result bytes are identical on every execution substrate
-// (synchronous, unbounded-async, flow-controlled, simulated) and on
+// (synchronous, flow-controlled, simulated) and on
 // both state backends (container, columnar): same topology, same
 // records, engines differing only in probe implementation, in
 // scheduling/flow-control layer, or in store layout (DESIGN.md §3,
@@ -85,7 +85,6 @@ func TestCompiledPlanEquivalenceTPCH(t *testing.T) {
 	legacy := runWorkload(t, Config{Catalog: cat, Synchronous: true, legacyProbe: true}, topo, queries, records)
 	substrates := map[string]Config{
 		"synchronous": {Catalog: cat, Synchronous: true},
-		"unbounded":   {Catalog: cat, Substrate: SubstrateUnbounded, StepMode: true},
 		"flow":        {Catalog: cat, Substrate: SubstrateFlow, StepMode: true, Flow: FlowConfig{MailboxCredits: 64}},
 		"sim":         {Catalog: cat, Substrate: SubstrateSim, StepMode: true, Sim: SimConfig{Seed: 7}},
 	}

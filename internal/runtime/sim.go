@@ -38,7 +38,8 @@ type SimConfig struct {
 	// positive balance. Under BlockOnOverload a starved producer "waits"
 	// by running the scheduler until credit frees — the deterministic
 	// analogue of blocking at the flow substrate's admission gate. 0
-	// disables the model (unbounded queueing, like SubstrateUnbounded).
+	// disables the model (unbounded queueing, like an unexhaustible
+	// FlowConfig grant).
 	MailboxCredits int
 	// Policy selects the overload behaviour when MailboxCredits > 0.
 	Policy OverloadPolicy
@@ -121,7 +122,7 @@ func newSimSubstrate(e *Engine, cfg SimConfig) *simSubstrate {
 
 // start grants the task's credits to the pool. No goroutine spawns.
 func (s *simSubstrate) start(t *task) {
-	t.mailbox = newMailbox()
+	t.mailbox = &mailbox{}
 	if s.cfg.MailboxCredits > 0 {
 		s.granted += int64(s.cfg.MailboxCredits)
 		s.credits += int64(s.cfg.MailboxCredits)

@@ -84,22 +84,6 @@ func (k StateBackendKind) String() string {
 	return "container"
 }
 
-// StatePolicy is what the engine does when materialized state exceeds
-// Config.StateLimitBytes.
-type StatePolicy int
-
-const (
-	// EvictFail terminates the engine with ErrMemoryLimit — the seed
-	// behaviour (Fig. 8a: the static strategy dies on overflow).
-	EvictFail StatePolicy = iota
-	// EvictOldestEpoch sheds whole epochs, oldest first, from the task
-	// that crossed the limit until state fits again (the current arrival
-	// epoch is never shed). Evictions are counted, not fatal: results
-	// lose pairs whose partner was evicted, but the engine stays live —
-	// the long-state trade of arXiv:2411.15835.
-	EvictOldestEpoch
-)
-
 // stateBackend is a task's materialized store. Implementations are not
 // thread-safe: the substrate guarantees at most one goroutine executes
 // a task (and therefore touches its backend) at a time.

@@ -3,7 +3,7 @@ package runtime
 // State-backend tests (DESIGN.md §10): cross-backend result
 // equivalence, the byte-accounting contract (deltas telescope to zero,
 // index overhead included — the seed accounting ignored it), the
-// bounded-memory eviction policy, store retirement on rewiring, and
+// bounded-memory epoch shedding, store retirement on rewiring, and
 // the columnar hot-path allocation budgets.
 
 import (
@@ -51,7 +51,7 @@ func (r stateRow) apply(cfg Config) Config {
 // oracle). A second phase — compared across rows, container first —
 // adds the inputs where hot and cold slots meet on the tiered row: late
 // inserts into demoted epochs, a prune cut that lands inside a cold
-// epoch, and an EvictOldestEpoch shed on every task.
+// epoch, and a state-budget shed on every task.
 func TestBackendEquivalenceWindowed(t *testing.T) {
 	const window, epochLen = 40, 32
 	var ref, refName string
@@ -397,8 +397,10 @@ func TestIndexMemoryAccounted(t *testing.T) {
 }
 
 // evictionFixture drives a long-state stream (unbounded window — state
-// only grows) into an engine with the given state budgets and policy.
-func evictionFixture(t *testing.T, cfg Config) (*Engine, error) {
+// only grows) into an engine with the given budgets. It returns the
+// index of the tuple whose Ingest failed, or after which stop (when
+// non-nil) held; -1 when the stream ran to its end.
+func evictionFixture(t *testing.T, cfg Config, stop func(*Engine) bool) (*Engine, int, error) {
 	t.Helper()
 	cfg.Synchronous, cfg.EpochLength = true, 64
 	h := newHarness(t, "q1: R(a) S(a)",
@@ -406,25 +408,30 @@ func evictionFixture(t *testing.T, cfg Config) (*Engine, error) {
 		flatEstimates([]string{"R", "S"}, 100), cfg)
 	t.Cleanup(h.eng.Stop)
 	ins := randomStream(h.cat, 3000, 8, 29)
-	for _, in := range ins {
+	for i, in := range ins {
 		if err := h.eng.Ingest(in.Rel, in.TS, in.Vals...); err != nil {
-			return h.eng, err
+			return h.eng, i, err
+		}
+		if stop != nil && stop(h.eng) {
+			return h.eng, i, nil
 		}
 	}
 	h.eng.Drain()
-	return h.eng, nil
+	return h.eng, -1, nil
 }
 
-// TestEvictOldestEpochBoundsState: under EvictOldestEpoch the engine
-// survives a stream that grows state far past the budget and keeps
-// resident state near the limit. Without a spill tier the backends do it
-// by shedding whole epochs with counted drops; with one, the columnar
+// TestStateLimitShedsWhereMemoryLimitDies: StateLimitBytes lets the
+// engine survive a stream that grows state far past the budget and keeps
+// resident state near the limit, where the same bytes as a
+// MemoryLimitBytes budget kill it. Without a spill tier the backends do
+// it by shedding whole epochs with counted drops; with one, the columnar
 // store demotes them to disk instead — same resident bound, zero tuples
 // lost.
-func TestEvictOldestEpochBoundsState(t *testing.T) {
+func TestStateLimitShedsWhereMemoryLimitDies(t *testing.T) {
 	for _, row := range backendKinds() {
 		t.Run(row.name, func(t *testing.T) {
-			cfg := Config{StateBackend: row.backend, StateLimitBytes: 96 << 10}
+			limit := int64(96 << 10)
+			cfg := Config{StateBackend: row.backend}
 			if row.hot > 0 {
 				// The tier is on but its own budget never binds: the state
 				// limit alone drives the demotions (evictToLimit's
@@ -432,22 +439,33 @@ func TestEvictOldestEpochBoundsState(t *testing.T) {
 				// cold epoch (summary + key filter); the limit must clear
 				// that floor or the task is FORCED to evict once every
 				// epoch but the newest is already cold. Still far below
-				// what the stream needs resident, so EvictFail dies.
+				// what the stream needs resident, so the memory budget dies.
 				cfg.StateHotBytes = math.MaxInt64
-				cfg.StateLimitBytes = 192 << 10
+				limit = 192 << 10
 			}
-			// The same stream under EvictFail must die at the budget —
-			// otherwise the eviction scenario is too weak to mean anything
-			// (EvictFail makes the limit a hard error, tier or no tier).
-			cfg.StatePolicy = EvictFail
-			if _, err := evictionFixture(t, cfg); !errors.Is(err, ErrMemoryLimit) {
-				t.Fatalf("EvictFail survived the %d-byte budget (err=%v) — scenario too weak", cfg.StateLimitBytes, err)
+			// Without a budget, the first tuple after which stored bytes
+			// alone exceed the limit.
+			_, overAt, _ := evictionFixture(t, cfg, func(e *Engine) bool {
+				return e.metrics.storeBytes.Load() > limit
+			})
+			// The same stream under the same bytes as MemoryLimitBytes must
+			// die — otherwise the eviction scenario is too weak to mean
+			// anything (the memory budget is a hard error, tier or no tier)
+			// — and no later than that tuple, since it counts queued
+			// messages on top of stored bytes.
+			cfg.MemoryLimitBytes = limit
+			_, diedAt, err := evictionFixture(t, cfg, nil)
+			if !errors.Is(err, ErrMemoryLimit) {
+				t.Fatalf("MemoryLimitBytes survived the %d-byte budget (err=%v) — scenario too weak", limit, err)
 			}
-			cfg.StatePolicy = EvictOldestEpoch
-			limit := cfg.StateLimitBytes
-			eng, err := evictionFixture(t, cfg)
+			if overAt < 0 || diedAt > overAt {
+				t.Errorf("MemoryLimitBytes died at tuple %d, stored bytes alone exceed it after tuple %d", diedAt, overAt)
+			}
+			t.Logf("MemoryLimitBytes=%d died at tuple %d; stored bytes exceed it after tuple %d", limit, diedAt, overAt)
+			cfg.MemoryLimitBytes, cfg.StateLimitBytes = 0, limit
+			eng, _, err := evictionFixture(t, cfg, nil)
 			if err != nil {
-				t.Fatalf("EvictOldestEpoch died: %v", err)
+				t.Fatalf("StateLimitBytes failed the engine: %v", err)
 			}
 			m := eng.Metrics().Snapshot()
 			if row.hot > 0 {

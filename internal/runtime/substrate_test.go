@@ -2,10 +2,11 @@ package runtime
 
 // Substrate-independence and flow-control tests (DESIGN.md §3, §8).
 // The sequence condition makes the result multiset independent of the
-// execution substrate; these tests prove it on all three, and cover the
-// flow substrate's overload behaviour: bounded queueing, graceful
-// degradation (block and shed), and the pressure gauges feeding the
-// adaptive controller.
+// execution substrate; these tests prove it on the synchronous and the
+// flow substrate, and cover the flow substrate's overload behaviour:
+// bounded queueing, graceful degradation (block and shed), buffering
+// to death under a grant the run cannot exhaust, and the pressure
+// gauges.
 
 import (
 	"errors"
@@ -17,18 +18,16 @@ import (
 
 	"clash/internal/core"
 	"clash/internal/query"
-	"clash/internal/stats"
-	"clash/internal/topology"
 	"clash/internal/tuple"
 )
 
-// substrateMatrix lists the three substrates under their deterministic
-// configuration: the asynchronous ones run in StepMode so multi-hop
-// feeding chains settle between tuples (exactness; DESIGN.md §3).
+// substrateMatrix lists the wall-clock substrates under their
+// deterministic configuration: the asynchronous one runs in StepMode so
+// multi-hop feeding chains settle between tuples (exactness; DESIGN.md
+// §3).
 func substrateMatrix() map[string]Config {
 	return map[string]Config{
 		"synchronous": {Synchronous: true},
-		"unbounded":   {Substrate: SubstrateUnbounded, StepMode: true},
 		"flow":        {Substrate: SubstrateFlow, StepMode: true, Flow: FlowConfig{MailboxCredits: 32}},
 	}
 }
@@ -54,7 +53,7 @@ func TestSubstrateOracleEquivalence(t *testing.T) {
 }
 
 // TestSubstrateResultEquivalence asserts byte-identical result
-// multisets across all three substrates on a windowed MIR-bearing plan.
+// multisets across the substrates on a windowed MIR-bearing plan.
 func TestSubstrateResultEquivalence(t *testing.T) {
 	est := flatEstimates([]string{"R", "S", "T"}, 100)
 	est.SetSelectivity(query.Predicate{
@@ -142,17 +141,26 @@ func driveOverload(eng *Engine, cat *query.Catalog, n int, window tuple.Time) (p
 	return peakQueued, nil
 }
 
-// TestFlowBoundsQueueingUnderOverload: the same overload stream on the
-// unbounded substrate accumulates a deep backlog, while the flow
-// substrate's admission gate keeps the queue near the credit bound.
+// unexhaustible is a per-task credit grant no test stream can use up:
+// admission never gates, so overloaded workers buffer without bound —
+// the paper's Fig. 8a configuration of the flow substrate.
+const unexhaustible = 1 << 30
+
+// TestFlowBoundsQueueingUnderOverload: the same overload stream under an
+// unexhaustible credit grant accumulates a deep backlog, while a small
+// grant's admission gate keeps the queue near the credit bound.
 func TestFlowBoundsQueueingUnderOverload(t *testing.T) {
 	const loops = 20000
-	unb, cat := overloadFixture(t, Config{OverheadLoops: loops})
+	unb, cat := overloadFixture(t, Config{
+		OverheadLoops: loops,
+		Substrate:     SubstrateFlow,
+		Flow:          FlowConfig{MailboxCredits: unexhaustible},
+	})
 	peakUnbounded, err := driveOverload(unb, cat, 3000, 0)
 	unb.Drain()
 	unb.Stop()
 	if err != nil {
-		t.Fatalf("unbounded run failed: %v", err)
+		t.Fatalf("unexhaustible-grant run failed: %v", err)
 	}
 
 	flw, cat := overloadFixture(t, Config{
@@ -168,16 +176,17 @@ func TestFlowBoundsQueueingUnderOverload(t *testing.T) {
 	}
 
 	if peakUnbounded < 4*peakFlow || peakUnbounded < 100 {
-		t.Errorf("flow control did not bound queueing: unbounded peak %d vs flow peak %d",
+		t.Errorf("flow control did not bound queueing: unexhaustible-grant peak %d vs 16-credit peak %d",
 			peakUnbounded, peakFlow)
 	}
-	t.Logf("peak queued messages: unbounded=%d flow=%d", peakUnbounded, peakFlow)
+	t.Logf("peak queued messages: unexhaustible grant=%d 16 credits=%d", peakUnbounded, peakFlow)
 }
 
 // TestFlowSurvivesWhereUnboundedDies is the overload-survival core: a
-// memory budget the unbounded substrate's buffering must blow through
-// (Fig. 8a death) while credit-based backpressure stays within it —
-// and, under BlockOnOverload, without losing a single result.
+// memory budget that buffering under an unexhaustible credit grant must
+// blow through (Fig. 8a death) while a small grant's backpressure stays
+// within it — and, under BlockOnOverload, without losing a single
+// result.
 func TestFlowSurvivesWhereUnboundedDies(t *testing.T) {
 	const (
 		loops  = 50000
@@ -201,11 +210,13 @@ func TestFlowSurvivesWhereUnboundedDies(t *testing.T) {
 		OverheadLoops:    loops,
 		DefaultWindow:    time.Duration(window),
 		MemoryLimitBytes: budget,
+		Substrate:        SubstrateFlow,
+		Flow:             FlowConfig{MailboxCredits: unexhaustible},
 	})
 	_, err := driveOverload(unb, cat, n, window)
 	unb.Stop()
 	if !errors.Is(err, ErrMemoryLimit) {
-		t.Fatalf("unbounded substrate survived the %d-byte budget (err=%v) — overload scenario too weak", budget, err)
+		t.Fatalf("unexhaustible grant survived the %d-byte budget (err=%v) — overload scenario too weak", budget, err)
 	}
 
 	flw, cat := overloadFixture(t, Config{
@@ -333,9 +344,9 @@ func TestFlowStopWhileBlocked(t *testing.T) {
 // Ingest runs on a dispatch goroutine. On the flow substrate it must
 // get elastic credit instead of blocking on repayments only its own
 // unfinished batch can make (the one-worker one-credit configuration
-// deadlocks otherwise), and on any asynchronous substrate a StepMode
-// feedback ingest must skip the per-tuple drain — the message being
-// handled keeps inflight nonzero, so the drain could never settle.
+// deadlocks otherwise), and a StepMode feedback ingest must skip the
+// per-tuple drain — the message being handled keeps inflight nonzero,
+// so the drain could never settle.
 func TestReentrantSinkIngest(t *testing.T) {
 	configs := map[string]Config{
 		"flow": {Substrate: SubstrateFlow,
@@ -344,7 +355,6 @@ func TestReentrantSinkIngest(t *testing.T) {
 			Flow: FlowConfig{MailboxCredits: 1, Workers: 1}},
 		"flow-shed": {Substrate: SubstrateFlow,
 			Flow: FlowConfig{MailboxCredits: 1, Workers: 1, Policy: ShedOnOverload}},
-		"unbounded-step": {Substrate: SubstrateUnbounded, StepMode: true},
 	}
 	for name, cfg := range configs {
 		t.Run(name, func(t *testing.T) {
@@ -449,67 +459,4 @@ func TestPressureGauges(t *testing.T) {
 		t.Errorf("shed %d tuples in an un-overloaded run", p.ShedTuples)
 	}
 	h.eng.Stop()
-}
-
-// TestControllerPressureFeedback: an overload reading crossing the
-// threshold inflates the rate estimates of the relations feeding the
-// deepest store, so the next optimization prices the real demand.
-func TestControllerPressureFeedback(t *testing.T) {
-	qs, cat, err := query.ParseWorkload("q1: R(a) S(a)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := New(Config{Catalog: cat, Substrate: SubstrateFlow})
-	defer eng.Stop()
-	est := flatEstimates([]string{"R", "S"}, 100)
-	ctl, err := NewController(eng, ControllerConfig{
-		Optimizer:          core.NewOptimizer(core.Options{StoreParallelism: 2}),
-		Collector:          stats.NewCollector(64, 32, 1),
-		Shared:             true,
-		PressureQueueDepth: 100,
-	}, qs, est)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Find the store materializing R in the installed topology.
-	topo := eng.ConfigFor(0)
-	var rStore topology.StoreID
-	for _, id := range topo.StoreIDs() {
-		for _, rel := range topo.Stores[id].Rels {
-			if rel == "R" {
-				rStore = id
-			}
-		}
-	}
-	if rStore == "" {
-		t.Fatal("no store materializes R")
-	}
-	before := ctl.Estimates().Rate("R")
-	fresh := flatEstimates([]string{"R", "S"}, 100) // the epoch's measured rates
-
-	ctl.mu.Lock()
-	// Below threshold: no event, no inflation.
-	ctl.applyPressureLocked(Pressure{MaxQueueDepth: 50, MaxQueueStore: rStore}, fresh)
-	// Above threshold: the deepest store's relations inflate.
-	ctl.applyPressureLocked(Pressure{MaxQueueDepth: 500, MaxQueueStore: rStore}, fresh)
-	ctl.mu.Unlock()
-
-	if got := ctl.OverloadEvents(); got != 1 {
-		t.Errorf("overload events = %d, want 1", got)
-	}
-	after := ctl.Estimates().Rate("R")
-	if after <= before {
-		t.Errorf("pressure did not inflate R's rate estimate: %v -> %v", before, after)
-	}
-
-	// Sustained overload must saturate at 8x the measured rate, not
-	// compound across ticks.
-	ctl.mu.Lock()
-	for i := 0; i < 10; i++ {
-		ctl.applyPressureLocked(Pressure{MaxQueueDepth: 5000, MaxQueueStore: rStore}, fresh)
-	}
-	ctl.mu.Unlock()
-	if got := ctl.Estimates().Rate("R"); got > 8*100+0.01 {
-		t.Errorf("inflation compounded past the 8x-of-measured cap: %v", got)
-	}
 }

@@ -28,9 +28,9 @@ import (
 )
 
 // ErrTaskFailed is reported (wrapped, identifying the task) when a task
-// exhausts its restart budget — the supervisor's analogue of the
-// EvictFail hard-error policy: fail loudly rather than loop forever on
-// a poison message.
+// exhausts its restart budget — the supervisor's analogue of
+// ErrMemoryLimit: fail loudly rather than loop forever on a poison
+// message.
 var ErrTaskFailed = errors.New("runtime: task failed")
 
 // errInjectedPanic is the payload of supervisor-test and sim-fault

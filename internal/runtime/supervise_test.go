@@ -166,19 +166,19 @@ func TestSupervisorDisabledFailsOnFirstPanic(t *testing.T) {
 func TestStopIdempotentAndConcurrent(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		sub     SubstrateKind
+		credits int // flow grant; 1<<30 never gates the racing producer
 		backend StateBackendKind
 		hot     int64
 	}{
-		{name: "unbounded", sub: SubstrateUnbounded},
-		{name: "flow", sub: SubstrateFlow},
-		{name: "tiered", sub: SubstrateUnbounded, backend: BackendColumnar, hot: 4 << 10},
+		{name: "unbounded", credits: 1 << 30},
+		{name: "flow", credits: 64},
+		{name: "tiered", credits: 1 << 30, backend: BackendColumnar, hot: 4 << 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			workload := "q1: R(a) S(a,b) T(b)"
 			opts := core.Options{StoreParallelism: 2}
 			est := flatEstimates([]string{"R", "S", "T"}, 100)
-			cfg := Config{Substrate: tc.sub, Flow: FlowConfig{MailboxCredits: 64},
+			cfg := Config{Substrate: SubstrateFlow, Flow: FlowConfig{MailboxCredits: tc.credits},
 				StateBackend: tc.backend, StateHotBytes: tc.hot}
 			if tc.hot > 0 {
 				cfg.EpochLength = 48

@@ -16,9 +16,9 @@ const (
 
 // task is one partition worker of a store: it applies the epoch's
 // compiled ruleset to each delivered message (Alg. 3/4). Which
-// goroutine runs it is the substrate's decision (flow.go): a dedicated
-// goroutine (unbounded), a shared pool worker (flow), or the ingesting
-// goroutine itself (synchronous). At most one goroutine executes a
+// goroutine runs it is the substrate's decision (flow.go): a shared pool
+// worker (flow), the seeded scheduler (sim), or the ingesting goroutine
+// itself (synchronous). At most one goroutine executes a
 // task at a time on every substrate, so all non-atomic task state is
 // effectively single-threaded.
 type task struct {
@@ -296,16 +296,12 @@ func (t *task) insert(tp *tuple.Tuple, seq uint64) {
 	if t.tier != nil && bytes > t.e.cfg.StateHotBytes {
 		bytes = t.demoteToBudget(bytes)
 	}
-	// Bounded-memory policy layer: the state budget is enforced against
-	// real resident state (payload + structure + index overhead).
-	// EvictOldestEpoch sheds whole epochs from this task instead of
-	// killing the engine; other tasks shed on their own next insert.
+	// Bounded-memory layer: the state budget is enforced against real
+	// resident state (payload + structure + index overhead) by shedding
+	// whole epochs from this task; other tasks shed on their own next
+	// insert. Only the memory budget fails the engine.
 	if lim := t.e.cfg.StateLimitBytes; lim > 0 && bytes > lim {
-		if t.e.cfg.StatePolicy == EvictOldestEpoch {
-			bytes = t.evictToLimit(lim)
-		} else {
-			t.e.fail(ErrMemoryLimit)
-		}
+		bytes = t.evictToLimit(lim)
 	}
 	if lim := t.e.cfg.MemoryLimitBytes; lim > 0 && bytes > lim {
 		t.e.fail(ErrMemoryLimit)
@@ -386,7 +382,7 @@ func (t *task) maintainTier() {
 	if bytes > t.e.cfg.StateHotBytes {
 		bytes = t.demoteToBudget(bytes)
 	}
-	if lim := t.e.cfg.StateLimitBytes; lim > 0 && bytes > lim && t.e.cfg.StatePolicy == EvictOldestEpoch {
+	if lim := t.e.cfg.StateLimitBytes; lim > 0 && bytes > lim {
 		t.evictToLimit(lim)
 	}
 }
