@@ -58,12 +58,12 @@ func decodeCkptRecord(b []byte) (*runtime.StateRecord, error) {
 func fingerprint(s *runtime.Segment) uint64 {
 	h := fnv.New64a()
 	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(len(s.Tuples)))
+	n := binary.PutUvarint(buf[:], uint64(s.Len()))
 	h.Write(buf[:n])
-	for i, tp := range s.Tuples {
-		n = binary.PutUvarint(buf[:], s.Seqs[i])
+	for i, seq := range s.Seqs {
+		n = binary.PutUvarint(buf[:], seq)
 		h.Write(buf[:n])
-		n = binary.PutVarint(buf[:], int64(tp.TS))
+		n = binary.PutVarint(buf[:], int64(s.TS(i)))
 		h.Write(buf[:n])
 	}
 	return h.Sum64()

@@ -174,7 +174,7 @@ func (m *Manager) Checkpoint() error {
 	// the walk's completion and this anchor read.
 	rec := runtime.StateRecord{Anchor: m.walPos, Seq: eng.Seq(), Watermark: int64(eng.Watermark()), Pins: eng.Pins()}
 	for i := range segs {
-		if len(segs[i].Tuples) == 0 {
+		if segs[i].Len() == 0 {
 			// Dirty but empty: the segment vanished (prune/evict) —
 			// a tombstone if the chain ever emitted it.
 			if _, live := m.lastFPs[segs[i].Key]; live {

@@ -158,7 +158,7 @@ func Recover(st Storage, eng *runtime.Engine, cfg Config) (*Manager, *Stats, err
 			return nil, nil, fmt.Errorf("recovery: loading segment %s: %w", sg.Key, err)
 		}
 		loaded++
-		stats.RestoredTuples += len(sg.Tuples)
+		stats.RestoredTuples += sg.Len()
 		lastFPs[sg.Key] = fingerprint(sg)
 	}
 	if len(stale) > 0 && loaded == 0 {

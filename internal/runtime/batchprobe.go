@@ -194,32 +194,41 @@ func (pb *probeBatch) visit(en *tuple.Tuple, seq uint64) {
 
 // evalRows is the columnar backend's tight candidate loop: the rows of
 // one segment's selection vector (already seq-filtered), evaluated for
-// probe i with every per-probe load hoisted out of the loop. Appends to
-// the flat result log in row order — the chain's insertion order.
+// probe i with every per-probe load hoisted out of the loop. Predicates
+// and window checks read the row's cells off the columns, beside the
+// row id; only a row that passes both becomes part of a tuple, the join
+// result carved from the task's arena. Appends to the flat result log in
+// row order — the chain's insertion order.
 func (pb *probeBatch) evalRows(i int, s *colSegment, sel []int32) {
 	t, rp, st := pb.t, pb.rp, pb.st
 	probe, ppos := pb.probes[i], pb.ppos[i]
+	pts := int64(probe.TS)
 	idx := int32(i)
-	var lastSch *tuple.Schema
+	last := -1
+	var sc *tuple.Schema
 	var sh *storedShape
 	for _, row := range sel {
-		en := s.tups[row]
-		if en.Schema != lastSch {
-			lastSch = en.Schema
-			sh = st.storedShapeFor(lastSch, rp, t.tauNames)
+		if o := int(s.sch[row]); o != last {
+			last, sc = o, s.schemas[o]
+			sh = st.storedShapeFor(sc, rp, t.tauNames)
 		}
 		match := true
 		for k := 0; k < len(ppos); k++ {
 			sp := sh.predPos[k]
-			if sp < 0 || en.At(sp) != probe.At(ppos[k]) {
+			if sp < 0 || !s.cols[sp].eq(row, probe.At(ppos[k])) {
 				match = false
 				break
 			}
 		}
-		if !match || !t.windowOK(probe, en, sh) {
+		for w := 0; match && w < len(t.wins); w++ {
+			// windowOK on the row's τ cells (Int payloads).
+			pos := sh.tauPos[w]
+			match = pos < 0 || pts-s.cols[pos].nums[row] <= t.wins[w].w
+		}
+		if !match {
 			continue
 		}
-		pb.resTups = append(pb.resTups, t.join(probe, en))
+		pb.resTups = append(pb.resTups, t.joinRow(probe, s, row, sc))
 		pb.resIdx = append(pb.resIdx, idx)
 	}
 }

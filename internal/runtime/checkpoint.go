@@ -142,7 +142,9 @@ func (e *Engine) Seq() uint64 { return e.seq.Load() }
 // Segments walks the materialized state of a quiesced engine into
 // segments, in the one deterministic order every serializer relies on:
 // tasks by store then partition, epochs ascending, storage order within
-// an epoch — the same on every backend. With dirtyOnly the walk covers
+// an epoch — the same on every backend. A columnar task's segments read
+// its columns in place (no tuple per row; see Segment): encode them
+// before the engine next changes state. With dirtyOnly the walk covers
 // just the epochs marked dirty since the last ClearDirty, including
 // those now empty (a prune or eviction emptied them; the incremental
 // checkpointer tombstones those), so a checkpoint's cost follows the
@@ -172,19 +174,11 @@ func (e *Engine) Segments(dirtyOnly bool) ([]Segment, error) {
 			eps = slices.Sorted(maps.Keys(t.dirtyEpochs))
 		}
 		for _, ep := range eps {
-			n := t.state.epochLen(ep)
-			if n == 0 && !dirtyOnly {
+			if !dirtyOnly && t.state.epochLen(ep) == 0 {
 				continue
 			}
-			sg := Segment{
-				Key:    SegKey{Store: k.store, Part: k.part, Epoch: ep},
-				Tuples: make([]*tuple.Tuple, 0, n),
-				Seqs:   make([]uint64, 0, n),
-			}
-			t.state.forEach(ep, func(tp *tuple.Tuple, seq uint64) {
-				sg.Tuples = append(sg.Tuples, tp)
-				sg.Seqs = append(sg.Seqs, seq)
-			})
+			sg := t.state.segment(ep)
+			sg.Key = SegKey{Store: k.store, Part: k.part, Epoch: ep}
 			segs = append(segs, sg)
 		}
 	}

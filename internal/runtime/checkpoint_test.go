@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"clash/internal/core"
+	"clash/internal/query"
 	"clash/internal/tuple"
 )
 
@@ -69,18 +70,23 @@ func TestCheckpointResumeMatchesOracle(t *testing.T) {
 // TestCheckpointCrossBackendRoundTrip: the snapshot format is
 // backend-agnostic — state checkpointed on one backend restores onto
 // any other (all six directions across the container/columnar/tiered
-// rows of the state matrix), and the resumed run still matches the
-// oracle of the full stream. Engines fed identically also produce
-// byte-identical snapshots regardless of backend — including a columnar
-// engine whose hot budget has spilled epochs to disk, whose checkpoint
-// must decode them transparently.
+// rows of the state matrix), a snapshot of the restored engine is
+// byte-identical to the one it was restored from, and the resumed run
+// still matches the oracle of the full stream. Engines fed identically
+// also produce byte-identical snapshots regardless of backend —
+// including a columnar engine whose hot budget has spilled epochs to
+// disk, whose checkpoint must decode them transparently. The stream is
+// mixedStream's, over a plan that stores S⋈T rows of two schemas in one
+// store, so the bytes cover every kind a column must keep exact.
 func TestCheckpointCrossBackendRoundTrip(t *testing.T) {
+	const epochLen = 48
 	workload := "q1: R(a) S(a,b) T(b)"
 	opts := core.Options{StoreParallelism: 3}
 	est := flatEstimates([]string{"R", "S", "T"}, 100)
+	est.SetSelectivity(query.Predicate{Left: query.Attr{Rel: "R", Name: "a"}, Right: query.Attr{Rel: "S", Name: "a"}}, 0.5)
 	kinds := backendKinds()
 	cfgFor := func(k stateRow) Config {
-		return k.apply(Config{Synchronous: true, EpochLength: 48})
+		return k.apply(Config{Synchronous: true, EpochLength: epochLen})
 	}
 
 	// Byte-identical snapshots across backends on the full stream.
@@ -89,9 +95,12 @@ func TestCheckpointCrossBackendRoundTrip(t *testing.T) {
 	for _, k := range kinds {
 		h := newHarness(t, workload, opts, est, cfgFor(k))
 		if full == nil {
-			full = randomStream(h.cat, 240, 5, 23)
+			full = mixedStream(h.cat, 240, epochLen, 23)
 		}
 		h.ingestAll(t, full)
+		if k.name == "columnar" {
+			checkMixedColumns(t, h.eng)
+		}
 		if k.hot > 0 {
 			if d := h.eng.Metrics().Snapshot().DemotedEpochs; d == 0 {
 				t.Fatal("tiered row demoted nothing — cross-backend checkpoint test vacuous for cold state")
@@ -119,7 +128,7 @@ func TestCheckpointCrossBackendRoundTrip(t *testing.T) {
 			}
 			t.Run(src.name+"-to-"+dst.name, func(t *testing.T) {
 				h1 := newHarness(t, workload, opts, est, cfgFor(src))
-				ins := randomStream(h1.cat, 240, 5, 23)
+				ins := mixedStream(h1.cat, 240, epochLen, 23)
 				half := len(ins) / 2
 				h1.ingestAll(t, ins[:half])
 				var snap bytes.Buffer
@@ -137,6 +146,13 @@ func TestCheckpointCrossBackendRoundTrip(t *testing.T) {
 				m := h2.eng.Metrics().Snapshot()
 				if m.Stored != preStored {
 					t.Errorf("restored stored count = %d, want %d", m.Stored, preStored)
+				}
+				var again bytes.Buffer
+				if err := h2.eng.Checkpoint(&again); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(again.Bytes(), snap.Bytes()) {
+					t.Errorf("snapshot of the restored engine differs from the one restored (%d vs %d bytes)", again.Len(), snap.Len())
 				}
 				if m.StoreBytes <= 0 {
 					t.Errorf("restored state accounts %d bytes", m.StoreBytes)
@@ -257,4 +273,38 @@ func TestCheckpointPreservesWindowSemantics(t *testing.T) {
 	if got := h2.sinks["q1"].Count(); got != 1 {
 		t.Errorf("results after restore = %d, want 1 (window must still apply)", got)
 	}
+}
+
+// TestCheckpointWalkAllocs pins an incremental checkpoint's walk and
+// encode on a columnar engine to its segments, not its rows:
+// Engine.Segments reads each dirty epoch's columns in place and
+// AppendStateRecord encodes straight from them, so no tuple is built per
+// checkpointed row. A walk that materialized its rows would allocate at
+// least one object per row — dozens per segment here.
+func TestCheckpointWalkAllocs(t *testing.T) {
+	h := newHarness(t, "q1: R(a) S(a)", core.Options{StoreParallelism: 2},
+		flatEstimates([]string{"R", "S"}, 100),
+		Config{Synchronous: true, StateBackend: BackendColumnar, EpochLength: 2048})
+	defer h.eng.Stop()
+	h.ingestAll(t, randomStream(h.cat, 4000, 50, 5))
+	segs, err := h.eng.Segments(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for i := range segs {
+		rows += segs[i].Len()
+	}
+	if rows < 40*len(segs) {
+		t.Fatalf("%d rows in %d segments: too few rows per segment to tell rows from segments", rows, len(segs))
+	}
+	buf := AppendStateRecord(nil, &StateRecord{Segs: segs})
+	avg := testing.AllocsPerRun(20, func() {
+		segs, _ := h.eng.Segments(true)
+		buf = AppendStateRecord(buf[:0], &StateRecord{Segs: segs})
+	})
+	if budget := float64(3*len(segs) + 16); avg > budget {
+		t.Errorf("dirty walk + record encode of %d segments (%d rows) allocates %.0f objects, want ≤ %.0f", len(segs), rows, avg, budget)
+	}
+	t.Logf("%d segments, %d rows: %.0f allocations per walk and encode", len(segs), rows, avg)
 }

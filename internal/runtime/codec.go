@@ -131,8 +131,15 @@ func (st *schemaTable) id(s *tuple.Schema) int {
 	return id
 }
 
-func (st *schemaTable) add(tps []*tuple.Tuple) {
-	for _, tp := range tps {
+// add numbers the schemas of the segment's rows, in row order.
+func (st *schemaTable) add(sg *Segment) {
+	if s := sg.cols; s != nil {
+		for _, o := range s.sch[:sg.Len()] {
+			st.id(s.schemas[o])
+		}
+		return
+	}
+	for _, tp := range sg.Tuples {
 		st.id(tp.Schema)
 	}
 }
@@ -145,13 +152,28 @@ func (st *schemaTable) appendTo(buf []byte) []byte {
 	return buf
 }
 
-// appendEntries encodes tuples with their sequence numbers in the given
-// (storage) order; every schema must already be in the table.
-func appendEntries(buf []byte, st *schemaTable, tps []*tuple.Tuple, seqs []uint64) []byte {
-	for i, tp := range tps {
-		buf = binary.AppendUvarint(buf, uint64(st.id(tp.Schema)))
-		buf = binary.AppendUvarint(buf, seqs[i])
-		buf = tuple.AppendTuple(buf, tp)
+// appendEntries encodes the segment's rows with their sequence numbers
+// in storage order; every schema must already be in the table. A
+// segment read off columns is encoded straight from its cells, value by
+// value in the tuple codec's grammar — the bytes AppendTuple writes for
+// the row's tuple, without building it.
+func appendEntries(buf []byte, st *schemaTable, sg *Segment) []byte {
+	s := sg.cols
+	for i, seq := range sg.Seqs {
+		if s == nil {
+			tp := sg.Tuples[i]
+			buf = binary.AppendUvarint(buf, uint64(st.id(tp.Schema)))
+			buf = binary.AppendUvarint(buf, seq)
+			buf = tuple.AppendTuple(buf, tp)
+			continue
+		}
+		sc := s.schemas[s.sch[i]]
+		buf = binary.AppendUvarint(buf, uint64(st.id(sc)))
+		buf = binary.AppendUvarint(buf, seq)
+		buf = binary.AppendVarint(buf, s.ts[i])
+		for p := range sc.Len() {
+			buf = tuple.AppendValue(buf, s.cols[p].value(i))
+		}
 	}
 	return buf
 }
@@ -170,12 +192,36 @@ func (k SegKey) Compare(o SegKey) int {
 	return cmp.Or(cmp.Compare(k.Store, o.Store), cmp.Compare(k.Part, o.Part), cmp.Compare(k.Epoch, o.Epoch))
 }
 
-// Segment is one task's epoch of state: its tuples and their arrival
-// sequence numbers, in backend storage order.
+// Segment is one task's epoch of state: its rows and their arrival
+// sequence numbers, in backend storage order. A decoded segment, or one
+// walked off the container oracle, holds its rows as Tuples. One walked
+// off the columnar store reads them in place from the epoch's columns —
+// Tuples is nil, Row builds a tuple on request, and the view is valid
+// until the engine next changes state.
 type Segment struct {
 	Key    SegKey
 	Tuples []*tuple.Tuple
 	Seqs   []uint64
+	cols   *colSegment
+}
+
+// Len is the segment's row count.
+func (s *Segment) Len() int { return len(s.Seqs) }
+
+// TS is row i's event time.
+func (s *Segment) TS(i int) tuple.Time {
+	if s.cols != nil {
+		return tuple.Time(s.cols.ts[i])
+	}
+	return s.Tuples[i].TS
+}
+
+// Row is row i as a tuple.
+func (s *Segment) Row(i int) *tuple.Tuple {
+	if s.cols != nil {
+		return s.cols.materialize(i)
+	}
+	return s.Tuples[i]
 }
 
 // StateRecord is the one state record: the engine's progress, its pin
@@ -225,7 +271,7 @@ func AppendStateRecord(buf []byte, r *StateRecord) []byte {
 	}
 	var tab schemaTable
 	for i := range r.Segs {
-		tab.add(r.Segs[i].Tuples)
+		tab.add(&r.Segs[i])
 	}
 	buf = tab.appendTo(buf)
 	buf = binary.AppendUvarint(buf, uint64(len(r.Drops)))
@@ -236,8 +282,8 @@ func AppendStateRecord(buf []byte, r *StateRecord) []byte {
 	for i := range r.Segs {
 		sg := &r.Segs[i]
 		buf = appendSegKey(buf, sg.Key)
-		buf = binary.AppendUvarint(buf, uint64(len(sg.Tuples)))
-		buf = appendEntries(buf, &tab, sg.Tuples, sg.Seqs)
+		buf = binary.AppendUvarint(buf, uint64(sg.Len()))
+		buf = appendEntries(buf, &tab, sg)
 	}
 	return buf
 }
@@ -282,18 +328,19 @@ func DecodeStateRecord(b []byte) (*StateRecord, error) {
 	return rec, nil
 }
 
-// appendSpill encodes one epoch for the spill tier: the epoch, its row
-// count, a schema table, and the entries in storage order — the order
-// every backend's forEach and probe chains are defined over, so a
-// demote/promote round trip is byte-invisible to probes, checkpoints,
-// and results.
+// appendSpill encodes one epoch for the spill tier, straight from its
+// columns: the epoch, its row count, a schema table, and the entries in
+// storage order — the order every backend's segment walk and probe
+// chains are defined over, so a demote/promote round trip is
+// byte-invisible to probes, checkpoints, and results.
 func appendSpill(buf []byte, s *colSegment) []byte {
+	sg := s.view()
 	var tab schemaTable
-	tab.add(s.tups)
+	tab.add(&sg)
 	buf = binary.AppendVarint(buf, s.epoch)
-	buf = binary.AppendUvarint(buf, uint64(len(s.tups)))
+	buf = binary.AppendUvarint(buf, uint64(sg.Len()))
 	buf = tab.appendTo(buf)
-	return appendEntries(buf, &tab, s.tups, s.seqs)
+	return appendEntries(buf, &tab, &sg)
 }
 
 // decodeSpill rebuilds a hot segment from a spill payload. Rows are
@@ -376,8 +423,17 @@ func (d *decoder) segKey() SegKey {
 	return SegKey{Store: topology.StoreID(store), Part: int(part), Epoch: d.varint("epoch")}
 }
 
+// maxSchemas bounds a decoded schema table at what a columnar segment's
+// 16-bit row ordinals can number, so decoded state loaded into one can
+// never overflow them.
+const maxSchemas = 1 << 16
+
 func (d *decoder) schemas() []*tuple.Schema {
 	n := d.count("schema count")
+	if n > maxSchemas {
+		d.fail("schema count %d beyond %d", n, maxSchemas)
+		return nil
+	}
 	out := make([]*tuple.Schema, 0, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		s, rest, err := tuple.DecodeSchema(d.b)

@@ -2,7 +2,7 @@ package runtime
 
 // Native fuzz target for the one decoder of materialized state: the
 // frame and the state record that snapshots, the checkpoint log and (by
-// its schema table and entry codec) the spill tier all share. Three
+// its schema table and entry codec) the spill tier all share. Four
 // properties on arbitrary bytes, read both as a record payload and as a
 // frame around one:
 //
@@ -12,17 +12,25 @@ package runtime
 //     constant multiple of the input, however large a count claims to be.
 //  3. Decode∘encode is byte-stable: a record that decodes re-encodes to
 //     bytes that decode and re-encode to themselves.
+//  4. Columns encode like the tuples they hold: the rows of a spill
+//     payload that decodes, and of every segment of a record that
+//     decodes, loaded into a columnar segment, re-encode through
+//     appendSpill — straight from the columns — to exactly the bytes the
+//     same tuples encode to through the tuple codec.
 //
 // The seeds (here, and as files in testdata/fuzz/FuzzStateRecord) are a
 // valid framed record with pins, a drop and two schemas, then the same
 // kind of record with an inflated schema count, an inflated entry count,
-// a schema reference out of range, and a torn frame. CI runs a 30 s
+// a schema reference out of range, and a torn frame, and a framed spill
+// segment over two schemas whose cells hold every kind. CI runs a 30 s
 // fuzz smoke on every push.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	goruntime "runtime"
 	"strings"
 	"testing"
@@ -53,6 +61,32 @@ func fuzzSeedRecord() *StateRecord {
 	}
 }
 
+// fuzzSeedSpill is a spill segment whose cells cover the kinds and the
+// bit patterns a column must keep apart: Null against Int 0, both Bools,
+// −0.0 against +0.0, a NaN payload, empty and non-empty strings, a
+// String landing where only other kinds were, and two schemas.
+func fuzzSeedSpill() *colSegment {
+	r, rs := tuple.NewSchema("R.a", "R.τ"), tuple.NewSchema("R.a", "S.b", "R.τ", "S.τ")
+	nan := tuple.FloatValue(math.Float64frombits(0x7ff8_0000_0000_0abc))
+	s := newColSegment(3)
+	for i, vals := range [][]tuple.Value{
+		{tuple.IntValue(0)},
+		{tuple.NullValue()},
+		{tuple.BoolValue(false), tuple.BoolValue(true)},
+		{tuple.FloatValue(math.Copysign(0, -1)), tuple.FloatValue(0)},
+		{nan},
+		{tuple.StringValue(""), tuple.StringValue("x")},
+	} {
+		ts := tuple.IntValue(int64(i + 1))
+		if len(vals) == 1 {
+			s.add(tuple.New(r, tuple.Time(i+1), vals[0], ts), uint64(i+1))
+		} else {
+			s.add(tuple.New(rs, tuple.Time(i+1), vals[0], vals[1], ts, ts), uint64(i+1))
+		}
+	}
+	return s
+}
+
 // fuzzSeeds returns the named seed inputs, each a frame.
 func fuzzSeeds() map[string][]byte {
 	valid := AppendStateRecord(nil, fuzzSeedRecord())
@@ -80,6 +114,7 @@ func fuzzSeeds() map[string][]byte {
 		"seed_inflated_entries": AppendFrame(nil, inflatedEntries),
 		"seed_schema_ref":       AppendFrame(nil, badRef),
 		"seed_torn_frame":       framed[:len(framed)/2],
+		"seed_spill":            AppendFrame(nil, appendSpill(nil, fuzzSeedSpill())),
 	}
 }
 
@@ -89,8 +124,10 @@ func FuzzStateRecord(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkStateRecord(t, data)
+		checkSpill(t, data)
 		if payload, err := wholeFrame(data); err == nil {
 			checkStateRecord(t, payload)
+			checkSpill(t, payload)
 		} else if !errors.Is(err, ErrCorruptSnapshot) {
 			t.Fatalf("frame error %v does not wrap ErrCorruptSnapshot", err)
 		}
@@ -124,9 +161,72 @@ func checkStateRecord(t *testing.T, payload []byte) {
 	if !bytes.Equal(AppendStateRecord(nil, rec2), enc) {
 		t.Fatal("decode∘encode is not byte-stable")
 	}
+	for i := range rec.Segs {
+		sg := &rec.Segs[i]
+		if err := columnsEncodeLikeTuples(sg.Key.Epoch, sg.Tuples, sg.Seqs); err != nil {
+			t.Fatalf("segment %s: %v", sg.Key, err)
+		}
+	}
 }
 
-// TestFuzzSeedsDecodeAsNamed: the valid seed round-trips exactly and
+// checkSpill asserts property 4 on one payload read as a spill segment:
+// the rows it decodes to, loaded into a columnar segment, re-encode
+// through appendSpill to the bytes their tuples encode to.
+func checkSpill(t *testing.T, payload []byte) {
+	t.Helper()
+	if _, err := decodeSpill(payload); err != nil {
+		if !errors.Is(err, ErrCorruptSnapshot) {
+			t.Fatalf("spill decode error %v does not wrap ErrCorruptSnapshot", err)
+		}
+		return
+	}
+	// The same rows again, as tuples, through the spill grammar's decoder.
+	d := &decoder{b: payload}
+	epoch := d.varint("spill epoch")
+	n := d.count("spill entry count")
+	var tps []*tuple.Tuple
+	var seqs []uint64
+	d.entries(d.schemas(), n, func(tp *tuple.Tuple, seq uint64) {
+		tps = append(tps, tp)
+		seqs = append(seqs, seq)
+	})
+	if err := d.done(); err != nil {
+		t.Fatalf("decodeSpill accepted what its grammar rejects: %v", err)
+	}
+	if err := columnsEncodeLikeTuples(epoch, tps, seqs); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// columnsEncodeLikeTuples loads the rows into a columnar segment of the
+// epoch and compares appendSpill's bytes with the tuple codec's encoding
+// of the same rows in the spill grammar; the latter must decode back to
+// a segment that re-encodes to itself.
+func columnsEncodeLikeTuples(epoch int64, tps []*tuple.Tuple, seqs []uint64) error {
+	s := newColSegment(epoch)
+	for i, tp := range tps {
+		s.add(tp, seqs[i])
+	}
+	sg := Segment{Tuples: tps, Seqs: seqs}
+	var tab schemaTable
+	tab.add(&sg)
+	want := binary.AppendVarint(nil, epoch)
+	want = binary.AppendUvarint(want, uint64(len(tps)))
+	want = appendEntries(tab.appendTo(want), &tab, &sg)
+	if got := appendSpill(nil, s); !bytes.Equal(got, want) {
+		return fmt.Errorf("columns encode to %x, their tuples to %x", got, want)
+	}
+	back, err := decodeSpill(want)
+	if err != nil {
+		return fmt.Errorf("the tuples' spill encoding does not decode: %v", err)
+	}
+	if got := appendSpill(nil, back); !bytes.Equal(got, want) {
+		return fmt.Errorf("spill decode∘encode is not byte-stable: %x, then %x", want, got)
+	}
+	return nil
+}
+
+// TestFuzzSeedsDecodeAsNamed: the valid seeds round-trip exactly and
 // each malformed seed is rejected for the reason its name gives — the
 // corpus exercises what it says it does.
 func TestFuzzSeedsDecodeAsNamed(t *testing.T) {
@@ -138,6 +238,16 @@ func TestFuzzSeedsDecodeAsNamed(t *testing.T) {
 	}
 	for name, seed := range fuzzSeeds() {
 		payload, err := wholeFrame(seed)
+		if name == "seed_spill" {
+			s, err := decodeSpill(payload)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !bytes.Equal(appendSpill(nil, s), payload) {
+				t.Errorf("%s: re-encoding differs from the original", name)
+			}
+			continue
+		}
 		var rec *StateRecord
 		if err == nil {
 			rec, err = DecodeStateRecord(payload)

@@ -3,19 +3,27 @@ package runtime
 // columnarState is the epoch-ring columnar state backend (DESIGN.md
 // §10). Where the container design keeps one []entry slice of
 // (tuple, seq) pairs per epoch, the columnar layout stores one segment
-// per epoch as flat parallel columns (tuple pointer, sequence number,
-// event time). Both hang the same index kernel off their rows: colIndex
-// (this file), an open-addressed uint64-hash table whose posting lists
-// are int32 chains threaded through a single flat array, keyed by ALL
-// stored attributes of the probing rule (plan.go's indexKey).
-// Consequences:
+// per epoch by value, as flat parallel columns: sequence number, event
+// time, a per-row ordinal into the segment's short schema list, and per
+// column position a kind column and an int64 payload column (Int, Float
+// bits, Bool) — plus a string column that exists only once a String
+// value lands at that position. No stored row is a pointer: the
+// collector traces the string columns alone, and a probe reads the cells
+// it compares beside the row id instead of chasing a *tuple.Tuple to its
+// values. A tuple is built only for a row that matched (carved from the
+// task's arena as part of the join result) and on the decode side
+// (restore, recovery, promotion, which insert tuples). Both backends
+// hang the same index kernel off their rows: colIndex (this file), an
+// open-addressed uint64-hash table whose posting lists are int32 chains
+// threaded through a single flat array, keyed by ALL stored attributes
+// of the probing rule (plan.go's indexKey). Consequences:
 //
-//   - insert appends to three columns and pushes one chain head per
-//     index: no map writes, no per-key slice growth;
+//   - insert appends one cell per column and pushes one chain head per
+//     index: no map writes, no per-key slice growth, no per-row object;
 //   - probe walks a chain of int32 row ids: the index is a candidate
 //     filter bucketed by the 64-bit hash of the whole key, and the
-//     probe's evaluation loop re-checks every predicate by value
-//     (state.go's index contract);
+//     probe's evaluation loop re-checks every predicate by value on the
+//     columns (state.go's index contract);
 //   - an epoch that holds nothing under the probe's key is dismissed
 //     from one word: every colIndex carries a blocked Bloom filter over
 //     exactly the hashes in its table (keyFilter), kept current by the
@@ -26,7 +34,13 @@ package runtime
 //     segments wholly inside the window via their min event time, and
 //     compacts only the boundary segment (in-epoch remap) with an
 //     index rebuild that reuses every backing array;
-//   - eviction (shedding at StateLimitBytes) is a ring pop.
+//   - eviction (shedding at StateLimitBytes) is a ring pop;
+//   - a hot segment whose rows leave memory (pruned, evicted or
+//     demoted) hands its column arrays to the task's next new segment,
+//     so steady-state inserts grow no columns;
+//   - the checkpoint walk and the spill tier encode a segment straight
+//     from its columns (codec.go), in the bytes its tuples would encode
+//     to.
 //
 // Iteration is deterministic: segments ascend by epoch, chains follow
 // insertion order within a segment (rows append at the chain tail) — a
@@ -44,16 +58,18 @@ package runtime
 
 import (
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"clash/internal/tuple"
 )
 
-// Structural cost estimates (bytes) for the columnar accounting.
+// Structural cost estimates (bytes) for the columnar accounting; column
+// arrays are charged by capacity, string bytes by length.
 const (
-	colSegBase = 128 // segment struct + column slice headers + index map
+	colSegBase = 192 // segment struct: slice headers of rows, schemas, columns and indices
+	colHeader  = 72  // one column struct: three slice headers
 	colIdxBase = 96  // colIndex struct + position cache
-	colRowCost = 24  // three column slots: *Tuple + uint64 + int64
 )
 
 // colHash hashes a value for the local indices. It only needs to be
@@ -185,17 +201,21 @@ func (ix *colIndex) find(h uint64) (slot int, ok, filtered bool) {
 	}
 }
 
-// addRow appends the row to its chain's tail — chains keep insertion
-// order on both backends, so probe-result order (and everything
-// downstream of it, including checkpoint bytes) is backend-independent.
-// The table grows at 3/4 load.
+// addRow links the tuple stored as the given row, or leaves the row out
+// of every chain when its schema lacks a key attribute.
 func (ix *colIndex) addRow(tp *tuple.Tuple, row int32) {
-	pos := ix.posFor(tp.Schema)
-	if pos == nil {
+	if pos := ix.posFor(tp.Schema); pos != nil {
+		ix.link(hashKey(tp, pos), row)
+	} else {
 		ix.next = append(ix.next, -1)
-		return
 	}
-	h := hashKey(tp, pos)
+}
+
+// link appends the row to the tail of hash h's chain — chains keep
+// insertion order on both backends, so probe-result order (and
+// everything downstream of it, including checkpoint bytes) is
+// backend-independent. The table grows at 3/4 load.
+func (ix *colIndex) link(h uint64, row int32) {
 	if 4*(ix.used+1) > 3*len(ix.heads) {
 		ix.grow()
 	}
@@ -298,20 +318,93 @@ func (xs indexSet) resident() int64 {
 	return b
 }
 
+// column is one column position of a segment's rows, by value: every
+// row's kind, its 64-bit payload (Value.Int: the Int, the Float bits,
+// Bool 0/1; zero for Null and String), and its string — strs is empty
+// until a String lands at this position, then exactly as long as the
+// other two. A row whose schema is narrower than the segment holds Null
+// at the positions it lacks.
+type column struct {
+	kinds []tuple.Kind
+	nums  []int64
+	strs  []string
+}
+
+func (c *column) bytes() int64 {
+	return int64(cap(c.kinds)) + int64(cap(c.nums))*8 + int64(cap(c.strs))*16
+}
+
+// reset empties the column to rows Null cells, keeping its arrays.
+func (c *column) reset(rows int) {
+	c.kinds = append(c.kinds[:0], make([]tuple.Kind, rows)...)
+	c.nums = append(c.nums[:0], make([]int64, rows)...)
+	c.strs = c.strs[:0]
+}
+
+// push appends one cell. The first String value creates the string
+// column, padded with "" for the rows before it.
+func (c *column) push(v tuple.Value) {
+	k := v.Kind()
+	if k == tuple.String || len(c.strs) != 0 {
+		for len(c.strs) < len(c.kinds) {
+			c.strs = append(c.strs, "")
+		}
+		c.strs = append(c.strs, v.Str())
+	}
+	c.kinds = append(c.kinds, k)
+	c.nums = append(c.nums, v.Int())
+}
+
+// value returns the row's cell — bit for bit the value that was pushed.
+func (c *column) value(row int) tuple.Value {
+	k := c.kinds[row]
+	if k == tuple.String {
+		return tuple.MakeValue(k, 0, c.strs[row])
+	}
+	return tuple.MakeValue(k, c.nums[row], "")
+}
+
+// eq reports value(row) == v without building the value.
+func (c *column) eq(row int32, v tuple.Value) bool {
+	k := c.kinds[row]
+	return k == v.Kind() && c.nums[row] == v.Int() && (k != tuple.String || c.strs[row] == v.Str())
+}
+
+// move copies row src's cell over row dst's (in-place compaction).
+func (c *column) move(dst, src int) {
+	c.kinds[dst], c.nums[dst] = c.kinds[src], c.nums[src]
+	if len(c.strs) != 0 {
+		c.strs[dst] = c.strs[src]
+	}
+}
+
+// truncate keeps the first n rows; dropped strings become collectable.
+func (c *column) truncate(n int) {
+	c.kinds, c.nums = c.kinds[:n], c.nums[:n]
+	if len(c.strs) != 0 {
+		clear(c.strs[n:])
+		c.strs = c.strs[:n]
+	}
+}
+
 // colSegment is one epoch's ring slot. Hot, it is the epoch's flat
-// storage: parallel columns plus the segment's local indices. Cold, the
+// storage: the row columns plus the segment's local indices. Cold, the
 // columns are empty and the rows live in the spill file behind stub;
 // epoch, minTS and maxTS stay resident either way, so window cuts
 // dismiss a cold slot exactly like a hot one.
 type colSegment struct {
-	epoch   int64
-	tups    []*tuple.Tuple
-	seqs    []uint64
-	ts      []int64 // event times, so prune never dereferences tuples
-	payload int64   // Σ tuple.MemSize
-	minTS   int64
-	maxTS   int64
-	indices indexSet
+	epoch int64
+	seqs  []uint64
+	ts    []int64  // event times (Tuple.TS), so prune reads no cell
+	sch   []uint16 // per row: its schema, as an index into schemas
+	// schemas are the distinct row schemas by attribute names, in order
+	// of first arrival; cols is as wide as the widest of them.
+	schemas  []*tuple.Schema
+	cols     []column
+	strBytes int64 // Σ length of the strings the columns hold
+	minTS    int64
+	maxTS    int64
+	indices  indexSet
 
 	// stub locates the epoch's frame in the spill file. It is set while
 	// the slot is cold, and stays on a promoted slot for as long as the
@@ -333,16 +426,21 @@ func (s *colSegment) rows() int {
 	if s.cold {
 		return s.stub.count
 	}
-	return len(s.tups)
+	return len(s.seqs)
 }
 
-// resident is the slot's in-memory footprint: a cold slot costs its
-// stub and filters, not its spilled payload.
+// resident is the slot's in-memory footprint: a hot slot costs its
+// arrays by capacity (including column arrays kept beyond its width),
+// its string bytes and its indices; a cold slot costs its stub and
+// filters, not its spilled payload.
 func (s *colSegment) resident() int64 {
 	if s.cold {
 		return coldStubBase + s.stub.filterBytes
 	}
-	b := colSegBase + s.payload + int64(cap(s.tups)+cap(s.seqs)+cap(s.ts))*8
+	b := colSegBase + int64(cap(s.seqs)+cap(s.ts)+cap(s.schemas))*8 + int64(cap(s.sch))*2 + s.strBytes
+	for _, c := range s.cols[:cap(s.cols)] {
+		b += colHeader + c.bytes()
+	}
 	return b + s.idxResident()
 }
 
@@ -353,9 +451,40 @@ func (s *colSegment) idxResident() int64 {
 	return s.indices.resident()
 }
 
+// ord returns the schema's row ordinal, listing it (and widening the
+// columns to it) on first sight. Schemas are told apart by attribute
+// names: joined tuples of one shape arrive under one *Schema per
+// producing task. An epoch holds at most maxSchemas of them — the
+// engine's stores hold a handful, and the decoders refuse larger tables.
+func (s *colSegment) ord(sc *tuple.Schema) uint16 {
+	for i, x := range s.schemas {
+		if x == sc {
+			return uint16(i)
+		}
+	}
+	for i, x := range s.schemas {
+		if slices.Equal(x.Names(), sc.Names()) {
+			return uint16(i)
+		}
+	}
+	if len(s.schemas) == maxSchemas {
+		panic("runtime: more distinct schemas in one epoch than a row ordinal holds")
+	}
+	s.schemas = append(s.schemas, sc)
+	for n := len(s.cols); n < sc.Len(); n++ {
+		if n < cap(s.cols) {
+			s.cols = s.cols[:n+1] // a recycled column: reuse its arrays
+		} else {
+			s.cols = append(s.cols, column{})
+		}
+		s.cols[n].reset(len(s.seqs))
+	}
+	return uint16(len(s.schemas) - 1)
+}
+
 func (s *colSegment) add(tp *tuple.Tuple, seq uint64) {
-	row := int32(len(s.tups))
-	s.tups = append(s.tups, tp)
+	row := int32(len(s.seqs))
+	s.sch = append(s.sch, s.ord(tp.Schema))
 	s.seqs = append(s.seqs, seq)
 	t := int64(tp.TS)
 	s.ts = append(s.ts, t)
@@ -365,8 +494,49 @@ func (s *colSegment) add(tp *tuple.Tuple, seq uint64) {
 	if t > s.maxTS {
 		s.maxTS = t
 	}
-	s.payload += int64(tp.MemSize())
+	for p := range s.cols {
+		var v tuple.Value // Null past the tuple's arity
+		if p < len(tp.Values) {
+			v = tp.Values[p]
+		}
+		s.cols[p].push(v)
+		s.strBytes += int64(len(v.Str()))
+	}
 	s.indices.addRow(tp, row)
+}
+
+// fill writes the row's cells into dst, one per column position from 0.
+func (s *colSegment) fill(row int, dst []tuple.Value) {
+	for p := range dst {
+		dst[p] = s.cols[p].value(row)
+	}
+}
+
+// materialize builds the row as a tuple of its own — the decode-side and
+// oracle paths; a probe carves a matched row into its join result
+// instead (task.joinRow).
+func (s *colSegment) materialize(row int) *tuple.Tuple {
+	sc := s.schemas[s.sch[row]]
+	vals := make([]tuple.Value, sc.Len())
+	s.fill(row, vals)
+	return &tuple.Tuple{Schema: sc, Values: vals, TS: tuple.Time(s.ts[row])}
+}
+
+// linkRows chains every row into the index in row order, hashing the
+// key cells off the columns exactly as hashKey hashes a tuple's.
+func (s *colSegment) linkRows(ix *colIndex) {
+	for row, o := range s.sch {
+		pos := ix.posFor(s.schemas[o])
+		if pos == nil {
+			ix.next = append(ix.next, -1)
+			continue
+		}
+		h := colHash(s.cols[pos[0]].value(row))
+		for _, p := range pos[1:] {
+			h = keyHash(h, colHash(s.cols[p].value(row)))
+		}
+		ix.link(h, int32(row))
+	}
 }
 
 // indexFor returns (building on first use) the index under the key.
@@ -375,27 +545,49 @@ func (s *colSegment) indexFor(key *indexKey) (ix *colIndex, built bool) {
 		return ix, false
 	}
 	ix = s.indices.add(key)
-	for row, tp := range s.tups {
-		ix.addRow(tp, int32(row))
-	}
+	s.linkRows(ix)
 	return ix, true
 }
 
-// scanBatch is the batch chain walk: for every probe of the vector
-// still in window reach of this segment (and admitted by bl, the cold
-// slot's key filter when the segment was read through from disk; nil
-// for a hot slot) it gathers the hit chain into a selection vector off
-// the flat seq column and hands the surviving rows to the batch's tight
-// concrete evaluation loop — no per-candidate interface dispatch. The
-// order of checks per probe is window cut, filter, table: a lookup a
-// filter spared — the stub's or the index's own — is counted in
-// pb.rejects and is neither a hit nor a miss. hits and misses count the
-// probes that reached the table by whether they found rows to evaluate.
-func (s *colSegment) scanBatch(key *indexKey, pb *probeBatch, bl keyFilter) (idxDelta, hits, misses int64) {
-	ix, built := s.indexFor(key)
-	if built {
-		idxDelta = ix.resident()
+// view is the segment as the checkpoint walk and the spill encoder read
+// it: its rows in place, valid until the segment next changes.
+func (s *colSegment) view() Segment {
+	n := len(s.seqs)
+	return Segment{Seqs: s.seqs[:n:n], cols: s}
+}
+
+// admitsAny reports whether any probe of the batch survives the slot's
+// window cut and key filter bl (nil: no filter) — if none does, the
+// batch skips the slot without a chain walk (or, cold, without touching
+// disk), and every lookup the filter answered is counted as spared (an
+// admitted slot's are counted by its scan).
+func (s *colSegment) admitsAny(pb *probeBatch, bl keyFilter) bool {
+	var spared int64
+	for i, h := range pb.hashes {
+		if s.maxTS < pb.cuts[i] {
+			continue
+		}
+		if bl == nil || bl.may(h) {
+			return true
+		}
+		spared++
 	}
+	pb.rejects += spared
+	return false
+}
+
+// scanBatch is the batch chain walk over the segment's index ix: for
+// every probe of the vector still in window reach of this segment (and
+// admitted by bl, the cold slot's key filter when the segment was read
+// through from disk; nil for a hot slot) it gathers the hit chain into a
+// selection vector off the flat seq column and hands the surviving rows
+// to the batch's tight concrete evaluation loop — no per-candidate
+// interface dispatch. The order of checks per probe is window cut,
+// filter, table: a lookup a filter spared — the stub's or the index's
+// own — is counted in pb.rejects and is neither a hit nor a miss. hits
+// and misses count the probes that reached the table by whether they
+// found rows to evaluate.
+func (s *colSegment) scanBatch(ix *colIndex, pb *probeBatch, bl keyFilter) (hits, misses int64) {
 	cuts := pb.cuts
 	for i, h := range pb.hashes {
 		if s.maxTS < cuts[i] {
@@ -432,46 +624,43 @@ func (s *colSegment) scanBatch(key *indexKey, pb *probeBatch, bl keyFilter) (idx
 		hits++
 		pb.evalRows(i, s, sel)
 	}
-	return idxDelta, hits, misses
+	return hits, misses
 }
 
-// compact drops rows with event time below the cutoff, rebuilding the
-// indices over the surviving rows with their arrays reused.
+// compact drops rows with event time below the cutoff, moving the
+// survivors down in every column and rebuilding the indices over them
+// with their arrays reused.
 func (s *colSegment) compact(cut int64) (removed int) {
 	kept := 0
 	minTS, maxTS := int64(^uint64(0)>>1), int64(-1)<<62
-	for i := 0; i < len(s.tups); i++ {
-		if s.ts[i] < cut {
-			s.payload -= int64(s.tups[i].MemSize())
+	for i, t := range s.ts {
+		if t < cut {
+			for p := range s.cols {
+				if c := &s.cols[p]; len(c.strs) != 0 {
+					s.strBytes -= int64(len(c.strs[i]))
+				}
+			}
 			continue
 		}
-		s.tups[kept] = s.tups[i]
-		s.seqs[kept] = s.seqs[i]
-		s.ts[kept] = s.ts[i]
-		if s.ts[kept] < minTS {
-			minTS = s.ts[kept]
+		s.seqs[kept], s.ts[kept], s.sch[kept] = s.seqs[i], t, s.sch[i]
+		for p := range s.cols {
+			s.cols[p].move(kept, i)
 		}
-		if s.ts[kept] > maxTS {
-			maxTS = s.ts[kept]
-		}
+		minTS, maxTS = min(minTS, t), max(maxTS, t)
 		kept++
 	}
-	removed = len(s.tups) - kept
+	removed = len(s.seqs) - kept
 	if removed == 0 {
 		return 0
 	}
-	for i := kept; i < len(s.tups); i++ {
-		s.tups[i] = nil // dropped tuples must be collectable
+	s.seqs, s.ts, s.sch = s.seqs[:kept], s.ts[:kept], s.sch[:kept]
+	for p := range s.cols {
+		s.cols[p].truncate(kept)
 	}
-	s.tups = s.tups[:kept]
-	s.seqs = s.seqs[:kept]
-	s.ts = s.ts[:kept]
 	s.minTS, s.maxTS = minTS, maxTS
 	for _, ix := range s.indices {
 		ix.reset()
-		for row, tp := range s.tups {
-			ix.addRow(tp, int32(row))
-		}
+		s.linkRows(ix)
 	}
 	return removed
 }
@@ -483,6 +672,10 @@ func (s *colSegment) compact(cut int64) (removed int) {
 // is atomic because the TaskGauges sampler reads it cross-goroutine.
 type columnarState struct {
 	ring epochRing[colSegment]
+	// spare holds the column arrays of the largest hot segment whose rows
+	// left memory (pruned, evicted or demoted) since the last new
+	// segment, which starts on them. Uncharged: no row lives in it.
+	spare colSegment
 
 	store   spillStore   // lazy: no file until the first demotion
 	spilled atomic.Int64 // live on-disk payload bytes of this task
@@ -513,10 +706,14 @@ func newColumnarState(spillDir string, m *Metrics, fail func(error)) *columnarSt
 }
 
 func (c *columnarState) insert(tp *tuple.Tuple, seq uint64, epoch int64) (delta, idxDelta int64) {
-	// A segment created by this insert is charged in full (before=0).
+	// A segment created by this insert is charged in full (before=0),
+	// recycled column capacity included.
 	var before, idxBefore int64
-	s, created := c.ring.at(epoch, newColSegment)
-	if !created {
+	s := c.ring.get(epoch)
+	if s == nil {
+		s = c.newSegment(epoch)
+		c.ring.put(epoch, s)
+	} else {
 		before, idxBefore = s.resident(), s.idxResident()
 		if s.cold {
 			// A late arrival into a demoted epoch: slots are wholly hot or
@@ -527,6 +724,27 @@ func (c *columnarState) insert(tp *tuple.Tuple, seq uint64, epoch int64) (delta,
 	s.add(tp, seq)
 	s.stub = nil // a spilled frame of this epoch no longer matches
 	return s.resident() - before, s.idxResident() - idxBefore
+}
+
+// newSegment starts an epoch's segment on the spare column arrays.
+func (c *columnarState) newSegment(ep int64) *colSegment {
+	s := newColSegment(ep)
+	s.seqs, s.ts, s.sch, s.cols = c.spare.seqs, c.spare.ts, c.spare.sch, c.spare.cols
+	c.spare = colSegment{}
+	return s
+}
+
+// recycle keeps the column arrays of a hot segment whose rows leave
+// memory as the spare, when they are larger than the spare's. The
+// segment must not be read again.
+func (c *columnarState) recycle(s *colSegment) {
+	if s.cold || cap(s.seqs) <= cap(c.spare.seqs) {
+		return
+	}
+	for p := range s.cols {
+		s.cols[p].truncate(0)
+	}
+	c.spare = colSegment{seqs: s.seqs[:0], ts: s.ts[:0], sch: s.sch[:0], cols: s.cols[:0]}
 }
 
 func (c *columnarState) noteProbed(key *indexKey) {
@@ -543,12 +761,15 @@ func (c *columnarState) noteProbed(key *indexKey) {
 // per probe (probeBatch.add). A slot whose max event time precedes every
 // probe's cutoff is dismissed whole before any hash work — every tuple
 // in it is older than the probes' window reach (task.probeCut's
-// soundness argument). A hot slot runs the segment's batch chain walk
-// directly; a cold slot is first tried against its key filter and,
-// surviving that, read through from the spill file and walked the same
-// way — candidate order does not depend on where an epoch lives. The
-// result log comes out segment-major; probeBatch.group restores the
-// probe-major order the forward path needs.
+// soundness argument). Every other slot is first tried against a key
+// filter — a hot slot's index filter, a cold slot's stub filter — so an
+// epoch none of the probes can hit costs one filter word per probe and
+// no chain walk. A surviving hot slot runs the segment's batch chain
+// walk directly; a surviving cold slot is read through from the spill
+// file and walked the same way — candidate order does not depend on
+// where an epoch lives. The result log comes out segment-major;
+// probeBatch.group restores the probe-major order the forward path
+// needs.
 func (c *columnarState) probeScanBatch(key *indexKey, pb *probeBatch) (idxDelta int64) {
 	c.noteProbed(key)
 	for _, s := range c.ring.vals {
@@ -556,8 +777,13 @@ func (c *columnarState) probeScanBatch(key *indexKey, pb *probeBatch) (idxDelta 
 			continue // out of every probe's window reach
 		}
 		if !s.cold {
-			d, _, _ := s.scanBatch(key, pb, nil)
-			idxDelta += d
+			ix, built := s.indexFor(key)
+			if built {
+				idxDelta += ix.resident()
+			}
+			if s.admitsAny(pb, ix.filt) {
+				s.scanBatch(ix, pb, nil)
+			}
 			continue
 		}
 		bl := s.stub.filterFor(key) // nil: key first probed after the demotion
@@ -570,7 +796,8 @@ func (c *columnarState) probeScanBatch(key *indexKey, pb *probeBatch) (idxDelta 
 		}
 		// An index built on the decoded segment is charged with the
 		// slot's promotion (full resident cost, indices included).
-		_, hits, misses := ls.scanBatch(key, pb, bl)
+		ix, _ := ls.indexFor(key)
+		hits, misses := ls.scanBatch(ix, pb, bl)
 		c.m.coldProbeHits.Add(hits)
 		c.m.coldProbeMisses.Add(misses)
 	}
@@ -594,6 +821,7 @@ func (c *columnarState) prune(cut tuple.Time) (removed int, delta, idxDelta int6
 			if s.cold {
 				c.dropSpilled(s.stub)
 			}
+			c.recycle(s)
 			c.ring.drop(i)
 			dropped = true
 			continue
@@ -607,9 +835,10 @@ func (c *columnarState) prune(cut tuple.Time) (removed int, delta, idxDelta int6
 			removed += r
 			s.stub = nil
 		}
-		if len(s.tups) == 0 {
+		if len(s.seqs) == 0 {
 			delta -= before
 			idxDelta -= idxBefore
+			c.recycle(s)
 			c.ring.drop(i)
 			dropped = true
 			continue
@@ -632,22 +861,20 @@ func (c *columnarState) epochLen(epoch int64) int {
 	return 0
 }
 
-// forEach visits a cold epoch through a transient decode that is NOT
-// kept for promotion: checkpoint walks are read-only and must not churn
-// the tiers. A spill read failure fails the engine and visits nothing —
-// the checkpointer's caller sees the failure, not a short snapshot
-// presented as complete.
-func (c *columnarState) forEach(epoch int64, fn func(tp *tuple.Tuple, seq uint64)) {
+// segment reads the epoch in place off its columns; a cold epoch
+// through a transient decode that is NOT kept for promotion: checkpoint
+// walks are read-only and must not churn the tiers. A spill read failure
+// fails the engine and yields no rows — the checkpointer's caller sees
+// the failure, not a short snapshot presented as complete.
+func (c *columnarState) segment(epoch int64) Segment {
 	s := c.ring.get(epoch)
 	if s != nil && s.cold {
 		s = c.load(s, false)
 	}
 	if s == nil {
-		return
+		return Segment{}
 	}
-	for i := range s.tups {
-		fn(s.tups[i], s.seqs[i])
-	}
+	return s.view()
 }
 
 // dropOldest sheds the oldest epoch, hot or cold; evicting a cold one
@@ -660,7 +887,9 @@ func (c *columnarState) dropOldest() (epoch int64, removed int, delta, idxDelta 
 	if s.cold {
 		c.dropSpilled(s.stub)
 	}
-	return ep, s.rows(), -s.resident(), -s.idxResident(), true
+	removed, delta, idxDelta = s.rows(), -s.resident(), -s.idxResident()
+	c.recycle(s)
+	return ep, removed, delta, idxDelta, true
 }
 
 func (c *columnarState) clear() (removed int, delta, idxDelta int64) {
@@ -670,6 +899,7 @@ func (c *columnarState) clear() (removed int, delta, idxDelta int64) {
 		idxDelta -= s.idxResident()
 	}
 	c.ring.clear()
+	c.spare = colSegment{}
 	c.pending = 0
 	if freed := c.spilled.Swap(0); freed != 0 {
 		c.m.spilledBytes.Add(-freed)

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -102,6 +103,36 @@ func randomStream(cat *query.Catalog, n int, keys int64, seed uint64) []Ingestio
 		out = append(out, Ingestion{Rel: rel.Name, TS: ts, Vals: vals})
 	}
 	return out
+}
+
+// mixedPalette is the join-value domain of the exactness fixtures:
+// values equal under == only to themselves, which a store that keeps
+// cells by column must keep apart — Null against Int 0, both Bools,
+// −0.0 against +0.0, a NaN payload, empty and non-empty strings.
+var mixedPalette = []tuple.Value{
+	tuple.NullValue(), tuple.IntValue(0), tuple.IntValue(1),
+	tuple.BoolValue(false), tuple.BoolValue(true),
+	tuple.FloatValue(math.Copysign(0, -1)), tuple.FloatValue(0),
+	tuple.FloatValue(math.Float64frombits(0x7ff8_0000_0000_0abc)),
+	tuple.StringValue(""), tuple.StringValue("x"),
+}
+
+// mixedStream is randomStream drawing its values from mixedPalette,
+// except in the first quarter of every epochLen of event time, which
+// draws Int 0 and 1 only: each epoch's columns hold Ints before the
+// first String, Float or Bool lands in them.
+func mixedStream(cat *query.Catalog, n int, epochLen int64, seed uint64) []Ingestion {
+	ins := randomStream(cat, n, int64(len(mixedPalette)), seed)
+	for _, in := range ins {
+		for j, v := range in.Vals {
+			if int64(in.TS)%epochLen < epochLen/4 {
+				in.Vals[j] = tuple.IntValue(v.Int() % 2)
+			} else {
+				in.Vals[j] = mixedPalette[v.Int()]
+			}
+		}
+	}
+	return ins
 }
 
 func flatEstimates(rels []string, rate float64) *stats.Estimates {

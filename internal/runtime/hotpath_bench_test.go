@@ -1,23 +1,25 @@
 package runtime
 
 // Hot-path micro-benchmarks for the probe and routing paths. These are
-// the numbers the compiled-plan layer (plan.go) is measured against:
-// run with -bench 'ProbeHotPath|IngestRouting' -benchmem and compare
-// allocs/op and ns/op across changes (benchstat-friendly names).
+// the numbers the compiled-plan layer (plan.go) and the columnar store
+// (columnar.go) are measured against: run with
+// -bench 'Probe|IngestRouting' -benchmem and compare allocs/op and ns/op
+// across changes (benchstat-friendly names).
 
 import (
 	"testing"
-	"time"
 
 	"clash/internal/core"
 	"clash/internal/query"
+	"clash/internal/rng"
 	"clash/internal/tuple"
 )
 
 // newBenchEngine compiles the workload and installs it on a synchronous
-// engine, so every Ingest runs its complete probe chain inline — the
-// per-tuple handling cost is exactly what the benchmark times.
-func newBenchEngine(b *testing.B, workload string, opts core.Options, window time.Duration) (*Engine, *query.Catalog) {
+// engine configured by cfg, so every Ingest runs its complete probe
+// chain inline — the per-tuple handling cost is exactly what the
+// benchmark times.
+func newBenchEngine(b *testing.B, workload string, opts core.Options, cfg Config) (*Engine, *query.Catalog) {
 	b.Helper()
 	qs, cat, err := query.ParseWorkload(workload)
 	if err != nil {
@@ -32,7 +34,8 @@ func newBenchEngine(b *testing.B, workload string, opts core.Options, window tim
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := New(Config{Catalog: cat, Synchronous: true, DefaultWindow: window})
+	cfg.Catalog, cfg.Synchronous = cat, true
+	eng := New(cfg)
 	if err := eng.Install(topo, 0); err != nil {
 		b.Fatal(err)
 	}
@@ -48,7 +51,7 @@ func newBenchEngine(b *testing.B, workload string, opts core.Options, window tim
 // batches, and delivers ~16 results through the sink.
 func BenchmarkProbeHotPath(b *testing.B) {
 	eng, _ := newBenchEngine(b, "q1: R(a) S(a,b) T(b)",
-		core.Options{StoreParallelism: 1, DisablePartitioning: true}, 0)
+		core.Options{StoreParallelism: 1, DisablePartitioning: true}, Config{})
 	defer eng.Stop()
 
 	const keys = 64
@@ -79,7 +82,7 @@ func BenchmarkProbeHotPath(b *testing.B) {
 // the message-routing overhead dominates, not join work.
 func BenchmarkIngestRouting(b *testing.B) {
 	eng, _ := newBenchEngine(b, "q1: R(a) S(a)",
-		core.Options{StoreParallelism: 4}, 0)
+		core.Options{StoreParallelism: 4}, Config{})
 	defer eng.Stop()
 
 	ts := tuple.Time(1)
@@ -103,7 +106,7 @@ func BenchmarkIngestRouting(b *testing.B) {
 // its partners without a full index rebuild.
 func BenchmarkPruneRetainedIndices(b *testing.B) {
 	eng, _ := newBenchEngine(b, "q1: R(a) S(a)",
-		core.Options{StoreParallelism: 1, DisablePartitioning: true}, 4096)
+		core.Options{StoreParallelism: 1, DisablePartitioning: true}, Config{DefaultWindow: 4096})
 	defer eng.Stop()
 
 	const window = 4096
@@ -133,5 +136,45 @@ func BenchmarkPruneRetainedIndices(b *testing.B) {
 		if i%512 == 511 {
 			eng.PruneBefore(eng.Watermark() - window)
 		}
+	}
+}
+
+// BenchmarkProbeColumnarHit times the long-state hit path of the
+// columnar store: a two-way join over a 200k-tuple window in 64 epochs,
+// S and R 4:1 over 100k zipf(0.6) keys — the shape of the benchmark's
+// longstate-probe workload. Each op ingests one tuple, which probes
+// every epoch in window reach (the index filters dismiss most), walks
+// the chains of the few that hold its key, joins what matched, and is
+// stored; the window is pruned at every epoch boundary.
+func BenchmarkProbeColumnarHit(b *testing.B) {
+	const window, epochs, keys = 200_000, 64, 100_000
+	eng, _ := newBenchEngine(b, "q1: R(a) S(a)",
+		core.Options{StoreParallelism: 1, DisablePartitioning: true},
+		Config{StateBackend: BackendColumnar, DefaultWindow: window, EpochLength: window / epochs})
+	defer eng.Stop()
+
+	z := rng.NewZipf(rng.New(1), keys, 0.6)
+	r := rng.New(2)
+	ts := tuple.Time(0)
+	next := func() {
+		ts++
+		rel := "S"
+		if r.Intn(5) == 0 {
+			rel = "R"
+		}
+		if err := eng.Ingest(rel, ts, tuple.IntValue(int64(z.Draw()))); err != nil {
+			b.Fatal(err)
+		}
+		if ts%(window/epochs) == 0 {
+			eng.PruneBefore(ts - window)
+		}
+	}
+	for i := 0; i < window; i++ {
+		next()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		next()
 	}
 }

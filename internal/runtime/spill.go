@@ -229,7 +229,7 @@ func (st *coldStub) filterFor(key *indexKey) keyFilter {
 // per probed key: the filter the index kept current on every insert is
 // the filter of the frozen epoch, so demotion hashes no row. Only a key
 // the segment was never probed under gets its filter built here, by the
-// kernel's own insert path on a throwaway index. Rows whose schema
+// segment's own index build on a throwaway index. Rows whose schema
 // lacks a key attribute are in no chain and in no filter, so a negative
 // remains a sound whole-segment skip.
 func (st *coldStub) takeFilters(s *colSegment, keys []indexKey) {
@@ -238,9 +238,7 @@ func (st *coldStub) takeFilters(s *colSegment, keys []indexKey) {
 		ix := s.indices.get(key)
 		if ix == nil {
 			ix = &colIndex{key: *key}
-			for row, tp := range s.tups {
-				ix.addRow(tp, int32(row))
-			}
+			s.linkRows(ix)
 		}
 		f := ix.filt
 		if f == nil {
@@ -251,25 +249,6 @@ func (st *coldStub) takeFilters(s *colSegment, keys []indexKey) {
 		st.filters = append(st.filters, stubFilter{id: key.id, filt: f})
 		st.filterBytes += f.bytes()
 	}
-}
-
-// admitsAny reports whether any probe of the batch survives the cold
-// slot's window cut and key filter — if none does, the batch skips the
-// slot without touching disk, and every lookup the filter answered is
-// counted as spared (an admitted slot's are counted by its scan).
-func (s *colSegment) admitsAny(pb *probeBatch, bl keyFilter) bool {
-	var spared int64
-	for i, h := range pb.hashes {
-		if s.maxTS < pb.cuts[i] {
-			continue
-		}
-		if bl == nil || bl.may(h) {
-			return true
-		}
-		spared++
-	}
-	pb.rejects += spared
-	return false
 }
 
 // load returns a cold slot's decoded segment — the one place that
@@ -288,9 +267,9 @@ func (c *columnarState) load(s *colSegment, keep bool) *colSegment {
 	if err == nil {
 		ls, err = decodeSpill(b)
 	}
-	if err == nil && (ls.epoch != s.epoch || len(ls.tups) != stub.count) {
+	if err == nil && (ls.epoch != s.epoch || ls.rows() != stub.count) {
 		err = corruptSnapshot("spill segment at %d decodes to epoch %d (%d rows), stub says epoch %d (%d rows)",
-			stub.off, ls.epoch, len(ls.tups), s.epoch, stub.count)
+			stub.off, ls.epoch, ls.rows(), s.epoch, stub.count)
 	}
 	if err != nil {
 		c.fail(fmt.Errorf("runtime: spill read of epoch %d: %w", s.epoch, err))
@@ -320,7 +299,7 @@ func (c *columnarState) demoteOldest() (delta, idxDelta int64, ok bool) {
 	}
 	s := vals[i]
 	stub := s.stub
-	if stub == nil || stub.count != len(s.tups) {
+	if stub == nil || stub.count != s.rows() {
 		// No byte-valid frame from an earlier demotion to revive.
 		c.encBuf = appendSpill(c.encBuf[:0], s)
 		off, n, err := c.store.append(c.encBuf)
@@ -328,13 +307,14 @@ func (c *columnarState) demoteOldest() (delta, idxDelta int64, ok bool) {
 			c.fail(err)
 			return 0, 0, false
 		}
-		stub = &coldStub{count: len(s.tups), off: off, len: n}
+		stub = &coldStub{count: s.rows(), off: off, len: n}
 		stub.takeFilters(s, c.probed)
 	}
 	if c.testCrashAfterSpill != nil {
 		c.testCrashAfterSpill()
 	}
 	before, idxBefore := s.resident(), s.idxResident()
+	c.recycle(s)
 	*s = colSegment{epoch: s.epoch, minTS: s.minTS, maxTS: s.maxTS, stub: stub, cold: true}
 	c.spilled.Add(stub.len)
 	c.m.spilledBytes.Add(stub.len)

@@ -3,7 +3,7 @@ package runtime
 // Spill-tier unit tests (DESIGN.md §10). The properties pinned here
 // are the ones the end-to-end sweeps can't isolate:
 //
-//   - demote → probe → promote is invisible: candidate order, forEach
+//   - demote → probe → promote is invisible: candidate order, segment
 //     walks, and byte accounting match an all-hot columnar store fed the
 //     same history, at every tiering configuration in between;
 //   - a corrupt or truncated spill file surfaces as a wrapped
@@ -96,13 +96,21 @@ func probeAll(b stateBackend, cut int64) (string, int64) {
 	return strings.Join(out, "\n"), idx
 }
 
+// forEachRow visits the epoch's rows as the checkpoint walk reads them.
+func forEachRow(b stateBackend, ep int64, fn func(tp *tuple.Tuple, seq uint64)) {
+	sg := b.segment(ep)
+	for i, seq := range sg.Seqs {
+		fn(sg.Row(i), seq)
+	}
+}
+
 // walkAll replays the checkpoint walk: every epoch, in order, with
 // every (tuple, seq) pair.
 func walkAll(b stateBackend) string {
 	var v traceVisitor
 	for _, ep := range b.epochs() {
 		v.out = append(v.out, fmt.Sprintf("--epoch %d len %d--", ep, b.epochLen(ep)))
-		b.forEach(ep, v.visit)
+		forEachRow(b, ep, v.visit)
 	}
 	return strings.Join(v.out, "\n")
 }
@@ -368,7 +376,7 @@ func TestTieredDemoteReusesFrames(t *testing.T) {
 // must surface through the failure hook as a wrapped ErrCorruptSnapshot
 // — never a panic — on both readers of the shared loader: the probe
 // path, which returns without the damaged epoch rather than fabricating
-// candidates, and the checkpoint walk (forEach), which visits none of
+// candidates, and the checkpoint walk (segment), which visits none of
 // the damaged epoch's tuples rather than a short snapshot.
 func TestTieredSpillCorruption(t *testing.T) {
 	var failErr error
@@ -412,7 +420,7 @@ func TestTieredSpillCorruption(t *testing.T) {
 		}},
 		{"walk", func() (n int) {
 			for _, ep := range tr.epochs() {
-				tr.forEach(ep, func(tp *tuple.Tuple, _ uint64) {
+				forEachRow(tr, ep, func(tp *tuple.Tuple, _ uint64) {
 					if int64(tp.TS)/16 == last.epoch {
 						n++
 					}

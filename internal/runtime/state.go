@@ -10,11 +10,12 @@ package runtime
 //     candidate at a time through a scalar visitor. Kept as the
 //     differential oracle for the columnar backend's layout, segment
 //     skipping and vectorized evaluation.
-//   - columnarState (columnar.go): an epoch-ring columnar store — flat
-//     per-epoch tuple/seq/timestamp columns, batch chain walks into
-//     selection vectors. Under a hot budget (Config.StateHotBytes) the
-//     same ring demotes cold whole epochs to an on-disk spill file
-//     (spill.go).
+//   - columnarState (columnar.go): an epoch-ring columnar store — rows
+//     by value in flat per-epoch columns (seq, event time, schema
+//     ordinal, and per column position kind, payload and string cells),
+//     batch chain walks into selection vectors. Under a hot budget
+//     (Config.StateHotBytes) the same ring demotes cold whole epochs to
+//     an on-disk spill file (spill.go).
 //
 // Both index their rows with the one kernel there is, colIndex
 // (columnar.go): open-addressed uint64-hash tables over int32 chain
@@ -22,7 +23,7 @@ package runtime
 // attributes of a probing rule (plan.go's indexKey), so a probe walks
 // the chain of its whole key, never the chain of its least selective
 // attribute. What is differenced against an index-free scan is the
-// kernel itself: task.probeLegacy walks forEach.
+// kernel itself: task.probeLegacy walks every segment.
 //
 // Memory accounting contract: every mutating operation returns the
 // change in resident bytes (tuple payloads plus structural overhead
@@ -113,9 +114,9 @@ type stateBackend interface {
 	epochs() []int64
 	// epochLen is the number of tuples resident in the epoch.
 	epochLen(epoch int64) int
-	// forEach visits the epoch's tuples in storage order (cold path:
-	// checkpointing).
-	forEach(epoch int64, fn func(tp *tuple.Tuple, seq uint64))
+	// segment returns the epoch's rows in storage order, without its key
+	// (cold path: the checkpoint walk, and the legacy oracle's scan).
+	segment(epoch int64) Segment
 	// dropOldest sheds the oldest epoch entirely — the eviction step.
 	// It refuses (ok=false) when at most one epoch is resident: the
 	// arrival epoch is never shed.
@@ -161,10 +162,6 @@ type container struct {
 func newContainer() *container {
 	return &container{minTS: math.MaxInt64, maxTS: math.MinInt64}
 }
-
-// newContainerAt adapts newContainer to the epochRing factory shape
-// (containers do not record their epoch).
-func newContainerAt(int64) *container { return newContainer() }
 
 // resident is the container's accounted footprint.
 func (c *container) resident() int64 {
@@ -237,14 +234,9 @@ func newEpochRing[T any]() epochRing[T] {
 
 func (r *epochRing[T]) get(ep int64) *T { return r.byEpoch[ep] }
 
-// at returns the epoch's value, creating it via mk (sorted insert)
-// when absent. mk must be a static function reference — a capturing
-// closure would allocate on the insert hot path.
-func (r *epochRing[T]) at(ep int64, mk func(int64) *T) (v *T, created bool) {
-	if v = r.byEpoch[ep]; v != nil {
-		return v, false
-	}
-	v = mk(ep)
+// put places v as the epoch's value (sorted insert); the epoch must be
+// absent.
+func (r *epochRing[T]) put(ep int64, v *T) {
 	r.byEpoch[ep] = v
 	i := sort.Search(len(r.eps), func(i int) bool { return r.eps[i] >= ep })
 	r.vals = append(r.vals, nil)
@@ -252,7 +244,6 @@ func (r *epochRing[T]) at(ep int64, mk func(int64) *T) (v *T, created bool) {
 	copy(r.vals[i+1:], r.vals[i:])
 	copy(r.eps[i+1:], r.eps[i:])
 	r.vals[i], r.eps[i] = v, ep
-	return v, true
 }
 
 // drop marks the i-th slot dead; compact removes dead slots in place,
@@ -311,8 +302,11 @@ func (s *containerState) insert(tp *tuple.Tuple, seq uint64, epoch int64) (delta
 	// A container created by this insert is charged in full (before=0),
 	// so the deltas telescope exactly against its eventual drop.
 	var before, idxBefore int64
-	c, created := s.ring.at(epoch, newContainerAt)
-	if !created {
+	c := s.ring.get(epoch)
+	if c == nil {
+		c = newContainer()
+		s.ring.put(epoch, c)
+	} else {
 		before, idxBefore = c.resident(), c.indices.resident()
 	}
 	c.add(entry{t: tp, seq: seq})
@@ -389,14 +383,16 @@ func (s *containerState) epochLen(epoch int64) int {
 	return 0
 }
 
-func (s *containerState) forEach(epoch int64, fn func(tp *tuple.Tuple, seq uint64)) {
+func (s *containerState) segment(epoch int64) Segment {
 	c := s.ring.get(epoch)
 	if c == nil {
-		return
+		return Segment{}
 	}
-	for i := range c.entries {
-		fn(c.entries[i].t, c.entries[i].seq)
+	sg := Segment{Tuples: make([]*tuple.Tuple, len(c.entries)), Seqs: make([]uint64, len(c.entries))}
+	for i, en := range c.entries {
+		sg.Tuples[i], sg.Seqs[i] = en.t, en.seq
 	}
+	return sg
 }
 
 func (s *containerState) dropOldest() (epoch int64, removed int, delta, idxDelta int64, ok bool) {

@@ -7,6 +7,7 @@ package runtime
 // the columnar hot-path allocation budgets.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -48,20 +49,26 @@ func (r stateRow) apply(cfg Config) Config {
 // TestBackendEquivalenceWindowed runs the same windowed, partitioned,
 // multi-epoch stream with interleaved prunes on every row of the state
 // matrix and byte-compares the result multisets (and all against the
-// oracle). A second phase — compared across rows, container first —
-// adds the inputs where hot and cold slots meet on the tiered row: late
-// inserts into demoted epochs, a prune cut that lands inside a cold
-// epoch, and a state-budget shed on every task.
+// oracle). The stream's values are mixedStream's — every kind, and the
+// bit patterns only a store that keeps the kind beside the payload keeps
+// apart — and the plan materializes S⋈T, so one store holds joined rows
+// of two schemas. A second phase — compared across rows, container
+// first — adds the inputs where hot and cold slots meet on the tiered
+// row: late inserts into demoted epochs, a prune cut that lands inside a
+// cold epoch, and a state-budget shed on every task. The rows'
+// snapshots of what is left must then be byte-identical.
 func TestBackendEquivalenceWindowed(t *testing.T) {
 	const window, epochLen = 40, 32
+	est := flatEstimates([]string{"R", "S", "T", "U"}, 100)
+	est.SetSelectivity(query.Predicate{Left: query.Attr{Rel: "R", Name: "a"}, Right: query.Attr{Rel: "S", Name: "a"}}, 0.5)
 	var ref, refName string
+	var refSnap []byte
 	for _, row := range backendKinds() {
 		spillDir := t.TempDir()
 		h := newHarness(t, "q1: R(a) S(a,b) T(b)\nq2: S(b) T(b,c) U(c)",
-			core.Options{StoreParallelism: 3},
-			flatEstimates([]string{"R", "S", "T", "U"}, 100),
+			core.Options{StoreParallelism: 3}, est,
 			row.apply(Config{Synchronous: true, DefaultWindow: window, EpochLength: epochLen, StateSpillDir: spillDir}))
-		ins := randomStream(h.cat, 400, 5, 91)
+		ins := mixedStream(h.cat, 400, epochLen, 91)
 		for i, in := range ins {
 			if err := h.eng.Ingest(in.Rel, in.TS, in.Vals...); err != nil {
 				t.Fatal(err)
@@ -72,6 +79,9 @@ func TestBackendEquivalenceWindowed(t *testing.T) {
 		}
 		h.eng.Drain()
 		h.checkAgainstOracle(t, ins)
+		if row.name == "columnar" {
+			checkMixedColumns(t, h.eng)
+		}
 
 		// Late arrivals, one per relation and key, into the epoch before
 		// the watermark's — demoted on the tiered row.
@@ -122,7 +132,7 @@ func TestBackendEquivalenceWindowed(t *testing.T) {
 			tk.evictToLimit(0)
 		}
 		// Probe what is left with a fresh in-order tail.
-		for _, in := range randomStream(h.cat, 80, 5, 92) {
+		for _, in := range mixedStream(h.cat, 80, epochLen, 92) {
 			if err := h.eng.Ingest(in.Rel, wm+in.TS, in.Vals...); err != nil {
 				t.Fatal(err)
 			}
@@ -163,14 +173,42 @@ func TestBackendEquivalenceWindowed(t *testing.T) {
 				t.Error("the prune cut straddled no cold epoch — phase vacuous")
 			}
 		}
+		var snap bytes.Buffer
+		if err := h.eng.Checkpoint(&snap); err != nil {
+			t.Fatal(err)
+		}
 		h.eng.Stop()
 		if ref == "" {
-			ref, refName = got, row.name
+			ref, refName, refSnap = got, row.name, snap.Bytes()
 			continue
 		}
 		if got != ref {
 			t.Errorf("%v produced different results than %s", row, refName)
 		}
+		if !bytes.Equal(snap.Bytes(), refSnap) {
+			t.Errorf("%v's snapshot of the state left differs from %s's (%d vs %d bytes)", row, refName, snap.Len(), len(refSnap))
+		}
+	}
+}
+
+// checkMixedColumns fails the test unless some hot epoch of the
+// columnar engine holds rows of two schemas and some column created its
+// string column after its first row — the shapes the mixed fixtures are
+// there to reach.
+func checkMixedColumns(t *testing.T, e *Engine) {
+	t.Helper()
+	twoSchemas, lateString := false, false
+	for _, tk := range e.tasks {
+		for _, s := range tk.state.(*columnarState).ring.vals {
+			twoSchemas = twoSchemas || len(s.schemas) > 1
+			for _, c := range s.cols {
+				lateString = lateString || len(c.strs) > 0 && c.kinds[0] != tuple.String
+			}
+		}
+	}
+	if !twoSchemas || !lateString {
+		t.Fatalf("no epoch holds two schemas (%v), or none created a string column after its first row (%v) — exactness inputs vacuous",
+			twoSchemas, lateString)
 	}
 }
 
@@ -606,5 +644,39 @@ func TestColumnarPruneAllocs(t *testing.T) {
 	}
 	if cs.epochLen(0) == 0 || cands == 0 {
 		t.Fatal("vacuous: no resident tuples or no index candidates")
+	}
+}
+
+// TestColumnarRecyclesColumns: a segment whose rows leave memory hands
+// its column arrays to the task's next new segment, so whole epochs
+// streaming through the window grow no columns. Per epoch, the inserts
+// and the prune that drops the oldest epoch allocate the new segment and
+// its schema list — not a doubling of every column, which is ten arrays
+// times nine doublings at 512 rows.
+func TestColumnarRecyclesColumns(t *testing.T) {
+	const perEpoch, epochs = 512, 64
+	schema := tuple.NewSchema("S.a", "S.b", "S.τ")
+	tuples := make([]*tuple.Tuple, perEpoch*epochs)
+	for i := range tuples {
+		ts := int64(i + 1)
+		tuples[i] = tuple.New(schema, tuple.Time(ts), tuple.IntValue(ts%64), tuple.StringValue("s"), tuple.IntValue(ts))
+	}
+	cs := bareColumnar(nil)
+	ep := 0
+	cycle := func() {
+		for i := 0; i < perEpoch; i++ {
+			cs.insert(tuples[ep*perEpoch+i], uint64(ep*perEpoch+i), int64(ep))
+		}
+		cs.prune(tuple.Time((ep-1)*perEpoch + 1)) // every epoch before the previous one
+		ep++
+	}
+	cycle()
+	cycle()
+	avg := testing.AllocsPerRun(epochs-4, cycle)
+	if avg > 4 {
+		t.Errorf("an epoch of inserts plus the prune of the oldest allocates %.1f objects, want ≤ 4", avg)
+	}
+	if n := len(cs.epochs()); n != 2 {
+		t.Fatalf("%d epochs resident, want 2 — the prune dropped nothing, test vacuous", n)
 	}
 }

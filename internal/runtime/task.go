@@ -421,7 +421,7 @@ func (t *task) windowOK(probe, stored *tuple.Tuple, sh *storedShape) bool {
 // probeLegacy is the pre-compilation probe path and the oracle that
 // shares nothing with the index kernel: predicates are re-resolved per
 // tuple through string-keyed schema lookups and evaluated against EVERY
-// stored tuple of every resident epoch (forEach: epoch-ascending,
+// stored tuple of every resident epoch (segment: epoch-ascending,
 // insertion order — the order the indexed scans must reproduce), with no
 // index and no window cutoff. It is the differential-testing baseline
 // for the compiled path (engine Config.legacyProbe) and must not be used
@@ -451,26 +451,24 @@ func (t *task) probeLegacy(tp *tuple.Tuple, msg *message, rp *rulePlan) {
 		}
 		pps = append(pps, legacyPred{stored: stored.Qualified(), v: v})
 	}
-	// The visitor must not capture msg: it escapes through forEach, and
-	// a captured message would move every dispatched message of the
-	// compiled path to the heap too (dispatch passes a stack copy).
 	var results []*tuple.Tuple
-	maxSeq := msg.seq
-	visit := func(en *tuple.Tuple, seq uint64) {
-		if seq >= maxSeq {
-			return // only earlier-arrived tuples are join partners
-		}
-		for _, pp := range pps {
-			if sv, ok := en.Get(pp.stored); !ok || sv != pp.v {
-				return
+	for _, ep := range t.state.epochs() {
+		sg := t.state.segment(ep)
+	rows:
+		for i, seq := range sg.Seqs {
+			if seq >= msg.seq {
+				continue // only earlier-arrived tuples are join partners
+			}
+			en := sg.Row(i)
+			for _, pp := range pps {
+				if sv, ok := en.Get(pp.stored); !ok || sv != pp.v {
+					continue rows
+				}
+			}
+			if t.withinWindowsLegacy(tp, en) {
+				results = append(results, t.join(tp, en))
 			}
 		}
-		if t.withinWindowsLegacy(tp, en) {
-			results = append(results, t.join(tp, en))
-		}
-	}
-	for _, ep := range t.state.epochs() {
-		t.state.forEach(ep, visit)
 	}
 	if len(results) != 0 {
 		t.forward(rp.out, msg, results)
@@ -497,17 +495,33 @@ func (t *task) withinWindowsLegacy(probe, stored *tuple.Tuple) bool {
 }
 
 func (t *task) join(probe, stored *tuple.Tuple) *tuple.Tuple {
-	key := [2]*tuple.Schema{probe.Schema, stored.Schema}
+	return t.arena.Join(probe, stored, t.joinedSchema(probe.Schema, stored.Schema))
+}
+
+// joinRow is join for a row of a columnar segment stored under the
+// given schema: the result is carved from the arena and the row's cells
+// are copied into it straight from the columns.
+func (t *task) joinRow(probe *tuple.Tuple, s *colSegment, row int32, stored *tuple.Schema) *tuple.Tuple {
+	res := t.arena.New(t.joinedSchema(probe.Schema, stored), max(probe.TS, tuple.Time(s.ts[row])))
+	n := copy(res.Values, probe.Values)
+	s.fill(int(row), res.Values[n:])
+	return res
+}
+
+// joinedSchema returns (caching it per task) the schema of probe's
+// columns followed by stored's.
+func (t *task) joinedSchema(probe, stored *tuple.Schema) *tuple.Schema {
+	key := [2]*tuple.Schema{probe, stored}
 	if key == t.lastJoinKey {
-		return t.arena.Join(probe, stored, t.lastJoined)
+		return t.lastJoined
 	}
 	joined := t.schemaCache[key]
 	if joined == nil {
-		joined = probe.Schema.Concat(stored.Schema)
+		joined = probe.Concat(stored)
 		t.schemaCache[key] = joined
 	}
 	t.lastJoinKey, t.lastJoined = key, joined
-	return t.arena.Join(probe, stored, joined)
+	return joined
 }
 
 // forward routes one probe's join results along the rule's compiled

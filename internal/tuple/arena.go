@@ -22,11 +22,10 @@ const (
 	arenaValueChunk = 512
 )
 
-// Join concatenates probe and stored under the joined schema, like
-// Tuple.Join, but carves the result from the arena's current blocks.
-// joined must be probe.Schema.Concat(stored.Schema) (callers cache it).
-func (a *Arena) Join(probe, stored *Tuple, joined *Schema) *Tuple {
-	n := len(probe.Values) + len(stored.Values)
+// New carves a tuple of the schema's arity from the arena's current
+// blocks, every value Null; the caller fills Values.
+func (a *Arena) New(s *Schema, ts Time) *Tuple {
+	n := s.Len()
 	if len(a.vals) < n {
 		c := arenaValueChunk
 		if c < n {
@@ -36,17 +35,21 @@ func (a *Arena) Join(probe, stored *Tuple, joined *Schema) *Tuple {
 	}
 	vals := a.vals[:n:n]
 	a.vals = a.vals[n:]
-	copy(vals, probe.Values)
-	copy(vals[len(probe.Values):], stored.Values)
 	if len(a.tuples) == 0 {
 		a.tuples = make([]Tuple, arenaTupleChunk)
 	}
 	t := &a.tuples[0]
 	a.tuples = a.tuples[1:]
-	ts := probe.TS
-	if stored.TS > ts {
-		ts = stored.TS
-	}
-	*t = Tuple{Schema: joined, Values: vals, TS: ts}
+	*t = Tuple{Schema: s, Values: vals, TS: ts}
+	return t
+}
+
+// Join concatenates probe and stored under the joined schema, like
+// Tuple.Join, but carves the result from the arena's current blocks.
+// joined must be probe.Schema.Concat(stored.Schema) (callers cache it).
+func (a *Arena) Join(probe, stored *Tuple, joined *Schema) *Tuple {
+	t := a.New(joined, max(probe.TS, stored.TS))
+	copy(t.Values, probe.Values)
+	copy(t.Values[len(probe.Values):], stored.Values)
 	return t
 }

@@ -1,6 +1,7 @@
 package tuple
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -45,6 +46,15 @@ func TestValueAccessors(t *testing.T) {
 	}
 	if !NullValue().IsNull() || IntValue(0).IsNull() {
 		t.Error("IsNull misclassifies")
+	}
+	// The accessors' parts rebuild the value bit for bit (== compares the
+	// Float payload's bits, so −0.0 and a NaN payload are checked too).
+	for _, v := range []Value{NullValue(), IntValue(-3), BoolValue(true), BoolValue(false),
+		FloatValue(math.Copysign(0, -1)), FloatValue(math.Float64frombits(0x7ff8_0000_0000_0abc)),
+		StringValue(""), StringValue("x")} {
+		if got := MakeValue(v.Kind(), v.Int(), v.Str()); got != v {
+			t.Errorf("MakeValue(%v, %d, %q) = %#v, want %#v", v.Kind(), v.Int(), v.Str(), got, v)
+		}
 	}
 }
 

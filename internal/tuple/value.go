@@ -68,6 +68,17 @@ func BoolValue(v bool) Value {
 // NullValue returns the Null value.
 func NullValue() Value { return Value{} }
 
+// MakeValue rebuilds a value from the parts Kind, Int and Str report:
+// MakeValue(v.Kind(), v.Int(), v.Str()) == v for every v, bit for bit
+// (Float payloads included). Stores that keep values by column use it to
+// hand a cell back as a Value.
+func MakeValue(k Kind, num int64, str string) Value {
+	if k == String {
+		return Value{kind: String, str: str}
+	}
+	return Value{kind: k, num: num}
+}
+
 // Kind reports the value's runtime type.
 func (v Value) Kind() Kind { return v.kind }
 
