@@ -71,6 +71,7 @@ type Controller struct {
 	startEpoch int64
 	reopt      *core.Reopt       // nil unless IncrementalReopt
 	coef       cost.Coefficients // calibrated cost coefficients (MeasuredCosts)
+	preds      []query.Predicate // allPredsLocked's result for the installed query set; nil when stale
 }
 
 // NewController creates a controller over the engine, optimizes the
@@ -222,6 +223,7 @@ func (c *Controller) AddQuery(q *query.Query) error {
 	}
 	c.queries[q.Name] = q
 	c.order = append(c.order, q.Name)
+	c.preds = nil
 	return c.reoptimizeLocked(c.nextEpochLocked())
 }
 
@@ -242,6 +244,7 @@ func (c *Controller) RemoveQuery(name string) error {
 		}
 	}
 	c.order = kept
+	c.preds = nil
 	return c.reoptimizeLocked(c.nextEpochLocked())
 }
 
@@ -476,8 +479,13 @@ func warmingPlan(plans []*core.Plan, immature map[string]bool, mature func(strin
 	return out
 }
 
+// allPredsLocked lists the installed queries' distinct predicates in
+// query-name order, computed once per query set.
 func (c *Controller) allPredsLocked() []query.Predicate {
-	var preds []query.Predicate
+	if c.preds != nil {
+		return c.preds
+	}
+	preds := []query.Predicate{}
 	seen := map[string]bool{}
 	names := append([]string(nil), c.order...)
 	sort.Strings(names)
@@ -489,6 +497,7 @@ func (c *Controller) allPredsLocked() []query.Predicate {
 			}
 		}
 	}
+	c.preds = preds
 	return preds
 }
 

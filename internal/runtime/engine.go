@@ -304,7 +304,7 @@ func ingestSchema(r *query.Relation) *tuple.Schema {
 	for _, a := range r.Attrs {
 		names = append(names, r.Name+"."+a)
 	}
-	names = append(names, r.Name+".τ")
+	names = append(names, r.Name+"."+tuple.EventTime)
 	return tuple.NewSchema(names...)
 }
 

@@ -42,7 +42,7 @@ func ReferenceJoin(q *query.Query, cat *query.Catalog, defWindow tuple.Duration,
 		for j, a := range r.Attrs {
 			vals[in.Rel+"."+a] = in.Vals[j]
 		}
-		vals[in.Rel+".τ"] = tuple.IntValue(int64(in.TS))
+		vals[in.Rel+"."+tuple.EventTime] = tuple.IntValue(int64(in.TS))
 		byRel[in.Rel] = append(byRel[in.Rel], member{rel: in.Rel, ts: in.TS, seq: uint64(i + 1), vals: vals})
 	}
 

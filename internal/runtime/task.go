@@ -135,8 +135,9 @@ func newTask(e *Engine, k taskKey, s *topology.Store) *task {
 	t.state, t.tier = e.newBackend()
 	for _, rel := range s.Rels {
 		if w := e.window(rel); w > 0 {
-			t.wins = append(t.wins, relWindow{tau: rel + ".τ", w: int64(w)})
-			t.tauNames = append(t.tauNames, rel+".τ")
+			tau := rel + "." + tuple.EventTime
+			t.wins = append(t.wins, relWindow{tau: tau, w: int64(w)})
+			t.tauNames = append(t.tauNames, tau)
 			if int64(w) > t.wMax {
 				t.wMax = int64(w)
 			}
@@ -483,7 +484,7 @@ func (t *task) withinWindowsLegacy(probe, stored *tuple.Tuple) bool {
 		if w <= 0 {
 			continue
 		}
-		tau, ok := stored.Get(rel + ".τ")
+		tau, ok := stored.Get(rel + "." + tuple.EventTime)
 		if !ok {
 			continue
 		}

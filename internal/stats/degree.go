@@ -11,7 +11,8 @@
 package stats
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 )
 
 // SpaceSaving is the Metwally et al. heavy-hitter sketch: at most k
@@ -148,11 +149,11 @@ func (s *SpaceSaving) floor() int64 {
 // ties — the order is deterministic for identical observation histories).
 func (s *SpaceSaving) Top(n int) []HeavyHitter {
 	out := append(make([]HeavyHitter, 0, len(s.entries)), s.entries...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
+	slices.SortFunc(out, func(a, b HeavyHitter) int {
+		if c := cmp.Compare(b.Count, a.Count); c != 0 {
+			return c
 		}
-		return out[i].Hash < out[j].Hash
+		return cmp.Compare(a.Hash, b.Hash)
 	})
 	if n < len(out) {
 		out = out[:n]

@@ -10,6 +10,7 @@ package stats
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -285,11 +286,28 @@ func (r *Reservoir) Seen() int { return r.n }
 
 // relStats accumulates one relation's raw observations within an epoch.
 type relStats struct {
-	count       int64
-	first, last tuple.Time
-	sample      *Reservoir
-	distinct    map[string]*KMV         // unqualified attribute -> sketch
-	heavy       map[string]*SpaceSaving // qualified attribute -> heavy hitters
+	count    int64
+	sample   *Reservoir
+	distinct map[string]*KMV       // unqualified attribute -> distinct-count sketch
+	attrs    map[string]*attrStats // qualified attribute -> its sketches
+	// schema is the last schema the relation was observed under and cols
+	// its resolution, so Observe touches sketches by position alone.
+	schema *tuple.Schema
+	cols   []colSketch
+}
+
+// attrStats is the pair of sketches one qualified attribute feeds. The
+// distinct-count sketch is shared by every qualified name with the same
+// unqualified one: a predicate side reads it as "R.a" of relation R.
+type attrStats struct {
+	distinct *KMV
+	heavy    *SpaceSaving
+}
+
+// colSketch is one sketched column position of a resolved schema.
+type colSketch struct {
+	pos int
+	attrStats
 }
 
 // Collector accumulates per-epoch observations. It is safe for concurrent
@@ -302,6 +320,10 @@ type Collector struct {
 	seed       uint64
 	rels       map[string]*relStats
 	defaultSel float64
+	// sealMu serializes Seal, whose sample joins share one table that
+	// keeps its capacity from epoch to epoch.
+	sealMu sync.Mutex
+	counts valueCounts
 }
 
 // NewCollector returns a collector sampling up to sampleK tuples per
@@ -319,7 +341,13 @@ func (c *Collector) SetHeavyK(k int) { c.heavyK = k }
 // never observed in samples.
 func (c *Collector) SetDefaultSelectivity(s float64) { c.defaultSel = s }
 
-// Observe records the arrival of one tuple of the given relation.
+// Observe records the arrival of one tuple of the given relation: it
+// counts the tuple, offers it whole to the relation's sample, and adds
+// each attribute's value hash to that attribute's distinct-count and
+// heavy-hitter sketches. The event-time pseudo-attribute
+// (tuple.EventTime) is not sketched: it never repeats, so it would cost
+// every tuple a full heavy-hitter scan for a summary no predicate or
+// partitioning can name.
 func (c *Collector) Observe(rel string, t *tuple.Tuple) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -328,39 +356,43 @@ func (c *Collector) Observe(rel string, t *tuple.Tuple) {
 		rs = &relStats{
 			sample:   NewReservoir(c.sampleK, c.seed^hashString(rel)),
 			distinct: map[string]*KMV{},
-			heavy:    map[string]*SpaceSaving{},
-			first:    t.TS,
+			attrs:    map[string]*attrStats{},
 		}
 		c.rels[rel] = rs
 	}
 	rs.count++
-	if t.TS < rs.first {
-		rs.first = t.TS
-	}
-	if t.TS > rs.last {
-		rs.last = t.TS
-	}
 	rs.sample.Add(t)
-	for i, name := range t.Schema.Names() {
-		// Sketch under the unqualified attribute name: samples are raw
-		// relation tuples whose schemas carry qualified names.
-		short := name
-		if j := lastDot(name); j >= 0 {
-			short = name[j+1:]
+	if t.Schema != rs.schema {
+		c.resolve(rs, t.Schema)
+	}
+	for _, col := range rs.cols {
+		h := t.Values[col.pos].Hash()
+		col.distinct.AddHash(h)
+		col.heavy.Add(h)
+	}
+}
+
+// resolve points rs's column cache at schema s, creating the sketches of
+// attributes seen for the first time this epoch.
+func (c *Collector) resolve(rs *relStats, s *tuple.Schema) {
+	rs.schema = s
+	rs.cols = rs.cols[:0]
+	for i, name := range s.Names() {
+		short := name[strings.LastIndexByte(name, '.')+1:]
+		if short == tuple.EventTime {
+			continue
 		}
-		sk := rs.distinct[short]
-		if sk == nil {
-			sk = NewKMV(c.sketchK)
-			rs.distinct[short] = sk
+		a := rs.attrs[name]
+		if a == nil {
+			d := rs.distinct[short]
+			if d == nil {
+				d = NewKMV(c.sketchK)
+				rs.distinct[short] = d
+			}
+			a = &attrStats{distinct: d, heavy: NewSpaceSaving(c.heavyK)}
+			rs.attrs[name] = a
 		}
-		h := t.Values[i].Hash()
-		sk.AddHash(h)
-		hv := rs.heavy[name]
-		if hv == nil {
-			hv = NewSpaceSaving(c.heavyK)
-			rs.heavy[name] = hv
-		}
-		hv.Add(h)
+		rs.cols = append(rs.cols, colSketch{pos: i, attrStats: *a})
 	}
 }
 
@@ -379,6 +411,8 @@ func (c *Collector) Count(rel string) int64 {
 // preds lists the predicates whose selectivity should be estimated from
 // the samples. Seal resets the collector for the next epoch.
 func (c *Collector) Seal(epochLen time.Duration, preds []query.Predicate) *Estimates {
+	c.sealMu.Lock()
+	defer c.sealMu.Unlock()
 	c.mu.Lock()
 	rels := c.rels
 	c.rels = map[string]*relStats{}
@@ -391,14 +425,8 @@ func (c *Collector) Seal(epochLen time.Duration, preds []query.Predicate) *Estim
 	}
 	for name, rs := range rels {
 		e.Rates[name] = float64(rs.count) / secs
-		for attr, hv := range rs.heavy {
-			d := &AttrDegrees{Count: hv.N(), Top: hv.Top(c.heavyK)}
-			short := attr
-			if j := lastDot(attr); j >= 0 {
-				short = attr[j+1:]
-			}
-			d.Distinct = distinctOf(rs, short)
-			e.Degrees[attr] = d
+		for attr, a := range rs.attrs {
+			e.Degrees[attr] = &AttrDegrees{Count: a.heavy.N(), Distinct: a.distinct.Estimate(), Top: a.heavy.Top(c.heavyK)}
 		}
 	}
 	for _, p := range preds {
@@ -406,7 +434,7 @@ func (c *Collector) Seal(epochLen time.Duration, preds []query.Predicate) *Estim
 		if a == nil || b == nil {
 			continue
 		}
-		if sel, ok := estimateSelectivity(p, a, b); ok {
+		if sel, ok := estimateSelectivity(p, a, b, &c.counts); ok {
 			e.Sels[p.String()] = sel
 		}
 	}
@@ -416,22 +444,25 @@ func (c *Collector) Seal(epochLen time.Duration, preds []query.Predicate) *Estim
 // estimateSelectivity estimates sel(p) = |A ⋈p B| / (|A|·|B|) by joining
 // the two reservoir samples; when the samples produce no matches it falls
 // back to the distinct-count bound 1/max(d_A, d_B) (exact for key–foreign
-// key joins under the containment assumption).
-func estimateSelectivity(p query.Predicate, a, b *relStats) (float64, bool) {
+// key joins under the containment assumption). counts is the caller's
+// table for the join, emptied here.
+func estimateSelectivity(p query.Predicate, a, b *relStats, counts *valueCounts) (float64, bool) {
 	la, _ := p.Side(p.Left.Rel)
 	lb, _ := p.Side(p.Right.Rel)
 	sa, sb := a.sample.Items(), b.sample.Items()
 	if len(sa) > 0 && len(sb) > 0 {
-		idx := map[tuple.Value]int{}
+		counts.reset()
+		ca := sampleColumn{name: la.Qualified()}
 		for _, t := range sa {
-			if v, ok := t.Get(la.Qualified()); ok {
-				idx[v]++
+			if v, ok := ca.get(t); ok {
+				counts.add(v)
 			}
 		}
 		matches := 0
+		cb := sampleColumn{name: lb.Qualified()}
 		for _, t := range sb {
-			if v, ok := t.Get(lb.Qualified()); ok {
-				matches += idx[v]
+			if v, ok := cb.get(t); ok {
+				matches += counts.get(v)
 			}
 		}
 		if matches > 0 {
@@ -453,20 +484,63 @@ func estimateSelectivity(p query.Predicate, a, b *relStats) (float64, bool) {
 	return 0, false
 }
 
+// sampleColumn reads one qualified attribute out of sample tuples. It
+// resolves the attribute's position once per schema, not once per tuple:
+// a relation's sample is almost always one schema.
+type sampleColumn struct {
+	name   string
+	schema *tuple.Schema
+	pos    int
+}
+
+// get returns the tuple's value of the attribute, as t.Get(name) does.
+func (c *sampleColumn) get(t *tuple.Tuple) (tuple.Value, bool) {
+	if t.Schema != c.schema {
+		c.schema, c.pos = t.Schema, t.Schema.Index(c.name)
+	}
+	if c.pos < 0 {
+		return tuple.Value{}, false
+	}
+	return t.Values[c.pos], true
+}
+
+// valueCounts counts values by equality (==). A value is keyed by what
+// determines it (tuple.MakeValue): a string by its text, any other kind
+// by its kind and payload — keys the map hashes without the generic
+// per-field hash a tuple.Value key costs.
+type valueCounts struct {
+	nums map[[2]int64]int
+	strs map[string]int
+}
+
+func (c *valueCounts) reset() {
+	if c.nums == nil {
+		c.nums, c.strs = map[[2]int64]int{}, map[string]int{}
+	}
+	clear(c.nums)
+	clear(c.strs)
+}
+
+func (c *valueCounts) add(v tuple.Value) {
+	if v.Kind() == tuple.String {
+		c.strs[v.Str()]++
+	} else {
+		c.nums[[2]int64{int64(v.Kind()), v.Int()}]++
+	}
+}
+
+func (c *valueCounts) get(v tuple.Value) int {
+	if v.Kind() == tuple.String {
+		return c.strs[v.Str()]
+	}
+	return c.nums[[2]int64{int64(v.Kind()), v.Int()}]
+}
+
 func distinctOf(rs *relStats, attr string) float64 {
 	if sk := rs.distinct[attr]; sk != nil {
 		return sk.Estimate()
 	}
 	return 0
-}
-
-func lastDot(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '.' {
-			return i
-		}
-	}
-	return -1
 }
 
 func hashString(s string) uint64 {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -425,5 +426,56 @@ func TestKMVAccuracyUnsaturated(t *testing.T) {
 	}
 	if got := s.Estimate(); got != 40 {
 		t.Errorf("unsaturated estimate = %g, want 40", got)
+	}
+}
+
+// TestCollectorConcurrent observes from several goroutines while two
+// others seal, and requires every observation to land in exactly one
+// sealed snapshot. Under -race it covers the state Observe and Seal
+// share: the per-schema sketch resolution and Seal's sample-join table.
+func TestCollectorConcurrent(t *testing.T) {
+	c := NewCollector(256, 16, 1)
+	s := tuple.NewSchema("R.a", "R."+tuple.EventTime)
+	self := []query.Predicate{{Left: query.Attr{Rel: "R", Name: "a"}, Right: query.Attr{Rel: "R", Name: "a"}}}
+	var mu sync.Mutex
+	sealed := 0.0
+	seal := func() {
+		e := c.Seal(time.Second, self)
+		mu.Lock()
+		sealed += e.Rates["R"]
+		mu.Unlock()
+	}
+	done := make(chan struct{})
+	var sealers, writers sync.WaitGroup
+	for range 2 {
+		sealers.Add(1)
+		go func() {
+			defer sealers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+					seal()
+				}
+			}
+		}()
+	}
+	const nWriters, perWriter = 4, 5000
+	for range nWriters {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for i := range perWriter {
+				c.Observe("R", tuple.New(s, tuple.Time(i), tuple.IntValue(int64(i%50)), tuple.IntValue(int64(i))))
+			}
+		}()
+	}
+	writers.Wait()
+	close(done)
+	sealers.Wait()
+	seal()
+	if sealed != nWriters*perWriter {
+		t.Fatalf("sealed %v observations, want %d", sealed, nWriters*perWriter)
 	}
 }

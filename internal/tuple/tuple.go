@@ -20,6 +20,12 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration t-o.
 func (t Time) Sub(o Time) Duration { return Duration(t - o) }
 
+// EventTime is the unqualified name of the event-time pseudo-attribute the
+// engine appends to every ingested tuple ("R.τ"): the tuple's own
+// timestamp as an Int, so per-relation window checks work on joined
+// tuples. It is not a catalog attribute.
+const EventTime = "τ"
+
 // Schema names the columns of a tuple. Attribute names are qualified with
 // their relation ("R.a", "lineitem.l_orderkey"). Schemas are immutable
 // after construction and shared between all tuples of a relation.
