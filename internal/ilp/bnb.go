@@ -13,9 +13,11 @@ type Options struct {
 	MaxNodes int
 	// MaxLPIter bounds simplex iterations per LP solve (0 = default).
 	MaxLPIter int
-	// LPCellLimit disables LP relaxations when rows*cols exceeds it
-	// (0 = default 1<<21). Propagation-only search is used above the
-	// limit; the solver remains exact, only bounds get weaker.
+	// LPCellLimit disables LP relaxations when (constraints + variables)
+	// × variables exceeds it (0 = default 1<<21): a measure of the model,
+	// not the simplex tableau's rows × (variables + slacks + rows) cells.
+	// Propagation-only search is used above the limit; the solver remains
+	// exact, only bounds get weaker.
 	LPCellLimit int
 	// TimeLimit aborts the search returning the incumbent (0 = none).
 	TimeLimit time.Duration
@@ -336,6 +338,9 @@ type searcher struct {
 	forcedBy   []int32 // groupImplications: candidates forcing each variable
 	touched    []int
 	leafBuf    []float64
+	// lp is the tableau every LP of this searcher reuses, sized by the
+	// first; a parallel child starts with its own, empty.
+	lp simplex
 
 	// hook, when set by a test, observes every node evaluation.
 	hook func(s *searcher, at hookPoint, v int)
@@ -395,7 +400,7 @@ func (s *searcher) init() *Solution {
 	s.bestObj = math.Inf(1)
 	s.st = analyze(m)
 	s.initEval()
-	cells := (len(m.Cons) + n) * n
+	cells := (len(m.Cons) + n) * n // LPCellLimit's measure, not the tableau's size
 	s.useLP = cells <= s.o.LPCellLimit && cells > 0
 	if s.o.TimeLimit > 0 {
 		s.deadln = time.Now().Add(s.o.TimeLimit)
@@ -415,7 +420,7 @@ func (s *searcher) init() *Solution {
 	// continuous variable with infinite bound and helpful objective is.
 	for i, v := range m.Vars {
 		if !v.Integer && (math.IsInf(s.lo[i], -1) && v.Obj > 0 || math.IsInf(s.hi[i], 1) && v.Obj < 0) {
-			if r := solveLP(m, s.lo, s.hi, s.o.MaxLPIter); r.status == Unbounded {
+			if r := s.lp.solve(m, s.lo, s.hi, s.o.MaxLPIter); r.status == Unbounded {
 				return &Solution{Status: Unbounded, Iterations: s.lpIters}
 			}
 			break
@@ -504,7 +509,7 @@ func (s *searcher) stepNode(branched int) (bv int, first float64, open bool) {
 	// much cheaper propagation machinery. The pivot budget shrinks with
 	// the tableau size so a single LP can never eat the time budget.
 	if s.useLP && s.depth <= 2 {
-		r := solveLP(s.m, s.lo, s.hi, s.lpIterBudget())
+		r := s.lp.solve(s.m, s.lo, s.hi, s.lpIterBudget())
 		s.lpIters += r.iters
 		switch r.status {
 		case Infeasible:
@@ -592,7 +597,7 @@ func (s *searcher) finishLeaf() {
 		s.offer(x, s.m.ObjectiveOf(x))
 		return
 	}
-	r := solveLP(s.m, s.lo, s.hi, s.lpIterBudget())
+	r := s.lp.solve(s.m, s.lo, s.hi, s.lpIterBudget())
 	s.lpIters += r.iters
 	if r.status == Optimal {
 		s.offer(r.x, r.obj)
@@ -616,8 +621,11 @@ func (s *searcher) offer(x []float64, obj float64) {
 	}
 }
 
-// lpIterBudget caps simplex pivots so one LP costs at most ~2e8 tableau
-// operations regardless of size.
+// lpIterBudget caps simplex pivots at 2e8 / (rows × (variables + 2·rows)),
+// kept between 50 and MaxLPIter. The divisor is the tableau's cell count,
+// rows × (variables + slacks + rows), as if every row had a slack: what a
+// dense pivot would update. A pivot here updates only the nonzeros it
+// touches.
 func (s *searcher) lpIterBudget() int {
 	m := len(s.m.Cons)
 	cols := len(s.m.Vars) + 2*m

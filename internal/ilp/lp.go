@@ -2,17 +2,30 @@ package ilp
 
 import "math"
 
-// solveLP solves the LP relaxation of the model with per-variable bounds
+// solve solves the LP relaxation of the model with per-variable bounds
 // lo/hi (which override the model's bounds; branch-and-bound nodes pass
 // tightened bounds). It returns the LP status, optimal objective, a
-// primal solution, and the iteration count.
+// primal solution, and the iteration count. Each searcher keeps one
+// simplex: solve sizes its buffers on first use and reuses them on every
+// later call, so an LP after the first allocates only the returned x.
 //
-// The implementation is a dense bounded-variable two-phase primal simplex:
-// variables are shifted to [0, u-l], every row gets an artificial for a
-// trivially feasible phase-1 start, and nonbasic variables are tracked at
-// their lower or upper bound. Dantzig pricing with a Bland fallback after
-// a run of degenerate pivots guarantees termination.
-func solveLP(m *Model, lo, hi []float64, maxIter int) lpResult {
+// The method is a bounded-variable two-phase primal simplex in float64
+// with tolerances: variables are shifted to [0, u-l], every row gets an
+// artificial for a trivially feasible phase-1 start, and nonbasic
+// variables are tracked at their lower or upper bound. Dantzig pricing
+// with a Bland fallback after a run of degenerate pivots guarantees
+// termination. The tableau is one row-major slab, and the work of an
+// iteration follows its nonzeros: a pivot scales the pivot row once,
+// collects its nonzero columns and updates the other rows and the
+// reduced costs over those columns only; pricing runs row by row.
+//
+// Every float operation on a nonzero is the one the textbook dense
+// tableau performs, in the same order, so the pivot sequence, the
+// iteration count, the objective and x are those of the dense method bit
+// for bit. Skipped terms are x − f·0, which is x up to the sign of a
+// zero, and no comparison here can tell −0 from +0; the only divisions
+// are by entries with |a| > lpEps.
+func (s *simplex) solve(m *Model, lo, hi []float64, maxIter int) lpResult {
 	n := len(m.Vars)
 	for i := range m.Vars {
 		if lo[i] > hi[i]+1e-12 {
@@ -20,8 +33,7 @@ func solveLP(m *Model, lo, hi []float64, maxIter int) lpResult {
 		}
 	}
 
-	s := &simplex{maxIter: maxIter}
-	s.build(m, lo, hi)
+	s.build(m, lo, hi, maxIter)
 
 	// Phase 1: minimize the sum of artificials.
 	if !s.run() {
@@ -39,9 +51,9 @@ func solveLP(m *Model, lo, hi []float64, maxIter int) lpResult {
 	}
 
 	x := make([]float64, n)
-	vals := s.values()
+	s.values(x)
 	for i := 0; i < n; i++ {
-		v := lo[i] + vals[i]
+		v := lo[i] + x[i]
 		// Clamp tiny numerical drift back into bounds.
 		if v < lo[i] {
 			v = lo[i]
@@ -73,13 +85,21 @@ type simplex struct {
 	rows, cols int
 	nStruct    int // structural (model) variables; then slacks, then artificials
 	artStart   int // first artificial column
-	T          [][]float64
-	d          []float64 // reduced-cost row for the current phase
-	cost       []float64 // phase-2 costs per column
-	beta       []float64 // current values of basic variables (shifted space)
-	basis      []int     // column basic in each row
-	status     []int8
-	ub         []float64 // shifted upper bounds per column (may be +Inf)
+	// width is the columns pricing and pivots visit: all of them in phase
+	// 1, none of the artificials in phase 2, which pins those at 0 and
+	// never reads their column or reduced cost again.
+	width int
+
+	T      []float64 // rows × cols tableau, row-major
+	d      []float64 // reduced-cost row for the current phase
+	cost   []float64 // phase-2 costs per column
+	beta   []float64 // current values of basic variables (shifted space)
+	basis  []int     // column basic in each row
+	status []int8
+	ub     []float64 // shifted upper bounds per column (may be +Inf)
+	nz     []int     // the last pivot row's nonzero columns
+	col    []float64 // step's copy of the entering column; pivot reads it too
+
 	iters      int
 	maxIter    int
 	unbounded  bool
@@ -87,8 +107,17 @@ type simplex struct {
 	degenerate int // consecutive degenerate pivots; triggers Bland's rule
 }
 
+// resize returns b with length n, reusing its array when it is large
+// enough. The contents are stale: callers overwrite or clear them.
+func resize[E any](b []E, n int) []E {
+	if cap(b) < n {
+		return make([]E, n)
+	}
+	return b[:n]
+}
+
 // build constructs the phase-1 tableau.
-func (s *simplex) build(m *Model, lo, hi []float64) {
+func (s *simplex) build(m *Model, lo, hi []float64, maxIter int) {
 	nv := len(m.Vars)
 	nc := len(m.Cons)
 	nSlack := 0
@@ -101,14 +130,20 @@ func (s *simplex) build(m *Model, lo, hi []float64) {
 	s.nStruct = nv
 	s.artStart = nv + nSlack
 	s.cols = nv + nSlack + nc
+	s.width = s.cols
+	s.iters, s.maxIter = 0, maxIter
+	s.unbounded, s.inPhase2, s.degenerate = false, false, 0
 
-	s.T = make([][]float64, nc)
-	for i := range s.T {
-		s.T[i] = make([]float64, s.cols)
-	}
-	s.ub = make([]float64, s.cols)
-	s.status = make([]int8, s.cols)
-	s.cost = make([]float64, s.cols)
+	s.T = resize(s.T, nc*s.cols)
+	clear(s.T)
+	s.ub = resize(s.ub, s.cols)
+	s.status = resize(s.status, s.cols)
+	s.cost = resize(s.cost, s.cols)
+	s.d = resize(s.d, s.cols)
+	s.basis = resize(s.basis, nc)
+	s.beta = resize(s.beta, nc)
+	s.col = resize(s.col, nc)
+	s.nz = resize(s.nz, s.cols)[:0]
 	inf := math.Inf(1)
 	for j := 0; j < nv; j++ {
 		s.ub[j] = hi[j] - lo[j]
@@ -118,51 +153,59 @@ func (s *simplex) build(m *Model, lo, hi []float64) {
 	for j := nv; j < s.cols; j++ {
 		s.ub[j] = inf
 		s.status[j] = atLower
+		s.cost[j] = 0
 	}
 
-	rhs := make([]float64, nc)
+	// Rows shifted by the lower bounds and normalized to a non-negative
+	// rhs, each with its artificial basic. Phase-1 reduced costs price
+	// cost 1 on the artificials out against that basis,
+	// d_j = -Σ_i T[i][j] for the other columns: s.d sums each column's
+	// nonzeros (a constraint's terms, its slack) in row order, which is
+	// the column-wise sum of every entry (adding a zero to a sum that
+	// started at +0 never changes it).
+	clear(s.d)
 	slack := nv
 	for i, c := range m.Cons {
+		row := s.T[i*s.cols : (i+1)*s.cols]
 		b := c.RHS
 		for _, t := range c.Terms {
-			s.T[i][t.Var] = t.Coeff
+			row[t.Var] = t.Coeff
 			b -= t.Coeff * lo[t.Var] // shift by lower bounds
 		}
+		sl := -1
 		switch c.Rel {
 		case LE:
-			s.T[i][slack] = 1
+			row[slack] = 1
+			sl = slack
 			slack++
 		case GE:
-			s.T[i][slack] = -1
+			row[slack] = -1
+			sl = slack
 			slack++
 		}
-		rhs[i] = b
-	}
-	// Normalize rows to non-negative rhs, then set artificial basis.
-	s.basis = make([]int, nc)
-	s.beta = make([]float64, nc)
-	for i := 0; i < nc; i++ {
-		if rhs[i] < 0 {
-			for j := 0; j < s.cols; j++ {
-				s.T[i][j] = -s.T[i][j]
+		if b < 0 {
+			for _, t := range c.Terms {
+				row[t.Var] = -row[t.Var]
 			}
-			rhs[i] = -rhs[i]
+			if sl >= 0 {
+				row[sl] = -row[sl]
+			}
+			b = -b
+		}
+		for _, t := range c.Terms {
+			s.d[t.Var] += row[t.Var]
+		}
+		if sl >= 0 {
+			s.d[sl] += row[sl]
 		}
 		art := s.artStart + i
-		s.T[i][art] = 1
+		row[art] = 1
 		s.basis[i] = art
 		s.status[art] = basic
-		s.beta[i] = rhs[i]
+		s.beta[i] = b
 	}
-	// Phase-1 reduced costs: cost 1 on artificials, priced out against
-	// the all-artificial basis: d_j = -Σ_i T[i][j] for non-artificials.
-	s.d = make([]float64, s.cols)
 	for j := 0; j < s.artStart; j++ {
-		sum := 0.0
-		for i := 0; i < nc; i++ {
-			sum += s.T[i][j]
-		}
-		s.d[j] = -sum
+		s.d[j] = -s.d[j]
 	}
 }
 
@@ -194,22 +237,25 @@ func (s *simplex) phaseCost(j int) float64 {
 // pins artificials at zero so they can never re-enter.
 func (s *simplex) enterPhase2() {
 	s.inPhase2 = true
+	s.width = s.artStart
 	for j := s.artStart; j < s.cols; j++ {
 		s.ub[j] = 0
 		if s.status[j] == atUpper {
 			s.status[j] = atLower
 		}
 	}
-	// d_j = c_j - Σ_i c_basis(i) * T[i][j]
-	for j := 0; j < s.cols; j++ {
-		d := s.cost[j]
-		for i := 0; i < s.rows; i++ {
-			cb := s.cost[s.basis[i]]
-			if cb != 0 {
-				d -= cb * s.T[i][j]
-			}
+	// d_j = c_j - Σ_i c_basis(i) * T[i][j], accumulated row by row in
+	// the order of i the column-wise loop used.
+	d := s.d[:s.width]
+	copy(d, s.cost)
+	for i := 0; i < s.rows; i++ {
+		cb := s.cost[s.basis[i]]
+		if cb == 0 {
+			continue
 		}
-		s.d[j] = d
+		for j, a := range s.T[i*s.cols : i*s.cols+s.width] {
+			d[j] -= cb * a
+		}
 	}
 	s.degenerate = 0
 }
@@ -240,7 +286,7 @@ func (s *simplex) run() bool {
 func (s *simplex) chooseEntering() int {
 	useBland := s.degenerate > 2*(s.rows+4)
 	best, bestScore := -1, lpEps
-	for j := 0; j < s.cols; j++ {
+	for j := 0; j < s.width; j++ {
 		if s.status[j] == basic || s.ub[j] == 0 {
 			continue // basic, or pinned at a fixed bound
 		}
@@ -277,8 +323,12 @@ func (s *simplex) step(e int) bool {
 	tMax := s.ub[e]
 	leave, leaveAt := -1, int8(atLower)
 	t := tMax
-	for i := 0; i < s.rows; i++ {
-		a := dir * s.T[i][e]
+	col := s.col
+	for i := range col {
+		col[i] = s.T[i*s.cols+e]
+	}
+	for i, c := range col {
+		a := dir * c
 		if a > lpEps {
 			// Basic value decreases toward 0.
 			lim := s.beta[i] / a
@@ -314,8 +364,8 @@ func (s *simplex) step(e int) bool {
 
 	if leave < 0 {
 		// Bound flip: entering traverses to its other bound; basis intact.
-		for i := 0; i < s.rows; i++ {
-			s.beta[i] -= dir * t * s.T[i][e]
+		for i, c := range col {
+			s.beta[i] -= dir * t * c
 		}
 		if s.status[e] == atLower {
 			s.status[e] = atUpper
@@ -330,9 +380,9 @@ func (s *simplex) step(e int) bool {
 	if s.status[e] == atUpper {
 		enteringVal = s.ub[e] - t
 	}
-	for i := 0; i < s.rows; i++ {
+	for i, c := range col {
 		if i != leave {
-			s.beta[i] -= dir * t * s.T[i][e]
+			s.beta[i] -= dir * t * c
 			if s.beta[i] < 0 && s.beta[i] > -1e-9 {
 				s.beta[i] = 0
 			}
@@ -357,42 +407,43 @@ func better(basis []int, cur, cand int) bool {
 }
 
 // pivot performs the Gauss-Jordan elimination making column e the
-// identity column of row r, and prices the reduced-cost row.
+// identity column of row r, and prices the reduced-cost row. The pivot
+// row is scaled once and its nonzero columns collected; the other rows
+// and d change only in those columns.
 func (s *simplex) pivot(r, e int) {
-	pr := s.T[r]
-	p := pr[e]
-	inv := 1 / p
-	for j := 0; j < s.cols; j++ {
-		pr[j] *= inv
+	pr := s.T[r*s.cols : r*s.cols+s.width]
+	inv := 1 / pr[e]
+	nz := s.nz[:0]
+	for j, v := range pr {
+		if v != 0 {
+			pr[j] = v * inv
+			nz = append(nz, j)
+		}
 	}
 	pr[e] = 1 // exact
-	for i := 0; i < s.rows; i++ {
-		if i == r {
+	s.nz = nz
+	for i, f := range s.col {
+		if i == r || f == 0 {
 			continue
 		}
-		row := s.T[i]
-		f := row[e]
-		if f == 0 {
-			continue
-		}
-		for j := 0; j < s.cols; j++ {
+		row := s.T[i*s.cols : i*s.cols+s.width]
+		for _, j := range nz {
 			row[j] -= f * pr[j]
 		}
 		row[e] = 0
 	}
-	f := s.d[e]
-	if f != 0 {
-		for j := 0; j < s.cols; j++ {
+	if f := s.d[e]; f != 0 {
+		for _, j := range nz {
 			s.d[j] -= f * pr[j]
 		}
 		s.d[e] = 0
 	}
 }
 
-// values returns the shifted structural variable values.
-func (s *simplex) values() []float64 {
-	x := make([]float64, s.nStruct)
+// values writes the shifted structural variable values into x.
+func (s *simplex) values(x []float64) {
 	for j := 0; j < s.nStruct; j++ {
+		x[j] = 0
 		if s.status[j] == atUpper {
 			x[j] = s.ub[j]
 		}
@@ -406,5 +457,4 @@ func (s *simplex) values() []float64 {
 			x[b] = v
 		}
 	}
-	return x
 }

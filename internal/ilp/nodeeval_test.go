@@ -87,7 +87,7 @@ func buildChurnShaped(r *rng.RNG, groups, cands int) *Model {
 
 // decodeCanonical is the inverse of canonicalModel: it rebuilds a model
 // (without names) from the serialization the solution cache keys by.
-func decodeCanonical(t *testing.T, buf []byte) *Model {
+func decodeCanonical(t testing.TB, buf []byte) *Model {
 	t.Helper()
 	u32 := func() uint32 {
 		v := binary.LittleEndian.Uint32(buf)
@@ -129,7 +129,13 @@ func decodeCanonical(t *testing.T, buf []byte) *Model {
 // solveByComponents while TestWarmStartSurvivesTwoSolvesPerStep ran.
 func churnStepModel(t *testing.T) *Model {
 	t.Helper()
-	f, err := os.Open("testdata/churn_step8.model.gz")
+	return loadModel(t, "testdata/churn_step8.model.gz")
+}
+
+// loadModel reads a gzipped model in canonicalModel's layout.
+func loadModel(t testing.TB, path string) *Model {
+	t.Helper()
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,8 +298,9 @@ func TestBoundTiesAreExact(t *testing.T) {
 }
 
 // TestNodeEvaluationAllocFree pins the per-node cost model: after init a
-// node allocates nothing (LP relaxations, which only run at depth ≤ 2,
-// are switched off here; they build a tableau each).
+// node allocates nothing. LP relaxations, which only run at depth ≤ 2,
+// are switched off here: an LP allocates the x it returns, and the
+// searcher's first LP its tableau (TestSimplexReusesTableau).
 func TestNodeEvaluationAllocFree(t *testing.T) {
 	for name, m := range map[string]*Model{
 		"churn-shaped": buildChurnShaped(rng.New(7), 24, 6),
