@@ -113,7 +113,8 @@ type (
 	// MemWALStorage is an in-memory WALStorage for tests and examples.
 	MemWALStorage = recovery.MemStorage
 	// DirWALStorage is a directory-backed WALStorage (one append-only
-	// file per stream, optionally fsynced per append).
+	// file per stream, appended through a shared memory mapping,
+	// optionally fsynced per append).
 	DirWALStorage = recovery.DirStorage
 	// RecoveryStats summarizes what Recover did: checkpoint records
 	// composed, tuples restored, WAL records replayed and deduplicated,

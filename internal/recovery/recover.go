@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -79,7 +80,7 @@ func Recover(st Storage, eng *runtime.Engine, cfg Config) (*Manager, *Stats, err
 		return nil, nil, fmt.Errorf("recovery: reading WAL: %w", err)
 	}
 	walFrames, validWAL := runtime.ScanFrames(walBytes)
-	stats.TornWALBytes = int64(len(walBytes)) - validWAL
+	stats.TornWALBytes = tornBytes(walBytes, validWAL)
 	walRecords := make([]walRecord, len(walFrames))
 	for i, fr := range walFrames {
 		rec, err := decodeWALRecord(fr.Payload)
@@ -112,7 +113,7 @@ func Recover(st Storage, eng *runtime.Engine, cfg Config) (*Manager, *Stats, err
 		records = append(records, rec)
 		usableCkpt = fr.End
 	}
-	stats.TornCheckpointBytes = int64(len(ckptBytes)) - usableCkpt
+	stats.TornCheckpointBytes = tornBytes(ckptBytes, usableCkpt)
 	stats.CheckpointRecords = len(records)
 
 	// Make the surviving prefixes the whole truth before touching the
@@ -250,6 +251,13 @@ func Recover(st Storage, eng *runtime.Engine, cfg Config) (*Manager, *Stats, err
 		}
 	}
 	return mgr, stats, nil
+}
+
+// tornBytes counts the bytes of b past its usable prefix that a crash
+// left, less the zero fill a mapped DirStorage file runs into after its
+// last record — fill is preallocation, not a lost record.
+func tornBytes(b []byte, usable int64) int64 {
+	return int64(len(bytes.TrimRight(b[usable:], "\x00")))
 }
 
 // diffEvicts compares logged and re-made evictions as multisets over

@@ -88,16 +88,25 @@ func (s *MemStorage) Size(stream string) int64 {
 	return int64(len(s.streams[stream]))
 }
 
-// DirStorage stores each stream as a file in one directory. Appends go
-// through an O_APPEND descriptor; Sync forces an fsync per append —
-// without it a crash can tear the last record(s), which is precisely
-// the torn tail the frame scanner recovers from.
+// DirStorage stores each stream as a file in one directory. An append
+// is a memory copy into a shared mapping of the file (appendfile_unix.go;
+// one write(2) per append where the platform has no mmap). Sync forces
+// an fsync per append — without it a machine crash can tear the last
+// record(s), which is precisely the torn tail the frame scanner recovers
+// from; a process crash loses nothing, the page cache outlives it.
+//
+// A mapped file is extended ahead of its data, so a storage abandoned
+// without Close leaves zero fill after its last record. The frame
+// scanner reads fill as the end of the log, and Recover truncates it
+// with the torn tail — which is why appends to a directory a crash left
+// behind must wait for Recover. A directory belongs to one open
+// DirStorage at a time.
 type DirStorage struct {
 	dir  string
 	sync bool
 
 	mu    sync.Mutex
-	files map[string]*os.File
+	files map[string]*appendFile
 }
 
 // NewDirStorage opens (creating if needed) a directory-backed storage.
@@ -106,45 +115,46 @@ func NewDirStorage(dir string, syncEachAppend bool) (*DirStorage, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("recovery: storage dir: %w", err)
 	}
-	return &DirStorage{dir: dir, sync: syncEachAppend, files: map[string]*os.File{}}, nil
+	return &DirStorage{dir: dir, sync: syncEachAppend, files: map[string]*appendFile{}}, nil
 }
 
 func (s *DirStorage) path(stream string) string {
 	return filepath.Join(s.dir, stream+".log")
 }
 
-func (s *DirStorage) file(stream string) (*os.File, error) {
-	if f := s.files[stream]; f != nil {
-		return f, nil
+func (s *DirStorage) file(stream string) (*appendFile, error) {
+	if af := s.files[stream]; af != nil {
+		return af, nil
 	}
-	f, err := os.OpenFile(s.path(stream), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	af, err := openAppendFile(s.path(stream))
 	if err != nil {
 		return nil, err
 	}
-	s.files[stream] = f
-	return f, nil
+	s.files[stream] = af
+	return af, nil
 }
 
 func (s *DirStorage) Append(stream string, b []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f, err := s.file(stream)
+	af, err := s.file(stream)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(b); err != nil {
-		return err
-	}
-	if s.sync {
-		return f.Sync()
-	}
-	return nil
+	return af.append(b, s.sync)
 }
 
+// Load returns the stream's file: after a crash, records and then fill.
+// An open stream's file is cut at its logical length.
 func (s *DirStorage) Load(stream string) ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	b, err := os.ReadFile(s.path(stream))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
+	}
+	if af := s.files[stream]; af != nil && int64(len(b)) > af.size {
+		b = b[:af.size]
 	}
 	return b, err
 }
@@ -152,11 +162,13 @@ func (s *DirStorage) Load(stream string) ([]byte, error) {
 func (s *DirStorage) Truncate(stream string, n int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Drop the cached append handle: O_APPEND descriptors and truncation
-	// interact per-write, and reopening is cheap on this cold path.
-	if f := s.files[stream]; f != nil {
-		f.Close()
+	// Close an open stream first: its mapping must not outlive the bytes
+	// it covers, and the bytes past n must go, fill included.
+	if af := s.files[stream]; af != nil {
 		delete(s.files, stream)
+		if err := af.close(); err != nil {
+			return err
+		}
 	}
 	err := os.Truncate(s.path(stream), n)
 	if errors.Is(err, os.ErrNotExist) && n == 0 {
@@ -165,13 +177,14 @@ func (s *DirStorage) Truncate(stream string, n int64) error {
 	return err
 }
 
-// Close releases the storage's open file handles.
+// Close releases the storage's mappings and file handles and cuts each
+// file back to its data.
 func (s *DirStorage) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var first error
-	for name, f := range s.files {
-		if err := f.Close(); err != nil && first == nil {
+	for name, af := range s.files {
+		if err := af.close(); err != nil && first == nil {
 			first = err
 		}
 		delete(s.files, name)

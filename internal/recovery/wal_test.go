@@ -3,7 +3,10 @@ package recovery
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"clash/internal/query"
@@ -97,6 +100,32 @@ func TestScanFramesStopsAtCorruption(t *testing.T) {
 	frames, valid := runtime.ScanFrames(log)
 	if len(frames) != 1 || valid != int64(len(a)) {
 		t.Fatalf("got %d frames / %d valid bytes, want 1 / %d", len(frames), valid, len(a))
+	}
+}
+
+// TestScanFramesStopsAtZeroFill: a log followed by zero fill — what a
+// mapped stream file holds past its last record — scans to exactly the
+// log. Five zero bytes are an empty payload under a valid CRC, so fill
+// would otherwise read as records.
+func TestScanFramesStopsAtZeroFill(t *testing.T) {
+	var log []byte
+	for seq := uint64(1); seq <= 3; seq++ {
+		log = append(log, ingestFrame(t, "R", tuple.Time(seq), seq, tuple.IntValue(int64(seq)))...)
+	}
+	for _, fill := range []int{1, 5, 4096} {
+		b := append(append([]byte{}, log...), make([]byte, fill)...)
+		frames, valid := runtime.ScanFrames(b)
+		if len(frames) != 3 || valid != int64(len(log)) {
+			t.Errorf("%d fill bytes: %d frames / %d valid bytes, want 3 / %d", fill, len(frames), valid, len(log))
+		}
+		if n := tornBytes(b, valid); n != 0 {
+			t.Errorf("%d fill bytes counted as %d torn bytes", fill, n)
+		}
+	}
+	torn := ingestFrame(t, "S", 9, 4, tuple.StringValue("tail"))
+	b := append(append(append([]byte{}, log...), torn[:len(torn)-2]...), make([]byte, 64)...)
+	if _, valid := runtime.ScanFrames(b); tornBytes(b, valid) != int64(len(torn)-2) {
+		t.Errorf("torn record before fill counted as %d bytes, want %d", tornBytes(b, valid), len(torn)-2)
 	}
 }
 
@@ -278,5 +307,126 @@ func TestDirStorageRoundTrip(t *testing.T) {
 	}
 	if err := st2.Truncate("absent", 0); err != nil {
 		t.Fatalf("truncate of absent stream to 0: %v", err)
+	}
+}
+
+// TestDirStorageCrashKeepsRecords: a storage abandoned without Close —
+// a crash — after appends that outgrew several mappings. A second
+// storage over the directory loads every record, the scan stops where
+// the fill begins, Recover's truncation drops the fill, and appending
+// continues the log in place.
+func TestDirStorageCrashKeepsRecords(t *testing.T) {
+	dir := t.TempDir()
+	st, err := NewDirStorage(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	payload := bytes.Repeat([]byte{0xa5}, 1000)
+	for i := 0; len(want) < 3<<20; i++ { // past three mappings' growth
+		fr := runtime.AppendFrame(nil, payload[:1+i%len(payload)])
+		if err := st.Append(StreamWAL, fr); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, fr...)
+	}
+	if b, err := st.Load(StreamWAL); err != nil || !bytes.Equal(b, want) {
+		t.Fatalf("open stream loaded %d bytes (%v), want its %d", len(b), err, len(want))
+	}
+	// Crash: st is never closed.
+
+	st2, err := NewDirStorage(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	b, err := st2.Load(StreamWAL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(b, want) {
+		t.Fatalf("crashed stream lost records: %d bytes on disk, %d appended", len(b), len(want))
+	}
+	_, valid := runtime.ScanFrames(b)
+	if valid != int64(len(want)) || tornBytes(b, valid) != 0 {
+		t.Fatalf("scan kept %d bytes with %d torn, want %d and 0", valid, tornBytes(b, valid), len(want))
+	}
+	if err := st2.Truncate(StreamWAL, valid); err != nil {
+		t.Fatal(err)
+	}
+	more := runtime.AppendFrame(nil, []byte("after the crash"))
+	if err := st2.Append(StreamWAL, more); err != nil {
+		t.Fatal(err)
+	}
+	if err := st2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, more...)
+	if b, err := os.ReadFile(filepath.Join(dir, StreamWAL+".log")); err != nil || !bytes.Equal(b, want) {
+		t.Fatalf("closed file holds %d bytes (%v), want exactly the %d of the log", len(b), err, len(want))
+	}
+}
+
+// TestDirStorageConcurrentAppends: appends from several goroutines —
+// task goroutines log evictions while the ingesting one logs tuples —
+// interleave whole records across remaps, with loads in between.
+func TestDirStorageConcurrentAppends(t *testing.T) {
+	st, err := NewDirStorage(t.TempDir(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	const writers, each = 4, 3000
+	payload := bytes.Repeat([]byte{0x5a}, 200)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := st.Append(StreamWAL, runtime.AppendFrame(nil, payload[:1+(w*each+i)%len(payload)])); err != nil {
+					t.Error(err)
+					return
+				}
+				if i%500 == 0 {
+					if _, err := st.Load(StreamWAL); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	b, err := st.Load(StreamWAL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frames, valid := runtime.ScanFrames(b); len(frames) != writers*each || valid != int64(len(b)) {
+		t.Fatalf("%d frames in %d of %d bytes, want %d frames and every byte", len(frames), valid, len(b), writers*each)
+	}
+}
+
+// BenchmarkLogIngest: one ingest record through a Manager on directory
+// storage — the append a durable engine makes before each tuple takes
+// effect.
+func BenchmarkLogIngest(b *testing.B) {
+	st, err := NewDirStorage(b.TempDir(), false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	mgr, err := NewManager(st, Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	vals := []tuple.Value{tuple.IntValue(42), tuple.StringValue("abc")}
+	b.ReportAllocs()
+	var seq uint64
+	for b.Loop() {
+		seq++
+		if err := mgr.LogIngest("R", tuple.Time(seq), vals, seq); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -50,10 +50,13 @@ func AppendFrame(buf, payload []byte) []byte {
 
 // cutFrame splits the frame at the head of b into its payload and the
 // bytes after it; ok is false when b does not start with a whole frame
-// whose CRC holds.
+// whose CRC holds. No writer frames an empty payload, so a zero length
+// is not a frame either: it is where a log file extended ahead of its
+// data turns into zero fill (the CRC of nothing is 0, so fill would
+// otherwise read as a run of valid empty frames).
 func cutFrame(b []byte) (payload, rest []byte, ok bool) {
 	l, n := binary.Uvarint(b)
-	if n <= 0 {
+	if n <= 0 || l == 0 {
 		return nil, nil, false
 	}
 	b = b[n:]
@@ -88,8 +91,8 @@ type Frame struct {
 
 // ScanFrames decodes the longest valid frame prefix of a log. It returns
 // the frames and the byte length of that prefix; everything past it is
-// a torn tail (incomplete length, short payload, or CRC mismatch) that
-// the caller truncates away.
+// a torn tail (incomplete length, short payload, or CRC mismatch) or
+// zero fill, which the caller truncates away.
 func ScanFrames(b []byte) (frames []Frame, valid int64) {
 	for {
 		payload, rest, ok := cutFrame(b[valid:])

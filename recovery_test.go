@@ -3,6 +3,7 @@ package clash
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 )
@@ -64,8 +65,29 @@ func recoveryConfig(st WALStorage, buf *commitBuf) Config {
 // TestWALRecoverRoundTrip: run durably, crash mid-stream (abandon the
 // engine without a final checkpoint), Recover, finish the stream — the
 // committed output across both lives equals an uninterrupted run's,
-// exactly once.
+// exactly once. On directory storage the second life opens the
+// directory afresh, as a restarted process does, over the files the
+// crashed one left mapped and unclosed.
 func TestWALRecoverRoundTrip(t *testing.T) {
+	t.Run("mem", func(t *testing.T) {
+		st := NewMemWALStorage()
+		testWALRecoverRoundTrip(t, func() WALStorage { return st })
+	})
+	t.Run("dir", func(t *testing.T) {
+		dir := t.TempDir()
+		testWALRecoverRoundTrip(t, func() WALStorage {
+			st, err := NewDirWALStorage(dir, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st
+		})
+	})
+}
+
+// testWALRecoverRoundTrip runs the crash round trip; open returns the
+// storage of each life.
+func testWALRecoverRoundTrip(t *testing.T, open func() WALStorage) {
 	const steps = 13
 	const crashAt = 8
 
@@ -92,9 +114,8 @@ func TestWALRecoverRoundTrip(t *testing.T) {
 
 	// First life: ingest a prefix, then crash (no Close, no final
 	// checkpoint — the WAL tail past the last anchor is stranded).
-	st := NewMemWALStorage()
 	buf1 := newCommitBuf()
-	eng1, err := Start(recoveryConfig(st, buf1))
+	eng1, err := Start(recoveryConfig(open(), buf1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +131,16 @@ func TestWALRecoverRoundTrip(t *testing.T) {
 
 	// Second life: recover and finish the stream.
 	buf2 := newCommitBuf()
-	eng2, rstats, err := Recover(recoveryConfig(st, buf2))
+	st2 := open()
+	eng2, rstats, err := Recover(recoveryConfig(st2, buf2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng2.OnCommit(buf2.commit)
+	if rstats.TornWALBytes != 0 || rstats.TornCheckpointBytes != 0 {
+		t.Errorf("a crash between records tore %d WAL and %d checkpoint bytes, want 0",
+			rstats.TornWALBytes, rstats.TornCheckpointBytes)
+	}
 	if rstats.ReplayedIngests == 0 {
 		t.Error("no WAL records replayed — crash landed exactly on a checkpoint?")
 	}
@@ -133,6 +159,11 @@ func TestWALRecoverRoundTrip(t *testing.T) {
 	}
 	if err := eng2.Close(); err != nil { // idempotent
 		t.Fatal(err)
+	}
+	if c, ok := st2.(io.Closer); ok { // caller-owned storage
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	got := map[string]int{}
