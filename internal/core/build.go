@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"clash/internal/cost"
@@ -20,13 +22,21 @@ type builder struct {
 	rawEst  *stats.Estimates
 	est     *cost.Estimator
 	mirs    []*mir.MIR
+	syms    *symbols // the Reopt's, or the builder's own
 
 	model *ilp.Model
 
-	orders     []*DecoratedOrder
-	xVar       map[string]int // DecoratedOrder.Key() -> ILP var
-	yVar       map[string]int // step key -> ILP var
-	orderByKey map[string]*DecoratedOrder
+	// The ILP's variables. Orders are numbered by their position in
+	// orders (DecoratedOrder.num); steps, decorations and orders' keys by
+	// their symbols. -1 marks a symbol this solve has no variable for.
+	orders  []*DecoratedOrder
+	xVar    []int32 // order number -> x
+	yVar    []int32 // step id -> y
+	zVar    []int32 // decoration id -> z
+	orderOf []int32 // order id -> order number
+	nStores int     // store ids below it are this solve's
+	zs      []zDecor
+	cons    []conRef // what each constraint is, for its name
 
 	// cross-churn cache key components (set when opts.Reopt != nil)
 	structFP string              // the options that shape candidate structure
@@ -36,14 +46,44 @@ type builder struct {
 
 	// top-level candidate groups: query name -> start -> orders
 	topGroups map[string]map[string][]*DecoratedOrder
-	// feeding groups: MIR key -> start -> orders
+	// feeding groups: MIR key -> start -> orders, and the MIR fed
 	feedGroups map[string]map[string][]*DecoratedOrder
+	fed        map[string]*mir.MIR
+	// The same groups in the builder's stable order: top-level ones by
+	// query, then start; feeding ones by MIR key, with feedOf mapping a
+	// store id to its feeding group.
+	tops   []topGroup
+	feeds  []feedGroup
+	feedOf []int32
 
-	// partition linking: store MIR key -> attr string -> z var
-	zVar map[string]map[string]int
+	// sels holds each (sub)query's predicate selectivities, looked up
+	// once per solve; knows the Knows verdict per step id.
+	sels  map[*query.Query][]float64
+	knows map[int32]bool
 
 	// warm reports what the last warmStart call did.
 	warm warmReport
+}
+
+// topGroup is one (query, start) group of top-level candidates.
+type topGroup struct {
+	query  string
+	start  string
+	orders []*DecoratedOrder
+}
+
+// feedGroup is the feeding candidates of one MIR: per start in sorted
+// order, and per relation of the MIR in its (sorted) Rels order.
+type feedGroup struct {
+	byStart [][]*DecoratedOrder
+	byRel   [][]*DecoratedOrder
+}
+
+// zDecor is one z variable: a store with one partitioning attribute.
+type zDecor struct {
+	store, dec int32
+	mir        string
+	attr       query.Attr
 }
 
 func newBuilder(opts Options, queries []*query.Query, est *stats.Estimates) *builder {
@@ -53,25 +93,27 @@ func newBuilder(opts Options, queries []*query.Query, est *stats.Estimates) *bui
 		rawEst:     est,
 		est:        opts.estimator(queries, est),
 		model:      ilp.NewModel(),
-		xVar:       map[string]int{},
-		yVar:       map[string]int{},
-		orderByKey: map[string]*DecoratedOrder{},
 		topGroups:  map[string]map[string][]*DecoratedOrder{},
 		feedGroups: map[string]map[string][]*DecoratedOrder{},
-		zVar:       map[string]map[string]int{},
+		fed:        map[string]*mir.MIR{},
+		sels:       map[*query.Query][]float64{},
+		knows:      map[int32]bool{},
 	}
-	if r := opts.Reopt; r != nil {
-		r.beginSolve(est)
-		b.structFP = opts.structFingerprint()
-		b.estVer = r.estVersion()
-		b.fps = make(map[string]string, len(queries))
-		b.byRel = map[string][]string{}
-		for _, q := range queries {
-			fp := mir.Fingerprint(q)
-			b.fps[q.Name] = fp
-			for _, rel := range q.Relations {
-				b.byRel[rel] = append(b.byRel[rel], fp)
-			}
+	r := opts.Reopt
+	if r == nil {
+		b.syms = newSymbols()
+		return b
+	}
+	b.syms = r.beginSolve(est)
+	b.structFP = opts.structFingerprint()
+	b.estVer = r.estVersion()
+	b.fps = make(map[string]string, len(queries))
+	b.byRel = map[string][]string{}
+	for _, q := range queries {
+		fp := r.Memo.Fingerprint(q)
+		b.fps[q.Name] = fp
+		for _, rel := range q.Relations {
+			b.byRel[rel] = append(b.byRel[rel], fp)
 		}
 	}
 	return b
@@ -110,7 +152,7 @@ func (b *builder) run() (*Plan, error) {
 		return newBuilder(full, b.queries, b.rawEst).run()
 	}
 	if sol.Status == ilp.Infeasible || sol.Status == ilp.Unbounded {
-		return nil, fmt.Errorf("core: ILP %s (%d queries, %d candidates)\n%s", sol.Status, len(b.queries), len(b.orders), b.model)
+		return nil, b.unsolvable(sol.Status)
 	}
 	if sol.Values == nil {
 		return nil, fmt.Errorf("core: ILP hit limits with no incumbent (nodes=%d)", sol.Nodes)
@@ -136,6 +178,12 @@ func (b *builder) run() (*Plan, error) {
 		r.noteIncumbent(b.opts.regime(), plan)
 	}
 	return plan, nil
+}
+
+// unsolvable is the error of a model without a solution; it prints the
+// model, every row named.
+func (b *builder) unsolvable(status ilp.Status) error {
+	return fmt.Errorf("core: ILP %s (%d queries, %d candidates)\n%s", status, len(b.queries), len(b.orders), b.model)
 }
 
 func (b *builder) enumerateMIRs() {
@@ -209,6 +257,7 @@ func (b *builder) generateCandidates() error {
 			}
 		}
 		b.feedGroups[key] = group
+		b.fed[key] = m
 		for k, mm := range newNeeds {
 			if !done[k] {
 				if _, known := neededMIRs[k]; !known {
@@ -231,7 +280,7 @@ func (b *builder) structure(q *query.Query, fed *mir.MIR) map[string][]*Decorate
 	sig := ""
 	if r != nil {
 		sig = b.structSig(q, fed)
-		if group, ok := r.structLookup(sig, fed != nil, !b.opts.reoptChild); ok {
+		if group, ok := r.structLookup(sig, b.syms, fed != nil, !b.opts.reoptChild); ok {
 			return group
 		}
 	}
@@ -244,7 +293,7 @@ func (b *builder) structure(q *query.Query, fed *mir.MIR) map[string][]*Decorate
 		group[start] = dec
 	}
 	if r != nil {
-		r.structStore(sig, group)
+		r.structStore(sig, b.syms, group)
 	}
 	return group
 }
@@ -280,13 +329,18 @@ func (b *builder) priced(structure map[string][]*DecoratedOrder, q *query.Query,
 
 // price sets d's step costs and their sum (Eq. 1) from the step shapes.
 func (b *builder) price(d *DecoratedOrder) {
+	sels := b.sels[d.Query]
+	if sels == nil {
+		sels = b.est.Selectivities(d.Query.Preds)
+		b.sels[d.Query] = sels
+	}
 	d.Cost = 0
 	for i, s := range d.shapes {
 		var c float64
 		if s.materialize {
-			c = b.est.Cardinality(s.rels, d.Query.Preds) / float64(s.j) * b.est.MaterializationUnit()
+			c = b.est.CardinalityWith(s.rels, d.Query.Preds, sels) / float64(s.j) * b.est.MaterializationUnit()
 		} else {
-			c = b.est.PriceStep(s.rels, s.j, s.knows, s.target, d.Query.Preds)
+			c = b.est.PriceStep(s.rels, s.j, s.knows, s.target, d.Query.Preds, sels)
 		}
 		d.Steps[i].Cost = c
 		d.Cost += c
@@ -354,6 +408,7 @@ func (b *builder) decorate(q *query.Query, fed *mir.MIR, start string, po *mir.P
 		choices[i] = cands
 	}
 
+	prefixes := b.prefixes(q, start, po)
 	var out []*DecoratedOrder
 	elems := make([]Element, n)
 	var rec func(i int)
@@ -366,7 +421,8 @@ func (b *builder) decorate(q *query.Query, fed *mir.MIR, start string, po *mir.P
 				Elems:  append([]Element(nil), elems...),
 			}
 			d.key = d.buildKey()
-			b.shapeSteps(d, fed)
+			d.id = b.syms.intern(b.syms.orders, d.key)
+			b.shapeSteps(d, fed, prefixes)
 			out = append(out, d)
 			return
 		}
@@ -393,132 +449,231 @@ type stepShape struct {
 	materialize bool
 }
 
+// stepPrefix is what step i of a probe order shares across the
+// order's partition decorations: the partial result it sends (the first
+// i elements) as a key, a sorted relation list and a set, and the probed
+// MIR's relation set.
+type stepPrefix struct {
+	key    string
+	rels   []string
+	set    map[string]bool
+	target map[string]bool
+}
+
+// prefixes works out po's step prefixes once for all its decorations:
+// entry i (1 ≤ i < n) is step i's, entry n the whole order's, which the
+// materialization step sends.
+func (b *builder) prefixes(q *query.Query, start string, po *mir.ProbeOrder) []stepPrefix {
+	n := po.Len()
+	out := make([]stepPrefix, n+1)
+	var rels []string
+	set := map[string]bool{}
+	for i := 1; i <= n; i++ {
+		e := po.Elems[i-1]
+		rels = append(rels, e.Rels...)
+		for _, r := range e.Rels {
+			set[r] = true
+		}
+		sorted := slices.Clone(rels)
+		sort.Strings(sorted)
+		// The prefix identity includes the starting relation: the
+		// partial result reached from arriving-R tuples ("R latest",
+		// the paper's subquery q_R) is a different tuple stream than
+		// the same relation set reached from arriving-S tuples, so
+		// equal relation sets with different starts must not share a
+		// step variable.
+		out[i] = stepPrefix{key: start + ":" + mir.New(rels, q.Preds).Key(), rels: sorted, set: maps.Clone(set)}
+		if i < n {
+			out[i].target = po.Elems[i].RelSet()
+		}
+	}
+	return out
+}
+
 // shapeSteps derives the physical steps of a decorated order and their
-// shapes; price turns the shapes into Eq. 1 costs. Step keys are
-// canonical so equal steps across queries share one ILP variable.
-func (b *builder) shapeSteps(d *DecoratedOrder, fed *mir.MIR) {
+// shapes from its probe order's prefixes; price turns the shapes into
+// Eq. 1 costs. Step keys are canonical so equal steps across queries
+// share one ILP variable.
+func (b *builder) shapeSteps(d *DecoratedOrder, fed *mir.MIR, prefixes []stepPrefix) {
 	par := b.opts.parallelism()
-	prefix := map[string]bool{}
-	var prefixRels []string
+	d.elems = make([]elemIDs, len(d.Elems))
+	d.elems[0] = elemIDs{store: -1, dec: -1} // the start is probed by no step
 	for i, e := range d.Elems {
-		if i > 0 {
-			t := cost.Target{Rels: e.MIR.RelSet(), Partition: e.Partition, Parallelism: par}
-			if b.opts.UniformChi {
-				t.Parallelism = 1
-				t.Partition = query.Attr{}
-			}
-			// The prefix identity includes the starting relation: the
-			// partial result reached from arriving-R tuples ("R latest",
-			// the paper's subquery q_R) is a different tuple stream than
-			// the same relation set reached from arriving-S tuples, so
-			// equal relation sets with different starts must not share a
-			// step variable.
-			prefixKey := d.Start + ":" + mir.New(prefixRels, d.Query.Preds).Key()
-			key := prefixKey + "->" + e.MIR.Key() + "[" + e.Partition.String() + "]"
-			d.Steps = append(d.Steps, Step{Key: key, PrefixKey: prefixKey, Target: e})
-			knows := b.est.Knows(prefix, t)
-			t.Rels = nil
-			rels := slices.Clone(prefixRels)
-			sort.Strings(rels)
-			d.shapes = append(d.shapes, stepShape{rels: rels, j: i, target: t, knows: knows})
+		if i == 0 {
+			continue
 		}
-		for _, r := range e.MIR.Rels {
-			prefix[r] = true
+		d.elems[i] = elemIDs{store: b.syms.intern(b.syms.stores, e.MIR.Key()), dec: -1}
+		if e.Partition != (query.Attr{}) {
+			d.elems[i].dec = b.syms.intern(b.syms.decors, e.MIR.Key()+"["+e.Partition.String()+"]")
 		}
-		prefixRels = append(prefixRels, e.MIR.Rels...)
+		p := prefixes[i]
+		t := cost.Target{Rels: p.target, Partition: e.Partition, Parallelism: par}
+		if b.opts.UniformChi {
+			t.Parallelism = 1
+			t.Partition = query.Attr{}
+		}
+		key := p.key + "->" + e.MIR.Key() + "[" + e.Partition.String() + "]"
+		id := b.syms.intern(b.syms.steps, key)
+		d.Steps = append(d.Steps, Step{Key: key, PrefixKey: p.key, Target: e, id: id})
+		// The key names the prefix's relations, the probed store and its
+		// partitioning: all Knows reads besides the query set's
+		// predicates, which are the builder's.
+		knows, ok := b.knows[id]
+		if !ok {
+			knows = b.est.Knows(p.set, t)
+			b.knows[id] = knows
+		}
+		t.Rels = nil
+		d.shapes = append(d.shapes, stepShape{rels: p.rels, j: i, target: t, knows: knows})
 	}
 	if b.opts.MaterializationCost && fed != nil {
 		// Inserting the feeding results into the MIR store: the full
 		// subquery result per time unit, divided by the number of
 		// starting relations contributing (each feeding order carries
 		// its 1/|elems| share), partition always known.
-		key := d.Start + ":" + mir.New(prefixRels, d.Query.Preds).Key() + "=>" + d.ForMIR
-		d.Steps = append(d.Steps, Step{Key: key, PrefixKey: d.ForMIR})
+		key := prefixes[len(d.Elems)].key + "=>" + d.ForMIR
+		d.Steps = append(d.Steps, Step{Key: key, PrefixKey: d.ForMIR, id: b.syms.intern(b.syms.steps, key)})
 		d.shapes = append(d.shapes, stepShape{rels: fed.Rels, j: len(d.Elems), materialize: true})
 	}
 }
 
-// buildModel emits the ILP (Algorithm 2).
+// groupsInOrder lists the candidate groups in the builder's stable
+// order: top-level groups by query, then start; feeding groups by MIR
+// key, then start.
+func (b *builder) groupsInOrder() {
+	for _, q := range b.queries {
+		group := b.topGroups[q.Name]
+		for _, s := range sortedKeys(group) {
+			b.tops = append(b.tops, topGroup{query: q.Name, start: s, orders: group[s]})
+		}
+	}
+	keys := sortedKeys(b.feedGroups)
+	b.feeds = make([]feedGroup, len(keys))
+	stores := make([]int32, len(keys))
+	for i, key := range keys {
+		group, f := b.feedGroups[key], &b.feeds[i]
+		for _, s := range sortedKeys(group) {
+			f.byStart = append(f.byStart, group[s])
+		}
+		for _, r := range b.fed[key].Rels {
+			f.byRel = append(f.byRel, group[r])
+		}
+		stores[i] = b.syms.intern(b.syms.stores, key)
+	}
+	_, _, nStores, _ := b.syms.sizes()
+	b.feedOf = filled(nStores)
+	for i, st := range stores {
+		b.feedOf[st] = int32(i)
+	}
+}
+
+// feedsOf returns the feeding group of a store, nil when it has none.
+func (b *builder) feedsOf(store int32) *feedGroup {
+	if b.feedOf[store] < 0 {
+		return nil
+	}
+	return &b.feeds[b.feedOf[store]]
+}
+
+// orderFor returns the solve's order with the given key, nil when the
+// key names none of them.
+func (b *builder) orderFor(key string) *DecoratedOrder {
+	id := b.syms.order(key)
+	if id < 0 || int(id) >= len(b.orderOf) || b.orderOf[id] < 0 {
+		return nil
+	}
+	return b.orders[b.orderOf[id]]
+}
+
+// buildModel emits the ILP (Algorithm 2). Its variables and rows are
+// added unnamed; the model asks the builder for a name when it prints
+// one.
 func (b *builder) buildModel() {
+	b.groupsInOrder()
+	nOrders, nSteps, nStores, nDecors := b.syms.sizes()
+	b.orderOf, b.yVar, b.zVar, b.nStores = filled(nOrders), filled(nSteps), filled(nDecors), nStores
+	b.model.SetNamer(&modelNames{b: b})
+
 	// Variables: x per decorated order, y per distinct step, z per
 	// (store, partition attribute) pair.
+	var ys []int32 // the orders' step variables, one slab
 	addOrder := func(d *DecoratedOrder) {
-		key := d.Key()
-		if _, dup := b.xVar[key]; dup {
+		if n := b.orderOf[d.id]; n >= 0 {
+			d.num, d.ys = n, b.orders[n].ys // a second copy of an order: its variables
 			return
 		}
+		d.num = int32(len(b.orders))
+		b.orderOf[d.id] = d.num
 		b.orders = append(b.orders, d)
-		b.orderByKey[key] = d
-		b.xVar[key] = b.model.AddBinary("x:"+key, 0)
-		for _, s := range d.Steps {
-			if _, ok := b.yVar[s.Key]; !ok {
-				b.yVar[s.Key] = b.model.AddBinary("y:"+s.Key, s.Cost)
-			}
+		b.xVar = append(b.xVar, int32(b.model.AddBinary("", 0)))
+		if cap(ys)-len(ys) < len(d.Steps) {
+			ys = make([]int32, 0, max(256, len(d.Steps)))
 		}
+		for _, s := range d.Steps {
+			y := b.yVar[s.id]
+			if y < 0 {
+				y = int32(b.model.AddBinary("", s.Cost))
+				b.yVar[s.id] = y
+			}
+			ys = append(ys, y)
+		}
+		d.ys, ys = ys[:len(d.Steps):len(d.Steps)], ys[len(d.Steps):]
 		if b.opts.NoPartitionConsistency {
 			return
 		}
 		for i, e := range d.Elems {
-			if i == 0 || e.Partition == (query.Attr{}) {
+			ids := d.elems[i]
+			if i == 0 || ids.dec < 0 || b.zVar[ids.dec] >= 0 {
 				continue
 			}
-			byAttr := b.zVar[e.MIR.Key()]
-			if byAttr == nil {
-				byAttr = map[string]int{}
-				b.zVar[e.MIR.Key()] = byAttr
-			}
-			if _, ok := byAttr[e.Partition.String()]; !ok {
-				byAttr[e.Partition.String()] = b.model.AddBinary(
-					"z:"+e.MIR.Key()+"["+e.Partition.String()+"]", 0)
-			}
+			b.zVar[ids.dec] = int32(b.model.AddBinary("", 0))
+			b.zs = append(b.zs, zDecor{store: ids.store, dec: ids.dec, mir: e.MIR.Key(), attr: e.Partition})
 		}
 	}
-	for _, q := range b.queries {
-		for _, s := range sortedKeys(b.topGroups[q.Name]) {
-			for _, d := range b.topGroups[q.Name][s] {
-				addOrder(d)
-			}
+	for _, g := range b.tops {
+		for _, d := range g.orders {
+			addOrder(d)
 		}
 	}
-	for _, key := range sortedKeys(b.feedGroups) {
-		group := b.feedGroups[key]
-		for _, s := range sortedKeys(group) {
-			for _, d := range group[s] {
+	for _, f := range b.feeds {
+		for _, orders := range f.byStart {
+			for _, d := range orders {
 				addOrder(d)
 			}
 		}
 	}
 
+	rows, nterms := b.rowSizes()
+	b.model.Grow(0, rows, nterms)
+	var terms []ilp.Term
+	add := func(ref conRef, rel ilp.Rel, rhs float64) {
+		b.model.AddConstraint("", rel, rhs, terms...)
+		b.cons = append(b.cons, ref)
+	}
+
 	// (1) Choice rows: exactly one decorated order per (query, start).
-	for _, q := range b.queries {
-		starts := make([]string, 0, len(b.topGroups[q.Name]))
-		for s := range b.topGroups[q.Name] {
-			starts = append(starts, s)
+	for gi, g := range b.tops {
+		terms = terms[:0]
+		for _, d := range g.orders {
+			terms = append(terms, ilp.T(int(b.xVar[d.num]), 1))
 		}
-		sort.Strings(starts)
-		for _, s := range starts {
-			var terms []ilp.Term
-			for _, d := range b.topGroups[q.Name][s] {
-				terms = append(terms, ilp.T(b.xVar[d.Key()], 1))
-			}
-			b.model.AddConstraint("choice:"+q.Name+"/"+s, ilp.EQ, 1, terms...)
-		}
+		add(conRef{kind: conChoice, at: int32(gi)}, ilp.EQ, 1)
 	}
 
 	// (2)-(4) per order: cost row, feeding rows, partition links.
 	for _, d := range b.orders {
-		x := b.xVar[d.Key()]
+		x := int(b.xVar[d.num])
 		// Cost row, normalized by PCost for numerical conditioning:
 		// -x + Σ (StepCost/PCost) y ≥ 0 forces every step of a chosen
 		// order (equivalent to the paper's Eq. 3 pattern).
 		if d.Cost > 0 {
-			terms := []ilp.Term{ilp.T(x, -1)}
-			for _, s := range d.Steps {
+			terms = append(terms[:0], ilp.T(x, -1))
+			for i, s := range d.Steps {
 				if s.Cost > 0 {
-					terms = append(terms, ilp.T(b.yVar[s.Key], s.Cost/d.Cost))
+					terms = append(terms, ilp.T(int(d.ys[i]), s.Cost/d.Cost))
 				}
 			}
-			b.model.AddConstraint("cost:"+d.Key(), ilp.GE, 0, terms...)
+			add(conRef{kind: conCost, at: d.num}, ilp.GE, 0)
 		}
 		// Feeding rows: for each MIR element, each of the MIR's input
 		// relations must run one feeding probe order. (The paper's
@@ -529,48 +684,153 @@ func (b *builder) buildModel() {
 			if i == 0 || e.MIR.IsBase() {
 				continue
 			}
-			group := b.feedGroups[e.MIR.Key()]
-			for _, r := range e.MIR.Rels { // sorted
-				feeds := group[r]
-				terms := []ilp.Term{ilp.T(x, -1)}
-				for _, f := range feeds {
-					terms = append(terms, ilp.T(b.xVar[f.Key()], 1))
+			f := b.feedsOf(d.elems[i].store)
+			for ri := range e.MIR.Rels { // sorted
+				terms = append(terms[:0], ilp.T(x, -1))
+				if f != nil {
+					for _, fd := range f.byRel[ri] {
+						terms = append(terms, ilp.T(int(b.xVar[fd.num]), 1))
+					}
 				}
-				b.model.AddConstraint("feed:"+e.MIR.Key()+"/"+r+"<-"+d.Key(), ilp.GE, 0, terms...)
+				add(conRef{kind: conFeed, at: d.num, elem: int16(i), rel: int16(ri)}, ilp.GE, 0)
 			}
 		}
 		// Partition links: choosing the order commits each decorated
 		// store to that partitioning.
 		if !b.opts.NoPartitionConsistency {
-			for i, e := range d.Elems {
-				if i == 0 || e.Partition == (query.Attr{}) {
-					continue
+			for i := range d.Elems {
+				if dec := d.elems[i].dec; i > 0 && dec >= 0 {
+					terms = append(terms[:0], ilp.T(int(b.zVar[dec]), 1), ilp.T(x, -1))
+					add(conRef{kind: conLink, at: d.num, elem: int16(i)}, ilp.GE, 0)
 				}
-				attr := e.Partition.String()
-				b.model.AddConstraint("link:"+e.MIR.Key()+"["+attr+"]",
-					ilp.GE, 0, ilp.T(b.zVar[e.MIR.Key()][attr], 1), ilp.T(x, -1))
 			}
 		}
 	}
 
-	// (5) One partitioning per store.
-	storeKeys := make([]string, 0, len(b.zVar))
-	for k := range b.zVar {
-		storeKeys = append(storeKeys, k)
+	// (5) One partitioning per store, stores by key and each store's
+	// attributes by name.
+	byName := make([]int, len(b.zs))
+	for i := range byName {
+		byName[i] = i
 	}
-	sort.Strings(storeKeys)
-	for _, k := range storeKeys {
-		attrs := make([]string, 0, len(b.zVar[k]))
-		for a := range b.zVar[k] {
-			attrs = append(attrs, a)
+	slices.SortFunc(byName, func(i, j int) int {
+		if c := strings.Compare(b.zs[i].mir, b.zs[j].mir); c != 0 {
+			return c
 		}
-		sort.Strings(attrs)
-		var terms []ilp.Term
-		for _, a := range attrs {
-			terms = append(terms, ilp.T(b.zVar[k][a], 1))
+		return b.zs[i].attr.Compare(b.zs[j].attr)
+	})
+	for k := 0; k < len(byName); {
+		first := byName[k]
+		terms = terms[:0]
+		for ; k < len(byName) && b.zs[byName[k]].store == b.zs[first].store; k++ {
+			terms = append(terms, ilp.T(int(b.zVar[b.zs[byName[k]].dec]), 1))
 		}
-		b.model.AddConstraint("onepart:"+k, ilp.LE, 1, terms...)
+		add(conRef{kind: conOnePart, at: int32(first)}, ilp.LE, 1)
 	}
+}
+
+// rowSizes counts the rows buildModel emits and their terms, as it
+// emits them: the model is sized once.
+func (b *builder) rowSizes() (rows, terms int) {
+	for _, g := range b.tops {
+		rows, terms = rows+1, terms+len(g.orders)
+	}
+	for _, d := range b.orders {
+		if d.Cost > 0 {
+			rows, terms = rows+1, terms+1
+			for _, s := range d.Steps {
+				if s.Cost > 0 {
+					terms++
+				}
+			}
+		}
+		for i, e := range d.Elems {
+			if i == 0 {
+				continue
+			}
+			if !e.MIR.IsBase() {
+				f := b.feedsOf(d.elems[i].store)
+				for ri := range e.MIR.Rels {
+					rows, terms = rows+1, terms+1
+					if f != nil {
+						terms += len(f.byRel[ri])
+					}
+				}
+			}
+			if !b.opts.NoPartitionConsistency && d.elems[i].dec >= 0 {
+				rows, terms = rows+1, terms+2
+			}
+		}
+	}
+	stores := map[int32]bool{}
+	for _, z := range b.zs {
+		stores[z.store] = true
+	}
+	return rows + len(stores), terms + len(b.zs)
+}
+
+// conRef says what one ILP row is: its kind and the group, order, zDecor,
+// element and MIR relation it was emitted for — what its name is
+// rendered from.
+type conRef struct {
+	kind      conKind
+	elem, rel int16
+	at        int32 // group (choice), order number (cost, feed, link) or zDecor (onepart)
+}
+
+type conKind uint8
+
+const (
+	conChoice conKind = iota
+	conCost
+	conFeed
+	conLink
+	conOnePart
+)
+
+// modelNames names the builder's ILP variables and rows for the model:
+// "x:" order key, "y:" step key, "z:" store[attribute]; "choice:",
+// "cost:", "feed:", "link:", "onepart:" rows. Only a printed model or a
+// violated row reads them.
+type modelNames struct {
+	b    *builder
+	vars []string // rendered on first use
+}
+
+func (n *modelNames) VarName(v int) string {
+	if n.vars == nil {
+		b := n.b
+		n.vars = make([]string, b.model.NumVars())
+		for _, d := range b.orders {
+			n.vars[b.xVar[d.num]] = "x:" + d.Key()
+			for i, s := range d.Steps {
+				n.vars[d.ys[i]] = "y:" + s.Key
+			}
+		}
+		for _, z := range b.zs {
+			n.vars[b.zVar[z.dec]] = "z:" + z.mir + "[" + z.attr.String() + "]"
+		}
+	}
+	return n.vars[v]
+}
+
+func (n *modelNames) ConName(c int) string {
+	b, r := n.b, n.b.cons[c]
+	switch r.kind {
+	case conChoice:
+		g := b.tops[r.at]
+		return "choice:" + g.query + "/" + g.start
+	case conCost:
+		return "cost:" + b.orders[r.at].Key()
+	case conFeed:
+		d := b.orders[r.at]
+		e := d.Elems[r.elem]
+		return "feed:" + e.MIR.Key() + "/" + e.MIR.Rels[r.rel] + "<-" + d.Key()
+	case conLink:
+		e := b.orders[r.at].Elems[r.elem]
+		return "link:" + e.MIR.Key() + "[" + e.Partition.String() + "]"
+	}
+	return "onepart:" + b.zs[r.at].mir
 }
 
 // extract converts the ILP solution into a Plan: the chosen top-level
@@ -584,23 +844,16 @@ func (b *builder) extract(sol *ilp.Solution) *Plan {
 		opts:       b.opts,
 	}
 
-	chosen := func(d *DecoratedOrder) bool { return sol.IsOne(b.xVar[d.Key()]) }
+	chosen := func(d *DecoratedOrder) bool { return sol.IsOne(int(b.xVar[d.num])) }
 
 	// Top-level selections (exactly one per group by the choice rows).
 	var queue []*DecoratedOrder
-	for _, q := range b.queries {
-		starts := make([]string, 0, len(b.topGroups[q.Name]))
-		for s := range b.topGroups[q.Name] {
-			starts = append(starts, s)
-		}
-		sort.Strings(starts)
-		for _, s := range starts {
-			for _, d := range b.topGroups[q.Name][s] {
-				if chosen(d) {
-					plan.Selected = append(plan.Selected, d)
-					queue = append(queue, d)
-					break
-				}
+	for _, g := range b.tops {
+		for _, d := range g.orders {
+			if chosen(d) {
+				plan.Selected = append(plan.Selected, d)
+				queue = append(queue, d)
+				break
 			}
 		}
 	}
@@ -608,32 +861,34 @@ func (b *builder) extract(sol *ilp.Solution) *Plan {
 	// Pull in the required feeding orders transitively. The solver may
 	// have set extra x' variables whose steps were already paid; we keep
 	// only one feed per (MIR, start), preferring the cheapest chosen one.
-	feedDone := map[string]bool{}
+	feedDone := make([]bool, b.nStores)
 	for len(queue) > 0 {
 		d := queue[0]
 		queue = queue[1:]
 		for i, e := range d.Elems {
-			if i == 0 || e.MIR.IsBase() || feedDone[e.MIR.Key()] {
+			ids := d.elems[i]
+			if i == 0 || e.MIR.IsBase() || feedDone[ids.store] {
 				continue
 			}
-			feedDone[e.MIR.Key()] = true
-			group := b.feedGroups[e.MIR.Key()]
-			rels := append([]string(nil), e.MIR.Rels...)
-			sort.Strings(rels)
-			for _, r := range rels {
+			feedDone[ids.store] = true
+			f := b.feedsOf(ids.store)
+			if f == nil {
+				continue
+			}
+			for _, group := range f.byRel { // by relation, sorted
 				var pick *DecoratedOrder
-				for _, f := range group[r] {
-					if chosen(f) && (pick == nil || f.Cost < pick.Cost) {
-						pick = f
+				for _, fd := range group {
+					if chosen(fd) && (pick == nil || fd.Cost < pick.Cost) {
+						pick = fd
 					}
 				}
-				if pick == nil && len(group[r]) > 0 {
+				if pick == nil && len(group) > 0 {
 					// Defensive: the feeding constraints guarantee one;
 					// fall back to the cheapest candidate.
-					pick = group[r][0]
-					for _, f := range group[r] {
-						if f.Cost < pick.Cost {
-							pick = f
+					pick = group[0]
+					for _, fd := range group {
+						if fd.Cost < pick.Cost {
+							pick = fd
 						}
 					}
 				}

@@ -24,7 +24,7 @@ type controllerStep struct {
 // controllerSchedule draws steps churn steps over the benchmark's
 // query-churn shape: 24 random three-way joins over 40 relations,
 // alternately admitting a fresh query and retiring the oldest.
-func controllerSchedule(t *testing.T, steps int) []controllerStep {
+func controllerSchedule(t testing.TB, steps int) []controllerStep {
 	t.Helper()
 	env := workload.NewEnv(40, 100)
 	pool := env.RandomQueries(24+steps, 3, 1)
@@ -200,7 +200,7 @@ func TestRepairPlacesCompatibly(t *testing.T) {
 		st.begin(nil)
 		for _, o := range plan.Selected {
 			if o.ForMIR == "" && o != d {
-				st.commit(b.orderByKey[o.Key()])
+				st.commit(b.orderFor(o.Key()))
 			}
 		}
 		cands := b.topGroups[d.Query.Name][d.Start]

@@ -128,6 +128,8 @@ type Step struct {
 	PrefixKey string
 	Target    Element
 	Cost      float64
+
+	id int32 // Key's symbol
 }
 
 // DecoratedOrder is a partition-decorated probe-order candidate for one
@@ -148,6 +150,21 @@ type DecoratedOrder struct {
 	// shapes holds, per step, what pricing it reads besides the estimates;
 	// shared read-only by every priced copy of a cached order.
 	shapes []stepShape
+	// id is key's symbol and elems the symbols of the elements' stores and
+	// decorations; set with key, shared like shapes.
+	id    int32
+	elems []elemIDs
+	// num numbers a priced copy among its solve's orders and ys holds the
+	// ILP variable of each step; set by buildModel.
+	num int32
+	ys  []int32
+}
+
+// elemIDs are an element's store (MIR key) symbol, -1 for the start, and
+// its decoration (store and partitioning attribute) symbol, -1 when the
+// element is the start or carries no partitioning.
+type elemIDs struct {
+	store, dec int32
 }
 
 // String renders "⟨R,S[b],T[c]⟩".

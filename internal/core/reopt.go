@@ -47,7 +47,10 @@ type Reopt struct {
 	estVer    uint64
 	incumbent map[string]string // regime+query+"\x00"+start -> selected order key
 	ctr       ReoptStats        // the warm-start and candidate-cache counters; Stats fills in the rest
-	structs   map[string]*reoptEntry[map[string][]*DecoratedOrder]
+	syms      *symbols          // the ids the cached structures carry
+	symsCap   int               // the table size at which Advance replaces it
+	symsFresh bool              // syms was replaced at the last Advance
+	structs   map[string]*reoptEntry[structEntry]
 	indiv     map[string]*reoptEntry[indivPlan]
 
 	// blindNeighbourhood leaves the relation neighbourhood out of
@@ -58,6 +61,13 @@ type Reopt struct {
 type reoptEntry[T any] struct {
 	val T
 	gen uint64
+}
+
+// structEntry is one cached candidate structure and the symbol table
+// its ids come from.
+type structEntry struct {
+	group map[string][]*DecoratedOrder
+	syms  *symbols
 }
 
 type indivPlan struct {
@@ -72,7 +82,9 @@ func NewReopt() *Reopt {
 		Cache:     ilp.NewSolutionCache(16),
 		keep:      16,
 		incumbent: map[string]string{},
-		structs:   map[string]*reoptEntry[map[string][]*DecoratedOrder]{},
+		syms:      newSymbols(),
+		symsCap:   minSymbolCap,
+		structs:   map[string]*reoptEntry[structEntry]{},
 		indiv:     map[string]*reoptEntry[indivPlan]{},
 	}
 }
@@ -145,6 +157,15 @@ func (r *Reopt) Advance() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.gen++
+	// A table that outgrew its cap starts over, and the structures, which
+	// carry its ids, with it. One step after a new start the table holds
+	// about what is live; the cap is four times that.
+	if n := r.syms.len(); r.symsFresh {
+		r.symsCap, r.symsFresh = max(minSymbolCap, 4*n), false
+	} else if n > r.symsCap {
+		r.syms, r.symsFresh = newSymbols(), true
+		r.structs = map[string]*reoptEntry[structEntry]{}
+	}
 	if r.gen < r.keep {
 		return
 	}
@@ -167,15 +188,17 @@ func evictReopt[T any](m map[string]*reoptEntry[T], cutoff uint64) {
 	}
 }
 
-// beginSolve refreshes the estimates version: a new snapshot invalidates
-// the individual-plan selections (their keys embed the version).
-func (r *Reopt) beginSolve(est *stats.Estimates) {
+// beginSolve refreshes the estimates version — a new snapshot
+// invalidates the individual-plan selections (their keys embed the
+// version) — and hands the solve the symbol table.
+func (r *Reopt) beginSolve(est *stats.Estimates) *symbols {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.lastEst != est {
 		r.lastEst = est
 		r.estVer++
 	}
+	return r.syms
 }
 
 func (r *Reopt) estVersion() uint64 {
@@ -247,12 +270,14 @@ func (r *Reopt) noteWarmStart(w warmReport) {
 	c.ChildOptimizations += uint64(w.childSolves)
 }
 
-// structLookup returns the cached candidate structure under sig,
-// counting the probe as a top-level or feeding one when count is set.
-func (r *Reopt) structLookup(sig string, feed, count bool) (map[string][]*DecoratedOrder, bool) {
+// structLookup returns the candidate structure cached under sig with
+// ids from syms, counting the probe as a top-level or feeding one when
+// count is set.
+func (r *Reopt) structLookup(sig string, syms *symbols, feed, count bool) (map[string][]*DecoratedOrder, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e, ok := r.structs[sig]
+	ok = ok && e.val.syms == syms
 	if count {
 		hits, misses := &r.ctr.TopHits, &r.ctr.TopMisses
 		if feed {
@@ -268,13 +293,13 @@ func (r *Reopt) structLookup(sig string, feed, count bool) (map[string][]*Decora
 		return nil, false
 	}
 	e.gen = r.gen
-	return e.val, true
+	return e.val.group, true
 }
 
-func (r *Reopt) structStore(sig string, group map[string][]*DecoratedOrder) {
+func (r *Reopt) structStore(sig string, syms *symbols, group map[string][]*DecoratedOrder) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.structs[sig] = &reoptEntry[map[string][]*DecoratedOrder]{val: group, gen: r.gen}
+	r.structs[sig] = &reoptEntry[structEntry]{val: structEntry{group: group, syms: syms}, gen: r.gen}
 }
 
 func (r *Reopt) indivLookup(name, sig string) ([]string, bool) {

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"clash/internal/query"
@@ -78,17 +79,6 @@ func (b *builder) warmStart() []float64 {
 	return best
 }
 
-// topOrder lists the (query, start) groups in the builder's stable order.
-func (b *builder) topOrder() []groupPick {
-	var order []groupPick
-	for _, q := range b.queries {
-		for _, s := range sortedKeys(b.topGroups[q.Name]) {
-			order = append(order, groupPick{query: q.Name, start: s})
-		}
-	}
-	return order
-}
-
 // warmStartFromIncumbent repairs the previous joint solve's selection
 // under the same eligibility regime into a feasible solution for the
 // current model. Groups whose stable identity (query name + start)
@@ -106,12 +96,11 @@ func (b *builder) warmStartFromIncumbent() []float64 {
 		return nil
 	}
 	regime := b.opts.regime()
-	order := b.topOrder()
-	b.warm.groups = len(order)
-	kept := make([]*DecoratedOrder, len(order))
-	for i, g := range order {
+	b.warm.groups = len(b.tops)
+	kept := make([]*DecoratedOrder, len(b.tops))
+	for i, g := range b.tops {
 		if key, ok := r.incumbentFor(regime, g.query, g.start); ok {
-			if d := b.orderByKey[key]; d != nil && d.ForMIR == "" && d.Query.Name == g.query && d.Start == g.start {
+			if d := b.orderFor(key); d != nil && d.ForMIR == "" && d.Query.Name == g.query && d.Start == g.start {
 				kept[i] = d
 				b.warm.matched++
 			}
@@ -128,8 +117,8 @@ func (b *builder) warmStartFromIncumbent() []float64 {
 			return nil
 		}
 	}
-	for i, g := range order {
-		if kept[i] == nil && !st.place(st.cheapest(b.topGroups[g.query][g.start], true)) {
+	for i, g := range b.tops {
+		if kept[i] == nil && !st.place(st.cheapest(g.orders, true)) {
 			return nil
 		}
 	}
@@ -140,48 +129,39 @@ func (b *builder) warmStartFromIncumbent() []float64 {
 	return vals
 }
 
-// groupPick identifies one top-level candidate group and its chosen
-// candidate during local search.
-type groupPick struct {
-	query string
-	start string
-}
-
-// lsState is the scratch one selection is priced on: step membership is
-// resolved to ILP variable indices once, and paid markers are reset via
-// a touched list rather than reallocation, making one selection
-// evaluation a few thousand integer operations. Between begin and
-// closeFeeds it carries the selection so far: the steps paid, the
-// partitioning each store is committed to, the MIRs that need feeding.
+// lsState is the scratch one selection is priced on. Everything is
+// indexed by the builder's dense numbers — a step by its y variable, a
+// store by its symbol — and reset through touched lists, not
+// reallocated, making one selection evaluation a few thousand integer
+// operations. Between begin and closeFeeds it carries the selection so
+// far: the steps paid, the decoration each store is committed to, the
+// MIRs that need feeding.
 type lsState struct {
 	b       *builder
-	yIdxs   map[*DecoratedOrder][]int
-	yCosts  map[*DecoratedOrder][]float64
-	paid    []bool
-	touched []int
+	paid    []bool // per ILP variable
+	touched []int32
 
-	total   float64
-	zCommit map[string]string // store MIR key -> committed attribute; nil without consistency rows
-	needed  map[string]bool   // MIRs some committed order probes
-	vals    []float64         // when non-nil, the ILP assignment being written
+	total float64
+	// zCommit holds per store the committed decoration, -1 for none; nil
+	// without consistency rows. committed lists the stores set.
+	zCommit   []int32
+	committed []int32
+	// need is per store 1 once some committed order probes its MIR and 2
+	// once closeFeeds fed it; needed lists the stores set.
+	need    []uint8
+	needed  []int32
+	pending []int32
+	vals    []float64 // when non-nil, the ILP assignment being written
 }
 
 func newLSState(b *builder) *lsState {
 	s := &lsState{
-		b:      b,
-		yIdxs:  map[*DecoratedOrder][]int{},
-		yCosts: map[*DecoratedOrder][]float64{},
-		paid:   make([]bool, b.model.NumVars()),
+		b:    b,
+		paid: make([]bool, b.model.NumVars()),
+		need: make([]uint8, b.nStores),
 	}
-	for _, d := range b.orders {
-		idxs := make([]int, len(d.Steps))
-		costs := make([]float64, len(d.Steps))
-		for i, st := range d.Steps {
-			idxs[i] = b.yVar[st.Key]
-			costs[i] = st.Cost
-		}
-		s.yIdxs[d] = idxs
-		s.yCosts[d] = costs
+	if !b.opts.NoPartitionConsistency {
+		s.zCommit = filled(b.nStores)
 	}
 	return s
 }
@@ -192,12 +172,14 @@ func (s *lsState) begin(vals []float64) {
 	for _, i := range s.touched {
 		s.paid[i] = false
 	}
-	s.touched = s.touched[:0]
-	s.total, s.needed, s.vals = 0, nil, vals
-	s.zCommit = nil
-	if !s.b.opts.NoPartitionConsistency {
-		s.zCommit = map[string]string{}
+	for _, st := range s.committed {
+		s.zCommit[st] = -1
 	}
+	for _, st := range s.needed {
+		s.need[st] = 0
+	}
+	s.touched, s.committed, s.needed = s.touched[:0], s.committed[:0], s.needed[:0]
+	s.total, s.vals = 0, vals
 }
 
 // compatible reports whether d's partition decorations agree with the
@@ -206,11 +188,11 @@ func (s *lsState) compatible(d *DecoratedOrder) bool {
 	if s.zCommit == nil {
 		return true
 	}
-	for i, e := range d.Elems {
-		if i == 0 || e.Partition == (query.Attr{}) {
+	for i, ids := range d.elems {
+		if i == 0 || ids.dec < 0 {
 			continue
 		}
-		if a, ok := s.zCommit[e.MIR.Key()]; ok && a != e.Partition.String() {
+		if c := s.zCommit[ids.store]; c >= 0 && c != ids.dec {
 			return false
 		}
 	}
@@ -220,10 +202,9 @@ func (s *lsState) compatible(d *DecoratedOrder) bool {
 // marginal is the cost committing d would add: its steps nobody paid yet.
 func (s *lsState) marginal(d *DecoratedOrder) float64 {
 	m := 0.0
-	costs := s.yCosts[d]
-	for i, y := range s.yIdxs[d] {
+	for i, y := range d.ys {
 		if !s.paid[y] {
-			m += costs[i]
+			m += d.Steps[i].Cost
 		}
 	}
 	return m
@@ -254,35 +235,34 @@ func (s *lsState) cheapest(cands []*DecoratedOrder, marginal bool) *DecoratedOrd
 // stores it decorates, and notes the MIRs it probes.
 func (s *lsState) commit(d *DecoratedOrder) {
 	b := s.b
-	idxs, costs := s.yIdxs[d], s.yCosts[d]
-	for i, y := range idxs {
+	for i, y := range d.ys {
 		if !s.paid[y] {
 			s.paid[y] = true
 			s.touched = append(s.touched, y)
-			s.total += costs[i]
+			s.total += d.Steps[i].Cost
 			if s.vals != nil {
 				s.vals[y] = 1
 			}
 		}
 	}
 	if s.vals != nil {
-		s.vals[b.xVar[d.Key()]] = 1
+		s.vals[b.xVar[d.num]] = 1
 	}
-	for i, e := range d.Elems {
-		if i > 0 && !e.MIR.IsBase() {
-			if s.needed == nil {
-				s.needed = map[string]bool{}
-			}
-			s.needed[e.MIR.Key()] = true
-		}
-		if s.zCommit == nil || i == 0 || e.Partition == (query.Attr{}) {
+	for i, ids := range d.elems {
+		if i == 0 {
 			continue
 		}
-		if _, ok := s.zCommit[e.MIR.Key()]; !ok {
-			s.zCommit[e.MIR.Key()] = e.Partition.String()
-			if s.vals != nil {
-				s.vals[b.zVar[e.MIR.Key()][e.Partition.String()]] = 1
-			}
+		if !d.Elems[i].MIR.IsBase() && s.need[ids.store] == 0 {
+			s.need[ids.store] = 1
+			s.needed = append(s.needed, ids.store)
+		}
+		if s.zCommit == nil || ids.dec < 0 || s.zCommit[ids.store] >= 0 {
+			continue
+		}
+		s.zCommit[ids.store] = ids.dec
+		s.committed = append(s.committed, ids.store)
+		if s.vals != nil {
+			s.vals[b.zVar[ids.dec]] = 1
 		}
 	}
 }
@@ -298,29 +278,30 @@ func (s *lsState) place(d *DecoratedOrder) bool {
 
 // closeFeeds completes the selection with feeding orders: per (MIR,
 // start) group of every MIR in use — closing over the MIRs the feeds
-// themselves probe — the cheapest compatible candidate, ranked as in
-// cheapest. False when some group has no compatible candidate left.
+// themselves probe, a round at a time in MIR key order — the cheapest
+// compatible candidate, ranked as in cheapest. False when some group has
+// no compatible candidate left.
 func (s *lsState) closeFeeds(marginal bool) bool {
-	if s.needed == nil {
-		return true
-	}
-	done := map[string]bool{}
+	feedOf := s.b.feedOf
 	for {
-		var pending []string
-		for k := range s.needed {
-			if !done[k] {
-				pending = append(pending, k)
+		s.pending = s.pending[:0]
+		for _, st := range s.needed {
+			if s.need[st] == 1 {
+				s.pending = append(s.pending, st)
 			}
 		}
-		if len(pending) == 0 {
+		if len(s.pending) == 0 {
 			return true
 		}
-		sort.Strings(pending)
-		for _, k := range pending {
-			done[k] = true
-			group := s.b.feedGroups[k]
-			for _, start := range sortedKeys(group) {
-				if !s.place(s.cheapest(group[start], marginal)) {
+		// The feeding groups are numbered in MIR key order.
+		slices.SortFunc(s.pending, func(a, b int32) int { return cmp.Compare(feedOf[a], feedOf[b]) })
+		for _, st := range s.pending {
+			s.need[st] = 2
+			if feedOf[st] < 0 {
+				continue
+			}
+			for _, orders := range s.b.feeds[feedOf[st]].byStart {
+				if !s.place(s.cheapest(orders, marginal)) {
 					return false
 				}
 			}
@@ -356,12 +337,10 @@ func (b *builder) warmStartLocalSearch() []float64 {
 		return time.Now().After(deadline)
 	}
 
-	order := b.topOrder()
-
 	// Initial assignment: per-group cheapest candidate.
-	pick := map[groupPick]*DecoratedOrder{}
-	for _, g := range order {
-		cands := b.topGroups[g.query][g.start]
+	pick := make([]*DecoratedOrder, len(b.tops))
+	for gi, g := range b.tops {
+		cands := g.orders
 		if len(cands) == 0 {
 			return nil
 		}
@@ -371,34 +350,34 @@ func (b *builder) warmStartLocalSearch() []float64 {
 				best = d
 			}
 		}
-		pick[g] = best
+		pick[gi] = best
 	}
 
 	st := newLSState(b)
-	cur := b.evalSelection(st, order, pick, nil)
+	cur := b.evalSelection(st, pick, nil)
 	if math.IsInf(cur, 1) {
 		return nil
 	}
 	for sweep := 0; sweep < 64; sweep++ {
 		improved := false
-		for _, g := range order {
+		for gi, g := range b.tops {
 			if overBudget() {
 				sweep = 64
 				break
 			}
-			old := pick[g]
+			old := pick[gi]
 			bestD, bestObj := old, cur
-			for _, d := range b.topGroups[g.query][g.start] {
+			for _, d := range g.orders {
 				if d == old {
 					continue
 				}
-				pick[g] = d
+				pick[gi] = d
 				evals++
-				if obj := b.evalSelection(st, order, pick, nil); obj < bestObj-1e-9 {
+				if obj := b.evalSelection(st, pick, nil); obj < bestObj-1e-9 {
 					bestD, bestObj = d, obj
 				}
 			}
-			pick[g] = bestD
+			pick[gi] = bestD
 			if bestD != old {
 				cur = bestObj
 				improved = true
@@ -410,7 +389,7 @@ func (b *builder) warmStartLocalSearch() []float64 {
 	}
 
 	vals := make([]float64, b.model.NumVars())
-	if obj := b.evalSelection(st, order, pick, vals); math.IsInf(obj, 1) {
+	if obj := b.evalSelection(st, pick, vals); math.IsInf(obj, 1) {
 		return nil
 	}
 	return vals
@@ -422,11 +401,12 @@ func (b *builder) warmStartLocalSearch() []float64 {
 // MIRs used by feeds), and partition commitments must be consistent
 // unless NoPartitionConsistency. Returns +Inf when the selection cannot
 // be completed feasibly. When vals is non-nil the full ILP assignment is
-// written into it (used once, for the final selection).
-func (b *builder) evalSelection(st *lsState, order []groupPick, pick map[groupPick]*DecoratedOrder, vals []float64) float64 {
+// written into it (used once, for the final selection). pick holds one
+// candidate per top-level group, in b.tops order.
+func (b *builder) evalSelection(st *lsState, pick []*DecoratedOrder, vals []float64) float64 {
 	st.begin(vals)
-	for _, g := range order {
-		if !st.place(pick[g]) {
+	for _, d := range pick {
+		if !st.place(d) {
 			return math.Inf(1)
 		}
 	}
@@ -466,7 +446,7 @@ func (b *builder) warmStartFromIndividualPlans() []float64 {
 	resolve := func(keys []string) []*DecoratedOrder {
 		out := make([]*DecoratedOrder, 0, len(keys))
 		for _, k := range keys {
-			d := b.orderByKey[k]
+			d := b.orderFor(k)
 			if d == nil {
 				return nil
 			}
@@ -510,18 +490,17 @@ func (b *builder) warmStartFromIndividualPlans() []float64 {
 			}
 		}
 		for _, d := range sel {
-			vals[b.xVar[d.Key()]] = 1
-			for _, s := range d.Steps {
-				vals[b.yVar[s.Key]] = 1
+			vals[b.xVar[d.num]] = 1
+			for _, y := range d.ys {
+				vals[y] = 1
 			}
 			if b.opts.NoPartitionConsistency {
 				continue
 			}
-			for i, e := range d.Elems {
-				if i == 0 || e.Partition == (query.Attr{}) {
-					continue
+			for i, ids := range d.elems {
+				if i > 0 && ids.dec >= 0 {
+					vals[b.zVar[ids.dec]] = 1
 				}
-				vals[b.zVar[e.MIR.Key()][e.Partition.String()]] = 1
 			}
 		}
 	}
@@ -540,9 +519,9 @@ func (b *builder) warmStartWith(useMarginal bool) []float64 {
 	vals := make([]float64, b.model.NumVars())
 	st := newLSState(b)
 	st.begin(vals)
-	for _, g := range b.topOrder() {
+	for _, g := range b.tops {
 		// nil: no z-compatible candidate (capped groups)
-		if !st.place(st.cheapest(b.topGroups[g.query][g.start], useMarginal)) {
+		if !st.place(st.cheapest(g.orders, useMarginal)) {
 			return nil
 		}
 	}

@@ -61,16 +61,33 @@ func (e *Estimator) JoinCardinality(rels map[string]bool, preds []query.Predicat
 // last bits. Callers that price one relation set repeatedly keep the
 // slice.
 func (e *Estimator) Cardinality(rels []string, preds []query.Predicate) float64 {
+	return e.CardinalityWith(rels, preds, e.Selectivities(preds))
+}
+
+// CardinalityWith is Cardinality with sels[i] the selectivity of
+// preds[i], as Selectivities returns them.
+func (e *Estimator) CardinalityWith(rels []string, preds []query.Predicate, sels []float64) float64 {
 	card := 1.0
 	for _, r := range rels {
 		card *= e.est.Rate(r)
 	}
 	for i, p := range preds {
 		if slices.Contains(rels, p.Left.Rel) && slices.Contains(rels, p.Right.Rel) && !repeated(preds[:i], p) {
-			card *= e.est.Selectivity(p)
+			card *= sels[i]
 		}
 	}
 	return card
+}
+
+// Selectivities returns the estimated selectivity of each predicate, in
+// order: a selectivity is looked up by the predicate's rendered name, so
+// a caller that prices many steps of one query looks them up once.
+func (e *Estimator) Selectivities(preds []query.Predicate) []float64 {
+	sels := make([]float64, len(preds))
+	for i, p := range preds {
+		sels[i] = e.est.Selectivity(p)
+	}
+	return sels
 }
 
 // repeated reports whether p, in either orientation, is among earlier.
@@ -103,21 +120,35 @@ func (e *Estimator) Knows(prefix map[string]bool, target Target) bool {
 	if prefix[part.Rel] {
 		return true
 	}
-	restricted := make([]query.Predicate, 0, len(e.preds))
-	for _, p := range e.preds {
-		l, r := p.Left.Rel, p.Right.Rel
-		crossing := (prefix[l] && target.Rels[r]) || (target.Rels[l] && prefix[r])
-		internal := target.Rels[l] && target.Rels[r]
-		if crossing || internal {
-			restricted = append(restricted, p)
-		}
-	}
-	classes := query.AttrClasses(restricted)
-	for _, p := range restricted {
-		for _, a := range [2]query.Attr{p.Left, p.Right} {
-			if prefix[a.Rel] && query.SameClass(classes, a, part) {
+	// Grow the partitioning attribute's class over the established
+	// predicates to a fixed point; the verdict is whether it reaches a
+	// prefix attribute. Each pass adds every attribute one established
+	// predicate away from the class, so the passes are bounded by the
+	// class's diameter. The class lives on the stack while it is small.
+	var buf [16]query.Attr
+	class := append(buf[:0], part)
+	for grew := true; grew; {
+		grew = false
+		for _, p := range e.preds {
+			inL, inR := slices.Contains(class, p.Left), slices.Contains(class, p.Right)
+			if inL == inR {
+				continue
+			}
+			l, r := p.Left.Rel, p.Right.Rel
+			crossing := (prefix[l] && target.Rels[r]) || (target.Rels[l] && prefix[r])
+			internal := target.Rels[l] && target.Rels[r]
+			if !crossing && !internal {
+				continue
+			}
+			a := p.Left
+			if inL {
+				a = p.Right
+			}
+			if prefix[a.Rel] {
 				return true
 			}
+			class = append(class, a)
+			grew = true
 		}
 	}
 	return false
@@ -182,17 +213,18 @@ func (e *Estimator) StepCost(prefix []Target, next Target, preds []query.Predica
 		return 0
 	}
 	rels := unionRels(prefix)
-	return e.PriceStep(sortedRels(rels), j, e.Knows(rels, next), next, preds)
+	return e.PriceStep(sortedRels(rels), j, e.Knows(rels, next), next, preds, e.Selectivities(preds))
 }
 
 // PriceStep is StepCost with the parts that do not depend on the
 // estimates worked out by the caller: rels is the prefix's relation set,
 // sorted; j its element count; knows the Knows verdict for next (next's
-// Rels are not read). It reads only the estimates and the coefficients,
-// so a step whose structure is cached is re-priced under a new snapshot
-// without deriving χ again.
-func (e *Estimator) PriceStep(rels []string, j int, knows bool, next Target, preds []query.Predicate) float64 {
-	card := e.Cardinality(rels, preds)
+// Rels are not read); sels the predicates' selectivities as
+// CardinalityWith takes them. It reads only the estimates and the
+// coefficients, so a step whose structure is cached is re-priced under a
+// new snapshot without deriving χ again.
+func (e *Estimator) PriceStep(rels []string, j int, knows bool, next Target, preds []query.Predicate, sels []float64) float64 {
+	card := e.CardinalityWith(rels, preds, sels)
 	c := chi(knows, next)
 	if sf := e.SkewFactor(next); sf > c {
 		c = sf

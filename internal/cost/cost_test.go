@@ -1,10 +1,12 @@
 package cost
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"clash/internal/query"
+	"clash/internal/rng"
 	"clash/internal/stats"
 )
 
@@ -238,5 +240,132 @@ func TestKnowsIgnoresForeignQueryEqualities(t *testing.T) {
 	tT := Target{Rels: map[string]bool{"T": true}, Partition: query.Attr{Rel: "T", Name: "x"}, Parallelism: 4}
 	if e.Knows(map[string]bool{"R": true}, tT) {
 		t.Error("R probe considered T.x known via a chain through unjoined U")
+	}
+}
+
+// refKnows is Knows as it was first written, kept as the reference the
+// fixed-point version must agree with: restrict the predicates to those
+// the step establishes, take their union-find classes, and look for a
+// prefix attribute in the partitioning attribute's class.
+func refKnows(preds []query.Predicate, prefix map[string]bool, target Target) bool {
+	part := target.Partition
+	if part == (query.Attr{}) {
+		return false
+	}
+	if prefix[part.Rel] {
+		return true
+	}
+	var restricted []query.Predicate
+	for _, p := range preds {
+		l, r := p.Left.Rel, p.Right.Rel
+		crossing := (prefix[l] && target.Rels[r]) || (target.Rels[l] && prefix[r])
+		internal := target.Rels[l] && target.Rels[r]
+		if crossing || internal {
+			restricted = append(restricted, p)
+		}
+	}
+	classes := query.AttrClasses(restricted)
+	for _, p := range restricted {
+		for _, a := range [2]query.Attr{p.Left, p.Right} {
+			if prefix[a.Rel] && query.SameClass(classes, a, part) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// randomKnowsCase draws a predicate set over a few relations with few
+// attributes each, so that chains, cycles, repeated and reversed
+// predicates and predicates outside prefix ∪ target all occur, plus a
+// prefix, a target relation set disjoint from it, and a partitioning
+// attribute (sometimes the zero one, sometimes on a relation nobody
+// joins).
+func randomKnowsCase(r *rng.RNG) ([]query.Predicate, map[string]bool, Target) {
+	nRels := 2 + r.Intn(6)
+	rels := make([]string, nRels)
+	for i := range rels {
+		rels[i] = fmt.Sprintf("R%d", i)
+	}
+	attr := func() query.Attr {
+		return query.Attr{Rel: rels[r.Intn(nRels)], Name: string(rune('a' + r.Intn(3)))}
+	}
+	var preds []query.Predicate
+	for n := r.Intn(14); len(preds) < n; {
+		a, b := attr(), attr()
+		if a.Rel == b.Rel {
+			continue
+		}
+		preds = append(preds, query.Predicate{Left: a, Right: b})
+		if r.Intn(6) == 0 {
+			preds = append(preds, query.Predicate{Left: b, Right: a})
+		}
+	}
+	prefix, inTarget := map[string]bool{}, map[string]bool{}
+	for _, rel := range rels {
+		switch r.Intn(3) {
+		case 0:
+			prefix[rel] = true
+		case 1:
+			inTarget[rel] = true
+		}
+	}
+	target := Target{Rels: inTarget, Parallelism: 4}
+	switch r.Intn(8) {
+	case 0: // unpartitioned
+	case 1:
+		target.Partition = query.Attr{Rel: "Z", Name: "a"}
+	default:
+		target.Partition = attr()
+	}
+	return preds, prefix, target
+}
+
+// TestKnowsMatchesUnionFind runs the fixed-point Knows against the
+// union-find reference over seeded random predicate sets, prefixes and
+// targets, and names the seed of the first disagreement.
+func TestKnowsMatchesUnionFind(t *testing.T) {
+	cases := 20000
+	if testing.Short() {
+		cases = 4000
+	}
+	trues := 0
+	for seed := uint64(1); seed <= uint64(cases); seed++ {
+		preds, prefix, target := randomKnowsCase(rng.New(seed))
+		want := refKnows(preds, prefix, target)
+		if got := New(stats.NewEstimates(0.01), preds).Knows(prefix, target); got != want {
+			t.Fatalf("seed %d: Knows = %v, union-find reference %v\npreds %v\nprefix %v target %v by %v",
+				seed, got, want, preds, prefix, target.Rels, target.Partition)
+		}
+		if want {
+			trues++
+		}
+	}
+	// Both verdicts must be well represented, or the comparison says little.
+	if trues < cases/10 || trues > cases*9/10 {
+		t.Fatalf("%d of %d cases know the partition: the generator is lopsided", trues, cases)
+	}
+}
+
+// TestKnowsAllocatesNothing pins that pricing a step's χ allocates: it
+// runs once per step of every decorated candidate the structure builds.
+func TestKnowsAllocatesNothing(t *testing.T) {
+	var preds []query.Predicate
+	for i := 0; i < 12; i++ { // a chain R0.a = R1.a = … = R12.a
+		preds = append(preds, query.Predicate{
+			Left:  query.Attr{Rel: fmt.Sprintf("R%d", i), Name: "a"},
+			Right: query.Attr{Rel: fmt.Sprintf("R%d", i+1), Name: "a"}})
+	}
+	e := New(stats.NewEstimates(0.01), preds)
+	prefix := map[string]bool{"R0": true}
+	target := Target{Rels: map[string]bool{}, Partition: query.Attr{Rel: "R12", Name: "a"}, Parallelism: 4}
+	for i := 1; i <= 12; i++ {
+		target.Rels[fmt.Sprintf("R%d", i)] = true
+	}
+	if !e.Knows(prefix, target) {
+		t.Fatal("the chain's far end is known through the target's internal predicates")
+	}
+	if n := testing.AllocsPerRun(100, func() { e.Knows(prefix, target) }); n != 0 {
+		t.Fatalf("Knows allocates %v times per call, want 0", n)
 	}
 }

@@ -3,7 +3,7 @@ package ilp
 import (
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -119,16 +119,21 @@ func components(m *Model) [][]int {
 			}
 		}
 	}
-	byRoot := map[int][]int{}
+	// Components in the order of their smallest variable, each listing
+	// its variables ascending.
+	compOf := make([]int32, n)
+	for i := range compOf {
+		compOf[i] = -1
+	}
+	var out [][]int
 	for v := 0; v < n; v++ {
 		r := find(v)
-		byRoot[r] = append(byRoot[r], v)
+		if compOf[r] < 0 {
+			compOf[r] = int32(len(out))
+			out = append(out, nil)
+		}
+		out[compOf[r]] = append(out[compOf[r]], v)
 	}
-	out := make([][]int, 0, len(byRoot))
-	for _, vs := range byRoot {
-		out = append(out, vs)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out
 }
 
@@ -145,39 +150,14 @@ func solveByComponents(m *Model, comps [][]int, o Options) *Solution {
 	if o.TimeLimit > 0 {
 		deadline = time.Now().Add(o.TimeLimit)
 	}
-	// Pre-bucket constraints by their first variable's component.
-	compOf := make([]int, len(m.Vars))
-	for ci, vs := range comps {
-		for _, v := range vs {
-			compOf[v] = ci
-		}
-	}
-	consOf := make([][]Constraint, len(comps))
-	for _, c := range m.Cons {
-		if len(c.Terms) == 0 {
-			continue
-		}
-		ci := compOf[c.Terms[0].Var]
-		consOf[ci] = append(consOf[ci], c)
-	}
+	subs := splitComponents(m, comps)
 	solveComp := func(ci int) *Solution {
-		vs := comps[ci]
-		sub := NewModel()
-		remap := make(map[int]int, len(vs))
-		for _, v := range vs {
-			remap[v] = sub.AddVar(m.Vars[v])
-		}
-		for _, c := range consOf[ci] {
-			terms := make([]Term, len(c.Terms))
-			for i, t := range c.Terms {
-				terms[i] = T(remap[t.Var], t.Coeff)
-			}
-			sub.AddConstraint(c.Name, c.Rel, c.RHS, terms...)
-		}
+		vs, sub := comps[ci], subs[ci]
 		var fp uint64
 		var key []byte
 		if o.Cache != nil {
-			fp, key = canonicalModel(sub)
+			// Room for limitKey's suffix, so it extends key in place.
+			fp, key = canonicalModel(sub, limitKeySuffix(len(vs)))
 			if vals, obj, ok := o.Cache.lookup(fp, key, false); ok {
 				return &Solution{Status: Optimal, Objective: obj, Values: vals, CacheHits: 1}
 			}
@@ -192,7 +172,7 @@ func solveByComponents(m *Model, comps [][]int, o Options) *Solution {
 				so.TimeLimit = time.Nanosecond
 			}
 		}
-		so.WarmStart = sliceWarmStart(o.WarmStart, len(m.Vars), vs, remap)
+		so.WarmStart = sliceWarmStart(o.WarmStart, len(m.Vars), vs)
 		// A node-capped search with no wall-clock deadline is a
 		// deterministic function of (model, budget, warm start): its
 		// stored incumbent replays byte-identically, so hard components
@@ -258,7 +238,7 @@ func solveByComponents(m *Model, comps [][]int, o Options) *Solution {
 			total.Values = nil
 			return total
 		}
-		// remap assigned component-local indices in vs order, so
+		// Sub-models number their variables in vs order, so
 		// res.Values[i] is the value of vs[i].
 		for i, v := range vs {
 			total.Values[v] = res.Values[i]
@@ -268,16 +248,81 @@ func solveByComponents(m *Model, comps [][]int, o Options) *Solution {
 	return total
 }
 
+// splitComponents builds one sub-model per component. A sub-model
+// numbers its variables in the component's order, and each constraint
+// goes to the component of its first variable. Components list their
+// variables ascending, so renumbering keeps a constraint's terms sorted
+// and merged: they are copied into one slab shared by all sub-models,
+// with no re-sort. A sub-model names what it holds by its parent's
+// names. A model that is one component with no empty row is its own
+// sub-model.
+func splitComponents(m *Model, comps [][]int) []*Model {
+	if len(comps) == 1 && !slices.ContainsFunc(m.Cons, func(c Constraint) bool { return len(c.Terms) == 0 }) {
+		return []*Model{m} // the one component is the model, variables in order
+	}
+	compOf := make([]int, len(m.Vars))
+	local := make([]int, len(m.Vars))
+	for ci, vs := range comps {
+		for i, v := range vs {
+			compOf[v], local[v] = ci, i
+		}
+	}
+	consOf := make([][]int, len(comps))
+	nterms := 0
+	for c, con := range m.Cons {
+		if len(con.Terms) == 0 {
+			continue
+		}
+		ci := compOf[con.Terms[0].Var]
+		consOf[ci] = append(consOf[ci], c)
+		nterms += len(con.Terms)
+	}
+	slab := make([]Term, nterms)
+	subs := make([]*Model, len(comps))
+	for ci, vs := range comps {
+		sub := &Model{
+			Vars:  make([]Variable, len(vs)),
+			Cons:  make([]Constraint, len(consOf[ci])),
+			namer: componentNamer{parent: m, vars: vs, cons: consOf[ci]},
+		}
+		for i, v := range vs {
+			sub.Vars[i] = m.Vars[v]
+		}
+		for k, c := range consOf[ci] {
+			con := m.Cons[c]
+			n := len(con.Terms)
+			terms := slab[:n:n]
+			slab = slab[n:]
+			for i, t := range con.Terms {
+				terms[i] = Term{Var: local[t.Var], Coeff: t.Coeff}
+			}
+			sub.Cons[k] = Constraint{Name: con.Name, Terms: normalize(terms), Rel: con.Rel, RHS: con.RHS}
+		}
+		subs[ci] = sub
+	}
+	return subs
+}
+
+// componentNamer names a sub-model's variables and constraints by the
+// parent model's.
+type componentNamer struct {
+	parent     *Model
+	vars, cons []int // the parent's index of each sub-model variable and constraint
+}
+
+func (n componentNamer) VarName(v int) string { return n.parent.VarName(n.vars[v]) }
+func (n componentNamer) ConName(c int) string { return n.parent.ConName(n.cons[c]) }
+
 // sliceWarmStart projects a full-model warm start onto one component's
 // variable order. Returns nil when the warm start does not cover the
 // model.
-func sliceWarmStart(ws []float64, n int, vs []int, remap map[int]int) []float64 {
+func sliceWarmStart(ws []float64, n int, vs []int) []float64 {
 	if len(ws) != n {
 		return nil
 	}
 	out := make([]float64, len(vs))
-	for _, v := range vs {
-		out[remap[v]] = ws[v]
+	for i, v := range vs {
+		out[i] = ws[v]
 	}
 	return out
 }
@@ -408,7 +453,7 @@ func (s *searcher) init() *Solution {
 
 	s.newBuffers()
 
-	if len(s.o.WarmStart) == n && m.Feasible(s.o.WarmStart, s.o.Tol*10) == nil {
+	if len(s.o.WarmStart) == n && m.feasible(s.o.WarmStart, s.o.Tol*10) {
 		s.offer(s.o.WarmStart, m.ObjectiveOf(s.o.WarmStart))
 	}
 
@@ -591,7 +636,7 @@ func (s *searcher) finishLeaf() {
 	if !hasCont {
 		x := s.leafBuf
 		copy(x, s.lo)
-		if err := s.m.Feasible(x, s.o.Tol*10); err != nil {
+		if !s.m.feasible(x, s.o.Tol*10) {
 			return
 		}
 		s.offer(x, s.m.ObjectiveOf(x))

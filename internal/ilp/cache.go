@@ -3,8 +3,9 @@ package ilp
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/fnv"
+	"hash/maphash"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -131,69 +132,62 @@ func (c *SolutionCache) insert(fp uint64, key []byte, values []float64, obj floa
 // effort, worker count, tolerance, and the warm-start seed. Two limit
 // entries with different budgets or seeds never collide.
 func limitKey(base []byte, o *Options, ws []float64) (uint64, []byte) {
-	buf := make([]byte, 0, len(base)+40+len(ws)*8)
-	buf = append(buf, base...)
-	var tmp [8]byte
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		buf = append(buf, tmp[:]...)
-	}
-	u64(uint64(int64(o.MaxNodes)))
-	u64(uint64(int64(o.LPCellLimit)))
-	u64(uint64(int64(o.Parallel)))
-	u64(math.Float64bits(o.Tol))
-	u64(uint64(len(ws)))
+	le := binary.LittleEndian
+	// Appending to base in its spare capacity leaves base's own bytes as
+	// they are; without the room, this copies.
+	buf := slices.Grow(base[:len(base):cap(base)], limitKeySuffix(len(ws)))
+	buf = le.AppendUint64(buf, uint64(int64(o.MaxNodes)))
+	buf = le.AppendUint64(buf, uint64(int64(o.LPCellLimit)))
+	buf = le.AppendUint64(buf, uint64(int64(o.Parallel)))
+	buf = le.AppendUint64(buf, math.Float64bits(o.Tol))
+	buf = le.AppendUint64(buf, uint64(len(ws)))
 	for _, v := range ws {
-		u64(math.Float64bits(v))
+		buf = le.AppendUint64(buf, math.Float64bits(v))
 	}
-	h := fnv.New64a()
-	h.Write(buf)
-	return h.Sum64(), buf
+	return maphash.Bytes(keySeed, buf), buf
 }
+
+// limitKeySuffix is how many bytes limitKey appends for a warm start of
+// n values.
+func limitKeySuffix(n int) int { return 40 + 8*n }
+
+// keySeed seeds the cache keys' hash. A hash only picks the chain a
+// key is compared in, so it need not be stable beyond the process.
+var keySeed = maphash.MakeSeed()
 
 // canonicalModel serializes the model's mathematical content — variable
 // bounds, integrality, objective coefficients, and constraints with
-// sorted terms — excluding names, and returns an FNV-1a fingerprint plus
-// the serialization itself (kept for exact collision checks). Two
-// structurally identical components built in the same variable order
-// produce identical keys.
-func canonicalModel(m *Model) (uint64, []byte) {
+// sorted terms — excluding names, and returns a hash of it plus the
+// serialization itself (kept for exact collision checks), with spare
+// bytes of capacity past it. Two structurally identical components built
+// in the same variable order produce identical keys.
+func canonicalModel(m *Model, spare int) (uint64, []byte) {
 	size := 8 + len(m.Vars)*25
 	for _, c := range m.Cons {
 		size += 17 + len(c.Terms)*12
 	}
-	buf := make([]byte, 0, size)
-	var tmp [8]byte
-	f64 := func(v float64) {
-		binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
-		buf = append(buf, tmp[:]...)
-	}
-	u32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(tmp[:4], v)
-		buf = append(buf, tmp[:4]...)
-	}
-	u32(uint32(len(m.Vars)))
+	le := binary.LittleEndian
+	buf := make([]byte, 0, size+spare)
+	buf = le.AppendUint32(buf, uint32(len(m.Vars)))
 	for _, v := range m.Vars {
-		f64(v.Obj)
-		f64(v.Lower)
-		f64(v.Upper)
+		buf = le.AppendUint64(buf, math.Float64bits(v.Obj))
+		buf = le.AppendUint64(buf, math.Float64bits(v.Lower))
+		buf = le.AppendUint64(buf, math.Float64bits(v.Upper))
 		if v.Integer {
 			buf = append(buf, 1)
 		} else {
 			buf = append(buf, 0)
 		}
 	}
-	u32(uint32(len(m.Cons)))
+	buf = le.AppendUint32(buf, uint32(len(m.Cons)))
 	for _, c := range m.Cons {
 		buf = append(buf, byte(c.Rel))
-		f64(c.RHS)
-		u32(uint32(len(c.Terms)))
+		buf = le.AppendUint64(buf, math.Float64bits(c.RHS))
+		buf = le.AppendUint32(buf, uint32(len(c.Terms)))
 		for _, t := range c.Terms {
-			u32(uint32(t.Var))
-			f64(t.Coeff)
+			buf = le.AppendUint32(buf, uint32(t.Var))
+			buf = le.AppendUint64(buf, math.Float64bits(t.Coeff))
 		}
 	}
-	h := fnv.New64a()
-	h.Write(buf)
-	return h.Sum64(), buf
+	return maphash.Bytes(keySeed, buf), buf
 }

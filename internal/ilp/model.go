@@ -71,6 +71,53 @@ type Variable struct {
 type Model struct {
 	Vars []Variable
 	Cons []Constraint
+
+	// namer names what was added without a name; nil leaves such
+	// variables and constraints numbered.
+	namer Namer
+	// slab backs the constraints' term slices: AddConstraint copies into
+	// it instead of cloning per constraint, and starts a new one of
+	// slabChunk terms when the rest does not fit.
+	slab []Term
+}
+
+const slabChunk = 4096
+
+// Namer names a model's variables and constraints on demand. A builder
+// whose names are long and only read when something goes wrong (String,
+// Feasible's errors) adds them unnamed and hands the model a Namer; the
+// solver itself never reads a name.
+type Namer interface {
+	VarName(v int) string
+	ConName(c int) string
+}
+
+// SetNamer installs the namer consulted for every variable and
+// constraint added with an empty name.
+func (m *Model) SetNamer(n Namer) { m.namer = n }
+
+// VarName returns variable v's name: the one it was added with, else the
+// namer's, else "x<v>".
+func (m *Model) VarName(v int) string {
+	if n := m.Vars[v].Name; n != "" {
+		return n
+	}
+	if m.namer != nil {
+		return m.namer.VarName(v)
+	}
+	return fmt.Sprintf("x%d", v)
+}
+
+// ConName returns constraint c's name: the one it was added with, else
+// the namer's, else "c<c>".
+func (m *Model) ConName(c int) string {
+	if n := m.Cons[c].Name; n != "" {
+		return n
+	}
+	if m.namer != nil {
+		return m.namer.ConName(c)
+	}
+	return fmt.Sprintf("c%d", c)
 }
 
 // NewModel returns an empty model.
@@ -90,7 +137,7 @@ func (m *Model) AddContinuous(name string, lo, hi, obj float64) int {
 // AddVar adds a variable and returns its index.
 func (m *Model) AddVar(v Variable) int {
 	if v.Upper < v.Lower {
-		panic(fmt.Sprintf("ilp: variable %q has upper %g < lower %g", v.Name, v.Upper, v.Lower))
+		panic(fmt.Sprintf("ilp: variable %d (%q) has upper %g < lower %g", len(m.Vars), v.Name, v.Upper, v.Lower))
 	}
 	m.Vars = append(m.Vars, v)
 	return len(m.Vars) - 1
@@ -102,22 +149,60 @@ func (m *Model) AddVar(v Variable) int {
 func (m *Model) AddConstraint(name string, rel Rel, rhs float64, terms ...Term) {
 	for _, t := range terms {
 		if t.Var < 0 || t.Var >= len(m.Vars) {
-			panic(fmt.Sprintf("ilp: constraint %q references variable %d of %d", name, t.Var, len(m.Vars)))
+			panic(fmt.Sprintf("ilp: constraint %d (%q) references variable %d of %d", len(m.Cons), name, t.Var, len(m.Vars)))
 		}
 	}
-	out := slices.Clone(terms)
-	slices.SortStableFunc(out, func(a, b Term) int { return cmp.Compare(a.Var, b.Var) })
+	if cap(m.slab)-len(m.slab) < len(terms) {
+		m.slab = make([]Term, 0, max(slabChunk, len(terms)))
+	}
+	start := len(m.slab)
+	m.slab = append(m.slab, terms...)
+	out := normalize(m.slab[start:])
+	// The slab keeps only what survived; capping the slice's capacity
+	// keeps the next constraint's terms out of this one's.
+	m.slab = m.slab[:start+len(out)]
+	m.Cons = append(m.Cons, Constraint{Name: name, Terms: out[:len(out):len(out)], Rel: rel, RHS: rhs})
+}
+
+// normalize sorts terms by variable in place (stably), merges duplicates
+// by summing their coefficients in the order given, and drops zeros: the
+// form every constraint of a model has.
+func normalize(terms []Term) []Term {
+	if normalized(terms) {
+		return terms
+	}
+	slices.SortStableFunc(terms, func(a, b Term) int { return cmp.Compare(a.Var, b.Var) })
 	n := 0
-	for _, t := range out {
-		if n > 0 && out[n-1].Var == t.Var {
-			out[n-1].Coeff += t.Coeff
+	for _, t := range terms {
+		if n > 0 && terms[n-1].Var == t.Var {
+			terms[n-1].Coeff += t.Coeff
 			continue
 		}
-		out[n] = t
+		terms[n] = t
 		n++
 	}
-	out = slices.DeleteFunc(out[:n], func(t Term) bool { return t.Coeff == 0 })
-	m.Cons = append(m.Cons, Constraint{Name: name, Terms: out, Rel: rel, RHS: rhs})
+	return slices.DeleteFunc(terms[:n], func(t Term) bool { return t.Coeff == 0 })
+}
+
+// normalized reports whether terms are already in normalize's form:
+// variables strictly ascending, no zero coefficient.
+func normalized(terms []Term) bool {
+	for i, t := range terms {
+		if t.Coeff == 0 || i > 0 && terms[i-1].Var >= t.Var {
+			return false
+		}
+	}
+	return true
+}
+
+// Grow makes room for vars more variables, and cons more constraints
+// with terms terms in all, to be added without reallocating.
+func (m *Model) Grow(vars, cons, terms int) {
+	m.Vars = slices.Grow(m.Vars, vars)
+	m.Cons = slices.Grow(m.Cons, cons)
+	if cap(m.slab)-len(m.slab) < terms {
+		m.slab = make([]Term, 0, terms)
+	}
 }
 
 // NumVars returns the number of variables.
@@ -188,36 +273,63 @@ func (m *Model) Feasible(values []float64, tol float64) error {
 	if len(values) != len(m.Vars) {
 		return fmt.Errorf("ilp: %d values for %d variables", len(values), len(m.Vars))
 	}
-	for i, v := range m.Vars {
-		x := values[i]
-		if x < v.Lower-tol || x > v.Upper+tol {
-			return fmt.Errorf("ilp: variable %q = %g outside [%g, %g]", v.Name, x, v.Lower, v.Upper)
+	v, c, lhs := m.violation(values, tol)
+	switch {
+	case v >= 0:
+		x, vr := values[v], m.Vars[v]
+		if x < vr.Lower-tol || x > vr.Upper+tol {
+			return fmt.Errorf("ilp: variable %q = %g outside [%g, %g]", m.VarName(v), x, vr.Lower, vr.Upper)
 		}
-		if v.Integer && math.Abs(x-math.Round(x)) > tol {
-			return fmt.Errorf("ilp: variable %q = %g not integral", v.Name, x)
-		}
-	}
-	for _, c := range m.Cons {
-		lhs := 0.0
-		for _, t := range c.Terms {
-			lhs += t.Coeff * values[t.Var]
-		}
-		switch c.Rel {
-		case LE:
-			if lhs > c.RHS+tol {
-				return fmt.Errorf("ilp: constraint %q violated: %g > %g", c.Name, lhs, c.RHS)
-			}
-		case GE:
-			if lhs < c.RHS-tol {
-				return fmt.Errorf("ilp: constraint %q violated: %g < %g", c.Name, lhs, c.RHS)
-			}
-		case EQ:
-			if math.Abs(lhs-c.RHS) > tol {
-				return fmt.Errorf("ilp: constraint %q violated: %g != %g", c.Name, lhs, c.RHS)
-			}
-		}
+		return fmt.Errorf("ilp: variable %q = %g not integral", m.VarName(v), x)
+	case c >= 0:
+		rhs := m.Cons[c].RHS
+		op := [...]string{LE: ">", GE: "<", EQ: "!="}[m.Cons[c].Rel]
+		return fmt.Errorf("ilp: constraint %q violated: %g %s %g", m.ConName(c), lhs, op, rhs)
 	}
 	return nil
+}
+
+// feasible is Feasible without the error: the solver asks it at every
+// leaf, where a rejected point must not cost a rendered name.
+func (m *Model) feasible(values []float64, tol float64) bool {
+	if len(values) != len(m.Vars) {
+		return false
+	}
+	v, c, _ := m.violation(values, tol)
+	return v < 0 && c < 0
+}
+
+// violation finds the first variable out of its bounds or not integral,
+// else the first violated constraint with its left-hand side; -1 for
+// none.
+func (m *Model) violation(values []float64, tol float64) (v, c int, lhs float64) {
+	for i, vr := range m.Vars {
+		x := values[i]
+		if x < vr.Lower-tol || x > vr.Upper+tol || vr.Integer && math.Abs(x-math.Round(x)) > tol {
+			return i, -1, 0
+		}
+	}
+	for i, con := range m.Cons {
+		sum := 0.0
+		for _, t := range con.Terms {
+			sum += t.Coeff * values[t.Var]
+		}
+		switch con.Rel {
+		case LE:
+			if sum > con.RHS+tol {
+				return -1, i, sum
+			}
+		case GE:
+			if sum < con.RHS-tol {
+				return -1, i, sum
+			}
+		case EQ:
+			if math.Abs(sum-con.RHS) > tol {
+				return -1, i, sum
+			}
+		}
+	}
+	return -1, -1, 0
 }
 
 // ObjectiveOf evaluates the objective at the given point.
@@ -242,16 +354,16 @@ func (m *Model) String() string {
 			b.WriteString(" + ")
 		}
 		first = false
-		fmt.Fprintf(&b, "%g %s", v.Obj, m.varName(i))
+		fmt.Fprintf(&b, "%g %s", v.Obj, m.VarName(i))
 	}
 	b.WriteString("\ns.t.\n")
-	for _, c := range m.Cons {
-		fmt.Fprintf(&b, "  %s: ", c.Name)
+	for ci, c := range m.Cons {
+		fmt.Fprintf(&b, "  %s: ", m.ConName(ci))
 		for k, t := range c.Terms {
 			if k > 0 {
 				b.WriteString(" + ")
 			}
-			fmt.Fprintf(&b, "%g %s", t.Coeff, m.varName(t.Var))
+			fmt.Fprintf(&b, "%g %s", t.Coeff, m.VarName(t.Var))
 		}
 		fmt.Fprintf(&b, " %s %g\n", c.Rel, c.RHS)
 	}
@@ -260,14 +372,7 @@ func (m *Model) String() string {
 		if v.Integer {
 			kind = " int"
 		}
-		fmt.Fprintf(&b, "  %g <= %s <= %g%s\n", v.Lower, m.varName(i), v.Upper, kind)
+		fmt.Fprintf(&b, "  %g <= %s <= %g%s\n", v.Lower, m.VarName(i), v.Upper, kind)
 	}
 	return b.String()
-}
-
-func (m *Model) varName(i int) string {
-	if n := m.Vars[i].Name; n != "" {
-		return n
-	}
-	return fmt.Sprintf("x%d", i)
 }

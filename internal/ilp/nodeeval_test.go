@@ -149,7 +149,7 @@ func loadModel(t testing.TB, path string) *Model {
 		t.Fatal(err)
 	}
 	m := decodeCanonical(t, raw)
-	if _, again := canonicalModel(m); !bytes.Equal(raw, again) {
+	if _, again := canonicalModel(m, 0); !bytes.Equal(raw, again) {
 		t.Fatal("the decoded model does not serialize back to the fixture")
 	}
 	return m

@@ -26,6 +26,7 @@ type Memo struct {
 	enum    map[string]*memoEntry[[]*MIR]
 	verdict map[string]*memoEntry[bool]
 	cands   map[string]*memoEntry[map[string][]*ProbeOrder]
+	fps     map[*query.Query]*memoEntry[string]
 }
 
 type memoEntry[T any] struct {
@@ -44,6 +45,7 @@ func NewMemo(keep int) *Memo {
 		enum:    map[string]*memoEntry[[]*MIR]{},
 		verdict: map[string]*memoEntry[bool]{},
 		cands:   map[string]*memoEntry[map[string][]*ProbeOrder]{},
+		fps:     map[*query.Query]*memoEntry[string]{},
 	}
 }
 
@@ -78,9 +80,10 @@ func (mo *Memo) Advance() {
 	evict(mo.enum, cutoff)
 	evict(mo.verdict, cutoff)
 	evict(mo.cands, cutoff)
+	evict(mo.fps, cutoff)
 }
 
-func evict[T any](m map[string]*memoEntry[T], cutoff uint64) {
+func evict[K comparable, T any](m map[K]*memoEntry[T], cutoff uint64) {
 	for k, e := range m {
 		if e.gen <= cutoff {
 			delete(m, k)
@@ -95,13 +98,34 @@ func Fingerprint(q *query.Query) string {
 	return New(q.Relations, q.Preds).Key()
 }
 
+// Fingerprint is Fingerprint(q) worked out once per query object while
+// the object is in use: the churn loop hands the optimizer the same
+// installed queries step after step, and a query is not changed after it
+// is built. The lookups count neither as hits nor as misses.
+func (mo *Memo) Fingerprint(q *query.Query) string {
+	mo.mu.Lock()
+	e, ok := mo.fps[q]
+	if ok {
+		e.gen = mo.gen
+	}
+	mo.mu.Unlock()
+	if ok {
+		return e.val
+	}
+	fp := Fingerprint(q)
+	mo.mu.Lock()
+	mo.fps[q] = &memoEntry[string]{val: fp, gen: mo.gen}
+	mo.mu.Unlock()
+	return fp
+}
+
 // Enumerate is Enumerate with per-query caching: each query's connected
 // subsets are computed once per fingerprint, and the merged result is
 // deduplicated and sorted exactly as the uncached version.
 func (mo *Memo) Enumerate(queries []*query.Query) []*MIR {
 	byKey := map[string]*MIR{}
 	for _, q := range queries {
-		fp := Fingerprint(q)
+		fp := mo.Fingerprint(q)
 		mo.mu.Lock()
 		e, ok := mo.enum[fp]
 		if ok {

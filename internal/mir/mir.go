@@ -9,8 +9,10 @@ package mir
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"clash/internal/query"
 )
@@ -20,6 +22,7 @@ type MIR struct {
 	Rels  []string          // sorted relation names
 	Preds []query.Predicate // normalized predicates among Rels, sorted
 	key   string
+	sub   atomic.Pointer[query.Query] // Subquery's result, built on first use
 }
 
 // New builds an MIR over the given relations with the given predicates.
@@ -28,21 +31,33 @@ func New(rels []string, preds []query.Predicate) *MIR {
 	m := &MIR{Rels: append([]string(nil), rels...)}
 	sort.Strings(m.Rels)
 	set := m.RelSet()
-	seen := map[string]bool{}
+	var ps []string // each kept predicate rendered once
 	for _, p := range preds {
 		n := p.Normalize()
-		if set[n.Left.Rel] && set[n.Right.Rel] && !seen[n.String()] {
-			seen[n.String()] = true
+		if !set[n.Left.Rel] || !set[n.Right.Rel] {
+			continue
+		}
+		if s := n.String(); !slices.Contains(ps, s) {
+			ps = append(ps, s)
 			m.Preds = append(m.Preds, n)
 		}
 	}
-	sort.Slice(m.Preds, func(i, j int) bool { return m.Preds[i].String() < m.Preds[j].String() })
-	ps := make([]string, len(m.Preds))
-	for i, p := range m.Preds {
-		ps[i] = p.String()
-	}
+	sort.Sort(byRendered{m.Preds, ps})
 	m.key = strings.Join(m.Rels, "+") + "|" + strings.Join(ps, "&")
 	return m
+}
+
+// byRendered sorts predicates by their rendered form, held beside them.
+type byRendered struct {
+	preds []query.Predicate
+	strs  []string
+}
+
+func (b byRendered) Len() int           { return len(b.preds) }
+func (b byRendered) Less(i, j int) bool { return b.strs[i] < b.strs[j] }
+func (b byRendered) Swap(i, j int) {
+	b.preds[i], b.preds[j] = b.preds[j], b.preds[i]
+	b.strs[i], b.strs[j] = b.strs[j], b.strs[i]
 }
 
 // Key is the canonical identity of the MIR: equal keys denote the same
@@ -69,13 +84,18 @@ func (m *MIR) Size() int { return len(m.Rels) }
 func (m *MIR) IsBase() bool { return len(m.Rels) == 1 }
 
 // Subquery returns the join query computing this MIR, used to generate
-// the probe orders that feed its store.
+// the probe orders that feed its store. It is built once per MIR and
+// shared: callers must not change it.
 func (m *MIR) Subquery() *query.Query {
+	if q := m.sub.Load(); q != nil {
+		return q
+	}
 	q, err := query.NewQuery("q"+m.Label(), m.Rels, m.Preds)
 	if err != nil {
 		panic(fmt.Sprintf("mir: invalid subquery for %s: %v", m.key, err))
 	}
-	return q
+	m.sub.CompareAndSwap(nil, q)
+	return m.sub.Load()
 }
 
 // String renders the MIR for logs.
@@ -311,11 +331,10 @@ func PartitionCandidates(m *MIR, queries []*query.Query) []query.Attr {
 	seen := map[query.Attr]bool{}
 	var out []query.Attr
 	for _, q := range queries {
-		qset := q.RelationSet()
 		// Only queries that contain the MIR's relations contribute.
 		contains := true
 		for _, r := range m.Rels {
-			if !qset[r] {
+			if !slices.Contains(q.Relations, r) {
 				contains = false
 				break
 			}
@@ -334,6 +353,6 @@ func PartitionCandidates(m *MIR, queries []*query.Query) []query.Attr {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	slices.SortFunc(out, query.Attr.Compare)
 	return out
 }

@@ -26,7 +26,7 @@ func AttrClasses(preds []Predicate) map[Attr]Attr {
 		ra, rb := find(a), find(b)
 		if ra != rb {
 			// Deterministic canonical pick: smaller string wins.
-			if rb.String() < ra.String() {
+			if rb.Compare(ra) < 0 {
 				ra, rb = rb, ra
 			}
 			parent[rb] = ra

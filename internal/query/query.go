@@ -26,6 +26,43 @@ func (a Attr) String() string { return a.Rel + "." + a.Name }
 // Qualified returns the qualified name used in tuple schemas.
 func (a Attr) Qualified() string { return a.Rel + "." + a.Name }
 
+// Compare orders attributes exactly as their strings "R.a" order, -1, 0
+// or +1, without building them: a relation name that is a prefix of
+// another, or bytes below '.', order as in the rendered form ("R-x.a"
+// before "R.a" before "R1.a").
+func (a Attr) Compare(b Attr) int {
+	if a.Rel == b.Rel {
+		return strings.Compare(a.Name, b.Name)
+	}
+	la, lb := len(a.Rel)+1+len(a.Name), len(b.Rel)+1+len(b.Name)
+	for i := 0; i < la && i < lb; i++ {
+		if ca, cb := a.byteAt(i), b.byteAt(i); ca != cb {
+			if ca < cb {
+				return -1
+			}
+			return 1
+		}
+	}
+	switch {
+	case la < lb:
+		return -1
+	case la > lb:
+		return 1
+	}
+	return 0
+}
+
+// byteAt is byte i of the attribute's rendered form.
+func (a Attr) byteAt(i int) byte {
+	switch {
+	case i < len(a.Rel):
+		return a.Rel[i]
+	case i == len(a.Rel):
+		return '.'
+	}
+	return a.Name[i-len(a.Rel)-1]
+}
+
 // Predicate is an equi-join predicate between two qualified attributes.
 // Predicates are unordered; Normalize gives the canonical orientation.
 type Predicate struct {
@@ -36,7 +73,7 @@ type Predicate struct {
 // Normalize returns the predicate with its sides in lexicographic order,
 // so that R.a=S.b and S.b=R.a compare equal.
 func (p Predicate) Normalize() Predicate {
-	if p.Right.String() < p.Left.String() {
+	if p.Right.Compare(p.Left) < 0 {
 		return Predicate{Left: p.Right, Right: p.Left}
 	}
 	return p

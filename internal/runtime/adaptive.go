@@ -4,6 +4,7 @@ import (
 	"fmt"
 	goruntime "runtime"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -410,15 +411,17 @@ func (c *Controller) reoptimizeLocked(epoch int64) error {
 
 // planSignature canonically renders a decision for change detection.
 func planSignature(plans, warming []*core.Plan) string {
-	s := ""
+	var b strings.Builder
 	for _, p := range plans {
-		s += p.String() + "\n"
+		b.WriteString(p.String())
+		b.WriteByte('\n')
 	}
-	s += "--warming--\n"
+	b.WriteString("--warming--\n")
 	for _, p := range warming {
-		s += p.String() + "\n"
+		b.WriteString(p.String())
+		b.WriteByte('\n')
 	}
-	return s
+	return b.String()
 }
 
 // warmupEpochs is the number of epochs a new MIR store must be fed
@@ -491,8 +494,8 @@ func (c *Controller) allPredsLocked() []query.Predicate {
 	sort.Strings(names)
 	for _, n := range names {
 		for _, p := range c.queries[n].Preds {
-			if !seen[p.String()] {
-				seen[p.String()] = true
+			if k := p.String(); !seen[k] {
+				seen[k] = true
 				preds = append(preds, p)
 			}
 		}
