@@ -324,7 +324,7 @@ func runChurn(quick bool, seed uint64) {
 	var engine []bench.ChurnEngineResult
 	for _, nQ := range engineNQs {
 		// The query-churn workload's shape: 40 relations, 2 000 nodes a solve.
-		r, err := bench.ChurnEngineRegime(bench.ChurnConfig{Seed: seed, Relations: 40, Steps: 20, MaxNodes: 2000, Parallel: 2}, nQ)
+		r, err := bench.ChurnEngineRegime(bench.ChurnConfig{Seed: seed, Relations: 40, Steps: 20, MaxNodes: 2000}, nQ)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,9 +1,16 @@
 package clash
 
 import (
+	"fmt"
+	"math"
+	goruntime "runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
+
+	"clash/internal/rng"
+	"clash/internal/workload"
 )
 
 // churnRun executes a fixed ingest schedule with mid-run query churn on
@@ -128,6 +135,103 @@ func TestMeasuredCostsKeepExactness(t *testing.T) {
 			if a[i] != b[i] {
 				t.Fatalf("%s: result %d differs under measured costs:\n  plain      %s\n  calibrated %s", name, i, a[i], b[i])
 			}
+		}
+	}
+}
+
+// churnPlans runs the benchmark's query-churn shape — 24 random
+// three-way joins over 40 relations, then alternately admitting a fresh
+// query and retiring the oldest, one step every 500 tuples of a uniform
+// stream so each step plans under freshly sealed estimates — on an engine
+// with cross-churn optimizer state and a node-capped solver. It renders
+// the installed plan after every step: its objective bits and the key of
+// every selected probe order, in order.
+func churnPlans(t *testing.T, steps int) []string {
+	t.Helper()
+	const every = 500
+	env := workload.NewEnv(40, 100)
+	pool := env.RandomQueries(24+steps, 3, 1)
+	if len(pool) < 24+steps {
+		t.Fatalf("workload generation came up short (%d queries)", len(pool))
+	}
+	cfg := Config{
+		Queries: pool[:24], Catalog: env.Catalog(),
+		DefaultWindow:    16 * every,
+		EpochLength:      every,
+		Synchronous:      true,
+		IncrementalReopt: true,
+		InitialEstimates: env.Estimates(),
+	}
+	cfg.Optimizer = OptimizerOptions{DeterministicWarmStart: true, MaxCandidatesPerGroup: 12}
+	cfg.Optimizer.Solver.MaxNodes = 2000
+	eng, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Stop()
+
+	rels := env.Catalog().Names()
+	r := rng.New(7)
+	k := func() Value { return Int(int64(r.Intn(300))) }
+	ts := Time(0)
+	ingest := func() {
+		for i := 0; i < every; i++ {
+			if err := eng.Ingest(rels[r.Intn(len(rels))], ts, k(), k(), k()); err != nil {
+				t.Fatal(err)
+			}
+			ts++
+		}
+	}
+	render := func() string {
+		p := eng.Plan()
+		if p == nil {
+			t.Fatal("no plan installed")
+		}
+		var b strings.Builder
+		fmt.Fprintf(&b, "%x", math.Float64bits(p.Objective))
+		for _, d := range p.Selected {
+			b.WriteString(" " + d.Key())
+		}
+		return b.String()
+	}
+	out := []string{render()}
+	active := append([]*Query(nil), pool[:24]...)
+	for s := 0; s < steps; s++ {
+		ingest()
+		if s%2 == 0 {
+			q := pool[24+s/2]
+			if err := eng.AddQuery(q); err != nil {
+				t.Fatal(err)
+			}
+			active = append(active, q)
+		} else {
+			if err := eng.RemoveQuery(active[0].Name); err != nil {
+				t.Fatal(err)
+			}
+			active = active[1:]
+		}
+		out = append(out, render())
+	}
+	return out
+}
+
+// TestChurnPlansIndependentOfCoreCount pins that a churn plan is a
+// function of the model, the node budget and the warm start alone: the
+// same schedule under one and under four schedulable cores installs the
+// same plan after every AddQuery and RemoveQuery.
+func TestChurnPlansIndependentOfCoreCount(t *testing.T) {
+	steps := 12
+	if testing.Short() {
+		steps = 6
+	}
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(0))
+	goruntime.GOMAXPROCS(1)
+	one := churnPlans(t, steps)
+	goruntime.GOMAXPROCS(4)
+	four := churnPlans(t, steps)
+	for s := range one {
+		if one[s] != four[s] {
+			t.Fatalf("step %d: the plan depends on GOMAXPROCS:\n  1 core:  %s\n  4 cores: %s", s, one[s], four[s])
 		}
 	}
 }

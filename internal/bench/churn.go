@@ -26,9 +26,6 @@ type ChurnConfig struct {
 	// time, so both arms are deterministic and plan costs repeat exactly
 	// (default 200k).
 	MaxNodes int
-	// Parallel fixes the BnB worker count; parallel node evaluation is
-	// deterministic when no TimeLimit is set (default 4).
-	Parallel int
 	// CapCandidates caps decorated candidates per group (the Fig. 9f
 	// knob): at 1k queries over 100 relations the sharing graph is
 	// dense enough that uncapped models dwarf the node budget in both
@@ -54,9 +51,6 @@ func (c *ChurnConfig) fill() {
 	}
 	if c.MaxNodes == 0 {
 		c.MaxNodes = 200000
-	}
-	if c.Parallel == 0 {
-		c.Parallel = 4
 	}
 	if c.CapCandidates == 0 {
 		c.CapCandidates = 12
@@ -129,7 +123,6 @@ func churnOne(cfg ChurnConfig, nQ int) (ChurnResult, error) {
 		MaxCandidatesPerGroup:  cfg.CapCandidates,
 	}
 	base.Solver.MaxNodes = cfg.MaxNodes
-	base.Solver.Parallel = cfg.Parallel
 
 	reopt := core.NewReopt()
 	inc := base
@@ -236,7 +229,6 @@ func ChurnEngineRegime(cfg ChurnConfig, nQ int) (ChurnEngineResult, error) {
 		Reopt:                  reopt,
 	}
 	opts.Solver.MaxNodes = cfg.MaxNodes
-	opts.Solver.Parallel = cfg.Parallel
 
 	res := ChurnEngineResult{NQ: nQ, Steps: cfg.Steps}
 	wantedSince := map[string]int{} // composite MIR key -> step the free plan first used it

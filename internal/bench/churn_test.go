@@ -39,7 +39,7 @@ func TestChurnSmoke(t *testing.T) {
 // show the repair doing the seeding, and two runs must agree on every
 // count.
 func TestChurnEngineRegimeSmoke(t *testing.T) {
-	cfg := ChurnConfig{Relations: 40, Steps: 8, MaxNodes: 2000, Parallel: 2}
+	cfg := ChurnConfig{Relations: 40, Steps: 8, MaxNodes: 2000}
 	a, err := ChurnEngineRegime(cfg, 24)
 	if err != nil {
 		t.Fatal(err)

@@ -65,7 +65,6 @@ func controllerSchedule(t testing.TB, steps int) []controllerStep {
 func controllerOptions(r *Reopt) Options {
 	opts := Options{DeterministicWarmStart: true, MaxCandidatesPerGroup: 12, Reopt: r}
 	opts.Solver.MaxNodes = 2000
-	opts.Solver.Parallel = 2
 	return opts
 }
 

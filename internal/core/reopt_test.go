@@ -62,7 +62,6 @@ func TestIncrementalMatchesScratchUnderChurn(t *testing.T) {
 		est := env.Estimates()
 
 		base := Options{DeterministicWarmStart: true}
-		base.Solver.Parallel = 4 // deterministic: no TimeLimit set
 		if seed%4 != 3 {
 			// The decomposing Fig. 9 regime, where component caching
 			// carries the most weight.

@@ -9,7 +9,8 @@ import (
 
 // Options control the branch-and-bound search.
 type Options struct {
-	// MaxNodes bounds the number of explored nodes (0 = default 5e6).
+	// MaxNodes bounds the number of explored nodes of each independent
+	// component (0 = default 5e6).
 	MaxNodes int
 	// MaxLPIter bounds simplex iterations per LP solve (0 = default).
 	MaxLPIter int
@@ -26,13 +27,7 @@ type Options struct {
 	// WarmStart, when it has one value per variable and is feasible,
 	// seeds the incumbent so the search starts with a strong bound.
 	WarmStart []float64
-	// Parallel, when > 1, evaluates independent branch-and-bound
-	// subtrees (and independent components) on up to Parallel
-	// goroutines. The search stays deterministic: sibling subtrees in a
-	// wave share the wave-start incumbent and their results merge in
-	// node-index order, so the explored tree is identical across runs
-	// whenever TimeLimit is 0 (wall-clock deadlines are inherently
-	// scheduling-sensitive). 0 or 1 means serial.
+	// Parallel is ignored; the search is serial.
 	Parallel int
 	// Cache, when set, memoizes optimal solutions of independent
 	// components keyed by a canonical serialization of the component
@@ -76,17 +71,9 @@ func (m *Model) Solve(opt *Options) *Solution {
 	return solveOne(m, o)
 }
 
-// solveOne solves a single connected component, parallelizing subtree
-// evaluation when requested.
+// solveOne solves a single connected component.
 func solveOne(m *Model, o Options) *Solution {
 	s := &searcher{m: m, o: o}
-	return s.run()
-}
-
-func (s *searcher) run() *Solution {
-	if s.o.Parallel > 1 {
-		return s.solveParallel()
-	}
 	return s.solve()
 }
 
@@ -137,13 +124,11 @@ func components(m *Model) [][]int {
 	return out
 }
 
-// solveByComponents solves each component independently and stitches the
-// solutions together. Time and node budgets are shared across components.
-// With Options.Cache set, components whose canonical serialization was
-// solved to optimality before are answered from the cache without any
-// search. With Options.Parallel > 1, components run concurrently on a
-// bounded pool; results are merged in component-index order so the
-// outcome is independent of goroutine scheduling.
+// solveByComponents solves each component independently, in index order,
+// and stitches the solutions together. The time budget is shared across
+// components. With Options.Cache set, components whose canonical
+// serialization was solved to optimality before are answered from the
+// cache without any search.
 func solveByComponents(m *Model, comps [][]int, o Options) *Solution {
 	total := &Solution{Values: make([]float64, len(m.Vars))}
 	deadline := time.Time{}
@@ -151,74 +136,8 @@ func solveByComponents(m *Model, comps [][]int, o Options) *Solution {
 		deadline = time.Now().Add(o.TimeLimit)
 	}
 	subs := splitComponents(m, comps)
-	solveComp := func(ci int) *Solution {
-		vs, sub := comps[ci], subs[ci]
-		var fp uint64
-		var key []byte
-		if o.Cache != nil {
-			// Room for limitKey's suffix, so it extends key in place.
-			fp, key = canonicalModel(sub, limitKeySuffix(len(vs)))
-			if vals, obj, ok := o.Cache.lookup(fp, key, false); ok {
-				return &Solution{Status: Optimal, Objective: obj, Values: vals, CacheHits: 1}
-			}
-		}
-		so := o
-		if len(comps) > 1 {
-			so.Parallel = 0 // component-level parallelism only
-		}
-		if !deadline.IsZero() {
-			so.TimeLimit = time.Until(deadline)
-			if so.TimeLimit <= 0 {
-				so.TimeLimit = time.Nanosecond
-			}
-		}
-		so.WarmStart = sliceWarmStart(o.WarmStart, len(m.Vars), vs)
-		// A node-capped search with no wall-clock deadline is a
-		// deterministic function of (model, budget, warm start): its
-		// stored incumbent replays byte-identically, so hard components
-		// churned once don't re-pay the full budget every later step.
-		var lfp uint64
-		var lkey []byte
-		if o.Cache != nil && so.TimeLimit == 0 {
-			lfp, lkey = limitKey(key, &so, so.WarmStart)
-			if vals, obj, ok := o.Cache.lookup(lfp, lkey, true); ok {
-				return &Solution{Status: Limit, Objective: obj, Values: vals, CacheHits: 1}
-			}
-		}
-		res := solveOne(sub, so)
-		if o.Cache != nil {
-			res.CacheMisses = 1
-			if res.Status == Optimal {
-				o.Cache.insert(fp, key, res.Values, res.Objective, false)
-			} else if res.Status == Limit && lkey != nil && res.Values != nil {
-				o.Cache.insert(lfp, lkey, res.Values, res.Objective, true)
-			}
-		}
-		return res
-	}
-
-	results := make([]*Solution, len(comps))
-	if o.Parallel > 1 && len(comps) > 1 {
-		sem := make(chan struct{}, o.Parallel)
-		done := make(chan int, len(comps))
-		for ci := range comps {
-			sem <- struct{}{}
-			go func(ci int) {
-				defer func() { <-sem; done <- ci }()
-				results[ci] = solveComp(ci)
-			}(ci)
-		}
-		for range comps {
-			<-done
-		}
-	} else {
-		for ci := range comps {
-			results[ci] = solveComp(ci)
-		}
-	}
-
 	for ci, vs := range comps {
-		res := results[ci]
+		res := solveComponent(m, vs, subs[ci], o, deadline)
 		total.Nodes += res.Nodes
 		total.Iterations += res.Iterations
 		total.CacheHits += res.CacheHits
@@ -246,6 +165,36 @@ func solveByComponents(m *Model, comps [][]int, o Options) *Solution {
 		total.Objective += res.Objective
 	}
 	return total
+}
+
+// solveComponent solves one component's sub-model sub, whose variables
+// are the parent's vs, answering it from the cache when it was solved to
+// optimality before.
+func solveComponent(m *Model, vs []int, sub *Model, o Options, deadline time.Time) *Solution {
+	var fp uint64
+	var key []byte
+	if o.Cache != nil {
+		fp, key = canonicalModel(sub)
+		if vals, obj, ok := o.Cache.lookup(fp, key); ok {
+			return &Solution{Status: Optimal, Objective: obj, Values: vals, CacheHits: 1}
+		}
+	}
+	so := o
+	if !deadline.IsZero() {
+		so.TimeLimit = time.Until(deadline)
+		if so.TimeLimit <= 0 {
+			so.TimeLimit = time.Nanosecond
+		}
+	}
+	so.WarmStart = sliceWarmStart(o.WarmStart, len(m.Vars), vs)
+	res := solveOne(sub, so)
+	if o.Cache != nil {
+		res.CacheMisses = 1
+		if res.Status == Optimal {
+			o.Cache.insert(fp, key, res.Values, res.Objective)
+		}
+	}
+	return res
 }
 
 // splitComponents builds one sub-model per component. A sub-model
@@ -384,7 +333,7 @@ type searcher struct {
 	touched    []int
 	leafBuf    []float64
 	// lp is the tableau every LP of this searcher reuses, sized by the
-	// first; a parallel child starts with its own, empty.
+	// first.
 	lp simplex
 
 	// hook, when set by a test, observes every node evaluation.
@@ -451,7 +400,11 @@ func (s *searcher) init() *Solution {
 		s.deadln = time.Now().Add(s.o.TimeLimit)
 	}
 
-	s.newBuffers()
+	s.pendingBuf = make([]int, 0, len(m.Cons))
+	s.inQueue = make([]bool, len(m.Cons))
+	s.forcedBy = make([]int32, n)
+	s.leafBuf = make([]float64, n)
+	s.trail = make([]trailEntry, 0, 2*n)
 
 	if len(s.o.WarmStart) == n && m.feasible(s.o.WarmStart, s.o.Tol*10) {
 		s.offer(s.o.WarmStart, m.ObjectiveOf(s.o.WarmStart))
@@ -497,16 +450,16 @@ func (s *searcher) finish() *Solution {
 // countNode charges one node against the budget and the deadline.
 // Returns false when a limit was hit (search must stop).
 func (s *searcher) countNode() bool {
-	s.nodes++
-	if s.nodes > s.o.MaxNodes {
+	if s.nodes >= s.o.MaxNodes {
 		s.hitLim = true
 		return false
 	}
-	if !s.deadln.IsZero() && s.nodes%256 == 0 && time.Now().After(s.deadln) {
+	if !s.deadln.IsZero() && (s.nodes+1)%256 == 0 && time.Now().After(s.deadln) {
 		s.hitLim = true
 		s.timedOut = true
 		return false
 	}
+	s.nodes++
 	return true
 }
 
@@ -1073,16 +1026,6 @@ func (s *searcher) initEval() {
 	}
 	s.cutoff = math.MaxInt64
 	s.tolQ = st.quantize(s.o.Tol)
-}
-
-// newBuffers allocates the scratch space one searcher's hot path reuses.
-func (s *searcher) newBuffers() {
-	n := len(s.m.Vars)
-	s.pendingBuf = make([]int, 0, len(s.m.Cons))
-	s.inQueue = make([]bool, len(s.m.Cons))
-	s.forcedBy = make([]int32, n)
-	s.leafBuf = make([]float64, n)
-	s.trail = make([]trailEntry, 0, 2*n)
 }
 
 // propagate performs activity-based bound tightening to a fixpoint,

@@ -270,6 +270,34 @@ func TestNodeLimit(t *testing.T) {
 	if sol.Status != Limit {
 		t.Fatalf("status = %v, want limit", sol.Status)
 	}
+	// A capped search reports the nodes it explored, never the one it
+	// refused: at most MaxNodes, whatever the budget. The budget is per
+	// independent component, so a decomposed model may spend one per
+	// component.
+	r := rng.New(31)
+	capped := 0
+	for trial := 0; trial < 40; trial++ {
+		m := buildClashShaped(r)
+		comps := len(components(m))
+		for _, budget := range []int{1, 2, 7, 50, 300} {
+			for _, o := range []Options{{MaxNodes: budget, LPCellLimit: 1}, {MaxNodes: budget}} {
+				if sol := m.Solve(&o); sol.NodesExplored() > comps*budget {
+					t.Fatalf("trial %d: %d nodes explored in %d components under MaxNodes %d", trial, sol.NodesExplored(), comps, budget)
+				}
+				o.fill()
+				sol := solveOne(m, o)
+				if sol.NodesExplored() > budget {
+					t.Fatalf("trial %d: %d nodes explored in one search under MaxNodes %d", trial, sol.NodesExplored(), budget)
+				}
+				if sol.Status == Limit {
+					capped++
+				}
+			}
+		}
+	}
+	if capped == 0 {
+		t.Fatal("no solve hit its node budget: the test is vacuous")
+	}
 }
 
 func TestTimeLimitReturnsIncumbent(t *testing.T) {

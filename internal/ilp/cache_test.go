@@ -131,71 +131,36 @@ func cappedKnapsack() *Model {
 	return m
 }
 
-// TestSolutionCacheCapsReplay pins the Limit-entry class: a node-capped
-// solve with no wall-clock deadline is deterministic in (model, budget,
-// warm start), so its truncated incumbent is cached and replayed —
-// identical objective and values, zero search — while a different
-// budget or warm start keys a different entry and re-searches.
-func TestSolutionCacheCapsReplay(t *testing.T) {
+// TestSolutionCacheSkipsCappedComponents pins that only Optimal
+// component solutions are cached: a node-capped (Limit) incumbent is
+// never served, so a repeated capped solve searches again, and an
+// uncapped solve after a capped one finds the true optimum.
+func TestSolutionCacheSkipsCappedComponents(t *testing.T) {
 	m := cappedKnapsack()
-	capped := m.Solve(&Options{MaxNodes: 5, LPCellLimit: 1})
-	if capped.Status != Limit || capped.Values == nil {
-		t.Fatalf("uncached capped solve: status %v, values-nil %v — model no longer exercises the cap",
-			capped.Status, capped.Values == nil)
-	}
-
 	cache := NewSolutionCache(4)
 	first := m.Solve(&Options{MaxNodes: 5, LPCellLimit: 1, Cache: cache})
-	if first.Status != Limit || first.CacheHits != 0 {
-		t.Fatalf("first capped solve: status %v hits %d", first.Status, first.CacheHits)
+	if first.Status != Limit || first.Values == nil {
+		t.Fatalf("capped solve: status %v, values-nil %v — model no longer exercises the cap",
+			first.Status, first.Values == nil)
 	}
-	replay := m.Solve(&Options{MaxNodes: 5, LPCellLimit: 1, Cache: cache})
-	if replay.CacheHits != 1 || replay.Status != Limit {
-		t.Fatalf("replay not served from cache: hits=%d status=%v", replay.CacheHits, replay.Status)
+	if n := cache.Stats().Entries; n != 0 {
+		t.Fatalf("a capped solve left %d cache entries, want 0", n)
 	}
-	if replay.Objective != first.Objective {
-		t.Fatalf("replay objective %g, first %g", replay.Objective, first.Objective)
+	again := m.Solve(&Options{MaxNodes: 5, LPCellLimit: 1, Cache: cache})
+	if again.CacheHits != 0 || again.NodesExplored() == 0 {
+		t.Fatalf("repeated capped solve: hits %d, nodes %d — a Limit incumbent was served", again.CacheHits, again.NodesExplored())
 	}
-	if replay.Nodes != 0 {
-		t.Fatalf("replay explored %d nodes, want 0", replay.Nodes)
-	}
-	if len(replay.Values) != len(first.Values) {
-		t.Fatalf("replay values length %d, first %d", len(replay.Values), len(first.Values))
-	}
-	for j := range first.Values {
-		if replay.Values[j] != first.Values[j] {
-			t.Fatalf("replay values diverge at %d: %g vs %g", j, replay.Values[j], first.Values[j])
-		}
+	if again.Objective != first.Objective {
+		t.Fatalf("repeated capped solve %g, first %g", again.Objective, first.Objective)
 	}
 
-	// A different node budget is a different truncated search — the
-	// limit entry must not answer it.
-	other := m.Solve(&Options{MaxNodes: 10, LPCellLimit: 1, Cache: cache})
-	if other.CacheHits != 0 {
-		t.Fatal("budget change served from cache")
-	}
-
-	// A different warm start seeds a different incumbent — miss, and
-	// the seeded solve is never worse than its seed.
 	full := m.Solve(&Options{LPCellLimit: 1})
 	if full.Status != Optimal {
 		t.Fatalf("uncapped solve status %v, want optimal", full.Status)
 	}
-	seeded := m.Solve(&Options{MaxNodes: 5, LPCellLimit: 1, Cache: cache, WarmStart: full.Values})
-	if seeded.CacheHits != 0 {
-		t.Fatal("warm-start change served from cache")
-	}
-	if seeded.Objective > full.Objective {
-		t.Fatalf("seeded capped solve %g worse than its seed %g", seeded.Objective, full.Objective)
-	}
-
-	// Limit entries must never answer an uncapped lookup: the optimal
-	// solve keys the model alone and finds the true optimum.
 	exact := m.Solve(&Options{LPCellLimit: 1, Cache: cache})
-	if exact.Status != Optimal {
-		t.Fatalf("uncapped cached solve status %v, want optimal", exact.Status)
-	}
-	if exact.Objective != full.Objective {
-		t.Fatalf("uncapped cached solve %g, want %g — limit entry leaked", exact.Objective, full.Objective)
+	if exact.Status != Optimal || exact.CacheHits != 0 || exact.Objective != full.Objective {
+		t.Fatalf("uncapped solve after a capped one: %v %g (hits %d), want optimal %g",
+			exact.Status, exact.Objective, exact.CacheHits, full.Objective)
 	}
 }

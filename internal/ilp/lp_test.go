@@ -309,7 +309,7 @@ func searchBoxes(m *Model, maxNodes int) [][2][]float64 {
 			boxes = append(boxes, [2][]float64{slices.Clone(s.lo), slices.Clone(s.hi)})
 		}
 	}}
-	s.run()
+	s.solve()
 	return boxes
 }
 

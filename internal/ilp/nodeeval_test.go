@@ -149,7 +149,7 @@ func loadModel(t testing.TB, path string) *Model {
 		t.Fatal(err)
 	}
 	m := decodeCanonical(t, raw)
-	if _, again := canonicalModel(m, 0); !bytes.Equal(raw, again) {
+	if _, again := canonicalModel(m); !bytes.Equal(raw, again) {
 		t.Fatal("the decoded model does not serialize back to the fixture")
 	}
 	return m
@@ -162,7 +162,7 @@ func checkedRun(t *testing.T, what string, m *Model, o Options) *Solution {
 	o.fill()
 	c := &nodeChecker{}
 	s := &searcher{m: m, o: o, hook: c.hook}
-	sol := s.run()
+	sol := s.solve()
 	c.report(t, what)
 	return sol
 }
@@ -171,9 +171,8 @@ func checkedRun(t *testing.T, what string, m *Model, o Options) *Solution {
 // at every node: box bound, group bound, decided and available counters,
 // the implication fixpoint, the free sets and the branch variable must
 // equal what a rescan of the model computes from the bounds alone — in
-// the serial search, through undo, through expandFrontier and in the
-// child searchers of a parallel solve — and the hooked solve must end
-// where the plain one does.
+// the search and through undo — and the hooked solve must end where the
+// plain one does.
 func TestNodeEvaluationMatchesRescan(t *testing.T) {
 	r := rng.New(20200)
 	trials := 60
@@ -186,8 +185,6 @@ func TestNodeEvaluationMatchesRescan(t *testing.T) {
 			{},
 			{LPCellLimit: 1},
 			{LPCellLimit: 1, MaxNodes: 40},
-			{LPCellLimit: 1, Parallel: 3},
-			{Parallel: 4, MaxNodes: 200},
 		} {
 			plain := solveOne(m, func() Options { p := o; p.fill(); return p }())
 			got := checkedRun(t, "clash-shaped", m, o)
@@ -205,17 +202,12 @@ func TestNodeEvaluationMatchesRescan(t *testing.T) {
 	}
 	for trial := 0; trial < big; trial++ {
 		m := buildChurnShaped(r, 24, 6)
-		for _, o := range []Options{
-			{LPCellLimit: 1, MaxNodes: 3000},
-			{LPCellLimit: 1, MaxNodes: 1500, Parallel: 2},
-		} {
-			sol := checkedRun(t, "churn-shaped", m, o)
-			if sol.Values == nil {
-				t.Fatalf("churn-shaped trial %d: no incumbent within the budget", trial)
-			}
-			if err := m.Feasible(sol.Values, 1e-6); err != nil {
-				t.Fatalf("churn-shaped trial %d: %v", trial, err)
-			}
+		sol := checkedRun(t, "churn-shaped", m, Options{LPCellLimit: 1, MaxNodes: 3000})
+		if sol.Values == nil {
+			t.Fatalf("churn-shaped trial %d: no incumbent within the budget", trial)
+		}
+		if err := m.Feasible(sol.Values, 1e-6); err != nil {
+			t.Fatalf("churn-shaped trial %d: %v", trial, err)
 		}
 	}
 }
@@ -229,18 +221,12 @@ func TestNodeEvaluationOnChurnStep(t *testing.T) {
 	if st := analyze(m); !st.valid || len(st.groups) < 50 {
 		t.Fatalf("fixture lost its structure: valid=%v, %d groups", st.valid, len(st.groups))
 	}
-	const budget = 2000
-	for _, o := range []Options{
-		{LPCellLimit: 1, MaxNodes: budget},
-		{LPCellLimit: 1, MaxNodes: budget / 2, Parallel: 2},
-	} {
-		sol := checkedRun(t, "churn step", m, o)
-		if sol.Status != Limit || sol.Values == nil {
-			t.Fatalf("%+v: status %v, incumbent %v; the captured solve ran to its budget and held one", o, sol.Status, sol.Values != nil)
-		}
-		if err := m.Feasible(sol.Values, 1e-6); err != nil {
-			t.Fatal(err)
-		}
+	sol := checkedRun(t, "churn step", m, Options{LPCellLimit: 1, MaxNodes: 2000})
+	if sol.Status != Limit || sol.Values == nil {
+		t.Fatalf("status %v, incumbent %v; the captured solve ran to its budget and held one", sol.Status, sol.Values != nil)
+	}
+	if err := m.Feasible(sol.Values, 1e-6); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -3,7 +3,6 @@ package ilp
 import (
 	"fmt"
 	"math"
-	"sync"
 	"testing"
 )
 
@@ -151,10 +150,8 @@ func scratchPick(s *searcher) int {
 
 // nodeChecker is the hook: at every point stepNode reports, the
 // maintained state must equal what the rescans compute from the bounds
-// alone. Sub-searchers of a parallel solve call it from their own
-// goroutines, so it keeps the first mismatch for the test to report.
+// alone. It keeps the first mismatch for the test to report.
 type nodeChecker struct {
-	mu     sync.Mutex
 	visits int
 	err    string
 }
@@ -170,8 +167,6 @@ func (c *nodeChecker) report(t *testing.T, what string) {
 }
 
 func (c *nodeChecker) hook(s *searcher, at hookPoint, v int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.visits++
 	if c.err == "" {
 		c.err = checkNode(s, at, v)

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	goruntime "runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -153,19 +152,6 @@ func (c *Controller) ReoptStats() core.ReoptStats {
 	return c.reopt.Stats()
 }
 
-// parallelSolvers bounds the branch-and-bound worker pool: enough to
-// cover frontier waves without oversubscribing small machines.
-func parallelSolvers() int {
-	n := goruntime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // Estimates returns the current blended estimates (read-only).
 func (c *Controller) Estimates() *stats.Estimates {
 	c.mu.Lock()
@@ -282,9 +268,6 @@ func (c *Controller) reoptimizeLocked(epoch int64) error {
 		opts.MIREligible = elig
 		if c.reopt != nil {
 			opts.Reopt = c.reopt
-			if opts.Solver.Parallel == 0 {
-				opts.Solver.Parallel = parallelSolvers()
-			}
 		}
 		if c.cfg.MeasuredCosts {
 			coef := c.coef
