@@ -18,7 +18,7 @@ import (
 
 func main() {
 	cfg := bench.Fig8Config{
-		Rate:   1000,
+		Rate:   1500,
 		Window: 400 * time.Millisecond,
 		Epoch:  100 * time.Millisecond,
 		Before: time.Second,

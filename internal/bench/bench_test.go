@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -82,16 +84,28 @@ func countsOf(r Fig7Result) fig7Counts {
 
 // TestFig7FixtureRepeats is the drift check of the Fig. 7 workload,
 // exact: two builds of the fixture agree on every plan (five and ten
-// queries), two runs of the figure agree on every count of every
-// strategy, and the CMQO row matches the counts pinned below. A change
-// that moves them changed the generator, the statistics, the optimizer
-// or the runtime's accounting — say which, then regenerate with
+// queries), every plan's objective — the joint one and each query's
+// individual one — matches the one pinned below, two runs of the figure
+// agree on every count of every strategy, and the CMQO row matches the
+// counts pinned below. A change that moves them changed the generator,
+// the statistics, the optimizer or the runtime's accounting — say which,
+// then regenerate with
 //
 //	go test ./internal/bench/ -run TestFig7FixtureRepeats -v
 //
-// and copy the logged row.
+// and copy the logged objectives and row.
 func TestFig7FixtureRepeats(t *testing.T) {
 	pinned := fig7Counts{ProbeTuples: 52225, Candidates: 18937, MemoryBytes: 4053744, Results: 4703, Stores: 21}
+	// Per workload: the joint objective, then q1, q2, … individually.
+	objectives := map[int][]float64{
+		10: {13476.526562500007, 403.33333333333337, 933, 8874.5, 7481.3191406249998, 7528.2960937499993, 58, 1795, 189, 2013.8794270833332, 61},
+		5:  {31063.265463594693, 895.83333333333337, 2220, 21975, 18002.275846226512, 18499.510491182955},
+	}
+	pinObjective := func(what string, got, want float64) {
+		if math.Abs(got-want) > 1e-12*math.Abs(want) {
+			t.Errorf("%s: objective %.17g, pinned %.17g", what, got, want)
+		}
+	}
 
 	// twoBuilds returns the tests' shared build of a workload and a
 	// fresh one, after holding every plan of the two against each other.
@@ -112,7 +126,13 @@ func TestFig7FixtureRepeats(t *testing.T) {
 				t.Errorf("%d queries: plan of %s differs between two builds", numQueries, a.Queries[i].Name)
 			}
 		}
-		t.Logf("%d queries at SF %g: joint objective %.3f", numQueries, sf, a.joint.Objective)
+		want := objectives[numQueries]
+		t.Logf("%d queries at SF %g: joint objective %.17g", numQueries, sf, a.joint.Objective)
+		pinObjective(fmt.Sprintf("%d queries, joint", numQueries), a.joint.Objective, want[0])
+		for i, p := range a.individual {
+			t.Logf("  %s individually: %.17g", a.Queries[i].Name, p.Objective)
+			pinObjective(fmt.Sprintf("%d queries, %s individually", numQueries, a.Queries[i].Name), p.Objective, want[1+i])
+		}
 		return a, b
 	}
 	twoBuilds(10, 0.0002, fig7Ten)

@@ -151,7 +151,7 @@ func (b *builder) run() (*Plan, error) {
 		full.MaxCandidatesPerGroup = 0
 		return newBuilder(full, b.queries, b.rawEst).run()
 	}
-	if sol.Status == ilp.Infeasible || sol.Status == ilp.Unbounded {
+	if sol.Status == ilp.Infeasible {
 		return nil, b.unsolvable(sol.Status)
 	}
 	if sol.Values == nil {

@@ -12,14 +12,6 @@ type Options struct {
 	// MaxNodes bounds the number of explored nodes of each independent
 	// component (0 = default 5e6).
 	MaxNodes int
-	// MaxLPIter bounds simplex iterations per LP solve (0 = default).
-	MaxLPIter int
-	// LPCellLimit disables LP relaxations when (constraints + variables)
-	// × variables exceeds it (0 = default 1<<21): a measure of the model,
-	// not the simplex tableau's rows × (variables + slacks + rows) cells.
-	// Propagation-only search is used above the limit; the solver remains
-	// exact, only bounds get weaker.
-	LPCellLimit int
 	// TimeLimit aborts the search returning the incumbent (0 = none).
 	TimeLimit time.Duration
 	// Tol is the integrality/feasibility tolerance (0 = 1e-6).
@@ -41,19 +33,13 @@ func (o *Options) fill() {
 	if o.MaxNodes == 0 {
 		o.MaxNodes = 5_000_000
 	}
-	if o.MaxLPIter == 0 {
-		o.MaxLPIter = 20_000
-	}
-	if o.LPCellLimit == 0 {
-		o.LPCellLimit = 1 << 21
-	}
 	if o.Tol == 0 {
 		o.Tol = 1e-6
 	}
 }
 
-// Solve minimizes the model. For pure-binary feasible models it returns a
-// provably optimal solution unless a node/time limit interrupts, in which
+// Solve minimizes the model. For feasible models it returns a provably
+// optimal solution unless a node/time limit interrupts, in which
 // case Status is Limit and the best incumbent (if any) is returned.
 //
 // Models whose constraint graph decomposes into independent connected
@@ -139,14 +125,13 @@ func solveByComponents(m *Model, comps [][]int, o Options) *Solution {
 	for ci, vs := range comps {
 		res := solveComponent(m, vs, subs[ci], o, deadline)
 		total.Nodes += res.Nodes
-		total.Iterations += res.Iterations
 		total.CacheHits += res.CacheHits
 		total.CacheMisses += res.CacheMisses
 		if res.TimedOut {
 			total.TimedOut = true
 		}
 		switch res.Status {
-		case Infeasible, Unbounded:
+		case Infeasible:
 			total.Status = res.Status
 			total.Values = nil
 			return total
@@ -289,21 +274,17 @@ type searcher struct {
 	best     []float64
 	bestObj  float64
 	nodes    int
-	lpIters  int
-	useLP    bool
 	st       *structure
 	deadln   time.Time
 	hitLim   bool
 	timedOut bool
-	depth    int
 
 	// Node evaluation state. Everything below is a function of (lo, hi)
 	// that setLo, setHi and undo keep current through moved, so a node
 	// costs what changed since its parent, not a rescan of the model.
 	// All of it is integer-valued: re-applying a change backwards restores
 	// the parent's state to the bit.
-	box     int64   // Σ boxTerm over variables with a finite preferred bound
-	boxInf  int     // variables whose preferred bound is infinite
+	box     int64   // Σ boxTerm
 	decided []int32 // per group: members with lo > ½
 	avail   []int32 // per group: members with hi > ½
 	open    int     // groups with decided == 0
@@ -314,8 +295,8 @@ type searcher struct {
 	pickVar  []int32
 	pickCost []float64
 	dirty    []uint8
-	// freeFlat and freeForcing hold one bit per unfixed integer variable:
-	// those that force nothing by st.rank (cheapest first), the others by
+	// freeFlat and freeForcing hold one bit per unfixed variable: those
+	// that force nothing by st.rank (cheapest first), the others by
 	// variable index.
 	freeFlat    []uint64
 	freeForcing []uint64
@@ -332,9 +313,6 @@ type searcher struct {
 	forcedBy   []int32 // groupImplications: candidates forcing each variable
 	touched    []int
 	leafBuf    []float64
-	// lp is the tableau every LP of this searcher reuses, sized by the
-	// first.
-	lp simplex
 
 	// hook, when set by a test, observes every node evaluation.
 	hook func(s *searcher, at hookPoint, v int)
@@ -375,8 +353,8 @@ func (s *searcher) solve() *Solution {
 }
 
 // init prepares bounds, structure, and the warm-start incumbent, and runs
-// root propagation. A non-nil return is an early terminal solution
-// (trivially infeasible or unbounded models).
+// root propagation. A non-nil return is an early terminal solution (a
+// model root propagation proves infeasible).
 func (s *searcher) init() *Solution {
 	m := s.m
 	n := len(m.Vars)
@@ -394,8 +372,6 @@ func (s *searcher) init() *Solution {
 	s.bestObj = math.Inf(1)
 	s.st = analyze(m)
 	s.initEval()
-	cells := (len(m.Cons) + n) * n // LPCellLimit's measure, not the tableau's size
-	s.useLP = cells <= s.o.LPCellLimit && cells > 0
 	if s.o.TimeLimit > 0 {
 		s.deadln = time.Now().Add(s.o.TimeLimit)
 	}
@@ -412,24 +388,14 @@ func (s *searcher) init() *Solution {
 
 	// Root propagation: catches trivially infeasible models.
 	if !s.propagate(-1) {
-		return &Solution{Status: Infeasible, Nodes: 0, Iterations: s.lpIters}
-	}
-	// Unbounded detection: pure-binary models are never unbounded; a
-	// continuous variable with infinite bound and helpful objective is.
-	for i, v := range m.Vars {
-		if !v.Integer && (math.IsInf(s.lo[i], -1) && v.Obj > 0 || math.IsInf(s.hi[i], 1) && v.Obj < 0) {
-			if r := s.lp.solve(m, s.lo, s.hi, s.o.MaxLPIter); r.status == Unbounded {
-				return &Solution{Status: Unbounded, Iterations: s.lpIters}
-			}
-			break
-		}
+		return &Solution{Status: Infeasible}
 	}
 	return nil
 }
 
 // finish packages the search state into a Solution.
 func (s *searcher) finish() *Solution {
-	sol := &Solution{Nodes: s.nodes, Iterations: s.lpIters, TimedOut: s.timedOut}
+	sol := &Solution{Nodes: s.nodes, TimedOut: s.timedOut}
 	switch {
 	case s.best == nil && s.hitLim:
 		sol.Status = Limit
@@ -464,13 +430,12 @@ func (s *searcher) countNode() bool {
 }
 
 // stepNode runs the body of one node under the current bounds:
-// propagation, group implications, bounding, near-root LP, and branch
-// selection. Returns open=false when the node is closed (pruned,
-// infeasible, or a leaf whose incumbent was already offered); otherwise
-// (bv, first) describe the branching variable and first branch value.
-func (s *searcher) stepNode(branched int) (bv int, first float64, open bool) {
+// propagation, group implications, bounding, and branch selection.
+// Returns the variable to branch on, or -1 when the node is closed
+// (pruned, infeasible, or a leaf whose incumbent was already offered).
+func (s *searcher) stepNode(branched int) int {
 	if !s.propagate(branched) {
-		return -1, 0, false
+		return -1
 	}
 	// Group-implication inference: a variable forced by every still-
 	// available candidate of a choice group must be 1 regardless of the
@@ -479,14 +444,14 @@ func (s *searcher) stepNode(branched int) (bv int, first float64, open bool) {
 		fixed, ok := s.groupImplications()
 		if !ok {
 			s.observe(hookDeadEnd, -1)
-			return -1, 0, false
+			return -1
 		}
 		if len(fixed) == 0 {
 			break
 		}
 		for _, v := range fixed {
 			if !s.propagate(v) {
-				return -1, 0, false
+				return -1
 			}
 		}
 	}
@@ -494,55 +459,17 @@ func (s *searcher) stepNode(branched int) (bv int, first float64, open bool) {
 	// Bound in fixed point: the box term and the per-group add-ons are
 	// exact integer sums, so a node that pays the incumbent's steps ties
 	// with it exactly and is closed here, whatever order they were paid in.
-	lb, finite := s.boxBound()
 	s.observe(hookBounded, -1)
-	if finite && lb+s.groupBound() >= s.cutoff {
-		return -1, 0, false
+	if s.box+s.groupBound() >= s.cutoff {
+		return -1
 	}
-
-	branchVar := -1
-	var lpVals []float64
-	// LP relaxations only near the root: they give strong bounds and
-	// branching hints where they matter, while deep nodes rely on the
-	// much cheaper propagation machinery. The pivot budget shrinks with
-	// the tableau size so a single LP can never eat the time budget.
-	if s.useLP && s.depth <= 2 {
-		r := s.lp.solve(s.m, s.lo, s.hi, s.lpIterBudget())
-		s.lpIters += r.iters
-		switch r.status {
-		case Infeasible:
-			return -1, 0, false
-		case Optimal:
-			if r.obj >= s.bestObj-s.o.Tol {
-				return -1, 0, false
-			}
-			lpVals = r.x
-			branchVar = s.mostFractional(r.x)
-			if branchVar < 0 {
-				// LP solution is integral: incumbent.
-				s.offer(r.x, r.obj)
-				return -1, 0, false
-			}
-		}
-	}
+	branchVar := s.pickBranchVar()
+	s.observe(hookBranched, branchVar)
 	if branchVar < 0 {
-		branchVar = s.pickBranchVar()
-		s.observe(hookBranched, branchVar)
-	}
-	if branchVar < 0 {
-		// All integer variables fixed.
+		// Every variable is fixed.
 		s.finishLeaf()
-		return -1, 0, false
 	}
-
-	// Branch order: follow the LP hint when present, else try 1 first
-	// (selection rows need one chosen candidate; diving on 1 finds
-	// incumbents fast for the CLASH structure).
-	first = 1.0
-	if lpVals != nil && lpVals[branchVar] < 0.5 {
-		first = 0
-	}
-	return branchVar, first, true
+	return branchVar
 }
 
 // dfs explores the current node: propagate, bound, find or branch.
@@ -558,16 +485,16 @@ func (s *searcher) dfs(branched int) {
 	mark := len(s.trail)
 	defer s.undo(mark)
 
-	branchVar, first, open := s.stepNode(branched)
-	if !open {
+	branchVar := s.stepNode(branched)
+	if branchVar < 0 {
 		return
 	}
-	for _, val := range []float64{first, 1 - first} {
+	// Try 1 first: selection rows need one chosen candidate, and diving
+	// on 1 finds incumbents fast for the CLASH structure.
+	for _, val := range [2]float64{1, 0} {
 		m2 := len(s.trail)
 		s.fix(branchVar, val)
-		s.depth++
 		s.dfs(branchVar)
-		s.depth--
 		s.undo(m2)
 		if s.hitLim {
 			return
@@ -575,30 +502,13 @@ func (s *searcher) dfs(branched int) {
 	}
 }
 
-// finishLeaf handles a node where every integer variable is fixed:
-// evaluate directly for pure-integer models, or optimize the continuous
-// remainder by LP.
+// finishLeaf offers the point a node with every variable fixed stands
+// for, when it satisfies every row.
 func (s *searcher) finishLeaf() {
-	hasCont := false
-	for _, i := range s.st.cont {
-		if s.hi[i]-s.lo[i] > s.o.Tol {
-			hasCont = true
-			break
-		}
-	}
-	if !hasCont {
-		x := s.leafBuf
-		copy(x, s.lo)
-		if !s.m.feasible(x, s.o.Tol*10) {
-			return
-		}
+	x := s.leafBuf
+	copy(x, s.lo)
+	if s.m.feasible(x, s.o.Tol*10) {
 		s.offer(x, s.m.ObjectiveOf(x))
-		return
-	}
-	r := s.lp.solve(s.m, s.lo, s.hi, s.lpIterBudget())
-	s.lpIters += r.iters
-	if r.status == Optimal {
-		s.offer(r.x, r.obj)
 	}
 }
 
@@ -607,64 +517,13 @@ func (s *searcher) offer(x []float64, obj float64) {
 		if s.best == nil {
 			s.best = make([]float64, len(x))
 		}
-		copy(s.best, x)
-		// Snap integers exactly.
-		for i, integer := range s.st.integer {
-			if integer {
-				s.best[i] = math.Round(s.best[i])
-			}
+		// Snap to 0 and 1 exactly.
+		for i, xv := range x {
+			s.best[i] = math.Round(xv)
 		}
 		s.bestObj = s.m.ObjectiveOf(s.best)
 		s.cutoff = s.st.objective(s.best) - s.tolQ
 	}
-}
-
-// lpIterBudget caps simplex pivots at 2e8 / (rows × (variables + 2·rows)),
-// kept between 50 and MaxLPIter. The divisor is the tableau's cell count,
-// rows × (variables + slacks + rows), as if every row had a slack: what a
-// dense pivot would update. A pivot here updates only the nonzeros it
-// touches.
-func (s *searcher) lpIterBudget() int {
-	m := len(s.m.Cons)
-	cols := len(s.m.Vars) + 2*m
-	cells := m * cols
-	if cells <= 0 {
-		return s.o.MaxLPIter
-	}
-	budget := 200_000_000 / cells
-	if budget > s.o.MaxLPIter {
-		budget = s.o.MaxLPIter
-	}
-	if budget < 50 {
-		budget = 50
-	}
-	return budget
-}
-
-// boxBound is the objective lower bound implied by the current bounds:
-// each variable sits at the bound its coefficient prefers. It is a
-// running value (moved keeps it); finite is false while some preferred
-// bound is infinite and the box says nothing.
-func (s *searcher) boxBound() (lb int64, finite bool) {
-	return s.box, s.boxInf == 0
-}
-
-// mostFractional returns the integer variable farthest from integrality
-// in x, or -1 when x is integral.
-func (s *searcher) mostFractional(x []float64) int {
-	best, bestDist := -1, s.o.Tol
-	for i, v := range s.m.Vars {
-		if !v.Integer {
-			continue
-		}
-		f := x[i] - math.Floor(x[i])
-		d := math.Min(f, 1-f)
-		if d > bestDist {
-			bestDist = d
-			best = i
-		}
-	}
-	return best
 }
 
 // impliedCost is the additional objective a candidate x = 1 forces under
@@ -792,7 +651,7 @@ func (s *searcher) groupBound() int64 {
 	return total
 }
 
-// pickBranchVar chooses an unfixed integer variable. Preference: the
+// pickBranchVar chooses an unfixed variable. Preference: the
 // choice group with the fewest available candidates (most constrained
 // first), picking the candidate with the smallest implied additional
 // cost so diving yields a greedy solution. Models without recognized
@@ -805,7 +664,7 @@ func (s *searcher) pickBranchVar() int {
 	} else if v := s.pickFromEqRows(); v >= 0 {
 		return v
 	}
-	// Fallback: any unfixed integer variable, cheapest implied cost first,
+	// Fallback: any unfixed variable, cheapest implied cost first,
 	// lowest index among equals. The variables that force nothing are kept
 	// in that order already; the few others are compared one by one.
 	best, bo := -1, math.Inf(1)
@@ -871,10 +730,8 @@ func (s *searcher) pickFromEqRows() int {
 		for _, t := range c.Terms {
 			if s.hi[t.Var]-s.lo[t.Var] > s.o.Tol {
 				free++
-				if s.m.Vars[t.Var].Integer {
-					if ic := s.impliedCost(t.Var); ic < candCost {
-						cand, candCost = t.Var, ic
-					}
+				if ic := s.impliedCost(t.Var); ic < candCost {
+					cand, candCost = t.Var, ic
 				}
 			} else {
 				lhsFixed += t.Coeff * s.lo[t.Var]
@@ -932,18 +789,7 @@ func (s *searcher) undo(mark int) {
 func (s *searcher) moved(v int, lo, hi float64) {
 	st := s.st
 	nlo, nhi := s.lo[v], s.hi[v]
-	if st.obj[v] != 0 {
-		was, wasInf := st.boxTerm(v, lo, hi)
-		is, isInf := st.boxTerm(v, nlo, nhi)
-		s.box += is - was
-		if wasInf != isInf {
-			if isInf {
-				s.boxInf++
-			} else {
-				s.boxInf--
-			}
-		}
-	}
+	s.box += st.boxTerm(v, nlo, nhi) - st.boxTerm(v, lo, hi)
 	if g := st.groupOf[v]; g >= 0 {
 		if was, is := lo > 0.5, nlo > 0.5; was != is {
 			if is {
@@ -962,15 +808,13 @@ func (s *searcher) moved(v int, lo, hi float64) {
 			}
 		}
 	}
-	if st.integer[v] {
-		s.markFree(v, nhi-nlo > s.o.Tol)
-	}
+	s.markFree(v, nhi-nlo > s.o.Tol)
 	for _, g := range st.dependents[v] {
 		s.dirty[g] = dirtyImplied | dirtyMinima
 	}
 }
 
-// markFree records whether integer variable v is unfixed.
+// markFree records whether variable v is unfixed.
 func (s *searcher) markFree(v int, free bool) {
 	set, bit := s.freeForcing, v
 	if r := s.st.rank[v]; r >= 0 {
@@ -988,13 +832,9 @@ func (s *searcher) markFree(v int, free bool) {
 func (s *searcher) initEval() {
 	st := s.st
 	n, groups := len(s.lo), len(st.groups)
-	s.box, s.boxInf = 0, 0
+	s.box = 0
 	for v := 0; v < n; v++ {
-		if t, inf := st.boxTerm(v, s.lo[v], s.hi[v]); inf {
-			s.boxInf++
-		} else {
-			s.box += t
-		}
+		s.box += st.boxTerm(v, s.lo[v], s.hi[v])
 	}
 	s.decided = make([]int32, groups)
 	s.avail = make([]int32, groups)
@@ -1020,9 +860,7 @@ func (s *searcher) initEval() {
 	s.freeFlat = make([]uint64, (len(st.byRank)+63)>>6)
 	s.freeForcing = make([]uint64, (n+63)>>6)
 	for v := 0; v < n; v++ {
-		if st.integer[v] {
-			s.markFree(v, s.hi[v]-s.lo[v] > s.o.Tol)
-		}
+		s.markFree(v, s.hi[v]-s.lo[v] > s.o.Tol)
 	}
 	s.cutoff = math.MaxInt64
 	s.tolQ = st.quantize(s.o.Tol)
@@ -1076,7 +914,7 @@ func (s *searcher) propagate(branched int) bool {
 }
 
 // tightenOne applies one constraint's activity bounds. For each sense it
-// derives variable bound updates; integer bounds are rounded.
+// derives variable bound updates, rounded to integers.
 func (s *searcher) tightenOne(c *Constraint) (changed []int, ok bool) {
 	changed = s.changedBuf[:0]
 	// Work with the two one-sided forms: lhs ≤ rhsUp and lhs ≥ rhsLo.
@@ -1108,7 +946,6 @@ func (s *searcher) tightenOne(c *Constraint) (changed []int, ok bool) {
 
 	for _, t := range c.Terms {
 		v, a := t.Var, t.Coeff
-		isInt := s.m.Vars[v].Integer
 		// Contribution bounds of this term under current bounds.
 		var termMin, termMax float64
 		if a > 0 {
@@ -1120,10 +957,7 @@ func (s *searcher) tightenOne(c *Constraint) (changed []int, ok bool) {
 		if !math.IsInf(up, 1) {
 			room := up - (minAct - termMin)
 			if a > 0 {
-				nb := room / a
-				if isInt {
-					nb = math.Floor(nb + tol)
-				}
+				nb := math.Floor(room/a + tol)
 				if nb < s.hi[v]-tol {
 					if nb < s.lo[v]-tol {
 						return nil, false
@@ -1132,10 +966,7 @@ func (s *searcher) tightenOne(c *Constraint) (changed []int, ok bool) {
 					changed = append(changed, v)
 				}
 			} else {
-				nb := room / a // negative divisor: lower bound
-				if isInt {
-					nb = math.Ceil(nb - tol)
-				}
+				nb := math.Ceil(room/a - tol) // negative divisor: lower bound
 				if nb > s.lo[v]+tol {
 					if nb > s.hi[v]+tol {
 						return nil, false
@@ -1149,10 +980,7 @@ func (s *searcher) tightenOne(c *Constraint) (changed []int, ok bool) {
 		if !math.IsInf(lo, -1) {
 			room := lo - (maxAct - termMax)
 			if a > 0 {
-				nb := room / a
-				if isInt {
-					nb = math.Ceil(nb - tol)
-				}
+				nb := math.Ceil(room/a - tol)
 				if nb > s.lo[v]+tol {
 					if nb > s.hi[v]+tol {
 						return nil, false
@@ -1161,10 +989,7 @@ func (s *searcher) tightenOne(c *Constraint) (changed []int, ok bool) {
 					changed = append(changed, v)
 				}
 			} else {
-				nb := room / a
-				if isInt {
-					nb = math.Floor(nb + tol)
-				}
+				nb := math.Floor(room/a + tol)
 				if nb < s.hi[v]-tol {
 					if nb < s.lo[v]-tol {
 						return nil, false

@@ -1,8 +1,10 @@
 package ilp
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -115,25 +117,6 @@ func TestEqualityPropagation(t *testing.T) {
 	}
 }
 
-func TestMixedIntegerContinuous(t *testing.T) {
-	// min 10b + c  s.t. b + c >= 1.5, c <= 1, b binary, c in [0,1].
-	// b must be 1 (c alone cannot reach 1.5); then c = 0.5.
-	m := NewModel()
-	b := m.AddBinary("b", 10)
-	c := m.AddContinuous("c", 0, 1, 1)
-	m.AddConstraint("cover", GE, 1.5, T(b, 1), T(c, 1))
-	sol := m.Solve(nil)
-	if sol.Status != Optimal {
-		t.Fatalf("status = %v", sol.Status)
-	}
-	if !sol.IsOne(b) || math.Abs(sol.Values[c]-0.5) > 1e-5 {
-		t.Errorf("sol = %v", sol.Values)
-	}
-	if math.Abs(sol.Objective-10.5) > 1e-5 {
-		t.Errorf("obj = %g, want 10.5", sol.Objective)
-	}
-}
-
 func TestAssignmentProblem(t *testing.T) {
 	// 3x3 assignment, cost matrix with known optimum 5 (1+1+3... see below).
 	cost := [3][3]float64{{4, 1, 3}, {2, 0, 5}, {3, 2, 2}}
@@ -219,10 +202,8 @@ func TestRandomModelsMatchBruteForce(t *testing.T) {
 }
 
 func TestRandomModelsNoLP(t *testing.T) {
-	// Same cross-check with LP relaxations disabled: exercises the
-	// propagation-only path used on very large models.
+	// Same cross-check on models with non-negative coefficients only.
 	r := rng.New(77)
-	opt := &Options{LPCellLimit: 1} // below any model size => LP off
 	for trial := 0; trial < 40; trial++ {
 		n := 4 + r.Intn(7)
 		m := NewModel()
@@ -243,7 +224,7 @@ func TestRandomModelsNoLP(t *testing.T) {
 			m.AddConstraint("", rel, float64(r.Intn(6)), terms...)
 		}
 		want, feasible := bruteForce(m)
-		sol := m.Solve(opt)
+		sol := m.Solve(nil)
 		if !feasible {
 			if sol.Status != Infeasible {
 				t.Fatalf("trial %d: want infeasible, got %v", trial, sol.Status)
@@ -266,7 +247,7 @@ func TestNodeLimit(t *testing.T) {
 		terms = append(terms, T(v, float64(1+i%4)))
 	}
 	m.AddConstraint("", EQ, 7, terms...)
-	sol := m.Solve(&Options{MaxNodes: 1, LPCellLimit: 1})
+	sol := m.Solve(&Options{MaxNodes: 1})
 	if sol.Status != Limit {
 		t.Fatalf("status = %v, want limit", sol.Status)
 	}
@@ -280,18 +261,17 @@ func TestNodeLimit(t *testing.T) {
 		m := buildClashShaped(r)
 		comps := len(components(m))
 		for _, budget := range []int{1, 2, 7, 50, 300} {
-			for _, o := range []Options{{MaxNodes: budget, LPCellLimit: 1}, {MaxNodes: budget}} {
-				if sol := m.Solve(&o); sol.NodesExplored() > comps*budget {
-					t.Fatalf("trial %d: %d nodes explored in %d components under MaxNodes %d", trial, sol.NodesExplored(), comps, budget)
-				}
-				o.fill()
-				sol := solveOne(m, o)
-				if sol.NodesExplored() > budget {
-					t.Fatalf("trial %d: %d nodes explored in one search under MaxNodes %d", trial, sol.NodesExplored(), budget)
-				}
-				if sol.Status == Limit {
-					capped++
-				}
+			o := Options{MaxNodes: budget}
+			if sol := m.Solve(&o); sol.NodesExplored() > comps*budget {
+				t.Fatalf("trial %d: %d nodes explored in %d components under MaxNodes %d", trial, sol.NodesExplored(), comps, budget)
+			}
+			o.fill()
+			sol := solveOne(m, o)
+			if sol.NodesExplored() > budget {
+				t.Fatalf("trial %d: %d nodes explored in one search under MaxNodes %d", trial, sol.NodesExplored(), budget)
+			}
+			if sol.Status == Limit {
+				capped++
 			}
 		}
 	}
@@ -311,7 +291,7 @@ func TestTimeLimitReturnsIncumbent(t *testing.T) {
 	}
 	m.AddConstraint("", GE, 8, terms...)
 	sol := m.Solve(&Options{TimeLimit: 50 * time.Millisecond})
-	if sol.Status == Infeasible || sol.Status == Unbounded {
+	if sol.Status == Infeasible {
 		t.Fatalf("status = %v", sol.Status)
 	}
 	if sol.Values != nil {
@@ -332,14 +312,30 @@ func TestModelValidation(t *testing.T) {
 		}()
 		m.AddConstraint("bad", LE, 1, T(x+5, 1))
 	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("crossed bounds should panic")
-			}
+}
+
+// TestAddVarRejectsNonBinary pins that a model holds 0-1 integers only:
+// the search branches on 0 and 1, so x, y ∈ {0..5} with x + y ≤ 7 under
+// min −x − y would come back "optimal" at −2 (the optimum is −7). AddVar
+// refuses such a variable, and anything else that is not a 0-1 integer,
+// naming it.
+func TestAddVarRejectsNonBinary(t *testing.T) {
+	for _, v := range []Variable{
+		{Name: "wide", Obj: -1, Lower: 0, Upper: 5, Integer: true},
+		{Name: "continuous", Obj: 1, Lower: 0, Upper: 1},
+		{Name: "fixed", Obj: 1, Lower: 1, Upper: 1, Integer: true},
+		{Name: "crossed", Lower: 2, Upper: 1, Integer: true},
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if msg, _ := r.(string); !strings.Contains(msg, fmt.Sprintf("%q", v.Name)) {
+					t.Errorf("AddVar(%+v): panic %v, want one naming the variable", v, r)
+				}
+			}()
+			NewModel().AddVar(v)
 		}()
-		m.AddVar(Variable{Lower: 2, Upper: 1})
-	}()
+	}
 }
 
 func TestDuplicateTermsMerge(t *testing.T) {

@@ -138,7 +138,7 @@ func cappedKnapsack() *Model {
 func TestSolutionCacheSkipsCappedComponents(t *testing.T) {
 	m := cappedKnapsack()
 	cache := NewSolutionCache(4)
-	first := m.Solve(&Options{MaxNodes: 5, LPCellLimit: 1, Cache: cache})
+	first := m.Solve(&Options{MaxNodes: 5, Cache: cache})
 	if first.Status != Limit || first.Values == nil {
 		t.Fatalf("capped solve: status %v, values-nil %v — model no longer exercises the cap",
 			first.Status, first.Values == nil)
@@ -146,7 +146,7 @@ func TestSolutionCacheSkipsCappedComponents(t *testing.T) {
 	if n := cache.Stats().Entries; n != 0 {
 		t.Fatalf("a capped solve left %d cache entries, want 0", n)
 	}
-	again := m.Solve(&Options{MaxNodes: 5, LPCellLimit: 1, Cache: cache})
+	again := m.Solve(&Options{MaxNodes: 5, Cache: cache})
 	if again.CacheHits != 0 || again.NodesExplored() == 0 {
 		t.Fatalf("repeated capped solve: hits %d, nodes %d — a Limit incumbent was served", again.CacheHits, again.NodesExplored())
 	}
@@ -154,11 +154,11 @@ func TestSolutionCacheSkipsCappedComponents(t *testing.T) {
 		t.Fatalf("repeated capped solve %g, first %g", again.Objective, first.Objective)
 	}
 
-	full := m.Solve(&Options{LPCellLimit: 1})
+	full := m.Solve(nil)
 	if full.Status != Optimal {
 		t.Fatalf("uncapped solve status %v, want optimal", full.Status)
 	}
-	exact := m.Solve(&Options{LPCellLimit: 1, Cache: cache})
+	exact := m.Solve(&Options{Cache: cache})
 	if exact.Status != Optimal || exact.CacheHits != 0 || exact.Objective != full.Objective {
 		t.Fatalf("uncapped solve after a capped one: %v %g (hits %d), want optimal %g",
 			exact.Status, exact.Objective, exact.CacheHits, full.Objective)

@@ -1,13 +1,14 @@
-// Package ilp implements a small mixed 0/1 integer linear programming
-// solver: a bounded-variable two-phase primal simplex for LP relaxations
-// and a branch-and-bound search with constraint propagation on top. It
-// replaces the paper's use of Gurobi (DESIGN.md, substitution table).
+// Package ilp implements a small 0-1 integer linear programming solver:
+// a branch-and-bound search that bounds by constraint propagation, choice-
+// group implications and a fixed-point box + group bound, with no LP
+// relaxation. It replaces the paper's use of Gurobi (DESIGN.md,
+// substitution table).
 //
 // The solver is exact: for feasible models it returns a provably optimal
 // solution (within tolerance), which is what the reproduction of the
 // paper's Fig. 9 experiments requires. It is tuned for the structure the
 // CLASH optimizer emits — selection rows (Σx = 1), implication-style cost
-// rows, and non-negative objectives — but is a general 0/1 solver.
+// rows, and non-negative objectives — but is a general 0-1 solver.
 package ilp
 
 import (
@@ -56,7 +57,8 @@ type Constraint struct {
 	RHS   float64
 }
 
-// Variable describes one model variable.
+// Variable describes one model variable. Every variable of a model is a
+// 0-1 integer: Integer, with bounds [0, 1].
 type Variable struct {
 	Name    string
 	Obj     float64
@@ -65,9 +67,8 @@ type Variable struct {
 	Integer bool
 }
 
-// Model is a minimization MILP: min c'x subject to linear constraints and
-// variable bounds; Integer variables are restricted to integral values
-// (in CLASH always {0,1}).
+// Model is a minimization 0-1 ILP: min c'x subject to linear constraints,
+// x ∈ {0,1}ⁿ.
 type Model struct {
 	Vars []Variable
 	Cons []Constraint
@@ -129,15 +130,11 @@ func (m *Model) AddBinary(name string, obj float64) int {
 	return m.AddVar(Variable{Name: name, Obj: obj, Lower: 0, Upper: 1, Integer: true})
 }
 
-// AddContinuous adds a continuous variable with bounds [lo, hi].
-func (m *Model) AddContinuous(name string, lo, hi, obj float64) int {
-	return m.AddVar(Variable{Name: name, Obj: obj, Lower: lo, Upper: hi})
-}
-
-// AddVar adds a variable and returns its index.
+// AddVar adds a variable and returns its index. It panics unless v is a
+// 0-1 integer: the search branches on 0 and 1 only.
 func (m *Model) AddVar(v Variable) int {
-	if v.Upper < v.Lower {
-		panic(fmt.Sprintf("ilp: variable %d (%q) has upper %g < lower %g", len(m.Vars), v.Name, v.Upper, v.Lower))
+	if !v.Integer || v.Lower != 0 || v.Upper != 1 {
+		panic(fmt.Sprintf("ilp: variable %d (%q) is not a 0-1 integer: bounds [%g, %g], integer %v", len(m.Vars), v.Name, v.Lower, v.Upper, v.Integer))
 	}
 	m.Vars = append(m.Vars, v)
 	return len(m.Vars) - 1
@@ -218,8 +215,7 @@ type Status int
 const (
 	Optimal Status = iota
 	Infeasible
-	Unbounded
-	Limit // node or iteration limit hit; Solution carries the incumbent if any
+	Limit // node or time limit hit; Solution carries the incumbent if any
 )
 
 func (s Status) String() string {
@@ -228,8 +224,6 @@ func (s Status) String() string {
 		return "optimal"
 	case Infeasible:
 		return "infeasible"
-	case Unbounded:
-		return "unbounded"
 	default:
 		return "limit"
 	}
@@ -237,11 +231,10 @@ func (s Status) String() string {
 
 // Solution is the result of solving a model.
 type Solution struct {
-	Status     Status
-	Objective  float64
-	Values     []float64
-	Nodes      int // branch-and-bound nodes explored
-	Iterations int // simplex iterations across all LP solves
+	Status    Status
+	Objective float64
+	Values    []float64
+	Nodes     int // branch-and-bound nodes explored
 
 	// TimedOut reports that the wall-clock TimeLimit (not the
 	// deterministic node budget) stopped the search. When false and
@@ -259,8 +252,7 @@ type Solution struct {
 // set: the node budget is counted, never clock-sampled.
 func (s *Solution) NodesExplored() int { return s.Nodes }
 
-// Value returns the solution value of variable v rounded to integrality
-// when the variable is integer.
+// Value returns the solution value of variable v: 0 or 1.
 func (s *Solution) Value(v int) float64 { return s.Values[v] }
 
 // IsOne reports whether binary variable v is set in the solution.

@@ -132,6 +132,45 @@ func churnStepModel(t *testing.T) *Model {
 	return loadModel(t, "testdata/churn_step8.model.gz")
 }
 
+// fig7Model loads testdata/fig7_q4.model.gz: the model (435 variables,
+// 1 182 rows, 4 choice groups) the warm start's per-query child solve of
+// q4 hands the solver during the set-up of the tpch-mqo benchmark
+// workload, the ten TPC-H queries of Fig. 7 (seed 1), captured in
+// canonicalModel's layout from solveOne.
+func fig7Model(t testing.TB) *Model {
+	t.Helper()
+	return loadModel(t, "testdata/fig7_q4.model.gz")
+}
+
+// fig7ChildNodes is the node budget the tpch-mqo set-up solves with.
+const fig7ChildNodes = 20_000
+
+// TestFig7ChildSearch pins the captured Fig. 7 child search at its
+// production budget: it ends at the budget, holding the incumbent the
+// set-up's plan is built from.
+func TestFig7ChildSearch(t *testing.T) {
+	m := fig7Model(t)
+	sol := m.Solve(&Options{MaxNodes: fig7ChildNodes})
+	if sol.Status != Limit || sol.Nodes != fig7ChildNodes || sol.Objective != 143187.9639396104 {
+		t.Fatalf("status %v, %d nodes, objective %.17g; want limit, %d nodes, 143187.9639396104",
+			sol.Status, sol.Nodes, sol.Objective, fig7ChildNodes)
+	}
+	if err := m.Feasible(sol.Values, 1e-6); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkSearchFig7Child runs the captured Fig. 7 child search at its
+// production budget, as one set-up runs it.
+func BenchmarkSearchFig7Child(b *testing.B) {
+	m := fig7Model(b)
+	o := &Options{MaxNodes: fig7ChildNodes}
+	b.ReportAllocs()
+	for b.Loop() {
+		m.Solve(o)
+	}
+}
+
 // loadModel reads a gzipped model in canonicalModel's layout.
 func loadModel(t testing.TB, path string) *Model {
 	t.Helper()
@@ -183,8 +222,7 @@ func TestNodeEvaluationMatchesRescan(t *testing.T) {
 		m := buildClashShaped(r)
 		for _, o := range []Options{
 			{},
-			{LPCellLimit: 1},
-			{LPCellLimit: 1, MaxNodes: 40},
+			{MaxNodes: 40},
 		} {
 			plain := solveOne(m, func() Options { p := o; p.fill(); return p }())
 			got := checkedRun(t, "clash-shaped", m, o)
@@ -202,7 +240,7 @@ func TestNodeEvaluationMatchesRescan(t *testing.T) {
 	}
 	for trial := 0; trial < big; trial++ {
 		m := buildChurnShaped(r, 24, 6)
-		sol := checkedRun(t, "churn-shaped", m, Options{LPCellLimit: 1, MaxNodes: 3000})
+		sol := checkedRun(t, "churn-shaped", m, Options{MaxNodes: 3000})
 		if sol.Values == nil {
 			t.Fatalf("churn-shaped trial %d: no incumbent within the budget", trial)
 		}
@@ -221,7 +259,7 @@ func TestNodeEvaluationOnChurnStep(t *testing.T) {
 	if st := analyze(m); !st.valid || len(st.groups) < 50 {
 		t.Fatalf("fixture lost its structure: valid=%v, %d groups", st.valid, len(st.groups))
 	}
-	sol := checkedRun(t, "churn step", m, Options{LPCellLimit: 1, MaxNodes: 2000})
+	sol := checkedRun(t, "churn step", m, Options{MaxNodes: 2000})
 	if sol.Status != Limit || sol.Values == nil {
 		t.Fatalf("status %v, incumbent %v; the captured solve ran to its budget and held one", sol.Status, sol.Values != nil)
 	}
@@ -254,15 +292,15 @@ func TestBoundTiesAreExact(t *testing.T) {
 	for _, y := range ys {
 		s.setLo(y, 1)
 	}
-	forward, _ := s.boxBound()
+	forward := s.box
 	s.undo(0)
-	if lb, _ := s.boxBound(); lb != 0 {
+	if lb := s.box; lb != 0 {
 		t.Fatalf("box bound %d after undoing every fix, want 0", lb)
 	}
 	for i := len(ys) - 1; i >= 0; i-- {
 		s.setLo(ys[i], 1)
 	}
-	backward, _ := s.boxBound()
+	backward := s.box
 	if forward != backward {
 		t.Fatalf("the same fixes in two orders bound differently: %d vs %d", forward, backward)
 	}
@@ -284,15 +322,13 @@ func TestBoundTiesAreExact(t *testing.T) {
 }
 
 // TestNodeEvaluationAllocFree pins the per-node cost model: after init a
-// node allocates nothing. LP relaxations, which only run at depth ≤ 2,
-// are switched off here: an LP allocates the x it returns, and the
-// searcher's first LP its tableau (TestSimplexReusesTableau).
+// node allocates nothing.
 func TestNodeEvaluationAllocFree(t *testing.T) {
 	for name, m := range map[string]*Model{
 		"churn-shaped": buildChurnShaped(rng.New(7), 24, 6),
 		"churn step":   churnStepModel(t),
 	} {
-		o := Options{LPCellLimit: 1, MaxNodes: 400}
+		o := Options{MaxNodes: 400}
 		o.fill()
 		s := &searcher{m: m, o: o}
 		if early := s.init(); early != nil {

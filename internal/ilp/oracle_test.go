@@ -11,16 +11,11 @@ import (
 // the oracles the maintained state is checked against, node by node.
 
 // scratchBox sums the box terms of every variable under the bounds.
-func scratchBox(st *structure, lo, hi []float64) (lb int64, finite bool) {
-	finite = true
+func scratchBox(st *structure, lo, hi []float64) (lb int64) {
 	for v := range lo {
-		t, inf := st.boxTerm(v, lo[v], hi[v])
-		if inf {
-			finite = false
-		}
-		lb += t
+		lb += st.boxTerm(v, lo[v], hi[v])
 	}
-	return lb, finite
+	return lb
 }
 
 // scratchGroupBound is the group add-on computed by visiting every member
@@ -138,8 +133,8 @@ func scratchPick(s *searcher) int {
 		return v
 	}
 	best, bo := -1, math.Inf(1)
-	for i, v := range s.m.Vars {
-		if v.Integer && s.hi[i]-s.lo[i] > s.o.Tol {
+	for i := range s.m.Vars {
+		if s.hi[i]-s.lo[i] > s.o.Tol {
 			if ic := s.impliedCost(i); ic < bo {
 				best, bo = i, ic
 			}
@@ -186,9 +181,8 @@ func checkNode(s *searcher, at hookPoint, v int) string {
 			return fmt.Sprintf("node %d: implications stopped short of the rescan's fixpoint (ok=%v, pending %v)", s.nodes, ok, implied)
 		}
 	case hookBounded:
-		wantBox, wantFinite := scratchBox(st, s.lo, s.hi)
-		if box, finite := s.boxBound(); finite != wantFinite || (finite && box != wantBox) {
-			return fmt.Sprintf("node %d: box bound %d (finite %v), rescan %d (finite %v)", s.nodes, box, finite, wantBox, wantFinite)
+		if want := scratchBox(st, s.lo, s.hi); s.box != want {
+			return fmt.Sprintf("node %d: box bound %d, rescan %d", s.nodes, s.box, want)
 		}
 		if got, want := s.groupBound(), scratchGroupBound(st, s.lo, s.hi); got != want {
 			return fmt.Sprintf("node %d: group bound %d, rescan %d", s.nodes, got, want)
@@ -220,10 +214,7 @@ func checkNode(s *searcher, at hookPoint, v int) string {
 	if s.open != open {
 		return fmt.Sprintf("node %d: %d open groups, rescan %d", s.nodes, s.open, open)
 	}
-	for i, integer := range st.integer {
-		if !integer {
-			continue
-		}
+	for i := range s.lo {
 		set, bit := s.freeForcing, i
 		if r := st.rank[i]; r >= 0 {
 			set, bit = s.freeFlat, int(r)

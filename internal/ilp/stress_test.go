@@ -129,7 +129,7 @@ func TestNodeBudgetDeterministic(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		m := buildClashShaped(r)
 		for _, opt := range []Options{
-			{MaxNodes: 50, LPCellLimit: 1},
+			{MaxNodes: 50},
 			{MaxNodes: 5000},
 		} {
 			o1, o2 := opt, opt
@@ -169,20 +169,18 @@ func TestClashShapedModelsStress(t *testing.T) {
 			if variant > 0 {
 				mm, _ = permute(m, r)
 			}
-			for _, opt := range []*Options{nil, {LPCellLimit: 1}} {
-				sol := mm.Solve(opt)
-				if !feasible {
-					if sol.Status != Infeasible {
-						t.Fatalf("trial %d/%d: want infeasible, got %v\n%s", trial, variant, sol.Status, mm)
-					}
-					continue
+			sol := mm.Solve(nil)
+			if !feasible {
+				if sol.Status != Infeasible {
+					t.Fatalf("trial %d/%d: want infeasible, got %v\n%s", trial, variant, sol.Status, mm)
 				}
-				if sol.Status != Optimal {
-					t.Fatalf("trial %d/%d: status %v, want optimal\n%s", trial, variant, sol.Status, mm)
-				}
-				if math.Abs(sol.Objective-want) > 1e-6 {
-					t.Fatalf("trial %d/%d: obj %g, brute force %g\n%s", trial, variant, sol.Objective, want, mm)
-				}
+				continue
+			}
+			if sol.Status != Optimal {
+				t.Fatalf("trial %d/%d: status %v, want optimal\n%s", trial, variant, sol.Status, mm)
+			}
+			if math.Abs(sol.Objective-want) > 1e-6 {
+				t.Fatalf("trial %d/%d: obj %g, brute force %g\n%s", trial, variant, sol.Objective, want, mm)
 			}
 		}
 	}

@@ -19,7 +19,7 @@ import (
 // Summing the per-group minima over exclusive variables never double
 // counts, so the bound is valid. Real MIP solvers apply the same idea as
 // clique/implied-cost bounds; here it makes the Fig. 9-scale models
-// tractable without LP relaxations.
+// tractable without an LP relaxation.
 
 // structure holds the recognized pattern and the per-variable indices
 // the search's node evaluation reads. It is built once per Solve by
@@ -33,10 +33,9 @@ type structure struct {
 	exclusive []int
 	valid     bool
 
-	// obj and integer are flat copies of the model's columns (a Variable
-	// is 48 bytes; the hot loops read one field of it).
-	obj     []float64
-	integer []bool
+	// obj is a flat copy of the model's objective column (a Variable is
+	// 48 bytes; the hot loops read one field of it).
+	obj []float64
 	// qobj is the objective in fixed point: qobj[v] = round(obj[v]·inv).
 	// Bounds are computed on these integers, where every sum is exact, so
 	// a node's bound is a function of the node's variable bounds alone —
@@ -48,14 +47,12 @@ type structure struct {
 	// dependents[v] lists the groups whose cached minima read v's bounds:
 	// v's own group and the group of every candidate that forces v.
 	dependents [][]int32
-	// rank orders the integer variables that force nothing (their implied
-	// cost is their own coefficient, a constant) cheapest first, lowest
-	// index first among equals; -1 for every other variable.
+	// rank orders the variables that force nothing (their implied cost is
+	// their own coefficient, a constant) cheapest first, lowest index first
+	// among equals; -1 for every other variable.
 	rank []int32
 	// byRank is the inverse of rank.
 	byRank []int32
-	// cont lists the continuous variables.
-	cont []int
 }
 
 // analyze recognizes choice groups and implications. It is linear in the
@@ -72,13 +69,11 @@ func analyze(m *Model) *structure {
 		s.exclusive[i] = -2 // unseen
 	}
 	for _, c := range m.Cons {
-		// Choice row: EQ 1, all coefficients 1, all binary.
+		// Choice row: EQ 1, all coefficients 1.
 		if c.Rel == EQ && c.RHS == 1 {
 			ok := true
 			for _, t := range c.Terms {
-				if t.Coeff != 1 || !m.Vars[t.Var].Integer ||
-					m.Vars[t.Var].Lower != 0 || m.Vars[t.Var].Upper != 1 ||
-					s.groupOf[t.Var] != -1 {
+				if t.Coeff != 1 || s.groupOf[t.Var] != -1 {
 					ok = false
 					break
 				}
@@ -113,13 +108,9 @@ func analyze(m *Model) *structure {
 				trigger, tc = t.Var, -t.Coeff
 				continue
 			}
-			if !m.Vars[t.Var].Integer || m.Vars[t.Var].Lower != 0 || m.Vars[t.Var].Upper != 1 {
-				ok = false
-				break
-			}
 			sum += t.Coeff
 		}
-		if !ok || trigger < 0 || !m.Vars[trigger].Integer {
+		if !ok || trigger < 0 {
 			continue
 		}
 		for _, t := range c.Terms {
@@ -189,27 +180,17 @@ func (st *structure) addDependent(v, g int) {
 func (st *structure) index(m *Model) {
 	n := len(m.Vars)
 	st.obj = make([]float64, n)
-	st.integer = make([]bool, n)
 	st.qobj = make([]int64, n)
 	st.dependents = make([][]int32, n)
 	st.rank = make([]int32, n)
-	// One fixed-point unit is 2^-61 of the largest objective value the
-	// variable bounds admit (rounded up to a power of two), so every sum
-	// of terms fits an int64 with a bit to spare and the resolution is
+	// One fixed-point unit is 2^-61 of Σ|c_v|, the largest objective
+	// value a 0-1 point can reach (rounded up to a power of two), so every
+	// sum of terms fits an int64 with a bit to spare and the resolution is
 	// finer than a float64 sum of the same terms would keep.
 	total := 0.0
 	for i, v := range m.Vars {
-		st.obj[i], st.integer[i] = v.Obj, v.Integer
-		span := 0.0
-		for _, b := range [2]float64{v.Lower, v.Upper} {
-			if a := math.Abs(b); !math.IsInf(a, 0) && a > span {
-				span = a
-			}
-		}
-		total += math.Abs(v.Obj) * span
-		if !v.Integer {
-			st.cont = append(st.cont, i)
-		}
+		st.obj[i] = v.Obj
+		total += math.Abs(v.Obj)
 	}
 	_, exp := math.Frexp(total)
 	if total == 0 || math.IsInf(total, 0) || math.IsNaN(total) {
@@ -221,7 +202,7 @@ func (st *structure) index(m *Model) {
 	}
 	for i := range st.rank {
 		st.rank[i] = -1
-		if st.integer[i] && len(st.forces[i]) == 0 {
+		if len(st.forces[i]) == 0 {
 			st.byRank = append(st.byRank, int32(i))
 		}
 	}
@@ -242,42 +223,22 @@ func (st *structure) index(m *Model) {
 	}
 }
 
-// quantize converts an objective amount to fixed point, saturating far
-// outside the range index sized the unit for (a continuous variable
-// driven beyond its declared bounds' magnitude; never a 0/1 model).
+// quantize converts an objective amount to fixed point.
 func (st *structure) quantize(x float64) int64 {
-	const lim = 1 << 62
-	x = math.Round(x * st.inv)
-	switch {
-	case x >= lim:
-		return lim
-	case x <= -lim:
-		return -lim
-	}
-	return int64(x)
+	return int64(math.Round(x * st.inv))
 }
 
 // boxTerm is variable v's share of the box bound under the bounds
-// [lo, hi]: the variable sits where its coefficient prefers. inf reports
-// that the preferred bound is infinite (the term is −∞).
-func (st *structure) boxTerm(v int, lo, hi float64) (term int64, inf bool) {
-	c := st.obj[v]
-	if c == 0 {
-		return 0, false
-	}
+// [lo, hi]: the variable sits at the bound its coefficient prefers.
+func (st *structure) boxTerm(v int, lo, hi float64) int64 {
 	b := lo
-	if c < 0 {
+	if st.obj[v] < 0 {
 		b = hi
 	}
-	switch {
-	case b == 0:
-		return 0, false
-	case b == 1:
-		return st.qobj[v], false
-	case math.IsInf(b, 0):
-		return 0, true
+	if b > 0.5 {
+		return st.qobj[v]
 	}
-	return st.quantize(c * b), false
+	return 0
 }
 
 // objective is the fixed-point objective of a point: what the box bound
@@ -285,8 +246,7 @@ func (st *structure) boxTerm(v int, lo, hi float64) (term int64, inf bool) {
 func (st *structure) objective(x []float64) int64 {
 	total := int64(0)
 	for v, xv := range x {
-		t, _ := st.boxTerm(v, xv, xv)
-		total += t
+		total += st.boxTerm(v, xv, xv)
 	}
 	return total
 }

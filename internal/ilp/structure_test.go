@@ -134,7 +134,7 @@ func TestWarmStartSeedsIncumbent(t *testing.T) {
 func TestAnalyzeIgnoresNonPatternRows(t *testing.T) {
 	m := NewModel()
 	x := m.AddBinary("x", 1)
-	y := m.AddContinuous("y", 0, 5, 1)
+	y := m.AddBinary("y", 1)
 	m.AddConstraint("not-choice", EQ, 2, T(x, 1))         // rhs != 1
 	m.AddConstraint("not-impl", GE, 1, T(x, -1), T(y, 1)) // rhs != 0
 	st := analyze(m)
