@@ -303,8 +303,8 @@ func runChaos(seeds int, quick bool) {
 // runChurn drives the incremental re-optimization sweep and its
 // engine-regime arm; the bench itself dies when the incremental plan ever
 // costs more than scratch, or when the engine-regime arm finds the warm
-// start's incumbent repair failing or per-query child optimizations
-// running on a step the repair covered.
+// start's incumbent repair failing or a free solve missing the
+// candidate-structure cache beyond the changed query's neighbours.
 func runChurn(quick bool, seed uint64) {
 	nQs := []int{100, 500, 1000}
 	engineNQs := []int{24, 100}

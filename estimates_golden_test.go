@@ -39,7 +39,6 @@ func TestEstimatesGoldenFig7(t *testing.T) {
 	// The plan does not feed the statistics; a small counted budget keeps
 	// the one solve at Start short.
 	cfg.Optimizer.Solver.MaxNodes = 500
-	cfg.Optimizer.DeterministicWarmStart = true
 	eng, err := Start(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -162,7 +162,7 @@ func churnPlans(t *testing.T, steps int) []string {
 		IncrementalReopt: true,
 		InitialEstimates: env.Estimates(),
 	}
-	cfg.Optimizer = OptimizerOptions{DeterministicWarmStart: true, MaxCandidatesPerGroup: 12}
+	cfg.Optimizer = OptimizerOptions{MaxCandidatesPerGroup: 12}
 	cfg.Optimizer.Solver.MaxNodes = 2000
 	eng, err := Start(cfg)
 	if err != nil {

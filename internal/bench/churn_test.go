@@ -55,9 +55,6 @@ func TestChurnEngineRegimeSmoke(t *testing.T) {
 	if s.RepairsUnmatched != 2 || s.RepairsFeasible == 0 || s.SeededIncumbent == 0 {
 		t.Errorf("repairs: %+v; want the two priming solves cold and the rest repaired", s)
 	}
-	if s.ChildOptimizations < 24 {
-		t.Errorf("%d child optimizations: the cold start must still solve every query on its own", s.ChildOptimizations)
-	}
 	a.WallNS, b.WallNS, a.CandNS, b.CandNS = 0, 0, 0, 0
 	if a != b {
 		t.Errorf("two runs disagree:\n%+v\n%+v", a, b)

@@ -20,13 +20,12 @@ import (
 
 // solveNodes bounds every solve of the experiments that do not plan
 // through tpch.Fixture (Figs. 8 and 9, the ablations): a count of
-// explored nodes, never a clock, and the warm start is counted too — so
+// explored nodes, never a clock, like the warm start's local search — so
 // an experiment's plans, and the counts derived from them, repeat on
 // any machine.
 const solveNodes = 20_000
 
 func countedBudget(o core.Options) core.Options {
-	o.DeterministicWarmStart = true
 	o.Solver.MaxNodes = solveNodes
 	return o
 }

@@ -51,7 +51,8 @@ func (c *Fig9Config) options() core.Options {
 		MaxCandidatesPerGroup: c.CapCandidates,
 		// The paper's Sec. V formulation: partition-decorated
 		// candidates without cross-query consistency rows. This is
-		// what Fig. 9 evaluates, and it guarantees MQO ≤ Individual.
+		// what Fig. 9 evaluates; TestFig9CostShapes pins MQO ≤
+		// Individual on it.
 		NoPartitionConsistency: true,
 	})
 }

@@ -40,7 +40,6 @@ type builder struct {
 
 	// cross-churn cache key components (set when opts.Reopt != nil)
 	structFP string              // the options that shape candidate structure
-	estVer   uint64              // the estimates snapshot, for the individual-plan cache
 	fps      map[string]string   // query name -> mir.Fingerprint
 	byRel    map[string][]string // relation -> fingerprints of the queries joining it
 
@@ -104,9 +103,8 @@ func newBuilder(opts Options, queries []*query.Query, est *stats.Estimates) *bui
 		b.syms = newSymbols()
 		return b
 	}
-	b.syms = r.beginSolve(est)
+	b.syms = r.symbolTable()
 	b.structFP = opts.structFingerprint()
-	b.estVer = r.estVersion()
 	b.fps = make(map[string]string, len(queries))
 	b.byRel = map[string][]string{}
 	for _, q := range queries {
@@ -174,7 +172,7 @@ func (b *builder) run() (*Plan, error) {
 		CacheHits:     sol.CacheHits,
 		CacheMisses:   sol.CacheMisses,
 	}
-	if r := b.opts.Reopt; r != nil && !b.opts.reoptChild {
+	if r := b.opts.Reopt; r != nil {
 		r.noteIncumbent(b.opts.regime(), plan)
 	}
 	return plan, nil
@@ -280,7 +278,7 @@ func (b *builder) structure(q *query.Query, fed *mir.MIR) map[string][]*Decorate
 	sig := ""
 	if r != nil {
 		sig = b.structSig(q, fed)
-		if group, ok := r.structLookup(sig, b.syms, fed != nil, !b.opts.reoptChild); ok {
+		if group, ok := r.structLookup(sig, b.syms, fed != nil); ok {
 			return group
 		}
 	}

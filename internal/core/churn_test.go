@@ -63,7 +63,7 @@ func controllerSchedule(t testing.TB, steps int) []controllerStep {
 }
 
 func controllerOptions(r *Reopt) Options {
-	opts := Options{DeterministicWarmStart: true, MaxCandidatesPerGroup: 12, Reopt: r}
+	opts := Options{MaxCandidatesPerGroup: 12, Reopt: r}
 	opts.Solver.MaxNodes = 2000
 	return opts
 }
@@ -83,12 +83,11 @@ func solveKeeping(t *testing.T, opts Options, qs []*query.Query, est *stats.Esti
 // TestWarmStartSurvivesTwoSolvesPerStep pins the churn path's warm start
 // in the regime the engine runs it in: partition consistency on, a fresh
 // estimates snapshot per step, node-capped, and two solves per step under
-// different MIR eligibility. After the priming step the incumbent repair
-// must be feasible (each solve repairs a selection of its own regime, and
-// re-placed groups respect what the kept ones committed), it must seed
-// the search at or below both greedy passes, and a step whose repair
-// covered half the groups must not solve any query on its own again —
-// while a cold solve, and a solve without cross-churn state, still do.
+// different MIR eligibility. Every solve, the cold ones included, must be
+// seeded at or below both greedy passes and end no worse than its seed.
+// After the priming step the incumbent repair must be feasible (each
+// solve repairs a selection of its own regime, and re-placed groups
+// respect what the kept ones committed).
 func TestWarmStartSurvivesTwoSolvesPerStep(t *testing.T) {
 	steps := 12
 	if testing.Short() {
@@ -97,7 +96,7 @@ func TestWarmStartSurvivesTwoSolvesPerStep(t *testing.T) {
 	sched := controllerSchedule(t, steps)
 	reopt := NewReopt()
 
-	solves, feasible, children := 0, 0, 0
+	solves, feasible := 0, 0
 	for s, step := range sched {
 		reopt.Advance()
 		for _, restricted := range []bool{false, true} {
@@ -110,7 +109,6 @@ func TestWarmStartSurvivesTwoSolvesPerStep(t *testing.T) {
 			after := reopt.Stats()
 			w := b.warm
 			if after.JointSolves != before.JointSolves+1 ||
-				after.ChildOptimizations != before.ChildOptimizations+uint64(w.childSolves) ||
 				after.GroupsMatched != before.GroupsMatched+uint64(w.matched) {
 				t.Fatalf("step %d: ReoptStats did not record the solve: %+v -> %+v, report %+v", s, before, after, w)
 			}
@@ -128,20 +126,15 @@ func TestWarmStartSurvivesTwoSolvesPerStep(t *testing.T) {
 				t.Errorf("step %d restricted=%v: plan %g worse than its own warm start %g", s, restricted, plan.Objective, w.obj)
 			}
 			if s == 0 {
-				// Cold: no incumbent of this regime yet. The Individual
-				// baseline must still pin the search.
-				if w.repaired || w.childSolves == 0 {
-					t.Errorf("priming solve restricted=%v: repaired=%v, %d child optimizations; a cold start must solve every query on its own",
-						restricted, w.repaired, w.childSolves)
+				// Cold: no incumbent of this regime yet.
+				if w.repaired {
+					t.Errorf("priming solve restricted=%v: repaired an incumbent that does not exist", restricted)
 				}
 				continue
 			}
 			solves++
 			if w.repaired {
 				feasible++
-			}
-			if w.repaired && 2*w.matched >= w.groups {
-				children += w.childSolves
 			}
 			if w.matched == 0 {
 				t.Errorf("step %d restricted=%v: the incumbent matched none of %d groups", s, restricted, w.groups)
@@ -151,9 +144,6 @@ func TestWarmStartSurvivesTwoSolvesPerStep(t *testing.T) {
 	if 10*feasible < 9*solves {
 		t.Errorf("incumbent repair feasible in %d of %d solves after the priming step, want at least 90%%", feasible, solves)
 	}
-	if children != 0 {
-		t.Errorf("%d child optimizations ran on steps whose repair covered half the groups", children)
-	}
 	st := reopt.Stats()
 	if st.RepairsFeasible != uint64(feasible) || st.RepairsFeasible+st.RepairsInfeasible+st.RepairsUnmatched != st.JointSolves {
 		t.Errorf("repair outcomes do not add up: %+v (counted %d feasible)", st, feasible)
@@ -161,15 +151,14 @@ func TestWarmStartSurvivesTwoSolvesPerStep(t *testing.T) {
 	if st.SeededIncumbent == 0 {
 		t.Errorf("the repaired incumbent never seeded a solve: %+v", st)
 	}
-	t.Logf("%d solves after priming: %d repairs feasible, groups matched %d/%d, seeded by incumbent %d / greedy %d+%d, %d child optimizations in all",
-		solves, feasible, st.GroupsMatched, st.GroupsSeen, st.SeededIncumbent, st.SeededGreedyMarginal, st.SeededGreedyAbsolute, st.ChildOptimizations)
+	t.Logf("%d solves after priming: %d repairs feasible, groups matched %d/%d, seeded by incumbent %d / greedy %d+%d / local search %d",
+		solves, feasible, st.GroupsMatched, st.GroupsSeen, st.SeededIncumbent, st.SeededGreedyMarginal, st.SeededGreedyAbsolute, st.SeededLocalSearch)
 
-	// Without cross-churn state every solve is cold: the Fig. 9a pin.
+	// Without cross-churn state every solve is cold, and still seeded.
 	last := sched[len(sched)-1]
-	opts := controllerOptions(nil)
-	b, _ := solveKeeping(t, opts, last.queries, last.est)
-	if b.warm.repaired || b.warm.childSolves != len(last.queries) {
-		t.Errorf("Reopt == nil: repaired=%v, %d child optimizations for %d queries", b.warm.repaired, b.warm.childSolves, len(last.queries))
+	b, plan := solveKeeping(t, controllerOptions(nil), last.queries, last.est)
+	if b.warm.repaired || b.warm.seed < 0 || plan.Objective > b.warm.obj*(1+1e-12) {
+		t.Errorf("Reopt == nil: repaired=%v, seed %d of objective %g, plan %g", b.warm.repaired, b.warm.seed, b.warm.obj, plan.Objective)
 	}
 }
 

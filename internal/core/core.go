@@ -68,17 +68,9 @@ type Options struct {
 	// measured per-tuple work (probe/insert/prune units normalized to
 	// probe = 1). nil keeps the analytic constants.
 	CostCoefficients *cost.Coefficients
-	// DeterministicWarmStart replaces the wall-clock budget of the
-	// local-search warm start with an evaluation-count budget so that
-	// repeated solves of the same model explore identically (required
-	// by the reproducible churn benchmarks; solve quality is
-	// equivalent, the budget is just counted instead of timed).
+	// DeterministicWarmStart is ignored; the local-search warm start's
+	// budget is always an evaluation count.
 	DeterministicWarmStart bool
-
-	// reoptChild marks internal sub-solves (per-query individual plans
-	// computed for warm starts) so they share the caches without
-	// overwriting the joint incumbent.
-	reoptChild bool
 }
 
 func (o Options) parallelism() int {
@@ -202,11 +194,10 @@ type ProblemStats struct {
 	Constraints int
 	// BuildTime covers MIR enumeration, candidate generation and model
 	// construction; WarmStartTime the incumbent that seeds the search
-	// (repair, greedy passes and, on cold starts, the per-query child
-	// optimizations and the local search); SolveTime the branch-and-bound
-	// search alone. CandidateTime is the part of BuildTime spent on
-	// decorated candidates: generating or fetching their structure and
-	// pricing it.
+	// (repair, greedy passes and, on cold starts, the local search);
+	// SolveTime the branch-and-bound search alone. CandidateTime is the
+	// part of BuildTime spent on decorated candidates: generating or
+	// fetching their structure and pricing it.
 	BuildTime     time.Duration
 	CandidateTime time.Duration
 	WarmStartTime time.Duration

@@ -11,7 +11,6 @@ import (
 	"clash/internal/ilp"
 	"clash/internal/mir"
 	"clash/internal/query"
-	"clash/internal/stats"
 )
 
 // Reopt carries optimizer state across churn steps so re-optimization
@@ -30,8 +29,7 @@ import (
 //     step keys, χ verdicts — is reused while the query's shape, its MIR
 //     eligibility, the structural options and its relation neighbourhood
 //     are unchanged; a solve re-prices it under its own estimates and
-//     coefficients. Individual-plan selections, which depend on prices,
-//     are reused only while the estimates snapshot is unchanged.
+//     coefficients.
 //
 // A Reopt value is owned by one optimization loop (the adaptive
 // Controller or a bench harness); it is safe for concurrent use, and
@@ -43,15 +41,12 @@ type Reopt struct {
 	mu        sync.Mutex
 	gen       uint64
 	keep      uint64
-	lastEst   *stats.Estimates
-	estVer    uint64
 	incumbent map[string]string // regime+query+"\x00"+start -> selected order key
 	ctr       ReoptStats        // the warm-start and candidate-cache counters; Stats fills in the rest
 	syms      *symbols          // the ids the cached structures carry
 	symsCap   int               // the table size at which Advance replaces it
 	symsFresh bool              // syms was replaced at the last Advance
 	structs   map[string]*reoptEntry[structEntry]
-	indiv     map[string]*reoptEntry[indivPlan]
 
 	// blindNeighbourhood leaves the relation neighbourhood out of
 	// structure keys; tests set it to show the key needs it.
@@ -70,11 +65,6 @@ type structEntry struct {
 	syms  *symbols
 }
 
-type indivPlan struct {
-	sig  string
-	keys []string // selected decorated-order keys of the single-query optimum
-}
-
 // NewReopt returns fresh cross-churn optimizer state.
 func NewReopt() *Reopt {
 	return &Reopt{
@@ -85,7 +75,6 @@ func NewReopt() *Reopt {
 		syms:      newSymbols(),
 		symsCap:   minSymbolCap,
 		structs:   map[string]*reoptEntry[structEntry]{},
-		indiv:     map[string]*reoptEntry[indivPlan]{},
 	}
 }
 
@@ -100,10 +89,10 @@ type ReoptStats struct {
 	CacheEntries int
 	Incumbents   int
 
-	// JointSolves counts the joint (non-child) solves that built a warm
-	// start. Each attempted an incumbent repair with exactly one outcome:
-	// feasible, infeasible (the repaired selection could not be completed),
-	// or nothing matched (no incumbent of that regime yet, or none of its
+	// JointSolves counts the joint solves that built a warm start. Each
+	// attempted an incumbent repair with exactly one outcome: feasible,
+	// infeasible (the repaired selection could not be completed), or
+	// nothing matched (no incumbent of that regime yet, or none of its
 	// orders survives among the candidates).
 	JointSolves       uint64
 	RepairsFeasible   uint64
@@ -118,21 +107,14 @@ type ReoptStats struct {
 	SeededIncumbent      uint64
 	SeededGreedyMarginal uint64
 	SeededGreedyAbsolute uint64
-	SeededIndividual     uint64
 	SeededLocalSearch    uint64
-	// ChildOptimizations counts the per-query solves run to build the
-	// individual-plan union.
-	ChildOptimizations uint64
-	// Cache probes of the joint solves (child optimizations are not
-	// counted): candidate structure of top-level and of feeding groups,
-	// whose keys leave the estimates out — a hit under a new snapshot is
-	// re-priced — and individual-plan selections, whose keys carry the
-	// estimates version, so they hit only while the snapshot object is
-	// the same. A top-level group misses when its query is new or changed
-	// or an installed query sharing one of its relations arrived or left.
-	TopHits, TopMisses     uint64
-	FeedHits, FeedMisses   uint64
-	IndivHits, IndivMisses uint64
+	// Probes of the candidate-structure cache, of top-level and of
+	// feeding groups. Their keys leave the estimates out: a hit under a
+	// new snapshot is re-priced. A top-level group misses when its query
+	// is new or changed or an installed query sharing one of its
+	// relations arrived or left.
+	TopHits, TopMisses   uint64
+	FeedHits, FeedMisses uint64
 }
 
 // Stats returns point-in-time counters.
@@ -171,7 +153,6 @@ func (r *Reopt) Advance() {
 	}
 	cutoff := r.gen - r.keep
 	evictReopt(r.structs, cutoff)
-	evictReopt(r.indiv, cutoff)
 	// The incumbent map holds one short entry per live (query, start)
 	// group; stale entries for retired queries are never looked up and
 	// are rewritten wholesale, so only pathological churn can grow it.
@@ -188,23 +169,12 @@ func evictReopt[T any](m map[string]*reoptEntry[T], cutoff uint64) {
 	}
 }
 
-// beginSolve refreshes the estimates version — a new snapshot
-// invalidates the individual-plan selections (their keys embed the
-// version) — and hands the solve the symbol table.
-func (r *Reopt) beginSolve(est *stats.Estimates) *symbols {
+// symbolTable hands a solve the symbol table the cached structures'
+// ids come from.
+func (r *Reopt) symbolTable() *symbols {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.lastEst != est {
-		r.lastEst = est
-		r.estVer++
-	}
 	return r.syms
-}
-
-func (r *Reopt) estVersion() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.estVer
 }
 
 // regime names the eligibility regime a joint solve runs under. The
@@ -265,33 +235,26 @@ func (r *Reopt) noteWarmStart(w warmReport) {
 	c.GroupsSeen += uint64(w.groups)
 	if w.seed >= 0 {
 		*[numSeeds]*uint64{&c.SeededIncumbent, &c.SeededGreedyMarginal, &c.SeededGreedyAbsolute,
-			&c.SeededIndividual, &c.SeededLocalSearch}[w.seed]++
+			&c.SeededLocalSearch}[w.seed]++
 	}
-	c.ChildOptimizations += uint64(w.childSolves)
 }
 
 // structLookup returns the candidate structure cached under sig with
-// ids from syms, counting the probe as a top-level or feeding one when
-// count is set.
-func (r *Reopt) structLookup(sig string, syms *symbols, feed, count bool) (map[string][]*DecoratedOrder, bool) {
+// ids from syms, counting the probe as a top-level or feeding one.
+func (r *Reopt) structLookup(sig string, syms *symbols, feed bool) (map[string][]*DecoratedOrder, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e, ok := r.structs[sig]
 	ok = ok && e.val.syms == syms
-	if count {
-		hits, misses := &r.ctr.TopHits, &r.ctr.TopMisses
-		if feed {
-			hits, misses = &r.ctr.FeedHits, &r.ctr.FeedMisses
-		}
-		if ok {
-			*hits++
-		} else {
-			*misses++
-		}
+	hits, misses := &r.ctr.TopHits, &r.ctr.TopMisses
+	if feed {
+		hits, misses = &r.ctr.FeedHits, &r.ctr.FeedMisses
 	}
 	if !ok {
+		*misses++
 		return nil, false
 	}
+	*hits++
 	e.gen = r.gen
 	return e.val.group, true
 }
@@ -302,43 +265,11 @@ func (r *Reopt) structStore(sig string, syms *symbols, group map[string][]*Decor
 	r.structs[sig] = &reoptEntry[structEntry]{val: structEntry{group: group, syms: syms}, gen: r.gen}
 }
 
-func (r *Reopt) indivLookup(name, sig string) ([]string, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.indiv[name]
-	if !ok || e.val.sig != sig {
-		r.ctr.IndivMisses++
-		return nil, false
-	}
-	r.ctr.IndivHits++
-	e.gen = r.gen
-	return e.val.keys, true
-}
-
-func (r *Reopt) indivStore(name, sig string, keys []string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.indiv[name] = &reoptEntry[indivPlan]{val: indivPlan{sig: sig, keys: keys}, gen: r.gen}
-}
-
 // structFingerprint captures the options that shape candidate
 // structure: which decorated orders exist, their steps, and χ.
 func (o Options) structFingerprint() string {
 	return fmt.Sprintf("p%d|dp%t|uc%t|mc%t",
 		o.parallelism(), o.DisablePartitioning, o.UniformChi, o.MaterializationCost)
-}
-
-// optsFingerprint captures every option that flows into a solve's
-// result: the structural ones, the cap, the model shape and the cost
-// coefficients.
-func (o Options) optsFingerprint() string {
-	coef := "-"
-	if o.CostCoefficients != nil {
-		c := *o.CostCoefficients
-		coef = fmt.Sprintf("%g:%g:%g", c.Probe, c.Insert, c.Prune)
-	}
-	return fmt.Sprintf("%s|cap%d|npc%t|c%s",
-		o.structFingerprint(), o.MaxCandidatesPerGroup, o.NoPartitionConsistency, coef)
 }
 
 // structSig keys the cached candidate structure of q, a top-level query
@@ -354,13 +285,6 @@ func (b *builder) structSig(q *query.Query, fed *mir.MIR) string {
 		shape = "feed:" + fed.Key()
 	}
 	return q.Name + "|" + shape + "|" + b.eligSig(q) + "|" + b.structFP + "|" + b.neighbourhood(q)
-}
-
-// indivSig keys q's cached individual-plan selection. A child solve
-// over q alone produced it, so it depends on q's shape and eligibility,
-// the options, and — through the prices — on the estimates snapshot.
-func (b *builder) indivSig(q *query.Query) string {
-	return b.fps[q.Name] + "|" + b.eligSig(q) + "|" + strconv.FormatUint(b.estVer, 10) + "|" + b.opts.optsFingerprint()
 }
 
 // neighbourhood fingerprints the queries under optimization that share

@@ -61,7 +61,7 @@ func TestIncrementalMatchesScratchUnderChurn(t *testing.T) {
 		}
 		est := env.Estimates()
 
-		base := Options{DeterministicWarmStart: true}
+		base := Options{}
 		if seed%4 != 3 {
 			// The decomposing Fig. 9 regime, where component caching
 			// carries the most weight.
@@ -116,7 +116,7 @@ func TestReoptNewEstimatesReprice(t *testing.T) {
 	}
 	est := env.Estimates()
 	reopt := NewReopt()
-	opts := Options{Reopt: reopt, DeterministicWarmStart: true}
+	opts := Options{Reopt: reopt}
 
 	p1, err := NewOptimizer(opts).Optimize(qs, est)
 	if err != nil {
@@ -148,7 +148,7 @@ func TestReoptNewEstimatesReprice(t *testing.T) {
 		after.TopHits-before.TopHits != uint64(len(qs)) {
 		t.Fatalf("a new snapshot missed the structure cache: %+v -> %+v", before, after)
 	}
-	fresh, err := NewOptimizer(Options{DeterministicWarmStart: true}).Optimize(qs, est2)
+	fresh, err := NewOptimizer(Options{}).Optimize(qs, est2)
 	if err != nil {
 		t.Fatal(err)
 	}

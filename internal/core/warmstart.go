@@ -4,9 +4,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"time"
-
-	"clash/internal/query"
 )
 
 // warmSeed names the warm-start variants, in the order warmStart
@@ -17,20 +14,18 @@ const (
 	seedIncumbent warmSeed = iota
 	seedGreedyMarginal
 	seedGreedyAbsolute
-	seedIndividual
 	seedLocalSearch
 	numSeeds
 )
 
 // warmReport is what one warm start did: how the incumbent repair went,
-// which variant seeded the search (-1: none was feasible), its objective,
-// and how many per-query child optimizations it ran.
+// which variant seeded the search (-1: none was feasible) and its
+// objective.
 type warmReport struct {
 	matched, groups int
 	repaired        bool
 	seed            warmSeed
 	obj             float64
-	childSolves     int
 }
 
 // warmStart constructs a feasible solution that seeds the branch-and-
@@ -42,10 +37,7 @@ type warmReport struct {
 // solution; (b) per (query, start) group the candidate with the smallest
 // *marginal* cost given the steps committed by earlier groups (exploits
 // sharing but can commit myopically), and the same by absolute cost; and,
-// on cold starts only, (c) the union of the per-query optima, whose ILP
-// objective is at most the summed per-query optima — so the solver
-// always starts at or below the "Individual" baseline — and (d) a local
-// search over the groups.
+// on cold starts only, (c) a local search over the groups.
 func (b *builder) warmStart() []float64 {
 	var best []float64
 	b.warm = warmReport{seed: -1, obj: math.Inf(1)}
@@ -62,18 +54,16 @@ func (b *builder) warmStart() []float64 {
 	consider(seedGreedyMarginal, b.warmStartWith(true))
 	consider(seedGreedyAbsolute, b.warmStartWith(false))
 	// The repaired incumbent is the previous churn step's (near-)optimal
-	// joint solution; when it covers most groups, solving every query on
-	// its own again, or re-deriving a seed by coordinate descent, would
-	// dominate incremental re-optimization time for no bound improvement.
-	// Both still run on cold starts — no Reopt, no incumbent yet, or one
-	// that could not be repaired — and after heavy churn (less than half
-	// the groups matched), which is where the Individual-baseline pin and
-	// the deep sharing the greedy passes miss come from.
+	// joint solution; when it covers most groups, re-deriving a seed by
+	// coordinate descent would dominate incremental re-optimization time
+	// for no bound improvement. The search still runs on cold starts — no
+	// Reopt, no incumbent yet, or one that could not be repaired — and
+	// after heavy churn (less than half the groups matched), which is
+	// where the deep sharing the greedy passes miss comes from.
 	if inc == nil || 2*b.warm.matched < b.warm.groups {
-		consider(seedIndividual, b.warmStartFromIndividualPlans())
 		consider(seedLocalSearch, b.warmStartLocalSearch())
 	}
-	if r := b.opts.Reopt; r != nil && !b.opts.reoptChild {
+	if r := b.opts.Reopt; r != nil {
 		r.noteWarmStart(b.warm)
 	}
 	return best
@@ -92,7 +82,7 @@ func (b *builder) warmStart() []float64 {
 // be completed. b.warm records the coverage for the caller.
 func (b *builder) warmStartFromIncumbent() []float64 {
 	r := b.opts.Reopt
-	if r == nil || b.opts.reoptChild {
+	if r == nil {
 		return nil
 	}
 	regime := b.opts.regime()
@@ -309,32 +299,22 @@ func (s *lsState) closeFeeds(marginal bool) bool {
 	}
 }
 
+// maxLocalSearchEvals bounds the selections one local search evaluates.
+const maxLocalSearchEvals = 10000
+
 // warmStartLocalSearch runs coordinate-descent over the (query, start)
 // groups: starting from the per-group cheapest candidates, each sweep
 // re-picks every group's candidate to minimize the *total* objective
 // given all other groups' current picks (shared steps are paid once;
 // feeding orders are re-derived greedily per trial). Sweeps repeat until
-// a fixpoint or the time budget is hit. Under heavy cross-query sharing
-// this finds the deep prefix sharing the single-pass greedy misses — it
-// is the solver's primary incumbent for the Fig. 9a regime.
+// a fixpoint or maxLocalSearchEvals selection evaluations. The budget is
+// counted, not timed, so repeated solves of the same model explore
+// identically on any machine. Under heavy cross-query sharing this finds
+// the deep prefix sharing the single-pass greedy misses — it is the
+// solver's primary incumbent for the Fig. 9a regime.
 func (b *builder) warmStartLocalSearch() []float64 {
 	if len(b.queries) < 2 {
 		return nil
-	}
-	budget := 3 * time.Second
-	if tl := b.opts.Solver.TimeLimit; tl > 0 && tl/3 < budget {
-		budget = tl / 3
-	}
-	deadline := time.Now().Add(budget)
-	// DeterministicWarmStart swaps the wall clock for an evaluation
-	// counter: repeated solves of the same model then explore identically
-	// regardless of machine speed (reproducible churn benchmarks).
-	evals, maxEvals := 0, 10000
-	overBudget := func() bool {
-		if b.opts.DeterministicWarmStart {
-			return evals >= maxEvals
-		}
-		return time.Now().After(deadline)
 	}
 
 	// Initial assignment: per-group cheapest candidate.
@@ -358,10 +338,11 @@ func (b *builder) warmStartLocalSearch() []float64 {
 	if math.IsInf(cur, 1) {
 		return nil
 	}
+	evals := 0
 	for sweep := 0; sweep < 64; sweep++ {
 		improved := false
 		for gi, g := range b.tops {
-			if overBudget() {
+			if evals >= maxLocalSearchEvals {
 				sweep = 64
 				break
 			}
@@ -414,102 +395,6 @@ func (b *builder) evalSelection(st *lsState, pick []*DecoratedOrder, vals []floa
 		return math.Inf(1)
 	}
 	return st.total
-}
-
-// warmStartFromIndividualPlans solves each query in isolation and maps
-// the union of the per-query selections onto this builder's variables.
-// Decorated-order keys are canonical, so a single query's selections are
-// a subset of the joint candidate space. The union's objective is at
-// most the summed individual optima (shared steps only collapse), which
-// pins the MQO incumbent to the Individual baseline from the start.
-// warmStart builds it on cold starts only: once a repaired incumbent
-// covers half the groups it never won the comparison, at one child
-// optimization per query. With Options.Reopt set, per-query selections
-// are cached under indivSig. A selection depends on prices, not only on
-// structure, so unlike the candidate-structure key this one embeds the
-// estimates version and the options: the cache serves the solves that
-// share a snapshot (a step's restricted solve after its free one). The
-// sub-solves are marked reoptChild: they share the memo, the structure
-// cache and the solution cache without touching the joint incumbent or
-// the cache counters.
-func (b *builder) warmStartFromIndividualPlans() []float64 {
-	if len(b.queries) < 2 {
-		return nil
-	}
-	r := b.opts.Reopt
-	child := b.opts
-	child.reoptChild = true
-	opt := NewOptimizer(child)
-
-	// resolve maps cached selection keys onto this builder's decorated
-	// orders; nil when any key is absent (candidate capped away).
-	resolve := func(keys []string) []*DecoratedOrder {
-		out := make([]*DecoratedOrder, 0, len(keys))
-		for _, k := range keys {
-			d := b.orderFor(k)
-			if d == nil {
-				return nil
-			}
-			out = append(out, d)
-		}
-		return out
-	}
-	freshKeys := func(q *query.Query) []string {
-		b.warm.childSolves++
-		p, err := opt.Optimize([]*query.Query{q}, b.rawEst)
-		if err != nil {
-			return nil
-		}
-		keys := make([]string, 0, len(p.Selected))
-		for _, d := range p.Selected {
-			keys = append(keys, d.Key())
-		}
-		return keys
-	}
-
-	vals := make([]float64, b.model.NumVars())
-	for _, q := range b.queries {
-		var sel []*DecoratedOrder
-		sig := ""
-		if r != nil {
-			sig = b.indivSig(q)
-			if keys, ok := r.indivLookup(q.Name, sig); ok {
-				sel = resolve(keys)
-			}
-		}
-		if sel == nil {
-			keys := freshKeys(q)
-			if keys == nil {
-				return nil
-			}
-			if r != nil {
-				r.indivStore(q.Name, sig, keys)
-			}
-			if sel = resolve(keys); sel == nil {
-				return nil // candidate capped away in the joint model
-			}
-		}
-		for _, d := range sel {
-			vals[b.xVar[d.num]] = 1
-			for _, y := range d.ys {
-				vals[y] = 1
-			}
-			if b.opts.NoPartitionConsistency {
-				continue
-			}
-			for i, ids := range d.elems {
-				if i > 0 && ids.dec >= 0 {
-					vals[b.zVar[ids.dec]] = 1
-				}
-			}
-		}
-	}
-	// Cross-query partition conflicts make the union infeasible in the
-	// strengthened formulation; Feasible rejects it then.
-	if b.model.Feasible(vals, 1e-5) != nil {
-		return nil
-	}
-	return vals
 }
 
 // warmStartWith builds one greedy selection, group by group in the

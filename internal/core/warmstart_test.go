@@ -77,7 +77,7 @@ func TestLocalSearchFindsSharing(t *testing.T) {
 	qs := env.RandomQueries(20, 3, 1)
 	est := env.Estimates()
 	opts := Options{StoreParallelism: 4, NoPartitionConsistency: true,
-		DeterministicWarmStart: true, Solver: ilp.Options{MaxNodes: 20_000}}
+		Solver: ilp.Options{MaxNodes: 20_000}}
 	b := newBuilder(opts, qs, est)
 	b.enumerateMIRs()
 	if err := b.generateCandidates(); err != nil {
@@ -118,7 +118,7 @@ func TestLocalSearchStrictModeFeasible(t *testing.T) {
 	env := workload.NewEnv(8, 100)
 	qs := env.RandomQueries(10, 3, 2)
 	est := env.Estimates()
-	b := newBuilder(Options{StoreParallelism: 4, DeterministicWarmStart: true}, qs, est)
+	b := newBuilder(Options{StoreParallelism: 4}, qs, est)
 	b.enumerateMIRs()
 	if err := b.generateCandidates(); err != nil {
 		t.Fatal(err)

@@ -133,9 +133,9 @@ func churnStepModel(t *testing.T) *Model {
 }
 
 // fig7Model loads testdata/fig7_q4.model.gz: the model (435 variables,
-// 1 182 rows, 4 choice groups) the warm start's per-query child solve of
-// q4 hands the solver during the set-up of the tpch-mqo benchmark
-// workload, the ten TPC-H queries of Fig. 7 (seed 1), captured in
+// 1 182 rows, 4 choice groups) of q4 of the ten TPC-H queries of Fig. 7
+// optimized on its own, as an individual plan solves it, under the
+// estimates of the tpch-mqo benchmark workload (seed 1), captured in
 // canonicalModel's layout from solveOne.
 func fig7Model(t testing.TB) *Model {
 	t.Helper()
@@ -146,8 +146,7 @@ func fig7Model(t testing.TB) *Model {
 const fig7ChildNodes = 20_000
 
 // TestFig7ChildSearch pins the captured Fig. 7 child search at its
-// production budget: it ends at the budget, holding the incumbent the
-// set-up's plan is built from.
+// production budget: it ends at the budget with a fixed incumbent.
 func TestFig7ChildSearch(t *testing.T) {
 	m := fig7Model(t)
 	sol := m.Solve(&Options{MaxNodes: fig7ChildNodes})
@@ -161,7 +160,7 @@ func TestFig7ChildSearch(t *testing.T) {
 }
 
 // BenchmarkSearchFig7Child runs the captured Fig. 7 child search at its
-// production budget, as one set-up runs it.
+// production budget.
 func BenchmarkSearchFig7Child(b *testing.B) {
 	m := fig7Model(b)
 	o := &Options{MaxNodes: fig7ChildNodes}

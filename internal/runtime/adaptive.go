@@ -140,9 +140,8 @@ func (c *Controller) CostCoefficients() cost.Coefficients {
 
 // ReoptStats reports what the incremental re-optimization state did over
 // the controller's lifetime: cache counters, and per joint solve how the
-// incumbent repair went, which warm-start variant seeded the search and
-// how many per-query child optimizations ran. The zero value when
-// IncrementalReopt is off.
+// incumbent repair went and which warm-start variant seeded the search.
+// The zero value when IncrementalReopt is off.
 func (c *Controller) ReoptStats() core.ReoptStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -15,9 +15,8 @@ import (
 
 // maxNodes is the branch-and-bound budget of every solve a Fixture
 // runs — the budget the benchmark's tpch-mqo workload plans under. A
-// count, not a time limit, and the warm start is counted too
-// (core.Options.DeterministicWarmStart): the search explores the same
-// tree on every machine, so the plan, and with it every probe-tuple,
+// count, not a time limit, like the warm start's local search: the
+// search explores the same tree on every machine, so the plan, and with it every probe-tuple,
 // memory, store and result count downstream, is a function of
 // (queries, sf, seed, parallelism) alone.
 const maxNodes = 20_000
@@ -54,9 +53,8 @@ func NewFixture(queries []*query.Query, sf float64, seed uint64, parallelism int
 		Records:     b.Interleave(tables...),
 		Parallelism: parallelism,
 		opt: core.NewOptimizer(core.Options{
-			StoreParallelism:       parallelism,
-			DeterministicWarmStart: true,
-			Solver:                 ilp.Options{MaxNodes: maxNodes},
+			StoreParallelism: parallelism,
+			Solver:           ilp.Options{MaxNodes: maxNodes},
 		}),
 	}
 	f.Estimates = estimate(f.Catalog, queries, f.Records)
