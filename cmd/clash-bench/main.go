@@ -36,7 +36,7 @@
 //	churn      — incremental re-optimization: Fig. 9-regime query churn
 //	             at 100/500/1000 queries, re-optimizing every step from
 //	             scratch vs with cross-churn state (incumbent warm
-//	             start, MIR memo, component-solution cache); reports
+//	             start, MIR memo, candidate-structure cache); reports
 //	             optimizer wall time, BnB nodes explored, memo hit
 //	             rate, and plan cost per arm, with incremental cost
 //	             required ≤ scratch at every step; then the same

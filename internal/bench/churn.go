@@ -15,7 +15,7 @@ import (
 // (DESIGN.md §14): a Fig. 9-regime workload where the active query set
 // churns one query at a time and the optimizer re-runs after every
 // step — once from scratch and once with cross-churn state (incumbent
-// warm start, MIR memo, component-solution cache).
+// warm start, MIR memo, candidate-structure cache).
 type ChurnConfig struct {
 	Relations int     // environment size (default 100, the Fig. 9c regime)
 	Rate      float64 // arrival rate per relation (default 100)

@@ -130,9 +130,6 @@ func (b *builder) run() (*Plan, error) {
 
 	t1 := time.Now()
 	solverOpts := b.opts.Solver
-	if r := b.opts.Reopt; r != nil && solverOpts.Cache == nil {
-		solverOpts.Cache = r.Cache
-	}
 	if ws := b.warmStart(); ws != nil {
 		solverOpts.WarmStart = ws
 	}
@@ -169,8 +166,6 @@ func (b *builder) run() (*Plan, error) {
 		SolveTime:     solve,
 		Nodes:         sol.Nodes,
 		Status:        sol.Status,
-		CacheHits:     sol.CacheHits,
-		CacheMisses:   sol.CacheMisses,
 	}
 	if r := b.opts.Reopt; r != nil {
 		r.noteIncumbent(b.opts.regime(), plan)

@@ -204,8 +204,9 @@ type ProblemStats struct {
 	SolveTime     time.Duration
 	Nodes         int
 	Status        ilp.Status
-	// CacheHits/CacheMisses count ILP component-solution cache probes
-	// (zero unless Options.Reopt carries a cache).
+	// CacheHits and CacheMisses are always 0: the ILP solver keeps no
+	// cache across solves. They remain only because the benchmark module
+	// reads them, and go when it stops.
 	CacheHits   int
 	CacheMisses int
 }

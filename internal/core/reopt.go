@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 
-	"clash/internal/ilp"
 	"clash/internal/mir"
 	"clash/internal/query"
 )
@@ -18,8 +17,6 @@ import (
 //
 //   - Memo caches MIR enumeration and containment verdicts (pure
 //     functions of query shape).
-//   - Cache answers unchanged ILP components from their previous optimal
-//     solution without any search.
 //   - The incumbent selection of the previous joint solve under the same
 //     eligibility regime seeds the new solve: surviving (query, start)
 //     groups keep their choice, only added or affected groups are
@@ -31,12 +28,15 @@ import (
 //     are unchanged; a solve re-prices it under its own estimates and
 //     coefficients.
 //
+// The ILP itself is solved afresh every step: the solver keeps nothing
+// across solves, so its result is a function of the model, the node
+// budget and the warm start.
+//
 // A Reopt value is owned by one optimization loop (the adaptive
 // Controller or a bench harness); it is safe for concurrent use, and
 // Advance must be called once per churn step to age out stale entries.
 type Reopt struct {
-	Memo  *mir.Memo
-	Cache *ilp.SolutionCache
+	Memo *mir.Memo
 
 	mu        sync.Mutex
 	gen       uint64
@@ -69,7 +69,6 @@ type structEntry struct {
 func NewReopt() *Reopt {
 	return &Reopt{
 		Memo:      mir.NewMemo(16),
-		Cache:     ilp.NewSolutionCache(16),
 		keep:      16,
 		incumbent: map[string]string{},
 		syms:      newSymbols(),
@@ -81,13 +80,10 @@ func NewReopt() *Reopt {
 // ReoptStats aggregates the effectiveness counters of all cache layers
 // and of the warm start, over the lifetime of the Reopt value.
 type ReoptStats struct {
-	MemoHits     uint64
-	MemoMisses   uint64
-	MemoEntries  int
-	CacheHits    uint64
-	CacheMisses  uint64
-	CacheEntries int
-	Incumbents   int
+	MemoHits    uint64
+	MemoMisses  uint64
+	MemoEntries int
+	Incumbents  int
 
 	// JointSolves counts the joint solves that built a warm start. Each
 	// attempted an incumbent repair with exactly one outcome: feasible,
@@ -120,22 +116,18 @@ type ReoptStats struct {
 // Stats returns point-in-time counters.
 func (r *Reopt) Stats() ReoptStats {
 	ms := r.Memo.Stats()
-	cs := r.Cache.Stats()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := r.ctr
 	s.MemoHits, s.MemoMisses, s.MemoEntries = ms.Hits, ms.Misses, ms.Entries
-	s.CacheHits, s.CacheMisses, s.CacheEntries = cs.Hits, cs.Misses, cs.Entries
 	s.Incumbents = len(r.incumbent)
 	return s
 }
 
-// Advance starts a new churn generation: the memo and solution cache age
-// one step and local candidate caches untouched for the retention window
+// Advance starts a new churn generation: the memo ages one step and local candidate caches untouched for the retention window
 // are evicted. Call once per re-optimization step (the Controller does).
 func (r *Reopt) Advance() {
 	r.Memo.Advance()
-	r.Cache.Advance()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.gen++

@@ -45,7 +45,7 @@ func churnStep(step int, active, pool []*query.Query) ([]*query.Query, []*query.
 // TestIncrementalMatchesScratchUnderChurn is the acceptance sweep of
 // the incremental re-optimizer: over seeded add/remove/replace churn
 // schedules, the plan found with cross-churn state (incumbent warm
-// start, memo, solution cache) costs no more than re-optimizing from
+// start, memo, candidate structures) costs no more than re-optimizing from
 // scratch at every step. Both solves run to optimality here, so the
 // costs must in fact be equal.
 func TestIncrementalMatchesScratchUnderChurn(t *testing.T) {

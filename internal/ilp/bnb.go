@@ -3,8 +3,6 @@ package ilp
 import (
 	"math"
 	"math/bits"
-	"slices"
-	"time"
 )
 
 // Options control the branch-and-bound search.
@@ -12,35 +10,26 @@ type Options struct {
 	// MaxNodes bounds the number of explored nodes of each independent
 	// component (0 = default 5e6).
 	MaxNodes int
-	// TimeLimit aborts the search returning the incumbent (0 = none).
-	TimeLimit time.Duration
-	// Tol is the integrality/feasibility tolerance (0 = 1e-6).
-	Tol float64
 	// WarmStart, when it has one value per variable and is feasible,
 	// seeds the incumbent so the search starts with a strong bound.
 	WarmStart []float64
 	// Parallel is ignored; the search is serial.
 	Parallel int
-	// Cache, when set, memoizes optimal solutions of independent
-	// components keyed by a canonical serialization of the component
-	// sub-model. Across churn steps, unchanged components hit the cache
-	// and are not re-solved. Only provably Optimal component solutions
-	// are cached, so the solver stays exact.
-	Cache *SolutionCache
 }
+
+// tol is the integrality and feasibility tolerance of the search.
+const tol = 1e-6
 
 func (o *Options) fill() {
 	if o.MaxNodes == 0 {
 		o.MaxNodes = 5_000_000
 	}
-	if o.Tol == 0 {
-		o.Tol = 1e-6
-	}
 }
 
 // Solve minimizes the model. For feasible models it returns a provably
-// optimal solution unless a node/time limit interrupts, in which
-// case Status is Limit and the best incumbent (if any) is returned.
+// optimal solution unless the node limit interrupts, in which case
+// Status is Limit and the best incumbent (if any) is returned. The
+// result is a function of the model and the options alone.
 //
 // Models whose constraint graph decomposes into independent connected
 // components are solved component-wise (a presolve step that makes
@@ -51,7 +40,7 @@ func (m *Model) Solve(opt *Options) *Solution {
 		o = *opt
 	}
 	o.fill()
-	if comps := components(m); len(comps) > 1 || o.Cache != nil {
+	if comps := components(m); len(comps) > 1 {
 		return solveByComponents(m, comps, o)
 	}
 	return solveOne(m, o)
@@ -111,25 +100,15 @@ func components(m *Model) [][]int {
 }
 
 // solveByComponents solves each component independently, in index order,
-// and stitches the solutions together. The time budget is shared across
-// components. With Options.Cache set, components whose canonical
-// serialization was solved to optimality before are answered from the
-// cache without any search.
+// and stitches the solutions together.
 func solveByComponents(m *Model, comps [][]int, o Options) *Solution {
 	total := &Solution{Values: make([]float64, len(m.Vars))}
-	deadline := time.Time{}
-	if o.TimeLimit > 0 {
-		deadline = time.Now().Add(o.TimeLimit)
-	}
 	subs := splitComponents(m, comps)
 	for ci, vs := range comps {
-		res := solveComponent(m, vs, subs[ci], o, deadline)
+		so := o
+		so.WarmStart = sliceWarmStart(o.WarmStart, len(m.Vars), vs)
+		res := solveOne(subs[ci], so)
 		total.Nodes += res.Nodes
-		total.CacheHits += res.CacheHits
-		total.CacheMisses += res.CacheMisses
-		if res.TimedOut {
-			total.TimedOut = true
-		}
 		switch res.Status {
 		case Infeasible:
 			total.Status = res.Status
@@ -152,48 +131,15 @@ func solveByComponents(m *Model, comps [][]int, o Options) *Solution {
 	return total
 }
 
-// solveComponent solves one component's sub-model sub, whose variables
-// are the parent's vs, answering it from the cache when it was solved to
-// optimality before.
-func solveComponent(m *Model, vs []int, sub *Model, o Options, deadline time.Time) *Solution {
-	var fp uint64
-	var key []byte
-	if o.Cache != nil {
-		fp, key = canonicalModel(sub)
-		if vals, obj, ok := o.Cache.lookup(fp, key); ok {
-			return &Solution{Status: Optimal, Objective: obj, Values: vals, CacheHits: 1}
-		}
-	}
-	so := o
-	if !deadline.IsZero() {
-		so.TimeLimit = time.Until(deadline)
-		if so.TimeLimit <= 0 {
-			so.TimeLimit = time.Nanosecond
-		}
-	}
-	so.WarmStart = sliceWarmStart(o.WarmStart, len(m.Vars), vs)
-	res := solveOne(sub, so)
-	if o.Cache != nil {
-		res.CacheMisses = 1
-		if res.Status == Optimal {
-			o.Cache.insert(fp, key, res.Values, res.Objective)
-		}
-	}
-	return res
-}
-
 // splitComponents builds one sub-model per component. A sub-model
 // numbers its variables in the component's order, and each constraint
-// goes to the component of its first variable. Components list their
-// variables ascending, so renumbering keeps a constraint's terms sorted
-// and merged: they are copied into one slab shared by all sub-models,
-// with no re-sort. A sub-model names what it holds by its parent's
-// names. A model that is one component with no empty row is its own
-// sub-model.
+// goes to the component of its first variable; a row without terms goes
+// to the first component, whose root propagation proves the model
+// infeasible when 0 violates it. Components list their variables
+// ascending, so renumbering keeps a constraint's terms sorted and
+// merged: they are copied into one slab shared by all sub-models, with
+// no re-sort. A sub-model names what it holds by its parent's names.
 func splitComponents(m *Model, comps [][]int) []*Model {
-	if len(comps) == 1 && !slices.ContainsFunc(m.Cons, func(c Constraint) bool { return len(c.Terms) == 0 }) {
-		return []*Model{m} // the one component is the model, variables in order
-	}
 	compOf := make([]int, len(m.Vars))
 	local := make([]int, len(m.Vars))
 	for ci, vs := range comps {
@@ -204,10 +150,10 @@ func splitComponents(m *Model, comps [][]int) []*Model {
 	consOf := make([][]int, len(comps))
 	nterms := 0
 	for c, con := range m.Cons {
-		if len(con.Terms) == 0 {
-			continue
+		ci := 0
+		if len(con.Terms) > 0 {
+			ci = compOf[con.Terms[0].Var]
 		}
-		ci := compOf[con.Terms[0].Var]
 		consOf[ci] = append(consOf[ci], c)
 		nterms += len(con.Terms)
 	}
@@ -271,13 +217,11 @@ type searcher struct {
 	// varCons[v] lists the constraint indices touching variable v.
 	varCons [][]int
 
-	best     []float64
-	bestObj  float64
-	nodes    int
-	st       *structure
-	deadln   time.Time
-	hitLim   bool
-	timedOut bool
+	best    []float64
+	bestObj float64
+	nodes   int
+	st      *structure
+	hitLim  bool
 
 	// Node evaluation state. Everything below is a function of (lo, hi)
 	// that setLo, setHi and undo keep current through moved, so a node
@@ -360,8 +304,8 @@ func (s *searcher) init() *Solution {
 	n := len(m.Vars)
 	s.lo = make([]float64, n)
 	s.hi = make([]float64, n)
-	for i, v := range m.Vars {
-		s.lo[i], s.hi[i] = v.Lower, v.Upper
+	for i := range s.hi {
+		s.hi[i] = 1
 	}
 	s.varCons = make([][]int, n)
 	for ci, c := range m.Cons {
@@ -372,9 +316,6 @@ func (s *searcher) init() *Solution {
 	s.bestObj = math.Inf(1)
 	s.st = analyze(m)
 	s.initEval()
-	if s.o.TimeLimit > 0 {
-		s.deadln = time.Now().Add(s.o.TimeLimit)
-	}
 
 	s.pendingBuf = make([]int, 0, len(m.Cons))
 	s.inQueue = make([]bool, len(m.Cons))
@@ -382,7 +323,7 @@ func (s *searcher) init() *Solution {
 	s.leafBuf = make([]float64, n)
 	s.trail = make([]trailEntry, 0, 2*n)
 
-	if len(s.o.WarmStart) == n && m.feasible(s.o.WarmStart, s.o.Tol*10) {
+	if len(s.o.WarmStart) == n && m.feasible(s.o.WarmStart, tol*10) {
 		s.offer(s.o.WarmStart, m.ObjectiveOf(s.o.WarmStart))
 	}
 
@@ -395,7 +336,7 @@ func (s *searcher) init() *Solution {
 
 // finish packages the search state into a Solution.
 func (s *searcher) finish() *Solution {
-	sol := &Solution{Nodes: s.nodes, TimedOut: s.timedOut}
+	sol := &Solution{Nodes: s.nodes}
 	switch {
 	case s.best == nil && s.hitLim:
 		sol.Status = Limit
@@ -413,16 +354,11 @@ func (s *searcher) finish() *Solution {
 	return sol
 }
 
-// countNode charges one node against the budget and the deadline.
-// Returns false when a limit was hit (search must stop).
+// countNode charges one node against the budget. Returns false when
+// the budget is spent (search must stop).
 func (s *searcher) countNode() bool {
 	if s.nodes >= s.o.MaxNodes {
 		s.hitLim = true
-		return false
-	}
-	if !s.deadln.IsZero() && (s.nodes+1)%256 == 0 && time.Now().After(s.deadln) {
-		s.hitLim = true
-		s.timedOut = true
 		return false
 	}
 	s.nodes++
@@ -507,13 +443,13 @@ func (s *searcher) dfs(branched int) {
 func (s *searcher) finishLeaf() {
 	x := s.leafBuf
 	copy(x, s.lo)
-	if s.m.feasible(x, s.o.Tol*10) {
+	if s.m.feasible(x, tol*10) {
 		s.offer(x, s.m.ObjectiveOf(x))
 	}
 }
 
 func (s *searcher) offer(x []float64, obj float64) {
-	if obj < s.bestObj-s.o.Tol {
+	if obj < s.bestObj-tol {
 		if s.best == nil {
 			s.best = make([]float64, len(x))
 		}
@@ -728,7 +664,7 @@ func (s *searcher) pickFromEqRows() int {
 		lhsFixed := 0.0
 		cand, candCost := -1, math.Inf(1)
 		for _, t := range c.Terms {
-			if s.hi[t.Var]-s.lo[t.Var] > s.o.Tol {
+			if s.hi[t.Var]-s.lo[t.Var] > tol {
 				free++
 				if ic := s.impliedCost(t.Var); ic < candCost {
 					cand, candCost = t.Var, ic
@@ -740,7 +676,7 @@ func (s *searcher) pickFromEqRows() int {
 		if free == 0 || cand < 0 {
 			continue
 		}
-		if math.Abs(lhsFixed-c.RHS) < s.o.Tol && free > 0 {
+		if math.Abs(lhsFixed-c.RHS) < tol && free > 0 {
 			free += 1000
 		}
 		if free < bestRowFree || (free == bestRowFree && candCost < bestCost) {
@@ -808,7 +744,7 @@ func (s *searcher) moved(v int, lo, hi float64) {
 			}
 		}
 	}
-	s.markFree(v, nhi-nlo > s.o.Tol)
+	s.markFree(v, nhi-nlo > tol)
 	for _, g := range st.dependents[v] {
 		s.dirty[g] = dirtyImplied | dirtyMinima
 	}
@@ -860,10 +796,10 @@ func (s *searcher) initEval() {
 	s.freeFlat = make([]uint64, (len(st.byRank)+63)>>6)
 	s.freeForcing = make([]uint64, (n+63)>>6)
 	for v := 0; v < n; v++ {
-		s.markFree(v, s.hi[v]-s.lo[v] > s.o.Tol)
+		s.markFree(v, s.hi[v]-s.lo[v] > tol)
 	}
 	s.cutoff = math.MaxInt64
-	s.tolQ = st.quantize(s.o.Tol)
+	s.tolQ = st.quantize(tol)
 }
 
 // propagate performs activity-based bound tightening to a fixpoint,
@@ -939,7 +875,6 @@ func (s *searcher) tightenOne(c *Constraint) (changed []int, ok bool) {
 			maxAct += t.Coeff * s.lo[t.Var]
 		}
 	}
-	tol := s.o.Tol
 	if minAct > up+tol || maxAct < lo-tol {
 		return nil, false
 	}

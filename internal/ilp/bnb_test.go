@@ -1,12 +1,9 @@
 package ilp
 
 import (
-	"fmt"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
-	"time"
 
 	"clash/internal/rng"
 )
@@ -164,7 +161,7 @@ func TestRandomModelsMatchBruteForce(t *testing.T) {
 		n := 4 + r.Intn(8) // up to 11 binaries
 		m := NewModel()
 		for i := 0; i < n; i++ {
-			m.AddVar(Variable{Obj: float64(r.Intn(21) - 10), Lower: 0, Upper: 1, Integer: true})
+			m.AddBinary("", float64(r.Intn(21)-10))
 		}
 		nc := 1 + r.Intn(5)
 		for c := 0; c < nc; c++ {
@@ -208,7 +205,7 @@ func TestRandomModelsNoLP(t *testing.T) {
 		n := 4 + r.Intn(7)
 		m := NewModel()
 		for i := 0; i < n; i++ {
-			m.AddVar(Variable{Obj: float64(r.Intn(15)), Lower: 0, Upper: 1, Integer: true})
+			m.AddBinary("", float64(r.Intn(15)))
 		}
 		for c := 0; c < 1+r.Intn(4); c++ {
 			var terms []Term
@@ -233,6 +230,40 @@ func TestRandomModelsNoLP(t *testing.T) {
 		}
 		if sol.Status != Optimal || math.Abs(sol.Objective-want) > 1e-6 {
 			t.Fatalf("trial %d: got %v %g, want optimal %g\n%s", trial, sol.Status, sol.Objective, want, m)
+		}
+	}
+}
+
+// TestEmptyRows pins that a row whose terms all cancel still binds: 0
+// must satisfy it, however many components the rest of the model splits
+// into.
+func TestEmptyRows(t *testing.T) {
+	for _, comps := range []int{1, 2} {
+		for _, row := range []struct {
+			rel Rel
+			rhs float64
+		}{{LE, -1}, {GE, 1}, {EQ, 2}, {LE, 0}, {EQ, 0}} {
+			m := NewModel()
+			for c := 0; c < comps; c++ {
+				x, y := m.AddBinary("", float64(1+c)), m.AddBinary("", float64(2-3*c))
+				m.AddConstraint("", GE, 1, T(x, 1), T(y, 1))
+			}
+			m.AddConstraint("empty", row.rel, row.rhs, T(0, 1), T(0, -1))
+			if len(m.Cons[len(m.Cons)-1].Terms) != 0 || len(components(m)) != comps {
+				t.Fatalf("%d components, 0 %v %g: the model is not what the case names", comps, row.rel, row.rhs)
+			}
+			want, feasible := bruteForce(m)
+			sol := m.Solve(nil)
+			switch {
+			case !feasible && sol.Status != Infeasible:
+				t.Errorf("%d components, 0 %v %g: status %v, want infeasible", comps, row.rel, row.rhs, sol.Status)
+			case feasible && (sol.Status != Optimal || sol.Objective != want):
+				t.Errorf("%d components, 0 %v %g: %v at %g, want optimal at %g", comps, row.rel, row.rhs, sol.Status, sol.Objective, want)
+			case feasible:
+				if err := m.Feasible(sol.Values, 1e-9); err != nil {
+					t.Errorf("%d components, 0 %v %g: %v", comps, row.rel, row.rhs, err)
+				}
+			}
 		}
 	}
 }
@@ -280,27 +311,6 @@ func TestNodeLimit(t *testing.T) {
 	}
 }
 
-func TestTimeLimitReturnsIncumbent(t *testing.T) {
-	m := NewModel()
-	// A feasible model with many symmetric solutions.
-	n := 16
-	var terms []Term
-	for i := 0; i < n; i++ {
-		v := m.AddBinary("", 1)
-		terms = append(terms, T(v, 1))
-	}
-	m.AddConstraint("", GE, 8, terms...)
-	sol := m.Solve(&Options{TimeLimit: 50 * time.Millisecond})
-	if sol.Status == Infeasible {
-		t.Fatalf("status = %v", sol.Status)
-	}
-	if sol.Values != nil {
-		if err := m.Feasible(sol.Values, 1e-6); err != nil {
-			t.Errorf("incumbent infeasible: %v", err)
-		}
-	}
-}
-
 func TestModelValidation(t *testing.T) {
 	m := NewModel()
 	x := m.AddBinary("x", 1)
@@ -312,30 +322,6 @@ func TestModelValidation(t *testing.T) {
 		}()
 		m.AddConstraint("bad", LE, 1, T(x+5, 1))
 	}()
-}
-
-// TestAddVarRejectsNonBinary pins that a model holds 0-1 integers only:
-// the search branches on 0 and 1, so x, y ∈ {0..5} with x + y ≤ 7 under
-// min −x − y would come back "optimal" at −2 (the optimum is −7). AddVar
-// refuses such a variable, and anything else that is not a 0-1 integer,
-// naming it.
-func TestAddVarRejectsNonBinary(t *testing.T) {
-	for _, v := range []Variable{
-		{Name: "wide", Obj: -1, Lower: 0, Upper: 5, Integer: true},
-		{Name: "continuous", Obj: 1, Lower: 0, Upper: 1},
-		{Name: "fixed", Obj: 1, Lower: 1, Upper: 1, Integer: true},
-		{Name: "crossed", Lower: 2, Upper: 1, Integer: true},
-	} {
-		func() {
-			defer func() {
-				r := recover()
-				if msg, _ := r.(string); !strings.Contains(msg, fmt.Sprintf("%q", v.Name)) {
-					t.Errorf("AddVar(%+v): panic %v, want one naming the variable", v, r)
-				}
-			}()
-			NewModel().AddVar(v)
-		}()
-	}
 }
 
 func TestDuplicateTermsMerge(t *testing.T) {

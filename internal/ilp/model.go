@@ -57,14 +57,10 @@ type Constraint struct {
 	RHS   float64
 }
 
-// Variable describes one model variable. Every variable of a model is a
-// 0-1 integer: Integer, with bounds [0, 1].
+// Variable describes one model variable, a 0-1 integer.
 type Variable struct {
-	Name    string
-	Obj     float64
-	Lower   float64
-	Upper   float64
-	Integer bool
+	Name string
+	Obj  float64
 }
 
 // Model is a minimization 0-1 ILP: min c'x subject to linear constraints,
@@ -127,16 +123,7 @@ func NewModel() *Model { return &Model{} }
 // AddBinary adds a 0/1 variable with the given objective coefficient and
 // returns its index.
 func (m *Model) AddBinary(name string, obj float64) int {
-	return m.AddVar(Variable{Name: name, Obj: obj, Lower: 0, Upper: 1, Integer: true})
-}
-
-// AddVar adds a variable and returns its index. It panics unless v is a
-// 0-1 integer: the search branches on 0 and 1 only.
-func (m *Model) AddVar(v Variable) int {
-	if !v.Integer || v.Lower != 0 || v.Upper != 1 {
-		panic(fmt.Sprintf("ilp: variable %d (%q) is not a 0-1 integer: bounds [%g, %g], integer %v", len(m.Vars), v.Name, v.Lower, v.Upper, v.Integer))
-	}
-	m.Vars = append(m.Vars, v)
+	m.Vars = append(m.Vars, Variable{Name: name, Obj: obj})
 	return len(m.Vars) - 1
 }
 
@@ -215,7 +202,7 @@ type Status int
 const (
 	Optimal Status = iota
 	Infeasible
-	Limit // node or time limit hit; Solution carries the incumbent if any
+	Limit // node limit hit; Solution carries the incumbent if any
 )
 
 func (s Status) String() string {
@@ -235,21 +222,11 @@ type Solution struct {
 	Objective float64
 	Values    []float64
 	Nodes     int // branch-and-bound nodes explored
-
-	// TimedOut reports that the wall-clock TimeLimit (not the
-	// deterministic node budget) stopped the search. When false and
-	// Status == Limit, the MaxNodes budget was exhausted — a
-	// reproducible event tests can assert on.
-	TimedOut bool
-	// CacheHits/CacheMisses count component-solution cache probes
-	// when Options.Cache is set.
-	CacheHits   int
-	CacheMisses int
 }
 
 // NodesExplored returns the number of branch-and-bound nodes explored.
-// It is deterministic for a given model + options when no TimeLimit is
-// set: the node budget is counted, never clock-sampled.
+// It is deterministic for a given model + options: the node budget is
+// counted, never clock-sampled.
 func (s *Solution) NodesExplored() int { return s.Nodes }
 
 // Value returns the solution value of variable v: 0 or 1.
@@ -268,9 +245,9 @@ func (m *Model) Feasible(values []float64, tol float64) error {
 	v, c, lhs := m.violation(values, tol)
 	switch {
 	case v >= 0:
-		x, vr := values[v], m.Vars[v]
-		if x < vr.Lower-tol || x > vr.Upper+tol {
-			return fmt.Errorf("ilp: variable %q = %g outside [%g, %g]", m.VarName(v), x, vr.Lower, vr.Upper)
+		x := values[v]
+		if x < -tol || x > 1+tol {
+			return fmt.Errorf("ilp: variable %q = %g outside [0, 1]", m.VarName(v), x)
 		}
 		return fmt.Errorf("ilp: variable %q = %g not integral", m.VarName(v), x)
 	case c >= 0:
@@ -291,13 +268,12 @@ func (m *Model) feasible(values []float64, tol float64) bool {
 	return v < 0 && c < 0
 }
 
-// violation finds the first variable out of its bounds or not integral,
+// violation finds the first variable outside [0, 1] or not integral,
 // else the first violated constraint with its left-hand side; -1 for
 // none.
 func (m *Model) violation(values []float64, tol float64) (v, c int, lhs float64) {
-	for i, vr := range m.Vars {
-		x := values[i]
-		if x < vr.Lower-tol || x > vr.Upper+tol || vr.Integer && math.Abs(x-math.Round(x)) > tol {
+	for i, x := range values {
+		if x < -tol || x > 1+tol || math.Abs(x-math.Round(x)) > tol {
 			return i, -1, 0
 		}
 	}
@@ -359,12 +335,8 @@ func (m *Model) String() string {
 		}
 		fmt.Fprintf(&b, " %s %g\n", c.Rel, c.RHS)
 	}
-	for i, v := range m.Vars {
-		kind := ""
-		if v.Integer {
-			kind = " int"
-		}
-		fmt.Fprintf(&b, "  %g <= %s <= %g%s\n", v.Lower, m.VarName(i), v.Upper, kind)
+	for i := range m.Vars {
+		fmt.Fprintf(&b, "  0 <= %s <= 1 int\n", m.VarName(i))
 	}
 	return b.String()
 }

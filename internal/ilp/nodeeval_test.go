@@ -85,8 +85,36 @@ func buildChurnShaped(r *rng.RNG, groups, cands int) *Model {
 	return m
 }
 
+// canonicalModel serializes the model's mathematical content without
+// names, in the layout of the captured models under testdata/: the
+// variable count, then per variable its objective coefficient, bounds
+// [0, 1] and an integrality byte of 1; the row count, then per row its
+// relation, right-hand side and terms.
+func canonicalModel(m *Model) []byte {
+	le := binary.LittleEndian
+	buf := le.AppendUint32(nil, uint32(len(m.Vars)))
+	for _, v := range m.Vars {
+		buf = le.AppendUint64(buf, math.Float64bits(v.Obj))
+		buf = le.AppendUint64(buf, math.Float64bits(0))
+		buf = le.AppendUint64(buf, math.Float64bits(1))
+		buf = append(buf, 1)
+	}
+	buf = le.AppendUint32(buf, uint32(len(m.Cons)))
+	for _, c := range m.Cons {
+		buf = append(buf, byte(c.Rel))
+		buf = le.AppendUint64(buf, math.Float64bits(c.RHS))
+		buf = le.AppendUint32(buf, uint32(len(c.Terms)))
+		for _, t := range c.Terms {
+			buf = le.AppendUint32(buf, uint32(t.Var))
+			buf = le.AppendUint64(buf, math.Float64bits(t.Coeff))
+		}
+	}
+	return buf
+}
+
 // decodeCanonical is the inverse of canonicalModel: it rebuilds a model
-// (without names) from the serialization the solution cache keys by.
+// (without names) from its serialization, and fails on a variable that
+// is not a 0-1 integer.
 func decodeCanonical(t testing.TB, buf []byte) *Model {
 	t.Helper()
 	u32 := func() uint32 {
@@ -101,10 +129,12 @@ func decodeCanonical(t testing.TB, buf []byte) *Model {
 	}
 	m := NewModel()
 	for n := u32(); n > 0; n-- {
-		v := Variable{Obj: f64(), Lower: f64(), Upper: f64()}
-		v.Integer = buf[0] == 1
+		obj, lower, upper := f64(), f64(), f64()
+		if integer := buf[0]; lower != 0 || upper != 1 || integer != 1 {
+			t.Fatalf("variable %d: bounds [%g, %g], integer byte %d; want a 0-1 integer", len(m.Vars), lower, upper, integer)
+		}
 		buf = buf[1:]
-		m.AddVar(v)
+		m.AddBinary("", obj)
 	}
 	for n := u32(); n > 0; n-- {
 		rel := Rel(buf[0])
@@ -187,7 +217,7 @@ func loadModel(t testing.TB, path string) *Model {
 		t.Fatal(err)
 	}
 	m := decodeCanonical(t, raw)
-	if _, again := canonicalModel(m); !bytes.Equal(raw, again) {
+	if !bytes.Equal(raw, canonicalModel(m)) {
 		t.Fatal("the decoded model does not serialize back to the fixture")
 	}
 	return m

@@ -134,7 +134,7 @@ func scratchPick(s *searcher) int {
 	}
 	best, bo := -1, math.Inf(1)
 	for i := range s.m.Vars {
-		if s.hi[i]-s.lo[i] > s.o.Tol {
+		if s.hi[i]-s.lo[i] > tol {
 			if ic := s.impliedCost(i); ic < bo {
 				best, bo = i, ic
 			}
@@ -219,7 +219,7 @@ func checkNode(s *searcher, at hookPoint, v int) string {
 		if r := st.rank[i]; r >= 0 {
 			set, bit = s.freeFlat, int(r)
 		}
-		if got, want := set[bit>>6]>>(bit&63)&1 == 1, s.hi[i]-s.lo[i] > s.o.Tol; got != want {
+		if got, want := set[bit>>6]>>(bit&63)&1 == 1, s.hi[i]-s.lo[i] > tol; got != want {
 			return fmt.Sprintf("node %d var %d: free bit %v, bounds say %v", s.nodes, i, got, want)
 		}
 	}
