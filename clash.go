@@ -301,14 +301,14 @@ type Config struct {
 	// (0 = static plan).
 	EpochLength time.Duration
 	// Adaptive re-optimizes at epoch boundaries from gathered
-	// statistics. Requires EpochLength > 0.
+	// statistics. Requires EpochLength > 0 (Start and Recover reject it
+	// otherwise).
 	Adaptive bool
 	// IncrementalReopt carries optimizer state across re-optimization
-	// steps (query arrival/expiry, epoch boundaries): the previous plan
-	// seeds the solver, candidate enumeration is memoized, and
-	// unchanged ILP components are answered from cache. Re-planning
-	// cost becomes proportional to the change, not the installed query
-	// count; plans are never worse than re-optimizing from scratch.
+	// steps (query arrival/expiry, epoch boundaries): the MIR memo, the
+	// candidate-structure cache (re-priced under each step's estimates)
+	// and the previous plan's incumbent per eligibility regime, which
+	// seeds the solver. The ILP is still solved afresh every step.
 	IncrementalReopt bool
 	// MeasuredCosts calibrates the optimizer's cost model from runtime
 	// measurements: tasks meter nanoseconds per probed, inserted, and
@@ -512,6 +512,9 @@ func start(cfg Config, journal runtime.Journal) (*Engine, error) {
 	}
 	if cfg.StateLimitBytes > 0 && cfg.EpochLength <= 0 {
 		return nil, errors.New("clash: StateLimitBytes requires EpochLength > 0: a single epoch leaves nothing older to shed")
+	}
+	if cfg.Adaptive && cfg.EpochLength <= 0 {
+		return nil, errors.New("clash: Adaptive requires EpochLength > 0: without epoch boundaries the plan is never re-optimized")
 	}
 	col := stats.NewCollector(statsSample, 128, 1)
 	est := cfg.InitialEstimates

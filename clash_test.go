@@ -364,14 +364,28 @@ func TestStateLimitRequiresEpochs(t *testing.T) {
 	// With EpochLength 0 there is one epoch and the arrival epoch is never
 	// shed, so the budget could neither shed nor fail: Start and Recover
 	// refuse it, naming both fields.
-	cfg := Config{Workload: "q1: R(a) S(a)", StateLimitBytes: 1 << 20}
+	checkRequiresEpochs(t, "StateLimitBytes", Config{Workload: "q1: R(a) S(a)", StateLimitBytes: 1 << 20})
+}
+
+func TestAdaptiveRequiresEpochs(t *testing.T) {
+	// With EpochLength 0 no epoch boundary ever comes, so an adaptive
+	// engine would run its initial plan unchanged without saying so:
+	// Start and Recover refuse it, naming both fields.
+	checkRequiresEpochs(t, "Adaptive", Config{Workload: "q1: R(a) S(a)", Adaptive: true})
+}
+
+// checkRequiresEpochs asserts that Start and Recover reject cfg, which
+// sets field but leaves EpochLength 0, with an error naming both, and
+// that Start accepts it once EpochLength is set.
+func checkRequiresEpochs(t *testing.T, field string, cfg Config) {
+	t.Helper()
 	check := func(op string, err error) {
 		t.Helper()
 		if err == nil {
-			t.Fatalf("%s accepted StateLimitBytes without EpochLength", op)
+			t.Fatalf("%s accepted %s without EpochLength", op, field)
 		}
-		if msg := err.Error(); !strings.Contains(msg, "StateLimitBytes") || !strings.Contains(msg, "EpochLength") {
-			t.Errorf("%s error %q does not name StateLimitBytes and EpochLength", op, msg)
+		if msg := err.Error(); !strings.Contains(msg, field) || !strings.Contains(msg, "EpochLength") {
+			t.Errorf("%s error %q does not name %s and EpochLength", op, msg, field)
 		}
 	}
 	_, err := Start(cfg)
@@ -383,7 +397,7 @@ func TestStateLimitRequiresEpochs(t *testing.T) {
 	cfg.WAL, cfg.EpochLength = nil, 64
 	eng, err := Start(cfg)
 	if err != nil {
-		t.Fatalf("StateLimitBytes with EpochLength rejected: %v", err)
+		t.Fatalf("%s with EpochLength rejected: %v", field, err)
 	}
 	eng.Stop()
 }

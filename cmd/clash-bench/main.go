@@ -6,11 +6,6 @@
 //	8a, 8b     — adaptive vs. static latency over time under changing
 //	             data characteristics
 //	9a..9f     — ILP probe-cost savings, problem sizes, and runtimes
-//	overload   — overload survival on the flow substrate: a credit
-//	             grant the stream cannot exhaust buffers until the
-//	             memory budget kills the engine, while a bounded grant
-//	             degrades gracefully (flow-block throttles the source,
-//	             flow-shed drops counted tuples)
 //	simsweep   — deterministic-schedule sweep: the TPC-H multi-query
 //	             equivalence oracle across -seeds seeded interleavings
 //	             on the simulation substrate, with same-seed replay
@@ -27,12 +22,6 @@
 //	             optimizer split heavy-hitter keys across two tasks,
 //	             and the handled-tuple imbalance (max/mean) must drop
 //	             while results stay identical
-//	cluster    — scale-out: the TPC-H orders ⋈ lineitem stream through
-//	             the cluster front door at 1/2/4 shards (key-hash
-//	             routing + token-bucket admission); reports ingest
-//	             throughput, routing imbalance, and admission drops,
-//	             with result count and drops required identical across
-//	             shard counts
 //	churn      — incremental re-optimization: Fig. 9-regime query churn
 //	             at 100/500/1000 queries, re-optimizing every step from
 //	             scratch vs with cross-churn state (incumbent warm
@@ -80,7 +69,7 @@ import (
 // figures lists every -fig name in help order; the shorthands 7, 8, 9
 // and all expand to them.
 var figures = []string{"7b", "7c", "7d", "8a", "8b", "9a", "9b", "9c", "9d", "9e", "9f",
-	"overload", "simsweep", "longstate", "skew", "cluster", "churn", "chaos", "ablation"}
+	"simsweep", "longstate", "skew", "churn", "chaos", "ablation"}
 
 // parseFigures expands a comma-separated -fig value into the set of
 // figures to run. Names match exactly (case-insensitively); "7", "8"
@@ -140,14 +129,8 @@ func main() {
 	if want["skew"] {
 		runSkew(*seed)
 	}
-	if want["cluster"] {
-		runClusterBench(*seed)
-	}
 	if want["churn"] {
 		runChurn(*quick, *seed)
-	}
-	if want["overload"] {
-		runOverload(*quick, *seed)
 	}
 	if want["simsweep"] {
 		runSimSweep(*seeds, *quick, *seed, backend)
@@ -206,23 +189,6 @@ func runFig7(sf float64, quick bool, seed uint64) {
 	}
 }
 
-func runOverload(quick bool, seed uint64) {
-	cfg := bench.OverloadConfig{Seed: seed}
-	if quick {
-		// Shorter stream, proportionally tighter budget: the unexhaustible
-		// grant must still hit the wall for the comparison to show.
-		cfg.Tuples = 8000
-		cfg.MemoryLimitBytes = 256 << 10
-	}
-	fmt.Println("=== Overload survival — flow credit grants under one memory budget ===")
-	results, err := bench.OverloadSurvival(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(bench.FormatOverload(results))
-	fmt.Println()
-}
-
 // runLongState drives the state-backend shoot-out (DESIGN.md §10) on
 // every row of the state matrix — or only the ones named — and dies on a
 // vacuous or inconclusive stage (a MemoryLimitBytes run that survives
@@ -253,19 +219,6 @@ func runSkew(seed uint64) {
 		log.Fatal(err)
 	}
 	fmt.Print(bench.FormatSkew(rows))
-	fmt.Println()
-}
-
-// runClusterBench drives the scale-out sweep (DESIGN.md §13) and dies
-// when shard counts disagree on results or drops, or when admission
-// control never sheds.
-func runClusterBench(seed uint64) {
-	fmt.Println("=== Cluster — TPC-H stream across 1/2/4 shards (key-hash routing, token-bucket admission) ===")
-	rows, err := bench.ClusterBench(bench.ClusterBenchConfig{Seed: seed})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(bench.FormatCluster(rows))
 	fmt.Println()
 }
 

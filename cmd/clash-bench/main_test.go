@@ -10,6 +10,8 @@ import (
 // 7/8/9/all, and an error — not an empty run — for anything else. A
 // first letter used to select every figure sharing it ("c" ran cluster,
 // churn and chaos) and an unknown name printed nothing and exited 0.
+// cluster and overload are not figures: internal/cluster's and
+// internal/runtime's package tests check what those printers checked.
 func TestParseFigures(t *testing.T) {
 	for _, tc := range []struct {
 		spec string
@@ -19,7 +21,7 @@ func TestParseFigures(t *testing.T) {
 		{"8", []string{"8a", "8b"}},
 		{"9", []string{"9a", "9b", "9c", "9d", "9e", "9f"}},
 		{"7b", []string{"7b"}},
-		{"cluster", []string{"cluster"}},
+		{"simsweep", []string{"simsweep"}},
 		{"Chaos", []string{"chaos"}},
 		{"skew, 8a", []string{"8a", "skew"}},
 		{"all", figures},
@@ -40,7 +42,7 @@ func TestParseFigures(t *testing.T) {
 			t.Errorf("-fig %q selects %v, want %v", tc.spec, names, want)
 		}
 	}
-	for _, spec := range []string{"c", "s", "7x", "fig7", "", "7,", "longstat", "10"} {
+	for _, spec := range []string{"c", "s", "7x", "fig7", "", "7,", "longstat", "10", "cluster", "overload"} {
 		if got, err := parseFigures(spec); err == nil {
 			t.Errorf("-fig %q accepted (selects %v), want an error", spec, got)
 		}

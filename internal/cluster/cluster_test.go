@@ -242,59 +242,80 @@ func TestIngestUnknownRelation(t *testing.T) {
 
 // TestTokenBucketSheds: a burst beyond the bucket is shed at the front
 // door — drops are counted, the shards never see the excess, and the
-// cluster stays live for later, admissible traffic.
+// cluster stays live for later, admissible traffic. Admission runs
+// before routing, so the admitted subset is a function of event time
+// alone: at 1, 2 and 4 shards the same stream sheds the same tuples
+// and the merged results are byte-identical.
 func TestTokenBucketSheds(t *testing.T) {
 	qs, cat, topo := buildWorkload(t, "q1: R(a) S(a)")
-	tb := &cluster.TokenBucket{Rate: 1, Burst: 4, Policy: runtime.ShedOnOverload}
-	cl, err := cluster.New(cluster.Config{Queries: qs, Catalog: cat, Admission: tb},
-		newShards(t, cat, topo, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := cluster.NewMergeSink()
-	cl.OnResult("q1", sink.Add("q1"))
-
-	// 40 tuples in one event-time instant: burst admits 4, rest shed.
-	for i := 0; i < 40; i++ {
-		rel := "R"
-		if i%2 == 1 {
-			rel = "S"
-		}
-		if err := cl.Ingest(rel, 1, tuple.IntValue(0)); err != nil {
+	var first []byte
+	for _, n := range []int{1, 2, 4} {
+		tb := &cluster.TokenBucket{Rate: 1, Burst: 4, Policy: runtime.ShedOnOverload}
+		cl, err := cluster.New(cluster.Config{Queries: qs, Catalog: cat, Admission: tb},
+			newShards(t, cat, topo, n))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	m := cl.Metrics()
-	if m.AdmissionDrops != 36 {
-		t.Fatalf("AdmissionDrops = %d, want 36", m.AdmissionDrops)
-	}
-	if m.RoutedTuples != 4 {
-		t.Fatalf("RoutedTuples = %d, want 4 (the burst)", m.RoutedTuples)
-	}
+		sink := cluster.NewMergeSink()
+		cl.OnResult("q1", sink.Add("q1"))
 
-	// The cluster stays live: spaced traffic is admitted and joins.
-	for i := 0; i < 20; i++ {
-		rel := "R"
-		if i%2 == 1 {
-			rel = "S"
+		// 40 tuples in one event-time instant: burst admits 4, rest shed.
+		for i := 0; i < 40; i++ {
+			rel := "R"
+			if i%2 == 1 {
+				rel = "S"
+			}
+			if err := cl.Ingest(rel, 1, tuple.IntValue(0)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := cl.Ingest(rel, tuple.Time(10+10*i), tuple.IntValue(1)); err != nil {
+		m := cl.Metrics()
+		if m.AdmissionDrops != 36 {
+			t.Fatalf("%d shards: AdmissionDrops = %d, want 36", n, m.AdmissionDrops)
+		}
+		if m.RoutedTuples != 4 {
+			t.Fatalf("%d shards: RoutedTuples = %d, want 4 (the burst)", n, m.RoutedTuples)
+		}
+
+		// The cluster stays live: spaced traffic is admitted and joins.
+		for i := 0; i < 20; i++ {
+			rel := "R"
+			if i%2 == 1 {
+				rel = "S"
+			}
+			if err := cl.Ingest(rel, tuple.Time(10+10*i), tuple.IntValue(1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cl.Drain()
+		if err := cl.Failure(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	cl.Drain()
-	if err := cl.Failure(); err != nil {
-		t.Fatal(err)
-	}
-	m = cl.Metrics()
-	if m.AdmissionDrops != 36 {
-		t.Errorf("AdmissionDrops grew to %d after spaced traffic", m.AdmissionDrops)
-	}
-	if m.RoutedTuples != 24 {
-		t.Errorf("RoutedTuples = %d, want 24", m.RoutedTuples)
-	}
-	if sink.Count("q1") == 0 {
-		t.Error("no results after shedding stopped — cluster not live")
+		m = cl.Metrics()
+		if m.AdmissionDrops != 36 {
+			t.Errorf("%d shards: AdmissionDrops grew to %d after spaced traffic", n, m.AdmissionDrops)
+		}
+		if m.RoutedTuples != 24 {
+			t.Errorf("%d shards: RoutedTuples = %d, want 24", n, m.RoutedTuples)
+		}
+		if sink.Count("q1") == 0 {
+			t.Fatalf("%d shards: no results after shedding stopped — cluster not live", n)
+		}
+		busy := 0
+		for _, sm := range m.Shards {
+			if sm.Handled > 0 {
+				busy++
+			}
+		}
+		if n > 1 && busy < 2 {
+			t.Fatalf("%d shards: every admitted tuple landed on one shard — scale-out vacuous", n)
+		}
+		got := sink.Bytes("q1")
+		if first == nil {
+			first = got
+		} else if !bytes.Equal(got, first) {
+			t.Errorf("%d shards: %d merged results differ from 1 shard's", n, sink.Count("q1"))
+		}
 	}
 }
 

@@ -57,12 +57,12 @@ type Options struct {
 	NoPartitionConsistency bool
 	// Solver passes through branch-and-bound options.
 	Solver ilp.Options
-	// Reopt, when set, carries optimizer state across churn steps:
-	// the previous incumbent seeds branch-and-bound, MIR containment
-	// verdicts and the structure of candidate groups are memoized (each
-	// solve re-prices it), and unchanged ILP components are answered
-	// from their cached optimal solutions.
-	// nil re-optimizes from scratch (the previous behavior).
+	// Reopt, when set, carries optimizer state across churn steps: the
+	// MIR memo (enumeration and containment verdicts), the
+	// candidate-structure cache (each solve re-prices it) and the
+	// incumbent per eligibility regime, which seeds branch-and-bound.
+	// The ILP is solved afresh every step. nil re-optimizes from
+	// scratch.
 	Reopt *Reopt
 	// CostCoefficients scales the analytic cost model by runtime-
 	// measured per-tuple work (probe/insert/prune units normalized to

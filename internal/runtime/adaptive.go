@@ -32,11 +32,9 @@ type ControllerConfig struct {
 	// change: the active plans and the plans warming up MIR stores.
 	OnDecision func(epoch int64, plans, warming []*core.Plan)
 	// IncrementalReopt carries optimizer state across re-optimization
-	// steps (core.Reopt): the previous plan seeds branch-and-bound, MIR
-	// containment verdicts and candidate groups are memoized, unchanged
-	// ILP components are answered from cache, and node evaluation runs
-	// on a bounded worker pool — re-planning cost becomes proportional
-	// to the churn delta, not the installed query count.
+	// steps (core.Reopt): the MIR memo, the candidate-structure cache
+	// and the incumbent per eligibility regime, which seeds
+	// branch-and-bound. The ILP is solved afresh every step.
 	IncrementalReopt bool
 	// MeasuredCosts calibrates the optimizer's cost coefficients from
 	// the engine's runtime counters (requires the engine's

@@ -185,8 +185,9 @@ func TestFlowBoundsQueueingUnderOverload(t *testing.T) {
 // TestFlowSurvivesWhereUnboundedDies is the overload-survival core: a
 // memory budget that buffering under an unexhaustible credit grant must
 // blow through (Fig. 8a death) while a small grant's backpressure stays
-// within it — and, under BlockOnOverload, without losing a single
-// result.
+// within it — under BlockOnOverload without losing a single result,
+// under ShedOnOverload with every offered tuple either admitted or
+// counted as shed.
 func TestFlowSurvivesWhereUnboundedDies(t *testing.T) {
 	const (
 		loops  = 50000
@@ -240,6 +241,26 @@ func TestFlowSurvivesWhereUnboundedDies(t *testing.T) {
 	}
 	if m.Results != wantResults {
 		t.Errorf("flow substrate produced %d results, exact reference %d", m.Results, wantResults)
+	}
+
+	shed, cat := overloadFixture(t, Config{
+		OverheadLoops:    loops,
+		DefaultWindow:    time.Duration(window),
+		MemoryLimitBytes: budget,
+		Substrate:        SubstrateFlow,
+		Flow:             FlowConfig{MailboxCredits: 16, Policy: ShedOnOverload},
+	})
+	if _, err := driveOverload(shed, cat, n, window); err != nil {
+		t.Fatalf("shedding flow substrate died under the same budget: %v", err)
+	}
+	shed.Drain()
+	m = shed.Metrics().Snapshot()
+	shed.Stop()
+	if m.ShedTuples == 0 {
+		t.Error("ShedOnOverload dropped nothing under overload")
+	}
+	if m.Ingested+m.ShedTuples != int64(n) {
+		t.Errorf("ShedOnOverload admitted %d + shed %d != offered %d", m.Ingested, m.ShedTuples, n)
 	}
 }
 
