@@ -563,7 +563,10 @@ func start(cfg Config, journal runtime.Journal) (*Engine, error) {
 // Ingest feeds one tuple of the relation into the engine. In adaptive
 // mode it also advances the epoch controller; with WAL durability on,
 // the tuple is logged before it is applied and an incremental
-// checkpoint is taken when the cadence comes due.
+// checkpoint is taken when the cadence comes due. A tuple of an epoch
+// that a re-optimization targets is routed only after that
+// configuration is installed, waiting for its solve if need be; a
+// failed solve is returned here and fails the engine.
 func (e *Engine) Ingest(rel string, ts Time, vals ...Value) error {
 	if err := e.eng.Ingest(rel, ts, vals...); err != nil {
 		return err
@@ -583,21 +586,31 @@ func (e *Engine) Ingest(rel string, ts Time, vals ...Value) error {
 // worker goroutines and must be fast and thread-safe.
 func (e *Engine) OnResult(queryName string, fn func(*Tuple)) { e.eng.OnResult(queryName, fn) }
 
-// AddQuery installs a new continuous query at runtime; existing store
-// state is reused so results appear without a cold start (Sec. VI-B).
+// AddQuery registers a new continuous query at runtime and returns
+// once it is registered. The new configuration is solved beside the
+// stream and installed at the next epoch boundary, before the first
+// tuple of that epoch is routed; existing store state is reused so
+// results appear without a cold start (Sec. VI-B). A duplicate name is
+// reported here; a solve that fails fails the engine, and the Ingest
+// that reaches its epoch (or Failure, after Drain) reports it.
 func (e *Engine) AddQuery(q *Query) error { return e.ctl.AddQuery(q) }
 
-// RemoveQuery deregisters a query; stores that served only this query
-// are torn down by reference counting.
+// RemoveQuery deregisters a query and returns once it is deregistered;
+// stores that served only this query are torn down by reference
+// counting when the next configuration — solved beside the stream like
+// AddQuery's — is installed. An unknown name is reported here.
 func (e *Engine) RemoveQuery(name string) error { return e.ctl.RemoveQuery(name) }
 
-// Plan returns the most recently installed plan.
+// Plan returns the most recently installed plan: a configuration still
+// being solved, or waiting for its epoch, is not reflected. Drain first
+// to read the plan that answers every AddQuery and RemoveQuery so far.
 func (e *Engine) Plan() *Plan { return e.ctl.Plan() }
 
 // Estimates returns the current blended data-characteristic estimates.
 func (e *Engine) Estimates() *Estimates { return e.ctl.Estimates() }
 
-// Reoptimizations returns how many configurations have been installed.
+// Reoptimizations returns how many configurations have been installed,
+// counted at install like Plan.
 func (e *Engine) Reoptimizations() int { return e.ctl.Reoptimizations() }
 
 // Metrics returns a snapshot of the runtime counters.
@@ -605,7 +618,7 @@ func (e *Engine) Metrics() MetricsSnapshot { return e.eng.Metrics().Snapshot() }
 
 // Snapshot is Metrics under the name the cluster layer's Shard
 // interface expects — an Engine drops into a Cluster as one shard.
-func (e *Engine) Snapshot() MetricsSnapshot { return e.eng.Metrics().Snapshot() }
+func (e *Engine) Snapshot() MetricsSnapshot { return e.Metrics() }
 
 // Pressure returns the engine's aggregated overload signal: queued
 // work, the deepest task backlog, the flow substrate's credit balance,
@@ -619,8 +632,9 @@ func (e *Engine) TaskGauges() []TaskGauge { return e.eng.TaskGauges() }
 // ResetLatency clears latency aggregates (per-interval reporting).
 func (e *Engine) ResetLatency() { e.eng.Metrics().ResetLatency() }
 
-// Drain blocks until all in-flight tuples are processed. On the
-// simulation substrate this runs the seeded scheduler to quiescence.
+// Drain blocks until every configuration still being solved is
+// installed and all in-flight tuples are processed. On the simulation
+// substrate this runs the seeded scheduler to quiescence.
 func (e *Engine) Drain() { e.eng.Drain() }
 
 // VirtualClock returns the engine's virtual clock on the simulation

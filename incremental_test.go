@@ -210,6 +210,9 @@ func churnPlans(t *testing.T, steps int) []string {
 			}
 			active = active[1:]
 		}
+		// Plan is the installed plan: drain so it is step s's, not the
+		// previous step's still waiting for its epoch.
+		eng.Drain()
 		out = append(out, render())
 	}
 	return out
@@ -233,5 +236,101 @@ func TestChurnPlansIndependentOfCoreCount(t *testing.T) {
 		if one[s] != four[s] {
 			t.Fatalf("step %d: the plan depends on GOMAXPROCS:\n  1 core:  %s\n  4 cores: %s", s, one[s], four[s])
 		}
+	}
+}
+
+// TestStopWaitsForSolves pins that a solve running beside the stream
+// never outlives its engine: Stop right after AddQuery, with the solve
+// still in flight, fifty times over, leaves no goroutine behind.
+func TestStopWaitsForSolves(t *testing.T) {
+	env := workload.NewEnv(40, 100)
+	pool := env.RandomQueries(25, 3, 1)
+	if len(pool) < 25 {
+		t.Fatalf("workload generation came up short (%d queries)", len(pool))
+	}
+	cfg := Config{
+		Queries: pool[:24], Catalog: env.Catalog(),
+		DefaultWindow:    8000,
+		EpochLength:      500,
+		Synchronous:      true,
+		IncrementalReopt: true,
+		InitialEstimates: env.Estimates(),
+	}
+	cfg.Optimizer = OptimizerOptions{MaxCandidatesPerGroup: 12}
+	cfg.Optimizer.Solver.MaxNodes = 2000
+	base := goruntime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		eng, err := Start(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.AddQuery(pool[24]); err != nil {
+			t.Fatal(err)
+		}
+		eng.Stop()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for goruntime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after 50 Start/AddQuery/Stop rounds, %d before", goruntime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFailedSolveFailsEngine pins where a re-optimization's error goes
+// now that AddQuery no longer solves: AddQuery returns once the query is
+// registered, and the solve's failure fails the engine at its barrier —
+// the Ingest that reaches the target epoch returns it, and Failure
+// reports it after Drain. A disconnected query has no probe order, so
+// its solve fails every time.
+func TestFailedSolveFailsEngine(t *testing.T) {
+	bad, _, err := ParseQuery("q2: R(a) S(a) T(b) U(b)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := func() *Engine {
+		eng, err := Start(Config{
+			Workload:      "q1: R(a) S(a,b) T(b)\nq9: T(b) U(b)",
+			Synchronous:   true,
+			DefaultWindow: 1000,
+			EpochLength:   100,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Ingest("R", 150, Int(1)); err != nil { // epoch 1
+			t.Fatal(err)
+		}
+		if err := eng.AddQuery(bad); err != nil {
+			t.Fatalf("AddQuery reported the solve: %v", err)
+		}
+		if err := eng.AddQuery(bad); err == nil {
+			t.Fatal("a duplicate name must still fail AddQuery")
+		}
+		return eng
+	}
+
+	eng := start()
+	defer eng.Stop()
+	if err := eng.Ingest("R", 199, Int(1)); err != nil {
+		t.Fatalf("the failure surfaced before the target epoch: %v", err)
+	}
+	err = eng.Ingest("R", 200, Int(1)) // epoch 2: the barrier
+	if err == nil || !strings.Contains(err.Error(), "no probe order") {
+		t.Fatalf("Ingest at the target epoch returned %v, want the solve's error", err)
+	}
+	if eng.Failure() != err {
+		t.Fatalf("Failure() = %v, want the error Ingest returned (%v)", eng.Failure(), err)
+	}
+	if eng.Ingest("R", 201, Int(1)) == nil {
+		t.Fatal("a failed engine accepted another tuple")
+	}
+
+	drained := start()
+	defer drained.Stop()
+	drained.Drain()
+	if err := drained.Failure(); err == nil || !strings.Contains(err.Error(), "no probe order") {
+		t.Fatalf("Failure() after Drain = %v, want the solve's error", err)
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // controllerStep is one churn step as the adaptive controller runs it
-// (runtime/adaptive.go, reoptimizeLocked): the installed set changed by
+// (runtime/adaptive.go, Controller.solve): the installed set changed by
 // one query, the estimates are a snapshot nobody has seen before, and the
 // joint optimizer runs twice — unrestricted, then with the composite MIRs
 // of stores still warming up banned.

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"clash/internal/core"
@@ -29,7 +30,9 @@ type ControllerConfig struct {
 	// (the paper's "S" baseline in Fig. 8).
 	Static bool
 	// OnDecision, when set, observes every installed configuration
-	// change: the active plans and the plans warming up MIR stores.
+	// change: the active plans and the plans warming up MIR stores. It
+	// runs at the install barrier, on the goroutine that reached it
+	// (Ingest or Drain), and must not call back into Drain.
 	OnDecision func(epoch int64, plans, warming []*core.Plan)
 	// IncrementalReopt carries optimizer state across re-optimization
 	// steps (core.Reopt): the MIR memo, the candidate-structure cache
@@ -53,28 +56,52 @@ const blendAlpha = 0.5
 // Controller implements the epoch-based adaptive configuration of
 // Sec. VI: statistics gathering, decision making, and ruleset
 // propagation, plus query arrival and expiry (Sec. VI-B).
+//
+// Decisions are solved beside the stream (DESIGN.md §14): a trigger —
+// Tick at an epoch boundary, AddQuery, RemoveQuery — registers its
+// change, snapshots what the solve reads and hands it to the engine's
+// install barrier (barrier.go), which runs the solves one at a time in
+// trigger order and installs each result before the engine routes the
+// first tuple of its target epoch.
 type Controller struct {
 	cfg ControllerConfig
 	eng *Engine
 
+	// Trigger side: the ingesting goroutine's, under mu.
 	mu         sync.Mutex
 	queries    map[string]*query.Query
 	order      []string
 	est        *stats.Estimates
-	lastSealed int64 // highest epoch whose statistics were evaluated
-	reoptims   int
-	lastPlan   *core.Plan
-	lastSig    string
-	liveSince  map[string]int64 // composite MIR key -> first epoch fed
-	startEpoch int64
-	reopt      *core.Reopt       // nil unless IncrementalReopt
+	lastSealed int64             // highest epoch whose statistics were evaluated
 	coef       cost.Coefficients // calibrated cost coefficients (MeasuredCosts)
 	preds      []query.Predicate // allPredsLocked's result for the installed query set; nil when stale
+
+	// Solver side: owned by the solve running at the time (one at a
+	// time, in trigger order); smu only lets ReoptStats read reopt
+	// between solves.
+	smu        sync.Mutex
+	reoptims   int              // decisions solved that changed the configuration
+	lastSig    string           // planSignature of the last such decision
+	liveSince  map[string]int64 // composite MIR key -> first epoch fed
+	startEpoch int64
+	reopt      *core.Reopt // nil unless IncrementalReopt
+
+	// Install side: written at the barrier.
+	lastPlan atomic.Pointer[core.Plan]
+	installs atomic.Int64
+}
+
+// solveInput is what a solve reads, snapshotted at its trigger.
+type solveInput struct {
+	queries []*query.Query // in registration order
+	est     *stats.Estimates
+	coef    cost.Coefficients
+	epoch   int64 // target: the configuration takes effect here
 }
 
 // NewController creates a controller over the engine, optimizes the
 // initial query set with the initial estimates, and installs the first
-// configuration at epoch 0.
+// configuration at epoch 0 before it returns.
 func NewController(eng *Engine, cfg ControllerConfig, queries []*query.Query, initial *stats.Estimates) (*Controller, error) {
 	c := &Controller{
 		cfg:        cfg,
@@ -92,25 +119,21 @@ func NewController(eng *Engine, cfg ControllerConfig, queries []*query.Query, in
 		c.queries[q.Name] = q
 		c.order = append(c.order, q.Name)
 	}
-	if err := c.reoptimize(0); err != nil {
+	if err := c.solve(c.snapshotLocked(0))(); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// Plan returns the most recently installed plan.
-func (c *Controller) Plan() *core.Plan {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastPlan
-}
+// Plan returns the most recently installed plan. A decision still being
+// solved, or solved but not yet at its barrier, is not reflected; Drain
+// the engine first to read the plan of every trigger so far.
+func (c *Controller) Plan() *core.Plan { return c.lastPlan.Load() }
 
-// Reoptimizations returns how many configuration changes were installed.
-func (c *Controller) Reoptimizations() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.reoptims
-}
+// Reoptimizations returns how many configuration changes were
+// installed, the initial one included; like Plan, it counts a decision
+// once it is installed, not when it is triggered.
+func (c *Controller) Reoptimizations() int { return int(c.installs.Load()) }
 
 // calibrateLocked blends the engine's measured per-tuple costs into the
 // optimizer coefficients. Probe is the normalization unit (always 1);
@@ -139,10 +162,11 @@ func (c *Controller) CostCoefficients() cost.Coefficients {
 // ReoptStats reports what the incremental re-optimization state did over
 // the controller's lifetime: cache counters, and per joint solve how the
 // incumbent repair went and which warm-start variant seeded the search.
-// The zero value when IncrementalReopt is off.
+// The zero value when IncrementalReopt is off. A solve in progress is
+// waited for; one not yet started is not.
 func (c *Controller) ReoptStats() core.ReoptStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.smu.Lock()
+	defer c.smu.Unlock()
 	if c.reopt == nil {
 		return core.ReoptStats{}
 	}
@@ -158,10 +182,10 @@ func (c *Controller) Estimates() *stats.Estimates {
 
 // Tick advances the adaptive loop: when the engine's watermark has
 // crossed into a new epoch, the previous epoch's statistics are sealed
-// and evaluated, and — unless Static — a new configuration is compiled
-// for epoch+2 (Fig. 5). Tick also prunes expired state. Call it from the
-// source driver after each batch; it is cheap when no boundary was
-// crossed.
+// and evaluated, and — unless Static — a new configuration is solved
+// beside the stream for epoch+2 (Fig. 5). Tick also prunes expired
+// state. Call it from the source driver after each batch; it is cheap
+// when no boundary was crossed, and it never waits for a solve.
 func (c *Controller) Tick() error {
 	if c.eng.cfg.EpochLength <= 0 {
 		return nil
@@ -184,7 +208,7 @@ func (c *Controller) Tick() error {
 	}
 
 	// Window expiry.
-	maxW := c.maxWindowLocked()
+	maxW := c.maxWindow()
 	if maxW > 0 {
 		c.eng.PruneBefore(c.eng.Watermark() - tuple.Time(maxW))
 	}
@@ -192,13 +216,16 @@ func (c *Controller) Tick() error {
 	if c.cfg.Static {
 		return nil
 	}
-	return c.reoptimizeLocked(cur + 2)
+	c.triggerLocked(cur + 2)
+	return nil
 }
 
-// AddQuery registers a new continuous query. Existing stores are reused
-// (the bootstrap benefit of Sec. VI-B): the new configuration is
+// AddQuery registers a new continuous query and returns once it is
+// registered. Existing stores are reused (the bootstrap benefit of
+// Sec. VI-B): the new configuration is solved beside the stream and
 // installed at the next epoch rather than waiting a full statistics
-// cycle.
+// cycle. Only a duplicate name is reported here; a solve that fails
+// fails the engine at its barrier (Engine.Failure).
 func (c *Controller) AddQuery(q *query.Query) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -208,12 +235,14 @@ func (c *Controller) AddQuery(q *query.Query) error {
 	c.queries[q.Name] = q
 	c.order = append(c.order, q.Name)
 	c.preds = nil
-	return c.reoptimizeLocked(c.nextEpochLocked())
+	c.triggerLocked(c.nextEpochLocked())
+	return nil
 }
 
-// RemoveQuery deregisters a query; stores whose reference count drops to
-// zero disappear from the next configuration and their state expires
-// with its epochs.
+// RemoveQuery deregisters a query and returns once it is deregistered;
+// stores whose reference count drops to zero disappear from the next
+// configuration, solved beside the stream like AddQuery's, and their
+// state expires with its epochs. Only an unknown name is reported here.
 func (c *Controller) RemoveQuery(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -229,7 +258,8 @@ func (c *Controller) RemoveQuery(name string) error {
 	}
 	c.order = kept
 	c.preds = nil
-	return c.reoptimizeLocked(c.nextEpochLocked())
+	c.triggerLocked(c.nextEpochLocked())
+	return nil
 }
 
 func (c *Controller) nextEpochLocked() int64 {
@@ -239,23 +269,40 @@ func (c *Controller) nextEpochLocked() int64 {
 	return c.eng.Epoch(c.eng.Watermark()) + 1
 }
 
-func (c *Controller) reoptimize(epoch int64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.reoptimizeLocked(epoch)
+// snapshotLocked captures what a solve for the target epoch reads: the
+// query list in registration order, the estimates (Blend always returns
+// a fresh object, so the pointer is the snapshot) and the coefficients.
+func (c *Controller) snapshotLocked(epoch int64) solveInput {
+	qs := make([]*query.Query, 0, len(c.order))
+	for _, n := range c.order {
+		qs = append(qs, c.queries[n])
+	}
+	return solveInput{queries: qs, est: c.est, coef: c.coef, epoch: epoch}
 }
 
-// reoptimizeLocked re-plans the current query set for the target epoch.
+// triggerLocked hands a re-optimization for the target epoch to the
+// engine's install barrier.
+func (c *Controller) triggerLocked(epoch int64) {
+	in := c.snapshotLocked(epoch)
+	c.eng.schedule(epoch, func() func() error { return c.solve(in) })
+}
+
+// solve re-plans the snapshotted query set for its target epoch and
+// returns the step that installs the result: Install, then
+// RetireAbsentStores, then OnDecision. It runs beside the stream (the
+// initial solve excepted), one solve at a time in trigger order, and
+// never takes mu.
+//
 // Newly desirable MIR stores go through a warm-up stage: their feeding
 // probe orders are installed immediately, but probe orders only use the
 // store once it has been fed for a full window (Fig. 6: only after a
 // window the state is complete). Until then a restricted plan answers
 // the queries exactly.
-func (c *Controller) reoptimizeLocked(epoch int64) error {
-	qs := make([]*query.Query, 0, len(c.order))
-	for _, n := range c.order {
-		qs = append(qs, c.queries[n])
-	}
+func (c *Controller) solve(in solveInput) (install func() error) {
+	c.smu.Lock()
+	defer c.smu.Unlock()
+	fail := func(err error) func() error { return func() error { return err } }
+	epoch := in.epoch
 
 	if c.reopt != nil {
 		c.reopt.Advance()
@@ -267,18 +314,18 @@ func (c *Controller) reoptimizeLocked(epoch int64) error {
 			opts.Reopt = c.reopt
 		}
 		if c.cfg.MeasuredCosts {
-			coef := c.coef
+			coef := in.coef
 			opts.CostCoefficients = &coef
 		}
 		o := core.NewOptimizer(opts)
 		if c.cfg.Shared {
-			p, err := o.Optimize(qs, c.est)
+			p, err := o.Optimize(in.queries, in.est)
 			if err != nil {
 				return nil, err
 			}
 			return []*core.Plan{p}, nil
 		}
-		return o.OptimizeIndividually(qs, c.est)
+		return o.OptimizeIndividually(in.queries, in.est)
 	}
 
 	// Up to two joint solves per step on the one Reopt. They run under
@@ -286,7 +333,7 @@ func (c *Controller) reoptimizeLocked(epoch int64) error {
 	// each is warm-started from the previous step's solve of its own kind.
 	plans, err := optimize(nil) // unrestricted: what we would like to run
 	if err != nil {
-		return err
+		return fail(err)
 	}
 
 	initial := c.reoptims == 0
@@ -319,21 +366,27 @@ func (c *Controller) reoptimizeLocked(epoch int64) error {
 		warmPlan := warmingPlan(plans, immature, mature)
 		plans, err = optimize(mature)
 		if err != nil {
-			return err
+			return fail(err)
 		}
 		if warmPlan != nil {
 			warming = []*core.Plan{warmPlan}
 		}
 	}
+	var last *core.Plan
 	if len(plans) > 0 {
-		c.lastPlan = plans[len(plans)-1]
+		last = plans[len(plans)-1]
+	}
+	publish := func() {
+		if last != nil {
+			c.lastPlan.Store(last)
+		}
 	}
 
 	// Identical decisions need no rewiring: the previous configuration
 	// stays in effect and the workers see no churn.
 	sig := planSignature(plans, warming)
 	if c.reoptims > 0 && sig == c.lastSig {
-		return nil
+		return func() error { publish(); return nil }
 	}
 
 	topo, err := core.Compile(append(append([]*core.Plan{}, plans...), warming...),
@@ -343,23 +396,9 @@ func (c *Controller) reoptimizeLocked(epoch int64) error {
 			Parallelism: c.cfg.Optimizer.Options().Parallelism(),
 		})
 	if err != nil {
-		return err
-	}
-	if err := c.eng.Install(topo, epoch); err != nil {
-		return err
-	}
-	// State migration on rewiring: stores that just left every installed
-	// configuration (query expiry, plan changes) release their
-	// materialized state — unreachable by any probe, it would only burn
-	// the state budget. Skipped on the very first install (nothing can
-	// be stale yet).
-	if c.reoptims > 0 {
-		c.eng.RetireAbsentStores()
+		return fail(err)
 	}
 	c.lastSig = sig
-	if c.cfg.OnDecision != nil {
-		c.cfg.OnDecision(epoch, plans, warming)
-	}
 
 	// Liveness bookkeeping: composite stores present in the installed
 	// config keep (or gain) their live-since epoch; dropped stores lose
@@ -384,9 +423,27 @@ func (c *Controller) reoptimizeLocked(epoch int64) error {
 			}
 		}
 	}
-
 	c.reoptims++
-	return nil
+
+	return func() error {
+		publish()
+		if err := c.eng.Install(topo, epoch); err != nil {
+			return err
+		}
+		// State migration on rewiring: stores that just left every
+		// installed configuration (query expiry, plan changes) release
+		// their materialized state — unreachable by any probe, it would
+		// only burn the state budget. Skipped on the very first install
+		// (nothing can be stale yet).
+		if !initial {
+			c.eng.RetireAbsentStores()
+		}
+		if c.cfg.OnDecision != nil {
+			c.cfg.OnDecision(epoch, plans, warming)
+		}
+		c.installs.Add(1)
+		return nil
+	}
 }
 
 // planSignature canonically renders a decision for change detection.
@@ -411,7 +468,7 @@ func (c *Controller) warmupEpochs() int64 {
 	if el <= 0 {
 		return 0
 	}
-	w := c.maxWindowLocked()
+	w := c.maxWindow()
 	if w <= 0 {
 		return 1 << 30 // unbounded windows: new MIRs never complete
 	}
@@ -484,7 +541,7 @@ func (c *Controller) allPredsLocked() []query.Predicate {
 	return preds
 }
 
-func (c *Controller) maxWindowLocked() time.Duration {
+func (c *Controller) maxWindow() time.Duration {
 	cat := c.eng.cfg.Catalog
 	if cat == nil {
 		return c.eng.cfg.DefaultWindow

@@ -1,11 +1,13 @@
 package runtime
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"clash/internal/core"
 	"clash/internal/query"
+	"clash/internal/rng"
 	"clash/internal/stats"
 	"clash/internal/tuple"
 )
@@ -214,4 +216,156 @@ func TestControllerInstallsConfigsAhead(t *testing.T) {
 		t.Error("no configuration installed ahead of the watermark")
 	}
 	h.eng.Stop()
+}
+
+// TestSolveBesideStreamMatchesInline pins that solving beside the stream
+// changes when a decision is computed, never what is installed where:
+// one schedule — epoch re-plans interleaved with AddQuery and
+// RemoveQuery in mid-epoch, so a churn solve for e+1 queues behind a
+// re-plan for e+2 — runs once with Drain after every trigger, which
+// installs each decision before the stream moves on as an inline solve
+// did, and once without. Both must install the same (epoch, plan
+// signature) sequence and deliver byte-identical results in the same
+// order.
+func TestSolveBesideStreamMatchesInline(t *testing.T) {
+	epochs := 36
+	if testing.Short() {
+		epochs = 18
+	}
+	const epochLen = 20
+	type decision struct {
+		epoch int64
+		sig   string
+	}
+	type outcome struct {
+		decisions []decision
+		results   []string
+		// Beside-the-stream arm only: churn steps after which
+		// Reoptimizations() had not moved yet, and those whose solve
+		// queued behind a pending one for a later epoch.
+		unmoved, behindLater int
+	}
+	run := func(inline bool) outcome {
+		pool, cat, err := query.ParseWorkload(`
+q1: R(a) S(a,b) T(b)
+q2: S(b) T(b,c) U(c)
+q3: R(a) S(a,b) T(b,c) U(c)
+q4: T(c) U(c)`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out outcome
+		col := stats.NewCollector(64, 32, 1)
+		eng := New(Config{
+			Catalog:       cat,
+			DefaultWindow: 3 * epochLen,
+			EpochLength:   epochLen,
+			Synchronous:   true,
+			Observer:      func(rel string, tt *tuple.Tuple) { col.Observe(rel, tt) },
+		})
+		defer eng.Stop()
+		initial := stats.NewEstimates(0.1)
+		for _, rel := range cat.Names() {
+			initial.SetRate(rel, 100)
+		}
+		ctl, err := NewController(eng, ControllerConfig{
+			Optimizer:        core.NewOptimizer(core.Options{StoreParallelism: 2}),
+			Collector:        col,
+			Shared:           true,
+			IncrementalReopt: true,
+			OnDecision: func(epoch int64, plans, warming []*core.Plan) {
+				out.decisions = append(out.decisions, decision{epoch, planSignature(plans, warming)})
+			},
+		}, pool[:2], initial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range pool {
+			name := q.Name
+			eng.OnResult(name, func(tt *tuple.Tuple) { out.results = append(out.results, name+" "+tt.String()) })
+		}
+		tick := func() {
+			if err := ctl.Tick(); err != nil {
+				t.Fatal(err)
+			}
+			if inline {
+				eng.Drain()
+			}
+		}
+		churn := func(f func() error) {
+			before := ctl.Reoptimizations()
+			if err := f(); err != nil {
+				t.Fatal(err)
+			}
+			if inline {
+				eng.Drain()
+				return
+			}
+			if ctl.Reoptimizations() == before {
+				out.unmoved++
+			}
+			eng.barrier.mu.Lock()
+			pending := slices.Clone(eng.barrier.pending)
+			eng.barrier.mu.Unlock()
+			if n := len(pending); n > 0 && slices.ContainsFunc(pending, func(p *pendingSolve) bool { return p.target > pending[n-1].target }) {
+				out.behindLater++
+			}
+		}
+
+		r := rng.New(11)
+		rels := cat.Names()
+		steps := 0
+		for ts := tuple.Time(1); ts <= tuple.Time(epochs*epochLen); ts++ {
+			rel := cat.Relation(rels[r.Intn(len(rels))])
+			vals := make([]tuple.Value, len(rel.Attrs))
+			for j := range vals {
+				vals[j] = tuple.IntValue(r.Int64n(4))
+			}
+			if err := eng.Ingest(rel.Name, ts, vals...); err != nil {
+				t.Fatal(err)
+			}
+			tick()
+			// Mid-epoch churn every third epoch, after the epoch's re-plan
+			// (for e+2) was triggered: q3 and q4 arrive, then leave again.
+			if ts%epochLen == 7 && (ts/epochLen)%3 == 1 {
+				q := pool[2+steps/2%2]
+				if steps%2 == 0 {
+					churn(func() error { return ctl.AddQuery(q) })
+				} else {
+					churn(func() error { return ctl.RemoveQuery(q.Name) })
+				}
+				steps++
+			}
+		}
+		eng.Drain()
+		if err := eng.Failure(); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+
+	inline, beside := run(true), run(false)
+	if len(inline.decisions) < 4 || len(inline.results) == 0 {
+		t.Fatalf("vacuous: %d decisions, %d results", len(inline.decisions), len(inline.results))
+	}
+	if !slices.Equal(inline.decisions, beside.decisions) {
+		for i := 0; i < min(len(inline.decisions), len(beside.decisions)); i++ {
+			if inline.decisions[i] != beside.decisions[i] {
+				t.Fatalf("decision %d differs: epoch %d inline, %d beside the stream (of %d / %d decisions)",
+					i, inline.decisions[i].epoch, beside.decisions[i].epoch, len(inline.decisions), len(beside.decisions))
+			}
+		}
+		t.Fatalf("%d decisions inline, %d beside the stream", len(inline.decisions), len(beside.decisions))
+	}
+	if !slices.Equal(inline.results, beside.results) {
+		t.Fatalf("results differ: %d inline, %d beside the stream", len(inline.results), len(beside.results))
+	}
+	if beside.unmoved == 0 {
+		t.Error("Reoptimizations() moved at every trigger: no solve ran beside the stream")
+	}
+	if beside.behindLater == 0 {
+		t.Error("no churn solve queued behind a re-plan for a later epoch: the min-target barrier went untested")
+	}
+	t.Logf("%d decisions, %d results; beside the stream: %d churn steps unmoved, %d behind a later re-plan",
+		len(beside.decisions), len(beside.results), beside.unmoved, beside.behindLater)
 }

@@ -149,7 +149,8 @@ func (e *Engine) Seq() uint64 { return e.seq.Load() }
 // those now empty (a prune or eviction emptied them; the incremental
 // checkpointer tombstones those), so a checkpoint's cost follows the
 // hot state, not the window. The full walk (a snapshot) skips empty
-// epochs.
+// epochs. It drains first, so re-optimizations still being solved are
+// installed before the walk.
 func (e *Engine) Segments(dirtyOnly bool) ([]Segment, error) {
 	e.Drain()
 	if n := e.inflight.Load(); n != 0 {

@@ -235,6 +235,10 @@ type Engine struct {
 	stopDone    chan struct{} // closed when the winning Stop finishes
 	closeErr    error         // first backend-teardown failure; written by the winning Stop before stopDone closes
 	jrnl        atomic.Pointer[journalBox]
+
+	// barrier holds the re-optimizations being solved beside the stream
+	// (barrier.go); Ingest installs them at their target epoch.
+	barrier barrier
 }
 
 type epochConfig struct {
@@ -257,6 +261,7 @@ func New(cfg Config) *Engine {
 		stopDone:    make(chan struct{}),
 	}
 	e.qCond = sync.NewCond(&e.qMu)
+	e.barrier.min.Store(noPending)
 	e.SetJournal(cfg.Journal)
 	kind := cfg.Substrate
 	if kind == SubstrateAuto {
@@ -511,6 +516,16 @@ func (e *Engine) Ingest(rel string, ts tuple.Time, vals ...tuple.Value) error {
 	if len(vals) != schema.Len()-1 {
 		return fmt.Errorf("runtime: %d values for relation %s with %d attributes", len(vals), rel, schema.Len()-1)
 	}
+	// The install barrier (barrier.go): a re-optimization targeting this
+	// tuple's epoch or an earlier one is installed before the tuple is
+	// routed. One atomic load when nothing is pending.
+	ownEpoch := e.Epoch(ts)
+	if ownEpoch >= e.barrier.min.Load() {
+		e.installDue(ownEpoch)
+		if err := e.Failure(); err != nil {
+			return err
+		}
+	}
 	// Flow-controlled admission (credit protocol, flow.go) runs before
 	// any engine lock is taken, so a blocked producer can never stall
 	// workers or a concurrent Install. A shed tuple is dropped silently
@@ -562,7 +577,6 @@ func (e *Engine) Ingest(rel string, ts tuple.Time, vals ...tuple.Value) error {
 	// epoch's probe trees. Probes scan the containers of all epochs
 	// within the window, so cross-epoch join partners are found without
 	// replicating state (Sec. VI-A).
-	ownEpoch := e.Epoch(ts)
 	e.mu.RLock()
 	if ec := e.configFor(ownEpoch); ec != nil {
 		steps := ec.comp.spouts[rel]
@@ -572,14 +586,16 @@ func (e *Engine) Ingest(rel string, ts tuple.Time, vals ...tuple.Value) error {
 	}
 	e.mu.RUnlock()
 
+	// The engine's own pumps drain the substrate only: waiting here for
+	// a solve beside the stream would serialize it with ingest again.
 	if e.syncMode {
-		e.Drain()
+		e.sub.drain()
 	} else if e.cfg.StepMode && !e.sub.reentrant() {
 		// A sink re-entering Ingest from a dispatch goroutine must not
 		// drain: the message being handled below this frame keeps the
 		// in-flight count nonzero, so the wait could never settle. The
 		// outer (source-side) step drain settles the feedback instead.
-		e.Drain()
+		e.sub.drain()
 	}
 	return e.Failure()
 }
@@ -1023,13 +1039,20 @@ func (e *Engine) deliverResultBatch(queryName string, batch []*tuple.Tuple, wall
 	}
 }
 
-// Drain blocks until every queued and in-process message has been
-// handled. Combined with timestamp-ordered ingestion this yields exact
-// symmetric-join semantics. No concurrent Ingest may run.
-func (e *Engine) Drain() { e.sub.drain() }
+// Drain blocks until every re-optimization being solved beside the
+// stream is installed (barrier.go) and every queued and in-process
+// message has been handled. Combined with timestamp-ordered ingestion
+// this yields exact symmetric-join semantics. No concurrent Ingest may
+// run.
+func (e *Engine) Drain() {
+	e.installDue(noPending)
+	e.sub.drain()
+}
 
-// Stop drains and terminates all tasks. A producer blocked at the flow
-// substrate's admission gate is woken and observes the stop. Stop is
+// Stop drains and terminates all tasks. Re-optimizations still being
+// solved beside the stream are waited for, not installed, so no solve
+// outlives the engine. A producer blocked at the flow substrate's
+// admission gate is woken and observes the stop. Stop is
 // idempotent and safe to call concurrently: exactly one caller performs
 // the shutdown, every other caller blocks until it has finished, so no
 // Stop ever returns while tasks are still running.
@@ -1139,7 +1162,7 @@ func (e *Engine) PruneBefore(cut tuple.Time) {
 		t.requestPrune(cut)
 	}
 	if e.syncMode {
-		e.Drain()
+		e.sub.drain()
 	}
 }
 
@@ -1180,6 +1203,6 @@ func (e *Engine) RetireAbsentStores() {
 		e.sub.send(t, message{kind: kindRetire})
 	}
 	if e.syncMode {
-		e.Drain()
+		e.sub.drain()
 	}
 }

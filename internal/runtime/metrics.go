@@ -48,6 +48,12 @@ type Metrics struct {
 	recoveredPanics atomic.Int64
 	taskRestarts    atomic.Int64
 
+	// Install-barrier counters (barrier.go): wall nanoseconds spent
+	// waiting there for a re-optimization still being solved, and the
+	// solves that had finished before their barrier was reached.
+	barrierWait atomic.Int64
+	solvesAhead atomic.Int64
+
 	mu       sync.Mutex
 	byQuery  map[string]int64
 	latSum   time.Duration
@@ -179,6 +185,14 @@ type Snapshot struct {
 	// restart budget and the engine failed with ErrTaskFailed).
 	RecoveredPanics int64
 	TaskRestarts    int64
+	// BarrierWait is the wall time spent at the install barrier waiting
+	// for a re-optimization still being solved beside the stream (by
+	// Ingest, and by Drain, Stop and checkpoint walks, which pass the
+	// same barrier); SolvesAhead counts the solves that had already
+	// finished when their barrier was reached and cost the stream only
+	// their install.
+	BarrierWait time.Duration
+	SolvesAhead int64
 }
 
 // Snapshot returns a consistent copy of all counters.
@@ -201,6 +215,8 @@ func (m *Metrics) Snapshot() Snapshot {
 		ShedTuples:         m.shed.Load(),
 		RecoveredPanics:    m.recoveredPanics.Load(),
 		TaskRestarts:       m.taskRestarts.Load(),
+		BarrierWait:        time.Duration(m.barrierWait.Load()),
+		SolvesAhead:        m.solvesAhead.Load(),
 		Ingested:           m.ingested.Load(),
 		ProbeSent:          m.probeSent.Load(),
 		ProbeCandidates:    m.probeCands.Load(),
