@@ -72,11 +72,13 @@ type (
 	// Topology is a deployable processing strategy.
 	Topology = topology.Config
 	// MetricsSnapshot is a point-in-time copy of runtime counters. Probe
-	// work reads off three of them: ProbeSent (tuples sent between tasks,
+	// work reads off four of them: ProbeSent (tuples sent between tasks,
 	// the paper's objective), ProbeCandidates (stored rows the local
-	// indices handed those probes) and ProbeFilterRejects (per-epoch index
-	// lookups the indices' built-in filters spared them — how much of a
-	// long window a probe never touched).
+	// indices handed those probes), ProbeFilterRejects (per-epoch index
+	// lookups a filter spared them — how much of a long window a probe
+	// never touched) and ProbeStoreSkips (probes a store's filter answered
+	// for all of its hot epochs at once, each counted in
+	// ProbeFilterRejects once per epoch it skipped).
 	MetricsSnapshot = runtime.Snapshot
 	// SubstrateKind selects the execution substrate (see Config).
 	SubstrateKind = runtime.SubstrateKind

@@ -173,6 +173,7 @@ func (m *Manager) Checkpoint() error {
 	// Quiesced and single-producer: nothing appended to the WAL between
 	// the walk's completion and this anchor read.
 	rec := runtime.StateRecord{Anchor: m.walPos, Seq: eng.Seq(), Watermark: int64(eng.Watermark()), Pins: eng.Pins()}
+	var fps []uint64 // fingerprint of each rec.Segs entry, recorded once the append is durable
 	for i := range segs {
 		if segs[i].Len() == 0 {
 			// Dirty but empty: the segment vanished (prune/evict) —
@@ -184,6 +185,7 @@ func (m *Manager) Checkpoint() error {
 		}
 		if fp := fingerprint(&segs[i]); m.lastFPs[segs[i].Key] != fp {
 			rec.Segs = append(rec.Segs, segs[i])
+			fps = append(fps, fp)
 		}
 	}
 	if len(m.pendingDrops) > 0 {
@@ -200,7 +202,7 @@ func (m *Manager) Checkpoint() error {
 		delete(m.lastFPs, k)
 	}
 	for i := range rec.Segs {
-		m.lastFPs[rec.Segs[i].Key] = fingerprint(&rec.Segs[i])
+		m.lastFPs[rec.Segs[i].Key] = fps[i]
 	}
 	m.anchorPos = rec.Anchor
 	m.sinceCkpt = 0

@@ -61,6 +61,13 @@ type probeBatch struct {
 	cuts    []int64        // window cutoff per probe (noCut: no skip)
 	minCut  int64          // min over cuts: segment-level batch prefilter
 
+	// admitStore's verdicts: the cutoff per probe for hot epochs (cuts[i],
+	// or skipHot when the store filter rejected the probe's hash), its
+	// minimum, and the cutoffs of the rejected probes in arrival order.
+	hotCuts   []int64
+	hotMinCut int64
+	skipCuts  []int64
+
 	sel []int32 // columnar scratch: selection vector of chain rows
 
 	// cands counts the chain rows the scan walked for its probes — what
@@ -68,7 +75,9 @@ type probeBatch struct {
 	// backend (Metrics.ProbeCandidates).
 	cands int64
 	// rejects counts the per-epoch index lookups a filter answered for its
-	// probes without touching the table (Metrics.ProbeFilterRejects).
+	// probes without touching the table — an epoch filter, a cold stub's,
+	// or the store filter for every hot epoch in the probe's reach
+	// (Metrics.ProbeFilterRejects).
 	rejects int64
 
 	// Scan output: a flat log of (probe index, joined tuple) in scan
@@ -107,6 +116,7 @@ func (pb *probeBatch) reset(t *task, rp *rulePlan, st *planState) {
 	pb.maxSeqs = pb.maxSeqs[:0]
 	pb.cuts = pb.cuts[:0]
 	pb.minCut = math.MaxInt64
+	pb.skipCuts = pb.skipCuts[:0]
 	pb.cands, pb.rejects = 0, 0
 	pb.resIdx = pb.resIdx[:0]
 	pb.resTups = pb.resTups[:0]
@@ -158,6 +168,42 @@ func (pb *probeBatch) add(tp *tuple.Tuple, seq uint64, idx int32) {
 	if cut < pb.minCut {
 		pb.minCut = cut
 	}
+}
+
+// skipHot is the hot-epoch cutoff of a probe the store filter answered:
+// no hot epoch is in its reach.
+const skipHot = int64(math.MaxInt64)
+
+// admitStore tests every probe's hash against the store filter f, the
+// first check of a batch scan (DESIGN.md §12): a probe f rejects can find
+// no hot row, so it skips every hot epoch — its hot cutoff is skipHot —
+// and only cold epochs are left for it to visit.
+func (pb *probeBatch) admitStore(f keyFilter) {
+	pb.hotCuts = pb.hotCuts[:0]
+	pb.skipCuts = pb.skipCuts[:0]
+	pb.hotMinCut = math.MaxInt64
+	for i, h := range pb.hashes {
+		cut := pb.cuts[i]
+		if !f.may(h) {
+			pb.skipCuts = append(pb.skipCuts, cut)
+			cut = skipHot
+		} else if cut < pb.hotMinCut {
+			pb.hotMinCut = cut
+		}
+		pb.hotCuts = append(pb.hotCuts, cut)
+	}
+}
+
+// skippedIn counts the probes the store filter answered that a hot epoch
+// with the given max event time is in window reach of: the lookups the
+// store filter spared there.
+func (pb *probeBatch) skippedIn(maxTS int64) (n int64) {
+	for _, cut := range pb.skipCuts {
+		if cut <= maxTS {
+			n++
+		}
+	}
+	return n
 }
 
 // begin selects the probe the container oracle's scalar scan serves;
@@ -356,7 +402,7 @@ func (t *task) probeBatched(msg *message, rp *rulePlan, st *planState) {
 func (t *task) scanProbeBatch(pb *probeBatch, rp *rulePlan) {
 	if len(pb.probes) != 0 {
 		if d := t.state.probeScanBatch(&rp.key, pb); d != 0 {
-			t.accountState(d, d) // lazily built index structures
+			t.accountState(d, d) // indices and store filters built by the scan
 		}
 		if pb.cands != 0 {
 			t.probeCands.Add(pb.cands)
@@ -366,6 +412,10 @@ func (t *task) scanProbeBatch(pb *probeBatch, rp *rulePlan) {
 		if pb.rejects != 0 {
 			t.probeRejects.Add(pb.rejects)
 			t.e.metrics.probeRejects.Add(pb.rejects)
+		}
+		if n := int64(len(pb.skipCuts)); n != 0 {
+			t.probeSkips.Add(n)
+			t.e.metrics.probeSkips.Add(n)
 		}
 	}
 	pb.group()

@@ -160,6 +160,12 @@ type colIndex struct {
 	lastSch  *tuple.Schema
 	lastPos  []int
 	posCache map[*tuple.Schema][]int
+
+	// feed is the store filter of the index's key (storefilter.go) while
+	// the index belongs to a hot epoch of a live store, nil otherwise
+	// (cold read-through decodes, throwaway builds): every hash new to
+	// the table is fed to it, so no row is hashed twice.
+	feed *storeFilter
 }
 
 func (ix *colIndex) resident() int64 {
@@ -230,6 +236,9 @@ func (ix *colIndex) link(h uint64, row int32) {
 		ix.hashes[i] = h
 		ix.heads[i] = row
 		ix.filt.add(h)
+		if ix.feed != nil {
+			ix.feed.add(h)
+		}
 	} else {
 		ix.next[ix.tails[i]] = row
 	}
@@ -288,7 +297,7 @@ type indexSet []*colIndex
 
 func (xs indexSet) get(key *indexKey) *colIndex {
 	for _, ix := range xs {
-		if ix.key.id == key.id {
+		if ix.key.num == key.num {
 			return ix
 		}
 	}
@@ -301,6 +310,14 @@ func (xs indexSet) get(key *indexKey) *colIndex {
 func (xs *indexSet) add(key *indexKey) *colIndex {
 	ix := &colIndex{key: *key}
 	*xs = append(*xs, ix)
+	return ix
+}
+
+// remove takes the index under the key out of the set and returns it.
+func (xs *indexSet) remove(key *indexKey) *colIndex {
+	i := slices.IndexFunc(*xs, func(ix *colIndex) bool { return ix.key.num == key.num })
+	ix := (*xs)[i]
+	*xs = slices.Delete(*xs, i, i+1)
 	return ix
 }
 
@@ -433,15 +450,18 @@ func (s *colSegment) rows() int {
 // arrays by capacity (including column arrays kept beyond its width),
 // its string bytes and its indices; a cold slot costs its stub and
 // filters, not its spilled payload.
-func (s *colSegment) resident() int64 {
+func (s *colSegment) resident() int64 { return s.rowBytes() + s.idxResident() }
+
+// rowBytes is the footprint beside the indices (or the stub's filters).
+func (s *colSegment) rowBytes() int64 {
 	if s.cold {
-		return coldStubBase + s.stub.filterBytes
+		return coldStubBase
 	}
 	b := colSegBase + int64(cap(s.seqs)+cap(s.ts)+cap(s.schemas))*8 + int64(cap(s.sch))*2 + s.strBytes
 	for _, c := range s.cols[:cap(s.cols)] {
 		b += colHeader + c.bytes()
 	}
-	return b + s.idxResident()
+	return b
 }
 
 func (s *colSegment) idxResident() int64 {
@@ -557,14 +577,15 @@ func (s *colSegment) view() Segment {
 }
 
 // admitsAny reports whether any probe of the batch survives the slot's
-// window cut and key filter bl (nil: no filter) — if none does, the
-// batch skips the slot without a chain walk (or, cold, without touching
-// disk), and every lookup the filter answered is counted as spared (an
-// admitted slot's are counted by its scan).
-func (s *colSegment) admitsAny(pb *probeBatch, bl keyFilter) bool {
+// window cut (cuts: pb.hotCuts on a hot slot, pb.cuts on a cold one) and
+// key filter bl (nil: no filter) — if none does, the batch skips the
+// slot without a chain walk (or, cold, without touching disk), and every
+// lookup the filter answered is counted as spared (an admitted slot's
+// are counted by its scan).
+func (s *colSegment) admitsAny(pb *probeBatch, cuts []int64, bl keyFilter) bool {
 	var spared int64
 	for i, h := range pb.hashes {
-		if s.maxTS < pb.cuts[i] {
+		if s.maxTS < cuts[i] {
 			continue
 		}
 		if bl == nil || bl.may(h) {
@@ -577,18 +598,18 @@ func (s *colSegment) admitsAny(pb *probeBatch, bl keyFilter) bool {
 }
 
 // scanBatch is the batch chain walk over the segment's index ix: for
-// every probe of the vector still in window reach of this segment (and
-// admitted by bl, the cold slot's key filter when the segment was read
-// through from disk; nil for a hot slot) it gathers the hit chain into a
-// selection vector off the flat seq column and hands the surviving rows
-// to the batch's tight concrete evaluation loop — no per-candidate
-// interface dispatch. The order of checks per probe is window cut,
-// filter, table: a lookup a filter spared — the stub's or the index's
-// own — is counted in pb.rejects and is neither a hit nor a miss. hits
-// and misses count the probes that reached the table by whether they
-// found rows to evaluate.
-func (s *colSegment) scanBatch(ix *colIndex, pb *probeBatch, bl keyFilter) (hits, misses int64) {
-	cuts := pb.cuts
+// every probe of the vector still in window reach of this segment (cuts,
+// as in admitsAny: a probe the store filter answered is out of every hot
+// slot's reach) and admitted by bl (the cold slot's key filter when the
+// segment was read through from disk; nil for a hot slot) it gathers the
+// hit chain into a selection vector off the flat seq column and hands
+// the surviving rows to the batch's tight concrete evaluation loop — no
+// per-candidate interface dispatch. The order of checks per probe is
+// window cut, filter, table: a lookup a filter spared — the stub's or
+// the index's own — is counted in pb.rejects and is neither a hit nor a
+// miss. hits and misses count the probes that reached the table by
+// whether they found rows to evaluate.
+func (s *colSegment) scanBatch(ix *colIndex, pb *probeBatch, cuts []int64, bl keyFilter) (hits, misses int64) {
 	for i, h := range pb.hashes {
 		if s.maxTS < cuts[i] {
 			continue // out of this probe's window reach
@@ -659,8 +680,11 @@ func (s *colSegment) compact(cut int64) (removed int) {
 	}
 	s.minTS, s.maxTS = minTS, maxTS
 	for _, ix := range s.indices {
+		feed := ix.feed
 		ix.reset()
+		ix.feed = nil // the survivors' hashes are in the store filter already
 		s.linkRows(ix)
+		ix.feed = feed
 	}
 	return removed
 }
@@ -680,9 +704,10 @@ type columnarState struct {
 	store   spillStore   // lazy: no file until the first demotion
 	spilled atomic.Int64 // live on-disk payload bytes of this task
 	pending int          // cold slots holding a read-through decode
-	// probed is every index key ever probed on this task — the filters a
-	// demoted epoch's stub gets.
-	probed []indexKey
+	// probed is every index key ever probed on this task, each with its
+	// store filter over the hot rows: every hot segment holds an index
+	// under each of them, and a demoted epoch's stub takes their filters.
+	probed probedKeys
 	encBuf []byte
 	m      *Metrics    // the engine's tiering counters
 	fail   func(error) // the engine's failure hook
@@ -708,13 +733,15 @@ func newColumnarState(spillDir string, m *Metrics, fail func(error)) *columnarSt
 func (c *columnarState) insert(tp *tuple.Tuple, seq uint64, epoch int64) (delta, idxDelta int64) {
 	// A segment created by this insert is charged in full (before=0),
 	// recycled column capacity included.
-	var before, idxBefore int64
+	var before, idxBefore, filters int64
 	s := c.ring.get(epoch)
 	if s == nil {
 		s = c.newSegment(epoch)
 		c.ring.put(epoch, s)
+		filters = c.probed.open(&s.indices)
 	} else {
-		before, idxBefore = s.resident(), s.idxResident()
+		idxBefore = s.idxResident()
+		before = s.rowBytes() + idxBefore
 		if s.cold {
 			// A late arrival into a demoted epoch: slots are wholly hot or
 			// wholly cold, so the epoch is promoted before the row lands.
@@ -723,7 +750,8 @@ func (c *columnarState) insert(tp *tuple.Tuple, seq uint64, epoch int64) (delta,
 	}
 	s.add(tp, seq)
 	s.stub = nil // a spilled frame of this epoch no longer matches
-	return s.resident() - before, s.idxResident() - idxBefore
+	idx := s.idxResident()
+	return s.rowBytes() + idx - before + filters, idx - idxBefore + filters
 }
 
 // newSegment starts an epoch's segment on the spare column arrays.
@@ -747,47 +775,71 @@ func (c *columnarState) recycle(s *colSegment) {
 	c.spare = colSegment{seqs: s.seqs[:0], ts: s.ts[:0], sch: s.sch[:0], cols: s.cols[:0]}
 }
 
-func (c *columnarState) noteProbed(key *indexKey) {
-	for i := range c.probed {
-		if c.probed[i].id == key.id {
-			return
+// storeFilter returns the key's store filter, ready to answer for every
+// hot row (storefilter.go's buildStoreFilter does the slow path over the
+// hot segments). idxDelta is the bytes built.
+func (c *columnarState) storeFilter(key *indexKey) (f keyFilter, idxDelta int64) {
+	pk := c.probed.get(key)
+	if pk != nil && !pk.sf.full() {
+		return pk.sf.filt, 0
+	}
+	var hot []*colSegment
+	for _, s := range c.ring.vals {
+		if !s.cold {
+			hot = append(hot, s)
 		}
 	}
-	c.probed = append(c.probed, *key)
+	return buildStoreFilter(&c.probed, pk, key, hot)
+}
+
+func (c *columnarState) retain(cur, prev []int32) (idxDelta int64) {
+	for _, pk := range c.probed.retire(cur, prev) {
+		for _, s := range c.ring.vals {
+			if !s.cold {
+				idxDelta -= s.indices.remove(&pk.key).resident()
+			}
+		}
+		idxDelta -= pk.sf.filt.bytes()
+	}
+	return idxDelta
 }
 
 // probeScanBatch is the vectorized probe scan: one pass over the ring
 // for the whole probe vector, whose key hashes the batch computed once
-// per probe (probeBatch.add). A slot whose max event time precedes every
-// probe's cutoff is dismissed whole before any hash work — every tuple
-// in it is older than the probes' window reach (task.probeCut's
-// soundness argument). Every other slot is first tried against a key
-// filter — a hot slot's index filter, a cold slot's stub filter — so an
-// epoch none of the probes can hit costs one filter word per probe and
-// no chain walk. A surviving hot slot runs the segment's batch chain
-// walk directly; a surviving cold slot is read through from the spill
-// file and walked the same way — candidate order does not depend on
-// where an epoch lives. The result log comes out segment-major;
-// probeBatch.group restores the probe-major order the forward path
-// needs.
+// per probe (probeBatch.add). First the store filter answers for every
+// hot row at once (probeBatch.admitStore): a probe it rejects skips every
+// hot slot, and each hot slot in its window reach counts one spared
+// lookup. A slot whose max event time precedes every probe's cutoff is
+// dismissed whole before any hash work — every tuple in it is older than
+// the probes' window reach (task.probeCut's soundness argument). Every
+// other slot is tried against a key filter — a hot slot's index filter,
+// a cold slot's stub filter — so an epoch none of the probes can hit
+// costs one filter word per probe and no chain walk. A surviving hot
+// slot runs the segment's batch chain walk directly; a surviving cold
+// slot is read through from the spill file and walked the same way —
+// candidate order does not depend on where an epoch lives. The result
+// log comes out segment-major; probeBatch.group restores the
+// probe-major order the forward path needs.
 func (c *columnarState) probeScanBatch(key *indexKey, pb *probeBatch) (idxDelta int64) {
-	c.noteProbed(key)
+	f, idxDelta := c.storeFilter(key)
+	pb.admitStore(f)
 	for _, s := range c.ring.vals {
 		if s.maxTS < pb.minCut {
 			continue // out of every probe's window reach
 		}
 		if !s.cold {
-			ix, built := s.indexFor(key)
-			if built {
-				idxDelta += ix.resident()
+			pb.rejects += pb.skippedIn(s.maxTS)
+			if s.maxTS < pb.hotMinCut {
+				continue // every probe in reach was answered by the store filter
 			}
-			if s.admitsAny(pb, ix.filt) {
-				s.scanBatch(ix, pb, nil)
+			ix := s.indices.get(key)
+			if s.admitsAny(pb, pb.hotCuts, ix.filt) {
+				s.scanBatch(ix, pb, pb.hotCuts, nil)
 			}
 			continue
 		}
 		bl := s.stub.filterFor(key) // nil: key first probed after the demotion
-		if !s.admitsAny(pb, bl) {
+		if !s.admitsAny(pb, pb.cuts, bl) {
 			continue
 		}
 		ls := c.load(s, true)
@@ -797,7 +849,7 @@ func (c *columnarState) probeScanBatch(key *indexKey, pb *probeBatch) (idxDelta 
 		// An index built on the decoded segment is charged with the
 		// slot's promotion (full resident cost, indices included).
 		ix, _ := ls.indexFor(key)
-		hits, misses := ls.scanBatch(ix, pb, bl)
+		hits, misses := ls.scanBatch(ix, pb, pb.cuts, bl)
 		c.m.coldProbeHits.Add(hits)
 		c.m.coldProbeMisses.Add(misses)
 	}
@@ -848,6 +900,11 @@ func (c *columnarState) prune(cut tuple.Time) (removed int, delta, idxDelta int6
 	}
 	if dropped {
 		c.ring.compact()
+		if len(c.ring.vals) == 0 {
+			f := c.probed.release()
+			delta += f
+			idxDelta += f
+		}
 	}
 	return removed, delta, idxDelta
 }
@@ -898,6 +955,9 @@ func (c *columnarState) clear() (removed int, delta, idxDelta int64) {
 		delta -= s.resident()
 		idxDelta -= s.idxResident()
 	}
+	f := c.probed.release()
+	delta += f
+	idxDelta += f
 	c.ring.clear()
 	c.spare = colSegment{}
 	c.pending = 0
@@ -911,7 +971,7 @@ func (c *columnarState) clear() (removed int, delta, idxDelta int64) {
 }
 
 func (c *columnarState) bytes() int64 {
-	var b int64
+	b := c.probed.bytes()
 	for _, s := range c.ring.vals {
 		b += s.resident()
 	}
@@ -919,7 +979,7 @@ func (c *columnarState) bytes() int64 {
 }
 
 func (c *columnarState) indexBytes() int64 {
-	var b int64
+	b := c.probed.bytes()
 	for _, s := range c.ring.vals {
 		b += s.idxResident()
 	}

@@ -222,6 +222,8 @@ type Engine struct {
 	// simple and the routing immutable (see DESIGN.md §12).
 	pinnedSplit map[topology.StoreID]map[uint64]struct{}
 	schemas     map[string]*tuple.Schema // relation -> ingest schema (attrs + τ)
+	// keyNums numbers the index keys of every plan compiled (plan.go).
+	keyNums keyNumbers
 
 	sinkMu sync.RWMutex
 	sinks  map[string]func(*tuple.Tuple)
@@ -256,6 +258,7 @@ func New(cfg Config) *Engine {
 		pinnedPar:   map[topology.StoreID]int{},
 		pinnedPart:  map[topology.StoreID]query.Attr{},
 		pinnedSplit: map[topology.StoreID]map[uint64]struct{}{},
+		keyNums:     keyNumbers{},
 		schemas:     map[string]*tuple.Schema{},
 		sinks:       map[string]func(*tuple.Tuple){},
 		stopDone:    make(chan struct{}),

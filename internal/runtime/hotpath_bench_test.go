@@ -178,3 +178,44 @@ func BenchmarkProbeColumnarHit(b *testing.B) {
 		next()
 	}
 }
+
+// BenchmarkProbeStoreMiss times the probe that finds nothing in a long
+// store: a two-way join on the columnar backend whose S store holds 16
+// epochs of 1 024 rows over 4 096 keys. Each op probes the store with
+// one R tuple, and fifteen probes in sixteen carry a key it does not
+// hold: the store filter answers those from one word, without visiting
+// an epoch. The sixteenth walks every epoch in reach and joins the
+// few rows it finds.
+func BenchmarkProbeStoreMiss(b *testing.B) {
+	const epochs, epochLen, keys = 16, 1024, 4096
+	eng, _ := newBenchEngine(b, "q1: R(a) S(a)",
+		core.Options{StoreParallelism: 1, DisablePartitioning: true},
+		Config{StateBackend: BackendColumnar, DefaultWindow: epochs * epochLen, EpochLength: epochLen})
+	defer eng.Stop()
+	r := rng.New(1)
+	ts := tuple.Time(0)
+	for ; ts < epochs*epochLen; ts++ {
+		if err := eng.Ingest("S", ts, tuple.IntValue(r.Int64n(keys))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	tk, rp, edge := sinkProbePlan(b, eng)
+	st := tk.stateFor(rp)
+	msgs := make([]message, 64)
+	for i := range msgs {
+		k := int64(keys + i) // never stored: a miss
+		if i%16 == 0 {
+			k = int64(i)
+		}
+		probe := tuple.New(eng.schemas["R"], ts, tuple.IntValue(k), tuple.IntValue(int64(ts)))
+		msgs[i] = message{edge: edge, epoch: eng.Epoch(ts), t: probe, seq: 1 << 30}
+	}
+	for i := range msgs {
+		tk.probeBatched(&msgs[i], rp, st) // warm the caches and the arena
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tk.probeBatched(&msgs[i%len(msgs)], rp, st)
+	}
+}

@@ -195,7 +195,11 @@ func TestCompositeIndexMatchesScan(t *testing.T) {
 			}
 			cold(func(s *colSegment) {
 				for _, kb := range s.stub.filters {
-					out.coldKeys[kb.id] = true
+					for id, n := range h.eng.keyNums {
+						if n == kb.num {
+							out.coldKeys[id] = true
+						}
+					}
 				}
 				out.lateCold = out.lateCold || (st.rel == "S" && st.k >= 9000 && s.epoch == h.eng.Epoch(st.ts))
 			})

@@ -17,6 +17,7 @@ type Metrics struct {
 	probeSent    atomic.Int64 // tuples sent between tasks (the paper's probe cost)
 	probeCands   atomic.Int64 // stored rows the local indices handed to probes
 	probeRejects atomic.Int64 // per-epoch index lookups the filters spared probes
+	probeSkips   atomic.Int64 // probe tuples the store filters answered
 	messages     atomic.Int64 // messaging events (broadcast counts once per task)
 	stored       atomic.Int64 // tuples currently materialized across stores
 	storeBytes   atomic.Int64 // resident state bytes incl. index overhead
@@ -137,13 +138,19 @@ type Snapshot struct {
 	// epochs and rows that arrived after the probe.
 	ProbeCandidates int64
 	// ProbeFilterRejects counts the per-epoch index lookups probes were
-	// spared: a probe visits every epoch in its window reach, and each
-	// epoch's index answers from its built-in filter (one word) when it
-	// holds no row under the probe's key — on a hot epoch and on a cold
-	// one read through from the spill file alike. Against ProbeSent ×
-	// resident epochs it says how much of a long window a probe never
+	// spared: a probe visits every epoch in its window reach, and a filter
+	// answers for an epoch that holds no row under the probe's key without
+	// touching its table. Either the store's filter answered for every
+	// hot epoch at once (ProbeStoreSkips) — one reject per hot epoch in
+	// the probe's reach — or the epoch's own index filter (one word), on
+	// a hot epoch and on a cold one (its stub's) alike. Against ProbeSent
+	// × resident epochs it says how much of a long window a probe never
 	// touched.
 	ProbeFilterRejects int64
+	// ProbeStoreSkips counts the probe tuples a store filter answered: the
+	// store held no hot row under the probe's key, so the probe visited no
+	// hot epoch (DESIGN.md §10).
+	ProbeStoreSkips int64
 	// StoreBytes is the resident materialized-state footprint: tuple
 	// payloads plus storage structure plus index overhead (the seed
 	// accounting ignored indices; IndexBytes is that portion).
@@ -221,6 +228,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		ProbeSent:          m.probeSent.Load(),
 		ProbeCandidates:    m.probeCands.Load(),
 		ProbeFilterRejects: m.probeRejects.Load(),
+		ProbeStoreSkips:    m.probeSkips.Load(),
 		Messages:           m.messages.Load(),
 		Stored:             m.stored.Load(),
 		StoreBytes:         m.storeBytes.Load(),
@@ -288,8 +296,11 @@ type TaskGauge struct {
 	// handed to candidate evaluation (see Snapshot.ProbeCandidates).
 	ProbeCandidates int64
 	// ProbeFilterRejects counts the per-epoch index lookups this task's
-	// index filters answered (see Snapshot.ProbeFilterRejects).
+	// filters answered (see Snapshot.ProbeFilterRejects).
 	ProbeFilterRejects int64
+	// ProbeStoreSkips counts the probe tuples this task's store filters
+	// answered (see Snapshot.ProbeStoreSkips).
+	ProbeStoreSkips int64
 }
 
 // TaskGauges returns a pressure reading per task, sorted by store and
@@ -329,6 +340,7 @@ func (e *Engine) TaskGauges() []TaskGauge {
 
 			ProbeCandidates:    t.probeCands.Load(),
 			ProbeFilterRejects: t.probeRejects.Load(),
+			ProbeStoreSkips:    t.probeSkips.Load(),
 		})
 	}
 	e.mu.RUnlock()

@@ -18,6 +18,7 @@ package runtime
 // planState values.
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -75,11 +76,30 @@ type predPlan struct {
 // indexKey names one local index of a store: the stored attributes it is
 // keyed by, sorted by name, so rules carrying the same attribute set
 // share one index whatever order their predicates come in. id is the
-// canonical form indices, cold-stub filters and the probed-key list are
-// looked up by; a one-attribute key's id is the attribute itself.
+// canonical form of the list (a one-attribute key's id is the attribute
+// itself), read once, at compile time, to number the key; num is what
+// indices, cold-stub filters and the probed-key list are looked up by on
+// the hot path — an integer compare.
 type indexKey struct {
 	id    string
+	num   int32
 	attrs []string
+}
+
+// keyNumbers numbers index keys by id: the first key compiled gets 0,
+// and a key compiled again — by a later Install, a re-pin, a
+// re-optimization — gets its number back, so indices built under one
+// compiled plan are found by the next. The engine owns one and writes it
+// under its write lock (compileRule).
+type keyNumbers map[string]int32
+
+func (kn keyNumbers) number(id string) int32 {
+	n, ok := kn[id]
+	if !ok {
+		n = int32(len(kn))
+		kn[id] = n
+	}
+	return n
 }
 
 // rulePlan is one compiled rule. ALL equality predicates key the local
@@ -111,6 +131,9 @@ type compiledTopo struct {
 	topo   *topology.Config
 	spouts map[string][]emitStep
 	rules  map[topology.StoreID]map[topology.EdgeID][]*rulePlan
+	// keys lists, per store, the numbers of the index keys its probe
+	// rules use (task.setComp retires the others).
+	keys map[topology.StoreID][]int32
 }
 
 // compileTopo resolves a validated topology against the
@@ -121,6 +144,7 @@ func (e *Engine) compileTopo(topo *topology.Config) *compiledTopo {
 		topo:   topo,
 		spouts: make(map[string][]emitStep, len(topo.Spouts)),
 		rules:  make(map[topology.StoreID]map[topology.EdgeID][]*rulePlan, len(topo.Rules)),
+		keys:   make(map[topology.StoreID][]int32, len(topo.Rules)),
 	}
 	for rel, sp := range topo.Spouts {
 		comp.spouts[rel] = e.compileEmissions(topo, sp.Out)
@@ -130,7 +154,11 @@ func (e *Engine) compileTopo(topo *topology.Config) *compiledTopo {
 		for edge, rules := range byEdge {
 			plans := make([]*rulePlan, len(rules))
 			for i := range rules {
-				plans[i] = e.compileRule(topo, &rules[i])
+				rp := e.compileRule(topo, &rules[i])
+				if rp.kind == topology.ProbeRule && !slices.Contains(comp.keys[sid], rp.key.num) {
+					comp.keys[sid] = append(comp.keys[sid], rp.key.num)
+				}
+				plans[i] = rp
 			}
 			m[edge] = plans
 		}
@@ -190,6 +218,7 @@ func (e *Engine) compileRule(topo *topology.Config, r *topology.Rule) *rulePlan 
 		})
 	}
 	rp.setPreds(preds)
+	rp.key.num = e.keyNums.number(rp.key.id)
 	return rp
 }
 

@@ -190,7 +190,16 @@ func probeFixture(t testing.TB, matches int, cfg Config) (*task, *rulePlan, *pla
 			t.Fatal(err)
 		}
 	}
-	// Locate the S store's task and its probe plan (sink-only output).
+	tk, rp, edge := sinkProbePlan(t, eng)
+	probe := tuple.New(eng.schemas["R"], 1000, tuple.IntValue(7), tuple.IntValue(1000))
+	msg := &message{edge: edge, epoch: 0, t: probe, seq: 1 << 30}
+	return tk, rp, tk.stateFor(rp), probe, msg
+}
+
+// sinkProbePlan locates, in a two-way join engine whose S store holds
+// state, the S store's task and its probe plan (sink-only output), with
+// the edge probes reach it on.
+func sinkProbePlan(t testing.TB, eng *Engine) (*task, *rulePlan, topology.EdgeID) {
 	ec := eng.configFor(0)
 	for sid, byEdge := range ec.comp.rules {
 		for edge, plans := range byEdge {
@@ -202,14 +211,12 @@ func probeFixture(t testing.TB, matches int, cfg Config) (*task, *rulePlan, *pla
 				if tk == nil || tk.storedCount.Load() == 0 {
 					continue
 				}
-				probe := tuple.New(eng.schemas["R"], 1000, tuple.IntValue(7), tuple.IntValue(1000))
-				msg := &message{edge: edge, epoch: 0, t: probe, seq: 1 << 30}
-				return tk, rp, tk.stateFor(rp), probe, msg
+				return tk, rp, edge
 			}
 		}
 	}
 	t.Fatal("no sink-feeding probe plan found")
-	return nil, nil, nil, nil, nil
+	return nil, nil, ""
 }
 
 // TestProbeAllocs pins the allocation budget of the compiled probe

@@ -52,6 +52,7 @@ package runtime
 import (
 	"fmt"
 	"os"
+	"slices"
 )
 
 // spillStore is one task's append-only segment file. Like the backend
@@ -209,16 +210,17 @@ type coldStub struct {
 	loaded *colSegment
 }
 
-// stubFilter is one cold filter: the index key it answers for, by id.
+// stubFilter is one cold filter: the index key it answers for, by
+// number.
 type stubFilter struct {
-	id   string
+	num  int32
 	filt keyFilter
 }
 
 // filterFor returns the stub's filter for the key, nil when it has none.
 func (st *coldStub) filterFor(key *indexKey) keyFilter {
 	for i := range st.filters {
-		if st.filters[i].id == key.id {
+		if st.filters[i].num == key.num {
 			return st.filters[i].filt
 		}
 	}
@@ -226,27 +228,20 @@ func (st *coldStub) filterFor(key *indexKey) keyFilter {
 }
 
 // takeFilters moves the hot segment's index filters onto the stub, one
-// per probed key: the filter the index kept current on every insert is
-// the filter of the frozen epoch, so demotion hashes no row. Only a key
-// the segment was never probed under gets its filter built here, by the
-// segment's own index build on a throwaway index. Rows whose schema
-// lacks a key attribute are in no chain and in no filter, so a negative
-// remains a sound whole-segment skip.
-func (st *coldStub) takeFilters(s *colSegment, keys []indexKey) {
-	for k := range keys {
-		key := &keys[k]
-		ix := s.indices.get(key)
-		if ix == nil {
-			ix = &colIndex{key: *key}
-			s.linkRows(ix)
-		}
-		f := ix.filt
+// per probed key — a hot segment holds an index under each: the filter
+// the index kept current on every insert is the filter of the frozen
+// epoch, so demotion hashes no row. Rows whose schema lacks a key
+// attribute are in no chain and in no filter, so a negative remains a
+// sound whole-segment skip.
+func (st *coldStub) takeFilters(s *colSegment, keys probedKeys) {
+	for _, pk := range keys {
+		f := s.indices.get(&pk.key).filt
 		if f == nil {
 			// No row carries the key: one clear block admits nothing, where
 			// a nil filter would stand for "none built".
 			f = make(keyFilter, 1)
 		}
-		st.filters = append(st.filters, stubFilter{id: key.id, filt: f})
+		st.filters = append(st.filters, stubFilter{num: pk.key.num, filt: f})
 		st.filterBytes += f.bytes()
 	}
 }
@@ -324,9 +319,13 @@ func (c *columnarState) demoteOldest() (delta, idxDelta int64, ok bool) {
 
 // promote turns a cold slot hot in place, reusing the read-through
 // decode when a probe already paid for it; callers account the change
-// in the slot's resident bytes. On a spill read failure the engine is
-// already failing; an empty segment keeps the ring consistent for the
-// doomed engine's remaining teardown.
+// in the slot's resident bytes. The promoted rows enter the store
+// filters here: the segment gets an index under every probed key, and
+// each index feeds its key's filter — an index the read-through built
+// feeds the hashes its table holds, a missing one is built through link.
+// On a spill read failure the engine is already failing; an empty
+// segment keeps the ring consistent for the doomed engine's remaining
+// teardown.
 func (c *columnarState) promote(s *colSegment) {
 	stub := s.stub
 	ls := c.load(s, false)
@@ -338,6 +337,19 @@ func (c *columnarState) promote(s *colSegment) {
 	// The frame stays byte-valid on disk until the epoch changes; the
 	// stub stays with it so a re-demotion can revive it.
 	s.stub = stub
+	// A hot epoch indexes exactly the probed keys: an index the
+	// read-through built under a key retired since goes.
+	s.indices = slices.DeleteFunc(s.indices, func(ix *colIndex) bool { return c.probed.get(&ix.key) == nil })
+	for _, pk := range c.probed {
+		if ix := s.indices.get(&pk.key); ix != nil {
+			ix.feed = &pk.sf
+			pk.sf.addSlots(ix)
+			continue
+		}
+		ix := s.indices.add(&pk.key)
+		ix.feed = &pk.sf
+		s.linkRows(ix)
+	}
 	c.m.promotedEpochs.Add(1)
 }
 

@@ -39,12 +39,15 @@ package runtime
 // equal to the probe's is visited, but the backend may over-approximate
 // (chains bucket by the 64-bit hash of the key). The batch's visitors
 // therefore re-check every predicate by value (probeBatch.visit,
-// probeBatch.evalRows). Indices build lazily on a key's first probe and
-// are maintained by insert and prune thereafter. Each index also answers
-// the negative question from its built-in filter (colIndex.filt): a hash
-// the filter rejects is in no chain, so a backend skips the table lookup
-// and counts the spared lookup in the batch (probeBatch.rejects) — the
-// filter removes only lookups that would have missed, never a candidate.
+// probeBatch.evalRows). A key's first probe builds its index on every
+// hot epoch, every new epoch starts with one per probed key, and insert
+// and prune maintain them. Each index also answers the negative question
+// from its built-in filter (colIndex.filt): a hash the filter rejects is
+// in no chain, so a backend skips the table lookup and counts the spared
+// lookup in the batch (probeBatch.rejects) — the filter removes only
+// lookups that would have missed, never a candidate. One level up, the
+// store filter of each probed key (storefilter.go) answers the same
+// question for every hot epoch at once, before the epoch loop.
 //
 // Determinism contract: epoch iteration is ascending, within-epoch
 // iteration is a pure function of the insert/prune history (never of Go
@@ -98,14 +101,19 @@ type stateBackend interface {
 	// the index key, appending matches to the batch's result log
 	// (batchprobe.go). Per probe it visits, epoch-ascending and in
 	// insertion order within an epoch, every stored candidate whose key
-	// hash equals the probe's (pb.hashes). Lazily built index structures
-	// are reported through idxDelta. pb.cuts are the probes' window
+	// hash equals the probe's (pb.hashes). Index structures the scan
+	// builds — a key's indices and store filter at its first probe, a
+	// full store filter's rebuild — are reported through idxDelta. pb.cuts are the probes' window
 	// cutoffs: the backend MAY skip, for a probe, any epoch whose max
 	// event time precedes its cutoff (the caller guarantees no such tuple
 	// passes its window checks; see task.probeCut). noCut disables
 	// skipping; the container backend ignores the cutoffs entirely — it
 	// is the full oracle.
 	probeScanBatch(key *indexKey, pb *probeBatch) (idxDelta int64)
+	// retain retires every probed key outside the two lists (the current
+	// and the previous compiled plan's keys for the store): its indices
+	// leave the hot epochs and its store filter goes.
+	retain(cur, prev []int32) (idxDelta int64)
 	// prune drops tuples whose event time precedes the cutoff,
 	// maintaining the indices (no rebuild on the next probe).
 	prune(cut tuple.Time) (removed int, delta, idxDelta int64)
@@ -147,8 +155,9 @@ type entry struct {
 
 // container holds one epoch's stored tuples with one index per probed
 // key (Sec. V-B: "for each distinct attribute access in a store, indices
-// are created locally"), numbered by position in entries. Indices build
-// lazily on first probe and are maintained by add and prune thereafter.
+// are created locally"), numbered by position in entries. Indices are
+// opened with the container (containerState.probed) or built on a key's
+// first probe, and maintained by add and prune thereafter.
 // minTS/maxTS bound the entries' event times so prune can dismiss the
 // container without reading it.
 type container struct {
@@ -164,8 +173,11 @@ func newContainer() *container {
 }
 
 // resident is the container's accounted footprint.
-func (c *container) resident() int64 {
-	return ctrContainer + c.payload + int64(cap(c.entries))*ctrEntrySlot + c.indices.resident()
+func (c *container) resident() int64 { return c.rowBytes() + c.indices.resident() }
+
+// rowBytes is the footprint beside the indices.
+func (c *container) rowBytes() int64 {
+	return ctrContainer + c.payload + int64(cap(c.entries))*ctrEntrySlot
 }
 
 func (c *container) add(e entry) {
@@ -209,10 +221,13 @@ func (c *container) compact(cut tuple.Time) (removed int) {
 	clear(c.entries[len(kept):])
 	c.entries = kept
 	for _, ix := range c.indices {
+		feed := ix.feed
 		ix.reset()
+		ix.feed = nil // the survivors' hashes are in the store filter already
 		for row := range kept {
 			ix.addRow(kept[row].t, int32(row))
 		}
+		ix.feed = feed
 	}
 	return removed
 }
@@ -289,9 +304,12 @@ func (r *epochRing[T]) clear() {
 }
 
 // containerState is the seed state design behind the stateBackend
-// interface: one container per epoch on the shared epoch ring.
+// interface: one container per epoch on the shared epoch ring, and the
+// store filters of its probed keys (storefilter.go) — every container
+// holds an index under each.
 type containerState struct {
-	ring epochRing[container]
+	ring   epochRing[container]
+	probed probedKeys
 }
 
 func newContainerState() *containerState {
@@ -301,33 +319,49 @@ func newContainerState() *containerState {
 func (s *containerState) insert(tp *tuple.Tuple, seq uint64, epoch int64) (delta, idxDelta int64) {
 	// A container created by this insert is charged in full (before=0),
 	// so the deltas telescope exactly against its eventual drop.
-	var before, idxBefore int64
+	var before, idxBefore, filters int64
 	c := s.ring.get(epoch)
 	if c == nil {
 		c = newContainer()
 		s.ring.put(epoch, c)
+		filters = s.probed.open(&c.indices)
 	} else {
-		before, idxBefore = c.resident(), c.indices.resident()
+		idxBefore = c.indices.resident()
+		before = c.rowBytes() + idxBefore
 	}
 	c.add(entry{t: tp, seq: seq})
-	return c.resident() - before, c.indices.resident() - idxBefore
+	idx := c.indices.resident()
+	return c.rowBytes() + idx - before + filters, idx - idxBefore + filters
+}
+
+// storeFilter is columnarState.storeFilter over containers, all hot.
+func (s *containerState) storeFilter(key *indexKey) (f keyFilter, idxDelta int64) {
+	pk := s.probed.get(key)
+	if pk != nil && !pk.sf.full() {
+		return pk.sf.filt, 0
+	}
+	return buildStoreFilter(&s.probed, pk, key, s.ring.vals)
 }
 
 // probeScanBatch is the loop-over-scalar oracle scan: probe-major, one
 // chain walk per probe and container, every candidate handed to the
-// batch's scalar visitor. The window cutoffs are ignored by design: the
-// oracle backend visits every candidate and lets the visitor's window
-// checks decide, which is what makes it the differential baseline for
-// the columnar backend's segment skipping. The result log comes out
-// probe-major already.
+// batch's scalar visitor. A probe the store filter answered skips every
+// container, each counted as a spared lookup. The window cutoffs are
+// ignored by design: the oracle backend visits every candidate and lets
+// the visitor's window checks decide, which is what makes it the
+// differential baseline for the columnar backend's segment skipping. The
+// result log comes out probe-major already.
 func (s *containerState) probeScanBatch(key *indexKey, pb *probeBatch) (idxDelta int64) {
+	f, idxDelta := s.storeFilter(key)
+	pb.admitStore(f)
 	for i, h := range pb.hashes {
+		if pb.hotCuts[i] == skipHot {
+			pb.rejects += int64(len(s.ring.vals))
+			continue
+		}
 		pb.begin(i)
 		for _, c := range s.ring.vals {
-			ix, built := c.indexFor(key)
-			if built {
-				idxDelta += ix.resident()
-			}
+			ix := c.indices.get(key)
 			slot, ok, filtered := ix.find(h)
 			if !ok {
 				if filtered {
@@ -340,6 +374,16 @@ func (s *containerState) probeScanBatch(key *indexKey, pb *probeBatch) (idxDelta
 				pb.visit(en.t, en.seq)
 			}
 		}
+	}
+	return idxDelta
+}
+
+func (s *containerState) retain(cur, prev []int32) (idxDelta int64) {
+	for _, pk := range s.probed.retire(cur, prev) {
+		for _, c := range s.ring.vals {
+			idxDelta -= c.indices.remove(&pk.key).resident()
+		}
+		idxDelta -= pk.sf.filt.bytes()
 	}
 	return idxDelta
 }
@@ -370,6 +414,11 @@ func (s *containerState) prune(cut tuple.Time) (removed int, delta, idxDelta int
 	}
 	if dropped {
 		s.ring.compact()
+		if len(s.ring.vals) == 0 {
+			f := s.probed.release()
+			delta += f
+			idxDelta += f
+		}
 	}
 	return removed, delta, idxDelta
 }
@@ -409,12 +458,15 @@ func (s *containerState) clear() (removed int, delta, idxDelta int64) {
 		delta -= c.resident()
 		idxDelta -= c.indices.resident()
 	}
+	f := s.probed.release()
+	delta += f
+	idxDelta += f
 	s.ring.clear()
 	return removed, delta, idxDelta
 }
 
 func (s *containerState) bytes() int64 {
-	var b int64
+	b := s.probed.bytes()
 	for _, c := range s.ring.vals {
 		b += c.resident()
 	}
@@ -422,7 +474,7 @@ func (s *containerState) bytes() int64 {
 }
 
 func (s *containerState) indexBytes() int64 {
-	var b int64
+	b := s.probed.bytes()
 	for _, c := range s.ring.vals {
 		b += c.indices.resident()
 	}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"clash/internal/core"
@@ -334,9 +335,20 @@ func newBackendProbe(storedAttrs ...string) *backendProbe {
 		preds[i] = predPlan{storedAttr: a, probeAttr: fmt.Sprintf("P.k%d", i)}
 	}
 	bp.rp.setPreds(preds)
+	testKeys.Lock()
+	bp.rp.key.num = testKeys.nums.number(bp.rp.key.id)
+	testKeys.Unlock()
 	bp.schema = tuple.NewSchema(bp.rp.probeAttrs...)
 	return bp
 }
+
+// testKeys numbers the keys of engine-less rule plans the way an
+// engine's compiler does, so two backendProbes under one key find the
+// same indices.
+var testKeys = struct {
+	sync.Mutex
+	nums keyNumbers
+}{nums: keyNumbers{}}
 
 // probeMatch is one stored tuple a backendProbe scan matched.
 type probeMatch struct {

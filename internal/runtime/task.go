@@ -67,9 +67,12 @@ type task struct {
 	// probeCands counts the stored rows this task's index scans handed to
 	// a probe's candidate evaluation (TaskGauge.ProbeCandidates).
 	probeCands atomic.Int64
-	// probeRejects counts the per-epoch index lookups the index filters
-	// spared this task's probes (TaskGauge.ProbeFilterRejects).
+	// probeRejects counts the per-epoch index lookups the filters spared
+	// this task's probes (TaskGauge.ProbeFilterRejects).
 	probeRejects atomic.Int64
+	// probeSkips counts the probe tuples the store filter answered
+	// (TaskGauge.ProbeStoreSkips).
+	probeSkips atomic.Int64
 	// probeMatched is the candidates that joined: the denominator of the
 	// index-key tests' candidate bound. Task-confined, read after a drain.
 	probeMatched int64
@@ -255,6 +258,15 @@ func (t *task) setComp(comp *compiledTopo) {
 	}
 	t.edgePlans = comp.rules[t.key.store]
 	t.lastPlan, t.lastState = nil, nil
+	// The two generations' probe keys are the live ones; the store stops
+	// indexing the rest.
+	var prev []int32
+	if t.prevComp != nil {
+		prev = t.prevComp.keys[t.key.store]
+	}
+	if d := t.state.retain(comp.keys[t.key.store], prev); d != 0 {
+		t.accountState(d, d)
+	}
 }
 
 // stateFor returns the task-owned planState of the rule plan, with a
