@@ -196,7 +196,9 @@ func (c *Controller) Tick() error {
 	if cur <= c.lastSealed {
 		return nil
 	}
-	// Seal statistics for the epoch(s) that just ended.
+	// Seal statistics for the epoch(s) that just ended, once the
+	// Observer has seen every tuple ingested so far.
+	c.eng.flushObserver()
 	preds := c.allPredsLocked()
 	fresh := c.cfg.Collector.Seal(c.eng.cfg.EpochLength, preds)
 	c.est = stats.Blend(c.est, fresh, blendAlpha)

@@ -194,6 +194,7 @@ func (e *Engine) ClearDirty() {
 	defer e.mu.RUnlock()
 	for _, t := range e.tasks {
 		clear(t.dirtyEpochs)
+		t.lastDirtyOK = false
 	}
 }
 

@@ -95,8 +95,12 @@ type Config struct {
 	// the wall clock, except on SubstrateSim, which defaults to its own
 	// VirtualClock.
 	Clock Clock
-	// Observer, when set, is called for every ingested tuple — the
-	// statistics-gathering tap of Fig. 2 (wire it to a stats.Collector).
+	// Observer, when set, is the statistics-gathering tap of Fig. 2
+	// (wire it to a stats.Collector). It is called on the engine's
+	// statistics goroutine, once per ingested tuple, in ingest order
+	// (observe.go). Every tuple ingested before a Drain, a Stop or a
+	// Controller's epoch seal has been observed when that call returns.
+	// A panic in it fails the engine (Failure).
 	Observer func(rel string, t *tuple.Tuple)
 	// Journal, when set, receives write-ahead records for every ingested
 	// source tuple, prune cutoff, and bounded-memory eviction
@@ -241,6 +245,9 @@ type Engine struct {
 	// barrier holds the re-optimizations being solved beside the stream
 	// (barrier.go); Ingest installs them at their target epoch.
 	barrier barrier
+	// tap runs Config.Observer beside the stream (observe.go); nil
+	// without an Observer.
+	tap *observerTap
 }
 
 type epochConfig struct {
@@ -264,6 +271,9 @@ func New(cfg Config) *Engine {
 		stopDone:    make(chan struct{}),
 	}
 	e.qCond = sync.NewCond(&e.qMu)
+	if cfg.Observer != nil {
+		e.tap = newObserverTap(cfg.Observer, e.fail)
+	}
 	e.barrier.min.Store(noPending)
 	e.SetJournal(cfg.Journal)
 	kind := cfg.Substrate
@@ -570,8 +580,8 @@ func (e *Engine) Ingest(rel string, ts tuple.Time, vals ...tuple.Value) error {
 		}
 	}
 	e.metrics.ingested.Add(1)
-	if e.cfg.Observer != nil {
-		e.cfg.Observer(rel, t)
+	if e.tap != nil {
+		e.tap.observe(rel, t)
 	}
 	wall := e.clock.Now()
 
@@ -1043,20 +1053,29 @@ func (e *Engine) deliverResultBatch(queryName string, batch []*tuple.Tuple, wall
 }
 
 // Drain blocks until every re-optimization being solved beside the
-// stream is installed (barrier.go) and every queued and in-process
-// message has been handled. Combined with timestamp-ordered ingestion
-// this yields exact symmetric-join semantics. No concurrent Ingest may
-// run.
+// stream is installed (barrier.go), every queued and in-process
+// message has been handled, and the Observer has seen every ingested
+// tuple (observe.go). Combined with timestamp-ordered ingestion this
+// yields exact symmetric-join semantics. No concurrent Ingest may run.
 func (e *Engine) Drain() {
 	e.installDue(noPending)
 	e.sub.drain()
+	e.flushObserver()
 }
 
-// Stop drains and terminates all tasks. Re-optimizations still being
-// solved beside the stream are waited for, not installed, so no solve
-// outlives the engine. A producer blocked at the flow substrate's
-// admission gate is woken and observes the stop. Stop is
-// idempotent and safe to call concurrently: exactly one caller performs
+// flushObserver returns once the Observer has seen every tuple ingested
+// before the call.
+func (e *Engine) flushObserver() {
+	if e.tap != nil {
+		e.tap.flush()
+	}
+}
+
+// Stop drains and terminates all tasks and the statistics goroutine.
+// Re-optimizations still being solved beside the stream are waited
+// for, not installed, so no solve outlives the engine. A producer
+// blocked at the flow substrate's admission gate is woken and observes
+// the stop. Stop is idempotent and safe to call concurrently: exactly one caller performs
 // the shutdown, every other caller blocks until it has finished, so no
 // Stop ever returns while tasks are still running.
 func (e *Engine) Stop() {
@@ -1077,6 +1096,9 @@ func (e *Engine) Stop() {
 	}
 	e.mu.Unlock()
 	e.sub.stop()
+	if e.tap != nil {
+		e.tap.close()
+	}
 	// Release the spill tier's OS resources (mmap'd spill files:
 	// munmap, fsync, truncate, close). The substrate has stopped, so no
 	// task executes and its store is safe to touch from here; the first

@@ -449,6 +449,7 @@ func TestObserverTap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	eng.Drain()
 	if count != 10 {
 		t.Errorf("observer saw %d tuples, want 10", count)
 	}

@@ -45,6 +45,11 @@ type task struct {
 	// Touched only on the task's execution context or on a quiesced
 	// engine, like state itself.
 	dirtyEpochs map[int64]struct{}
+	// lastDirty is the epoch markDirty recorded last, valid while
+	// lastDirtyOK: a run of inserts into one epoch writes the map once.
+	// ClearDirty resets it with the set.
+	lastDirty   int64
+	lastDirtyOK bool
 
 	// Scheduling and pressure state. sched is the worker-pool claim
 	// flag (scheduler.go): 0 parked, 1 queued-or-running. handled and
@@ -287,10 +292,14 @@ func (t *task) stateFor(rp *rulePlan) *planState {
 // markDirty records an epoch whose materialized content changed since
 // the last incremental checkpoint.
 func (t *task) markDirty(ep int64) {
+	if t.lastDirtyOK && ep == t.lastDirty {
+		return
+	}
 	if t.dirtyEpochs == nil {
 		t.dirtyEpochs = map[int64]struct{}{}
 	}
 	t.dirtyEpochs[ep] = struct{}{}
+	t.lastDirty, t.lastDirtyOK = ep, true
 }
 
 func (t *task) insert(tp *tuple.Tuple, seq uint64) {

@@ -1,7 +1,7 @@
 package stats
 
-// Micro-benchmarks of the statistics tap: Observe runs on the ingesting
-// goroutine once per tuple, Seal once per epoch. Both use engine ingest
+// Micro-benchmarks of the statistics tap: Observe runs once per tuple on
+// the engine's statistics goroutine, Seal once per epoch. Both use engine ingest
 // schemas (the declared attributes plus the event-time column) and the
 // collector sizes clash.Start configures. Run with
 // go test ./internal/stats/ -run xxx -bench BenchmarkCollector -benchmem.

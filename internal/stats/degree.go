@@ -23,17 +23,22 @@ import (
 // hashes the runtime routes by, so sealed heavy hitters translate
 // directly into routing decisions.
 //
-// The monitored set is a flat array in no particular order: k is small
-// (16 by default), the collector adds every attribute of every tuple,
-// and most adds are of a key that is not monitored — one pass over the
-// array finds the key or, failing that, the minimum to replace, with no
-// allocation. Every choice among entries is by (count, then hash), never
-// by position, so the sketch is a function of the observation history
-// alone.
+// The monitored set is a flat array kept ascending by (count, hash), so
+// the key to replace is always entries[0] and Top is a walk from the
+// end. k is small (16 by default), the collector adds every attribute of
+// every tuple, and most adds are of a key that is not monitored: a count
+// of monitored hashes per top-6-bit bucket answers most of those without
+// touching the array, and a hit or a replacement moves one entry to its
+// new place, with no allocation. Every choice among entries is by
+// (count, then hash), never by arrival, so the sketch is a function of
+// the observation history alone.
 type SpaceSaving struct {
 	k       int
 	n       int64
-	entries []HeavyHitter // at most k, unordered
+	entries []HeavyHitter // at most k, ascending by (Count, Hash)
+	// buckets counts the monitored hashes by their top six bits. A
+	// count that reaches 255 sticks, so zero always means "none".
+	buckets [64]uint8
 }
 
 // HeavyHitter is one sealed sketch entry: Count overestimates the true
@@ -52,6 +57,14 @@ func NewSpaceSaving(k int) *SpaceSaving {
 	return &SpaceSaving{k: k, entries: make([]HeavyHitter, 0, k)}
 }
 
+// bucket is the slot of a hash in SpaceSaving.buckets.
+func bucket(h uint64) uint64 { return h >> 58 }
+
+// less is the sketch's one order: by count, then by hash.
+func less(a, b *HeavyHitter) bool {
+	return a.Count < b.Count || (a.Count == b.Count && a.Hash < b.Hash)
+}
+
 // Add observes one occurrence of the key hash.
 func (s *SpaceSaving) Add(h uint64) { s.AddN(h, 1) }
 
@@ -61,25 +74,48 @@ func (s *SpaceSaving) AddN(h uint64, n int64) {
 		return
 	}
 	s.n += n
-	min := 0
-	for i := range s.entries {
-		e := &s.entries[i]
-		if e.Hash == h {
-			e.Count += n
-			return
-		}
-		if m := &s.entries[min]; e.Count < m.Count || (e.Count == m.Count && e.Hash < m.Hash) {
-			min = i
+	b := bucket(h)
+	if s.buckets[b] != 0 {
+		for i := range s.entries {
+			if s.entries[i].Hash == h {
+				s.entries[i].Count += n
+				s.place(i)
+				return
+			}
 		}
 	}
+	s.count(b, +1)
 	if len(s.entries) < s.k {
 		s.entries = append(s.entries, HeavyHitter{Hash: h, Count: n})
+		s.place(len(s.entries) - 1)
 		return
 	}
 	// Replace the minimum-count key; the newcomer inherits its count as
 	// the overestimation bound (ties broken by hash for determinism).
-	m := &s.entries[min]
+	m := &s.entries[0]
+	s.count(bucket(m.Hash), -1)
 	*m = HeavyHitter{Hash: h, Count: m.Count + n, Err: m.Count}
+	s.place(0)
+}
+
+// count adds d (±1) to a bucket's count unless the count stuck at 255.
+func (s *SpaceSaving) count(b uint64, d int) {
+	if c := s.buckets[b]; c < 255 {
+		s.buckets[b] = c + uint8(d)
+	}
+}
+
+// place moves entries[i], whose count changed or which was just
+// appended, to its place in the order.
+func (s *SpaceSaving) place(i int) {
+	e := s.entries[i]
+	for ; i+1 < len(s.entries) && less(&s.entries[i+1], &e); i++ {
+		s.entries[i] = s.entries[i+1]
+	}
+	for ; i > 0 && less(&e, &s.entries[i-1]); i-- {
+		s.entries[i] = s.entries[i-1]
+	}
+	s.entries[i] = e
 }
 
 // N returns the total number of observations.
@@ -87,6 +123,9 @@ func (s *SpaceSaving) N() int64 { return s.n }
 
 // find returns the monitored entry of the key hash, nil when it has none.
 func (s *SpaceSaving) find(h uint64) *HeavyHitter {
+	if s.buckets[bucket(h)] == 0 {
+		return nil
+	}
 	for i := range s.entries {
 		if s.entries[i].Hash == h {
 			return &s.entries[i]
@@ -121,12 +160,29 @@ func (s *SpaceSaving) Merge(o *SpaceSaving) {
 	for _, oe := range o.entries {
 		if s.find(oe.Hash) == nil {
 			s.entries = append(s.entries, HeavyHitter{Hash: oe.Hash, Count: oe.Count + sFloor, Err: oe.Err + sFloor})
+			s.count(bucket(oe.Hash), +1)
 		}
 	}
 	s.n += o.n
+	s.sortEntries()
 	if len(s.entries) > s.k {
 		s.entries = append(s.entries[:0], s.Top(s.k)...)
+		s.sortEntries()
+		s.buckets = [64]uint8{}
+		for _, e := range s.entries {
+			s.count(bucket(e.Hash), +1)
+		}
 	}
+}
+
+// sortEntries restores the array's (count, hash) order.
+func (s *SpaceSaving) sortEntries() {
+	slices.SortFunc(s.entries, func(a, b HeavyHitter) int {
+		if c := cmp.Compare(a.Count, b.Count); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Hash, b.Hash)
+	})
 }
 
 // floor bounds the true frequency of any key this sketch does NOT
@@ -136,25 +192,22 @@ func (s *SpaceSaving) floor() int64 {
 	if len(s.entries) < s.k {
 		return 0
 	}
-	min := s.entries[0].Count
-	for _, e := range s.entries[1:] {
-		if e.Count < min {
-			min = e.Count
-		}
-	}
-	return min
+	return s.entries[0].Count
 }
 
 // Top returns the n largest entries, count-descending (hash-ascending on
-// ties — the order is deterministic for identical observation histories).
+// ties — the order is deterministic for identical observation histories):
+// the sorted array read from its end, one run of equal counts at a time.
 func (s *SpaceSaving) Top(n int) []HeavyHitter {
-	out := append(make([]HeavyHitter, 0, len(s.entries)), s.entries...)
-	slices.SortFunc(out, func(a, b HeavyHitter) int {
-		if c := cmp.Compare(b.Count, a.Count); c != 0 {
-			return c
+	out := make([]HeavyHitter, 0, min(n, len(s.entries)))
+	for j := len(s.entries); j > 0 && len(out) < n; {
+		i := j - 1
+		for i > 0 && s.entries[i-1].Count == s.entries[j-1].Count {
+			i--
 		}
-		return cmp.Compare(a.Hash, b.Hash)
-	})
+		out = append(out, s.entries[i:j]...)
+		j = i
+	}
 	if n < len(out) {
 		out = out[:n]
 	}

@@ -229,6 +229,10 @@ func (s *mapSpaceSaving) Top(n int) []HeavyHitter {
 // the stream, a Merge of two sketches (one of them below capacity on
 // some seeds), and more adds on top of the merged state. Sealed degrees,
 // split keys and churn plans are functions of exactly these outputs.
+// Two more shapes aim at the sorted array and its bucket counts: every
+// hash sharing its top six bits (one bucket holds the whole monitored
+// set), and keys drawn in turn with unit weights (counts tie, so every
+// replacement and every Top order falls to the hash).
 func TestSpaceSavingMatchesMapReference(t *testing.T) {
 	type pair struct {
 		flat *SpaceSaving
@@ -245,40 +249,72 @@ func TestSpaceSavingMatchesMapReference(t *testing.T) {
 			t.Fatalf("%s: N %d floor %d, reference N %d floor %d", what, p.flat.N(), p.flat.floor(), p.ref.n, p.ref.floor())
 		}
 	}
-	feed := func(p pair, seed uint64, n, universe int, s float64, what string) {
-		stream, _ := drawStream(seed, n, universe, s)
-		w := rng.New(seed ^ 0xabcdef)
-		for i, h := range stream {
-			c := int64(1)
-			if i%7 == 0 {
-				c = int64(w.Intn(5)) // weighted adds; 0 must be a no-op on both
-			}
-			p.flat.AddN(h, c)
-			p.ref.AddN(h, c)
-			if i%257 == 0 {
-				same(p, what)
-			}
-		}
-		same(p, what)
+	type shape struct {
+		name     string
+		stream   func(seed uint64, n, universe, k int, s float64) []uint64
+		weighted bool
 	}
-	for _, k := range []int{1, 3, 16} {
-		for seed := uint64(1); seed <= 12; seed++ {
-			what := func(phase string) string { return fmt.Sprintf("k=%d seed=%d %s", k, seed, phase) }
-			// Skew from near-uniform over a universe far larger than k (the
-			// longstate shape: almost every add evicts) to heavily skewed.
-			skew := []float64{0.2, 0.6, 1.3}[seed%3]
-			a, b := newPair(k), newPair(k)
-			feed(a, seed, 3000, 40+int(seed)*150, skew, what("stream a"))
-			// On every fourth seed b stays below capacity: floor 0 on its side.
-			nb := 2500
-			if seed%4 == 0 {
-				nb = k / 2
+	zipf := func(seed uint64, n, universe, _ int, s float64) []uint64 {
+		stream, _ := drawStream(seed, n, universe, s)
+		return stream
+	}
+	shapes := []shape{
+		{"zipf", zipf, true},
+		{"one bucket", func(seed uint64, n, universe, k int, s float64) []uint64 {
+			stream := zipf(seed, n, universe, k, s)
+			for i, h := range stream {
+				stream[i] = h&(1<<58-1) | 0x2a<<58
 			}
-			feed(b, seed+100, nb, 300, 1.1, what("stream b"))
-			a.flat.Merge(b.flat)
-			a.ref.Merge(b.ref)
-			same(a, what("merge"))
-			feed(a, seed+200, 1500, 500, skew, what("adds after merge"))
+			return stream
+		}, true},
+		{"ties", func(seed uint64, n, _, k int, _ float64) []uint64 {
+			// k-2 to k+2 keys in turn: all monitored, their counts tied
+			// after every round, or one too many, so that every add
+			// replaces one of a tied minimum.
+			stream := make([]uint64, n)
+			u := max(1, k-2+int(seed%5))
+			for i := range stream {
+				stream[i] = (uint64(i%u) + 1) * 0x9E3779B97F4A7C15
+			}
+			return stream
+		}, false},
+	}
+	for _, sh := range shapes {
+		feed := func(p pair, seed uint64, n, universe int, s float64, what string) {
+			w := rng.New(seed ^ 0xabcdef)
+			for i, h := range sh.stream(seed, n, universe, p.flat.k, s) {
+				c := int64(1)
+				if sh.weighted && i%7 == 0 {
+					c = int64(w.Intn(5)) // weighted adds; 0 must be a no-op on both
+				}
+				p.flat.AddN(h, c)
+				p.ref.AddN(h, c)
+				if i%257 == 0 {
+					same(p, what)
+				}
+			}
+			same(p, what)
+		}
+		// k = 300 puts more than 255 keys in one bucket: its count sticks.
+		for _, k := range []int{1, 3, 16, 300} {
+			for seed := uint64(1); seed <= 12; seed++ {
+				what := func(phase string) string { return fmt.Sprintf("%s k=%d seed=%d %s", sh.name, k, seed, phase) }
+				// Skew from near-uniform over a universe far larger than k (the
+				// longstate shape: almost every add evicts) to heavily skewed.
+				skew := []float64{0.2, 0.6, 1.3}[seed%3]
+				a, b := newPair(k), newPair(k)
+				feed(a, seed, 3000, 40+int(seed)*150, skew, what("stream a"))
+				// On every fourth seed b stays below capacity: floor 0 on its side.
+				nb := 2500
+				if seed%4 == 0 {
+					nb = k / 2
+				}
+				feed(b, seed+100, nb, 300, 1.1, what("stream b"))
+				a.flat.Merge(b.flat)
+				a.ref.Merge(b.ref)
+				same(a, what("merge"))
+				feed(a, seed+200, 1500, 500, skew, what("adds after merge"))
+			}
 		}
 	}
 }
