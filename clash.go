@@ -85,8 +85,7 @@ type (
 	// FlowConfig tunes the flow-controlled substrate.
 	FlowConfig = runtime.FlowConfig
 	// SimConfig tunes the deterministic simulation substrate: schedule
-	// seed, virtual-time step, flow-control model, schedule-trace and
-	// fault-injection hooks.
+	// seed, flow-control model, schedule-trace and fault-injection hooks.
 	SimConfig = runtime.SimConfig
 	// SimEvent is one scheduling decision of the simulation substrate
 	// (the schedule trace element).
@@ -106,9 +105,6 @@ type (
 	Pressure = runtime.Pressure
 	// TaskGauge is one store task's pressure reading.
 	TaskGauge = runtime.TaskGauge
-	// SupervisionConfig tunes the task panic supervisor: restart budget
-	// and backoff (see Config.Supervision).
-	SupervisionConfig = runtime.SupervisionConfig
 	// WALStorage is the append-only two-stream storage the durability
 	// layer writes to (see WALConfig).
 	WALStorage = recovery.Storage
@@ -173,7 +169,8 @@ const (
 var ErrMemoryLimit = runtime.ErrMemoryLimit
 
 // ErrTaskFailed is the terminal failure of an engine with a task that
-// exhausted its supervisor restart budget (Config.Supervision).
+// panicked more than three times in a row (the supervisor's restart
+// budget).
 var ErrTaskFailed = runtime.ErrTaskFailed
 
 // ErrCorruptSnapshot is reported (wrapped) by Restore for truncated or
@@ -378,16 +375,9 @@ type Config struct {
 	// count, block-vs-shed overload policy).
 	Flow FlowConfig
 	// Sim tunes the deterministic simulation substrate (SubstrateSim):
-	// schedule seed, virtual-time step, flow-control model, trace and
-	// fault hooks. Same Sim.Seed, same inputs — same interleaving, byte
-	// for byte.
+	// schedule seed, flow-control model, trace and fault hooks. Same
+	// Sim.Seed, same inputs — same interleaving, byte for byte.
 	Sim SimConfig
-	// Supervision tunes the task panic supervisor: a panicking store
-	// task is isolated and restarted with exponential backoff up to
-	// MaxRestarts consecutive times before the engine fails with
-	// ErrTaskFailed. The zero value enables supervision with the
-	// default budget; MaxRestarts < 0 fails fast on the first panic.
-	Supervision SupervisionConfig
 	// WAL, when set, makes the engine durable: write-ahead logging,
 	// incremental checkpoints, and crash recovery via Recover. Start
 	// requires empty storage (it refuses to orphan existing history);
@@ -540,7 +530,6 @@ func start(cfg Config, journal runtime.Journal) (*Engine, error) {
 		Substrate:        cfg.Substrate,
 		Flow:             cfg.Flow,
 		Sim:              cfg.Sim,
-		Supervision:      cfg.Supervision,
 		Journal:          journal,
 		MeasuredCosts:    cfg.MeasuredCosts,
 		Observer:         func(rel string, t *tuple.Tuple) { col.Observe(rel, t) },

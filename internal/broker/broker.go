@@ -1,15 +1,12 @@
 // Package broker is an in-memory stand-in for the Kafka ingestion layer
 // of the paper's experimental setup: named topics with ordered,
-// offset-addressable records, plus rate-controlled replay into a
-// consumer function (DESIGN.md, substitution table).
+// offset-addressable records, merged by event time into the order a
+// stream processor would observe them (DESIGN.md, substitution table).
 package broker
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 	"sync"
-	"time"
 
 	"clash/internal/tuple"
 )
@@ -46,18 +43,6 @@ func (b *Broker) Len(topic string) int64 {
 	return int64(len(b.topics[topic]))
 }
 
-// Topics lists the topic names, sorted.
-func (b *Broker) Topics() []string {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	out := make([]string, 0, len(b.topics))
-	for t := range b.topics {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Read returns up to max records starting at offset.
 func (b *Broker) Read(topic string, offset int64, max int) ([]Record, error) {
 	b.mu.RLock()
@@ -74,47 +59,6 @@ func (b *Broker) Read(topic string, offset int64, max int) ([]Record, error) {
 		end = int64(len(recs))
 	}
 	return recs[offset:end], nil
-}
-
-// ErrStopped is returned by Replay when the consumer aborts it.
-var ErrStopped = errors.New("broker: replay stopped by consumer")
-
-// Consumer handles one replayed record; returning false stops the replay.
-type Consumer func(Record) bool
-
-// Replay feeds a topic's records into the consumer in offset order.
-// ratePerSec > 0 paces delivery in wall time (batched to keep timer
-// overhead low); 0 replays at full speed. Returns the number of records
-// delivered.
-func (b *Broker) Replay(topic string, ratePerSec float64, fn Consumer) (int64, error) {
-	var offset int64
-	const batch = 256
-	var start time.Time
-	if ratePerSec > 0 {
-		start = time.Now()
-	}
-	for {
-		recs, err := b.Read(topic, offset, batch)
-		if err != nil {
-			return offset, err
-		}
-		if len(recs) == 0 {
-			return offset, nil
-		}
-		for _, r := range recs {
-			if !fn(r) {
-				return offset, ErrStopped
-			}
-			offset++
-		}
-		if ratePerSec > 0 {
-			// Sleep until the wall clock catches up with the pace.
-			due := start.Add(time.Duration(float64(offset) / ratePerSec * float64(time.Second)))
-			if d := time.Until(due); d > 0 {
-				time.Sleep(d)
-			}
-		}
-	}
 }
 
 // Interleave merges several topics by event time into a single stream of

@@ -2,7 +2,6 @@ package broker
 
 import (
 	"testing"
-	"time"
 
 	"clash/internal/tuple"
 )
@@ -41,64 +40,6 @@ func TestAppendRead(t *testing.T) {
 	}
 	if _, err := b.Read("R", 99, 1); err == nil {
 		t.Error("past-end offset should fail")
-	}
-}
-
-func TestTopics(t *testing.T) {
-	b := New()
-	b.Append("S", rec("S", 0, 0))
-	b.Append("R", rec("R", 0, 0))
-	got := b.Topics()
-	if len(got) != 2 || got[0] != "R" || got[1] != "S" {
-		t.Errorf("Topics = %v", got)
-	}
-}
-
-func TestReplayFullSpeed(t *testing.T) {
-	b := New()
-	for i := int64(0); i < 100; i++ {
-		b.Append("R", rec("R", i, i))
-	}
-	var seen int64
-	n, err := b.Replay("R", 0, func(r Record) bool {
-		if r.TS != tuple.Time(seen) {
-			t.Fatalf("out of order at %d", seen)
-		}
-		seen++
-		return true
-	})
-	if err != nil || n != 100 || seen != 100 {
-		t.Fatalf("n=%d err=%v seen=%d", n, err, seen)
-	}
-}
-
-func TestReplayStops(t *testing.T) {
-	b := New()
-	for i := int64(0); i < 50; i++ {
-		b.Append("R", rec("R", i, i))
-	}
-	n, err := b.Replay("R", 0, func(r Record) bool { return r.TS < 10 })
-	if err != ErrStopped {
-		t.Fatalf("err = %v, want ErrStopped", err)
-	}
-	if n != 10 {
-		t.Errorf("delivered = %d, want 10", n)
-	}
-}
-
-func TestReplayPaced(t *testing.T) {
-	b := New()
-	for i := int64(0); i < 400; i++ {
-		b.Append("R", rec("R", i, i))
-	}
-	start := time.Now()
-	// 4000 records/sec -> 400 records should take ~100ms.
-	if _, err := b.Replay("R", 4000, func(Record) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
-	el := time.Since(start)
-	if el < 50*time.Millisecond {
-		t.Errorf("paced replay finished too fast: %v", el)
 	}
 }
 

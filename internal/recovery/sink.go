@@ -49,14 +49,6 @@ func (s *CommittedSink) Commit() {
 	s.mu.Unlock()
 }
 
-// Discard drops the uncommitted buffer — what a crash does implicitly;
-// tests call it to model the crash on a still-reachable sink.
-func (s *CommittedSink) Discard() {
-	s.mu.Lock()
-	s.pending = s.pending[:0]
-	s.mu.Unlock()
-}
-
 // Committed returns a copy of the committed result multiset.
 func (s *CommittedSink) Committed() map[string]int {
 	s.mu.Lock()
@@ -66,11 +58,4 @@ func (s *CommittedSink) Committed() map[string]int {
 		out[k] = v
 	}
 	return out
-}
-
-// Pending returns how many results await the next commit.
-func (s *CommittedSink) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.pending)
 }

@@ -3,8 +3,7 @@ package runtime
 // Batched probe execution (DESIGN.md §12). A scalar probe path would
 // hand the backend one probe at a time and receive candidates through a
 // per-candidate visitor interface call; probeBatch instead carries a
-// whole vector of probe tuples — a message's tuple batch, or a
-// drained-mailbox run of probe-only messages — through one
+// whole vector of probe tuples — a message's tuple batch — through one
 // stateBackend.probeScanBatch pass. add hashes each probe's key — its
 // values under ALL of the rule's equality predicates, in the rule's
 // canonical key order (plan.go's indexKey) — exactly once, for either
@@ -24,8 +23,8 @@ package runtime
 // result log interleaves probes; group() regroups it probe-major with a
 // stable counting sort, which preserves each probe's segment-ascending
 // order. Forwarding then happens per probe, in probe arrival order,
-// under each probe's own message context — byte-identical emission
-// order to the scalar path.
+// under the message's context — byte-identical emission order to the
+// scalar path.
 //
 // Re-entrancy: on the synchronous substrate a sink callback inside
 // forward may re-enter this task's probe path while the outer batch is
@@ -49,12 +48,7 @@ type probeBatch struct {
 	rp *rulePlan
 	st *planState
 
-	// Probes are tagged with their carrying message's run index rather
-	// than the *message itself: storing the pointer would make every
-	// dispatched message escape to the heap (the dispatch path passes a
-	// stack copy by pointer).
 	probes  []*tuple.Tuple // probe tuples, arrival order
-	msgIdx  []int32        // carrying message's run index per probe
 	ppos    [][]int        // probe-side predicate columns per probe
 	hashes  []uint64       // index-key hash per probe (hashKey's fold)
 	maxSeqs []uint64       // arrived-earlier cutoff per probe
@@ -93,11 +87,6 @@ type probeBatch struct {
 	groupBuf []*tuple.Tuple
 	grouped  []*tuple.Tuple
 
-	// Forward cursor: probe index and grouped offset of the next
-	// unforwarded probe (forwardMsg consumes probes message by message).
-	fcur int
-	foff int32
-
 	// Scalar-scan cursor for the container oracle: the probe begin()
 	// selected, read by visit below.
 	cur       int32
@@ -110,7 +99,6 @@ type probeBatch struct {
 func (pb *probeBatch) reset(t *task, rp *rulePlan, st *planState) {
 	pb.t, pb.rp, pb.st = t, rp, st
 	pb.probes = pb.probes[:0]
-	pb.msgIdx = pb.msgIdx[:0]
 	pb.ppos = pb.ppos[:0]
 	pb.hashes = pb.hashes[:0]
 	pb.maxSeqs = pb.maxSeqs[:0]
@@ -135,27 +123,26 @@ func (pb *probeBatch) release() {
 }
 
 // addMsg appends every tuple the message carries as a probe under the
-// message's sequence cutoff, tagged with the message's run index.
-func (pb *probeBatch) addMsg(msg *message, idx int32) {
+// message's sequence cutoff.
+func (pb *probeBatch) addMsg(msg *message) {
 	if msg.t != nil {
-		pb.add(msg.t, msg.seq, idx)
+		pb.add(msg.t, msg.seq)
 	}
 	for _, tp := range msg.batch {
-		pb.add(tp, msg.seq, idx)
+		pb.add(tp, msg.seq)
 	}
 }
 
 // add appends one probe. Tuples whose schema lacks a probe attribute
 // are dropped here — nothing can match them, exactly like the scalar
 // path's probePos nil return.
-func (pb *probeBatch) add(tp *tuple.Tuple, seq uint64, idx int32) {
+func (pb *probeBatch) add(tp *tuple.Tuple, seq uint64) {
 	ppos := pb.st.probePos(tp.Schema, pb.rp)
 	if ppos == nil {
 		return
 	}
 	cut := pb.t.probeCut(tp)
 	pb.probes = append(pb.probes, tp)
-	pb.msgIdx = append(pb.msgIdx, idx)
 	pb.ppos = append(pb.ppos, ppos)
 	kp := pb.rp.keyPred
 	h := colHash(tp.At(ppos[kp[0]]))
@@ -279,7 +266,7 @@ func (pb *probeBatch) evalRows(i int, s *colSegment, sel []int32) {
 	}
 }
 
-// group turns the flat result log into the probe-major view forwardMsg
+// group turns the flat result log into the probe-major view forward
 // consumes: per-probe counts plus a grouped slice where probe i's
 // results are contiguous, in scan (segment-ascending, chain) order. A
 // log that is already probe-major — every container scan, and any
@@ -294,7 +281,6 @@ func (pb *probeBatch) group() {
 	pb.counts = pb.counts[:n]
 	pb.offs = pb.offs[:n]
 	clear(pb.counts)
-	pb.fcur, pb.foff = 0, 0
 	sorted := true
 	last := int32(0)
 	for _, i := range pb.resIdx {
@@ -324,21 +310,17 @@ func (pb *probeBatch) group() {
 	pb.grouped = buf
 }
 
-// forwardMsg forwards the results of every probe the message with the
-// given run index contributed, one forward per probe in arrival order —
-// the same emission granularity and order as the scalar path. Probes
-// were added message-major, so each message's probes are a contiguous
-// run at the cursor.
-func (pb *probeBatch) forwardMsg(idx int32, msg *message, out []emitStep) {
-	for pb.fcur < len(pb.probes) && pb.msgIdx[pb.fcur] == idx {
-		i := pb.fcur
-		pb.fcur++
-		n := pb.counts[i]
+// forward forwards every probe's results, one forward per probe in
+// arrival order — the same emission granularity and order as the
+// scalar path.
+func (pb *probeBatch) forward(msg *message, out []emitStep) {
+	var off int32
+	for _, n := range pb.counts {
 		if n == 0 {
 			continue
 		}
-		sub := pb.grouped[pb.foff : pb.foff+n : pb.foff+n]
-		pb.foff += n
+		sub := pb.grouped[off : off+n : off+n]
+		off += n
 		pb.t.forward(out, msg, sub)
 	}
 }
@@ -390,16 +372,7 @@ func (t *task) probeBatched(msg *message, rp *rulePlan, st *planState) {
 	}
 	pb := t.getProbeBatch()
 	pb.reset(t, rp, st)
-	pb.addMsg(msg, 0)
-	t.scanProbeBatch(pb, rp)
-	pb.forwardMsg(0, msg, rp.out)
-	t.putProbeBatch(pb)
-}
-
-// scanProbeBatch runs the backend batch scan and regroups the result
-// log; forwarding is the caller's step (runs forward message-major
-// across several plans' batches).
-func (t *task) scanProbeBatch(pb *probeBatch, rp *rulePlan) {
+	pb.addMsg(msg)
 	if len(pb.probes) != 0 {
 		if d := t.state.probeScanBatch(&rp.key, pb); d != 0 {
 			t.accountState(d, d) // indices and store filters built by the scan
@@ -417,73 +390,8 @@ func (t *task) scanProbeBatch(pb *probeBatch, rp *rulePlan) {
 			t.probeSkips.Add(n)
 			t.e.metrics.probeSkips.Add(n)
 		}
+		pb.group()
+		pb.forward(msg, rp.out)
 	}
-	pb.group()
-}
-
-// handleRun applies a drained-mailbox run of probe-only data messages
-// (same edge, same epoch — the caller, Engine.dispatchBatch, verified
-// the edge's plans) as one batched scan per rule plan. All scans
-// complete before the first forward; forwards then replay the scalar
-// order exactly: message-major, plan-minor, probe order within. Probes
-// never mutate this task's state and the asynchronous substrates never
-// re-enter a task from forward, so scanning ahead of forwarding
-// observes the same state the scalar path would have.
-func (t *task) handleRun(run []message, plans []*rulePlan) {
-	if n := t.e.cfg.OverheadLoops; n > 0 {
-		for range run {
-			for i := 0; i < n; i++ {
-				t.spin += uint64(i) ^ t.spin>>3
-			}
-		}
-	}
-	for i := range run {
-		if run[i].ingestWall > 0 && t.e.metrics.sampleLag() {
-			t.e.metrics.recordLag(t.e.clock.Now() - run[i].ingestWall)
-		}
-	}
-	measure := t.e.cfg.MeasuredCosts
-	var start int64
-	if measure {
-		start = t.e.clock.Now()
-	}
-	pbs := t.pbRun[:0]
-	for _, rp := range plans {
-		if len(rp.preds) == 0 || t.storedCount.Load() == 0 {
-			pbs = append(pbs, nil)
-			continue
-		}
-		pb := t.getProbeBatch()
-		pb.reset(t, rp, t.stateFor(rp))
-		for i := range run {
-			pb.addMsg(&run[i], int32(i))
-		}
-		t.scanProbeBatch(pb, rp)
-		pbs = append(pbs, pb)
-	}
-	for i := range run {
-		for j, pb := range pbs {
-			if pb != nil {
-				pb.forwardMsg(int32(i), &run[i], plans[j].out)
-			}
-		}
-	}
-	if measure {
-		// Metered like handle: every plan probes every tuple of the run,
-		// and the time spans the scans and the forwards.
-		var n int64
-		for i := range run {
-			n += run[i].tupleCount()
-		}
-		t.probeNanos.Add(t.e.clock.Now() - start)
-		t.probeTuples.Add(n * int64(len(plans)))
-	}
-	for _, pb := range pbs {
-		if pb != nil {
-			t.putProbeBatch(pb)
-		}
-	}
-	clear(pbs)
-	t.pbRun = pbs[:0]
-	t.maintainTier()
+	t.putProbeBatch(pb)
 }

@@ -39,14 +39,3 @@ func (c *VirtualClock) Advance(d time.Duration) {
 		c.nanos.Add(int64(d))
 	}
 }
-
-// AdvanceTo moves virtual time forward to the given nanosecond reading;
-// time never moves backwards.
-func (c *VirtualClock) AdvanceTo(nanos int64) {
-	for {
-		old := c.nanos.Load()
-		if nanos <= old || c.nanos.CompareAndSwap(old, nanos) {
-			return
-		}
-	}
-}

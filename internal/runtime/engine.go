@@ -116,13 +116,6 @@ type Config struct {
 	// coefficients from them. Off by default — the hot path then pays
 	// only a branch per message.
 	MeasuredCosts bool
-	// Supervision tunes the task panic supervisor (supervise.go): every
-	// substrate's task-execution path runs under recover(), panicked
-	// messages are redelivered after exponential backoff, and a task
-	// that exhausts its restart budget fails the engine with a wrapped
-	// ErrTaskFailed instead of killing the process. The zero value
-	// allows 3 restarts per consecutive-panic streak.
-	Supervision SupervisionConfig
 
 	// legacyProbe switches tasks to the uncompiled, string-resolved
 	// probe path that predates the compiled-plan layer. It exists as a
@@ -908,114 +901,16 @@ func (e *Engine) dropUndelivered(msg *message) {
 // dispatchBatch runs one drained batch through dispatch with busy-time
 // accounting, zeroing consumed slots so carried tuples release
 // promptly. The flow substrate's pool workers use it.
-//
-// Consecutive data messages on the same edge and epoch whose compiled
-// plans are all probe rules execute as one batched scan (handleRun):
-// the backend's vectorized probe pass amortizes per-segment index
-// resolution across the whole run. Per-probe results and forwarding
-// order are byte-identical to per-message dispatch (batchprobe.go).
 func (e *Engine) dispatchBatch(t *task, batch []message) {
 	if len(batch) == 0 {
 		return
 	}
 	start := e.clock.Now()
-	for i := 0; i < len(batch); {
-		j, plans := e.probeRun(t, batch, i)
-		if plans != nil {
-			e.dispatchRun(t, batch[i:j], plans)
-		} else {
-			for k := i; k < j; k++ {
-				e.dispatch(t, &batch[k])
-			}
-		}
-		for k := i; k < j; k++ {
-			batch[k] = message{}
-		}
-		i = j
+	for i := range batch {
+		e.dispatch(t, &batch[i])
+		batch[i] = message{}
 	}
 	t.busyNanos.Add(e.clock.Now() - start)
-}
-
-// probeRun scans forward from batch[i] for a run of consecutive data
-// messages sharing one edge and epoch whose compiled plans are all
-// probe rules — a run the task may execute as one batched scan.
-// Returns the run's end index and the edge's plans, or (end, nil) when
-// the messages must go through scalar per-message dispatch: a run of
-// one, a non-data message, the legacy probe oracle, an armed panic
-// injection (its per-message supervision semantics must hold), or any
-// non-probe rule on the edge (inserts change what later probes in the
-// run observe). Resolves the run's epoch config once, exactly as the
-// per-message path would resolve it for each message of the epoch.
-func (e *Engine) probeRun(t *task, batch []message, i int) (int, []*rulePlan) {
-	m := &batch[i]
-	if m.kind != kindData || t.injectPanic || e.cfg.legacyProbe || t.failed.Load() {
-		return i + 1, nil
-	}
-	j := i + 1
-	for j < len(batch) && batch[j].kind == kindData &&
-		batch[j].edge == m.edge && batch[j].epoch == m.epoch {
-		j++
-	}
-	if j == i+1 {
-		return j, nil
-	}
-	e.mu.RLock()
-	ec := e.configFor(m.epoch)
-	e.mu.RUnlock()
-	if ec == nil {
-		return i + 1, nil // no installed config: handle() drops it
-	}
-	if t.planComp != ec.comp {
-		t.setComp(ec.comp)
-	}
-	plans := t.edgePlans[m.edge]
-	if len(plans) == 0 {
-		return i + 1, nil
-	}
-	for _, rp := range plans {
-		if rp.kind != topology.ProbeRule {
-			return i + 1, nil
-		}
-	}
-	return j, plans
-}
-
-// dispatchRun executes one probe-only run under a single panic guard,
-// with the same accounting balance as len(run) scalar dispatches. On a
-// panic the supervisor redelivers run[0] (with fresh in-flight and
-// queued-bytes accounting, like any panicked message); the rest of the
-// run is re-sent here the same way — the redelivered messages replay
-// individually and land behind whatever the mailbox holds, which is the
-// at-least-once contract the scalar path already has under panics.
-func (e *Engine) dispatchRun(t *task, run []message, plans []*rulePlan) {
-	e.dispatchRunGuarded(t, run, plans)
-	if e.inflight.Add(int64(-len(run))) == 0 {
-		e.notifySettled()
-	}
-}
-
-func (e *Engine) dispatchRunGuarded(t *task, run []message, plans []*rulePlan) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.superviseTaskPanic(t, &run[0], r)
-			if !t.failed.Load() {
-				for i := 1; i < len(run); i++ {
-					m := run[i]
-					e.inflight.Add(1)
-					e.queuedBytes.Add(m.memSize())
-					e.sub.send(t, m)
-				}
-			}
-		}
-	}()
-	for i := range run {
-		e.queuedBytes.Add(-run[i].memSize())
-	}
-	t.handleRun(run, plans)
-	t.handled.Add(int64(len(run)))
-	if t.restartStreak != 0 {
-		t.restartStreak = 0
-	}
 }
 
 func (e *Engine) deliverResult(queryName string, t *tuple.Tuple, wall int64) {

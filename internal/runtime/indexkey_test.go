@@ -272,7 +272,7 @@ func TestProbeCandidatesCountLaterArrivals(t *testing.T) {
 		bp := newBackendProbe("R.a")
 		pb := &bp.pb
 		pb.reset(bp.t, bp.rp, &bp.st)
-		pb.add(tuple.New(bp.schema, 0, tuple.IntValue(1)), 3, 0) // arrived before rows 3 and 4
+		pb.add(tuple.New(bp.schema, 0, tuple.IntValue(1)), 3) // arrived before rows 3 and 4
 		pb.cuts[0], pb.minCut = noCut, noCut
 		b.probeScanBatch(&bp.rp.key, pb)
 		if pb.cands != 4 || len(pb.resTups) != 2 {

@@ -29,9 +29,6 @@ type SimConfig struct {
 	// identical inputs) reproduce identical interleavings; different
 	// seeds explore different ones.
 	Seed uint64
-	// StepNanos is how far virtual time advances per dispatched message
-	// (default 1000 — one simulated microsecond per message).
-	StepNanos int64
 	// MailboxCredits enables flow-control modeling, mirroring
 	// FlowConfig: each task grants this many credits at spawn, sends
 	// consume them, dispatches repay them, and admission is gated on a
@@ -113,10 +110,11 @@ type simSubstrate struct {
 	stopped bool
 }
 
+// simStepNanos is how far virtual time advances per dispatched message:
+// one simulated microsecond.
+const simStepNanos = 1000
+
 func newSimSubstrate(e *Engine, cfg SimConfig) *simSubstrate {
-	if cfg.StepNanos <= 0 {
-		cfg.StepNanos = 1000
-	}
 	return &simSubstrate{e: e, cfg: cfg, rng: rng.New(cfg.Seed), vclock: &VirtualClock{}}
 }
 
@@ -215,7 +213,7 @@ func (s *simSubstrate) pump(until func() bool) {
 		if len(buf) == 0 {
 			continue // closed or raced-empty mailbox; already unlinked
 		}
-		s.vclock.nanos.Add(s.cfg.StepNanos)
+		s.vclock.nanos.Add(simStepNanos)
 		ev.Kind = buf[0].kind
 		ev.Queued = remaining
 		ev.VNanos = s.vclock.Now()
@@ -229,7 +227,7 @@ func (s *simSubstrate) pump(until func() bool) {
 			t.injectPanic = true
 		}
 		s.e.dispatch(t, &buf[0])
-		t.busyNanos.Add(s.cfg.StepNanos)
+		t.busyNanos.Add(simStepNanos)
 		buf[0] = message{}
 		if s.cfg.MailboxCredits > 0 {
 			s.credits++

@@ -363,7 +363,7 @@ type probeMatch struct {
 func (bp *backendProbe) scan(b stateBackend, cut int64, vals ...tuple.Value) (matches []probeMatch, cands, idxDelta int64) {
 	pb := &bp.pb
 	pb.reset(bp.t, bp.rp, &bp.st)
-	pb.add(tuple.New(bp.schema, 0, vals...), math.MaxUint64, 0)
+	pb.add(tuple.New(bp.schema, 0, vals...), math.MaxUint64)
 	pb.cuts[0], pb.minCut = cut, cut
 	idxDelta = b.probeScanBatch(&bp.rp.key, pb)
 	for _, j := range pb.resTups {

@@ -265,10 +265,10 @@ func TestFlowSurvivesWhereUnboundedDies(t *testing.T) {
 }
 
 // TestMeasuredProbesMatchAcrossSubstrates: MeasuredCosts meters every
-// probed tuple once per probe rule, whether it arrives alone or in a
-// drained-mailbox run the flow substrate applies as one batched scan
-// (task.handleRun). A slow single worker lets runs form; the per-task
-// probe counts must equal the synchronous engine's, which has no runs.
+// probed tuple once per probe rule, whether its message is dispatched
+// synchronously or drained from a backed-up flow mailbox. A slow single
+// worker lets mailboxes back up; the per-task probe counts must equal
+// the synchronous engine's.
 func TestMeasuredProbesMatchAcrossSubstrates(t *testing.T) {
 	const n = 4000
 	gauges := func(cfg Config) []TaskGauge {

@@ -37,38 +37,16 @@ var ErrTaskFailed = errors.New("runtime: task failed")
 // injected panics (SimConfig.Panic).
 var errInjectedPanic = errors.New("runtime: injected panic")
 
-// SupervisionConfig tunes the task panic supervisor.
-type SupervisionConfig struct {
-	// MaxRestarts bounds consecutive panics of one task before the
-	// engine fails with ErrTaskFailed. 0 selects the default (3);
-	// negative disables restarts entirely — the first panic is
-	// terminal (but still a clean engine failure, not a process
-	// crash).
-	MaxRestarts int
-	// Backoff is the base redelivery delay after a panic, doubled per
-	// consecutive restart and capped at 100ms (default 1ms). On the
-	// simulation substrate the backoff advances virtual time instead
-	// of sleeping.
-	Backoff time.Duration
-}
-
-func (s SupervisionConfig) maxRestarts() int {
-	switch {
-	case s.MaxRestarts < 0:
-		return 0
-	case s.MaxRestarts == 0:
-		return 3
-	default:
-		return s.MaxRestarts
-	}
-}
-
-func (s SupervisionConfig) backoffBase() time.Duration {
-	if s.Backoff <= 0 {
-		return time.Millisecond
-	}
-	return s.Backoff
-}
+// restartBudget bounds consecutive panics of one task before the
+// engine fails with ErrTaskFailed. The redelivery delay after a panic
+// starts at backoffBase and doubles per consecutive restart up to
+// backoffCap; on the simulation substrate it advances virtual time
+// instead of sleeping.
+const (
+	restartBudget = 3
+	backoffBase   = time.Millisecond
+	backoffCap    = 100 * time.Millisecond
+)
 
 // superviseTaskPanic is the recover() handler of dispatchGuarded: count
 // the panic, and either redeliver the interrupted message after backoff
@@ -78,7 +56,7 @@ func (e *Engine) superviseTaskPanic(t *task, msg *message, r any) {
 	e.metrics.recoveredPanics.Add(1)
 	t.restartStreak++
 	streak := t.restartStreak
-	if streak > e.cfg.Supervision.maxRestarts() {
+	if streak > restartBudget {
 		t.failed.Store(true)
 		e.fail(fmt.Errorf("%w: %s/%d panicked %d time(s) in a row: %v",
 			ErrTaskFailed, t.key.store, t.key.part, streak, r))
@@ -108,12 +86,12 @@ func (e *Engine) superviseTaskPanic(t *task, msg *message, r any) {
 // streak, capped, and virtual on the simulation substrate (sleeping a
 // deterministic scheduler would couple schedules to the wall clock).
 func (e *Engine) superviseBackoff(streak int) {
-	d := e.cfg.Supervision.backoffBase()
-	for i := 1; i < streak && d < 100*time.Millisecond; i++ {
+	d := backoffBase
+	for i := 1; i < streak && d < backoffCap; i++ {
 		d *= 2
 	}
-	if d > 100*time.Millisecond {
-		d = 100 * time.Millisecond
+	if d > backoffCap {
+		d = backoffCap
 	}
 	if vc, ok := e.clock.(*VirtualClock); ok {
 		vc.Advance(d)

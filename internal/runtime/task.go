@@ -122,9 +122,8 @@ type task struct {
 	// mode a sink callback may re-enter this task's probe (feedback
 	// ingestion) while the outer batch's forward is still iterating its
 	// grouped results, so each nesting level pops its own batch
-	// (batchprobe.go). pbRun is the handleRun per-plan batch scratch.
+	// (batchprobe.go).
 	pbFree      []*probeBatch
-	pbRun       []*probeBatch
 	rs          routeScratch // batch-routing scratch
 	schemaCache map[[2]*tuple.Schema]*tuple.Schema
 	lastJoinKey [2]*tuple.Schema
@@ -419,7 +418,7 @@ func (t *task) resetVolatile() {
 	t.states = map[*rulePlan]*planState{}
 	t.prevComp, t.prevStates = nil, nil
 	t.lastPlan, t.lastState = nil, nil
-	t.pbFree, t.pbRun = nil, nil
+	t.pbFree = nil
 	t.schemaCache = map[[2]*tuple.Schema]*tuple.Schema{}
 	t.lastJoinKey, t.lastJoined = [2]*tuple.Schema{}, nil
 }

@@ -77,8 +77,8 @@ func (f TaskStall) Stall(ev runtime.SimEvent) bool {
 // the message, so a surviving run is still exact — the fault proves the
 // restart path preserves results, not merely that the process lives.
 // Keep Every above the restart budget's reach (consecutive panics of
-// one task exhaust SupervisionConfig.MaxRestarts and fail the engine —
-// that path is tested directly in the runtime package).
+// one task exhaust the supervisor's restart budget of 3 and fail the
+// engine — that path is tested directly in the runtime package).
 type TaskPanic struct {
 	nopFault
 	// StorePrefix selects the victim store(s) by ID prefix ("" = all).

@@ -66,9 +66,6 @@ type Scenario struct {
 	// EpochLength enables epoch granularity for demotion/eviction (0 =
 	// one epoch; tier moves need several).
 	EpochLength time.Duration
-	// Supervision tunes the task supervisor (restart budget/backoff for
-	// recovered panics). The zero value uses the runtime defaults.
-	Supervision runtime.SupervisionConfig
 	// Faults are applied in order; CreditStarvation overrides Credits.
 	Faults []Fault
 }
@@ -208,7 +205,6 @@ func (sc *Scenario) engineConfig(cat *query.Catalog, credits int, trace *Trace, 
 		StateBackend:  sc.Backend,
 		StateHotBytes: sc.StateHotBytes,
 		Substrate:     runtime.SubstrateSim,
-		Supervision:   sc.Supervision,
 		Journal:       journal,
 		Sim: runtime.SimConfig{
 			Seed:           sc.Seed,
