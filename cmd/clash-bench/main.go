@@ -12,16 +12,6 @@
 //	             verification and an injected-fault scenario (source
 //	             hiccup under flow control) replayed from its seed;
 //	             -backend selects the state backend of the sim runs
-//	longstate  — state-backend shoot-out on a long-state workload:
-//	             per-backend probe/prune ns+allocs, resident/heap
-//	             bytes, and the bounded-memory eviction stage (the
-//	             budget as MemoryLimitBytes dies, as StateLimitBytes
-//	             survives by shedding epochs)
-//	skew       — zipf-keyed TPC-H stream under a uniform-cost vs a
-//	             degree-aware plan: the degree sketches let the
-//	             optimizer split heavy-hitter keys across two tasks,
-//	             and the handled-tuple imbalance (max/mean) must drop
-//	             while results stay identical
 //	churn      — incremental re-optimization: Fig. 9-regime query churn
 //	             at 100/500/1000 queries, re-optimizing every step from
 //	             scratch vs with cross-churn state (incumbent warm
@@ -47,10 +37,10 @@
 //
 // clash-bench is a printer. Every solve behind a figure is bounded by a
 // node count, so the plans and the count columns (probe tuples,
-// candidates, memory, stores, results, drops, plan cost) repeat on any
+// candidates, memory, stores, results, plan cost) repeat on any
 // machine; a figure that finds its own arms disagreeing on an exact
 // invariant exits non-zero. The clock columns (throughput, latency,
-// ns/op, wall) are printed and never compared, here or in CI: timings
+// wall) are printed and never compared, here or in CI: timings
 // are judged by benchmark/ (BENCHMARK.json), which corrects for the
 // machine and bounds each metric.
 package main
@@ -69,7 +59,7 @@ import (
 // figures lists every -fig name in help order; the shorthands 7, 8, 9
 // and all expand to them.
 var figures = []string{"7b", "7c", "7d", "8a", "8b", "9a", "9b", "9c", "9d", "9e", "9f",
-	"simsweep", "longstate", "skew", "churn", "chaos", "ablation"}
+	"simsweep", "churn", "chaos", "ablation"}
 
 // parseFigures expands a comma-separated -fig value into the set of
 // figures to run. Names match exactly (case-insensitively); "7", "8"
@@ -101,7 +91,7 @@ func main() {
 		quick    = flag.Bool("quick", false, "smaller sweeps for a fast smoke run")
 		seed     = flag.Uint64("seed", 42, "workload seed")
 		seeds    = flag.Int("seeds", 16, "schedule seeds for -fig simsweep, crash seeds for -fig chaos")
-		backendF = flag.String("backend", "container", "state-matrix row for the -fig simsweep runs, and filter for -fig longstate (container|columnar|tiered; tiered = columnar under a hot budget)")
+		backendF = flag.String("backend", "container", "state-matrix row for the -fig simsweep runs (container|columnar|tiered; tiered = columnar under a hot budget)")
 	)
 	flag.Parse()
 
@@ -117,17 +107,6 @@ func main() {
 
 	if want["7b"] || want["7c"] || want["7d"] {
 		runFig7(*sf, *quick, *seed)
-	}
-	if want["longstate"] {
-		// An explicit -backend narrows the shoot-out to that row.
-		var only []bench.StateConfig
-		if flagWasSet("backend") {
-			only = []bench.StateConfig{backend}
-		}
-		runLongState(*quick, *seed, only...)
-	}
-	if want["skew"] {
-		runSkew(*seed)
 	}
 	if want["churn"] {
 		runChurn(*quick, *seed)
@@ -187,39 +166,6 @@ func runFig7(sf float64, quick bool, seed uint64) {
 		fmt.Print(bench.FormatFig7(res))
 		fmt.Println()
 	}
-}
-
-// runLongState drives the state-backend shoot-out (DESIGN.md §10) on
-// every row of the state matrix — or only the ones named — and dies on a
-// vacuous or inconclusive stage (a MemoryLimitBytes run that survives
-// its budget, a StateLimitBytes survivor that never evicts, a tiered run
-// that sheds).
-func runLongState(quick bool, seed uint64, only ...bench.StateConfig) {
-	cfg := bench.LongStateConfig{Seed: seed}
-	if quick {
-		cfg.Tuples = 6000
-		cfg.PruneWindow = 1024
-	}
-	fmt.Println("=== Long state — state-backend shoot-out (probe / prune / eviction) ===")
-	results, err := bench.LongState(cfg, only...)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(bench.FormatLongState(results))
-	fmt.Println()
-}
-
-// runSkew drives the degree-aware skew scenario and dies on a vacuous
-// run (no split keys declared) or when splitting fails to reduce the
-// handled-tuple imbalance; results must match between plans.
-func runSkew(seed uint64) {
-	fmt.Println("=== Skew — zipf-keyed TPC-H stream: uniform-cost vs degree-aware plan ===")
-	rows, err := bench.Skew(bench.SkewConfig{Seed: seed})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(bench.FormatSkew(rows))
-	fmt.Println()
 }
 
 // runSimSweep drives the deterministic-schedule sweep (DESIGN.md §9)
@@ -287,18 +233,6 @@ func runChurn(quick bool, seed uint64) {
 	fmt.Println()
 	fmt.Print(bench.FormatReoptStats(rows, engine))
 	fmt.Println()
-}
-
-// flagWasSet reports whether the named flag was passed explicitly on
-// the command line (as opposed to sitting at its default).
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
 }
 
 func runFig8(variant byte, quick bool, seed uint64) {

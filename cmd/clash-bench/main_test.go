@@ -10,8 +10,9 @@ import (
 // 7/8/9/all, and an error — not an empty run — for anything else. A
 // first letter used to select every figure sharing it ("c" ran cluster,
 // churn and chaos) and an unknown name printed nothing and exited 0.
-// cluster and overload are not figures: internal/cluster's and
-// internal/runtime's package tests check what those printers checked.
+// cluster, overload, longstate and skew are not figures: the package
+// tests of internal/cluster and internal/runtime check what those
+// printers checked.
 func TestParseFigures(t *testing.T) {
 	for _, tc := range []struct {
 		spec string
@@ -23,7 +24,7 @@ func TestParseFigures(t *testing.T) {
 		{"7b", []string{"7b"}},
 		{"simsweep", []string{"simsweep"}},
 		{"Chaos", []string{"chaos"}},
-		{"skew, 8a", []string{"8a", "skew"}},
+		{"churn, 8a", []string{"8a", "churn"}},
 		{"all", figures},
 	} {
 		got, err := parseFigures(tc.spec)
@@ -42,7 +43,7 @@ func TestParseFigures(t *testing.T) {
 			t.Errorf("-fig %q selects %v, want %v", tc.spec, names, want)
 		}
 	}
-	for _, spec := range []string{"c", "s", "7x", "fig7", "", "7,", "longstat", "10", "cluster", "overload"} {
+	for _, spec := range []string{"c", "s", "7x", "fig7", "", "7,", "longstat", "10", "cluster", "overload", "longstate", "skew"} {
 		if got, err := parseFigures(spec); err == nil {
 			t.Errorf("-fig %q accepted (selects %v), want an error", spec, got)
 		}

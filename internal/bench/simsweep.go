@@ -2,7 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"sort"
+	"maps"
 	"strings"
 	"time"
 
@@ -10,6 +10,25 @@ import (
 	"clash/internal/sim"
 	"clash/internal/tpch"
 )
+
+// StateConfig re-exports the state-matrix row type so cmd/clash-bench
+// needs only this package.
+type StateConfig = sim.StateConfig
+
+// ParseBackend maps a -backend flag value to its row of the state
+// matrix ("" = container).
+func ParseBackend(name string) (StateConfig, error) {
+	rows := sim.StateConfigs()
+	if name == "" {
+		return rows[0], nil
+	}
+	for _, row := range rows {
+		if strings.EqualFold(name, row.Name) {
+			return row, nil
+		}
+	}
+	return StateConfig{}, fmt.Errorf("bench: unknown state backend %q (container|columnar|tiered)", name)
+}
 
 // SimSweepConfig parameterizes the seeded-schedule sweep: the TPC-H
 // multi-query equivalence oracle, run once on the exact synchronous
@@ -79,7 +98,7 @@ func SimSweep(cfg SimSweepConfig) (SimSweepResult, error) {
 		return res, err
 	}
 
-	run := func(cfg runtime.Config, onEvent func(runtime.SimEvent)) (map[string]string, int64, error) {
+	run := func(cfg runtime.Config, onEvent func(runtime.SimEvent)) (map[string]map[string]int, int64, error) {
 		cfg.Catalog = cat
 		cfg.Sim.OnEvent = onEvent
 		eng := runtime.New(cfg)
@@ -99,10 +118,10 @@ func SimSweep(cfg SimSweepConfig) (SimSweepResult, error) {
 			}
 		}
 		eng.Drain()
-		out := map[string]string{}
+		out := map[string]map[string]int{}
 		var total int64
 		for name, s := range sinks {
-			out[name] = canonicalMultiset(s)
+			out[name] = s.Results()
 			total += int64(s.Count())
 		}
 		return out, total, nil
@@ -132,7 +151,7 @@ func SimSweep(cfg SimSweepConfig) (SimSweepResult, error) {
 			return res, fmt.Errorf("bench: seed %d: %w", seed, err)
 		}
 		for name, want := range oracle {
-			if got[name] != want {
+			if !maps.Equal(got[name], want) {
 				return res, fmt.Errorf("bench: seed %d: query %s deviates from the oracle", seed, name)
 			}
 		}
@@ -190,22 +209,6 @@ func SimSweep(cfg SimSweepConfig) (SimSweepResult, error) {
 	res.FaultStalls = fres.Trace.Stalls()
 	res.FaultReplayedOK = true
 	return res, nil
-}
-
-// canonicalMultiset renders a sink's results deterministically for
-// byte comparison.
-func canonicalMultiset(s *runtime.CollectSink) string {
-	res := s.Results()
-	keys := make([]string, 0, len(res))
-	for k := range res {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&sb, "%s×%d\n", k, res[k])
-	}
-	return sb.String()
 }
 
 // FormatSimSweep renders the sweep summary.

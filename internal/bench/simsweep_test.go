@@ -1,6 +1,10 @@
 package bench
 
-import "testing"
+import (
+	"testing"
+
+	"clash/internal/sim"
+)
 
 // TestSimSweepSmoke runs a short seed matrix end to end: every seed
 // must match the oracle, replays must be trace-identical, and the
@@ -27,5 +31,33 @@ func TestSimSweepSmoke(t *testing.T) {
 	}
 	if !res.FaultReplayedOK || res.FaultStalls == 0 {
 		t.Errorf("fault scenario not reproduced: stalls=%d replayed=%v", res.FaultStalls, res.FaultReplayedOK)
+	}
+}
+
+// TestParseBackend pins the -backend contract of -fig simsweep: the
+// empty value is the container row, names match any case, and anything
+// else is an error.
+func TestParseBackend(t *testing.T) {
+	rows := sim.StateConfigs()
+	for _, tc := range []struct {
+		name string
+		want StateConfig
+	}{
+		{"", rows[0]},
+		{"container", rows[0]},
+		{"Columnar", rows[1]},
+		{"TIERED", rows[2]},
+	} {
+		row, err := ParseBackend(tc.name)
+		if err != nil {
+			t.Errorf("-backend %q: %v", tc.name, err)
+			continue
+		}
+		if row != tc.want {
+			t.Errorf("-backend %q selects %+v, want %+v", tc.name, row, tc.want)
+		}
+	}
+	if row, err := ParseBackend("longstat"); err == nil {
+		t.Errorf("-backend longstat accepted (selects %+v), want an error", row)
 	}
 }

@@ -293,13 +293,13 @@ func TestNodeLimit(t *testing.T) {
 		comps := len(components(m))
 		for _, budget := range []int{1, 2, 7, 50, 300} {
 			o := Options{MaxNodes: budget}
-			if sol := m.Solve(&o); sol.NodesExplored() > comps*budget {
-				t.Fatalf("trial %d: %d nodes explored in %d components under MaxNodes %d", trial, sol.NodesExplored(), comps, budget)
+			if sol := m.Solve(&o); sol.Nodes > comps*budget {
+				t.Fatalf("trial %d: %d nodes explored in %d components under MaxNodes %d", trial, sol.Nodes, comps, budget)
 			}
 			o.fill()
 			sol := solveOne(m, o)
-			if sol.NodesExplored() > budget {
-				t.Fatalf("trial %d: %d nodes explored in one search under MaxNodes %d", trial, sol.NodesExplored(), budget)
+			if sol.Nodes > budget {
+				t.Fatalf("trial %d: %d nodes explored in one search under MaxNodes %d", trial, sol.Nodes, budget)
 			}
 			if sol.Status == Limit {
 				capped++

@@ -224,11 +224,6 @@ type Solution struct {
 	Nodes     int // branch-and-bound nodes explored
 }
 
-// NodesExplored returns the number of branch-and-bound nodes explored.
-// It is deterministic for a given model + options: the node budget is
-// counted, never clock-sampled.
-func (s *Solution) NodesExplored() int { return s.Nodes }
-
 // Value returns the solution value of variable v: 0 or 1.
 func (s *Solution) Value(v int) float64 { return s.Values[v] }
 

@@ -134,9 +134,9 @@ func TestNodeBudgetDeterministic(t *testing.T) {
 			o1, o2 := opt, opt
 			a := m.Solve(&o1)
 			b := m.Solve(&o2)
-			if a.NodesExplored() != b.NodesExplored() {
+			if a.Nodes != b.Nodes {
 				t.Fatalf("trial %d: nodes %d vs %d across identical solves",
-					trial, a.NodesExplored(), b.NodesExplored())
+					trial, a.Nodes, b.Nodes)
 			}
 			if a.Status != b.Status {
 				t.Fatalf("trial %d: status %v vs %v", trial, a.Status, b.Status)

@@ -85,9 +85,6 @@ func (p Predicate) String() string {
 	return n.Left.String() + "=" + n.Right.String()
 }
 
-// Touches reports whether the predicate references the given relation.
-func (p Predicate) Touches(rel string) bool { return p.Left.Rel == rel || p.Right.Rel == rel }
-
 // Side returns the predicate's attribute on the given relation and whether
 // the relation participates.
 func (p Predicate) Side(rel string) (Attr, bool) {
@@ -197,18 +194,6 @@ func (q *Query) RelationSet() map[string]bool {
 // Size returns the number of relations joined.
 func (q *Query) Size() int { return len(q.Relations) }
 
-// PredsWithin returns the predicates whose both sides lie inside the given
-// relation set, normalized and sorted.
-func (q *Query) PredsWithin(set map[string]bool) []Predicate {
-	var out []Predicate
-	for _, p := range q.Preds {
-		if set[p.Left.Rel] && set[p.Right.Rel] {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // PredsBetween returns the predicates connecting set a to set b.
 func (q *Query) PredsBetween(a, b map[string]bool) []Predicate {
 	var out []Predicate
@@ -252,31 +237,6 @@ func (q *Query) Connected(set map[string]bool) bool {
 		}
 	}
 	return len(seen) == len(set)
-}
-
-// IsClique reports whether every pair of query relations is joined by at
-// least one predicate (worst case for MIR enumeration, Sec. V-A).
-func (q *Query) IsClique() bool {
-	pair := map[[2]string]bool{}
-	for _, p := range q.Preds {
-		a, b := p.Left.Rel, p.Right.Rel
-		if a > b {
-			a, b = b, a
-		}
-		pair[[2]string{a, b}] = true
-	}
-	for i := 0; i < len(q.Relations); i++ {
-		for j := i + 1; j < len(q.Relations); j++ {
-			a, b := q.Relations[i], q.Relations[j]
-			if a > b {
-				a, b = b, a
-			}
-			if !pair[[2]string{a, b}] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Signature is a canonical identity for the query's join structure:

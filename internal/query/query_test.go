@@ -31,9 +31,6 @@ func TestPredicateNormalize(t *testing.T) {
 
 func TestPredicateSides(t *testing.T) {
 	p := Predicate{Left: Attr{"R", "a"}, Right: Attr{"S", "b"}}
-	if !p.Touches("R") || !p.Touches("S") || p.Touches("T") {
-		t.Error("Touches wrong")
-	}
 	if a, ok := p.Side("R"); !ok || a.Name != "a" {
 		t.Error("Side(R) wrong")
 	}
@@ -148,27 +145,8 @@ func TestConnected(t *testing.T) {
 	}
 }
 
-func TestIsClique(t *testing.T) {
-	line := MustParse("q: R(a) S(a,b) T(b)")
-	if line.IsClique() {
-		t.Error("linear query is not a clique")
-	}
-	clique := MustParse("q: R(a,c) S(a,b) T(b,c)")
-	if !clique.IsClique() {
-		t.Error("triangle query is a clique")
-	}
-	single := MustParse("q: R(a)")
-	if !single.IsClique() {
-		t.Error("singleton is trivially a clique")
-	}
-}
-
 func TestPredsWithinBetween(t *testing.T) {
 	q := MustParse("q: R(a) S(a,b) T(b)")
-	within := q.PredsWithin(set("R", "S"))
-	if len(within) != 1 || within[0].String() != "R.a=S.a" {
-		t.Errorf("PredsWithin = %v", within)
-	}
 	between := q.PredsBetween(set("R", "S"), set("T"))
 	if len(between) != 1 || between[0].String() != "S.b=T.b" {
 		t.Errorf("PredsBetween = %v", between)

@@ -55,30 +55,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// ExpFloat64 returns an exponentially distributed float64 with rate 1.
-// Used for Poisson inter-arrival times in rate-controlled sources.
-func (r *RNG) ExpFloat64() float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u)
-}
-
-// Fork derives an independent generator from the current state, so that
-// sub-generators (one per relation, say) do not interleave draws.
-func (r *RNG) Fork() *RNG {
-	return New(r.Uint64() ^ 0xdeadbeefcafef00d)
-}
-
 // Zipf draws from a Zipf-like distribution over [0, n) with exponent s>0
 // using rejection-inversion. Small n and s near 1 are the common case in
 // skewed join-key generation.

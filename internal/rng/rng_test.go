@@ -71,43 +71,6 @@ func TestPerm(t *testing.T) {
 	}
 }
 
-func TestShuffle(t *testing.T) {
-	r := New(5)
-	vals := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-	seen := map[int]bool{}
-	for _, v := range vals {
-		seen[v] = true
-	}
-	if len(seen) != 8 {
-		t.Errorf("Shuffle lost elements: %v", vals)
-	}
-}
-
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(11)
-	sum := 0.0
-	const n = 20000
-	for i := 0; i < n; i++ {
-		v := r.ExpFloat64()
-		if v < 0 {
-			t.Fatal("negative exponential draw")
-		}
-		sum += v
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.05 {
-		t.Errorf("ExpFloat64 mean = %g, want ~1", mean)
-	}
-}
-
-func TestForkIndependence(t *testing.T) {
-	r := New(9)
-	f := r.Fork()
-	if r.Uint64() == f.Uint64() {
-		t.Error("fork mirrors parent")
-	}
-}
-
 func TestZipfSkew(t *testing.T) {
 	r := New(13)
 	z := NewZipf(r, 100, 1.2)

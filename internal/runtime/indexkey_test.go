@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"clash/internal/core"
+	"clash/internal/rng"
 	"clash/internal/tpch"
 	"clash/internal/tuple"
 )
@@ -85,6 +86,86 @@ func TestProbeCandidatesFig7(t *testing.T) {
 			}
 			if perTask != m.ProbeCandidates {
 				t.Errorf("Σ task ProbeCandidates %d != engine's %d", perTask, m.ProbeCandidates)
+			}
+		})
+	}
+}
+
+// zipfKeys draws n join keys from a zipf law over [0, 512): a few
+// hot keys carry long posting lists, the tail is close to unique — the
+// shape of a long-state store.
+func zipfKeys(n int, seed uint64) []int64 {
+	z := rng.NewZipf(rng.New(seed), 512, 1.1)
+	keys := make([]int64, n)
+	for i := range keys {
+		keys[i] = int64(z.Draw())
+	}
+	return keys
+}
+
+// ingestZipfProbes sends n S probes at ts into a long-state join:
+// one in eight draws its key from the stored law (usually a hit on a
+// long chain), the rest miss every stored key.
+func ingestZipfProbes(t *testing.T, eng *Engine, n int, ts tuple.Time, seed uint64) {
+	t.Helper()
+	r, z := rng.New(seed), rng.NewZipf(rng.New(seed+1), 512, 1.1)
+	for i := 0; i < n; i++ {
+		k := 4*512 + r.Int64n(512)
+		if r.Intn(8) == 0 {
+			k = int64(z.Draw())
+		}
+		if err := eng.Ingest("S", ts, tuple.IntValue(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Drain()
+}
+
+// TestProbeCandidatesLongWindow bounds candidates per match on the
+// long-state shape instead of the Fig. 7 one: a two-way join whose
+// window holds 4 000 zipf-keyed rows in 16 epochs, probed by a mix of
+// misses and hits on hot keys. On every state configuration the index
+// hands a probe at least one and at most 1.10 candidates per matched
+// row, and every row returns the container row's results.
+func TestProbeCandidatesLongWindow(t *testing.T) {
+	const stored, epochLen = 4000, 256
+	keys := zipfKeys(stored, 42)
+	var results int64
+	for _, row := range backendKinds() {
+		t.Run(row.name, func(t *testing.T) {
+			h := newHarness(t, "q1: R(a) S(a)",
+				core.Options{StoreParallelism: 1},
+				flatEstimates([]string{"R", "S"}, 1000),
+				row.apply(Config{Synchronous: true, DefaultWindow: 4 * stored, EpochLength: epochLen, StateSpillDir: t.TempDir()}))
+			defer h.eng.Stop()
+			h.eng.OnResult("q1", func(*tuple.Tuple) {})
+			// A first probe keys every segment's index, so a demoted
+			// epoch's stub carries the filter that dismisses misses.
+			ingestZipfProbes(t, h.eng, 1, 0, 43)
+			for i, k := range keys {
+				if err := h.eng.Ingest("R", tuple.Time(i+1), tuple.IntValue(k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ingestZipfProbes(t, h.eng, 200, stored, 43)
+			m, matched := h.eng.Metrics().Snapshot(), matchedRows(h.eng)
+			if matched == 0 || m.Results == 0 {
+				t.Fatalf("no matches (%d) or no results (%d) — bound vacuous", matched, m.Results)
+			}
+			if results == 0 {
+				results = m.Results
+			}
+			if m.Results != results {
+				t.Errorf("%d results, the container row had %d", m.Results, results)
+			}
+			if row.hot > 0 && (m.DemotedEpochs == 0 || m.ColdProbeHits == 0) {
+				t.Errorf("tiered row never spilled or never read back (demoted=%d cold hits=%d)", m.DemotedEpochs, m.ColdProbeHits)
+			}
+			ratio := float64(m.ProbeCandidates) / float64(matched)
+			t.Logf("%d candidates for %d matched rows: %.3f candidates per match (%d results)",
+				m.ProbeCandidates, matched, ratio, m.Results)
+			if ratio < 1 || ratio > 1.10 {
+				t.Errorf("%.3f candidates per matched row, want between 1 and 1.10", ratio)
 			}
 		})
 	}

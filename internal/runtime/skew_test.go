@@ -2,7 +2,9 @@ package runtime
 
 import (
 	"fmt"
+	"maps"
 	"testing"
+	"time"
 
 	"clash/internal/core"
 	"clash/internal/query"
@@ -104,24 +106,33 @@ func TestSplitKeysExact(t *testing.T) {
 // TestSplitKeysReduceImbalance: the degree-aware plan must spread the
 // hot key's state over two tasks, dropping the maximum task load well
 // below the uniform-cost plan's — while producing the same result
-// multiset. Uniform keys are covered by TestSplitKeysNoRegression.
+// multiset. Uniform keys are covered by TestSplitKeysNoRegression. The
+// second arm takes its estimates end to end from a stats.Collector that
+// observed and sealed the skewed stream: with the degree sketches
+// stripped the plan declares no split key; with them it declares some,
+// and the load drops while the results stay the same.
 func TestSplitKeysReduceImbalance(t *testing.T) {
-	run := func(est *stats.Estimates) (int64, int) {
+	ins := skewedStream([]string{"R", "S"}, 600, 8)
+	run := func(est *stats.Estimates) (int64, int, map[string]int, int) {
 		h := newHarness(t, "q1: R(a) S(a)",
 			core.Options{StoreParallelism: 4}, est,
 			Config{Synchronous: true})
 		defer h.eng.Stop()
-		h.ingestAll(t, skewedStream([]string{"R", "S"}, 600, 8))
+		h.ingestAll(t, ins)
 		var worst int64
 		for _, sizes := range h.eng.TaskSizes() {
 			if m := maxLoad(sizes); m > worst {
 				worst = m
 			}
 		}
-		return worst, h.sinks["q1"].Count()
+		splits := 0
+		for _, s := range h.eng.ConfigFor(0).Stores {
+			splits += len(s.SplitKeys)
+		}
+		return worst, h.sinks["q1"].Count(), h.sinks["q1"].Results(), splits
 	}
-	uniform, uniformResults := run(flatEstimates([]string{"R", "S"}, 100))
-	split, splitResults := run(degreeEstimates([]string{"R", "S"}, 100, 0, 7.0/8))
+	uniform, uniformResults, _, _ := run(flatEstimates([]string{"R", "S"}, 100))
+	split, splitResults, _, _ := run(degreeEstimates([]string{"R", "S"}, 100, 0, 7.0/8))
 	if splitResults != uniformResults {
 		t.Fatalf("split-key plan produced %d results, uniform plan %d", splitResults, uniformResults)
 	}
@@ -130,6 +141,38 @@ func TestSplitKeysReduceImbalance(t *testing.T) {
 	}
 	if split > uniform*3/4 {
 		t.Errorf("split-key max load %d not substantially below uniform %d", split, uniform)
+	}
+
+	qs, cat, err := query.ParseWorkload("q1: R(a) S(a)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	schemas := map[string]*tuple.Schema{}
+	for _, rel := range cat.Names() {
+		schemas[rel] = tuple.NewSchema(cat.Relation(rel).QualifiedAttrs()...)
+	}
+	col := stats.NewCollector(512, 256, 7)
+	for _, in := range ins {
+		col.Observe(in.Rel, tuple.New(schemas[in.Rel], in.TS, in.Vals...))
+	}
+	sealed := col.Seal(time.Second, qs[0].Preds)
+	stripped := sealed.Clone()
+	stripped.Degrees = map[string]*stats.AttrDegrees{}
+	flatLoad, _, flatRes, flatSplits := run(stripped)
+	skewLoad, _, skewRes, skewSplits := run(sealed)
+	t.Logf("sealed estimates: %d split keys, max task load %d; degrees stripped: %d split keys, max task load %d",
+		skewSplits, skewLoad, flatSplits, flatLoad)
+	if flatSplits != 0 {
+		t.Errorf("the plan without degree sketches declared %d split keys, want 0", flatSplits)
+	}
+	if skewSplits == 0 {
+		t.Fatal("the plan from the sealed degree sketches declared no split key")
+	}
+	if skewLoad >= flatLoad {
+		t.Errorf("split-key max task load %d >= %d without degree sketches", skewLoad, flatLoad)
+	}
+	if len(flatRes) == 0 || !maps.Equal(skewRes, flatRes) {
+		t.Errorf("results differ: %d distinct with split keys, %d without", len(skewRes), len(flatRes))
 	}
 }
 

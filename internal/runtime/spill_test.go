@@ -20,6 +20,7 @@ import (
 	"strings"
 	"testing"
 
+	"clash/internal/core"
 	"clash/internal/tuple"
 )
 
@@ -538,5 +539,60 @@ func TestTieredCrashDuringDemotion(t *testing.T) {
 	}
 	if got := walkAll(tr); got != wantWalk {
 		t.Fatal("state diverged across the retried demotion")
+	}
+}
+
+// TestTieredHoldsTenWindowsUnderHotBudget sizes a hot budget from the
+// resident footprint of a long-state store, then grows a store ten times
+// that long under it and probes it with misses and hot hits. The tier must absorb
+// the overflow without touching the answer: nothing evicted, the excess
+// on disk, resident bytes within twice the budget (the newest epoch
+// never demotes, and each cold epoch keeps a stub), and the probes
+// reading cold epochs through where their filters admit the key and
+// finding no candidate in some.
+func TestTieredHoldsTenWindowsUnderHotBudget(t *testing.T) {
+	const stored, epochLen = 1000, 256
+	run := func(tuples int, hot int64) (Snapshot, int64) {
+		h := newHarness(t, "q1: R(a) S(a)",
+			core.Options{StoreParallelism: 1},
+			flatEstimates([]string{"R", "S"}, 1000),
+			Config{Synchronous: true, StateBackend: BackendColumnar, StateHotBytes: hot, StateSpillDir: t.TempDir(),
+				DefaultWindow: tuple.Duration(4 * tuples), EpochLength: epochLen})
+		defer h.eng.Stop()
+		var results int64
+		h.eng.OnResult("q1", func(*tuple.Tuple) { results++ })
+		ingestZipfProbes(t, h.eng, 1, 0, 5) // key every segment's index
+		for i, k := range zipfKeys(tuples, 4) {
+			if err := h.eng.Ingest("R", tuple.Time(i+1), tuple.IntValue(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h.eng.Drain()
+		if hot > 0 && h.eng.Metrics().Snapshot().DemotedEpochs == 0 {
+			t.Fatalf("nothing demoted under a %d-byte hot budget — test vacuous", hot)
+		}
+		ingestZipfProbes(t, h.eng, 100, tuple.Time(tuples), 6)
+		return h.eng.Metrics().Snapshot(), results
+	}
+	one, _ := run(stored, 0)
+	budget := one.StoreBytes
+	m, results := run(10*stored, budget)
+	t.Logf("10x window: %d tuples under a %d-byte hot budget — resident %d, spilled %d, demoted %d / promoted %d epochs, cold probes %d hits / %d misses, evicted %d, %d results",
+		m.Stored, budget, m.StoreBytes, m.SpilledBytes, m.DemotedEpochs, m.PromotedEpochs,
+		m.ColdProbeHits, m.ColdProbeMisses, m.EvictedTuples, results)
+	if m.EvictedTuples != 0 || m.EvictedEpochs != 0 {
+		t.Errorf("evicted %d epochs / %d tuples — the tier must absorb the overflow losslessly", m.EvictedEpochs, m.EvictedTuples)
+	}
+	if m.SpilledBytes == 0 {
+		t.Error("nothing on disk")
+	}
+	if m.StoreBytes > 2*budget {
+		t.Errorf("resident bytes %d exceed twice the %d-byte hot budget", m.StoreBytes, budget)
+	}
+	if m.ColdProbeHits == 0 || m.ColdProbeMisses == 0 {
+		t.Errorf("probes never exercised the stubs both ways (hits=%d misses=%d)", m.ColdProbeHits, m.ColdProbeMisses)
+	}
+	if results == 0 {
+		t.Error("no results — test vacuous")
 	}
 }

@@ -377,8 +377,12 @@ func (bp *backendProbe) scan(b stateBackend, cut int64, vals ...tuple.Value) (ma
 // IndexBytes, and return exactly to zero once the state is pruned away.
 // The S store carries two indices — R probes it under the one-attribute
 // key {S.a}, T under the two-attribute key {S.a, S.b} — so both shapes
-// of key are on the books.
+// of key are on the books. Across rows, container and columnar index
+// bytes agree within 10 %: both walk the one index kernel, so the same
+// stream costs them the same tables and chains, up to the growth steps
+// of their row arrays.
 func TestIndexMemoryAccounted(t *testing.T) {
+	indexBytes := map[string]int64{}
 	for _, row := range backendKinds() {
 		t.Run(row.name, func(t *testing.T) {
 			// Tiering must not leak accounting either: demoted stubs
@@ -417,6 +421,7 @@ func TestIndexMemoryAccounted(t *testing.T) {
 			if m.IndexBytes <= 0 {
 				t.Fatalf("IndexBytes = %d after an indexed workload", m.IndexBytes)
 			}
+			indexBytes[row.name] = m.IndexBytes
 			if m.StoreBytes <= m.IndexBytes {
 				t.Fatalf("StoreBytes %d does not cover payload beyond IndexBytes %d", m.StoreBytes, m.IndexBytes)
 			}
@@ -443,6 +448,12 @@ func TestIndexMemoryAccounted(t *testing.T) {
 				t.Errorf("after full prune: %d bytes still marked spilled", m.SpilledBytes)
 			}
 		})
+	}
+	ctr, col := indexBytes["container"], indexBytes["columnar"]
+	t.Logf("index bytes on the same stream: container %d, columnar %d", ctr, col)
+	if d := float64(col-ctr) / float64(ctr); ctr == 0 || d > 0.10 || d < -0.10 {
+		t.Errorf("index bytes differ by %+.1f%% on the same stream: columnar %d, container %d — one kernel should cost both the same",
+			d*100, col, ctr)
 	}
 }
 
@@ -612,15 +623,32 @@ func TestRetireAbsentStores(t *testing.T) {
 
 // TestColumnarProbeAllocs pins the columnar probe budget to the
 // container baseline: joining and forwarding 8 results costs amortized
-// ≤1 allocation per probe.
+// ≤1 allocation per probe. The tiered row is the columnar store with
+// its spill tier on under a budget that never binds: with everything
+// resident, a whole dispatch of the probe adds only the tier's
+// end-of-dispatch maintenance, which may not allocate, so it costs no
+// more than on the columnar row.
 func TestColumnarProbeAllocs(t *testing.T) {
-	tk, rp, st, _, msg := probeFixture(t, 8, Config{StateBackend: BackendColumnar})
-	tk.probeBatched(msg, rp, st) // warm schema-position and index caches
-	avg := testing.AllocsPerRun(200, func() {
-		tk.probeBatched(msg, rp, st)
-	})
-	if avg > 1.0 {
-		t.Errorf("columnar probe allocates %.2f objects/run, want ≤ 1 (8 results forwarded)", avg)
+	handled := map[string]float64{}
+	for _, row := range []stateRow{{"columnar", BackendColumnar, 0}, {"tiered", BackendColumnar, math.MaxInt64}} {
+		tk, rp, st, _, msg := probeFixture(t, 8, row.apply(Config{}))
+		tk.probeBatched(msg, rp, st) // warm schema-position and index caches
+		avg := testing.AllocsPerRun(200, func() {
+			tk.probeBatched(msg, rp, st)
+		})
+		if avg > 1.0 {
+			t.Errorf("%s probe allocates %.2f objects/run, want ≤ 1 (8 results forwarded)", row.name, avg)
+		}
+		if (tk.tier != nil) != (row.hot > 0) {
+			t.Fatalf("%s row: spill tier on = %v", row.name, tk.tier != nil)
+		}
+		handled[row.name] = testing.AllocsPerRun(200, func() {
+			tk.handle(msg)
+		})
+	}
+	if handled["tiered"] > handled["columnar"] {
+		t.Errorf("a hot probe's dispatch allocates more on the tiered row than on the columnar one: %.2f > %.2f objects/run",
+			handled["tiered"], handled["columnar"])
 	}
 }
 

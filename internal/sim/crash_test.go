@@ -122,9 +122,11 @@ func TestCrashRecoveryTaskPanic(t *testing.T) {
 	}
 }
 
-// TestCrashSweep is the acceptance sweep: 16 seeds x 2 state backends,
-// crash point varying with the seed, with TaskPanic and TornWrite
-// active — every run's recovered output must byte-match its oracle.
+// TestCrashSweep is the acceptance sweep: 16 seeds x 3 state
+// configurations (container, columnar, and columnar with its spill
+// tier), 48 runs, crash point varying with the seed, with TaskPanic and
+// TornWrite active — every run's recovered output must byte-match its
+// oracle.
 func TestCrashSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep skipped in -short mode")

@@ -223,14 +223,6 @@ type AttrDegrees struct {
 	Top      []HeavyHitter // heaviest keys, count-descending
 }
 
-// MeanDegree is the average number of tuples per distinct value.
-func (d *AttrDegrees) MeanDegree() float64 {
-	if d == nil || d.Distinct < 1 {
-		return float64(d.safeCount())
-	}
-	return float64(d.Count) / d.Distinct
-}
-
 // HotShare is the heaviest key's estimated share of the stream — the
 // fraction of tuples a single hash partition receives from that key
 // alone. Zero when nothing was observed.

@@ -364,11 +364,8 @@ func TestAttrDegreesShares(t *testing.T) {
 	if got := d.KeyShare(2); got != 0 {
 		t.Errorf("KeyShare(2) = %v, want 0", got)
 	}
-	if got := d.MeanDegree(); got != 10 {
-		t.Errorf("MeanDegree = %v, want 10", got)
-	}
 	var nilD *AttrDegrees
-	if nilD.HotShare() != 0 || nilD.MeanDegree() != 0 || nilD.KeyShare(0) != 0 {
+	if nilD.HotShare() != 0 || nilD.KeyShare(0) != 0 {
 		t.Errorf("nil AttrDegrees must report zeros")
 	}
 }

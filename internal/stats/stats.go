@@ -281,9 +281,6 @@ func (r *Reservoir) Add(t *tuple.Tuple) {
 // Items returns the current sample. Callers must not mutate it.
 func (r *Reservoir) Items() []*tuple.Tuple { return r.items }
 
-// Seen returns the total number of observed tuples.
-func (r *Reservoir) Seen() int { return r.n }
-
 // relStats accumulates one relation's raw observations within an epoch.
 type relStats struct {
 	count    int64
@@ -310,16 +307,19 @@ type colSketch struct {
 	attrStats
 }
 
+// defaultSelectivity is the sealed estimates' fallback for predicates
+// the samples never observed.
+const defaultSelectivity = 0.01
+
 // Collector accumulates per-epoch observations. It is safe for concurrent
 // use by the source tasks of the runtime.
 type Collector struct {
-	mu         sync.Mutex
-	sampleK    int
-	sketchK    int
-	heavyK     int
-	seed       uint64
-	rels       map[string]*relStats
-	defaultSel float64
+	mu      sync.Mutex
+	sampleK int
+	sketchK int
+	heavyK  int
+	seed    uint64
+	rels    map[string]*relStats
 	// sealMu serializes Seal, whose sample joins share one table that
 	// keeps its capacity from epoch to epoch.
 	sealMu sync.Mutex
@@ -330,16 +330,12 @@ type Collector struct {
 // relation per epoch and sketching distincts with sketchK minimum values.
 func NewCollector(sampleK, sketchK int, seed uint64) *Collector {
 	return &Collector{sampleK: sampleK, sketchK: sketchK, heavyK: 16, seed: seed,
-		rels: map[string]*relStats{}, defaultSel: 0.01}
+		rels: map[string]*relStats{}}
 }
 
 // SetHeavyK overrides the heavy-hitter sketch capacity (default 16
 // monitored keys per attribute).
 func (c *Collector) SetHeavyK(k int) { c.heavyK = k }
-
-// SetDefaultSelectivity overrides the fallback selectivity for predicates
-// never observed in samples.
-func (c *Collector) SetDefaultSelectivity(s float64) { c.defaultSel = s }
 
 // Observe records the arrival of one tuple of the given relation: it
 // counts the tuple, offers it whole to the relation's sample, and adds
@@ -418,7 +414,7 @@ func (c *Collector) Seal(epochLen time.Duration, preds []query.Predicate) *Estim
 	c.rels = map[string]*relStats{}
 	c.mu.Unlock()
 
-	e := NewEstimates(c.defaultSel)
+	e := NewEstimates(defaultSelectivity)
 	secs := epochLen.Seconds()
 	if secs <= 0 {
 		secs = 1

@@ -62,9 +62,6 @@ func (s *Schema) Index(name string) int {
 	return -1
 }
 
-// Has reports whether the schema contains the named attribute.
-func (s *Schema) Has(name string) bool { _, ok := s.index[name]; return ok }
-
 // Positions resolves each name to its column position (-1 if absent).
 // Probe-plan compilation uses it to turn name-keyed predicate lookups
 // into positional slice accesses.

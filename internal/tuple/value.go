@@ -82,9 +82,6 @@ func MakeValue(k Kind, num int64, str string) Value {
 // Kind reports the value's runtime type.
 func (v Value) Kind() Kind { return v.kind }
 
-// IsNull reports whether the value is Null.
-func (v Value) IsNull() bool { return v.kind == Null }
-
 // Int returns the integer payload. It is only meaningful for Int values.
 func (v Value) Int() int64 { return v.num }
 
