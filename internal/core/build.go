@@ -24,19 +24,9 @@ type builder struct {
 	mirs    []*mir.MIR
 	syms    *symbols // the Reopt's, or the builder's own
 
-	model *ilp.Model
-
-	// The ILP's variables. Orders are numbered by their position in
-	// orders (DecoratedOrder.num); steps, decorations and orders' keys by
-	// their symbols. -1 marks a symbol this solve has no variable for.
-	orders  []*DecoratedOrder
-	xVar    []int32 // order number -> x
-	yVar    []int32 // step id -> y
-	zVar    []int32 // decoration id -> z
-	orderOf []int32 // order id -> order number
-	nStores int     // store ids below it are this solve's
-	zs      []zDecor
-	cons    []conRef // what each constraint is, for its name
+	// The model, the solver's memory and the per-solve arrays: the Reopt's
+	// workspace or a fresh one.
+	*workspace
 
 	// cross-churn cache key components (set when opts.Reopt != nil)
 	structFP string              // the options that shape candidate structure
@@ -48,13 +38,6 @@ type builder struct {
 	// feeding groups: MIR key -> start -> orders, and the MIR fed
 	feedGroups map[string]map[string][]*DecoratedOrder
 	fed        map[string]*mir.MIR
-	// The same groups in the builder's stable order: top-level ones by
-	// query, then start; feeding ones by MIR key, with feedOf mapping a
-	// store id to its feeding group.
-	tops   []topGroup
-	feeds  []feedGroup
-	feedOf []int32
-
 	// sels holds each (sub)query's predicate selectivities, looked up
 	// once per solve; knows the Knows verdict per step id.
 	sels  map[*query.Query][]float64
@@ -85,13 +68,15 @@ type zDecor struct {
 	attr       query.Attr
 }
 
-func newBuilder(opts Options, queries []*query.Query, est *stats.Estimates) *builder {
+// newBuilderOn returns a builder whose solve runs on ws, which it resets.
+func newBuilderOn(ws *workspace, opts Options, queries []*query.Query, est *stats.Estimates) *builder {
+	ws.reset()
 	b := &builder{
 		opts:       opts,
 		queries:    queries,
 		rawEst:     est,
 		est:        opts.estimator(queries, est),
-		model:      ilp.NewModel(),
+		workspace:  ws,
 		topGroups:  map[string]map[string][]*DecoratedOrder{},
 		feedGroups: map[string]map[string][]*DecoratedOrder{},
 		fed:        map[string]*mir.MIR{},
@@ -136,7 +121,7 @@ func (b *builder) run() (*Plan, error) {
 	warm := time.Since(t1)
 
 	t2 := time.Now()
-	sol := b.model.Solve(&solverOpts)
+	sol := b.solver.Solve(&b.model, &solverOpts)
 	solve := time.Since(t2)
 
 	if sol.Status == ilp.Infeasible && b.opts.MaxCandidatesPerGroup > 0 {
@@ -144,7 +129,7 @@ func (b *builder) run() (*Plan, error) {
 		// combinations; retry with the full candidate set.
 		full := b.opts
 		full.MaxCandidatesPerGroup = 0
-		return newBuilder(full, b.queries, b.rawEst).run()
+		return newBuilderOn(b.workspace, full, b.queries, b.rawEst).run()
 	}
 	if sol.Status == ilp.Infeasible {
 		return nil, b.unsolvable(sol.Status)
@@ -176,7 +161,7 @@ func (b *builder) run() (*Plan, error) {
 // unsolvable is the error of a model without a solution; it prints the
 // model, every row named.
 func (b *builder) unsolvable(status ilp.Status) error {
-	return fmt.Errorf("core: ILP %s (%d queries, %d candidates)\n%s", status, len(b.queries), len(b.orders), b.model)
+	return fmt.Errorf("core: ILP %s (%d queries, %d candidates)\n%s", status, len(b.queries), len(b.orders), &b.model)
 }
 
 func (b *builder) enumerateMIRs() {
@@ -293,8 +278,8 @@ func (b *builder) structure(q *query.Query, fed *mir.MIR) map[string][]*Decorate
 
 // priced copies a structure group onto q and the MIR its orders feed,
 // prices every step under the builder's estimates and coefficients
-// (Eq. 1), and caps each start's candidates. The copies own their steps;
-// the structure is not written.
+// (Eq. 1), and caps each start's candidates. The copies own their steps
+// and live in the workspace; the structure is not written.
 func (b *builder) priced(structure map[string][]*DecoratedOrder, q *query.Query, fed *mir.MIR) map[string][]*DecoratedOrder {
 	group := make(map[string][]*DecoratedOrder, len(structure))
 	for start, orders := range structure {
@@ -302,9 +287,9 @@ func (b *builder) priced(structure map[string][]*DecoratedOrder, q *query.Query,
 		for _, d := range orders {
 			n += len(d.Steps)
 		}
-		copies := make([]DecoratedOrder, len(orders))
-		steps := make([]Step, n)
-		dec := make([]*DecoratedOrder, len(orders))
+		copies := b.copies.take(len(orders))
+		steps := b.steps.take(n)
+		dec := b.lists.take(len(orders))
 		for i, d := range orders {
 			c := &copies[i]
 			*c = *d
@@ -541,10 +526,11 @@ func (b *builder) groupsInOrder() {
 		}
 	}
 	keys := sortedKeys(b.feedGroups)
-	b.feeds = make([]feedGroup, len(keys))
+	b.feeds = resize(b.feeds, len(keys))
 	stores := make([]int32, len(keys))
 	for i, key := range keys {
 		group, f := b.feedGroups[key], &b.feeds[i]
+		f.byStart, f.byRel = f.byStart[:0], f.byRel[:0]
 		for _, s := range sortedKeys(group) {
 			f.byStart = append(f.byStart, group[s])
 		}
@@ -554,7 +540,7 @@ func (b *builder) groupsInOrder() {
 		stores[i] = b.syms.intern(b.syms.stores, key)
 	}
 	_, _, nStores, _ := b.syms.sizes()
-	b.feedOf = filled(nStores)
+	b.feedOf = b.filled(nStores)
 	for i, st := range stores {
 		b.feedOf[st] = int32(i)
 	}
@@ -584,12 +570,11 @@ func (b *builder) orderFor(key string) *DecoratedOrder {
 func (b *builder) buildModel() {
 	b.groupsInOrder()
 	nOrders, nSteps, nStores, nDecors := b.syms.sizes()
-	b.orderOf, b.yVar, b.zVar, b.nStores = filled(nOrders), filled(nSteps), filled(nDecors), nStores
+	b.orderOf, b.yVar, b.zVar, b.nStores = b.filled(nOrders), b.filled(nSteps), b.filled(nDecors), nStores
 	b.model.SetNamer(&modelNames{b: b})
 
 	// Variables: x per decorated order, y per distinct step, z per
 	// (store, partition attribute) pair.
-	var ys []int32 // the orders' step variables, one slab
 	addOrder := func(d *DecoratedOrder) {
 		if n := b.orderOf[d.id]; n >= 0 {
 			d.num, d.ys = n, b.orders[n].ys // a second copy of an order: its variables
@@ -599,18 +584,15 @@ func (b *builder) buildModel() {
 		b.orderOf[d.id] = d.num
 		b.orders = append(b.orders, d)
 		b.xVar = append(b.xVar, int32(b.model.AddBinary("", 0)))
-		if cap(ys)-len(ys) < len(d.Steps) {
-			ys = make([]int32, 0, max(256, len(d.Steps)))
-		}
-		for _, s := range d.Steps {
+		d.ys = b.ids.take(len(d.Steps))
+		for i, s := range d.Steps {
 			y := b.yVar[s.id]
 			if y < 0 {
 				y = int32(b.model.AddBinary("", s.Cost))
 				b.yVar[s.id] = y
 			}
-			ys = append(ys, y)
+			d.ys[i] = y
 		}
-		d.ys, ys = ys[:len(d.Steps):len(d.Steps)], ys[len(d.Steps):]
 		if b.opts.NoPartitionConsistency {
 			return
 		}
@@ -908,7 +890,30 @@ func (b *builder) extract(sol *ilp.Solution) *Plan {
 		}
 	}
 	plan.HotKeys = b.hotKeys(plan.Partitions)
+	plan.Selected = ownCopies(plan.Selected)
 	return plan
+}
+
+// ownCopies copies the selected orders, with their steps and step
+// variables, out of the workspace, which the next solve overwrites.
+func ownCopies(sel []*DecoratedOrder) []*DecoratedOrder {
+	n := 0
+	for _, d := range sel {
+		n += len(d.Steps)
+	}
+	orders, steps, ys := make([]DecoratedOrder, len(sel)), make([]Step, n), make([]int32, n)
+	out := make([]*DecoratedOrder, len(sel))
+	for i, d := range sel {
+		c := &orders[i]
+		*c = *d
+		k := len(d.Steps)
+		c.Steps, steps = steps[:k:k], steps[k:]
+		c.ys, ys = ys[:k:k], ys[k:]
+		copy(c.Steps, d.Steps)
+		copy(c.ys, d.ys)
+		out[i] = c
+	}
+	return out
 }
 
 // hotKeys resolves, per partitioned store, the heavy hitters of the

@@ -322,8 +322,9 @@ func (o *Optimizer) Optimize(queries []*query.Query, est *stats.Estimates) (*Pla
 		}
 		names[q.Name] = true
 	}
-	b := newBuilder(o.opts, queries, est)
-	return b.run()
+	ws := o.opts.Reopt.acquire()
+	defer o.opts.Reopt.release(ws)
+	return newBuilderOn(ws, o.opts, queries, est).run()
 }
 
 // OptimizeIndividually optimizes each query in isolation (the paper's

@@ -68,13 +68,3 @@ func (s *symbols) len() int {
 	defer s.mu.Unlock()
 	return len(s.orders) + len(s.steps) + len(s.stores) + len(s.decors)
 }
-
-// filled returns n copies of -1: an id-indexed slice with nothing
-// assigned yet.
-func filled(n int) []int32 {
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = -1
-	}
-	return out
-}

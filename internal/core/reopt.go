@@ -30,7 +30,10 @@ import (
 //
 // The ILP itself is solved afresh every step: the solver keeps nothing
 // across solves, so its result is a function of the model, the node
-// budget and the warm start.
+// budget and the warm start. What a Reopt does keep for the solver is
+// memory: one workspace that each solve builds its model, prices its
+// candidates and searches in, reset instead of reallocated. A solve that
+// finds it lent out runs on a fresh one.
 //
 // A Reopt value is owned by one optimization loop (the adaptive
 // Controller or a bench harness); it is safe for concurrent use, and
@@ -47,6 +50,8 @@ type Reopt struct {
 	symsCap   int               // the table size at which Advance replaces it
 	symsFresh bool              // syms was replaced at the last Advance
 	structs   map[string]*reoptEntry[structEntry]
+	ws        *workspace // lent to one solve at a time (acquire)
+	wsBusy    bool
 
 	// blindNeighbourhood leaves the relation neighbourhood out of
 	// structure keys; tests set it to show the key needs it.

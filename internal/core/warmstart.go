@@ -99,7 +99,7 @@ func (b *builder) warmStartFromIncumbent() []float64 {
 	if b.warm.matched == 0 {
 		return nil
 	}
-	vals := make([]float64, b.model.NumVars())
+	vals := b.warmVector(seedIncumbent)
 	st := newLSState(b)
 	st.begin(vals)
 	for _, d := range kept {
@@ -144,15 +144,21 @@ type lsState struct {
 	vals    []float64 // when non-nil, the ILP assignment being written
 }
 
+// newLSState readies the workspace's lsState for b's model: nothing
+// selected, nothing paid.
 func newLSState(b *builder) *lsState {
-	s := &lsState{
-		b:    b,
-		paid: make([]bool, b.model.NumVars()),
-		need: make([]uint8, b.nStores),
-	}
+	s := &b.ls
+	s.b = b
+	s.paid = resize(s.paid, b.model.NumVars())
+	s.need = resize(s.need, b.nStores)
+	clear(s.paid)
+	clear(s.need)
+	s.zCommit = nil
 	if !b.opts.NoPartitionConsistency {
-		s.zCommit = filled(b.nStores)
+		s.zCommit = b.filled(b.nStores)
 	}
+	s.touched, s.committed, s.needed, s.pending = s.touched[:0], s.committed[:0], s.needed[:0], s.pending[:0]
+	s.total, s.vals = 0, nil
 	return s
 }
 
@@ -369,7 +375,7 @@ func (b *builder) warmStartLocalSearch() []float64 {
 		}
 	}
 
-	vals := make([]float64, b.model.NumVars())
+	vals := b.warmVector(seedLocalSearch)
 	if obj := b.evalSelection(st, pick, vals); math.IsInf(obj, 1) {
 		return nil
 	}
@@ -401,7 +407,11 @@ func (b *builder) evalSelection(st *lsState, pick []*DecoratedOrder, vals []floa
 // builder's stable order and then the feeds; useMarginal chooses between
 // marginal-cost and absolute-cost candidate ranking.
 func (b *builder) warmStartWith(useMarginal bool) []float64 {
-	vals := make([]float64, b.model.NumVars())
+	seed := seedGreedyAbsolute
+	if useMarginal {
+		seed = seedGreedyMarginal
+	}
+	vals := b.warmVector(seed)
 	st := newLSState(b)
 	st.begin(vals)
 	for _, g := range b.tops {

@@ -3,6 +3,7 @@ package ilp
 import (
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Options control the branch-and-bound search.
@@ -34,188 +35,14 @@ func (o *Options) fill() {
 // Models whose constraint graph decomposes into independent connected
 // components are solved component-wise (a presolve step that makes
 // workloads of mostly-unrelated queries, e.g. Fig. 9c/9d, near-linear).
-func (m *Model) Solve(opt *Options) *Solution {
-	o := Options{}
-	if opt != nil {
-		o = *opt
-	}
-	o.fill()
-	if comps := components(m); len(comps) > 1 {
-		return solveByComponents(m, comps, o)
-	}
-	return solveOne(m, o)
-}
-
-// solveOne solves a single connected component.
-func solveOne(m *Model, o Options) *Solution {
-	s := &searcher{m: m, o: o}
-	return s.solve()
-}
-
-// components computes connected components of the variable-constraint
-// graph; each is a list of variable indices. Variables without any
-// constraint form singleton components.
-func components(m *Model) [][]int {
-	n := len(m.Vars)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, c := range m.Cons {
-		if len(c.Terms) == 0 {
-			continue
-		}
-		r0 := find(c.Terms[0].Var)
-		for _, t := range c.Terms[1:] {
-			r := find(t.Var)
-			if r != r0 {
-				parent[r] = r0
-			}
-		}
-	}
-	// Components in the order of their smallest variable, each listing
-	// its variables ascending.
-	compOf := make([]int32, n)
-	for i := range compOf {
-		compOf[i] = -1
-	}
-	var out [][]int
-	for v := 0; v < n; v++ {
-		r := find(v)
-		if compOf[r] < 0 {
-			compOf[r] = int32(len(out))
-			out = append(out, nil)
-		}
-		out[compOf[r]] = append(out[compOf[r]], v)
-	}
-	return out
-}
-
-// solveByComponents solves each component independently, in index order,
-// and stitches the solutions together.
-func solveByComponents(m *Model, comps [][]int, o Options) *Solution {
-	total := &Solution{Values: make([]float64, len(m.Vars))}
-	subs := splitComponents(m, comps)
-	for ci, vs := range comps {
-		so := o
-		so.WarmStart = sliceWarmStart(o.WarmStart, len(m.Vars), vs)
-		res := solveOne(subs[ci], so)
-		total.Nodes += res.Nodes
-		switch res.Status {
-		case Infeasible:
-			total.Status = res.Status
-			total.Values = nil
-			return total
-		case Limit:
-			total.Status = Limit
-		}
-		if res.Values == nil {
-			total.Values = nil
-			return total
-		}
-		// Sub-models number their variables in vs order, so
-		// res.Values[i] is the value of vs[i].
-		for i, v := range vs {
-			total.Values[v] = res.Values[i]
-		}
-		total.Objective += res.Objective
-	}
-	return total
-}
-
-// splitComponents builds one sub-model per component. A sub-model
-// numbers its variables in the component's order, and each constraint
-// goes to the component of its first variable; a row without terms goes
-// to the first component, whose root propagation proves the model
-// infeasible when 0 violates it. Components list their variables
-// ascending, so renumbering keeps a constraint's terms sorted and
-// merged: they are copied into one slab shared by all sub-models, with
-// no re-sort. A sub-model names what it holds by its parent's names.
-func splitComponents(m *Model, comps [][]int) []*Model {
-	compOf := make([]int, len(m.Vars))
-	local := make([]int, len(m.Vars))
-	for ci, vs := range comps {
-		for i, v := range vs {
-			compOf[v], local[v] = ci, i
-		}
-	}
-	consOf := make([][]int, len(comps))
-	nterms := 0
-	for c, con := range m.Cons {
-		ci := 0
-		if len(con.Terms) > 0 {
-			ci = compOf[con.Terms[0].Var]
-		}
-		consOf[ci] = append(consOf[ci], c)
-		nterms += len(con.Terms)
-	}
-	slab := make([]Term, nterms)
-	subs := make([]*Model, len(comps))
-	for ci, vs := range comps {
-		sub := &Model{
-			Vars:  make([]Variable, len(vs)),
-			Cons:  make([]Constraint, len(consOf[ci])),
-			namer: componentNamer{parent: m, vars: vs, cons: consOf[ci]},
-		}
-		for i, v := range vs {
-			sub.Vars[i] = m.Vars[v]
-		}
-		for k, c := range consOf[ci] {
-			con := m.Cons[c]
-			n := len(con.Terms)
-			terms := slab[:n:n]
-			slab = slab[n:]
-			for i, t := range con.Terms {
-				terms[i] = Term{Var: local[t.Var], Coeff: t.Coeff}
-			}
-			sub.Cons[k] = Constraint{Name: con.Name, Terms: normalize(terms), Rel: con.Rel, RHS: con.RHS}
-		}
-		subs[ci] = sub
-	}
-	return subs
-}
-
-// componentNamer names a sub-model's variables and constraints by the
-// parent model's.
-type componentNamer struct {
-	parent     *Model
-	vars, cons []int // the parent's index of each sub-model variable and constraint
-}
-
-func (n componentNamer) VarName(v int) string { return n.parent.VarName(n.vars[v]) }
-func (n componentNamer) ConName(c int) string { return n.parent.ConName(n.cons[c]) }
-
-// sliceWarmStart projects a full-model warm start onto one component's
-// variable order. Returns nil when the warm start does not cover the
-// model.
-func sliceWarmStart(ws []float64, n int, vs []int) []float64 {
-	if len(ws) != n {
-		return nil
-	}
-	out := make([]float64, len(vs))
-	for i, v := range vs {
-		out[i] = ws[v]
-	}
-	return out
-}
+//
+// Solve runs on a fresh Workspace; a loop that solves again and again
+// keeps one and calls its Solve.
+func (m *Model) Solve(opt *Options) *Solution { return new(Workspace).Solve(m, opt) }
 
 type searcher struct {
 	m *Model
 	o Options
-
-	lo, hi []float64
-	trail  []trailEntry
-
-	// varCons[v] lists the constraint indices touching variable v.
-	varCons [][]int
 
 	best    []float64
 	bestObj float64
@@ -223,15 +50,37 @@ type searcher struct {
 	st      *structure
 	hitLim  bool
 
-	// Node evaluation state. Everything below is a function of (lo, hi)
-	// that setLo, setHi and undo keep current through moved, so a node
-	// costs what changed since its parent, not a rescan of the model.
-	// All of it is integer-valued: re-applying a change backwards restores
-	// the parent's state to the bit.
-	box     int64   // Σ boxTerm
+	// Node evaluation state. Everything below and in searchArrays is a
+	// function of (lo, hi) that setLo, setHi and undo keep current through
+	// moved, so a node costs what changed since its parent, not a rescan of
+	// the model. All of it is integer-valued: re-applying a change
+	// backwards restores the parent's state to the bit.
+	box  int64 // Σ boxTerm
+	open int   // groups with decided == 0
+	// cutoff is the fixed-point objective a node must stay below to be
+	// worth exploring: the incumbent's, less the tolerance.
+	cutoff int64
+	tolQ   int64
+
+	searchArrays
+
+	// hook, when set by a test, observes every node evaluation.
+	hook func(s *searcher, at hookPoint, v int)
+}
+
+// searchArrays is the searcher's memory: what a Workspace keeps from one
+// solve to the next. init rewrites every array before the search reads
+// it.
+type searchArrays struct {
+	lo, hi []float64
+	trail  []trailEntry
+
+	// varCons[v] lists the constraint indices touching variable v.
+	varCons    [][]int
+	varConsMem lists[int]
+
 	decided []int32 // per group: members with lo > ½
 	avail   []int32 // per group: members with hi > ½
-	open    int     // groups with decided == 0
 	// Per-group minima, valid while the group's dirty bit is clear:
 	// exclTerm is groupBound's add-on, (pickVar, pickCost) the cheapest
 	// implied candidate pickBranchVar would dive into.
@@ -244,10 +93,6 @@ type searcher struct {
 	// variable index.
 	freeFlat    []uint64
 	freeForcing []uint64
-	// cutoff is the fixed-point objective a node must stay below to be
-	// worth exploring: the incumbent's, less the tolerance.
-	cutoff int64
-	tolQ   int64
 
 	// reusable buffers (hot path)
 	pendingBuf []int
@@ -257,9 +102,12 @@ type searcher struct {
 	forcedBy   []int32 // groupImplications: candidates forcing each variable
 	touched    []int
 	leafBuf    []float64
+}
 
-	// hook, when set by a test, observes every node evaluation.
-	hook func(s *searcher, at hookPoint, v int)
+// reset readies s for a solve of m under o on its own arrays and st;
+// everything else starts from zero.
+func (s *searcher) reset(m *Model, o Options, st *structure) {
+	*s = searcher{m: m, o: o, st: st, searchArrays: s.searchArrays}
 }
 
 // hookPoint names where in stepNode a test hook fires.
@@ -302,26 +150,38 @@ func (s *searcher) solve() *Solution {
 func (s *searcher) init() *Solution {
 	m := s.m
 	n := len(m.Vars)
-	s.lo = make([]float64, n)
-	s.hi = make([]float64, n)
-	for i := range s.hi {
-		s.hi[i] = 1
+	s.lo = resize(s.lo, n)
+	s.hi = resize(s.hi, n)
+	for i := range n {
+		s.lo[i], s.hi[i] = 0, 1
 	}
-	s.varCons = make([][]int, n)
+	count := s.varConsMem.begin(n)
+	for _, c := range m.Cons {
+		for _, t := range c.Terms {
+			count[t.Var]++
+		}
+	}
+	s.varCons = s.varConsMem.carve()
 	for ci, c := range m.Cons {
 		for _, t := range c.Terms {
 			s.varCons[t.Var] = append(s.varCons[t.Var], ci)
 		}
 	}
 	s.bestObj = math.Inf(1)
-	s.st = analyze(m)
+	if s.st == nil {
+		s.st = new(structure)
+	}
+	s.st.analyze(m)
 	s.initEval()
 
-	s.pendingBuf = make([]int, 0, len(m.Cons))
-	s.inQueue = make([]bool, len(m.Cons))
-	s.forcedBy = make([]int32, n)
-	s.leafBuf = make([]float64, n)
-	s.trail = make([]trailEntry, 0, 2*n)
+	s.pendingBuf = slices.Grow(s.pendingBuf[:0], len(m.Cons))
+	s.inQueue = resize(s.inQueue, len(m.Cons))
+	clear(s.inQueue)
+	s.forcedBy = resize(s.forcedBy, n)
+	clear(s.forcedBy)
+	s.leafBuf = resize(s.leafBuf, n)
+	s.trail = slices.Grow(s.trail[:0], 2*n)
+	s.changedBuf, s.fixedBuf, s.touched = s.changedBuf[:0], s.fixedBuf[:0], s.touched[:0]
 
 	if len(s.o.WarmStart) == n && m.feasible(s.o.WarmStart, tol*10) {
 		s.offer(s.o.WarmStart, m.ObjectiveOf(s.o.WarmStart))
@@ -772,12 +632,16 @@ func (s *searcher) initEval() {
 	for v := 0; v < n; v++ {
 		s.box += st.boxTerm(v, s.lo[v], s.hi[v])
 	}
-	s.decided = make([]int32, groups)
-	s.avail = make([]int32, groups)
-	s.exclTerm = make([]int64, groups)
-	s.pickVar = make([]int32, groups)
-	s.pickCost = make([]float64, groups)
-	s.dirty = make([]uint8, groups)
+	s.decided = resize(s.decided, groups)
+	s.avail = resize(s.avail, groups)
+	clear(s.decided)
+	clear(s.avail)
+	// Every group starts dirty: refresh writes its minima before they are
+	// read.
+	s.exclTerm = resize(s.exclTerm, groups)
+	s.pickVar = resize(s.pickVar, groups)
+	s.pickCost = resize(s.pickCost, groups)
+	s.dirty = resize(s.dirty, groups)
 	s.open = 0
 	for g, members := range st.groups {
 		s.dirty[g] = dirtyImplied | dirtyMinima
@@ -793,8 +657,10 @@ func (s *searcher) initEval() {
 			s.open++
 		}
 	}
-	s.freeFlat = make([]uint64, (len(st.byRank)+63)>>6)
-	s.freeForcing = make([]uint64, (n+63)>>6)
+	s.freeFlat = resize(s.freeFlat, (len(st.byRank)+63)>>6)
+	s.freeForcing = resize(s.freeForcing, (n+63)>>6)
+	clear(s.freeFlat)
+	clear(s.freeForcing)
 	for v := 0; v < n; v++ {
 		s.markFree(v, s.hi[v]-s.lo[v] > tol)
 	}

@@ -5,8 +5,9 @@
 // substitution table).
 //
 // The solver is exact: for feasible models it returns a provably optimal
-// solution (within tolerance), which is what the reproduction of the
-// paper's Fig. 9 experiments requires. It is tuned for the structure the
+// solution (within tolerance) unless MaxNodes interrupts the search
+// (Status Limit), which is what the reproduction of the paper's Fig. 9
+// experiments requires. It is tuned for the structure the
 // CLASH optimizer emits — selection rows (Σx = 1), implication-style cost
 // rows, and non-negative objectives — but is a general 0-1 solver.
 package ilp
@@ -187,6 +188,14 @@ func (m *Model) Grow(vars, cons, terms int) {
 	if cap(m.slab)-len(m.slab) < terms {
 		m.slab = make([]Term, 0, terms)
 	}
+}
+
+// Reset empties the model for reuse and drops its namer. It keeps the
+// capacity of Vars, Cons and the term slab, so a model rebuilt to about
+// its old size allocates nothing; slices of the old model's constraints
+// must not be read after it.
+func (m *Model) Reset() {
+	m.Vars, m.Cons, m.slab, m.namer = m.Vars[:0], m.Cons[:0], m.slab[:0], nil
 }
 
 // NumVars returns the number of variables.

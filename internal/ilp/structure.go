@@ -2,7 +2,7 @@ package ilp
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // Structure-aware bounding. The CLASH optimizer emits a characteristic
@@ -22,8 +22,10 @@ import (
 // tractable without an LP relaxation.
 
 // structure holds the recognized pattern and the per-variable indices
-// the search's node evaluation reads. It is built once per Solve by
-// analyze and shared read-only by every searcher of that solve.
+// the search's node evaluation reads. It is built once per solved model
+// by analyze and read-only during the search. Its lists are carved out
+// of one array each (groupFlat and the *Mem fields), which a Workspace
+// keeps from one solve to the next.
 type structure struct {
 	groups  [][]int // choice groups: variable indices
 	groupOf []int   // var -> group index or -1
@@ -53,64 +55,68 @@ type structure struct {
 	rank []int32
 	// byRank is the inverse of rank.
 	byRank []int32
+
+	groupFlat     []int
+	forcesMem     lists[int]
+	dependentsMem lists[int32]
 }
 
-// analyze recognizes choice groups and implications. It is linear in the
-// model size and runs once per Solve.
-func analyze(m *Model) *structure {
+// analyze recognizes m's choice groups and implications, rewriting every
+// field of st. It is linear in the model size and runs once per solved
+// model.
+func (s *structure) analyze(m *Model) {
 	n := len(m.Vars)
-	s := &structure{
-		groupOf:   make([]int, n),
-		forces:    make([][]int, n),
-		exclusive: make([]int, n),
-	}
-	for i := range s.groupOf {
+	s.groupOf = resize(s.groupOf, n)
+	s.exclusive = resize(s.exclusive, n)
+	for i := range n {
 		s.groupOf[i] = -1
 		s.exclusive[i] = -2 // unseen
 	}
+	s.valid = false
+	// Choice rows: EQ 1, all coefficients 1, over variables no earlier
+	// choice row claimed. A variable joins at most one group, so the
+	// members of all groups fit in n.
+	s.groupFlat = slices.Grow(s.groupFlat[:0], n)
+	s.groups = s.groups[:0]
 	for _, c := range m.Cons {
-		// Choice row: EQ 1, all coefficients 1.
-		if c.Rel == EQ && c.RHS == 1 {
-			ok := true
-			for _, t := range c.Terms {
-				if t.Coeff != 1 || s.groupOf[t.Var] != -1 {
-					ok = false
-					break
-				}
-			}
-			if ok && len(c.Terms) > 0 {
-				g := len(s.groups)
-				var members []int
-				for _, t := range c.Terms {
-					s.groupOf[t.Var] = g
-					members = append(members, t.Var)
-				}
-				s.groups = append(s.groups, members)
-			}
+		if !choiceRow(c) {
 			continue
 		}
-		// Implication row: GE 0, exactly one negative term (the trigger
-		// x), positive terms y_i each individually forced when x = 1:
-		// a_i·1 alone cannot satisfy c unless all others are 1 too, i.e.
-		// Σ_{j≠i} a_j < c.
-		if c.Rel != GE || c.RHS != 0 {
-			continue
-		}
-		trigger, tc := -1, 0.0
-		sum := 0.0
 		ok := true
 		for _, t := range c.Terms {
-			if t.Coeff < 0 {
-				if trigger >= 0 {
-					ok = false
-					break
-				}
-				trigger, tc = t.Var, -t.Coeff
-				continue
+			if s.groupOf[t.Var] != -1 {
+				ok = false
+				break
 			}
-			sum += t.Coeff
 		}
-		if !ok || trigger < 0 {
+		if !ok {
+			continue
+		}
+		start := len(s.groupFlat)
+		for _, t := range c.Terms {
+			s.groupOf[t.Var] = len(s.groups)
+			s.groupFlat = append(s.groupFlat, t.Var)
+		}
+		s.groups = append(s.groups, s.groupFlat[start:len(s.groupFlat):len(s.groupFlat)])
+	}
+	// Implication rows: GE 0, exactly one negative term (the trigger
+	// x), positive terms y_i each individually forced when x = 1:
+	// a_i·1 alone cannot satisfy c unless all others are 1 too, i.e.
+	// Σ_{j≠i} a_j < c.
+	count := s.forcesMem.begin(n)
+	for _, c := range m.Cons {
+		if trigger, tc, sum := implication(c); trigger >= 0 {
+			for _, t := range c.Terms {
+				if t.Var != trigger && sum-t.Coeff < tc-1e-9 {
+					count[trigger]++
+				}
+			}
+		}
+	}
+	s.forces = s.forcesMem.carve()
+	for _, c := range m.Cons {
+		trigger, tc, sum := implication(c)
+		if trigger < 0 {
 			continue
 		}
 		for _, t := range c.Terms {
@@ -124,7 +130,7 @@ func analyze(m *Model) *structure {
 	}
 	s.index(m)
 	if len(s.groups) == 0 {
-		return s
+		return
 	}
 	// Exclusivity: y is exclusive to group g when every trigger forcing
 	// it belongs to g.
@@ -145,15 +151,42 @@ func analyze(m *Model) *structure {
 			}
 		}
 	}
-	for x, ys := range s.forces {
-		if g := s.groupOf[x]; g >= 0 {
-			for _, y := range ys {
-				s.addDependent(y, g)
-			}
+	s.valid = true
+}
+
+// choiceRow reports whether c has a choice row's form: Σx = 1 over at
+// least one variable, every coefficient 1.
+func choiceRow(c Constraint) bool {
+	if c.Rel != EQ || c.RHS != 1 || len(c.Terms) == 0 {
+		return false
+	}
+	for _, t := range c.Terms {
+		if t.Coeff != 1 {
+			return false
 		}
 	}
-	s.valid = true
-	return s
+	return true
+}
+
+// implication returns the trigger of an implication row, its negated
+// coefficient and the sum of the row's positive coefficients; trigger is
+// -1 when c is not one (not GE 0, or not exactly one negative term).
+func implication(c Constraint) (trigger int, tc, sum float64) {
+	if c.Rel != GE || c.RHS != 0 {
+		return -1, 0, 0
+	}
+	trigger = -1
+	for _, t := range c.Terms {
+		if t.Coeff < 0 {
+			if trigger >= 0 {
+				return -1, 0, 0
+			}
+			trigger, tc = t.Var, -t.Coeff
+			continue
+		}
+		sum += t.Coeff
+	}
+	return trigger, tc, sum
 }
 
 func contains(xs []int, x int) bool {
@@ -176,13 +209,13 @@ func (st *structure) addDependent(v, g int) {
 
 // index builds the flat per-variable views: objective columns, the
 // fixed-point objective, the cheapest-first order of the variables whose
-// implied cost is constant, and each group's dependence on its members.
+// implied cost is constant, and each group's dependence on its members
+// and on what its candidates force.
 func (st *structure) index(m *Model) {
 	n := len(m.Vars)
-	st.obj = make([]float64, n)
-	st.qobj = make([]int64, n)
-	st.dependents = make([][]int32, n)
-	st.rank = make([]int32, n)
+	st.obj = resize(st.obj, n)
+	st.qobj = resize(st.qobj, n)
+	st.rank = resize(st.rank, n)
 	// One fixed-point unit is 2^-61 of Σ|c_v|, the largest objective
 	// value a 0-1 point can reach (rounded up to a power of two), so every
 	// sum of terms fits an int64 with a bit to spare and the resolution is
@@ -200,25 +233,54 @@ func (st *structure) index(m *Model) {
 	for i := range st.qobj {
 		st.qobj[i] = st.quantize(st.obj[i])
 	}
+	st.byRank = st.byRank[:0]
 	for i := range st.rank {
 		st.rank[i] = -1
 		if len(st.forces[i]) == 0 {
 			st.byRank = append(st.byRank, int32(i))
 		}
 	}
-	sort.Slice(st.byRank, func(a, b int) bool {
-		va, vb := st.byRank[a], st.byRank[b]
-		if st.obj[va] != st.obj[vb] {
-			return st.obj[va] < st.obj[vb]
+	// Cheapest first, lowest index among equals. The comparison says "less"
+	// exactly where obj[a] < obj[b] does, so a NaN coefficient sorts as it
+	// always has.
+	slices.SortFunc(st.byRank, func(va, vb int32) int {
+		if oa, ob := st.obj[va], st.obj[vb]; oa != ob {
+			if oa < ob {
+				return -1
+			}
+			return 1
 		}
-		return va < vb
+		return int(va) - int(vb)
 	})
 	for r, v := range st.byRank {
 		st.rank[v] = int32(r)
 	}
+	// A group depends on its members, and on every variable one of its
+	// candidates forces.
+	count := st.dependentsMem.begin(n)
+	for _, members := range st.groups {
+		for _, x := range members {
+			count[x]++
+		}
+	}
+	for x, ys := range st.forces {
+		if st.groupOf[x] >= 0 {
+			for _, y := range ys {
+				count[y]++
+			}
+		}
+	}
+	st.dependents = st.dependentsMem.carve()
 	for g, members := range st.groups {
 		for _, x := range members {
 			st.addDependent(x, g)
+		}
+	}
+	for x, ys := range st.forces {
+		if g := st.groupOf[x]; g >= 0 {
+			for _, y := range ys {
+				st.addDependent(y, g)
+			}
 		}
 	}
 }
