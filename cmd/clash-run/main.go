@@ -21,6 +21,7 @@ import (
 	"clash/internal/core"
 	"clash/internal/query"
 	"clash/internal/runtime"
+	"clash/internal/topology"
 	"clash/internal/tpch"
 )
 
@@ -64,8 +65,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	records := fx.Records
-	fmt.Printf("%d records\n", len(records))
+	fmt.Printf("%d records\n", len(fx.Records))
 
 	shared := true
 	var plans []*core.Plan
@@ -99,20 +99,10 @@ func main() {
 	}
 	fmt.Printf("topology: %d stores, %d tasks\n", len(topo.Stores), topo.TotalTasks())
 
-	eng := runtime.New(runtime.Config{Catalog: fx.Catalog})
-	if err := eng.Install(topo, 0); err != nil {
+	m, wall, err := run(fx, topo)
+	if err != nil {
 		log.Fatal(err)
 	}
-	start := time.Now()
-	for _, r := range records {
-		if err := eng.Ingest(r.Relation, r.TS, r.Vals...); err != nil {
-			log.Fatal(err)
-		}
-	}
-	eng.Drain()
-	wall := time.Since(start)
-	m := eng.Metrics().Snapshot()
-	eng.Stop()
 
 	fmt.Printf("\nprocessed %d tuples in %v (%.0f t/s)\n", m.Ingested, wall.Round(time.Millisecond),
 		float64(m.Ingested)/wall.Seconds())
@@ -122,4 +112,25 @@ func main() {
 	for q, n := range m.ByQuery {
 		fmt.Printf("  %s: %d results\n", q, n)
 	}
+}
+
+// run ingests the fixture's records into an engine running topo and
+// returns its counters and the wall time of ingest and drain. The engine
+// is synchronous, as in clash-bench -fig 7: every ingested tuple's whole
+// probe chain completes before the next one arrives, so the result
+// counts are exact and match the symmetric join's.
+func run(fx *tpch.Fixture, topo *topology.Config) (runtime.Snapshot, time.Duration, error) {
+	eng := runtime.New(runtime.Config{Catalog: fx.Catalog, Synchronous: true})
+	defer eng.Stop()
+	if err := eng.Install(topo, 0); err != nil {
+		return runtime.Snapshot{}, 0, err
+	}
+	start := time.Now()
+	for _, r := range fx.Records {
+		if err := eng.Ingest(r.Relation, r.TS, r.Vals...); err != nil {
+			return runtime.Snapshot{}, 0, err
+		}
+	}
+	eng.Drain()
+	return eng.Metrics().Snapshot(), time.Since(start), nil
 }

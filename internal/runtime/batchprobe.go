@@ -125,9 +125,6 @@ func (pb *probeBatch) release() {
 // addMsg appends every tuple the message carries as a probe under the
 // message's sequence cutoff.
 func (pb *probeBatch) addMsg(msg *message) {
-	if msg.t != nil {
-		pb.add(msg.t, msg.seq)
-	}
 	for _, tp := range msg.batch {
 		pb.add(tp, msg.seq)
 	}

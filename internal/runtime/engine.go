@@ -13,6 +13,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -137,44 +138,38 @@ type taskKey struct {
 	part  int
 }
 
-// message travels between tasks. A data message carries either one
-// tuple (t) or a batch: all result tuples of one probe headed for the
-// same task travel together, so the number of messaging events does not
-// grow with the result size — only the bytes do (Sec. III).
+// message travels between tasks. A data message carries a batch: all
+// result tuples of one probe headed for the same task travel together,
+// so the number of messaging events does not grow with the result size
+// — only the bytes do (Sec. III). A single tuple is a batch of one. A
+// sent batch is read-only: a broadcast or a split-key probe shares one
+// among several messages.
 type message struct {
 	kind       int8 // kindData or kindPrune
 	edge       topology.EdgeID
 	epoch      int64 // data: target epoch; prune: event-time cutoff
-	t          *tuple.Tuple
 	batch      []*tuple.Tuple
 	seq        uint64
 	ingestWall int64 // wall-clock nanos at ingestion, for latency
 }
 
 // tupleCount returns the number of tuples the message carries.
-func (m *message) tupleCount() int64 {
-	if m.batch != nil {
-		return int64(len(m.batch))
-	}
-	if m.t != nil {
-		return 1
-	}
-	return 0
-}
+func (m *message) tupleCount() int64 { return int64(len(m.batch)) }
 
 // memSize approximates the message payload bytes.
 func (m *message) memSize() int64 {
-	if m.batch != nil {
-		var n int64
-		for _, t := range m.batch {
-			n += int64(t.MemSize())
-		}
-		return n
+	var n int64
+	for _, t := range m.batch {
+		n += int64(t.MemSize())
 	}
-	if m.t != nil {
-		return int64(m.t.MemSize())
-	}
-	return 0
+	return n
+}
+
+// ingested is an ingested tuple allocated together with the one-slot
+// batch it travels in: 48 B, the size class of a Tuple alone.
+type ingested struct {
+	t   tuple.Tuple
+	one [1]*tuple.Tuple
 }
 
 // Engine executes topology configurations.
@@ -550,7 +545,8 @@ func (e *Engine) Ingest(rel string, ts tuple.Time, vals ...tuple.Value) error {
 	full := make([]tuple.Value, 0, schema.Len())
 	full = append(full, vals...)
 	full = append(full, tuple.IntValue(int64(ts)))
-	t := tuple.New(schema, ts, full...)
+	in := &ingested{t: tuple.Tuple{Schema: schema, Values: full, TS: ts}}
+	in.one[0] = &in.t
 
 	seq := e.seq.Add(1)
 	// Write-ahead: the record must be durable before the tuple takes any
@@ -574,7 +570,7 @@ func (e *Engine) Ingest(rel string, ts tuple.Time, vals ...tuple.Value) error {
 	}
 	e.metrics.ingested.Add(1)
 	if e.tap != nil {
-		e.tap.observe(rel, t)
+		e.tap.observe(rel, &in.t)
 	}
 	wall := e.clock.Now()
 
@@ -587,7 +583,7 @@ func (e *Engine) Ingest(rel string, ts tuple.Time, vals ...tuple.Value) error {
 	if ec := e.configFor(ownEpoch); ec != nil {
 		steps := ec.comp.spouts[rel]
 		for i := range steps {
-			e.emitLocked(&steps[i], ownEpoch, t, seq, wall)
+			e.emitBatchLocked(&steps[i], ownEpoch, in.one[:], seq, wall, nil)
 		}
 	}
 	e.mu.RUnlock()
@@ -613,10 +609,13 @@ func (e *Engine) window(rel string) time.Duration {
 	return e.cfg.Catalog.Window(rel, e.cfg.DefaultWindow)
 }
 
-// emitLocked routes a tuple along a compiled emission. Callers hold
-// e.mu (read). Routing metadata — store/probe classification, pinned
-// parallelism, routing attribute — comes precomputed on the step
-// (plan.go); only the tuple's own routing value is resolved here.
+// emitBatchLocked routes a batch along a compiled emission — the one
+// routing rule of ingested tuples and forwarded results alike. Callers
+// hold e.mu (read). Routing metadata — store/probe classification,
+// pinned parallelism, routing attribute — comes precomputed on the step
+// (plan.go); only the tuples' own routing values are resolved here.
+// Tuples headed for the same task travel as one message (Sec. III:
+// probe cost counts tuples, messaging events count batches).
 //
 // Inserts always route by the store's pinned partitioning attribute,
 // which every stored tuple carries by name. Probes route by the
@@ -624,79 +623,42 @@ func (e *Engine) window(rel string) time.Duration {
 // pinned partitioning is guaranteed (see DESIGN.md; a config declaring
 // a different partitioning than the pinned physical layout cannot key
 // its probes — they broadcast).
-func (e *Engine) emitLocked(step *emitStep, epoch int64, t *tuple.Tuple, seq uint64, wall int64) {
-	if step.sink != "" {
-		e.deliverResult(step.sink, t, wall)
-		return
-	}
-	par := step.par
-	msg := message{edge: step.edge, epoch: epoch, t: t, seq: seq, ingestWall: wall}
-	if par == 1 {
-		// Single partition: every routing rule below resolves to part 0
-		// (h%1, seq%1, a one-task broadcast), so skip the value lookup
-		// and hash entirely.
-		e.send(taskKey{store: step.to, part: 0}, msg)
-		return
-	}
-	if name := step.routeName(); name != "" {
-		if v, ok := t.Get(name); ok {
-			p, alt := e.keyedParts(step, v.Hash())
-			e.send(taskKey{store: step.to, part: p}, msg)
-			if alt >= 0 {
-				e.send(taskKey{store: step.to, part: alt}, msg)
-			}
-			return
-		}
-	}
-	if step.isStore {
-		// Inserts into an unpartitioned store spread round-robin: the
-		// tuple is materialized exactly once; later probes broadcast.
-		e.send(taskKey{store: step.to, part: int(seq % uint64(par))}, msg)
-		return
-	}
-	// Broadcast probe: the tuple counts once per task (χ in Eq. 1); the
-	// batched message event counts once (Sec. III).
-	for p := 0; p < par; p++ {
-		e.send(taskKey{store: step.to, part: p}, msg)
-	}
-}
-
-// emitBatchLocked routes a probe's result tuples along one compiled
-// emission, batching all tuples headed for the same task into a single
-// message (Sec. III: result tuples travel together; probe cost counts
-// tuples, messaging events count batches). Callers hold e.mu (read).
 //
-// batch may be (and on the hot path is) the calling task's reused
-// scratch buffer: the routed tuples are copied into one fresh,
+// A batch of one is sent as it is, so its caller hands the array over.
+// A longer batch may be (and on the hot path is) the calling task's
+// reused scratch: the routed tuples are copied into one fresh,
 // exactly-sized allocation that the outgoing messages slice up, so the
-// caller is free to truncate and refill its buffer immediately.
+// caller is free to truncate and refill its buffer immediately. rs is
+// the partitioner's scratch, unused for a batch of one.
 func (e *Engine) emitBatchLocked(step *emitStep, epoch int64, batch []*tuple.Tuple, seq uint64, wall int64, rs *routeScratch) {
 	if step.sink != "" {
 		e.deliverResultBatch(step.sink, batch, wall)
 		return
 	}
+	par, name := step.par, step.routeName()
+	if par == 1 || name == "" {
+		// One destination rule for the whole batch, sent as one message or
+		// shared across all partitions. A single partition resolves every
+		// rule to part 0 (h%1, seq%1, a one-task broadcast), so no routing
+		// value is looked up or hashed.
+		if len(batch) > 1 {
+			batch = slices.Clone(batch)
+		}
+		e.sendRest(step, epoch, batch, seq, wall)
+		return
+	}
 	if len(batch) == 1 {
-		e.emitLocked(step, epoch, batch[0], seq, wall)
-		return
-	}
-	par := step.par
-	if par == 1 {
-		// Single partition: no routing value can change the destination,
-		// so the whole batch travels to part 0 as one message — the same
-		// message the two-pass partitioner would have built.
-		rest := make([]*tuple.Tuple, len(batch))
-		copy(rest, batch)
-		e.send(taskKey{store: step.to, part: 0},
-			message{edge: step.edge, epoch: epoch, batch: rest, seq: seq, ingestWall: wall})
-		return
-	}
-	name := step.routeName()
-	if name == "" {
-		// The whole batch is unroutable: one copy, sent as one message
-		// (inserts) or shared read-only across all partitions (probes).
-		rest := make([]*tuple.Tuple, len(batch))
-		copy(rest, batch)
-		e.sendRest(step, epoch, rest, seq, wall)
+		// The hot case: the batch itself travels, keyed by its one tuple.
+		if v, ok := batch[0].Get(name); ok {
+			msg := message{edge: step.edge, epoch: epoch, batch: batch, seq: seq, ingestWall: wall}
+			p, alt := e.keyedParts(step, v.Hash())
+			e.send(taskKey{store: step.to, part: p}, msg)
+			if alt >= 0 {
+				e.send(taskKey{store: step.to, part: alt}, msg)
+			}
+		} else {
+			e.sendRest(step, epoch, batch, seq, wall)
+		}
 		return
 	}
 
@@ -747,29 +709,21 @@ func (e *Engine) emitBatchLocked(step *emitStep, epoch int64, batch []*tuple.Tup
 		if n == 0 {
 			continue
 		}
-		sub := flat[off : off+n : off+n]
-		off += n
-		if n == 1 {
-			e.send(taskKey{store: step.to, part: p},
-				message{edge: step.edge, epoch: epoch, t: sub[0], seq: seq, ingestWall: wall})
-			continue
-		}
 		e.send(taskKey{store: step.to, part: p},
-			message{edge: step.edge, epoch: epoch, batch: sub, seq: seq, ingestWall: wall})
+			message{edge: step.edge, epoch: epoch, batch: flat[off : off+n : off+n], seq: seq, ingestWall: wall})
+		off += n
 	}
 	if nRest > 0 {
 		e.sendRest(step, epoch, flat[off:], seq, wall)
 	}
 }
 
-// sendRest forwards tuples that could not be keyed: inserts land on one
-// round-robin task, probes broadcast (the batch counts once per task —
-// χ in Eq. 1).
+// sendRest sends tuples that cannot be keyed. An insert lands on one
+// round-robin task, so the tuple is materialized exactly once and later
+// probes broadcast. A probe broadcasts: the batch counts once per task
+// (χ in Eq. 1), and so does its message event (Sec. III).
 func (e *Engine) sendRest(step *emitStep, epoch int64, rest []*tuple.Tuple, seq uint64, wall int64) {
 	msg := message{edge: step.edge, epoch: epoch, batch: rest, seq: seq, ingestWall: wall}
-	if len(rest) == 1 {
-		msg.t, msg.batch = rest[0], nil
-	}
 	if step.isStore {
 		e.send(taskKey{store: step.to, part: int(seq % uint64(step.par))}, msg)
 		return
@@ -911,20 +865,6 @@ func (e *Engine) dispatchBatch(t *task, batch []message) {
 		batch[i] = message{}
 	}
 	t.busyNanos.Add(e.clock.Now() - start)
-}
-
-func (e *Engine) deliverResult(queryName string, t *tuple.Tuple, wall int64) {
-	var lat time.Duration
-	if wall > 0 {
-		lat = time.Duration(e.clock.Now() - wall)
-	}
-	e.metrics.recordResult(queryName, lat)
-	e.sinkMu.RLock()
-	fn := e.sinks[queryName]
-	e.sinkMu.RUnlock()
-	if fn != nil {
-		fn(t)
-	}
 }
 
 // deliverResultBatch delivers a probe's result batch to one sink with

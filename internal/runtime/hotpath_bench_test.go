@@ -208,7 +208,7 @@ func BenchmarkProbeStoreMiss(b *testing.B) {
 			k = int64(i)
 		}
 		probe := tuple.New(eng.schemas["R"], ts, tuple.IntValue(k), tuple.IntValue(int64(ts)))
-		msgs[i] = message{edge: edge, epoch: eng.Epoch(ts), t: probe, seq: 1 << 30}
+		msgs[i] = message{edge: edge, epoch: eng.Epoch(ts), batch: []*tuple.Tuple{probe}, seq: 1 << 30}
 	}
 	for i := range msgs {
 		tk.probeBatched(&msgs[i], rp, st) // warm the caches and the arena

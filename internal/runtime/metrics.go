@@ -91,20 +91,6 @@ func (m *Metrics) sampleLag() bool { return m.lagTick.Add(1)&7 == 0 }
 
 func newMetrics() *Metrics { return &Metrics{byQuery: map[string]int64{}} }
 
-func (m *Metrics) recordResult(queryName string, latency time.Duration) {
-	m.results.Add(1)
-	m.mu.Lock()
-	m.byQuery[queryName]++
-	if latency > 0 {
-		m.latSum += latency
-		m.latCount++
-		if latency > m.latMax {
-			m.latMax = latency
-		}
-	}
-	m.mu.Unlock()
-}
-
 // recordResultBatch records n results of one query sharing a latency
 // sample — a probe's result batch reaches the sink together, so the
 // clock read and lock are paid once and the sample is weighted by n.

@@ -341,8 +341,8 @@ type relWindow struct {
 }
 
 // routeScratch is a task-owned scratch area for batch routing: the
-// two-pass partitioning of emitBatchLocked uses it instead of
-// allocating a map per probe.
+// two-pass partitioner that emitBatchLocked runs on a batch of more
+// than one tuple uses it instead of allocating a map per probe.
 type routeScratch struct {
 	parts  []int32 // per tuple: target partition, or -1 (unroutable)
 	alts   []int32 // per tuple: a split-key probe's second partition, or -1

@@ -192,7 +192,7 @@ func probeFixture(t testing.TB, matches int, cfg Config) (*task, *rulePlan, *pla
 	}
 	tk, rp, edge := sinkProbePlan(t, eng)
 	probe := tuple.New(eng.schemas["R"], 1000, tuple.IntValue(7), tuple.IntValue(1000))
-	msg := &message{edge: edge, epoch: 0, t: probe, seq: 1 << 30}
+	msg := &message{edge: edge, epoch: 0, batch: []*tuple.Tuple{probe}, seq: 1 << 30}
 	return tk, rp, tk.stateFor(rp), probe, msg
 }
 

@@ -368,9 +368,6 @@ func TestSplitKeysMixedBatchesExact(t *testing.T) {
 			eng.mu.RUnlock()
 			got := map[int][]*tuple.Tuple{}
 			for _, s := range rec.sent {
-				if s.msg.t != nil {
-					got[s.to.part] = append(got[s.to.part], s.msg.t)
-				}
 				got[s.to.part] = append(got[s.to.part], s.msg.batch...)
 			}
 			want := map[int][]*tuple.Tuple{}
@@ -458,9 +455,6 @@ func TestSplitKeysMixedBatchesExact(t *testing.T) {
 			continue
 		}
 		tps := s.msg.batch
-		if s.msg.t != nil {
-			tps = []*tuple.Tuple{s.msg.t}
-		}
 		nHot := 0
 		for _, tp := range tps {
 			v, ok := tp.Get(step.probeRoute)

@@ -61,6 +61,49 @@ func TestSynchronousMIRPlanMatchesOracle(t *testing.T) {
 	h.eng.Stop()
 }
 
+// TestSynchronousOneResultForwardsMatchOracle: an R tuple probes S and
+// finds four partners, which travel to T as one message; each of those
+// probes finds exactly one T partner, and each one-result forward
+// travels on to U. A batch of one is sent without a copy, so the forward
+// must not hand over the probe batch's scratch, which is cleared and
+// refilled before U handles the message.
+func TestSynchronousOneResultForwardsMatchOracle(t *testing.T) {
+	h := newHarness(t, "q1: R(a) S(a,b) T(b,c) U(c)",
+		core.Options{StoreParallelism: 1, DisablePartitioning: true, DisableMIRs: true},
+		flatEstimates([]string{"R", "S", "T", "U"}, 100), Config{Synchronous: true})
+	defer h.eng.Stop()
+	for _, id := range h.eng.ConfigFor(0).StoreIDs() {
+		if !h.eng.ConfigFor(0).Stores[id].Base() {
+			t.Fatalf("plan materializes %s: R's probe chain is not S, T, U — test vacuous", id)
+		}
+	}
+	var ins []Ingestion
+	ts := tuple.Time(0)
+	add := func(rel string, vals ...int64) {
+		ts++
+		in := Ingestion{Rel: rel, TS: ts}
+		for _, v := range vals {
+			in.Vals = append(in.Vals, tuple.IntValue(v))
+		}
+		ins = append(ins, in)
+	}
+	for i := int64(0); i < 4; i++ {
+		add("S", 0, i)
+		add("T", i, i)
+		add("U", i)
+	}
+	add("R", 0)
+	add("R", 0)
+	h.ingestAll(t, ins)
+	h.checkAgainstOracle(t, ins)
+	if n := h.sinks["q1"].Count(); n != 8 {
+		t.Errorf("%d results, want 8", n)
+	}
+	if m := h.eng.Snapshot(); m.ProbeSent <= m.Messages {
+		t.Errorf("%d probe tuples in %d messages: no message carried a batch — test vacuous", m.ProbeSent, m.Messages)
+	}
+}
+
 func TestSynchronousWindowedMatchesOracle(t *testing.T) {
 	h := newHarness(t, "q1: R(a) S(a)",
 		core.Options{StoreParallelism: 2},

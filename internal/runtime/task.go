@@ -211,16 +211,9 @@ func (t *task) handle(msg *message) {
 		if measure {
 			start = t.e.clock.Now()
 		}
-		n := 0
-		if msg.t != nil {
-			n = 1
-		}
-		n += len(msg.batch)
+		n := len(msg.batch)
 		switch rp.kind {
 		case topology.StoreRule:
-			if msg.t != nil {
-				t.insert(msg.t, msg.seq)
-			}
 			for _, tp := range msg.batch {
 				t.insert(tp, msg.seq)
 			}
@@ -230,9 +223,6 @@ func (t *task) handle(msg *message) {
 			}
 		case topology.ProbeRule:
 			if t.e.cfg.legacyProbe {
-				if msg.t != nil {
-					t.probeLegacy(msg.t, msg, rp)
-				}
 				for _, tp := range msg.batch {
 					t.probeLegacy(tp, msg, rp)
 				}
@@ -549,13 +539,24 @@ func (t *task) joinedSchema(probe, stored *tuple.Schema) *tuple.Schema {
 // emissions: sinks record each result; probe and store edges receive
 // the results batched per target task, under the originating tuple's
 // epoch configuration, which stays consistent along the whole chain.
+// results may be the probe batch's scratch: emitBatchLocked copies a
+// longer batch, but sends a batch of one as it is, so a single result
+// leaves for another task in an array of its own.
 func (t *task) forward(out []emitStep, msg *message, results []*tuple.Tuple) {
 	e := t.e
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	var own []*tuple.Tuple
 	for i := range out {
-		// deliverResult only touches sinkMu, safe under e.mu.RLock.
-		e.emitBatchLocked(&out[i], msg.epoch, results, msg.seq, msg.ingestWall, &t.rs)
+		batch := results
+		if len(results) == 1 && out[i].sink == "" {
+			if own == nil {
+				own = []*tuple.Tuple{results[0]}
+			}
+			batch = own
+		}
+		// A sink delivery only touches sinkMu, safe under e.mu.RLock.
+		e.emitBatchLocked(&out[i], msg.epoch, batch, msg.seq, msg.ingestWall, &t.rs)
 	}
 }
 

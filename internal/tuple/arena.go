@@ -44,9 +44,10 @@ func (a *Arena) New(s *Schema, ts Time) *Tuple {
 	return t
 }
 
-// Join concatenates probe and stored under the joined schema, like
-// Tuple.Join, but carves the result from the arena's current blocks.
-// joined must be probe.Schema.Concat(stored.Schema) (callers cache it).
+// Join concatenates probe and stored under the joined schema, carving
+// the result from the arena's current blocks. Its timestamp is the
+// later of the two. joined must be probe.Schema.Concat(stored.Schema)
+// (callers cache it).
 func (a *Arena) Join(probe, stored *Tuple, joined *Schema) *Tuple {
 	t := a.New(joined, max(probe.TS, stored.TS))
 	copy(t.Values, probe.Values)

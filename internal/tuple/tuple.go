@@ -128,22 +128,6 @@ func (t *Tuple) MustGet(name string) Value {
 	return v
 }
 
-// Join concatenates t and o under the concatenated schema. The result
-// timestamp is the maximum of the inputs' timestamps.
-func (t *Tuple) Join(o *Tuple, joined *Schema) *Tuple {
-	vals := make([]Value, 0, len(t.Values)+len(o.Values))
-	vals = append(vals, t.Values...)
-	vals = append(vals, o.Values...)
-	ts := t.TS
-	if o.TS > ts {
-		ts = o.TS
-	}
-	if joined == nil {
-		joined = t.Schema.Concat(o.Schema)
-	}
-	return &Tuple{Schema: joined, Values: vals, TS: ts}
-}
-
 // MemSize estimates the in-memory footprint in bytes (values plus slice
 // and struct headers), used for store memory accounting (Fig. 7c).
 func (t *Tuple) MemSize() int {

@@ -2,6 +2,7 @@ package tuple
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -171,21 +172,38 @@ func TestTupleGetJoin(t *testing.T) {
 	if _, ok := r.Get("S.c"); ok {
 		t.Error("Get of absent attribute should report false")
 	}
-	j := r.Join(s, nil)
+	// Arena.Join takes the schema it is given: the concatenation the
+	// caller derived once with Concat.
+	var a Arena
+	joined := rs.Concat(ss)
+	j := a.Join(r, s, joined)
+	if j.Schema != joined {
+		t.Error("Arena.Join ignored the given schema")
+	}
+	if got, want := j.Schema.Names(), []string{"R.a", "R.b", "S.b", "S.c"}; !slices.Equal(got, want) {
+		t.Errorf("joined schema = %v, want %v", got, want)
+	}
 	if j.TS != 20 {
 		t.Errorf("joined TS = %d, want max input 20", j.TS)
 	}
-	if j.Schema.Len() != 4 {
-		t.Errorf("joined schema len = %d, want 4", j.Schema.Len())
+	want := []Value{IntValue(1), StringValue("x"), StringValue("x"), IntValue(3)}
+	if !slices.Equal(j.Values, want) {
+		t.Errorf("joined values = %v, want %v", j.Values, want)
 	}
 	if v := j.MustGet("S.c"); v.Int() != 3 {
 		t.Error("joined tuple lost S.c")
 	}
-	// Join with precomputed schema takes it verbatim.
-	pre := rs.Concat(ss)
-	j2 := r.Join(s, pre)
-	if j2.Schema != pre {
-		t.Error("Join ignored provided schema")
+	// The later tuple probing: same timestamp, the columns swapped, and
+	// fresh cells — the first result is unchanged.
+	j2 := a.Join(s, r, ss.Concat(rs))
+	if got, want := j2.Schema.Names(), []string{"S.b", "S.c", "R.a", "R.b"}; !slices.Equal(got, want) {
+		t.Errorf("joined schema = %v, want %v", got, want)
+	}
+	if j2.TS != 20 {
+		t.Errorf("joined TS = %d with the later tuple probing, want 20", j2.TS)
+	}
+	if !slices.Equal(j.Values, want) {
+		t.Errorf("a later Arena.Join overwrote an earlier result: %v", j.Values)
 	}
 }
 
