@@ -543,6 +543,7 @@ func start(cfg Config, journal runtime.Journal) (*Engine, error) {
 		MeasuredCosts:    cfg.MeasuredCosts,
 	}, qs, est)
 	if err != nil {
+		eng.Stop()
 		return nil, err
 	}
 	for name, fn := range cfg.OnResult {

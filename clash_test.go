@@ -2,6 +2,7 @@ package clash
 
 import (
 	"bytes"
+	goruntime "runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -62,6 +63,32 @@ func TestStartValidation(t *testing.T) {
 	}
 	if _, err := Start(Config{Workload: "q1: R(a)"}); err == nil {
 		t.Error("single-relation query should fail")
+	}
+}
+
+// TestFailedStartStopsEngine: a Start whose initial solve fails has
+// already built the engine — on the flow substrate, a pool of workers
+// and the statistics goroutine — and must stop it before returning the
+// error, with and without a WAL. A disconnected query has no probe
+// order, so the solve fails.
+func TestFailedStartStopsEngine(t *testing.T) {
+	base := goruntime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		cfg := Config{Workload: "q1: R(a) S(b)"}
+		if i%2 == 1 {
+			cfg.WAL = &WALConfig{Storage: NewMemWALStorage()}
+		}
+		if eng, err := Start(cfg); err == nil {
+			eng.Stop()
+			t.Fatal("Start of a disconnected query succeeded")
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for goruntime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after 5 failed Starts, %d before", goruntime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -6,27 +6,6 @@
 //	8a, 8b     — adaptive vs. static latency over time under changing
 //	             data characteristics
 //	9a..9f     — ILP probe-cost savings, problem sizes, and runtimes
-//	simsweep   — deterministic-schedule sweep: the TPC-H multi-query
-//	             equivalence oracle across -seeds seeded interleavings
-//	             on the simulation substrate, with same-seed replay
-//	             verification and an injected-fault scenario (source
-//	             hiccup under flow control) replayed from its seed;
-//	             -backend selects the state backend of the sim runs
-//	churn      — incremental re-optimization: Fig. 9-regime query churn
-//	             at 100/500/1000 queries, re-optimizing every step from
-//	             scratch vs with cross-churn state (incumbent warm
-//	             start, MIR memo, candidate-structure cache); reports
-//	             optimizer wall time, BnB nodes explored, memo hit
-//	             rate, and plan cost per arm, with incremental cost
-//	             required ≤ scratch at every step; then the same
-//	             churn in the engine's regime (partition consistency
-//	             on, new estimates and two solves per step), which
-//	             dies unless the warm start's incumbent repair holds,
-//	             and the ReoptStats counters of every arm
-//	chaos      — crash-recovery chaos suite: -seeds crash-restart-replay
-//	             runs per state configuration (task panics + torn WAL
-//	             tails active), each byte-compared against an
-//	             uninterrupted oracle
 //	ablation   — the design choices of DESIGN.md §5 switched off one at
 //	             a time
 //	all        — everything (the default)
@@ -58,8 +37,7 @@ import (
 
 // figures lists every -fig name in help order; the shorthands 7, 8, 9
 // and all expand to them.
-var figures = []string{"7b", "7c", "7d", "8a", "8b", "9a", "9b", "9c", "9d", "9e", "9f",
-	"simsweep", "churn", "chaos", "ablation"}
+var figures = []string{"7b", "7c", "7d", "8a", "8b", "9a", "9b", "9c", "9d", "9e", "9f", "ablation"}
 
 // parseFigures expands a comma-separated -fig value into the set of
 // figures to run. Names match exactly (case-insensitively); "7", "8"
@@ -86,12 +64,10 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("clash-bench: ")
 	var (
-		fig      = flag.String("fig", "all", "comma-separated figures to print (7, 8, 9, all, "+strings.Join(figures, ", ")+")")
-		sf       = flag.Float64("sf", 0.002, "TPC-H scale factor for Fig. 7")
-		quick    = flag.Bool("quick", false, "smaller sweeps for a fast smoke run")
-		seed     = flag.Uint64("seed", 42, "workload seed")
-		seeds    = flag.Int("seeds", 16, "schedule seeds for -fig simsweep, crash seeds for -fig chaos")
-		backendF = flag.String("backend", "container", "state-matrix row for the -fig simsweep runs (container|columnar|tiered; tiered = columnar under a hot budget)")
+		fig   = flag.String("fig", "all", "comma-separated figures to print (7, 8, 9, all, "+strings.Join(figures, ", ")+")")
+		sf    = flag.Float64("sf", 0.002, "TPC-H scale factor for Fig. 7")
+		quick = flag.Bool("quick", false, "smaller sweeps for a fast smoke run")
+		seed  = flag.Uint64("seed", 42, "workload seed")
 	)
 	flag.Parse()
 
@@ -100,22 +76,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "clash-bench:", err)
 		os.Exit(2)
 	}
-	backend, err := bench.ParseBackend(*backendF)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	if want["7b"] || want["7c"] || want["7d"] {
 		runFig7(*sf, *quick, *seed)
-	}
-	if want["churn"] {
-		runChurn(*quick, *seed)
-	}
-	if want["simsweep"] {
-		runSimSweep(*seeds, *quick, *seed, backend)
-	}
-	if want["chaos"] {
-		runChaos(*seeds, *quick)
 	}
 	if want["8a"] {
 		runFig8('a', *quick, *seed)
@@ -166,73 +129,6 @@ func runFig7(sf float64, quick bool, seed uint64) {
 		fmt.Print(bench.FormatFig7(res))
 		fmt.Println()
 	}
-}
-
-// runSimSweep drives the deterministic-schedule sweep (DESIGN.md §9)
-// and exits non-zero on any seed that deviates from the oracle, any
-// replay divergence, or a fault scenario that fails to reproduce.
-func runSimSweep(seeds int, quick bool, seed uint64, backend bench.StateConfig) {
-	cfg := bench.SimSweepConfig{Seeds: seeds, Seed: seed, State: backend}
-	if quick && cfg.Seeds > 8 {
-		cfg.Seeds = 8
-	}
-	fmt.Printf("=== Sim sweep — TPC-H equivalence oracle across %d seeded schedules (%s backend) ===\n", cfg.Seeds, backend.Name)
-	res, err := bench.SimSweep(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(bench.FormatSimSweep(res))
-	fmt.Println()
-}
-
-// runChaos drives the crash-recovery chaos suite (DESIGN.md §11): the
-// seeded crash-restart-replay sweep across every state configuration
-// with task panics and torn WAL tails. Exits non-zero on any run that
-// is not exactly-once.
-func runChaos(seeds int, quick bool) {
-	fmt.Printf("=== Chaos — crash-restart-replay sweep ===\n")
-	res, err := bench.Chaos(bench.ChaosConfig{Seeds: seeds, Quick: quick})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(bench.FormatChaos(res))
-	fmt.Println()
-}
-
-// runChurn drives the incremental re-optimization sweep and its
-// engine-regime arm; the bench itself dies when the incremental plan ever
-// costs more than scratch, or when the engine-regime arm finds the warm
-// start's incumbent repair failing or a free solve missing the
-// candidate-structure cache beyond the changed query's neighbours.
-func runChurn(quick bool, seed uint64) {
-	nQs := []int{100, 500, 1000}
-	engineNQs := []int{24, 100}
-	if quick {
-		nQs = []int{50, 100}
-		engineNQs = []int{24}
-	}
-	fmt.Println("=== Churn — re-optimization under query churn: scratch vs incremental ===")
-	rows, err := bench.Churn(bench.ChurnConfig{Seed: seed}, nQs)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(bench.FormatChurn(rows))
-	fmt.Println()
-
-	fmt.Println("=== Churn, the engine's regime — partition consistency on, a fresh estimates snapshot and two solves (free, then mature MIRs only) per step ===")
-	var engine []bench.ChurnEngineResult
-	for _, nQ := range engineNQs {
-		// The query-churn workload's shape: 40 relations, 2 000 nodes a solve.
-		r, err := bench.ChurnEngineRegime(bench.ChurnConfig{Seed: seed, Relations: 40, Steps: 20, MaxNodes: 2000}, nQ)
-		if err != nil {
-			log.Fatal(err)
-		}
-		engine = append(engine, r)
-	}
-	fmt.Print(bench.FormatChurnEngine(engine))
-	fmt.Println()
-	fmt.Print(bench.FormatReoptStats(rows, engine))
-	fmt.Println()
 }
 
 func runFig8(variant byte, quick bool, seed uint64) {

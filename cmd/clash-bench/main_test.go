@@ -10,9 +10,9 @@ import (
 // 7/8/9/all, and an error — not an empty run — for anything else. A
 // first letter used to select every figure sharing it ("c" ran cluster,
 // churn and chaos) and an unknown name printed nothing and exited 0.
-// cluster, overload, longstate and skew are not figures: the package
-// tests of internal/cluster and internal/runtime check what those
-// printers checked.
+// cluster, overload, longstate, skew, churn, chaos and simsweep are not
+// figures: the package tests of internal/cluster, internal/runtime,
+// internal/core and internal/sim check what those printers checked.
 func TestParseFigures(t *testing.T) {
 	for _, tc := range []struct {
 		spec string
@@ -22,9 +22,8 @@ func TestParseFigures(t *testing.T) {
 		{"8", []string{"8a", "8b"}},
 		{"9", []string{"9a", "9b", "9c", "9d", "9e", "9f"}},
 		{"7b", []string{"7b"}},
-		{"simsweep", []string{"simsweep"}},
-		{"Chaos", []string{"chaos"}},
-		{"churn, 8a", []string{"8a", "churn"}},
+		{"Ablation", []string{"ablation"}},
+		{"ablation, 8a", []string{"8a", "ablation"}},
 		{"all", figures},
 	} {
 		got, err := parseFigures(tc.spec)
@@ -43,7 +42,8 @@ func TestParseFigures(t *testing.T) {
 			t.Errorf("-fig %q selects %v, want %v", tc.spec, names, want)
 		}
 	}
-	for _, spec := range []string{"c", "s", "7x", "fig7", "", "7,", "longstat", "10", "cluster", "overload", "longstate", "skew"} {
+	for _, spec := range []string{"c", "s", "7x", "fig7", "", "7,", "longstat", "10", "cluster", "overload", "longstate", "skew",
+		"churn", "chaos", "simsweep"} {
 		if got, err := parseFigures(spec); err == nil {
 			t.Errorf("-fig %q accepted (selects %v), want an error", spec, got)
 		}

@@ -9,7 +9,7 @@ import "testing"
 // the newest query's composite MIRs banned) under a snapshot the previous
 // step did not see.
 func churnStepper(tb testing.TB) func() {
-	sched := controllerSchedule(tb, 2)
+	sched := controllerSchedule(tb, 24, 1, 2)
 	reopt := NewReopt()
 	solve := func(step controllerStep) {
 		reopt.Advance()

@@ -11,7 +11,7 @@ import (
 // A new table drops the cached structures that carry the old one's ids,
 // and the incumbent, kept by order key, resolves in the new table.
 func TestSymbolTableRestartKeepsPlans(t *testing.T) {
-	sched := controllerSchedule(t, 6)
+	sched := controllerSchedule(t, 24, 1, 6)
 	keep, restart := NewReopt(), NewReopt()
 	restarts := 0
 	for s, step := range sched {

@@ -75,7 +75,7 @@ func eagerNames(b *builder) (vars, rows []string) {
 // as it was written before, the unsolvable-model error lists the rows of
 // every kind by name, and a violated row is reported by name.
 func TestModelNamesReachTheReader(t *testing.T) {
-	sched := controllerSchedule(t, 0)
+	sched := controllerSchedule(t, 24, 1, 0)
 	b := candidateBuilder(t, controllerOptions(NewReopt()), sched[0].queries, sched[0].est)
 	b.buildModel()
 

@@ -3,11 +3,13 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"clash/internal/cost"
+	"clash/internal/ilp"
 	"clash/internal/mir"
 	"clash/internal/query"
 	"clash/internal/rng"
@@ -101,6 +103,71 @@ func TestIncrementalMatchesScratchUnderChurn(t *testing.T) {
 			t.Errorf("seed %d: memo never hit across the churn sweep", seed)
 		}
 	}
+
+	// The Fig. 9c regime at the size of a churn benchmark: 50 queries
+	// over 100 relations, 12 candidates per group and 200 000 nodes a
+	// solve. Every count must repeat run to run.
+	first := incrementalVsScratch(t, 50, 42, 5)
+	t.Logf("Fig. 9c regime, per step nodes scratch/incremental and objectives scratch/incremental, then memo hits/misses: %v", first)
+	if second := incrementalVsScratch(t, 50, 42, 5); !slices.Equal(first, second) {
+		t.Errorf("two runs disagree:\n%v\n%v", first, second)
+	}
+}
+
+// incrementalVsScratch primes a Reopt with nQ random three-way joins over
+// 100 relations, then alternately admits a fresh query and retires the
+// oldest for steps steps, optimizing after each from scratch and with
+// the Reopt. It fails when an incremental plan costs more than the
+// scratch plan of its step, or less when both solves were proven
+// optimal (a node-capped solve may stop above the optimum), and returns
+// per step the two arms' node counts and objectives, then the memo's
+// hits and misses.
+func incrementalVsScratch(t *testing.T, nQ int, seed uint64, steps int) []float64 {
+	t.Helper()
+	env := workload.NewEnv(100, 100)
+	est := env.Estimates()
+	pool := env.RandomQueries(nQ+steps, 3, seed)
+	if len(pool) < nQ+steps {
+		t.Fatalf("workload generation came up short (%d queries)", len(pool))
+	}
+	active, fresh := append([]*query.Query(nil), pool[:nQ]...), pool[nQ:]
+	base := Options{NoPartitionConsistency: true, MaxCandidatesPerGroup: 12}
+	base.Solver.MaxNodes = 200000
+	reopt := NewReopt()
+	inc := base
+	inc.Reopt = reopt
+	if _, err := NewOptimizer(inc).Optimize(active, est); err != nil {
+		t.Fatal(err)
+	}
+	var counts []float64
+	for step := 0; step < steps; step++ {
+		if step%2 == 0 {
+			active = append(active, fresh[step/2])
+		} else {
+			active = append([]*query.Query(nil), active[1:]...)
+		}
+		scratch, err := NewOptimizer(base).Optimize(active, est)
+		if err != nil {
+			t.Fatalf("step %d: scratch: %v", step, err)
+		}
+		reopt.Advance()
+		incr, err := NewOptimizer(inc).Optimize(active, est)
+		if err != nil {
+			t.Fatalf("step %d: incremental: %v", step, err)
+		}
+		if incr.Objective > scratch.Objective+1e-6 {
+			t.Fatalf("step %d: incremental cost %g > scratch %g", step, incr.Objective, scratch.Objective)
+		}
+		if scratch.Stats.Status == ilp.Optimal && incr.Stats.Status == ilp.Optimal && incr.Objective < scratch.Objective-1e-6 {
+			t.Fatalf("step %d: incremental cost %g below scratch optimum %g — one of them is not optimal", step, incr.Objective, scratch.Objective)
+		}
+		counts = append(counts, float64(scratch.Stats.Nodes), float64(incr.Stats.Nodes), scratch.Objective, incr.Objective)
+	}
+	s := reopt.Stats()
+	if s.MemoHits == 0 {
+		t.Error("memo never hit across the churn steps")
+	}
+	return append(counts, float64(s.MemoHits), float64(s.MemoMisses))
 }
 
 // TestReoptNewEstimatesReprice pins what a new estimates snapshot does

@@ -40,7 +40,7 @@ func planDump(p *Plan) string {
 // and status — and a plan must be byte-unchanged after the next steps
 // solve on the workspace it came from.
 func TestWorkspaceReuseKeepsPlans(t *testing.T) {
-	sched := controllerSchedule(t, 12)
+	sched := controllerSchedule(t, 24, 1, 12)
 	reused, fresh := NewReopt(), NewReopt()
 	held := fresh.acquire()
 	var plans []*Plan
@@ -87,7 +87,7 @@ func TestWorkspaceReuseKeepsPlans(t *testing.T) {
 // solve borrows the Reopt's workspace, the other gets a fresh one, and
 // every plan keeps what it was solved to.
 func TestWorkspaceConcurrentOptimize(t *testing.T) {
-	sched := controllerSchedule(t, 4)
+	sched := controllerSchedule(t, 24, 1, 4)
 	reopt := NewReopt()
 	if _, err := NewOptimizer(controllerOptions(reopt)).Optimize(sched[0].queries, sched[0].est); err != nil {
 		t.Fatal(err)

@@ -122,25 +122,26 @@ func TestCrashRecoveryTaskPanic(t *testing.T) {
 	}
 }
 
-// TestCrashSweep is the acceptance sweep: 16 seeds x 3 state
+// TestCrashSweep is the acceptance sweep: 64 seeds x 3 state
 // configurations (container, columnar, and columnar with its spill
-// tier), 48 runs, crash point varying with the seed, with TaskPanic and
-// TornWrite active — every run's recovered output must byte-match its
-// oracle.
+// tier), 192 runs, crash point varying with the seed, with TaskPanic and
+// TornWrite active and a checkpoint every 23 ingests — every run's
+// recovered output must byte-match its oracle.
 func TestCrashSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep skipped in -short mode")
 	}
 	base := crashBase()
 	base.Stream.Seed = 0 // per-seed streams
+	base.CheckpointEvery = 23
 	base.Faults = []Fault{TaskPanic{Part: -1, Every: 13, Until: 300}}
 	base.Torn = &TornWrite{DropMax: 48}
-	runs, err := CrashSweep(base, 16)
+	runs, err := CrashSweep(base, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runs != 48 {
-		t.Errorf("verified %d runs, want 48 (16 seeds x 3 backends)", runs)
+	if runs != 192 {
+		t.Errorf("verified %d runs, want 192 (64 seeds x 3 backends)", runs)
 	}
 }
 

@@ -74,8 +74,7 @@ type Scenario struct {
 // cross-backend sweep iterates: a backend and, on the tiered row, the
 // hot budget that forces its spill tier to work.
 type StateConfig struct {
-	// Name labels the row in bench output, BENCH_fig7.json, and the
-	// clash-bench -backend flag.
+	// Name labels the row in test output.
 	Name    string
 	Backend runtime.StateBackendKind
 	// HotBytes is the forcing StateHotBytes: small enough that every

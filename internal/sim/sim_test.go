@@ -203,49 +203,69 @@ func TestTaskStallFaultKeepsExactness(t *testing.T) {
 
 // TestSourceHiccupUnderFlowControl is the injected-fault scenario of
 // the acceptance criteria: a source hiccup releases a held burst into a
-// credit-starved engine; under BlockOnOverload the admission gate
-// absorbs it losslessly and the run stays exact over the delivered
-// order — and the whole incident replays from its seed.
+// credit-starved engine whose store tasks stall; under BlockOnOverload
+// the admission gate absorbs it losslessly and the run stays exact over
+// the delivered order — and the whole incident replays from its seed,
+// on every row of the state matrix (the tiered row demoting).
 func TestSourceHiccupUnderFlowControl(t *testing.T) {
-	sc := base()
-	sc.Credits = 4
-	sc.Faults = []Fault{SourceHiccup{At: 50, Hold: 80}}
-	res, err := sc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics.Ingested != int64(len(res.Delivered)) {
-		t.Errorf("admitted %d of %d delivered tuples under BlockOnOverload",
-			res.Metrics.Ingested, len(res.Delivered))
-	}
-	// The hiccup reorders delivery (late data), so the oracle's in-order
-	// precondition is gone; the schedule-independence property is what
-	// must survive any fault: byte-identical results vs the synchronous
-	// substrate over the same delivered stream.
-	if err := sc.VerifySubstrateIndependent(res); err != nil {
-		t.Fatal(err)
-	}
-	// The hiccup genuinely reordered delivery: the burst window moved.
-	plain := base()
-	plainRes, err := plain.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plainRes.Delivered) != len(res.Delivered) {
-		t.Fatalf("hiccup changed the stream length")
-	}
-	moved := false
-	for i := range res.Delivered {
-		if res.Delivered[i].TS != plainRes.Delivered[i].TS {
-			moved = true
-			break
-		}
-	}
-	if !moved {
-		t.Fatal("hiccup did not reorder delivery — fault inert")
-	}
-	if _, at, err := sc.Replay(res); err != nil || at >= 0 {
-		t.Fatalf("hiccup replay diverged (at=%d err=%v)", at, err)
+	for _, row := range StateConfigs() {
+		t.Run(row.Name, func(t *testing.T) {
+			sc := base()
+			sc.Stream = StreamConfig{Tuples: 500, Keys: 5, Seed: 42}
+			sc.Seed = 7
+			sc.Credits = 4
+			sc.Faults = []Fault{
+				SourceHiccup{At: 100, Hold: 120},
+				TaskStall{Part: -1, Every: 3, Until: 600},
+			}
+			sc.UseState(row)
+			res, err := sc.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Metrics.Ingested != int64(len(res.Delivered)) {
+				t.Errorf("admitted %d of %d delivered tuples under BlockOnOverload",
+					res.Metrics.Ingested, len(res.Delivered))
+			}
+			if res.Trace.Stalls() == 0 {
+				t.Error("no stalls traced — TaskStall inert")
+			}
+			if row.HotBytes > 0 && res.Metrics.DemotedEpochs == 0 {
+				t.Error("no epoch demoted — the hot budget never bit")
+			}
+			// The hiccup reorders delivery (late data), so the oracle's
+			// in-order precondition is gone; the schedule-independence
+			// property is what must survive any fault: byte-identical
+			// results vs the synchronous substrate over the same
+			// delivered stream.
+			if err := sc.VerifySubstrateIndependent(res); err != nil {
+				t.Fatal(err)
+			}
+			// The hiccup genuinely reordered delivery: the burst window moved.
+			plain := sc
+			plain.Faults = nil
+			plainRes, err := plain.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(plainRes.Delivered) != len(res.Delivered) {
+				t.Fatalf("hiccup changed the stream length")
+			}
+			moved := false
+			for i := range res.Delivered {
+				if res.Delivered[i].TS != plainRes.Delivered[i].TS {
+					moved = true
+					break
+				}
+			}
+			if !moved {
+				t.Fatal("hiccup did not reorder delivery — fault inert")
+			}
+			if _, at, err := sc.Replay(res); err != nil || at >= 0 {
+				t.Fatalf("hiccup replay diverged (at=%d err=%v)", at, err)
+			}
+			t.Logf("%d results, %d stalls, %d epochs demoted", res.TotalResults(), res.Trace.Stalls(), res.Metrics.DemotedEpochs)
+		})
 	}
 }
 
