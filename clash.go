@@ -90,8 +90,6 @@ type (
 	// SimEvent is one scheduling decision of the simulation substrate
 	// (the schedule trace element).
 	SimEvent = runtime.SimEvent
-	// Clock is the engine's time source (virtual on SubstrateSim).
-	Clock = runtime.Clock
 	// VirtualClock is a manually advanced clock: simulated time moves
 	// per dispatched message and via Advance (fast-forward).
 	VirtualClock = runtime.VirtualClock
@@ -516,6 +514,10 @@ func start(cfg Config, journal runtime.Journal) (*Engine, error) {
 			est.SetRate(name, 1000)
 		}
 	}
+	substrate := cfg.Substrate
+	if substrate == SubstrateAuto && cfg.Synchronous {
+		substrate = SubstrateSynchronous
+	}
 	eng := runtime.New(runtime.Config{
 		Catalog:          cat,
 		DefaultWindow:    cfg.DefaultWindow,
@@ -526,8 +528,7 @@ func start(cfg Config, journal runtime.Journal) (*Engine, error) {
 		StateHotBytes:    cfg.StateHotBytes,
 		StateSpillDir:    cfg.StateSpillDir,
 		StepMode:         cfg.StepMode,
-		Synchronous:      cfg.Synchronous,
-		Substrate:        cfg.Substrate,
+		Substrate:        substrate,
 		Flow:             cfg.Flow,
 		Sim:              cfg.Sim,
 		Journal:          journal,
@@ -540,7 +541,6 @@ func start(cfg Config, journal runtime.Journal) (*Engine, error) {
 		Shared:           !cfg.Independent,
 		Static:           !cfg.Adaptive,
 		IncrementalReopt: cfg.IncrementalReopt,
-		MeasuredCosts:    cfg.MeasuredCosts,
 	}, qs, est)
 	if err != nil {
 		eng.Stop()

@@ -14,13 +14,15 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"maps"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
+	"clash/internal/bench"
 	"clash/internal/core"
 	"clash/internal/query"
-	"clash/internal/runtime"
 	"clash/internal/topology"
 	"clash/internal/tpch"
 )
@@ -67,21 +69,11 @@ func main() {
 	}
 	fmt.Printf("%d records\n", len(fx.Records))
 
-	shared := true
-	var plans []*core.Plan
-	switch strings.ToLower(*strategy) {
-	case "cmqo":
-		var p *core.Plan
-		p, err = fx.Joint()
-		plans = []*core.Plan{p}
-	case "fs", "ss":
-		plans, err = fx.Individual()
-	case "fi", "si":
-		shared = false
-		plans, err = fx.Individual()
-	default:
+	s := bench.Strategy(strings.ToUpper(*strategy))
+	if !slices.Contains(bench.Strategies(), s) {
 		log.Fatalf("unknown strategy %q", *strategy)
 	}
+	plans, topo, err := deploy(fx, s)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -89,17 +81,11 @@ func main() {
 		for _, p := range plans {
 			fmt.Print(p)
 		}
-	}
-	topo, err := fx.Compile(shared, plans...)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if *verbose {
 		fmt.Print(topo)
 	}
 	fmt.Printf("topology: %d stores, %d tasks\n", len(topo.Stores), topo.TotalTasks())
 
-	m, wall, err := run(fx, topo)
+	m, wall, err := bench.RunStrategy(fx, s, topo)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -109,28 +95,30 @@ func main() {
 	fmt.Printf("probe tuples sent: %d, stored: %d (%.2f MiB)\n", m.ProbeSent, m.Stored,
 		float64(m.StoreBytes)/(1<<20))
 	fmt.Printf("results: %d (avg latency %v)\n", m.Results, m.AvgLatency.Round(time.Microsecond))
-	for q, n := range m.ByQuery {
-		fmt.Printf("  %s: %d results\n", q, n)
+	for _, q := range slices.Sorted(maps.Keys(m.ByQuery)) {
+		fmt.Printf("  %s: %d results\n", q, m.ByQuery[q])
 	}
 }
 
-// run ingests the fixture's records into an engine running topo and
-// returns its counters and the wall time of ingest and drain. The engine
-// is synchronous, as in clash-bench -fig 7: every ingested tuple's whole
-// probe chain completes before the next one arrives, so the result
-// counts are exact and match the symmetric join's.
-func run(fx *tpch.Fixture, topo *topology.Config) (runtime.Snapshot, time.Duration, error) {
-	eng := runtime.New(runtime.Config{Catalog: fx.Catalog, Synchronous: true})
-	defer eng.Stop()
-	if err := eng.Install(topo, 0); err != nil {
-		return runtime.Snapshot{}, 0, err
-	}
-	start := time.Now()
-	for _, r := range fx.Records {
-		if err := eng.Ingest(r.Relation, r.TS, r.Vals...); err != nil {
-			return runtime.Snapshot{}, 0, err
+// deploy solves the plans strategy s deploys and compiles them: the
+// joint plan for CMQO, per-query plans otherwise, sharing stores and
+// prefixes for FS and SS. The engine then runs as in clash-bench -fig 7
+// (bench.RunStrategy), so the counts are exact and match its row.
+func deploy(fx *tpch.Fixture, s bench.Strategy) ([]*core.Plan, *topology.Config, error) {
+	var plans []*core.Plan
+	if s == bench.CLASHMQO {
+		p, err := fx.Joint()
+		if err != nil {
+			return nil, nil, err
+		}
+		plans = []*core.Plan{p}
+	} else {
+		var err error
+		if plans, err = fx.Individual(); err != nil {
+			return nil, nil, err
 		}
 	}
-	eng.Drain()
-	return eng.Metrics().Snapshot(), time.Since(start), nil
+	shared := s == bench.CLASHMQO || s == bench.FlinkShared || s == bench.StormShared
+	topo, err := fx.Compile(shared, plans...)
+	return plans, topo, err
 }

@@ -161,31 +161,10 @@ func runFig7Strategy(s Strategy, setup *fig7Setup) (Fig7Result, error) {
 	if err != nil {
 		return Fig7Result{}, err
 	}
-
-	// Synchronous execution: exact and deterministic, so all strategies
-	// compute identical result sets and the throughput measure is the
-	// serialized handling work (messages × per-message cost) — exactly
-	// the quantity the probe-cost model optimizes.
-	eng := runtime.New(runtime.Config{
-		Catalog:       setup.Catalog,
-		OverheadLoops: overheadLoops(s),
-		Synchronous:   true,
-	})
-	if err := eng.Install(topo, 0); err != nil {
+	m, wall, err := RunStrategy(setup.Fixture, s, topo)
+	if err != nil {
 		return Fig7Result{}, err
 	}
-	defer eng.Stop()
-
-	start := time.Now()
-	for _, r := range setup.Records {
-		if err := eng.Ingest(r.Relation, r.TS, r.Vals...); err != nil {
-			return Fig7Result{}, err
-		}
-	}
-	eng.Drain()
-	wall := time.Since(start)
-
-	m := eng.Metrics().Snapshot()
 	return Fig7Result{
 		Strategy:      s,
 		ThroughputTPS: float64(m.Ingested) / wall.Seconds(),
@@ -198,6 +177,34 @@ func runFig7Strategy(s Strategy, setup *fig7Setup) (Fig7Result, error) {
 		EvictedEpochs: m.EvictedEpochs,
 		Stores:        len(topo.Stores),
 	}, nil
+}
+
+// RunStrategy ingests the fixture's records into an engine running topo
+// under strategy s's engine profile, and returns the engine's counters
+// and the wall time of ingest and drain. Execution is synchronous: exact
+// and deterministic, so all strategies compute identical result sets and
+// the throughput measure is the serialized handling work (messages ×
+// per-message cost) — exactly the quantity the probe-cost model
+// optimizes.
+func RunStrategy(fx *tpch.Fixture, s Strategy, topo *topology.Config) (runtime.Snapshot, time.Duration, error) {
+	eng := runtime.New(runtime.Config{
+		Catalog:       fx.Catalog,
+		OverheadLoops: overheadLoops(s),
+		Substrate:     runtime.SubstrateSynchronous,
+	})
+	defer eng.Stop()
+	if err := eng.Install(topo, 0); err != nil {
+		return runtime.Snapshot{}, 0, err
+	}
+	start := time.Now()
+	for _, r := range fx.Records {
+		if err := eng.Ingest(r.Relation, r.TS, r.Vals...); err != nil {
+			return runtime.Snapshot{}, 0, err
+		}
+	}
+	eng.Drain()
+	wall := time.Since(start)
+	return eng.Metrics().Snapshot(), wall, nil
 }
 
 // FormatFig7 renders the results as the rows of Figs. 7b–7d.

@@ -30,12 +30,12 @@ func testFig7ExecutionModes(t *testing.T, built func() (*fig7Setup, error)) {
 		t.Fatal(err)
 	}
 
-	run := func(s Strategy, synchronous bool) map[string]int64 {
+	run := func(s Strategy, substrate runtime.SubstrateKind) map[string]int64 {
 		topo, err := setup.topology(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := runtime.New(runtime.Config{Catalog: setup.Catalog, Synchronous: synchronous})
+		eng := runtime.New(runtime.Config{Catalog: setup.Catalog, Substrate: substrate})
 		if err := eng.Install(topo, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func testFig7ExecutionModes(t *testing.T, built func() (*fig7Setup, error)) {
 
 	var exact map[string]int64
 	for _, s := range Strategies() {
-		sync := run(s, true)
+		sync := run(s, runtime.SubstrateSynchronous)
 		if exact == nil {
 			exact = sync
 		} else {
@@ -61,7 +61,7 @@ func testFig7ExecutionModes(t *testing.T, built func() (*fig7Setup, error)) {
 				}
 			}
 		}
-		async := run(s, false)
+		async := run(s, runtime.SubstrateFlow)
 		for q, n := range async {
 			if n > exact[q] {
 				t.Errorf("%s async: query %s produced %d results, exact count is %d (duplicates?)", s, q, n, exact[q])

@@ -45,7 +45,7 @@ func newShards(t *testing.T, cat *query.Catalog, topo *topology.Config, n int) [
 	t.Helper()
 	shards := make([]cluster.Shard, n)
 	for i := 0; i < n; i++ {
-		eng := runtime.New(runtime.Config{Catalog: cat, Synchronous: true})
+		eng := runtime.New(runtime.Config{Catalog: cat, Substrate: runtime.SubstrateSynchronous})
 		if err := eng.Install(topo, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestBuildPlanDisconnectedClassIsConservative(t *testing.T) {
 // runOracle evaluates the stream on one synchronous engine.
 func runOracle(t *testing.T, cat *query.Catalog, topo *topology.Config, qs []*query.Query, ins []runtime.Ingestion) *cluster.MergeSink {
 	t.Helper()
-	eng := runtime.New(runtime.Config{Catalog: cat, Synchronous: true})
+	eng := runtime.New(runtime.Config{Catalog: cat, Substrate: runtime.SubstrateSynchronous})
 	t.Cleanup(eng.Stop)
 	if err := eng.Install(topo, 0); err != nil {
 		t.Fatal(err)

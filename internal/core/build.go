@@ -22,13 +22,13 @@ type builder struct {
 	rawEst  *stats.Estimates
 	est     *cost.Estimator
 	mirs    []*mir.MIR
-	syms    *symbols // the Reopt's, or the builder's own
+	syms    *symbols // the Reopt's
 
 	// The model, the solver's memory and the per-solve arrays: the Reopt's
 	// workspace or a fresh one.
 	*workspace
 
-	// cross-churn cache key components (set when opts.Reopt != nil)
+	// cross-churn cache key components
 	structFP string              // the options that shape candidate structure
 	fps      map[string]string   // query name -> mir.Fingerprint
 	byRel    map[string][]string // relation -> fingerprints of the queries joining it
@@ -68,7 +68,8 @@ type zDecor struct {
 	attr       query.Attr
 }
 
-// newBuilderOn returns a builder whose solve runs on ws, which it resets.
+// newBuilderOn returns a builder whose solve runs on ws, which it resets,
+// and reads and writes opts.Reopt, which must be set.
 func newBuilderOn(ws *workspace, opts Options, queries []*query.Query, est *stats.Estimates) *builder {
 	ws.reset()
 	b := &builder{
@@ -84,10 +85,6 @@ func newBuilderOn(ws *workspace, opts Options, queries []*query.Query, est *stat
 		knows:      map[int32]bool{},
 	}
 	r := opts.Reopt
-	if r == nil {
-		b.syms = newSymbols()
-		return b
-	}
 	b.syms = r.symbolTable()
 	b.structFP = opts.structFingerprint()
 	b.fps = make(map[string]string, len(queries))
@@ -152,9 +149,7 @@ func (b *builder) run() (*Plan, error) {
 		Nodes:         sol.Nodes,
 		Status:        sol.Status,
 	}
-	if r := b.opts.Reopt; r != nil {
-		r.noteIncumbent(b.opts.regime(), plan)
-	}
+	b.opts.Reopt.noteIncumbent(b.opts.regime(), plan)
 	return plan, nil
 }
 
@@ -165,13 +160,7 @@ func (b *builder) unsolvable(status ilp.Status) error {
 }
 
 func (b *builder) enumerateMIRs() {
-	var all []*mir.MIR
-	if r := b.opts.Reopt; r != nil && r.Memo != nil {
-		all = r.Memo.Enumerate(b.queries)
-	} else {
-		all = mir.Enumerate(b.queries)
-	}
-	for _, m := range all {
+	for _, m := range b.opts.Reopt.Memo.Enumerate(b.queries) {
 		if !m.IsBase() {
 			if !b.opts.mirsEnabled() {
 				continue
@@ -184,22 +173,18 @@ func (b *builder) enumerateMIRs() {
 	}
 }
 
-// candidates enumerates probe orders for q, through the cross-churn memo
-// when one is installed.
+// candidates enumerates probe orders for q through the cross-churn memo.
 func (b *builder) candidates(q *query.Query) map[string][]*mir.ProbeOrder {
-	if r := b.opts.Reopt; r != nil && r.Memo != nil {
-		return r.Memo.Candidates(q, b.mirs)
-	}
-	return mir.Candidates(q, b.mirs)
+	return b.opts.Reopt.Memo.Candidates(q, b.mirs)
 }
 
 // generateCandidates produces the priced decorated probe orders of every
 // query and, transitively, the feeding orders of every MIR a surviving
 // candidate probes. Structure and price are separate steps: the structure
 // (which decorated orders exist, their step keys and χ verdicts) comes
-// from the cross-churn cache when Options.Reopt is set, the prices are
-// computed per solve from the current estimates and coefficients, and the
-// cap cuts the priced copy — where it cuts depends on the prices.
+// from the cross-churn cache, the prices are computed per solve from the
+// current estimates and coefficients, and the cap cuts the priced copy —
+// where it cuts depends on the prices.
 func (b *builder) generateCandidates() error {
 	neededMIRs := map[string]*mir.MIR{}
 	for _, q := range b.queries {
@@ -250,17 +235,14 @@ func (b *builder) generateCandidates() error {
 
 // structure returns q's decorated candidates per start, uncapped and
 // unpriced: the orders, their keys, their steps' keys and shapes. fed is
-// the MIR the orders feed, nil for a top-level query. With Options.Reopt
-// set the group comes from the cross-churn cache under structSig. Either
-// way it is read-only: priced copies it.
+// the MIR the orders feed, nil for a top-level query. The group is
+// cached across solves under structSig and is read-only: priced copies
+// it.
 func (b *builder) structure(q *query.Query, fed *mir.MIR) map[string][]*DecoratedOrder {
 	r := b.opts.Reopt
-	sig := ""
-	if r != nil {
-		sig = b.structSig(q, fed)
-		if group, ok := r.structLookup(sig, b.syms, fed != nil); ok {
-			return group
-		}
+	sig := b.structSig(q, fed)
+	if group, ok := r.structLookup(sig, b.syms, fed != nil); ok {
+		return group
 	}
 	group := map[string][]*DecoratedOrder{}
 	for start, orders := range b.candidates(q) {
@@ -270,9 +252,7 @@ func (b *builder) structure(q *query.Query, fed *mir.MIR) map[string][]*Decorate
 		}
 		group[start] = dec
 	}
-	if r != nil {
-		r.structStore(sig, b.syms, group)
-	}
+	r.structStore(sig, b.syms, group)
 	return group
 }
 
@@ -813,10 +793,10 @@ func (n *modelNames) ConName(c int) string {
 // store partitionings.
 func (b *builder) extract(sol *ilp.Solution) *Plan {
 	plan := &Plan{
-		Queries:    b.queries,
-		Partitions: map[string]query.Attr{},
-		Objective:  sol.Objective,
-		opts:       b.opts,
+		Queries:     b.queries,
+		Partitions:  map[string]query.Attr{},
+		Objective:   sol.Objective,
+		parallelism: b.opts.parallelism(),
 	}
 
 	chosen := func(d *DecoratedOrder) bool { return sol.IsOne(int(b.xVar[d.num])) }

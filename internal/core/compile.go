@@ -173,7 +173,7 @@ func (c *compiler) parallelism(p *Plan) int {
 	if c.opts.Parallelism > 0 {
 		return c.opts.Parallelism
 	}
-	return p.opts.parallelism()
+	return Options{StoreParallelism: p.parallelism}.parallelism()
 }
 
 func (c *compiler) newEdge() topology.EdgeID {

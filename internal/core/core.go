@@ -57,12 +57,13 @@ type Options struct {
 	NoPartitionConsistency bool
 	// Solver passes through branch-and-bound options.
 	Solver ilp.Options
-	// Reopt, when set, carries optimizer state across churn steps: the
-	// MIR memo (enumeration and containment verdicts), the
-	// candidate-structure cache (each solve re-prices it) and the
-	// incumbent per eligibility regime, which seeds branch-and-bound.
-	// The ILP is solved afresh every step. nil re-optimizes from
-	// scratch.
+	// Reopt carries optimizer state across churn steps: the MIR memo
+	// (enumeration and containment verdicts), the candidate-structure
+	// cache (each solve re-prices it) and the incumbent per eligibility
+	// regime, which seeds branch-and-bound. The ILP is solved afresh
+	// every step. nil gives each Optimize call a NewReopt of its own: a
+	// from-scratch solve is the incremental solve with no history, and
+	// nothing is carried from one call to the next.
 	Reopt *Reopt
 	// CostCoefficients scales the analytic cost model by runtime-
 	// measured per-tuple work (probe/insert/prune units normalized to
@@ -225,7 +226,9 @@ type Plan struct {
 	HotKeys   map[string][]uint64 // MIR key -> sorted heavy-hitter hashes
 	Objective float64
 	Stats     ProblemStats
-	opts      Options
+	// parallelism is the store parallelism the plan was priced for; the
+	// zero value compiles at the default.
+	parallelism int
 }
 
 // SelectedFor returns the selected top-level order for (queryName, start),
@@ -310,7 +313,7 @@ func (p *Plan) String() string {
 // characteristics (CMQO mode).
 func (o *Optimizer) Optimize(queries []*query.Query, est *stats.Estimates) (*Plan, error) {
 	if len(queries) == 0 {
-		return &Plan{Partitions: map[string]query.Attr{}, opts: o.opts}, nil
+		return &Plan{Partitions: map[string]query.Attr{}, parallelism: o.opts.parallelism()}, nil
 	}
 	names := map[string]bool{}
 	for _, q := range queries {
@@ -322,9 +325,13 @@ func (o *Optimizer) Optimize(queries []*query.Query, est *stats.Estimates) (*Pla
 		}
 		names[q.Name] = true
 	}
-	ws := o.opts.Reopt.acquire()
-	defer o.opts.Reopt.release(ws)
-	return newBuilderOn(ws, o.opts, queries, est).run()
+	opts := o.opts
+	if opts.Reopt == nil {
+		opts.Reopt = NewReopt()
+	}
+	ws := opts.Reopt.acquire()
+	defer opts.Reopt.release(ws)
+	return newBuilderOn(ws, opts, queries, est).run()
 }
 
 // OptimizeIndividually optimizes each query in isolation (the paper's

@@ -316,14 +316,8 @@ func (b *builder) eligSig(q *query.Query) string {
 	if b.opts.MIREligible == nil {
 		return ""
 	}
-	var ms []*mir.MIR
-	if r := b.opts.Reopt; r != nil && r.Memo != nil {
-		ms = r.Memo.Enumerate([]*query.Query{q})
-	} else {
-		ms = mir.Enumerate([]*query.Query{q})
-	}
 	var sb strings.Builder
-	for i, m := range ms {
+	for i, m := range b.opts.Reopt.Memo.Enumerate([]*query.Query{q}) {
 		if !m.IsBase() && !b.opts.MIREligible(m.Key()) {
 			sb.WriteString(strconv.Itoa(i))
 			sb.WriteByte(',')

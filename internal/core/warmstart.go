@@ -30,8 +30,8 @@ type warmReport struct {
 
 // warmStart constructs a feasible solution that seeds the branch-and-
 // bound incumbent. Several variants are built and the cheapest one is
-// returned: (a) with Options.Reopt set, the repaired previous incumbent
-// of the same eligibility regime: surviving groups keep their prior
+// returned: (a) the repaired previous incumbent of the same eligibility
+// regime, when the Reopt holds one: surviving groups keep their prior
 // selection and added or changed groups take their cheapest compatible
 // candidate, so a one-query churn step starts from a nearly optimal
 // solution; (b) per (query, start) group the candidate with the smallest
@@ -57,15 +57,13 @@ func (b *builder) warmStart() []float64 {
 	// joint solution; when it covers most groups, re-deriving a seed by
 	// coordinate descent would dominate incremental re-optimization time
 	// for no bound improvement. The search still runs on cold starts — no
-	// Reopt, no incumbent yet, or one that could not be repaired — and
+	// incumbent yet, or one that could not be repaired — and
 	// after heavy churn (less than half the groups matched), which is
 	// where the deep sharing the greedy passes miss comes from.
 	if inc == nil || 2*b.warm.matched < b.warm.groups {
 		consider(seedLocalSearch, b.warmStartLocalSearch())
 	}
-	if r := b.opts.Reopt; r != nil {
-		r.noteWarmStart(b.warm)
-	}
+	b.opts.Reopt.noteWarmStart(b.warm)
 	return best
 }
 
@@ -82,9 +80,6 @@ func (b *builder) warmStart() []float64 {
 // be completed. b.warm records the coverage for the caller.
 func (b *builder) warmStartFromIncumbent() []float64 {
 	r := b.opts.Reopt
-	if r == nil {
-		return nil
-	}
 	regime := b.opts.regime()
 	b.warm.groups = len(b.tops)
 	kept := make([]*DecoratedOrder, len(b.tops))

@@ -76,12 +76,9 @@ func (w *workspace) warmVector(seed warmSeed) []float64 {
 	return w.warm[seed]
 }
 
-// acquire lends r's workspace to a solve. A solve without a Reopt, or
-// while another solve holds it, gets a fresh one.
+// acquire lends r's workspace to a solve. A solve that finds it lent out
+// gets a fresh one.
 func (r *Reopt) acquire() *workspace {
-	if r == nil {
-		return new(workspace)
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.wsBusy {
@@ -96,9 +93,6 @@ func (r *Reopt) acquire() *workspace {
 
 // release ends a solve's loan of w.
 func (r *Reopt) release(w *workspace) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if w == r.ws {

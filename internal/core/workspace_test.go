@@ -11,9 +11,13 @@ import (
 	"clash/internal/stats"
 )
 
-// newBuilder returns a builder on a fresh workspace, as a solve without
-// a Reopt runs.
+// newBuilder returns a builder on a fresh workspace and, when opts
+// carries no Reopt, on a fresh one of those too, as Optimize gives a
+// solve without one.
 func newBuilder(opts Options, queries []*query.Query, est *stats.Estimates) *builder {
+	if opts.Reopt == nil {
+		opts.Reopt = NewReopt()
+	}
 	return newBuilderOn(new(workspace), opts, queries, est)
 }
 
@@ -123,5 +127,41 @@ func TestWorkspaceConcurrentOptimize(t *testing.T) {
 	}
 	if reopt.ws == nil || reopt.wsBusy {
 		t.Fatalf("the Reopt's workspace after the solves: %v, busy %v", reopt.ws != nil, reopt.wsBusy)
+	}
+}
+
+// TestOptimizerWithoutReoptCarriesNothing optimizes one query set and then
+// another on the same Optimizer, whose Options carry no Reopt. Each call
+// runs on a fresh Reopt of its own, so the second plan must be exactly
+// what a new Optimizer and an explicit NewReopt give for that set: no
+// incumbent, cached structure or symbol of the first call reaches it.
+// The same two calls on one shared Reopt must not give it, or the
+// comparison could not tell.
+func TestOptimizerWithoutReoptCarriesNothing(t *testing.T) {
+	sched := controllerSchedule(t, 24, 1, 6)
+	a, b := sched[0], sched[6]
+	solve := func(o *Optimizer, step controllerStep) string {
+		t.Helper()
+		p, err := o.Optimize(step.queries, step.est)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return planDump(p)
+	}
+	same := NewOptimizer(controllerOptions(nil))
+	solve(same, a)
+	got := solve(same, b)
+	for name, o := range map[string]*Optimizer{
+		"a new Optimizer":      NewOptimizer(controllerOptions(nil)),
+		"an explicit NewReopt": NewOptimizer(controllerOptions(NewReopt())),
+	} {
+		if want := solve(o, b); got != want {
+			t.Errorf("the second call differs from %s:\n%s\nwant:\n%s", name, got, want)
+		}
+	}
+	carried := NewOptimizer(controllerOptions(NewReopt()))
+	solve(carried, a)
+	if solve(carried, b) == got {
+		t.Error("a Reopt carried from the first call leaves the second plan's dump unchanged; the test cannot see carried state")
 	}
 }

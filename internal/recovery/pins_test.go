@@ -77,7 +77,7 @@ func hotStream(n int) []runtime.Ingestion {
 // and returns its results.
 func splitOracle(t *testing.T, cat *query.Catalog, topo *topology.Config, ins []runtime.Ingestion) map[string]int {
 	t.Helper()
-	eng := runtime.New(runtime.Config{Catalog: cat, Synchronous: true})
+	eng := runtime.New(runtime.Config{Catalog: cat, Substrate: runtime.SubstrateSynchronous})
 	defer eng.Stop()
 	if err := eng.Install(topo, 0); err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestSnapshotRestoresSplitPins(t *testing.T) {
 	_, cat, topoSplit := buildSplitTopo(t, true)
 	want := splitOracle(t, cat, topoSplit, ins)
 
-	eng1 := runtime.New(runtime.Config{Catalog: cat, Synchronous: true})
+	eng1 := runtime.New(runtime.Config{Catalog: cat, Substrate: runtime.SubstrateSynchronous})
 	defer eng1.Stop()
 	if err := eng1.Install(topoSplit, 0); err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestSnapshotRestoresSplitPins(t *testing.T) {
 	}
 
 	_, cat2, topoUniform := buildSplitTopo(t, false)
-	eng2 := runtime.New(runtime.Config{Catalog: cat2, Synchronous: true})
+	eng2 := runtime.New(runtime.Config{Catalog: cat2, Substrate: runtime.SubstrateSynchronous})
 	defer eng2.Stop()
 	if err := eng2.Install(topoUniform, 0); err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestRecoverRestoresSplitPins(t *testing.T) {
 	}
 
 	// Uninterrupted oracle over the split topology.
-	oracleEng := runtime.New(runtime.Config{Catalog: cat, Synchronous: true})
+	oracleEng := runtime.New(runtime.Config{Catalog: cat, Substrate: runtime.SubstrateSynchronous})
 	defer oracleEng.Stop()
 	if err := oracleEng.Install(topoSplit, 0); err != nil {
 		t.Fatal(err)
@@ -203,7 +203,7 @@ func TestRecoverRestoresSplitPins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng1 := runtime.New(runtime.Config{Catalog: cat, Synchronous: true, Journal: mgr})
+	eng1 := runtime.New(runtime.Config{Catalog: cat, Substrate: runtime.SubstrateSynchronous, Journal: mgr})
 	defer eng1.Stop()
 	mgr.Bind(eng1)
 	if err := eng1.Install(topoSplit, 0); err != nil {
@@ -245,7 +245,7 @@ func TestRecoverRestoresSplitPins(t *testing.T) {
 			t.Fatal("flat estimates produced split keys — control topology invalid")
 		}
 	}
-	eng2 := runtime.New(runtime.Config{Catalog: cat2, Synchronous: true})
+	eng2 := runtime.New(runtime.Config{Catalog: cat2, Substrate: runtime.SubstrateSynchronous})
 	defer eng2.Stop()
 	if err := eng2.Install(topoUniform, 0); err != nil {
 		t.Fatal(err)

@@ -75,7 +75,7 @@ func retireCrashScenario(t *testing.T, ckptAfterRetire bool) (*recovery.MemStora
 	}
 	qs, cat, topoA := buildShared(t, "q1: R(a) S(a)\nq2: T(b) U(b)")
 	_, _, topoB := buildShared(t, "q1: R(a) S(a)")
-	eng := runtime.New(runtime.Config{Catalog: cat, Synchronous: true, Journal: mgr})
+	eng := runtime.New(runtime.Config{Catalog: cat, Substrate: runtime.SubstrateSynchronous, Journal: mgr})
 	defer eng.Stop()
 	mgr.Bind(eng)
 	if err := eng.Install(topoA, 0); err != nil {
@@ -121,7 +121,7 @@ func TestRetireThenCheckpointRecover(t *testing.T) {
 	st, pos := retireCrashScenario(t, true)
 
 	qs, cat, topoB := buildShared(t, "q1: R(a) S(a)")
-	eng2 := runtime.New(runtime.Config{Catalog: cat, Synchronous: true})
+	eng2 := runtime.New(runtime.Config{Catalog: cat, Substrate: runtime.SubstrateSynchronous})
 	defer eng2.Stop()
 	if err := eng2.Install(topoB, 0); err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestRetireCrashBeforeCheckpointFailsClosed(t *testing.T) {
 	st, pos := retireCrashScenario(t, false)
 
 	qs, cat, topoB := buildShared(t, "q1: R(a) S(a)")
-	eng2 := runtime.New(runtime.Config{Catalog: cat, Synchronous: true})
+	eng2 := runtime.New(runtime.Config{Catalog: cat, Substrate: runtime.SubstrateSynchronous})
 	defer eng2.Stop()
 	if err := eng2.Install(topoB, 0); err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestRetireCrashBeforeCheckpointFailsClosed(t *testing.T) {
 	// here recovers with nothing stale and nothing foreign.
 	_ = mgr2 // crash: abandon without Close
 	qs3, cat3, topoB3 := buildShared(t, "q1: R(a) S(a)")
-	eng3 := runtime.New(runtime.Config{Catalog: cat3, Synchronous: true})
+	eng3 := runtime.New(runtime.Config{Catalog: cat3, Substrate: runtime.SubstrateSynchronous})
 	defer eng3.Stop()
 	if err := eng3.Install(topoB3, 0); err != nil {
 		t.Fatal(err)
@@ -236,7 +236,7 @@ func TestRecoverUnknownWorkloadFailsClosed(t *testing.T) {
 	st, _ := retireCrashScenario(t, false)
 
 	_, cat, topoX := buildShared(t, "q9: X(z) Y(z)")
-	engX := runtime.New(runtime.Config{Catalog: cat, Synchronous: true})
+	engX := runtime.New(runtime.Config{Catalog: cat, Substrate: runtime.SubstrateSynchronous})
 	defer engX.Stop()
 	if err := engX.Install(topoX, 0); err != nil {
 		t.Fatal(err)

@@ -39,14 +39,6 @@ type ControllerConfig struct {
 	// and the incumbent per eligibility regime, which seeds
 	// branch-and-bound. The ILP is solved afresh every step.
 	IncrementalReopt bool
-	// MeasuredCosts calibrates the optimizer's cost coefficients from
-	// the engine's runtime counters (requires the engine's
-	// Config.MeasuredCosts): at each epoch boundary the measured
-	// insert/prune cost per tuple, normalized to the probe unit, is
-	// blended into the cost model by EWMA and clamped into [1/8, 8] so
-	// one noisy window cannot capsize plan choice. Shapes never executed
-	// keep the analytic constant 1.
-	MeasuredCosts bool
 }
 
 // blendAlpha weighs a sealed epoch's fresh estimates (and measured cost
@@ -73,12 +65,14 @@ type Controller struct {
 	order      []string
 	est        *stats.Estimates
 	lastSealed int64             // highest epoch whose statistics were evaluated
-	coef       cost.Coefficients // calibrated cost coefficients (MeasuredCosts)
+	coef       cost.Coefficients // calibrated cost coefficients (the engine's MeasuredCosts)
 	preds      []query.Predicate // allPredsLocked's result for the installed query set; nil when stale
 
-	// Solver side: owned by the solve running at the time (one at a
-	// time, in trigger order); smu only lets ReoptStats read reopt
-	// between solves.
+	// Solver side: owned by the solve running at the time. Solves run
+	// one at a time in trigger order, the initial one inline in
+	// NewController and the rest on the barrier's goroutines
+	// (barrier.go); each holds smu throughout, so this state changes
+	// hands under a lock as well as by the barrier's order.
 	smu        sync.Mutex
 	reoptims   int              // decisions solved that changed the configuration
 	lastSig    string           // planSignature of the last such decision
@@ -151,28 +145,6 @@ func (c *Controller) calibrateLocked() {
 	c.coef.Prune = cost.BlendCoefficient(c.coef.Prune, obs.PrunePerTuple()/p, blendAlpha, 0.125, 8)
 }
 
-// CostCoefficients returns the currently calibrated coefficients (the
-// analytic defaults until measurements arrive).
-func (c *Controller) CostCoefficients() cost.Coefficients {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.coef
-}
-
-// ReoptStats reports what the incremental re-optimization state did over
-// the controller's lifetime: cache counters, and per joint solve how the
-// incumbent repair went and which warm-start variant seeded the search.
-// The zero value when IncrementalReopt is off. A solve in progress is
-// waited for; one not yet started is not.
-func (c *Controller) ReoptStats() core.ReoptStats {
-	c.smu.Lock()
-	defer c.smu.Unlock()
-	if c.reopt == nil {
-		return core.ReoptStats{}
-	}
-	return c.reopt.Stats()
-}
-
 // Estimates returns the current blended estimates (read-only).
 func (c *Controller) Estimates() *stats.Estimates {
 	c.mu.Lock()
@@ -205,7 +177,7 @@ func (c *Controller) Tick() error {
 	c.lastSealed = cur
 
 	// Calibrate the cost model from the engine's measured per-tuple work.
-	if c.cfg.MeasuredCosts {
+	if c.eng.cfg.MeasuredCosts {
 		c.calibrateLocked()
 	}
 
@@ -315,7 +287,7 @@ func (c *Controller) solve(in solveInput) (install func() error) {
 		if c.reopt != nil {
 			opts.Reopt = c.reopt
 		}
-		if c.cfg.MeasuredCosts {
+		if c.eng.cfg.MeasuredCosts {
 			coef := in.coef
 			opts.CostCoefficients = &coef
 		}

@@ -260,7 +260,7 @@ q4: T(c) U(c)`)
 			Catalog:       cat,
 			DefaultWindow: 3 * epochLen,
 			EpochLength:   epochLen,
-			Synchronous:   true,
+			Substrate:     SubstrateSynchronous,
 			Observer:      func(rel string, tt *tuple.Tuple) { col.Observe(rel, tt) },
 		})
 		defer eng.Stop()

@@ -21,7 +21,7 @@ func TestInstallBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := New(Config{Catalog: cat, EpochLength: 10, Synchronous: true})
+	eng := New(Config{Catalog: cat, EpochLength: 10, Substrate: SubstrateSynchronous})
 	defer eng.Stop()
 	ingest := func(ts tuple.Time) error { return eng.Ingest("R", ts, tuple.IntValue(1)) }
 

@@ -20,7 +20,7 @@ func TestCheckpointResumeMatchesOracle(t *testing.T) {
 	opts := core.Options{StoreParallelism: 3}
 	est := flatEstimates([]string{"R", "S", "T"}, 100)
 
-	h1 := newHarness(t, workload, opts, est, Config{Synchronous: true})
+	h1 := newHarness(t, workload, opts, est, Config{Substrate: SubstrateSynchronous})
 	ins := randomStream(h1.cat, 240, 5, 23)
 	half := len(ins) / 2
 	h1.ingestAll(t, ins[:half])
@@ -33,7 +33,7 @@ func TestCheckpointResumeMatchesOracle(t *testing.T) {
 	h1.eng.Stop()
 
 	// Fresh engine, same plan and topology; restore, then resume.
-	h2 := newHarness(t, workload, opts, est, Config{Synchronous: true})
+	h2 := newHarness(t, workload, opts, est, Config{Substrate: SubstrateSynchronous})
 	defer h2.eng.Stop()
 	if err := h2.eng.Restore(bytes.NewReader(snap.Bytes())); err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestCheckpointCrossBackendRoundTrip(t *testing.T) {
 	est.SetSelectivity(query.Predicate{Left: query.Attr{Rel: "R", Name: "a"}, Right: query.Attr{Rel: "S", Name: "a"}}, 0.5)
 	kinds := backendKinds()
 	cfgFor := func(k stateRow) Config {
-		return k.apply(Config{Synchronous: true, EpochLength: epochLen})
+		return k.apply(Config{Substrate: SubstrateSynchronous, EpochLength: epochLen})
 	}
 
 	// Byte-identical snapshots across backends on the full stream.
@@ -188,7 +188,7 @@ func TestCheckpointCrossBackendRoundTrip(t *testing.T) {
 func TestCheckpointEmptyEngine(t *testing.T) {
 	h := newHarness(t, "q1: R(a) S(a)",
 		core.Options{StoreParallelism: 2},
-		flatEstimates([]string{"R", "S"}, 100), Config{Synchronous: true})
+		flatEstimates([]string{"R", "S"}, 100), Config{Substrate: SubstrateSynchronous})
 	defer h.eng.Stop()
 	var snap bytes.Buffer
 	if err := h.eng.Checkpoint(&snap); err != nil {
@@ -196,7 +196,7 @@ func TestCheckpointEmptyEngine(t *testing.T) {
 	}
 	h2 := newHarness(t, "q1: R(a) S(a)",
 		core.Options{StoreParallelism: 2},
-		flatEstimates([]string{"R", "S"}, 100), Config{Synchronous: true})
+		flatEstimates([]string{"R", "S"}, 100), Config{Substrate: SubstrateSynchronous})
 	defer h2.eng.Stop()
 	if err := h2.eng.Restore(&snap); err != nil {
 		t.Fatal(err)
@@ -209,7 +209,7 @@ func TestCheckpointEmptyEngine(t *testing.T) {
 func TestRestoreRejectsGarbage(t *testing.T) {
 	h := newHarness(t, "q1: R(a) S(a)",
 		core.Options{StoreParallelism: 1},
-		flatEstimates([]string{"R", "S"}, 100), Config{Synchronous: true})
+		flatEstimates([]string{"R", "S"}, 100), Config{Substrate: SubstrateSynchronous})
 	defer h.eng.Stop()
 	for _, in := range []string{"", "short", "NOTACKPT________", "CLSHCKP1"} {
 		if err := h.eng.Restore(strings.NewReader(in)); err == nil {
@@ -222,7 +222,7 @@ func TestRestoreRejectsUnknownTask(t *testing.T) {
 	// Checkpoint a two-relation topology, restore into a different one.
 	h1 := newHarness(t, "q1: R(a) S(a)",
 		core.Options{StoreParallelism: 2},
-		flatEstimates([]string{"R", "S"}, 100), Config{Synchronous: true})
+		flatEstimates([]string{"R", "S"}, 100), Config{Substrate: SubstrateSynchronous})
 	defer h1.eng.Stop()
 	ins := randomStream(h1.cat, 60, 4, 3)
 	h1.ingestAll(t, ins)
@@ -232,7 +232,7 @@ func TestRestoreRejectsUnknownTask(t *testing.T) {
 	}
 	h2 := newHarness(t, "q1: U(a) V(a)",
 		core.Options{StoreParallelism: 2},
-		flatEstimates([]string{"U", "V"}, 100), Config{Synchronous: true})
+		flatEstimates([]string{"U", "V"}, 100), Config{Substrate: SubstrateSynchronous})
 	defer h2.eng.Stop()
 	if err := h2.eng.Restore(&snap); err == nil {
 		t.Error("restore into mismatched topology succeeded")
@@ -245,7 +245,7 @@ func TestCheckpointPreservesWindowSemantics(t *testing.T) {
 	h1 := newHarness(t, "q1: R(a) S(a)",
 		core.Options{StoreParallelism: 1, DisablePartitioning: true},
 		flatEstimates([]string{"R", "S"}, 100),
-		Config{Synchronous: true, DefaultWindow: 10})
+		Config{Substrate: SubstrateSynchronous, DefaultWindow: 10})
 	if err := h1.eng.Ingest("R", 0, tuple.IntValue(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestCheckpointPreservesWindowSemantics(t *testing.T) {
 	h2 := newHarness(t, "q1: R(a) S(a)",
 		core.Options{StoreParallelism: 1, DisablePartitioning: true},
 		flatEstimates([]string{"R", "S"}, 100),
-		Config{Synchronous: true, DefaultWindow: 10})
+		Config{Substrate: SubstrateSynchronous, DefaultWindow: 10})
 	defer h2.eng.Stop()
 	if err := h2.eng.Restore(&snap); err != nil {
 		t.Fatal(err)
@@ -284,7 +284,7 @@ func TestCheckpointPreservesWindowSemantics(t *testing.T) {
 func TestCheckpointWalkAllocs(t *testing.T) {
 	h := newHarness(t, "q1: R(a) S(a)", core.Options{StoreParallelism: 2},
 		flatEstimates([]string{"R", "S"}, 100),
-		Config{Synchronous: true, StateBackend: BackendColumnar, EpochLength: 2048})
+		Config{Substrate: SubstrateSynchronous, StateBackend: BackendColumnar, EpochLength: 2048})
 	defer h.eng.Stop()
 	h.ingestAll(t, randomStream(h.cat, 4000, 50, 5))
 	segs, err := h.eng.Segments(true)

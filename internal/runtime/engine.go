@@ -64,23 +64,15 @@ type Config struct {
 	// StepMode drains the topology after every ingested tuple, giving
 	// deterministic symmetric-join semantics for correctness tests.
 	StepMode bool
-	// Synchronous executes the whole topology on the ingesting goroutine:
-	// tasks have no goroutines or mailboxes, and each ingested tuple's
-	// complete probe chain (including MIR feeding) runs to completion in
-	// FIFO order before Ingest returns. This gives exact, deterministic
-	// symmetric-join semantics — the mode used for result-exactness
-	// experiments (Fig. 7). The asynchronous flow substrate remains the
-	// right substrate for overload dynamics (Fig. 8), where probes racing
-	// ahead of feeding chains is precisely the buffering behaviour under
-	// study. Synchronous engines must be fed from one goroutine.
-	// Shorthand for Substrate: SubstrateSynchronous; ignored when
-	// Substrate is set explicitly.
-	Synchronous bool
 	// Substrate selects the execution substrate (flow.go, DESIGN.md §8
-	// and §9): synchronous, flow-controlled (the asynchronous default),
-	// or deterministic simulation. SubstrateAuto resolves to
-	// SubstrateSynchronous when Synchronous is set and to SubstrateFlow
-	// otherwise.
+	// and §9). SubstrateSynchronous runs each ingested tuple's complete
+	// probe chain (MIR feeding included) on the ingesting goroutine
+	// before Ingest returns: exact and deterministic, the mode of the
+	// result-exactness experiments (Fig. 7); feed it from one goroutine.
+	// SubstrateFlow, the asynchronous default (SubstrateAuto), is the
+	// substrate for overload dynamics (Fig. 8), where probes racing ahead
+	// of feeding chains are the buffering under study. SubstrateSim is
+	// the deterministic simulation.
 	Substrate SubstrateKind
 	// Flow tunes the flow-controlled substrate (credit grants, worker
 	// count, overload policy); ignored by the other substrates.
@@ -89,13 +81,9 @@ type Config struct {
 	// per-tuple engine overhead differences (FI vs SI profiles).
 	OverheadLoops int
 	// Sim tunes the deterministic simulation substrate (sim.go); ignored
-	// by the other substrates.
+	// by the other substrates. Its substrate runs on its own
+	// VirtualClock; the others read the wall clock.
 	Sim SimConfig
-	// Clock overrides the engine's time source (latency, lag, and busy
-	// accounting — event time always comes from the tuples). Nil selects
-	// the wall clock, except on SubstrateSim, which defaults to its own
-	// VirtualClock.
-	Clock Clock
 	// Observer, when set, is the statistics-gathering tap of Fig. 2
 	// (wire it to a stats.Collector). It is called on the engine's
 	// statistics goroutine, once per ingested tuple, in ingest order
@@ -112,10 +100,14 @@ type Config struct {
 	// MeasuredCosts enables per-task cost instrumentation: tasks count
 	// nanoseconds and tuples spent probing, inserting, and pruning
 	// (through the engine Clock, so the simulation substrate measures
-	// virtual time). Engine.CostObservations aggregates the counters;
-	// the adaptive Controller calibrates the optimizer's cost
-	// coefficients from them. Off by default — the hot path then pays
-	// only a branch per message.
+	// virtual time). Engine.CostObservations aggregates the counters.
+	// An adaptive Controller on the engine calibrates the optimizer from
+	// them at each epoch boundary: the measured insert/prune cost per
+	// tuple, normalized to the probe unit, is blended into the cost
+	// coefficients by EWMA and clamped into [1/8, 8], so one noisy
+	// window cannot capsize plan choice; shapes never executed keep the
+	// analytic constant 1. Off by default — the hot path then pays only
+	// a branch per message.
 	MeasuredCosts bool
 
 	// legacyProbe switches tasks to the uncompiled, string-resolved
@@ -264,35 +256,19 @@ func New(cfg Config) *Engine {
 	}
 	e.barrier.min.Store(noPending)
 	e.SetJournal(cfg.Journal)
-	kind := cfg.Substrate
-	if kind == SubstrateAuto {
-		if cfg.Synchronous {
-			kind = SubstrateSynchronous
-		} else {
-			kind = SubstrateFlow
-		}
-	}
-	e.clock = cfg.Clock
-	switch kind {
+	e.clock = wallClock{}
+	switch cfg.Substrate {
 	case SubstrateSynchronous:
 		e.syncMode = true
 		e.sub = &syncSubstrate{e: e}
 	case SubstrateSim:
-		s := newSimSubstrate(e, cfg.Sim)
 		// The simulation substrate owns virtual time: it advances its
-		// clock per dispatched message. A caller-supplied VirtualClock is
-		// adopted (fast-forward from tests); any other Clock would leave
-		// the simulation unable to advance time, so it is ignored.
-		if vc, ok := e.clock.(*VirtualClock); ok {
-			s.vclock = vc
-		}
+		// clock per dispatched message.
+		s := newSimSubstrate(e, cfg.Sim)
 		e.clock = s.vclock
 		e.sub = s
 	default:
 		e.sub = newFlowSubstrate(e, cfg.Flow)
-	}
-	if e.clock == nil {
-		e.clock = wallClock{}
 	}
 	if cfg.Catalog != nil {
 		for _, rel := range cfg.Catalog.Names() {
@@ -329,10 +305,6 @@ func (e *Engine) HasStore(id topology.StoreID) bool {
 	_, ok := e.pinnedPar[id]
 	return ok
 }
-
-// Clock returns the engine's time source (the VirtualClock on a
-// simulated engine, the wall clock otherwise).
-func (e *Engine) Clock() Clock { return e.clock }
 
 // VirtualClock returns the engine's virtual clock, or nil when the
 // engine runs on real time. Tests use it to fast-forward simulated time.

@@ -40,7 +40,7 @@ func newHarness(t *testing.T, workload string, opts core.Options, est *stats.Est
 		t.Fatal(err)
 	}
 	engCfg.Catalog = cat
-	if !engCfg.Synchronous {
+	if engCfg.Substrate != SubstrateSynchronous {
 		engCfg.StepMode = true
 	}
 	eng := New(engCfg)

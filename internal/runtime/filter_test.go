@@ -185,7 +185,7 @@ func TestProbeFilterSkipsEpochs(t *testing.T) {
 		perTask int64 // Σ TaskGauge.ProbeFilterRejects
 	}
 	run := func(cfg Config) outcome {
-		cfg.Synchronous, cfg.DefaultWindow, cfg.EpochLength = true, window, epochLen
+		cfg.Substrate, cfg.DefaultWindow, cfg.EpochLength = SubstrateSynchronous, window, epochLen
 		h := newHarness(t, "q1: R(a) S(a)",
 			core.Options{StoreParallelism: 1, DisablePartitioning: true},
 			flatEstimates([]string{"R", "S"}, 100), cfg)

@@ -32,8 +32,9 @@ import (
 type SubstrateKind int
 
 const (
-	// SubstrateAuto resolves to SubstrateSynchronous when
-	// Config.Synchronous is set and to SubstrateFlow otherwise.
+	// SubstrateAuto is the zero value and selects SubstrateFlow. The
+	// public clash.Config resolves its Synchronous shorthand before the
+	// engine sees it.
 	SubstrateAuto SubstrateKind = iota
 	// SubstrateSynchronous executes the whole topology on the ingesting
 	// goroutine: exact, deterministic symmetric-join semantics. Feed it

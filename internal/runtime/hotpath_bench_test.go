@@ -34,7 +34,7 @@ func newBenchEngine(b *testing.B, workload string, opts core.Options, cfg Config
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg.Catalog, cfg.Synchronous = cat, true
+	cfg.Catalog, cfg.Substrate = cat, SubstrateSynchronous
 	eng := New(cfg)
 	if err := eng.Install(topo, 0); err != nil {
 		b.Fatal(err)

@@ -40,7 +40,7 @@ func TestProbeCandidatesFig7(t *testing.T) {
 	for _, row := range backendKinds() {
 		t.Run(row.name, func(t *testing.T) {
 			eng := New(row.apply(Config{
-				Catalog: cat, Synchronous: true,
+				Catalog: cat, Substrate: SubstrateSynchronous,
 				DefaultWindow: tuple.Duration(window), EpochLength: tuple.Duration(epoch),
 			}))
 			defer eng.Stop()
@@ -136,7 +136,7 @@ func TestProbeCandidatesLongWindow(t *testing.T) {
 			h := newHarness(t, "q1: R(a) S(a)",
 				core.Options{StoreParallelism: 1},
 				flatEstimates([]string{"R", "S"}, 1000),
-				row.apply(Config{Synchronous: true, DefaultWindow: 4 * stored, EpochLength: epochLen, StateSpillDir: t.TempDir()}))
+				row.apply(Config{Substrate: SubstrateSynchronous, DefaultWindow: 4 * stored, EpochLength: epochLen, StateSpillDir: t.TempDir()}))
 			defer h.eng.Stop()
 			h.eng.OnResult("q1", func(*tuple.Tuple) {})
 			// A first probe keys every segment's index, so a demoted
@@ -247,7 +247,7 @@ func TestCompositeIndexMatchesScan(t *testing.T) {
 		matched   int64
 	}
 	run := func(cfg Config) outcome {
-		cfg.Synchronous, cfg.DefaultWindow, cfg.EpochLength = true, window, epochLen
+		cfg.Substrate, cfg.DefaultWindow, cfg.EpochLength = SubstrateSynchronous, window, epochLen
 		h := newHarness(t, "q1: R(a,k) S(a,k)",
 			core.Options{StoreParallelism: 1, DisablePartitioning: true},
 			flatEstimates([]string{"R", "S"}, 100), cfg)

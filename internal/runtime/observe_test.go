@@ -39,7 +39,7 @@ func TestObserverBesideStream(t *testing.T) {
 	}
 	start := func(t *testing.T, observer func(string, *tuple.Tuple)) *Engine {
 		t.Helper()
-		eng := New(Config{Catalog: cat, Synchronous: true, Observer: observer})
+		eng := New(Config{Catalog: cat, Substrate: SubstrateSynchronous, Observer: observer})
 		if err := eng.Install(topo, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestObserverBesideStream(t *testing.T) {
 	t.Run("completeness at the epoch seal", func(t *testing.T) {
 		const epochLen = 1000
 		col := stats.NewCollector(64, 32, 1)
-		eng := New(Config{Catalog: cat, Synchronous: true, EpochLength: epochLen,
+		eng := New(Config{Catalog: cat, Substrate: SubstrateSynchronous, EpochLength: epochLen,
 			Observer: func(rel string, tt *tuple.Tuple) { col.Observe(rel, tt) }})
 		defer eng.Stop()
 		ctl, err := NewController(eng, ControllerConfig{

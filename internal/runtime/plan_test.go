@@ -82,9 +82,9 @@ func TestCompiledPlanEquivalenceTPCH(t *testing.T) {
 	queries := tpch.Fig7Queries()
 	cat, topo, records := tpchFixture(t, queries, 0.0005)
 
-	legacy := runWorkload(t, Config{Catalog: cat, Synchronous: true, legacyProbe: true}, topo, queries, records)
+	legacy := runWorkload(t, Config{Catalog: cat, Substrate: SubstrateSynchronous, legacyProbe: true}, topo, queries, records)
 	substrates := map[string]Config{
-		"synchronous": {Catalog: cat, Synchronous: true},
+		"synchronous": {Catalog: cat, Substrate: SubstrateSynchronous},
 		"flow":        {Catalog: cat, Substrate: SubstrateFlow, StepMode: true, Flow: FlowConfig{MailboxCredits: 64}},
 		"sim":         {Catalog: cat, Substrate: SubstrateSim, StepMode: true, Sim: SimConfig{Seed: 7}},
 	}
@@ -145,7 +145,7 @@ func TestCompiledPlanEquivalenceWindowed(t *testing.T) {
 	for i, in := range ins {
 		records[i] = broker.Record{Relation: in.Rel, TS: in.TS, Vals: in.Vals}
 	}
-	cfg := Config{Catalog: cat, Synchronous: true, DefaultWindow: 40}
+	cfg := Config{Catalog: cat, Substrate: SubstrateSynchronous, DefaultWindow: 40}
 	compiled := runWorkload(t, cfg, topo, qs, records)
 	cfg.legacyProbe = true
 	legacy := runWorkload(t, cfg, topo, qs, records)
@@ -177,7 +177,7 @@ func probeFixture(t testing.TB, matches int, cfg Config) (*task, *rulePlan, *pla
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Catalog, cfg.Synchronous = cat, true
+	cfg.Catalog, cfg.Substrate = cat, SubstrateSynchronous
 	eng := New(cfg)
 	if err := eng.Install(topo, 0); err != nil {
 		t.Fatal(err)
@@ -284,7 +284,7 @@ func TestIngestAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := New(Config{Catalog: cat, Synchronous: true})
+	eng := New(Config{Catalog: cat, Substrate: SubstrateSynchronous})
 	if err := eng.Install(topo, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestSyncReentrantIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := New(Config{Catalog: cat, Synchronous: true})
+	eng := New(Config{Catalog: cat, Substrate: SubstrateSynchronous})
 	if err := eng.Install(topo, 0); err != nil {
 		t.Fatal(err)
 	}

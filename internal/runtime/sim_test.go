@@ -162,7 +162,7 @@ func TestSimScheduleEquivalenceTPCH(t *testing.T) {
 	queries := tpch.Fig7Queries()
 	cat, topo, records := tpchFixture(t, queries, 0.0002)
 
-	legacy := runWorkload(t, Config{Catalog: cat, Synchronous: true, legacyProbe: true}, topo, queries, records)
+	legacy := runWorkload(t, Config{Catalog: cat, Substrate: SubstrateSynchronous, legacyProbe: true}, topo, queries, records)
 	nonEmpty := 0
 	for _, rs := range legacy {
 		if len(rs) > 0 {
@@ -299,7 +299,7 @@ func TestSimTaskStallFault(t *testing.T) {
 	h := newHarness(t, workload,
 		core.Options{StoreParallelism: 3},
 		flatEstimates([]string{"R", "S", "T"}, 100),
-		Config{Synchronous: true})
+		Config{Substrate: SubstrateSynchronous})
 	h.ingestAll(t, ins)
 	want := fmt.Sprint(sortedResults(h.sinks["q1"]))
 	h.eng.Stop()

@@ -46,7 +46,7 @@ func TestTaskSizesShape(t *testing.T) {
 	h := newHarness(t, "q1: R(a) S(a)",
 		core.Options{StoreParallelism: 3},
 		flatEstimates([]string{"R", "S"}, 100),
-		Config{Synchronous: true})
+		Config{Substrate: SubstrateSynchronous})
 	defer h.eng.Stop()
 	h.ingestAll(t, skewedStream([]string{"R", "S"}, 60, 3))
 	sizes := h.eng.TaskSizes()
@@ -87,7 +87,7 @@ func TestSplitKeysExact(t *testing.T) {
 	h := newHarness(t, "q1: R(a) S(a)",
 		core.Options{StoreParallelism: 4},
 		degreeEstimates([]string{"R", "S"}, 100, 0, 0.75),
-		Config{Synchronous: true})
+		Config{Substrate: SubstrateSynchronous})
 	defer h.eng.Stop()
 	h.eng.mu.RLock()
 	nSplit := len(h.eng.pinnedSplit)
@@ -116,7 +116,7 @@ func TestSplitKeysReduceImbalance(t *testing.T) {
 	run := func(est *stats.Estimates) (int64, int, map[string]int, int) {
 		h := newHarness(t, "q1: R(a) S(a)",
 			core.Options{StoreParallelism: 4}, est,
-			Config{Synchronous: true})
+			Config{Substrate: SubstrateSynchronous})
 		defer h.eng.Stop()
 		h.ingestAll(t, ins)
 		var worst int64
@@ -183,7 +183,7 @@ func TestSplitKeysNoRegression(t *testing.T) {
 	h := newHarness(t, "q1: R(a) S(a)",
 		core.Options{StoreParallelism: 4},
 		degreeEstimates([]string{"R", "S"}, 100, 0, 0.05), // share below 1/par
-		Config{Synchronous: true})
+		Config{Substrate: SubstrateSynchronous})
 	defer h.eng.Stop()
 	h.eng.mu.RLock()
 	nSplit := len(h.eng.pinnedSplit)
@@ -293,7 +293,7 @@ func splitEngine(t *testing.T, workload string, split, forward bool) (*Engine, *
 			}
 		}
 	}
-	eng := New(Config{Catalog: cat, Synchronous: true})
+	eng := New(Config{Catalog: cat, Substrate: SubstrateSynchronous})
 	rec := &recordingSub{substrate: eng.sub, e: eng, forward: forward}
 	eng.sub = rec
 	if err := eng.Install(topo, 0); err != nil {
@@ -495,7 +495,7 @@ func TestStoreSizesAndSnapshotString(t *testing.T) {
 	h := newHarness(t, "q1: R(a) S(a)",
 		core.Options{StoreParallelism: 2},
 		flatEstimates([]string{"R", "S"}, 100),
-		Config{Synchronous: true})
+		Config{Substrate: SubstrateSynchronous})
 	defer h.eng.Stop()
 	h.ingestAll(t, skewedStream([]string{"R", "S"}, 40, 2))
 	sizes := h.eng.StoreSizes()

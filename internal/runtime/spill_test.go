@@ -556,7 +556,7 @@ func TestTieredHoldsTenWindowsUnderHotBudget(t *testing.T) {
 		h := newHarness(t, "q1: R(a) S(a)",
 			core.Options{StoreParallelism: 1},
 			flatEstimates([]string{"R", "S"}, 1000),
-			Config{Synchronous: true, StateBackend: BackendColumnar, StateHotBytes: hot, StateSpillDir: t.TempDir(),
+			Config{Substrate: SubstrateSynchronous, StateBackend: BackendColumnar, StateHotBytes: hot, StateSpillDir: t.TempDir(),
 				DefaultWindow: tuple.Duration(4 * tuples), EpochLength: epochLen})
 		defer h.eng.Stop()
 		var results int64

@@ -68,7 +68,7 @@ func TestBackendEquivalenceWindowed(t *testing.T) {
 		spillDir := t.TempDir()
 		h := newHarness(t, "q1: R(a) S(a,b) T(b)\nq2: S(b) T(b,c) U(c)",
 			core.Options{StoreParallelism: 3}, est,
-			row.apply(Config{Synchronous: true, DefaultWindow: window, EpochLength: epochLen, StateSpillDir: spillDir}))
+			row.apply(Config{Substrate: SubstrateSynchronous, DefaultWindow: window, EpochLength: epochLen, StateSpillDir: spillDir}))
 		ins := mixedStream(h.cat, 400, epochLen, 91)
 		for i, in := range ins {
 			if err := h.eng.Ingest(in.Rel, in.TS, in.Vals...); err != nil {
@@ -388,7 +388,7 @@ func TestIndexMemoryAccounted(t *testing.T) {
 			// Tiering must not leak accounting either: demoted stubs
 			// count as resident, spilled payload does not, and a full
 			// prune still telescopes every gauge back to zero.
-			cfg := row.apply(Config{Synchronous: true, EpochLength: 64})
+			cfg := row.apply(Config{Substrate: SubstrateSynchronous, EpochLength: 64})
 			h := newHarness(t, "q1: R(a) S(a,b)\nq2: S(a,b) T(a,b)",
 				core.Options{StoreParallelism: 2},
 				flatEstimates([]string{"R", "S", "T"}, 100), cfg)
@@ -463,7 +463,7 @@ func TestIndexMemoryAccounted(t *testing.T) {
 // non-nil) held; -1 when the stream ran to its end.
 func evictionFixture(t *testing.T, cfg Config, stop func(*Engine) bool) (*Engine, int, error) {
 	t.Helper()
-	cfg.Synchronous, cfg.EpochLength = true, 64
+	cfg.Substrate, cfg.EpochLength = SubstrateSynchronous, 64
 	h := newHarness(t, "q1: R(a) S(a)",
 		core.Options{StoreParallelism: 2},
 		flatEstimates([]string{"R", "S"}, 100), cfg)
@@ -564,7 +564,7 @@ func TestRetireAbsentStores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := New(Config{Catalog: cat, Synchronous: true})
+	eng := New(Config{Catalog: cat, Substrate: SubstrateSynchronous})
 	defer eng.Stop()
 	ctl, err := NewController(eng, ControllerConfig{
 		Optimizer: core.NewOptimizer(core.Options{StoreParallelism: 2}),

@@ -189,7 +189,7 @@ func TestStoreFilterCoversHotRows(t *testing.T) {
 	// Engine.LoadTaskEpoch into tasks whose keys are probed already.
 	for _, row := range backendKinds() {
 		t.Run(row.name+"/LoadTaskEpoch", func(t *testing.T) {
-			cfg := row.apply(Config{Synchronous: true, EpochLength: epochLen, StateSpillDir: t.TempDir()})
+			cfg := row.apply(Config{Substrate: SubstrateSynchronous, EpochLength: epochLen, StateSpillDir: t.TempDir()})
 			h := newHarness(t, "q1: R(a) S(a)",
 				core.Options{StoreParallelism: 2},
 				flatEstimates([]string{"R", "S"}, 100), cfg)

@@ -27,7 +27,7 @@ import (
 // §3).
 func substrateMatrix() map[string]Config {
 	return map[string]Config{
-		"synchronous": {Synchronous: true},
+		"synchronous": {Substrate: SubstrateSynchronous},
 		"flow":        {Substrate: SubstrateFlow, StepMode: true, Flow: FlowConfig{MailboxCredits: 32}},
 	}
 }
@@ -196,7 +196,7 @@ func TestFlowSurvivesWhereUnboundedDies(t *testing.T) {
 		window = tuple.Time(50)
 	)
 	// Reference result count from the exact synchronous substrate.
-	ref, cat := overloadFixture(t, Config{Synchronous: true, DefaultWindow: time.Duration(window)})
+	ref, cat := overloadFixture(t, Config{Substrate: SubstrateSynchronous, DefaultWindow: time.Duration(window)})
 	if _, err := driveOverload(ref, cat, n, window); err != nil {
 		t.Fatalf("synchronous reference failed: %v", err)
 	}
@@ -281,7 +281,7 @@ func TestMeasuredProbesMatchAcrossSubstrates(t *testing.T) {
 		eng.Drain()
 		return eng.TaskGauges()
 	}
-	want := gauges(Config{Synchronous: true})
+	want := gauges(Config{Substrate: SubstrateSynchronous})
 	got := gauges(Config{Substrate: SubstrateFlow, OverheadLoops: 2000, Flow: FlowConfig{Workers: 1}})
 	if len(got) != len(want) {
 		t.Fatalf("flow engine has %d tasks, synchronous %d", len(got), len(want))

@@ -157,7 +157,7 @@ func TestSupervisorFlowRedeliversOnlyPanickedMessage(t *testing.T) {
 		}
 		return eng.Metrics().Snapshot(), sink.Results()
 	}
-	_, want := run(Config{Synchronous: true}, false)
+	_, want := run(Config{Substrate: SubstrateSynchronous}, false)
 	m, got := run(Config{Substrate: SubstrateFlow, OverheadLoops: 2000, Flow: FlowConfig{Workers: 1}}, true)
 	if m.RecoveredPanics != 1 || m.TaskRestarts != 1 {
 		t.Errorf("recovered panics %d, task restarts %d; want 1 and 1", m.RecoveredPanics, m.TaskRestarts)

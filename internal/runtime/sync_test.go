@@ -16,7 +16,7 @@ import (
 func TestSynchronousTwoWayMatchesOracle(t *testing.T) {
 	h := newHarness(t, "q1: R(a) S(a)",
 		core.Options{StoreParallelism: 2},
-		flatEstimates([]string{"R", "S"}, 100), Config{Synchronous: true})
+		flatEstimates([]string{"R", "S"}, 100), Config{Substrate: SubstrateSynchronous})
 	ins := randomStream(h.cat, 220, 8, 5)
 	h.ingestAll(t, ins)
 	h.checkAgainstOracle(t, ins)
@@ -29,7 +29,7 @@ func TestSynchronousTwoWayMatchesOracle(t *testing.T) {
 func TestSynchronousThreeWayMatchesOracle(t *testing.T) {
 	h := newHarness(t, "q1: R(a) S(a,b) T(b)",
 		core.Options{StoreParallelism: 4},
-		flatEstimates([]string{"R", "S", "T"}, 100), Config{Synchronous: true})
+		flatEstimates([]string{"R", "S", "T"}, 100), Config{Substrate: SubstrateSynchronous})
 	ins := randomStream(h.cat, 240, 6, 9)
 	h.ingestAll(t, ins)
 	h.checkAgainstOracle(t, ins)
@@ -45,7 +45,7 @@ func TestSynchronousMIRPlanMatchesOracle(t *testing.T) {
 	est.SetRate("T", 10)
 	h := newHarness(t, "q1: R(a) S(a,b) T(b)",
 		core.Options{StoreParallelism: 2, MaterializationCost: true},
-		est, Config{Synchronous: true})
+		est, Config{Substrate: SubstrateSynchronous})
 	usesMIR := false
 	for _, s := range h.eng.ConfigFor(0).Stores {
 		if !s.Base() {
@@ -70,7 +70,7 @@ func TestSynchronousMIRPlanMatchesOracle(t *testing.T) {
 func TestSynchronousOneResultForwardsMatchOracle(t *testing.T) {
 	h := newHarness(t, "q1: R(a) S(a,b) T(b,c) U(c)",
 		core.Options{StoreParallelism: 1, DisablePartitioning: true, DisableMIRs: true},
-		flatEstimates([]string{"R", "S", "T", "U"}, 100), Config{Synchronous: true})
+		flatEstimates([]string{"R", "S", "T", "U"}, 100), Config{Substrate: SubstrateSynchronous})
 	defer h.eng.Stop()
 	for _, id := range h.eng.ConfigFor(0).StoreIDs() {
 		if !h.eng.ConfigFor(0).Stores[id].Base() {
@@ -108,7 +108,7 @@ func TestSynchronousWindowedMatchesOracle(t *testing.T) {
 	h := newHarness(t, "q1: R(a) S(a)",
 		core.Options{StoreParallelism: 2},
 		flatEstimates([]string{"R", "S"}, 100),
-		Config{Synchronous: true, DefaultWindow: 20})
+		Config{Substrate: SubstrateSynchronous, DefaultWindow: 20})
 	ins := randomStream(h.cat, 300, 5, 17)
 	h.ingestAll(t, ins)
 	h.checkAgainstOracle(t, ins)
@@ -119,7 +119,7 @@ func TestSynchronousDeterministicMetrics(t *testing.T) {
 	run := func() Snapshot {
 		h := newHarness(t, "q1: R(a) S(a,b) T(b)\nq2: S(b) T(b,c) U(c)",
 			core.Options{StoreParallelism: 3},
-			flatEstimates([]string{"R", "S", "T", "U"}, 100), Config{Synchronous: true})
+			flatEstimates([]string{"R", "S", "T", "U"}, 100), Config{Substrate: SubstrateSynchronous})
 		defer h.eng.Stop()
 		h.ingestAll(t, randomStream(h.cat, 300, 5, 13))
 		return h.eng.Metrics().Snapshot()
@@ -136,7 +136,7 @@ func TestSynchronousDeterministicMetrics(t *testing.T) {
 func TestSynchronousPruneReclaimsState(t *testing.T) {
 	h := newHarness(t, "q1: R(a) S(a)",
 		core.Options{StoreParallelism: 2},
-		flatEstimates([]string{"R", "S"}, 100), Config{Synchronous: true})
+		flatEstimates([]string{"R", "S"}, 100), Config{Substrate: SubstrateSynchronous})
 	defer h.eng.Stop()
 	for i := 0; i < 100; i++ {
 		rel := "R"
@@ -171,7 +171,7 @@ func TestBatchedResultMessaging(t *testing.T) {
 	// making the expected message count exact.
 	h := newHarness(t, "q1: R(a) S(a,b) T(b)",
 		core.Options{StoreParallelism: 1, DisablePartitioning: true, DisableMIRs: true},
-		flatEstimates([]string{"R", "S", "T"}, 100), Config{Synchronous: true})
+		flatEstimates([]string{"R", "S", "T"}, 100), Config{Substrate: SubstrateSynchronous})
 	defer h.eng.Stop()
 
 	const k = 8
@@ -224,7 +224,7 @@ func TestSynchronousEpochConfigs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := New(Config{Catalog: cat, Synchronous: true, EpochLength: 100})
+	eng := New(Config{Catalog: cat, Substrate: SubstrateSynchronous, EpochLength: 100})
 	defer eng.Stop()
 	if err := eng.Install(topo, 0); err != nil {
 		t.Fatal(err)
@@ -274,7 +274,7 @@ func TestRepartitionedConfigBroadcasts(t *testing.T) {
 	for _, s := range topo2.Stores {
 		s.Partition = query.Attr{}
 	}
-	eng := New(Config{Catalog: cat, Synchronous: true, EpochLength: 50})
+	eng := New(Config{Catalog: cat, Substrate: SubstrateSynchronous, EpochLength: 50})
 	defer eng.Stop()
 	if err := eng.Install(topo, 0); err != nil {
 		t.Fatal(err)

@@ -110,7 +110,7 @@ func (cs *ClusterScenario) RunCluster() (*ClusterResult, error) {
 			Catalog:       cat,
 			DefaultWindow: cs.Window,
 			EpochLength:   cs.EpochLength,
-			Synchronous:   true,
+			Substrate:     runtime.SubstrateSynchronous,
 			StateBackend:  cs.Backend,
 			StateHotBytes: cs.StateHotBytes,
 		})

@@ -318,7 +318,7 @@ func (sc *Scenario) VerifySubstrateIndependent(r *Result) error {
 	eng := runtime.New(runtime.Config{
 		Catalog:       cat,
 		DefaultWindow: sc.Window,
-		Synchronous:   true,
+		Substrate:     runtime.SubstrateSynchronous,
 	})
 	defer eng.Stop()
 	if err := eng.Install(topo, 0); err != nil {

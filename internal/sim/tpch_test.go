@@ -60,7 +60,7 @@ func TestScheduleSweepTPCHStateRows(t *testing.T) {
 		return out, eng.Metrics().Snapshot()
 	}
 
-	oracle, _ := run(runtime.Config{Synchronous: true}, nil)
+	oracle, _ := run(runtime.Config{Substrate: runtime.SubstrateSynchronous}, nil)
 	total := 0
 	for _, rs := range oracle {
 		total += len(rs)
