@@ -383,9 +383,9 @@ type Config struct {
 	WAL *WALConfig
 	// OnResult registers per-query result callbacks before the first
 	// tuple flows — equivalent to calling Engine.OnResult right after
-	// Start. Recover requires this form: its WAL replay runs before
-	// Recover returns, and callbacks registered afterwards would miss
-	// the replayed results.
+	// Start, under its lifetime rule. Recover requires this form: its WAL
+	// replay runs before Recover returns, and callbacks registered
+	// afterwards would miss the replayed results.
 	OnResult map[string]func(*Tuple)
 }
 
@@ -575,7 +575,8 @@ func (e *Engine) Ingest(rel string, ts Time, vals ...Value) error {
 }
 
 // OnResult registers a result callback for a query. Callbacks run on
-// worker goroutines and must be fast and thread-safe.
+// worker goroutines and must be fast and thread-safe. The *Tuple is
+// valid until the callback returns (it is recycled): keep tp.Clone().
 func (e *Engine) OnResult(queryName string, fn func(*Tuple)) { e.eng.OnResult(queryName, fn) }
 
 // AddQuery registers a new continuous query at runtime and returns

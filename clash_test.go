@@ -24,7 +24,7 @@ func TestQuickstartFlow(t *testing.T) {
 	var results []*Tuple
 	eng.OnResult("q1", func(tp *Tuple) {
 		mu.Lock()
-		results = append(results, tp)
+		results = append(results, tp.Clone()) // tp is recycled once the callback returns
 		mu.Unlock()
 	})
 

@@ -136,7 +136,8 @@ func (c *Cluster) Ingest(rel string, ts Time, vals ...Value) error {
 // OnResult registers a result callback for a query. Each result is
 // delivered exactly once cluster-wide: queries with keyed relations
 // materialize each result on one shard; fully-broadcast queries are
-// filtered to their owner shard.
+// filtered to their owner shard. The *Tuple passed is valid only until
+// the callback returns; a callback that keeps it keeps tp.Clone().
 func (c *Cluster) OnResult(queryName string, fn func(*Tuple)) { c.cl.OnResult(queryName, fn) }
 
 // Drain settles every shard.

@@ -30,8 +30,9 @@ package runtime
 // forward may re-enter this task's probe path while the outer batch is
 // still forwarding, so probeBatch values come from a per-task free list
 // (task.getProbeBatch), exactly like the scalar path's result-buffer
-// stack did. A scan itself never nests — it completes before the first
-// forward.
+// stack did; each level carves its sink-only results from its own
+// batch's arena (DESIGN.md §7). A scan itself never nests — it
+// completes before the first forward.
 
 import (
 	"math"
@@ -41,12 +42,14 @@ import (
 
 // probeBatch is one batched probe: a vector of probe tuples bound to a
 // rule plan, the per-probe scan inputs, and the scan's result log. All
-// slices are reused across batches; the amortized allocation cost of a
-// batched probe is the join results and the outgoing messages alone.
+// slices are reused across batches; a batched probe allocates only the
+// join results it forwards and the outgoing messages.
 type probeBatch struct {
 	t  *task
 	rp *rulePlan
 	st *planState
+
+	arena tuple.Arena // carves a sink-only plan's results; rewound by release
 
 	probes  []*tuple.Tuple // probe tuples, arrival order
 	ppos    [][]int        // probe-side predicate columns per probe
@@ -110,9 +113,11 @@ func (pb *probeBatch) reset(t *task, rp *rulePlan, st *planState) {
 	pb.resTups = pb.resTups[:0]
 }
 
-// release zeroes every retained pointer so forwarded tuples and arena
-// blocks stay collectable while the batch waits on the free list.
+// release rewinds the batch's arena, whose results' sinks have returned,
+// and zeroes every other retained pointer so forwarded tuples stay
+// collectable while the batch waits on the free list.
 func (pb *probeBatch) release() {
+	pb.arena.Reset()
 	pb.t, pb.rp, pb.st = nil, nil, nil
 	clear(pb.probes)
 	clear(pb.ppos)
@@ -218,8 +223,23 @@ func (pb *probeBatch) visit(en *tuple.Tuple, seq uint64) {
 	if !t.windowOK(pb.curProbe, en, sh) {
 		return
 	}
-	pb.resTups = append(pb.resTups, t.join(pb.curProbe, en))
+	res, rest := pb.result(pb.curProbe, en.Schema, en.TS)
+	copy(rest, en.Values)
+	pb.resTups = append(pb.resTups, res)
 	pb.resIdx = append(pb.resIdx, pb.cur)
+}
+
+// result carves the join result of probe and a stored row of the given
+// schema and time, from the batch's arena for a sink-only plan and the
+// task's otherwise, and returns it with the cells left for the row's.
+func (pb *probeBatch) result(probe *tuple.Tuple, stored *tuple.Schema, ts tuple.Time) (*tuple.Tuple, []tuple.Value) {
+	a := &pb.t.arena
+	if pb.rp.sinkOnly {
+		a = &pb.arena
+	}
+	res := a.New(pb.t.joinedSchema(probe.Schema, stored), max(probe.TS, ts))
+	n := copy(res.Values, probe.Values)
+	return res, res.Values[n:]
 }
 
 // evalRows is the columnar backend's tight candidate loop: the rows of
@@ -227,8 +247,8 @@ func (pb *probeBatch) visit(en *tuple.Tuple, seq uint64) {
 // probe i with every per-probe load hoisted out of the loop. Predicates
 // and window checks read the row's cells off the columns, beside the
 // row id; only a row that passes both becomes part of a tuple, the join
-// result carved from the task's arena. Appends to the flat result log in
-// row order — the chain's insertion order.
+// result, its cells copied straight from the columns. Appends to the
+// flat result log in row order — the chain's insertion order.
 func (pb *probeBatch) evalRows(i int, s *colSegment, sel []int32) {
 	t, rp, st := pb.t, pb.rp, pb.st
 	probe, ppos := pb.probes[i], pb.ppos[i]
@@ -258,7 +278,9 @@ func (pb *probeBatch) evalRows(i int, s *colSegment, sel []int32) {
 		if !match {
 			continue
 		}
-		pb.resTups = append(pb.resTups, t.joinRow(probe, s, row, sc))
+		res, rest := pb.result(probe, sc, tuple.Time(s.ts[row]))
+		s.fill(int(row), rest)
+		pb.resTups = append(pb.resTups, res)
 		pb.resIdx = append(pb.resIdx, idx)
 	}
 }
@@ -346,11 +368,12 @@ func (t *task) getProbeBatch() *probeBatch {
 		t.pbFree = t.pbFree[:n-1]
 		return pb
 	}
-	return &probeBatch{}
+	pb := &probeBatch{}
+	pb.arena.Reset() // keeps the blocks from the first batch on
+	return pb
 }
 
-// putProbeBatch releases the batch's pointers and returns it to the
-// free list.
+// putProbeBatch releases the batch and returns it to the free list.
 func (t *task) putProbeBatch(pb *probeBatch) {
 	pb.release()
 	t.pbFree = append(t.pbFree, pb)

@@ -10,8 +10,8 @@ package runtime
 // value lands at that position. No stored row is a pointer: the
 // collector traces the string columns alone, and a probe reads the cells
 // it compares beside the row id instead of chasing a *tuple.Tuple to its
-// values. A tuple is built only for a row that matched (carved from the
-// task's arena as part of the join result) and on the decode side
+// values. A tuple is built only for a row that matched (carved from an
+// arena as part of the join result, batchprobe.go) and on the decode side
 // (restore, recovery, promotion, which insert tuples). Both backends
 // hang the same index kernel off their rows: colIndex (this file), an
 // open-addressed uint64-hash table whose posting lists are int32 chains

@@ -345,7 +345,8 @@ func (e *Engine) notifySettled() {
 }
 
 // OnResult registers a sink callback for a query's results. Callbacks
-// run on task goroutines and must be fast and thread-safe.
+// run on task goroutines and must be fast and thread-safe. The tuple is
+// valid until the callback returns (it is recycled): keep its Clone.
 func (e *Engine) OnResult(queryName string, fn func(*tuple.Tuple)) {
 	e.sinkMu.Lock()
 	e.sinks[queryName] = fn

@@ -199,7 +199,7 @@ func BenchmarkProbeStoreMiss(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	tk, rp, edge := sinkProbePlan(b, eng)
+	tk, rp, edge := probePlan(b, eng, true)
 	st := tk.stateFor(rp)
 	msgs := make([]message, 64)
 	for i := range msgs {

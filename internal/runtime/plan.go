@@ -118,9 +118,10 @@ type rulePlan struct {
 	// stored attributes, no statistics involved. keyPred[j] is the
 	// predicate whose stored side is key.attrs[j]: the probe-side value
 	// hashed in the key's j-th place (probeBatch.add).
-	key     indexKey
-	keyPred []int
-	out     []emitStep
+	key      indexKey
+	keyPred  []int
+	out      []emitStep
+	sinkOnly bool // every emission a sink: results die with their probe batch
 	// rule keeps the uncompiled form for the legacy string-resolved
 	// probe path (differential testing, see task.probeLegacy).
 	rule *topology.Rule
@@ -198,6 +199,7 @@ func (e *Engine) compileEmissions(topo *topology.Config, out []topology.Emission
 
 func (e *Engine) compileRule(topo *topology.Config, r *topology.Rule) *rulePlan {
 	rp := &rulePlan{kind: r.Kind, rule: r, out: e.compileEmissions(topo, r.Out)}
+	rp.sinkOnly = !slices.ContainsFunc(rp.out, func(s emitStep) bool { return s.sink == "" })
 	if r.Kind != topology.ProbeRule {
 		return rp
 	}

@@ -6,7 +6,10 @@ package runtime
 
 import (
 	"fmt"
+	"math"
+	stdruntime "runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -160,16 +163,23 @@ func TestCompiledPlanEquivalenceWindowed(t *testing.T) {
 	}
 }
 
-// probeFixture builds a synchronous two-way join engine on the given
-// state backend, preloads the probed store, and returns the task,
-// compiled probe plan, and a probe message aimed at it.
-func probeFixture(t testing.TB, matches int, cfg Config) (*task, *rulePlan, *planState, *tuple.Tuple, *message) {
-	qs, cat, err := query.ParseWorkload("q1: R(a) S(a)")
+// probeFixture builds a synchronous join engine on the given state
+// backend, preloads the S store with `matches` partners under key 7, and
+// returns the S store's task, the compiled plan R tuples probe it
+// through, and an R probe message aimed at it. The join is R(a) S(a),
+// whose probe plan delivers to the sink (sink-only), or, with forward,
+// R(a) S(a,b) T(b) without MIRs, whose R⋈S results probe T.
+func probeFixture(t testing.TB, forward bool, matches int, cfg Config) (*task, *rulePlan, *planState, *tuple.Tuple, *message) {
+	workload, opts := "q1: R(a) S(a)", core.Options{StoreParallelism: 1, DisablePartitioning: true}
+	if forward {
+		workload, opts.DisableMIRs = "q1: R(a) S(a,b) T(b)", true
+	}
+	qs, cat, err := query.ParseWorkload(workload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := flatEstimates([]string{"R", "S"}, 100)
-	plan, err := core.NewOptimizer(core.Options{StoreParallelism: 1, DisablePartitioning: true}).Optimize(qs, est)
+	est := flatEstimates(cat.Names(), 100)
+	plan, err := core.NewOptimizer(opts).Optimize(qs, est)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,27 +194,30 @@ func probeFixture(t testing.TB, matches int, cfg Config) (*task, *rulePlan, *pla
 	}
 	eng.OnResult("q1", func(*tuple.Tuple) {})
 	t.Cleanup(eng.Stop)
-	// Preload the S store: `matches` partners under key 7.
 	for i := 0; i < matches; i++ {
-		if err := eng.Ingest("S", tuple.Time(i+1), tuple.IntValue(7)); err != nil {
+		vals := []tuple.Value{tuple.IntValue(7)}
+		if forward {
+			vals = append(vals, tuple.IntValue(int64(i)))
+		}
+		if err := eng.Ingest("S", tuple.Time(i+1), vals...); err != nil {
 			t.Fatal(err)
 		}
 	}
-	tk, rp, edge := sinkProbePlan(t, eng)
+	tk, rp, edge := probePlan(t, eng, !forward)
 	probe := tuple.New(eng.schemas["R"], 1000, tuple.IntValue(7), tuple.IntValue(1000))
 	msg := &message{edge: edge, epoch: 0, batch: []*tuple.Tuple{probe}, seq: 1 << 30}
 	return tk, rp, tk.stateFor(rp), probe, msg
 }
 
-// sinkProbePlan locates, in a two-way join engine whose S store holds
-// state, the S store's task and its probe plan (sink-only output), with
-// the edge probes reach it on.
-func sinkProbePlan(t testing.TB, eng *Engine) (*task, *rulePlan, topology.EdgeID) {
+// probePlan locates, in an engine whose S store holds state, the task
+// of a store holding state and the plan R tuples probe it through —
+// sink-only or forwarding, as asked — with the edge they reach it on.
+func probePlan(t testing.TB, eng *Engine, sinkOnly bool) (*task, *rulePlan, topology.EdgeID) {
 	ec := eng.configFor(0)
 	for sid, byEdge := range ec.comp.rules {
 		for edge, plans := range byEdge {
 			for _, rp := range plans {
-				if rp.kind != topology.ProbeRule || len(rp.out) != 1 || rp.out[0].sink == "" {
+				if rp.kind != topology.ProbeRule || rp.sinkOnly != sinkOnly || !strings.HasPrefix(rp.probeAttrs[0], "R.") {
 					continue
 				}
 				tk := eng.tasks[taskKey{store: sid, part: 0}]
@@ -215,37 +228,69 @@ func sinkProbePlan(t testing.TB, eng *Engine) (*task, *rulePlan, topology.EdgeID
 			}
 		}
 	}
-	t.Fatal("no sink-feeding probe plan found")
+	t.Fatalf("no probe plan for R tuples (sink-only %v) found", sinkOnly)
 	return nil, nil, ""
 }
 
+// allocsPerRun is testing.AllocsPerRun with the bytes beside the
+// objects, neither rounded: what f allocates per run, averaged over runs
+// after one warm-up run, read off runtime.MemStats. MemStats counts every
+// goroutine's allocations, so it keeps the least of three trials: on a
+// busy host another goroutine may allocate during one of them, while an
+// allocation f makes shows in every trial.
+func allocsPerRun(runs int, f func()) (objects, bytes float64) {
+	defer stdruntime.GOMAXPROCS(stdruntime.GOMAXPROCS(1))
+	f()
+	objects, bytes = math.Inf(1), math.Inf(1)
+	for trial := 0; trial < 3; trial++ {
+		var before, after stdruntime.MemStats
+		stdruntime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		stdruntime.ReadMemStats(&after)
+		objects = min(objects, float64(after.Mallocs-before.Mallocs)/float64(runs))
+		bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/float64(runs))
+	}
+	return objects, bytes
+}
+
 // TestProbeAllocs pins the allocation budget of the compiled probe
-// path: joining and forwarding 8 results must cost amortized ≤1 alloc
-// per probe (arena chunks and batch copies amortize across calls; the
-// legacy path cost 2+ allocations per result).
+// path. A sink-only plan joining and delivering 8 results allocates
+// nothing once warm: its results come from the probe batch's arena,
+// rewound when the batch returns (the legacy path cost 2+ allocations
+// per result). A plan that forwards its 8 results to the next hop
+// carves them from the task's arena and copies the batch into the
+// outgoing message: ≤ 1 object per probe as AllocsPerRun rounds it.
 func TestProbeAllocs(t *testing.T) {
-	tk, rp, st, _, msg := probeFixture(t, 8, Config{})
-	// Warm the schema-position and index caches.
-	tk.probeBatched(msg, rp, st)
-	avg := testing.AllocsPerRun(200, func() {
+	tk, rp, st, _, msg := probeFixture(t, false, 8, Config{})
+	tk.probeBatched(msg, rp, st) // warm the caches and the batch's arena
+	if objs, bytes := allocsPerRun(200, func() { tk.probeBatched(msg, rp, st) }); objs != 0 || bytes != 0 {
+		t.Errorf("sink-only probeBatched allocates %.2f objects, %.1f B per run, want 0 (8 results delivered)", objs, bytes)
+	}
+
+	tk, rp, st, _, msg = probeFixture(t, true, 8, Config{})
+	forward := func() {
 		tk.probeBatched(msg, rp, st)
-	})
-	if avg > 1.0 {
-		t.Errorf("probeBatched allocates %.2f objects/run, want ≤ 1 (8 results forwarded)", avg)
+		tk.e.Drain() // the forwarded batch probes the empty T store
+	}
+	forward()
+	if avg := testing.AllocsPerRun(200, forward); avg > 1.0 {
+		t.Errorf("forwarding probeBatched allocates %.2f objects/run, want ≤ 1 (8 results forwarded)", avg)
 	}
 }
 
 // TestBatchProbeAllocs pins the batched probe path under a multi-tuple
-// probe message: 16 probes scanned in one backend pass must stay at
-// amortized ≤1 allocation per probe on every backend — the whole point
-// of the selection-vector design is that batching adds no per-probe
-// allocation on top of the scalar budget. The tiered row runs with
-// every slot hot (one epoch, nothing to demote): the tier's end-of-
-// dispatch maintenance must not allocate either.
+// probe message: 16 probes scanned in one backend pass, 128 results
+// delivered, allocate nothing once warm on every backend — batching adds
+// no per-probe allocation, and every result is carved from the blocks
+// the batch's arena keeps. The tiered row runs with every slot hot (one
+// epoch, nothing to demote): the tier's end-of-dispatch maintenance must
+// not allocate either.
 func TestBatchProbeAllocs(t *testing.T) {
 	for _, row := range backendKinds() {
 		t.Run(row.name, func(t *testing.T) {
-			tk, rp, st, probe, msg := probeFixture(t, 8, row.apply(Config{}))
+			tk, rp, st, probe, msg := probeFixture(t, false, 8, row.apply(Config{}))
 			const nProbes = 16
 			batch := make([]*tuple.Tuple, nProbes)
 			for i := range batch {
@@ -253,12 +298,9 @@ func TestBatchProbeAllocs(t *testing.T) {
 			}
 			bmsg := &message{edge: msg.edge, epoch: msg.epoch, batch: batch, seq: msg.seq}
 			tk.probeBatched(bmsg, rp, st) // warm caches and scratch buffers
-			avg := testing.AllocsPerRun(200, func() {
-				tk.probeBatched(bmsg, rp, st)
-			})
-			if avg > nProbes {
-				t.Errorf("batched probe allocates %.2f objects per %d-probe batch, want ≤ %d (amortized ≤1/probe)",
-					avg, nProbes, nProbes)
+			objs, bytes := allocsPerRun(200, func() { tk.probeBatched(bmsg, rp, st) })
+			if objs != 0 || bytes != 0 {
+				t.Errorf("batched probe allocates %.2f objects, %.1f B per %d-probe batch, want 0", objs, bytes, nProbes)
 			}
 		})
 	}
@@ -362,6 +404,94 @@ func TestSyncReentrantIngest(t *testing.T) {
 		t.Errorf("feedback results lost: q1=%d fed tuples produced q2=%d", q1, q2)
 	}
 	t.Logf("q1=%d q2=%d", q1, q2)
+}
+
+// TestSinkResultsRecycled is the vacuity check of the result lifetime
+// contract and its poison: a sink-only plan's results are recycled when
+// their batch returns, so a callback that keeps the pointers reads
+// poison after the next batch, while one that keeps Clones reads what it
+// was passed. Every backend carves through the same probeBatch.result.
+func TestSinkResultsRecycled(t *testing.T) {
+	for _, row := range backendKinds() {
+		t.Run(row.name, func(t *testing.T) {
+			tk, rp, st, probe, msg := probeFixture(t, false, 8, row.apply(Config{}))
+			tk.probeBatched(msg, rp, st) // warm the caches and the batch's arena
+			var kept, clones []*tuple.Tuple
+			var seen []string
+			tk.e.OnResult("q1", func(tp *tuple.Tuple) {
+				kept = append(kept, tp)
+				clones = append(clones, tp.Clone())
+				seen = append(seen, tp.String())
+			})
+			tk.probeBatched(msg, rp, st)
+			tk.e.OnResult("q1", func(*tuple.Tuple) {})
+			miss := tuple.New(probe.Schema, probe.TS+1, tuple.IntValue(8), tuple.IntValue(int64(probe.TS+1)))
+			tk.probeBatched(&message{edge: msg.edge, batch: []*tuple.Tuple{miss}, seq: msg.seq}, rp, st)
+			if len(kept) != 8 {
+				t.Fatalf("%d results kept, want 8", len(kept))
+			}
+			for i, tp := range kept {
+				if got := clones[i].String(); got != seen[i] {
+					t.Errorf("result %d: the clone reads %s, the callback saw %s", i, got, seen[i])
+				}
+				if v := tp.Values[0]; tp.Schema.Len() != 0 || v.Kind() != tuple.String || v.Str() != "\x00recycled" {
+					t.Errorf("result %d kept without Clone reads %s (first value %v), not poison", i, tp, v)
+				}
+			}
+		})
+	}
+}
+
+// TestSinkFeedbackReadsOwnResult: a synchronous sink that feeds each
+// result back re-enters the same task's probe while the outer batch is
+// still delivering; after the nested Ingest returns, the callback's own
+// tuple must still read what it did before — the nested batch carves
+// from its own arena — and every result must match the reference, with
+// recycled tuples poisoned (TestMain). Fed tuples are marked R.b = 1 and
+// feed nothing back.
+func TestSinkFeedbackReadsOwnResult(t *testing.T) {
+	for _, row := range backendKinds() {
+		t.Run(row.name, func(t *testing.T) {
+			h := newHarness(t, "q1: R(a,b) S(a)",
+				core.Options{StoreParallelism: 1, DisablePartitioning: true},
+				flatEstimates([]string{"R", "S"}, 100), row.apply(Config{Substrate: SubstrateSynchronous}))
+			defer h.eng.Stop()
+			var ins []Ingestion
+			ingest := func(in Ingestion) {
+				ins = append(ins, in)
+				if err := h.eng.Ingest(in.Rel, in.TS, in.Vals...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			feedTS, nested := tuple.Time(10_000), 0
+			h.eng.OnResult("q1", func(tp *tuple.Tuple) {
+				before := tp.String()
+				if tp.MustGet("R.b").Int() == 0 {
+					feedTS++
+					ingest(Ingestion{Rel: "R", TS: feedTS, Vals: []tuple.Value{tp.MustGet("R.a"), tuple.IntValue(1)}})
+					nested++
+				}
+				if after := tp.String(); after != before {
+					t.Fatalf("a nested ingest rewrote the outer result: %s became %s", before, after)
+				}
+				h.sinks["q1"].Add(tp)
+			})
+			for i := 0; i < 60; i++ {
+				k := tuple.IntValue(int64(i % 4))
+				if i%3 == 0 {
+					ingest(Ingestion{Rel: "R", TS: tuple.Time(i + 1), Vals: []tuple.Value{k, tuple.IntValue(0)}})
+				} else {
+					ingest(Ingestion{Rel: "S", TS: tuple.Time(i + 1), Vals: []tuple.Value{k}})
+				}
+			}
+			h.eng.Drain()
+			h.checkAgainstOracle(t, ins)
+			if nested == 0 {
+				t.Fatal("no result was fed back — test vacuous")
+			}
+			t.Logf("%d results, %d fed back", h.sinks["q1"].Count(), nested)
+		})
+	}
 }
 
 // TestPruneKeepsIndicesConsistent verifies incremental index

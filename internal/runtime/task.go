@@ -128,7 +128,7 @@ type task struct {
 	schemaCache map[[2]*tuple.Schema]*tuple.Schema
 	lastJoinKey [2]*tuple.Schema
 	lastJoined  *tuple.Schema
-	arena       tuple.Arena // block allocator for join results
+	arena       tuple.Arena // join results that outlive their probe batch (batchprobe.go)
 }
 
 func newTask(e *Engine, k taskKey, s *topology.Store) *task {
@@ -507,16 +507,6 @@ func (t *task) withinWindowsLegacy(probe, stored *tuple.Tuple) bool {
 
 func (t *task) join(probe, stored *tuple.Tuple) *tuple.Tuple {
 	return t.arena.Join(probe, stored, t.joinedSchema(probe.Schema, stored.Schema))
-}
-
-// joinRow is join for a row of a columnar segment stored under the
-// given schema: the result is carved from the arena and the row's cells
-// are copied into it straight from the columns.
-func (t *task) joinRow(probe *tuple.Tuple, s *colSegment, row int32, stored *tuple.Schema) *tuple.Tuple {
-	res := t.arena.New(t.joinedSchema(probe.Schema, stored), max(probe.TS, tuple.Time(s.ts[row])))
-	n := copy(res.Values, probe.Values)
-	s.fill(int(row), res.Values[n:])
-	return res
 }
 
 // joinedSchema returns (caching it per task) the schema of probe's

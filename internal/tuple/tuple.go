@@ -104,6 +104,11 @@ func New(s *Schema, ts Time, values ...Value) *Tuple {
 	return &Tuple{Schema: s, Values: values, TS: ts}
 }
 
+// Clone returns a copy of t that owns its values (results are recycled).
+func (t *Tuple) Clone() *Tuple {
+	return &Tuple{Schema: t.Schema, Values: append([]Value(nil), t.Values...), TS: t.TS}
+}
+
 // At returns the value at the given column position. It is the
 // fast-path accessor for compiled probe plans, which resolve attribute
 // names to positions once per schema instead of per tuple; the caller

@@ -256,3 +256,87 @@ func TestTupleString(t *testing.T) {
 		t.Errorf("String = %q", got)
 	}
 }
+
+// carveJoins carves n join results of r and s from the arena.
+func carveJoins(a *Arena, r, s *Tuple, joined *Schema, n int) []*Tuple {
+	out := make([]*Tuple, n)
+	for i := range out {
+		out[i] = a.Join(r, s, joined)
+	}
+	return out
+}
+
+func TestArenaResetRecycles(t *testing.T) {
+	rs, ss := NewSchema("R.a", "R.b"), NewSchema("S.b", "S.c")
+	r, s := New(rs, 10, IntValue(1), StringValue("x")), New(ss, 20, StringValue("x"), IntValue(3))
+	joined := rs.Concat(ss)
+	var a Arena
+	carveJoins(&a, r, s, joined, 100)
+	if a.keepT != nil || a.keepV != nil {
+		t.Fatal("an arena that was never Reset keeps blocks")
+	}
+	a.Reset()
+	cycle := func() {
+		for range 100 {
+			a.Join(r, s, joined)
+		}
+		a.Reset()
+	}
+	cycle() // carves the blocks the arena keeps
+	if n := testing.AllocsPerRun(50, cycle); n != 0 {
+		t.Errorf("a Reset cycle of 100 results allocates %.1f objects, want 0", n)
+	}
+	// A batch larger than the kept blocks carves the rest fresh and keeps
+	// no more than arenaKeep of each kind.
+	big := arenaKeep*arenaTupleChunk + 1
+	res := carveJoins(&a, r, s, joined, big)
+	if len(a.keepT) != arenaKeep || len(a.keepV) > arenaKeep {
+		t.Errorf("after a %d-result batch the arena keeps %d tuple and %d value blocks, want ≤ %d",
+			big, len(a.keepT), len(a.keepV), arenaKeep)
+	}
+	for i, j := range res {
+		if j.Values[3] != IntValue(3) || j.TS != 20 {
+			t.Fatalf("result %d of the large batch reads %v", i, j)
+		}
+	}
+	a.Reset()
+}
+
+func TestArenaResetPoisons(t *testing.T) {
+	defer func(on bool) { PoisonRecycled = on }(PoisonRecycled)
+	PoisonRecycled = true
+	rs, ss := NewSchema("R.a"), NewSchema("S.a")
+	r, s := New(rs, 1, IntValue(7)), New(ss, 2, IntValue(7))
+	joined := rs.Concat(ss)
+	var a Arena
+	a.Reset()
+	// Spill past the first block of each kind, so the poison covers a
+	// whole block and the one being carved.
+	n := arenaValueChunk/2 + 3
+	res := carveJoins(&a, r, s, joined, n)
+	kept := res[n-1].Clone()
+	a.Reset()
+	for i, j := range res {
+		if j.Schema.Len() != 0 || j.TS != math.MinInt64 || j.Values[0] != recycledValue || j.Values[1] != recycledValue {
+			t.Fatalf("recycled result %d reads %v %v, not poison", i, j, j.Values)
+		}
+	}
+	if kept.String() != "[ts=2 R.a=7 S.a=7]" {
+		t.Errorf("the clone reads %s after the Reset", kept)
+	}
+	// The next batch carves from the poisoned blocks: every value it
+	// reads is its own.
+	next := a.Join(s, r, ss.Concat(rs))
+	if next.String() != "[ts=2 S.a=7 R.a=7]" {
+		t.Errorf("a result carved from a recycled block reads %s", next)
+	}
+}
+
+func TestCloneOwnsValues(t *testing.T) {
+	orig := New(NewSchema("R.a", "R.b"), 5, IntValue(1), StringValue("x"))
+	c := orig.Clone()
+	orig.Values[0] = IntValue(9)
+	if c.Schema != orig.Schema || c.TS != 5 || c.Values[0] != IntValue(1) || c.Values[1] != StringValue("x") {
+		t.Errorf("Clone = %v, want an independent copy of [ts=5 R.a=1 R.b=x]", c)
+	}
+}
