@@ -307,11 +307,11 @@ type Config struct {
 	// and the previous plan's incumbent per eligibility regime, which
 	// seeds the solver. The ILP is still solved afresh every step.
 	IncrementalReopt bool
-	// MeasuredCosts calibrates the optimizer's cost model from runtime
-	// measurements: tasks meter nanoseconds per probed, inserted, and
-	// pruned tuple, and at each epoch boundary the controller blends
-	// the measured insert/prune-to-probe ratios into the plan costing
-	// (EWMA, clamped). Calibration changes plan choice, never results.
+	// MeasuredCosts meters task work: each task counts the nanoseconds
+	// and tuples it spends probing, inserting and pruning, read per task
+	// from TaskGauges. It is a meter only and moves no plan: the
+	// optimizer prices plans by Eq. 1 from the statistics alone. Off by
+	// default, since metering reads the clock on every message.
 	MeasuredCosts bool
 	// Shared enables multi-query optimization and state sharing
 	// (default). Independent mode deploys one topology per query.
@@ -356,11 +356,13 @@ type Config struct {
 	StepMode bool
 	// Synchronous executes the whole topology on the ingesting
 	// goroutine: exact, deterministic join semantics with no task
-	// goroutines. Ingest must be called from a single goroutine. Use it
-	// when result completeness matters more than pipeline parallelism
-	// (the Fig. 7 experiments run this way); the default asynchronous
-	// flow substrate reproduces overload buffering (Fig. 8) but may miss
-	// pairs whose materialization races a probe.
+	// goroutines. Ingest must be called from a single goroutine (the
+	// Fig. 7 experiments run this way). The default asynchronous flow
+	// substrate reproduces overload buffering (Fig. 8) and is exact for
+	// two-way joins; a query joining three or more relations on flow or
+	// sim without StepMode is refused (Start, Recover, NewCluster and
+	// AddQuery return an error), since a multi-hop probe there can race
+	// the insert it must meet.
 	Synchronous bool
 	// Substrate selects the execution substrate explicitly: synchronous,
 	// flow-controlled with credit-based backpressure and a shared worker
@@ -499,6 +501,9 @@ func start(cfg Config, journal runtime.Journal) (*Engine, error) {
 		if q.Size() < 2 {
 			return nil, fmt.Errorf("clash: query %s joins fewer than two relations", q.Name)
 		}
+		if err := cfg.exactFor(q); err != nil {
+			return nil, err
+		}
 	}
 	if cfg.StateLimitBytes > 0 && cfg.EpochLength <= 0 {
 		return nil, errors.New("clash: StateLimitBytes requires EpochLength > 0: a single epoch leaves nothing older to shed")
@@ -514,10 +519,6 @@ func start(cfg Config, journal runtime.Journal) (*Engine, error) {
 			est.SetRate(name, 1000)
 		}
 	}
-	substrate := cfg.Substrate
-	if substrate == SubstrateAuto && cfg.Synchronous {
-		substrate = SubstrateSynchronous
-	}
 	eng := runtime.New(runtime.Config{
 		Catalog:          cat,
 		DefaultWindow:    cfg.DefaultWindow,
@@ -528,7 +529,7 @@ func start(cfg Config, journal runtime.Journal) (*Engine, error) {
 		StateHotBytes:    cfg.StateHotBytes,
 		StateSpillDir:    cfg.StateSpillDir,
 		StepMode:         cfg.StepMode,
-		Substrate:        substrate,
+		Substrate:        cfg.substrate(),
 		Flow:             cfg.Flow,
 		Sim:              cfg.Sim,
 		Journal:          journal,
@@ -550,6 +551,33 @@ func start(cfg Config, journal runtime.Journal) (*Engine, error) {
 		eng.OnResult(name, fn)
 	}
 	return &Engine{cfg: cfg, eng: eng, ctl: ctl, col: col, queries: qs}, nil
+}
+
+// substrate resolves the Synchronous shorthand: an explicit Substrate
+// wins, and SubstrateAuto without Synchronous is the flow substrate.
+func (cfg Config) substrate() SubstrateKind {
+	if cfg.Substrate == SubstrateAuto && cfg.Synchronous {
+		return SubstrateSynchronous
+	}
+	return cfg.Substrate
+}
+
+// exactFor refuses a query the configuration would answer lossily: one
+// joining three or more relations on the flow or sim substrate without
+// StepMode. There a multi-hop probe can reach a store before the insert
+// it must meet, whose own probe then rejects it as later-arrived, so
+// both directions miss (most of a three-way chain's results). Two-way
+// joins are exact on every substrate.
+func (cfg Config) exactFor(q *Query) error {
+	substrate := cfg.substrate()
+	if substrate == SubstrateSynchronous || cfg.StepMode || q.Size() < 3 {
+		return nil
+	}
+	name := "flow"
+	if substrate == SubstrateSim {
+		name = "sim"
+	}
+	return fmt.Errorf("clash: query %s joins %d relations, and the %s substrate without StepMode would miss some of its results; set StepMode, or Synchronous with Substrate unset, for exact results", q.Name, q.Size(), name)
 }
 
 // Ingest feeds one tuple of the relation into the engine. In adaptive
@@ -584,9 +612,16 @@ func (e *Engine) OnResult(queryName string, fn func(*Tuple)) { e.eng.OnResult(qu
 // stream and installed at the next epoch boundary, before the first
 // tuple of that epoch is routed; existing store state is reused so
 // results appear without a cold start (Sec. VI-B). A duplicate name is
-// reported here; a solve that fails fails the engine, and the Ingest
-// that reaches its epoch (or Failure, after Drain) reports it.
-func (e *Engine) AddQuery(q *Query) error { return e.ctl.AddQuery(q) }
+// reported here, and so is a query the configuration would answer
+// lossily (see Config.Synchronous); a solve that fails fails the
+// engine, and the Ingest that reaches its epoch (or Failure, after
+// Drain) reports it.
+func (e *Engine) AddQuery(q *Query) error {
+	if err := e.cfg.exactFor(q); err != nil {
+		return err
+	}
+	return e.ctl.AddQuery(q)
+}
 
 // RemoveQuery deregisters a query and returns once it is deregistered;
 // stores that served only this query are torn down by reference
@@ -619,7 +654,8 @@ func (e *Engine) Snapshot() MetricsSnapshot { return e.Metrics() }
 func (e *Engine) Pressure() Pressure { return e.eng.Pressure() }
 
 // TaskGauges returns a per-task pressure reading (queue depth, stored
-// tuples, cumulative load), sorted by store and partition.
+// tuples, cumulative load and, with MeasuredCosts, the task meters),
+// sorted by store and partition.
 func (e *Engine) TaskGauges() []TaskGauge { return e.eng.TaskGauges() }
 
 // ResetLatency clears latency aggregates (per-interval reporting).

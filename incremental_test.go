@@ -17,7 +17,7 @@ import (
 // the deterministic simulation substrate and returns every query's
 // rendered results, sorted (arrival order is schedule-dependent; content
 // must not be).
-func churnRun(t *testing.T, incremental, measured bool) (map[string][]string, float64) {
+func churnRun(t *testing.T, incremental bool) (map[string][]string, float64) {
 	t.Helper()
 	eng, err := Start(Config{
 		Workload:         "q1: R(a) S(a,b) T(b)\nq2: S(b) T(b)",
@@ -28,7 +28,6 @@ func churnRun(t *testing.T, incremental, measured bool) (map[string][]string, fl
 		EpochLength:      100,
 		Adaptive:         true,
 		IncrementalReopt: incremental,
-		MeasuredCosts:    measured,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -92,8 +91,8 @@ func churnRun(t *testing.T, incremental, measured bool) (map[string][]string, fl
 // the same (the incremental solve is an optimization of solver effort,
 // never of plan quality).
 func TestIncrementalReoptByteIdenticalResults(t *testing.T) {
-	scratch, scratchObj := churnRun(t, false, false)
-	incr, incrObj := churnRun(t, true, false)
+	scratch, scratchObj := churnRun(t, false)
+	incr, incrObj := churnRun(t, true)
 
 	for _, name := range []string{"q1", "q2", "q3"} {
 		a, b := scratch[name], incr[name]
@@ -111,31 +110,6 @@ func TestIncrementalReoptByteIdenticalResults(t *testing.T) {
 	}
 	if scratchObj != incrObj {
 		t.Errorf("final plan cost %g incremental, %g scratch", incrObj, scratchObj)
-	}
-}
-
-// TestMeasuredCostsKeepExactness pins that coefficient calibration is
-// purely a planning-side concern: with runtime cost measurement (and
-// the calibrated coefficients it feeds into re-optimization) switched
-// on, every query's result set is byte-identical to the uncalibrated
-// run. Calibration may change plans — never results.
-func TestMeasuredCostsKeepExactness(t *testing.T) {
-	plain, _ := churnRun(t, false, false)
-	calibrated, _ := churnRun(t, true, true)
-
-	for _, name := range []string{"q1", "q2", "q3"} {
-		a, b := plain[name], calibrated[name]
-		if len(a) == 0 {
-			t.Fatalf("%s: no results — test vacuous", name)
-		}
-		if len(a) != len(b) {
-			t.Fatalf("%s: %d results plain, %d calibrated", name, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s: result %d differs under measured costs:\n  plain      %s\n  calibrated %s", name, i, a[i], b[i])
-			}
-		}
 	}
 }
 

@@ -183,8 +183,8 @@ func (b *builder) candidates(q *query.Query) map[string][]*mir.ProbeOrder {
 // candidate probes. Structure and price are separate steps: the structure
 // (which decorated orders exist, their step keys and χ verdicts) comes
 // from the cross-churn cache, the prices are computed per solve from the
-// current estimates and coefficients, and the cap cuts the priced copy —
-// where it cuts depends on the prices.
+// current estimates, and the cap cuts the priced copy — where it cuts
+// depends on the prices.
 func (b *builder) generateCandidates() error {
 	neededMIRs := map[string]*mir.MIR{}
 	for _, q := range b.queries {
@@ -257,9 +257,9 @@ func (b *builder) structure(q *query.Query, fed *mir.MIR) map[string][]*Decorate
 }
 
 // priced copies a structure group onto q and the MIR its orders feed,
-// prices every step under the builder's estimates and coefficients
-// (Eq. 1), and caps each start's candidates. The copies own their steps
-// and live in the workspace; the structure is not written.
+// prices every step under the builder's estimates (Eq. 1), and caps
+// each start's candidates. The copies own their steps and live in the
+// workspace; the structure is not written.
 func (b *builder) priced(structure map[string][]*DecoratedOrder, q *query.Query, fed *mir.MIR) map[string][]*DecoratedOrder {
 	group := make(map[string][]*DecoratedOrder, len(structure))
 	for start, orders := range structure {
@@ -296,7 +296,7 @@ func (b *builder) price(d *DecoratedOrder) {
 	for i, s := range d.shapes {
 		var c float64
 		if s.materialize {
-			c = b.est.CardinalityWith(s.rels, d.Query.Preds, sels) / float64(s.j) * b.est.MaterializationUnit()
+			c = b.est.CardinalityWith(s.rels, d.Query.Preds, sels) / float64(s.j)
 		} else {
 			c = b.est.PriceStep(s.rels, s.j, s.knows, s.target, d.Query.Preds, sels)
 		}
@@ -393,12 +393,12 @@ func (b *builder) decorate(q *query.Query, fed *mir.MIR, start string, po *mir.P
 	return out
 }
 
-// stepShape is what pricing a step reads besides the estimates and the
-// coefficients: the relations whose join the step sends (or, for the
-// materialization step, stores), the 1/j share, the probed store, and
-// whether the probing tuple can compute that store's partitioning value
-// (χ = 1). The Knows verdict is most of what pricing a step from scratch
-// costs, and it depends on the query set, never on the estimates.
+// stepShape is what pricing a step reads besides the estimates: the
+// relations whose join the step sends (or, for the materialization
+// step, stores), the 1/j share, the probed store, and whether the
+// probing tuple can compute that store's partitioning value (χ = 1).
+// The Knows verdict is most of what pricing a step from scratch costs,
+// and it depends on the query set, never on the estimates.
 type stepShape struct {
 	rels        []string    // sorted
 	j           int         // prefix elements; the feeding order's elements when materializing

@@ -65,10 +65,6 @@ type Options struct {
 	// from-scratch solve is the incremental solve with no history, and
 	// nothing is carried from one call to the next.
 	Reopt *Reopt
-	// CostCoefficients scales the analytic cost model by runtime-
-	// measured per-tuple work (probe/insert/prune units normalized to
-	// probe = 1). nil keeps the analytic constants.
-	CostCoefficients *cost.Coefficients
 	// DeterministicWarmStart is ignored; the local-search warm start's
 	// budget is always an evaluation count.
 	DeterministicWarmStart bool
@@ -369,9 +365,5 @@ func (o Options) estimator(queries []*query.Query, est *stats.Estimates) *cost.E
 	for _, q := range queries {
 		preds = append(preds, q.Preds...)
 	}
-	e := cost.New(est, preds)
-	if o.CostCoefficients != nil {
-		e.SetCoefficients(*o.CostCoefficients)
-	}
-	return e
+	return cost.New(est, preds)
 }

@@ -25,8 +25,7 @@ import (
 //   - The structure of each (sub)query's decorated candidates — orders,
 //     step keys, χ verdicts — is reused while the query's shape, its MIR
 //     eligibility, the structural options and its relation neighbourhood
-//     are unchanged; a solve re-prices it under its own estimates and
-//     coefficients.
+//     are unchanged; a solve re-prices it under its own estimates.
 //
 // The ILP itself is solved afresh every step: the solver keeps nothing
 // across solves, so its result is a function of the model, the node
@@ -274,8 +273,8 @@ func (o Options) structFingerprint() string {
 // decorated-order key), its join shape — for a fed subquery the MIR's
 // key, which is the subquery's fingerprint — and whether it feeds, its
 // MIR eligibility, the structural options, and its relation
-// neighbourhood. The estimates, the coefficients and the cap are left
-// out: price applies them to a copy on every solve.
+// neighbourhood. The estimates and the cap are left out: price applies
+// them to a copy on every solve.
 func (b *builder) structSig(q *query.Query, fed *mir.MIR) string {
 	shape := b.fps[q.Name]
 	if fed != nil {

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"clash/internal/cost"
 	"clash/internal/ilp"
 	"clash/internal/mir"
 	"clash/internal/query"
@@ -228,50 +227,6 @@ func TestReoptNewEstimatesReprice(t *testing.T) {
 	}
 }
 
-// TestMeasuredCoefficientsChangeCostsNotValidity checks the calibrated
-// cost model end to end: non-default coefficients scale step costs and
-// may change plan choice, but the produced plan stays a valid solution
-// of the same ILP family (all selections feasible), and default
-// coefficients reproduce the analytic objective exactly.
-func TestMeasuredCoefficientsChangeCostsNotValidity(t *testing.T) {
-	env := workload.NewEnv(8, 100)
-	qs := env.RandomQueries(3, 3, 5)
-	est := env.Estimates()
-
-	analytic, err := NewOptimizer(Options{MaterializationCost: true}).Optimize(qs, est)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defaults, err := NewOptimizer(Options{
-		MaterializationCost: true,
-		CostCoefficients:    &cost.DefaultCoefficients,
-	}).Optimize(qs, est)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if analytic.Objective != defaults.Objective {
-		t.Fatalf("default coefficients changed the analytic objective: %g vs %g",
-			defaults.Objective, analytic.Objective)
-	}
-
-	skewed := cost.DefaultCoefficients
-	skewed.Insert, skewed.Prune = 6, 4 // materialization 5x pricier
-	calibrated, err := NewOptimizer(Options{
-		MaterializationCost: true,
-		CostCoefficients:    &skewed,
-	}).Optimize(qs, est)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calibrated.Objective < analytic.Objective {
-		t.Fatalf("pricier materialization lowered the objective: %g < %g",
-			calibrated.Objective, analytic.Objective)
-	}
-	if len(calibrated.Selected) == 0 {
-		t.Fatal("calibrated plan selected nothing")
-	}
-}
-
 // sealedEstimates seals one epoch of seeded observations over the
 // environment's relations, as the controller does at every epoch: rates
 // and hot-key shares vary per relation and per seed, so prices move
@@ -414,21 +369,18 @@ func arrivalChurn(t *testing.T) churnSchedule {
 }
 
 // cachedVersusFresh runs a churn schedule with a freshly sealed estimates
-// snapshot and new cost coefficients at every step, two eligibility
-// regimes per step, and compares the candidates of a builder on one
+// snapshot at every step, two eligibility regimes per step, and compares the candidates of a builder on one
 // Reopt — structure from its cache, re-priced — with a build without
 // cross-churn state. It returns the Reopt's counters and the first
 // difference.
 func cachedVersusFresh(t *testing.T, sched churnSchedule, blindNeighbourhood bool) (ReoptStats, error) {
 	reopt := NewReopt()
 	reopt.blindNeighbourhood = blindNeighbourhood
-	r := rng.New(3)
 	for step, active := range sched.steps {
 		est := sealedEstimates(sched.env, active, uint64(step)+1)
-		coef := cost.Coefficients{Probe: 1, Insert: 0.5 + 4*r.Float64(), Prune: 0.5 + 2*r.Float64()}
 		reopt.Advance()
 		for _, elig := range []func(string) bool{nil, func(key string) bool { return len(key)%2 == 0 }} {
-			opts := Options{MaxCandidatesPerGroup: sched.cap, MaterializationCost: true, CostCoefficients: &coef, MIREligible: elig}
+			opts := Options{MaxCandidatesPerGroup: sched.cap, MaterializationCost: true, MIREligible: elig}
 			want := candidateBuilder(t, opts, active, est)
 			opts.Reopt = reopt
 			if err := sameGroups(candidateBuilder(t, opts, active, est), want); err != nil {
@@ -442,9 +394,8 @@ func cachedVersusFresh(t *testing.T, sched churnSchedule, blindNeighbourhood boo
 // TestCachedStructureRepricesLikeAFreshBuild is the structure cache's
 // differential test: every cached-and-re-priced group must equal the
 // group a build without cross-churn state produces, bit for bit, while
-// the estimates and coefficients change at every step and queries arrive
-// and leave. The vacuity arm leaves the relation neighbourhood out of the
-// structure key: the query that gives a shared relation a new partition
+// the estimates change at every step and queries arrive and leave. The
+// vacuity arm leaves the relation neighbourhood out of the structure key: the query that gives a shared relation a new partition
 // candidate must then make a cached group stale on arrival.
 func TestCachedStructureRepricesLikeAFreshBuild(t *testing.T) {
 	for _, sched := range []churnSchedule{randomChurn(t), arrivalChurn(t)} {

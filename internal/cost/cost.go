@@ -33,7 +33,6 @@ type Target struct {
 type Estimator struct {
 	est   *stats.Estimates
 	preds []query.Predicate
-	coef  Coefficients // zero value = analytic model
 }
 
 // New builds an estimator for the given estimates. queryPreds should
@@ -220,20 +219,16 @@ func (e *Estimator) StepCost(prefix []Target, next Target, preds []query.Predica
 // estimates worked out by the caller: rels is the prefix's relation set,
 // sorted; j its element count; knows the Knows verdict for next (next's
 // Rels are not read); sels the predicates' selectivities as
-// CardinalityWith takes them. It reads only the estimates and the
-// coefficients, so a step whose structure is cached is re-priced under a
-// new snapshot without deriving χ again.
+// CardinalityWith takes them. It reads only the estimates, so a step
+// whose structure is cached is re-priced under a new snapshot without
+// deriving χ again.
 func (e *Estimator) PriceStep(rels []string, j int, knows bool, next Target, preds []query.Predicate, sels []float64) float64 {
 	card := e.CardinalityWith(rels, preds, sels)
 	c := chi(knows, next)
 	if sf := e.SkewFactor(next); sf > c {
 		c = sf
 	}
-	probe := e.coef.Probe
-	if probe == 0 {
-		probe = 1
-	}
-	return card / float64(j) * c * probe
+	return card / float64(j) * c
 }
 
 // ProbeOrderCost sums the step costs of a full probe order

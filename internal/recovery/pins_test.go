@@ -227,11 +227,9 @@ func TestRecoverRestoresSplitPins(t *testing.T) {
 	}
 	// Vacuity: the split actually spread state — every store holds
 	// tuples on both candidate partitions by crash time.
-	for id, sizes := range eng1.TaskSizes() {
-		for p, n := range sizes {
-			if n == 0 {
-				t.Fatalf("store %s partition %d empty at crash time — hot key did not spread", id, p)
-			}
+	for _, g := range eng1.TaskGauges() {
+		if g.Stored == 0 {
+			t.Fatalf("store %s partition %d empty at crash time — hot key did not spread", g.Store, g.Part)
 		}
 	}
 	// Crash: abandon eng1; storage survives.

@@ -142,9 +142,9 @@ func TestRetireThenCheckpointRecover(t *testing.T) {
 		t.Fatal("checkpoint chain restored nothing — test vacuous")
 	}
 	// Only the surviving topology's stores hold state.
-	for id, n := range eng2.StoreSizes() {
-		if topoB.Stores[id] == nil && n != 0 {
-			t.Errorf("retired store %s restored %d tuples", id, n)
+	for _, g := range eng2.TaskGauges() {
+		if topoB.Stores[g.Store] == nil && g.Stored != 0 {
+			t.Errorf("retired store %s restored %d tuples in partition %d", g.Store, g.Stored, g.Part)
 		}
 	}
 	// The surviving query still answers over its recovered state.
@@ -190,9 +190,9 @@ func TestRetireCrashBeforeCheckpointFailsClosed(t *testing.T) {
 		t.Fatal("recovery restored nothing — scenario vacuous")
 	}
 	// Only the surviving topology's stores hold state.
-	for id, n := range eng2.StoreSizes() {
-		if topoB.Stores[id] == nil && n != 0 {
-			t.Errorf("retired store %s restored %d tuples", id, n)
+	for _, g := range eng2.TaskGauges() {
+		if topoB.Stores[g.Store] == nil && g.Stored != 0 {
+			t.Errorf("retired store %s restored %d tuples in partition %d", g.Store, g.Stored, g.Part)
 		}
 	}
 	// The surviving query keeps answering over its recovered state.

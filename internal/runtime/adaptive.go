@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"clash/internal/core"
-	"clash/internal/cost"
 	"clash/internal/query"
 	"clash/internal/stats"
 	"clash/internal/tuple"
@@ -41,8 +40,8 @@ type ControllerConfig struct {
 	IncrementalReopt bool
 }
 
-// blendAlpha weighs a sealed epoch's fresh estimates (and measured cost
-// ratios) against history: an even EWMA.
+// blendAlpha weighs a sealed epoch's fresh estimates against history:
+// an even EWMA.
 const blendAlpha = 0.5
 
 // Controller implements the epoch-based adaptive configuration of
@@ -65,7 +64,6 @@ type Controller struct {
 	order      []string
 	est        *stats.Estimates
 	lastSealed int64             // highest epoch whose statistics were evaluated
-	coef       cost.Coefficients // calibrated cost coefficients (the engine's MeasuredCosts)
 	preds      []query.Predicate // allPredsLocked's result for the installed query set; nil when stale
 
 	// Solver side: owned by the solve running at the time. Solves run
@@ -89,7 +87,6 @@ type Controller struct {
 type solveInput struct {
 	queries []*query.Query // in registration order
 	est     *stats.Estimates
-	coef    cost.Coefficients
 	epoch   int64 // target: the configuration takes effect here
 }
 
@@ -104,7 +101,6 @@ func NewController(eng *Engine, cfg ControllerConfig, queries []*query.Query, in
 		est:        initial.Clone(),
 		lastSealed: -1,
 		liveSince:  map[string]int64{},
-		coef:       cost.DefaultCoefficients,
 	}
 	if cfg.IncrementalReopt {
 		c.reopt = core.NewReopt()
@@ -128,22 +124,6 @@ func (c *Controller) Plan() *core.Plan { return c.lastPlan.Load() }
 // installed, the initial one included; like Plan, it counts a decision
 // once it is installed, not when it is triggered.
 func (c *Controller) Reoptimizations() int { return int(c.installs.Load()) }
-
-// calibrateLocked blends the engine's measured per-tuple costs into the
-// optimizer coefficients. Probe is the normalization unit (always 1);
-// insert and prune move by EWMA toward their measured ratio, clamped
-// into [1/8, 8]. Shapes never executed measure zero and leave their
-// coefficient untouched (analytic fallback).
-func (c *Controller) calibrateLocked() {
-	obs := c.eng.CostObservations()
-	p := obs.ProbePerTuple()
-	if p <= 0 {
-		return
-	}
-	c.coef.Probe = 1
-	c.coef.Insert = cost.BlendCoefficient(c.coef.Insert, obs.InsertPerTuple()/p, blendAlpha, 0.125, 8)
-	c.coef.Prune = cost.BlendCoefficient(c.coef.Prune, obs.PrunePerTuple()/p, blendAlpha, 0.125, 8)
-}
 
 // Estimates returns the current blended estimates (read-only).
 func (c *Controller) Estimates() *stats.Estimates {
@@ -175,11 +155,6 @@ func (c *Controller) Tick() error {
 	fresh := c.cfg.Collector.Seal(c.eng.cfg.EpochLength, preds)
 	c.est = stats.Blend(c.est, fresh, blendAlpha)
 	c.lastSealed = cur
-
-	// Calibrate the cost model from the engine's measured per-tuple work.
-	if c.eng.cfg.MeasuredCosts {
-		c.calibrateLocked()
-	}
 
 	// Window expiry.
 	maxW := c.maxWindow()
@@ -245,13 +220,13 @@ func (c *Controller) nextEpochLocked() int64 {
 
 // snapshotLocked captures what a solve for the target epoch reads: the
 // query list in registration order, the estimates (Blend always returns
-// a fresh object, so the pointer is the snapshot) and the coefficients.
+// a fresh object, so the pointer is the snapshot).
 func (c *Controller) snapshotLocked(epoch int64) solveInput {
 	qs := make([]*query.Query, 0, len(c.order))
 	for _, n := range c.order {
 		qs = append(qs, c.queries[n])
 	}
-	return solveInput{queries: qs, est: c.est, coef: c.coef, epoch: epoch}
+	return solveInput{queries: qs, est: c.est, epoch: epoch}
 }
 
 // triggerLocked hands a re-optimization for the target epoch to the
@@ -286,10 +261,6 @@ func (c *Controller) solve(in solveInput) (install func() error) {
 		opts.MIREligible = elig
 		if c.reopt != nil {
 			opts.Reopt = c.reopt
-		}
-		if c.eng.cfg.MeasuredCosts {
-			coef := in.coef
-			opts.CostCoefficients = &coef
 		}
 		o := core.NewOptimizer(opts)
 		if c.cfg.Shared {

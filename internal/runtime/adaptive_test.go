@@ -1,11 +1,14 @@
 package runtime
 
 import (
+	"fmt"
+	"math"
 	"slices"
 	"testing"
 	"time"
 
 	"clash/internal/core"
+	"clash/internal/ilp"
 	"clash/internal/query"
 	"clash/internal/rng"
 	"clash/internal/stats"
@@ -368,4 +371,121 @@ q4: T(c) U(c)`)
 	}
 	t.Logf("%d decisions, %d results; beside the stream: %d churn steps unmoved, %d behind a later re-plan",
 		len(beside.decisions), len(beside.results), beside.unmoved, beside.behindLater)
+}
+
+// TestMeasuredCostsMoveNoPlan pins that MeasuredCosts only meters: an
+// adaptive churn run whose plans price materialization installs the same
+// plans, to the objective's last bit, at every decision with the task
+// meters on as with them off, and delivers the same results in the same
+// order. The workload's queries share R⋈S, so its plans feed MIR stores
+// and carry materialization steps; a cost model that read the meters
+// would price those steps differently.
+func TestMeasuredCostsMoveNoPlan(t *testing.T) {
+	const epochLen = 20
+	type outcome struct {
+		decisions []string
+		results   []string
+		fed       int // selected feeding orders, over every decision
+	}
+	run := func(measured bool) outcome {
+		pool, cat, err := query.ParseWorkload(`
+q1: R(a) S(a,b) T(b)
+q2: R(a) S(a,b) U(b)
+q3: R(a) S(a,b) T(b,c) U(c)
+q4: R(a) S(a,c) U(c)`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out outcome
+		col := stats.NewCollector(64, 32, 1)
+		eng := New(Config{
+			Catalog:       cat,
+			DefaultWindow: 3 * epochLen,
+			EpochLength:   epochLen,
+			Substrate:     SubstrateSynchronous,
+			MeasuredCosts: measured,
+			Observer:      func(rel string, tt *tuple.Tuple) { col.Observe(rel, tt) },
+		})
+		defer eng.Stop()
+		initial := stats.NewEstimates(0.1)
+		for _, rel := range cat.Names() {
+			initial.SetRate(rel, 100)
+		}
+		ctl, err := NewController(eng, ControllerConfig{
+			Optimizer:        core.NewOptimizer(core.Options{StoreParallelism: 2, MaterializationCost: true, Solver: ilp.Options{MaxNodes: 500}}),
+			Collector:        col,
+			Shared:           true,
+			IncrementalReopt: true,
+			OnDecision: func(epoch int64, plans, warming []*core.Plan) {
+				d := fmt.Sprintf("epoch %d:", epoch)
+				for _, p := range append(slices.Clone(plans), warming...) {
+					d += fmt.Sprintf(" %x", math.Float64bits(p.Objective))
+					for _, o := range p.Selected {
+						if o.ForMIR != "" {
+							out.fed++
+						}
+					}
+				}
+				out.decisions = append(out.decisions, d+"\n"+planSignature(plans, warming))
+			},
+		}, pool[:2], initial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range pool {
+			name := q.Name
+			eng.OnResult(name, func(tt *tuple.Tuple) { out.results = append(out.results, name+" "+tt.String()) })
+		}
+		r := rng.New(5)
+		rels := cat.Names()
+		steps := 0
+		for ts := tuple.Time(1); ts <= 30*epochLen; ts++ {
+			rel := cat.Relation(rels[r.Intn(len(rels))])
+			vals := make([]tuple.Value, len(rel.Attrs))
+			for j := range vals {
+				vals[j] = tuple.IntValue(r.Int64n(4))
+			}
+			if err := eng.Ingest(rel.Name, ts, vals...); err != nil {
+				t.Fatal(err)
+			}
+			if err := ctl.Tick(); err != nil {
+				t.Fatal(err)
+			}
+			// Every third epoch, q3 and q4 arrive, then leave again.
+			if ts%epochLen == 7 && (ts/epochLen)%3 == 1 {
+				q := pool[2+steps/2%2]
+				if steps%2 == 0 {
+					err = ctl.AddQuery(q)
+				} else {
+					err = ctl.RemoveQuery(q.Name)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				steps++
+			}
+		}
+		eng.Drain()
+		if err := eng.Failure(); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+
+	off, on := run(false), run(true)
+	if len(off.decisions) < 4 || len(off.results) == 0 || off.fed == 0 {
+		t.Fatalf("vacuous: %d decisions, %d results, %d feeding orders selected", len(off.decisions), len(off.results), off.fed)
+	}
+	for i := range min(len(off.decisions), len(on.decisions)) {
+		if off.decisions[i] != on.decisions[i] {
+			t.Fatalf("decision %d differs with the task meters on:\n  off: %s\n  on:  %s", i, off.decisions[i], on.decisions[i])
+		}
+	}
+	if len(off.decisions) != len(on.decisions) {
+		t.Fatalf("%d decisions with the task meters off, %d on", len(off.decisions), len(on.decisions))
+	}
+	if !slices.Equal(off.results, on.results) {
+		t.Fatalf("results differ: %d with the task meters off, %d on", len(off.results), len(on.results))
+	}
+	t.Logf("%d decisions (%d feeding orders selected), %d results", len(off.decisions), off.fed, len(off.results))
 }

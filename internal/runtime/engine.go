@@ -97,17 +97,12 @@ type Config struct {
 	// attached later with SetJournal — recovery replays a log with the
 	// journal detached so replayed traffic is not re-logged.
 	Journal Journal
-	// MeasuredCosts enables per-task cost instrumentation: tasks count
-	// nanoseconds and tuples spent probing, inserting, and pruning
-	// (through the engine Clock, so the simulation substrate measures
-	// virtual time). Engine.CostObservations aggregates the counters.
-	// An adaptive Controller on the engine calibrates the optimizer from
-	// them at each epoch boundary: the measured insert/prune cost per
-	// tuple, normalized to the probe unit, is blended into the cost
-	// coefficients by EWMA and clamped into [1/8, 8], so one noisy
-	// window cannot capsize plan choice; shapes never executed keep the
-	// analytic constant 1. Off by default — the hot path then pays only
-	// a branch per message.
+	// MeasuredCosts meters task work: tasks count the nanoseconds and
+	// tuples they spend probing, inserting and pruning (through the
+	// engine's clock, so the simulation substrate measures virtual time),
+	// read per task from TaskGauges. It is a meter only: no plan reads
+	// it. Off by default, since metering reads the clock on every
+	// message; off, the hot path pays only a branch per message.
 	MeasuredCosts bool
 
 	// legacyProbe switches tasks to the uncompiled, string-resolved
@@ -933,35 +928,6 @@ func (e *Engine) Stop() {
 func (e *Engine) Close() error {
 	e.Stop()
 	return e.closeErr
-}
-
-// StoreSizes returns per-store materialized tuple counts, for memory
-// reporting (Fig. 7c) and tests.
-func (e *Engine) StoreSizes() map[topology.StoreID]int64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := map[topology.StoreID]int64{}
-	for k, t := range e.tasks {
-		out[k.store] += t.storedCount.Load()
-	}
-	return out
-}
-
-// TaskSizes returns per-task materialized tuple counts keyed by store,
-// indexed by partition — the load-imbalance signal for skew experiments.
-func (e *Engine) TaskSizes() map[topology.StoreID][]int64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := map[topology.StoreID][]int64{}
-	for k, t := range e.tasks {
-		sizes := out[k.store]
-		for len(sizes) <= k.part {
-			sizes = append(sizes, 0)
-		}
-		sizes[k.part] = t.storedCount.Load()
-		out[k.store] = sizes
-	}
-	return out
 }
 
 // PruneBefore drops stored tuples whose event time precedes the cutoff

@@ -271,7 +271,7 @@ type TaskGauge struct {
 	BusyNanos    int64  // time spent handling batches (async substrates)
 	Restarts     int64  // supervised restarts after recovered panics
 	Healthy      bool   // false once the task exhausted its restart budget
-	// Measured-cost counters (Config.MeasuredCosts; zero otherwise).
+	// Task meters (Config.MeasuredCosts; zero otherwise).
 	ProbeNanos   int64
 	ProbeTuples  int64
 	InsertNanos  int64
@@ -337,60 +337,6 @@ func (e *Engine) TaskGauges() []TaskGauge {
 		return out[i].Part < out[j].Part
 	})
 	return out
-}
-
-// CostObservations aggregates the measured-cost counters across all
-// tasks (Config.MeasuredCosts): cumulative nanoseconds and tuple counts
-// per work shape. The per-tuple ratios calibrate the optimizer's
-// probe/insert/prune coefficients — a shape never executed reads zero
-// and callers fall back to the analytic constant.
-type CostObservations struct {
-	ProbeNanos   int64
-	ProbeTuples  int64
-	InsertNanos  int64
-	InsertTuples int64
-	PruneNanos   int64
-	PruneTuples  int64
-}
-
-// ProbePerTuple returns mean nanoseconds per probed tuple (0 if none).
-func (c CostObservations) ProbePerTuple() float64 {
-	if c.ProbeTuples == 0 {
-		return 0
-	}
-	return float64(c.ProbeNanos) / float64(c.ProbeTuples)
-}
-
-// InsertPerTuple returns mean nanoseconds per inserted tuple (0 if none).
-func (c CostObservations) InsertPerTuple() float64 {
-	if c.InsertTuples == 0 {
-		return 0
-	}
-	return float64(c.InsertNanos) / float64(c.InsertTuples)
-}
-
-// PrunePerTuple returns mean nanoseconds per pruned tuple (0 if none).
-func (c CostObservations) PrunePerTuple() float64 {
-	if c.PruneTuples == 0 {
-		return 0
-	}
-	return float64(c.PruneNanos) / float64(c.PruneTuples)
-}
-
-// CostObservations sums the per-task measured-cost counters.
-func (e *Engine) CostObservations() CostObservations {
-	var c CostObservations
-	e.mu.RLock()
-	for _, t := range e.tasks {
-		c.ProbeNanos += t.probeNanos.Load()
-		c.ProbeTuples += t.probeTuples.Load()
-		c.InsertNanos += t.insertNanos.Load()
-		c.InsertTuples += t.insertTuples.Load()
-		c.PruneNanos += t.pruneNanos.Load()
-		c.PruneTuples += t.pruneTuples.Load()
-	}
-	e.mu.RUnlock()
-	return c
 }
 
 // Pressure is the engine's aggregated overload signal: how much work is

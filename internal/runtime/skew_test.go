@@ -31,16 +31,6 @@ func skewedStream(rels []string, n int, hotShare int) []Ingestion {
 	return out
 }
 
-func maxLoad(sizes []int64) int64 {
-	var m int64
-	for _, s := range sizes {
-		if s > m {
-			m = s
-		}
-	}
-	return m
-}
-
 // TestTaskSizesShape: every partition of every store is reported.
 func TestTaskSizesShape(t *testing.T) {
 	h := newHarness(t, "q1: R(a) S(a)",
@@ -49,13 +39,16 @@ func TestTaskSizesShape(t *testing.T) {
 		Config{Substrate: SubstrateSynchronous})
 	defer h.eng.Stop()
 	h.ingestAll(t, skewedStream([]string{"R", "S"}, 60, 3))
-	sizes := h.eng.TaskSizes()
-	if len(sizes) == 0 {
+	parts := map[topology.StoreID][]int{}
+	for _, g := range h.eng.TaskGauges() {
+		parts[g.Store] = append(parts[g.Store], g.Part)
+	}
+	if len(parts) == 0 {
 		t.Fatal("no stores reported")
 	}
-	for sid, parts := range sizes {
-		if len(parts) != 3 {
-			t.Errorf("store %s reports %d partitions, want 3", sid, len(parts))
+	for sid, ps := range parts {
+		if fmt.Sprint(ps) != "[0 1 2]" {
+			t.Errorf("store %s reports partitions %v, want [0 1 2]", sid, ps)
 		}
 	}
 }
@@ -120,10 +113,8 @@ func TestSplitKeysReduceImbalance(t *testing.T) {
 		defer h.eng.Stop()
 		h.ingestAll(t, ins)
 		var worst int64
-		for _, sizes := range h.eng.TaskSizes() {
-			if m := maxLoad(sizes); m > worst {
-				worst = m
-			}
+		for _, g := range h.eng.TaskGauges() {
+			worst = max(worst, g.Stored)
 		}
 		splits := 0
 		for _, s := range h.eng.ConfigFor(0).Stores {
@@ -498,14 +489,13 @@ func TestStoreSizesAndSnapshotString(t *testing.T) {
 		Config{Substrate: SubstrateSynchronous})
 	defer h.eng.Stop()
 	h.ingestAll(t, skewedStream([]string{"R", "S"}, 40, 2))
-	sizes := h.eng.StoreSizes()
 	var total int64
-	for _, n := range sizes {
-		total += n
+	for _, g := range h.eng.TaskGauges() {
+		total += g.Stored
 	}
 	snap := h.eng.Metrics().Snapshot()
 	if total != snap.Stored {
-		t.Errorf("StoreSizes sum %d != Stored %d", total, snap.Stored)
+		t.Errorf("TaskGauges' Stored sum %d != Stored %d", total, snap.Stored)
 	}
 	if s := snap.String(); s == "" {
 		t.Error("empty snapshot string")

@@ -601,10 +601,10 @@ func TestRetireAbsentStores(t *testing.T) {
 		t.Errorf("retirement did not shrink state: stored %d→%d bytes %d→%d",
 			before.Stored, after.Stored, before.StoreBytes, after.StoreBytes)
 	}
-	for id, n := range eng.StoreSizes() {
-		topo := eng.ConfigFor(eng.Epoch(eng.Watermark()))
-		if topo.Stores[id] == nil && n != 0 {
-			t.Errorf("retired store %s still holds %d tuples", id, n)
+	topo := eng.ConfigFor(eng.Epoch(eng.Watermark()))
+	for _, g := range eng.TaskGauges() {
+		if topo.Stores[g.Store] == nil && g.Stored != 0 {
+			t.Errorf("retired store %s still holds %d tuples in partition %d", g.Store, g.Stored, g.Part)
 		}
 	}
 	// The surviving query still answers over its retained state.

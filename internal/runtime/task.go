@@ -58,10 +58,9 @@ type task struct {
 	handled   atomic.Int64
 	busyNanos atomic.Int64
 
-	// Measured-cost counters (Config.MeasuredCosts): nanoseconds and
-	// tuple counts per work shape, read by Engine.CostObservations to
-	// calibrate the optimizer's probe/insert/prune coefficients. Zero
-	// unless measurement is enabled.
+	// Task meters (Config.MeasuredCosts): nanoseconds and tuple counts
+	// per work shape, read through TaskGauges. Zero unless metering is
+	// enabled.
 	probeNanos   atomic.Int64
 	probeTuples  atomic.Int64
 	insertNanos  atomic.Int64
