@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -26,26 +27,39 @@ type CompileOptions struct {
 // naive sharing baselines (FS/SS: common stores and probe-tree prefixes
 // are executed once); a single multi-query plan yields CMQO.
 func Compile(plans []*Plan, opts CompileOptions) (*topology.Config, error) {
-	c := &compiler{
+	c := newCompiler(opts)
+	if err := c.compile(plans); err != nil {
+		return nil, err
+	}
+	return c.cfg, nil
+}
+
+func newCompiler(opts CompileOptions) *compiler {
+	return &compiler{
 		cfg:       topology.NewConfig(opts.Epoch),
-		nodes:     map[string]*treeNode{},
+		roots:     map[[2]string]*treeNode{},
+		nodes:     map[nodeKey]*treeNode{},
+		edges:     map[topology.EdgeID]bool{},
 		fedStarts: map[topology.StoreID]map[string]bool{},
 		opts:      opts,
 	}
+}
+
+func (c *compiler) compile(plans []*Plan) error {
 	for _, p := range plans {
 		ns := ""
-		if !opts.Shared {
+		if !c.opts.Shared {
 			ns = plansNamespace(p)
 		}
 		if err := c.addPlan(p, ns); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	c.assignRouting()
 	if err := c.cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("core: compiled invalid topology: %w", err)
+		return fmt.Errorf("core: compiled invalid topology: %w", err)
 	}
-	return c.cfg, nil
+	return nil
 }
 
 // assignRouting computes, for every transfer into a partitioned store,
@@ -67,56 +81,40 @@ func (c *compiler) assignRouting() {
 		edge  topology.EdgeID
 	}
 	routeBy := map[key]string{}
+	var soundBuf, commonBuf [8]query.Attr
 	for sid, byEdge := range c.cfg.Rules {
 		s := c.cfg.Stores[sid]
 		if s == nil || s.Partition == (query.Attr{}) {
 			continue
 		}
-		inStore := map[string]bool{}
-		for _, r := range s.Rels {
-			inStore[r] = true
-		}
 		for eid, rules := range byEdge {
-			var common map[string]bool
+			common := commonBuf[:0]
 			probeRules := 0
 			for i := range rules {
 				if rules[i].Kind != topology.ProbeRule {
 					continue
 				}
-				probeRules++
-				restricted := make([]query.Predicate, 0, len(rules[i].Preds)+len(s.Preds))
-				restricted = append(restricted, rules[i].Preds...)
-				restricted = append(restricted, s.Preds...)
-				classes := query.AttrClasses(restricted)
-				sound := map[string]bool{}
+				sound := soundBuf[:0]
 				for _, p := range rules[i].Preds {
 					probeSide := p.Left
-					if inStore[p.Left.Rel] {
+					if slices.Contains(s.Rels, p.Left.Rel) {
 						probeSide = p.Right
 					}
-					if query.SameClass(classes, probeSide, s.Partition) {
-						sound[probeSide.Qualified()] = true
+					if !slices.Contains(sound, probeSide) && linked(rules[i].Preds, s.Preds, probeSide, s.Partition) {
+						sound = append(sound, probeSide)
 					}
 				}
-				if common == nil {
-					common = sound
+				if probeRules == 0 {
+					common = append(common, sound...)
 				} else {
-					for a := range common {
-						if !sound[a] {
-							delete(common, a)
-						}
-					}
+					common = slices.DeleteFunc(common, func(a query.Attr) bool { return !slices.Contains(sound, a) })
 				}
+				probeRules++
 			}
-			if probeRules == 0 || len(common) == 0 {
+			if len(common) == 0 {
 				continue
 			}
-			attrs := make([]string, 0, len(common))
-			for a := range common {
-				attrs = append(attrs, a)
-			}
-			sort.Strings(attrs)
-			routeBy[key{store: sid, edge: eid}] = attrs[0]
+			routeBy[key{store: sid, edge: eid}] = slices.MinFunc(common, query.Attr.Compare).Qualified()
 		}
 	}
 	apply := func(out []topology.Emission) {
@@ -139,6 +137,39 @@ func (c *compiler) assignRouting() {
 	}
 }
 
+// linked reports whether an equality chain through the predicates of a
+// and b joins attribute x to attribute y: the two share an equivalence
+// class of query.AttrClasses over both lists (an attribute no predicate
+// names is alone in its class).
+func linked(a, b []query.Predicate, x, y query.Attr) bool {
+	if x == y {
+		return true
+	}
+	var buf [16]query.Attr
+	reach := append(buf[:0], x)
+	for grown := true; grown; {
+		grown = false
+		for _, preds := range [2][]query.Predicate{a, b} {
+			for _, p := range preds {
+				l, r := slices.Contains(reach, p.Left), slices.Contains(reach, p.Right)
+				if l == r {
+					continue
+				}
+				next := p.Left
+				if l {
+					next = p.Right
+				}
+				if next == y {
+					return true
+				}
+				reach = append(reach, next)
+				grown = true
+			}
+		}
+	}
+	return false
+}
+
 func plansNamespace(p *Plan) string {
 	names := make([]string, 0, len(p.Queries))
 	for _, q := range p.Queries {
@@ -148,18 +179,30 @@ func plansNamespace(p *Plan) string {
 	return strings.Join(names, "+") + "::"
 }
 
-// treeNode is one inner node of a probe tree: a store reached over a
-// specific edge with a specific tuple prefix.
+// treeNode is one node of a probe tree: a store reached over a specific
+// edge with a specific tuple prefix, or (store and inEdge empty) the root
+// where a relation's raw tuples enter. path is the FNV-1a hash of the
+// node's path, ns + "root:" + rel followed by "|" + key for every step
+// from the root.
 type treeNode struct {
 	store  topology.StoreID
 	inEdge topology.EdgeID
+	path   uint64
+}
+
+// nodeKey names a tree node by its parent and the step key that reaches
+// it: one node per path, shared by every order that walks it (Fig. 4).
+type nodeKey struct {
+	parent *treeNode
+	step   string
 }
 
 type compiler struct {
-	cfg     *topology.Config
-	opts    CompileOptions
-	nodes   map[string]*treeNode // path of step keys -> node
-	edgeSeq int
+	cfg   *topology.Config
+	opts  CompileOptions
+	roots map[[2]string]*treeNode // (namespace, relation) -> root
+	nodes map[nodeKey]*treeNode
+	edges map[topology.EdgeID]bool // probe-tree edges named so far
 	// fedStarts records, per MIR store, the starting relations whose
 	// feeding order is already installed. When several per-query plans
 	// materialize the same intermediate result (FS/SS), only the first
@@ -176,9 +219,52 @@ func (c *compiler) parallelism(p *Plan) int {
 	return Options{StoreParallelism: p.parallelism}.parallelism()
 }
 
-func (c *compiler) newEdge() topology.EdgeID {
-	c.edgeSeq++
-	return topology.EdgeID(fmt.Sprintf("e%d", c.edgeSeq))
+// FNV-1a, 64 bits: the path hash of tree nodes.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func fnvAdd(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime
+	}
+	return h
+}
+
+// root returns the probe-tree root of the relation's raw tuples.
+func (c *compiler) root(ns, rel string) *treeNode {
+	k := [2]string{ns, rel}
+	r := c.roots[k]
+	if r == nil {
+		r = &treeNode{path: fnvAdd(fnvAdd(fnvAdd(fnvOffset, ns), "root:"), rel)}
+		c.roots[k] = r
+	}
+	return r
+}
+
+// edgeAlphabet renders path hashes; it has no ':', so a probe-tree edge
+// never collides with a "store:" or "ins:" edge.
+const edgeAlphabet = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz-_"
+
+// pathEdge names the edge into a tree node after the node's path: an
+// unchanged path keeps its edge from one compile to the next, so the
+// runtime can keep what it compiled for the edge's rules. The name is the
+// path hash in 11 characters, short because every delivered message looks
+// its edge up by it. Two paths of one compile whose hashes collide are
+// told apart by re-hashing the later one until its name is free.
+func (c *compiler) pathEdge(path uint64) topology.EdgeID {
+	for h := path; ; h = (h ^ 0xff) * fnvPrime {
+		var b [11]byte
+		for i, v := 0, h; i < len(b); i, v = i+1, v>>6 {
+			b[i] = edgeAlphabet[v&63]
+		}
+		if id := topology.EdgeID(b[:]); !c.edges[id] {
+			c.edges[id] = true
+			return id
+		}
+	}
 }
 
 // storeID renders the (namespaced) store identity for an MIR key.
@@ -243,7 +329,7 @@ func (c *compiler) addPlan(p *Plan, ns string) error {
 		}
 		rel := e.MIR.Rels[0]
 		sid := storeID(ns, key)
-		edge := topology.EdgeID(fmt.Sprintf("store:%s%s", ns, rel))
+		edge := topology.EdgeID("store:" + ns + rel)
 		sp := c.cfg.Spout(rel)
 		if !hasEmission(sp.Out, edge, sid) {
 			sp.Out = append(sp.Out, topology.Emission{Edge: edge, To: sid})
@@ -321,7 +407,7 @@ func (c *compiler) addOrder(p *Plan, d *DecoratedOrder, ns string) error {
 		return fmt.Errorf("core: order %s starts at non-base element %s", d, start.MIR)
 	}
 
-	path := ns + "root:" + rel
+	parent := c.root(ns, rel)
 	prefixRels := map[string]bool{}
 	for _, r := range start.MIR.Rels {
 		prefixRels[r] = true
@@ -329,19 +415,18 @@ func (c *compiler) addOrder(p *Plan, d *DecoratedOrder, ns string) error {
 
 	for i := 1; i < len(d.Elems); i++ {
 		e := d.Elems[i]
-		stepKey := d.Steps[i-1].Key
-		childPath := path + "|" + stepKey
-		node, exists := c.nodes[childPath]
+		k := nodeKey{parent: parent, step: d.Steps[i-1].Key}
+		node, exists := c.nodes[k]
 		if !exists {
-			node = &treeNode{store: storeID(ns, e.MIR.Key()), inEdge: c.newEdge()}
-			c.nodes[childPath] = node
+			path := fnvAdd(fnvAdd(parent.path, "|"), k.step)
+			node = &treeNode{store: storeID(ns, e.MIR.Key()), inEdge: c.pathEdge(path), path: path}
+			c.nodes[k] = node
 			// Wire the transfer from the parent.
 			em := topology.Emission{Edge: node.inEdge, To: node.store}
 			if i == 1 {
 				sp := c.cfg.Spout(rel)
 				sp.Out = append(sp.Out, em)
 			} else {
-				parent := c.nodes[path]
 				c.attachEmission(p, d, parent, i-1, em)
 			}
 		}
@@ -352,13 +437,13 @@ func (c *compiler) addOrder(p *Plan, d *DecoratedOrder, ns string) error {
 		for _, r := range e.MIR.Rels {
 			prefixRels[r] = true
 		}
-		path = childPath
+		parent = node
 	}
 
 	// Terminal emission: sink for top-level orders, MIR store insert for
 	// feeding orders.
-	last := c.nodes[path]
-	if last == nil {
+	last := parent
+	if last.store == "" {
 		return fmt.Errorf("core: order %s has no probe steps", d)
 	}
 	if d.ForMIR == "" {
@@ -425,22 +510,27 @@ func (c *compiler) hasStoreRule(sid topology.StoreID, edge topology.EdgeID) bool
 	return false
 }
 
+// samePreds reports whether a and b hold the same predicates, each side
+// of a predicate in either orientation, as many times each.
 func samePreds(a, b []query.Predicate) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	as := make([]string, len(a))
-	bs := make([]string, len(b))
-	for i := range a {
-		as[i] = a[i].String()
-		bs[i] = b[i].String()
+	var buf [8]bool
+	used := buf[:]
+	if len(b) > len(buf) {
+		used = make([]bool, len(b))
 	}
-	sort.Strings(as)
-	sort.Strings(bs)
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
+next:
+	for _, p := range a {
+		p = p.Normalize()
+		for j, q := range b {
+			if !used[j] && q.Normalize() == p {
+				used[j] = true
+				continue next
+			}
 		}
+		return false
 	}
 	return true
 }

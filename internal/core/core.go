@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -303,6 +304,41 @@ func (p *Plan) String() string {
 		fmt.Fprintf(&b, "  partition %s by %s\n", k, p.Partitions[k])
 	}
 	return b.String()
+}
+
+// SameAs reports whether p and q render the same String — the cost to
+// four significant digits, each selected order's query or fed MIR, start
+// and element labels, and the partitioning — without rendering either.
+// An element is compared by its MIR's key, not its label: under one
+// order's query or fed MIR, equal labels (the MIR's relations) name the
+// same MIR. The controller reinstalls nothing for a decision that is the
+// same as the installed one.
+func (p *Plan) SameAs(q *Plan) bool {
+	var pc, qc [32]byte
+	if string(strconv.AppendFloat(pc[:0], p.Objective, 'g', 4, 64)) != string(strconv.AppendFloat(qc[:0], q.Objective, 'g', 4, 64)) ||
+		len(p.Selected) != len(q.Selected) || len(p.Partitions) != len(q.Partitions) {
+		return false
+	}
+	for i, a := range p.Selected {
+		b := q.Selected[i]
+		if a.ForMIR != b.ForMIR || a.ForMIR == "" && a.Query.Name != b.Query.Name ||
+			a.Start != b.Start || len(a.Elems) != len(b.Elems) {
+			return false
+		}
+		for j, ea := range a.Elems {
+			eb := b.Elems[j]
+			if ea.MIR.Key() != eb.MIR.Key() || ea.Partition.Name != eb.Partition.Name ||
+				(ea.Partition == query.Attr{}) != (eb.Partition == query.Attr{}) {
+				return false
+			}
+		}
+	}
+	for k, a := range p.Partitions {
+		if b, ok := q.Partitions[k]; !ok || a != b {
+			return false
+		}
+	}
+	return true
 }
 
 // Optimize jointly optimizes the query set against the given data

@@ -731,18 +731,24 @@ func (s *searcher) tightenOne(c *Constraint) (changed []int, ok bool) {
 		up, lo = c.RHS, c.RHS
 	}
 
-	minAct, maxAct := 0.0, 0.0
+	// span is the widest range one term's contribution can take.
+	minAct, maxAct, span := 0.0, 0.0, 0.0
 	for _, t := range c.Terms {
-		if t.Coeff > 0 {
-			minAct += t.Coeff * s.lo[t.Var]
-			maxAct += t.Coeff * s.hi[t.Var]
-		} else {
-			minAct += t.Coeff * s.hi[t.Var]
-			maxAct += t.Coeff * s.lo[t.Var]
+		tMin, tMax := t.Coeff*s.lo[t.Var], t.Coeff*s.hi[t.Var]
+		if t.Coeff < 0 {
+			tMin, tMax = tMax, tMin
 		}
+		minAct += tMin
+		maxAct += tMax
+		span = max(span, tMax-tMin)
 	}
 	if minAct > up+tol || maxAct < lo-tol {
 		return nil, false
+	}
+	// With room for the widest term on both sides, no term's bound can
+	// move: each one-sided room below is at least that term's own range.
+	if up-minAct >= span && maxAct-lo >= span {
+		return nil, true
 	}
 
 	for _, t := range c.Terms {

@@ -2,8 +2,8 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,12 +71,13 @@ type Controller struct {
 	// NewController and the rest on the barrier's goroutines
 	// (barrier.go); each holds smu throughout, so this state changes
 	// hands under a lock as well as by the barrier's order.
-	smu        sync.Mutex
-	reoptims   int              // decisions solved that changed the configuration
-	lastSig    string           // planSignature of the last such decision
-	liveSince  map[string]int64 // composite MIR key -> first epoch fed
-	startEpoch int64
-	reopt      *core.Reopt // nil unless IncrementalReopt
+	smu         sync.Mutex
+	reoptims    int              // decisions solved that changed the configuration
+	lastPlans   []*core.Plan     // the last such decision: its plans
+	lastWarming []*core.Plan     // and its warming plans
+	liveSince   map[string]int64 // composite MIR key -> first epoch fed
+	startEpoch  int64
+	reopt       *core.Reopt // nil unless IncrementalReopt
 
 	// Install side: written at the barrier.
 	lastPlan atomic.Pointer[core.Plan]
@@ -329,8 +330,7 @@ func (c *Controller) solve(in solveInput) (install func() error) {
 
 	// Identical decisions need no rewiring: the previous configuration
 	// stays in effect and the workers see no churn.
-	sig := planSignature(plans, warming)
-	if c.reoptims > 0 && sig == c.lastSig {
+	if c.reoptims > 0 && samePlans(plans, c.lastPlans) && samePlans(warming, c.lastWarming) {
 		return func() error { publish(); return nil }
 	}
 
@@ -343,7 +343,7 @@ func (c *Controller) solve(in solveInput) (install func() error) {
 	if err != nil {
 		return fail(err)
 	}
-	c.lastSig = sig
+	c.lastPlans, c.lastWarming = plans, warming
 
 	// Liveness bookkeeping: composite stores present in the installed
 	// config keep (or gain) their live-since epoch; dropped stores lose
@@ -391,19 +391,10 @@ func (c *Controller) solve(in solveInput) (install func() error) {
 	}
 }
 
-// planSignature canonically renders a decision for change detection.
-func planSignature(plans, warming []*core.Plan) string {
-	var b strings.Builder
-	for _, p := range plans {
-		b.WriteString(p.String())
-		b.WriteByte('\n')
-	}
-	b.WriteString("--warming--\n")
-	for _, p := range warming {
-		b.WriteString(p.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
+// samePlans reports whether two decisions' plan lists are the same,
+// plan by plan (core.Plan.SameAs).
+func samePlans(a, b []*core.Plan) bool {
+	return slices.EqualFunc(a, b, (*core.Plan).SameAs)
 }
 
 // warmupEpochs is the number of epochs a new MIR store must be fed

@@ -203,6 +203,12 @@ type Engine struct {
 	schemas     map[string]*tuple.Schema // relation -> ingest schema (attrs + τ)
 	// keyNums numbers the index keys of every plan compiled (plan.go).
 	keyNums keyNumbers
+	// emitScratch is compileTopo's buffer for a rule's compiled emissions.
+	emitScratch []emitStep
+	// keepByEdge is a test hook: compileTopo keeps a previous plan by
+	// store, edge and kind alone, whatever its predicates and emissions —
+	// the wrong reuse that the reuse test must catch.
+	keepByEdge bool
 
 	sinkMu sync.RWMutex
 	sinks  map[string]func(*tuple.Tuple)
@@ -387,6 +393,12 @@ func (e *Engine) Install(topo *topology.Config, fromEpoch int64) error {
 			}
 		}
 	}
+	// The newest installed config is what the new one most likely repeats.
+	var prev *compiledTopo
+	if n := len(e.configs); n > 0 {
+		prev = e.configs[n-1].comp
+	}
+	comp := e.compileTopo(topo, prev)
 	// A newer install supersedes any pending config for the same or a
 	// later epoch: a query-churn config at e+1 must not be shadowed by a
 	// re-optimization at e+2 that was planned before the churn.
@@ -396,7 +408,7 @@ func (e *Engine) Install(topo *topology.Config, fromEpoch int64) error {
 			kept = append(kept, c)
 		}
 	}
-	e.configs = append(kept, &epochConfig{fromEpoch: fromEpoch, topo: topo, comp: e.compileTopo(topo)})
+	e.configs = append(kept, &epochConfig{fromEpoch: fromEpoch, topo: topo, comp: comp})
 	sort.Slice(e.configs, func(i, j int) bool { return e.configs[i].fromEpoch < e.configs[j].fromEpoch })
 	// Garbage-collect superseded history: configs fully shadowed before
 	// the safety horizon (two epochs behind the watermark) can never be

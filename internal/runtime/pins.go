@@ -91,7 +91,7 @@ func (e *Engine) RestorePins(pins []StorePin) error {
 	}
 	if changed {
 		for _, ec := range e.configs {
-			ec.comp = e.compileTopo(ec.topo)
+			ec.comp = e.compileTopo(ec.topo, nil)
 		}
 	}
 	return nil

@@ -11,11 +11,16 @@ package runtime
 // first sight of each schema and cached per task, so steady-state
 // probes touch no string-keyed maps at all.
 //
+// An install keeps what did not change: a rule equal to one the previous
+// compiled topology ran on the same store and edge keeps its rulePlan,
+// and every task keeps that plan's planState (task.setComp), so a churn
+// step pays for the rules it changed, not for all of them.
+//
 // Sharing discipline: compiledTopo, emitStep, and rulePlan are built
 // under the engine lock during Install and immutable afterwards — all
-// tasks read them freely. planState (the schema-position caches) is
-// mutable and therefore owned by a single task; tasks never share
-// planState values.
+// tasks read them freely, across every config that shares them.
+// planState (the schema-position caches) is mutable and therefore owned
+// by a single task; tasks never share planState values.
 
 import (
 	"slices"
@@ -137,25 +142,50 @@ type compiledTopo struct {
 	keys map[topology.StoreID][]int32
 }
 
-// compileTopo resolves a validated topology against the
-// engine's pinned physical layout. Caller holds e.mu (write): the
-// pinning loop of Install must already have run.
-func (e *Engine) compileTopo(topo *topology.Config) *compiledTopo {
+// runs reports whether the store runs rp in this config (false on a nil
+// config).
+func (c *compiledTopo) runs(store topology.StoreID, rp *rulePlan) bool {
+	return c != nil && slices.Contains(c.rules[store][rp.rule.In], rp)
+}
+
+// compileTopo resolves a validated topology against the engine's pinned
+// physical layout. Every rule that prev (nil: none) compiled the same way
+// keeps prev's rulePlan: same store and edge, same kind, same predicates
+// in the same order, same compiled emissions. Caller holds e.mu (write):
+// the pinning loop of Install must already have run.
+func (e *Engine) compileTopo(topo *topology.Config, prev *compiledTopo) *compiledTopo {
 	comp := &compiledTopo{
 		topo:   topo,
 		spouts: make(map[string][]emitStep, len(topo.Spouts)),
 		rules:  make(map[topology.StoreID]map[topology.EdgeID][]*rulePlan, len(topo.Rules)),
 		keys:   make(map[topology.StoreID][]int32, len(topo.Rules)),
 	}
+	var prevRules map[topology.StoreID]map[topology.EdgeID][]*rulePlan
+	var prevSpouts map[string][]emitStep
+	if prev != nil {
+		prevRules, prevSpouts = prev.rules, prev.spouts
+	}
 	for rel, sp := range topo.Spouts {
-		comp.spouts[rel] = e.compileEmissions(topo, sp.Out)
+		out := e.compileEmissions(e.emitScratch[:0], topo, sp.Out)
+		if old := prevSpouts[rel]; slices.EqualFunc(old, out, sameStep) {
+			comp.spouts[rel] = old
+		} else {
+			comp.spouts[rel] = slices.Clone(out)
+		}
+		e.emitScratch = out[:0]
 	}
 	for sid, byEdge := range topo.Rules {
 		m := make(map[topology.EdgeID][]*rulePlan, len(byEdge))
 		for edge, rules := range byEdge {
+			olds := prevRules[sid][edge]
 			plans := make([]*rulePlan, len(rules))
 			for i := range rules {
-				rp := e.compileRule(topo, &rules[i])
+				out := e.compileEmissions(e.emitScratch[:0], topo, rules[i].Out)
+				rp := e.kept(olds, &rules[i], out)
+				if rp == nil {
+					rp = e.compileRule(topo, &rules[i], slices.Clone(out))
+				}
+				e.emitScratch = out[:0]
 				if rp.kind == topology.ProbeRule && !slices.Contains(comp.keys[sid], rp.key.num) {
 					comp.keys[sid] = append(comp.keys[sid], rp.key.num)
 				}
@@ -168,8 +198,31 @@ func (e *Engine) compileTopo(topo *topology.Config) *compiledTopo {
 	return comp
 }
 
-func (e *Engine) compileEmissions(topo *topology.Config, out []topology.Emission) []emitStep {
-	steps := make([]emitStep, 0, len(out))
+// kept returns the plan among olds (the previous topology's plans for the
+// rule's store and edge) that compiles r, whose emissions compile to out,
+// or nil.
+func (e *Engine) kept(olds []*rulePlan, r *topology.Rule, out []emitStep) *rulePlan {
+	for _, rp := range olds {
+		if rp.kind != r.Kind {
+			continue
+		}
+		if e.keepByEdge || slices.Equal(rp.rule.Preds, r.Preds) && slices.EqualFunc(rp.out, out, sameStep) {
+			return rp
+		}
+	}
+	return nil
+}
+
+// sameStep reports whether two compiled emissions route alike. The split
+// set is not compared: it is the target store's pin, which only
+// RestorePins changes, and RestorePins recompiles without reuse.
+func sameStep(a, b emitStep) bool {
+	return a.edge == b.edge && a.to == b.to && a.sink == b.sink && a.isStore == b.isStore &&
+		a.par == b.par && a.insertRoute == b.insertRoute && a.probeRoute == b.probeRoute
+}
+
+// compileEmissions appends the compiled emissions to steps.
+func (e *Engine) compileEmissions(steps []emitStep, topo *topology.Config, out []topology.Emission) []emitStep {
 	for _, em := range out {
 		step := emitStep{edge: em.Edge, to: em.To, sink: em.Sink}
 		if em.To != "" {
@@ -197,8 +250,9 @@ func (e *Engine) compileEmissions(topo *topology.Config, out []topology.Emission
 	return steps
 }
 
-func (e *Engine) compileRule(topo *topology.Config, r *topology.Rule) *rulePlan {
-	rp := &rulePlan{kind: r.Kind, rule: r, out: e.compileEmissions(topo, r.Out)}
+// compileRule compiles r, whose emissions compiled to out.
+func (e *Engine) compileRule(topo *topology.Config, r *topology.Rule, out []emitStep) *rulePlan {
+	rp := &rulePlan{kind: r.Kind, rule: r, out: out}
 	rp.sinkOnly = !slices.ContainsFunc(rp.out, func(s emitStep) bool { return s.sink == "" })
 	if r.Kind != topology.ProbeRule {
 		return rp

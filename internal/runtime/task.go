@@ -103,18 +103,18 @@ type task struct {
 	wMax     int64
 
 	// Compiled-plan state (owned by whichever goroutine the substrate
-	// runs this task on — always exactly one). Two generations of
-	// schema-position caches are kept — the current config's and the
-	// previous one's, since traffic interleaves across an epoch
-	// boundary — and older generations are dropped, so adaptive
-	// reconfiguration cannot accumulate caches for dead configs.
-	planComp   *compiledTopo                   // config the edge cache below belongs to
-	edgePlans  map[topology.EdgeID][]*rulePlan // from planComp, read-only shared
-	states     map[*rulePlan]*planState        // schema-position caches, task-owned
-	prevComp   *compiledTopo
-	prevStates map[*rulePlan]*planState
-	lastPlan   *rulePlan // monomorphic planState lookup
-	lastState  *planState
+	// runs this task on — always exactly one). states holds the
+	// schema-position caches of the rule plans that the current config
+	// or the previous one runs (traffic interleaves across an epoch
+	// boundary); a plan that an install kept keeps its cache, and the
+	// caches of plans that neither config runs are dropped, so adaptive
+	// reconfiguration cannot accumulate caches for dead rules.
+	planComp  *compiledTopo                   // config the edge cache below belongs to
+	edgePlans map[topology.EdgeID][]*rulePlan // from planComp, read-only shared
+	states    map[*rulePlan]*planState        // schema-position caches, task-owned
+	prevComp  *compiledTopo
+	lastPlan  *rulePlan // monomorphic planState lookup
+	lastState *planState
 
 	// Hot-path scratch, reused across messages. probeBatch values form
 	// a free-list stack rather than a single instance: in Synchronous
@@ -238,17 +238,18 @@ func (t *task) handle(msg *message) {
 }
 
 // setComp switches the task to another installed config's compiled
-// plans. The outgoing generation's caches are kept (epoch-boundary
-// traffic flips between two configs); anything older is dropped.
+// plans; the outgoing config stays the previous one (epoch-boundary
+// traffic flips between the two). Caches of the plans either runs stay,
+// the others are dropped.
 func (t *task) setComp(comp *compiledTopo) {
-	if comp == t.prevComp {
-		t.planComp, t.prevComp = comp, t.planComp
-		t.states, t.prevStates = t.prevStates, t.states
-	} else {
-		t.prevComp, t.prevStates = t.planComp, t.states
-		t.planComp = comp
-		t.states = map[*rulePlan]*planState{}
+	if comp != t.prevComp {
+		for rp := range t.states {
+			if !comp.runs(t.key.store, rp) && !t.planComp.runs(t.key.store, rp) {
+				delete(t.states, rp)
+			}
+		}
 	}
+	t.planComp, t.prevComp = comp, t.planComp
 	t.edgePlans = comp.rules[t.key.store]
 	t.lastPlan, t.lastState = nil, nil
 	// The two generations' probe keys are the live ones; the store stops
@@ -405,7 +406,7 @@ func (t *task) maintainTier() {
 func (t *task) resetVolatile() {
 	t.planComp, t.edgePlans = nil, nil
 	t.states = map[*rulePlan]*planState{}
-	t.prevComp, t.prevStates = nil, nil
+	t.prevComp = nil
 	t.lastPlan, t.lastState = nil, nil
 	t.pbFree = nil
 	t.schemaCache = map[[2]*tuple.Schema]*tuple.Schema{}

@@ -56,11 +56,10 @@ func BenchmarkCollectorObserve(b *testing.B) {
 	}
 }
 
-// BenchmarkCollectorSeal times one Seal per op over an epoch of 1 024
-// tuples on each of three relations (six, two and one attributes) and
-// three predicates whose sample joins match; observing the epoch is not
-// timed.
-func BenchmarkCollectorSeal(b *testing.B) {
+// sealFixture is an epoch of 1 024 tuples on each of three relations
+// (six, two and one attributes) and three predicates whose sample joins
+// match.
+func sealFixture() (map[string][]*tuple.Tuple, []query.Predicate) {
 	const epoch, keys = 1024, 200
 	streams := map[string][]*tuple.Tuple{
 		"R": benchTuples("R", lineitemAttrs, epoch, keys, 1),
@@ -73,6 +72,13 @@ func BenchmarkCollectorSeal(b *testing.B) {
 		{Left: attr("S", "b"), Right: attr("T", "a")},
 		{Left: attr("R", "l_partkey"), Right: attr("T", "a")},
 	}
+	return streams, preds
+}
+
+// BenchmarkCollectorSeal times one Seal per op over sealFixture's epoch;
+// observing the epoch is not timed.
+func BenchmarkCollectorSeal(b *testing.B) {
+	streams, preds := sealFixture()
 	c := NewCollector(256, 128, 1)
 	b.ReportAllocs()
 	for b.Loop() {
@@ -83,6 +89,23 @@ func BenchmarkCollectorSeal(b *testing.B) {
 			}
 		}
 		b.StartTimer()
+		c.Seal(time.Second, preds)
+	}
+}
+
+// BenchmarkCollectorEpoch times a whole epoch per op: observing
+// sealFixture's tuples, then the Seal. Its allocations are what an epoch
+// costs, the sketches of the epoch's first tuples included.
+func BenchmarkCollectorEpoch(b *testing.B) {
+	streams, preds := sealFixture()
+	c := NewCollector(256, 128, 1)
+	b.ReportAllocs()
+	for b.Loop() {
+		for rel, ts := range streams {
+			for _, t := range ts {
+				c.Observe(rel, t)
+			}
+		}
 		c.Seal(time.Second, preds)
 	}
 }

@@ -57,6 +57,13 @@ func NewSpaceSaving(k int) *SpaceSaving {
 	return &SpaceSaving{k: k, entries: make([]HeavyHitter, 0, k)}
 }
 
+// reset empties the sketch, keeping its array.
+func (s *SpaceSaving) reset() {
+	s.n = 0
+	s.entries = s.entries[:0]
+	s.buckets = [64]uint8{}
+}
+
 // bucket is the slot of a hash in SpaceSaving.buckets.
 func bucket(h uint64) uint64 { return h >> 58 }
 

@@ -241,6 +241,12 @@ func (s *KMV) AddHash(h uint64) {
 	s.hashes[i] = h
 }
 
+// reset empties the sketch, keeping its array.
+func (s *KMV) reset() {
+	s.hashes = s.hashes[:0]
+	s.saturated = false
+}
+
 // Estimate returns the estimated number of distinct values observed.
 func (s *KMV) Estimate() float64 {
 	if !s.saturated {
@@ -281,6 +287,15 @@ func (r *Reservoir) Add(t *tuple.Tuple) {
 // Items returns the current sample. Callers must not mutate it.
 func (r *Reservoir) Items() []*tuple.Tuple { return r.items }
 
+// reset empties the reservoir and restarts its generator from seed, as
+// NewReservoir(k, seed) would, keeping the item array.
+func (r *Reservoir) reset(seed uint64) {
+	clear(r.items)
+	r.items = r.items[:0]
+	r.n = 0
+	*r.rng = *rng.New(seed)
+}
+
 // relStats accumulates one relation's raw observations within an epoch.
 type relStats struct {
 	count    int64
@@ -291,6 +306,26 @@ type relStats struct {
 	// its resolution, so Observe touches sketches by position alone.
 	schema *tuple.Schema
 	cols   []colSketch
+	// idle holds the emptied sketches of attributes observed in an earlier
+	// epoch but not yet in this one, for resolve to take back.
+	idle map[string]*attrStats
+}
+
+// reset empties rs for another epoch of its relation, keeping every
+// sketch for reuse: the sample restarts from seed, and the attributes'
+// sketches wait, emptied, in idle.
+func (rs *relStats) reset(seed uint64) {
+	rs.count = 0
+	rs.sample.reset(seed)
+	for name, a := range rs.attrs {
+		a.distinct.reset()
+		a.heavy.reset()
+		rs.idle[name] = a
+	}
+	clear(rs.attrs)
+	clear(rs.distinct)
+	rs.schema = nil
+	rs.cols = rs.cols[:0]
 }
 
 // attrStats is the pair of sketches one qualified attribute feeds. The
@@ -320,6 +355,11 @@ type Collector struct {
 	heavyK  int
 	seed    uint64
 	rels    map[string]*relStats
+	// spare holds the relStats of relations not yet observed this epoch,
+	// emptied by Seal for Observe to take back, and spareMap the emptied
+	// map that the next Seal swaps in for rels.
+	spare    map[string]*relStats
+	spareMap map[string]*relStats
 	// sealMu serializes Seal, whose sample joins share one table that
 	// keeps its capacity from epoch to epoch.
 	sealMu sync.Mutex
@@ -330,7 +370,7 @@ type Collector struct {
 // relation per epoch and sketching distincts with sketchK minimum values.
 func NewCollector(sampleK, sketchK int, seed uint64) *Collector {
 	return &Collector{sampleK: sampleK, sketchK: sketchK, heavyK: 16, seed: seed,
-		rels: map[string]*relStats{}}
+		rels: map[string]*relStats{}, spare: map[string]*relStats{}, spareMap: map[string]*relStats{}}
 }
 
 // SetHeavyK overrides the heavy-hitter sketch capacity (default 16
@@ -349,10 +389,15 @@ func (c *Collector) Observe(rel string, t *tuple.Tuple) {
 	defer c.mu.Unlock()
 	rs := c.rels[rel]
 	if rs == nil {
-		rs = &relStats{
-			sample:   NewReservoir(c.sampleK, c.seed^hashString(rel)),
-			distinct: map[string]*KMV{},
-			attrs:    map[string]*attrStats{},
+		if rs = c.spare[rel]; rs != nil {
+			delete(c.spare, rel)
+		} else {
+			rs = &relStats{
+				sample:   NewReservoir(c.sampleK, c.seed^hashString(rel)),
+				distinct: map[string]*KMV{},
+				attrs:    map[string]*attrStats{},
+				idle:     map[string]*attrStats{},
+			}
 		}
 		c.rels[rel] = rs
 	}
@@ -381,11 +426,20 @@ func (c *Collector) resolve(rs *relStats, s *tuple.Schema) {
 		a := rs.attrs[name]
 		if a == nil {
 			d := rs.distinct[short]
-			if d == nil {
-				d = NewKMV(c.sketchK)
-				rs.distinct[short] = d
+			if a = rs.idle[name]; a != nil {
+				delete(rs.idle, name)
+				if d == nil {
+					rs.distinct[short] = a.distinct
+				} else {
+					a.distinct = d
+				}
+			} else {
+				if d == nil {
+					d = NewKMV(c.sketchK)
+					rs.distinct[short] = d
+				}
+				a = &attrStats{distinct: d, heavy: NewSpaceSaving(c.heavyK)}
 			}
-			a = &attrStats{distinct: d, heavy: NewSpaceSaving(c.heavyK)}
 			rs.attrs[name] = a
 		}
 		rs.cols = append(rs.cols, colSketch{pos: i, attrStats: *a})
@@ -405,14 +459,16 @@ func (c *Collector) Count(rel string) int64 {
 // Seal converts the collected observations into an Estimates snapshot.
 // epochLen is the wall duration of the epoch (rate = count/epochLen).
 // preds lists the predicates whose selectivity should be estimated from
-// the samples. Seal resets the collector for the next epoch.
+// the samples. Seal resets the collector for the next epoch, and hands
+// the sketches it read back to it, emptied, for the epoch after.
 func (c *Collector) Seal(epochLen time.Duration, preds []query.Predicate) *Estimates {
 	c.sealMu.Lock()
 	defer c.sealMu.Unlock()
 	c.mu.Lock()
 	rels := c.rels
-	c.rels = map[string]*relStats{}
+	c.rels, c.spareMap = c.spareMap, nil
 	c.mu.Unlock()
+	defer c.recycle(rels)
 
 	e := NewEstimates(defaultSelectivity)
 	secs := epochLen.Seconds()
@@ -435,6 +491,21 @@ func (c *Collector) Seal(epochLen time.Duration, preds []query.Predicate) *Estim
 		}
 	}
 	return e
+}
+
+// recycle empties the relStats Seal has read and hands them, and their
+// map, back to the collector.
+func (c *Collector) recycle(rels map[string]*relStats) {
+	for name, rs := range rels {
+		rs.reset(c.seed ^ hashString(name))
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for name, rs := range rels {
+		c.spare[name] = rs
+	}
+	clear(rels)
+	c.spareMap = rels
 }
 
 // estimateSelectivity estimates sel(p) = |A ⋈p B| / (|A|·|B|) by joining

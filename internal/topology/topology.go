@@ -8,6 +8,7 @@
 package topology
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -213,22 +214,22 @@ func (c *Config) IsStoreEdge(to StoreID, edge EdgeID) bool {
 // and probe rules carry at least one predicate unless the store is
 // probed as a cross product (which the optimizer never emits).
 func (c *Config) Validate() error {
-	check := func(out []Emission, where string) error {
+	check := func(out []Emission) error {
 		for _, e := range out {
 			if e.To == "" && e.Sink == "" {
-				return fmt.Errorf("topology: %s: emission with neither target nor sink", where)
+				return errors.New("emission with neither target nor sink")
 			}
 			if e.To != "" {
 				if _, ok := c.Stores[e.To]; !ok {
-					return fmt.Errorf("topology: %s: emission to unknown store %q", where, e.To)
+					return fmt.Errorf("emission to unknown store %q", e.To)
 				}
 			}
 		}
 		return nil
 	}
 	for rel, sp := range c.Spouts {
-		if err := check(sp.Out, "spout "+rel); err != nil {
-			return err
+		if err := check(sp.Out); err != nil {
+			return fmt.Errorf("topology: spout %s: %w", rel, err)
 		}
 	}
 	for id, byEdge := range c.Rules {
@@ -240,8 +241,8 @@ func (c *Config) Validate() error {
 				if r.Store != id || r.In != edge {
 					return fmt.Errorf("topology: misfiled rule %v under %s/%s", r, id, edge)
 				}
-				if err := check(r.Out, fmt.Sprintf("rule %s@%s", id, edge)); err != nil {
-					return err
+				if err := check(r.Out); err != nil {
+					return fmt.Errorf("topology: rule %s@%s: %w", id, edge, err)
 				}
 			}
 		}
