@@ -623,10 +623,14 @@ func (e *Engine) AddQuery(q *Query) error {
 	return e.ctl.AddQuery(q)
 }
 
-// RemoveQuery deregisters a query and returns once it is deregistered;
-// stores that served only this query are torn down by reference
-// counting when the next configuration — solved beside the stream like
-// AddQuery's — is installed. An unknown name is reported here.
+// RemoveQuery deregisters a query and returns once it is deregistered.
+// The next configuration is solved beside the stream like AddQuery's; a
+// store that served only this query is retired — its state released,
+// its tasks and routing pin gone — by the first install after which no
+// installed configuration names it (a configuration the new one shadows
+// stays installed until the stream is two epochs past it). A query
+// added later that uses the store again starts it empty. An unknown
+// name is reported here.
 func (e *Engine) RemoveQuery(name string) error { return e.ctl.RemoveQuery(name) }
 
 // Plan returns the most recently installed plan: a configuration still

@@ -44,18 +44,19 @@ type Manager struct {
 	eng       *runtime.Engine
 	walPos    int64
 	anchorPos int64 // WAL anchor of the newest durable checkpoint
-	lastFPs   map[runtime.SegKey]uint64
-	// pendingDrops are tombstones the next checkpoint must emit even
-	// though no engine task backs them — stale segments an automated
-	// stale-chain recovery loaded around (see Recover). The dirty walk
-	// can never surface them (no task exists), so they ride along here.
-	pendingDrops []runtime.SegKey
-	sinceCkpt    int // ingest records since the last checkpoint
-	ckpts        int
-	ckptBytes    int64
-	onCommit     []func()
-	scratch      []byte
-	payload      []byte // reused record-encoding buffer for the hot log path
+	// lastFPs fingerprints every segment of the chain: the composed
+	// state a recovery would load.
+	lastFPs map[runtime.SegKey]uint64
+	// born holds the StorePin.Born of every store the newest durable
+	// record pins: a store pinned under another number since was retired
+	// and introduced again.
+	born      map[topology.StoreID]uint64
+	sinceCkpt int // ingest records since the last checkpoint
+	ckpts     int
+	ckptBytes int64
+	onCommit  []func()
+	scratch   []byte
+	payload   []byte // reused record-encoding buffer for the hot log path
 }
 
 // NewManager starts a fresh journal over empty storage. Bind an engine
@@ -150,7 +151,14 @@ func (m *Manager) MaybeCheckpoint() error {
 
 // Checkpoint takes one incremental checkpoint now: drain the engine,
 // walk its state, emit the changed segments and tombstones anchored at
-// the current WAL position, and run the commit hooks. The WAL-before-
+// the current WAL position, and run the commit hooks. A tombstone drops
+// a chain segment that emptied (a prune or eviction), or one whose store
+// the record does not pin: a store absent from the engine's pins was
+// retired (or never installed, for a stale segment Recover loaded
+// around), so none of its segments may reach the next recovery. A store
+// pinned anew since the last record (StorePin.Born) was retired and
+// introduced again, so the same holds for every segment of it that this
+// record does not rewrite. The WAL-before-
 // checkpoint order makes the anchor safe: every tuple reflected in the
 // walked state already has its record at a position <= the anchor.
 func (m *Manager) Checkpoint() error {
@@ -188,9 +196,12 @@ func (m *Manager) Checkpoint() error {
 			fps = append(fps, fp)
 		}
 	}
-	if len(m.pendingDrops) > 0 {
-		rec.Drops = append(rec.Drops, m.pendingDrops...)
-		m.pendingDrops = nil
+	born := bornOf(rec.Pins)
+	for k := range m.lastFPs {
+		b, pinned := born[k.Store]
+		if !pinned || b != m.born[k.Store] && !walked(segs, k) {
+			rec.Drops = append(rec.Drops, k)
+		}
 	}
 	slices.SortFunc(rec.Drops, runtime.SegKey.Compare)
 	framed := runtime.AppendFrame(nil, runtime.AppendStateRecord(nil, &rec))
@@ -204,6 +215,7 @@ func (m *Manager) Checkpoint() error {
 	for i := range rec.Segs {
 		m.lastFPs[rec.Segs[i].Key] = fps[i]
 	}
+	m.born = born
 	m.anchorPos = rec.Anchor
 	m.sinceCkpt = 0
 	m.ckpts++
@@ -218,6 +230,21 @@ func (m *Manager) Checkpoint() error {
 		fn()
 	}
 	return nil
+}
+
+// bornOf maps each pinned store to its StorePin.Born.
+func bornOf(pins []runtime.StorePin) map[topology.StoreID]uint64 {
+	born := make(map[topology.StoreID]uint64, len(pins))
+	for _, p := range pins {
+		born[p.Store] = p.Born
+	}
+	return born
+}
+
+// walked reports whether the walk, in walk order, holds the segment.
+func walked(segs []runtime.Segment, k runtime.SegKey) bool {
+	_, ok := slices.BinarySearchFunc(segs, k, func(s runtime.Segment, k runtime.SegKey) int { return s.Key.Compare(k) })
+	return ok
 }
 
 // ManagerStats reports the journal's footprint.

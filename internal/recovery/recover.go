@@ -137,11 +137,13 @@ func Recover(st Storage, eng *runtime.Engine, cfg Config) (*Manager, *Stats, err
 	}
 
 	// Load the composed checkpoint state and fast-forward progress to
-	// the anchor. Segments of stores the engine never installed are
+	// the anchor. Segments of stores the engine has not installed are
 	// stale — left behind by a crash in the rewiring→checkpoint window —
-	// and are skipped here and tombstoned below. A segment whose store IS
-	// installed but whose partition has no task means a layout mismatch
-	// and stays fatal.
+	// and are skipped here; they stay in the Manager's view of the chain,
+	// so the reconciling checkpoint below tombstones them like those of
+	// any store it does not pin. A segment whose store IS installed but
+	// whose partition has no task means a layout mismatch and stays
+	// fatal.
 	segs := composeChain(records)
 	lastFPs := make(map[runtime.SegKey]uint64, len(segs))
 	var stale []runtime.SegKey
@@ -154,6 +156,7 @@ func Recover(st Storage, eng *runtime.Engine, cfg Config) (*Manager, *Stats, err
 					return nil, nil, fmt.Errorf("recovery: segment %s addresses a partition beyond the installed layout: %w", sg.Key, err)
 				}
 				stale = append(stale, sg.Key)
+				lastFPs[sg.Key] = fingerprint(sg)
 				continue
 			}
 			return nil, nil, fmt.Errorf("recovery: loading segment %s: %w", sg.Key, err)
@@ -232,14 +235,14 @@ func Recover(st Storage, eng *runtime.Engine, cfg Config) (*Manager, *Stats, err
 	// surviving WAL position, diffing future checkpoints against the
 	// restored chain's segments.
 	mgr := &Manager{
-		st:           st,
-		cfg:          cfg,
-		eng:          eng,
-		walPos:       validWAL,
-		anchorPos:    anchorPos,
-		lastFPs:      lastFPs,
-		pendingDrops: stale,
-		sinceCkpt:    stats.ReplayedIngests,
+		st:        st,
+		cfg:       cfg,
+		eng:       eng,
+		walPos:    validWAL,
+		anchorPos: anchorPos,
+		lastFPs:   lastFPs,
+		born:      bornOf(eng.Pins()),
+		sinceCkpt: stats.ReplayedIngests,
 	}
 	eng.SetJournal(mgr)
 	if len(stale) > 0 {

@@ -3,10 +3,9 @@ package recovery_test
 // Store retirement × crash recovery: adaptive rewiring retires stores
 // that left every installed configuration, releasing their state. The
 // checkpoint chain must follow — the first checkpoint after a rewiring
-// tombstones the retired segments (clearState marks every epoch dirty,
-// so the dirty walk sees the emptied segments and drops them from the
-// chain), and a crash after that checkpoint recovers into the slimmed
-// topology. A crash in the window between the rewiring and that
+// tombstones the retired segments (a checkpoint drops every chain
+// segment of a store its record does not pin), and a crash after that
+// checkpoint recovers into the slimmed topology. A crash in the window between the rewiring and that
 // checkpoint leaves retired segments in the chain with no engine task
 // to receive them; Recover detects them, loads the live segments,
 // skips the departed relations' WAL records as foreign, and takes a
@@ -97,7 +96,6 @@ func retireCrashScenario(t *testing.T, ckptAfterRetire bool) (*recovery.MemStora
 	if err := eng.Install(topoB, 0); err != nil {
 		t.Fatal(err)
 	}
-	eng.RetireAbsentStores()
 	if eng.Metrics().Snapshot().RetiredTuples == 0 {
 		t.Fatal("rewiring retired no state — scenario vacuous")
 	}
@@ -244,5 +242,68 @@ func TestRecoverUnknownWorkloadFailsClosed(t *testing.T) {
 	_, _, err := recovery.Recover(st, engX, recovery.Config{CheckpointEvery: 1 << 30})
 	if !errors.Is(err, recovery.ErrStaleChain) {
 		t.Fatalf("recovery under an unrelated workload returned %v, want ErrStaleChain", err)
+	}
+}
+
+// TestReintroducedStoreDropsOldSegments: a store retired and introduced
+// again between two checkpoints starts empty on fresh tasks, so the
+// second checkpoint must tombstone every segment the old tasks left in
+// the chain that the new ones do not rewrite. Recovering right after it
+// restores exactly the state the crashed engine held, task by task.
+func TestReintroducedStoreDropsOldSegments(t *testing.T) {
+	st := recovery.NewMemStorage()
+	mgr, err := recovery.NewManager(st, recovery.Config{CheckpointEvery: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, cat, topoA := buildShared(t, "q1: R(a) S(a)\nq2: T(b) U(b)")
+	_, _, topoB := buildShared(t, "q1: R(a) S(a)")
+	cfg := runtime.Config{Catalog: cat, Substrate: runtime.SubstrateSynchronous, EpochLength: 10}
+	eng := runtime.New(cfg)
+	defer eng.Stop()
+	eng.SetJournal(mgr)
+	mgr.Bind(eng)
+	if err := eng.Install(topoA, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range qs {
+		eng.OnResult(q.Name, func(*tuple.Tuple) {})
+	}
+	all := []string{"R", "S", "T", "U"}
+	ingestQuad(t, eng, all, 0, 80)
+	if err := mgr.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// q2 leaves and comes back: its stores are retired, then born anew.
+	for _, topo := range []*topology.Config{topoB, topoA} {
+		if err := eng.Install(topo, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ingestQuad(t, eng, all, 80, 20)
+	if err := mgr.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want := eng.TaskGauges()
+
+	eng2 := runtime.New(cfg)
+	defer eng2.Stop()
+	if err := eng2.Install(topoA, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range qs {
+		eng2.OnResult(q.Name, func(*tuple.Tuple) {})
+	}
+	if _, _, err := recovery.Recover(st, eng2, recovery.Config{CheckpointEvery: 1 << 30}); err != nil {
+		t.Fatal(err)
+	}
+	got := eng2.TaskGauges()
+	if len(got) != len(want) {
+		t.Fatalf("recovered engine has %d tasks, crashed one %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Store != want[i].Store || got[i].Part != want[i].Part || got[i].Stored != want[i].Stored {
+			t.Errorf("task %s/%d recovered %d tuples, the crashed engine held %d", got[i].Store, got[i].Part, got[i].Stored, want[i].Stored)
+		}
 	}
 }

@@ -238,10 +238,10 @@ func (c *Controller) triggerLocked(epoch int64) {
 }
 
 // solve re-plans the snapshotted query set for its target epoch and
-// returns the step that installs the result: Install, then
-// RetireAbsentStores, then OnDecision. It runs beside the stream (the
-// initial solve excepted), one solve at a time in trigger order, and
-// never takes mu.
+// returns the step that installs the result: Install (which retires the
+// stores no installed configuration names any more), then OnDecision.
+// It runs beside the stream (the initial solve excepted), one solve at a
+// time in trigger order, and never takes mu.
 //
 // Newly desirable MIR stores go through a warm-up stage: their feeding
 // probe orders are installed immediately, but probe orders only use the
@@ -374,14 +374,6 @@ func (c *Controller) solve(in solveInput) (install func() error) {
 		publish()
 		if err := c.eng.Install(topo, epoch); err != nil {
 			return err
-		}
-		// State migration on rewiring: stores that just left every
-		// installed configuration (query expiry, plan changes) release
-		// their materialized state — unreachable by any probe, it would
-		// only burn the state budget. Skipped on the very first install
-		// (nothing can be stale yet).
-		if !initial {
-			c.eng.RetireAbsentStores()
 		}
 		if c.cfg.OnDecision != nil {
 			c.cfg.OnDecision(epoch, plans, warming)

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -96,7 +95,7 @@ func (e *Engine) Restore(r io.Reader) error {
 	}
 	e.mu.RLock()
 	for _, sg := range rec.Segs {
-		if e.tasks[taskKey{store: sg.Key.Store, part: sg.Key.Part}] == nil {
+		if e.taskAt(sg.Key.Store, sg.Key.Part) == nil {
 			e.mu.RUnlock()
 			return fmt.Errorf("%w %s/%d (install the topology first)", ErrUnknownTask, sg.Key.Store, sg.Key.Part)
 		}
@@ -158,18 +157,8 @@ func (e *Engine) Segments(dirtyOnly bool) ([]Segment, error) {
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	keys := make([]taskKey, 0, len(e.tasks))
-	for k, t := range e.tasks {
-		if !dirtyOnly || len(t.dirtyEpochs) > 0 {
-			keys = append(keys, k)
-		}
-	}
-	slices.SortFunc(keys, func(a, b taskKey) int {
-		return cmp.Or(cmp.Compare(a.store, b.store), cmp.Compare(a.part, b.part))
-	})
 	var segs []Segment
-	for _, k := range keys {
-		t := e.tasks[k]
+	for t := range e.liveTasks() {
 		eps := t.state.epochs()
 		if dirtyOnly {
 			eps = slices.Sorted(maps.Keys(t.dirtyEpochs))
@@ -179,7 +168,7 @@ func (e *Engine) Segments(dirtyOnly bool) ([]Segment, error) {
 				continue
 			}
 			sg := t.state.segment(ep)
-			sg.Key = SegKey{Store: k.store, Part: k.part, Epoch: ep}
+			sg.Key = SegKey{Store: t.key.store, Part: t.key.part, Epoch: ep}
 			segs = append(segs, sg)
 		}
 	}
@@ -192,7 +181,7 @@ func (e *Engine) Segments(dirtyOnly bool) ([]Segment, error) {
 func (e *Engine) ClearDirty() {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	for _, t := range e.tasks {
+	for t := range e.liveTasks() {
 		clear(t.dirtyEpochs)
 		t.lastDirtyOK = false
 	}
@@ -209,7 +198,7 @@ func (e *Engine) LoadTaskEpoch(store topology.StoreID, part int, epoch int64, tp
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	t := e.tasks[taskKey{store: store, part: part}]
+	t := e.taskAt(store, part)
 	if t == nil {
 		return fmt.Errorf("%w %s/%d (install the topology first)", ErrUnknownTask, store, part)
 	}

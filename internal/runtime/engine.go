@@ -132,7 +132,7 @@ type taskKey struct {
 // sent batch is read-only: a broadcast or a split-key probe shares one
 // among several messages.
 type message struct {
-	kind       int8 // kindData or kindPrune
+	kind       int8 // kindData, kindPrune or kindRetire
 	edge       topology.EdgeID
 	epoch      int64 // data: target epoch; prune: event-time cutoff
 	batch      []*tuple.Tuple
@@ -182,25 +182,13 @@ type Engine struct {
 
 	mu      sync.RWMutex
 	configs []*epochConfig // sorted by fromEpoch ascending
-	tasks   map[taskKey]*task
-	// pinnedPar and pinnedPart pin each store's parallelism and
-	// partitioning attribute at first sight: routing (hash(attr) % P)
-	// must stay consistent across configuration changes or probes would
-	// miss state placed under a different scheme. Re-partitioning a live
-	// store would require state migration (see DESIGN.md).
-	pinnedPar  map[topology.StoreID]int
-	pinnedPart map[topology.StoreID]query.Attr
-	// pinnedSplit pins each store's split-key set (heavy hitters routed
-	// over two tasks, topology.Store.SplitKeys) at first sight, for the
-	// same reason as the partitioning pin: a key that ever split over two
-	// candidates must keep probing both, and a key that never
-	// did must not start inserting off its hash partition — either switch
-	// would orphan previously placed state. Since one candidate is always
-	// hash(key)%P, growing the split set mid-run would stay probe-correct,
-	// but shrinking would not; pinning both directions keeps the rule
-	// simple and the routing immutable (see DESIGN.md §12).
-	pinnedSplit map[topology.StoreID]map[uint64]struct{}
-	schemas     map[string]*tuple.Schema // relation -> ingest schema (attrs + τ)
+	// stores holds the record — pin and tasks — of every store an
+	// installed configuration names (pins.go); storeOrder lists the same
+	// records by store ID, the order every walk over the tasks follows.
+	stores     map[topology.StoreID]*store
+	storeOrder []*store
+	births     uint64                   // store records created (StorePin.Born)
+	schemas    map[string]*tuple.Schema // relation -> ingest schema (attrs + τ)
 	// keyNums numbers the index keys of every plan compiled (plan.go).
 	keyNums keyNumbers
 	// emitScratch is compileTopo's buffer for a rule's compiled emissions.
@@ -240,16 +228,13 @@ type epochConfig struct {
 // New creates an engine; Install a topology before ingesting.
 func New(cfg Config) *Engine {
 	e := &Engine{
-		cfg:         cfg,
-		metrics:     newMetrics(),
-		tasks:       map[taskKey]*task{},
-		pinnedPar:   map[topology.StoreID]int{},
-		pinnedPart:  map[topology.StoreID]query.Attr{},
-		pinnedSplit: map[topology.StoreID]map[uint64]struct{}{},
-		keyNums:     keyNumbers{},
-		schemas:     map[string]*tuple.Schema{},
-		sinks:       map[string]func(*tuple.Tuple){},
-		stopDone:    make(chan struct{}),
+		cfg:      cfg,
+		metrics:  newMetrics(),
+		stores:   map[topology.StoreID]*store{},
+		keyNums:  keyNumbers{},
+		schemas:  map[string]*tuple.Schema{},
+		sinks:    map[string]func(*tuple.Tuple){},
+		stopDone: make(chan struct{}),
 	}
 	e.qCond = sync.NewCond(&e.qMu)
 	if cfg.Observer != nil {
@@ -298,13 +283,12 @@ func (e *Engine) Metrics() *Metrics { return e.metrics }
 // export hook cluster-level aggregation reads per shard.
 func (e *Engine) Snapshot() Snapshot { return e.metrics.Snapshot() }
 
-// HasStore reports whether the store has ever been installed on this
-// engine (pinned layout exists), even if it has since been retired.
+// HasStore reports whether an installed configuration names the store:
+// a retired store, absent from every one, is not there.
 func (e *Engine) HasStore(id topology.StoreID) bool {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	_, ok := e.pinnedPar[id]
-	return ok
+	return e.stores[id] != nil
 }
 
 // VirtualClock returns the engine's virtual clock, or nil when the
@@ -355,42 +339,22 @@ func (e *Engine) OnResult(queryName string, fn func(*tuple.Tuple)) {
 }
 
 // Install activates a topology from the given epoch on (epoch 0 and
-// EpochLength 0 give a static deployment). Tasks for new stores are
-// spawned; stores absent from any active config are retired once their
-// last epoch expires.
+// EpochLength 0 give a static deployment). A store the topology
+// introduces gets its record and tasks, pinned to the topology's choices
+// (pins.go); a store that no installed configuration names any more,
+// once this one is in and the configurations it shadows are gone, is
+// retired: its tasks clear their state and its record is deleted. The
+// synchronous substrate has applied the retirement when Install returns.
 func (e *Engine) Install(topo *topology.Config, fromEpoch int64) error {
 	if err := topo.Validate(); err != nil {
 		return err
 	}
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	// Spawn tasks for stores that do not have them yet, pinning each
-	// store's parallelism at first sight. Pinning must precede plan
-	// compilation: compiled emissions bake the pinned layout in.
+	// Records must precede plan compilation: compiled emissions point at
+	// their target's record.
 	for id, s := range topo.Stores {
-		par, pinned := e.pinnedPar[id]
-		if !pinned {
-			par = s.Parallelism
-			if par < 1 {
-				par = 1
-			}
-			e.pinnedPar[id] = par
-			e.pinnedPart[id] = s.Partition
-			if par >= 2 && len(s.SplitKeys) > 0 {
-				split := make(map[uint64]struct{}, len(s.SplitKeys))
-				for _, h := range s.SplitKeys {
-					split[h] = struct{}{}
-				}
-				e.pinnedSplit[id] = split
-			}
-		}
-		for p := 0; p < par; p++ {
-			k := taskKey{store: id, part: p}
-			if e.tasks[k] == nil {
-				t := newTask(e, k, s)
-				e.tasks[k] = t
-				e.sub.start(t)
-			}
+		if e.stores[id] == nil {
+			e.addStore(id, s)
 		}
 	}
 	// The newest installed config is what the new one most likely repeats.
@@ -421,6 +385,11 @@ func (e *Engine) Install(topo *topology.Config, fromEpoch int64) error {
 		}
 	}
 	e.configs = e.configs[cut:]
+	retired := e.retireUnnamed()
+	e.mu.Unlock()
+	if retired && e.syncMode {
+		e.sub.drain()
+	}
 	return nil
 }
 
@@ -615,8 +584,8 @@ func (e *Engine) emitBatchLocked(step *emitStep, epoch int64, batch []*tuple.Tup
 		e.deliverResultBatch(step.sink, batch, wall)
 		return
 	}
-	par, name := step.par, step.routeName()
-	if par == 1 || name == "" {
+	to, name := step.to, step.routeName()
+	if to.par == 1 || name == "" {
 		// One destination rule for the whole batch, sent as one message or
 		// shared across all partitions. A single partition resolves every
 		// rule to part 0 (h%1, seq%1, a one-task broadcast), so no routing
@@ -631,10 +600,10 @@ func (e *Engine) emitBatchLocked(step *emitStep, epoch int64, batch []*tuple.Tup
 		// The hot case: the batch itself travels, keyed by its one tuple.
 		if v, ok := batch[0].Get(name); ok {
 			msg := message{edge: step.edge, epoch: epoch, batch: batch, seq: seq, ingestWall: wall}
-			p, alt := e.keyedParts(step, v.Hash())
-			e.send(taskKey{store: step.to, part: p}, msg)
+			p, alt := keyedParts(step, v.Hash())
+			e.send(to.tasks[p], msg)
 			if alt >= 0 {
-				e.send(taskKey{store: step.to, part: alt}, msg)
+				e.send(to.tasks[alt], msg)
 			}
 		} else {
 			e.sendRest(step, epoch, batch, seq, wall)
@@ -646,11 +615,11 @@ func (e *Engine) emitBatchLocked(step *emitStep, epoch int64, batch []*tuple.Tup
 	// tuple to its partition — a split key's probe to both candidates —
 	// and counts, pass 2 fills contiguous per-partition segments in batch
 	// order (unroutable tuples go to the tail).
-	rs.ensure(par, len(batch))
+	rs.ensure(to.par, len(batch))
 	nRest, nAlt := 0, 0
 	for i, t := range batch {
 		if v, ok := t.Get(name); ok {
-			p, alt := e.keyedParts(step, v.Hash())
+			p, alt := keyedParts(step, v.Hash())
 			rs.parts[i], rs.alts[i] = int32(p), int32(alt)
 			rs.counts[p]++
 			if alt >= 0 {
@@ -684,13 +653,12 @@ func (e *Engine) emitBatchLocked(step *emitStep, epoch int64, batch []*tuple.Tup
 		}
 	}
 	off = 0
-	for p := 0; p < par; p++ {
+	for p, t := range to.tasks {
 		n := rs.counts[p]
 		if n == 0 {
 			continue
 		}
-		e.send(taskKey{store: step.to, part: p},
-			message{edge: step.edge, epoch: epoch, batch: flat[off : off+n : off+n], seq: seq, ingestWall: wall})
+		e.send(t, message{edge: step.edge, epoch: epoch, batch: flat[off : off+n : off+n], seq: seq, ingestWall: wall})
 		off += n
 	}
 	if nRest > 0 {
@@ -704,12 +672,13 @@ func (e *Engine) emitBatchLocked(step *emitStep, epoch int64, batch []*tuple.Tup
 // (χ in Eq. 1), and so does its message event (Sec. III).
 func (e *Engine) sendRest(step *emitStep, epoch int64, rest []*tuple.Tuple, seq uint64, wall int64) {
 	msg := message{edge: step.edge, epoch: epoch, batch: rest, seq: seq, ingestWall: wall}
+	to := step.to
 	if step.isStore {
-		e.send(taskKey{store: step.to, part: int(seq % uint64(step.par))}, msg)
+		e.send(to.tasks[seq%uint64(to.par)], msg)
 		return
 	}
-	for p := 0; p < step.par; p++ {
-		e.send(taskKey{store: step.to, part: p}, msg)
+	for _, t := range to.tasks {
+		e.send(t, msg)
 	}
 }
 
@@ -720,15 +689,19 @@ func (e *Engine) sendRest(step *emitStep, epoch int64, rest []*tuple.Tuple, seq 
 // two candidates: an insert lands on the less-loaded one, a probe visits
 // both, returned as alt (-1: none). Every insert landed on one of the
 // candidates, so a probe that checks both misses no partner.
-func (e *Engine) keyedParts(step *emitStep, h uint64) (p, alt int) {
-	if _, hot := step.split[h]; !hot {
-		return int(h % uint64(step.par)), -1
+func keyedParts(step *emitStep, h uint64) (p, alt int) {
+	to := step.to
+	if _, hot := to.split[h]; !hot {
+		return int(h % uint64(to.par)), -1
 	}
-	p1, p2 := SplitCandidates(h, step.par)
-	if step.isStore {
-		return e.lessLoaded(step.to, p1, p2), -1
+	p1, p2 := SplitCandidates(h, to.par)
+	switch {
+	case !step.isStore:
+		return p1, p2
+	case to.tasks[p2].storedCount.Load() < to.tasks[p1].storedCount.Load():
+		return p2, -1
 	}
-	return p1, p2
+	return p1, -1
 }
 
 // SplitCandidates derives a split key's two candidates among n ≥ 2
@@ -743,24 +716,7 @@ func SplitCandidates(h uint64, n int) (int, int) {
 	return p1, p2
 }
 
-// lessLoaded picks the candidate task currently holding fewer tuples.
-func (e *Engine) lessLoaded(store topology.StoreID, p1, p2 int) int {
-	t1 := e.tasks[taskKey{store: store, part: p1}]
-	t2 := e.tasks[taskKey{store: store, part: p2}]
-	if t1 == nil || t2 == nil {
-		return p1
-	}
-	if t2.storedCount.Load() < t1.storedCount.Load() {
-		return p2
-	}
-	return p1
-}
-
-func (e *Engine) send(k taskKey, msg message) {
-	t := e.tasks[k]
-	if t == nil {
-		return
-	}
+func (e *Engine) send(t *task, msg message) {
 	e.inflight.Add(1)
 	e.metrics.probeSent.Add(msg.tupleCount())
 	e.metrics.messages.Add(1)
@@ -904,7 +860,7 @@ func (e *Engine) Stop() {
 	e.sub.wake()
 	e.Drain()
 	e.mu.Lock()
-	for _, t := range e.tasks {
+	for t := range e.liveTasks() {
 		if t.mailbox != nil {
 			t.mailbox.close()
 		}
@@ -917,10 +873,11 @@ func (e *Engine) Stop() {
 	// Release the spill tier's OS resources (mmap'd spill files:
 	// munmap, fsync, truncate, close). The substrate has stopped, so no
 	// task executes and its store is safe to touch from here; the first
-	// failure surfaces through Close. The closeErr write is published
-	// to concurrent Stop/Close callers by the stopDone close below.
+	// failure surfaces through Close. A retired task closed its own file
+	// (task.clearState). The closeErr write is published to concurrent
+	// Stop/Close callers by the stopDone close below.
 	e.mu.RLock()
-	for _, t := range e.tasks {
+	for t := range e.liveTasks() {
 		if t.tier == nil {
 			continue
 		}
@@ -954,65 +911,14 @@ func (e *Engine) PruneBefore(cut tuple.Time) {
 			return
 		}
 	}
-	e.mu.RLock()
-	tasks := make([]*task, 0, len(e.tasks))
-	for _, t := range e.tasks {
-		tasks = append(tasks, t)
-	}
-	e.mu.RUnlock()
-	// Sorted delivery: prune messages must not inherit the task map's
+	// Delivery in store order: prune messages must not inherit a map's
 	// iteration order, or the schedule (and the simulation substrate's
 	// trace) would differ between identically seeded runs.
-	sort.Slice(tasks, func(i, j int) bool {
-		if tasks[i].key.store != tasks[j].key.store {
-			return tasks[i].key.store < tasks[j].key.store
-		}
-		return tasks[i].key.part < tasks[j].key.part
-	})
-	for _, t := range tasks {
+	e.mu.RLock()
+	for t := range e.liveTasks() {
 		t.requestPrune(cut)
 	}
-	if e.syncMode {
-		e.sub.drain()
-	}
-}
-
-// RetireAbsentStores releases the materialized state of every store
-// that is absent from ALL installed configurations — no present or
-// future probe can reach it, so keeping it only burns the state budget.
-// The adaptive controller calls this after each rewiring (query expiry
-// drops stores by reference counting, Sec. VI-B); a store re-introduced
-// later starts cold and warms up like any new store. Retirement runs on
-// each task's own execution context (a kindRetire message), delivered
-// in sorted task order so seeded simulation schedules stay stable.
-func (e *Engine) RetireAbsentStores() {
-	e.mu.RLock()
-	live := map[topology.StoreID]bool{}
-	for _, ec := range e.configs {
-		for id := range ec.topo.Stores {
-			live[id] = true
-		}
-	}
-	var retire []*task
-	for k, t := range e.tasks {
-		if !live[k.store] && t.storedCount.Load() > 0 {
-			retire = append(retire, t)
-		}
-	}
 	e.mu.RUnlock()
-	if len(retire) == 0 {
-		return
-	}
-	sort.Slice(retire, func(i, j int) bool {
-		if retire[i].key.store != retire[j].key.store {
-			return retire[i].key.store < retire[j].key.store
-		}
-		return retire[i].key.part < retire[j].key.part
-	})
-	for _, t := range retire {
-		e.inflight.Add(1)
-		e.sub.send(t, message{kind: kindRetire})
-	}
 	if e.syncMode {
 		e.sub.drain()
 	}

@@ -72,8 +72,9 @@ const (
 // FlowConfig tunes the flow-controlled substrate.
 type FlowConfig struct {
 	// MailboxCredits is the number of message credits each task grants
-	// the shared pool when it spawns — the per-task mailbox bound the
-	// admission gate enforces in aggregate (default 256).
+	// the shared pool when it spawns, and withdraws when its store
+	// retires — the per-task mailbox bound the admission gate enforces in
+	// aggregate over the live tasks (default 256).
 	MailboxCredits int
 	// Workers sizes the shared worker pool (default GOMAXPROCS).
 	Workers int
@@ -89,6 +90,10 @@ type FlowConfig struct {
 type substrate interface {
 	// start attaches a freshly created task (called under e.mu write).
 	start(t *task)
+	// retire detaches a task whose store was retired, after its retire
+	// message was sent: the credits start granted leave with it (called
+	// under e.mu write).
+	retire(t *task)
 	// send delivers an already-accounted message to the task. Never
 	// blocks: flow control happens at admit, not here.
 	send(t *task, msg message)
@@ -235,7 +240,8 @@ type syncSubstrate struct {
 	head  int
 }
 
-func (s *syncSubstrate) start(*task) {} // no goroutine, no mailbox
+func (s *syncSubstrate) start(*task)  {} // no goroutine, no mailbox
+func (s *syncSubstrate) retire(*task) {}
 
 func (s *syncSubstrate) send(t *task, msg message) {
 	s.queue = append(s.queue, syncItem{t: t, msg: msg})
@@ -274,11 +280,12 @@ func (s *syncSubstrate) drain() {
 // all tasks onto a shared worker pool (scheduler.go).
 //
 // Credit protocol: each task grants MailboxCredits message credits to a
-// shared pool when it spawns. Every sent message consumes one credit;
-// handling it returns the credit. Source-side admission (Engine.Ingest)
-// is the only gate: a tuple is admitted only while the pool balance is
-// positive — otherwise the producer blocks (BlockOnOverload) or the
-// tuple is shed (ShedOnOverload). In-topology sends (probe chains, MIR
+// shared pool when it spawns and withdraws them when its store retires,
+// so the bound follows the live tasks. Every sent message consumes one
+// credit; handling it returns the credit. Source-side admission
+// (Engine.Ingest) is the only gate: a tuple is admitted only while the
+// pool balance is positive — otherwise the producer blocks
+// (BlockOnOverload) or the tuple is shed (ShedOnOverload). In-topology sends (probe chains, MIR
 // feeding) never block — a worker blocked on a congested downstream
 // task could deadlock the pool — so they may overdraw the balance into
 // the negative; the overdraft is bounded by the fan-out of the admitted
@@ -295,7 +302,7 @@ type flowSubstrate struct {
 	// path (every probe transfer from every worker) never touches the
 	// mutex: sends decrement, repayments add, and only admission's
 	// about-to-block slow path and the repay-side wakeup serialize on
-	// mu. granted is the lifetime total granted — the balance of a
+	// mu. granted is the live tasks' total grant — the balance of a
 	// fully settled pool.
 	credits atomic.Int64
 	granted atomic.Int64
@@ -343,6 +350,11 @@ func (f *flowSubstrate) start(t *task) {
 	t.mailbox = &mailbox{}
 	f.granted.Add(int64(f.grant))
 	f.addCredits(int64(f.grant))
+}
+
+func (f *flowSubstrate) retire(*task) {
+	f.granted.Add(-int64(f.grant))
+	f.addCredits(-int64(f.grant))
 }
 
 func (f *flowSubstrate) send(t *task, msg message) {

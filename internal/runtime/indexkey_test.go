@@ -174,7 +174,7 @@ func TestProbeCandidatesLongWindow(t *testing.T) {
 // matchedRows sums the candidates that joined over the engine's tasks
 // (task-confined counters: call after a drain on a synchronous engine).
 func matchedRows(e *Engine) (n int64) {
-	for _, tk := range e.tasks {
+	for tk := range e.liveTasks() {
 		n += tk.probeMatched
 	}
 	return n
@@ -255,7 +255,7 @@ func TestCompositeIndexMatchesScan(t *testing.T) {
 		out := outcome{coldKeys: map[string]bool{}}
 		h.eng.OnResult("q1", func(tp *tuple.Tuple) { out.results = append(out.results, tp.String()) })
 		cold := func(visit func(s *colSegment)) {
-			for _, tk := range h.eng.tasks {
+			for tk := range h.eng.liveTasks() {
 				if tk.tier == nil {
 					continue
 				}

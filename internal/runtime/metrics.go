@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -289,13 +288,14 @@ type TaskGauge struct {
 	ProbeStoreSkips int64
 }
 
-// TaskGauges returns a pressure reading per task, sorted by store and
-// partition. Gauges are sampled individually — the reading is not an
-// atomic cross-task snapshot.
+// TaskGauges returns a pressure reading per task of every installed
+// store, sorted by store and partition. Gauges are sampled individually
+// — the reading is not an atomic cross-task snapshot.
 func (e *Engine) TaskGauges() []TaskGauge {
 	e.mu.RLock()
-	out := make([]TaskGauge, 0, len(e.tasks))
-	for k, t := range e.tasks {
+	defer e.mu.RUnlock()
+	var out []TaskGauge
+	for t := range e.liveTasks() {
 		depth := 0
 		if t.mailbox != nil {
 			depth = t.mailbox.depth()
@@ -305,8 +305,8 @@ func (e *Engine) TaskGauges() []TaskGauge {
 			spilled = t.tier.spilled.Load()
 		}
 		out = append(out, TaskGauge{
-			Store:        k.store,
-			Part:         k.part,
+			Store:        t.key.store,
+			Part:         t.key.part,
 			QueueDepth:   depth,
 			Stored:       t.storedCount.Load(),
 			StateBytes:   t.stateBytes.Load(),
@@ -329,13 +329,6 @@ func (e *Engine) TaskGauges() []TaskGauge {
 			ProbeStoreSkips:    t.probeSkips.Load(),
 		})
 	}
-	e.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Store != out[j].Store {
-			return out[i].Store < out[j].Store
-		}
-		return out[i].Part < out[j].Part
-	})
 	return out
 }
 
@@ -363,15 +356,15 @@ func (e *Engine) Pressure() Pressure {
 	}
 	p.AvgLag, _ = e.metrics.avgLag()
 	e.mu.RLock()
-	for k, t := range e.tasks {
+	for t := range e.liveTasks() {
 		if t.mailbox == nil {
 			continue
 		}
 		d := t.mailbox.depth()
 		p.QueuedMessages += int64(d)
-		if d > p.MaxQueueDepth || (d == p.MaxQueueDepth && d > 0 && k.store < p.MaxQueueStore) {
+		if d > p.MaxQueueDepth {
 			p.MaxQueueDepth = d
-			p.MaxQueueStore = k.store
+			p.MaxQueueStore = t.key.store
 		}
 	}
 	e.mu.RUnlock()

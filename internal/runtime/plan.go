@@ -34,19 +34,21 @@ import (
 
 // emitStep is one compiled emission: the target plus everything the
 // emit path previously recomputed per tuple — whether a StoreRule
-// consumes the edge, the pinned parallelism, and the resolved routing
-// attribute names.
+// consumes the edge and the resolved routing attribute names.
 type emitStep struct {
 	edge topology.EdgeID
-	to   topology.StoreID
+	// to is the target store's record (nil for a sink): its tasks and its
+	// pin — parallelism and split-key set (a keyed transfer whose routing
+	// hash is in the set routes over two candidates instead of the hash
+	// partition, keyedParts: inserts to the less-loaded one, probes to
+	// both).
+	to   *store
 	sink string // query name for terminal emissions
 
 	// isStore: a StoreRule at `to` consumes this edge, so the transfer
 	// materializes state (routes by the pinned partition attribute and
 	// must land exactly once).
 	isStore bool
-	// par is the target store's pinned parallelism (≥1).
-	par int
 	// insertRoute is the pinned partitioning attribute's qualified name
 	// ("" = unpartitioned store: inserts round-robin).
 	insertRoute string
@@ -54,12 +56,6 @@ type emitStep struct {
 	// cannot key its probes: broadcast). Non-empty only when the
 	// compile-time RouteBy matches the pinned physical partitioning.
 	probeRoute string
-	// split is the target store's pinned split-key set (nil: none). A
-	// keyed transfer whose routing hash is in the set routes over two
-	// candidates instead of the hash partition (Engine.keyedParts):
-	// inserts to the less-loaded one, probes to both. Shared read-only
-	// across tasks.
-	split map[uint64]struct{}
 }
 
 // routeName returns the attribute whose hash routes this transfer, or
@@ -92,10 +88,10 @@ type indexKey struct {
 }
 
 // keyNumbers numbers index keys by id: the first key compiled gets 0,
-// and a key compiled again — by a later Install, a re-pin, a
-// re-optimization — gets its number back, so indices built under one
-// compiled plan are found by the next. The engine owns one and writes it
-// under its write lock (compileRule).
+// and a key compiled again — by a later Install, a re-optimization —
+// gets its number back, so indices built under one compiled plan are
+// found by the next. The engine owns one and writes it under its write
+// lock (compileRule).
 type keyNumbers map[string]int32
 
 func (kn keyNumbers) number(id string) int32 {
@@ -148,11 +144,11 @@ func (c *compiledTopo) runs(store topology.StoreID, rp *rulePlan) bool {
 	return c != nil && slices.Contains(c.rules[store][rp.rule.In], rp)
 }
 
-// compileTopo resolves a validated topology against the engine's pinned
-// physical layout. Every rule that prev (nil: none) compiled the same way
-// keeps prev's rulePlan: same store and edge, same kind, same predicates
-// in the same order, same compiled emissions. Caller holds e.mu (write):
-// the pinning loop of Install must already have run.
+// compileTopo resolves a validated topology against the store records.
+// Every rule that prev (nil: none) compiled the same way keeps prev's
+// rulePlan: same store and edge, same kind, same predicates in the same
+// order, same compiled emissions. Caller holds e.mu (write): Install must
+// already have created the record of every store the topology names.
 func (e *Engine) compileTopo(topo *topology.Config, prev *compiledTopo) *compiledTopo {
 	comp := &compiledTopo{
 		topo:   topo,
@@ -213,34 +209,27 @@ func (e *Engine) kept(olds []*rulePlan, r *topology.Rule, out []emitStep) *ruleP
 	return nil
 }
 
-// sameStep reports whether two compiled emissions route alike. The split
-// set is not compared: it is the target store's pin, which only
-// RestorePins changes, and RestorePins recompiles without reuse.
+// sameStep reports whether two compiled emissions route alike: the same
+// target record — the same pin — and the same routing attributes.
 func sameStep(a, b emitStep) bool {
 	return a.edge == b.edge && a.to == b.to && a.sink == b.sink && a.isStore == b.isStore &&
-		a.par == b.par && a.insertRoute == b.insertRoute && a.probeRoute == b.probeRoute
+		a.insertRoute == b.insertRoute && a.probeRoute == b.probeRoute
 }
 
 // compileEmissions appends the compiled emissions to steps.
 func (e *Engine) compileEmissions(steps []emitStep, topo *topology.Config, out []topology.Emission) []emitStep {
 	for _, em := range out {
-		step := emitStep{edge: em.Edge, to: em.To, sink: em.Sink}
+		step := emitStep{edge: em.Edge, sink: em.Sink}
 		if em.To != "" {
-			store := topo.Stores[em.To]
-			if store == nil {
+			ts, st := topo.Stores[em.To], e.stores[em.To]
+			if ts == nil || st == nil {
 				continue // Validate rejects this; defensive
 			}
+			step.to = st
 			step.isStore = topo.IsStoreEdge(em.To, em.Edge)
-			par := e.pinnedPar[em.To]
-			if par < 1 {
-				par = 1
-			}
-			step.par = par
-			step.split = e.pinnedSplit[em.To]
-			pinned := e.pinnedPart[em.To]
-			if pinned != (query.Attr{}) {
-				step.insertRoute = pinned.Qualified()
-				if em.RouteBy != "" && store.Partition == pinned {
+			if st.part != (query.Attr{}) {
+				step.insertRoute = st.part.Qualified()
+				if em.RouteBy != "" && ts.Partition == st.part {
 					step.probeRoute = em.RouteBy
 				}
 			}

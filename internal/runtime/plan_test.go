@@ -220,7 +220,7 @@ func probePlan(t testing.TB, eng *Engine, sinkOnly bool) (*task, *rulePlan, topo
 				if rp.kind != topology.ProbeRule || rp.sinkOnly != sinkOnly || !strings.HasPrefix(rp.probeAttrs[0], "R.") {
 					continue
 				}
-				tk := eng.tasks[taskKey{store: sid, part: 0}]
+				tk := eng.taskAt(sid, 0)
 				if tk == nil || tk.storedCount.Load() == 0 {
 					continue
 				}

@@ -152,7 +152,7 @@ func runReuseSchedule(t *testing.T, cfg Config, keepByEdge bool, n int) reuseOut
 				}
 			}
 		}
-		for _, tk := range eng.tasks {
+		for tk := range eng.liveTasks() {
 			for _, st := range tk.states {
 				seenStates[st] = true
 			}
@@ -163,7 +163,7 @@ func runReuseSchedule(t *testing.T, cfg Config, keepByEdge bool, n int) reuseOut
 		prev := newest()
 		remember(prev)
 		states := map[*task]map[*rulePlan]*planState{}
-		for _, tk := range eng.tasks {
+		for tk := range eng.liveTasks() {
 			states[tk] = make(map[*rulePlan]*planState, len(tk.states))
 			for rp, st := range tk.states {
 				states[tk][rp] = st

@@ -30,9 +30,10 @@ type SimConfig struct {
 	// seeds explore different ones.
 	Seed uint64
 	// MailboxCredits enables flow-control modeling, mirroring
-	// FlowConfig: each task grants this many credits at spawn, sends
-	// consume them, dispatches repay them, and admission is gated on a
-	// positive balance. Under BlockOnOverload a starved producer "waits"
+	// FlowConfig: each task grants this many credits at spawn (and
+	// withdraws them when its store retires), sends consume them,
+	// dispatches repay them, and admission is gated on a positive
+	// balance. Under BlockOnOverload a starved producer "waits"
 	// by running the scheduler until credit frees — the deterministic
 	// analogue of blocking at the flow substrate's admission gate. 0
 	// disables the model (unbounded queueing, like an unexhaustible
@@ -124,6 +125,13 @@ func (s *simSubstrate) start(t *task) {
 	if s.cfg.MailboxCredits > 0 {
 		s.granted += int64(s.cfg.MailboxCredits)
 		s.credits += int64(s.cfg.MailboxCredits)
+	}
+}
+
+func (s *simSubstrate) retire(*task) {
+	if s.cfg.MailboxCredits > 0 {
+		s.granted -= int64(s.cfg.MailboxCredits)
+		s.credits -= int64(s.cfg.MailboxCredits)
 	}
 }
 

@@ -82,9 +82,12 @@ func TestSplitKeysExact(t *testing.T) {
 		degreeEstimates([]string{"R", "S"}, 100, 0, 0.75),
 		Config{Substrate: SubstrateSynchronous})
 	defer h.eng.Stop()
-	h.eng.mu.RLock()
-	nSplit := len(h.eng.pinnedSplit)
-	h.eng.mu.RUnlock()
+	nSplit := 0
+	for _, p := range h.eng.Pins() {
+		if len(p.Split) > 0 {
+			nSplit++
+		}
+	}
 	if nSplit == 0 {
 		t.Fatal("no split keys pinned — the degree estimates did not reach the topology")
 	}
@@ -176,9 +179,12 @@ func TestSplitKeysNoRegression(t *testing.T) {
 		degreeEstimates([]string{"R", "S"}, 100, 0, 0.05), // share below 1/par
 		Config{Substrate: SubstrateSynchronous})
 	defer h.eng.Stop()
-	h.eng.mu.RLock()
-	nSplit := len(h.eng.pinnedSplit)
-	h.eng.mu.RUnlock()
+	nSplit := 0
+	for _, p := range h.eng.Pins() {
+		if len(p.Split) > 0 {
+			nSplit++
+		}
+	}
 	if nSplit != 0 {
 		t.Fatalf("balanced degree summary pinned %d split-key sets", nSplit)
 	}
@@ -301,13 +307,13 @@ func splitProbeSteps(eng *Engine) map[topology.EdgeID]map[topology.StoreID]*emit
 	add := func(steps []emitStep) {
 		for i := range steps {
 			s := &steps[i]
-			if s.split == nil || s.isStore || s.probeRoute == "" {
+			if s.to == nil || s.to.split == nil || s.isStore || s.probeRoute == "" {
 				continue
 			}
 			if out[s.edge] == nil {
 				out[s.edge] = map[topology.StoreID]*emitStep{}
 			}
-			out[s.edge][s.to] = s
+			out[s.edge][s.to.id] = s
 		}
 	}
 	comp := eng.configs[0].comp
@@ -365,16 +371,16 @@ func TestSplitKeysMixedBatchesExact(t *testing.T) {
 			for _, tp := range batch {
 				v, _ := tp.Get(step.probeRoute)
 				if h := v.Hash(); h == hot {
-					p1, p2 := SplitCandidates(h, step.par)
+					p1, p2 := SplitCandidates(h, step.to.par)
 					want[p1] = append(want[p1], tp)
 					want[p2] = append(want[p2], tp)
 				} else {
-					p := int(h % uint64(step.par))
+					p := int(h % uint64(step.to.par))
 					want[p] = append(want[p], tp)
 				}
 			}
 			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Errorf("edge %s → %s: partitions %v, want %v", step.edge, step.to, got, want)
+				t.Errorf("edge %s → %s: partitions %v, want %v", step.edge, step.to.id, got, want)
 			}
 		}
 	}
@@ -471,9 +477,9 @@ func TestSplitKeysMixedBatchesExact(t *testing.T) {
 	for k, ps := range parts {
 		v, _ := k.tp.Get(k.step.probeRoute)
 		h := v.Hash()
-		want := map[int]bool{int(h % uint64(k.step.par)): true}
+		want := map[int]bool{int(h % uint64(k.step.to.par)): true}
 		if h == hot {
-			p1, p2 := SplitCandidates(h, k.step.par)
+			p1, p2 := SplitCandidates(h, k.step.to.par)
 			want = map[int]bool{p1: true, p2: true}
 		}
 		if fmt.Sprint(ps) != fmt.Sprint(want) {

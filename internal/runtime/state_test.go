@@ -88,7 +88,7 @@ func TestBackendEquivalenceWindowed(t *testing.T) {
 		// the watermark's — demoted on the tiered row.
 		wm := h.eng.Watermark()
 		coldLen := map[*task]map[int64]int{} // tiered row: rows per cold epoch
-		for _, tk := range h.eng.tasks {
+		for tk := range h.eng.liveTasks() {
 			if tk.tier == nil {
 				continue
 			}
@@ -129,7 +129,7 @@ func TestBackendEquivalenceWindowed(t *testing.T) {
 		// Shed every task down to its arrival epoch — on the tiered row
 		// through rings that mix cold slots with the hot boundary epoch
 		// the prune just promoted.
-		for _, tk := range h.eng.tasks {
+		for tk := range h.eng.liveTasks() {
 			tk.evictToLimit(0)
 		}
 		// Probe what is left with a fresh in-order tail.
@@ -155,7 +155,7 @@ func TestBackendEquivalenceWindowed(t *testing.T) {
 			if m.SpilledBytes != 0 || m.DemotedEpochs != 0 {
 				t.Errorf("budget-less columnar spilled (bytes=%d demoted=%d)", m.SpilledBytes, m.DemotedEpochs)
 			}
-			for _, tk := range h.eng.tasks {
+			for tk := range h.eng.liveTasks() {
 				if tk.state.(*columnarState).store.f != nil {
 					t.Errorf("budget-less columnar task %v opened a spill file", tk.key)
 				}
@@ -199,7 +199,7 @@ func TestBackendEquivalenceWindowed(t *testing.T) {
 func checkMixedColumns(t *testing.T, e *Engine) {
 	t.Helper()
 	twoSchemas, lateString := false, false
-	for _, tk := range e.tasks {
+	for tk := range e.liveTasks() {
 		for _, s := range tk.state.(*columnarState).ring.vals {
 			twoSchemas = twoSchemas || len(s.schemas) > 1
 			for _, c := range s.cols {
@@ -396,7 +396,7 @@ func TestIndexMemoryAccounted(t *testing.T) {
 			ins := randomStream(h.cat, 300, 6, 17)
 			h.ingestAll(t, ins)
 			keyWidths := map[int]bool{} // over the indices of any one epoch holding two
-			for _, tk := range h.eng.tasks {
+			for tk := range h.eng.liveTasks() {
 				var sets []indexSet
 				switch st := tk.state.(type) {
 				case *containerState:

@@ -198,7 +198,8 @@ func TestStoreFilterCoversHotRows(t *testing.T) {
 			h.eng.Drain()
 			r := rng.New(9)
 			loaded, checked := 0, 0
-			for k, tk := range h.eng.tasks {
+			for tk := range h.eng.liveTasks() {
+				k := tk.key
 				eps := tk.state.epochs()
 				if len(eps) == 0 {
 					continue

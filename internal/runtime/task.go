@@ -581,19 +581,22 @@ func (t *task) prune(cut tuple.Time) {
 	t.maintainTier()
 }
 
-// clearState drops the task's entire materialized state (store
-// retirement: the store is absent from every installed configuration,
-// so no probe can ever reach this state again).
+// clearState drops the task's entire materialized state and closes its
+// spill file: its store was retired (no installed configuration names
+// it), so no probe can reach this state again, and Stop, which closes
+// the files of installed stores only, no longer sees the task.
 func (t *task) clearState() {
-	for _, ep := range t.state.epochs() {
-		t.markDirty(ep)
-	}
 	removed, delta, idxDelta := t.state.clear()
-	if removed == 0 && delta == 0 {
-		return
+	if removed != 0 || delta != 0 {
+		t.storedCount.Add(int64(-removed))
+		t.e.metrics.stored.Add(int64(-removed))
+		t.e.metrics.retiredTuples.Add(int64(removed))
+		t.accountState(delta, idxDelta)
 	}
-	t.storedCount.Add(int64(-removed))
-	t.e.metrics.stored.Add(int64(-removed))
-	t.e.metrics.retiredTuples.Add(int64(removed))
-	t.accountState(delta, idxDelta)
+	if t.tier != nil {
+		if err := t.tier.store.close(); err != nil {
+			t.e.fail(err)
+		}
+		t.tier = nil
+	}
 }
