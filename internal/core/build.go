@@ -29,9 +29,8 @@ type builder struct {
 	*workspace
 
 	// cross-churn cache key components
-	structFP string              // the options that shape candidate structure
-	fps      map[string]string   // query name -> mir.Fingerprint
-	byRel    map[string][]string // relation -> fingerprints of the queries joining it
+	structFP string            // the options that shape candidate structure
+	fps      map[string]string // query name -> mir.Fingerprint
 
 	// top-level candidate groups: query name -> start -> orders
 	topGroups map[string]map[string][]*DecoratedOrder
@@ -88,12 +87,16 @@ func newBuilderOn(ws *workspace, opts Options, queries []*query.Query, est *stat
 	b.syms = r.symbolTable()
 	b.structFP = opts.structFingerprint()
 	b.fps = make(map[string]string, len(queries))
-	b.byRel = map[string][]string{}
+	if b.byRel == nil {
+		b.byRel = map[string][]*query.Query{}
+	}
+	for rel, qs := range b.byRel {
+		b.byRel[rel] = qs[:0]
+	}
 	for _, q := range queries {
-		fp := r.Memo.Fingerprint(q)
-		b.fps[q.Name] = fp
+		b.fps[q.Name] = r.Memo.Fingerprint(q)
 		for _, rel := range q.Relations {
-			b.byRel[rel] = append(b.byRel[rel], fp)
+			b.byRel[rel] = append(b.byRel[rel], q)
 		}
 	}
 	return b

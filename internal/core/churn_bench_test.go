@@ -51,12 +51,14 @@ func BenchmarkChurnStep(b *testing.B) {
 // clock. While every solve built its search state, its model rows and its
 // prices from fresh memory a pair allocated 37 759 objects here (38 005
 // per op in BenchmarkChurnStep); since they live in the Reopt's workspace
-// it allocates 4 408, and the bound is 1.25× that.
+// it allocated 4 408, and since structure keys hold only what a structure
+// reads of the workload, written into the workspace, 2 856. The bound is
+// 1.25× that.
 func TestChurnStepAllocs(t *testing.T) {
 	step := churnStepper(t)
 	allocs := testing.AllocsPerRun(3, step)
 	t.Logf("%.0f allocations per churn step pair", allocs)
-	const limit = 5510
+	const limit = 3570
 	if allocs > limit {
 		t.Fatalf("%.0f allocations per churn step pair, want at most %d", allocs, limit)
 	}

@@ -364,11 +364,11 @@ func TestCompileRouteByAssignment(t *testing.T) {
 				continue
 			}
 			restricted := append(append([]query.Predicate{}, r.Preds...), target.Preds...)
-			classes := query.AttrClasses(restricted)
+			classes := attrClasses(restricted)
 			ok := false
 			for _, p := range r.Preds {
 				for _, a := range [2]query.Attr{p.Left, p.Right} {
-					if a.Qualified() == em.RouteBy && query.SameClass(classes, a, target.Partition) {
+					if a.Qualified() == em.RouteBy && sameClass(classes, a, target.Partition) {
 						ok = true
 					}
 				}

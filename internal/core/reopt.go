@@ -1,9 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -24,8 +25,11 @@ import (
 //     survivors committed.
 //   - The structure of each (sub)query's decorated candidates — orders,
 //     step keys, χ verdicts — is reused while the query's shape, its MIR
-//     eligibility, the structural options and its relation neighbourhood
-//     are unchanged; a solve re-prices it under its own estimates.
+//     eligibility, the structural options and what it reads of the rest
+//     of the workload are unchanged: the partition candidates of its
+//     relation subsets over the query set and the query set's
+//     predicates among its relations (structSig). A solve re-prices it
+//     under its own estimates.
 //
 // The ILP itself is solved afresh every step: the solver keeps nothing
 // across solves, so its result is a function of the model, the node
@@ -52,8 +56,9 @@ type Reopt struct {
 	ws        *workspace // lent to one solve at a time (acquire)
 	wsBusy    bool
 
-	// blindNeighbourhood leaves the relation neighbourhood out of
-	// structure keys; tests set it to show the key needs it.
+	// blindNeighbourhood leaves what a structure reads of the rest of
+	// the workload (workloadSig) out of structure keys; tests set it to
+	// show the key needs it.
 	blindNeighbourhood bool
 }
 
@@ -111,8 +116,9 @@ type ReoptStats struct {
 	// Probes of the candidate-structure cache, of top-level and of
 	// feeding groups. Their keys leave the estimates out: a hit under a
 	// new snapshot is re-priced. A top-level group misses when its query
-	// is new or changed or an installed query sharing one of its
-	// relations arrived or left.
+	// is new or changed, or a query that arrived or left gave one of its
+	// relation subsets a partition candidate or its relations a predicate
+	// among them, or took one away.
 	TopHits, TopMisses   uint64
 	FeedHits, FeedMisses uint64
 }
@@ -237,10 +243,10 @@ func (r *Reopt) noteWarmStart(w warmReport) {
 
 // structLookup returns the candidate structure cached under sig with
 // ids from syms, counting the probe as a top-level or feeding one.
-func (r *Reopt) structLookup(sig string, syms *symbols, feed bool) (map[string][]*DecoratedOrder, bool) {
+func (r *Reopt) structLookup(sig []byte, syms *symbols, feed bool) (map[string][]*DecoratedOrder, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.structs[sig]
+	e, ok := r.structs[string(sig)]
 	ok = ok && e.val.syms == syms
 	hits, misses := &r.ctr.TopHits, &r.ctr.TopMisses
 	if feed {
@@ -255,10 +261,10 @@ func (r *Reopt) structLookup(sig string, syms *symbols, feed bool) (map[string][
 	return e.val.group, true
 }
 
-func (r *Reopt) structStore(sig string, syms *symbols, group map[string][]*DecoratedOrder) {
+func (r *Reopt) structStore(sig []byte, syms *symbols, group map[string][]*DecoratedOrder) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.structs[sig] = &reoptEntry[structEntry]{val: structEntry{group: group, syms: syms}, gen: r.gen}
+	r.structs[string(sig)] = &reoptEntry[structEntry]{val: structEntry{group: group, syms: syms}, gen: r.gen}
 }
 
 // structFingerprint captures the options that shape candidate
@@ -268,37 +274,165 @@ func (o Options) structFingerprint() string {
 		o.parallelism(), o.DisablePartitioning, o.UniformChi, o.MaterializationCost)
 }
 
-// structSig keys the cached candidate structure of q, a top-level query
-// or (fed != nil) the subquery feeding an MIR: q's name (part of every
-// decorated-order key), its join shape — for a fed subquery the MIR's
-// key, which is the subquery's fingerprint — and whether it feeds, its
-// MIR eligibility, the structural options, and its relation
-// neighbourhood. The estimates and the cap are left out: price applies
-// them to a copy on every solve.
-func (b *builder) structSig(q *query.Query, fed *mir.MIR) string {
-	shape := b.fps[q.Name]
+// structSig writes the key of q's cached candidate structure into the
+// workspace's key buffer and returns it. q is a top-level query or
+// (fed != nil) the subquery feeding an MIR. The key holds what the
+// structure is built from: q's name (part of every decorated-order key),
+// its join shape — for a fed subquery the MIR's key, which is the
+// subquery's fingerprint — and whether it feeds, its MIR eligibility, the
+// structural options, and what it reads of the workload (workloadSig).
+// The estimates and the cap are left out: price applies them to a copy on
+// every solve. Every part is length-prefixed, so two different inputs
+// never write the same key; a lookup converts nothing.
+func (b *builder) structSig(q *query.Query, fed *mir.MIR) []byte {
+	k := appendStr(b.key[:0], q.Name)
 	if fed != nil {
-		shape = "feed:" + fed.Key()
+		k = appendStr(append(k, 'f'), fed.Key())
+	} else {
+		k = appendStr(append(k, 'q'), b.fps[q.Name])
 	}
-	return q.Name + "|" + shape + "|" + b.eligSig(q) + "|" + b.structFP + "|" + b.neighbourhood(q)
+	k = appendStr(k, b.eligSig(q))
+	k = appendStr(k, b.structFP)
+	k = b.workloadSig(k, q)
+	b.key = k
+	return k
 }
 
-// neighbourhood fingerprints the queries under optimization that share
-// a relation with q. They are all of the workload that q's candidate
-// structure reads: an element's partition candidates come from the
-// queries containing all of its relations (mir.PartitionCandidates),
-// and Knows follows only predicates among q's relations. Without
-// partitioning neither is consulted.
-func (b *builder) neighbourhood(q *query.Query) string {
+// appendStr appends s to k, length first.
+func appendStr(k []byte, s string) []byte {
+	return append(binary.AppendUvarint(k, uint64(len(s))), s...)
+}
+
+// appendAttr appends a to k, relation then name.
+func appendAttr(k []byte, a query.Attr) []byte {
+	return appendStr(appendStr(k, a.Rel), a.Name)
+}
+
+// workloadSig appends to k all that q's candidate structure reads of the
+// query set besides q: per proper subset of q's relations that q's own
+// predicates connect (q's MIRs, every element its orders can probe), in
+// the order of the subset's mask over the sorted relations, its sorted
+// mir.PartitionCandidates over the query set; then the query set's
+// distinct predicates with both sides among q's relations, normalized
+// and sorted — the only ones cost.Estimator.Knows follows for q's
+// steps. A query that shares a relation with q but adds neither a
+// partition candidate nor such a predicate leaves the key as it was.
+// Without partitioning neither is consulted.
+func (b *builder) workloadSig(k []byte, q *query.Query) []byte {
 	if b.opts.DisablePartitioning || b.opts.Reopt.blindNeighbourhood {
-		return ""
+		return k
 	}
-	var fps []string
-	for _, rel := range q.Relations {
-		fps = append(fps, b.byRel[rel]...)
+	rels := append(b.rels[:0], q.Relations...)
+	slices.Sort(rels)
+	b.rels = rels
+	// The predicates of the queries sharing a relation with q, each
+	// query once (under the first relation of q it joins), as bits over
+	// rels.
+	sides := b.sides[:0]
+	for i, rel := range rels {
+		for _, o := range b.byRel[rel] {
+			joins := 0
+			for _, r := range o.Relations {
+				joins |= relBit(rels, r)
+			}
+			if joins&(1<<i-1) != 0 {
+				continue
+			}
+			for _, p := range o.Preds {
+				sides = append(sides, keySide{joins: joins, l: relBit(rels, p.Left.Rel), r: relBit(rels, p.Right.Rel), p: p})
+			}
+		}
 	}
-	sort.Strings(fps)
-	return strings.Join(slices.Compact(fps), ",")
+	b.sides = sides
+	// adj[i] holds the relations q's own predicates join rels[i] to: a
+	// subset they leave disconnected is no MIR of q, and no element.
+	adj := resize(b.adj, len(rels))
+	clear(adj)
+	for _, p := range q.Preds {
+		l, r := relBit(rels, p.Left.Rel), relBit(rels, p.Right.Rel)
+		if l != 0 && r != 0 {
+			adj[bits.TrailingZeros(uint(l))] |= r
+			adj[bits.TrailingZeros(uint(r))] |= l
+		}
+	}
+	b.adj = adj
+	all := 1<<len(rels) - 1
+	for mask := 1; mask < all; mask++ {
+		if !connected(adj, mask) {
+			continue
+		}
+		attrs := b.attrs[:0]
+		for _, sd := range sides {
+			if mask&^sd.joins != 0 {
+				continue // the query does not join every relation of the subset
+			}
+			if l, r := sd.l&mask != 0, sd.r&mask != 0; l && !r {
+				attrs = append(attrs, sd.p.Left)
+			} else if r && !l {
+				attrs = append(attrs, sd.p.Right)
+			}
+		}
+		slices.SortFunc(attrs, query.Attr.Compare)
+		attrs = slices.Compact(attrs)
+		k = binary.AppendUvarint(k, uint64(len(attrs)))
+		for _, a := range attrs {
+			k = appendAttr(k, a)
+		}
+		b.attrs = attrs
+	}
+	preds := b.preds[:0]
+	for _, sd := range sides {
+		if sd.l != 0 && sd.r != 0 {
+			preds = append(preds, sd.p.Normalize())
+		}
+	}
+	slices.SortFunc(preds, func(x, y query.Predicate) int {
+		if c := x.Left.Compare(y.Left); c != 0 {
+			return c
+		}
+		return x.Right.Compare(y.Right)
+	})
+	preds = slices.Compact(preds)
+	k = binary.AppendUvarint(k, uint64(len(preds)))
+	for _, p := range preds {
+		k = appendAttr(appendAttr(k, p.Left), p.Right)
+	}
+	b.preds = preds
+	return k
+}
+
+// keySide is one predicate of a query sharing a relation with the query
+// whose structure key workloadSig writes, as bits over that query's
+// sorted relations: those the sharing query joins, and each side's
+// relation (0 outside them).
+type keySide struct {
+	joins, l, r int
+	p           query.Predicate
+}
+
+// connected reports whether the relations of mask form one component
+// under adj (see workloadSig).
+func connected(adj []int, mask int) bool {
+	reach := mask & -mask
+	for {
+		next := reach
+		for r := reach; r != 0; r &= r - 1 {
+			next |= adj[bits.TrailingZeros(uint(r))] & mask
+		}
+		if next == reach {
+			return reach == mask
+		}
+		reach = next
+	}
+}
+
+// relBit is rel's bit over the sorted relations rels, 0 when rels does
+// not hold it.
+func relBit(rels []string, rel string) int {
+	if i, ok := slices.BinarySearch(rels, rel); ok {
+		return 1 << i
+	}
+	return 0
 }
 
 // eligSig fingerprints which of a query's own MIR subsets are eligible

@@ -368,6 +368,55 @@ func arrivalChurn(t *testing.T) churnSchedule {
 	return churnSchedule{env: workload.NewEnv(10, 100), steps: [][]*query.Query{{q1}, {q1, q2}, {q1}}}
 }
 
+// q1Pred builds the equality predicate l.la = r.ra.
+func q1Pred(l, la, r, ra string) query.Predicate {
+	return query.Predicate{Left: query.Attr{Rel: l, Name: la}, Right: query.Attr{Rel: r, Name: ra}}
+}
+
+// q1Churn installs arrivalChurn's q1 over E00, E01, E02, then admits a
+// second query q over rels with preds: the step whose probes show what
+// q's arrival does to q1's cached structure. It fails unless q leaves
+// the partition candidates of every subset of q1's relations as they
+// were.
+func q1Churn(t *testing.T, rels []string, preds []query.Predicate) churnSchedule {
+	sched := arrivalChurn(t)
+	q1 := sched.steps[0][0]
+	q, err := query.NewQuery("q", rels, preds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for mask := 1; mask < 7; mask++ {
+		var sub []string
+		for i, rel := range q1.Relations {
+			if mask&(1<<i) != 0 {
+				sub = append(sub, rel)
+			}
+		}
+		m := mir.New(sub, nil)
+		if a, b := mir.PartitionCandidates(m, []*query.Query{q1}), mir.PartitionCandidates(m, []*query.Query{q1, q}); !slices.Equal(a, b) {
+			t.Fatalf("q gives %v a partition candidate: %v, then %v", sub, a, b)
+		}
+	}
+	sched.steps = [][]*query.Query{{q1}, {q1, q}}
+	return sched
+}
+
+// q1Probes runs a q1Churn schedule's steps in the free regime on one
+// Reopt and returns the top-level structure probes of the last step: q's
+// miss and q1's hit or miss.
+func q1Probes(t *testing.T, sched churnSchedule) (hits, misses uint64) {
+	reopt := NewReopt()
+	opts := Options{MaxCandidatesPerGroup: sched.cap, MaterializationCost: true, Reopt: reopt}
+	var before ReoptStats
+	for step, active := range sched.steps {
+		reopt.Advance()
+		before = reopt.Stats()
+		candidateBuilder(t, opts, active, sealedEstimates(sched.env, active, uint64(step)+1))
+	}
+	after := reopt.Stats()
+	return after.TopHits - before.TopHits, after.TopMisses - before.TopMisses
+}
+
 // cachedVersusFresh runs a churn schedule with a freshly sealed estimates
 // snapshot at every step, two eligibility regimes per step, and compares the candidates of a builder on one
 // Reopt — structure from its cache, re-priced — with a build without
@@ -395,8 +444,17 @@ func cachedVersusFresh(t *testing.T, sched churnSchedule, blindNeighbourhood boo
 // differential test: every cached-and-re-priced group must equal the
 // group a build without cross-churn state produces, bit for bit, while
 // the estimates change at every step and queries arrive and leave. The
-// vacuity arm leaves the relation neighbourhood out of the structure key: the query that gives a shared relation a new partition
-// candidate must then make a cached group stale on arrival.
+// vacuity arm leaves what a structure reads of the rest of the workload
+// out of the structure key: the query that gives a shared relation a new
+// partition candidate must then make a cached group stale on arrival.
+// Two arms pin what the key holds of the workload. A query that shares
+// E01 with q1 but changes no partition candidate of q1's relation
+// subsets and adds no predicate among q1's relations leaves q1's key as
+// it was: q1 hits on its arrival (it missed while the key held every
+// query sharing a relation). A query that adds E00.a1 = E01.a2, and no
+// partition candidate, lets a probe from E00 compute the partitioning
+// value of E01 partitioned by a2: q1 misses, and a key blind to the
+// workload serves the stale structure.
 func TestCachedStructureRepricesLikeAFreshBuild(t *testing.T) {
 	for _, sched := range []churnSchedule{randomChurn(t), arrivalChurn(t)} {
 		st, err := cachedVersusFresh(t, sched, false)
@@ -414,4 +472,25 @@ func TestCachedStructureRepricesLikeAFreshBuild(t *testing.T) {
 		t.Fatalf("structure keys without the neighbourhood: %v; want a stale group when q2 arrives at step 1", err)
 	}
 	t.Logf("without the neighbourhood: %v", err)
+
+	sharing := q1Churn(t, []string{"E01", "E05"}, []query.Predicate{q1Pred("E01", "a1", "E05", "a1")})
+	if _, err := cachedVersusFresh(t, sharing, false); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := q1Probes(t, sharing); hits != 1 || misses != 1 {
+		t.Fatalf("a query sharing only E01 with q1: %d top-level hits and %d misses on its arrival, want q1's hit and its own miss", hits, misses)
+	}
+
+	knowing := q1Churn(t, []string{"E00", "E01"}, []query.Predicate{q1Pred("E00", "a1", "E01", "a2")})
+	if _, err := cachedVersusFresh(t, knowing, false); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := q1Probes(t, knowing); hits != 0 || misses != 2 {
+		t.Fatalf("a query adding E00.a1 = E01.a2: %d top-level hits and %d misses on its arrival, want none and two", hits, misses)
+	}
+	if _, err := cachedVersusFresh(t, knowing, true); err == nil || !strings.HasPrefix(err.Error(), "step 1 ") {
+		t.Fatalf("structure keys without the workload's predicates: %v; want a stale group when E00.a1 = E01.a2 arrives at step 1", err)
+	} else {
+		t.Logf("without the workload's predicates: %v", err)
+	}
 }

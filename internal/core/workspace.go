@@ -1,6 +1,9 @@
 package core
 
-import "clash/internal/ilp"
+import (
+	"clash/internal/ilp"
+	"clash/internal/query"
+)
 
 // workspace is the memory one joint solve builds its model in, prices its
 // candidates in, warm-starts and searches in: the solver's workspace, the
@@ -46,6 +49,17 @@ type workspace struct {
 	// The warm start's selection scratch and one assignment per variant.
 	ls   lsState
 	warm [numSeeds][]float64
+
+	// The structure keys' scratch (structSig): the queries joining each
+	// relation (a relation no query joins any more keeps an empty
+	// list), the key being written, and its sorted lists.
+	byRel map[string][]*query.Query
+	key   []byte
+	rels  []string
+	adj   []int
+	sides []keySide
+	attrs []query.Attr
+	preds []query.Predicate
 }
 
 // reset readies w for a new solve.

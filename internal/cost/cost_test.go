@@ -264,15 +264,41 @@ func refKnows(preds []query.Predicate, prefix map[string]bool, target Target) bo
 			restricted = append(restricted, p)
 		}
 	}
-	classes := query.AttrClasses(restricted)
+	classes := attrClasses(restricted)
 	for _, p := range restricted {
 		for _, a := range [2]query.Attr{p.Left, p.Right} {
-			if prefix[a.Rel] && query.SameClass(classes, a, part) {
+			if prefix[a.Rel] && classes[a] == classes[part] {
 				return true
 			}
 		}
 	}
 	return false
+}
+
+// attrClasses computes the equivalence classes of qualified attributes
+// induced by equi-join predicates by union-find: it maps each attribute a
+// predicate names to its class's representative.
+func attrClasses(preds []query.Predicate) map[query.Attr]query.Attr {
+	parent := map[query.Attr]query.Attr{}
+	var find func(a query.Attr) query.Attr
+	find = func(a query.Attr) query.Attr {
+		if p, ok := parent[a]; ok && p != a {
+			root := find(p)
+			parent[a] = root
+			return root
+		}
+		parent[a] = a
+		return a
+	}
+	for _, p := range preds {
+		if ra, rb := find(p.Left), find(p.Right); ra != rb {
+			parent[rb] = ra
+		}
+	}
+	for a := range parent {
+		find(a)
+	}
+	return parent
 }
 
 // randomKnowsCase draws a predicate set over a few relations with few

@@ -269,3 +269,26 @@ func TestRelationHelpers(t *testing.T) {
 		t.Errorf("String = %q", r.String())
 	}
 }
+
+// TestAttrCompareOrdersRenderedNames pins Attr.Compare to the order of
+// the rendered "Rel.Name" strings, with relation names that are prefixes
+// of each other or hold bytes below '.', where comparing the relation and
+// then the attribute name would order them otherwise; Normalize puts the
+// smaller rendered side first.
+func TestAttrCompareOrdersRenderedNames(t *testing.T) {
+	attrs := []Attr{{"R", "a"}, {"R-x", "a"}, {"R1", "a"}, {"R", "b"}, {"R.", "a"}, {"", "a"}, {"R", ""}, {"R-x", "0"}}
+	for i, a := range attrs {
+		for _, b := range attrs[i:] {
+			want := strings.Compare(a.String(), b.String())
+			if got := a.Compare(b); got != want {
+				t.Errorf("%q.Compare(%q) = %d, rendered strings compare %d", a, b, got, want)
+			}
+			if got := b.Compare(a); got != -want {
+				t.Errorf("%q.Compare(%q) = %d, rendered strings compare %d", b, a, got, -want)
+			}
+		}
+	}
+	if p := (Predicate{Attr{"R", "a"}, Attr{"R-x", "a"}}).Normalize(); p.Left != (Attr{"R-x", "a"}) {
+		t.Errorf("Normalize kept %v first; R-x.a renders smaller", p.Left)
+	}
+}

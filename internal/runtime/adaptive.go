@@ -77,7 +77,8 @@ type Controller struct {
 	lastWarming []*core.Plan     // and its warming plans
 	liveSince   map[string]int64 // composite MIR key -> first epoch fed
 	startEpoch  int64
-	reopt       *core.Reopt // nil unless IncrementalReopt
+	reopt       *core.Reopt   // nil unless IncrementalReopt
+	compiler    core.Compiler // compiles each decision from the last one's topology
 
 	// Install side: written at the barrier.
 	lastPlan atomic.Pointer[core.Plan]
@@ -253,6 +254,7 @@ func (c *Controller) solve(in solveInput) (install func() error) {
 	defer c.smu.Unlock()
 	fail := func(err error) func() error { return func() error { return err } }
 	epoch := in.epoch
+	began := time.Now()
 
 	if c.reopt != nil {
 		c.reopt.Advance()
@@ -334,7 +336,8 @@ func (c *Controller) solve(in solveInput) (install func() error) {
 		return func() error { publish(); return nil }
 	}
 
-	topo, err := core.Compile(append(append([]*core.Plan{}, plans...), warming...),
+	solved := time.Now()
+	topo, err := c.compiler.Compile(append(append([]*core.Plan{}, plans...), warming...),
 		core.CompileOptions{
 			Epoch:       epoch,
 			Shared:      c.cfg.Shared,
@@ -343,6 +346,7 @@ func (c *Controller) solve(in solveInput) (install func() error) {
 	if err != nil {
 		return fail(err)
 	}
+	compiled := time.Now()
 	c.lastPlans, c.lastWarming = plans, warming
 
 	// Liveness bookkeeping: composite stores present in the installed
@@ -372,8 +376,16 @@ func (c *Controller) solve(in solveInput) (install func() error) {
 
 	return func() error {
 		publish()
+		t := time.Now()
 		if err := c.eng.Install(topo, epoch); err != nil {
 			return err
+		}
+		if !initial {
+			m := c.eng.metrics
+			m.steps.Add(1)
+			m.stepSolve.Add(int64(solved.Sub(began)))
+			m.stepCompile.Add(int64(compiled.Sub(solved)))
+			m.stepInstall.Add(int64(time.Since(t)))
 		}
 		if c.cfg.OnDecision != nil {
 			c.cfg.OnDecision(epoch, plans, warming)

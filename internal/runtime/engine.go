@@ -191,8 +191,11 @@ type Engine struct {
 	schemas    map[string]*tuple.Schema // relation -> ingest schema (attrs + τ)
 	// keyNums numbers the index keys of every plan compiled (plan.go).
 	keyNums keyNumbers
-	// emitScratch is compileTopo's buffer for a rule's compiled emissions.
+	// compileTopo's buffers for a rule's compiled emissions, an edge's
+	// plans and a store's index keys.
 	emitScratch []emitStep
+	planScratch []*rulePlan
+	keyScratch  []int32
 	// keepByEdge is a test hook: compileTopo keeps a previous plan by
 	// store, edge and kind alone, whatever its predicates and emissions —
 	// the wrong reuse that the reuse test must catch.

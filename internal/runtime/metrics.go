@@ -54,6 +54,14 @@ type Metrics struct {
 	barrierWait atomic.Int64
 	solvesAhead atomic.Int64
 
+	// Churn-step meters (adaptive.go): the configuration changes
+	// installed after the set-up, and the wall nanoseconds they spent
+	// solving, compiling and installing.
+	steps       atomic.Int64
+	stepSolve   atomic.Int64
+	stepCompile atomic.Int64
+	stepInstall atomic.Int64
+
 	mu       sync.Mutex
 	byQuery  map[string]int64
 	latSum   time.Duration
@@ -185,6 +193,15 @@ type Snapshot struct {
 	// their install.
 	BarrierWait time.Duration
 	SolvesAhead int64
+	// Steps counts the configuration changes the adaptive controller
+	// installed after the set-up (re-plans and query churn; a decision
+	// equal to the installed one is not a step). StepSolve, StepCompile
+	// and StepInstall sum their wall time in the joint solves, in
+	// core's compile and in Engine.Install.
+	Steps       int64
+	StepSolve   time.Duration
+	StepCompile time.Duration
+	StepInstall time.Duration
 }
 
 // Snapshot returns a consistent copy of all counters.
@@ -209,6 +226,10 @@ func (m *Metrics) Snapshot() Snapshot {
 		TaskRestarts:       m.taskRestarts.Load(),
 		BarrierWait:        time.Duration(m.barrierWait.Load()),
 		SolvesAhead:        m.solvesAhead.Load(),
+		Steps:              m.steps.Load(),
+		StepSolve:          time.Duration(m.stepSolve.Load()),
+		StepCompile:        time.Duration(m.stepCompile.Load()),
+		StepInstall:        time.Duration(m.stepInstall.Load()),
 		Ingested:           m.ingested.Load(),
 		ProbeSent:          m.probeSent.Load(),
 		ProbeCandidates:    m.probeCands.Load(),

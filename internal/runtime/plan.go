@@ -147,8 +147,12 @@ func (c *compiledTopo) runs(store topology.StoreID, rp *rulePlan) bool {
 // compileTopo resolves a validated topology against the store records.
 // Every rule that prev (nil: none) compiled the same way keeps prev's
 // rulePlan: same store and edge, same kind, same predicates in the same
-// order, same compiled emissions. Caller holds e.mu (write): Install must
-// already have created the record of every store the topology names.
+// order — the same slice, when core's compile by difference handed the
+// rule over, else equal — and same compiled emissions. An edge whose
+// plans all are prev's keeps prev's list, and a store whose edges all do
+// keeps prev's map and index keys, so an install allocates for what
+// changed. Caller holds e.mu (write): Install must already have created
+// the record of every store the topology names.
 func (e *Engine) compileTopo(topo *topology.Config, prev *compiledTopo) *compiledTopo {
 	comp := &compiledTopo{
 		topo:   topo,
@@ -158,8 +162,9 @@ func (e *Engine) compileTopo(topo *topology.Config, prev *compiledTopo) *compile
 	}
 	var prevRules map[topology.StoreID]map[topology.EdgeID][]*rulePlan
 	var prevSpouts map[string][]emitStep
+	var prevKeys map[topology.StoreID][]int32
 	if prev != nil {
-		prevRules, prevSpouts = prev.rules, prev.spouts
+		prevRules, prevSpouts, prevKeys = prev.rules, prev.spouts, prev.keys
 	}
 	for rel, sp := range topo.Spouts {
 		out := e.compileEmissions(e.emitScratch[:0], topo, sp.Out)
@@ -171,27 +176,62 @@ func (e *Engine) compileTopo(topo *topology.Config, prev *compiledTopo) *compile
 		e.emitScratch = out[:0]
 	}
 	for sid, byEdge := range topo.Rules {
-		m := make(map[topology.EdgeID][]*rulePlan, len(byEdge))
+		olds := prevRules[sid]
+		var m map[topology.EdgeID][]*rulePlan // made at the first edge whose plans are not olds'
+		keys := e.keyScratch[:0]
 		for edge, rules := range byEdge {
-			olds := prevRules[sid][edge]
-			plans := make([]*rulePlan, len(rules))
+			oldPlans := olds[edge]
+			plans := e.planScratch[:0]
 			for i := range rules {
 				out := e.compileEmissions(e.emitScratch[:0], topo, rules[i].Out)
-				rp := e.kept(olds, &rules[i], out)
+				rp := e.kept(oldPlans, &rules[i], out)
 				if rp == nil {
 					rp = e.compileRule(topo, &rules[i], slices.Clone(out))
 				}
 				e.emitScratch = out[:0]
-				if rp.kind == topology.ProbeRule && !slices.Contains(comp.keys[sid], rp.key.num) {
-					comp.keys[sid] = append(comp.keys[sid], rp.key.num)
+				if rp.kind == topology.ProbeRule && !slices.Contains(keys, rp.key.num) {
+					keys = append(keys, rp.key.num)
 				}
-				plans[i] = rp
+				plans = append(plans, rp)
 			}
-			m[edge] = plans
+			e.planScratch = plans[:0]
+			if slices.Equal(plans, oldPlans) {
+				continue
+			}
+			if m == nil {
+				m = keptPlans(byEdge, olds)
+			}
+			m[edge] = slices.Clone(plans)
+		}
+		e.keyScratch = keys[:0]
+		switch {
+		case m != nil:
+		case len(olds) == len(byEdge):
+			m = olds
+		default:
+			m = keptPlans(byEdge, olds)
 		}
 		comp.rules[sid] = m
+		if old := prevKeys[sid]; len(keys) > 0 && len(old) == len(keys) &&
+			!slices.ContainsFunc(keys, func(k int32) bool { return !slices.Contains(old, k) }) {
+			comp.keys[sid] = old
+		} else if len(keys) > 0 {
+			comp.keys[sid] = slices.Clone(keys)
+		}
 	}
 	return comp
+}
+
+// keptPlans returns a map of byEdge's edges to the plans olds holds for
+// them.
+func keptPlans(byEdge map[topology.EdgeID][]topology.Rule, olds map[topology.EdgeID][]*rulePlan) map[topology.EdgeID][]*rulePlan {
+	m := make(map[topology.EdgeID][]*rulePlan, len(byEdge))
+	for edge := range byEdge {
+		if plans, ok := olds[edge]; ok {
+			m[edge] = plans
+		}
+	}
+	return m
 }
 
 // kept returns the plan among olds (the previous topology's plans for the
@@ -202,11 +242,18 @@ func (e *Engine) kept(olds []*rulePlan, r *topology.Rule, out []emitStep) *ruleP
 		if rp.kind != r.Kind {
 			continue
 		}
-		if e.keepByEdge || slices.Equal(rp.rule.Preds, r.Preds) && slices.EqualFunc(rp.out, out, sameStep) {
+		if e.keepByEdge || (sameSlice(rp.rule.Preds, r.Preds) || slices.Equal(rp.rule.Preds, r.Preds)) &&
+			slices.EqualFunc(rp.out, out, sameStep) {
 			return rp
 		}
 	}
 	return nil
+}
+
+// sameSlice reports whether a and b are the same slice: the same length
+// over the same array.
+func sameSlice[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // sameStep reports whether two compiled emissions route alike: the same

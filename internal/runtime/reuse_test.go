@@ -239,7 +239,9 @@ func addOrRemove(add bool) string {
 // install must keep exactly the rule plans (and their tasks' caches) of
 // rules that did not change, and the never-churned queries must answer
 // exactly. The vacuity arm reuses plans by store, edge and kind alone,
-// ignoring predicates and emissions: that must lose exactness.
+// ignoring predicates and emissions: that must lose exactness. A last
+// row pins the flow substrate's loss without StepMode (ROADMAP item
+// 1(a)).
 func TestInstallKeepsUnchangedRulePlans(t *testing.T) {
 	n, seeds := 900, []uint64{1, 2, 3}
 	if testing.Short() {
@@ -272,22 +274,57 @@ func TestInstallKeepsUnchangedRulePlans(t *testing.T) {
 		name  string
 		cfg   Config
 		exact []string // the never-churned queries it answers exactly
+		lossy []string // the never-churned queries it must answer short, never wrong
 	}
-	subs := []substrate{{"synchronous", Config{Substrate: SubstrateSynchronous}, reusePinned}}
+	subs := []substrate{{"synchronous", Config{Substrate: SubstrateSynchronous}, reusePinned, nil}}
 	for _, s := range seeds {
-		subs = append(subs, substrate{fmt.Sprintf("sim/seed=%d", s), Config{Substrate: SubstrateSim, StepMode: true, Sim: SimConfig{Seed: s}}, reusePinned})
+		subs = append(subs, substrate{fmt.Sprintf("sim/seed=%d", s), Config{Substrate: SubstrateSim, StepMode: true, Sim: SimConfig{Seed: s}}, reusePinned, nil})
 	}
 	// On the flow substrate workers on other goroutines run the shared
 	// rule plans: the race detector's case. Its answers are not compared:
 	// without StepMode it loses results across churn installs, with or
 	// without reuse (CHANGES.md).
-	subs = append(subs, substrate{"flow", Config{Substrate: SubstrateFlow}, nil})
+	subs = append(subs, substrate{"flow", Config{Substrate: SubstrateFlow}, nil, nil})
+	// ROADMAP item 1(a): without StepMode the flow substrate loses results
+	// of the never-churned two-way query across churn installs (197 of
+	// 1 152 on one run), and no test answered for them. This row pins the
+	// defect as it stands — some results missing, none spurious — and the
+	// change that fixes item 1(a) flips it to answer p1 exactly.
+	subs = append(subs, substrate{"flow-lossy-until-item-1a", Config{Substrate: SubstrateFlow}, nil, []string{"p1"}})
 	for _, sub := range subs {
 		t.Run(sub.name, func(t *testing.T) {
 			got := runReuseSchedule(t, sub.cfg, false, n)
 			t.Logf("rules kept %d, compiled anew %d", got.kept, got.rebuilt)
 			if got.kept == 0 || got.rebuilt == 0 {
 				t.Errorf("kept %d rules and compiled %d anew: the schedule must exercise both", got.kept, got.rebuilt)
+			}
+			// How many results the flow substrate loses depends on how its
+			// workers interleave (26 to 340 of 1 152 over eight runs; none
+			// when the stream ends with the schedule, as it does under
+			// -short): the row runs the whole stream, and reruns the
+			// schedule a few times before it calls a query exact. No run
+			// may answer wrong.
+			for _, name := range sub.lossy {
+				q := pool[slices.IndexFunc(pool, func(q *query.Query) bool { return q.Name == name })]
+				missing := 0
+				for run := 0; run < 5 && missing == 0; run++ {
+					got := runReuseSchedule(t, sub.cfg, false, 900)
+					want := ReferenceJoin(q, cat, 60, got.ins)
+					spurious := 0
+					for k, w := range want {
+						missing += max(0, w-got.results[name][k])
+					}
+					for k, g := range got.results[name] {
+						spurious += max(0, g-want[k])
+					}
+					t.Logf("%s, run %d: %d of %d results missing, %d spurious", name, run+1, missing, len(want), spurious)
+					if spurious > 0 {
+						t.Errorf("%s: %d spurious results", name, spurious)
+					}
+				}
+				if missing == 0 {
+					t.Errorf("%s answered exactly five times: item 1(a) is fixed, flip this row to an exact one", name)
+				}
 			}
 			if len(sub.exact) == 0 {
 				return
