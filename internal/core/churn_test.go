@@ -3,6 +3,7 @@ package core
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -219,7 +220,10 @@ var updateGolden = flag.Bool("update", false, "rewrite the testdata golden files
 // solves each on one Reopt — and compares every solve with
 // testdata/plans/churn-engine.golden: status, nodes, the objective's
 // float64 bits and the warm-start variant that seeded the search
-// ("none": every variant was infeasible). Every solve is node-capped and
+// ("none": every variant was infeasible), then the selected order of
+// every (query, start) group and every store's partitioning attribute —
+// in full at step 0, afterwards only what changed against the same
+// regime's previous solve ("-": gone). Every solve is node-capped and
 // serial, so any change to candidate generation, pricing, the warm start
 // or the search that moves one of them shows here, at the step it moved.
 // Regenerate with go test -run TestChurnEnginePlansGolden -update only for
@@ -228,6 +232,7 @@ func TestChurnEnginePlansGolden(t *testing.T) {
 	seedNames := [numSeeds]string{"incumbent", "greedy-marginal", "greedy-absolute", "local-search"}
 	reopt := NewReopt()
 	var got strings.Builder
+	prev := map[bool]map[string]string{} // per regime: the last solve's planLines
 	for s, step := range controllerSchedule(t, 24, 42, 20) {
 		reopt.Advance()
 		for _, restricted := range []bool{false, true} {
@@ -244,6 +249,18 @@ func TestChurnEnginePlansGolden(t *testing.T) {
 			}
 			fmt.Fprintf(&got, "step %2d %-10s %-7s nodes=%4d obj=%016x seed=%s\n",
 				s, regime, plan.Stats.Status, plan.Stats.Nodes, math.Float64bits(plan.Objective), seed)
+			lines := planLines(plan)
+			for _, k := range slices.Sorted(maps.Keys(lines)) {
+				if v, ok := prev[restricted][k]; !ok || v != lines[k] {
+					fmt.Fprintf(&got, "  %s %s\n", k, lines[k])
+				}
+			}
+			for _, k := range slices.Sorted(maps.Keys(prev[restricted])) {
+				if _, ok := lines[k]; !ok {
+					fmt.Fprintf(&got, "  %s -\n", k)
+				}
+			}
+			prev[restricted] = lines
 		}
 	}
 
@@ -271,9 +288,39 @@ func TestChurnEnginePlansGolden(t *testing.T) {
 			w = wl[i]
 		}
 		if g != w {
-			t.Fatalf("%s line %d:\n got: %s\nwant: %s", path, i+1, g, w)
+			solve := ""
+			for j := min(i, len(wl)-1); j >= 0; j-- {
+				if strings.HasPrefix(wl[j], "step ") {
+					solve = wl[j]
+					break
+				}
+			}
+			moved := ""
+			for _, l := range []string{w, g} {
+				if f := strings.Fields(l); len(f) > 1 && f[0] == "order" {
+					moved = fmt.Sprintf("\nthe order of query %s moved", strings.TrimSuffix(f[1], "/"))
+					break
+				}
+			}
+			t.Fatalf("%s line %d, in the solve of %q:\n got: %s\nwant: %s%s", path, i+1, solve, g, w, moved)
 		}
 	}
+}
+
+// planLines renders what a solve selected: per (query, start) group —
+// "<query>/<fed MIR key> <start>", the fed key empty for a top-level
+// group — the order's elements with their partition decorations, and
+// per store its partitioning attribute.
+func planLines(plan *Plan) map[string]string {
+	out := map[string]string{}
+	for _, d := range plan.Selected {
+		group := d.Query.Name + "/" + d.ForMIR
+		out["order "+group+" "+d.Start] = strings.TrimPrefix(d.Key(), group+"/")
+	}
+	for key, a := range plan.Partitions {
+		out["part "+key] = a.String()
+	}
+	return out
 }
 
 // sharingRelation counts the queries that join at least one relation of q.
