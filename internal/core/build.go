@@ -94,7 +94,7 @@ func newBuilderOn(ws *workspace, opts Options, queries []*query.Query, est *stat
 		b.byRel[rel] = qs[:0]
 	}
 	for _, q := range queries {
-		b.fps[q.Name] = r.Memo.Fingerprint(q)
+		b.fps[q.Name] = r.fingerprint(q)
 		for _, rel := range q.Relations {
 			b.byRel[rel] = append(b.byRel[rel], q)
 		}
@@ -162,8 +162,14 @@ func (b *builder) unsolvable(status ilp.Status) error {
 	return fmt.Errorf("core: ILP %s (%d queries, %d candidates)\n%s", status, len(b.queries), len(b.orders), &b.model)
 }
 
+// enumerateMIRs collects the eligible MIRs of the queries: mir.Enumerate
+// over them, merged from the Reopt's per-query lists.
 func (b *builder) enumerateMIRs() {
-	for _, m := range b.opts.Reopt.Memo.Enumerate(b.queries) {
+	lists := make([][]*mir.MIR, len(b.queries))
+	for i, q := range b.queries {
+		lists[i] = b.opts.Reopt.mirsOf(q, b.fps[q.Name])
+	}
+	for _, m := range mir.Merge(lists...) {
 		if !m.IsBase() {
 			if !b.opts.mirsEnabled() {
 				continue
@@ -174,11 +180,6 @@ func (b *builder) enumerateMIRs() {
 		}
 		b.mirs = append(b.mirs, m)
 	}
-}
-
-// candidates enumerates probe orders for q through the cross-churn memo.
-func (b *builder) candidates(q *query.Query) map[string][]*mir.ProbeOrder {
-	return b.opts.Reopt.Memo.Candidates(q, b.mirs)
 }
 
 // generateCandidates produces the priced decorated probe orders of every
@@ -248,7 +249,7 @@ func (b *builder) structure(q *query.Query, fed *mir.MIR) map[string][]*Decorate
 		return group
 	}
 	group := map[string][]*DecoratedOrder{}
-	for start, orders := range b.candidates(q) {
+	for start, orders := range mir.Candidates(q, b.mirs) {
 		var dec []*DecoratedOrder
 		for _, po := range orders {
 			dec = append(dec, b.decorate(q, fed, start, po)...)

@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 
 	"clash/internal/mir"
@@ -16,8 +15,10 @@ import (
 // Reopt carries optimizer state across churn steps so re-optimization
 // does work proportional to the delta, not the workload:
 //
-//   - Memo caches MIR enumeration and containment verdicts (pure
-//     functions of query shape).
+//   - Each query's MIRs, in the order mir.Enumerate returns them for the
+//     query alone, are kept under its fingerprint (mir.Fingerprint, worked
+//     out once per query object): a content-identical query behind a new
+//     object finds them too.
 //   - The incumbent selection of the previous joint solve under the same
 //     eligibility regime seeds the new solve: surviving (query, start)
 //     groups keep their choice, only added or affected groups are
@@ -42,13 +43,16 @@ import (
 // Controller or a bench harness); it is safe for concurrent use, and
 // Advance must be called once per churn step to age out stale entries.
 type Reopt struct {
-	Memo *mir.Memo
+	mu   sync.Mutex
+	gen  uint64
+	keep uint64
 
-	mu        sync.Mutex
-	gen       uint64
-	keep      uint64
+	// Each query object's fingerprint, and each fingerprint's MIRs.
+	fps  map[*query.Query]*reoptEntry[string]
+	mirs map[string]*reoptEntry[[]*mir.MIR]
+
 	incumbent map[string]string // regime+query+"\x00"+start -> selected order key
-	ctr       ReoptStats        // the warm-start and candidate-cache counters; Stats fills in the rest
+	ctr       ReoptStats        // the warm-start and cache counters; Stats fills in the sizes
 	syms      *symbols          // the ids the cached structures carry
 	symsCap   int               // the table size at which Advance replaces it
 	symsFresh bool              // syms was replaced at the last Advance
@@ -77,8 +81,9 @@ type structEntry struct {
 // NewReopt returns fresh cross-churn optimizer state.
 func NewReopt() *Reopt {
 	return &Reopt{
-		Memo:      mir.NewMemo(16),
 		keep:      16,
+		fps:       map[*query.Query]*reoptEntry[string]{},
+		mirs:      map[string]*reoptEntry[[]*mir.MIR]{},
 		incumbent: map[string]string{},
 		syms:      newSymbols(),
 		symsCap:   minSymbolCap,
@@ -86,9 +91,11 @@ func NewReopt() *Reopt {
 	}
 }
 
-// ReoptStats aggregates the effectiveness counters of all cache layers
-// and of the warm start, over the lifetime of the Reopt value.
+// ReoptStats aggregates the effectiveness counters of the caches and of
+// the warm start, over the lifetime of the Reopt value.
 type ReoptStats struct {
+	// MemoHits and MemoMisses count the lookups of a query's MIRs, and
+	// MemoEntries the fingerprints whose MIRs are kept.
 	MemoHits    uint64
 	MemoMisses  uint64
 	MemoEntries int
@@ -125,19 +132,18 @@ type ReoptStats struct {
 
 // Stats returns point-in-time counters.
 func (r *Reopt) Stats() ReoptStats {
-	ms := r.Memo.Stats()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := r.ctr
-	s.MemoHits, s.MemoMisses, s.MemoEntries = ms.Hits, ms.Misses, ms.Entries
+	s.MemoEntries = len(r.mirs)
 	s.Incumbents = len(r.incumbent)
 	return s
 }
 
-// Advance starts a new churn generation: the memo ages one step and local candidate caches untouched for the retention window
-// are evicted. Call once per re-optimization step (the Controller does).
+// Advance starts a new churn generation and evicts the fingerprints, MIR
+// lists and candidate structures untouched for the retention window.
+// Call once per re-optimization step (the Controller does).
 func (r *Reopt) Advance() {
-	r.Memo.Advance()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.gen++
@@ -154,6 +160,8 @@ func (r *Reopt) Advance() {
 		return
 	}
 	cutoff := r.gen - r.keep
+	evictReopt(r.fps, cutoff)
+	evictReopt(r.mirs, cutoff)
 	evictReopt(r.structs, cutoff)
 	// The incumbent map holds one short entry per live (query, start)
 	// group; stale entries for retired queries are never looked up and
@@ -163,12 +171,55 @@ func (r *Reopt) Advance() {
 	}
 }
 
-func evictReopt[T any](m map[string]*reoptEntry[T], cutoff uint64) {
+func evictReopt[K comparable, T any](m map[K]*reoptEntry[T], cutoff uint64) {
 	for k, e := range m {
 		if e.gen <= cutoff {
 			delete(m, k)
 		}
 	}
+}
+
+// fingerprint is mir.Fingerprint(q), worked out once per query object
+// while the object is in use: the churn loop hands the optimizer the same
+// installed queries step after step, and a query is not changed after it
+// is built. The lookups count neither as hits nor as misses.
+func (r *Reopt) fingerprint(q *query.Query) string {
+	r.mu.Lock()
+	e, ok := r.fps[q]
+	if ok {
+		e.gen = r.gen
+	}
+	r.mu.Unlock()
+	if ok {
+		return e.val
+	}
+	fp := mir.Fingerprint(q)
+	r.mu.Lock()
+	r.fps[q] = &reoptEntry[string]{val: fp, gen: r.gen}
+	r.mu.Unlock()
+	return fp
+}
+
+// mirsOf returns mir.Enumerate([]*query.Query{q}), worked out once per
+// fingerprint fp of q. Callers must not change it.
+func (r *Reopt) mirsOf(q *query.Query, fp string) []*mir.MIR {
+	r.mu.Lock()
+	e, ok := r.mirs[fp]
+	if ok {
+		e.gen = r.gen
+		r.ctr.MemoHits++
+	} else {
+		r.ctr.MemoMisses++
+	}
+	r.mu.Unlock()
+	if ok {
+		return e.val
+	}
+	ms := mir.Enumerate([]*query.Query{q})
+	r.mu.Lock()
+	r.mirs[fp] = &reoptEntry[[]*mir.MIR]{val: ms, gen: r.gen}
+	r.mu.Unlock()
+	return ms
 }
 
 // symbolTable hands a solve the symbol table the cached structures'
@@ -286,12 +337,12 @@ func (o Options) structFingerprint() string {
 // never write the same key; a lookup converts nothing.
 func (b *builder) structSig(q *query.Query, fed *mir.MIR) []byte {
 	k := appendStr(b.key[:0], q.Name)
+	tag, fp := byte('q'), b.fps[q.Name]
 	if fed != nil {
-		k = appendStr(append(k, 'f'), fed.Key())
-	} else {
-		k = appendStr(append(k, 'q'), b.fps[q.Name])
+		tag, fp = 'f', fed.Key()
 	}
-	k = appendStr(k, b.eligSig(q))
+	k = appendStr(append(k, tag), fp)
+	k = appendStr(k, b.eligSig(q, fp))
 	k = appendStr(k, b.structFP)
 	k = b.workloadSig(k, q)
 	b.key = k
@@ -299,7 +350,7 @@ func (b *builder) structSig(q *query.Query, fed *mir.MIR) []byte {
 }
 
 // appendStr appends s to k, length first.
-func appendStr(k []byte, s string) []byte {
+func appendStr[S string | []byte](k []byte, s S) []byte {
 	return append(binary.AppendUvarint(k, uint64(len(s))), s...)
 }
 
@@ -437,24 +488,25 @@ func relBit(rels []string, rel string) int {
 
 // eligSig fingerprints which of a query's own MIR subsets are eligible
 // under the current MIREligible policy, by listing the positions of the
-// ineligible ones. Per-query candidates depend on exactly this set: MIRs
-// from other queries are either key-identical (deduplicated) or fail the
-// containment verdict. Without a policy the list is empty, so the free
-// and the restricted solve share structure wherever the restriction bans
-// none of q's MIRs; with MIRs disabled the signature is "-".
-func (b *builder) eligSig(q *query.Query) string {
+// ineligible ones among q's MIRs (mirsOf; fp is q's fingerprint). Per-query
+// candidates depend on exactly this set: MIRs from other queries are
+// either key-identical (deduplicated) or fail the containment verdict.
+// Without a policy the list is empty, so the free and the restricted
+// solve share structure wherever the restriction bans none of q's MIRs;
+// with MIRs disabled the signature is "-". The list is written into the
+// workspace's scratch.
+func (b *builder) eligSig(q *query.Query, fp string) []byte {
 	if !b.opts.mirsEnabled() {
-		return "-"
+		return append(b.elig[:0], '-')
 	}
-	if b.opts.MIREligible == nil {
-		return ""
-	}
-	var sb strings.Builder
-	for i, m := range b.opts.Reopt.Memo.Enumerate([]*query.Query{q}) {
-		if !m.IsBase() && !b.opts.MIREligible(m.Key()) {
-			sb.WriteString(strconv.Itoa(i))
-			sb.WriteByte(',')
+	pos := b.elig[:0]
+	if b.opts.MIREligible != nil {
+		for i, m := range b.opts.Reopt.mirsOf(q, fp) {
+			if !m.IsBase() && !b.opts.MIREligible(m.Key()) {
+				pos = append(strconv.AppendInt(pos, int64(i), 10), ',')
+			}
 		}
 	}
-	return sb.String()
+	b.elig = pos
+	return pos
 }

@@ -227,6 +227,80 @@ func TestReoptNewEstimatesReprice(t *testing.T) {
 	}
 }
 
+// TestReoptEnumerationCache pins the Reopt's per-query MIR lists: a
+// second enumeration of a query hits, and so does a content-identical
+// query behind a new object; a list untouched for the retention window is
+// gone after Advance and the next lookup misses; every list is the one
+// mir.Enumerate returns for its query alone, and eligSig lists the
+// positions of the banned MIRs in it.
+func TestReoptEnumerationCache(t *testing.T) {
+	r := NewReopt()
+	q := query.MustParse("q1: R(b) S(b,c) T(c)")
+	fp := r.fingerprint(q)
+	first := r.mirsOf(q, fp)
+	if s := r.Stats(); s.MemoHits != 0 || s.MemoMisses != 1 || s.MemoEntries != 1 {
+		t.Fatalf("first enumeration: %+v, want 0 hits, 1 miss, 1 entry", s)
+	}
+	if again := r.mirsOf(q, r.fingerprint(q)); &again[0] != &first[0] || r.Stats().MemoHits != 1 {
+		t.Fatalf("second enumeration of the same query missed: %+v", r.Stats())
+	}
+	twin := query.MustParse("q1: R(b) S(b,c) T(c)") // content-identical, new object
+	if tfp := r.fingerprint(twin); tfp != fp {
+		t.Fatalf("twin fingerprint %q, want %q", tfp, fp)
+	}
+	if got := r.mirsOf(twin, fp); &got[0] != &first[0] || r.Stats().MemoHits != 2 {
+		t.Fatalf("a content-identical query missed: %+v", r.Stats())
+	}
+
+	for i := uint64(0); i <= r.keep; i++ {
+		r.Advance()
+	}
+	if s := r.Stats(); s.MemoEntries != 0 || len(r.fps) != 0 {
+		t.Fatalf("after %d untouched generations: %d MIR lists and %d fingerprints left", r.keep+1, s.MemoEntries, len(r.fps))
+	}
+	if r.mirsOf(q, r.fingerprint(q)); r.Stats().MemoMisses != 2 {
+		t.Fatalf("the lookup after eviction hit: %+v", r.Stats())
+	}
+
+	// Churn through random shapes, some behind a reused name: every list
+	// is mir.Enumerate's, and eligSig's positions are its banned ones.
+	env := workload.NewEnv(10, 100)
+	pool := env.RandomQueries(40, 4, 3)
+	for i, q := range pool {
+		if i%3 == 2 {
+			renamed, err := query.NewQuery(pool[i-1].Name, q.Relations, q.Preds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q = renamed
+		}
+		want := mir.Enumerate([]*query.Query{q})
+		banned := map[string]bool{}
+		var positions strings.Builder
+		for j, m := range want {
+			if !m.IsBase() && j%2 == i%2 {
+				banned[m.Key()] = true
+				fmt.Fprintf(&positions, "%d,", j)
+			}
+		}
+		opts := Options{Reopt: r, MIREligible: func(key string) bool { return !banned[key] }}
+		b := newBuilder(opts, []*query.Query{q}, env.Estimates())
+		got := r.mirsOf(q, b.fps[q.Name])
+		if !slices.EqualFunc(got, want, func(a, b *mir.MIR) bool { return a.Key() == b.Key() }) {
+			t.Fatalf("query %d (%s): cached MIRs %v, mir.Enumerate %v", i, q, got, want)
+		}
+		if sig := string(b.eligSig(q, b.fps[q.Name])); sig != positions.String() {
+			t.Fatalf("query %d (%s): eligSig %q, banned positions %q", i, q, sig, positions.String())
+		}
+		if i%8 == 7 {
+			r.Advance()
+		}
+	}
+	if r.Stats().MemoHits <= 3 {
+		t.Fatalf("the random shapes never hit: %+v", r.Stats())
+	}
+}
+
 // sealedEstimates seals one epoch of seeded observations over the
 // environment's relations, as the controller does at every epoch: rates
 // and hot-key shares vary per relation and per seed, so prices move

@@ -52,9 +52,11 @@ type workspace struct {
 
 	// The structure keys' scratch (structSig): the queries joining each
 	// relation (a relation no query joins any more keeps an empty
-	// list), the key being written, and its sorted lists.
+	// list), the key being written, its eligibility list and its sorted
+	// lists.
 	byRel map[string][]*query.Query
 	key   []byte
+	elig  []byte
 	rels  []string
 	adj   []int
 	sides []keySide

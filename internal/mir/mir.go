@@ -110,21 +110,37 @@ func (m *MIR) String() string { return m.Label() }
 // Worst case (clique queries) this is exponential in the query size
 // (Sec. V-A); query sizes in streaming workloads are small (≤ ~6).
 func Enumerate(queries []*query.Query) []*MIR {
-	byKey := map[string]*MIR{}
-	for _, q := range queries {
-		for _, m := range enumerateQuery(q) {
-			if _, ok := byKey[m.Key()]; !ok {
-				byKey[m.Key()] = m
-			}
-		}
+	lists := make([][]*MIR, len(queries))
+	for i, q := range queries {
+		lists[i] = enumerateQuery(q)
 	}
-	return sortMIRs(byKey)
+	return Merge(lists...)
+}
+
+// Merge returns the MIRs of the lists as Enumerate does: each key once,
+// the first list's MIR where two lists hold one key, sorted by (size,
+// key). Enumerate(qs) is Merge of Enumerate([]*query.Query{q}) over the
+// queries q of qs, so per-query results can be cached and merged.
+func Merge(lists ...[]*MIR) []*MIR {
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	out := make([]*MIR, 0, n)
+	for _, l := range lists {
+		out = append(out, l...)
+	}
+	slices.SortStableFunc(out, func(a, b *MIR) int {
+		if c := a.Size() - b.Size(); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Key(), b.Key())
+	})
+	return slices.CompactFunc(out, func(a, b *MIR) bool { return a.Key() == b.Key() })
 }
 
 // enumerateQuery returns every connected proper subset of one query's
-// relations as an MIR. The result is a pure function of the query's
-// relation list and predicate set, which is what makes it memoizable
-// across churn steps.
+// relations as an MIR, each key once.
 func enumerateQuery(q *query.Query) []*MIR {
 	var out []*MIR
 	seen := map[string]bool{}
@@ -153,18 +169,11 @@ func enumerateQuery(q *query.Query) []*MIR {
 	return out
 }
 
-func sortMIRs(byKey map[string]*MIR) []*MIR {
-	out := make([]*MIR, 0, len(byKey))
-	for _, m := range byKey {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Size() != out[j].Size() {
-			return out[i].Size() < out[j].Size()
-		}
-		return out[i].Key() < out[j].Key()
-	})
-	return out
+// Fingerprint returns the canonical identity of a query's join shape:
+// its relation set plus normalized predicate set. Queries with equal
+// fingerprints induce identical MIRs and candidate orders.
+func Fingerprint(q *query.Query) string {
+	return New(q.Relations, q.Preds).Key()
 }
 
 // ProbeOrder is a candidate probe order: a sequence of MIR elements. The
@@ -220,43 +229,21 @@ func Candidates(q *query.Query, mirs []*MIR) map[string][]*ProbeOrder {
 	qset := q.RelationSet()
 	// Usable extension MIRs: strict subsets of q with matching predicates.
 	var usable []*MIR
+next:
 	for _, m := range mirs {
-		if !usableQuick(q, qset, m) {
+		if m.Size() >= len(q.Relations) {
 			continue
 		}
-		if !usableVerdict(q, m) {
+		for _, r := range m.Rels {
+			if !qset[r] {
+				continue next
+			}
+		}
+		if New(m.Rels, q.Preds).Key() != m.Key() {
 			continue // predicate mismatch: stores a different join
 		}
 		usable = append(usable, m)
 	}
-	return candidatesFromUsable(q, usable)
-}
-
-// usableQuick applies the cheap structural filters: the MIR must be a
-// strict subset of the query's relations.
-func usableQuick(q *query.Query, qset map[string]bool, m *MIR) bool {
-	if m.Size() >= len(q.Relations) {
-		return false
-	}
-	for _, r := range m.Rels {
-		if !qset[r] {
-			return false
-		}
-	}
-	return true
-}
-
-// usableVerdict is the containment check proper: the predicates the MIR
-// materializes must be exactly the query's predicates within its
-// relation set. It is a pure function of (query predicate set, MIR key),
-// which is what the cross-churn memo keys on.
-func usableVerdict(q *query.Query, m *MIR) bool {
-	return New(m.Rels, q.Preds).Key() == m.Key()
-}
-
-// candidatesFromUsable runs Algorithm 1 over an already-filtered usable
-// set.
-func candidatesFromUsable(q *query.Query, usable []*MIR) map[string][]*ProbeOrder {
 	out := map[string][]*ProbeOrder{}
 	for _, start := range q.Relations {
 		base := findBase(usable, start)
