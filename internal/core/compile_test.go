@@ -261,13 +261,13 @@ func TestCompileServesRefCounting(t *testing.T) {
 		t.Fatalf("store %s missing", label)
 		return ""
 	}
-	if n := cfg.RefCount(find("S")); n != 2 {
+	if n := len(cfg.Serves[find("S")]); n != 2 {
 		t.Errorf("S refcount = %d, want 2", n)
 	}
-	if n := cfg.RefCount(find("R")); n != 1 {
+	if n := len(cfg.Serves[find("R")]); n != 1 {
 		t.Errorf("R refcount = %d, want 1", n)
 	}
-	if n := cfg.RefCount(find("U")); n != 1 {
+	if n := len(cfg.Serves[find("U")]); n != 1 {
 		t.Errorf("U refcount = %d, want 1", n)
 	}
 }
@@ -287,18 +287,6 @@ func TestCompileDeterministic(t *testing.T) {
 	b := compileWorkedExample(t, true).String()
 	if a != b {
 		t.Error("compilation not deterministic")
-	}
-}
-
-func TestTopologyDiff(t *testing.T) {
-	shared := compileWorkedExample(t, true)
-	added, removed := topology.Diff(nil, shared)
-	if len(added) != len(shared.Stores) || len(removed) != 0 {
-		t.Errorf("Diff(nil, cfg) = %v added %v removed", added, removed)
-	}
-	added, removed = topology.Diff(shared, shared)
-	if len(added) != 0 || len(removed) != 0 {
-		t.Error("Diff(cfg, cfg) should be empty")
 	}
 }
 

@@ -117,63 +117,11 @@ type Config struct {
 	// Rules indexed by store then by incoming edge (the hot path of
 	// Alg. 3 consults ruleset[e_in]).
 	Rules map[StoreID]map[EdgeID][]Rule
-	// Serves maps each store to the queries depending on it; the
-	// reference-counting teardown of Sec. VI-B uses it.
+	// Serves maps each store to the queries depending on it (the
+	// reference counts of Sec. VI-B). The runtime does not read it: it
+	// retires a store once no installed config's Stores names it.
 	Serves map[StoreID][]string
 }
-
-// NewConfig returns an empty config for the given epoch.
-func NewConfig(epoch int64) *Config {
-	return &Config{
-		Epoch:  epoch,
-		Stores: map[StoreID]*Store{},
-		Spouts: map[string]*Spout{},
-		Rules:  map[StoreID]map[EdgeID][]Rule{},
-		Serves: map[StoreID][]string{},
-	}
-}
-
-// AddStore registers a store, merging with an existing equal ID.
-func (c *Config) AddStore(s *Store) *Store {
-	if ex, ok := c.Stores[s.ID]; ok {
-		return ex
-	}
-	c.Stores[s.ID] = s
-	return s
-}
-
-// AddRule appends a rule to the target store's ruleset.
-func (c *Config) AddRule(r Rule) {
-	m := c.Rules[r.Store]
-	if m == nil {
-		m = map[EdgeID][]Rule{}
-		c.Rules[r.Store] = m
-	}
-	m[r.In] = append(m[r.In], r)
-}
-
-// Spout returns (creating if needed) the spout for a relation.
-func (c *Config) Spout(rel string) *Spout {
-	s := c.Spouts[rel]
-	if s == nil {
-		s = &Spout{Relation: rel}
-		c.Spouts[rel] = s
-	}
-	return s
-}
-
-// MarkServes records that the store serves the query.
-func (c *Config) MarkServes(id StoreID, queryName string) {
-	for _, q := range c.Serves[id] {
-		if q == queryName {
-			return
-		}
-	}
-	c.Serves[id] = append(c.Serves[id], queryName)
-}
-
-// RefCount returns the number of queries served by the store.
-func (c *Config) RefCount(id StoreID) int { return len(c.Serves[id]) }
 
 // TotalTasks returns the number of worker tasks the config deploys
 // (the sum of store parallelisms).
@@ -300,27 +248,4 @@ func (c *Config) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// Diff summarizes what changes between two configs: stores added and
-// removed. The runtime uses it for rewiring logs and store lifecycle
-// (reference counting teardown).
-func Diff(old, new *Config) (added, removed []StoreID) {
-	if old != nil {
-		for id := range old.Stores {
-			if new == nil || new.Stores[id] == nil {
-				removed = append(removed, id)
-			}
-		}
-	}
-	if new != nil {
-		for id := range new.Stores {
-			if old == nil || old.Stores[id] == nil {
-				added = append(added, id)
-			}
-		}
-	}
-	sort.Slice(added, func(i, j int) bool { return added[i] < added[j] })
-	sort.Slice(removed, func(i, j int) bool { return removed[i] < removed[j] })
-	return added, removed
 }

@@ -8,22 +8,27 @@ import (
 )
 
 func sampleConfig() *Config {
-	c := NewConfig(3)
-	c.AddStore(&Store{ID: "R|", MIRKey: "R|", Label: "R", Rels: []string{"R"}, Parallelism: 2})
-	c.AddStore(&Store{
-		ID: "S|", MIRKey: "S|", Label: "S", Rels: []string{"S"},
-		Partition: query.Attr{Rel: "S", Name: "a"}, Parallelism: 4,
-	})
-	c.Spout("R").Out = append(c.Spout("R").Out,
-		Emission{Edge: "store:R", To: "R|"},
-		Emission{Edge: "e1", To: "S|"})
-	c.AddRule(Rule{Kind: StoreRule, Store: "R|", In: "store:R"})
-	c.AddRule(Rule{Kind: ProbeRule, Store: "S|", In: "e1",
-		Preds: []query.Predicate{{Left: query.Attr{Rel: "R", Name: "a"}, Right: query.Attr{Rel: "S", Name: "a"}}},
-		Out:   []Emission{{Sink: "q1"}}})
-	c.MarkServes("R|", "q1")
-	c.MarkServes("S|", "q1")
-	return c
+	return &Config{
+		Epoch: 3,
+		Stores: map[StoreID]*Store{
+			"R|": {ID: "R|", MIRKey: "R|", Label: "R", Rels: []string{"R"}, Parallelism: 2},
+			"S|": {
+				ID: "S|", MIRKey: "S|", Label: "S", Rels: []string{"S"},
+				Partition: query.Attr{Rel: "S", Name: "a"}, Parallelism: 4,
+			},
+		},
+		Spouts: map[string]*Spout{"R": {Relation: "R", Out: []Emission{
+			{Edge: "store:R", To: "R|"},
+			{Edge: "e1", To: "S|"},
+		}}},
+		Rules: map[StoreID]map[EdgeID][]Rule{
+			"R|": {"store:R": {{Kind: StoreRule, Store: "R|", In: "store:R"}}},
+			"S|": {"e1": {{Kind: ProbeRule, Store: "S|", In: "e1",
+				Preds: []query.Predicate{{Left: query.Attr{Rel: "R", Name: "a"}, Right: query.Attr{Rel: "S", Name: "a"}}},
+				Out:   []Emission{{Sink: "q1"}}}}},
+		},
+		Serves: map[StoreID][]string{"R|": {"q1"}, "S|": {"q1"}},
+	}
 }
 
 func TestConfigBasics(t *testing.T) {
@@ -37,29 +42,6 @@ func TestConfigBasics(t *testing.T) {
 	ids := c.StoreIDs()
 	if len(ids) != 2 || ids[0] != "R|" {
 		t.Errorf("StoreIDs = %v", ids)
-	}
-	if c.RefCount("R|") != 1 {
-		t.Errorf("RefCount = %d", c.RefCount("R|"))
-	}
-	c.MarkServes("R|", "q1") // idempotent
-	if c.RefCount("R|") != 1 {
-		t.Error("MarkServes not idempotent")
-	}
-	c.MarkServes("R|", "q2")
-	if c.RefCount("R|") != 2 {
-		t.Error("second query not counted")
-	}
-}
-
-func TestAddStoreMerges(t *testing.T) {
-	c := NewConfig(0)
-	a := c.AddStore(&Store{ID: "X", Parallelism: 1})
-	b := c.AddStore(&Store{ID: "X", Parallelism: 9})
-	if a != b {
-		t.Error("equal IDs should return the existing store")
-	}
-	if c.Stores["X"].Parallelism != 1 {
-		t.Error("first registration should win")
 	}
 }
 
@@ -79,7 +61,7 @@ func TestStoreString(t *testing.T) {
 
 func TestValidateCatchesDanglingEmission(t *testing.T) {
 	c := sampleConfig()
-	c.Spout("R").Out = append(c.Spout("R").Out, Emission{Edge: "e9", To: "nope"})
+	c.Spouts["R"].Out = append(c.Spouts["R"].Out, Emission{Edge: "e9", To: "nope"})
 	if err := c.Validate(); err == nil {
 		t.Error("dangling emission not caught")
 	}
@@ -87,9 +69,9 @@ func TestValidateCatchesDanglingEmission(t *testing.T) {
 
 func TestValidateCatchesEmptyEmission(t *testing.T) {
 	c := sampleConfig()
-	c.AddRule(Rule{Kind: ProbeRule, Store: "S|", In: "e2",
+	c.Rules["S|"]["e2"] = []Rule{{Kind: ProbeRule, Store: "S|", In: "e2",
 		Preds: []query.Predicate{{Left: query.Attr{Rel: "R", Name: "a"}, Right: query.Attr{Rel: "S", Name: "a"}}},
-		Out:   []Emission{{}}})
+		Out:   []Emission{{}}}}
 	if err := c.Validate(); err == nil {
 		t.Error("emission with neither target nor sink not caught")
 	}
@@ -121,24 +103,6 @@ func TestConfigString(t *testing.T) {
 	// Deterministic.
 	if s != sampleConfig().String() {
 		t.Error("String not deterministic")
-	}
-}
-
-func TestDiff(t *testing.T) {
-	a := sampleConfig()
-	b := NewConfig(4)
-	b.AddStore(&Store{ID: "S|", Parallelism: 4})
-	b.AddStore(&Store{ID: "T|", Parallelism: 4})
-	added, removed := Diff(a, b)
-	if len(added) != 1 || added[0] != "T|" {
-		t.Errorf("added = %v", added)
-	}
-	if len(removed) != 1 || removed[0] != "R|" {
-		t.Errorf("removed = %v", removed)
-	}
-	added, removed = Diff(nil, nil)
-	if added != nil || removed != nil {
-		t.Error("Diff(nil, nil) should be empty")
 	}
 }
 
