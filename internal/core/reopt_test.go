@@ -227,13 +227,10 @@ func TestReoptNewEstimatesReprice(t *testing.T) {
 	}
 }
 
-// TestReoptEnumerationCache pins the Reopt's per-query MIR lists: a
-// second enumeration of a query hits, and so does a content-identical
-// query behind a new object; a list untouched for the retention window is
-// gone after Advance and the next lookup misses; every list is the one
-// mir.Enumerate returns for its query alone, and eligSig lists the
-// positions of the banned MIRs in it.
-func TestReoptEnumerationCache(t *testing.T) {
+// TestReoptSecondLookupHits pins the hits of the Reopt's per-query MIR
+// lists: a second enumeration of a query hits, and so does a
+// content-identical query behind a new object.
+func TestReoptSecondLookupHits(t *testing.T) {
 	r := NewReopt()
 	q := query.MustParse("q1: R(b) S(b,c) T(c)")
 	fp := r.fingerprint(q)
@@ -251,7 +248,15 @@ func TestReoptEnumerationCache(t *testing.T) {
 	if got := r.mirsOf(twin, fp); &got[0] != &first[0] || r.Stats().MemoHits != 2 {
 		t.Fatalf("a content-identical query missed: %+v", r.Stats())
 	}
+}
 
+// TestReoptInvalidationFires pins the eviction of the Reopt's per-query
+// MIR lists: a list untouched for the retention window is gone after
+// Advance, with its fingerprints, and the next lookup misses.
+func TestReoptInvalidationFires(t *testing.T) {
+	r := NewReopt()
+	q := query.MustParse("q1: R(b) S(b,c) T(c)")
+	r.mirsOf(q, r.fingerprint(q))
 	for i := uint64(0); i <= r.keep; i++ {
 		r.Advance()
 	}
@@ -261,7 +266,13 @@ func TestReoptEnumerationCache(t *testing.T) {
 	if r.mirsOf(q, r.fingerprint(q)); r.Stats().MemoMisses != 2 {
 		t.Fatalf("the lookup after eviction hit: %+v", r.Stats())
 	}
+}
 
+// TestReoptEnumerationCache pins the Reopt's per-query MIR lists under
+// churn: every list is the one mir.Enumerate returns for its query alone,
+// and eligSig lists the positions of the banned MIRs in it.
+func TestReoptEnumerationCache(t *testing.T) {
+	r := NewReopt()
 	// Churn through random shapes, some behind a reused name: every list
 	// is mir.Enumerate's, and eligSig's positions are its banned ones.
 	env := workload.NewEnv(10, 100)
