@@ -301,11 +301,9 @@ type Config struct {
 	// statistics. Requires EpochLength > 0 (Start and Recover reject it
 	// otherwise).
 	Adaptive bool
-	// IncrementalReopt carries optimizer state across re-optimization
-	// steps (query arrival/expiry, epoch boundaries): the MIR memo, the
-	// candidate-structure cache (re-priced under each step's estimates)
-	// and the previous plan's incumbent per eligibility regime, which
-	// seeds the solver. The ILP is still solved afresh every step.
+	// IncrementalReopt is ignored: every re-optimization step (query
+	// arrival/expiry, epoch boundaries) carries optimizer state from
+	// the one before (core.Reopt).
 	IncrementalReopt bool
 	// MeasuredCosts meters task work: each task counts the nanoseconds
 	// and tuples it spends probing, inserting and pruning, read per task
@@ -397,11 +395,9 @@ const statsSample = 256
 // Engine is the running system: optimizer, statistics, and the stream
 // processing runtime.
 type Engine struct {
-	cfg     Config
-	eng     *runtime.Engine
-	ctl     *runtime.Controller
-	col     *stats.Collector
-	queries []*Query
+	cfg Config
+	eng *runtime.Engine
+	ctl *runtime.Controller
 
 	mgr        *recovery.Manager // non-nil iff Config.WAL is set
 	ownedStore io.Closer         // Dir-backed storage the engine opened
@@ -415,7 +411,7 @@ type Engine struct {
 // the state.
 func Start(cfg Config) (*Engine, error) {
 	if cfg.WAL == nil {
-		return start(cfg, nil)
+		return start(cfg)
 	}
 	st, owned, err := cfg.WAL.open()
 	if err != nil {
@@ -428,13 +424,14 @@ func Start(cfg Config) (*Engine, error) {
 		}
 		return nil, err
 	}
-	e, err := start(cfg, mgr)
+	e, err := start(cfg)
 	if err != nil {
 		if owned != nil {
 			owned.Close()
 		}
 		return nil, err
 	}
+	e.eng.SetJournal(mgr)
 	mgr.Bind(e.eng)
 	e.mgr, e.ownedStore = mgr, owned
 	return e, nil
@@ -460,7 +457,7 @@ func Recover(cfg Config) (*Engine, *RecoveryStats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	e, err := start(cfg, nil)
+	e, err := start(cfg)
 	if err != nil {
 		if owned != nil {
 			owned.Close()
@@ -479,17 +476,25 @@ func Recover(cfg Config) (*Engine, *RecoveryStats, error) {
 	return e, rstats, nil
 }
 
-func start(cfg Config, journal runtime.Journal) (*Engine, error) {
-	qs, cat := cfg.Queries, cfg.Catalog
-	if qs == nil {
-		if cfg.Workload == "" {
-			return nil, errors.New("clash: no workload configured")
-		}
-		var err error
-		qs, cat, err = query.ParseWorkload(cfg.Workload)
-		if err != nil {
-			return nil, err
-		}
+// workload returns the configured queries and catalog, parsing Workload
+// when Queries is unset.
+func (cfg Config) workload() ([]*Query, *Catalog, error) {
+	if cfg.Queries != nil {
+		return cfg.Queries, cfg.Catalog, nil
+	}
+	if cfg.Workload == "" {
+		return nil, nil, errors.New("clash: no workload configured")
+	}
+	return query.ParseWorkload(cfg.Workload)
+}
+
+// start optimizes the workload and launches the engine, without a
+// journal: Start attaches one before the first Ingest, and Recover after
+// replay.
+func start(cfg Config) (*Engine, error) {
+	qs, cat, err := cfg.workload()
+	if err != nil {
+		return nil, err
 	}
 	if cat == nil {
 		return nil, errors.New("clash: queries without a catalog")
@@ -532,16 +537,14 @@ func start(cfg Config, journal runtime.Journal) (*Engine, error) {
 		Substrate:        cfg.substrate(),
 		Flow:             cfg.Flow,
 		Sim:              cfg.Sim,
-		Journal:          journal,
 		MeasuredCosts:    cfg.MeasuredCosts,
 		Observer:         func(rel string, t *tuple.Tuple) { col.Observe(rel, t) },
 	})
 	ctl, err := runtime.NewController(eng, runtime.ControllerConfig{
-		Optimizer:        core.NewOptimizer(cfg.Optimizer),
-		Collector:        col,
-		Shared:           !cfg.Independent,
-		Static:           !cfg.Adaptive,
-		IncrementalReopt: cfg.IncrementalReopt,
+		Optimizer: core.NewOptimizer(cfg.Optimizer),
+		Collector: col,
+		Shared:    !cfg.Independent,
+		Static:    !cfg.Adaptive,
 	}, qs, est)
 	if err != nil {
 		eng.Stop()
@@ -550,7 +553,7 @@ func start(cfg Config, journal runtime.Journal) (*Engine, error) {
 	for name, fn := range cfg.OnResult {
 		eng.OnResult(name, fn)
 	}
-	return &Engine{cfg: cfg, eng: eng, ctl: ctl, col: col, queries: qs}, nil
+	return &Engine{cfg: cfg, eng: eng, ctl: ctl}, nil
 }
 
 // substrate resolves the Synchronous shorthand: an explicit Substrate

@@ -16,7 +16,6 @@ import (
 	"path/filepath"
 
 	"clash/internal/cluster"
-	"clash/internal/query"
 )
 
 // Cluster-layer types, re-exported from internal/cluster.
@@ -81,16 +80,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if ecfg.WAL != nil && ecfg.WAL.Storage != nil && n > 1 {
 		return nil, errors.New("clash: shards cannot share one WALStorage — set WAL.Dir for per-shard directories")
 	}
-	qs, cat := ecfg.Queries, ecfg.Catalog
-	if qs == nil {
-		if ecfg.Workload == "" {
-			return nil, errors.New("clash: no workload configured")
-		}
-		var err error
-		qs, cat, err = query.ParseWorkload(ecfg.Workload)
-		if err != nil {
-			return nil, err
-		}
+	qs, cat, err := ecfg.workload()
+	if err != nil {
+		return nil, err
 	}
 	// Every shard compiles the one parse, not its own.
 	ecfg.Workload, ecfg.Queries, ecfg.Catalog = "", qs, cat

@@ -2,68 +2,67 @@ package clash
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	goruntime "runtime"
-	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"clash/internal/query"
 	"clash/internal/rng"
+	"clash/internal/runtime"
 	"clash/internal/workload"
 )
 
-// churnRun executes a fixed ingest schedule with mid-run query churn on
-// the deterministic simulation substrate and returns every query's
-// rendered results, sorted (arrival order is schedule-dependent; content
-// must not be).
-func churnRun(t *testing.T, incremental bool) (map[string][]string, float64) {
-	t.Helper()
+// TestIncrementalReoptByteIdenticalResults is the end-to-end half of
+// the incremental re-optimizer's acceptance: on the deterministic
+// simulation substrate, with q3 added and q2 removed mid-stream, every
+// re-optimization runs on the controller's cross-churn optimizer state,
+// and the never-churned q1 still returns exactly the reference join's
+// results.
+func TestIncrementalReoptByteIdenticalResults(t *testing.T) {
+	const workload = "q1: R(a) S(a,b) T(b)\nq2: S(b) T(b)"
+	const window = 10000 * time.Nanosecond
 	eng, err := Start(Config{
-		Workload:         "q1: R(a) S(a,b) T(b)\nq2: S(b) T(b)",
-		Substrate:        SubstrateSim,
-		Sim:              SimConfig{Seed: 7},
-		StepMode:         true,
-		DefaultWindow:    10000 * time.Nanosecond,
-		EpochLength:      100,
-		Adaptive:         true,
-		IncrementalReopt: incremental,
+		Workload:      workload,
+		Substrate:     SubstrateSim,
+		Sim:           SimConfig{Seed: 7},
+		StepMode:      true,
+		DefaultWindow: window,
+		EpochLength:   100,
+		Adaptive:      true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Stop()
+	q1 := runtime.NewCollectSink()
+	eng.OnResult("q1", q1.Add)
+	q3 := runtime.NewCollectSink()
 
-	results := map[string][]string{}
-	collect := func(name string) {
-		eng.OnResult(name, func(tp *Tuple) {
-			results[name] = append(results[name], tp.String())
-		})
+	var ins []runtime.Ingestion
+	ingest := func(rel string, ts Time, vals ...Value) {
+		if err := eng.Ingest(rel, ts, vals...); err != nil {
+			t.Fatal(err)
+		}
+		ins = append(ins, runtime.Ingestion{Rel: rel, TS: ts, Vals: vals})
 	}
-	collect("q1")
-	collect("q2")
-
 	for i := 0; i < 45; i++ {
 		k := Int(int64(i % 4))
-		if err := eng.Ingest("R", Time(3*i), k); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Ingest("S", Time(3*i+1), k, k); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Ingest("T", Time(3*i+2), k); err != nil {
-			t.Fatal(err)
-		}
+		ingest("R", Time(3*i), k)
+		ingest("S", Time(3*i+1), k, k)
+		ingest("T", Time(3*i+2), k)
 		switch i {
 		case 15:
-			q3, _, err := ParseQuery("q3: S(a) R(a)")
+			q, _, err := ParseQuery("q3: S(a) R(a)")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := eng.AddQuery(q3); err != nil {
+			if err := eng.AddQuery(q); err != nil {
 				t.Fatal(err)
 			}
-			collect("q3")
+			eng.OnResult("q3", q3.Add)
 		case 30:
 			if err := eng.RemoveQuery("q2"); err != nil {
 				t.Fatal(err)
@@ -74,42 +73,20 @@ func churnRun(t *testing.T, incremental bool) (map[string][]string, float64) {
 	if err := eng.Failure(); err != nil {
 		t.Fatal(err)
 	}
-	for name := range results {
-		sort.Strings(results[name])
+	if q3.Count() == 0 {
+		t.Fatal("q3 returned nothing: the churn is vacuous")
 	}
-	obj := 0.0
-	if p := eng.Plan(); p != nil {
-		obj = p.Objective
-	}
-	return results, obj
-}
 
-// TestIncrementalReoptByteIdenticalResults is the end-to-end half of
-// the incremental re-optimizer's acceptance: the same churn schedule,
-// run with and without cross-churn optimizer state, produces
-// byte-identical result sets for every query, and the final plans cost
-// the same (the incremental solve is an optimization of solver effort,
-// never of plan quality).
-func TestIncrementalReoptByteIdenticalResults(t *testing.T) {
-	scratch, scratchObj := churnRun(t, false)
-	incr, incrObj := churnRun(t, true)
-
-	for _, name := range []string{"q1", "q2", "q3"} {
-		a, b := scratch[name], incr[name]
-		if len(a) == 0 {
-			t.Fatalf("%s: no results — test vacuous", name)
-		}
-		if len(a) != len(b) {
-			t.Fatalf("%s: %d results scratch, %d incremental", name, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s: result %d differs:\n  scratch     %s\n  incremental %s", name, i, a[i], b[i])
-			}
-		}
+	qs, cat, err := query.ParseWorkload(workload)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if scratchObj != incrObj {
-		t.Errorf("final plan cost %g incremental, %g scratch", incrObj, scratchObj)
+	want, got := runtime.ReferenceJoin(qs[0], cat, window, ins), q1.Results()
+	if len(want) == 0 {
+		t.Fatal("the reference has no q1 results: test vacuous")
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("q1 returned %d results (%d distinct) across the churn, the reference %d distinct", q1.Count(), len(got), len(want))
 	}
 }
 
@@ -133,7 +110,6 @@ func churnPlans(t *testing.T, steps int) []string {
 		DefaultWindow:    16 * every,
 		EpochLength:      every,
 		Synchronous:      true,
-		IncrementalReopt: true,
 		InitialEstimates: env.Estimates(),
 	}
 	cfg.Optimizer = OptimizerOptions{MaxCandidatesPerGroup: 12}
@@ -227,7 +203,6 @@ func TestStopWaitsForSolves(t *testing.T) {
 		DefaultWindow:    8000,
 		EpochLength:      500,
 		Synchronous:      true,
-		IncrementalReopt: true,
 		InitialEstimates: env.Estimates(),
 	}
 	cfg.Optimizer = OptimizerOptions{MaxCandidatesPerGroup: 12}

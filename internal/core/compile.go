@@ -37,12 +37,12 @@ func Compile(plans []*Plan, opts CompileOptions) (*topology.Config, error) {
 // probe trees, in Compile's order, but an order it saw the step before
 // reuses its path and predicates, only a new path gets a node and an
 // edge, routing is re-derived only for a (store, edge) whose rules'
-// predicates or store changed, and every store, spout, rule list and
-// serves list that comes out equal to the last topology's is that
-// topology's. So a churn step allocates what changed, and its topology
-// equals Compile's of the same plans field for field, slice order
-// included. What a compile returns is never written again: a topology
-// shares unchanged parts with the one before, and both stay valid.
+// predicates or store changed, and every store, spout and rule list
+// that comes out equal to the last topology's is that topology's. So a
+// churn step allocates what changed, and its topology equals Compile's
+// of the same plans field for field, slice order included. What a
+// compile returns is never written again: a topology shares unchanged
+// parts with the one before, and both stay valid.
 //
 // The zero Compiler compiles fresh; a failed compile, or options that
 // differ from the last compile's beyond the epoch, start it over. A
@@ -321,12 +321,10 @@ type fedKey struct {
 	start string
 }
 
-// storeDraft is a store as the current compile registers it, with the
-// queries it serves.
+// storeDraft is a store as the current compile registers it.
 type storeDraft struct {
-	s      topology.Store
-	serves []string
-	gen    uint64
+	s   topology.Store
+	gen uint64
 	// The topology's: whether a rule list of the store differs from the
 	// last topology's, and how many the store has.
 	changed bool
@@ -469,7 +467,7 @@ func (c *compiler) addStore(id topology.StoreID, e Element, partition query.Attr
 	} else if d.gen == c.gen {
 		return
 	}
-	d.gen, d.serves = c.gen, d.serves[:0]
+	d.gen = c.gen
 	c.touched.stores = append(c.touched.stores, d)
 	if d.s.ID != id || d.s.MIRKey != e.MIR.Key() {
 		// Rels, Preds and Label are the MIR key's: a store seen before
@@ -477,14 +475,6 @@ func (c *compiler) addStore(id topology.StoreID, e Element, partition query.Attr
 		d.s = topology.Store{ID: id, MIRKey: e.MIR.Key(), Label: e.MIR.Label(), Rels: e.MIR.Rels, Preds: e.MIR.Preds}
 	}
 	d.s.Partition, d.s.Parallelism, d.s.SplitKeys = partition, par, split
-}
-
-// markServes records that the store serves the query.
-func (c *compiler) markServes(id topology.StoreID, queryName string) {
-	d := c.stores[id]
-	if !slices.Contains(d.serves, queryName) {
-		d.serves = append(d.serves, queryName)
-	}
 }
 
 // spout returns the relation's spout draft, emptied by the current
@@ -600,46 +590,7 @@ func (c *compiler) addPlan(p *Plan, ns string) error {
 			return err
 		}
 	}
-
-	// Reference counting input (Sec. VI-B): a top-level order serves its
-	// query, a feeding order every query whose top-level order probes the
-	// fed MIR (its own when there is none).
-	for _, d := range p.Selected {
-		if d.ForMIR == "" {
-			c.markOrderServes(d, ns, d.Query.Name)
-			continue
-		}
-		served := false
-		for _, other := range p.Selected {
-			if other.ForMIR != "" {
-				continue
-			}
-			for i, e := range other.Elems {
-				if i > 0 && e.MIR.Key() == d.ForMIR {
-					c.markOrderServes(d, ns, other.Query.Name)
-					served = true
-					break
-				}
-			}
-		}
-		if !served {
-			c.markOrderServes(d, ns, d.Query.Name)
-		}
-	}
 	return nil
-}
-
-// markOrderServes records that the stores the order probes, and the one
-// it feeds, serve the query.
-func (c *compiler) markOrderServes(d *DecoratedOrder, ns, queryName string) {
-	for i, e := range d.Elems {
-		if i > 0 {
-			c.markServes(storeID(ns, e.MIR.Key()), queryName)
-		}
-	}
-	if d.ForMIR != "" {
-		c.markServes(storeID(ns, d.ForMIR), queryName)
-	}
 }
 
 // orderPath returns the order's nodes and predicates, worked out from
@@ -753,11 +704,11 @@ func (c *compiler) attachEmission(node *treeNode, preds []query.Predicate, em to
 }
 
 // topology assembles the compiled topology from the drafts. A store,
-// spout, rule list or serves list equal to the last topology's is that
-// topology's; a store whose rule lists all are keeps its ruleset map. A
-// compile with no topology before it — every fresh Compile, and a
-// Compiler's first — hands the drafts' lists to the topology instead of
-// copying them: the next compile, if any, grows its own.
+// spout or rule list equal to the last topology's is that topology's; a
+// store whose rule lists all are keeps its ruleset map. A compile with
+// no topology before it — every fresh Compile, and a Compiler's first —
+// hands the drafts' lists to the topology instead of copying them: the
+// next compile, if any, grows its own.
 func (c *compiler) topology() *topology.Config {
 	prev, first := c.cfg, c.cfg == nil
 	if first {
@@ -768,7 +719,6 @@ func (c *compiler) topology() *topology.Config {
 		Stores: make(map[topology.StoreID]*topology.Store, len(c.touched.stores)),
 		Spouts: make(map[string]*topology.Spout, len(c.touched.spouts)),
 		Rules:  make(map[topology.StoreID]map[topology.EdgeID][]topology.Rule, len(c.touched.stores)),
-		Serves: make(map[topology.StoreID][]string, len(c.touched.stores)),
 	}
 	for _, d := range c.touched.stores {
 		id := d.s.ID
@@ -777,15 +727,6 @@ func (c *compiler) topology() *topology.Config {
 		} else {
 			s := d.s
 			cfg.Stores[id] = &s
-		}
-		switch {
-		case len(d.serves) == 0:
-		case first:
-			cfg.Serves[id], d.serves = d.serves, nil
-		case slices.Equal(prev.Serves[id], d.serves):
-			cfg.Serves[id] = prev.Serves[id]
-		default:
-			cfg.Serves[id] = slices.Clone(d.serves)
 		}
 		d.changed, d.lists = false, 0
 	}

@@ -48,9 +48,6 @@ func topoDiff(got, want *topology.Config) string {
 		if !reflect.DeepEqual(got.Stores[id], want.Stores[id]) {
 			return fmt.Sprintf("store %s: %+v, want %+v", id, got.Stores[id], want.Stores[id])
 		}
-		if !reflect.DeepEqual(got.Serves[id], want.Serves[id]) {
-			return fmt.Sprintf("store %s serves %v, want %v", id, got.Serves[id], want.Serves[id])
-		}
 		for _, edge := range sortedIDs(got.Rules[id], want.Rules[id]) {
 			if g, w := got.Rules[id][edge], want.Rules[id][edge]; !reflect.DeepEqual(g, w) {
 				return fmt.Sprintf("rules of %s on %s: %+v, want %+v", id, edge, g, w)
@@ -155,7 +152,7 @@ func compileDeltaSchedule(t *testing.T, keepDropped bool) (shared int, err error
 // compile by difference: at every step of the engine-regime churn
 // schedule (24 queries over 40 relations, seed 42, 20 steps), the
 // topology a Compiler builds from its last compile equals a fresh
-// Compile's of the same plans — every store, serves list, rule,
+// Compile's of the same plans — every store, rule,
 // emission, edge id and routing attribute, in order — while it takes
 // most rule lists from the last topology. The vacuity arm keeps the
 // rule lists of orders no longer selected, which a fresh compile drops:

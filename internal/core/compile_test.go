@@ -249,29 +249,6 @@ func TestCompileSharedDedupesFeeding(t *testing.T) {
 	}
 }
 
-func TestCompileServesRefCounting(t *testing.T) {
-	cfg := compileWorkedExample(t, true)
-	// S and T stores serve both queries; R serves q1 only; U serves q2.
-	find := func(label string) topology.StoreID {
-		for id, s := range cfg.Stores {
-			if s.Label == label {
-				return id
-			}
-		}
-		t.Fatalf("store %s missing", label)
-		return ""
-	}
-	if n := len(cfg.Serves[find("S")]); n != 2 {
-		t.Errorf("S refcount = %d, want 2", n)
-	}
-	if n := len(cfg.Serves[find("R")]); n != 1 {
-		t.Errorf("R refcount = %d, want 1", n)
-	}
-	if n := len(cfg.Serves[find("U")]); n != 1 {
-		t.Errorf("U refcount = %d, want 1", n)
-	}
-}
-
 func TestCompileEmptyPlan(t *testing.T) {
 	cfg, err := Compile([]*Plan{{Partitions: map[string]query.Attr{}}}, CompileOptions{Shared: true})
 	if err != nil {

@@ -58,13 +58,13 @@ type Options struct {
 	NoPartitionConsistency bool
 	// Solver passes through branch-and-bound options.
 	Solver ilp.Options
-	// Reopt carries optimizer state across churn steps: the MIR memo
-	// (enumeration and containment verdicts), the candidate-structure
-	// cache (each solve re-prices it) and the incumbent per eligibility
-	// regime, which seeds branch-and-bound. The ILP is solved afresh
-	// every step. nil gives each Optimize call a NewReopt of its own: a
-	// from-scratch solve is the incremental solve with no history, and
-	// nothing is carried from one call to the next.
+	// Reopt carries optimizer state across churn steps: each query's MIR
+	// list under its fingerprint, the candidate-structure cache (each
+	// solve re-prices it) and the incumbent per eligibility regime, which
+	// seeds branch-and-bound. The ILP is solved afresh every step; the
+	// adaptive controller passes its own. nil gives each Optimize call a
+	// NewReopt of its own: a from-scratch solve is the incremental solve
+	// with no history, and nothing is carried from one call to the next.
 	Reopt *Reopt
 	// DeterministicWarmStart is ignored; the local-search warm start's
 	// budget is always an evaluation count.

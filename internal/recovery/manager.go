@@ -60,7 +60,7 @@ type Manager struct {
 }
 
 // NewManager starts a fresh journal over empty storage. Bind an engine
-// (and pass the Manager as runtime's Config.Journal) before ingesting.
+// and attach the Manager with its SetJournal before ingesting.
 func NewManager(st Storage, cfg Config) (*Manager, error) {
 	for _, stream := range []string{StreamWAL, StreamCheckpoint} {
 		b, err := st.Load(stream)

@@ -203,8 +203,9 @@ func TestRecoverRestoresSplitPins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng1 := runtime.New(runtime.Config{Catalog: cat, Substrate: runtime.SubstrateSynchronous, Journal: mgr})
+	eng1 := runtime.New(runtime.Config{Catalog: cat, Substrate: runtime.SubstrateSynchronous})
 	defer eng1.Stop()
+	eng1.SetJournal(mgr)
 	mgr.Bind(eng1)
 	if err := eng1.Install(topoSplit, 0); err != nil {
 		t.Fatal(err)

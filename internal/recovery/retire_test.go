@@ -74,8 +74,9 @@ func retireCrashScenario(t *testing.T, ckptAfterRetire bool) (*recovery.MemStora
 	}
 	qs, cat, topoA := buildShared(t, "q1: R(a) S(a)\nq2: T(b) U(b)")
 	_, _, topoB := buildShared(t, "q1: R(a) S(a)")
-	eng := runtime.New(runtime.Config{Catalog: cat, Substrate: runtime.SubstrateSynchronous, Journal: mgr})
+	eng := runtime.New(runtime.Config{Catalog: cat, Substrate: runtime.SubstrateSynchronous})
 	defer eng.Stop()
+	eng.SetJournal(mgr)
 	mgr.Bind(eng)
 	if err := eng.Install(topoA, 0); err != nil {
 		t.Fatal(err)

@@ -33,11 +33,6 @@ type ControllerConfig struct {
 	// runs at the install barrier, on the goroutine that reached it
 	// (Ingest or Drain), and must not call back into Drain.
 	OnDecision func(epoch int64, plans, warming []*core.Plan)
-	// IncrementalReopt carries optimizer state across re-optimization
-	// steps (core.Reopt): the MIR memo, the candidate-structure cache
-	// and the incumbent per eligibility regime, which seeds
-	// branch-and-bound. The ILP is solved afresh every step.
-	IncrementalReopt bool
 }
 
 // blendAlpha weighs a sealed epoch's fresh estimates against history:
@@ -77,7 +72,7 @@ type Controller struct {
 	lastWarming []*core.Plan     // and its warming plans
 	liveSince   map[string]int64 // composite MIR key -> first epoch fed
 	startEpoch  int64
-	reopt       *core.Reopt   // nil unless IncrementalReopt
+	reopt       *core.Reopt   // optimizer state carried from solve to solve
 	compiler    core.Compiler // compiles each decision from the last one's topology
 
 	// Install side: written at the barrier.
@@ -103,9 +98,7 @@ func NewController(eng *Engine, cfg ControllerConfig, queries []*query.Query, in
 		est:        initial.Clone(),
 		lastSealed: -1,
 		liveSince:  map[string]int64{},
-	}
-	if cfg.IncrementalReopt {
-		c.reopt = core.NewReopt()
+		reopt:      core.NewReopt(),
 	}
 	for _, q := range queries {
 		c.queries[q.Name] = q
@@ -191,9 +184,10 @@ func (c *Controller) AddQuery(q *query.Query) error {
 }
 
 // RemoveQuery deregisters a query and returns once it is deregistered;
-// stores whose reference count drops to zero disappear from the next
-// configuration, solved beside the stream like AddQuery's, and their
-// state expires with its epochs. Only an unknown name is reported here.
+// stores the remaining queries do not need disappear from the next
+// configuration, solved beside the stream like AddQuery's, and Install
+// retires each once no installed configuration names it. Only an
+// unknown name is reported here.
 func (c *Controller) RemoveQuery(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -256,15 +250,11 @@ func (c *Controller) solve(in solveInput) (install func() error) {
 	epoch := in.epoch
 	began := time.Now()
 
-	if c.reopt != nil {
-		c.reopt.Advance()
-	}
+	c.reopt.Advance()
 	optimize := func(elig func(string) bool) ([]*core.Plan, error) {
 		opts := c.cfg.Optimizer.Options()
 		opts.MIREligible = elig
-		if c.reopt != nil {
-			opts.Reopt = c.reopt
-		}
+		opts.Reopt = c.reopt
 		o := core.NewOptimizer(opts)
 		if c.cfg.Shared {
 			p, err := o.Optimize(in.queries, in.est)

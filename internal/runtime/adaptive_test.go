@@ -201,6 +201,29 @@ func TestQueryChurn(t *testing.T) {
 	h.eng.Stop()
 }
 
+// TestControllerKeepsItsReopt pins that every controller carries its
+// optimizer state from solve to solve: after an AddQuery, the solve of
+// the grown query set repaired the initial solve's incumbent and found
+// the unchanged queries' candidate structures cached.
+func TestControllerKeepsItsReopt(t *testing.T) {
+	h, ctl, _ := adaptiveHarness(t, "q1: R(a) S(a,b) T(b)\nq2: S(b) T(b)", 0, 1000, true)
+	defer h.eng.Stop()
+	if err := ctl.AddQuery(query.MustParse("q3: S(a) R(a)")); err != nil {
+		t.Fatal(err)
+	}
+	h.eng.Drain()
+	if err := h.eng.Failure(); err != nil {
+		t.Fatal(err)
+	}
+	st := ctl.reopt.Stats()
+	if st.RepairsFeasible < 1 || st.TopHits == 0 {
+		t.Fatalf("the AddQuery solve did not reuse the initial solve's state: %d feasible repairs, %d top-level structure hits", st.RepairsFeasible, st.TopHits)
+	}
+	if got := ctl.Reoptimizations(); got != 2 {
+		t.Fatalf("%d configurations installed, want the initial one and the AddQuery's", got)
+	}
+}
+
 func TestControllerInstallsConfigsAhead(t *testing.T) {
 	h, ctl, _ := adaptiveHarness(t, "q1: R(a) S(a)", 100, 80, false)
 	ins := randomStream(h.cat, 250, 5, 41)
@@ -272,10 +295,9 @@ q4: T(c) U(c)`)
 			initial.SetRate(rel, 100)
 		}
 		ctl, err := NewController(eng, ControllerConfig{
-			Optimizer:        core.NewOptimizer(core.Options{StoreParallelism: 2}),
-			Collector:        col,
-			Shared:           true,
-			IncrementalReopt: true,
+			Optimizer: core.NewOptimizer(core.Options{StoreParallelism: 2}),
+			Collector: col,
+			Shared:    true,
 			OnDecision: func(epoch int64, plans, warming []*core.Plan) {
 				out.decisions = append(out.decisions, decision{epoch, planSignature(plans, warming)})
 			},
@@ -412,10 +434,9 @@ q4: R(a) S(a,c) U(c)`)
 			initial.SetRate(rel, 100)
 		}
 		ctl, err := NewController(eng, ControllerConfig{
-			Optimizer:        core.NewOptimizer(core.Options{StoreParallelism: 2, MaterializationCost: true, Solver: ilp.Options{MaxNodes: 500}}),
-			Collector:        col,
-			Shared:           true,
-			IncrementalReopt: true,
+			Optimizer: core.NewOptimizer(core.Options{StoreParallelism: 2, MaterializationCost: true, Solver: ilp.Options{MaxNodes: 500}}),
+			Collector: col,
+			Shared:    true,
 			OnDecision: func(epoch int64, plans, warming []*core.Plan) {
 				d := fmt.Sprintf("epoch %d:", epoch)
 				for _, p := range append(slices.Clone(plans), warming...) {

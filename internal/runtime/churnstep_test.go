@@ -44,11 +44,10 @@ func engineChurnStepper(tb testing.TB) (func(), *Engine) {
 	opts := core.Options{DeterministicWarmStart: true, MaxCandidatesPerGroup: 12}
 	opts.Solver.MaxNodes = 2_000
 	ctl, err := NewController(eng, ControllerConfig{
-		Optimizer:        core.NewOptimizer(opts),
-		Collector:        col,
-		Shared:           true,
-		Static:           true,
-		IncrementalReopt: true,
+		Optimizer: core.NewOptimizer(opts),
+		Collector: col,
+		Shared:    true,
+		Static:    true,
 	}, installed, env.Estimates())
 	if err != nil {
 		tb.Fatal(err)

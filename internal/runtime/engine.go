@@ -91,12 +91,6 @@ type Config struct {
 	// Controller's epoch seal has been observed when that call returns.
 	// A panic in it fails the engine (Failure).
 	Observer func(rel string, t *tuple.Tuple)
-	// Journal, when set, receives write-ahead records for every ingested
-	// source tuple, prune cutoff, and bounded-memory eviction
-	// (journal.go; internal/recovery implements it). It can also be
-	// attached later with SetJournal — recovery replays a log with the
-	// journal detached so replayed traffic is not re-logged.
-	Journal Journal
 	// MeasuredCosts meters task work: tasks count the nanoseconds and
 	// tuples they spend probing, inserting and pruning (through the
 	// engine's clock, so the simulation substrate measures virtual time),
@@ -244,7 +238,6 @@ func New(cfg Config) *Engine {
 		e.tap = newObserverTap(cfg.Observer, e.fail)
 	}
 	e.barrier.min.Store(noPending)
-	e.SetJournal(cfg.Journal)
 	e.clock = wallClock{}
 	switch cfg.Substrate {
 	case SubstrateSynchronous:

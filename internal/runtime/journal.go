@@ -1,8 +1,6 @@
 package runtime
 
 import (
-	"sync/atomic"
-
 	"clash/internal/topology"
 	"clash/internal/tuple"
 )
@@ -46,7 +44,8 @@ func (e *Engine) journal() Journal {
 
 // SetJournal attaches (or detaches, with nil) the engine's write-ahead
 // journal. Recovery uses it to keep replay silent and then resume
-// logging on the recovered engine; Config.Journal sets it at New.
+// logging on the recovered engine. Attach it before the first Ingest
+// to log every source tuple.
 func (e *Engine) SetJournal(j Journal) {
 	if j == nil {
 		e.jrnl.Store(nil)
@@ -54,5 +53,3 @@ func (e *Engine) SetJournal(j Journal) {
 	}
 	e.jrnl.Store(&journalBox{j: j})
 }
-
-var _ = atomic.Pointer[journalBox]{} // keep the import obvious at a glance

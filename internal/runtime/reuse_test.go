@@ -85,11 +85,10 @@ func runReuseSchedule(t *testing.T, cfg Config, keepByEdge bool, n int) reuseOut
 		pinned = append(pinned, byName[name])
 	}
 	ctl, err := NewController(eng, ControllerConfig{
-		Optimizer:        core.NewOptimizer(core.Options{StoreParallelism: 2}),
-		Collector:        col,
-		Shared:           true,
-		Static:           true,
-		IncrementalReopt: true,
+		Optimizer: core.NewOptimizer(core.Options{StoreParallelism: 2}),
+		Collector: col,
+		Shared:    true,
+		Static:    true,
 	}, pinned, initial)
 	if err != nil {
 		t.Fatal(err)

@@ -114,11 +114,10 @@ func storeLifeRun(t *testing.T, cfg Config, size, steps int) ([]Ingestion, map[s
 	opts := core.Options{DeterministicWarmStart: true, MaxCandidatesPerGroup: 12}
 	opts.Solver.MaxNodes = 2_000
 	ctl, err := NewController(eng, ControllerConfig{
-		Optimizer:        core.NewOptimizer(opts),
-		Collector:        col,
-		Shared:           true,
-		Static:           true,
-		IncrementalReopt: true,
+		Optimizer: core.NewOptimizer(opts),
+		Collector: col,
+		Shared:    true,
+		Static:    true,
 	}, installed, env.Estimates())
 	if err != nil {
 		t.Fatal(err)

@@ -58,7 +58,7 @@ func (cs *ClusterScenario) RunCluster() (*ClusterResult, error) {
 	engines := make([]*runtime.Engine, n)
 	shards := make([]cluster.Shard, n)
 	for i := 0; i < n; i++ {
-		cfg := cs.engineConfig(cat, credits, nil, nil)
+		cfg := cs.engineConfig(cat, credits, nil)
 		// Decorrelate the shard schedules: a shared seed would hide
 		// cross-shard ordering assumptions.
 		cfg.Sim.Seed = cs.Seed ^ (uint64(i+1) * 0x9E3779B97F4A7C15)

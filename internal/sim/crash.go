@@ -119,7 +119,8 @@ func (cs *CrashScenario) RunWithRecovery() (*CrashResult, error) {
 		return nil, err
 	}
 	credits := cs.effectiveCredits()
-	eng1 := runtime.New(cs.engineConfig(cat, credits, nil, mgr))
+	eng1 := runtime.New(cs.engineConfig(cat, credits, nil))
+	eng1.SetJournal(mgr)
 	mgr.Bind(eng1)
 	if err := eng1.Install(topo, 0); err != nil {
 		return nil, err
@@ -166,7 +167,7 @@ func (cs *CrashScenario) RunWithRecovery() (*CrashResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng2 := runtime.New(cs.engineConfig(cat2, credits, nil, nil))
+	eng2 := runtime.New(cs.engineConfig(cat2, credits, nil))
 	defer eng2.Stop()
 	if err := eng2.Install(topo2, 0); err != nil {
 		return nil, err

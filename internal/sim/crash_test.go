@@ -171,8 +171,9 @@ func TestCrashAtEveryWALRecordBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := runtime.New(sc.engineConfig(cat, 0, nil, mgr))
+	eng := runtime.New(sc.engineConfig(cat, 0, nil))
 	defer eng.Stop()
+	eng.SetJournal(mgr)
 	mgr.Bind(eng)
 	if err := eng.Install(topo, 0); err != nil {
 		t.Fatal(err)
@@ -222,7 +223,7 @@ func TestCrashAtEveryWALRecordBoundary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng2 := runtime.New(sc.engineConfig(cat2, 0, nil, nil))
+		eng2 := runtime.New(sc.engineConfig(cat2, 0, nil))
 		if err := eng2.Install(topo2, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +238,7 @@ func TestCrashAtEveryWALRecordBoundary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng3 := runtime.New(sc.engineConfig(cat3, 0, nil, nil))
+		eng3 := runtime.New(sc.engineConfig(cat3, 0, nil))
 		if err := eng3.Install(topo3, 0); err != nil {
 			t.Fatal(err)
 		}

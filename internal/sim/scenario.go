@@ -171,10 +171,10 @@ func (sc *Scenario) effectiveCredits() int {
 
 // engineConfig assembles the simulated engine's configuration: seeded
 // scheduler, flow-control model, fault hooks (stall vetoes and panic
-// injection), supervision, and an optional write-ahead journal — shared
-// by Run and the crash-recovery harness so both execute under the exact
-// same substrate.
-func (sc *Scenario) engineConfig(cat *query.Catalog, credits int, trace *Trace, journal runtime.Journal) runtime.Config {
+// injection) and supervision — shared by Run and the crash-recovery
+// harness so both execute under the exact same substrate. The harness
+// attaches its write-ahead journal with SetJournal.
+func (sc *Scenario) engineConfig(cat *query.Catalog, credits int, trace *Trace) runtime.Config {
 	faults := sc.Faults
 	stall := func(ev runtime.SimEvent) bool {
 		for _, f := range faults {
@@ -204,7 +204,6 @@ func (sc *Scenario) engineConfig(cat *query.Catalog, credits int, trace *Trace, 
 		StateBackend:  sc.Backend,
 		StateHotBytes: sc.StateHotBytes,
 		Substrate:     runtime.SubstrateSim,
-		Journal:       journal,
 		Sim: runtime.SimConfig{
 			Seed:           sc.Seed,
 			MailboxCredits: credits,
@@ -225,7 +224,7 @@ func (sc *Scenario) Run() (*Result, error) {
 
 	credits := sc.effectiveCredits()
 	trace := &Trace{}
-	eng := runtime.New(sc.engineConfig(cat, credits, trace, nil))
+	eng := runtime.New(sc.engineConfig(cat, credits, trace))
 	defer eng.Stop()
 	if err := eng.Install(topo, 0); err != nil {
 		return nil, err

@@ -117,10 +117,6 @@ type Config struct {
 	// Rules indexed by store then by incoming edge (the hot path of
 	// Alg. 3 consults ruleset[e_in]).
 	Rules map[StoreID]map[EdgeID][]Rule
-	// Serves maps each store to the queries depending on it (the
-	// reference counts of Sec. VI-B). The runtime does not read it: it
-	// retires a store once no installed config's Stores names it.
-	Serves map[StoreID][]string
 }
 
 // TotalTasks returns the number of worker tasks the config deploys

@@ -27,7 +27,6 @@ func sampleConfig() *Config {
 				Preds: []query.Predicate{{Left: query.Attr{Rel: "R", Name: "a"}, Right: query.Attr{Rel: "S", Name: "a"}}},
 				Out:   []Emission{{Sink: "q1"}}}}},
 		},
-		Serves: map[StoreID][]string{"R|": {"q1"}, "S|": {"q1"}},
 	}
 }
 
