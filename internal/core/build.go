@@ -75,7 +75,7 @@ func newBuilderOn(ws *workspace, opts Options, queries []*query.Query, est *stat
 		opts:       opts,
 		queries:    queries,
 		rawEst:     est,
-		est:        opts.estimator(queries, est),
+		est:        cost.New(est, ws.allPreds(queries)),
 		workspace:  ws,
 		topGroups:  map[string]map[string][]*DecoratedOrder{},
 		feedGroups: map[string]map[string][]*DecoratedOrder{},

@@ -51,14 +51,16 @@ func BenchmarkChurnStep(b *testing.B) {
 // clock. While every solve built its search state, its model rows and its
 // prices from fresh memory a pair allocated 37 759 objects here (38 005
 // per op in BenchmarkChurnStep); since they live in the Reopt's workspace
-// it allocated 4 408, and since structure keys hold only what a structure
-// reads of the workload, written into the workspace, 2 856. The bound is
-// 1.25× that.
+// it allocated 4 408, since structure keys hold only what a structure
+// reads of the workload, written into the workspace, 2 856, since the MIR
+// lists moved into the Reopt 2 386, and since the cost estimator's
+// predicate list lives in the workspace 2 362 (2 365 under the race
+// detector). The bound is 1.25× that.
 func TestChurnStepAllocs(t *testing.T) {
 	step := churnStepper(t)
 	allocs := testing.AllocsPerRun(3, step)
 	t.Logf("%.0f allocations per churn step pair", allocs)
-	const limit = 3570
+	const limit = 2952
 	if allocs > limit {
 		t.Fatalf("%.0f allocations per churn step pair, want at most %d", allocs, limit)
 	}

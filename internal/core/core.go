@@ -13,7 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"clash/internal/cost"
 	"clash/internal/ilp"
 	"clash/internal/mir"
 	"clash/internal/query"
@@ -393,13 +392,4 @@ func (o *Optimizer) IndividualCost(queries []*query.Query, est *stats.Estimates)
 		total += p.Objective
 	}
 	return total, nil
-}
-
-// estimator builds the cost estimator covering all queries' predicates.
-func (o Options) estimator(queries []*query.Query, est *stats.Estimates) *cost.Estimator {
-	var preds []query.Predicate
-	for _, q := range queries {
-		preds = append(preds, q.Preds...)
-	}
-	return cost.New(est, preds)
 }

@@ -62,6 +62,9 @@ type workspace struct {
 	sides []keySide
 	attrs []query.Attr
 	preds []query.Predicate
+
+	// Every query's predicates, for the solve's cost estimator (allPreds).
+	estPreds []query.Predicate
 }
 
 // reset readies w for a new solve.
@@ -73,6 +76,17 @@ func (w *workspace) reset() {
 	w.steps.reset()
 	w.lists.reset()
 	w.ids.reset()
+}
+
+// allPreds lists every query's predicates in w, for the solve's cost
+// estimator: the estimator lives no longer than the builder that reads
+// it, so the list is rewritten, not reallocated, each solve.
+func (w *workspace) allPreds(queries []*query.Query) []query.Predicate {
+	w.estPreds = w.estPreds[:0]
+	for _, q := range queries {
+		w.estPreds = append(w.estPreds, q.Preds...)
+	}
+	return w.estPreds
 }
 
 // filled returns n copies of -1 from w: an id-indexed array with nothing

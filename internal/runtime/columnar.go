@@ -37,7 +37,9 @@ package runtime
 //   - eviction (shedding at StateLimitBytes) is a ring pop;
 //   - a hot segment whose rows leave memory (pruned, evicted or
 //     demoted) hands its column arrays to the task's next new segment,
-//     so steady-state inserts grow no columns;
+//     and its indices to the task's index pool (indexPool, shared with
+//     the container backend), which the next epochs' indices grow
+//     from, so steady-state inserts grow no columns and no index tables;
 //   - the checkpoint walk and the spill tier encode a segment straight
 //     from its columns (codec.go), in the bytes its tuples would encode
 //     to.
@@ -57,6 +59,7 @@ package runtime
 // one every slot stays hot and no spill file is ever created.
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 	"sync/atomic"
@@ -166,6 +169,9 @@ type colIndex struct {
 	// (cold read-through decodes, throwaway builds): every hash new to
 	// the table is fed to it, so no row is hashed twice.
 	feed *storeFilter
+	// pool is the task's index pool the table grows from and returns its
+	// outgrown tables to; nil for a throwaway index, which allocates.
+	pool *indexPool
 }
 
 func (ix *colIndex) resident() int64 {
@@ -247,35 +253,29 @@ func (ix *colIndex) link(h uint64, row int32) {
 
 // grow doubles the table, re-placing chain heads and tails by their
 // stored slot hashes — chains themselves are untouched — and rebuilds
-// the filter from the same hashes at the new size.
+// the filter from the same hashes at the new size. The new table comes
+// from the index's pool when it holds one of that size, and the
+// outgrown one goes back to it.
 func (ix *colIndex) grow() {
-	n := len(ix.heads) * 2
-	if n < 16 {
-		n = 16
-	}
-	oldHeads, oldTails, oldHashes := ix.heads, ix.tails, ix.hashes
-	ix.heads = make([]int32, n)
-	ix.tails = make([]int32, n)
-	ix.hashes = make([]uint64, n)
-	ix.filt = make(keyFilter, n/8)
-	for i := range ix.heads {
-		ix.heads[i] = -1
-	}
-	mask := uint64(n - 1)
-	for i, head := range oldHeads {
+	old := tableSet{ix.heads, ix.tails, ix.hashes, ix.filt}
+	t := ix.pool.table(max(2*len(old.heads), 16))
+	ix.heads, ix.tails, ix.hashes, ix.filt = t.heads, t.tails, t.hashes, t.filt
+	mask := uint64(len(t.heads) - 1)
+	for i, head := range old.heads {
 		if head < 0 {
 			continue
 		}
-		h := oldHashes[i]
+		h := old.hashes[i]
 		j := h & mask
-		for ix.heads[j] >= 0 {
+		for t.heads[j] >= 0 {
 			j = (j + 1) & mask
 		}
-		ix.heads[j] = head
-		ix.tails[j] = oldTails[i]
-		ix.hashes[j] = h
-		ix.filt.add(h)
+		t.heads[j] = head
+		t.tails[j] = old.tails[i]
+		t.hashes[j] = h
+		t.filt.add(h)
 	}
+	ix.pool.put(old)
 }
 
 // reset empties the table, filter and chains, keeping every backing
@@ -287,6 +287,133 @@ func (ix *colIndex) reset() {
 	clear(ix.filt)
 	ix.used = 0
 	ix.next = ix.next[:0]
+}
+
+// poolIndices is how many released colIndex structs a pool keeps: an
+// epoch holds an index per probed key, and a store is probed under one
+// or two.
+const poolIndices = 4
+
+// poisonRow is the chain head a poisoned table holds in every occupied
+// slot: past the rows of any epoch.
+const poisonRow = math.MaxInt32
+
+// tableSet is one colIndex table at one size: the slot arrays and the
+// filter, which is nil in a set whose filter went to a cold stub.
+type tableSet struct {
+	heads, tails []int32
+	hashes       []uint64
+	filt         keyFilter
+}
+
+// poison marks a released table for any reader still holding it: the
+// filter admits every hash, and every occupied slot's chain head lies
+// past the rows, so a lookup that finds its hash panics on the chain
+// walk instead of walking the chains of the epoch that reuses the table.
+// Empty slots stay empty, so a lookup of an absent hash still ends.
+func (t tableSet) poison() {
+	for i, head := range t.heads {
+		if head >= 0 {
+			t.heads[i] = poisonRow
+		}
+	}
+	for i := range t.filt {
+		t.filt[i] = ^uint64(0)
+	}
+}
+
+// indexPool recycles the indices of a task's dead epochs (DESIGN.md
+// §10): the tables an index outgrows or leaves behind, at most one set
+// per power-of-two size class, and a few index structs whose position
+// caches are cleared but keep their buckets. An epoch's index grows into
+// it one class at a time, so every table has exactly the size growing
+// afresh gives it, and the row chains (colIndex.next) are never pooled:
+// what an index is charged does not depend on the pool. The pool is
+// uncharged, like columnarState.spare, since no row lives in it; it
+// holds at most one table of each size up to the task's largest, about
+// twice that table's bytes. Each state backend owns one; an index
+// without a pool (a throwaway build) allocates its tables.
+type indexPool struct {
+	sets []tableSet  // sets[k] has 16<<k slots, or is empty
+	free []*colIndex // released structs, reset
+}
+
+// sizeClass is the class of an n-slot table, n a power of two ≥ 16.
+func sizeClass(n int) int { return bits.TrailingZeros(uint(n)) - 4 }
+
+// table returns an empty n-slot table: the pool's of that size if it has
+// one, else a new one.
+func (p *indexPool) table(n int) tableSet {
+	var t tableSet
+	if k := sizeClass(n); p != nil && k < len(p.sets) {
+		t, p.sets[k] = p.sets[k], tableSet{}
+	}
+	if t.heads == nil {
+		t = tableSet{heads: make([]int32, n), tails: make([]int32, n), hashes: make([]uint64, n)}
+	}
+	if t.filt == nil {
+		t.filt = make(keyFilter, n/8)
+	} else {
+		clear(t.filt)
+	}
+	for i := range t.heads {
+		t.heads[i] = -1
+	}
+	return t
+}
+
+// put keeps a table no index holds any more, unless the pool has one of
+// its size already. Tails and hashes are left as they are: an index
+// reads them only at a slot whose head is set. Released tables are
+// poisoned in race builds and in this package's tests
+// (tuple.PoisonRecycled).
+func (p *indexPool) put(t tableSet) {
+	if p == nil || t.heads == nil {
+		return
+	}
+	if tuple.PoisonRecycled {
+		t.poison()
+	}
+	k := sizeClass(len(t.heads))
+	for len(p.sets) <= k {
+		p.sets = append(p.sets, tableSet{})
+	}
+	if p.sets[k].heads == nil {
+		p.sets[k] = t
+	}
+}
+
+// index returns an empty index under the key, on a released struct when
+// the pool has one. The key is copied: an index must not pin the rule
+// plan it was first probed under across re-optimizations.
+func (p *indexPool) index(key *indexKey) *colIndex {
+	if n := len(p.free); n > 0 {
+		ix := p.free[n-1]
+		p.free = p.free[:n-1]
+		ix.key, ix.pool = *key, p
+		return ix
+	}
+	return &colIndex{key: *key, pool: p}
+}
+
+// release takes back the index of an epoch whose rows left memory, or of
+// a retired key: its table, and its struct reset. The caller has charged
+// the index off; it must not be read again. An index whose filter went
+// to a cold stub has filt nil, and the stub keeps the filter.
+func (p *indexPool) release(ix *colIndex) {
+	p.put(tableSet{ix.heads, ix.tails, ix.hashes, ix.filt})
+	clear(ix.posCache)
+	*ix = colIndex{posCache: ix.posCache}
+	if len(p.free) < poolIndices {
+		p.free = append(p.free, ix)
+	}
+}
+
+// releaseAll releases every index of a dead epoch.
+func (p *indexPool) releaseAll(xs indexSet) {
+	for _, ix := range xs {
+		p.release(ix)
+	}
 }
 
 // indexSet is the local indices over one epoch's rows: a small slice —
@@ -304,11 +431,10 @@ func (xs indexSet) get(key *indexKey) *colIndex {
 	return nil
 }
 
-// add appends an empty index under the key; the caller links its rows.
-// The key is copied: an index must not pin the rule plan it was first
-// probed under across re-optimizations.
-func (xs *indexSet) add(key *indexKey) *colIndex {
-	ix := &colIndex{key: *key}
+// add appends an empty index under the key, from the pool; the caller
+// links its rows.
+func (xs *indexSet) add(key *indexKey, pool *indexPool) *colIndex {
+	ix := pool.index(key)
 	*xs = append(*xs, ix)
 	return ix
 }
@@ -559,12 +685,13 @@ func (s *colSegment) linkRows(ix *colIndex) {
 	}
 }
 
-// indexFor returns (building on first use) the index under the key.
-func (s *colSegment) indexFor(key *indexKey) (ix *colIndex, built bool) {
+// indexFor returns (building on first use, from the pool) the index
+// under the key.
+func (s *colSegment) indexFor(key *indexKey, pool *indexPool) (ix *colIndex, built bool) {
 	if ix = s.indices.get(key); ix != nil {
 		return ix, false
 	}
-	ix = s.indices.add(key)
+	ix = s.indices.add(key, pool)
 	s.linkRows(ix)
 	return ix, true
 }
@@ -700,6 +827,9 @@ type columnarState struct {
 	// left memory (pruned, evicted or demoted) since the last new
 	// segment, which starts on them. Uncharged: no row lives in it.
 	spare colSegment
+	// pool holds the index tables and structs of those segments and of
+	// retired keys, for the indices that grow next. Uncharged likewise.
+	pool indexPool
 
 	store   spillStore   // lazy: no file until the first demotion
 	spilled atomic.Int64 // live on-disk payload bytes of this task
@@ -738,7 +868,7 @@ func (c *columnarState) insert(tp *tuple.Tuple, seq uint64, epoch int64) (delta,
 	if s == nil {
 		s = c.newSegment(epoch)
 		c.ring.put(epoch, s)
-		filters = c.probed.open(&s.indices)
+		filters = c.probed.open(&s.indices, &c.pool)
 	} else {
 		idxBefore = s.idxResident()
 		before = s.rowBytes() + idxBefore
@@ -762,11 +892,17 @@ func (c *columnarState) newSegment(ep int64) *colSegment {
 	return s
 }
 
-// recycle keeps the column arrays of a hot segment whose rows leave
-// memory as the spare, when they are larger than the spare's. The
-// segment must not be read again.
+// recycle takes back the arrays of a hot segment whose rows leave
+// memory: its indices go to the pool, and its column arrays become the
+// spare when they are larger than the spare's. The segment must not be
+// read again.
 func (c *columnarState) recycle(s *colSegment) {
-	if s.cold || cap(s.seqs) <= cap(c.spare.seqs) {
+	if s.cold {
+		return
+	}
+	c.pool.releaseAll(s.indices)
+	s.indices = nil
+	if cap(s.seqs) <= cap(c.spare.seqs) {
 		return
 	}
 	for p := range s.cols {
@@ -789,14 +925,16 @@ func (c *columnarState) storeFilter(key *indexKey) (f keyFilter, idxDelta int64)
 			hot = append(hot, s)
 		}
 	}
-	return buildStoreFilter(&c.probed, pk, key, hot)
+	return buildStoreFilter(&c.probed, &c.pool, pk, key, hot)
 }
 
 func (c *columnarState) retain(cur, prev []int32) (idxDelta int64) {
 	for _, pk := range c.probed.retire(cur, prev) {
 		for _, s := range c.ring.vals {
 			if !s.cold {
-				idxDelta -= s.indices.remove(&pk.key).resident()
+				ix := s.indices.remove(&pk.key)
+				idxDelta -= ix.resident()
+				c.pool.release(ix)
 			}
 		}
 		idxDelta -= pk.sf.filt.bytes()
@@ -848,7 +986,7 @@ func (c *columnarState) probeScanBatch(key *indexKey, pb *probeBatch) (idxDelta 
 		}
 		// An index built on the decoded segment is charged with the
 		// slot's promotion (full resident cost, indices included).
-		ix, _ := ls.indexFor(key)
+		ix, _ := ls.indexFor(key, &c.pool)
 		hits, misses := ls.scanBatch(ix, pb, pb.cuts, bl)
 		c.m.coldProbeHits.Add(hits)
 		c.m.coldProbeMisses.Add(misses)
@@ -959,7 +1097,7 @@ func (c *columnarState) clear() (removed int, delta, idxDelta int64) {
 	delta += f
 	idxDelta += f
 	c.ring.clear()
-	c.spare = colSegment{}
+	c.spare, c.pool = colSegment{}, indexPool{}
 	c.pending = 0
 	if freed := c.spilled.Swap(0); freed != 0 {
 		c.m.spilledBytes.Add(-freed)

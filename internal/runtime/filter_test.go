@@ -26,6 +26,9 @@ import (
 // pass the filter, the filter must be one block per eight slots, and
 // find must agree with a linear scan of the model: same verdict, same
 // chain in insertion order, and a filtered answer only ever on a miss.
+// Every other seed grows the index from a pool whose tables of every
+// size hold random words in every array: a table taken from the pool
+// must behave as a new one, whatever it held before.
 func TestColIndexFilterCoversTable(t *testing.T) {
 	keyed := tuple.NewSchema("R.a", "R.τ")
 	unkeyed := tuple.NewSchema("R.b", "R.τ") // lacks the key: never linked
@@ -34,6 +37,9 @@ func TestColIndexFilterCoversTable(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		r := rng.New(seed)
 		ix := &colIndex{key: key}
+		if seed%2 == 0 {
+			ix.pool = junkPool(r, 1<<14)
+		}
 		var rows []*tuple.Tuple // the owner's rows, numbered by position
 		universe := 8 + r.Intn(600)
 		add := func(tp *tuple.Tuple) {
@@ -119,6 +125,23 @@ func TestColIndexFilterCoversTable(t *testing.T) {
 	if absent == 0 || filtered*10 < absent*8 {
 		t.Errorf("the filter answered %d of %d misses, want at least 8 in 10 — sweep vacuous", filtered, absent)
 	}
+}
+
+// junkPool is an index pool holding a table of every size from 16 slots
+// to most, every word of each random.
+func junkPool(r *rng.RNG, most int) *indexPool {
+	p := &indexPool{}
+	for n := 16; n <= most; n *= 2 {
+		t := tableSet{heads: make([]int32, n), tails: make([]int32, n), hashes: make([]uint64, n), filt: make(keyFilter, n/8)}
+		for i := range t.heads {
+			t.heads[i], t.tails[i], t.hashes[i] = int32(r.Uint64()), int32(r.Uint64()), r.Uint64()
+		}
+		for i := range t.filt {
+			t.filt[i] = r.Uint64()
+		}
+		p.sets = append(p.sets, t)
+	}
+	return p
 }
 
 // TestProbeFilterSkipsEpochs is the longstate-probe shape at small

@@ -309,6 +309,12 @@ func (c *columnarState) demoteOldest() (delta, idxDelta int64, ok bool) {
 		c.testCrashAfterSpill()
 	}
 	before, idxBefore := s.resident(), s.idxResident()
+	for _, ix := range s.indices {
+		// The stub holds the epoch's filters (takeFilters, or those of the
+		// frame it revives): the pool gets the rest of each index, and a
+		// filter that went to it would be rewritten by the next epoch.
+		ix.filt = nil
+	}
 	c.recycle(s)
 	*s = colSegment{epoch: s.epoch, minTS: s.minTS, maxTS: s.maxTS, stub: stub, cold: true}
 	c.spilled.Add(stub.len)
@@ -346,7 +352,7 @@ func (c *columnarState) promote(s *colSegment) {
 			pk.sf.addSlots(ix)
 			continue
 		}
-		ix := s.indices.add(&pk.key)
+		ix := s.indices.add(&pk.key, &c.pool)
 		ix.feed = &pk.sf
 		s.linkRows(ix)
 	}

@@ -189,12 +189,13 @@ func (c *container) add(e entry) {
 	c.indices.addRow(e.t, row)
 }
 
-// indexFor returns (building on first use) the index under the key.
-func (c *container) indexFor(key *indexKey) (ix *colIndex, built bool) {
+// indexFor returns (building on first use, from the pool) the index
+// under the key.
+func (c *container) indexFor(key *indexKey, pool *indexPool) (ix *colIndex, built bool) {
 	if ix = c.indices.get(key); ix != nil {
 		return ix, false
 	}
-	ix = c.indices.add(key)
+	ix = c.indices.add(key, pool)
 	for row := range c.entries {
 		ix.addRow(c.entries[row].t, int32(row))
 	}
@@ -306,10 +307,12 @@ func (r *epochRing[T]) clear() {
 // containerState is the seed state design behind the stateBackend
 // interface: one container per epoch on the shared epoch ring, and the
 // store filters of its probed keys (storefilter.go) — every container
-// holds an index under each.
+// holds an index under each — with the index pool (columnar.go) their
+// indices grow from and a dropped container's go back to.
 type containerState struct {
 	ring   epochRing[container]
 	probed probedKeys
+	pool   indexPool
 }
 
 func newContainerState() *containerState {
@@ -324,7 +327,7 @@ func (s *containerState) insert(tp *tuple.Tuple, seq uint64, epoch int64) (delta
 	if c == nil {
 		c = newContainer()
 		s.ring.put(epoch, c)
-		filters = s.probed.open(&c.indices)
+		filters = s.probed.open(&c.indices, &s.pool)
 	} else {
 		idxBefore = c.indices.resident()
 		before = c.rowBytes() + idxBefore
@@ -340,7 +343,7 @@ func (s *containerState) storeFilter(key *indexKey) (f keyFilter, idxDelta int64
 	if pk != nil && !pk.sf.full() {
 		return pk.sf.filt, 0
 	}
-	return buildStoreFilter(&s.probed, pk, key, s.ring.vals)
+	return buildStoreFilter(&s.probed, &s.pool, pk, key, s.ring.vals)
 }
 
 // probeScanBatch is the loop-over-scalar oracle scan: probe-major, one
@@ -381,7 +384,9 @@ func (s *containerState) probeScanBatch(key *indexKey, pb *probeBatch) (idxDelta
 func (s *containerState) retain(cur, prev []int32) (idxDelta int64) {
 	for _, pk := range s.probed.retire(cur, prev) {
 		for _, c := range s.ring.vals {
-			idxDelta -= c.indices.remove(&pk.key).resident()
+			ix := c.indices.remove(&pk.key)
+			idxDelta -= ix.resident()
+			s.pool.release(ix)
 		}
 		idxDelta -= pk.sf.filt.bytes()
 	}
@@ -403,6 +408,7 @@ func (s *containerState) prune(cut tuple.Time) (removed int, delta, idxDelta int
 			removed += len(c.entries)
 			delta -= before
 			idxDelta -= idxBefore
+			s.pool.releaseAll(c.indices)
 			s.ring.drop(i)
 			dropped = true
 			continue
@@ -449,7 +455,9 @@ func (s *containerState) dropOldest() (epoch int64, removed int, delta, idxDelta
 	if !ok {
 		return 0, 0, 0, 0, false
 	}
-	return ep, len(c.entries), -c.resident(), -c.indices.resident(), true
+	delta, idxDelta = -c.resident(), -c.indices.resident()
+	s.pool.releaseAll(c.indices)
+	return ep, len(c.entries), delta, idxDelta, true
 }
 
 func (s *containerState) clear() (removed int, delta, idxDelta int64) {
@@ -462,6 +470,7 @@ func (s *containerState) clear() (removed int, delta, idxDelta int64) {
 	delta += f
 	idxDelta += f
 	s.ring.clear()
+	s.pool = indexPool{}
 	return removed, delta, idxDelta
 }
 

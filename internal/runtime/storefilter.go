@@ -105,17 +105,18 @@ func (f *storeFilter) rebuild(hot []*colIndex) (delta int64) {
 
 // buildStoreFilter is the slow path of a backend's storeFilter, over its
 // hot epochs: on a key's first probe (pk nil) it registers the key and
-// every hot epoch builds its index under it; then it rebuilds the key's
-// filter from the hot tables' slot hashes. idxDelta is the bytes built.
+// every hot epoch builds its index under it, from the backend's pool;
+// then it rebuilds the key's filter from the hot tables' slot hashes.
+// idxDelta is the bytes built.
 func buildStoreFilter[E interface {
-	indexFor(*indexKey) (*colIndex, bool)
-}](ks *probedKeys, pk *probedKey, key *indexKey, hot []E) (f keyFilter, idxDelta int64) {
+	indexFor(*indexKey, *indexPool) (*colIndex, bool)
+}](ks *probedKeys, pool *indexPool, pk *probedKey, key *indexKey, hot []E) (f keyFilter, idxDelta int64) {
 	if pk == nil {
 		pk = ks.add(key)
 	}
 	ixs := make([]*colIndex, len(hot))
 	for i, e := range hot {
-		ix, built := e.indexFor(key)
+		ix, built := e.indexFor(key, pool)
 		if built {
 			ix.feed = &pk.sf
 			idxDelta += ix.resident()
@@ -170,16 +171,17 @@ func (ks *probedKeys) retire(cur, prev []int32) (gone probedKeys) {
 	return gone
 }
 
-// open gives a new hot epoch an empty index under every probed key, each
-// feeding its key's filter, and re-allocates a filter that went with the
-// store's last epoch. It returns the filter bytes allocated.
-func (ks probedKeys) open(xs *indexSet) (idxDelta int64) {
+// open gives a new hot epoch an empty index from the pool under every
+// probed key, each feeding its key's filter, and re-allocates a filter
+// that went with the store's last epoch. It returns the filter bytes
+// allocated.
+func (ks probedKeys) open(xs *indexSet, pool *indexPool) (idxDelta int64) {
 	for _, pk := range ks {
 		if pk.sf.filt == nil {
 			pk.sf.size(0)
 			idxDelta += pk.sf.filt.bytes()
 		}
-		xs.add(&pk.key).feed = &pk.sf
+		xs.add(&pk.key, pool).feed = &pk.sf
 	}
 	return idxDelta
 }
