@@ -28,11 +28,8 @@ type Fig8Config struct {
 	Bucket      time.Duration // latency reporting bucket (default 250ms)
 	Fanout      int64         // spike fanout, variant a (default 100)
 	MemoryLimit int64         // bytes; static plans die above it (default 256 MiB)
-	RealTime    float64       // wall-clock pacing factor; 0 = as fast as possible
 	Parallelism int
 	Seed        uint64
-	// Trace, when set, observes every installed configuration change.
-	Trace func(epoch int64, plans, warming []*core.Plan)
 }
 
 func (c *Fig8Config) fill() {
@@ -142,10 +139,9 @@ func Fig8(variant byte, adaptive bool, cfg Fig8Config) ([]Fig8Point, error) {
 			// intermediate result is small, not when it explodes).
 			MaterializationCost: true,
 		})),
-		Collector:  col,
-		Shared:     true,
-		Static:     !adaptive,
-		OnDecision: cfg.Trace,
+		Collector: col,
+		Shared:    true,
+		Static:    !adaptive,
 	}, []*query.Query{q}, est)
 	if err != nil {
 		return nil, err
@@ -155,14 +151,7 @@ func Fig8(variant byte, adaptive bool, cfg Fig8Config) ([]Fig8Point, error) {
 	var out []Fig8Point
 	bucketEnd := cfg.Bucket
 	var lastProbes int64
-	wallStart := time.Now()
 	for _, r := range records {
-		if cfg.RealTime > 0 {
-			due := wallStart.Add(time.Duration(float64(r.TS) / cfg.RealTime))
-			if d := time.Until(due); d > 0 {
-				time.Sleep(d)
-			}
-		}
 		if err := eng.Ingest(r.Relation, r.TS, r.Vals...); err != nil {
 			// Terminal failure (memory overflow): emit a failed point
 			// and stop, like the paper's static workers dying.

@@ -229,6 +229,32 @@ func TestClusterExactOnSynchronousShards(t *testing.T) {
 	}
 }
 
+// TestShardStateBytesIsStoreBytes pins that a shard reports its engine's
+// resident state once: the engine's StoreBytes already counts the index
+// overhead that IndexBytes breaks out, so adding the two counts the
+// indices twice.
+func TestShardStateBytesIsStoreBytes(t *testing.T) {
+	qs, cat, topo := buildWorkload(t, "q1: R(a) S(a)")
+	shards := newShards(t, cat, topo, 1)
+	cl, err := cluster.New(cluster.Config{Queries: qs, Catalog: cat}, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range stream(cat, 100) {
+		if err := cl.Ingest(in.Rel, in.TS, in.Vals...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl.Drain()
+	snap := shards[0].Snapshot()
+	if snap.IndexBytes == 0 {
+		t.Fatal("the shard indexes nothing — test vacuous")
+	}
+	if got := cl.Metrics().Shards[0].StateBytes; got != snap.StoreBytes {
+		t.Errorf("shard StateBytes = %d, want the engine's StoreBytes %d (IndexBytes %d)", got, snap.StoreBytes, snap.IndexBytes)
+	}
+}
+
 func TestIngestUnknownRelation(t *testing.T) {
 	qs, cat, topo := buildWorkload(t, "q1: R(a) S(a)")
 	cl, err := cluster.New(cluster.Config{Queries: qs, Catalog: cat}, newShards(t, cat, topo, 2))

@@ -63,7 +63,7 @@ func (c *Cluster) Metrics() Metrics {
 			Results:    snap.Results,
 			QueueDepth: pr.QueuedMessages,
 			Stored:     snap.Stored,
-			StateBytes: snap.StoreBytes + snap.IndexBytes,
+			StateBytes: snap.StoreBytes,
 			Shed:       snap.ShedTuples,
 
 			SpilledBytes:  snap.SpilledBytes,

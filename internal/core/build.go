@@ -623,7 +623,7 @@ func (b *builder) buildModel() {
 	for _, d := range b.orders {
 		x := int(b.xVar[d.num])
 		// Cost row, normalized by PCost for numerical conditioning:
-		// -x + Σ (StepCost/PCost) y ≥ 0 forces every step of a chosen
+		// -x + Σ (step cost/PCost) y ≥ 0 forces every step of a chosen
 		// order (equivalent to the paper's Eq. 3 pattern).
 		if d.Cost > 0 {
 			terms = append(terms[:0], ilp.T(x, -1))

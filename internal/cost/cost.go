@@ -12,7 +12,6 @@ package cost
 
 import (
 	"slices"
-	"sort"
 
 	"clash/internal/query"
 	"clash/internal/stats"
@@ -43,28 +42,14 @@ func New(est *stats.Estimates, queryPreds []query.Predicate) *Estimator {
 	return &Estimator{est: est, preds: queryPreds}
 }
 
-// Estimates exposes the underlying snapshot (read-only use).
-func (e *Estimator) Estimates() *stats.Estimates { return e.est }
-
-// JoinCardinality estimates the per-time-unit size of the join over the
-// given relation set: the product of arrival rates times the selectivity
-// of every predicate whose both sides fall inside the set.
-func (e *Estimator) JoinCardinality(rels map[string]bool, preds []query.Predicate) float64 {
-	return e.Cardinality(sortedRels(rels), preds)
-}
-
-// Cardinality is JoinCardinality over a sorted relation slice. Rates
-// multiply in that order and selectivities in predicate order, so equal
+// CardinalityWith estimates the per-time-unit size of the join over the
+// relations rels: the product of arrival rates times the selectivity of
+// every predicate whose both sides fall inside the set, with sels[i] the
+// selectivity of preds[i], as Selectivities returns them. Rates multiply
+// in the order of rels and selectivities in predicate order, so equal
 // inputs give bit-equal results — float multiplication is not
-// associative, and map order would make a plan's cost a coin toss in its
-// last bits. Callers that price one relation set repeatedly keep the
-// slice.
-func (e *Estimator) Cardinality(rels []string, preds []query.Predicate) float64 {
-	return e.CardinalityWith(rels, preds, e.Selectivities(preds))
-}
-
-// CardinalityWith is Cardinality with sels[i] the selectivity of
-// preds[i], as Selectivities returns them.
+// associative, so callers pass rels sorted, and a plan's cost does not
+// depend on the order a set was built in.
 func (e *Estimator) CardinalityWith(rels []string, preds []query.Predicate, sels []float64) float64 {
 	card := 1.0
 	for _, r := range rels {
@@ -153,13 +138,9 @@ func (e *Estimator) Knows(prefix map[string]bool, target Target) bool {
 	return false
 }
 
-// Chi returns the broadcast factor χ for probing the target store with a
-// tuple covering the prefix relations: 1 when the partitioning value is
-// known, the store's parallelism otherwise.
-func (e *Estimator) Chi(prefix map[string]bool, target Target) float64 {
-	return chi(e.Knows(prefix, target), target)
-}
-
+// chi is the broadcast factor χ for probing the target store: 1 when
+// the probing tuple knows the partitioning value, the store's
+// parallelism otherwise.
 func chi(knows bool, target Target) float64 {
 	if knows || target.Parallelism < 1 {
 		return 1
@@ -193,9 +174,14 @@ func (e *Estimator) SkewFactor(target Target) float64 {
 	return f
 }
 
-// StepCost estimates the cost of step j of a probe order: the prefix
+// PriceStep estimates the cost of step j of a probe order: the prefix
 // (the first j elements) sends its partial join result to the store of
-// element j+1. preds are the predicates of the enclosing query.
+// element j+1. rels is the prefix's relation set, sorted; knows the
+// Knows verdict for next (next's Rels are not read); preds the
+// predicates of the enclosing query and sels their selectivities as
+// CardinalityWith takes them. It reads only the estimates, so a step
+// whose structure is cached is re-priced under a new snapshot without
+// deriving χ again.
 //
 // The 1/j factor reflects that the arriving tuple joins only with tuples
 // that arrived earlier, so each probe order computes a 1/j fraction of
@@ -206,22 +192,6 @@ func (e *Estimator) SkewFactor(target Target) float64 {
 // one hot partition, so the effective cost is max(χ, SkewFactor) — the
 // hot task, not the average task, bounds the strategy's throughput. A
 // broadcast already pays the full parallelism and cannot get worse.
-func (e *Estimator) StepCost(prefix []Target, next Target, preds []query.Predicate) float64 {
-	j := len(prefix)
-	if j < 1 {
-		return 0
-	}
-	rels := unionRels(prefix)
-	return e.PriceStep(sortedRels(rels), j, e.Knows(rels, next), next, preds, e.Selectivities(preds))
-}
-
-// PriceStep is StepCost with the parts that do not depend on the
-// estimates worked out by the caller: rels is the prefix's relation set,
-// sorted; j its element count; knows the Knows verdict for next (next's
-// Rels are not read); sels the predicates' selectivities as
-// CardinalityWith takes them. It reads only the estimates, so a step
-// whose structure is cached is re-priced under a new snapshot without
-// deriving χ again.
 func (e *Estimator) PriceStep(rels []string, j int, knows bool, next Target, preds []query.Predicate, sels []float64) float64 {
 	card := e.CardinalityWith(rels, preds, sels)
 	c := chi(knows, next)
@@ -229,49 +199,4 @@ func (e *Estimator) PriceStep(rels []string, j int, knows bool, next Target, pre
 		c = sf
 	}
 	return card / float64(j) * c
-}
-
-// ProbeOrderCost sums the step costs of a full probe order
-// ⟨elements[0], elements[1], …⟩ per Eq. 1's inner sum.
-func (e *Estimator) ProbeOrderCost(elements []Target, preds []query.Predicate) float64 {
-	total := 0.0
-	for j := 1; j < len(elements); j++ {
-		total += e.StepCost(elements[:j], elements[j], preds)
-	}
-	return total
-}
-
-// QueryCost evaluates Eq. 1 for a query: the sum of the probe-order costs
-// over one probe order per starting relation. orders maps each starting
-// relation to its probe order.
-func (e *Estimator) QueryCost(orders map[string][]Target, preds []query.Predicate) float64 {
-	total := 0.0
-	for _, o := range orders {
-		total += e.ProbeOrderCost(o, preds)
-	}
-	return total
-}
-
-func unionRels(ts []Target) map[string]bool {
-	u := map[string]bool{}
-	for _, t := range ts {
-		for r := range t.Rels {
-			u[r] = true
-		}
-	}
-	return u
-}
-
-func sortedRels(rels map[string]bool) []string {
-	out := make([]string, 0, len(rels))
-	for r := range rels {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// RelTarget is a convenience constructor for a single-relation target.
-func RelTarget(rel string, part query.Attr, parallelism int) Target {
-	return Target{Rels: map[string]bool{rel: true}, Partition: part, Parallelism: parallelism}
 }

@@ -273,7 +273,7 @@ func (pb *probeBatch) evalRows(i int, s *colSegment, sel []int32) {
 		for w := 0; match && w < len(t.wins); w++ {
 			// windowOK on the row's τ cells (Int payloads).
 			pos := sh.tauPos[w]
-			match = pos < 0 || pts-s.cols[pos].nums[row] <= t.wins[w].w
+			match = pos < 0 || pts-s.cols[pos].nums[row] <= t.wins[w]
 		}
 		if !match {
 			continue

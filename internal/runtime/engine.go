@@ -157,7 +157,7 @@ type ingested struct {
 type Engine struct {
 	cfg     Config
 	metrics *Metrics
-	clock   Clock
+	vclock  *VirtualClock // nil on real time (clock.go)
 	// sub is the execution substrate (flow.go): message delivery, task
 	// scheduling, and flow control. syncMode mirrors whether sub is a
 	// single-threaded substrate (the work queue must be pumped inline).
@@ -238,7 +238,6 @@ func New(cfg Config) *Engine {
 		e.tap = newObserverTap(cfg.Observer, e.fail)
 	}
 	e.barrier.min.Store(noPending)
-	e.clock = wallClock{}
 	switch cfg.Substrate {
 	case SubstrateSynchronous:
 		e.syncMode = true
@@ -247,7 +246,7 @@ func New(cfg Config) *Engine {
 		// The simulation substrate owns virtual time: it advances its
 		// clock per dispatched message.
 		s := newSimSubstrate(e, cfg.Sim)
-		e.clock = s.vclock
+		e.vclock = s.vclock
 		e.sub = s
 	default:
 		e.sub = newFlowSubstrate(e, cfg.Flow)
@@ -289,10 +288,7 @@ func (e *Engine) HasStore(id topology.StoreID) bool {
 
 // VirtualClock returns the engine's virtual clock, or nil when the
 // engine runs on real time. Tests use it to fast-forward simulated time.
-func (e *Engine) VirtualClock() *VirtualClock {
-	vc, _ := e.clock.(*VirtualClock)
-	return vc
-}
+func (e *Engine) VirtualClock() *VirtualClock { return e.vclock }
 
 // waitSettled parks the calling goroutine until settled() holds. The
 // substrates' drain implementations use it instead of sleep-polling:
@@ -517,7 +513,7 @@ func (e *Engine) Ingest(rel string, ts tuple.Time, vals ...tuple.Value) error {
 	if e.tap != nil {
 		e.tap.observe(rel, &in.t)
 	}
-	wall := e.clock.Now()
+	wall := e.now()
 
 	// The tuple is processed under its own epoch's configuration: stored
 	// once into its arrival-epoch container, and probing along the
@@ -791,12 +787,12 @@ func (e *Engine) dispatchBatch(t *task, batch []message) {
 	if len(batch) == 0 {
 		return
 	}
-	start := e.clock.Now()
+	start := e.now()
 	for i := range batch {
 		e.dispatch(t, &batch[i])
 		batch[i] = message{}
 	}
-	t.busyNanos.Add(e.clock.Now() - start)
+	t.busyNanos.Add(e.now() - start)
 }
 
 // deliverResultBatch delivers a probe's result batch to one sink with
@@ -806,7 +802,7 @@ func (e *Engine) dispatchBatch(t *task, batch []message) {
 func (e *Engine) deliverResultBatch(queryName string, batch []*tuple.Tuple, wall int64) {
 	var lat time.Duration
 	if wall > 0 {
-		lat = time.Duration(e.clock.Now() - wall)
+		lat = time.Duration(e.now() - wall)
 	}
 	e.metrics.recordResultBatch(queryName, lat, len(batch))
 	e.sinkMu.RLock()

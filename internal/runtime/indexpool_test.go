@@ -12,6 +12,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"clash/internal/rng"
@@ -47,6 +48,13 @@ func chainGrowths(n int) int {
 // table while the cold stub's filter still admits every key of the
 // demoted rows, and a probe still finds them: the filter is the stub's,
 // so the pool never gets it.
+//
+// The read-through row probes a demoted epoch under a key first probed
+// after the demotion, which reads the epoch through and indexes the
+// decode under that key, then retires the key before the promotion at
+// the end of the dispatch (a re-entrant dispatch on the synchronous
+// substrate can install between the two): the promotion drops the
+// index, and the pool must get it back.
 func TestEpochsRecycleIndices(t *testing.T) {
 	const perEpoch, epochs, keys = 512, 64, 64
 	schema := tuple.NewSchema("S.a", "S.b", "S.τ")
@@ -132,6 +140,44 @@ func TestEpochsRecycleIndices(t *testing.T) {
 			if m, _, _ := probe.scan(cs, noCut, tuple.IntValue(k)); len(m) != 2 {
 				t.Fatalf("a probe for key %d finds %d rows of the demoted epoch, want 2", k, len(m))
 			}
+		}
+		if failed != nil {
+			t.Fatal(failed)
+		}
+	})
+
+	t.Run("read-through", func(t *testing.T) {
+		var failed error
+		cs := bareColumnar(&failed)
+		defer cs.store.close()
+		kept, late := newBackendProbe("S.a"), newBackendProbe("S.b", "S.a")
+		kept.scan(cs, noCut, tuple.IntValue(-1)) // registers the kept key
+		for ts := int64(1); ts <= 4*keys; ts++ {
+			cs.insert(tuple.New(schema, tuple.Time(ts), tuple.IntValue(ts%keys), tuple.StringValue("s"), tuple.IntValue(ts)), uint64(ts), (ts-1)/(2*keys))
+		}
+		if _, _, ok := cs.demoteOldest(); !ok {
+			t.Fatal("epoch 0 was not demoted")
+		}
+		late.scan(cs, noCut, tuple.StringValue("s"), tuple.IntValue(1)) // no stub filter: reads epoch 0 through
+		loaded := cs.ring.get(0).stub.loaded
+		if loaded == nil {
+			t.Fatal("the probe read nothing through — test vacuous")
+		}
+		ix := loaded.indices.get(&late.rp.key)
+		if ix == nil {
+			t.Fatal("the read-through built no index under the late key — test vacuous")
+		}
+		cs.retain([]int32{kept.rp.key.num}, nil) // retires the late key
+		cs.promotePending()
+		if cs.ring.get(0).cold {
+			t.Fatal("epoch 0 was not promoted")
+		}
+		live, stubs := liveIndices(cs)
+		checkPool(t, &cs.pool, live, stubs)
+		// The promotion may hand the released struct straight to the kept
+		// key's new index.
+		if !slices.Contains(cs.pool.free, ix) && !slices.Contains(live, ix) {
+			t.Fatal("the promotion dropped the read-through index under the retired key without returning it to the pool")
 		}
 		if failed != nil {
 			t.Fatal(failed)

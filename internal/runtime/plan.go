@@ -130,7 +130,6 @@ type rulePlan struct {
 
 // compiledTopo is the compiled form of one installed topology.
 type compiledTopo struct {
-	topo   *topology.Config
 	spouts map[string][]emitStep
 	rules  map[topology.StoreID]map[topology.EdgeID][]*rulePlan
 	// keys lists, per store, the numbers of the index keys its probe
@@ -155,7 +154,6 @@ func (c *compiledTopo) runs(store topology.StoreID, rp *rulePlan) bool {
 // the record of every store the topology names.
 func (e *Engine) compileTopo(topo *topology.Config, prev *compiledTopo) *compiledTopo {
 	comp := &compiledTopo{
-		topo:   topo,
 		spouts: make(map[string][]emitStep, len(topo.Spouts)),
 		rules:  make(map[topology.StoreID]map[topology.EdgeID][]*rulePlan, len(topo.Rules)),
 		keys:   make(map[topology.StoreID][]int32, len(topo.Rules)),
@@ -422,14 +420,6 @@ func (st *planState) storedShapeFor(s *tuple.Schema, rp *rulePlan, tauNames []st
 	st.storedMore[s] = sh
 	st.lastStored, st.lastShape = s, sh
 	return sh
-}
-
-// relWindow is one windowed base relation materialized in a store: the
-// τ pseudo-attribute carrying its member event times and the window
-// length. Unbounded relations are omitted from the list entirely.
-type relWindow struct {
-	tau string
-	w   int64
 }
 
 // routeScratch is a task-owned scratch area for batch routing: the

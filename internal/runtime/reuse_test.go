@@ -134,10 +134,10 @@ func runReuseSchedule(t *testing.T, cfg Config, keepByEdge bool, n int) reuseOut
 	}
 
 	var out reuseOutcome
-	newest := func() *compiledTopo {
+	newest := func() *epochConfig {
 		eng.mu.RLock()
 		defer eng.mu.RUnlock()
-		return eng.configs[len(eng.configs)-1].comp
+		return eng.configs[len(eng.configs)-1]
 	}
 	// seen holds every rule plan and every task cache any earlier
 	// configuration had.
@@ -160,7 +160,7 @@ func runReuseSchedule(t *testing.T, cfg Config, keepByEdge bool, n int) reuseOut
 	for _, step := range schedule {
 		ingest(step.before)
 		prev := newest()
-		remember(prev)
+		remember(prev.comp)
 		states := map[*task]map[*rulePlan]*planState{}
 		for tk := range eng.liveTasks() {
 			states[tk] = make(map[*rulePlan]*planState, len(tk.states))
@@ -186,11 +186,11 @@ func runReuseSchedule(t *testing.T, cfg Config, keepByEdge bool, n int) reuseOut
 		for sid, byEdge := range cur.topo.Rules {
 			for edge, rules := range byEdge {
 				for i := range rules {
-					rp := cur.rules[sid][edge][i]
+					rp := cur.comp.rules[sid][edge][i]
 					var was *rulePlan
 					for j, old := range prev.topo.Rules[sid][edge] {
 						if old.Kind == rules[i].Kind && reflect.DeepEqual(old.Preds, rules[i].Preds) && reflect.DeepEqual(old.Out, rules[i].Out) {
-							was = prev.rules[sid][edge][j]
+							was = prev.comp.rules[sid][edge][j]
 						}
 					}
 					switch {
@@ -208,7 +208,7 @@ func runReuseSchedule(t *testing.T, cfg Config, keepByEdge bool, n int) reuseOut
 		}
 		for tk, before := range states {
 			for rp, st := range tk.states {
-				if old, ok := before[rp]; ok && cur.runs(tk.key.store, rp) && st != old {
+				if old, ok := before[rp]; ok && cur.comp.runs(tk.key.store, rp) && st != old {
 					t.Fatalf("%s %s: task %v rebuilt the cache of a kept rule plan", addOrRemove(step.add), step.query, tk.key)
 				}
 				if !seenPlans[rp] && seenStates[st] {

@@ -206,7 +206,7 @@ func TestSimScheduleEquivalenceTPCH(t *testing.T) {
 	}
 }
 
-// TestSimVirtualTimeMetrics pins the Clock routing: on the simulation
+// TestSimVirtualTimeMetrics pins the clock routing: on the simulation
 // substrate, latency and lag are measured in virtual nanoseconds, so a
 // fast-forward between ingest and the matching probe shows up exactly
 // in the metrics — independent of how long the test really took.

@@ -344,8 +344,14 @@ func (c *columnarState) promote(s *colSegment) {
 	// stub stays with it so a re-demotion can revive it.
 	s.stub = stub
 	// A hot epoch indexes exactly the probed keys: an index the
-	// read-through built under a key retired since goes.
-	s.indices = slices.DeleteFunc(s.indices, func(ix *colIndex) bool { return c.probed.get(&ix.key) == nil })
+	// read-through built under a key retired since goes to the pool.
+	s.indices = slices.DeleteFunc(s.indices, func(ix *colIndex) bool {
+		if c.probed.get(&ix.key) != nil {
+			return false
+		}
+		c.pool.release(ix)
+		return true
+	})
 	for _, pk := range c.probed {
 		if ix := s.indices.get(&pk.key); ix != nil {
 			ix.feed = &pk.sf

@@ -93,8 +93,8 @@ func (e *Engine) superviseBackoff(streak int) {
 	if d > backoffCap {
 		d = backoffCap
 	}
-	if vc, ok := e.clock.(*VirtualClock); ok {
-		vc.Advance(d)
+	if e.vclock != nil {
+		e.vclock.Advance(d)
 		return
 	}
 	time.Sleep(d)

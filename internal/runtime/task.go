@@ -91,13 +91,14 @@ type task struct {
 	restarts      atomic.Int64
 	failed        atomic.Bool
 
-	// wins lists the windowed base relations materialized here; probe
-	// plans resolve the τ columns per stored schema against it
-	// (tauNames holds the same list as qualified attribute names for
-	// Schema.Positions). winAll records that EVERY materialized relation
-	// is windowed — the soundness gate for segment-level window skipping
-	// (probeCut) — and wMax is the largest window among them.
-	wins     []relWindow
+	// wins lists the window lengths of the windowed base relations
+	// materialized here (unbounded relations are omitted); probe plans
+	// resolve the τ columns per stored schema against tauNames, the same
+	// list as the qualified names of the relations' τ pseudo-attributes
+	// for Schema.Positions. winAll records that EVERY materialized
+	// relation is windowed — the soundness gate for segment-level window
+	// skipping (probeCut) — and wMax is the largest window among them.
+	wins     []int64
 	tauNames []string
 	winAll   bool
 	wMax     int64
@@ -142,7 +143,7 @@ func newTask(e *Engine, k taskKey, s *topology.Store) *task {
 	for _, rel := range s.Rels {
 		if w := e.window(rel); w > 0 {
 			tau := rel + "." + tuple.EventTime
-			t.wins = append(t.wins, relWindow{tau: tau, w: int64(w)})
+			t.wins = append(t.wins, int64(w))
 			t.tauNames = append(t.tauNames, tau)
 			if int64(w) > t.wMax {
 				t.wMax = int64(w)
@@ -193,7 +194,7 @@ func (t *task) handle(msg *message) {
 		}
 	}
 	if msg.ingestWall > 0 && t.e.metrics.sampleLag() {
-		t.e.metrics.recordLag(t.e.clock.Now() - msg.ingestWall)
+		t.e.metrics.recordLag(t.e.now() - msg.ingestWall)
 	}
 	t.e.mu.RLock()
 	ec := t.e.configFor(msg.epoch)
@@ -208,7 +209,7 @@ func (t *task) handle(msg *message) {
 	for _, rp := range t.edgePlans[msg.edge] {
 		var start int64
 		if measure {
-			start = t.e.clock.Now()
+			start = t.e.now()
 		}
 		n := len(msg.batch)
 		switch rp.kind {
@@ -217,7 +218,7 @@ func (t *task) handle(msg *message) {
 				t.insert(tp, msg.seq)
 			}
 			if measure && n > 0 {
-				t.insertNanos.Add(t.e.clock.Now() - start)
+				t.insertNanos.Add(t.e.now() - start)
 				t.insertTuples.Add(int64(n))
 			}
 		case topology.ProbeRule:
@@ -229,7 +230,7 @@ func (t *task) handle(msg *message) {
 				t.probeBatched(msg, rp, t.stateFor(rp))
 			}
 			if measure && n > 0 {
-				t.probeNanos.Add(t.e.clock.Now() - start)
+				t.probeNanos.Add(t.e.now() - start)
 				t.probeTuples.Add(int64(n))
 			}
 		}
@@ -422,7 +423,7 @@ func (t *task) windowOK(probe, stored *tuple.Tuple, sh *storedShape) bool {
 		if pos < 0 {
 			continue
 		}
-		if int64(probe.TS)-stored.At(pos).Int() > t.wins[i].w {
+		if int64(probe.TS)-stored.At(pos).Int() > t.wins[i] {
 			return false
 		}
 	}
@@ -556,7 +557,7 @@ func (t *task) forward(out []emitStep, msg *message, results []*tuple.Tuple) {
 func (t *task) prune(cut tuple.Time) {
 	var start int64
 	if t.e.cfg.MeasuredCosts {
-		start = t.e.clock.Now()
+		start = t.e.now()
 	}
 	// A prune can only touch epochs at or below the cutoff's epoch
 	// (a tuple's epoch is derived from the same timestamp the prune
@@ -570,7 +571,7 @@ func (t *task) prune(cut tuple.Time) {
 	}
 	removed, delta, idxDelta := t.state.prune(cut)
 	if t.e.cfg.MeasuredCosts && removed > 0 {
-		t.pruneNanos.Add(t.e.clock.Now() - start)
+		t.pruneNanos.Add(t.e.now() - start)
 		t.pruneTuples.Add(int64(removed))
 	}
 	if removed != 0 || delta != 0 {

@@ -10,11 +10,6 @@
 
 package stats
 
-import (
-	"cmp"
-	"slices"
-)
-
 // SpaceSaving is the Metwally et al. heavy-hitter sketch: at most k
 // monitored keys with per-key count and overestimation error. Any key
 // whose true frequency exceeds N/k is guaranteed monitored, and for
@@ -128,80 +123,6 @@ func (s *SpaceSaving) place(i int) {
 // N returns the total number of observations.
 func (s *SpaceSaving) N() int64 { return s.n }
 
-// find returns the monitored entry of the key hash, nil when it has none.
-func (s *SpaceSaving) find(h uint64) *HeavyHitter {
-	if s.buckets[bucket(h)] == 0 {
-		return nil
-	}
-	for i := range s.entries {
-		if s.entries[i].Hash == h {
-			return &s.entries[i]
-		}
-	}
-	return nil
-}
-
-// Merge folds another sketch into this one so that the per-key bounds
-// Count-Err <= f <= Count keep holding against the *combined* stream. A
-// key monitored on only one side may have unseen occurrences hidden in
-// the other side's evicted mass, bounded by that side's minimum count
-// (the SpaceSaving invariant); that floor is added to both the count
-// and the error. The result then shrinks back to capacity keeping the
-// largest counts — dropping keys never violates a survivor's bounds.
-func (s *SpaceSaving) Merge(o *SpaceSaving) {
-	if o == nil {
-		return
-	}
-	sFloor := s.floor()
-	oFloor := o.floor()
-	for i := range s.entries {
-		e := &s.entries[i]
-		if oe := o.find(e.Hash); oe != nil {
-			e.Count += oe.Count
-			e.Err += oe.Err
-		} else {
-			e.Count += oFloor
-			e.Err += oFloor
-		}
-	}
-	for _, oe := range o.entries {
-		if s.find(oe.Hash) == nil {
-			s.entries = append(s.entries, HeavyHitter{Hash: oe.Hash, Count: oe.Count + sFloor, Err: oe.Err + sFloor})
-			s.count(bucket(oe.Hash), +1)
-		}
-	}
-	s.n += o.n
-	s.sortEntries()
-	if len(s.entries) > s.k {
-		s.entries = append(s.entries[:0], s.Top(s.k)...)
-		s.sortEntries()
-		s.buckets = [64]uint8{}
-		for _, e := range s.entries {
-			s.count(bucket(e.Hash), +1)
-		}
-	}
-}
-
-// sortEntries restores the array's (count, hash) order.
-func (s *SpaceSaving) sortEntries() {
-	slices.SortFunc(s.entries, func(a, b HeavyHitter) int {
-		if c := cmp.Compare(a.Count, b.Count); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Hash, b.Hash)
-	})
-}
-
-// floor bounds the true frequency of any key this sketch does NOT
-// monitor: at capacity that is the minimum monitored count; below
-// capacity every observed key is monitored, so the bound is zero.
-func (s *SpaceSaving) floor() int64 {
-	if len(s.entries) < s.k {
-		return 0
-	}
-	return s.entries[0].Count
-}
-
 // Top returns the n largest entries, count-descending (hash-ascending on
 // ties — the order is deterministic for identical observation histories):
 // the sorted array read from its end, one run of equal counts at a time.
@@ -246,13 +167,6 @@ func (d *AttrDegrees) KeyShare(i int) float64 {
 		return 0
 	}
 	return float64(d.Top[i].Count) / float64(d.Count)
-}
-
-func (d *AttrDegrees) safeCount() int64 {
-	if d == nil {
-		return 0
-	}
-	return d.Count
 }
 
 // clone returns a deep copy.

@@ -79,48 +79,6 @@ func TestSpaceSavingBounds(t *testing.T) {
 	}
 }
 
-func TestSpaceSavingMergeBounds(t *testing.T) {
-	// The merged sketch must keep the error bounds valid against the
-	// concatenation of both streams, and N must be additive.
-	for seed := uint64(1); seed <= 8; seed++ {
-		a, exactA := drawStream(seed, 4000, 200, 1.1)
-		b, exactB := drawStream(seed+100, 3000, 200, 1.4)
-		ska := NewSpaceSaving(8)
-		skb := NewSpaceSaving(8)
-		for _, h := range a {
-			ska.Add(h)
-		}
-		for _, h := range b {
-			skb.Add(h)
-		}
-		combined := map[uint64]int64{}
-		for h, f := range exactA {
-			combined[h] += f
-		}
-		for h, f := range exactB {
-			combined[h] += f
-		}
-		ska.Merge(skb)
-		if got, want := ska.N(), int64(len(a)+len(b)); got != want {
-			t.Fatalf("merged N = %d, want %d", got, want)
-		}
-		if len(ska.Top(100)) > 8 {
-			t.Fatalf("merge left %d entries, capacity 8", len(ska.Top(100)))
-		}
-		// After a merge only the upper/lower bounds survive (the top-k
-		// coverage guarantee weakens to 2N/k); check bounds only.
-		for _, hh := range ska.Top(8) {
-			f := combined[hh.Hash]
-			if f > hh.Count {
-				t.Errorf("seed %d key %x: true freq %d exceeds merged Count %d", seed, hh.Hash, f, hh.Count)
-			}
-			if hh.Count-hh.Err > f {
-				t.Errorf("seed %d key %x: merged Count-Err = %d exceeds true freq %d", seed, hh.Hash, hh.Count-hh.Err, f)
-			}
-		}
-	}
-}
-
 // mapSpaceSaving is the sketch as it was before the monitored set became
 // a flat array — a map of heap-allocated entries whose every unmonitored
 // add iterates the whole map — kept verbatim as the reference the flat
@@ -161,50 +119,6 @@ func (s *mapSpaceSaving) AddN(h uint64, n int64) {
 	s.entries[h] = &mapEntry{count: min.count + n, err: min.count}
 }
 
-func (s *mapSpaceSaving) Merge(o *mapSpaceSaving) {
-	sFloor := s.floor()
-	oFloor := o.floor()
-	for h, e := range o.entries {
-		if mine := s.entries[h]; mine != nil {
-			mine.count += e.count
-			mine.err += e.err
-		} else {
-			s.entries[h] = &mapEntry{count: e.count + sFloor, err: e.err + sFloor}
-		}
-	}
-	for h, mine := range s.entries {
-		if o.entries[h] == nil {
-			mine.count += oFloor
-			mine.err += oFloor
-		}
-	}
-	s.n += o.n
-	if len(s.entries) <= s.k {
-		return
-	}
-	keep := make(map[uint64]*mapEntry, s.k)
-	for _, hh := range s.Top(s.k) {
-		keep[hh.Hash] = s.entries[hh.Hash]
-	}
-	s.entries = keep
-}
-
-func (s *mapSpaceSaving) floor() int64 {
-	if len(s.entries) < s.k {
-		return 0
-	}
-	var min int64 = -1
-	for _, e := range s.entries {
-		if min < 0 || e.count < min {
-			min = e.count
-		}
-	}
-	if min < 0 {
-		return 0
-	}
-	return min
-}
-
 func (s *mapSpaceSaving) Top(n int) []HeavyHitter {
 	out := make([]HeavyHitter, 0, len(s.entries))
 	for h, e := range s.entries {
@@ -224,11 +138,10 @@ func (s *mapSpaceSaving) Top(n int) []HeavyHitter {
 
 // TestSpaceSavingMatchesMapReference drives the flat sketch and the map
 // reference through the same random skewed streams — weighted adds
-// included, and cold universes in which nearly every add replaces the
-// minimum — and requires Top, N and floor to agree after every phase:
-// the stream, a Merge of two sketches (one of them below capacity on
-// some seeds), and more adds on top of the merged state. Sealed degrees,
-// split keys and churn plans are functions of exactly these outputs.
+// included, cold universes in which nearly every add replaces the
+// minimum, and short streams that leave the sketch below capacity — and
+// requires Top and N to agree as they go. Sealed degrees, split keys and
+// churn plans are functions of exactly these outputs.
 // Two more shapes aim at the sorted array and its bucket counts: every
 // hash sharing its top six bits (one bucket holds the whole monitored
 // set), and keys drawn in turn with unit weights (counts tie, so every
@@ -245,8 +158,8 @@ func TestSpaceSavingMatchesMapReference(t *testing.T) {
 		if got, want := p.flat.Top(p.flat.k+1), p.ref.Top(p.ref.k+1); !slices.Equal(got, want) {
 			t.Fatalf("%s: Top diverges\n flat: %+v\n  map: %+v", what, got, want)
 		}
-		if p.flat.N() != p.ref.n || p.flat.floor() != p.ref.floor() {
-			t.Fatalf("%s: N %d floor %d, reference N %d floor %d", what, p.flat.N(), p.flat.floor(), p.ref.n, p.ref.floor())
+		if p.flat.N() != p.ref.n {
+			t.Fatalf("%s: N %d, reference N %d", what, p.flat.N(), p.ref.n)
 		}
 	}
 	type shape struct {
@@ -304,16 +217,12 @@ func TestSpaceSavingMatchesMapReference(t *testing.T) {
 				skew := []float64{0.2, 0.6, 1.3}[seed%3]
 				a, b := newPair(k), newPair(k)
 				feed(a, seed, 3000, 40+int(seed)*150, skew, what("stream a"))
-				// On every fourth seed b stays below capacity: floor 0 on its side.
+				// On every fourth seed b stays below capacity.
 				nb := 2500
 				if seed%4 == 0 {
 					nb = k / 2
 				}
 				feed(b, seed+100, nb, 300, 1.1, what("stream b"))
-				a.flat.Merge(b.flat)
-				a.ref.Merge(b.ref)
-				same(a, what("merge"))
-				feed(a, seed+200, 1500, 500, skew, what("adds after merge"))
 			}
 		}
 	}
