@@ -118,6 +118,9 @@ type (
 	RecoveryStats = recovery.Stats
 	// WALStats is a snapshot of the durability layer's counters.
 	WALStats = recovery.ManagerStats
+	// Committer is an output-commit hook in two phases (see
+	// Engine.OnCommit).
+	Committer = recovery.Committer
 )
 
 // Execution substrates and overload policies (runtime/flow.go).
@@ -586,7 +589,9 @@ func (cfg Config) exactFor(q *Query) error {
 // Ingest feeds one tuple of the relation into the engine. In adaptive
 // mode it also advances the epoch controller; with WAL durability on,
 // the tuple is logged before it is applied and an incremental
-// checkpoint is taken when the cadence comes due. A tuple of an epoch
+// checkpoint is cut when the cadence comes due (committed beside the
+// stream on the flow substrate; a failed commit fails the engine, and
+// the next Ingest returns its error). A tuple of an epoch
 // that a re-optimization targets is routed only after that
 // configuration is installed, waiting for its solve if need be; a
 // failed solve is returned here and fails the engine.
@@ -702,19 +707,24 @@ func (e *Engine) Checkpoint(w io.Writer) error { return e.eng.Checkpoint(w) }
 // boundary.
 func (e *Engine) Restore(r io.Reader) error { return e.eng.Restore(r) }
 
-// OnCommit registers a hook that runs after every durable checkpoint —
-// the output-commit point for exactly-once sinks: buffer results as
-// they arrive, release them on commit, and a crash can neither lose an
-// acknowledged result nor acknowledge one twice (replay regenerates
-// exactly the unreleased suffix). No-op without Config.WAL.
-func (e *Engine) OnCommit(fn func()) {
+// OnCommit registers an output-commit hook for exactly-once sinks.
+// Every checkpoint marks it at its cut — Mark runs on the ingesting
+// goroutine, after every result of the inputs the checkpoint covers was
+// delivered — and releases it once the checkpoint is durable — Release
+// runs on the goroutine that committed it, beside the stream on the
+// flow substrate. Buffer results as they arrive, remember at Mark how
+// many are pending, release exactly those at Release, and a crash can
+// neither lose an acknowledged result nor acknowledge one twice (replay
+// regenerates exactly the unreleased suffix). No-op without Config.WAL.
+func (e *Engine) OnCommit(c Committer) {
 	if e.mgr != nil {
-		e.mgr.OnCommit(fn)
+		e.mgr.OnCommit(c)
 	}
 }
 
 // CommitCheckpoint forces an incremental checkpoint now, regardless of
-// cadence — e.g. before a planned shutdown. No-op without Config.WAL.
+// cadence — e.g. before a planned shutdown — and returns once it is
+// durable and its hooks released. No-op without Config.WAL.
 func (e *Engine) CommitCheckpoint() error {
 	if e.mgr == nil {
 		return nil
@@ -723,7 +733,8 @@ func (e *Engine) CommitCheckpoint() error {
 }
 
 // WALStats reports the durability layer's counters (zero value without
-// Config.WAL): bytes logged, bytes checkpointed, checkpoints taken.
+// Config.WAL): bytes logged, bytes checkpointed, checkpoints taken. It
+// waits for a checkpoint being committed beside the stream.
 func (e *Engine) WALStats() WALStats {
 	if e.mgr == nil {
 		return WALStats{}
@@ -733,8 +744,15 @@ func (e *Engine) WALStats() WALStats {
 
 // Stop drains and terminates the engine. A durable engine should
 // prefer Close, which also flushes a final checkpoint and releases the
-// WAL directory; Stop leaves the tail to be replayed by Recover.
-func (e *Engine) Stop() { e.eng.Stop() }
+// WAL directory; Stop leaves the tail to be replayed by Recover. It
+// waits for a checkpoint being committed beside the stream, so nothing
+// writes the WAL directory once it returns.
+func (e *Engine) Stop() {
+	if e.mgr != nil {
+		e.mgr.Wait()
+	}
+	e.eng.Stop()
+}
 
 // Close flushes a final incremental checkpoint (when WAL durability is
 // on), stops the engine, and releases the engine-owned WAL storage.

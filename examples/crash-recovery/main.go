@@ -14,6 +14,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"clash"
 )
@@ -21,17 +22,35 @@ import (
 const workload = "q1: orders(user) clicks(user,page) pages(page)"
 
 // committed buffers results until the engine commits a checkpoint —
-// the output side of exactly-once. Anything still pending at a crash
-// is regenerated by replay; anything committed is never re-released.
+// the output side of exactly-once (a clash.Committer). Mark notes how
+// many results the checkpoint being cut covers; Release hands exactly
+// those on once it is durable. Anything still pending at a crash is
+// regenerated by replay; anything released is never re-released.
 type committed struct {
+	mu       sync.Mutex
 	pending  []string
+	marked   int
 	released []string
 }
 
-func (c *committed) add(t *clash.Tuple) { c.pending = append(c.pending, t.String()) }
-func (c *committed) commit() {
-	c.released = append(c.released, c.pending...)
-	c.pending = c.pending[:0]
+func (c *committed) add(t *clash.Tuple) {
+	c.mu.Lock()
+	c.pending = append(c.pending, t.String())
+	c.mu.Unlock()
+}
+
+func (c *committed) Mark(uint64) {
+	c.mu.Lock()
+	c.marked = len(c.pending)
+	c.mu.Unlock()
+}
+
+func (c *committed) Release() {
+	c.mu.Lock()
+	c.released = append(c.released, c.pending[:c.marked]...)
+	c.pending = append(c.pending[:0], c.pending[c.marked:]...)
+	c.marked = 0
+	c.mu.Unlock()
 }
 
 func config(dir string, sink *committed) clash.Config {
@@ -67,7 +86,7 @@ func main() {
 	sink1 := &committed{}
 	eng, err := clash.Start(config(dir, sink1))
 	must(err)
-	eng.OnCommit(sink1.commit)
+	eng.OnCommit(sink1)
 
 	fmt.Println("phase 1: durable ingest")
 	for i := 0; i < 6; i++ {
@@ -95,7 +114,7 @@ func main() {
 	eng2, stats, err := clash.Recover(config(dir, sink2))
 	must(err)
 	defer eng2.Close()
-	eng2.OnCommit(sink2.commit)
+	eng2.OnCommit(sink2)
 	fmt.Println("phase 2: recovered")
 	fmt.Printf("  restored %d tuples from checkpoints, replayed %d WAL records (%d deduplicated)\n",
 		stats.RestoredTuples, stats.ReplayedIngests, stats.SkippedIngests)

@@ -50,7 +50,7 @@ type Cluster struct {
 	extra  int64   // replica placements beyond one per admitted tuple
 	drops  int64   // admission drops
 	lat    latencyRing
-	now    func() time.Time
+	base   time.Time // origin of the latency timer, read monotonically
 }
 
 // New builds the sharding plan for the workload and wires the shards
@@ -70,7 +70,7 @@ func New(cfg Config, shards []Shard) (*Cluster, error) {
 		router: NewRouter(plan, cfg.Estimates),
 		adm:    cfg.Admission,
 		routed: make([]int64, len(shards)),
-		now:    time.Now,
+		base:   time.Now(),
 	}, nil
 }
 
@@ -94,7 +94,7 @@ func (c *Cluster) Ingest(rel string, ts tuple.Time, vals ...tuple.Value) error {
 	if pl.Keyed() && pl.Index >= len(vals) {
 		return fmt.Errorf("cluster: %d values for relation %s, routing attribute at %d", len(vals), rel, pl.Index)
 	}
-	start := c.now()
+	start := time.Since(c.base)
 	if pl.Keyed() {
 		d, alt := c.router.Keyed(rel, vals[pl.Index].Hash(), c.routed)
 		if err := c.deliver(d, rel, ts, vals); err != nil {
@@ -115,7 +115,7 @@ func (c *Cluster) Ingest(rel string, ts tuple.Time, vals ...tuple.Value) error {
 		c.extra += int64(len(c.shards) - 1)
 	}
 	c.placed++
-	c.lat.add(c.now().Sub(start))
+	c.lat.add(time.Since(c.base) - start)
 	return nil
 }
 

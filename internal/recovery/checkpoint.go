@@ -30,7 +30,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"slices"
 
 	"clash/internal/runtime"
@@ -56,17 +55,27 @@ func decodeCkptRecord(b []byte) (*runtime.StateRecord, error) {
 // append/drop-only), so (count, seqs, timestamps) pins the content
 // without hashing every payload byte on every checkpoint.
 func fingerprint(s *runtime.Segment) uint64 {
-	h := fnv.New64a()
 	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(s.Len()))
-	h.Write(buf[:n])
+	h := fnv64a(fnvOffset, buf[:binary.PutUvarint(buf[:], uint64(s.Len()))])
 	for i, seq := range s.Seqs {
-		n = binary.PutUvarint(buf[:], seq)
-		h.Write(buf[:n])
-		n = binary.PutVarint(buf[:], int64(s.TS(i)))
-		h.Write(buf[:n])
+		h = fnv64a(h, buf[:binary.PutUvarint(buf[:], seq)])
+		h = fnv64a(h, buf[:binary.PutVarint(buf[:], int64(s.TS(i)))])
 	}
-	return h.Sum64()
+	return h
+}
+
+// FNV-1a, 64 bits (hash/fnv's New64a, without a hasher to allocate).
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func fnv64a(h uint64, b []byte) uint64 {
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= fnvPrime
+	}
+	return h
 }
 
 // composeChain applies a checkpoint-record chain in order and returns

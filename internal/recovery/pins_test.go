@@ -212,7 +212,7 @@ func TestRecoverRestoresSplitPins(t *testing.T) {
 	}
 	s1 := recovery.NewCommittedSink()
 	eng1.OnResult("q1", s1.Add)
-	mgr.OnCommit(s1.Commit)
+	mgr.OnCommit(s1)
 	for _, in := range ins[:120] {
 		if err := eng1.Ingest(in.Rel, in.TS, in.Vals...); err != nil {
 			t.Fatal(err)
@@ -255,7 +255,7 @@ func TestRecoverRestoresSplitPins(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovery failed: %v", err)
 	}
-	mgr2.OnCommit(s2.Commit)
+	mgr2.OnCommit(s2)
 	if rstats.RestoredTuples == 0 || rstats.ReplayedIngests == 0 {
 		t.Fatalf("recovery restored %d tuples, replayed %d ingests — scenario vacuous",
 			rstats.RestoredTuples, rstats.ReplayedIngests)

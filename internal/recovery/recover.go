@@ -234,15 +234,11 @@ func Recover(st Storage, eng *runtime.Engine, cfg Config) (*Manager, *Stats, err
 	// Continue the run under the same log: the Manager picks up at the
 	// surviving WAL position, diffing future checkpoints against the
 	// restored chain's segments.
-	mgr := &Manager{
-		st:        st,
-		cfg:       cfg,
-		eng:       eng,
-		walPos:    validWAL,
-		anchorPos: anchorPos,
-		lastFPs:   lastFPs,
-		born:      bornOf(eng.Pins()),
-		sinceCkpt: stats.ReplayedIngests,
+	mgr := newManager(st, cfg)
+	mgr.eng, mgr.walPos, mgr.anchorPos = eng, validWAL, anchorPos
+	mgr.lastFPs, mgr.sinceCkpt = lastFPs, stats.ReplayedIngests
+	for _, p := range eng.Pins() {
+		mgr.born[p.Store] = p.Born
 	}
 	eng.SetJournal(mgr)
 	if len(stale) > 0 {

@@ -27,7 +27,7 @@ import (
 )
 
 // buildShared parses a workload and compiles its shared topology.
-func buildShared(t *testing.T, workload string) ([]*query.Query, *query.Catalog, *topology.Config) {
+func buildShared(t testing.TB, workload string) ([]*query.Query, *query.Catalog, *topology.Config) {
 	t.Helper()
 	qs, cat, err := query.ParseWorkload(workload)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"maps"
 	"slices"
 
 	"clash/internal/topology"
@@ -144,47 +143,169 @@ func (e *Engine) Seq() uint64 { return e.seq.Load() }
 // an epoch — the same on every backend. A columnar task's segments read
 // its columns in place (no tuple per row; see Segment): encode them
 // before the engine next changes state. With dirtyOnly the walk covers
-// just the epochs marked dirty since the last ClearDirty, including
-// those now empty (a prune or eviction emptied them; the incremental
-// checkpointer tombstones those), so a checkpoint's cost follows the
-// hot state, not the window. The full walk (a snapshot) skips empty
-// epochs. It drains first, so re-optimizations still being solved are
-// installed before the walk.
+// just the epochs marked dirty since the last cut (CutSegments), so a
+// checkpoint's cost follows the hot state, not the window. The full
+// walk (a snapshot) skips empty epochs. It drains first, so
+// re-optimizations still being solved are installed before the walk.
 func (e *Engine) Segments(dirtyOnly bool) ([]Segment, error) {
-	e.Drain()
-	if n := e.inflight.Load(); n != 0 {
-		return nil, fmt.Errorf("runtime: state walk requires a quiesced engine (%d messages in flight — concurrent Ingest?)", n)
+	return e.walk(dirtyOnly, nil, true)
+}
+
+// CutSegments is an incremental checkpoint's cut: the dirty walk of
+// Segments with every segment's rows copied into dst, so the segments
+// stay valid while the engine runs on, and with the dirty marks taken —
+// the next cut walks only what changes after this one. The copies live
+// in dst's arrays until the next cut into dst. If the record the cut
+// was for fails to append, ReturnCut gives the marks back.
+func (e *Engine) CutSegments(dst *SegmentBuf) ([]Segment, error) {
+	return e.walk(true, dst, true)
+}
+
+// walk is the one state walk behind Segments and CutSegments. With dst
+// it copies each segment into dst and takes each task's dirty marks.
+// quiesce is false only in the test that shows a cut needs the drain.
+func (e *Engine) walk(dirtyOnly bool, dst *SegmentBuf, quiesce bool) ([]Segment, error) {
+	if quiesce {
+		e.Drain()
+		if n := e.inflight.Load(); n != 0 {
+			return nil, fmt.Errorf("runtime: state walk requires a quiesced engine (%d messages in flight — concurrent Ingest?)", n)
+		}
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	var segs []Segment
+	var dirty []int64
+	if dst != nil {
+		dst.reset()
+		segs, dirty = dst.segs, dst.eps
+	}
 	for t := range e.liveTasks() {
 		eps := t.state.epochs()
 		if dirtyOnly {
-			eps = slices.Sorted(maps.Keys(t.dirtyEpochs))
+			dirty = dirty[:0]
+			for ep := range t.dirtyEpochs {
+				dirty = append(dirty, ep)
+			}
+			slices.Sort(dirty)
+			eps = dirty
 		}
 		for _, ep := range eps {
 			if !dirtyOnly && t.state.epochLen(ep) == 0 {
 				continue
 			}
-			sg := t.state.segment(ep)
+			sg := t.state.segment(ep, dst)
 			sg.Key = SegKey{Store: t.key.store, Part: t.key.part, Epoch: ep}
 			segs = append(segs, sg)
 		}
+		if dst != nil {
+			dst.take(t)
+		}
+	}
+	if dst != nil {
+		dst.segs, dst.eps = segs, dirty
 	}
 	return segs, nil
 }
 
-// ClearDirty resets every task's dirty-epoch set. The checkpointer
-// calls it once its checkpoint record is durable; a failed append
-// leaves the sets intact so the next attempt re-walks the same delta.
-func (e *Engine) ClearDirty() {
+// ReturnCut gives every task back the dirty marks the last cut took:
+// the record that was to cover them failed to append, so the next cut
+// must walk that delta again. It drains first, like the cut.
+func (e *Engine) ReturnCut() {
+	e.Drain()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	for t := range e.liveTasks() {
-		clear(t.dirtyEpochs)
-		t.lastDirtyOK = false
+		for ep := range t.cutEpochs {
+			t.markDirty(ep)
+		}
+		clear(t.cutEpochs)
+		t.lostEpochs = t.lostEpochs || t.cutLost
+		t.cutLost = false
 	}
+}
+
+// SegmentBuf holds what a checkpoint cut copies out of the engine
+// (CutSegments): the dirty segments' rows, in arrays it keeps from one
+// cut to the next, so a cut in steady state allocates nothing and its
+// segments stay valid while the engine changes state. For a columnar
+// task that is each epoch's seqs, event times, schema ordinals and
+// columns up to its row count; for a container task, the tuple pointers
+// and sequence numbers. The zero value is ready to use.
+type SegmentBuf struct {
+	segs   []Segment
+	cols   []*colSegment // columnar copies, reused in order
+	nCols  int
+	tuples []*tuple.Tuple // container rows of every segment, back to back
+	seqs   []uint64       // their sequence numbers
+	eps    []int64        // a task's dirty epochs, sorted
+	// lost lists the tasks that lost an epoch since the previous cut,
+	// each with its resident epochs at this cut (a span of resident).
+	lost     []lostSpan
+	resident []int64
+}
+
+type lostSpan struct {
+	store    topology.StoreID
+	part     int
+	from, to int
+}
+
+func (b *SegmentBuf) reset() {
+	clear(b.tuples) // no stale row outlives its cut
+	b.segs, b.nCols = b.segs[:0], 0
+	b.tuples, b.seqs = b.tuples[:0], b.seqs[:0]
+	b.lost, b.resident = b.lost[:0], b.resident[:0]
+}
+
+// take swaps the task's dirty marks into its cut set, dropping what the
+// previous cut took (its record is durable, or its failure was handed
+// back through ReturnCut), and records the task's resident epochs when
+// it lost one since the previous cut.
+func (b *SegmentBuf) take(t *task) {
+	clear(t.cutEpochs)
+	t.dirtyEpochs, t.cutEpochs = t.cutEpochs, t.dirtyEpochs
+	t.lastDirtyOK = false
+	t.cutLost, t.lostEpochs = t.lostEpochs, false
+	if t.cutLost {
+		from := len(b.resident)
+		b.resident = append(b.resident, t.state.epochs()...)
+		b.lost = append(b.lost, lostSpan{store: t.key.store, part: t.key.part, from: from, to: len(b.resident)})
+	}
+}
+
+// Gone reports whether the cut found the segment's epoch gone from its
+// task: the task lost an epoch since the previous cut, and this one is
+// not among its resident epochs. A chain segment that is gone becomes a
+// tombstone.
+func (b *SegmentBuf) Gone(k SegKey) bool {
+	for _, l := range b.lost {
+		if l.store == k.Store && l.part == k.Part {
+			return !slices.Contains(b.resident[l.from:l.to], k.Epoch)
+		}
+	}
+	return false
+}
+
+// copyCols copies a columnar epoch into the next column copy.
+func (b *SegmentBuf) copyCols(s *colSegment) Segment {
+	if b.nCols == len(b.cols) {
+		b.cols = append(b.cols, &colSegment{})
+	}
+	cp := b.cols[b.nCols]
+	b.nCols++
+	s.copyTo(cp)
+	return cp.view()
+}
+
+// copyRows appends a container epoch's rows to the row arrays.
+func (b *SegmentBuf) copyRows(entries []entry) Segment {
+	from := len(b.seqs)
+	for _, en := range entries {
+		b.tuples = append(b.tuples, en.t)
+		b.seqs = append(b.seqs, en.seq)
+	}
+	to := len(b.seqs)
+	return Segment{Tuples: b.tuples[from:to:to], Seqs: b.seqs[from:to:to]}
 }
 
 // LoadTaskEpoch inserts checkpointed tuples directly into one task's

@@ -27,12 +27,15 @@ func (c *VirtualClock) Advance(d time.Duration) {
 // sampling, busy-time accounting — goes through it, so a substrate (or a
 // test) can substitute virtual time and make every timing-dependent
 // behaviour deterministic and fast-forwardable: it reads the engine's
-// VirtualClock when it has one, the real time otherwise. Event time
-// (tuple timestamps, epochs, windows) is independent of it: it always
-// comes from the tuples themselves.
+// VirtualClock when it has one, the real time otherwise — as the
+// monotonic nanoseconds since the engine was made, plus one so a real
+// reading is never 0 (message.ingestWall 0 means "not stamped"). Only
+// differences of its readings mean anything. Event time (tuple
+// timestamps, epochs, windows) is independent of it: it always comes
+// from the tuples themselves.
 func (e *Engine) now() int64 {
 	if e.vclock != nil {
 		return e.vclock.Now()
 	}
-	return time.Now().UnixNano()
+	return int64(time.Since(e.base)) + 1
 }

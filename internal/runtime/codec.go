@@ -108,19 +108,49 @@ func ScanFrames(b []byte) (frames []Frame, valid int64) {
 // deduplicated by signature (joined tuples of one shape share a schema
 // even across pointers). The tuples of one segment share one *Schema, so
 // the pointer seen last answers nearly every lookup without rendering a
-// signature per tuple.
+// signature per tuple. A table a StateEncoder keeps also keeps every
+// schema's rendered signature (sigs), so a record in steady state
+// renders none.
 type schemaTable struct {
 	ids    map[string]int
 	list   []*tuple.Schema
 	last   *tuple.Schema
 	lastID int
+	sigs   map[*tuple.Schema]string
+}
+
+// maxSigs bounds a StateEncoder's signature cache: past it (schemas of
+// many re-optimizations), the cache starts over.
+const maxSigs = 4096
+
+func (st *schemaTable) sig(s *tuple.Schema) string {
+	if st.sigs == nil {
+		return s.String()
+	}
+	sig, ok := st.sigs[s]
+	if !ok {
+		if len(st.sigs) >= maxSigs {
+			clear(st.sigs)
+		}
+		sig = s.String()
+		st.sigs[s] = sig
+	}
+	return sig
+}
+
+// reset empties the table for the next record, keeping its map, its
+// list's array and its signature cache.
+func (st *schemaTable) reset() {
+	clear(st.ids)
+	clear(st.list)
+	st.list, st.last = st.list[:0], nil
 }
 
 func (st *schemaTable) id(s *tuple.Schema) int {
 	if s == st.last {
 		return st.lastID
 	}
-	sig := s.String()
+	sig := st.sig(s)
 	id, ok := st.ids[sig]
 	if !ok {
 		if st.ids == nil {
@@ -257,6 +287,29 @@ func appendSegKey(buf []byte, k SegKey) []byte {
 // AppendStateRecord encodes one record payload (unframed). Segments and
 // drops are written in the order given: callers pass walk order.
 func AppendStateRecord(buf []byte, r *StateRecord) []byte {
+	var tab schemaTable
+	return appendStateRecord(buf, r, &tab)
+}
+
+// StateEncoder encodes state records like AppendStateRecord, keeping
+// its schema table from one record to the next: a writer of many
+// records (the checkpoint log) allocates nothing per record in steady
+// state beyond what its buffer's growth costs. The bytes are
+// AppendStateRecord's. The zero value is ready to use.
+type StateEncoder struct {
+	tab schemaTable
+}
+
+// Append encodes one record payload (unframed) onto buf.
+func (enc *StateEncoder) Append(buf []byte, r *StateRecord) []byte {
+	enc.tab.reset()
+	if enc.tab.sigs == nil {
+		enc.tab.sigs = map[*tuple.Schema]string{}
+	}
+	return appendStateRecord(buf, r, &enc.tab)
+}
+
+func appendStateRecord(buf []byte, r *StateRecord, tab *schemaTable) []byte {
 	buf = append(buf, stateRecordKind)
 	buf = binary.AppendUvarint(buf, uint64(r.Anchor))
 	buf = binary.AppendUvarint(buf, r.Seq)
@@ -272,7 +325,6 @@ func AppendStateRecord(buf []byte, r *StateRecord) []byte {
 			buf = binary.AppendUvarint(buf, h)
 		}
 	}
-	var tab schemaTable
 	for i := range r.Segs {
 		tab.add(&r.Segs[i])
 	}
@@ -286,7 +338,7 @@ func AppendStateRecord(buf []byte, r *StateRecord) []byte {
 		sg := &r.Segs[i]
 		buf = appendSegKey(buf, sg.Key)
 		buf = binary.AppendUvarint(buf, uint64(sg.Len()))
-		buf = appendEntries(buf, &tab, sg)
+		buf = appendEntries(buf, tab, sg)
 	}
 	return buf
 }

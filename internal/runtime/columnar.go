@@ -696,6 +696,40 @@ func (s *colSegment) indexFor(key *indexKey, pool *indexPool) (ix *colIndex, bui
 	return ix, true
 }
 
+// copyTo copies the rows the checkpoint encoder reads — sequence
+// numbers, event times, schema ordinals, schemas and every column's
+// cells — into dst, reusing dst's arrays.
+func (s *colSegment) copyTo(dst *colSegment) {
+	n := len(s.seqs)
+	dst.epoch = s.epoch
+	dst.seqs = append(room(dst.seqs, cap(s.seqs)), s.seqs...)
+	dst.ts = append(room(dst.ts, cap(s.ts)), s.ts[:n]...)
+	dst.sch = append(room(dst.sch, cap(s.sch)), s.sch[:n]...)
+	dst.schemas = append(dst.schemas[:0], s.schemas...)
+	if w := len(s.cols); cap(dst.cols) < w {
+		dst.cols = append(dst.cols[:cap(dst.cols)], make([]column, w-cap(dst.cols))...)
+	}
+	dst.cols = dst.cols[:len(s.cols)]
+	for p := range s.cols {
+		src, d := &s.cols[p], &dst.cols[p]
+		d.kinds = append(room(d.kinds, cap(src.kinds)), src.kinds[:n]...)
+		d.nums = append(room(d.nums, cap(src.nums)), src.nums[:n]...)
+		d.strs = append(room(d.strs, cap(src.strs)), src.strs...)
+	}
+}
+
+// room returns b emptied, with room for n elements: a copy array that
+// is too small doubles at least. The copy asks for the source array's
+// capacity, not its length — an epoch's arrays come from the spare of
+// the largest epoch that left — so a copy slot that meets a young epoch
+// and then a full one grows once, not once per doubling in between.
+func room[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, 0, max(n, 2*cap(b)))
+	}
+	return b[:0]
+}
+
 // view is the segment as the checkpoint walk and the spill encoder read
 // it: its rows in place, valid until the segment next changes.
 func (s *colSegment) view() Segment {
@@ -1056,18 +1090,22 @@ func (c *columnarState) epochLen(epoch int64) int {
 	return 0
 }
 
-// segment reads the epoch in place off its columns; a cold epoch
-// through a transient decode that is NOT kept for promotion: checkpoint
-// walks are read-only and must not churn the tiers. A spill read failure
-// fails the engine and yields no rows — the checkpointer's caller sees
-// the failure, not a short snapshot presented as complete.
-func (c *columnarState) segment(epoch int64) Segment {
+// segment reads the epoch in place off its columns, or copies them into
+// dst; a cold epoch through a transient decode that is NOT kept for
+// promotion: checkpoint walks are read-only and must not churn the
+// tiers. A spill read failure fails the engine and yields no rows — the
+// checkpointer's caller sees the failure, not a short snapshot
+// presented as complete.
+func (c *columnarState) segment(epoch int64, dst *SegmentBuf) Segment {
 	s := c.ring.get(epoch)
 	if s != nil && s.cold {
 		s = c.load(s, false)
 	}
 	if s == nil {
 		return Segment{}
+	}
+	if dst != nil {
+		return dst.copyCols(s)
 	}
 	return s.view()
 }

@@ -158,6 +158,7 @@ type Engine struct {
 	cfg     Config
 	metrics *Metrics
 	vclock  *VirtualClock // nil on real time (clock.go)
+	base    time.Time     // real time's origin, read monotonically (clock.go)
 	// sub is the execution substrate (flow.go): message delivery, task
 	// scheduling, and flow control. syncMode mirrors whether sub is a
 	// single-threaded substrate (the work queue must be pumped inline).
@@ -232,6 +233,7 @@ func New(cfg Config) *Engine {
 		schemas:  map[string]*tuple.Schema{},
 		sinks:    map[string]func(*tuple.Tuple){},
 		stopDone: make(chan struct{}),
+		base:     time.Now(),
 	}
 	e.qCond = sync.NewCond(&e.qMu)
 	if cfg.Observer != nil {
@@ -428,6 +430,16 @@ func (e *Engine) Failure() error {
 	}
 	return nil
 }
+
+// Fail fails the engine with err unless it already failed: every later
+// Ingest returns the first failure. The recovery layer fails the engine
+// when a checkpoint record does not append.
+func (e *Engine) Fail(err error) { e.fail(err) }
+
+// Concurrent reports whether the engine's tasks run on goroutines of
+// their own (the flow substrate). The synchronous and simulation
+// substrates run everything on the caller's goroutine.
+func (e *Engine) Concurrent() bool { return !e.syncMode && e.vclock == nil }
 
 func (e *Engine) fail(err error) {
 	e.failure.CompareAndSwap(nil, err)

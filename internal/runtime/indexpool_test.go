@@ -54,7 +54,10 @@ func chainGrowths(n int) int {
 // decode under that key, then retires the key before the promotion at
 // the end of the dispatch (a re-entrant dispatch on the synchronous
 // substrate can install between the two): the promotion drops the
-// index, and the pool must get it back.
+// index, and the pool must get it back. The read-through-evicted row
+// evicts the epoch instead (dropOldest; a prune drops a cold slot the
+// same way): the decode goes with it, and so must its index, to the
+// pool.
 func TestEpochsRecycleIndices(t *testing.T) {
 	const perEpoch, epochs, keys = 512, 64, 64
 	schema := tuple.NewSchema("S.a", "S.b", "S.τ")
@@ -146,10 +149,11 @@ func TestEpochsRecycleIndices(t *testing.T) {
 		}
 	})
 
-	t.Run("read-through", func(t *testing.T) {
-		var failed error
-		cs := bareColumnar(&failed)
-		defer cs.store.close()
+	// readThrough demotes epoch 0 of two and probes it under a key first
+	// probed after the demotion: the probe reads the epoch through and
+	// indexes the decode, which waits on the stub for its promotion.
+	readThrough := func(t *testing.T, failed *error) (cs *columnarState, kept *backendProbe, ix *colIndex) {
+		cs = bareColumnar(failed)
 		kept, late := newBackendProbe("S.a"), newBackendProbe("S.b", "S.a")
 		kept.scan(cs, noCut, tuple.IntValue(-1)) // registers the kept key
 		for ts := int64(1); ts <= 4*keys; ts++ {
@@ -163,10 +167,16 @@ func TestEpochsRecycleIndices(t *testing.T) {
 		if loaded == nil {
 			t.Fatal("the probe read nothing through — test vacuous")
 		}
-		ix := loaded.indices.get(&late.rp.key)
-		if ix == nil {
+		if ix = loaded.indices.get(&late.rp.key); ix == nil {
 			t.Fatal("the read-through built no index under the late key — test vacuous")
 		}
+		return cs, kept, ix
+	}
+
+	t.Run("read-through", func(t *testing.T) {
+		var failed error
+		cs, kept, ix := readThrough(t, &failed)
+		defer cs.store.close()
 		cs.retain([]int32{kept.rp.key.num}, nil) // retires the late key
 		cs.promotePending()
 		if cs.ring.get(0).cold {
@@ -178,6 +188,28 @@ func TestEpochsRecycleIndices(t *testing.T) {
 		// key's new index.
 		if !slices.Contains(cs.pool.free, ix) && !slices.Contains(live, ix) {
 			t.Fatal("the promotion dropped the read-through index under the retired key without returning it to the pool")
+		}
+		if failed != nil {
+			t.Fatal(failed)
+		}
+	})
+
+	// The cold epoch is evicted before its promotion: its decode goes
+	// with it, and the decode's index must go to the pool.
+	t.Run("read-through-evicted", func(t *testing.T) {
+		var failed error
+		cs, _, ix := readThrough(t, &failed)
+		defer cs.store.close()
+		if ep, _, _, _, ok := cs.dropOldest(); !ok || ep != 0 {
+			t.Fatalf("dropOldest dropped epoch %d (ok %v), want the cold epoch 0", ep, ok)
+		}
+		if cs.pending != 0 {
+			t.Fatalf("%d read-through decodes still pending after their epoch went", cs.pending)
+		}
+		live, stubs := liveIndices(cs)
+		checkPool(t, &cs.pool, live, stubs)
+		if !slices.Contains(cs.pool.free, ix) {
+			t.Fatal("dropOldest dropped the read-through decode's index without returning it to the pool")
 		}
 		if failed != nil {
 			t.Fatal(failed)

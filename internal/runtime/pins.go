@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"iter"
-	"maps"
 	"slices"
 
 	"clash/internal/query"
@@ -116,18 +115,26 @@ func (e *Engine) taskAt(id topology.StoreID, part int) *task {
 
 // Pins returns the pinned layout of every installed store, sorted by
 // store ID.
-func (e *Engine) Pins() []StorePin {
+func (e *Engine) Pins() []StorePin { return e.AppendPins(nil) }
+
+// AppendPins appends the pins Pins returns to dst, reusing the split-key
+// arrays of dst's elements beyond its length (a checkpoint cut passes
+// the previous cut's pins, truncated).
+func (e *Engine) AppendPins(dst []StorePin) []StorePin {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	out := make([]StorePin, 0, len(e.storeOrder))
 	for _, st := range e.storeOrder {
-		p := StorePin{Store: st.id, Par: st.par, Part: st.part, Born: st.born}
-		if len(st.split) > 0 {
-			p.Split = slices.Sorted(maps.Keys(st.split))
+		var split []uint64
+		if n := len(dst); n < cap(dst) {
+			split = dst[: n+1 : n+1][n].Split[:0]
 		}
-		out = append(out, p)
+		for h := range st.split {
+			split = append(split, h)
+		}
+		slices.Sort(split)
+		dst = append(dst, StorePin{Store: st.id, Par: st.par, Part: st.part, Born: st.born, Split: split})
 	}
-	return out
+	return dst
 }
 
 // RestorePins overwrites the split sets chosen at first sight with the

@@ -338,6 +338,11 @@ func (c *columnarState) promote(s *colSegment) {
 	if ls == nil {
 		ls = newColSegment(s.epoch)
 	}
+	if stub.loaded != nil {
+		// The slot takes the read-through decode over, indices and all.
+		stub.loaded = nil
+		c.pending--
+	}
 	c.dropSpilled(stub)
 	*s = *ls
 	// The frame stays byte-valid on disk until the epoch changes; the
@@ -384,10 +389,12 @@ func (c *columnarState) promotePending() (delta, idxDelta int64) {
 
 // dropSpilled retires a stub's on-disk payload from the spill gauges
 // (tombstone, eviction, or promotion — the frame itself stays dead in
-// the file until clear/close truncates) and releases its read-through
-// decode.
+// the file until clear/close truncates) and releases a read-through
+// decode still pending on it, whose indices go back to the pool.
 func (c *columnarState) dropSpilled(stub *coldStub) {
-	if stub.loaded != nil {
+	if ls := stub.loaded; ls != nil {
+		c.pool.releaseAll(ls.indices)
+		ls.indices = nil
 		stub.loaded = nil
 		c.pending--
 	}

@@ -99,7 +99,7 @@ func probeAll(b stateBackend, cut int64) (string, int64) {
 
 // forEachRow visits the epoch's rows as the checkpoint walk reads them.
 func forEachRow(b stateBackend, ep int64, fn func(tp *tuple.Tuple, seq uint64)) {
-	sg := b.segment(ep)
+	sg := b.segment(ep, nil)
 	for i, seq := range sg.Seqs {
 		fn(sg.Row(i), seq)
 	}

@@ -123,8 +123,9 @@ type stateBackend interface {
 	// epochLen is the number of tuples resident in the epoch.
 	epochLen(epoch int64) int
 	// segment returns the epoch's rows in storage order, without its key
-	// (cold path: the checkpoint walk, and the legacy oracle's scan).
-	segment(epoch int64) Segment
+	// (cold path: the checkpoint walk, and the legacy oracle's scan);
+	// with dst, copied into dst (a checkpoint cut).
+	segment(epoch int64, dst *SegmentBuf) Segment
 	// dropOldest sheds the oldest epoch entirely — the eviction step.
 	// It refuses (ok=false) when at most one epoch is resident: the
 	// arrival epoch is never shed.
@@ -438,10 +439,13 @@ func (s *containerState) epochLen(epoch int64) int {
 	return 0
 }
 
-func (s *containerState) segment(epoch int64) Segment {
+func (s *containerState) segment(epoch int64, dst *SegmentBuf) Segment {
 	c := s.ring.get(epoch)
 	if c == nil {
 		return Segment{}
+	}
+	if dst != nil {
+		return dst.copyRows(c.entries)
 	}
 	sg := Segment{Tuples: make([]*tuple.Tuple, len(c.entries)), Seqs: make([]uint64, len(c.entries))}
 	for i, en := range c.entries {

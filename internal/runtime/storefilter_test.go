@@ -204,7 +204,7 @@ func TestStoreFilterCoversHotRows(t *testing.T) {
 				if len(eps) == 0 {
 					continue
 				}
-				sg := tk.state.segment(eps[0])
+				sg := tk.state.segment(eps[0], nil)
 				sc := sg.Row(0).Schema
 				for _, ep := range []int64{eps[0], eps[len(eps)-1], eps[len(eps)-1] + 1} {
 					var tps []*tuple.Tuple

@@ -39,15 +39,21 @@ type task struct {
 	stateBytes    atomic.Int64 // resident bytes incl. index overhead
 	stateIdxBytes atomic.Int64 // index-overhead portion of stateBytes
 	spin          uint64       // overhead-emulation sink
-	// dirtyEpochs tracks epochs whose materialized content changed
-	// since the engine's last ClearDirty — the delta the incremental
-	// checkpointer walks (Segments(true)) instead of the whole store.
-	// Touched only on the task's execution context or on a quiesced
-	// engine, like state itself.
-	dirtyEpochs map[int64]struct{}
+	// dirtyEpochs tracks resident epochs whose materialized content
+	// changed since the last checkpoint cut — the delta the incremental
+	// checkpointer walks (Segments(true), CutSegments) instead of the
+	// whole store. An epoch that leaves the state loses its mark and
+	// sets lostEpochs instead, so the set never holds more than the
+	// resident epochs, with or without a checkpointer. A cut swaps the
+	// set with cutEpochs (the marks it took, kept until the next cut in
+	// case its record fails to append) and takes lostEpochs into
+	// cutLost. Touched only on the task's execution context or on a
+	// quiesced engine, like state itself.
+	dirtyEpochs, cutEpochs map[int64]struct{}
+	lostEpochs, cutLost    bool
 	// lastDirty is the epoch markDirty recorded last, valid while
 	// lastDirtyOK: a run of inserts into one epoch writes the map once.
-	// ClearDirty resets it with the set.
+	// Every change to the set that could drop that epoch resets it.
 	lastDirty   int64
 	lastDirtyOK bool
 
@@ -292,6 +298,15 @@ func (t *task) markDirty(ep int64) {
 	t.lastDirty, t.lastDirtyOK = ep, true
 }
 
+// lostEpoch records that the epoch left the state (a prune or an
+// eviction emptied it): its mark goes, and the next cut tells the
+// checkpointer which epochs are still resident, so a chain segment of
+// the epoch becomes a tombstone.
+func (t *task) lostEpoch(ep int64) {
+	delete(t.dirtyEpochs, ep)
+	t.lostEpochs, t.lastDirtyOK = true, false
+}
+
 func (t *task) insert(tp *tuple.Tuple, seq uint64) {
 	// State is keyed by the tuple's arrival epoch: each tuple is
 	// materialized exactly once, and probes scan all epochs within
@@ -344,7 +359,7 @@ func (t *task) evictToLimit(lim int64) (bytes int64) {
 		if !ok {
 			return bytes
 		}
-		t.markDirty(epoch)
+		t.lostEpoch(epoch)
 		t.storedCount.Add(int64(-removed))
 		t.e.metrics.stored.Add(int64(-removed))
 		t.e.metrics.evictedEpochs.Add(1)
@@ -465,7 +480,7 @@ func (t *task) probeLegacy(tp *tuple.Tuple, msg *message, rp *rulePlan) {
 	}
 	var results []*tuple.Tuple
 	for _, ep := range t.state.epochs() {
-		sg := t.state.segment(ep)
+		sg := t.state.segment(ep, nil)
 	rows:
 		for i, seq := range sg.Seqs {
 			if seq >= msg.seq {
@@ -561,8 +576,8 @@ func (t *task) prune(cut tuple.Time) {
 	}
 	// A prune can only touch epochs at or below the cutoff's epoch
 	// (a tuple's epoch is derived from the same timestamp the prune
-	// compares against). Marking them before the prune keeps vanished
-	// epochs visible to the dirty walk as empty segments.
+	// compares against): those that stay are marked, those it emptied
+	// are lost.
 	cutEp := t.e.Epoch(cut)
 	for _, ep := range t.state.epochs() {
 		if ep <= cutEp {
@@ -570,6 +585,11 @@ func (t *task) prune(cut tuple.Time) {
 		}
 	}
 	removed, delta, idxDelta := t.state.prune(cut)
+	for ep := range t.dirtyEpochs {
+		if ep <= cutEp && t.state.epochLen(ep) == 0 {
+			t.lostEpoch(ep)
+		}
+	}
 	if t.e.cfg.MeasuredCosts && removed > 0 {
 		t.pruneNanos.Add(t.e.now() - start)
 		t.pruneTuples.Add(int64(removed))

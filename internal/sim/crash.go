@@ -46,6 +46,10 @@ func (tw *TornWrite) apply(st *recovery.MemStorage, seed uint64, keep int64) err
 }
 
 // CrashScenario is a Scenario that crashes and recovers mid-stream.
+//
+// Each checkpoint runs as it does beside a real stream: the harness
+// cuts it when it comes due and commits it a seeded 0–3 ingests later,
+// with no goroutine, so a crash can land while a cut is in flight.
 type CrashScenario struct {
 	Scenario
 	// CrashAfter is how many source tuples the first engine ingests
@@ -56,6 +60,88 @@ type CrashScenario struct {
 	CheckpointEvery int
 	// Torn, if set, tears the WAL tail at crash time.
 	Torn *TornWrite
+
+	// crashIn places the crash relative to a checkpoint (CrashSweep
+	// varies it with the seed).
+	crashIn crashPoint
+}
+
+// crashPoint places a crash relative to a checkpoint's cut and commit.
+type crashPoint int
+
+const (
+	// crashAnywhere crashes where the schedule stands: between records,
+	// or with a cut in flight if one is.
+	crashAnywhere crashPoint = iota
+	// crashAfterCut crashes with a cut taken and its record not
+	// appended (one is cut at the crash if none is in flight).
+	crashAfterCut
+	// crashAfterAppend crashes with a record appended and published but
+	// its hooks not released.
+	crashAfterAppend
+)
+
+// commitSchedule runs a manager's checkpoints the way they run beside a
+// stream, on the calling goroutine: a cut when one is due, its commit a
+// seeded number of ingests later.
+type commitSchedule struct {
+	mgr *recovery.Manager
+	r   *rng.RNG
+	in  int // ingests until the cut in flight commits; -1: none in flight
+}
+
+func newCommitSchedule(mgr *recovery.Manager, seed uint64) *commitSchedule {
+	return &commitSchedule{mgr: mgr, r: rng.New(seed ^ 0x636f6d6d6974), in: -1} // "commit"
+}
+
+// step runs after each ingest: commit the cut in flight when its time
+// has come, then cut when a checkpoint is due.
+func (cs *commitSchedule) step() error {
+	if cs.in > 0 {
+		cs.in--
+	}
+	if cs.in == 0 {
+		if err := cs.commit(); err != nil {
+			return err
+		}
+	}
+	if cs.in < 0 && cs.mgr.Due() {
+		if err := cs.mgr.Cut(); err != nil {
+			return err
+		}
+		cs.in = cs.r.Intn(4)
+		if cs.in == 0 {
+			return cs.commit()
+		}
+	}
+	return nil
+}
+
+// commit commits the cut in flight.
+func (cs *commitSchedule) commit() error {
+	cs.in = -1
+	if err := cs.mgr.AppendCut(); err != nil {
+		return err
+	}
+	cs.mgr.ReleaseCut()
+	return nil
+}
+
+// crash leaves the manager at the crash point: with a cut in flight,
+// or a record appended whose hooks are not released.
+func (cs *commitSchedule) crash(at crashPoint) error {
+	if at == crashAnywhere {
+		return nil
+	}
+	if cs.in < 0 {
+		if err := cs.mgr.Cut(); err != nil {
+			return err
+		}
+	}
+	if at == crashAfterAppend {
+		return cs.mgr.AppendCut()
+	}
+	return nil
 }
 
 func (cs *CrashScenario) checkpointEvery() int {
@@ -130,7 +216,7 @@ func (cs *CrashScenario) RunWithRecovery() (*CrashResult, error) {
 		s := recovery.NewCommittedSink()
 		sinks1[q.Name] = s
 		eng1.OnResult(q.Name, s.Add)
-		mgr.OnCommit(s.Commit)
+		mgr.OnCommit(s)
 	}
 
 	ins := generateStream(cat, cs.Stream)
@@ -141,20 +227,25 @@ func (cs *CrashScenario) RunWithRecovery() (*CrashResult, error) {
 	if crashAt <= 0 || crashAt > len(ins) {
 		crashAt = len(ins) / 2
 	}
+	sched := newCommitSchedule(mgr, cs.Seed)
 	for _, in := range ins[:crashAt] {
 		if err := eng1.Ingest(in.Rel, in.TS, in.Vals...); err != nil {
 			return nil, fmt.Errorf("sim: pre-crash ingest: %w", err)
 		}
-		if err := mgr.MaybeCheckpoint(); err != nil {
+		if err := sched.step(); err != nil {
 			return nil, fmt.Errorf("sim: pre-crash checkpoint: %w", err)
 		}
+	}
+	if err := sched.crash(cs.crashIn); err != nil {
+		return nil, fmt.Errorf("sim: checkpoint at the crash: %w", err)
 	}
 	if shed := eng1.Metrics().Snapshot().ShedTuples; shed != 0 {
 		return nil, fmt.Errorf("sim: pre-crash run shed %d tuples — crash recovery requires a lossless scenario", shed)
 	}
 	// Crash: abandon eng1 without Stop or Drain. In-flight messages and
-	// uncommitted sink output are gone; the storage survives. The sim
-	// substrate runs no goroutines, so abandonment leaks nothing.
+	// uncommitted sink output are gone, and so is a cut in flight; the
+	// storage survives. The sim substrate runs no goroutines, so
+	// abandonment leaks nothing.
 	if cs.Torn != nil {
 		if err := cs.Torn.apply(st, cs.Seed, mgr.LastAnchor()); err != nil {
 			return nil, fmt.Errorf("sim: torn write: %w", err)
@@ -183,7 +274,13 @@ func (cs *CrashScenario) RunWithRecovery() (*CrashResult, error) {
 		return nil, fmt.Errorf("sim: recover: %w", err)
 	}
 	for _, q := range qs2 {
-		mgr2.OnCommit(sinks2[q.Name].Commit)
+		mgr2.OnCommit(sinks2[q.Name])
+	}
+	// Results a cut marked but the crash kept from release: released if
+	// the recovered chain holds the cut's record, dropped (replay
+	// regenerates them) if not.
+	for _, s := range sinks1 {
+		s.Resolve(rstats.AnchorSeq)
 	}
 
 	// Resume the source where the surviving log ends. A torn tail moves
@@ -192,11 +289,17 @@ func (cs *CrashScenario) RunWithRecovery() (*CrashResult, error) {
 	if rstats.LastSeq > uint64(len(ins)) {
 		return nil, fmt.Errorf("sim: recovered seq %d past stream length %d", rstats.LastSeq, len(ins))
 	}
+	sched2 := newCommitSchedule(mgr2, cs.Seed+1)
 	for _, in := range ins[rstats.LastSeq:] {
 		if err := eng2.Ingest(in.Rel, in.TS, in.Vals...); err != nil {
 			return nil, fmt.Errorf("sim: post-recovery ingest: %w", err)
 		}
-		if err := mgr2.MaybeCheckpoint(); err != nil {
+		if err := sched2.step(); err != nil {
+			return nil, fmt.Errorf("sim: post-recovery checkpoint: %w", err)
+		}
+	}
+	if sched2.in >= 0 {
+		if err := sched2.commit(); err != nil {
 			return nil, fmt.Errorf("sim: post-recovery checkpoint: %w", err)
 		}
 	}
@@ -232,8 +335,9 @@ func (cs *CrashScenario) RunWithRecovery() (*CrashResult, error) {
 
 // CrashSweep runs the crash-recovery scenario across seeds [1, n] on
 // every row of the state matrix (StateConfigs), varying the schedule, the stream, and the
-// crash point with the seed, and verifies exactly-once output for
-// every run. The tiered arm runs under a hot budget that forces
+// crash point with the seed — where in the stream, and whether between
+// records, between a cut and its append, or between an append and its
+// hooks — and verifies exactly-once output for every run. The tiered arm runs under a hot budget that forces
 // demotions, so crashes land while epochs sit on disk — recovery must
 // rebuild them from the checkpoint chain and WAL alone (the spill file
 // of the dead engine is gone). It returns the total number of
@@ -247,6 +351,7 @@ func CrashSweep(base CrashScenario, n int) (runs int, err error) {
 		for seed := 1; seed <= n; seed++ {
 			cs := base
 			cs.Seed = uint64(seed)
+			cs.crashIn = crashPoint(seed % 3)
 			cs.UseState(row)
 			if cs.Stream.Seed == 0 {
 				cs.Stream.Seed = uint64(seed) * 31
