@@ -262,7 +262,9 @@ type WALConfig struct {
 	// caller keeps ownership: Close does not release it.
 	Storage WALStorage
 	// CheckpointEvery is the incremental-checkpoint cadence in ingested
-	// tuples (0 = the default, 64). Smaller means shorter replay after
+	// tuples (0 = the default, 64). A checkpoint due while the previous
+	// one still commits is cut at a later ingest, at the latest twice
+	// the cadence after the last one. Smaller means shorter replay after
 	// a crash; larger means less checkpoint traffic.
 	CheckpointEvery int
 }

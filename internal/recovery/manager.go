@@ -21,7 +21,9 @@ var ErrStorageNotEmpty = errors.New("recovery: storage not empty (use Recover)")
 type Config struct {
 	// CheckpointEvery is the number of ingested source records between
 	// automatic incremental checkpoints (via MaybeCheckpoint; default
-	// 64). Smaller values shorten replay at the cost of more frequent
+	// 64). A checkpoint due while the previous one still commits is cut
+	// later, but never more than twice this many records after the last
+	// cut. Smaller values shorten replay at the cost of more frequent
 	// state walks.
 	CheckpointEvery int
 }
@@ -194,10 +196,18 @@ func (m *Manager) LogEvict(store topology.StoreID, part int, epoch int64, tuples
 // cut drains the engine). It returns once the cut is taken; on an
 // engine whose tasks run concurrently the commit runs beside the
 // stream, otherwise inline. A checkpoint that comes due while a commit
-// is in flight waits for a later call: the caller never waits for one.
+// is in flight waits for a later call, until twice the cadence has
+// passed since the last cut: then the caller waits for the commit and
+// cuts, so replay after a crash stays within two cadences.
 func (m *Manager) MaybeCheckpoint() error {
 	if m.busy.Load() {
-		return nil
+		m.mu.Lock()
+		overdue := m.sinceCkpt >= 2*m.cfg.checkpointEvery()
+		m.mu.Unlock()
+		if !overdue {
+			return nil
+		}
+		m.Wait()
 	}
 	if err := m.failure(); err != nil {
 		return err

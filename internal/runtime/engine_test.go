@@ -69,20 +69,9 @@ func (h *harness) ingestAll(t *testing.T, ins []Ingestion) {
 func (h *harness) checkAgainstOracle(t *testing.T, ins []Ingestion) {
 	t.Helper()
 	for _, q := range h.queries {
-		want := ReferenceJoin(q, h.cat, h.defW, ins)
-		got := h.sinks[q.Name].Results()
-		if len(got) != len(want) {
-			t.Errorf("%s: %d distinct results, oracle has %d", q.Name, len(got), len(want))
-		}
-		for k, n := range want {
-			if got[k] != n {
-				t.Errorf("%s: result %q count = %d, oracle %d", q.Name, k, got[k], n)
-			}
-		}
-		for k := range got {
-			if want[k] == 0 {
-				t.Errorf("%s: spurious result %q", q.Name, k)
-			}
+		missing, spurious, ex := resultDiff(ReferenceJoin(q, h.cat, h.defW, ins), h.sinks[q.Name].Results())
+		if missing+spurious > 0 {
+			t.Errorf("%s: %d results missing, %d spurious against the oracle: %v", q.Name, missing, spurious, ex)
 		}
 	}
 }
@@ -141,86 +130,6 @@ func flatEstimates(rels []string, rate float64) *stats.Estimates {
 		e.SetRate(r, rate)
 	}
 	return e
-}
-
-func TestTwoWayJoinMatchesOracle(t *testing.T) {
-	h := newHarness(t, "q1: R(a) S(a)",
-		core.Options{StoreParallelism: 1, DisablePartitioning: true},
-		flatEstimates([]string{"R", "S"}, 100), Config{})
-	ins := randomStream(h.cat, 200, 10, 42)
-	h.ingestAll(t, ins)
-	h.checkAgainstOracle(t, ins)
-	if h.sinks["q1"].Count() == 0 {
-		t.Fatal("no results at all — test vacuous")
-	}
-	h.eng.Stop()
-}
-
-func TestThreeWayLinearMatchesOracle(t *testing.T) {
-	h := newHarness(t, "q1: R(a) S(a,b) T(b)",
-		core.Options{StoreParallelism: 4},
-		flatEstimates([]string{"R", "S", "T"}, 100), Config{})
-	ins := randomStream(h.cat, 240, 6, 7)
-	h.ingestAll(t, ins)
-	h.checkAgainstOracle(t, ins)
-	if h.sinks["q1"].Count() == 0 {
-		t.Fatal("no results at all — test vacuous")
-	}
-	h.eng.Stop()
-}
-
-func TestWindowedJoinMatchesOracle(t *testing.T) {
-	h := newHarness(t, "q1: R(a) S(a)",
-		core.Options{StoreParallelism: 2},
-		flatEstimates([]string{"R", "S"}, 100),
-		Config{DefaultWindow: 20})
-	ins := randomStream(h.cat, 300, 5, 11)
-	h.ingestAll(t, ins)
-	h.checkAgainstOracle(t, ins)
-	h.eng.Stop()
-}
-
-func TestMultiQuerySharedMatchesOracle(t *testing.T) {
-	// The worked-example pair sharing the S–T step.
-	h := newHarness(t, "q1: R(a) S(a,b) T(b)\nq2: S(b) T(b,c) U(c)",
-		core.Options{StoreParallelism: 3},
-		flatEstimates([]string{"R", "S", "T", "U"}, 100), Config{})
-	ins := randomStream(h.cat, 280, 5, 13)
-	h.ingestAll(t, ins)
-	h.checkAgainstOracle(t, ins)
-	if h.sinks["q1"].Count() == 0 || h.sinks["q2"].Count() == 0 {
-		t.Fatal("one query produced nothing — test vacuous")
-	}
-	h.eng.Stop()
-}
-
-func TestMIRPlanMatchesOracle(t *testing.T) {
-	// Force the optimizer into a materialized ST store by making the
-	// R-S prefix expensive, then verify results are unchanged.
-	est := flatEstimates([]string{"R", "S", "T"}, 100)
-	est.SetSelectivity(query.Predicate{
-		Left:  query.Attr{Rel: "R", Name: "a"},
-		Right: query.Attr{Rel: "S", Name: "a"},
-	}, 0.5)
-	h := newHarness(t, "q1: R(a) S(a,b) T(b)",
-		core.Options{StoreParallelism: 1, DisablePartitioning: true}, est, Config{})
-	// The plan must actually use an MIR for the test to mean anything.
-	usesMIR := false
-	for _, id := range h.eng.ConfigFor(0).StoreIDs() {
-		if !h.eng.ConfigFor(0).Stores[id].Base() {
-			usesMIR = true
-		}
-	}
-	if !usesMIR {
-		t.Fatal("plan does not materialize an intermediate result")
-	}
-	ins := randomStream(h.cat, 220, 4, 17)
-	h.ingestAll(t, ins)
-	h.checkAgainstOracle(t, ins)
-	if h.sinks["q1"].Count() == 0 {
-		t.Fatal("no results — vacuous")
-	}
-	h.eng.Stop()
 }
 
 func TestPlanIndependenceProperty(t *testing.T) {
@@ -381,53 +290,6 @@ func TestLatencyRecorded(t *testing.T) {
 		t.Error("ResetLatency did not clear")
 	}
 	h.eng.Stop()
-}
-
-func TestPipelinedModeEventuallyComplete(t *testing.T) {
-	// Without StepMode, ingest everything then drain: with
-	// timestamp-ordered single-threaded ingestion the seq condition
-	// still guarantees exactness for a single-hop join.
-	qs, cat, err := query.ParseWorkload("q1: R(a) S(a)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	est := flatEstimates([]string{"R", "S"}, 100)
-	plan, err := core.NewOptimizer(core.Options{StoreParallelism: 2}).Optimize(qs, est)
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo, err := core.Compile([]*core.Plan{plan}, core.CompileOptions{Shared: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := New(Config{Catalog: cat})
-	if err := eng.Install(topo, 0); err != nil {
-		t.Fatal(err)
-	}
-	sink := NewCollectSink()
-	eng.OnResult("q1", sink.Add)
-	ins := randomStream(cat, 300, 8, 77)
-	for _, in := range ins {
-		if err := eng.Ingest(in.Rel, in.TS, in.Vals...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng.Drain()
-	want := ReferenceJoin(qs[0], cat, 0, ins)
-	got := sink.Results()
-	total := func(m map[string]int) int {
-		n := 0
-		for _, v := range m {
-			n += v
-		}
-		return n
-	}
-	// Pipelined races can only lose results at multi-hop plans; a
-	// symmetric 2-way join with ordered ingest is exact.
-	if total(got) != total(want) {
-		t.Errorf("pipelined results = %d, oracle = %d", total(got), total(want))
-	}
-	eng.Stop()
 }
 
 func TestObserverTap(t *testing.T) {

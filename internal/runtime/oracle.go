@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -18,24 +19,32 @@ type Ingestion struct {
 }
 
 // ReferenceJoin computes the expected join results of a query over a
-// complete input history with naive nested loops, using the engine's
+// complete input history with nested loops, using the engine's
 // operational semantics: a result exists for every combination of one
 // tuple per query relation such that all predicates hold and, with m the
 // latest-arriving member, every other member u arrived before m and
 // satisfies m.TS - u.TS ≤ window(rel(u)). The returned multiset uses the
 // same canonical encoding as CanonicalResult, so engine output can be
 // compared directly regardless of the probe orders chosen.
+//
+// The loops bind the relations in a connected order — each next relation
+// shares a predicate with one already bound, where the query allows it —
+// and test every predicate as soon as both of its sides are bound, so the
+// partial bindings stay bounded by the join's degrees rather than by the
+// product of the relation sizes.
 func ReferenceJoin(q *query.Query, cat *query.Catalog, defWindow tuple.Duration, inputs []Ingestion) map[string]int {
 	type member struct {
-		rel  string
-		ts   tuple.Time
-		seq  uint64
-		vals map[string]tuple.Value
+		rel   string
+		ts    tuple.Time
+		seq   uint64
+		vals  map[string]tuple.Value
+		parts []string // the canonical "attr=value" pairs of vals
 	}
-	byRel := map[string][]member{}
+	inQuery := q.RelationSet()
+	byRel := map[string][]*member{}
 	for i, in := range inputs {
 		r := cat.Relation(in.Rel)
-		if r == nil {
+		if r == nil || !inQuery[in.Rel] {
 			continue
 		}
 		vals := map[string]tuple.Value{}
@@ -43,30 +52,66 @@ func ReferenceJoin(q *query.Query, cat *query.Catalog, defWindow tuple.Duration,
 			vals[in.Rel+"."+a] = in.Vals[j]
 		}
 		vals[in.Rel+"."+tuple.EventTime] = tuple.IntValue(int64(in.TS))
-		byRel[in.Rel] = append(byRel[in.Rel], member{rel: in.Rel, ts: in.TS, seq: uint64(i + 1), vals: vals})
+		m := &member{rel: in.Rel, ts: in.TS, seq: uint64(i + 1), vals: vals}
+		for k, v := range vals {
+			m.parts = append(m.parts, k+"="+v.String())
+		}
+		byRel[in.Rel] = append(byRel[in.Rel], m)
+	}
+
+	// A predicate side reads the member at the last position of its
+	// relation in q.Relations, as the Cartesian definition does when a
+	// relation is listed twice.
+	owner := map[string]int{}
+	for i, rel := range q.Relations {
+		owner[rel] = i
+	}
+	type check struct {
+		left, right       int // positions in q.Relations
+		leftKey, rightKey string
+	}
+	adj := make([][]int, len(q.Relations))
+	for _, p := range q.Preds {
+		l, r := owner[p.Left.Rel], owner[p.Right.Rel]
+		adj[l] = append(adj[l], r)
+		adj[r] = append(adj[r], l)
+	}
+
+	// The binding order: the first unbound relation adjacent to a bound
+	// one, or the first unbound relation when none is (a cross product).
+	order := make([]int, 0, len(q.Relations))
+	level := make([]int, len(q.Relations)) // position → its level in order
+	bound := make([]bool, len(q.Relations))
+	for len(order) < len(q.Relations) {
+		next := -1
+		for i := range q.Relations {
+			if bound[i] {
+				continue
+			}
+			if next < 0 {
+				next = i
+			}
+			if slices.ContainsFunc(adj[i], func(j int) bool { return bound[j] }) {
+				next = i
+				break
+			}
+		}
+		level[next], bound[next] = len(order), true
+		order = append(order, next)
+	}
+	checks := make([][]check, len(order)) // level → predicates bound there
+	for _, p := range q.Preds {
+		c := check{owner[p.Left.Rel], owner[p.Right.Rel], p.Left.Qualified(), p.Right.Qualified()}
+		at := max(level[c.left], level[c.right])
+		checks[at] = append(checks[at], c)
 	}
 
 	out := map[string]int{}
-	chosen := make([]member, len(q.Relations))
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(q.Relations) {
-			// Predicates.
-			for _, p := range q.Preds {
-				var lv, rv tuple.Value
-				var okL, okR bool
-				for _, m := range chosen {
-					if v, ok := m.vals[p.Left.Qualified()]; ok {
-						lv, okL = v, true
-					}
-					if v, ok := m.vals[p.Right.Qualified()]; ok {
-						rv, okR = v, true
-					}
-				}
-				if !okL || !okR || lv != rv {
-					return
-				}
-			}
+	chosen := make([]*member, len(q.Relations)) // by position in q.Relations
+	var parts []string
+	var rec func(lv int)
+	rec = func(lv int) {
+		if lv == len(order) {
 			// Window + ordering: the latest member (by seq) bounds all.
 			latest := chosen[0]
 			for _, m := range chosen[1:] {
@@ -83,20 +128,26 @@ func ReferenceJoin(q *query.Query, cat *query.Catalog, defWindow tuple.Duration,
 					return
 				}
 			}
-			// Canonical encoding.
-			var parts []string
+			parts = parts[:0]
 			for _, m := range chosen {
-				for k, v := range m.vals {
-					parts = append(parts, k+"="+v.String())
-				}
+				parts = append(parts, m.parts...)
 			}
 			sort.Strings(parts)
 			out[strings.Join(parts, "|")]++
 			return
 		}
-		for _, m := range byRel[q.Relations[i]] {
-			chosen[i] = m
-			rec(i + 1)
+		pos := order[lv]
+	next:
+		for _, m := range byRel[q.Relations[pos]] {
+			chosen[pos] = m
+			for _, c := range checks[lv] {
+				l, okL := chosen[c.left].vals[c.leftKey]
+				r, okR := chosen[c.right].vals[c.rightKey]
+				if !okL || !okR || l != r {
+					continue next
+				}
+			}
+			rec(lv + 1)
 		}
 	}
 	rec(0)

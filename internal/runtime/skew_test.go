@@ -193,47 +193,6 @@ func TestSplitKeysNoRegression(t *testing.T) {
 	h.checkAgainstOracle(t, ins)
 }
 
-// TestSplitKeysSimSweep: seeded interleavings on the simulation
-// substrate with a split-key topology and a skewed stream must all
-// reproduce the exact oracle answer — split routing is deterministic
-// per schedule and loses no pairs under any delivery order.
-func TestSplitKeysSimSweep(t *testing.T) {
-	seeds := 16
-	if testing.Short() {
-		seeds = 4
-	}
-	for seed := 1; seed <= seeds; seed++ {
-		h := newHarness(t, "q1: R(a) S(a,b) T(b)",
-			core.Options{StoreParallelism: 3},
-			degreeEstimates([]string{"R", "S", "T"}, 100, 0, 0.6),
-			Config{Substrate: SubstrateSim, Sim: SimConfig{Seed: uint64(seed)}, StepMode: true, DefaultWindow: 60})
-		// Skewed 3-way stream: R(a) S(a,b) T(b), hot key 0 on both join
-		// attributes.
-		var ins []Ingestion
-		rels := []string{"R", "S", "T"}
-		for i := 0; i < 300; i++ {
-			key := int64(0)
-			if i%3 == 2 {
-				key = int64(i % 11)
-			}
-			vals := []tuple.Value{tuple.IntValue(key)}
-			if rels[i%3] == "S" {
-				vals = append(vals, tuple.IntValue(key))
-			}
-			ins = append(ins, Ingestion{Rel: rels[i%3], TS: tuple.Time(i + 1), Vals: vals})
-		}
-		h.ingestAll(t, ins)
-		h.checkAgainstOracle(t, ins)
-		if h.sinks["q1"].Count() == 0 {
-			t.Fatalf("seed %d: no results — vacuous", seed)
-		}
-		h.eng.Stop()
-		if t.Failed() {
-			t.Fatalf("seed %d diverged from the oracle", seed)
-		}
-	}
-}
-
 // recordingSub records every message the engine sends, by target task.
 // With forward unset it drops them after recording, balancing the
 // in-flight accounting, so a test can drive the router with tuples the

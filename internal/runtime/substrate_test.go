@@ -1,12 +1,10 @@
 package runtime
 
-// Substrate-independence and flow-control tests (DESIGN.md §3, §8).
-// The sequence condition makes the result multiset independent of the
-// execution substrate; these tests prove it on the synchronous and the
-// flow substrate, and cover the flow substrate's overload behaviour:
-// bounded queueing, graceful degradation (block and shed), buffering
-// to death under a grant the run cannot exhaust, and the pressure
-// gauges.
+// Flow-control tests (DESIGN.md §8). That the result multiset does not
+// depend on the substrate is TestExactnessMatrix's (exactness_test.go);
+// these cover the flow substrate's overload behaviour: bounded
+// queueing, graceful degradation (block and shed), buffering to death
+// under a grant the run cannot exhaust, and the pressure gauges.
 
 import (
 	"errors"
@@ -20,94 +18,6 @@ import (
 	"clash/internal/query"
 	"clash/internal/tuple"
 )
-
-// substrateMatrix lists the wall-clock substrates under their
-// deterministic configuration: the asynchronous one runs in StepMode so
-// multi-hop feeding chains settle between tuples (exactness; DESIGN.md
-// §3).
-func substrateMatrix() map[string]Config {
-	return map[string]Config{
-		"synchronous": {Substrate: SubstrateSynchronous},
-		"flow":        {Substrate: SubstrateFlow, StepMode: true, Flow: FlowConfig{MailboxCredits: 32}},
-	}
-}
-
-// TestSubstrateOracleEquivalence checks every substrate against the
-// nested-loop reference oracle on the shared multi-query workload.
-func TestSubstrateOracleEquivalence(t *testing.T) {
-	for name, cfg := range substrateMatrix() {
-		t.Run(name, func(t *testing.T) {
-			cfg.DefaultWindow = 40
-			h := newHarness(t, "q1: R(a) S(a,b) T(b)\nq2: S(b) T(b,c) U(c)",
-				core.Options{StoreParallelism: 3},
-				flatEstimates([]string{"R", "S", "T", "U"}, 100), cfg)
-			ins := randomStream(h.cat, 300, 5, 21)
-			h.ingestAll(t, ins)
-			h.checkAgainstOracle(t, ins)
-			if h.sinks["q1"].Count() == 0 || h.sinks["q2"].Count() == 0 {
-				t.Fatal("a query produced nothing — test vacuous")
-			}
-			h.eng.Stop()
-		})
-	}
-}
-
-// TestSubstrateResultEquivalence asserts byte-identical result
-// multisets across the substrates on a windowed MIR-bearing plan.
-func TestSubstrateResultEquivalence(t *testing.T) {
-	est := flatEstimates([]string{"R", "S", "T"}, 100)
-	est.SetSelectivity(query.Predicate{
-		Left:  query.Attr{Rel: "R", Name: "a"},
-		Right: query.Attr{Rel: "S", Name: "a"},
-	}, 0.5)
-	var reference string
-	var refName string
-	for name, cfg := range substrateMatrix() {
-		cfg.DefaultWindow = 60
-		h := newHarness(t, "q1: R(a) S(a,b) T(b)",
-			core.Options{StoreParallelism: 2}, est.Clone(), cfg)
-		ins := randomStream(h.cat, 320, 5, 33)
-		h.ingestAll(t, ins)
-		got := fmt.Sprint(sortedResults(h.sinks["q1"]))
-		h.eng.Stop()
-		if reference == "" {
-			reference, refName = got, name
-			continue
-		}
-		if got != reference {
-			t.Errorf("substrate %s produced different results than %s", name, refName)
-		}
-	}
-	if reference == "" || reference == "map[]" {
-		t.Fatal("no results — test vacuous")
-	}
-}
-
-// TestTwoWayExactWithoutStepMode: a two-way join completes each result
-// in one probe, so it is exact on the asynchronous substrates without
-// StepMode (ROADMAP item 1) — checked against the reference on two
-// partitions, with results delivered on flow workers and under a seeded
-// schedule, every recycled tuple poisoned (TestMain).
-func TestTwoWayExactWithoutStepMode(t *testing.T) {
-	for name, cfg := range map[string]Config{
-		"flow": {Substrate: SubstrateFlow, Flow: FlowConfig{MailboxCredits: 32}},
-		"sim":  {Substrate: SubstrateSim, Sim: SimConfig{Seed: 5}},
-	} {
-		t.Run(name, func(t *testing.T) {
-			cfg.DefaultWindow = 40
-			h := newHarness(t, "q1: R(a) S(a)", core.Options{StoreParallelism: 2},
-				flatEstimates([]string{"R", "S"}, 100), cfg)
-			h.engStepModeOff()
-			defer h.eng.Stop()
-			ins := randomStream(h.cat, 400, 6, 17)
-			h.ingestAll(t, ins)
-			h.checkAgainstOracle(t, ins)
-			if h.sinks["q1"].Count() == 0 {
-				t.Fatal("no results — test vacuous")
-			}
-		})
-	}
-}
 
 func sortedResults(s *CollectSink) []string {
 	res := s.Results()

@@ -5,61 +5,12 @@ import (
 
 	"clash/internal/core"
 	"clash/internal/query"
-	"clash/internal/stats"
 	"clash/internal/tuple"
 )
 
-// The Synchronous substrate must be exact: identical to the reference
-// oracle on every workload shape, including plans that feed MIR stores
-// over multi-hop chains (the case free-running mode can lose to races).
-
-func TestSynchronousTwoWayMatchesOracle(t *testing.T) {
-	h := newHarness(t, "q1: R(a) S(a)",
-		core.Options{StoreParallelism: 2},
-		flatEstimates([]string{"R", "S"}, 100), Config{Substrate: SubstrateSynchronous})
-	ins := randomStream(h.cat, 220, 8, 5)
-	h.ingestAll(t, ins)
-	h.checkAgainstOracle(t, ins)
-	if h.sinks["q1"].Count() == 0 {
-		t.Fatal("no results at all — test vacuous")
-	}
-	h.eng.Stop()
-}
-
-func TestSynchronousThreeWayMatchesOracle(t *testing.T) {
-	h := newHarness(t, "q1: R(a) S(a,b) T(b)",
-		core.Options{StoreParallelism: 4},
-		flatEstimates([]string{"R", "S", "T"}, 100), Config{Substrate: SubstrateSynchronous})
-	ins := randomStream(h.cat, 240, 6, 9)
-	h.ingestAll(t, ins)
-	h.checkAgainstOracle(t, ins)
-	h.eng.Stop()
-}
-
-func TestSynchronousMIRPlanMatchesOracle(t *testing.T) {
-	// Force a materialized ST store (cf. TestMIRPlanMatchesOracle) so the
-	// feeding chain runs through the synchronous work queue.
-	est := stats.NewEstimates(0.01)
-	est.SetRate("R", 1000)
-	est.SetRate("S", 10)
-	est.SetRate("T", 10)
-	h := newHarness(t, "q1: R(a) S(a,b) T(b)",
-		core.Options{StoreParallelism: 2, MaterializationCost: true},
-		est, Config{Substrate: SubstrateSynchronous})
-	usesMIR := false
-	for _, s := range h.eng.ConfigFor(0).Stores {
-		if !s.Base() {
-			usesMIR = true
-		}
-	}
-	ins := randomStream(h.cat, 260, 5, 21)
-	h.ingestAll(t, ins)
-	h.checkAgainstOracle(t, ins)
-	if !usesMIR {
-		t.Log("plan did not materialize an MIR store; oracle check still holds")
-	}
-	h.eng.Stop()
-}
+// Synchronous-substrate tests. Its exactness against the reference
+// oracle on every workload shape is a column of TestExactnessMatrix;
+// these cover batching, pruning, determinism and epoch configurations.
 
 // TestSynchronousOneResultForwardsMatchOracle: an R tuple probes S and
 // finds four partners, which travel to T as one message; each of those
@@ -102,17 +53,6 @@ func TestSynchronousOneResultForwardsMatchOracle(t *testing.T) {
 	if m := h.eng.Snapshot(); m.ProbeSent <= m.Messages {
 		t.Errorf("%d probe tuples in %d messages: no message carried a batch — test vacuous", m.ProbeSent, m.Messages)
 	}
-}
-
-func TestSynchronousWindowedMatchesOracle(t *testing.T) {
-	h := newHarness(t, "q1: R(a) S(a)",
-		core.Options{StoreParallelism: 2},
-		flatEstimates([]string{"R", "S"}, 100),
-		Config{Substrate: SubstrateSynchronous, DefaultWindow: 20})
-	ins := randomStream(h.cat, 300, 5, 17)
-	h.ingestAll(t, ins)
-	h.checkAgainstOracle(t, ins)
-	h.eng.Stop()
 }
 
 func TestSynchronousDeterministicMetrics(t *testing.T) {

@@ -247,14 +247,15 @@ func TestRecoverFromCleanClose(t *testing.T) {
 // TestFlowWALCheckpointsBesideStream runs a durable engine on the flow
 // substrate, where each checkpoint is cut on the ingesting goroutine and
 // committed beside the stream while results of later ingests keep
-// arriving, with a checkpoint every 16 ingests. It crashes mid-stream,
-// recovers, and finishes the stream: the results committed across both
+// arriving, with a checkpoint due every 16 ingests and cut at the latest
+// every 32. It crashes mid-stream, recovers replaying at most 32
+// ingests, and finishes the stream: the results committed across both
 // lives byte-match an uninterrupted synchronous run's, each exactly
 // once. CI runs it under the race detector, where the commit goroutine
 // meets the ingesting goroutine and the workers.
 func TestFlowWALCheckpointsBesideStream(t *testing.T) {
 	const workload = "q1: R(a) S(a)\nq2: S(a) T(a)"
-	const n, crashAt = 3000, 1900
+	const n, crashAt, every = 3000, 1900, 16
 	ingest := func(eng *Engine, from, to int) {
 		t.Helper()
 		for i := from; i < to; i++ {
@@ -288,7 +289,7 @@ func TestFlowWALCheckpointsBesideStream(t *testing.T) {
 	st := NewMemWALStorage()
 	config := func(buf *commitBuf) Config {
 		return Config{Workload: workload, Substrate: SubstrateFlow, DefaultWindow: 300,
-			WAL:      &WALConfig{Storage: st, CheckpointEvery: 16},
+			WAL:      &WALConfig{Storage: st, CheckpointEvery: every},
 			OnResult: map[string]func(*Tuple){"q1": buf.add, "q2": buf.add}}
 	}
 	buf1 := newCommitBuf()
@@ -299,12 +300,13 @@ func TestFlowWALCheckpointsBesideStream(t *testing.T) {
 	eng1.OnCommit(buf1)
 	ingest(eng1, 0, crashAt)
 	// A checkpoint due while a commit is in flight waits for a later
-	// ingest, and a commit competes with the workers for the cores, so
-	// the count depends on the host; two are enough to interleave.
+	// ingest, but at twice the cadence the ingest waits for the commit
+	// and cuts: however the host schedules the commit, a cut falls at
+	// least every 2·16 ingests.
 	s := eng1.WALStats()
-	t.Logf("%d checkpoints over %d ingests at a cadence of 16", s.Checkpoints, crashAt)
-	if s.Checkpoints < 2 {
-		t.Fatalf("%d checkpoints over %d ingests — test vacuous", s.Checkpoints, crashAt)
+	t.Logf("%d checkpoints over %d ingests at a cadence of %d", s.Checkpoints, crashAt, every)
+	if s.Checkpoints < crashAt/(2*every) {
+		t.Fatalf("%d checkpoints over %d ingests, want at least %d at a cadence of %d", s.Checkpoints, crashAt, crashAt/(2*every), every)
 	}
 	// Crash: no final checkpoint. Stop leaves the unanchored WAL tail for
 	// replay and waits for the commit in flight, as a process that dies
@@ -319,6 +321,9 @@ func TestFlowWALCheckpointsBesideStream(t *testing.T) {
 	eng2.OnCommit(buf2)
 	if rstats.CheckpointRecords == 0 || rstats.RestoredTuples == 0 {
 		t.Fatalf("recovery used %d checkpoint records, restored %d tuples", rstats.CheckpointRecords, rstats.RestoredTuples)
+	}
+	if rstats.ReplayedIngests > 2*every {
+		t.Errorf("replayed %d ingests, want at most two cadences (%d)", rstats.ReplayedIngests, 2*every)
 	}
 	ingest(eng2, int(rstats.LastSeq), n)
 	eng2.Drain()
