@@ -130,54 +130,58 @@ func TestExactnessMatrix(t *testing.T) {
 				cfg: Config{Substrate: SubstrateSim, Sim: SimConfig{Seed: seed}}, lossy: true})
 		}
 
-		qs, cat, err := query.ParseWorkload(s.workload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ins := s.stream
-		if ins == nil {
-			ins = randomStream(cat, s.n, s.keys, s.seed)
-		}
-		want := map[string]map[string]int{}
-		for _, q := range qs {
-			want[q.Name] = ReferenceJoin(q, cat, s.window, ins)
-		}
-		for _, col := range cols {
-			for _, row := range backendKinds() {
-				t.Run(s.name+"/"+col.name+"/"+row.name, func(t *testing.T) {
-					cfg := row.apply(col.cfg)
-					cfg.DefaultWindow = s.window
-					if row.hot > 0 {
-						cfg.EpochLength, cfg.StateSpillDir = 64, t.TempDir()
-					}
-					h := newHarness(t, s.workload, s.opts, s.est.Clone(), cfg)
-					defer h.eng.Stop()
-					h.eng.cfg.StepMode = col.cfg.StepMode
-					composite, split := false, false
-					for _, st := range h.eng.ConfigFor(0).Stores {
-						composite, split = composite || !st.Base(), split || len(st.SplitKeys) > 0
-					}
-					if s.mir && !composite || s.split && !split {
-						t.Fatalf("plan materializes an intermediate result: %v, declares a split key: %v — shape vacuous", composite, split)
-					}
-					h.ingestAll(t, ins)
-					for _, q := range qs {
-						missing, spurious, ex := resultDiff(want[q.Name], h.sinks[q.Name].Results())
-						switch {
-						case h.sinks[q.Name].Count() == 0:
-							t.Errorf("%s: no results — cell vacuous", q.Name)
-						case col.lossy && (missing == 0 || spurious > 0):
-							t.Errorf("%s: %d results missing, %d spurious; want some missing and none spurious (item 1 fixed? flip the cell): %v",
-								q.Name, missing, spurious, ex)
-						case !col.lossy && missing+spurious > 0:
-							t.Errorf("%s: %d results missing, %d spurious against the oracle: %v", q.Name, missing, spurious, ex)
-						}
-					}
-					if m := h.eng.Metrics().Snapshot(); row.hot > 0 && (m.DemotedEpochs == 0 || m.ColdProbeHits == 0) {
-						t.Errorf("tiered row never spilled or never read back (demoted=%d cold hits=%d) — row vacuous", m.DemotedEpochs, m.ColdProbeHits)
+		t.Run(s.name, func(t *testing.T) {
+			qs, cat, err := query.ParseWorkload(s.workload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ins := s.stream
+			if ins == nil {
+				ins = randomStream(cat, s.n, s.keys, s.seed)
+			}
+			want := map[string]map[string]int{}
+			for _, q := range qs {
+				want[q.Name] = ReferenceJoin(q, cat, s.window, ins)
+			}
+			for _, col := range cols {
+				t.Run(col.name, func(t *testing.T) {
+					for _, row := range backendKinds() {
+						t.Run(row.name, func(t *testing.T) {
+							cfg := row.apply(col.cfg)
+							cfg.DefaultWindow = s.window
+							if row.hot > 0 {
+								cfg.EpochLength, cfg.StateSpillDir = 64, t.TempDir()
+							}
+							h := newHarness(t, s.workload, s.opts, s.est.Clone(), cfg)
+							defer h.eng.Stop()
+							h.eng.cfg.StepMode = col.cfg.StepMode
+							composite, split := false, false
+							for _, st := range h.eng.ConfigFor(0).Stores {
+								composite, split = composite || !st.Base(), split || len(st.SplitKeys) > 0
+							}
+							if s.mir && !composite || s.split && !split {
+								t.Fatalf("plan materializes an intermediate result: %v, declares a split key: %v — shape vacuous", composite, split)
+							}
+							h.ingestAll(t, ins)
+							for _, q := range qs {
+								missing, spurious, ex := resultDiff(want[q.Name], h.sinks[q.Name].Results())
+								switch {
+								case h.sinks[q.Name].Count() == 0:
+									t.Errorf("%s: no results — cell vacuous", q.Name)
+								case col.lossy && (missing == 0 || spurious > 0):
+									t.Errorf("%s: %d results missing, %d spurious; want some missing and none spurious (item 1 fixed? flip the cell): %v",
+										q.Name, missing, spurious, ex)
+								case !col.lossy && missing+spurious > 0:
+									t.Errorf("%s: %d results missing, %d spurious against the oracle: %v", q.Name, missing, spurious, ex)
+								}
+							}
+							if m := h.eng.Metrics().Snapshot(); row.hot > 0 && (m.DemotedEpochs == 0 || m.ColdProbeHits == 0) {
+								t.Errorf("tiered row never spilled or never read back (demoted=%d cold hits=%d) — row vacuous", m.DemotedEpochs, m.ColdProbeHits)
+							}
+						})
 					}
 				})
 			}
-		}
+		})
 	}
 }
