@@ -381,8 +381,7 @@ func (t *task) putProbeBatch(pb *probeBatch) {
 
 // probeBatched probes every tuple the message carries through the
 // backend's batch scan, then forwards per probe in arrival order. This
-// is the compiled probe path for every batch size including one; the
-// legacy oracle (task.probeLegacy) uses no index at all.
+// is the one probe path, for every batch size including one.
 func (t *task) probeBatched(msg *message, rp *rulePlan, st *planState) {
 	if len(rp.preds) == 0 {
 		return // the optimizer never emits cross-product probes

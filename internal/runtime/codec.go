@@ -229,8 +229,8 @@ func (k SegKey) Compare(o SegKey) int {
 // sequence numbers, in backend storage order. A decoded segment, or one
 // walked off the container oracle, holds its rows as Tuples. One walked
 // off the columnar store reads them in place from the epoch's columns —
-// Tuples is nil, Row builds a tuple on request, and the view is valid
-// until the engine next changes state.
+// Tuples is nil, and the view is valid until the engine next changes
+// state.
 type Segment struct {
 	Key    SegKey
 	Tuples []*tuple.Tuple
@@ -247,14 +247,6 @@ func (s *Segment) TS(i int) tuple.Time {
 		return tuple.Time(s.cols.ts[i])
 	}
 	return s.Tuples[i].TS
-}
-
-// Row is row i as a tuple.
-func (s *Segment) Row(i int) *tuple.Tuple {
-	if s.cols != nil {
-		return s.cols.materialize(i)
-	}
-	return s.Tuples[i]
 }
 
 // StateRecord is the one state record: the engine's progress, its pin

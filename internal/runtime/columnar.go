@@ -658,16 +658,6 @@ func (s *colSegment) fill(row int, dst []tuple.Value) {
 	}
 }
 
-// materialize builds the row as a tuple of its own — the decode-side and
-// oracle paths; a probe carves a matched row into its join result
-// instead (task.joinRow).
-func (s *colSegment) materialize(row int) *tuple.Tuple {
-	sc := s.schemas[s.sch[row]]
-	vals := make([]tuple.Value, sc.Len())
-	s.fill(row, vals)
-	return &tuple.Tuple{Schema: sc, Values: vals, TS: tuple.Time(s.ts[row])}
-}
-
 // linkRows chains every row into the index in row order, hashing the
 // key cells off the columns exactly as hashKey hashes a tuple's.
 func (s *colSegment) linkRows(ix *colIndex) {

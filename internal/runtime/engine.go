@@ -98,12 +98,6 @@ type Config struct {
 	// it. Off by default, since metering reads the clock on every
 	// message; off, the hot path pays only a branch per message.
 	MeasuredCosts bool
-
-	// legacyProbe switches tasks to the uncompiled, string-resolved
-	// probe path that predates the compiled-plan layer. It exists as a
-	// differential-testing oracle (the equivalence tests assert both
-	// paths produce identical results) and is deliberately unexported.
-	legacyProbe bool
 }
 
 // ErrMemoryLimit is reported when the engine exceeds its memory budget.

@@ -10,6 +10,7 @@ import (
 	"clash/internal/query"
 	"clash/internal/rng"
 	"clash/internal/stats"
+	"clash/internal/topology"
 	"clash/internal/tuple"
 )
 
@@ -26,12 +27,22 @@ type harness struct {
 // on a StepMode engine (deterministic semantics).
 func newHarness(t *testing.T, workload string, opts core.Options, est *stats.Estimates, engCfg Config) *harness {
 	t.Helper()
+	qs, cat, topo := compileWorkload(t, workload, opts, est)
+	if engCfg.Substrate != SubstrateSynchronous {
+		engCfg.StepMode = true
+	}
+	return installHarness(t, qs, cat, topo, engCfg)
+}
+
+// compileWorkload parses the workload, optimizes it under the estimates
+// and compiles the plan with shared stores.
+func compileWorkload(t *testing.T, workload string, opts core.Options, est *stats.Estimates) ([]*query.Query, *query.Catalog, *topology.Config) {
+	t.Helper()
 	qs, cat, err := query.ParseWorkload(workload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := core.NewOptimizer(opts)
-	plan, err := o.Optimize(qs, est)
+	plan, err := core.NewOptimizer(opts).Optimize(qs, est)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,10 +50,14 @@ func newHarness(t *testing.T, workload string, opts core.Options, est *stats.Est
 	if err != nil {
 		t.Fatal(err)
 	}
+	return qs, cat, topo
+}
+
+// installHarness installs the topology on an engine configured as
+// engCfg says, over the queries' catalog, with a sink per query.
+func installHarness(t *testing.T, qs []*query.Query, cat *query.Catalog, topo *topology.Config, engCfg Config) *harness {
+	t.Helper()
 	engCfg.Catalog = cat
-	if engCfg.Substrate != SubstrateSynchronous {
-		engCfg.StepMode = true
-	}
 	eng := New(engCfg)
 	if err := eng.Install(topo, 0); err != nil {
 		t.Fatal(err)

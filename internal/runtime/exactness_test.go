@@ -6,13 +6,17 @@ package runtime
 // every workload shape × substrate × state row.
 
 import (
+	"cmp"
 	"fmt"
 	"testing"
 	"time"
 
+	"clash/internal/broker"
 	"clash/internal/core"
 	"clash/internal/query"
 	"clash/internal/stats"
+	"clash/internal/topology"
+	"clash/internal/tpch"
 	"clash/internal/tuple"
 )
 
@@ -22,16 +26,20 @@ import (
 // shape is multi-hop, and they lose its results there until ROADMAP
 // item 1(a) lands; a mir shape's plan must materialize a composite
 // store, and a split shape's must declare a split key, or it checks
-// nothing the others do not.
+// nothing the others do not. The tpch shape is the paper's Fig. 7
+// setting: its queries, catalog, shared topology and stream are
+// tpchFixture's, and its workload fields are unused.
 type exactShape struct {
 	name, workload            string
 	opts                      core.Options
 	est                       *stats.Estimates
 	window                    time.Duration
-	stream                    []Ingestion // nil: randomStream(n, keys, seed)
+	epoch                     time.Duration // the tiered row's epoch length in the stream's time unit (0: 64)
+	stream                    []Ingestion   // nil: randomStream(n, keys, seed)
 	n                         int
 	keys                      int64
 	seed                      uint64
+	tpch                      bool
 	twoWay, lossy, mir, split bool
 }
 
@@ -66,14 +74,23 @@ func resultDiff(want, got map[string]int) (missing, spurious int, examples []str
 	return missing, spurious, examples
 }
 
+// resultCount is the size of a result multiset.
+func resultCount(m map[string]int) (n int) {
+	for _, c := range m {
+		n += c
+	}
+	return n
+}
+
 // TestExactnessMatrix runs every shape on every substrate column and
 // state row (backendKinds) and compares each query's result multiset
-// with ReferenceJoin, computed once per shape. Every cell needs results
-// from every query; the mir shape needs a composite store in its plan,
-// the split-keys shape (on a skewed stream) a split key; the tiered row,
-// whose epoch length lets its hot budget bite, needs a demotion and a
-// probe answered from a cold epoch; a pinned lossy cell needs a missing
-// result and no spurious one.
+// with ReferenceJoin; both the topology and the oracle's results are
+// computed once per shape. Every cell needs results from every query;
+// the mir shape needs a composite store in its plan, the split-keys
+// shape (on a skewed stream) a split key; the tiered row, whose epoch
+// length lets its hot budget bite, needs a demotion and a probe answered
+// from a cold epoch; a pinned lossy cell needs a missing result and no
+// spurious one.
 func TestExactnessMatrix(t *testing.T) {
 	// A skewed chain stream: hot key 0 on both join attributes.
 	var skewed []Ingestion
@@ -105,6 +122,11 @@ func TestExactnessMatrix(t *testing.T) {
 			est: mirEst, window: 60, n: 320, keys: 5, seed: 33, mir: true},
 		{name: "split-keys", workload: "q1: R(a) S(a,b) T(b)", opts: core.Options{StoreParallelism: 3},
 			est: degreeEstimates([]string{"R", "S", "T"}, 100, 0, 0.6), window: 60, stream: skewed, split: true},
+		// The Fig. 7 stream spans one second of event time: at 500 ms
+		// the tiered row has three epochs and demotes and reads back
+		// the older ones over a thousand times a run. Its cells cost
+		// their cold reads: 0.25 s each here, 0.4 s at 64 ms epochs.
+		{name: "tpch", epoch: 500 * time.Millisecond, tpch: true},
 	}
 	seeds := 24
 	if testing.Short() {
@@ -131,13 +153,29 @@ func TestExactnessMatrix(t *testing.T) {
 		}
 
 		t.Run(s.name, func(t *testing.T) {
-			qs, cat, err := query.ParseWorkload(s.workload)
-			if err != nil {
-				t.Fatal(err)
-			}
+			var qs []*query.Query
+			var cat *query.Catalog
+			var topo *topology.Config
 			ins := s.stream
-			if ins == nil {
-				ins = randomStream(cat, s.n, s.keys, s.seed)
+			if s.tpch {
+				var records []broker.Record
+				qs = tpch.Fig7Queries()
+				cat, topo, records = tpchFixture(t, qs, 0.0002)
+				for _, r := range records {
+					ins = append(ins, Ingestion{Rel: r.Relation, TS: r.TS, Vals: r.Vals})
+				}
+			} else {
+				qs, cat, topo = compileWorkload(t, s.workload, s.opts, s.est)
+				if ins == nil {
+					ins = randomStream(cat, s.n, s.keys, s.seed)
+				}
+			}
+			composite, split := false, false
+			for _, st := range topo.Stores {
+				composite, split = composite || !st.Base(), split || len(st.SplitKeys) > 0
+			}
+			if s.mir && !composite || s.split && !split {
+				t.Fatalf("plan materializes an intermediate result: %v, declares a split key: %v — shape vacuous", composite, split)
 			}
 			want := map[string]map[string]int{}
 			for _, q := range qs {
@@ -150,18 +188,10 @@ func TestExactnessMatrix(t *testing.T) {
 							cfg := row.apply(col.cfg)
 							cfg.DefaultWindow = s.window
 							if row.hot > 0 {
-								cfg.EpochLength, cfg.StateSpillDir = 64, t.TempDir()
+								cfg.EpochLength, cfg.StateSpillDir = cmp.Or(s.epoch, 64), t.TempDir()
 							}
-							h := newHarness(t, s.workload, s.opts, s.est.Clone(), cfg)
+							h := installHarness(t, qs, cat, topo, cfg)
 							defer h.eng.Stop()
-							h.eng.cfg.StepMode = col.cfg.StepMode
-							composite, split := false, false
-							for _, st := range h.eng.ConfigFor(0).Stores {
-								composite, split = composite || !st.Base(), split || len(st.SplitKeys) > 0
-							}
-							if s.mir && !composite || s.split && !split {
-								t.Fatalf("plan materializes an intermediate result: %v, declares a split key: %v — shape vacuous", composite, split)
-							}
 							h.ingestAll(t, ins)
 							for _, q := range qs {
 								missing, spurious, ex := resultDiff(want[q.Name], h.sinks[q.Name].Results())

@@ -7,13 +7,15 @@ package runtime
 // false negative after any mutation, find equal to a filter-less scan;
 // TestProbeFilterSkipsEpochs drives a long window of many epochs through
 // every state configuration and pins what the filter may and may not
-// change: nothing a probe returns, most of what it visits.
+// change: nothing a probe returns (against ReferenceJoin), most of what
+// it visits.
 
 import (
 	"slices"
 	"testing"
 
 	"clash/internal/core"
+	"clash/internal/query"
 	"clash/internal/rng"
 	"clash/internal/tuple"
 )
@@ -147,8 +149,9 @@ func junkPool(r *rng.RNG, most int) *indexPool {
 // TestProbeFilterSkipsEpochs is the longstate-probe shape at small
 // scale: a two-way join over a window of 64 epochs, zipf keys, S:R 4:1,
 // on container, columnar and tiered. The filter
-// may remove only lookups that would have missed: results equal the
-// index-free oracle's in order and ProbeCandidates is the same on every
+// may remove only lookups that would have missed: every row's result
+// multiset equals ReferenceJoin's, every row delivers the container
+// row's results in its order, and ProbeCandidates is the same on every
 // row. And it must remove most of them: a model of each store's epochs
 // counts, per probe, the epochs in reach that hold no row under the
 // probe's key — ProbeFilterRejects may not exceed that count and must
@@ -199,8 +202,15 @@ func TestProbeFilterSkipsEpochs(t *testing.T) {
 		ts++
 		steps = append(steps, step{rel: "R", ts: ts, key: lateKey + j})
 	}
+	var ins []Ingestion // the stream's arrivals, for ReferenceJoin
+	for _, st := range steps {
+		if st.rel != "" {
+			ins = append(ins, Ingestion{Rel: st.rel, TS: st.ts, Vals: []tuple.Value{tuple.IntValue(st.key)}})
+		}
+	}
 	type outcome struct {
-		results []string
+		results []string     // in delivery order
+		sink    *CollectSink // the same results, as ReferenceJoin encodes them
 		m       Snapshot
 		empty   int64 // epochs in a probe's reach holding no row under its key
 		lookups int64 // epochs in a probe's reach
@@ -213,9 +223,10 @@ func TestProbeFilterSkipsEpochs(t *testing.T) {
 			core.Options{StoreParallelism: 1, DisablePartitioning: true},
 			flatEstimates([]string{"R", "S"}, 100), cfg)
 		defer h.eng.Stop()
-		var out outcome
+		out := outcome{sink: NewCollectSink()}
 		h.eng.OnResult("q1", func(tp *tuple.Tuple) {
 			out.results = append(out.results, tp.String())
+			out.sink.Add(tp)
 			if v, _ := tp.Get("R.a"); v.Int() >= lateKey {
 				out.late++
 			}
@@ -258,23 +269,30 @@ func TestProbeFilterSkipsEpochs(t *testing.T) {
 		return out
 	}
 
-	oracle := run(Config{legacyProbe: true})
-	if len(oracle.results) < window {
-		t.Fatalf("the index-free oracle produced %d results — test vacuous", len(oracle.results))
+	qs, cat, err := query.ParseWorkload("q1: R(a) S(a)")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Four late S rows, each probed once before the cut and once after.
-	if oracle.late != 8 {
-		t.Fatalf("%d oracle results carry a late key, want 8 — the late rows or the rows above the cut are not reachable", oracle.late)
+	want := ReferenceJoin(qs[0], cat, window, ins)
+	if n := resultCount(want); n < window {
+		t.Fatalf("ReferenceJoin produced %d results — test vacuous", n)
 	}
-	if oracle.m.ProbeFilterRejects != 0 {
-		t.Fatalf("the oracle consulted an index filter (%d rejects)", oracle.m.ProbeFilterRejects)
-	}
+	var first []string // the container row's results, in delivery order
 	var cands int64
 	for _, row := range backendKinds() {
 		t.Run(row.name, func(t *testing.T) {
 			got := run(row.apply(Config{StateSpillDir: t.TempDir()}))
-			if !slices.Equal(got.results, oracle.results) {
-				t.Fatalf("results differ from the index-free scan: %d vs %d", len(got.results), len(oracle.results))
+			if missing, spurious, ex := resultDiff(want, got.sink.Results()); missing+spurious > 0 {
+				t.Fatalf("%d results missing, %d spurious against ReferenceJoin: %v", missing, spurious, ex)
+			}
+			// Four late S rows, each probed once before the cut and once after.
+			if got.late != 8 {
+				t.Errorf("%d results carry a late key, want 8 — the late rows or the rows above the cut are not reachable", got.late)
+			}
+			if first == nil {
+				first = got.results
+			} else if !slices.Equal(got.results, first) {
+				t.Errorf("results delivered in another order than on the container row")
 			}
 			if cands == 0 {
 				cands = got.m.ProbeCandidates

@@ -6,15 +6,17 @@ package runtime
 // ratio on the paper's ten-query workload; TestCompositeIndexMatchesScan
 // drives a two-predicate rule — a three-valued attribute that sorts
 // first by name, a unique one that sorts second — through every state
-// configuration against the index-free oracle (task.probeLegacy).
+// configuration against ReferenceJoin, which uses no index.
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
 
 	"clash/internal/core"
+	"clash/internal/query"
 	"clash/internal/rng"
 	"clash/internal/tpch"
 	"clash/internal/tuple"
@@ -180,15 +182,64 @@ func matchedRows(e *Engine) (n int64) {
 	return n
 }
 
+// TestIndexHashCollisionsJoinNothing feeds every state row values that
+// share an index hash without being equal: colHash folds the kind into
+// the payload's top byte, so Int(k) and the Float whose bits are
+// k ^ 3<<56 land in one chain. A probe is handed the colliding rows, and
+// only the predicate check after the chain walk keeps them out of the
+// results: every row must match ReferenceJoin's multiset exactly.
+func TestIndexHashCollisionsJoinNothing(t *testing.T) {
+	collide := func(k int64) tuple.Value {
+		return tuple.FloatValue(math.Float64frombits(uint64(k) ^ 3<<56))
+	}
+	if colHash(tuple.IntValue(7)) != colHash(collide(7)) || tuple.IntValue(7) == collide(7) {
+		t.Fatal("the crafted values do not collide — test vacuous")
+	}
+	var ins []Ingestion
+	for i := range 120 {
+		k := int64(i % 10)
+		ins = append(ins,
+			Ingestion{Rel: "S", TS: tuple.Time(3*i + 1), Vals: []tuple.Value{tuple.IntValue(k)}},
+			Ingestion{Rel: "R", TS: tuple.Time(3*i + 2), Vals: []tuple.Value{collide(k)}})
+		if i%4 == 3 {
+			ins = append(ins, Ingestion{Rel: "R", TS: tuple.Time(3*i + 3), Vals: []tuple.Value{tuple.IntValue(k)}})
+		}
+	}
+	qs, cat, err := query.ParseWorkload("q1: R(a) S(a)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ReferenceJoin(qs[0], cat, 0, ins)
+	for _, row := range backendKinds() {
+		t.Run(row.name, func(t *testing.T) {
+			h := newHarness(t, "q1: R(a) S(a)",
+				core.Options{StoreParallelism: 1, DisablePartitioning: true},
+				flatEstimates([]string{"R", "S"}, 100),
+				row.apply(Config{Substrate: SubstrateSynchronous, EpochLength: 32, StateSpillDir: t.TempDir()}))
+			defer h.eng.Stop()
+			h.ingestAll(t, ins)
+			got := h.sinks["q1"].Results()
+			if missing, spurious, ex := resultDiff(want, got); missing+spurious > 0 {
+				t.Errorf("%d results missing, %d spurious against ReferenceJoin: %v", missing, spurious, ex)
+			}
+			m := h.eng.Metrics().Snapshot()
+			if m.Results == 0 || m.ProbeCandidates < 2*m.Results {
+				t.Errorf("%d candidates for %d results: the colliding rows never reached the predicate check — test vacuous", m.ProbeCandidates, m.Results)
+			}
+		})
+	}
+}
+
 // TestCompositeIndexMatchesScan joins R(a,k) with S(a,k) on both
 // attributes: a takes three values and sorts first by name — the
 // predicate a first-predicate index would key on, handing every probe a
 // third of the store — and k is unique. Container, columnar, and
-// columnar under a forcing hot budget must deliver the index-free
-// oracle's results in the oracle's order while no probe is handed more
-// than two candidates. The stream covers the places the composite key
-// has to survive on the spill tier: filters on cold stubs, a late
-// insert into a demoted epoch, and a prune cut inside a cold epoch.
+// columnar under a forcing hot budget must deliver ReferenceJoin's
+// result multiset, each in the container row's order, while no probe is
+// handed more than two candidates. The stream covers the places the
+// composite key has to survive on the spill tier: filters on cold stubs,
+// a late insert into a demoted epoch, and a prune cut inside a cold
+// epoch.
 func TestCompositeIndexMatchesScan(t *testing.T) {
 	const window, epochLen = 200, 16
 	type step struct {
@@ -237,8 +288,15 @@ func TestCompositeIndexMatchesScan(t *testing.T) {
 		steps = append(steps, step{rel: "R", ts: ts, a: j % 3, k: 9000 + j})
 	}
 
+	var ins []Ingestion // the stream's arrivals, for ReferenceJoin
+	for _, st := range steps {
+		if st.rel != "" {
+			ins = append(ins, Ingestion{Rel: st.rel, TS: st.ts, Vals: []tuple.Value{tuple.IntValue(st.a), tuple.IntValue(st.k)}})
+		}
+	}
 	type outcome struct {
-		results   []string
+		results   []string        // in delivery order
+		sink      *CollectSink    // the same results, as ReferenceJoin encodes them
 		worst     int64           // most candidates any one input's probes were handed
 		coldKeys  map[string]bool // index-key ids of the filters seen on cold stubs
 		lateCold  bool            // a late S row landed in a demoted epoch
@@ -252,8 +310,11 @@ func TestCompositeIndexMatchesScan(t *testing.T) {
 			core.Options{StoreParallelism: 1, DisablePartitioning: true},
 			flatEstimates([]string{"R", "S"}, 100), cfg)
 		defer h.eng.Stop()
-		out := outcome{coldKeys: map[string]bool{}}
-		h.eng.OnResult("q1", func(tp *tuple.Tuple) { out.results = append(out.results, tp.String()) })
+		out := outcome{sink: NewCollectSink(), coldKeys: map[string]bool{}}
+		h.eng.OnResult("q1", func(tp *tuple.Tuple) {
+			out.results = append(out.results, tp.String())
+			out.sink.Add(tp)
+		})
 		cold := func(visit func(s *colSegment)) {
 			for tk := range h.eng.liveTasks() {
 				if tk.tier == nil {
@@ -295,27 +356,35 @@ func TestCompositeIndexMatchesScan(t *testing.T) {
 		return out
 	}
 
-	oracle := run(Config{legacyProbe: true})
-	if len(oracle.results) < 200 {
-		t.Fatalf("the index-free oracle produced %d results — test vacuous", len(oracle.results))
+	qs, cat, err := query.ParseWorkload("q1: R(a,k) S(a,k)")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if oracle.m.ProbeCandidates != 0 {
-		t.Fatalf("the oracle consulted an index (%d candidates)", oracle.m.ProbeCandidates)
+	want := ReferenceJoin(qs[0], cat, window, ins)
+	n := resultCount(want)
+	if n < 200 {
+		t.Fatalf("ReferenceJoin produced %d results — test vacuous", n)
 	}
+	var first []string // the container row's results, in delivery order
 	for _, row := range backendKinds() {
 		t.Run(row.name, func(t *testing.T) {
 			got := run(row.apply(Config{StateSpillDir: t.TempDir()}))
-			if !slices.Equal(got.results, oracle.results) {
-				t.Errorf("results differ from the index-free scan: %d vs %d\n got: %s\nwant: %s",
-					len(got.results), len(oracle.results), strings.Join(got.results, " "), strings.Join(oracle.results, " "))
+			if missing, spurious, ex := resultDiff(want, got.sink.Results()); missing+spurious > 0 {
+				t.Errorf("%d results missing, %d spurious against ReferenceJoin: %v", missing, spurious, ex)
+			}
+			if first == nil {
+				first = got.results
+			} else if !slices.Equal(got.results, first) {
+				t.Errorf("results delivered in another order than on the container row:\n got: %s\nwant: %s",
+					strings.Join(got.results, " "), strings.Join(first, " "))
 			}
 			t.Logf("%d candidates for %d matched rows, at most %d per input", got.m.ProbeCandidates, got.matched, got.worst)
 			if got.worst > 2 {
 				t.Errorf("one input's probes were handed %d candidates, want ≤ 2: the index is not keyed by both attributes", got.worst)
 			}
-			if got.m.ProbeCandidates < got.matched || got.matched != int64(len(oracle.results)) {
+			if got.m.ProbeCandidates < got.matched || got.matched != int64(n) {
 				t.Errorf("%d candidates, %d matches, %d oracle results: every result is one match, every match one candidate",
-					got.m.ProbeCandidates, got.matched, len(oracle.results))
+					got.m.ProbeCandidates, got.matched, n)
 			}
 			if row.hot == 0 {
 				return

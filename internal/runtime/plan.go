@@ -123,8 +123,9 @@ type rulePlan struct {
 	keyPred  []int
 	out      []emitStep
 	sinkOnly bool // every emission a sink: results die with their probe batch
-	// rule keeps the uncompiled form for the legacy string-resolved
-	// probe path (differential testing, see task.probeLegacy).
+	// rule is the topology rule the plan was compiled from: an install
+	// keeps the plan for a rule with the same predicates (Engine.kept),
+	// and runs finds it under the rule's edge.
 	rule *topology.Rule
 }
 
@@ -369,7 +370,7 @@ type planState struct {
 
 // probePos resolves the probe-side predicate columns for the schema,
 // returning nil when any probe attribute is missing (no tuple of this
-// schema can match — the legacy path produced zero results there too).
+// schema can match).
 func (st *planState) probePos(s *tuple.Schema, rp *rulePlan) []int {
 	if s == st.lastProbe {
 		return st.lastPPos

@@ -1,16 +1,12 @@
 package runtime
 
-// Tests for the compiled probe-plan layer: differential equivalence
-// against the legacy string-resolved probe path, and allocation
-// regression guards on the hot path.
+// Tests for the compiled probe-plan layer: allocation regression guards
+// on the hot path. Its exactness is TestExactnessMatrix's.
 
 import (
-	"fmt"
 	"math"
 	stdruntime "runtime"
-	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"clash/internal/broker"
@@ -20,38 +16,6 @@ import (
 	"clash/internal/tpch"
 	"clash/internal/tuple"
 )
-
-// runWorkload executes the topology over the records and returns, per
-// query, the sorted rendered results. Sinks collect under a mutex: on
-// the asynchronous substrates callbacks run on task goroutines.
-func runWorkload(t *testing.T, cfg Config, topo *topology.Config, queries []*query.Query, records []broker.Record) map[string][]string {
-	t.Helper()
-	eng := New(cfg)
-	if err := eng.Install(topo, 0); err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Stop()
-	var mu sync.Mutex
-	out := map[string][]string{}
-	for _, q := range queries {
-		name := q.Name
-		eng.OnResult(name, func(tp *tuple.Tuple) {
-			mu.Lock()
-			out[name] = append(out[name], tp.String())
-			mu.Unlock()
-		})
-	}
-	for _, r := range records {
-		if err := eng.Ingest(r.Relation, r.TS, r.Vals...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng.Drain()
-	for _, rs := range out {
-		sort.Strings(rs)
-	}
-	return out
-}
 
 // tpchFixture is the Fig. 7 setting in small (tpch.NewFixture): the
 // TPC-H stream the queries read at the given scale factor, and their
@@ -69,98 +33,6 @@ func tpchFixture(t *testing.T, queries []*query.Query, sf float64) (*query.Catal
 		t.Fatal(err)
 	}
 	return fx.Catalog, topo, fx.Records
-}
-
-// TestCompiledPlanEquivalenceTPCH asserts the compiled probe path
-// produces byte-identical join results to the legacy string-resolved
-// path — an index-free scan of every stored tuple (task.probeLegacy) —
-// on the TPC-H multi-query workload (the Fig. 7 setting) — and
-// that the result bytes are identical on every execution substrate
-// (synchronous, flow-controlled, simulated) and on
-// both state backends (container, columnar): same topology, same
-// records, engines differing only in probe implementation, in
-// scheduling/flow-control layer, or in store layout (DESIGN.md §3,
-// §8, §10).
-func TestCompiledPlanEquivalenceTPCH(t *testing.T) {
-	queries := tpch.Fig7Queries()
-	cat, topo, records := tpchFixture(t, queries, 0.0005)
-
-	legacy := runWorkload(t, Config{Catalog: cat, Substrate: SubstrateSynchronous, legacyProbe: true}, topo, queries, records)
-	substrates := map[string]Config{
-		"synchronous": {Catalog: cat, Substrate: SubstrateSynchronous},
-		"flow":        {Catalog: cat, Substrate: SubstrateFlow, StepMode: true, Flow: FlowConfig{MailboxCredits: 64}},
-		"sim":         {Catalog: cat, Substrate: SubstrateSim, StepMode: true, Sim: SimConfig{Seed: 7}},
-	}
-	for subName, base := range substrates {
-		for _, row := range backendKinds() {
-			name := fmt.Sprintf("compiled-%s-%s", subName, row)
-			cfg := row.apply(base)
-			if row.hot > 0 {
-				// The tight hot budget makes most probes read through
-				// to cold epochs — the point of the arm, but an order
-				// of magnitude slower under the race detector, so the
-				// -short race run trims it (tiering is single-task
-				// work; its concurrency surface is covered by the
-				// spill-tier Stop/Close and checkpoint tests).
-				if testing.Short() {
-					continue
-				}
-				cfg.EpochLength = 48
-			}
-			compiled := runWorkload(t, cfg, topo, queries, records)
-			for _, q := range queries {
-				c, l := compiled[q.Name], legacy[q.Name]
-				if len(c) != len(l) {
-					t.Fatalf("%s/%s: compiled %d results, legacy %d", name, q.Name, len(c), len(l))
-				}
-				for i := range c {
-					if c[i] != l[i] {
-						t.Fatalf("%s/%s: result %d differs:\ncompiled: %s\nlegacy:   %s", name, q.Name, i, c[i], l[i])
-					}
-				}
-				if len(c) == 0 {
-					t.Errorf("%s/%s: zero results — equivalence vacuous", name, q.Name)
-				}
-			}
-		}
-	}
-}
-
-// TestCompiledPlanEquivalenceWindowed covers the windowed, partitioned,
-// multi-query case (shared S–T step, per-relation τ window checks).
-func TestCompiledPlanEquivalenceWindowed(t *testing.T) {
-	workload := "q1: R(a) S(a,b) T(b)\nq2: S(b) T(b,c) U(c)"
-	qs, cat, err := query.ParseWorkload(workload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est := flatEstimates([]string{"R", "S", "T", "U"}, 100)
-	plan, err := core.NewOptimizer(core.Options{StoreParallelism: 3}).Optimize(qs, est)
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo, err := core.Compile([]*core.Plan{plan}, core.CompileOptions{Shared: true, Parallelism: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ins := randomStream(cat, 400, 5, 13)
-	records := make([]broker.Record, len(ins))
-	for i, in := range ins {
-		records[i] = broker.Record{Relation: in.Rel, TS: in.TS, Vals: in.Vals}
-	}
-	cfg := Config{Catalog: cat, Substrate: SubstrateSynchronous, DefaultWindow: 40}
-	compiled := runWorkload(t, cfg, topo, qs, records)
-	cfg.legacyProbe = true
-	legacy := runWorkload(t, cfg, topo, qs, records)
-	for _, q := range qs {
-		if fmt.Sprint(compiled[q.Name]) != fmt.Sprint(legacy[q.Name]) {
-			t.Errorf("%s: compiled and legacy paths diverge (%d vs %d results)",
-				q.Name, len(compiled[q.Name]), len(legacy[q.Name]))
-		}
-		if len(compiled[q.Name]) == 0 {
-			t.Errorf("%s: zero results — equivalence vacuous", q.Name)
-		}
-	}
 }
 
 // probeFixture builds a synchronous join engine on the given state
@@ -258,8 +130,8 @@ func allocsPerRun(runs int, f func()) (objects, bytes float64) {
 // TestProbeAllocs pins the allocation budget of the compiled probe
 // path. A sink-only plan joining and delivering 8 results allocates
 // nothing once warm: its results come from the probe batch's arena,
-// rewound when the batch returns (the legacy path cost 2+ allocations
-// per result). A plan that forwards its 8 results to the next hop
+// rewound when the batch returns (a tuple per result cost 2+
+// allocations before it). A plan that forwards its 8 results to the next hop
 // carves them from the task's arena and copies the batch into the
 // outgoing message: ≤ 1 object per probe as AllocsPerRun rounds it.
 func TestProbeAllocs(t *testing.T) {

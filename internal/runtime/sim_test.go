@@ -2,12 +2,12 @@ package runtime
 
 // Tests for the deterministic simulation substrate (sim.go, DESIGN.md
 // §9): same-seed runs reproduce byte-identical results AND identical
-// schedule traces; different seeds explore different interleavings; the
-// seeded schedules stay exact against the legacy-sync differential
-// oracle on the TPC-H multi-query workload of Fig. 7 (the seed sweep
-// against ReferenceJoin is a column of TestExactnessMatrix); virtual time drives the latency/lag metrics; and
-// fault injection (task stalls, credit starvation) perturbs the
-// schedule without perturbing the answer.
+// schedule traces; different seeds explore different interleavings (the
+// seed sweep against ReferenceJoin, the TPC-H multi-query workload of
+// Fig. 7 included, is a column of TestExactnessMatrix); virtual time
+// drives the latency/lag metrics; and fault injection (task stalls,
+// credit starvation) perturbs the schedule without perturbing the
+// answer.
 
 import (
 	"fmt"
@@ -16,7 +16,6 @@ import (
 
 	"clash/internal/core"
 	"clash/internal/query"
-	"clash/internal/tpch"
 	"clash/internal/tuple"
 )
 
@@ -118,64 +117,6 @@ func TestSimSeedsExploreSchedules(t *testing.T) {
 	}
 	if !distinct {
 		t.Error("four different seeds produced the identical schedule — the scheduler is not seed-driven")
-	}
-}
-
-// TestSimScheduleEquivalenceTPCH is the seed-matrix oracle: the
-// simulation substrate's results are byte-compared against the legacy
-// string-resolved probe path on the synchronous substrate (the
-// differential oracle of PR 1) across ≥64 seeds, and a same-seed rerun
-// must reproduce the identical schedule trace. One optimized topology,
-// one record stream, 64 interleavings, zero tolerance.
-func TestSimScheduleEquivalenceTPCH(t *testing.T) {
-	seeds := 64
-	if testing.Short() {
-		seeds = 8
-	}
-	queries := tpch.Fig7Queries()
-	cat, topo, records := tpchFixture(t, queries, 0.0002)
-
-	legacy := runWorkload(t, Config{Catalog: cat, Substrate: SubstrateSynchronous, legacyProbe: true}, topo, queries, records)
-	nonEmpty := 0
-	for _, rs := range legacy {
-		if len(rs) > 0 {
-			nonEmpty++
-		}
-	}
-	if nonEmpty == 0 {
-		t.Fatal("legacy oracle produced no results — equivalence vacuous")
-	}
-
-	runTraced := func(seed uint64) (map[string][]string, []SimEvent) {
-		var trace []SimEvent
-		cfg := Config{Catalog: cat, Substrate: SubstrateSim, StepMode: true,
-			Sim: SimConfig{Seed: seed, OnEvent: func(ev SimEvent) { trace = append(trace, ev) }}}
-		return runWorkload(t, cfg, topo, queries, records), trace
-	}
-
-	for seed := 1; seed <= seeds; seed++ {
-		sim, trace := runTraced(uint64(seed))
-		for _, q := range queries {
-			s, l := sim[q.Name], legacy[q.Name]
-			if len(s) != len(l) {
-				t.Fatalf("seed %d/%s: sim %d results, legacy oracle %d", seed, q.Name, len(s), len(l))
-			}
-			for i := range s {
-				if s[i] != l[i] {
-					t.Fatalf("seed %d/%s: result %d differs:\nsim:    %s\nlegacy: %s", seed, q.Name, i, s[i], l[i])
-				}
-			}
-		}
-		// Same-seed rerun: the schedule trace must replay exactly.
-		if seed == 1 || seed == seeds {
-			_, replay := runTraced(uint64(seed))
-			if i := simTraceEqual(trace, replay); i >= 0 {
-				t.Fatalf("seed %d: rerun trace diverges at step %d", seed, i)
-			}
-			if len(trace) == 0 {
-				t.Fatalf("seed %d: empty schedule trace", seed)
-			}
-		}
 	}
 }
 

@@ -97,11 +97,22 @@ func probeAll(b stateBackend, cut int64) (string, int64) {
 	return strings.Join(out, "\n"), idx
 }
 
+// segmentRows returns the segment's rows as tuples, in storage order, as
+// a checkpoint record carries them: encoded and decoded by the state
+// codec.
+func segmentRows(sg Segment) []*tuple.Tuple {
+	rec, err := DecodeStateRecord(AppendStateRecord(nil, &StateRecord{Segs: []Segment{sg}}))
+	if err != nil {
+		panic(err)
+	}
+	return rec.Segs[0].Tuples
+}
+
 // forEachRow visits the epoch's rows as the checkpoint walk reads them.
 func forEachRow(b stateBackend, ep int64, fn func(tp *tuple.Tuple, seq uint64)) {
 	sg := b.segment(ep, nil)
-	for i, seq := range sg.Seqs {
-		fn(sg.Row(i), seq)
+	for i, tp := range segmentRows(sg) {
+		fn(tp, sg.Seqs[i])
 	}
 }
 

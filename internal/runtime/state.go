@@ -22,8 +22,9 @@ package runtime
 // posting lists, one per index key — the sorted list of ALL stored
 // attributes of a probing rule (plan.go's indexKey), so a probe walks
 // the chain of its whole key, never the chain of its least selective
-// attribute. What is differenced against an index-free scan is the
-// kernel itself: task.probeLegacy walks every segment.
+// attribute. What checks the kernel is ReferenceJoin (oracle.go), which
+// knows no index: TestExactnessMatrix and the index and filter tests
+// compare every state row's results with it.
 //
 // Memory accounting contract: every mutating operation returns the
 // change in resident bytes (tuple payloads plus structural overhead
@@ -123,7 +124,7 @@ type stateBackend interface {
 	// epochLen is the number of tuples resident in the epoch.
 	epochLen(epoch int64) int
 	// segment returns the epoch's rows in storage order, without its key
-	// (cold path: the checkpoint walk, and the legacy oracle's scan);
+	// (cold path: the checkpoint walk);
 	// with dst, copied into dst (a checkpoint cut).
 	segment(epoch int64, dst *SegmentBuf) Segment
 	// dropOldest sheds the oldest epoch entirely — the eviction step.

@@ -40,11 +40,7 @@ func hotEpochs(b stateBackend) (eps []hotEpoch) {
 			if s.cold {
 				continue
 			}
-			ep := hotEpoch{indices: s.indices}
-			for row := range s.seqs {
-				ep.rows = append(ep.rows, s.materialize(row))
-			}
-			eps = append(eps, ep)
+			eps = append(eps, hotEpoch{indices: s.indices, rows: segmentRows(s.view())})
 		}
 	}
 	return eps
@@ -204,8 +200,7 @@ func TestStoreFilterCoversHotRows(t *testing.T) {
 				if len(eps) == 0 {
 					continue
 				}
-				sg := tk.state.segment(eps[0], nil)
-				sc := sg.Row(0).Schema
+				sc := segmentRows(tk.state.segment(eps[0], nil))[0].Schema
 				for _, ep := range []int64{eps[0], eps[len(eps)-1], eps[len(eps)-1] + 1} {
 					var tps []*tuple.Tuple
 					var seqs []uint64

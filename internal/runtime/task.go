@@ -228,13 +228,7 @@ func (t *task) handle(msg *message) {
 				t.insertTuples.Add(int64(n))
 			}
 		case topology.ProbeRule:
-			if t.e.cfg.legacyProbe {
-				for _, tp := range msg.batch {
-					t.probeLegacy(tp, msg, rp)
-				}
-			} else {
-				t.probeBatched(msg, rp, t.stateFor(rp))
-			}
+			t.probeBatched(msg, rp, t.stateFor(rp))
 			if measure && n > 0 {
 				t.probeNanos.Add(t.e.now() - start)
 				t.probeTuples.Add(int64(n))
@@ -439,82 +433,6 @@ func (t *task) windowOK(probe, stored *tuple.Tuple, sh *storedShape) bool {
 			continue
 		}
 		if int64(probe.TS)-stored.At(pos).Int() > t.wins[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// probeLegacy is the pre-compilation probe path and the oracle that
-// shares nothing with the index kernel: predicates are re-resolved per
-// tuple through string-keyed schema lookups and evaluated against EVERY
-// stored tuple of every resident epoch (segment: epoch-ascending,
-// insertion order — the order the indexed scans must reproduce), with no
-// index and no window cutoff. It is the differential-testing baseline
-// for the compiled path (engine Config.legacyProbe) and must not be used
-// on the hot path.
-func (t *task) probeLegacy(tp *tuple.Tuple, msg *message, rp *rulePlan) {
-	rule := rp.rule
-	if len(rule.Preds) == 0 || t.storedCount.Load() == 0 {
-		return
-	}
-	inStore := map[string]bool{}
-	for _, r := range t.store.Rels {
-		inStore[r] = true
-	}
-	type legacyPred struct {
-		stored string
-		v      tuple.Value // the probe's side, resolved once
-	}
-	pps := make([]legacyPred, 0, len(rule.Preds))
-	for _, p := range rule.Preds {
-		stored, probe := p.Left, p.Right
-		if !inStore[p.Left.Rel] {
-			stored, probe = p.Right, p.Left
-		}
-		v, ok := tp.Get(probe.Qualified())
-		if !ok {
-			return
-		}
-		pps = append(pps, legacyPred{stored: stored.Qualified(), v: v})
-	}
-	var results []*tuple.Tuple
-	for _, ep := range t.state.epochs() {
-		sg := t.state.segment(ep, nil)
-	rows:
-		for i, seq := range sg.Seqs {
-			if seq >= msg.seq {
-				continue // only earlier-arrived tuples are join partners
-			}
-			en := sg.Row(i)
-			for _, pp := range pps {
-				if sv, ok := en.Get(pp.stored); !ok || sv != pp.v {
-					continue rows
-				}
-			}
-			if t.withinWindowsLegacy(tp, en) {
-				results = append(results, t.join(tp, en))
-			}
-		}
-	}
-	if len(results) != 0 {
-		t.forward(rp.out, msg, results)
-	}
-}
-
-// withinWindowsLegacy is the string-resolved window check of the legacy
-// probe path.
-func (t *task) withinWindowsLegacy(probe, stored *tuple.Tuple) bool {
-	for _, rel := range t.store.Rels {
-		w := t.e.window(rel)
-		if w <= 0 {
-			continue
-		}
-		tau, ok := stored.Get(rel + "." + tuple.EventTime)
-		if !ok {
-			continue
-		}
-		if int64(probe.TS)-tau.Int() > int64(w) {
 			return false
 		}
 	}

@@ -4,7 +4,7 @@ package sim
 // up. N simulated engines run behind the cluster front door (routing +
 // admission), each under its own seeded schedule, and the merged result
 // stream is byte-compared against a single synchronous engine fed the
-// identical stream — the legacy oracle. Exactness across shard counts
+// identical stream — the single-engine oracle. Exactness across shard counts
 // is the cluster's core claim: hash-partitioning by join key plus
 // broadcast of unkeyed relations makes every result materialize on
 // exactly one shard (or on the owning shard for fully-broadcast
@@ -102,7 +102,7 @@ func (cs *ClusterScenario) RunCluster() (*ClusterResult, error) {
 	}
 	res.Metrics = cl.Metrics()
 
-	// Single-engine legacy oracle: one synchronous engine, same
+	// Single-engine oracle: one synchronous engine, same
 	// topology, same stream — only valid when admission dropped nothing
 	// (the oracle has no front door).
 	if res.Metrics.AdmissionDrops == 0 {
