@@ -19,7 +19,9 @@
 // tiered run must reproduce its result count and checksum exactly,
 // because demotion moves bytes, not meaning (the CI sweep holds the
 // stronger property — byte-identical results and traces across all
-// three state configurations).
+// three state configurations). The tiered arm must also survive, demote
+// and answer probes from cold epochs, or the walkthrough exits non-zero;
+// the other two arms die by design.
 //
 //	go run ./examples/tiered-state
 package main
@@ -45,17 +47,22 @@ func main() {
 		tuples, budget>>10)
 
 	// Ground truth: no budget, everything resident.
-	refResults, refSum, _ := run("reference (no budget)", clash.Config{})
+	refResults, refSum, _, _ := run("reference (no budget)", clash.Config{})
 
 	for _, arm := range []struct {
-		name string
-		cfg  clash.Config
+		name   string
+		cfg    clash.Config
+		tiered bool
 	}{
-		{"container @ budget   ", clash.Config{MemoryLimitBytes: budget}},
-		{"columnar  @ budget   ", clash.Config{StateBackend: clash.BackendColumnar, MemoryLimitBytes: budget}},
-		{"tiered    @ hot budget", clash.Config{StateBackend: clash.BackendColumnar, StateHotBytes: budget}},
+		{"container @ budget   ", clash.Config{MemoryLimitBytes: budget}, false},
+		{"columnar  @ budget   ", clash.Config{StateBackend: clash.BackendColumnar, MemoryLimitBytes: budget}, false},
+		{"tiered    @ hot budget", clash.Config{StateBackend: clash.BackendColumnar, StateHotBytes: budget}, true},
 	} {
-		results, sum, died := run(arm.name, arm.cfg)
+		results, sum, died, m := run(arm.name, arm.cfg)
+		if arm.tiered && (died || results == 0 || m.DemotedEpochs == 0 || m.ColdProbeHits == 0) {
+			log.Fatalf("%s did not hold the window on its tier: died=%v, %d results, %d epochs demoted, %d probes answered cold",
+				arm.name, died, results, m.DemotedEpochs, m.ColdProbeHits)
+		}
 		if died || results == 0 {
 			continue
 		}
@@ -68,10 +75,10 @@ func main() {
 	}
 }
 
-// run ingests the stream and reports (results, checksum, died). The
-// checksum folds every result's join key so a lost or duplicated
-// result cannot hide behind a matching count.
-func run(name string, cfg clash.Config) (int64, int64, bool) {
+// run ingests the stream and reports (results, checksum, died, the
+// engine's metrics). The checksum folds every result's join key so a
+// lost or duplicated result cannot hide behind a matching count.
+func run(name string, cfg clash.Config) (int64, int64, bool, clash.MetricsSnapshot) {
 	cfg.Workload = "q1: R(a) S(a)"
 	cfg.EpochLength = epoch
 	cfg.Substrate = clash.SubstrateFlow
@@ -120,5 +127,5 @@ func run(name string, cfg clash.Config) (int64, int64, bool) {
 	if died >= 0 {
 		fmt.Println()
 	}
-	return results.Load(), sum.Load(), died >= 0
+	return results.Load(), sum.Load(), died >= 0, m
 }

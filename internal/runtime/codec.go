@@ -378,8 +378,9 @@ func DecodeStateRecord(b []byte) (*StateRecord, error) {
 // appendSpill encodes one epoch for the spill tier, straight from its
 // columns: the epoch, its row count, a schema table, and the entries in
 // storage order — the order every backend's segment walk and probe
-// chains are defined over, so a demote/promote round trip is
-// byte-invisible to probes, checkpoints, and results.
+// chains are defined over, so a demotion, and the read-throughs and
+// promotion that decode it, are byte-invisible to probes, checkpoints,
+// and results.
 func appendSpill(buf []byte, s *colSegment) []byte {
 	sg := s.view()
 	var tab schemaTable

@@ -12,7 +12,7 @@ package runtime
 // it compares beside the row id instead of chasing a *tuple.Tuple to its
 // values. A tuple is built only for a row that matched (carved from an
 // arena as part of the join result, batchprobe.go) and on the decode side
-// (restore, recovery, promotion, which insert tuples). Both backends
+// (restore, recovery, a spill read, which insert tuples). Both backends
 // hang the same index kernel off their rows: colIndex (this file), an
 // open-addressed uint64-hash table whose posting lists are int32 chains
 // threaded through a single flat array, keyed by ALL stored attributes
@@ -52,11 +52,13 @@ package runtime
 // Spill tier: every ring slot is wholly hot (the columns above) or
 // wholly cold (a coldStub locating the epoch's frame in the task's
 // spill file and holding the key filters the epoch's indices had,
-// spill.go). Demotion and promotion flip a slot in place,
-// so ring order — and with it candidate order, checkpoint walks, and
-// everything downstream — never depends on where an epoch lives. The
-// task demotes only under a hot budget (Config.StateHotBytes); without
-// one every slot stays hot and no spill file is ever created.
+// spill.go). Demotion and promotion flip a slot in place, so ring
+// order — and with it candidate order, checkpoint walks, and everything
+// downstream — never depends on where an epoch lives. A probe reads a
+// cold slot through a transient decode and leaves it cold; only a row
+// into the epoch or a prune cut inside it promotes the slot. The task
+// demotes only under a hot budget (Config.StateHotBytes); without one
+// every slot stays hot and no spill file is ever created.
 
 import (
 	"math"
@@ -549,13 +551,8 @@ type colSegment struct {
 	maxTS    int64
 	indices  indexSet
 
-	// stub locates the epoch's frame in the spill file. It is set while
-	// the slot is cold, and stays on a promoted slot for as long as the
-	// frame is byte-valid — until an insert or a compaction changes the
-	// epoch — so re-demoting an unchanged epoch revives the frame
-	// instead of rewriting it. Without that, a probe/promote/demote
-	// cycle under a tight hot budget appends identical bytes on every
-	// swing and the spill file grows without bound.
+	// stub locates the epoch's frame in the spill file. It is set
+	// exactly while the slot is cold: a hot slot holds none.
 	stub *coldStub
 	cold bool
 }
@@ -857,7 +854,6 @@ type columnarState struct {
 
 	store   spillStore   // lazy: no file until the first demotion
 	spilled atomic.Int64 // live on-disk payload bytes of this task
-	pending int          // cold slots holding a read-through decode
 	// probed is every index key ever probed on this task, each with its
 	// store filter over the hot rows: every hot segment holds an index
 	// under each of them, and a demoted epoch's stub takes their filters.
@@ -903,7 +899,6 @@ func (c *columnarState) insert(tp *tuple.Tuple, seq uint64, epoch int64) (delta,
 		}
 	}
 	s.add(tp, seq)
-	s.stub = nil // a spilled frame of this epoch no longer matches
 	idx := s.idxResident()
 	return s.rowBytes() + idx - before + filters, idx - idxBefore + filters
 }
@@ -917,9 +912,9 @@ func (c *columnarState) newSegment(ep int64) *colSegment {
 }
 
 // recycle takes back the arrays of a hot segment whose rows leave
-// memory: its indices go to the pool, and its column arrays become the
-// spare when they are larger than the spare's. The segment must not be
-// read again.
+// memory, or of a read-through decode after its scan: its indices go to
+// the pool, and its column arrays become the spare when they are larger
+// than the spare's. The segment must not be read again.
 func (c *columnarState) recycle(s *colSegment) {
 	if s.cold {
 		return
@@ -979,7 +974,8 @@ func (c *columnarState) retain(cur, prev []int32) (idxDelta int64) {
 // costs one filter word per probe and no chain walk. A surviving hot
 // slot runs the segment's batch chain walk directly; a surviving cold
 // slot is read through from the spill file and walked the same way —
-// candidate order does not depend on where an epoch lives. The result
+// candidate order does not depend on where an epoch lives — and the
+// decode is dropped after its scan, so the slot stays cold. The result
 // log comes out segment-major; probeBatch.group restores the
 // probe-major order the forward path needs.
 func (c *columnarState) probeScanBatch(key *indexKey, pb *probeBatch) (idxDelta int64) {
@@ -1004,14 +1000,17 @@ func (c *columnarState) probeScanBatch(key *indexKey, pb *probeBatch) (idxDelta 
 		if !s.admitsAny(pb, pb.cuts, bl) {
 			continue
 		}
-		ls := c.load(s, true)
+		ls := c.load(s)
 		if ls == nil {
 			continue // engine already failing
 		}
-		// An index built on the decoded segment is charged with the
-		// slot's promotion (full resident cost, indices included).
+		// The decode and its index are uncharged and live only for the
+		// scan, which copies every result cell out of the columns
+		// (evalRows): recycle hands the index back to the pool and the
+		// columns to the spare.
 		ix, _ := ls.indexFor(key, &c.pool)
 		hits, misses := ls.scanBatch(ix, pb, pb.cuts, bl)
+		c.recycle(ls)
 		c.m.coldProbeHits.Add(hits)
 		c.m.coldProbeMisses.Add(misses)
 	}
@@ -1045,10 +1044,7 @@ func (c *columnarState) prune(cut tuple.Time) (removed int, delta, idxDelta int6
 		if s.cold {
 			c.promote(s)
 		}
-		if r := s.compact(w); r > 0 {
-			removed += r
-			s.stub = nil
-		}
+		removed += s.compact(w)
 		if len(s.seqs) == 0 {
 			delta -= before
 			idxDelta -= idxBefore
@@ -1081,15 +1077,14 @@ func (c *columnarState) epochLen(epoch int64) int {
 }
 
 // segment reads the epoch in place off its columns, or copies them into
-// dst; a cold epoch through a transient decode that is NOT kept for
-// promotion: checkpoint walks are read-only and must not churn the
-// tiers. A spill read failure fails the engine and yields no rows — the
+// dst; a cold epoch through a transient decode, and the slot stays
+// cold. A spill read failure fails the engine and yields no rows — the
 // checkpointer's caller sees the failure, not a short snapshot
 // presented as complete.
 func (c *columnarState) segment(epoch int64, dst *SegmentBuf) Segment {
 	s := c.ring.get(epoch)
 	if s != nil && s.cold {
-		s = c.load(s, false)
+		s = c.load(s)
 	}
 	if s == nil {
 		return Segment{}
@@ -1126,7 +1121,6 @@ func (c *columnarState) clear() (removed int, delta, idxDelta int64) {
 	idxDelta += f
 	c.ring.clear()
 	c.spare, c.pool = colSegment{}, indexPool{}
-	c.pending = 0
 	if freed := c.spilled.Swap(0); freed != 0 {
 		c.m.spilledBytes.Add(-freed)
 	}

@@ -205,8 +205,11 @@ func TestExactnessMatrix(t *testing.T) {
 									t.Errorf("%s: %d results missing, %d spurious against the oracle: %v", q.Name, missing, spurious, ex)
 								}
 							}
-							if m := h.eng.Metrics().Snapshot(); row.hot > 0 && (m.DemotedEpochs == 0 || m.ColdProbeHits == 0) {
-								t.Errorf("tiered row never spilled or never read back (demoted=%d cold hits=%d) — row vacuous", m.DemotedEpochs, m.ColdProbeHits)
+							if m := h.eng.Metrics().Snapshot(); row.hot > 0 {
+								t.Logf("demoted=%d promoted=%d cold hits=%d", m.DemotedEpochs, m.PromotedEpochs, m.ColdProbeHits)
+								if m.DemotedEpochs == 0 || m.ColdProbeHits == 0 {
+									t.Errorf("tiered row never spilled or never read back (demoted=%d cold hits=%d) — row vacuous", m.DemotedEpochs, m.ColdProbeHits)
+								}
 							}
 						})
 					}

@@ -12,7 +12,6 @@ package runtime
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
 	"clash/internal/rng"
@@ -49,15 +48,10 @@ func chainGrowths(n int) int {
 // demoted rows, and a probe still finds them: the filter is the stub's,
 // so the pool never gets it.
 //
-// The read-through row probes a demoted epoch under a key first probed
-// after the demotion, which reads the epoch through and indexes the
-// decode under that key, then retires the key before the promotion at
-// the end of the dispatch (a re-entrant dispatch on the synchronous
-// substrate can install between the two): the promotion drops the
-// index, and the pool must get it back. The read-through-evicted row
-// evicts the epoch instead (dropOldest; a prune drops a cold slot the
-// same way): the decode goes with it, and so must its index, to the
-// pool.
+// The read-through row probes a demoted epoch, which decodes the epoch,
+// indexes the decode from the pool and drops it after the scan: when the
+// scan returns, the index must be back in the pool — its struct and the
+// table it grew to — and the epoch still cold.
 func TestEpochsRecycleIndices(t *testing.T) {
 	const perEpoch, epochs, keys = 512, 64, 64
 	schema := tuple.NewSchema("S.a", "S.b", "S.τ")
@@ -149,67 +143,35 @@ func TestEpochsRecycleIndices(t *testing.T) {
 		}
 	})
 
-	// readThrough demotes epoch 0 of two and probes it under a key first
-	// probed after the demotion: the probe reads the epoch through and
-	// indexes the decode, which waits on the stub for its promotion.
-	readThrough := func(t *testing.T, failed *error) (cs *columnarState, kept *backendProbe, ix *colIndex) {
-		cs = bareColumnar(failed)
-		kept, late := newBackendProbe("S.a"), newBackendProbe("S.b", "S.a")
-		kept.scan(cs, noCut, tuple.IntValue(-1)) // registers the kept key
+	t.Run("read-through", func(t *testing.T) {
+		var failed error
+		cs := bareColumnar(&failed)
+		defer cs.store.close()
+		probe := newBackendProbe("S.a")
+		probe.scan(cs, noCut, tuple.IntValue(-1)) // registers the key
 		for ts := int64(1); ts <= 4*keys; ts++ {
 			cs.insert(tuple.New(schema, tuple.Time(ts), tuple.IntValue(ts%keys), tuple.StringValue("s"), tuple.IntValue(ts)), uint64(ts), (ts-1)/(2*keys))
 		}
 		if _, _, ok := cs.demoteOldest(); !ok {
 			t.Fatal("epoch 0 was not demoted")
 		}
-		late.scan(cs, noCut, tuple.StringValue("s"), tuple.IntValue(1)) // no stub filter: reads epoch 0 through
-		loaded := cs.ring.get(0).stub.loaded
-		if loaded == nil {
+		// The size the decode's index grows to: a build on an empty pool
+		// over the same rows.
+		fresh, _ := cs.load(cs.ring.get(0)).indexFor(&probe.rp.key, &indexPool{})
+		cs.pool = indexPool{} // whatever the pool holds after the scan, the scan put there
+		if m, _, _ := probe.scan(cs, noCut, tuple.IntValue(1)); len(m) != 4 {
+			t.Fatalf("the probe finds %d rows, want 4 (2 of them in the cold epoch)", len(m))
+		}
+		if cs.m.Snapshot().ColdProbeHits == 0 {
 			t.Fatal("the probe read nothing through — test vacuous")
 		}
-		if ix = loaded.indices.get(&late.rp.key); ix == nil {
-			t.Fatal("the read-through built no index under the late key — test vacuous")
-		}
-		return cs, kept, ix
-	}
-
-	t.Run("read-through", func(t *testing.T) {
-		var failed error
-		cs, kept, ix := readThrough(t, &failed)
-		defer cs.store.close()
-		cs.retain([]int32{kept.rp.key.num}, nil) // retires the late key
-		cs.promotePending()
-		if cs.ring.get(0).cold {
-			t.Fatal("epoch 0 was not promoted")
+		if !cs.ring.get(0).cold {
+			t.Fatal("the read-through promoted epoch 0")
 		}
 		live, stubs := liveIndices(cs)
 		checkPool(t, &cs.pool, live, stubs)
-		// The promotion may hand the released struct straight to the kept
-		// key's new index.
-		if !slices.Contains(cs.pool.free, ix) && !slices.Contains(live, ix) {
-			t.Fatal("the promotion dropped the read-through index under the retired key without returning it to the pool")
-		}
-		if failed != nil {
-			t.Fatal(failed)
-		}
-	})
-
-	// The cold epoch is evicted before its promotion: its decode goes
-	// with it, and the decode's index must go to the pool.
-	t.Run("read-through-evicted", func(t *testing.T) {
-		var failed error
-		cs, _, ix := readThrough(t, &failed)
-		defer cs.store.close()
-		if ep, _, _, _, ok := cs.dropOldest(); !ok || ep != 0 {
-			t.Fatalf("dropOldest dropped epoch %d (ok %v), want the cold epoch 0", ep, ok)
-		}
-		if cs.pending != 0 {
-			t.Fatalf("%d read-through decodes still pending after their epoch went", cs.pending)
-		}
-		live, stubs := liveIndices(cs)
-		checkPool(t, &cs.pool, live, stubs)
-		if !slices.Contains(cs.pool.free, ix) {
-			t.Fatal("dropOldest dropped the read-through decode's index without returning it to the pool")
+		if k := sizeClass(len(fresh.heads)); len(cs.pool.free) != 1 || k >= len(cs.pool.sets) || cs.pool.sets[k].heads == nil {
+			t.Fatalf("after the scan the pool keeps %d structs and no %d-slot table: the read-through's index did not go back", len(cs.pool.free), len(fresh.heads))
 		}
 		if failed != nil {
 			t.Fatal(failed)
@@ -233,9 +195,6 @@ func liveIndices(b stateBackend) (ixs []*colIndex, stubs []keyFilter) {
 			}
 			for _, sf := range s.stub.filters {
 				stubs = append(stubs, sf.filt)
-			}
-			if s.stub.loaded != nil {
-				ixs = append(ixs, s.stub.loaded.indices...)
 			}
 		}
 	}
@@ -305,7 +264,8 @@ func checkPool(t *testing.T, p *indexPool, live []*colIndex, stubs []keyFilter) 
 // through a seeded stream whose epochs vary in size and key count, so
 // their tables land in different size classes, with two probed keys, one
 // retired and re-probed, whole-epoch prunes and evictions and, on the
-// tiered row, demotions, read-throughs and promotions. After every epoch
+// tiered row, demotions, read-throughs and promotions (a row into the
+// oldest cold epoch). After every epoch
 // each live index must be what a fresh index without a pool, linked over
 // the same rows, is: the same resident() bytes, chain heads, row chains,
 // filter words and slot hashes — the pool changes no charged byte. And
@@ -347,9 +307,11 @@ func TestPooledIndicesMatchFresh(t *testing.T) {
 					b.retain([]int32{one.rp.key.num}, nil) // retires two's key
 				}
 				if cs != nil && row.hot > 0 {
-					cs.promotePending()
 					if ep%4 == 3 {
 						cs.demoteOldest()
+					} else if cold := coldSlots(cs); ep%8 == 5 && len(cold) > 0 {
+						e := cold[0].epoch // a row into it promotes it
+						b.insert(tuple.New(schema, tuple.Time(starts[e]), tuple.IntValue(0), tuple.IntValue(0), tuple.IntValue(starts[e])), 1<<40+uint64(ep), e)
 					}
 				}
 				if r.Intn(4) == 0 {
@@ -370,8 +332,10 @@ func TestPooledIndicesMatchFresh(t *testing.T) {
 			if checked == 0 || reused == 0 {
 				t.Fatalf("%d live indices checked, %d of them on the pool — test vacuous", checked, reused)
 			}
-			if row.hot > 0 && cs.m.Snapshot().DemotedEpochs == 0 {
-				t.Fatal("tiered row demoted nothing — test vacuous")
+			if row.hot > 0 {
+				if m := cs.m.Snapshot(); m.DemotedEpochs == 0 || m.PromotedEpochs == 0 {
+					t.Fatalf("tiered row demoted %d epochs and promoted %d — test vacuous", m.DemotedEpochs, m.PromotedEpochs)
+				}
 			}
 		})
 	}

@@ -158,7 +158,7 @@ type Snapshot struct {
 	// Spill-tier observability (BackendColumnar under StateHotBytes;
 	// all zero otherwise): SpilledBytes gauges
 	// live on-disk segment payload, DemotedEpochs/PromotedEpochs count
-	// tier transitions, and ColdProbeHits/ColdProbeMisses split probes
+	// tier transitions (a promotion is a write into a cold epoch), and ColdProbeHits/ColdProbeMisses split probes
 	// that reached a cold segment's data by whether they found
 	// candidates — tiering is observable, not inferred.
 	SpilledBytes    int64

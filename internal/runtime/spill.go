@@ -10,16 +10,19 @@ package runtime
 // the epoch had while hot (columnar.go's keyFilter, kept by move) —
 // beside the time bounds, so probes dismiss cold slots by window cut and
 // key without touching disk. A probe that survives both reads the segment
-// through (decoded once, kept on the stub) and scans it with the hot
-// chain walk; task.maintainTier promotes the touched slots at the end
-// of the dispatch — off the probe's critical path, but on the task's
-// own execution context, so seeded simulation schedules are untouched.
+// through: it decodes the frame, scans the decode with the hot chain
+// walk and drops it, and the slot stays cold. A slot is promoted only
+// when its content must change — a row lands in the cold epoch, or a
+// prune cut falls inside it — so reading never moves an epoch between
+// the tiers.
 //
 // Slot invariants:
 //
 //   - A slot is wholly hot or wholly cold, never split, and the flip
 //     happens in place: epoch-ascending / insertion-order iteration
 //     (state.go's determinism contract) cannot observe tiering.
+//   - A cold slot holds a stub, a hot one none: a promotion forgets the
+//     frame, and the next demotion of the epoch appends a fresh one.
 //   - The newest epoch is never demoted, so the arrival path always
 //     lands in memory; the ±one-epoch slack is the hot-budget tolerance
 //     the bench gates.
@@ -52,7 +55,6 @@ package runtime
 import (
 	"fmt"
 	"os"
-	"slices"
 )
 
 // spillStore is one task's append-only segment file. Like the backend
@@ -201,13 +203,9 @@ type coldStub struct {
 	len   int64 // frame length
 	// filters holds one key filter per index key that had been probed on
 	// this task by demotion time; a key probed for the first time later
-	// has no filter and pays a read-through. They stay with the stub for
-	// as long as the frame does: a revived frame revives its filters.
+	// has no filter and pays a read-through.
 	filters     []stubFilter
 	filterBytes int64
-	// loaded is the read-through decode of a cold slot that a probe
-	// touched, awaiting promotion (columnarState.pending counts them).
-	loaded *colSegment
 }
 
 // stubFilter is one cold filter: the index key it answers for, by
@@ -248,15 +246,11 @@ func (st *coldStub) takeFilters(s *colSegment, keys probedKeys) {
 
 // load returns a cold slot's decoded segment — the one place that
 // reads, CRC-checks, decodes, and cross-checks a spilled frame against
-// its stub. keep retains the decode on the stub for the promotion that
-// follows a probe; a checkpoint walk passes false and decodes
-// transiently. A truncated or corrupt spill file fails the engine with
-// a wrapped ErrCorruptSnapshot and returns nil — never a panic.
-func (c *columnarState) load(s *colSegment, keep bool) *colSegment {
+// its stub. The decode belongs to the caller and the slot stays cold. A
+// truncated or corrupt spill file fails the engine with a wrapped
+// ErrCorruptSnapshot and returns nil — never a panic.
+func (c *columnarState) load(s *colSegment) *colSegment {
 	stub := s.stub
-	if stub.loaded != nil {
-		return stub.loaded
-	}
 	var ls *colSegment
 	b, err := c.store.read(stub.off, stub.len)
 	if err == nil {
@@ -269,10 +263,6 @@ func (c *columnarState) load(s *colSegment, keep bool) *colSegment {
 	if err != nil {
 		c.fail(fmt.Errorf("runtime: spill read of epoch %d: %w", s.epoch, err))
 		return nil
-	}
-	if keep {
-		stub.loaded = ls
-		c.pending++
 	}
 	return ls
 }
@@ -293,26 +283,22 @@ func (c *columnarState) demoteOldest() (delta, idxDelta int64, ok bool) {
 		return 0, 0, false
 	}
 	s := vals[i]
-	stub := s.stub
-	if stub == nil || stub.count != s.rows() {
-		// No byte-valid frame from an earlier demotion to revive.
-		c.encBuf = appendSpill(c.encBuf[:0], s)
-		off, n, err := c.store.append(c.encBuf)
-		if err != nil {
-			c.fail(err)
-			return 0, 0, false
-		}
-		stub = &coldStub{count: s.rows(), off: off, len: n}
-		stub.takeFilters(s, c.probed)
+	c.encBuf = appendSpill(c.encBuf[:0], s)
+	off, n, err := c.store.append(c.encBuf)
+	if err != nil {
+		c.fail(err)
+		return 0, 0, false
 	}
+	stub := &coldStub{count: s.rows(), off: off, len: n}
+	stub.takeFilters(s, c.probed)
 	if c.testCrashAfterSpill != nil {
 		c.testCrashAfterSpill()
 	}
 	before, idxBefore := s.resident(), s.idxResident()
 	for _, ix := range s.indices {
-		// The stub holds the epoch's filters (takeFilters, or those of the
-		// frame it revives): the pool gets the rest of each index, and a
-		// filter that went to it would be rewritten by the next epoch.
+		// The stub holds the epoch's filters (takeFilters): the pool gets
+		// the rest of each index, and a filter that went to it would be
+		// rewritten by the next epoch.
 		ix.filt = nil
 	}
 	c.recycle(s)
@@ -323,46 +309,22 @@ func (c *columnarState) demoteOldest() (delta, idxDelta int64, ok bool) {
 	return s.resident() - before, s.idxResident() - idxBefore, true
 }
 
-// promote turns a cold slot hot in place, reusing the read-through
-// decode when a probe already paid for it; callers account the change
-// in the slot's resident bytes. The promoted rows enter the store
-// filters here: the segment gets an index under every probed key, and
-// each index feeds its key's filter — an index the read-through built
-// feeds the hashes its table holds, a missing one is built through link.
-// On a spill read failure the engine is already failing; an empty
-// segment keeps the ring consistent for the doomed engine's remaining
-// teardown.
+// promote turns a cold slot hot in place, for a row that lands in the
+// epoch or a prune cut inside it; callers account the change in the
+// slot's resident bytes. The promoted rows enter the store filters here:
+// the segment gets an index under every probed key, built through link,
+// which feeds the key's filter. The frame is dead from here on, and the
+// slot keeps no stub. On a spill read failure the engine is already
+// failing; an empty segment keeps the ring consistent for the doomed
+// engine's remaining teardown.
 func (c *columnarState) promote(s *colSegment) {
-	stub := s.stub
-	ls := c.load(s, false)
+	ls := c.load(s)
 	if ls == nil {
 		ls = newColSegment(s.epoch)
 	}
-	if stub.loaded != nil {
-		// The slot takes the read-through decode over, indices and all.
-		stub.loaded = nil
-		c.pending--
-	}
-	c.dropSpilled(stub)
+	c.dropSpilled(s.stub)
 	*s = *ls
-	// The frame stays byte-valid on disk until the epoch changes; the
-	// stub stays with it so a re-demotion can revive it.
-	s.stub = stub
-	// A hot epoch indexes exactly the probed keys: an index the
-	// read-through built under a key retired since goes to the pool.
-	s.indices = slices.DeleteFunc(s.indices, func(ix *colIndex) bool {
-		if c.probed.get(&ix.key) != nil {
-			return false
-		}
-		c.pool.release(ix)
-		return true
-	})
 	for _, pk := range c.probed {
-		if ix := s.indices.get(&pk.key); ix != nil {
-			ix.feed = &pk.sf
-			pk.sf.addSlots(ix)
-			continue
-		}
 		ix := s.indices.add(&pk.key, &c.pool)
 		ix.feed = &pk.sf
 		s.linkRows(ix)
@@ -370,34 +332,10 @@ func (c *columnarState) promote(s *colSegment) {
 	c.m.promotedEpochs.Add(1)
 }
 
-// promotePending promotes every slot a probe read through since the
-// last call, in ring order (called by task.maintainTier after each
-// dispatch).
-func (c *columnarState) promotePending() (delta, idxDelta int64) {
-	for i := 0; c.pending > 0 && i < len(c.ring.vals); i++ {
-		s := c.ring.vals[i]
-		if !s.cold || s.stub.loaded == nil {
-			continue
-		}
-		before, idxBefore := s.resident(), s.idxResident()
-		c.promote(s)
-		delta += s.resident() - before
-		idxDelta += s.idxResident() - idxBefore
-	}
-	return delta, idxDelta
-}
-
 // dropSpilled retires a stub's on-disk payload from the spill gauges
 // (tombstone, eviction, or promotion — the frame itself stays dead in
-// the file until clear/close truncates) and releases a read-through
-// decode still pending on it, whose indices go back to the pool.
+// the file until clear/close truncates).
 func (c *columnarState) dropSpilled(stub *coldStub) {
-	if ls := stub.loaded; ls != nil {
-		c.pool.releaseAll(ls.indices)
-		ls.indices = nil
-		stub.loaded = nil
-		c.pending--
-	}
 	c.spilled.Add(-stub.len)
 	c.m.spilledBytes.Add(-stub.len)
 }

@@ -6,6 +6,8 @@ package runtime
 //   - demote → probe → promote is invisible: candidate order, segment
 //     walks, and byte accounting match an all-hot columnar store fed the
 //     same history, at every tiering configuration in between;
+//   - a probe reads a cold epoch through and leaves it cold: no tier
+//     move, no spill byte and no resident byte;
 //   - a corrupt or truncated spill file surfaces as a wrapped
 //     ErrCorruptSnapshot through the engine-failure hook — never a
 //     panic, never silent partial results;
@@ -16,7 +18,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -130,7 +132,8 @@ func walkAll(b stateBackend) string {
 // TestTieredMatchesColumnarAcrossTiering demotes the store one epoch at
 // a time, from all-hot down to a single hot epoch, and at each step
 // byte-compares probe candidate order and checkpoint walks against the
-// all-hot oracle; then promotes everything back and compares once more. Accounting deltas must telescope to bytes() at
+// all-hot oracle; then promotes epochs back by late rows and a prune cut
+// and compares again. Accounting deltas must telescope to bytes() at
 // every step.
 func TestTieredMatchesColumnarAcrossTiering(t *testing.T) {
 	col, tr := tieredPair(300)
@@ -156,7 +159,6 @@ func TestTieredMatchesColumnarAcrossTiering(t *testing.T) {
 	sum += idx
 	idxSum += idx
 	check("all-hot probe")
-	tr.promotePendingNoop(t) // nothing demoted yet
 
 	steps := 0
 	for {
@@ -175,8 +177,7 @@ func TestTieredMatchesColumnarAcrossTiering(t *testing.T) {
 		sum += idx
 		idxSum += idx
 		// Probing read cold segments through; that must not change the
-		// resident accounting (pending decodes are transient until
-		// promotion is applied).
+		// resident accounting (the decodes are transient).
 		check(fmt.Sprintf("probe after demote %d", steps))
 		if got := walkAll(tr); got != wantWalk {
 			t.Fatalf("after %d demotions, checkpoint walk diverges", steps)
@@ -190,19 +191,6 @@ func TestTieredMatchesColumnarAcrossTiering(t *testing.T) {
 	}
 	if tr.spilled.Load() == 0 {
 		t.Fatal("nothing spilled after demotions")
-	}
-
-	// Promote everything back (probes above marked the epochs pending)
-	// and verify the round trip restored an exact columnar state.
-	d, xd := tr.promotePending()
-	sum += d
-	idxSum += xd
-	check("promote")
-	if got, _ := probeAll(tr, cut); got != wantProbe {
-		t.Fatalf("after promotion, probe diverges:\n got: %s\nwant: %s", got, wantProbe)
-	}
-	if got := walkAll(tr); got != wantWalk {
-		t.Fatal("after promotion, checkpoint walk diverges")
 	}
 
 	// The three places hot and cold slots meet, byte-compared against
@@ -229,11 +217,6 @@ func TestTieredMatchesColumnarAcrossTiering(t *testing.T) {
 				t.Fatalf("%s: walk diverges from %T:\n got: %s\nwant: %s", op, o, got, want)
 			}
 		}
-	}
-	for i := 0; i < 6; i++ { // epochs 0..5 cold, 6.. hot
-		d, xd, _ := tr.demoteOldest()
-		sum += d
-		idxSum += xd
 	}
 	for i, ts := range []int64{40, 5} { // late arrivals into cold epochs 2 and 0
 		late, seq := pairTuple(ts), uint64(9000+i)
@@ -312,75 +295,157 @@ func TestTieredMatchesColumnarAcrossTiering(t *testing.T) {
 	}
 }
 
-// promotePendingNoop applies promotePending and asserts it was a no-op
-// (used where the test expects nothing pending).
-func (c *columnarState) promotePendingNoop(t *testing.T) {
+// tierState renders what a read-through must not move: the tier
+// counters and the spill gauge, and per store its spill file's size, its
+// resident and index bytes and every slot's cold flag.
+func tierState(t *testing.T, m Snapshot, stores ...*columnarState) string {
 	t.Helper()
-	if d, xd := c.promotePending(); d != 0 || xd != 0 {
-		t.Fatalf("unexpected pending promotions (delta %d, idx %d)", d, xd)
+	var b strings.Builder
+	fmt.Fprintf(&b, "demoted %d, promoted %d, spilled %d", m.DemotedEpochs, m.PromotedEpochs, m.SpilledBytes)
+	for _, c := range stores {
+		var size int64
+		if c.store.f != nil {
+			fi, err := c.store.f.Stat()
+			if err != nil {
+				t.Fatal(err)
+			}
+			size = fi.Size()
+		}
+		fmt.Fprintf(&b, "\nstore: spilled %d, file %d, bytes %d, index %d, slots", c.spilled.Load(), size, c.bytes(), c.indexBytes())
+		for _, s := range c.ring.vals {
+			fmt.Fprintf(&b, " %d:%v", s.epoch, s.cold)
+		}
 	}
+	return b.String()
 }
 
-// TestTieredDemoteReusesFrames: a promote/demote swing of an unchanged
-// epoch must not rewrite the spill file — the frame from the first
-// demotion is revived in O(1), and with it the key filters its stub took
-// from the epoch's indices. Only a mutation (an insert into the promoted
-// epoch) forces a fresh append.
-func TestTieredDemoteReusesFrames(t *testing.T) {
-	_, tr := tieredPair(300)
-	defer tr.store.close()
-	probeAll(tr, noCut) // while hot: every epoch gets the index on R.a its stub takes the filter of
-	key := &newBackendProbe("R.a").rp.key
-	filters := func() map[int64]*uint64 {
-		t.Helper()
-		m := map[int64]*uint64{}
-		for _, s := range coldSlots(tr) {
-			f := s.stub.filterFor(key)
-			if f == nil {
-				t.Fatalf("cold epoch %d carries no filter on %s", s.epoch, key.id)
+// TestReadThroughLeavesEpochCold probes cold epochs round after round,
+// and no probe may move an epoch between the tiers: tierState stays as
+// the demotions left it, while candidate order stays the all-hot
+// store's. The store row probes a bare store demoted down to its newest
+// epoch under a one- and a two-attribute key; then a late row promotes
+// one epoch, whose re-demotion must append a fresh frame, since the old
+// one lacks the row. The engine row probes through a task's dispatch,
+// whose end is where a tier move would follow a probe: S's rows fill
+// ten epochs under a hot budget, then each R row probes them all, while
+// R's own rows land in one epoch, which never demotes.
+func TestReadThroughLeavesEpochCold(t *testing.T) {
+	t.Run("store", func(t *testing.T) {
+		col, tr := tieredPair(300)
+		defer tr.store.close()
+		two := newBackendProbe("R.b", "R.a")
+		probeBoth := func(b stateBackend) string {
+			got, _ := probeAll(b, noCut)
+			for ts := int64(7); ts < 300; ts += 60 { // one row each, in epochs 0, 4, 7, 11 and 15
+				matches, _, _ := two.scan(b, noCut, tuple.IntValue(ts), tuple.IntValue(ts%5))
+				for _, m := range matches {
+					got += fmt.Sprintf("\n%v@%d", m.vals[0], m.ts)
+				}
 			}
-			m[s.epoch] = &f[0]
+			return got
 		}
-		return m
-	}
-	demoteAll := func() {
+		want := probeBoth(col)
+		if n := strings.Count(want, "@"); n != 300+5 {
+			t.Fatalf("the all-hot store finds %d rows, want all 300 under R.a and 5 under (R.b, R.a)", n)
+		}
+		probeBoth(tr) // while hot: registers both keys, so every stub filters under both
 		for {
 			if _, _, ok := tr.demoteOldest(); !ok {
-				return
+				break
 			}
 		}
-	}
-	demoteAll()
-	size1 := tr.store.size
-	if size1 == 0 {
-		t.Fatal("nothing spilled")
-	}
-	filters1 := filters()
-	want, _ := probeAll(tr, noCut) // reads every cold epoch through
-	tr.promotePending()
-	if n := len(coldSlots(tr)); n != 0 {
-		t.Fatalf("%d cold epochs after full promotion", n)
-	}
-	demoteAll()
-	if tr.store.size != size1 {
-		t.Fatalf("re-demoting unchanged epochs grew the spill file %d → %d bytes", size1, tr.store.size)
-	}
-	if !maps.Equal(filters(), filters1) {
-		t.Fatal("a revived frame did not revive the filters of its first demotion")
-	}
-	if got, _ := probeAll(tr, noCut); got != want {
-		t.Fatal("probe diverges after a reuse round trip")
-	}
+		demoted := tierState(t, tr.m.Snapshot(), tr)
+		if n := len(coldSlots(tr)); n < 10 {
+			t.Fatalf("%d cold epochs — test vacuous", n)
+		}
+		for round := 1; round <= 3; round++ {
+			hits := tr.m.Snapshot().ColdProbeHits
+			if got := probeBoth(tr); got != want {
+				t.Fatalf("round %d: candidate order diverges from the all-hot store:\n got: %s\nwant: %s", round, got, want)
+			}
+			if tr.m.Snapshot().ColdProbeHits == hits {
+				t.Fatalf("round %d read nothing through — test vacuous", round)
+			}
+			if got := tierState(t, tr.m.Snapshot(), tr); got != demoted {
+				t.Fatalf("round %d of read-throughs moved the tiers:\n got: %s\nwant: %s", round, got, demoted)
+			}
+		}
 
-	// Mutating a promoted epoch invalidates its frame: the next
-	// demotion of that epoch must append fresh bytes.
-	tr.promotePending()
-	ep := tr.ring.eps[0]
-	tr.insert(pairTuple(ep*16+1), 9001, ep)
-	demoteAll()
-	if tr.store.size == size1 {
-		t.Fatal("demoting a mutated epoch reused its stale frame")
-	}
+		ep := tr.ring.eps[0]
+		late := pairTuple(ep*16 + 1)
+		tr.insert(late, 9001, ep)
+		col.insert(late, 9001, ep)
+		if tr.ring.vals[0].cold || tr.m.Snapshot().PromotedEpochs != 1 {
+			t.Fatal("a row into a cold epoch did not promote it")
+		}
+		size := tr.store.size
+		if _, _, ok := tr.demoteOldest(); !ok || !tr.ring.vals[0].cold {
+			t.Fatal("the promoted epoch was not demoted again")
+		}
+		if tr.store.size <= size || tr.ring.vals[0].stub.off != size {
+			t.Fatalf("re-demoting epoch %d after a late row appended no fresh frame (file %d → %d bytes)", ep, size, tr.store.size)
+		}
+		if got, want := probeBoth(tr), probeBoth(col); got != want {
+			t.Fatalf("after the late row's round trip, candidate order diverges:\n got: %s\nwant: %s", got, want)
+		}
+	})
+
+	t.Run("engine", func(t *testing.T) {
+		const epochLen, sRows = 64, 640
+		start := func(hot int64) (*harness, *[]string) {
+			h := newHarness(t, "q1: R(a) S(a)", core.Options{StoreParallelism: 1, DisablePartitioning: true},
+				flatEstimates([]string{"R", "S"}, 100),
+				Config{Substrate: SubstrateSynchronous, StateBackend: BackendColumnar, StateHotBytes: hot,
+					StateSpillDir: t.TempDir(), DefaultWindow: 2 * sRows, EpochLength: epochLen})
+			var results []string
+			h.eng.OnResult("q1", func(tp *tuple.Tuple) { results = append(results, CanonicalResult(tp)) })
+			for ts := int64(1); ts <= sRows; ts++ {
+				if err := h.eng.Ingest("S", tuple.Time(ts), tuple.IntValue(ts%5)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return h, &results
+		}
+		hot, hotResults := start(0)
+		defer hot.eng.Stop()
+		h, results := start(4 << 10)
+		defer h.eng.Stop()
+		probe := func(ts int64) {
+			t.Helper()
+			for _, e := range []*Engine{hot.eng, h.eng} {
+				if err := e.Ingest("R", tuple.Time(ts), tuple.IntValue(ts%5)); err != nil {
+					t.Fatal(err)
+				}
+				e.Drain()
+			}
+		}
+		// The key's first probe: S indexes its hot epoch under it. Only S's
+		// store is compared from here on; R's grows by every probe.
+		probe(sRows + 1)
+		var tiers []*columnarState
+		for tk := range h.eng.liveTasks() {
+			if len(coldSlots(tk.tier)) > 0 {
+				tiers = append(tiers, tk.tier)
+			}
+		}
+		demoted := tierState(t, h.eng.Metrics().Snapshot(), tiers...)
+		if m := h.eng.Metrics().Snapshot(); len(tiers) != 1 || m.DemotedEpochs < 8 || m.ColdProbeHits == 0 {
+			t.Fatalf("%d stores hold cold epochs, %d epochs demoted, %d probes answered cold — test vacuous", len(tiers), m.DemotedEpochs, m.ColdProbeHits)
+		}
+		for round := int64(2); round <= 6; round++ {
+			hits := h.eng.Metrics().Snapshot().ColdProbeHits
+			probe(sRows + round)
+			if h.eng.Metrics().Snapshot().ColdProbeHits == hits {
+				t.Fatalf("round %d read nothing through — test vacuous", round)
+			}
+			if got := tierState(t, h.eng.Metrics().Snapshot(), tiers...); got != demoted {
+				t.Fatalf("round %d of read-throughs moved the tiers:\n got: %s\nwant: %s", round, got, demoted)
+			}
+		}
+		if len(*results) == 0 || !slices.Equal(*results, *hotResults) {
+			t.Fatalf("%d results in another order or multiset than the all-hot engine's %d", len(*results), len(*hotResults))
+		}
+	})
 }
 
 // TestTieredSpillCorruption truncates the spill file at every byte
@@ -419,13 +484,6 @@ func TestTieredSpillCorruption(t *testing.T) {
 			for _, m := range matches {
 				if int64(m.ts)/16 == last.epoch {
 					n++
-				}
-			}
-			// Forget the read-through decodes so the next read hits disk.
-			for _, s := range cold {
-				if s.stub.loaded != nil {
-					s.stub.loaded = nil
-					tr.pending--
 				}
 			}
 			return n

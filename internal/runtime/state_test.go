@@ -215,8 +215,9 @@ func checkMixedColumns(t *testing.T, e *Engine) {
 
 // TestBackendAccountingTelescopes drives each backend directly through
 // inserts, index-building probes under a one- and a two-attribute key,
-// prunes, and evictions (and, on the tiered row, the budget layer's
-// demote and promote moves), asserting after every operation that the
+// prunes, and evictions (and, on the tiered row, demotions, probes that
+// read cold epochs through, and the promotion of a prune cut inside a
+// cold epoch), asserting after every operation that the
 // accumulated deltas equal the backend's resident bytes — and reach
 // exactly zero when drained.
 func TestBackendAccountingTelescopes(t *testing.T) {
@@ -275,11 +276,7 @@ func TestBackendAccountingTelescopes(t *testing.T) {
 					check("prune")
 				}
 				if row.hot > 0 && ts%40 == 0 {
-					d, xd := cs.promotePending()
-					sum += d
-					idxSum += xd
-					check("promotePending")
-					d, xd, _ = cs.demoteOldest()
+					d, xd, _ := cs.demoteOldest()
 					sum += d
 					idxSum += xd
 					check("demoteOldest")

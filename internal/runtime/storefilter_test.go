@@ -87,9 +87,10 @@ func checkCoverage(t *testing.T, b stateBackend, op string) (checked int) {
 // sequences of every move that changes what is hot — insert, a load
 // into an older epoch (the insert LoadTaskEpoch makes, promoting a cold
 // epoch first), probes under a one- and a two-attribute key (which
-// register keys and rebuild full filters), prune, eviction, clear, and
-// on the tiered row demotion and both promotions (a probe's read-through
-// and a late row) — and checks coverage after every step. A final phase
+// register keys and rebuild full filters, and on the tiered row read
+// cold epochs through), prune, eviction, clear, and on the tiered row
+// demotion and promotion (a row into a cold epoch) — and checks coverage
+// after every step. A final phase
 // loads rows through Engine.LoadTaskEpoch into a running engine.
 func TestStoreFilterCoversHotRows(t *testing.T) {
 	wide := tuple.NewSchema("R.a", "R.b", "R.τ")
@@ -157,10 +158,14 @@ func TestStoreFilterCoversHotRows(t *testing.T) {
 							cs.demoteOldest()
 						}
 					default:
+						cold := coldSlots(cs)
+						if len(cold) == 0 {
+							continue
+						}
 						op = "promote"
 						before := cs.m.Snapshot().PromotedEpochs
-						one.scan(b, noCut, tuple.IntValue(r.Int64n(48))) // reads cold slots through
-						cs.promotePending()
+						ep := cold[r.Intn(len(cold))].epoch
+						add(ep*epochLen+r.Int64n(epochLen), ep) // a row into a cold epoch promotes it
 						promoted += int(cs.m.Snapshot().PromotedEpochs - before)
 					}
 					checked += checkCoverage(t, b, fmt.Sprintf("seed %d step %d (%s)", seed, step, op))

@@ -32,7 +32,7 @@ type task struct {
 	// tuple count and byte footprint for cross-goroutine gauges.
 	// tier is state again when it is a columnar store running under a
 	// hot budget (Config.StateHotBytes > 0), nil otherwise: the handle
-	// the budget layer demotes and promotes through.
+	// the budget layer demotes through.
 	state         stateBackend
 	tier          *columnarState
 	storedCount   atomic.Int64
@@ -235,7 +235,6 @@ func (t *task) handle(msg *message) {
 			}
 		}
 	}
-	t.maintainTier()
 }
 
 // setComp switches the task to another installed config's compiled
@@ -384,30 +383,6 @@ func (t *task) demoteToBudget(bytes int64) int64 {
 	return bytes
 }
 
-// maintainTier applies deferred tier maintenance at the end of a
-// dispatch: epochs a probe read-through touched are promoted into the
-// hot ring, and the hot and state budgets are re-enforced (a promotion
-// can overshoot them). Promotion is thereby off the probe's critical
-// path but stays on the task's own execution context — no
-// cross-goroutine machinery, no new messages, so seeded simulation
-// schedules and traces are byte-identical with and without a budget.
-func (t *task) maintainTier() {
-	if t.tier == nil {
-		return
-	}
-	d, xd := t.tier.promotePending()
-	if d == 0 && xd == 0 {
-		return
-	}
-	bytes := t.accountState(d, xd)
-	if bytes > t.e.cfg.StateHotBytes {
-		bytes = t.demoteToBudget(bytes)
-	}
-	if lim := t.e.cfg.StateLimitBytes; lim > 0 && bytes > lim {
-		t.evictToLimit(lim)
-	}
-}
-
 // resetVolatile drops the task's rebuildable caches after a supervised
 // panic: compiled-plan bindings, schema-position caches, probe scratch.
 // Materialized state and its gauges stay — they are the task's durable
@@ -517,7 +492,6 @@ func (t *task) prune(cut tuple.Time) {
 		t.e.metrics.stored.Add(int64(-removed))
 		t.accountState(delta, idxDelta)
 	}
-	t.maintainTier()
 }
 
 // clearState drops the task's entire materialized state and closes its

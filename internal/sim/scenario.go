@@ -59,8 +59,8 @@ type Scenario struct {
 	// StateHotBytes enables the columnar backend's spill tier and bounds
 	// resident state (see runtime.Config.StateHotBytes): above it, cold
 	// whole epochs spill to disk. The tiered row of StateConfigs sets it
-	// low enough to force demotions, so equivalence covers the
-	// demote/read-through/promote cycle, not a store idling all-hot.
+	// low enough to force demotions, so equivalence covers demotion and
+	// the probes' read-throughs, not a store idling all-hot.
 	// Ignored on the container backend.
 	StateHotBytes int64
 	// EpochLength enables epoch granularity for demotion/eviction (0 =

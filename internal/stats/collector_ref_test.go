@@ -238,10 +238,6 @@ func TestCollectorMatchesReference(t *testing.T) {
 		}
 		sampleK, sketchK := []int{4, 32, 256}[seed%3], []int{2, 16, 128}[seed%3]
 		col, ref := NewCollector(sampleK, sketchK, seed), newRefCollector(sampleK, sketchK, seed)
-		if seed%2 == 0 {
-			col.SetHeavyK(int(seed % 5))
-			ref.heavyK = int(seed % 5)
-		}
 		seals, rs := 0, 0
 		for i := 0; i < 6000; i++ {
 			ts := tuple.Time(i)

@@ -346,13 +346,16 @@ type colSketch struct {
 // the samples never observed.
 const defaultSelectivity = 0.01
 
+// heavyK is the heavy-hitter sketch capacity: monitored keys per
+// attribute.
+const heavyK = 16
+
 // Collector accumulates per-epoch observations. It is safe for concurrent
 // use by the source tasks of the runtime.
 type Collector struct {
 	mu      sync.Mutex
 	sampleK int
 	sketchK int
-	heavyK  int
 	seed    uint64
 	rels    map[string]*relStats
 	// spare holds the relStats of relations not yet observed this epoch,
@@ -369,13 +372,9 @@ type Collector struct {
 // NewCollector returns a collector sampling up to sampleK tuples per
 // relation per epoch and sketching distincts with sketchK minimum values.
 func NewCollector(sampleK, sketchK int, seed uint64) *Collector {
-	return &Collector{sampleK: sampleK, sketchK: sketchK, heavyK: 16, seed: seed,
+	return &Collector{sampleK: sampleK, sketchK: sketchK, seed: seed,
 		rels: map[string]*relStats{}, spare: map[string]*relStats{}, spareMap: map[string]*relStats{}}
 }
-
-// SetHeavyK overrides the heavy-hitter sketch capacity (default 16
-// monitored keys per attribute).
-func (c *Collector) SetHeavyK(k int) { c.heavyK = k }
 
 // Observe records the arrival of one tuple of the given relation: it
 // counts the tuple, offers it whole to the relation's sample, and adds
@@ -438,7 +437,7 @@ func (c *Collector) resolve(rs *relStats, s *tuple.Schema) {
 					d = NewKMV(c.sketchK)
 					rs.distinct[short] = d
 				}
-				a = &attrStats{distinct: d, heavy: NewSpaceSaving(c.heavyK)}
+				a = &attrStats{distinct: d, heavy: NewSpaceSaving(heavyK)}
 			}
 			rs.attrs[name] = a
 		}
@@ -478,7 +477,7 @@ func (c *Collector) Seal(epochLen time.Duration, preds []query.Predicate) *Estim
 	for name, rs := range rels {
 		e.Rates[name] = float64(rs.count) / secs
 		for attr, a := range rs.attrs {
-			e.Degrees[attr] = &AttrDegrees{Count: a.heavy.N(), Distinct: a.distinct.Estimate(), Top: a.heavy.Top(c.heavyK)}
+			e.Degrees[attr] = &AttrDegrees{Count: a.heavy.N(), Distinct: a.distinct.Estimate(), Top: a.heavy.Top(heavyK)}
 		}
 	}
 	for _, p := range preds {
