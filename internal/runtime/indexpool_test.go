@@ -51,7 +51,9 @@ func chainGrowths(n int) int {
 // The read-through row probes a demoted epoch, which decodes the epoch,
 // indexes the decode from the pool and drops it after the scan: when the
 // scan returns, the index must be back in the pool — its struct and the
-// table it grew to — and the epoch still cold.
+// table it grew to — and the epoch still cold. The read-through-evicted
+// row then evicts the epoch, which must free its stub and release
+// nothing more to the pool.
 func TestEpochsRecycleIndices(t *testing.T) {
 	const perEpoch, epochs, keys = 512, 64, 64
 	schema := tuple.NewSchema("S.a", "S.b", "S.τ")
@@ -143,10 +145,12 @@ func TestEpochsRecycleIndices(t *testing.T) {
 		}
 	})
 
-	t.Run("read-through", func(t *testing.T) {
-		var failed error
-		cs := bareColumnar(&failed)
-		defer cs.store.close()
+	// readThrough demotes epoch 0 of two and probes it on an empty pool:
+	// the probe decodes the epoch, indexes the decode from the pool and
+	// drops it after the scan. It returns the store and the slot count
+	// the decode's index grows to.
+	readThrough := func(t *testing.T, failed *error) (cs *columnarState, slots int) {
+		cs = bareColumnar(failed)
 		probe := newBackendProbe("S.a")
 		probe.scan(cs, noCut, tuple.IntValue(-1)) // registers the key
 		for ts := int64(1); ts <= 4*keys; ts++ {
@@ -165,13 +169,50 @@ func TestEpochsRecycleIndices(t *testing.T) {
 		if cs.m.Snapshot().ColdProbeHits == 0 {
 			t.Fatal("the probe read nothing through — test vacuous")
 		}
+		return cs, len(fresh.heads)
+	}
+	// pooledOnce checks that the pool keeps the read-through's index and
+	// nothing else: one struct and a table of the decode's size class.
+	pooledOnce := func(t *testing.T, cs *columnarState, slots int) {
+		t.Helper()
+		live, stubs := liveIndices(cs)
+		checkPool(t, &cs.pool, live, stubs)
+		if k := sizeClass(slots); len(cs.pool.free) != 1 || k >= len(cs.pool.sets) || cs.pool.sets[k].heads == nil {
+			t.Fatalf("the pool keeps %d structs and no %d-slot table: the read-through's index did not go back", len(cs.pool.free), slots)
+		}
+	}
+
+	t.Run("read-through", func(t *testing.T) {
+		var failed error
+		cs, slots := readThrough(t, &failed)
+		defer cs.store.close()
 		if !cs.ring.get(0).cold {
 			t.Fatal("the read-through promoted epoch 0")
 		}
-		live, stubs := liveIndices(cs)
-		checkPool(t, &cs.pool, live, stubs)
-		if k := sizeClass(len(fresh.heads)); len(cs.pool.free) != 1 || k >= len(cs.pool.sets) || cs.pool.sets[k].heads == nil {
-			t.Fatalf("after the scan the pool keeps %d structs and no %d-slot table: the read-through's index did not go back", len(cs.pool.free), len(fresh.heads))
+		pooledOnce(t, cs, slots)
+		if failed != nil {
+			t.Fatal(failed)
+		}
+	})
+
+	// The read-through epoch is evicted afterwards (dropOldest; a prune
+	// drops a cold slot the same way): the scan already gave its index
+	// back, so the eviction must free only the stub — no second release
+	// into the pool, and no spill bytes left on the gauge.
+	t.Run("read-through-evicted", func(t *testing.T) {
+		var failed error
+		cs, slots := readThrough(t, &failed)
+		defer cs.store.close()
+		pooled := &cs.pool.sets[sizeClass(slots)].heads[0]
+		if ep, _, _, _, ok := cs.dropOldest(); !ok || ep != 0 {
+			t.Fatalf("dropOldest dropped epoch %d (ok %v), want the cold epoch 0", ep, ok)
+		}
+		pooledOnce(t, cs, slots)
+		if &cs.pool.sets[sizeClass(slots)].heads[0] != pooled {
+			t.Fatal("the eviction replaced the read-through's pooled table")
+		}
+		if m := cs.m.Snapshot(); m.SpilledBytes != 0 || cs.spilled.Load() != 0 {
+			t.Fatalf("%d spill bytes gauged (%d on the store) after the only cold epoch went", m.SpilledBytes, cs.spilled.Load())
 		}
 		if failed != nil {
 			t.Fatal(failed)
