@@ -158,7 +158,7 @@ const (
 	BackendContainer = runtime.BackendContainer
 	// BackendColumnar is the epoch-ring columnar store: flat per-epoch
 	// segments, open-addressed hash indices, int32 posting chains. With
-	// StateHotBytes > 0 it also spills cold whole epochs to an mmap'd
+	// StateHotBytes > 0 it also spills cold whole epochs to an
 	// on-disk segment file behind stubs that keep the epoch's index
 	// filters, so probes skip cold segments without touching disk: results stay byte-identical,
 	// resident memory follows the hot budget.

@@ -53,8 +53,7 @@ func run(name string, cfg clash.Config) {
 	// boundaries, so the budget measures queueing, not legitimate state.
 	cfg.EpochLength = window / 2
 	cfg.MemoryLimitBytes = budget
-	// OverheadLoops is internal to the runtime config; emulate slow
-	// consumers the public way instead: a deliberately heavy sink.
+	// Slow consumers: a deliberately heavy sink.
 	eng, err := clash.Start(cfg)
 	if err != nil {
 		log.Fatal(err)

@@ -10,8 +10,9 @@
 //	columnar  — same budget, same death, just later (smaller footprint);
 //	tiered    — the columnar store again, but the budget is given as
 //	            StateHotBytes and caps RESIDENT state instead: cold
-//	            epochs demote to an mmap'd spill file behind
-//	            Bloom-filtered stubs, probes read through to disk, and
+//	            epochs demote to a spill file behind Bloom-filtered
+//	            stubs, probes read through to disk (one read per
+//	            cold epoch, decoded straight onto columns), and
 //	            the full window stays queryable — zero evictions,
 //	            bounded memory.
 //

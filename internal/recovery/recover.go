@@ -150,7 +150,7 @@ func Recover(st Storage, eng *runtime.Engine, cfg Config) (*Manager, *Stats, err
 	loaded := 0
 	for i := range segs {
 		sg := &segs[i]
-		if err := eng.LoadTaskEpoch(sg.Key.Store, sg.Key.Part, sg.Key.Epoch, sg.Tuples, sg.Seqs); err != nil {
+		if err := eng.LoadTaskEpoch(sg); err != nil {
 			if errors.Is(err, runtime.ErrUnknownTask) {
 				if eng.HasStore(sg.Key.Store) {
 					return nil, nil, fmt.Errorf("recovery: segment %s addresses a partition beyond the installed layout: %w", sg.Key, err)

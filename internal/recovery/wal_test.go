@@ -180,11 +180,9 @@ func TestCkptRecordRoundTrip(t *testing.T) {
 	s := tuple.NewSchema("a", "ts")
 	tp1 := tuple.New(s, 5, tuple.IntValue(1), tuple.IntValue(5))
 	tp2 := tuple.New(s, 6, tuple.IntValue(2), tuple.IntValue(6))
-	segs := []runtime.Segment{{
-		Key:    runtime.SegKey{Store: "st", Part: 1, Epoch: 2},
-		Tuples: []*tuple.Tuple{tp1, tp2},
-		Seqs:   []uint64{10, 11},
-	}}
+	segs := []runtime.Segment{{Key: runtime.SegKey{Store: "st", Part: 1, Epoch: 2}}}
+	segs[0].Append(tp1, 10)
+	segs[0].Append(tp2, 11)
 	drops := []runtime.SegKey{{Store: "st", Part: 0, Epoch: 1}}
 	pins := []runtime.StorePin{
 		{Store: "st", Par: 2, Part: query.Attr{Rel: "R", Name: "a"}, Split: []uint64{7, 99}},
@@ -205,11 +203,16 @@ func TestCkptRecordRoundTrip(t *testing.T) {
 	if len(rec.Drops) != 1 || rec.Drops[0] != drops[0] {
 		t.Errorf("drops decoded as %v", rec.Drops)
 	}
-	if len(rec.Segs) != 1 || rec.Segs[0].Key != segs[0].Key || len(rec.Segs[0].Tuples) != 2 {
+	if len(rec.Segs) != 1 || rec.Segs[0].Key != segs[0].Key || rec.Segs[0].Len() != 2 {
 		t.Fatalf("segments decoded as %+v", rec.Segs)
 	}
 	if rec.Segs[0].Seqs[0] != 10 || rec.Segs[0].Seqs[1] != 11 {
 		t.Errorf("entry seqs decoded as %v", rec.Segs[0].Seqs)
+	}
+	for i, tp := range []*tuple.Tuple{tp1, tp2} {
+		if got := rec.Segs[0].Tuple(i); got.String() != tp.String() {
+			t.Errorf("row %d decoded as %v, want %v", i, got, tp)
+		}
 	}
 	if fingerprint(&rec.Segs[0]) != fingerprint(&segs[0]) {
 		t.Error("fingerprint changed across round trip")
@@ -229,8 +232,7 @@ func TestComposeChain(t *testing.T) {
 	mk := func(store string, part int, epoch int64, seqs ...uint64) runtime.Segment {
 		sg := runtime.Segment{Key: runtime.SegKey{Store: topology.StoreID(store), Part: part, Epoch: epoch}}
 		for _, q := range seqs {
-			sg.Tuples = append(sg.Tuples, tuple.New(s, tuple.Time(q), tuple.IntValue(int64(q)), tuple.IntValue(int64(q))))
-			sg.Seqs = append(sg.Seqs, q)
+			sg.Append(tuple.New(s, tuple.Time(q), tuple.IntValue(int64(q)), tuple.IntValue(int64(q))), q)
 		}
 		return sg
 	}
@@ -246,8 +248,8 @@ func TestComposeChain(t *testing.T) {
 	if got[0].Key != (runtime.SegKey{Store: "a", Part: 0, Epoch: 5}) {
 		t.Errorf("first composed key %v (not sorted?)", got[0].Key)
 	}
-	if got[1].Key != (runtime.SegKey{Store: "b", Part: 0, Epoch: 0}) || len(got[1].Tuples) != 2 {
-		t.Errorf("override lost: %v with %d tuples", got[1].Key, len(got[1].Tuples))
+	if got[1].Key != (runtime.SegKey{Store: "b", Part: 0, Epoch: 0}) || got[1].Len() != 2 {
+		t.Errorf("override lost: %v with %d tuples", got[1].Key, got[1].Len())
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"clash/internal/topology"
-	"clash/internal/tuple"
 )
 
 // Checkpointing serializes the engine's materialized store state — every
@@ -103,8 +102,8 @@ func (e *Engine) Restore(r io.Reader) error {
 	if err := e.RestorePins(rec.Pins); err != nil {
 		return err
 	}
-	for _, sg := range rec.Segs {
-		if err := e.LoadTaskEpoch(sg.Key.Store, sg.Key.Part, sg.Key.Epoch, sg.Tuples, sg.Seqs); err != nil {
+	for i := range rec.Segs {
+		if err := e.LoadTaskEpoch(&rec.Segs[i]); err != nil {
 			return err
 		}
 	}
@@ -227,17 +226,15 @@ func (e *Engine) ReturnCut() {
 // SegmentBuf holds what a checkpoint cut copies out of the engine
 // (CutSegments): the dirty segments' rows, in arrays it keeps from one
 // cut to the next, so a cut in steady state allocates nothing and its
-// segments stay valid while the engine changes state. For a columnar
-// task that is each epoch's seqs, event times, schema ordinals and
-// columns up to its row count; for a container task, the tuple pointers
-// and sequence numbers. The zero value is ready to use.
+// segments stay valid while the engine changes state: each epoch's
+// seqs, event times, schema ordinals and columns up to its row count —
+// a container task's rows are appended to the copy cell by cell. The
+// zero value is ready to use.
 type SegmentBuf struct {
-	segs   []Segment
-	cols   []*colSegment // columnar copies, reused in order
-	nCols  int
-	tuples []*tuple.Tuple // container rows of every segment, back to back
-	seqs   []uint64       // their sequence numbers
-	eps    []int64        // a task's dirty epochs, sorted
+	segs  []Segment
+	cols  []*colSegment // column copies, reused in order
+	nCols int
+	eps   []int64 // a task's dirty epochs, sorted
 	// lost lists the tasks that lost an epoch since the previous cut,
 	// each with its resident epochs at this cut (a span of resident).
 	lost     []lostSpan
@@ -251,9 +248,7 @@ type lostSpan struct {
 }
 
 func (b *SegmentBuf) reset() {
-	clear(b.tuples) // no stale row outlives its cut
 	b.segs, b.nCols = b.segs[:0], 0
-	b.tuples, b.seqs = b.tuples[:0], b.seqs[:0]
 	b.lost, b.resident = b.lost[:0], b.resident[:0]
 }
 
@@ -286,46 +281,40 @@ func (b *SegmentBuf) Gone(k SegKey) bool {
 	return false
 }
 
-// copyCols copies a columnar epoch into the next column copy.
-func (b *SegmentBuf) copyCols(s *colSegment) Segment {
+// next returns the next column copy, emptied with its arrays kept.
+func (b *SegmentBuf) next() *colSegment {
 	if b.nCols == len(b.cols) {
 		b.cols = append(b.cols, &colSegment{})
 	}
 	cp := b.cols[b.nCols]
 	b.nCols++
+	*cp = colSegment{seqs: cp.seqs[:0], ts: cp.ts[:0], sch: cp.sch[:0], schemas: cp.schemas[:0], cols: cp.cols[:0]}
+	return cp
+}
+
+// copyCols copies a columnar epoch into the next column copy.
+func (b *SegmentBuf) copyCols(s *colSegment) Segment {
+	cp := b.next()
 	s.copyTo(cp)
 	return cp.view()
 }
 
-// copyRows appends a container epoch's rows to the row arrays.
-func (b *SegmentBuf) copyRows(entries []entry) Segment {
-	from := len(b.seqs)
-	for _, en := range entries {
-		b.tuples = append(b.tuples, en.t)
-		b.seqs = append(b.seqs, en.seq)
-	}
-	to := len(b.seqs)
-	return Segment{Tuples: b.tuples[from:to:to], Seqs: b.seqs[from:to:to]}
-}
-
-// LoadTaskEpoch inserts checkpointed tuples directly into one task's
-// epoch container, with full gauge and byte accounting — the recovery
-// layer's restore primitive (a composed incremental-checkpoint chain is
-// a set of per-task-epoch segments). The topology must be installed and
-// the engine quiet; like Restore, it bypasses flow control entirely.
-func (e *Engine) LoadTaskEpoch(store topology.StoreID, part int, epoch int64, tps []*tuple.Tuple, seqs []uint64) error {
-	if len(tps) != len(seqs) {
-		return fmt.Errorf("runtime: LoadTaskEpoch: %d tuples but %d sequence numbers", len(tps), len(seqs))
-	}
+// LoadTaskEpoch inserts a checkpointed segment's rows directly into the
+// task and epoch its key names, with full gauge and byte accounting —
+// the recovery layer's restore primitive (a composed
+// incremental-checkpoint chain is a set of per-task-epoch segments). The
+// topology must be installed and the engine quiet; like Restore, it
+// bypasses flow control entirely.
+func (e *Engine) LoadTaskEpoch(sg *Segment) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	t := e.taskAt(store, part)
+	t := e.taskAt(sg.Key.Store, sg.Key.Part)
 	if t == nil {
-		return fmt.Errorf("%w %s/%d (install the topology first)", ErrUnknownTask, store, part)
+		return fmt.Errorf("%w %s/%d (install the topology first)", ErrUnknownTask, sg.Key.Store, sg.Key.Part)
 	}
-	t.markDirty(epoch)
-	for i, tp := range tps {
-		delta, idxDelta := t.state.insert(tp, seqs[i], epoch)
+	t.markDirty(sg.Key.Epoch)
+	for i, seq := range sg.Seqs {
+		delta, idxDelta := t.state.insert(sg.Tuple(i), seq, sg.Key.Epoch)
 		t.storedCount.Add(1)
 		e.metrics.stored.Add(1)
 		t.accountState(delta, idxDelta)

@@ -308,3 +308,39 @@ func TestCheckpointWalkAllocs(t *testing.T) {
 	}
 	t.Logf("%d segments, %d rows: %.0f allocations per walk and encode", len(segs), rows, avg)
 }
+
+// TestDecodeAllocs pins the decode side to columns, not rows: a spill
+// frame (decodeSpill) and a state record (DecodeStateRecord) of int-only
+// rows decode straight onto a segment's columns, so their objects grow
+// with the columns' doublings, not with the row count. A decode that
+// built a tuple per row would allocate two objects per row — over 2 000
+// at 1 000 rows.
+func TestDecodeAllocs(t *testing.T) {
+	sc := tuple.NewSchema("R.a", "R.b", "R.τ")
+	for _, rows := range []int{100, 1000} {
+		s := newColSegment(7)
+		for i := range rows {
+			s.add(tuple.New(sc, tuple.Time(i), tuple.IntValue(int64(i%13)), tuple.IntValue(int64(i)), tuple.IntValue(int64(i))), uint64(i))
+		}
+		spill := appendSpill(nil, s)
+		sg := s.view()
+		sg.Key = SegKey{Store: "st", Part: 1, Epoch: 7}
+		rec := AppendStateRecord(nil, &StateRecord{Segs: []Segment{sg}})
+		for _, c := range []struct {
+			name   string
+			decode func() error
+		}{
+			{"decodeSpill", func() error { _, err := decodeSpill(spill); return err }},
+			{"DecodeStateRecord", func() error { _, err := DecodeStateRecord(rec); return err }},
+		} {
+			if err := c.decode(); err != nil {
+				t.Fatalf("%s of %d rows: %v", c.name, rows, err)
+			}
+			avg := testing.AllocsPerRun(20, func() { _ = c.decode() })
+			t.Logf("%s of %d rows: %.0f objects", c.name, rows, avg)
+			if rows == 1000 && avg >= 200 {
+				t.Errorf("%s of %d int rows allocates %.0f objects, want < 200", c.name, rows, avg)
+			}
+		}
+	}
+}

@@ -166,14 +166,8 @@ func (st *schemaTable) id(s *tuple.Schema) int {
 
 // add numbers the schemas of the segment's rows, in row order.
 func (st *schemaTable) add(sg *Segment) {
-	if s := sg.cols; s != nil {
-		for _, o := range s.sch[:sg.Len()] {
-			st.id(s.schemas[o])
-		}
-		return
-	}
-	for _, tp := range sg.Tuples {
-		st.id(tp.Schema)
+	for i := range sg.Len() {
+		st.id(sg.cols.schemas[sg.cols.sch[i]])
 	}
 }
 
@@ -186,20 +180,13 @@ func (st *schemaTable) appendTo(buf []byte) []byte {
 }
 
 // appendEntries encodes the segment's rows with their sequence numbers
-// in storage order; every schema must already be in the table. A
-// segment read off columns is encoded straight from its cells, value by
-// value in the tuple codec's grammar — the bytes AppendTuple writes for
-// the row's tuple, without building it.
+// in storage order; every schema must already be in the table. Each row
+// is encoded straight from its cells, value by value in the tuple
+// codec's grammar — the bytes AppendTuple writes for the row's tuple,
+// without building it.
 func appendEntries(buf []byte, st *schemaTable, sg *Segment) []byte {
 	s := sg.cols
 	for i, seq := range sg.Seqs {
-		if s == nil {
-			tp := sg.Tuples[i]
-			buf = binary.AppendUvarint(buf, uint64(st.id(tp.Schema)))
-			buf = binary.AppendUvarint(buf, seq)
-			buf = tuple.AppendTuple(buf, tp)
-			continue
-		}
 		sc := s.schemas[s.sch[i]]
 		buf = binary.AppendUvarint(buf, uint64(st.id(sc)))
 		buf = binary.AppendUvarint(buf, seq)
@@ -226,27 +213,40 @@ func (k SegKey) Compare(o SegKey) int {
 }
 
 // Segment is one task's epoch of state: its rows and their arrival
-// sequence numbers, in backend storage order. A decoded segment, or one
-// walked off the container oracle, holds its rows as Tuples. One walked
-// off the columnar store reads them in place from the epoch's columns —
-// Tuples is nil, and the view is valid until the engine next changes
-// state.
+// sequence numbers, in backend storage order, held as columns (a
+// colSegment; Seqs is its sequence column). One walked off the columnar
+// store reads the epoch's columns in place and is valid until the engine
+// next changes state; a decoded segment, a cut's copy, or one built by
+// Append owns its columns.
 type Segment struct {
-	Key    SegKey
-	Tuples []*tuple.Tuple
-	Seqs   []uint64
-	cols   *colSegment
+	Key  SegKey
+	Seqs []uint64
+	cols *colSegment
 }
 
 // Len is the segment's row count.
 func (s *Segment) Len() int { return len(s.Seqs) }
 
 // TS is row i's event time.
-func (s *Segment) TS(i int) tuple.Time {
-	if s.cols != nil {
-		return tuple.Time(s.cols.ts[i])
+func (s *Segment) TS(i int) tuple.Time { return tuple.Time(s.cols.ts[i]) }
+
+// Tuple builds row i as a tuple of its own schema.
+func (s *Segment) Tuple(i int) *tuple.Tuple {
+	sc := s.cols.schemas[s.cols.sch[i]]
+	vals := make([]tuple.Value, sc.Len())
+	s.cols.fill(i, vals)
+	return &tuple.Tuple{Schema: sc, Values: vals, TS: s.TS(i)}
+}
+
+// Append adds a row at the end of a segment that owns its columns (a
+// zero Segment does once the first row lands), never of one walked in
+// place off a store.
+func (s *Segment) Append(tp *tuple.Tuple, seq uint64) {
+	if s.cols == nil {
+		s.cols = newColSegment(s.Key.Epoch)
 	}
-	return s.Tuples[i].TS
+	s.cols.push(tp.Schema, int64(tp.TS), seq, tp.Values)
+	s.Seqs = s.cols.view().Seqs
 }
 
 // StateRecord is the one state record: the engine's progress, its pin
@@ -360,13 +360,11 @@ func DecodeStateRecord(b []byte) (*StateRecord, error) {
 		rec.Drops = append(rec.Drops, d.segKey())
 	}
 	for i, n := 0, d.count("segment count"); i < n && d.err == nil; i++ {
-		sg := Segment{Key: d.segKey()}
-		m := d.count("entry count")
-		sg.Tuples, sg.Seqs = make([]*tuple.Tuple, 0, m), make([]uint64, 0, m)
-		d.entries(schemas, m, func(tp *tuple.Tuple, seq uint64) {
-			sg.Tuples = append(sg.Tuples, tp)
-			sg.Seqs = append(sg.Seqs, seq)
-		})
+		key := d.segKey()
+		s := newColSegment(key.Epoch)
+		d.rows(schemas, d.count("entry count"), s)
+		sg := s.view()
+		sg.Key = key
 		rec.Segs = append(rec.Segs, sg)
 	}
 	if err := d.done(); err != nil {
@@ -391,15 +389,15 @@ func appendSpill(buf []byte, s *colSegment) []byte {
 	return appendEntries(buf, &tab, &sg)
 }
 
-// decodeSpill rebuilds a hot segment from a spill payload. Rows are
-// re-added in storage order, so payload accounting, min/max event
-// times, and (lazily rebuilt) index chains come out exactly as they were
-// before demotion.
+// decodeSpill rebuilds a segment's columns from a spill payload, with no
+// index. Rows are pushed in storage order, so payload accounting,
+// min/max event times, and the index chains linked over them come out
+// exactly as they were before demotion.
 func decodeSpill(b []byte) (*colSegment, error) {
 	d := &decoder{b: b}
 	s := newColSegment(d.varint("spill epoch"))
 	n := d.count("spill entry count")
-	d.entries(d.schemas(), n, s.add)
+	d.rows(d.schemas(), n, s)
 	if err := d.done(); err != nil {
 		return nil, err
 	}
@@ -410,8 +408,9 @@ func decodeSpill(b []byte) (*colSegment, error) {
 // failure sticks: later reads return zero values, every loop stops at
 // its next check of err, and done reports it.
 type decoder struct {
-	b   []byte
-	err error
+	b    []byte
+	err  error
+	vals []tuple.Value // one entry's values, reused
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -495,11 +494,14 @@ func (d *decoder) schemas() []*tuple.Schema {
 	return out
 }
 
-// entries decodes n entries, handing each to add in storage order.
-func (d *decoder) entries(schemas []*tuple.Schema, n int, add func(*tuple.Tuple, uint64)) {
+// rows decodes n entries onto s's columns in storage order: each entry's
+// schema reference, sequence number, event time and values, read into
+// the decoder's scratch — no tuple per row.
+func (d *decoder) rows(schemas []*tuple.Schema, n int, s *colSegment) {
 	for i := 0; i < n && d.err == nil; i++ {
 		sid := d.uvarint("entry schema")
 		seq := d.uvarint("entry sequence")
+		ts := d.varint("entry event time")
 		if d.err != nil {
 			return
 		}
@@ -507,13 +509,18 @@ func (d *decoder) entries(schemas []*tuple.Schema, n int, add func(*tuple.Tuple,
 			d.fail("entry %d: schema reference %d of %d", i, sid, len(schemas))
 			return
 		}
-		tp, rest, err := tuple.DecodeTuple(d.b, schemas[sid])
-		if err != nil {
-			d.fail("entry %d: %v", i, err)
-			return
+		sc := schemas[sid]
+		d.vals = d.vals[:0]
+		for range sc.Len() {
+			v, rest, err := tuple.DecodeValue(d.b)
+			if err != nil {
+				d.fail("entry %d: %v", i, err)
+				return
+			}
+			d.b = rest
+			d.vals = append(d.vals, v)
 		}
-		d.b = rest
-		add(tp, seq)
+		s.push(sc, ts, seq, d.vals)
 	}
 }
 

@@ -14,9 +14,10 @@ package runtime
 //     bytes that decode and re-encode to themselves.
 //  4. Columns encode like the tuples they hold: the rows of a spill
 //     payload that decodes, and of every segment of a record that
-//     decodes, loaded into a columnar segment, re-encode through
-//     appendSpill — straight from the columns — to exactly the bytes the
-//     same tuples encode to through the tuple codec.
+//     decodes, read a second time as tuples through the tuple codec
+//     (tupleEntries), encode through the tuple codec to exactly the bytes
+//     appendSpill writes straight from the columns — both the columns the
+//     decoder filled and the same tuples loaded into a columnar segment.
 //
 // The seeds (here, and as files in testdata/fuzz/FuzzStateRecord) are a
 // valid framed record with pins, a drop and two schemas, then the same
@@ -43,6 +44,10 @@ import (
 // drop, and two segments over two schemas.
 func fuzzSeedRecord() *StateRecord {
 	r, rs := tuple.NewSchema("R.a", "R.τ"), tuple.NewSchema("R.a", "S.b", "R.τ", "S.τ")
+	sr, srs := Segment{Key: SegKey{Store: "st-R", Part: 0, Epoch: 2}}, Segment{Key: SegKey{Store: "st-RS", Part: 0, Epoch: 2}}
+	sr.Append(tuple.New(r, 5, tuple.IntValue(1), tuple.IntValue(5)), 10)
+	sr.Append(tuple.New(r, 6, tuple.IntValue(2), tuple.IntValue(6)), 11)
+	srs.Append(tuple.New(rs, 6, tuple.IntValue(1), tuple.StringValue("x"), tuple.IntValue(5), tuple.IntValue(6)), 12)
 	return &StateRecord{
 		Anchor: 4096, Seq: 12, Watermark: -3,
 		Pins: []StorePin{
@@ -50,14 +55,7 @@ func fuzzSeedRecord() *StateRecord {
 			{Store: "st-RS", Par: 1, Part: query.Attr{Rel: "S", Name: "b"}},
 		},
 		Drops: []SegKey{{Store: "st-R", Part: 1, Epoch: 0}},
-		Segs: []Segment{
-			{Key: SegKey{Store: "st-R", Part: 0, Epoch: 2},
-				Tuples: []*tuple.Tuple{tuple.New(r, 5, tuple.IntValue(1), tuple.IntValue(5)), tuple.New(r, 6, tuple.IntValue(2), tuple.IntValue(6))},
-				Seqs:   []uint64{10, 11}},
-			{Key: SegKey{Store: "st-RS", Part: 0, Epoch: 2},
-				Tuples: []*tuple.Tuple{tuple.New(rs, 6, tuple.IntValue(1), tuple.StringValue("x"), tuple.IntValue(5), tuple.IntValue(6))},
-				Seqs:   []uint64{12}},
-		},
+		Segs:  []Segment{sr, srs},
 	}
 }
 
@@ -161,12 +159,79 @@ func checkStateRecord(t *testing.T, payload []byte) {
 	if !bytes.Equal(AppendStateRecord(nil, rec2), enc) {
 		t.Fatal("decode∘encode is not byte-stable")
 	}
+	rows, err := recordTuples(payload)
+	if err != nil {
+		t.Fatalf("DecodeStateRecord accepted what the tuple codec's reading rejects: %v", err)
+	}
+	if len(rows) != len(rec.Segs) {
+		t.Fatalf("%d decoded segments, %d read as tuples", len(rec.Segs), len(rows))
+	}
 	for i := range rec.Segs {
 		sg := &rec.Segs[i]
-		if err := columnsEncodeLikeTuples(sg.Key.Epoch, sg.Tuples, sg.Seqs); err != nil {
+		if err := columnsEncodeLikeTuples(sg.Key.Epoch, rows[i].tps, rows[i].seqs, sg.cols); err != nil {
 			t.Fatalf("segment %s: %v", sg.Key, err)
 		}
 	}
+}
+
+// tupleEntries reads n entries of the entry grammar as tuples through
+// the tuple codec (DecodeTuple) — the reading independent of the
+// decoder's columns that property 4 compares them against.
+func tupleEntries(d *decoder, schemas []*tuple.Schema, n int) (tps []*tuple.Tuple, seqs []uint64) {
+	for i := 0; i < n && d.err == nil; i++ {
+		sid := d.uvarint("entry schema")
+		seq := d.uvarint("entry sequence")
+		if d.err != nil {
+			return
+		}
+		if sid >= uint64(len(schemas)) {
+			d.fail("entry %d: schema reference %d of %d", i, sid, len(schemas))
+			return
+		}
+		tp, rest, err := tuple.DecodeTuple(d.b, schemas[sid])
+		if err != nil {
+			d.fail("entry %d: %v", i, err)
+			return
+		}
+		d.b = rest
+		tps, seqs = append(tps, tp), append(seqs, seq)
+	}
+	return tps, seqs
+}
+
+type tupleRows struct {
+	tps  []*tuple.Tuple
+	seqs []uint64
+}
+
+// recordTuples reads a record payload's segments as tuples: the record
+// grammar walked past its header, pins and drops, every segment's
+// entries through tupleEntries.
+func recordTuples(payload []byte) ([]tupleRows, error) {
+	d := &decoder{b: payload[1:]}
+	d.uvarint("anchor position")
+	d.uvarint("anchor seq")
+	d.varint("watermark")
+	for i, n := 0, d.count("pin count"); i < n && d.err == nil; i++ {
+		d.str("pin store")
+		d.uvarint("pin parallelism")
+		d.str("pin partition relation")
+		d.str("pin partition attribute")
+		for j, m := 0, d.count("split-key count"); j < m && d.err == nil; j++ {
+			d.uvarint("split key")
+		}
+	}
+	schemas := d.schemas()
+	for i, n := 0, d.count("drop count"); i < n && d.err == nil; i++ {
+		d.segKey()
+	}
+	var out []tupleRows
+	for i, n := 0, d.count("segment count"); i < n && d.err == nil; i++ {
+		d.segKey()
+		tps, seqs := tupleEntries(d, schemas, d.count("entry count"))
+		out = append(out, tupleRows{tps, seqs})
+	}
+	return out, d.done()
 }
 
 // checkSpill asserts property 4 on one payload read as a spill segment:
@@ -174,47 +239,61 @@ func checkStateRecord(t *testing.T, payload []byte) {
 // through appendSpill to the bytes their tuples encode to.
 func checkSpill(t *testing.T, payload []byte) {
 	t.Helper()
-	if _, err := decodeSpill(payload); err != nil {
+	s, err := decodeSpill(payload)
+	if err != nil {
 		if !errors.Is(err, ErrCorruptSnapshot) {
 			t.Fatalf("spill decode error %v does not wrap ErrCorruptSnapshot", err)
 		}
 		return
 	}
-	// The same rows again, as tuples, through the spill grammar's decoder.
+	// The same rows again, as tuples, through the tuple codec.
 	d := &decoder{b: payload}
 	epoch := d.varint("spill epoch")
 	n := d.count("spill entry count")
-	var tps []*tuple.Tuple
-	var seqs []uint64
-	d.entries(d.schemas(), n, func(tp *tuple.Tuple, seq uint64) {
-		tps = append(tps, tp)
-		seqs = append(seqs, seq)
-	})
+	tps, seqs := tupleEntries(d, d.schemas(), n)
 	if err := d.done(); err != nil {
-		t.Fatalf("decodeSpill accepted what its grammar rejects: %v", err)
+		t.Fatalf("decodeSpill accepted what the tuple codec's reading rejects: %v", err)
 	}
-	if err := columnsEncodeLikeTuples(epoch, tps, seqs); err != nil {
+	if err := columnsEncodeLikeTuples(epoch, tps, seqs, s); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// columnsEncodeLikeTuples loads the rows into a columnar segment of the
-// epoch and compares appendSpill's bytes with the tuple codec's encoding
-// of the same rows in the spill grammar; the latter must decode back to
-// a segment that re-encodes to itself.
-func columnsEncodeLikeTuples(epoch int64, tps []*tuple.Tuple, seqs []uint64) error {
+// tupleSpill encodes the rows in the spill grammar through the tuple
+// codec: a schema table numbered in row order, then per row its schema
+// id, its sequence number and AppendTuple's bytes.
+func tupleSpill(epoch int64, tps []*tuple.Tuple, seqs []uint64) []byte {
+	var tab schemaTable
+	for _, tp := range tps {
+		tab.id(tp.Schema)
+	}
+	b := binary.AppendVarint(nil, epoch)
+	b = binary.AppendUvarint(b, uint64(len(tps)))
+	b = tab.appendTo(b)
+	for i, tp := range tps {
+		b = binary.AppendUvarint(b, uint64(tab.id(tp.Schema)))
+		b = binary.AppendUvarint(b, seqs[i])
+		b = tuple.AppendTuple(b, tp)
+	}
+	return b
+}
+
+// columnsEncodeLikeTuples compares appendSpill's bytes — of the decoded
+// columns, and of the rows loaded into a fresh columnar segment of the
+// epoch — with the tuple codec's encoding of the same rows in the spill
+// grammar; the latter must decode back to a segment that re-encodes to
+// itself.
+func columnsEncodeLikeTuples(epoch int64, tps []*tuple.Tuple, seqs []uint64, decoded *colSegment) error {
 	s := newColSegment(epoch)
 	for i, tp := range tps {
 		s.add(tp, seqs[i])
 	}
-	sg := Segment{Tuples: tps, Seqs: seqs}
-	var tab schemaTable
-	tab.add(&sg)
-	want := binary.AppendVarint(nil, epoch)
-	want = binary.AppendUvarint(want, uint64(len(tps)))
-	want = appendEntries(tab.appendTo(want), &tab, &sg)
+	want := tupleSpill(epoch, tps, seqs)
 	if got := appendSpill(nil, s); !bytes.Equal(got, want) {
 		return fmt.Errorf("columns encode to %x, their tuples to %x", got, want)
+	}
+	if got := appendSpill(nil, decoded); !bytes.Equal(got, want) {
+		return fmt.Errorf("decoded columns encode to %x, the tuples read from the same bytes to %x", got, want)
 	}
 	back, err := decodeSpill(want)
 	if err != nil {

@@ -11,12 +11,14 @@ package runtime
 // collector traces the string columns alone, and a probe reads the cells
 // it compares beside the row id instead of chasing a *tuple.Tuple to its
 // values. A tuple is built only for a row that matched (carved from an
-// arena as part of the join result, batchprobe.go) and on the decode side
-// (restore, recovery, a spill read, which insert tuples). Both backends
-// hang the same index kernel off their rows: colIndex (this file), an
-// open-addressed uint64-hash table whose posting lists are int32 chains
-// threaded through a single flat array, keyed by ALL stored attributes
-// of the probing rule (plan.go's indexKey). Consequences:
+// arena as part of the join result, batchprobe.go) and for a row that
+// restore or recovery inserts (LoadTaskEpoch); a decode (a spill read, a
+// snapshot, a checkpoint record) pushes its cells straight onto columns
+// (codec.go). Both backends hang the same index kernel off their rows:
+// colIndex (this file), an open-addressed uint64-hash table whose
+// posting lists are int32 chains threaded through a single flat array,
+// keyed by ALL stored attributes of the probing rule (plan.go's
+// indexKey). Consequences:
 //
 //   - insert appends one cell per column and pushes one chain head per
 //     index: no map writes, no per-key slice growth, no per-row object;
@@ -625,11 +627,19 @@ func (s *colSegment) ord(sc *tuple.Schema) uint16 {
 	return uint16(len(s.schemas) - 1)
 }
 
+// add appends the tuple as a row and links it into every index.
 func (s *colSegment) add(tp *tuple.Tuple, seq uint64) {
 	row := int32(len(s.seqs))
-	s.sch = append(s.sch, s.ord(tp.Schema))
+	s.push(tp.Schema, int64(tp.TS), seq, tp.Values)
+	s.indices.addRow(tp, row)
+}
+
+// push appends one row of the schema — its sequence number, event time
+// and one cell per column position, Null past the row's arity — without
+// touching the indices.
+func (s *colSegment) push(sc *tuple.Schema, t int64, seq uint64, vals []tuple.Value) {
+	s.sch = append(s.sch, s.ord(sc))
 	s.seqs = append(s.seqs, seq)
-	t := int64(tp.TS)
 	s.ts = append(s.ts, t)
 	if t < s.minTS {
 		s.minTS = t
@@ -638,14 +648,13 @@ func (s *colSegment) add(tp *tuple.Tuple, seq uint64) {
 		s.maxTS = t
 	}
 	for p := range s.cols {
-		var v tuple.Value // Null past the tuple's arity
-		if p < len(tp.Values) {
-			v = tp.Values[p]
+		var v tuple.Value // Null past the row's arity
+		if p < len(vals) {
+			v = vals[p]
 		}
 		s.cols[p].push(v)
 		s.strBytes += int64(len(v.Str()))
 	}
-	s.indices.addRow(tp, row)
 }
 
 // fill writes the row's cells into dst, one per column position from 0.

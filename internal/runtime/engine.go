@@ -77,9 +77,6 @@ type Config struct {
 	// Flow tunes the flow-controlled substrate (credit grants, worker
 	// count, overload policy); ignored by the other substrates.
 	Flow FlowConfig
-	// OverheadLoops adds busy work per handled message, emulating
-	// per-tuple engine overhead differences (FI vs SI profiles).
-	OverheadLoops int
 	// Sim tunes the deterministic simulation substrate (sim.go); ignored
 	// by the other substrates. Its substrate runs on its own
 	// VirtualClock; the others read the wall clock.
@@ -868,8 +865,8 @@ func (e *Engine) Stop() {
 	if e.tap != nil {
 		e.tap.close()
 	}
-	// Release the spill tier's OS resources (mmap'd spill files:
-	// munmap, fsync, truncate, close). The substrate has stopped, so no
+	// Release the spill tier's OS resources (spill files: fsync,
+	// truncate, close). The substrate has stopped, so no
 	// task executes and its store is safe to touch from here; the first
 	// failure surfaces through Close. A retired task closed its own file
 	// (task.clearState). The closeErr write is published to concurrent

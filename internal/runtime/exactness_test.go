@@ -8,6 +8,7 @@ package runtime
 import (
 	"cmp"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -41,6 +42,7 @@ type exactShape struct {
 	seed                      uint64
 	tpch                      bool
 	twoWay, lossy, mir, split bool
+	late                      bool // lateArrivals rewrites the stream
 }
 
 // exactColumn is one substrate column; a lossy cell must lose results
@@ -112,8 +114,10 @@ func TestExactnessMatrix(t *testing.T) {
 			est: flatEstimates([]string{"R", "S"}, 100), n: 200, keys: 10, seed: 42, twoWay: true},
 		{name: "two-way-p2", workload: "q1: R(a) S(a)", opts: core.Options{StoreParallelism: 2},
 			est: flatEstimates([]string{"R", "S"}, 100), n: 220, keys: 8, seed: 5, twoWay: true},
+		// Late arrivals into four-unit epochs: the tiered row writes into
+		// demoted epochs and then probes read the rows it wrote back.
 		{name: "windowed-two-way", workload: "q1: R(a) S(a)", opts: core.Options{StoreParallelism: 2},
-			est: flatEstimates([]string{"R", "S"}, 100), window: 20, n: 300, keys: 5, seed: 11, twoWay: true},
+			est: flatEstimates([]string{"R", "S"}, 100), window: 20, epoch: 4, n: 300, keys: 5, seed: 11, twoWay: true, late: true},
 		{name: "chain-p4", workload: "q1: R(a) S(a,b) T(b)", opts: core.Options{StoreParallelism: 4},
 			est: flatEstimates([]string{"R", "S", "T"}, 100), n: 240, keys: 10, seed: 7, lossy: true},
 		{name: "shared-pair", workload: "q1: R(a) S(a,b) T(b)\nq2: S(b) T(b,c) U(c)", opts: core.Options{StoreParallelism: 3},
@@ -169,6 +173,9 @@ func TestExactnessMatrix(t *testing.T) {
 				if ins == nil {
 					ins = randomStream(cat, s.n, s.keys, s.seed)
 				}
+				if s.late {
+					ins = lateArrivals(ins, tuple.Time(s.epoch), tuple.Time(s.window))
+				}
 			}
 			composite, split := false, false
 			for _, st := range topo.Stores {
@@ -210,6 +217,9 @@ func TestExactnessMatrix(t *testing.T) {
 								if m.DemotedEpochs == 0 || m.ColdProbeHits == 0 {
 									t.Errorf("tiered row never spilled or never read back (demoted=%d cold hits=%d) — row vacuous", m.DemotedEpochs, m.ColdProbeHits)
 								}
+								if s.late && m.PromotedEpochs == 0 {
+									t.Error("no late arrival landed in a demoted epoch — late stream vacuous")
+								}
 							}
 						})
 					}
@@ -217,6 +227,21 @@ func TestExactnessMatrix(t *testing.T) {
 			}
 		})
 	}
+}
+
+// lateArrivals returns the stream with every seventh ingestion past the
+// first window moved two to four epochs behind the watermark, still
+// inside the window: on the tiered row it lands in a demoted epoch.
+func lateArrivals(ins []Ingestion, epoch, window tuple.Time) []Ingestion {
+	out := slices.Clone(ins)
+	var wm tuple.Time
+	for i := range out {
+		if i%7 == 6 && wm > window {
+			out[i].TS = wm - 2*epoch - tuple.Time(i)%(2*epoch+1)
+		}
+		wm = max(wm, out[i].TS)
+	}
+	return out
 }
 
 // TestCompiledPlanEquivalenceWindowed covers the windowed, partitioned,

@@ -20,10 +20,9 @@ import (
 // wakeup (or a poll that outlives the test timeout) fails it.
 func TestBlockedSourceWakesOnCreditRelease(t *testing.T) {
 	eng, cat := overloadFixture(t, Config{
-		OverheadLoops: 2000,
-		Substrate:     SubstrateFlow,
-		Flow:          FlowConfig{MailboxCredits: 1, Workers: 1},
-	})
+		Substrate: SubstrateFlow,
+		Flow:      FlowConfig{MailboxCredits: 1, Workers: 1},
+	}, 200)
 	const n = 2000
 	done := make(chan struct{})
 	go func() {
@@ -59,18 +58,18 @@ func TestBlockedSourceWakesOnCreditRelease(t *testing.T) {
 // starts) and a gating grant, against the engine's quiesce condition.
 func TestDrainParksUntilSettled(t *testing.T) {
 	for name, cfg := range map[string]Config{
-		"unbounded": {OverheadLoops: 5000, Flow: FlowConfig{MailboxCredits: 1 << 30}},
-		"flow": {OverheadLoops: 5000, Substrate: SubstrateFlow,
-			Flow: FlowConfig{MailboxCredits: 64}},
+		"unbounded": {Flow: FlowConfig{MailboxCredits: 1 << 30}},
+		"flow":      {Substrate: SubstrateFlow, Flow: FlowConfig{MailboxCredits: 64}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			eng, cat := overloadFixture(t, cfg)
+			eng, cat := overloadFixture(t, cfg, 2000)
 			ins := randomStream(cat, 1500, 8, 7)
 			for _, in := range ins {
 				if err := eng.Ingest(in.Rel, in.TS, in.Vals...); err != nil {
 					t.Fatal(err)
 				}
 			}
+			t.Logf("queued messages at the drain: %d", eng.Pressure().QueuedMessages)
 			drained := make(chan struct{})
 			go func() {
 				eng.Drain()

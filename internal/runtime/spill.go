@@ -39,11 +39,10 @@ package runtime
 // The file is append-only and tombstone-pruned: expired segments are
 // simply forgotten (their stubs dropped); bytes are reclaimed only by
 // clear()/close(), never by rewriting — prune of cold state is O(1).
-// Reads go through a lazily refreshed read-only mmap of the file
-// prefix (mmap_unix.go) with a pread fallback, and every read
-// re-verifies the frame's CRC: a truncated or corrupt spill file
-// surfaces a wrapped ErrCorruptSnapshot through the backend's failure
-// hook, never a panic and never silently wrong results.
+// A read is one positioned read of the frame into the store's scratch,
+// and every read re-verifies the frame's CRC: a truncated or corrupt
+// spill file surfaces a wrapped ErrCorruptSnapshot through the backend's
+// failure hook, never a panic and never silently wrong results.
 //
 // The spill file is NOT a durability source. Checkpoints and the WAL
 // are: recovery always builds a fresh engine with a fresh (empty)
@@ -67,9 +66,8 @@ type spillStore struct {
 	f    *os.File
 	path string // non-empty only while a named file exists on disk
 	size int64  // append offset
-	mm   mmapRegion
 	done bool
-	buf  []byte // framing scratch
+	buf  []byte // framing and read scratch
 }
 
 // open creates the spill file on first demotion. The file is unlinked
@@ -110,29 +108,17 @@ func (sp *spillStore) append(payload []byte) (off, n int64, err error) {
 }
 
 // read returns the payload of the frame at [off, off+n), CRC-verified.
-// The returned slice may alias the mmap and is only valid until the
-// next store operation — decode immediately (the tuple codec copies).
+// The returned slice is the store's scratch and is only valid until the
+// next store operation — decode immediately (the decoder copies).
 func (sp *spillStore) read(off, n int64) ([]byte, error) {
 	if sp.f == nil {
 		return nil, corruptSnapshot("spill read from absent file")
 	}
-	fi, err := sp.f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("runtime: spill stat: %w", err)
+	sp.buf = room(sp.buf, int(n))[:n]
+	if _, err := sp.f.ReadAt(sp.buf, off); err != nil {
+		return nil, corruptSnapshot("spill frame [%d,+%d): %v (truncated?)", off, n, err)
 	}
-	// Bounds come before any mmap access: touching pages past EOF of a
-	// truncated file is a SIGBUS, not an error.
-	if off < 0 || n < 0 || off+n > fi.Size() {
-		return nil, corruptSnapshot("spill frame [%d,+%d) past end of %d-byte file (truncated?)", off, n, fi.Size())
-	}
-	b := sp.mm.slice(sp.f, fi.Size(), off, n)
-	if b == nil {
-		b = make([]byte, n)
-		if _, err := sp.f.ReadAt(b, off); err != nil {
-			return nil, fmt.Errorf("%w: spill frame read: %v", ErrCorruptSnapshot, err)
-		}
-	}
-	payload, err := wholeFrame(b)
+	payload, err := wholeFrame(sp.buf)
 	if err != nil {
 		return nil, fmt.Errorf("spill frame at %d: %w", off, err)
 	}
@@ -146,15 +132,14 @@ func (sp *spillStore) reset() error {
 	if sp.f == nil {
 		return nil
 	}
-	sp.mm.drop()
 	if err := sp.f.Truncate(0); err != nil {
 		return fmt.Errorf("runtime: spill truncate: %w", err)
 	}
 	return nil
 }
 
-// close releases the mapping, fsyncs and truncates the file, closes
-// the descriptor, and removes the file if it still has a name.
+// close fsyncs and truncates the file, closes the descriptor, and
+// removes the file if it still has a name.
 // Idempotent: Engine.Stop and Engine.Close may both reach it.
 func (sp *spillStore) close() error {
 	if sp.done {
@@ -164,7 +149,6 @@ func (sp *spillStore) close() error {
 	if sp.f == nil {
 		return nil
 	}
-	sp.mm.drop()
 	var first error
 	if err := sp.f.Sync(); err != nil && first == nil {
 		first = err

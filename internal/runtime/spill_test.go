@@ -107,7 +107,12 @@ func segmentRows(sg Segment) []*tuple.Tuple {
 	if err != nil {
 		panic(err)
 	}
-	return rec.Segs[0].Tuples
+	back := &rec.Segs[0]
+	tps := make([]*tuple.Tuple, back.Len())
+	for i := range tps {
+		tps[i] = back.Tuple(i)
+	}
+	return tps
 }
 
 // forEachRow visits the epoch's rows as the checkpoint walk reads them.

@@ -76,7 +76,7 @@ const (
 	// BackendColumnar is the epoch-ring columnar store: flat per-epoch
 	// segments with open-addressed hash indices and int32 posting
 	// chains (columnar.go). With Config.StateHotBytes > 0 it demotes
-	// cold whole epochs to an mmap'd on-disk segment file behind
+	// cold whole epochs to an on-disk segment file behind
 	// in-memory filter stubs (spill.go).
 	BackendColumnar
 )
@@ -445,12 +445,12 @@ func (s *containerState) segment(epoch int64, dst *SegmentBuf) Segment {
 	if c == nil {
 		return Segment{}
 	}
+	var sg Segment
 	if dst != nil {
-		return dst.copyRows(c.entries)
+		sg.cols = dst.next() // its arrays kept from the previous cut
 	}
-	sg := Segment{Tuples: make([]*tuple.Tuple, len(c.entries)), Seqs: make([]uint64, len(c.entries))}
-	for i, en := range c.entries {
-		sg.Tuples[i], sg.Seqs[i] = en.t, en.seq
+	for _, en := range c.entries {
+		sg.Append(en.t, en.seq)
 	}
 	return sg
 }

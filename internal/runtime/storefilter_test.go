@@ -207,20 +207,18 @@ func TestStoreFilterCoversHotRows(t *testing.T) {
 				}
 				sc := segmentRows(tk.state.segment(eps[0], nil))[0].Schema
 				for _, ep := range []int64{eps[0], eps[len(eps)-1], eps[len(eps)-1] + 1} {
-					var tps []*tuple.Tuple
-					var seqs []uint64
+					sg := Segment{Key: SegKey{Store: k.store, Part: k.part, Epoch: ep}}
 					for n := 0; n < 8; n++ {
 						vals := make([]tuple.Value, sc.Len())
 						for i := range vals {
 							vals[i] = tuple.IntValue(100 + r.Int64n(1000))
 						}
-						tps = append(tps, tuple.New(sc, tuple.Time(ep*epochLen), vals...))
-						seqs = append(seqs, uint64(n))
+						sg.Append(tuple.New(sc, tuple.Time(ep*epochLen), vals...), uint64(n))
 					}
-					if err := h.eng.LoadTaskEpoch(k.store, k.part, ep, tps, seqs); err != nil {
+					if err := h.eng.LoadTaskEpoch(&sg); err != nil {
 						t.Fatal(err)
 					}
-					loaded += len(tps)
+					loaded += sg.Len()
 				}
 				checked += checkCoverage(t, tk.state, fmt.Sprintf("task %s/%d after LoadTaskEpoch", k.store, k.part))
 			}

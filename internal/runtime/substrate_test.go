@@ -9,6 +9,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	goruntime "runtime"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -29,10 +30,11 @@ func sortedResults(s *CollectSink) []string {
 	return out
 }
 
-// overloadFixture builds an engine over a two-way join with slow
-// consumers (OverheadLoops) so a free-running producer outruns the
-// topology — the Fig. 8a overload shape at test scale.
-func overloadFixture(t *testing.T, cfg Config) (*Engine, *query.Catalog) {
+// overloadFixture builds an engine over a two-way join whose result sink
+// burns loops iterations per result — slow consumers, as in
+// examples/overload-survival — so a free-running producer outruns the
+// topology: the Fig. 8a overload shape at test scale.
+func overloadFixture(t *testing.T, cfg Config, loops int) (*Engine, *query.Catalog) {
 	t.Helper()
 	qs, cat, err := query.ParseWorkload("q1: R(a) S(a)")
 	if err != nil {
@@ -52,8 +54,17 @@ func overloadFixture(t *testing.T, cfg Config) (*Engine, *query.Catalog) {
 	if err := eng.Install(topo, 0); err != nil {
 		t.Fatal(err)
 	}
-	eng.OnResult("q1", func(*tuple.Tuple) {})
+	eng.OnResult("q1", func(*tuple.Tuple) { burn(loops) })
 	return eng, cat
+}
+
+// burn is a slow consumer's busy work: n iterations.
+func burn(n int) {
+	var x uint64
+	for i := range n {
+		x += uint64(i) ^ x>>3
+	}
+	goruntime.KeepAlive(x)
 }
 
 // driveOverload ingests a sustained stream, pruning the window
@@ -86,12 +97,11 @@ const unexhaustible = 1 << 30
 // unexhaustible credit grant accumulates a deep backlog, while a small
 // grant's admission gate keeps the queue near the credit bound.
 func TestFlowBoundsQueueingUnderOverload(t *testing.T) {
-	const loops = 20000
+	const loops = 1000
 	unb, cat := overloadFixture(t, Config{
-		OverheadLoops: loops,
-		Substrate:     SubstrateFlow,
-		Flow:          FlowConfig{MailboxCredits: unexhaustible},
-	})
+		Substrate: SubstrateFlow,
+		Flow:      FlowConfig{MailboxCredits: unexhaustible},
+	}, loops)
 	peakUnbounded, err := driveOverload(unb, cat, 3000, 0)
 	unb.Drain()
 	unb.Stop()
@@ -100,10 +110,9 @@ func TestFlowBoundsQueueingUnderOverload(t *testing.T) {
 	}
 
 	flw, cat := overloadFixture(t, Config{
-		OverheadLoops: loops,
-		Substrate:     SubstrateFlow,
-		Flow:          FlowConfig{MailboxCredits: 16},
-	})
+		Substrate: SubstrateFlow,
+		Flow:      FlowConfig{MailboxCredits: 16},
+	}, loops)
 	peakFlow, err := driveOverload(flw, cat, 3000, 0)
 	flw.Drain()
 	flw.Stop()
@@ -132,7 +141,7 @@ func TestFlowSurvivesWhereUnboundedDies(t *testing.T) {
 		window = tuple.Time(50)
 	)
 	// Reference result count from the exact synchronous substrate.
-	ref, cat := overloadFixture(t, Config{Substrate: SubstrateSynchronous, DefaultWindow: time.Duration(window)})
+	ref, cat := overloadFixture(t, Config{Substrate: SubstrateSynchronous, DefaultWindow: time.Duration(window)}, 0)
 	if _, err := driveOverload(ref, cat, n, window); err != nil {
 		t.Fatalf("synchronous reference failed: %v", err)
 	}
@@ -144,12 +153,11 @@ func TestFlowSurvivesWhereUnboundedDies(t *testing.T) {
 	}
 
 	unb, cat := overloadFixture(t, Config{
-		OverheadLoops:    loops,
 		DefaultWindow:    time.Duration(window),
 		MemoryLimitBytes: budget,
 		Substrate:        SubstrateFlow,
 		Flow:             FlowConfig{MailboxCredits: unexhaustible},
-	})
+	}, loops)
 	_, err := driveOverload(unb, cat, n, window)
 	unb.Stop()
 	if !errors.Is(err, ErrMemoryLimit) {
@@ -157,13 +165,13 @@ func TestFlowSurvivesWhereUnboundedDies(t *testing.T) {
 	}
 
 	flw, cat := overloadFixture(t, Config{
-		OverheadLoops:    loops,
 		DefaultWindow:    time.Duration(window),
 		MemoryLimitBytes: budget,
 		Substrate:        SubstrateFlow,
 		Flow:             FlowConfig{MailboxCredits: 16},
-	})
-	if _, err := driveOverload(flw, cat, n, window); err != nil {
+	}, loops)
+	peakFlow, err := driveOverload(flw, cat, n, window)
+	if err != nil {
 		t.Fatalf("flow substrate died under the same budget: %v", err)
 	}
 	flw.Drain()
@@ -180,13 +188,13 @@ func TestFlowSurvivesWhereUnboundedDies(t *testing.T) {
 	}
 
 	shed, cat := overloadFixture(t, Config{
-		OverheadLoops:    loops,
 		DefaultWindow:    time.Duration(window),
 		MemoryLimitBytes: budget,
 		Substrate:        SubstrateFlow,
 		Flow:             FlowConfig{MailboxCredits: 16, Policy: ShedOnOverload},
-	})
-	if _, err := driveOverload(shed, cat, n, window); err != nil {
+	}, loops)
+	peakShed, err := driveOverload(shed, cat, n, window)
+	if err != nil {
 		t.Fatalf("shedding flow substrate died under the same budget: %v", err)
 	}
 	shed.Drain()
@@ -198,6 +206,7 @@ func TestFlowSurvivesWhereUnboundedDies(t *testing.T) {
 	if m.Ingested+m.ShedTuples != int64(n) {
 		t.Errorf("ShedOnOverload admitted %d + shed %d != offered %d", m.Ingested, m.ShedTuples, n)
 	}
+	t.Logf("peak queued messages: 16 credits=%d, shedding=%d (shed %d)", peakFlow, peakShed, m.ShedTuples)
 }
 
 // TestMeasuredProbesMatchAcrossSubstrates: MeasuredCosts meters every
@@ -207,18 +216,20 @@ func TestFlowSurvivesWhereUnboundedDies(t *testing.T) {
 // the synchronous engine's.
 func TestMeasuredProbesMatchAcrossSubstrates(t *testing.T) {
 	const n = 4000
-	gauges := func(cfg Config) []TaskGauge {
+	gauges := func(cfg Config, loops int) []TaskGauge {
 		cfg.MeasuredCosts = true
-		eng, cat := overloadFixture(t, cfg)
+		eng, cat := overloadFixture(t, cfg, loops)
 		defer eng.Stop()
-		if _, err := driveOverload(eng, cat, n, 0); err != nil {
+		peak, err := driveOverload(eng, cat, n, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
+		t.Logf("%v: peak queued messages %d", cfg.Substrate, peak)
 		eng.Drain()
 		return eng.TaskGauges()
 	}
-	want := gauges(Config{Substrate: SubstrateSynchronous})
-	got := gauges(Config{Substrate: SubstrateFlow, OverheadLoops: 2000, Flow: FlowConfig{Workers: 1}})
+	want := gauges(Config{Substrate: SubstrateSynchronous}, 0)
+	got := gauges(Config{Substrate: SubstrateFlow, Flow: FlowConfig{Workers: 1}}, 100)
 	if len(got) != len(want) {
 		t.Fatalf("flow engine has %d tasks, synchronous %d", len(got), len(want))
 	}
@@ -244,10 +255,9 @@ func TestMeasuredProbesMatchAcrossSubstrates(t *testing.T) {
 func TestFlowShedPolicy(t *testing.T) {
 	const n = 4000
 	eng, cat := overloadFixture(t, Config{
-		OverheadLoops: 30000,
-		Substrate:     SubstrateFlow,
-		Flow:          FlowConfig{MailboxCredits: 8, Policy: ShedOnOverload},
-	})
+		Substrate: SubstrateFlow,
+		Flow:      FlowConfig{MailboxCredits: 8, Policy: ShedOnOverload},
+	}, 15000)
 	if _, err := driveOverload(eng, cat, n, 0); err != nil {
 		t.Fatalf("shedding engine failed: %v", err)
 	}
@@ -270,10 +280,9 @@ func TestFlowShedPolicy(t *testing.T) {
 // admission gate instead of deadlocking the shutdown.
 func TestFlowStopWhileBlocked(t *testing.T) {
 	eng, cat := overloadFixture(t, Config{
-		OverheadLoops: 100000,
-		Substrate:     SubstrateFlow,
-		Flow:          FlowConfig{MailboxCredits: 1, Workers: 1},
-	})
+		Substrate: SubstrateFlow,
+		Flow:      FlowConfig{MailboxCredits: 1, Workers: 1},
+	}, 30000)
 	done := make(chan error, 1)
 	go func() {
 		ins := randomStream(cat, 100000, 8, 9)

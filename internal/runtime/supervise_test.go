@@ -129,8 +129,8 @@ func TestSupervisorBudgetExhaustion(t *testing.T) {
 func TestSupervisorFlowRedeliversOnlyPanickedMessage(t *testing.T) {
 	const n = 1000
 	const panicAt = 500
-	run := func(cfg Config, panics bool) (Snapshot, map[string]int) {
-		eng, _ := overloadFixture(t, cfg)
+	run := func(cfg Config, loops int, panics bool) (Snapshot, map[string]int) {
+		eng, _ := overloadFixture(t, cfg, 0)
 		defer eng.Stop()
 		sink := NewCollectSink()
 		var calls atomic.Int64
@@ -138,6 +138,7 @@ func TestSupervisorFlowRedeliversOnlyPanickedMessage(t *testing.T) {
 			if calls.Add(1) == panicAt && panics {
 				panic("sink panic")
 			}
+			burn(loops)
 			sink.Add(tp)
 		})
 		// All of R, then all of S: the S probes queue up behind one
@@ -151,14 +152,15 @@ func TestSupervisorFlowRedeliversOnlyPanickedMessage(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		t.Logf("%v: queued messages at the drain: %d", cfg.Substrate, eng.Pressure().QueuedMessages)
 		eng.Drain()
 		if err := eng.Failure(); err != nil {
 			t.Fatalf("engine failed: %v", err)
 		}
 		return eng.Metrics().Snapshot(), sink.Results()
 	}
-	_, want := run(Config{Substrate: SubstrateSynchronous}, false)
-	m, got := run(Config{Substrate: SubstrateFlow, OverheadLoops: 2000, Flow: FlowConfig{Workers: 1}}, true)
+	_, want := run(Config{Substrate: SubstrateSynchronous}, 0, false)
+	m, got := run(Config{Substrate: SubstrateFlow, Flow: FlowConfig{Workers: 1}}, 50000, true)
 	if m.RecoveredPanics != 1 || m.TaskRestarts != 1 {
 		t.Errorf("recovered panics %d, task restarts %d; want 1 and 1", m.RecoveredPanics, m.TaskRestarts)
 	}
@@ -183,8 +185,8 @@ func TestSupervisorFlowRedeliversOnlyPanickedMessage(t *testing.T) {
 // panic on closed mailboxes), and post-stop Ingest fails cleanly. This
 // is the regression test for the seed's double-Stop hang. The tiered
 // arm additionally covers spill-tier teardown: racing Stop/Close calls
-// must release the mmap'd spill segments exactly once (munmap, fsync,
-// truncate), with every later Close still returning nil.
+// must release the spill files exactly once (fsync, truncate, close),
+// with every later Close still returning nil.
 func TestStopIdempotentAndConcurrent(t *testing.T) {
 	for _, tc := range []struct {
 		name    string

@@ -38,7 +38,6 @@ type task struct {
 	storedCount   atomic.Int64
 	stateBytes    atomic.Int64 // resident bytes incl. index overhead
 	stateIdxBytes atomic.Int64 // index-overhead portion of stateBytes
-	spin          uint64       // overhead-emulation sink
 	// dirtyEpochs tracks resident epochs whose materialized content
 	// changed since the last checkpoint cut — the delta the incremental
 	// checkpointer walks (Segments(true), CutSegments) instead of the
@@ -194,11 +193,6 @@ func (t *task) requestPrune(cut tuple.Time) {
 // handle applies the compiled ruleset valid for the message's epoch
 // (Alg. 4).
 func (t *task) handle(msg *message) {
-	if n := t.e.cfg.OverheadLoops; n > 0 {
-		for i := 0; i < n; i++ {
-			t.spin += uint64(i) ^ t.spin>>3
-		}
-	}
 	if msg.ingestWall > 0 && t.e.metrics.sampleLag() {
 		t.e.metrics.recordLag(t.e.now() - msg.ingestWall)
 	}
