@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"clash/internal/topology"
+	"clash/internal/tuple"
 )
 
 // Checkpointing serializes the engine's materialized store state — every
@@ -313,8 +314,17 @@ func (e *Engine) LoadTaskEpoch(sg *Segment) error {
 		return fmt.Errorf("%w %s/%d (install the topology first)", ErrUnknownTask, sg.Key.Store, sg.Key.Part)
 	}
 	t.markDirty(sg.Key.Epoch)
+	// A store that copies its rows reads each one out of the scratch; the
+	// container keeps the pointer, so it gets a tuple per row.
+	var scratch tuple.Tuple
 	for i, seq := range sg.Seqs {
-		delta, idxDelta := t.state.insert(sg.Tuple(i), seq, sg.Key.Epoch)
+		tp := &scratch
+		if e.storesCopy {
+			sg.row(i, tp)
+		} else {
+			tp = sg.Tuple(i)
+		}
+		delta, idxDelta := t.state.insert(tp, seq, sg.Key.Epoch)
 		t.storedCount.Add(1)
 		e.metrics.stored.Add(1)
 		t.accountState(delta, idxDelta)

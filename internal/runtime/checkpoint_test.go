@@ -2,6 +2,8 @@ package runtime
 
 import (
 	"bytes"
+	"math"
+	stdruntime "runtime"
 	"strings"
 	"testing"
 
@@ -342,5 +344,60 @@ func TestDecodeAllocs(t *testing.T) {
 				t.Errorf("%s of %d int rows allocates %.0f objects, want < 200", c.name, rows, avg)
 			}
 		}
+	}
+}
+
+// TestLoadTaskEpochAllocs restores a 4 000-row snapshot of a columnar
+// engine into a fresh one, segment by segment through LoadTaskEpoch as
+// recovery loads a checkpoint chain, with both stores' keys probed so
+// every epoch indexes the rows it takes. A columnar store copies its
+// rows, so the restore reads each one through a scratch tuple: what it
+// allocates grows with the epochs and their indices, not with the rows.
+// An epoch's column arrays, index table and chain grow by doubling, as
+// they do under live inserts (so a restored store is charged the bytes
+// the live one was), about 80 objects for an epoch of 500 rows; a heap
+// tuple per row cost 2.5 objects a row on top.
+func TestLoadTaskEpochAllocs(t *testing.T) {
+	cfg := Config{Substrate: SubstrateSynchronous, StateBackend: BackendColumnar, EpochLength: 2000}
+	start := func() *harness {
+		return newHarness(t, "q1: R(a) S(a)", core.Options{StoreParallelism: 1}, flatEstimates([]string{"R", "S"}, 100), cfg)
+	}
+	src := start()
+	defer src.eng.Stop()
+	src.ingestAll(t, randomStream(src.cat, 4000, 50, 3))
+	segs, err := src.eng.Segments(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for i := range segs {
+		rows += segs[i].Len()
+	}
+	if rows != 4000 || len(segs) < 8 {
+		t.Fatalf("snapshot of %d rows in %d segments, want 4000 rows in two stores' epochs", rows, len(segs))
+	}
+	objects := math.Inf(1)
+	for range 3 {
+		dst := start()
+		// One tuple of each relation, far in the past, probes both keys.
+		dst.ingestAll(t, []Ingestion{{Rel: "R", TS: -1, Vals: []tuple.Value{tuple.IntValue(-1)}}, {Rel: "S", TS: -1, Vals: []tuple.Value{tuple.IntValue(-1)}}})
+		var before, after stdruntime.MemStats
+		stdruntime.ReadMemStats(&before)
+		for i := range segs {
+			if err := dst.eng.LoadTaskEpoch(&segs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stdruntime.ReadMemStats(&after)
+		objects = min(objects, float64(after.Mallocs-before.Mallocs))
+		if n := dst.eng.Snapshot().Stored; n != int64(rows)+2 {
+			t.Fatalf("%d stored tuples after the restore, want %d", n, rows+2)
+		}
+		dst.eng.Stop()
+	}
+	budget := 100 * len(segs)
+	t.Logf("restoring %d rows in %d segments: %.0f objects (budget %d)", rows, len(segs), objects, budget)
+	if objects > float64(budget) {
+		t.Errorf("restoring %d columnar rows in %d segments allocates %.0f objects, want ≤ %d: a restore allocates per row", rows, len(segs), objects, budget)
 	}
 }

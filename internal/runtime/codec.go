@@ -34,6 +34,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"clash/internal/topology"
 	"clash/internal/tuple"
@@ -106,8 +107,11 @@ func ScanFrames(b []byte) (frames []Frame, valid int64) {
 
 // schemaTable numbers the schemas of the tuples a payload carries,
 // deduplicated by signature (joined tuples of one shape share a schema
-// even across pointers). The tuples of one segment share one *Schema, so
-// the pointer seen last answers nearly every lookup without rendering a
+// even across pointers). A signature is the schema's length-prefixed
+// name list, the bytes the table encodes it as, so two schemas share an
+// id only when they encode alike: ("x, y") and ("x", "y") print alike
+// but do not. The tuples of one segment share one *Schema, so the
+// pointer seen last answers nearly every lookup without rendering a
 // signature per tuple. A table a StateEncoder keeps also keeps every
 // schema's rendered signature (sigs), so a record in steady state
 // renders none.
@@ -125,14 +129,14 @@ const maxSigs = 4096
 
 func (st *schemaTable) sig(s *tuple.Schema) string {
 	if st.sigs == nil {
-		return s.String()
+		return string(tuple.AppendSchema(nil, s))
 	}
 	sig, ok := st.sigs[s]
 	if !ok {
 		if len(st.sigs) >= maxSigs {
 			clear(st.sigs)
 		}
-		sig = s.String()
+		sig = string(tuple.AppendSchema(nil, s))
 		st.sigs[s] = sig
 	}
 	return sig
@@ -232,10 +236,18 @@ func (s *Segment) TS(i int) tuple.Time { return tuple.Time(s.cols.ts[i]) }
 
 // Tuple builds row i as a tuple of its own schema.
 func (s *Segment) Tuple(i int) *tuple.Tuple {
+	tp := &tuple.Tuple{}
+	s.row(i, tp)
+	return tp
+}
+
+// row reads row i into dst, over dst's value array.
+func (s *Segment) row(i int, dst *tuple.Tuple) {
 	sc := s.cols.schemas[s.cols.sch[i]]
-	vals := make([]tuple.Value, sc.Len())
-	s.cols.fill(i, vals)
-	return &tuple.Tuple{Schema: sc, Values: vals, TS: s.TS(i)}
+	n := sc.Len()
+	dst.Values = slices.Grow(dst.Values[:0], n)[:n]
+	s.cols.fill(i, dst.Values)
+	dst.Schema, dst.TS = sc, s.TS(i)
 }
 
 // Append adds a row at the end of a segment that owns its columns (a

@@ -20,11 +20,12 @@ package runtime
 //     decoder filled and the same tuples loaded into a columnar segment.
 //
 // The seeds (here, and as files in testdata/fuzz/FuzzStateRecord) are a
-// valid framed record with pins, a drop and two schemas, then the same
-// kind of record with an inflated schema count, an inflated entry count,
-// a schema reference out of range, and a torn frame, and a framed spill
-// segment over two schemas whose cells hold every kind. CI runs a 30 s
-// fuzz smoke on every push.
+// valid framed record with pins, a drop and two schemas, a valid record
+// over two schemas that print alike, then the same kind of record with
+// an inflated schema count, an inflated entry count, a schema reference
+// out of range, and a torn frame, and a framed spill segment over two
+// schemas whose cells hold every kind. CI runs a 30 s fuzz smoke on
+// every push.
 
 import (
 	"bytes"
@@ -33,6 +34,7 @@ import (
 	"fmt"
 	"math"
 	goruntime "runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -57,6 +59,18 @@ func fuzzSeedRecord() *StateRecord {
 		Drops: []SegKey{{Store: "st-R", Part: 1, Epoch: 0}},
 		Segs:  []Segment{sr, srs},
 	}
+}
+
+// lookalikeRecord is a valid record whose one segment holds rows of two
+// schemas that print alike, ("x, y") and ("x", "y"): the schema table
+// must number them apart.
+func lookalikeRecord() *StateRecord {
+	one, two := tuple.NewSchema("x, y"), tuple.NewSchema("x", "y")
+	sg := Segment{Key: SegKey{Store: "st", Part: 0, Epoch: 1}}
+	sg.Append(tuple.New(one, 1, tuple.IntValue(1)), 1)
+	sg.Append(tuple.New(two, 2, tuple.IntValue(2), tuple.StringValue("b")), 2)
+	sg.Append(tuple.New(one, 3, tuple.StringValue("c")), 3)
+	return &StateRecord{Seq: 3, Segs: []Segment{sg}}
 }
 
 // fuzzSeedSpill is a spill segment whose cells cover the kinds and the
@@ -108,6 +122,7 @@ func fuzzSeeds() map[string][]byte {
 	framed := AppendFrame(nil, valid)
 	return map[string][]byte{
 		"seed_valid":            framed,
+		"seed_schema_lookalike": AppendFrame(nil, AppendStateRecord(nil, lookalikeRecord())),
 		"seed_inflated_schemas": AppendFrame(nil, inflatedSchemas),
 		"seed_inflated_entries": AppendFrame(nil, inflatedEntries),
 		"seed_schema_ref":       AppendFrame(nil, badRef),
@@ -331,7 +346,7 @@ func TestFuzzSeedsDecodeAsNamed(t *testing.T) {
 		if err == nil {
 			rec, err = DecodeStateRecord(payload)
 		}
-		if name == "seed_valid" {
+		if name == "seed_valid" || name == "seed_schema_lookalike" {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -344,4 +359,50 @@ func TestFuzzSeedsDecodeAsNamed(t *testing.T) {
 			t.Errorf("%s: error %v, want ErrCorruptSnapshot for %q", name, err, why[name])
 		}
 	}
+}
+
+// TestSchemaTableKeepsLookalikesApart encodes rows of two schemas that
+// print alike, ("x, y") and ("x", "y"), in one state record (through
+// AppendStateRecord and through a StateEncoder, whose table caches the
+// signatures) and in one spill payload: each must decode, re-encode to
+// the same bytes, and give every row back under its own attribute names.
+func TestSchemaTableKeepsLookalikesApart(t *testing.T) {
+	rec := lookalikeRecord()
+	want := rec.Segs[0]
+	check := func(name string, got *Segment) {
+		t.Helper()
+		if got.Len() != want.Len() {
+			t.Fatalf("%s: %d rows, want %d", name, got.Len(), want.Len())
+		}
+		for i := range want.Len() {
+			g, w := got.Tuple(i), want.Tuple(i)
+			if !slices.Equal(g.Schema.Names(), w.Schema.Names()) || !slices.Equal(g.Values, w.Values) {
+				t.Errorf("%s: row %d decodes as %v %v, want %v %v", name, i, g.Schema.Names(), g, w.Schema.Names(), w)
+			}
+		}
+	}
+	var enc StateEncoder
+	for name, payload := range map[string][]byte{
+		"AppendStateRecord": AppendStateRecord(nil, rec),
+		"StateEncoder":      enc.Append(nil, rec),
+	} {
+		got, err := DecodeStateRecord(payload)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if again := AppendStateRecord(nil, got); !bytes.Equal(again, payload) {
+			t.Errorf("%s: re-encoding differs from the original", name)
+		}
+		check(name, &got.Segs[0])
+	}
+	spill := appendSpill(nil, want.cols)
+	s, err := decodeSpill(spill)
+	if err != nil {
+		t.Fatalf("spill: %v", err)
+	}
+	if again := appendSpill(nil, s); !bytes.Equal(again, spill) {
+		t.Error("spill: re-encoding differs from the original")
+	}
+	sg := s.view()
+	check("spill", &sg)
 }

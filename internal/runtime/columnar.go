@@ -163,10 +163,13 @@ type colIndex struct {
 	// Schema → column positions of the key attributes (nil: one is
 	// missing, so rows of that schema are in no chain), monomorphic
 	// inline slot over a map fallback (stored schemas are almost always
-	// stable per store).
+	// stable per store). The positions are carved from posBuf, which a
+	// pooled index keeps, so the epoch that reuses it resolves its
+	// schemas without allocating.
 	lastSch  *tuple.Schema
 	lastPos  []int
 	posCache map[*tuple.Schema][]int
+	posBuf   []int
 
 	// feed is the store filter of the index's key (storefilter.go) while
 	// the index belongs to a hot epoch of a live store, nil otherwise
@@ -190,13 +193,28 @@ func (ix *colIndex) posFor(s *tuple.Schema) []int {
 	}
 	p, ok := ix.posCache[s]
 	if !ok {
-		p = allPositions(s, ix.key.attrs)
+		p = ix.positions(s)
 		if ix.posCache == nil {
 			ix.posCache = make(map[*tuple.Schema][]int, 2)
 		}
 		ix.posCache[s] = p
 	}
 	ix.lastSch, ix.lastPos = s, p
+	return p
+}
+
+// positions resolves the key attributes' column positions in the schema
+// into posBuf's free tail (nil, taking none of it: one is missing).
+func (ix *colIndex) positions(s *tuple.Schema) []int {
+	start, n := len(ix.posBuf), len(ix.key.attrs)
+	ix.posBuf = slices.Grow(ix.posBuf, n)[:start+n]
+	p := ix.posBuf[start : start+n : start+n]
+	for i, a := range ix.key.attrs {
+		if p[i] = s.Index(a); p[i] < 0 {
+			ix.posBuf = ix.posBuf[:start]
+			return nil
+		}
+	}
 	return p
 }
 
@@ -329,9 +347,10 @@ func (t tableSet) poison() {
 // indexPool recycles the indices of a task's dead epochs (DESIGN.md
 // §10): the tables an index outgrows or leaves behind, at most one set
 // per power-of-two size class, and a few index structs whose position
-// caches are cleared but keep their buckets. An epoch's index grows into
-// it one class at a time, so every table has exactly the size growing
-// afresh gives it, and the row chains (colIndex.next) are never pooled:
+// caches are cleared but keep their buckets and their positions' array.
+// An epoch's index grows into it one class at a time, so every table has
+// exactly the size growing afresh gives it, and the row chains
+// (colIndex.next) are never pooled:
 // what an index is charged does not depend on the pool. The pool is
 // uncharged, like columnarState.spare, since no row lives in it; it
 // holds at most one table of each size up to the task's largest, about
@@ -407,7 +426,7 @@ func (p *indexPool) index(key *indexKey) *colIndex {
 func (p *indexPool) release(ix *colIndex) {
 	p.put(tableSet{ix.heads, ix.tails, ix.hashes, ix.filt})
 	clear(ix.posCache)
-	*ix = colIndex{posCache: ix.posCache}
+	*ix = colIndex{posCache: ix.posCache, posBuf: ix.posBuf[:0]}
 	if len(p.free) < poolIndices {
 		p.free = append(p.free, ix)
 	}

@@ -86,7 +86,8 @@ type Config struct {
 	// statistics goroutine, once per ingested tuple, in ingest order
 	// (observe.go). Every tuple ingested before a Drain, a Stop or a
 	// Controller's epoch seal has been observed when that call returns.
-	// A panic in it fails the engine (Failure).
+	// A panic in it fails the engine (Failure). The tuple is valid until
+	// the Observer returns (it is recycled, DESIGN.md §7): keep t.Clone().
 	Observer func(rel string, t *tuple.Tuple)
 	// MeasuredCosts meters task work: tasks count the nanoseconds and
 	// tuples they spend probing, inserting and pruning (through the
@@ -123,6 +124,10 @@ type message struct {
 	batch      []*tuple.Tuple
 	seq        uint64
 	ingestWall int64 // wall-clock nanos at ingestion, for latency
+	// in is the ingested tuple the batch is, when the engine counts its
+	// holders: the message holds one reference from send until dispatch
+	// or dropUndelivered lets it go. nil on every other message.
+	in *ingested
 }
 
 // tupleCount returns the number of tuples the message carries.
@@ -138,10 +143,65 @@ func (m *message) memSize() int64 {
 }
 
 // ingested is an ingested tuple allocated together with the one-slot
-// batch it travels in: 48 B, the size class of a Tuple alone.
+// batch it travels in. On an engine whose stores copy what they store
+// (Engine.storesCopy) it is reference counted — Ingest while it emits,
+// each queued message that carries it, the statistics tap until the
+// Observer has seen it — and the last release puts it back on its
+// relation's free list (DESIGN.md §7). On the container layout, whose
+// stores keep the pointer, nothing is counted and the garbage collector
+// frees it.
 type ingested struct {
-	t   tuple.Tuple
-	one [1]*tuple.Tuple
+	t    tuple.Tuple
+	one  [1]*tuple.Tuple
+	refs atomic.Int32
+	src  *source
+}
+
+// retain takes one more reference.
+func (in *ingested) retain() { in.refs.Add(1) }
+
+// release lets one reference go; the last one returns the tuple to its
+// relation's free list, poisoned under tuple.PoisonRecycled so a holder
+// that kept it past its reference reads poison.
+func (in *ingested) release() {
+	switch n := in.refs.Add(-1); {
+	case n > 0:
+		return
+	case n < 0:
+		panic("runtime: an ingested tuple was released more often than it was referenced")
+	}
+	if tuple.PoisonRecycled {
+		in.t.Poison()
+	}
+	in.src.free.Put(in)
+}
+
+// source is one relation's ingest schema and the free list its ingested
+// tuples return to.
+type source struct {
+	schema *tuple.Schema
+	free   sync.Pool // of *ingested, used only on an engine that recycles
+}
+
+// take returns an ingested tuple of the relation holding ts and vals,
+// with one reference, the caller's: off the free list when the engine
+// recycles, fresh otherwise.
+func (s *source) take(recycle bool, ts tuple.Time, vals []tuple.Value) *ingested {
+	var in *ingested
+	if recycle {
+		in, _ = s.free.Get().(*ingested)
+	}
+	if in == nil {
+		in = &ingested{src: s}
+		in.t.Values = make([]tuple.Value, 0, s.schema.Len())
+		in.one[0] = &in.t
+	}
+	if recycle {
+		in.refs.Store(1)
+	}
+	full := append(append(in.t.Values[:0], vals...), tuple.IntValue(int64(ts)))
+	in.t = tuple.Tuple{Schema: s.schema, Values: full, TS: ts}
+	return in
 }
 
 // Engine executes topology configurations.
@@ -173,8 +233,13 @@ type Engine struct {
 	// records by store ID, the order every walk over the tasks follows.
 	stores     map[topology.StoreID]*store
 	storeOrder []*store
-	births     uint64                   // store records created (StorePin.Born)
-	schemas    map[string]*tuple.Schema // relation -> ingest schema (attrs + τ)
+	births     uint64             // store records created (StorePin.Born)
+	sources    map[string]*source // relation -> ingest schema (attrs + τ) and free list
+	// storesCopy is set when the state layout copies what it stores (the
+	// columnar store, tiered or not) instead of keeping the pointer: no
+	// store keeps an ingested tuple then, so Ingest counts and recycles
+	// them, and a restore loads rows through one scratch tuple.
+	storesCopy bool
 	// keyNums numbers the index keys of every plan compiled (plan.go).
 	keyNums keyNumbers
 	// compileTopo's buffers for a rule's compiled emissions, an edge's
@@ -217,14 +282,15 @@ type epochConfig struct {
 // New creates an engine; Install a topology before ingesting.
 func New(cfg Config) *Engine {
 	e := &Engine{
-		cfg:      cfg,
-		metrics:  newMetrics(),
-		stores:   map[topology.StoreID]*store{},
-		keyNums:  keyNumbers{},
-		schemas:  map[string]*tuple.Schema{},
-		sinks:    map[string]func(*tuple.Tuple){},
-		stopDone: make(chan struct{}),
-		base:     time.Now(),
+		cfg:        cfg,
+		metrics:    newMetrics(),
+		stores:     map[topology.StoreID]*store{},
+		keyNums:    keyNumbers{},
+		sources:    map[string]*source{},
+		storesCopy: cfg.StateBackend == BackendColumnar,
+		sinks:      map[string]func(*tuple.Tuple){},
+		stopDone:   make(chan struct{}),
+		base:       time.Now(),
 	}
 	e.qCond = sync.NewCond(&e.qMu)
 	if cfg.Observer != nil {
@@ -246,7 +312,7 @@ func New(cfg Config) *Engine {
 	}
 	if cfg.Catalog != nil {
 		for _, rel := range cfg.Catalog.Names() {
-			e.schemas[rel] = ingestSchema(cfg.Catalog.Relation(rel))
+			e.sources[rel] = &source{schema: ingestSchema(cfg.Catalog.Relation(rel))}
 		}
 	}
 	return e
@@ -453,13 +519,13 @@ func (e *Engine) Ingest(rel string, ts tuple.Time, vals ...tuple.Value) error {
 		return errors.New("runtime: engine stopped")
 	}
 	e.mu.RLock()
-	schema := e.schemas[rel]
+	src := e.sources[rel]
 	e.mu.RUnlock()
-	if schema == nil {
+	if src == nil {
 		return fmt.Errorf("%w %q", ErrUnknownRelation, rel)
 	}
-	if len(vals) != schema.Len()-1 {
-		return fmt.Errorf("runtime: %d values for relation %s with %d attributes", len(vals), rel, schema.Len()-1)
+	if n := src.schema.Len() - 1; len(vals) != n {
+		return fmt.Errorf("runtime: %d values for relation %s with %d attributes", len(vals), rel, n)
 	}
 	// The install barrier (barrier.go): a re-optimization targeting this
 	// tuple's epoch or an earlier one is installed before the tuple is
@@ -486,22 +552,24 @@ func (e *Engine) Ingest(rel string, ts tuple.Time, vals ...tuple.Value) error {
 	if err := e.Failure(); err != nil {
 		return err
 	}
-	full := make([]tuple.Value, 0, schema.Len())
-	full = append(full, vals...)
-	full = append(full, tuple.IntValue(int64(ts)))
-	in := &ingested{t: tuple.Tuple{Schema: schema, Values: full, TS: ts}}
-	in.one[0] = &in.t
+	// The tuple holds Ingest's reference until its emission is done; ref
+	// is what the messages carry, nil when nothing is counted.
+	in := src.take(e.storesCopy, ts, vals)
+	var ref *ingested
+	if e.storesCopy {
+		ref = in
+	}
 
 	seq := e.seq.Add(1)
 	// Write-ahead: the record must be durable before the tuple takes any
 	// effect. A tuple that fails to log is never processed (the engine
 	// fails instead of diverging from its log); a logged tuple can
 	// always be replayed under the same sequence number. The record
-	// reads the source values through full's prefix, not vals: vals
+	// reads the source values through the tuple's prefix, not vals: vals
 	// crossing the interface would escape the caller's variadic slice
 	// to the heap on every ingest, journaled or not.
 	if j := e.journal(); j != nil {
-		if err := j.LogIngest(rel, ts, full[:len(vals)], seq); err != nil {
+		if err := j.LogIngest(rel, ts, in.t.Values[:len(vals)], seq); err != nil {
 			e.fail(fmt.Errorf("runtime: write-ahead log append: %w", err))
 			return e.Failure()
 		}
@@ -514,7 +582,7 @@ func (e *Engine) Ingest(rel string, ts tuple.Time, vals ...tuple.Value) error {
 	}
 	e.metrics.ingested.Add(1)
 	if e.tap != nil {
-		e.tap.observe(rel, &in.t)
+		e.tap.observe(rel, &in.t, ref)
 	}
 	wall := e.now()
 
@@ -527,7 +595,7 @@ func (e *Engine) Ingest(rel string, ts tuple.Time, vals ...tuple.Value) error {
 	if ec := e.configFor(ownEpoch); ec != nil {
 		steps := ec.comp.spouts[rel]
 		for i := range steps {
-			e.emitBatchLocked(&steps[i], ownEpoch, in.one[:], seq, wall, nil)
+			e.emitBatchLocked(&steps[i], message{epoch: ownEpoch, batch: in.one[:], seq: seq, ingestWall: wall, in: ref}, nil)
 		}
 	}
 	e.mu.RUnlock()
@@ -542,6 +610,9 @@ func (e *Engine) Ingest(rel string, ts tuple.Time, vals ...tuple.Value) error {
 		// in-flight count nonzero, so the wait could never settle. The
 		// outer (source-side) step drain settles the feedback instead.
 		e.sub.drain()
+	}
+	if ref != nil {
+		ref.release()
 	}
 	return e.Failure()
 }
@@ -568,17 +639,21 @@ func (e *Engine) window(rel string) time.Duration {
 // a different partitioning than the pinned physical layout cannot key
 // its probes — they broadcast).
 //
-// A batch of one is sent as it is, so its caller hands the array over.
-// A longer batch may be (and on the hot path is) the calling task's
-// reused scratch: the routed tuples are copied into one fresh,
-// exactly-sized allocation that the outgoing messages slice up, so the
-// caller is free to truncate and refill its buffer immediately. rs is
-// the partitioner's scratch, unused for a batch of one.
-func (e *Engine) emitBatchLocked(step *emitStep, epoch int64, batch []*tuple.Tuple, seq uint64, wall int64, rs *routeScratch) {
+// msg is the emission: its batch, epoch, sequence number, ingest wall
+// time and ingested holder; every message sent is a copy of it on the
+// step's edge. A batch of one is sent as it is, so its caller hands the
+// array over. A longer batch may be (and on the hot path is) the
+// calling task's reused scratch: the routed tuples are copied into one
+// fresh, exactly-sized allocation that the outgoing messages slice up,
+// so the caller is free to truncate and refill its buffer immediately.
+// rs is the partitioner's scratch, unused for a batch of one.
+func (e *Engine) emitBatchLocked(step *emitStep, msg message, rs *routeScratch) {
+	batch := msg.batch
 	if step.sink != "" {
-		e.deliverResultBatch(step.sink, batch, wall)
+		e.deliverResultBatch(step.sink, batch, msg.ingestWall)
 		return
 	}
+	msg.edge = step.edge
 	to, name := step.to, step.routeName()
 	if to.par == 1 || name == "" {
 		// One destination rule for the whole batch, sent as one message or
@@ -586,22 +661,21 @@ func (e *Engine) emitBatchLocked(step *emitStep, epoch int64, batch []*tuple.Tup
 		// rule to part 0 (h%1, seq%1, a one-task broadcast), so no routing
 		// value is looked up or hashed.
 		if len(batch) > 1 {
-			batch = slices.Clone(batch)
+			msg.batch = slices.Clone(batch)
 		}
-		e.sendRest(step, epoch, batch, seq, wall)
+		e.sendRest(step, msg)
 		return
 	}
 	if len(batch) == 1 {
 		// The hot case: the batch itself travels, keyed by its one tuple.
 		if v, ok := batch[0].Get(name); ok {
-			msg := message{edge: step.edge, epoch: epoch, batch: batch, seq: seq, ingestWall: wall}
 			p, alt := keyedParts(step, v.Hash())
 			e.send(to.tasks[p], msg)
 			if alt >= 0 {
 				e.send(to.tasks[alt], msg)
 			}
 		} else {
-			e.sendRest(step, epoch, batch, seq, wall)
+			e.sendRest(step, msg)
 		}
 		return
 	}
@@ -653,11 +727,14 @@ func (e *Engine) emitBatchLocked(step *emitStep, epoch int64, batch []*tuple.Tup
 		if n == 0 {
 			continue
 		}
-		e.send(t, message{edge: step.edge, epoch: epoch, batch: flat[off : off+n : off+n], seq: seq, ingestWall: wall})
+		m := msg
+		m.batch = flat[off : off+n : off+n]
+		e.send(t, m)
 		off += n
 	}
 	if nRest > 0 {
-		e.sendRest(step, epoch, flat[off:], seq, wall)
+		msg.batch = flat[off:]
+		e.sendRest(step, msg)
 	}
 }
 
@@ -665,11 +742,10 @@ func (e *Engine) emitBatchLocked(step *emitStep, epoch int64, batch []*tuple.Tup
 // round-robin task, so the tuple is materialized exactly once and later
 // probes broadcast. A probe broadcasts: the batch counts once per task
 // (χ in Eq. 1), and so does its message event (Sec. III).
-func (e *Engine) sendRest(step *emitStep, epoch int64, rest []*tuple.Tuple, seq uint64, wall int64) {
-	msg := message{edge: step.edge, epoch: epoch, batch: rest, seq: seq, ingestWall: wall}
+func (e *Engine) sendRest(step *emitStep, msg message) {
 	to := step.to
 	if step.isStore {
-		e.send(to.tasks[seq%uint64(to.par)], msg)
+		e.send(to.tasks[msg.seq%uint64(to.par)], msg)
 		return
 	}
 	for _, t := range to.tasks {
@@ -711,7 +787,12 @@ func SplitCandidates(h uint64, n int) (int, int) {
 	return p1, p2
 }
 
+// send delivers a data message, taking the reference its ingested
+// tuple (if counted) holds until the message is handled.
 func (e *Engine) send(t *task, msg message) {
+	if msg.in != nil {
+		msg.in.retain()
+	}
 	e.inflight.Add(1)
 	e.metrics.probeSent.Add(msg.tupleCount())
 	e.metrics.messages.Add(1)
@@ -727,10 +808,14 @@ func (e *Engine) send(t *task, msg message) {
 // dispatch handles one delivered message on its task — the single
 // per-message execution path shared by every substrate (flow.go). The
 // guarded inner call runs under the panic supervisor (supervise.go);
-// the in-flight decrement stays out here so a redelivered message's
-// fresh increment and this decrement always balance.
+// the in-flight decrement and the release of the message's ingested
+// tuple stay out here, so a redelivered message's fresh increment and
+// reference and this decrement and release always balance.
 func (e *Engine) dispatch(t *task, msg *message) {
 	e.dispatchGuarded(t, msg)
+	if msg.in != nil {
+		msg.in.release()
+	}
 	if e.inflight.Add(-1) == 0 {
 		e.notifySettled()
 	}
@@ -777,6 +862,9 @@ func (e *Engine) dispatchGuarded(t *task, msg *message) {
 func (e *Engine) dropUndelivered(msg *message) {
 	if msg.kind == kindData {
 		e.queuedBytes.Add(-msg.memSize())
+	}
+	if msg.in != nil {
+		msg.in.release()
 	}
 	if e.inflight.Add(-1) == 0 {
 		e.notifySettled()

@@ -12,6 +12,7 @@ import (
 	"clash/internal/core"
 	"clash/internal/query"
 	"clash/internal/rng"
+	"clash/internal/stats"
 	"clash/internal/tuple"
 )
 
@@ -81,8 +82,23 @@ func BenchmarkProbeHotPath(b *testing.B) {
 // partitions, stores it, and runs a keyed probe that rarely matches —
 // the message-routing overhead dominates, not join work.
 func BenchmarkIngestRouting(b *testing.B) {
+	benchIngestRouting(b, Config{})
+}
+
+// BenchmarkIngestColumnar is BenchmarkIngestRouting on the columnar
+// store with the statistics tap attached, as clash.Start wires every
+// engine: the ingested tuple goes back to its relation's free list once
+// its messages are handled and the Observer has seen it (DESIGN.md §7),
+// so B/op is what the store's growth costs, not the tuple.
+func BenchmarkIngestColumnar(b *testing.B) {
+	col := stats.NewCollector(256, 128, 1)
+	benchIngestRouting(b, Config{StateBackend: BackendColumnar,
+		Observer: func(rel string, t *tuple.Tuple) { col.Observe(rel, t) }})
+}
+
+func benchIngestRouting(b *testing.B, cfg Config) {
 	eng, _ := newBenchEngine(b, "q1: R(a) S(a)",
-		core.Options{StoreParallelism: 4}, Config{})
+		core.Options{StoreParallelism: 4}, cfg)
 	defer eng.Stop()
 
 	ts := tuple.Time(1)
@@ -207,7 +223,7 @@ func BenchmarkProbeStoreMiss(b *testing.B) {
 		if i%16 == 0 {
 			k = int64(i)
 		}
-		probe := tuple.New(eng.schemas["R"], ts, tuple.IntValue(k), tuple.IntValue(int64(ts)))
+		probe := tuple.New(eng.sources["R"].schema, ts, tuple.IntValue(k), tuple.IntValue(int64(ts)))
 		msgs[i] = message{edge: edge, epoch: eng.Epoch(ts), batch: []*tuple.Tuple{probe}, seq: 1 << 30}
 	}
 	for i := range msgs {

@@ -14,9 +14,11 @@ import (
 // in the order the batches were filled. The statistics are read only at
 // an epoch seal, at Drain and at Stop; each of them flushes the open
 // batch and waits until the goroutine has observed it, so every tuple
-// ingested before the call has been observed when it returns. Ingest
-// builds a fresh tuple per call and nothing mutates or recycles it
-// afterwards, so handing the pointer over is safe.
+// ingested before the call has been observed when it returns. On an
+// engine that recycles its ingested tuples the observation holds a
+// reference, released once the Observer has seen the tuple (DESIGN.md
+// §7), so the pointer stays valid until the Observer returns — and no
+// longer.
 
 const (
 	// observeBatch is how many observations Ingest hands over at once.
@@ -26,10 +28,12 @@ const (
 	observeDepth = 8
 )
 
-// observation is one ingested tuple waiting for the Observer.
+// observation is one ingested tuple waiting for the Observer, and the
+// reference it holds on it (nil when the engine counts none).
 type observation struct {
 	rel string
 	t   *tuple.Tuple
+	ref *ingested
 }
 
 // tapBatch is one hand-over to the statistics goroutine. A flush carries
@@ -68,12 +72,16 @@ func newObserverTap(fn func(string, *tuple.Tuple), fail func(error)) *observerTa
 	}
 }
 
-// observe queues one ingested tuple for the Observer.
-func (p *observerTap) observe(rel string, t *tuple.Tuple) {
+// observe queues one ingested tuple for the Observer, taking a
+// reference on ref (when not nil) that run releases.
+func (p *observerTap) observe(rel string, t *tuple.Tuple, ref *ingested) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return
+	}
+	if ref != nil {
+		ref.retain()
 	}
 	if p.cur == nil {
 		select {
@@ -82,7 +90,7 @@ func (p *observerTap) observe(rel string, t *tuple.Tuple) {
 			p.cur = make([]observation, 0, observeBatch)
 		}
 	}
-	p.cur = append(p.cur, observation{rel: rel, t: t})
+	p.cur = append(p.cur, observation{rel: rel, t: t, ref: ref})
 	if len(p.cur) == observeBatch {
 		p.handOverLocked(tapBatch{obs: p.cur})
 		p.cur = nil
@@ -141,6 +149,11 @@ func (p *observerTap) run() {
 	defer close(p.done)
 	for b := range p.queue {
 		p.observeAll(b.obs)
+		for _, o := range b.obs {
+			if o.ref != nil {
+				o.ref.release()
+			}
+		}
 		if b.obs != nil {
 			clear(b.obs) // release the tuples
 			select {

@@ -320,7 +320,7 @@ func TestSplitKeysMixedBatchesExact(t *testing.T) {
 			}
 			rec.sent = rec.sent[:0]
 			eng.mu.RLock()
-			eng.emitBatchLocked(step, 0, batch, 1, 0, &rs)
+			eng.emitBatchLocked(step, message{batch: batch, seq: 1}, &rs)
 			eng.mu.RUnlock()
 			got := map[int][]*tuple.Tuple{}
 			for _, s := range rec.sent {

@@ -70,11 +70,14 @@ func (e *Engine) superviseTaskPanic(t *task, msg *message, r any) {
 	t.resetVolatile()
 	e.superviseBackoff(streak)
 	// Redeliver the interrupted message through the normal substrate
-	// send path (fresh in-flight and byte accounting — dispatch already
-	// consumed the original's). At-least-once within the process: the
-	// recovery layer's sequence-number dedup restores exactly-once
-	// across it.
+	// send path (fresh in-flight and byte accounting, and a reference of
+	// its own on its ingested tuple — dispatch releases the original's).
+	// At-least-once within the process: the recovery layer's
+	// sequence-number dedup restores exactly-once across it.
 	m := *msg
+	if m.in != nil {
+		m.in.retain()
+	}
 	e.inflight.Add(1)
 	if m.kind == kindData {
 		e.queuedBytes.Add(m.memSize())

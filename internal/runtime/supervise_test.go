@@ -15,43 +15,58 @@ import (
 
 // TestSupervisorRestartPreservesResults: injected panics (before any
 // state mutation, via the sim hook) are absorbed by restarts and the
-// run still computes the exact answer — the supervisor's redelivery
-// path is exactness-preserving, not merely crash-avoiding.
+// run still computes the exact answer on every state row — the
+// supervisor's redelivery path is exactness-preserving, not merely
+// crash-avoiding. On the columnar rows, whose ingested tuples are
+// recycled, a redelivered message holds a reference of its own: the
+// Observer must still see every tuple with its own timestamp.
 func TestSupervisorRestartPreservesResults(t *testing.T) {
 	workload := "q1: R(a) S(a,b) T(b)"
 	opts := core.Options{StoreParallelism: 2}
 	est := flatEstimates([]string{"R", "S", "T"}, 100)
-	h := newHarness(t, workload, opts, est, Config{
-		Substrate: SubstrateSim,
-		StepMode:  true,
-		Sim: SimConfig{
-			Seed: 7,
-			// Deterministic occasional panic, any task.
-			Panic: func(ev SimEvent) bool { return ev.Step%9 == 0 },
-		},
-	})
-	defer h.eng.Stop()
-	ins := randomStream(h.cat, 200, 5, 11)
-	h.ingestAll(t, ins)
-	h.checkAgainstOracle(t, ins)
+	for _, row := range backendKinds() {
+		t.Run(row.name, func(t *testing.T) {
+			var seen []tuple.Time // written by the statistics goroutine
+			h := newHarness(t, workload, opts, est, row.apply(Config{
+				Substrate: SubstrateSim,
+				StepMode:  true,
+				Sim: SimConfig{
+					Seed: 7,
+					// Deterministic occasional panic, any task.
+					Panic: func(ev SimEvent) bool { return ev.Step%9 == 0 },
+				},
+				StateSpillDir: t.TempDir(),
+				Observer:      func(_ string, tt *tuple.Tuple) { seen = append(seen, tt.TS) },
+			}))
+			defer h.eng.Stop()
+			ins := randomStream(h.cat, 200, 5, 11)
+			h.ingestAll(t, ins)
+			h.checkAgainstOracle(t, ins)
+			for i, in := range ins {
+				if i >= len(seen) || seen[i] != in.TS {
+					t.Fatalf("observation %d of %d is not ingested tuple %d (ts %d)", i, len(seen), i, in.TS)
+				}
+			}
 
-	m := h.eng.Metrics().Snapshot()
-	if m.RecoveredPanics == 0 {
-		t.Fatal("no panics recovered — injection vacuous")
-	}
-	if m.TaskRestarts != m.RecoveredPanics {
-		t.Errorf("restarts %d != recovered panics %d (no task should have exhausted its budget)",
-			m.TaskRestarts, m.RecoveredPanics)
-	}
-	restarts := int64(0)
-	for _, g := range h.eng.TaskGauges() {
-		if !g.Healthy {
-			t.Errorf("task %s/%d marked unhealthy", g.Store, g.Part)
-		}
-		restarts += g.Restarts
-	}
-	if restarts != m.TaskRestarts {
-		t.Errorf("per-task restart gauges sum to %d, metrics say %d", restarts, m.TaskRestarts)
+			m := h.eng.Metrics().Snapshot()
+			if m.RecoveredPanics == 0 {
+				t.Fatal("no panics recovered — injection vacuous")
+			}
+			if m.TaskRestarts != m.RecoveredPanics {
+				t.Errorf("restarts %d != recovered panics %d (no task should have exhausted its budget)",
+					m.TaskRestarts, m.RecoveredPanics)
+			}
+			restarts := int64(0)
+			for _, g := range h.eng.TaskGauges() {
+				if !g.Healthy {
+					t.Errorf("task %s/%d marked unhealthy", g.Store, g.Part)
+				}
+				restarts += g.Restarts
+			}
+			if restarts != m.TaskRestarts {
+				t.Errorf("per-task restart gauges sum to %d, metrics say %d", restarts, m.TaskRestarts)
+			}
+		})
 	}
 }
 

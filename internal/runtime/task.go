@@ -449,7 +449,7 @@ func (t *task) forward(out []emitStep, msg *message, results []*tuple.Tuple) {
 			batch = own
 		}
 		// A sink delivery only touches sinkMu, safe under e.mu.RLock.
-		e.emitBatchLocked(&out[i], msg.epoch, batch, msg.seq, msg.ingestWall, &t.rs)
+		e.emitBatchLocked(&out[i], message{epoch: msg.epoch, batch: batch, seq: msg.seq, ingestWall: msg.ingestWall}, &t.rs)
 	}
 }
 

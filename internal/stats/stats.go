@@ -117,7 +117,9 @@ func (e *Estimates) Clone() *Estimates {
 // Blend exponentially ages old estimates into new ones:
 // out = alpha*new + (1-alpha)*old, per key. Keys only present on one side
 // are taken as-is. Blending smooths epoch-to-epoch noise while letting the
-// optimizer react within a couple of epochs (Fig. 5).
+// optimizer react within a couple of epochs (Fig. 5). Degree summaries
+// are taken by reference from both sides, not copied: a sealed summary is
+// immutable, so out shares them with old and new.
 func Blend(old, new *Estimates, alpha float64) *Estimates {
 	if old == nil {
 		return new.Clone()
@@ -163,7 +165,7 @@ func Blend(old, new *Estimates, alpha float64) *Estimates {
 	// different epochs is meaningless, so the newest observation wins
 	// per attribute (old entries survive until re-observed).
 	for k, v := range new.Degrees {
-		out.Degrees[k] = v.clone()
+		out.Degrees[k] = v
 	}
 	return out
 }
@@ -260,10 +262,15 @@ func (s *KMV) Estimate() float64 {
 }
 
 // Reservoir keeps a uniform sample of up to k tuples (Vitter's algorithm R).
+// It keeps copies: the tuple Add is given need only be valid while Add
+// runs (an engine recycles its ingested tuples once observed), and its
+// values go into one of k slots that the reservoir reuses from epoch to
+// epoch.
 type Reservoir struct {
 	k     int
 	n     int
-	items []*tuple.Tuple
+	items []*tuple.Tuple // items[i] is &slots[i]
+	slots []tuple.Tuple
 	rng   *rng.RNG
 }
 
@@ -272,23 +279,35 @@ func NewReservoir(k int, seed uint64) *Reservoir {
 	return &Reservoir{k: k, rng: rng.New(seed)}
 }
 
-// Add observes a tuple.
+// Add observes a tuple, copying it into the sample if it is drawn.
 func (r *Reservoir) Add(t *tuple.Tuple) {
 	r.n++
-	if len(r.items) < r.k {
-		r.items = append(r.items, t)
+	if i := len(r.items); i < r.k {
+		r.items = append(r.items, r.keep(i, t))
 		return
 	}
 	if j := r.rng.Intn(r.n); j < r.k {
-		r.items[j] = t
+		r.keep(j, t)
 	}
 }
 
-// Items returns the current sample. Callers must not mutate it.
+// keep copies t into slot i, over the slot's value array.
+func (r *Reservoir) keep(i int, t *tuple.Tuple) *tuple.Tuple {
+	if r.slots == nil {
+		r.slots = make([]tuple.Tuple, r.k)
+	}
+	s := &r.slots[i]
+	s.Schema, s.TS = t.Schema, t.TS
+	s.Values = append(s.Values[:0], t.Values...)
+	return s
+}
+
+// Items returns the current sample, valid until the next Add or reset.
+// Callers must not mutate it.
 func (r *Reservoir) Items() []*tuple.Tuple { return r.items }
 
 // reset empties the reservoir and restarts its generator from seed, as
-// NewReservoir(k, seed) would, keeping the item array.
+// NewReservoir(k, seed) would, keeping the item array and the slots.
 func (r *Reservoir) reset(seed uint64) {
 	clear(r.items)
 	r.items = r.items[:0]

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -75,7 +76,9 @@ func TestBlend(t *testing.T) {
 // recomputation on untouched stores: a relation with no fresh degree
 // observation must keep its *same* sealed sketch object across Blend —
 // re-cloning it every epoch recomputed estimates for stores the churn
-// never touched and defeated object-identity caching downstream.
+// never touched and defeated object-identity caching downstream. A
+// fresh summary is taken by reference too: Seal builds it for Blend and
+// nothing mutates a sealed summary, so a copy is only garbage.
 func TestBlendReusesUntouchedDegrees(t *testing.T) {
 	old := NewEstimates(0.01)
 	untouched := &AttrDegrees{Count: 100, Distinct: 10}
@@ -94,8 +97,8 @@ func TestBlendReusesUntouchedDegrees(t *testing.T) {
 	if out.Degree("S.b") == observed {
 		t.Error("freshly observed attribute kept the stale sketch")
 	}
-	if out.Degree("S.b") == freshS {
-		t.Error("fresh sketch must be cloned, not aliased to the collector's")
+	if out.Degree("S.b") != freshS {
+		t.Error("fresh sketch was copied instead of taken by reference")
 	}
 	if got := out.Degree("S.b").Count; got != 80 {
 		t.Errorf("fresh degree count = %d, want 80", got)
@@ -475,5 +478,28 @@ func TestCollectorConcurrent(t *testing.T) {
 	seal()
 	if sealed != nWriters*perWriter {
 		t.Fatalf("sealed %v observations, want %d", sealed, nWriters*perWriter)
+	}
+}
+
+// TestReservoirKeepsCopies: the reservoir copies the tuples it admits,
+// since an engine recycles an ingested tuple once its Observer returns —
+// a sample that kept the pointer would read whatever the tuple became.
+func TestReservoirKeepsCopies(t *testing.T) {
+	s := tuple.NewSchema("R.a", "R.τ")
+	r := NewReservoir(4, 1)
+	tp := tuple.New(s, 1, tuple.IntValue(7), tuple.IntValue(1))
+	for i := 0; i < 100; i++ {
+		tp.Values[0], tp.TS = tuple.IntValue(int64(i)), tuple.Time(i)
+		r.Add(tp)
+	}
+	want := fmt.Sprint(r.Items())
+	tp.Poison()
+	if got := fmt.Sprint(r.Items()); got != want {
+		t.Fatalf("sample changed with the observed tuple: %s, then %s", want, got)
+	}
+	for _, it := range r.Items() {
+		if it == tp || it.Values[0].Int() != int64(it.TS) {
+			t.Fatalf("sample item %v is the observed tuple, or mixes two of its states", it)
+		}
 	}
 }

@@ -39,6 +39,16 @@ var (
 	recycledValue  = StringValue("\x00recycled")
 )
 
+// Poison overwrites the tuple as Reset overwrites a recycled block's
+// tuples and values: an owner that recycles tuples one at a time calls it
+// under PoisonRecycled.
+func (t *Tuple) Poison() {
+	t.Schema, t.TS = recycledSchema, math.MinInt64
+	for i := range t.Values {
+		t.Values[i] = recycledValue
+	}
+}
+
 // New carves a tuple of the schema's arity, its values Null on a fresh
 // block and stale on a recycled one: the caller overwrites every one.
 func (a *Arena) New(s *Schema, ts Time) *Tuple {
